@@ -519,18 +519,18 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 			closeEng()
 			return fmt.Errorf("%w: run %d not in attested frontier", ErrCheckpointCorrupt, ref.ID)
 		}
-		b := newTreeBuilder(false)
+		h := newCompactionHasher([]uint64{ref.ID}, 0)
 		var verr error
 		enclave.ECall(func() {
-			verr = snap.RunRecords(i, b.Add)
+			verr = snap.RunRecords(i, func(rec record.Record) error { return h.add(ref.ID, rec, true) })
 		})
 		if verr != nil {
 			snap.Release()
 			closeEng()
 			return fmt.Errorf("%w: run %d stream: %v", ErrCheckpointCorrupt, ref.ID, verr)
 		}
-		_, got := b.Finish()
-		if got != want {
+		h.finish()
+		if h.inputs[0].digest() != want {
 			snap.Release()
 			closeEng()
 			return fmt.Errorf("%w: run %d digest mismatch (shipped bytes tampered)", ErrCheckpointCorrupt, ref.ID)

@@ -7,6 +7,7 @@ import (
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
+	"elsm/internal/sstable"
 )
 
 // authListener implements the engine's EventListener callbacks with the
@@ -45,26 +46,15 @@ type authListener struct {
 	walSwapPending bool
 }
 
-// compactionJob is one maintenance job's Merkle staging state. Begin,
-// Filter and OnCompactionEnd run on the job's own worker goroutine;
-// OnTableFileCreated may fire CONCURRENTLY for distinct files of the same
-// job (the engine's parallel flushers), all after the merge stream is
-// complete — finalizeOnce builds the whole-stream output tree exactly once
-// and proofFor is read-only thereafter.
+// compactionJob is one maintenance job's Merkle staging state. Every hook
+// of a job fires on the job's own goroutine, in order: Begin, Filter per
+// record, NewProofAppender once the stream has ended, OnCompactionEnd.
+// Only the proof appenders NewProofAppender returns are used elsewhere —
+// each by one of the engine's file builders — and they only read the
+// finished output tree.
 type compactionJob struct {
-	info      lsm.CompactionInfo
-	inputs    map[uint64]*treeBuilder
-	output    *treeBuilder
+	hasher    *compactionHasher
 	streamErr error
-
-	finalizeOnce sync.Once
-	finalized    *outputTree
-}
-
-// finalize builds (once) and returns the finalized output tree.
-func (j *compactionJob) finalize() *outputTree {
-	j.finalizeOnce.Do(func() { j.finalized = finishOutput(j.output) })
-	return j.finalized
 }
 
 // job returns the staging context for the given output run, or nil.
@@ -187,19 +177,20 @@ func (l *authListener) OnWALRotated() {
 	l.walSwapPending = true
 }
 
-// OnCompactionBegin allocates the job's staging context: per-run input
-// reconstruction trees and the output tree. It must NOT touch any staged
-// transition seal — a concurrent job may be mid-install with a live one;
-// abandoned stagings are retracted by OnCompactionAbort instead.
+// OnCompactionBegin allocates the job's staging context: the hasher that
+// reconstructs every input run's tree and builds the output tree. It must
+// NOT touch any staged transition seal — a concurrent job may be mid-install
+// with a live one; abandoned stagings are retracted by OnCompactionAbort
+// instead.
 func (l *authListener) OnCompactionBegin(info lsm.CompactionInfo) {
-	j := &compactionJob{
-		info:   info,
-		inputs: make(map[uint64]*treeBuilder, len(info.InputRuns)),
-		output: newTreeBuilder(true),
-	}
+	// The inputs' trusted leaf counts bound the output's (a flush adds the
+	// memtable's keys on top; the bookkeeping grows for those).
+	expect := 0
+	digs := l.c.snapshotDigests()
 	for _, id := range info.InputRuns {
-		j.inputs[id] = newTreeBuilder(false)
+		expect += digs[id].NumLeaves
 	}
+	j := &compactionJob{hasher: newCompactionHasher(info.InputRuns, expect)}
 	l.jobsMu.Lock()
 	if l.jobs == nil {
 		l.jobs = make(map[uint64]*compactionJob)
@@ -208,56 +199,33 @@ func (l *authListener) OnCompactionBegin(info lsm.CompactionInfo) {
 	l.jobsMu.Unlock()
 }
 
-// Filter ingests every record of the merge stream: records from untrusted
-// input runs feed that run's reconstruction tree (step a of §5.5.2); kept
-// records feed the output tree (step b). Memtable records are trusted (L0
-// lives in the enclave) and only feed the output side.
+// Filter ingests every record of the merge stream, digesting it once:
+// records from untrusted input runs feed that run's reconstruction (step a
+// of §5.5.2); kept records feed the output tree (step b). Memtable records
+// are trusted (L0 lives in the enclave) and only feed the output side. The
+// engine passes its own copy of the record — the bytes digested here are
+// the bytes it writes.
 func (l *authListener) Filter(info lsm.CompactionInfo, srcRun uint64, rec record.Record, dropped bool) {
 	j := l.job(info.OutputRun)
 	if j == nil || j.streamErr != nil {
 		return
 	}
-	if srcRun != lsm.MemtableRunID {
-		if b, ok := j.inputs[srcRun]; ok {
-			if err := b.Add(rec); err != nil {
-				j.streamErr = err
-				return
-			}
-		} else {
-			j.streamErr = fmt.Errorf("core: record from undeclared input run %d", srcRun)
-			return
-		}
-	}
-	if !dropped {
-		if err := j.output.Add(rec); err != nil {
-			j.streamErr = err
-		}
-	}
+	j.streamErr = j.hasher.add(srcRun, rec, dropped)
 }
 
-// OnTableFileCreated embeds each output record's Merkle proof (step c of
-// §5.5.2). The output tree is finalized exactly once — the engine only
-// creates files after the merge stream is complete, but may create several
-// files of one job concurrently; proofFor is read-only after finalize.
-func (l *authListener) OnTableFileCreated(info lsm.TableFileInfo, recs []record.Record) ([]record.Record, error) {
-	j := l.job(info.RunID)
+// NewProofAppender hands the engine a cursor that embeds each output
+// record's Merkle proof (step c of §5.5.2, "OnTableFileCreated()" in
+// Figure 4) directly into the file being built. The first call finishes the
+// job's trees; every appender reads the same finished output tree.
+func (l *authListener) NewProofAppender(info lsm.CompactionInfo) (sstable.ProofAppender, error) {
+	j := l.job(info.OutputRun)
 	if j == nil {
-		return nil, fmt.Errorf("core: OnTableFileCreated outside a compaction")
+		return nil, fmt.Errorf("core: NewProofAppender outside a compaction")
 	}
 	if j.streamErr != nil {
 		return nil, j.streamErr
 	}
-	ft := j.finalize()
-	out := make([]record.Record, len(recs))
-	for i, rec := range recs {
-		p, err := ft.proofFor(rec)
-		if err != nil {
-			return nil, err
-		}
-		rec.Proof = p.Encode()
-		out[i] = rec
-	}
-	return out, nil
+	return j.hasher.finish().newAppender(), nil
 }
 
 // OnCompactionEnd performs the authenticated-compaction input check
@@ -273,23 +241,21 @@ func (l *authListener) OnCompactionEnd(info lsm.CompactionInfo) error {
 	if j.streamErr != nil {
 		return j.streamErr
 	}
+	// A no-op if the engine already asked for proof appenders; a compaction
+	// that produced no output (everything dropped) finishes its trees here.
+	out := j.hasher.finish()
 	c := l.c
 	digs := c.snapshotDigests()
-	for _, id := range info.InputRuns {
+	for i, id := range info.InputRuns {
 		trusted, ok := digs[id]
 		if !ok {
 			return fmt.Errorf("core: no trusted digest for input run %d", id)
 		}
-		_, got := j.inputs[id].Finish()
-		if got.Root != trusted.Root || got.NumLeaves != trusted.NumLeaves {
+		if got := j.hasher.inputs[i].digest(); got != trusted {
 			return fmt.Errorf("%w: input run %d root mismatch (got %s want %s)",
 				ErrCompactionInput, id, got.Root, trusted.Root)
 		}
 	}
-	// finalize is a no-op if parallel flushers already built the tree; for a
-	// compaction that produced no output (everything dropped) it runs here.
-	ft := j.finalize()
-
 	// Stage the post-install state and write a TRANSITION seal before the
 	// engine makes the install durable (manifest rename). From here until
 	// OnVersionInstalled clears the staging, every sealed blob names both
@@ -305,7 +271,7 @@ func (l *authListener) OnCompactionEnd(info lsm.CompactionInfo) error {
 	for _, id := range info.InputRuns {
 		delete(next, id)
 	}
-	next[info.OutputRun] = ft.digest
+	next[info.OutputRun] = out.digest
 	c.mu.Lock()
 	wd, wa := c.durableDigest, c.durableAppends
 	if info.MemtableInput {
@@ -358,7 +324,7 @@ func (l *authListener) OnVersionInstalled(info lsm.CompactionInfo) {
 		for _, id := range info.InputRuns {
 			delete(next, id)
 		}
-		next[info.OutputRun] = j.finalized.digest
+		next[info.OutputRun] = j.hasher.finish().digest
 		c.snap.Store(&trustedView{digests: next})
 	}
 	// The install is durable: the staged transition is no longer needed —

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/merkle"
@@ -53,13 +54,23 @@ type EmbeddedProof struct {
 // Proof encoding errors.
 var ErrBadProof = errors.New("core: malformed embedded proof")
 
-// maxProofList bounds decoded list lengths against corrupt/hostile input.
-const maxProofList = 1 << 20
+// maxProofList is the longest Newer or Path list the format can carry: both
+// counts are uint16 on the wire.
+const maxProofList = math.MaxUint16
 
-// Encode serializes the proof.
+// proofSize is the encoded size of a proof with the given list lengths.
+func proofSize(newer, path int) int {
+	return 4 + 2 + newer*(8+hashutil.Size) + hashutil.Size + 2 + path*merkle.PathNodeSize
+}
+
+// Encode serializes the proof. A proof whose lists exceed maxProofList has
+// no encoding and yields nil, which no verifier accepts; authenticated
+// compaction (proofAppender) refuses to write such a run in the first place.
 func (p *EmbeddedProof) Encode() []byte {
-	n := 4 + 2 + len(p.Newer)*(8+hashutil.Size) + hashutil.Size + 2 + len(p.Path)*(1+hashutil.Size)
-	out := make([]byte, 0, n)
+	if len(p.Newer) > maxProofList || len(p.Path) > maxProofList {
+		return nil
+	}
+	out := make([]byte, 0, proofSize(len(p.Newer), len(p.Path)))
 	out = binary.BigEndian.AppendUint32(out, p.LeafIndex)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(p.Newer)))
 	for _, e := range p.Newer {
@@ -79,7 +90,8 @@ func (p *EmbeddedProof) Encode() []byte {
 	return out
 }
 
-// DecodeProof parses a serialized proof.
+// DecodeProof parses a serialized proof. Both lists are sized exactly from
+// their header counts, which the length checks bound by len(data).
 func DecodeProof(data []byte) (*EmbeddedProof, error) {
 	p := &EmbeddedProof{}
 	if len(data) < 6 {
@@ -88,31 +100,33 @@ func DecodeProof(data []byte) (*EmbeddedProof, error) {
 	p.LeafIndex = binary.BigEndian.Uint32(data[:4])
 	nNewer := int(binary.BigEndian.Uint16(data[4:6]))
 	off := 6
-	if nNewer > maxProofList || len(data) < off+nNewer*(8+hashutil.Size)+hashutil.Size+2 {
+	if len(data) < off+nNewer*(8+hashutil.Size)+hashutil.Size+2 {
 		return nil, fmt.Errorf("%w: truncated chain", ErrBadProof)
 	}
-	for i := 0; i < nNewer; i++ {
-		var e ChainEntry
-		e.Ts = binary.BigEndian.Uint64(data[off : off+8])
+	if nNewer > 0 {
+		p.Newer = make([]ChainEntry, nNewer)
+	}
+	for i := range p.Newer {
+		p.Newer[i].Ts = binary.BigEndian.Uint64(data[off : off+8])
 		off += 8
-		copy(e.RecDigest[:], data[off:off+hashutil.Size])
+		copy(p.Newer[i].RecDigest[:], data[off:off+hashutil.Size])
 		off += hashutil.Size
-		p.Newer = append(p.Newer, e)
 	}
 	copy(p.Inner[:], data[off:off+hashutil.Size])
 	off += hashutil.Size
 	nPath := int(binary.BigEndian.Uint16(data[off : off+2]))
 	off += 2
-	if nPath > maxProofList || len(data) != off+nPath*(1+hashutil.Size) {
+	if len(data) != off+nPath*merkle.PathNodeSize {
 		return nil, fmt.Errorf("%w: truncated path", ErrBadProof)
 	}
-	for i := 0; i < nPath; i++ {
-		var pn merkle.PathNode
-		pn.Left = data[off] == 1
+	if nPath > 0 {
+		p.Path = make([]merkle.PathNode, nPath)
+	}
+	for i := range p.Path {
+		p.Path[i].Left = data[off] == 1
 		off++
-		copy(pn.Hash[:], data[off:off+hashutil.Size])
+		copy(p.Path[i].Hash[:], data[off:off+hashutil.Size])
 		off += hashutil.Size
-		p.Path = append(p.Path, pn)
 	}
 	return p, nil
 }

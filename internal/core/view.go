@@ -177,15 +177,15 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 }
 
 // scanChunk runs one bounded round of the SCAN protocol of §5.4 over
-// [start, end] against the view: every pinned run returns at most maxKeys
-// keys; the chunk's effective end is the smallest last key among runs that
-// hit their limit (so every run's result can be verified as a complete
-// sub-range), each run's result is shrunk to that bound and checked with
-// verifyRunScan, and versions are resolved across the captured memtables
-// and runs exactly as in the materialized protocol. The returned cursor
-// resumes immediately after the chunk's effective end. Unlike the
-// pre-snapshot implementation, no retry is needed: the view's sources are
-// immutable. Caller is inside an ECall.
+// [start, end] against the view: every pinned run, and the captured
+// memtables, return at most maxKeys keys; the chunk's effective end is the
+// smallest last key among the sources that hit their limit (so every run's
+// result can be verified as a complete sub-range), each run's result is
+// shrunk to that bound and checked with verifyRunScan, and versions are
+// resolved across the memtables and runs exactly as in the materialized
+// protocol. The returned cursor resumes immediately after the chunk's
+// effective end. Unlike the pre-snapshot implementation, no retry is
+// needed: the view's sources are immutable. Caller is inside an ECall.
 func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []Result, next []byte, done bool, err error) {
 	c := v.c
 	if rec := c.rec; rec != nil {
@@ -211,6 +211,12 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 			}
 		}
 		scans = append(scans, rs)
+	}
+	// The memtables are a source like any run: bounded by maxKeys, and a
+	// scan the limit cut short ends the chunk at the last key it covered.
+	mem, memLast := v.esnap.MemScan(start, chunkEnd, tsq, maxKeys)
+	if memLast != nil {
+		chunkEnd = memLast
 	}
 	for i := range scans {
 		shrinkRunScan(&scans[i], chunkEnd)
@@ -241,7 +247,7 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 		ks.resolved = true
 		ks.res = resultFrom(rec)
 	}
-	for _, rec := range v.esnap.MemScan(start, chunkEnd, tsq) {
+	for _, rec := range mem {
 		consider(rec)
 	}
 	for _, rs := range scans {

@@ -41,21 +41,25 @@ const (
 	tagFile
 )
 
-// RecordDigest hashes one key-value record: H(tag ‖ len(k) ‖ k ‖ ts ‖ v).
-// The explicit length prefix prevents key/value boundary ambiguity.
-func RecordDigest(key []byte, ts uint64, value []byte) Hash {
-	h := sha256.New()
-	var buf [9]byte
-	buf[0] = tagRecord
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(key)))
-	h.Write(buf[:5])
-	h.Write(key)
-	binary.BigEndian.PutUint64(buf[1:9], ts)
-	h.Write(buf[1:9])
-	h.Write(value)
-	var out Hash
-	h.Sum(out[:0])
-	return out
+// stackPreimage bounds the preimages assembled on the stack and hashed with
+// one sha256.Sum256 call. Going through hash.Hash instead costs a heap
+// digest per call, a copy of every partial block into its internal buffer
+// and a copy of the whole state in Sum; the fixed-layout constructions below
+// (and records of ordinary size) are far smaller than this.
+const stackPreimage = 256
+
+// RecordDigest hashes one key-value record:
+// H(tag ‖ len(k) ‖ k ‖ ts ‖ kind ‖ v). The explicit length prefix prevents
+// key/value boundary ambiguity; the kind byte leads the digested value so a
+// tombstone can never be confused with a set of the same value.
+func RecordDigest(kind byte, key []byte, ts uint64, value []byte) Hash {
+	var hdr [5]byte
+	hdr[0] = tagRecord
+	binary.BigEndian.PutUint32(hdr[1:], uint32(len(key)))
+	var mid [9]byte
+	binary.BigEndian.PutUint64(mid[:8], ts)
+	mid[8] = kind
+	return sum4(hdr[:], key, mid[:], value)
 }
 
 // ChainLink extends a same-key version hash chain by one (newer) record:
@@ -64,58 +68,62 @@ func RecordDigest(key []byte, ts uint64, value []byte) Hash {
 // to reveal the headers (ts, digest) of every newer version — which is how
 // the enclave detects freshness violations (§5.3.1 Case 1).
 func ChainLink(ts uint64, recDigest Hash, inner Hash) Hash {
-	h := sha256.New()
-	var buf [9]byte
+	var buf [9 + 2*Size]byte
 	buf[0] = tagChain
 	binary.BigEndian.PutUint64(buf[1:9], ts)
-	h.Write(buf[:9])
-	h.Write(recDigest[:])
-	h.Write(inner[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	copy(buf[9:], recDigest[:])
+	copy(buf[9+Size:], inner[:])
+	return sha256.Sum256(buf[:])
 }
 
 // LeafHash wraps a completed version chain (or single-record digest) as a
 // Merkle leaf, binding the user key so non-membership proofs can compare
 // keys: H(tag ‖ len(k) ‖ k ‖ chainHead).
 func LeafHash(key []byte, chainHead Hash) Hash {
-	h := sha256.New()
-	var buf [5]byte
-	buf[0] = tagLeaf
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(key)))
-	h.Write(buf[:5])
-	h.Write(key)
-	h.Write(chainHead[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	var hdr [5]byte
+	hdr[0] = tagLeaf
+	binary.BigEndian.PutUint32(hdr[1:], uint32(len(key)))
+	return sum4(hdr[:], key, chainHead[:], nil)
 }
 
 // NodeHash combines two Merkle children: H(tag ‖ left ‖ right).
 func NodeHash(left, right Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagNode})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	var buf [1 + 2*Size]byte
+	buf[0] = tagNode
+	copy(buf[1:], left[:])
+	copy(buf[1+Size:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // WALLink extends the write-ahead-log digest chain:
-// dig' = H(tag ‖ dig ‖ kind ‖ len(k) ‖ k ‖ ts ‖ v) (paper §5.3 step w1).
+// dig' = H(tag ‖ kind ‖ dig ‖ len(k) ‖ k ‖ ts ‖ v) (paper §5.3 step w1).
 func WALLink(dig Hash, kind byte, key []byte, ts uint64, value []byte) Hash {
+	var hdr [2 + Size + 4]byte
+	hdr[0], hdr[1] = tagWAL, kind
+	copy(hdr[2:], dig[:])
+	binary.BigEndian.PutUint32(hdr[2+Size:], uint32(len(key)))
+	var tsb [8]byte
+	binary.BigEndian.PutUint64(tsb[:], ts)
+	return sum4(hdr[:], key, tsb[:], value)
+}
+
+// sum4 hashes a ‖ b ‖ c ‖ d: assembled on the stack when it fits, streamed
+// through a hash.Hash otherwise (large values).
+func sum4(a, b, c, d []byte) Hash {
+	n := len(a) + len(b) + len(c) + len(d)
+	if n <= stackPreimage {
+		var buf [stackPreimage]byte
+		p := copy(buf[:], a)
+		p += copy(buf[p:], b)
+		p += copy(buf[p:], c)
+		copy(buf[p:], d)
+		return sha256.Sum256(buf[:n])
+	}
 	h := sha256.New()
-	h.Write([]byte{tagWAL, kind})
-	h.Write(dig[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(key)))
-	h.Write(buf[:4])
-	h.Write(key)
-	binary.BigEndian.PutUint64(buf[:8], ts)
-	h.Write(buf[:8])
-	h.Write(value)
+	h.Write(a)
+	h.Write(b)
+	h.Write(c)
+	h.Write(d)
 	var out Hash
 	h.Sum(out[:0])
 	return out

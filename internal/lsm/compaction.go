@@ -108,7 +108,7 @@ func (s *Store) flushFrozen() error {
 		s.installMu.Unlock()
 		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
 		s.removeFiles(newRun.fileNums())
-		return fmt.Errorf("%w: %v", ErrAborted, err)
+		return fmt.Errorf("%w: %w", ErrAborted, err)
 	}
 	s.mu.Lock()
 	oldL1 := s.levels[1]
@@ -292,7 +292,7 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 		s.installMu.Unlock()
 		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
 		s.removeFiles(newRun.fileNums())
-		return fmt.Errorf("%w: %v", ErrAborted, err)
+		return fmt.Errorf("%w: %w", ErrAborted, err)
 	}
 	s.mu.Lock()
 	oldUpper, oldLower := s.levels[lvl], s.levels[lvl+1]
@@ -329,14 +329,62 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 	return nil
 }
 
-// runCompaction executes the merge: streams inputs through the listener's
-// Filter hook, applies the version/tombstone retention policy, splits the
-// output into table files, and builds them with a bounded flusher pool
-// (each file routed through OnTableFileCreated so the authentication layer
-// can embed proofs). Runs entirely without the engine lock: its inputs are
-// immutable (a frozen memtable and pinned runs). The caller verifies via
-// OnCompactionEnd under installMu before installing; on any error returned
-// here, OnCompactionAbort has already been fired.
+// recordArena holds the key and value bytes of the records a job keeps:
+// trusted-side copies taken out of the (untrusted, pinned) input blocks, in
+// slabs, so a record costs no allocation of its own. A record is staged
+// behind the committed bytes and stays only if committed — a dropped
+// record's bytes are the scratch the next one overwrites. Slabs are plain
+// garbage once the job's records are dropped; they are not pooled, a run's
+// worth of them would sit in the pool for good.
+type recordArena struct {
+	slab []byte // current slab; len is the committed prefix
+}
+
+const arenaSlabSize = 256 << 10
+
+// stage copies key and value into the arena without committing them.
+func (a *recordArena) stage(key, value []byte) (k, v []byte) {
+	n := len(key) + len(value)
+	if cap(a.slab)-len(a.slab) < n {
+		size := arenaSlabSize
+		if n > size {
+			size = n
+		}
+		a.slab = make([]byte, 0, size)
+	}
+	buf := a.slab[len(a.slab) : len(a.slab)+n : len(a.slab)+n]
+	copy(buf, key)
+	copy(buf[len(key):], value)
+	return buf[:len(key):len(key)], buf[len(key):]
+}
+
+// commit keeps the n bytes last staged.
+func (a *recordArena) commit(n int) { a.slab = a.slab[:len(a.slab)+n] }
+
+// recordList is the records a job keeps, in merge order, in fixed-size
+// chunks: a run's worth of records grows without ever being copied.
+type recordList [][]record.Record
+
+const recordListChunk = 1024
+
+func (l *recordList) add(rec record.Record) {
+	n := len(*l)
+	if n == 0 || len((*l)[n-1]) == recordListChunk {
+		*l = append(*l, make([]record.Record, 0, recordListChunk))
+		n++
+	}
+	(*l)[n-1] = append((*l)[n-1], rec)
+}
+
+// runCompaction executes the merge: every input record is copied once into
+// the job's arena and streamed through the listener's Filter hook, the
+// version/tombstone retention policy decides what stays, and the kept
+// records are split into table files built by a bounded flusher pool, each
+// with a proof appender from the listener so the authentication layer
+// embeds proofs as the blocks are framed. Runs entirely without the engine
+// lock: its inputs are immutable (a frozen memtable and pinned runs). The
+// caller verifies via OnCompactionEnd under installMu before installing; on
+// any error returned here, OnCompactionAbort has already been fired.
 func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs []*run) (*run, error) {
 	// Step m1: bulk-load input files into untrusted memory for streaming.
 	var pinnedFiles []uint64
@@ -347,28 +395,37 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 	defer s.unpinViews(pinnedFiles)
 
 	s.listener.OnCompactionBegin(info)
+	abort := func(err error) (*run, error) {
+		s.listener.OnCompactionAbort(info)
+		return nil, err
+	}
 
 	m := newMergeIter(sources)
 	defer m.Close()
 
 	// Step m2: merge with retention policy, streaming every input record
 	// through Filter (the authenticated compaction rebuilds input and
-	// output Merkle trees from this stream).
+	// output Merkle trees from this stream). The iterators hand out views
+	// of the pinned, untrusted blocks: the record is copied into the arena
+	// FIRST, and the retention decision, the listener's digest and the
+	// bytes written all come from that copy — the view is never read again,
+	// so the host cannot change a record between its hashing and its write.
 	var (
-		fileRecs [][]record.Record
-		cur      []record.Record
-		curBytes int
+		arena    recordArena
+		kept     recordList
 		curKey   []byte
 		haveKey  bool
-		kept     int
+		nKept    int
 		dropRest bool
 	)
 	for m.Valid() {
-		rec, src := m.Record()
+		view, src := m.Record()
+		key, value := arena.stage(view.Key, view.Value)
+		rec := record.Record{Key: key, Ts: view.Ts, Kind: view.Kind, Value: value}
 		if !haveKey || !bytes.Equal(rec.Key, curKey) {
 			curKey = append(curKey[:0], rec.Key...)
 			haveKey = true
-			kept = 0
+			nKept = 0
 			dropRest = false
 		}
 		drop := false
@@ -385,64 +442,95 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 			if info.BottomMost {
 				drop = true
 			} else {
-				kept++
+				nKept++
 			}
 		default:
-			if s.opts.KeepVersions > 0 && kept >= s.opts.KeepVersions {
+			if s.opts.KeepVersions > 0 && nKept >= s.opts.KeepVersions {
 				drop = true
 			} else {
-				kept++
+				nKept++
 			}
 		}
 		s.listener.Filter(info, src, rec, drop)
 		if drop {
 			s.recordsDropped.Add(1)
 		} else {
-			cur = append(cur, rec)
-			curBytes += rec.Size()
-			if curBytes >= s.opts.TableFileSize {
-				fileRecs = append(fileRecs, cur)
-				cur = nil
-				curBytes = 0
-			}
+			arena.commit(len(key) + len(value))
+			kept.add(rec)
 		}
 		m.Next()
 	}
-	if len(cur) > 0 {
-		fileRecs = append(fileRecs, cur)
+
+	// Split the output into files by the bytes each record will occupy —
+	// key, value and the proof it is about to get, whose size is known now
+	// that the stream (and with it the output tree's shape) is complete —
+	// so TableFileSize bounds a flush's files and a compaction's alike.
+	sizer, err := s.listener.NewProofAppender(info)
+	if err != nil {
+		return abort(err)
+	}
+	var (
+		fileRecs recordList // one file's records, as sub-slices of kept's chunks
+		files    []recordList
+		curBytes int
+	)
+	for _, chunk := range kept {
+		start := 0
+		for i, rec := range chunk {
+			curBytes += rec.Size()
+			if sizer != nil {
+				n, err := sizer.ProofLen(rec)
+				if err != nil {
+					return abort(err)
+				}
+				curBytes += n
+			}
+			if curBytes >= s.opts.TableFileSize {
+				files = append(files, append(fileRecs, chunk[start:i+1]))
+				fileRecs, start, curBytes = nil, i+1, 0
+			}
+		}
+		if start < len(chunk) {
+			fileRecs = append(fileRecs, chunk[start:])
+		}
+	}
+	if len(fileRecs) > 0 {
+		files = append(files, fileRecs)
 	}
 
 	// Write output files, bubt-style: each output SSTable is independent
 	// once the merge has partitioned the stream, so build/hash/write them
 	// with a bounded flusher pool, overlapping enclave hashing with file
 	// I/O. File numbers are pre-assigned so the on-disk order matches the
-	// key order regardless of completion order. Per-record proofs are
-	// embedded against the finalized whole-stream output tree, which the
-	// listener builds once (OnTableFileCreated may fire concurrently for
-	// files of the same job — the listener's per-job context handles that).
-	handles := make([]*tableHandle, len(fileRecs))
-	errs := make([]error, len(fileRecs))
-	fileNums := make([]uint64, len(fileRecs))
-	for i := range fileRecs {
+	// key order regardless of completion order. Each file gets its own
+	// proof appender over the finalized whole-stream output tree.
+	handles := make([]*tableHandle, len(files))
+	errs := make([]error, len(files))
+	fileNums := make([]uint64, len(files))
+	proofs := make([]sstable.ProofAppender, len(files))
+	for i := range files {
 		fileNums[i] = s.nextFileNum.Add(1) - 1
+		if proofs[i], err = s.listener.NewProofAppender(info); err != nil {
+			return abort(err)
+		}
 	}
-	if len(fileRecs) <= 1 {
-		for fi, recs := range fileRecs {
-			handles[fi], errs[fi] = s.writeRunFile(info, fi, fileNums[fi], recs)
+	if len(files) <= 1 {
+		for fi, recs := range files {
+			handles[fi], errs[fi] = s.writeRunFile(fileNums[fi], recs, proofs[fi])
 		}
 	} else {
 		flushers := s.opts.CompactionWorkers
-		if flushers > len(fileRecs) {
-			flushers = len(fileRecs)
+		if flushers > len(files) {
+			flushers = len(files)
 		}
 		sem := make(chan struct{}, flushers)
 		var wg sync.WaitGroup
-		for fi := range fileRecs {
+		for fi := range files {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(fi int) {
 				defer func() { <-sem; wg.Done() }()
-				handles[fi], errs[fi] = s.writeRunFile(info, fi, fileNums[fi], fileRecs[fi])
+				handles[fi], errs[fi] = s.writeRunFile(fileNums[fi], files[fi], proofs[fi])
 			}(fi)
 		}
 		wg.Wait()
@@ -458,8 +546,7 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 				}
 			}
 			s.removeFiles(written)
-			s.listener.OnCompactionAbort(info)
-			return nil, err
+			return abort(err)
 		}
 	}
 	for _, th := range handles {
@@ -475,25 +562,13 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 // OCall, so a buffer can be reused as soon as writeRunFile returns.
 var memBufPool = sync.Pool{New: func() any { return &memBuf{} }}
 
-// writeRunFile builds one output SSTable. The records are first offered to
-// the listener, which may rewrite them (embedding proofs); the table is
-// built inside the enclave and flushed to the untrusted FS in one OCall
-// (step m3), charging the boundary copy for the file bytes. Safe to call
-// concurrently for distinct files of the same job (fileNum is pre-assigned
-// by the caller so output order is deterministic).
-func (s *Store) writeRunFile(info CompactionInfo, fileIdx int, fileNum uint64, recs []record.Record) (*tableHandle, error) {
-	tfi := TableFileInfo{
-		FileNum:   fileNum,
-		RunID:     info.OutputRun,
-		Level:     info.OutputLevel,
-		FileIndex: fileIdx,
-		NumRecs:   len(recs),
-	}
-	recs, err := s.listener.OnTableFileCreated(tfi, recs)
-	if err != nil {
-		return nil, err
-	}
-
+// writeRunFile builds one output SSTable from recs, which it only reads;
+// proofs (nil for none) embeds each record's proof as its block is framed.
+// The table is built inside the enclave and flushed to the untrusted FS in
+// one OCall (step m3), charging the boundary copy for the file bytes. Safe
+// to call concurrently for distinct files of the same job (fileNum is
+// pre-assigned by the caller so output order is deterministic).
+func (s *Store) writeRunFile(fileNum uint64, recs recordList, proofs sstable.ProofAppender) (*tableHandle, error) {
 	// Build in enclave memory first (pooled buffer: parallel flushers churn
 	// one table-sized allocation per file otherwise).
 	buf := memBufPool.Get().(*memBuf)
@@ -505,10 +580,13 @@ func (s *Store) writeRunFile(info CompactionInfo, fileIdx int, fileNum uint64, r
 		BlockSize: s.opts.BlockSize,
 		Transform: s.opts.Transform,
 		FileNum:   fileNum,
+		Proofs:    proofs,
 	})
-	for _, rec := range recs {
-		if err := b.Add(rec); err != nil {
-			return nil, err
+	for _, part := range recs {
+		for _, rec := range part {
+			if err := b.Add(rec); err != nil {
+				return nil, err
+			}
 		}
 	}
 	meta, err := b.Finish()
@@ -644,7 +722,7 @@ func (s *Store) bulkLoadJob(recs []record.Record, total int64, maxTs uint64) err
 		s.listener.OnCompactionAbort(info)
 		s.installMu.Unlock()
 		s.removeFiles(newRun.fileNums())
-		return fmt.Errorf("%w: %v", ErrAborted, err)
+		return fmt.Errorf("%w: %w", ErrAborted, err)
 	}
 	s.mu.Lock()
 	// Place the run by its ACTUAL size: the listener may have inflated

@@ -159,35 +159,29 @@ func scanRunChunk(r *run, start, end []byte, maxKeys int) (RunScan, error) {
 		keys    int
 		lastKey []byte
 	)
+	// The iterator's records are views of its current block: everything the
+	// result keeps is cloned.
 	for it.Valid() {
-		rec := it.Record()
-		if bytes.Compare(rec.Key, end) > 0 {
-			out.Succ = &rec
+		view := it.Record()
+		if bytes.Compare(view.Key, end) > 0 {
+			succ := view.Clone()
+			out.Succ = &succ
 			break
 		}
-		if lastKey == nil || !bytes.Equal(rec.Key, lastKey) {
+		if lastKey == nil || !bytes.Equal(view.Key, lastKey) {
 			if maxKeys > 0 && keys >= maxKeys {
-				out.Succ = &rec
+				succ := view.Clone()
+				out.Succ = &succ
 				out.Truncated = true
 				break
 			}
 			keys++
-			lastKey = append(lastKey[:0], rec.Key...)
+			lastKey = append(lastKey[:0], view.Key...)
 		}
-		out.Records = append(out.Records, rec)
+		out.Records = append(out.Records, view.Clone())
 		it.Next()
 	}
 	return out, nil
-}
-
-// MemScan returns the newest version ≤ tsq of every key in [start, end]
-// from the (trusted) memtables — the active table merged with the frozen
-// one mid-flush — including tombstones.
-func (s *Store) MemScan(start, end []byte, tsq uint64) []record.Record {
-	s.mu.RLock()
-	mem, frozen := s.mem, s.frozen
-	s.mu.RUnlock()
-	return memScanTables(mem, frozen, start, end, tsq)
 }
 
 // WarmCache streams every data block of every run through the block source

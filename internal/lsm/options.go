@@ -219,15 +219,6 @@ type CompactionInfo struct {
 	BulkLoad bool
 }
 
-// TableFileInfo describes one output SSTable being created.
-type TableFileInfo struct {
-	FileNum   uint64
-	RunID     uint64
-	Level     int
-	FileIndex int // sequence of this file within the output run
-	NumRecs   int
-}
-
 // EventListener is the callback surface through which the eLSM
 // authentication layer attaches to the engine, mirroring RocksDB's
 // EventListener + CompactionFilter APIs (§5.5.3). Commit-path hooks
@@ -239,11 +230,15 @@ type TableFileInfo struct {
 // implementations must key any per-compaction staging state by it.
 // Concurrency guarantees the engine provides:
 //
-//   - OnCompactionBegin and Filter fire on the job's own goroutine, with
-//     Filter single-threaded per job (merge order);
-//   - OnTableFileCreated may fire CONCURRENTLY for different files of the
-//     SAME job (the pipelined output build) — per-job read-mostly state
-//     must tolerate that;
+//   - every hook of one job fires on that job's own goroutine, in order:
+//     OnCompactionBegin, Filter once per record (merge order), then
+//     NewProofAppender once the merge stream has ended — one call to size
+//     the output files and one per file;
+//   - the appenders NewProofAppender returned are then USED concurrently,
+//     one per file builder goroutine (the pipelined output build), until
+//     the last file is written — always before OnCompactionEnd or
+//     OnCompactionAbort. An appender is touched by one goroutine only;
+//     whatever the appenders of one job share must be read-only by then;
 //   - OnCompactionEnd → OnVersionInstalled → OnVersionCommitted run under
 //     the engine's install lock, so across ALL jobs at most one install
 //     sequence is in flight at a time ("one version install in flight");
@@ -298,12 +293,18 @@ type EventListener interface {
 	// with its source run (MemtableRunID for memtable records) and
 	// whether the engine is dropping it (tombstone elimination or version
 	// GC). Mirrors RocksDB's CompactionFilter ("Filter()" in Figure 4).
+	// rec.Key and rec.Value are the engine's own copy of the record, taken
+	// out of the untrusted input before anything looked at it: a kept
+	// record is written from these very bytes, so what a listener digests
+	// here is what lands in the output. The slices are valid only during
+	// the call unless the record is kept; rec.Proof is always empty.
 	Filter(info CompactionInfo, srcRun uint64, rec record.Record, dropped bool)
-	// OnTableFileCreated fires once per output file after the merge, with
-	// the file's records; the listener may return replacement records
-	// (e.g. with embedded proofs), which the engine writes instead
-	// ("OnTableFileCreated()" in Figure 4).
-	OnTableFileCreated(info TableFileInfo, recs []record.Record) ([]record.Record, error)
+	// NewProofAppender fires after the merge, once to size the output files
+	// and once per file: the returned appender writes the proof of each
+	// record it is given straight into the SSTable block being built (the
+	// work of "OnTableFileCreated()" in Figure 4). Records reach an
+	// appender in merge order. Nil means the records carry no proofs.
+	NewProofAppender(info CompactionInfo) (sstable.ProofAppender, error)
 	// OnCompactionEnd fires after all output files are staged but before
 	// the new version is installed; returning an error aborts the
 	// compaction (the authenticated-compaction input check, §5.5.2).
@@ -355,10 +356,8 @@ func (NopListener) OnCompactionBegin(CompactionInfo) {}
 // Filter implements EventListener.
 func (NopListener) Filter(CompactionInfo, uint64, record.Record, bool) {}
 
-// OnTableFileCreated implements EventListener.
-func (NopListener) OnTableFileCreated(_ TableFileInfo, recs []record.Record) ([]record.Record, error) {
-	return recs, nil
-}
+// NewProofAppender implements EventListener.
+func (NopListener) NewProofAppender(CompactionInfo) (sstable.ProofAppender, error) { return nil, nil }
 
 // OnCompactionEnd implements EventListener.
 func (NopListener) OnCompactionEnd(CompactionInfo) error { return nil }

@@ -261,7 +261,11 @@ func TestParallelMatchesSerialScans(t *testing.T) {
 // compaction disabled, a stalled writer can only be waiting on flush
 // progress, so no stall time may be charged to compaction debt.
 func TestStallAttributionFlushOnly(t *testing.T) {
-	opts := bgOpts(vfs.NewSlowSync(vfs.NewMem(), 2*time.Millisecond))
+	// The sync must dwarf the time a writer needs to fill a memtable, also
+	// under the race detector on a loaded box: at 2 ms a flush (two syncs
+	// plus a now much cheaper merge) sometimes finished first and nobody
+	// stalled.
+	opts := bgOpts(vfs.NewSlowSync(vfs.NewMem(), 10*time.Millisecond))
 	opts.DisableCompaction = true
 	opts.DisableWAL = true // puts are memory-fast; only the flush pays syncs
 	s, err := Open(opts)

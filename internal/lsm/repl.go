@@ -343,7 +343,9 @@ func (sn *Snapshot) EncodeManifest(lastTs uint64) ([]byte, error) {
 // RunRecords streams every record (all versions, tombstones included) of
 // the i-th pinned run in engine order — key ascending, timestamp
 // descending. The importer rebuilds the run's Merkle digest from this
-// stream and compares it against the attested frontier.
+// stream and compares it against the attested frontier. The record handed
+// to fn is a view of the iterator's current block, valid only until fn
+// returns: an fn that keeps it clones it.
 func (sn *Snapshot) RunRecords(i int, fn func(record.Record) error) error {
 	if i < 0 || i >= len(sn.runs) {
 		return ErrUnknownRun

@@ -107,9 +107,12 @@ func (sn *Snapshot) MemGet(key []byte, tsq uint64) (record.Record, bool) {
 }
 
 // MemScan returns the newest version ≤ tsq of every key in [start, end]
-// from the snapshot's memtables, including tombstones.
-func (sn *Snapshot) MemScan(start, end []byte, tsq uint64) []record.Record {
-	return memScanTables(sn.mem, sn.frozen, start, end, sn.clamp(tsq))
+// from the snapshot's memtables, including tombstones, visiting at most
+// maxKeys distinct keys (0 = unlimited). When the limit cut the scan short
+// of end, last is the last key it covered — the caller's chunk ends there —
+// and nil otherwise.
+func (sn *Snapshot) MemScan(start, end []byte, tsq uint64, maxKeys int) (recs []record.Record, last []byte) {
+	return memScanTables(sn.mem, sn.frozen, start, end, sn.clamp(tsq), maxKeys)
 }
 
 // LookupRun performs the untrusted side of a one-level GET against the
@@ -168,8 +171,9 @@ func (sn *Snapshot) ScanChunk(start, end []byte, tsq uint64, maxKeys int) (out [
 }
 
 // memScanTables merges the given memtables (frozen may be nil) into the
-// newest version ≤ tsq per key in [start, end], tombstones included.
-func memScanTables(mem, frozen *memtable.Table, start, end []byte, tsq uint64) []record.Record {
+// newest version ≤ tsq per key in [start, end], tombstones included,
+// bounded to maxKeys distinct keys (see Snapshot.MemScan).
+func memScanTables(mem, frozen *memtable.Table, start, end []byte, tsq uint64, maxKeys int) (out []record.Record, last []byte) {
 	sources := []mergeSource{{runID: MemtableRunID, iter: mem.Iter()}}
 	if frozen != nil {
 		sources = append(sources, mergeSource{runID: MemtableRunID, iter: frozen.Iter()})
@@ -179,8 +183,8 @@ func memScanTables(mem, frozen *memtable.Table, start, end []byte, tsq uint64) [
 	}
 	m := newMergeIter(sources)
 	defer m.Close()
-	var out []record.Record
 	var lastKey []byte
+	keys := 0
 	emitted := false
 	for m.Valid() {
 		rec, _ := m.Record()
@@ -188,6 +192,10 @@ func memScanTables(mem, frozen *memtable.Table, start, end []byte, tsq uint64) [
 			break
 		}
 		if lastKey == nil || !bytes.Equal(rec.Key, lastKey) {
+			if maxKeys > 0 && keys >= maxKeys {
+				return out, lastKey
+			}
+			keys++
 			lastKey = append([]byte(nil), rec.Key...)
 			emitted = false
 		}
@@ -197,7 +205,7 @@ func memScanTables(mem, frozen *memtable.Table, start, end []byte, tsq uint64) [
 		}
 		m.Next()
 	}
-	return out
+	return out, nil
 }
 
 // scanChunkSources resolves the merged sources into the newest version
@@ -215,7 +223,7 @@ func scanChunkSources(sources []mergeSource, start, end []byte, tsq uint64, maxK
 	resolved := false
 	done = true
 	for m.Valid() {
-		rec, _ := m.Record()
+		rec, src := m.Record()
 		if bytes.Compare(rec.Key, end) > 0 {
 			break
 		}
@@ -232,6 +240,9 @@ func scanChunkSources(sources []mergeSource, start, end []byte, tsq uint64, maxK
 		if !resolved && rec.Ts <= tsq {
 			resolved = true
 			if rec.Kind == record.KindSet {
+				if src != MemtableRunID {
+					rec = rec.Clone() // a run iterator's record is a view of its block
+				}
 				out = append(out, rec)
 			}
 		}

@@ -38,24 +38,73 @@ func New(leaves []Hash) *Tree {
 	if len(leaves) == 0 {
 		return &Tree{}
 	}
-	levels := make([][]Hash, 0, 8)
-	cur := make([]Hash, len(leaves))
+	total := 0
+	for w := len(leaves); ; w = (w + 1) / 2 {
+		total += w
+		if w == 1 {
+			break
+		}
+	}
+	nodes := make([]Hash, total) // every level, in one backing array
+	cur := nodes[:len(leaves):len(leaves)]
 	copy(cur, leaves)
-	levels = append(levels, cur)
+	levels := [][]Hash{cur}
 	for len(cur) > 1 {
-		next := make([]Hash, 0, (len(cur)+1)/2)
-		for i := 0; i < len(cur); i += 2 {
-			if i+1 < len(cur) {
-				next = append(next, hashutil.NodeHash(cur[i], cur[i+1]))
-			} else {
-				// Promote the lone trailing node.
-				next = append(next, cur[i])
-			}
+		nodes = nodes[len(cur):]
+		w := (len(cur) + 1) / 2
+		next := nodes[:w:w]
+		for i := 0; i+1 < len(cur); i += 2 {
+			next[i/2] = hashutil.NodeHash(cur[i], cur[i+1])
+		}
+		if len(cur)%2 == 1 {
+			next[w-1] = cur[len(cur)-1] // promote the lone trailing node
 		}
 		levels = append(levels, next)
 		cur = next
 	}
 	return &Tree{levels: levels}
+}
+
+// RootBuilder computes the root and leaf count New would give a leaf
+// sequence, from the leaves one at a time, keeping one pending node per
+// level instead of the tree: nothing is allocated. For callers that only
+// need a run's digest (authenticated compaction's input check). The zero
+// value is an empty builder.
+type RootBuilder struct {
+	n       int
+	pending [64]Hash // pending[l] is level l's unpaired left node, if bit l of n is set
+}
+
+// Add appends the next leaf.
+func (b *RootBuilder) Add(leaf Hash) {
+	h := leaf
+	l := 0
+	for ; b.n>>l&1 == 1; l++ { // a left sibling waits at this level: pair up
+		h = hashutil.NodeHash(b.pending[l], h)
+	}
+	b.pending[l] = h
+	b.n++
+}
+
+// NumLeaves returns the number of leaves added.
+func (b *RootBuilder) NumLeaves() int { return b.n }
+
+// Root returns the root over the leaves added so far (zero for none). Each
+// level's unpaired node is its lone trailing node: it pairs with the node
+// promoted from below if there is one, and is promoted itself otherwise.
+func (b *RootBuilder) Root() Hash {
+	var h Hash
+	have := false
+	for l := 0; b.n>>l != 0; l++ {
+		switch {
+		case b.n>>l&1 == 0:
+		case have:
+			h = hashutil.NodeHash(b.pending[l], h)
+		default:
+			h, have = b.pending[l], true
+		}
+	}
+	return h
 }
 
 // Root returns the root hash (zero for an empty tree).
@@ -98,6 +147,47 @@ func (t *Tree) Path(i int) []PathNode {
 		idx /= 2
 	}
 	return path
+}
+
+// PathNodeSize is the encoded size of one authentication-path step as
+// AppendPath writes it.
+const PathNodeSize = 1 + hashutil.Size
+
+// PathLen returns the number of steps in the authentication path of leaf
+// index in a tree of numLeaves leaves — one per level where the node has a
+// sibling. It is what Path returns the length of, computed without a tree.
+func PathLen(index, numLeaves int) int {
+	n := 0
+	i := uint(index)
+	for w := uint(numLeaves); w > 1; w = (w + 1) >> 1 {
+		if i&1 == 1 || i+1 < w {
+			n++
+		}
+		i >>= 1
+	}
+	return n
+}
+
+// AppendPath appends the authentication path of leaf i to dst, bottom-up,
+// each step as a side byte (1 when the sibling is the left child, else 0)
+// followed by the sibling hash: PathLen(i, NumLeaves()) × PathNodeSize
+// bytes, the same steps Path returns, with no intermediate slice.
+func (t *Tree) AppendPath(dst []byte, i int) []byte {
+	if i < 0 || len(t.levels) == 0 || i >= len(t.levels[0]) {
+		panic(fmt.Sprintf("merkle: leaf index %d out of range", i))
+	}
+	for _, level := range t.levels[:len(t.levels)-1] {
+		switch {
+		case i%2 == 1:
+			dst = append(dst, 1)
+			dst = append(dst, level[i-1][:]...)
+		case i+1 < len(level):
+			dst = append(dst, 0)
+			dst = append(dst, level[i+1][:]...)
+		}
+		i /= 2
+	}
+	return dst
 }
 
 // Proof-verification errors.

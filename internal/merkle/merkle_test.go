@@ -292,3 +292,98 @@ func sizeName(n int) string {
 		return "1k"
 	}
 }
+
+// referenceRoot is the tree definition spelled out with no shared code: pair
+// adjacent nodes level by level, promote a lone trailing node.
+func referenceRoot(leaves []Hash) Hash {
+	if len(leaves) == 0 {
+		return hashutil.Zero
+	}
+	cur := append([]Hash(nil), leaves...)
+	for len(cur) > 1 {
+		var next []Hash
+		for i := 0; i < len(cur); i += 2 {
+			if i+1 < len(cur) {
+				next = append(next, hashutil.NodeHash(cur[i], cur[i+1]))
+			} else {
+				next = append(next, cur[i])
+			}
+		}
+		cur = next
+	}
+	return cur[0]
+}
+
+// TestRootBuilderMatchesTree feeds every leaf count up to 130 (all the
+// promotion patterns of eight levels) to the streaming builder and checks it
+// against the materialized tree and the reference, at every prefix.
+func TestRootBuilderMatchesTree(t *testing.T) {
+	leaves := leafSet(130)
+	var b RootBuilder
+	for n := 0; n <= len(leaves); n++ {
+		if n > 0 {
+			b.Add(leaves[n-1])
+		}
+		want := referenceRoot(leaves[:n])
+		if got := New(leaves[:n]).Root(); got != want {
+			t.Fatalf("New over %d leaves: root %s, want %s", n, got, want)
+		}
+		if got := b.Root(); got != want || b.NumLeaves() != n {
+			t.Fatalf("RootBuilder over %d leaves: root %s (%d leaves), want %s", n, got, b.NumLeaves(), want)
+		}
+	}
+}
+
+// TestAppendPathMatchesPath checks the append-style encoder and PathLen
+// against Path for every leaf of every tree size up to 70.
+func TestAppendPathMatchesPath(t *testing.T) {
+	prefix := []byte("keep")
+	for n := 1; n <= 70; n++ {
+		tr := New(leafSet(n))
+		for i := 0; i < n; i++ {
+			path := tr.Path(i)
+			if got := PathLen(i, n); got != len(path) {
+				t.Fatalf("PathLen(%d, %d) = %d, Path has %d steps", i, n, got, len(path))
+			}
+			want := append([]byte(nil), prefix...)
+			for _, pn := range path {
+				side := byte(0)
+				if pn.Left {
+					side = 1
+				}
+				want = append(append(want, side), pn.Hash[:]...)
+			}
+			got := tr.AppendPath(append([]byte(nil), prefix...), i)
+			if string(got) != string(want) || len(got) != len(prefix)+len(path)*PathNodeSize {
+				t.Fatalf("AppendPath(%d) of %d leaves differs from Path", i, n)
+			}
+		}
+	}
+}
+
+func BenchmarkAppendPath(b *testing.B) {
+	const n = 50000
+	tr := New(leafSet(n))
+	buf := make([]byte, 0, 64*PathNodeSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = tr.AppendPath(buf[:0], (i*7919)%n)
+	}
+	sinkBytes = buf
+}
+
+func BenchmarkPath(b *testing.B) {
+	const n = 50000
+	tr := New(leafSet(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPath = tr.Path((i * 7919) % n)
+	}
+}
+
+var (
+	sinkBytes []byte
+	sinkPath  []PathNode
+)

@@ -58,16 +58,7 @@ type Record struct {
 // Digest returns the record's cryptographic digest (proof excluded: the
 // proof authenticates the record, not vice versa).
 func (r Record) Digest() hashutil.Hash {
-	return hashutil.RecordDigest(r.Key, r.Ts, r.valueForDigest())
-}
-
-// valueForDigest folds the kind into the digested bytes so a tombstone can
-// never be confused with a set of the same value.
-func (r Record) valueForDigest() []byte {
-	out := make([]byte, 1+len(r.Value))
-	out[0] = byte(r.Kind)
-	copy(out[1:], r.Value)
-	return out
+	return hashutil.RecordDigest(byte(r.Kind), r.Key, r.Ts, r.Value)
 }
 
 // Clone returns a deep copy (style guide: copy slices at boundaries).

@@ -75,6 +75,23 @@ type BuilderOptions struct {
 	Transform BlockTransform
 	// FileNum is the table's file number, used for block binding.
 	FileNum uint64
+	// Proofs, when non-nil, supplies every record's embedded proof at build
+	// time, written straight into the block buffer; Record.Proof is then
+	// ignored. Nil writes each record's own Proof bytes.
+	Proofs ProofAppender
+}
+
+// ProofAppender produces the embedded proofs of the records added to one
+// table (§5.2: 〈k, v ‖ π〉). The builder asks for a proof's length, frames
+// it, and has the proof appended directly after — no intermediate buffer.
+// An implementation serves one builder; it need not be safe for concurrent
+// use.
+type ProofAppender interface {
+	// ProofLen returns the exact number of bytes AppendProof will append
+	// for rec, or an error if rec has no proof.
+	ProofLen(rec record.Record) (int, error)
+	// AppendProof appends rec's serialized proof to dst.
+	AppendProof(dst []byte, rec record.Record) ([]byte, error)
 }
 
 // Meta describes a finished table.
@@ -95,10 +112,17 @@ type Builder struct {
 	f    vfs.File
 	opts BuilderOptions
 
-	off        int64
-	blockBuf   []byte
-	blockKeys  [][]byte
-	index      []indexEntry
+	off      int64
+	blockBuf []byte
+	// keyOffs holds (start, end) of every key framed into blockBuf, for the
+	// block's Bloom filter; blockKeys is the scratch the offsets are turned
+	// into at flush time.
+	keyOffs   []int
+	blockKeys [][]byte
+	// indexKeys backs the index entries' lastKey slices (keyEnd marks each
+	// entry's end), so a block costs no key allocation.
+	indexKeys  []byte
+	index      []builtBlock
 	filters    [][]byte
 	numEntries int
 	haveLast   bool
@@ -114,6 +138,15 @@ type indexEntry struct {
 	length  int64
 }
 
+// builtBlock is the builder's index entry: its last key is
+// indexKeys[previous keyEnd : keyEnd].
+type builtBlock struct {
+	keyEnd int
+	lastTs uint64
+	off    int64
+	length int64
+}
+
 // NewBuilder starts building a table into f.
 func NewBuilder(f vfs.File, opts BuilderOptions) *Builder {
 	if opts.BlockSize <= 0 {
@@ -125,19 +158,8 @@ func NewBuilder(f vfs.File, opts BuilderOptions) *Builder {
 	return &Builder{f: f, opts: opts, meta: Meta{FileNum: opts.FileNum}}
 }
 
-// appendRecord frames rec into buf.
-func appendRecord(buf []byte, rec record.Record) []byte {
-	buf = append(buf, byte(rec.Kind))
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Key)))
-	buf = append(buf, rec.Key...)
-	buf = binary.BigEndian.AppendUint64(buf, rec.Ts)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Value)))
-	buf = append(buf, rec.Value...)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Proof)))
-	return append(buf, rec.Proof...)
-}
-
-// Add appends a record. Records must arrive in strict record order.
+// Add appends a record. Records must arrive in strict record order. The
+// record's bytes are copied before Add returns.
 func (b *Builder) Add(rec record.Record) error {
 	if b.haveLast && record.Compare(b.lastKey, b.lastTs, rec.Key, rec.Ts) >= 0 {
 		return fmt.Errorf("%w: %q@%d after %q@%d", ErrOrder, rec.Key, rec.Ts, b.lastKey, b.lastTs)
@@ -150,8 +172,27 @@ func (b *Builder) Add(rec record.Record) error {
 	b.lastKey = append(b.lastKey[:0], rec.Key...)
 	b.lastTs = rec.Ts
 
-	b.blockBuf = appendRecord(b.blockBuf, rec)
-	b.blockKeys = append(b.blockKeys, append([]byte(nil), rec.Key...))
+	buf := append(b.blockBuf, byte(rec.Kind))
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Key)))
+	b.keyOffs = append(b.keyOffs, len(buf), len(buf)+len(rec.Key))
+	buf = append(buf, rec.Key...)
+	buf = binary.BigEndian.AppendUint64(buf, rec.Ts)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Value)))
+	buf = append(buf, rec.Value...)
+	if b.opts.Proofs == nil {
+		buf = binary.AppendUvarint(buf, uint64(len(rec.Proof)))
+		buf = append(buf, rec.Proof...)
+	} else {
+		n, err := b.opts.Proofs.ProofLen(rec)
+		if err != nil {
+			return err
+		}
+		buf = binary.AppendUvarint(buf, uint64(n))
+		if buf, err = b.opts.Proofs.AppendProof(buf, rec); err != nil {
+			return err
+		}
+	}
+	b.blockBuf = buf
 	b.numEntries++
 	if len(b.blockBuf) >= b.opts.BlockSize {
 		return b.flushBlock()
@@ -163,6 +204,11 @@ func (b *Builder) flushBlock() error {
 	if len(b.blockBuf) == 0 {
 		return nil
 	}
+	b.blockKeys = b.blockKeys[:0]
+	for i := 0; i < len(b.keyOffs); i += 2 {
+		b.blockKeys = append(b.blockKeys, b.blockBuf[b.keyOffs[i]:b.keyOffs[i+1]])
+	}
+	b.filters = append(b.filters, bloom.Build(b.blockKeys, b.opts.BitsPerKey))
 	payload := b.blockBuf
 	if b.opts.Transform != nil {
 		payload = b.opts.Transform.Seal(BlockID(b.opts.FileNum, len(b.index)), payload)
@@ -170,16 +216,16 @@ func (b *Builder) flushBlock() error {
 	if _, err := b.f.Append(payload); err != nil {
 		return fmt.Errorf("sstable: write block: %w", err)
 	}
-	b.index = append(b.index, indexEntry{
-		lastKey: append([]byte(nil), b.lastKey...),
-		lastTs:  b.lastTs,
-		off:     b.off,
-		length:  int64(len(payload)),
+	b.indexKeys = append(b.indexKeys, b.lastKey...)
+	b.index = append(b.index, builtBlock{
+		keyEnd: len(b.indexKeys),
+		lastTs: b.lastTs,
+		off:    b.off,
+		length: int64(len(payload)),
 	})
-	b.filters = append(b.filters, bloom.Build(b.blockKeys, b.opts.BitsPerKey))
 	b.off += int64(len(payload))
 	b.blockBuf = b.blockBuf[:0]
-	b.blockKeys = b.blockKeys[:0]
+	b.keyOffs = b.keyOffs[:0]
 	return nil
 }
 
@@ -208,9 +254,11 @@ func (b *Builder) Finish() (Meta, error) {
 	// Index block.
 	var ib []byte
 	ib = binary.BigEndian.AppendUint32(ib, uint32(len(b.index)))
+	keyStart := 0
 	for _, e := range b.index {
-		ib = binary.AppendUvarint(ib, uint64(len(e.lastKey)))
-		ib = append(ib, e.lastKey...)
+		ib = binary.AppendUvarint(ib, uint64(e.keyEnd-keyStart))
+		ib = append(ib, b.indexKeys[keyStart:e.keyEnd]...)
+		keyStart = e.keyEnd
 		ib = binary.BigEndian.AppendUint64(ib, e.lastTs)
 		ib = binary.BigEndian.AppendUint64(ib, uint64(e.off))
 		ib = binary.BigEndian.AppendUint64(ib, uint64(e.length))
@@ -309,15 +357,21 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		return nil, fmt.Errorf("%w: short index", ErrBadTable)
 	}
 	n := int(binary.BigEndian.Uint32(ib[:4]))
+	const minIndexEntry = 1 + 24 // empty key
+	if n > len(ib)/minIndexEntry {
+		return nil, fmt.Errorf("%w: index claims %d entries in %d bytes", ErrBadTable, n, len(ib))
+	}
+	t.index = make([]indexEntry, 0, n)
+	t.filters = make([]bloom.Filter, 0, n)
 	p := 4
 	for i := 0; i < n; i++ {
 		klen, w := binary.Uvarint(ib[p:])
-		if w <= 0 || p+w+int(klen)+24 > len(ib) {
+		if w <= 0 || klen > uint64(len(ib)) || p+w+int(klen)+24 > len(ib) {
 			return nil, fmt.Errorf("%w: corrupt index entry %d", ErrBadTable, i)
 		}
 		p += w
 		var e indexEntry
-		e.lastKey = append([]byte(nil), ib[p:p+int(klen)]...)
+		e.lastKey = ib[p : p+int(klen) : p+int(klen)] // ib is ours: alias, don't copy
 		p += int(klen)
 		e.lastTs = binary.BigEndian.Uint64(ib[p : p+8])
 		e.off = int64(binary.BigEndian.Uint64(ib[p+8 : p+16]))
@@ -389,51 +443,53 @@ func (t *Table) seekBlock(key []byte, ts uint64) int {
 	return lo
 }
 
-// DecodeBlock parses all records in a block payload.
+// DecodeBlock parses all records in a block payload into records that own
+// their bytes.
 func DecodeBlock(data []byte) ([]record.Record, error) {
 	var out []record.Record
 	p := 0
 	for p < len(data) {
-		rec, n, err := decodeRecordAt(data, p)
+		rec, n, err := viewRecordAt(data, p)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rec)
+		out = append(out, rec.Clone())
 		p += n
 	}
 	return out, nil
 }
 
-func decodeRecordAt(data []byte, p int) (record.Record, int, error) {
+// viewRecordAt parses the record framed at data[p:] without copying: the
+// returned record's slices alias data. n is the frame's length.
+func viewRecordAt(data []byte, p int) (rec record.Record, n int, err error) {
 	start := p
-	var rec record.Record
 	if p >= len(data) {
 		return rec, 0, fmt.Errorf("%w: truncated record", ErrBadTable)
 	}
 	rec.Kind = record.Kind(data[p])
 	p++
 	klen, w := binary.Uvarint(data[p:])
-	if w <= 0 || p+w+int(klen)+8 > len(data) {
+	if w <= 0 || klen > uint64(len(data)) || p+w+int(klen)+8 > len(data) {
 		return rec, 0, fmt.Errorf("%w: bad key frame", ErrBadTable)
 	}
 	p += w
-	rec.Key = append([]byte(nil), data[p:p+int(klen)]...)
+	rec.Key = data[p : p+int(klen) : p+int(klen)]
 	p += int(klen)
 	rec.Ts = binary.BigEndian.Uint64(data[p : p+8])
 	p += 8
 	vlen, w := binary.Uvarint(data[p:])
-	if w <= 0 || p+w+int(vlen) > len(data) {
+	if w <= 0 || vlen > uint64(len(data)) || p+w+int(vlen) > len(data) {
 		return rec, 0, fmt.Errorf("%w: bad value frame", ErrBadTable)
 	}
 	p += w
-	rec.Value = append([]byte(nil), data[p:p+int(vlen)]...)
+	rec.Value = data[p : p+int(vlen) : p+int(vlen)]
 	p += int(vlen)
 	plen, w := binary.Uvarint(data[p:])
-	if w <= 0 || p+w+int(plen) > len(data) {
+	if w <= 0 || plen > uint64(len(data)) || p+w+int(plen) > len(data) {
 		return rec, 0, fmt.Errorf("%w: bad proof frame", ErrBadTable)
 	}
 	p += w
-	rec.Proof = append([]byte(nil), data[p:p+int(plen)]...)
+	rec.Proof = data[p : p+int(plen) : p+int(plen)]
 	p += int(plen)
 	return rec, p - start, nil
 }
@@ -530,69 +586,78 @@ func (t *Table) Last() (record.Record, error) {
 	return recs[len(recs)-1], nil
 }
 
-// Iter returns an iterator over the table.
+// Iter returns an iterator over the table. It decodes one record at a time
+// over the block bytes the BlockSource returned: the slices of Record()
+// alias that block and are valid only until the next Next or SeekGE, as
+// record.Iterator documents — a caller that keeps a record copies it.
 func (t *Table) Iter() record.Iterator {
-	return &tableIter{t: t, block: -1}
+	return &tableIter{t: t}
 }
 
 type tableIter struct {
 	t     *Table
-	block int
-	recs  []record.Record
-	pos   int
+	block int    // index of the loaded block
+	data  []byte // its payload; nil when exhausted or failed
+	next  int    // offset in data of the record after rec
+	rec   record.Record
+	valid bool
 	err   error
 }
 
 var _ record.Iterator = (*tableIter)(nil)
 
-func (it *tableIter) loadBlock(i int) {
-	if i >= len(it.t.index) {
-		it.recs = nil
-		it.pos = 0
-		it.block = len(it.t.index)
-		return
+// seekBlockStart positions at the first record of block i or, if that
+// block is empty, of the first non-empty block after it; past the last
+// block, or on a read or decode error, the iterator becomes invalid.
+func (it *tableIter) seekBlockStart(i int) {
+	it.data, it.valid = nil, false
+	for ; i < len(it.t.index); i++ {
+		e := it.t.index[i]
+		data, err := it.t.source.ReadBlock(it.t.fileNum, i, e.off, e.length)
+		if err != nil {
+			it.err = err
+			return
+		}
+		if len(data) > 0 {
+			it.block, it.data, it.next = i, data, 0
+			it.step()
+			return
+		}
 	}
-	recs, err := it.t.readBlock(i)
-	if err != nil {
-		it.err = err
-		it.recs = nil
-		it.block = len(it.t.index)
-		return
-	}
-	it.block = i
-	it.recs = recs
-	it.pos = 0
 }
 
-func (it *tableIter) Valid() bool { return it.pos < len(it.recs) }
+// step decodes the record at it.next, moving on to the following block when
+// the current one is spent.
+func (it *tableIter) step() {
+	if it.next >= len(it.data) {
+		it.seekBlockStart(it.block + 1)
+		return
+	}
+	rec, n, err := viewRecordAt(it.data, it.next)
+	if err != nil {
+		it.err, it.data, it.valid = err, nil, false
+		return
+	}
+	it.rec, it.valid = rec, true
+	it.next += n
+}
+
+func (it *tableIter) Valid() bool { return it.valid }
 
 func (it *tableIter) Next() {
-	if !it.Valid() {
-		return
-	}
-	it.pos++
-	if it.pos >= len(it.recs) {
-		it.loadBlock(it.block + 1)
+	if it.valid {
+		it.step()
 	}
 }
 
-func (it *tableIter) Record() record.Record { return it.recs[it.pos] }
+func (it *tableIter) Record() record.Record { return it.rec }
 
 func (it *tableIter) SeekGE(key []byte, ts uint64) {
-	bi := it.t.seekBlock(key, ts)
-	it.loadBlock(bi)
-	for it.pos < len(it.recs) && record.Compare(it.recs[it.pos].Key, it.recs[it.pos].Ts, key, ts) < 0 {
-		it.pos++
-	}
-	if it.pos >= len(it.recs) && bi < len(it.t.index) {
-		it.loadBlock(bi + 1)
+	it.seekBlockStart(it.t.seekBlock(key, ts))
+	for it.valid && record.Compare(it.rec.Key, it.rec.Ts, key, ts) < 0 {
+		it.step()
 	}
 }
 
-// Err returns the first block-read error encountered, if any.
-func (it *tableIter) Err() error { return it.err }
-
+// Close reports the first block-read or decode error encountered, if any.
 func (it *tableIter) Close() error { return it.err }
-
-// First positions the iterator at the table's first record.
-func (it *tableIter) First() { it.loadBlock(0) }

@@ -47,6 +47,15 @@ func TestObsHistogramsFill(t *testing.T) {
 	if _, err := wide.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// Everything on disk before the reads: a Get the memtable (or a flush
+	// still in flight) answers never reaches verification, and verify_nanos
+	// and proof_bytes would depend on how far the background flush got.
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		if _, err := s.Get([]byte(fmt.Sprintf("key%04d", i*17))); err != nil {
 			t.Fatal(err)
