@@ -50,11 +50,13 @@ var shardSweep = []int{1, 2, 4}
 // already measure.
 func (c Config) openShardedBench(n int) (*shard.Router, error) {
 	enclave := sgx.New(sgx.Params{EPCSize: c.epcBytes()})
+	nodes := core.NewNodeCache(enclave)
 	shards := make([]core.KV, n)
 	for i := range shards {
 		s, err := core.Open(core.Config{
 			FS:                vfs.NewSlowSync(vfs.NewMem(), shardSyncDelay),
 			Enclave:           enclave,
+			NodeCache:         nodes,
 			GroupCommitMaxOps: shardGroupMaxOps,
 			MemtableSize:      c.paperMB(4),
 			TableFileSize:     c.paperMB(4),

@@ -14,9 +14,18 @@ import (
 // nothing else going on. Levels are sized so that no background compaction
 // ever triggers.
 func twoRunStore(tb testing.TB, n int) *Store {
+	value := make([]byte, 100)
+	return twoRunStoreOn(tb, vfs.NewMem(), n, func(int) []byte { return value })
+}
+
+// twoRunKey is the i-th key of a twoRunStore.
+func twoRunKey(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
+
+// twoRunStoreOn is twoRunStore on a given file system with a value per key.
+func twoRunStoreOn(tb testing.TB, fs vfs.FS, n int, value func(i int) []byte) *Store {
 	tb.Helper()
 	s, err := Open(Config{
-		FS:           vfs.NewMem(),
+		FS:           fs,
 		MemtableSize: 64 << 20,
 		LevelBase:    1 << 30,
 		KeepVersions: 1,
@@ -24,11 +33,10 @@ func twoRunStore(tb testing.TB, n int) *Store {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	value := make([]byte, 100)
 	load := func(parity int) {
 		ops := make([]BatchOp, 0, 512)
 		for i := parity; i < 2*n; i += 2 {
-			ops = append(ops, BatchOp{Key: []byte(fmt.Sprintf("user%012d", i)), Value: value})
+			ops = append(ops, BatchOp{Key: twoRunKey(i), Value: value(i)})
 			if len(ops) == cap(ops) || i+2 >= 2*n {
 				if _, err := s.ApplyBatch(ops); err != nil {
 					tb.Fatal(err)

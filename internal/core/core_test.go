@@ -206,19 +206,26 @@ func TestAttackCorruptSSTableDetected(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i)))
 	}
+	// Let background flushes and compactions finish first: one still running
+	// would read the files while they are being corrupted, or replace the
+	// corrupted files with clean rewrites before anything reads them.
+	if err := s.Engine().WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
 	names, _ := fs.List("0")
 	if len(names) == 0 {
 		t.Fatal("no sstables on disk")
 	}
-	// Corrupt a byte inside every data file region by region.
-	corrupted := 0
+	// Flip a byte in every 97 of every data file, so that every record is
+	// hit where it matters (key, timestamp, value, framing) and not only in
+	// the sibling hashes of its proof — most of a table's bytes — which a
+	// walk that stops at an already-verified node never reads: a flip
+	// there is harmless, not undetected.
 	for _, name := range names {
 		f, _ := fs.Open(name)
-		fs.Corrupt(name, f.Size()/3)
-		corrupted++
-	}
-	if corrupted == 0 {
-		t.Fatal("nothing corrupted")
+		for off := f.Size() / 3 % 97; off < f.Size(); off += 97 {
+			fs.Corrupt(name, off)
+		}
 	}
 	// Every key must now either verify (if its record was untouched) or
 	// fail with an authentication error — never return wrong data.
@@ -264,11 +271,11 @@ func TestAttackStaleResultDetected(t *testing.T) {
 		t.Fatalf("stale lookup: %+v err=%v", staleLk, err)
 	}
 	d := s.snapshotDigests()[id]
-	if _, err := verifyMembership([]byte("target"), record.MaxTs, staleLk.Rec, d); !errors.Is(err, ErrStale) {
+	if err := noCache.verifyMembership([]byte("target"), record.MaxTs, staleLk.Rec, d); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale record accepted as latest: %v", err)
 	}
 	// The same record IS valid for a historical query at ts1.
-	if _, err := verifyMembership([]byte("target"), ts1, staleLk.Rec, d); err != nil {
+	if err := noCache.verifyMembership([]byte("target"), ts1, staleLk.Rec, d); err != nil {
 		t.Fatalf("historically valid record rejected: %v", err)
 	}
 }
@@ -288,13 +295,13 @@ func TestAttackForgedValueDetected(t *testing.T) {
 	d := s.snapshotDigests()[id]
 	forged := lk.Rec
 	forged.Value = []byte("forged!")
-	if _, err := verifyMembership([]byte("k"), record.MaxTs, forged, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyMembership([]byte("k"), record.MaxTs, forged, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("forged value accepted: %v", err)
 	}
 	// Forged timestamp also fails.
 	forged = lk.Rec
 	forged.Ts += 100
-	if _, err := verifyMembership([]byte("k"), record.MaxTs, forged, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyMembership([]byte("k"), record.MaxTs, forged, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("forged timestamp accepted: %v", err)
 	}
 }
@@ -325,7 +332,7 @@ func TestAttackFakeNonMembershipDetected(t *testing.T) {
 	fake.Found = false
 	fake.Pred = &predLk.Rec
 	fake.Succ = &succLk.Rec
-	if err := verifyNonMembership([]byte("key0050"), record.MaxTs, fake, d); !errors.Is(err, ErrIncomplete) {
+	if err := noCache.verifyNonMembership([]byte("key0050"), record.MaxTs, fake, d); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("fake non-membership accepted: %v", err)
 	}
 }
@@ -345,28 +352,28 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verifyRunScan([]byte("key0050"), []byte("key0070"), rs, d); err != nil {
+	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), rs, d); err != nil {
 		t.Fatalf("honest scan rejected: %v", err)
 	}
 
 	// Omit an interior record.
 	dropMid := rs
 	dropMid.Records = append(append([]record.Record(nil), rs.Records[:10]...), rs.Records[11:]...)
-	if err := verifyRunScan([]byte("key0050"), []byte("key0070"), dropMid, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), dropMid, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("interior omission accepted: %v", err)
 	}
 
 	// Omit the first record (shift the range).
 	dropHead := rs
 	dropHead.Records = rs.Records[1:]
-	if err := verifyRunScan([]byte("key0050"), []byte("key0070"), dropHead, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), dropHead, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("head omission accepted: %v", err)
 	}
 
 	// Omit the tail.
 	dropTail := rs
 	dropTail.Records = rs.Records[:len(rs.Records)-1]
-	if err := verifyRunScan([]byte("key0050"), []byte("key0070"), dropTail, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), dropTail, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("tail omission accepted: %v", err)
 	}
 
@@ -374,14 +381,14 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	forge := rs
 	forge.Records = append([]record.Record(nil), rs.Records...)
 	forge.Records[5].Value = []byte("forged")
-	if err := verifyRunScan([]byte("key0050"), []byte("key0070"), forge, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), forge, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("forged scan value accepted: %v", err)
 	}
 
 	// Claim the whole range is empty.
 	empty := rs
 	empty.Records = nil
-	if err := verifyRunScan([]byte("key0050"), []byte("key0070"), empty, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), empty, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("empty-range lie accepted: %v", err)
 	}
 }

@@ -116,7 +116,7 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verifyRunScan([]byte("key010"), []byte("key020"), rs, d); err != nil {
+	if err := noCache.verifyRunScan([]byte("key010"), []byte("key020"), rs, d); err != nil {
 		t.Fatalf("honest multi-version scan rejected: %v", err)
 	}
 	// Count versions per key: we expect 2 per key.
@@ -143,7 +143,7 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 	if !dropped {
 		t.Fatal("setup: old version not found")
 	}
-	if err := verifyRunScan([]byte("key010"), []byte("key020"), tampered, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyRunScan([]byte("key010"), []byte("key020"), tampered, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("partial version chain accepted: %v", err)
 	}
 	// Drop the NEW version instead (freshness-relevant omission).
@@ -156,7 +156,7 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 		}
 		tampered.Records = append(tampered.Records, r)
 	}
-	if err := verifyRunScan([]byte("key010"), []byte("key020"), tampered, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyRunScan([]byte("key010"), []byte("key020"), tampered, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("scan omitting newest version accepted: %v", err)
 	}
 }

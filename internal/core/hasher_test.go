@@ -152,7 +152,7 @@ func TestHasherMatchesReference(t *testing.T) {
 				t.Fatalf("iter %d rec %d: proof bytes differ from proofFor(rec).Encode()", iter, i)
 			}
 			rec.Proof = got[len(prefix):]
-			if _, err := verifyMembership(rec.Key, rec.Ts, rec, out.digest); err != nil {
+			if err := noCache.verifyMembership(rec.Key, rec.Ts, rec, out.digest); err != nil {
 				t.Fatalf("iter %d rec %d: emitted proof does not verify: %v", iter, i, err)
 			}
 		}

@@ -60,7 +60,7 @@ const maxProofList = math.MaxUint16
 
 // proofSize is the encoded size of a proof with the given list lengths.
 func proofSize(newer, path int) int {
-	return 4 + 2 + newer*(8+hashutil.Size) + hashutil.Size + 2 + path*merkle.PathNodeSize
+	return 4 + 2 + newer*chainEntrySize + hashutil.Size + 2 + path*merkle.PathNodeSize
 }
 
 // Encode serializes the proof. A proof whose lists exceed maxProofList has
@@ -90,50 +90,97 @@ func (p *EmbeddedProof) Encode() []byte {
 	return out
 }
 
-// DecodeProof parses a serialized proof. Both lists are sized exactly from
-// their header counts, which the length checks bound by len(data).
-func DecodeProof(data []byte) (*EmbeddedProof, error) {
-	p := &EmbeddedProof{}
+// chainEntrySize is the encoded size of one ChainEntry: ts ‖ record digest.
+const chainEntrySize = 8 + hashutil.Size
+
+// proofView is an embedded proof parsed in place — the one parser of the
+// format. Its slices alias the proof bytes, so the caller must own them:
+// verified reads view only proofs already cloned out of untrusted memory.
+type proofView struct {
+	leafIndex uint32
+	newer     []byte // chainEntrySize-byte entries, oldest to newest
+	inner     []byte // hashutil.Size bytes
+	path      []byte // merkle.PathNodeSize-byte steps, bottom-up
+}
+
+// viewProof parses a serialized proof. The header counts are checked
+// against len(data) before anything is sliced.
+func viewProof(data []byte) (proofView, error) {
+	var v proofView
 	if len(data) < 6 {
-		return nil, fmt.Errorf("%w: too short", ErrBadProof)
+		return v, fmt.Errorf("%w: too short", ErrBadProof)
 	}
-	p.LeafIndex = binary.BigEndian.Uint32(data[:4])
+	v.leafIndex = binary.BigEndian.Uint32(data[:4])
 	nNewer := int(binary.BigEndian.Uint16(data[4:6]))
-	off := 6
-	if len(data) < off+nNewer*(8+hashutil.Size)+hashutil.Size+2 {
-		return nil, fmt.Errorf("%w: truncated chain", ErrBadProof)
+	off := 6 + nNewer*chainEntrySize
+	if len(data) < off+hashutil.Size+2 {
+		return v, fmt.Errorf("%w: truncated chain", ErrBadProof)
 	}
-	if nNewer > 0 {
-		p.Newer = make([]ChainEntry, nNewer)
-	}
-	for i := range p.Newer {
-		p.Newer[i].Ts = binary.BigEndian.Uint64(data[off : off+8])
-		off += 8
-		copy(p.Newer[i].RecDigest[:], data[off:off+hashutil.Size])
-		off += hashutil.Size
-	}
-	copy(p.Inner[:], data[off:off+hashutil.Size])
+	v.newer = data[6:off]
+	v.inner = data[off : off+hashutil.Size]
 	off += hashutil.Size
 	nPath := int(binary.BigEndian.Uint16(data[off : off+2]))
 	off += 2
 	if len(data) != off+nPath*merkle.PathNodeSize {
-		return nil, fmt.Errorf("%w: truncated path", ErrBadProof)
+		return v, fmt.Errorf("%w: truncated path", ErrBadProof)
 	}
-	if nPath > 0 {
-		p.Path = make([]merkle.PathNode, nPath)
+	v.path = data[off:]
+	return v, nil
+}
+
+// numNewer returns the number of newer-version headers.
+func (v proofView) numNewer() int { return len(v.newer) / chainEntrySize }
+
+// newerEntry returns the i-th newer-version header (ascending Ts).
+func (v proofView) newerEntry(i int) (e ChainEntry) {
+	b := v.newer[i*chainEntrySize:]
+	e.Ts = binary.BigEndian.Uint64(b[:8])
+	copy(e.RecDigest[:], b[8:chainEntrySize])
+	return e
+}
+
+// innerIsZero reports that the proof's record is the oldest version.
+func (v proofView) innerIsZero() bool { return hashutil.Hash(v.inner) == hashutil.Zero }
+
+// reconstructLeaf recomputes the Merkle leaf hash that rec must hash to
+// under this proof: the record digest is chained with the older-version
+// inner hash, then with every newer-version header, then bound to the key.
+func (v proofView) reconstructLeaf(rec record.Record) hashutil.Hash {
+	h := hashutil.ChainLink(rec.Ts, rec.Digest(), hashutil.Hash(v.inner))
+	for i, n := 0, v.numNewer(); i < n; i++ {
+		e := v.newerEntry(i)
+		h = hashutil.ChainLink(e.Ts, e.RecDigest, h)
 	}
-	for i := range p.Path {
-		p.Path[i].Left = data[off] == 1
-		off++
-		copy(p.Path[i].Hash[:], data[off:off+hashutil.Size])
-		off += hashutil.Size
+	return hashutil.LeafHash(rec.Key, h)
+}
+
+// DecodeProof materializes a serialized proof. Verified point reads do not
+// call it — they check proofs in place (proofView); it serves range
+// verification and benchmark/'s ledger.
+func DecodeProof(data []byte) (*EmbeddedProof, error) {
+	v, err := viewProof(data)
+	if err != nil {
+		return nil, err
+	}
+	p := &EmbeddedProof{LeafIndex: v.leafIndex, Inner: hashutil.Hash(v.inner)}
+	if n := v.numNewer(); n > 0 {
+		p.Newer = make([]ChainEntry, n)
+		for i := range p.Newer {
+			p.Newer[i] = v.newerEntry(i)
+		}
+	}
+	if n := len(v.path) / merkle.PathNodeSize; n > 0 {
+		p.Path = make([]merkle.PathNode, n)
+		for i := range p.Path {
+			step := v.path[i*merkle.PathNodeSize:]
+			p.Path[i].Left = step[0] == 1
+			copy(p.Path[i].Hash[:], step[1:merkle.PathNodeSize])
+		}
 	}
 	return p, nil
 }
 
-// ReconstructLeaf recomputes the Merkle leaf hash that rec must hash to
-// under this proof: the record digest is chained with the older-version
-// inner hash, then with every newer-version header, then bound to the key.
+// ReconstructLeaf is proofView.reconstructLeaf over the materialized proof.
 func (p *EmbeddedProof) ReconstructLeaf(rec record.Record) hashutil.Hash {
 	h := hashutil.ChainLink(rec.Ts, rec.Digest(), p.Inner)
 	for _, e := range p.Newer {

@@ -35,7 +35,7 @@ func TestAttackProofSwap(t *testing.T) {
 	// Swap proofs between two valid records.
 	swapped := lkA.Rec
 	swapped.Proof = lkB.Rec.Proof
-	if _, err := verifyMembership([]byte("key010"), record.MaxTs, swapped, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyMembership([]byte("key010"), record.MaxTs, swapped, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("record with swapped proof accepted: %v", err)
 	}
 
@@ -43,7 +43,7 @@ func TestAttackProofSwap(t *testing.T) {
 	// value substitution).
 	franken := lkB.Rec
 	franken.Value = lkA.Rec.Value
-	if _, err := verifyMembership([]byte("key011"), record.MaxTs, franken, d); !errors.Is(err, ErrAuthFailed) {
+	if err := noCache.verifyMembership([]byte("key011"), record.MaxTs, franken, d); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("value-substituted record accepted: %v", err)
 	}
 
@@ -64,7 +64,7 @@ func TestAttackProofSwap(t *testing.T) {
 	if err != nil || !lkOther.Found {
 		t.Skip("key not present in other run")
 	}
-	if _, err := verifyMembership([]byte("key010"), record.MaxTs, lkOther.Rec, d); err == nil {
+	if err := noCache.verifyMembership([]byte("key010"), record.MaxTs, lkOther.Rec, d); err == nil {
 		t.Fatal("record from another run verified against this run's root")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"elsm/internal/blockcache"
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
+	"elsm/internal/merkle"
 	"elsm/internal/obs"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
@@ -86,6 +87,10 @@ type Config struct {
 	// Obs is this shard's observability recorder, threaded through to the
 	// engine and the verified read paths. Nil disables instrumentation.
 	Obs *obs.Recorder
+	// NodeCache shares one verified-node cache (NewNodeCache) among the
+	// stores of one Enclave — all shards of a process; nil gives this store
+	// its own.
+	NodeCache *merkle.NodeCache
 	// KeepVersions, MemtableSize, TableFileSize, LevelBase,
 	// LevelMultiplier, MaxLevels, BlockSize, DisableCompaction and
 	// DisableWAL pass through to the engine (zero = engine default).
@@ -267,6 +272,8 @@ type Store struct {
 	statGets       atomic.Uint64
 	statProofBytes atomic.Uint64
 	statRunsProbed atomic.Uint64
+	// verify checks every proof the read paths are handed.
+	verify verifier
 
 	// rec is the shard's observability recorder (nil = instrumentation off).
 	rec *obs.Recorder
@@ -284,6 +291,13 @@ type VerifyStats struct {
 	ProofBytes uint64
 	// RunsProbed counts per-run lookups performed.
 	RunsProbed uint64
+	// NodeCacheHits counts witnesses whose Merkle path walk ended at an
+	// already-verified cached node; NodeCacheMisses those walked all the
+	// way to the trusted root. NodeHashes counts the interior node hashes
+	// the walks computed.
+	NodeCacheHits   uint64
+	NodeCacheMisses uint64
+	NodeHashes      uint64
 }
 
 // VerifyStatsSnapshot returns the accumulated counters.
@@ -292,10 +306,24 @@ func (c *Store) VerifyStatsSnapshot() VerifyStats {
 		Gets:       c.statGets.Load(),
 		ProofBytes: c.statProofBytes.Load(),
 		RunsProbed: c.statRunsProbed.Load(),
+
+		NodeCacheHits:   c.verify.nodeHits.Load(),
+		NodeCacheMisses: c.verify.nodeMisses.Load(),
+		NodeHashes:      c.verify.nodeHashes.Load(),
 	}
 }
 
 var _ KV = (*Store)(nil)
+
+// NewNodeCache allocates the verified-node cache of one enclave (see
+// merkle.NodeCache) and charges its fixed byte budget to the enclave's
+// protected memory, once, the way the engine charges table metadata. The
+// charge lasts as long as the enclave, as the cache does. It is trusted
+// state and must never be placed in the (untrusted) block cache.
+func NewNodeCache(e *sgx.Enclave) *merkle.NodeCache {
+	e.Alloc(merkle.NodeCacheBytes)
+	return merkle.NewNodeCache()
+}
 
 // Open creates or recovers an eLSM-P2 store.
 func Open(cfg Config) (*Store, error) {
@@ -343,6 +371,10 @@ func Open(cfg Config) (*Store, error) {
 	c.sealKey = platform.SealingKey(c.measurement)
 	c.disableEarlyStop = cfg.DisableEarlyStop
 	c.rec = cfg.Obs
+	c.verify.nodes = cfg.NodeCache
+	if c.verify.nodes == nil {
+		c.verify.nodes = NewNodeCache(enclave)
+	}
 	c.listener = &authListener{c: c}
 
 	var cache *blockcache.Cache

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
@@ -35,17 +36,38 @@ var (
 	ErrStateMissing = fmt.Errorf("%w: sealed trusted state missing", ErrAuthFailed)
 )
 
+// verifier is one store's trusted-side proof checker: the enclave's cache
+// of already-verified Merkle nodes and the counters of the work done. The
+// zero verifier has no cache and walks every path to the root.
+//
+// Everything it compares — keys, timestamps, leaf indexes, hashes — it reads
+// from the records it is handed, which callers have already copied out of
+// untrusted memory; it never looks at an SSTable block.
+type verifier struct {
+	nodes *merkle.NodeCache
+
+	nodeHits   atomic.Uint64 // witnesses whose walk ended at a cached node
+	nodeMisses atomic.Uint64 // witnesses walked to the trusted root
+	nodeHashes atomic.Uint64 // interior node hashes computed
+}
+
 // verifyWitness checks a record's embedded proof against the run digest and
 // returns the parsed proof. It establishes that the record (with its claimed
 // version-chain position) is a leaf of the run's Merkle tree.
-func verifyWitness(rec record.Record, d runDigest) (*EmbeddedProof, error) {
-	p, err := DecodeProof(rec.Proof)
+func (v *verifier) verifyWitness(rec record.Record, d runDigest) (proofView, error) {
+	p, err := viewProof(rec.Proof)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrForged, err)
+		return p, fmt.Errorf("%w: %v", ErrForged, err)
 	}
-	leaf := p.ReconstructLeaf(rec)
-	if err := merkle.VerifyPath(leaf, int(p.LeafIndex), d.NumLeaves, p.Path, d.Root); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrForged, err)
+	walk, err := v.nodes.VerifyPath(p.reconstructLeaf(rec), int(p.leafIndex), d.NumLeaves, p.path, d.Root)
+	v.nodeHashes.Add(uint64(walk.Hashes))
+	if err != nil {
+		return p, fmt.Errorf("%w: %v", ErrForged, err)
+	}
+	if walk.CacheHit {
+		v.nodeHits.Add(1)
+	} else {
+		v.nodeMisses.Add(1)
 	}
 	return p, nil
 }
@@ -54,33 +76,33 @@ func verifyWitness(rec record.Record, d runDigest) (*EmbeddedProof, error) {
 // record must verify against the run root, and it must be the newest
 // version with Ts ≤ tsq — any newer version is visible in the proof's
 // chain headers, so staleness is detectable (Theorem 5.3, Case 1).
-func verifyMembership(key []byte, tsq uint64, rec record.Record, d runDigest) (*EmbeddedProof, error) {
+func (v *verifier) verifyMembership(key []byte, tsq uint64, rec record.Record, d runDigest) error {
 	if !bytes.Equal(rec.Key, key) {
-		return nil, fmt.Errorf("%w: result key %q does not match query %q", ErrForged, rec.Key, key)
+		return fmt.Errorf("%w: result key %q does not match query %q", ErrForged, rec.Key, key)
 	}
 	if rec.Ts > tsq {
-		return nil, fmt.Errorf("%w: result newer than query time", ErrForged)
+		return fmt.Errorf("%w: result newer than query time", ErrForged)
 	}
-	p, err := verifyWitness(rec, d)
+	p, err := v.verifyWitness(rec, d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Freshness: every newer version in this run must postdate tsq.
 	// Newer is ascending, so checking the first entry suffices — but the
 	// chain itself was hash-verified, so all entries are authentic.
-	for _, e := range p.Newer {
-		if e.Ts <= tsq {
-			return nil, fmt.Errorf("%w: version %d supersedes result %d (≤ tsq %d)", ErrStale, e.Ts, rec.Ts, tsq)
+	for i, n := 0, p.numNewer(); i < n; i++ {
+		if ts := p.newerEntry(i).Ts; ts <= tsq {
+			return fmt.Errorf("%w: version %d supersedes result %d (≤ tsq %d)", ErrStale, ts, rec.Ts, tsq)
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // verifyNonMembership is the per-run non-membership half of VRFY: the two
 // bracketing witnesses must be adjacent leaves with keys straddling the
 // queried key (§5.5.1), or — for historical queries — the oldest version of
 // the key itself, newer than tsq.
-func verifyNonMembership(key []byte, tsq uint64, lk lsm.RunLookup, d runDigest) error {
+func (v *verifier) verifyNonMembership(key []byte, tsq uint64, lk lsm.RunLookup, d runDigest) error {
 	if lk.EmptyRun || (lk.Pred == nil && lk.Succ == nil) {
 		if d.NumLeaves != 0 {
 			return fmt.Errorf("%w: host claims empty run but %d keys are digested", ErrIncomplete, d.NumLeaves)
@@ -90,14 +112,14 @@ func verifyNonMembership(key []byte, tsq uint64, lk lsm.RunLookup, d runDigest) 
 	// Historical witness: the key exists but only with versions newer
 	// than tsq. The witness must be the oldest version (Inner == 0).
 	if lk.Pred != nil && bytes.Equal(lk.Pred.Key, key) {
-		p, err := verifyWitness(*lk.Pred, d)
+		p, err := v.verifyWitness(*lk.Pred, d)
 		if err != nil {
 			return err
 		}
 		if lk.Pred.Ts <= tsq {
 			return fmt.Errorf("%w: witness version %d satisfies the query", ErrIncomplete, lk.Pred.Ts)
 		}
-		if !p.Inner.IsZero() {
+		if !p.innerIsZero() {
 			return fmt.Errorf("%w: historical witness is not the oldest version", ErrIncomplete)
 		}
 		return nil
@@ -107,21 +129,21 @@ func verifyNonMembership(key []byte, tsq uint64, lk lsm.RunLookup, d runDigest) 
 		if bytes.Compare(lk.Pred.Key, key) >= 0 {
 			return fmt.Errorf("%w: predecessor witness %q not below query %q", ErrIncomplete, lk.Pred.Key, key)
 		}
-		p, err := verifyWitness(*lk.Pred, d)
+		p, err := v.verifyWitness(*lk.Pred, d)
 		if err != nil {
 			return err
 		}
-		predIdx = int(p.LeafIndex)
+		predIdx = int(p.leafIndex)
 	}
 	if lk.Succ != nil {
 		if bytes.Compare(lk.Succ.Key, key) <= 0 {
 			return fmt.Errorf("%w: successor witness %q not above query %q", ErrIncomplete, lk.Succ.Key, key)
 		}
-		p, err := verifyWitness(*lk.Succ, d)
+		p, err := v.verifyWitness(*lk.Succ, d)
 		if err != nil {
 			return err
 		}
-		succIdx = int(p.LeafIndex)
+		succIdx = int(p.leafIndex)
 	}
 	switch {
 	case lk.Pred == nil:
@@ -144,7 +166,7 @@ func verifyNonMembership(key []byte, tsq uint64, lk lsm.RunLookup, d runDigest) 
 // completeness (§5.4): the returned records must reconstruct a contiguous
 // span of leaves under the run root, and the bracketing witnesses must
 // prove no in-range leaf was withheld at either boundary.
-func verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest) error {
+func (v *verifier) verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest) error {
 	if len(rs.Records) == 0 {
 		// Empty range result: same shape as non-membership, with the
 		// witnesses straddling the whole range.
@@ -158,7 +180,7 @@ func verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest) error {
 		// Adjacency check via the point-query helper with a pseudo key:
 		// any key strictly between the witnesses; using start is sound
 		// because witness keys were just checked against the bounds.
-		return verifyNonMembership(start, record.MaxTs, lk, d)
+		return v.verifyNonMembership(start, record.MaxTs, lk, d)
 	}
 
 	// Group in-range records into per-key version chains and rebuild the
@@ -226,12 +248,12 @@ func verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest) error {
 		if bytes.Compare(rs.Pred.Key, start) >= 0 {
 			return fmt.Errorf("%w: predecessor %q inside range", ErrIncomplete, rs.Pred.Key)
 		}
-		p, err := verifyWitness(*rs.Pred, d)
+		p, err := v.verifyWitness(*rs.Pred, d)
 		if err != nil {
 			return err
 		}
-		if int(p.LeafIndex) != startIdx-1 {
-			return fmt.Errorf("%w: predecessor at leaf %d, span starts at %d", ErrIncomplete, p.LeafIndex, startIdx)
+		if int(p.leafIndex) != startIdx-1 {
+			return fmt.Errorf("%w: predecessor at leaf %d, span starts at %d", ErrIncomplete, p.leafIndex, startIdx)
 		}
 	}
 	if endIdx < d.NumLeaves-1 {
@@ -241,12 +263,12 @@ func verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest) error {
 		if bytes.Compare(rs.Succ.Key, end) <= 0 {
 			return fmt.Errorf("%w: successor %q inside range", ErrIncomplete, rs.Succ.Key)
 		}
-		p, err := verifyWitness(*rs.Succ, d)
+		p, err := v.verifyWitness(*rs.Succ, d)
 		if err != nil {
 			return err
 		}
-		if int(p.LeafIndex) != endIdx+1 {
-			return fmt.Errorf("%w: successor at leaf %d, span ends at %d", ErrIncomplete, p.LeafIndex, endIdx)
+		if int(p.leafIndex) != endIdx+1 {
+			return fmt.Errorf("%w: successor at leaf %d, span ends at %d", ErrIncomplete, p.leafIndex, endIdx)
 		}
 	} else if endIdx > d.NumLeaves-1 {
 		return fmt.Errorf("%w: span exceeds digested key count", ErrForged)

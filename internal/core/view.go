@@ -132,7 +132,7 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 			vstart = time.Now()
 		}
 		if lk.Found {
-			_, verr := verifyMembership(key, tsq, lk.Rec, d)
+			verr := c.verify.verifyMembership(key, tsq, lk.Rec, d)
 			if instr {
 				verifyNanos += uint64(time.Since(vstart))
 				proofBytes += uint64(len(lk.Rec.Proof))
@@ -150,7 +150,7 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 			}
 			continue
 		}
-		verr := verifyNonMembership(key, tsq, lk, d)
+		verr := c.verify.verifyNonMembership(key, tsq, lk, d)
 		if instr {
 			verifyNanos += uint64(time.Since(vstart))
 			if lk.Pred != nil {
@@ -220,7 +220,7 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 	}
 	for i := range scans {
 		shrinkRunScan(&scans[i], chunkEnd)
-		if verr := verifyRunScan(start, chunkEnd, scans[i], v.digs[scans[i].RunID]); verr != nil {
+		if verr := c.verify.verifyRunScan(start, chunkEnd, scans[i], v.digs[scans[i].RunID]); verr != nil {
 			return nil, nil, false, verr
 		}
 	}

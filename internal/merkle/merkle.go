@@ -10,8 +10,11 @@
 package merkle
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"elsm/internal/hashutil"
 )
@@ -200,41 +203,180 @@ var (
 // VerifyPath checks that leaf sits at position index in a tree of numLeaves
 // leaves with the given root. The (index, numLeaves) pair fully determines
 // the path shape, so a prover cannot lie about a leaf's position — which is
-// what makes adjacency-based non-membership proofs sound.
+// what makes adjacency-based non-membership proofs sound. It is the path
+// walker of NodeCache.VerifyPath run without a cache.
 func VerifyPath(leaf Hash, index, numLeaves int, path []PathNode, root Hash) error {
-	if numLeaves <= 0 || index < 0 || index >= numLeaves {
-		return ErrBadIndex
+	var buf [maxPathLen * PathNodeSize]byte
+	if len(path) > maxPathLen {
+		return fmt.Errorf("%w: %d steps", ErrBadPath, len(path))
 	}
-	h := leaf
-	idx, n := index, numLeaves
-	pi := 0
-	for n > 1 {
-		switch {
-		case idx%2 == 0 && idx+1 < n:
-			if pi >= len(path) || path[pi].Left {
-				return fmt.Errorf("%w: expected right sibling at width %d", ErrBadPath, n)
-			}
-			h = hashutil.NodeHash(h, path[pi].Hash)
-			pi++
-		case idx%2 == 1:
-			if pi >= len(path) || !path[pi].Left {
-				return fmt.Errorf("%w: expected left sibling at width %d", ErrBadPath, n)
-			}
-			h = hashutil.NodeHash(path[pi].Hash, h)
-			pi++
-		default:
-			// Promoted node: no sibling consumed.
+	steps := buf[:0]
+	for _, pn := range path {
+		side := byte(0)
+		if pn.Left {
+			side = 1
 		}
-		idx /= 2
-		n = (n + 1) / 2
+		steps = append(append(steps, side), pn.Hash[:]...)
 	}
-	if pi != len(path) {
-		return fmt.Errorf("%w: %d unused path nodes", ErrBadPath, len(path)-pi)
+	_, err := (*NodeCache)(nil).VerifyPath(leaf, index, numLeaves, steps, root)
+	return err
+}
+
+// maxPathLen bounds an authentication path: one step per level, and an int
+// leaf count has fewer than 64 levels.
+const maxPathLen = 64
+
+// PathWalk reports the work one path verification did.
+type PathWalk struct {
+	// Hashes is the number of interior node hashes computed.
+	Hashes int
+	// CacheHit reports that the walk ended at a cached, already-verified
+	// node instead of the root.
+	CacheHit bool
+}
+
+// VerifyPath is the path walker: it checks that leaf sits at position index
+// in the tree of numLeaves leaves with the trusted root, given the leaf's
+// authentication path as AppendPath encodes it (steps). c may be nil, which
+// walks every path to the root.
+//
+// The shape is checked first and in full, cache or no cache: steps must hold
+// exactly the PathLen(index, numLeaves) steps, and every side byte must be
+// the one (index, numLeaves) dictates. Then the hashes are folded bottom-up. At
+// every level, the leaf level included, the cache is asked for the node at
+// that position under this root. A cached hash equal to the computed one
+// ends the walk: the cached node was verified under the same root, so by
+// collision resistance the computed subtree is the tree's. A cached hash
+// that differs is a forgery (ErrRootMismatch — the root could not match
+// either). The nodes computed on the way are inserted only after the walk
+// has reached the root or an equal cached node; a failed walk inserts
+// nothing.
+func (c *NodeCache) VerifyPath(leaf Hash, index, numLeaves int, steps []byte, root Hash) (PathWalk, error) {
+	var walk PathWalk
+	if numLeaves <= 0 || index < 0 || index >= numLeaves {
+		return walk, ErrBadIndex
 	}
-	if h != root {
-		return ErrRootMismatch
+	p := 0
+	for idx, n := uint(index), uint(numLeaves); n > 1; idx, n = idx>>1, (n+1)>>1 {
+		if idx&1 == 0 && idx+1 >= n {
+			continue // promoted node: no sibling at this level
+		}
+		if p >= len(steps) || steps[p] != byte(idx&1) {
+			return walk, fmt.Errorf("%w: no step or wrong sibling side at width %d", ErrBadPath, n)
+		}
+		p += PathNodeSize
 	}
-	return nil
+	if p != len(steps) {
+		return walk, fmt.Errorf("%w: %d bytes for %d steps", ErrBadPath, len(steps), p/PathNodeSize)
+	}
+
+	if uint64(numLeaves) > maxCachedLeaves {
+		c = nil
+	}
+	var nodes [maxPathLen]Hash // nodes[l] is the node computed at level l, not yet in the cache
+	h, level := leaf, 0
+	for idx, n := uint(index), uint(numLeaves); n > 1; idx, n, level = idx>>1, (n+1)>>1, level+1 {
+		if c != nil {
+			if cached, ok := c.get(&root, level, idx); ok {
+				if cached != h {
+					return walk, ErrRootMismatch
+				}
+				walk.CacheHit = true
+				break
+			}
+			nodes[level] = h
+		}
+		if idx&1 == 1 || idx+1 < n {
+			sib := Hash(steps[1:PathNodeSize])
+			if idx&1 == 1 {
+				h = hashutil.NodeHash(sib, h)
+			} else {
+				h = hashutil.NodeHash(h, sib)
+			}
+			steps = steps[PathNodeSize:]
+			walk.Hashes++
+		}
+	}
+	if !walk.CacheHit && h != root {
+		return walk, ErrRootMismatch
+	}
+	if c != nil {
+		for l := 0; l < level; l++ {
+			c.put(&root, l, uint(index)>>l, &nodes[l])
+		}
+	}
+	return walk, nil
+}
+
+// NodeCache remembers Merkle nodes that a path walk has already verified
+// under a trusted root, so later walks under the same root stop at the first
+// node they share. It is trusted state: it belongs inside the enclave, and
+// only VerifyPath writes it, after a successful verification.
+//
+// An entry says "in the tree with root R, the node at (level, index) hashes
+// to H" — a fact about R alone, keyed by R itself and not by anything the
+// host supplies. Trees are immutable, so an entry can never become false:
+// there is no invalidation, and the entries of a retired run simply age out
+// as others overwrite them.
+//
+// The table is direct-mapped and of fixed size; lookups and inserts
+// allocate nothing and take one of nodeCacheStripes locks, never a
+// table-wide one. Safe for concurrent use.
+type NodeCache struct {
+	locks [nodeCacheStripes]sync.Mutex
+	slots []nodeSlot // slot i is guarded by locks[i%nodeCacheStripes]
+}
+
+// nodeSlot is one entry. pos packs (level, index) with the top bit set, so
+// the zero slot matches no lookup; maxCachedLeaves keeps index clear of the
+// level bits.
+type nodeSlot struct {
+	root Hash
+	pos  uint64
+	hash Hash
+}
+
+const (
+	nodeSlotSize     = 2*hashutil.Size + 8
+	nodeCacheStripes = 64
+	maxCachedLeaves  = 1 << 48
+
+	// NodeCacheBytes is the fixed size of a NodeCache's table — the most
+	// whole slots that fit in 2 MiB — for the owner's enclave-memory
+	// accounting.
+	NodeCacheBytes = (2 << 20) / nodeSlotSize * nodeSlotSize
+)
+
+// NewNodeCache allocates an empty cache of NodeCacheBytes bytes.
+func NewNodeCache() *NodeCache {
+	return &NodeCache{slots: make([]nodeSlot, NodeCacheBytes/nodeSlotSize)}
+}
+
+// slot locates the entry for a node. The root is hash output, so its first
+// word is already uniform; a Fibonacci multiply mixes the position in, and
+// the high half of a second multiply maps the result onto the table.
+func (c *NodeCache) slot(root *Hash, level int, idx uint) (*nodeSlot, *sync.Mutex, uint64) {
+	pos := 1<<63 | uint64(level)<<48 | uint64(idx)
+	x := (binary.LittleEndian.Uint64(root[:8]) ^ pos) * 0x9e3779b97f4a7c15
+	i, _ := bits.Mul64(x, uint64(len(c.slots)))
+	return &c.slots[i], &c.locks[i%nodeCacheStripes], pos
+}
+
+func (c *NodeCache) get(root *Hash, level int, idx uint) (h Hash, ok bool) {
+	s, mu, pos := c.slot(root, level, idx)
+	mu.Lock()
+	if ok = s.pos == pos && s.root == *root; ok {
+		h = s.hash
+	}
+	mu.Unlock()
+	return h, ok
+}
+
+func (c *NodeCache) put(root *Hash, level int, idx uint, h *Hash) {
+	s, mu, pos := c.slot(root, level, idx)
+	mu.Lock()
+	s.root, s.pos, s.hash = *root, pos, *h
+	mu.Unlock()
 }
 
 // RangeProof authenticates that a contiguous run of leaves

@@ -390,6 +390,9 @@ func storeStatsPairs(store *elsm.Store) []netproto.Stat {
 		{Name: "verified_gets", Value: st.VerifiedGets},
 		{Name: "proof_bytes", Value: st.ProofBytes},
 		{Name: "runs_probed", Value: st.RunsProbed},
+		{Name: "verify_node_cache_hits", Value: st.VerifyNodeCacheHits},
+		{Name: "verify_node_cache_misses", Value: st.VerifyNodeCacheMisses},
+		{Name: "verify_node_hashes", Value: st.VerifyNodeHashes},
 		{Name: "repl_lag_groups", Value: st.ReplLagGroups},
 		{Name: "repl_lag_bytes", Value: st.ReplLagBytes},
 		{Name: "followers_connected", Value: st.FollowersConnected},

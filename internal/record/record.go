@@ -61,13 +61,20 @@ func (r Record) Digest() hashutil.Hash {
 	return hashutil.RecordDigest(byte(r.Kind), r.Key, r.Ts, r.Value)
 }
 
-// Clone returns a deep copy (style guide: copy slices at boundaries).
+// Clone returns a deep copy (style guide: copy slices at boundaries). Key,
+// value and proof share one allocation, each as a capacity-limited subslice
+// so an append to one cannot reach the next; empty fields stay nil.
 func (r Record) Clone() Record {
-	c := Record{Ts: r.Ts, Kind: r.Kind}
-	c.Key = append([]byte(nil), r.Key...)
-	c.Value = append([]byte(nil), r.Value...)
-	c.Proof = append([]byte(nil), r.Proof...)
-	return c
+	buf := make([]byte, 0, len(r.Key)+len(r.Value)+len(r.Proof))
+	take := func(src []byte) []byte {
+		if len(src) == 0 {
+			return nil
+		}
+		start := len(buf)
+		buf = append(buf, src...)
+		return buf[start:len(buf):len(buf)]
+	}
+	return Record{Key: take(r.Key), Ts: r.Ts, Kind: r.Kind, Value: take(r.Value), Proof: take(r.Proof)}
 }
 
 // Size returns the approximate in-memory footprint in bytes.

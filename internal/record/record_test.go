@@ -72,8 +72,29 @@ func TestCloneIndependence(t *testing.T) {
 	if orig.Digest() != orig.Clone().Digest() {
 		t.Fatal("clone digest differs from original")
 	}
-	_ = bytes.MinRead // keep bytes import
 }
+
+// TestCloneOneAllocation: a clone's key, value and proof share a single
+// allocation, yet appending to one must not run into the next, and empty
+// fields stay nil as they did when each field was copied on its own.
+func TestCloneOneAllocation(t *testing.T) {
+	orig := Record{Key: []byte("key"), Ts: 7, Kind: KindSet, Value: []byte("value"), Proof: []byte("proof")}
+	if n := testing.AllocsPerRun(100, func() { sink = orig.Clone() }); n != 1 {
+		t.Fatalf("Clone allocates %v times, want 1", n)
+	}
+	c := orig.Clone()
+	c.Key = append(c.Key, "-grown"...)
+	c.Value = append(c.Value, "-grown"...)
+	if !bytes.Equal(c.Value[:5], orig.Value) || !bytes.Equal(c.Proof, orig.Proof) {
+		t.Fatalf("append to one field of a clone overwrote another: %q %q", c.Value, c.Proof)
+	}
+	tomb := Record{Key: []byte("k"), Ts: 1, Kind: KindDelete}.Clone()
+	if tomb.Value != nil || tomb.Proof != nil || (Record{}).Clone().Key != nil {
+		t.Fatalf("empty fields of a clone are not nil: %+v", tomb)
+	}
+}
+
+var sink Record
 
 func TestKindString(t *testing.T) {
 	if KindSet.String() != "set" || KindDelete.String() != "delete" {

@@ -418,8 +418,13 @@ func TestCrashMidTail(t *testing.T) {
 	// the last periodic seal survive; the final in-memory state does not).
 	tailer.Close()
 	// The store object is dropped un-Closed — a process kill. MemFS state
-	// is all that survives.
-	_ = f
+	// is all that survives. A killed process stops touching its directory
+	// and its counter; the abandoned store's background flushes and
+	// compactions would not, so let them finish before the restart reads
+	// the same files.
+	if err := f.Engine().WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Restart from the same directory with the same roots of trust.
 	f2, err := core.Open(testCfg(fs, h.platform, ctr))

@@ -195,6 +195,29 @@ func benchRecords(n int) []record.Record {
 	return recs
 }
 
+// buildBenchTable writes recs into a table of default-sized blocks.
+func buildBenchTable(b *testing.B, recs []record.Record) (*Table, vfs.File) {
+	b.Helper()
+	f, err := vfs.NewMem().Create("b.sst")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bl := NewBuilder(f, BuilderOptions{FileNum: 1})
+	for _, rec := range recs {
+		if err := bl.Add(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := bl.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := Open(f, 1, &FileSource{F: f})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tbl, f
+}
+
 // BenchmarkBuilderAdd builds tables of proof-carrying records: ns and
 // allocations per record added.
 func BenchmarkBuilderAdd(b *testing.B) {
@@ -218,24 +241,8 @@ func BenchmarkBuilderAdd(b *testing.B) {
 // ns and allocations per record.
 func BenchmarkTableIter(b *testing.B) {
 	recs := benchRecords(2000)
-	f, err := vfs.NewMem().Create("b.sst")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bl := NewBuilder(f, BuilderOptions{FileNum: 1})
-	for _, rec := range recs {
-		if err := bl.Add(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := bl.Finish(); err != nil {
-		b.Fatal(err)
-	}
-	view := &viewSource{data: f.Bytes()}
-	tbl, err := Open(f, 1, view)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl, f := buildBenchTable(b, recs)
+	tbl.source = &viewSource{data: f.Bytes()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sum int

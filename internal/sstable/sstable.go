@@ -296,7 +296,9 @@ func (b *Builder) Finish() (Meta, error) {
 // Table reads an SSTable. Metadata (index + filters) is loaded once at Open
 // — in eLSM these structures live inside the enclave ("file indices at
 // levels L≥1 are placed inside the enclave", §4.2) — while data blocks are
-// fetched on demand through a BlockSource.
+// fetched on demand through a BlockSource and never decoded whole: point
+// reads (Get, SeekWithPrev, Last) and Iter step through a block record by
+// record, and only the records a point read returns are copied out of it.
 type Table struct {
 	fileNum    uint64
 	index      []indexEntry
@@ -444,7 +446,10 @@ func (t *Table) seekBlock(key []byte, ts uint64) int {
 }
 
 // DecodeBlock parses all records in a block payload into records that own
-// their bytes.
+// their bytes. No product code calls it — point reads seek with the
+// per-record cursor and clone only their witnesses (SeekWithPrev), scans and
+// compaction iterate views (Iter) — it survives as the whole-block decode
+// that benchmark/ times in isolation (sstable.decode_block_ns).
 func DecodeBlock(data []byte) ([]record.Record, error) {
 	var out []record.Record
 	p := 0
@@ -494,38 +499,58 @@ func viewRecordAt(data []byte, p int) (rec record.Record, n int, err error) {
 	return rec, p - start, nil
 }
 
-func (t *Table) readBlock(i int) ([]record.Record, error) {
+// block fetches data block i through the BlockSource. The bytes may be the
+// block cache's, the mmap view or a compaction-pinned file image: untrusted
+// memory the host can rewrite at any time, so callers copy what they keep.
+func (t *Table) block(i int) ([]byte, error) {
 	e := t.index[i]
-	data, err := t.source.ReadBlock(t.fileNum, i, e.off, e.length)
+	return t.source.ReadBlock(t.fileNum, i, e.off, e.length)
+}
+
+// seekInBlock walks block bi with the per-record cursor to the seek
+// position of (key, ts): cur is the first record ≥ (key, ts) and prev the
+// record before it, both views of the block (zero Kind when there is none).
+func (t *Table) seekInBlock(bi int, key []byte, ts uint64) (prev, cur record.Record, err error) {
+	data, err := t.block(bi)
 	if err != nil {
-		return nil, err
+		return prev, cur, err
 	}
-	return DecodeBlock(data)
+	for p := 0; p < len(data); {
+		rec, n, err := viewRecordAt(data, p)
+		if err != nil {
+			return prev, cur, err
+		}
+		if record.Compare(rec.Key, rec.Ts, key, ts) >= 0 {
+			return prev, rec, nil
+		}
+		prev = rec
+		p += n
+	}
+	return prev, cur, nil
+}
+
+// cloneView copies a block view out of untrusted memory, or returns nil for
+// the zero view.
+func cloneView(view record.Record) *record.Record {
+	if view.Kind == 0 {
+		return nil
+	}
+	c := view.Clone()
+	return &c
 }
 
 // Get returns the newest record of key with Ts ≤ tsq, if the table holds
 // one. The Bloom filter short-circuits definite misses.
 func (t *Table) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	bi := t.seekBlock(key, tsq)
-	if bi >= len(t.index) {
+	if bi >= len(t.index) || !t.filters[bi].MayContain(key) {
 		return record.Record{}, false, nil
 	}
-	if !t.filters[bi].MayContain(key) {
-		return record.Record{}, false, nil
-	}
-	recs, err := t.readBlock(bi)
-	if err != nil {
+	_, cur, err := t.seekInBlock(bi, key, tsq)
+	if err != nil || cur.Kind == 0 || string(cur.Key) != string(key) {
 		return record.Record{}, false, err
 	}
-	for _, r := range recs {
-		if record.Compare(r.Key, r.Ts, key, tsq) >= 0 {
-			if string(r.Key) == string(key) {
-				return r, true, nil
-			}
-			return record.Record{}, false, nil
-		}
-	}
-	return record.Record{}, false, nil
+	return cur.Clone(), true, nil
 }
 
 // SeekWithPrev locates the seek position of (key, ts) and returns the
@@ -533,6 +558,12 @@ func (t *Table) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 // table edges). The eLSM layer uses this to assemble non-membership
 // witnesses: for an absent key, prev and cur bracket it (§5.5.1 "returns
 // the two neighboring records").
+//
+// The seek is untrusted-side work: it compares keys in place on the block
+// bytes, reads each block at most once, and copies out only the one or two
+// records it returns. Nothing it decides is believed — the verifier repeats
+// every comparison it relies on against the returned copies, never against
+// the block.
 func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, err error) {
 	bi := t.seekBlock(key, ts)
 	if bi >= len(t.index) {
@@ -543,47 +574,38 @@ func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, e
 		}
 		return &last, nil, nil
 	}
-	recs, err := t.readBlock(bi)
+	prevView, curView, err := t.seekInBlock(bi, key, ts)
 	if err != nil {
 		return nil, nil, err
 	}
-	pos := 0
-	for pos < len(recs) && record.Compare(recs[pos].Key, recs[pos].Ts, key, ts) < 0 {
-		pos++
-	}
-	if pos < len(recs) {
-		cur = &recs[pos]
-	}
-	switch {
-	case pos > 0:
-		prev = &recs[pos-1]
-	case bi > 0:
-		prevRecs, err := t.readBlock(bi - 1)
+	if prevView.Kind == 0 && bi > 0 {
+		// Boundary miss: the predecessor is the previous block's last record.
+		last, err := t.lastOf(bi - 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		p := prevRecs[len(prevRecs)-1]
-		prev = &p
+		return &last, cloneView(curView), nil
 	}
-	return prev, cur, nil
+	return cloneView(prevView), cloneView(curView), nil
 }
 
-// First returns the table's first record.
-func (t *Table) First() (record.Record, error) {
-	recs, err := t.readBlock(0)
+// lastOf returns a copy of the last record of block bi: the one the index
+// entry names.
+func (t *Table) lastOf(bi int) (record.Record, error) {
+	e := t.index[bi]
+	_, last, err := t.seekInBlock(bi, e.lastKey, e.lastTs)
+	if err == nil && last.Kind == 0 {
+		err = fmt.Errorf("%w: block %d ends before its index entry", ErrBadTable, bi)
+	}
 	if err != nil {
 		return record.Record{}, err
 	}
-	return recs[0], nil
+	return last.Clone(), nil
 }
 
 // Last returns the table's last record.
 func (t *Table) Last() (record.Record, error) {
-	recs, err := t.readBlock(len(t.index) - 1)
-	if err != nil {
-		return record.Record{}, err
-	}
-	return recs[len(recs)-1], nil
+	return t.lastOf(len(t.index) - 1)
 }
 
 // Iter returns an iterator over the table. It decodes one record at a time
@@ -612,8 +634,7 @@ var _ record.Iterator = (*tableIter)(nil)
 func (it *tableIter) seekBlockStart(i int) {
 	it.data, it.valid = nil, false
 	for ; i < len(it.t.index); i++ {
-		e := it.t.index[i]
-		data, err := it.t.source.ReadBlock(it.t.fileNum, i, e.off, e.length)
+		data, err := it.t.block(i)
 		if err != nil {
 			it.err = err
 			return

@@ -199,13 +199,9 @@ func TestSeekWithPrev(t *testing.T) {
 	}
 }
 
-func TestFirstLast(t *testing.T) {
+func TestLast(t *testing.T) {
 	recs := seqRecords(77, 1)
 	tbl, _, _ := buildTable(t, recs, nil)
-	first, err := tbl.First()
-	if err != nil || string(first.Key) != "key00000" {
-		t.Fatalf("first = %q err=%v", first.Key, err)
-	}
 	last, err := tbl.Last()
 	if err != nil || string(last.Key) != "key00076" {
 		t.Fatalf("last = %q err=%v", last.Key, err)

@@ -5,6 +5,7 @@ import (
 
 	"elsm/internal/core"
 	"elsm/internal/lsm"
+	"elsm/internal/merkle"
 	"elsm/internal/sgx"
 	"elsm/internal/shard"
 	"elsm/internal/vfs"
@@ -30,6 +31,13 @@ func openSharded(opts Options) (*Store, error) {
 		}
 	}
 	enclave := sgx.New(sgx.Params{EPCSize: opts.EPCSize, Cost: opts.cost()})
+	// One verified-node cache per enclave, not per shard: its entries are
+	// keyed by trusted root, so shards cannot disturb each other's. Only
+	// ModeP2 verifies Merkle paths on reads.
+	var nodes *merkle.NodeCache
+	if opts.Mode == ModeP2 {
+		nodes = core.NewNodeCache(enclave)
+	}
 
 	// One maintenance worker pool serves every shard: the machine has one
 	// set of cores, so N shards sharing max(2, GOMAXPROCS/2) workers lets
@@ -72,6 +80,7 @@ func openSharded(opts Options) (*Store, error) {
 		}
 		cfg := opts.coreConfig(fs)
 		cfg.Enclave = enclave
+		cfg.NodeCache = nodes
 		cfg.Platform = platform
 		cfg.Workers = pool
 		if recs != nil {

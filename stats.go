@@ -88,6 +88,15 @@ type Stats struct {
 	VerifiedGets uint64
 	ProofBytes   uint64
 	RunsProbed   uint64
+	// The verified-node cache at work (verify_node_cache_hits,
+	// verify_node_cache_misses, verify_node_hashes on the wire and in
+	// /metrics): witnesses whose Merkle path walk stopped at an
+	// already-verified cached node, witnesses walked all the way to the
+	// trusted root, and the interior node hashes those walks computed.
+	// Shards share one cache but count their own walks.
+	VerifyNodeCacheHits   uint64
+	VerifyNodeCacheMisses uint64
+	VerifyNodeHashes      uint64
 
 	// Replication gauges (replica.go). On a follower, ReplLagGroups /
 	// ReplLagBytes report how far the tail is behind the leader's head at
@@ -161,6 +170,9 @@ func statsOf(kv core.KV) Stats {
 		out.VerifiedGets = vs.Gets
 		out.ProofBytes = vs.ProofBytes
 		out.RunsProbed = vs.RunsProbed
+		out.VerifyNodeCacheHits = vs.NodeCacheHits
+		out.VerifyNodeCacheMisses = vs.NodeCacheMisses
+		out.VerifyNodeHashes = vs.NodeHashes
 	}
 	return out
 }
@@ -208,6 +220,9 @@ func (s *Stats) add(o Stats) {
 	s.VerifiedGets += o.VerifiedGets
 	s.ProofBytes += o.ProofBytes
 	s.RunsProbed += o.RunsProbed
+	s.VerifyNodeCacheHits += o.VerifyNodeCacheHits
+	s.VerifyNodeCacheMisses += o.VerifyNodeCacheMisses
+	s.VerifyNodeHashes += o.VerifyNodeHashes
 }
 
 // Stats returns current counters — aggregated across every shard on a

@@ -41,6 +41,9 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.RunsProbed == 0 || st.ProofBytes == 0 {
 		t.Fatalf("verification work not counted: %+v", st)
 	}
+	if st.VerifyNodeCacheHits+st.VerifyNodeCacheMisses == 0 || st.VerifyNodeHashes == 0 {
+		t.Fatalf("path walks not counted: %+v", st)
+	}
 }
 
 // TestStatsAdaptiveCommitWindow checks the public plumbing of the
@@ -86,6 +89,7 @@ var statsFoldRules = map[string]string{
 	"CompactionDebtBytes": "sum", "ParallelCompactions": "sum",
 	"SnapshotsOpen": "sum", "AsyncCommitsInFlight": "sum",
 	"VerifiedGets": "sum", "ProofBytes": "sum", "RunsProbed": "sum",
+	"VerifyNodeCacheHits": "sum", "VerifyNodeCacheMisses": "sum", "VerifyNodeHashes": "sum",
 	"ReplLagGroups": "sum", "ReplLagBytes": "sum",
 	"FollowersConnected": "sum", "ReplReconnects": "sum",
 	// Per-pipeline tuning gauges: the maximum across shards.
