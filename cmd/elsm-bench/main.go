@@ -33,12 +33,10 @@ import (
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig2,fig5a,fig5b,fig5c,fig6a,fig6b,fig6c,fig7a,fig7b,fig8,ablation-earlystop,ablation-batch,ablation-commit,ablation-compaction,ablation-async,ablation-shards,ablation-repl,ablation-net or 'all'")
+		expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig2,fig5a,fig5b,fig5c,fig6a,fig6b,fig6c,fig7a,fig7b,fig8,ablation-earlystop,ablation-compaction,ablation-shards,ablation-repl,ablation-net or 'all'")
 		scale    = flag.Int("scale", 32, "divide the paper's byte sizes by this factor (EPC scales too)")
 		ops      = flag.Int("ops", 1200, "measured operations per data point")
 		costName = flag.String("cost", "calibrated", "SGX cost model: calibrated | zero")
-		batch    = flag.Int("batch", 0, "report batched-put throughput at this batch size next to single-put (0: off)")
-		procs    = flag.Int("procs", 0, "report concurrent-client write throughput (per-op vs group commit) up to this many goroutines (0: off)")
 		jsonDir  = flag.String("json", "", "also write each result as machine-readable BENCH_<name>.json into this directory (empty: off)")
 		verbose  = flag.Bool("v", false, "print per-point progress")
 		listFlag = flag.Bool("list", false, "list available experiments and exit")
@@ -93,24 +91,6 @@ func main() {
 				return
 			}
 			fmt.Printf("(wrote %s)\n\n", path)
-		}
-	}
-	if *batch > 0 {
-		tbl, err := bench.BatchThroughput(cfg, *batch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batch report failed: %v\n", err)
-			exitCode = 1
-		} else {
-			emit(tbl)
-		}
-	}
-	if *procs > 0 {
-		tbl, err := bench.CommitThroughput(cfg, *procs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "procs report failed: %v\n", err)
-			exitCode = 1
-		} else {
-			emit(tbl)
 		}
 	}
 	for _, exp := range bench.All() {

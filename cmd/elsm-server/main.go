@@ -126,7 +126,6 @@ func main() {
 		commitWindow = flag.Duration("commit-window", 0, "group-commit batching window (0: natural batching only, -1ns: adaptive from fsync latency)")
 		commitMaxOps = flag.Int("commit-max-ops", 0, "max operations per commit group (0: unbounded, 1: no coalescing)")
 		chunkKeys    = flag.Int("iter-chunk-keys", 0, "keys per streamed SCAN chunk (0: default)")
-		inlineComp   = flag.Bool("inline-compaction", false, "run flush/compaction inline on the commit path (ablation baseline; stalls writers)")
 		compWorkers  = flag.Int("compaction-workers", 0, "maintenance worker pool size shared across shards (0: max(2, GOMAXPROCS/2))")
 		maxConns     = flag.Int("max-connections", netsrv.DefaultMaxConnections, "max concurrent client connections; further connects are shed with BUSY")
 		pipeDepth    = flag.Int("pipeline-depth", netsrv.DefaultPipelineDepth, "max pipelined requests in flight per connection")
@@ -145,7 +144,6 @@ func main() {
 		GroupCommitWindow: *commitWindow,
 		GroupCommitMaxOps: *commitMaxOps,
 		IterChunkKeys:     *chunkKeys,
-		InlineCompaction:  *inlineComp,
 		CompactionWorkers: *compWorkers,
 		SlowOpThreshold:   *slowOp,
 		TraceSampleEvery:  *traceEvery,

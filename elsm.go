@@ -170,7 +170,9 @@ func (m Mode) String() string {
 type Result = core.Result
 
 // Options configures Open. The zero value opens an in-memory eLSM-P2 store
-// with a zero-cost simulated enclave (functional mode).
+// with a zero-cost simulated enclave (functional mode). No option changes
+// the shape of the write path: every write is logged, fsynced and applied by
+// the group-commit pipeline, and flush/compaction run in the background.
 type Options struct {
 	// Mode selects the design (default ModeP2).
 	Mode Mode
@@ -220,12 +222,6 @@ type Options struct {
 	// value is reported in Stats.GroupCommitWindowNanos). Capped at one
 	// second.
 	GroupCommitWindow time.Duration
-	// InlineCompaction restores synchronous flush/compaction on the
-	// commit path — the pre-background-maintenance behaviour, where a
-	// writer that fills the memtable pays the whole level rewrite.
-	// Exists for the ablation benchmark; never enable in production.
-	// It also disables commit pipelining (append/fsync overlap).
-	InlineCompaction bool
 	// MaxAsyncCommitBacklog caps how many Batch.CommitAsync commits may
 	// be acknowledged but not yet durable at once (0 = the built-in
 	// default, currently 1024). A caller hitting the cap blocks — with
@@ -293,7 +289,6 @@ type Options struct {
 	MaxLevels         int
 	BlockSize         int
 	DisableCompaction bool
-	DisableWAL        bool
 
 	// obsHub, when set, reuses an existing observability hub instead of
 	// creating one — the follower re-bootstrap path passes the old hub
@@ -427,7 +422,6 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		GroupCommitMaxOps:     o.GroupCommitMaxOps,
 		GroupCommitWindow:     o.GroupCommitWindow,
 		MaxAsyncCommitBacklog: o.MaxAsyncCommitBacklog,
-		InlineCompaction:      o.InlineCompaction,
 		CompactionWorkers:     o.CompactionWorkers,
 		MemtableSize:          o.MemtableSize,
 		TableFileSize:         o.TableFileSize,
@@ -435,7 +429,6 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		MaxLevels:             o.MaxLevels,
 		BlockSize:             o.BlockSize,
 		DisableCompaction:     o.DisableCompaction,
-		DisableWAL:            o.DisableWAL,
 	}
 }
 

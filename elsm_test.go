@@ -188,11 +188,19 @@ func TestEncryptionPointMode(t *testing.T) {
 	if res, _ := s.Get([]byte("secretXYZ")); res.Found {
 		t.Fatal("found absent encrypted key")
 	}
-	// No plaintext on the untrusted FS.
+	// No plaintext on the untrusted FS. Fence background maintenance first:
+	// a flush install deletes frozen logs and replaced tables, and a file
+	// that vanishes between List and Open has no bytes to check.
+	if err := s.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
 	fs := opts.FS.(*vfs.MemFS)
 	names, _ := fs.List("")
 	for _, name := range names {
-		f, _ := fs.Open(name)
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
 		if bytes.Contains(f.Bytes(), []byte("secret123")) || bytes.Contains(f.Bytes(), []byte("val123")) {
 			t.Fatalf("plaintext leaked into %s", name)
 		}

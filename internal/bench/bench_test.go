@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"elsm/internal/costmodel"
-	"elsm/internal/ycsb"
 )
 
 // tinyCfg runs experiments at 1/1024 scale with a zero cost model: fast
@@ -55,63 +54,6 @@ func TestTable1(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table 1 missing %q", want)
 		}
-	}
-}
-
-func TestBatchThroughputReport(t *testing.T) {
-	tbl, err := BatchThroughput(tinyCfg(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	if tbl.Rows[0].X != "single-put" || tbl.Rows[1].X != "batch-64" {
-		t.Fatalf("row labels = %q, %q", tbl.Rows[0].X, tbl.Rows[1].X)
-	}
-	if _, err := BatchThroughput(tinyCfg(), 1); err == nil {
-		t.Fatal("batch size 1 accepted")
-	}
-}
-
-func TestLoadBatchedMatchesBulk(t *testing.T) {
-	cfg := tinyCfg().withDefaults()
-	kv, err := cfg.buildStore(storeParams{variant: P2Mmap, dataBytes: cfg.paperMB(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv.Close()
-	data := cfg.paperMB(1)
-	if err := loadBatchedAndWarm(kv, data, 128); err != nil {
-		t.Fatal(err)
-	}
-	res, err := kv.Scan([]byte("user"), []byte("uses"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ycsb.RecordsForBytes(int64(data)); len(res) != want {
-		t.Fatalf("batched load produced %d records, want %d", len(res), want)
-	}
-}
-
-func TestCommitThroughputReport(t *testing.T) {
-	tbl, err := CommitThroughput(tinyCfg(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 { // writers 1, 2, 4
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if _, ok := row.Series["per-op commit"]; !ok {
-			t.Fatalf("row %s missing per-op series", row.X)
-		}
-		if _, ok := row.Series["group commit"]; !ok {
-			t.Fatalf("row %s missing grouped series", row.X)
-		}
-	}
-	if _, err := CommitThroughput(tinyCfg(), 0); err == nil {
-		t.Fatal("procs 0 accepted")
 	}
 }
 

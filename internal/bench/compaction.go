@@ -14,9 +14,8 @@ import (
 )
 
 // compactionSyncDelay models storage whose fsync costs real time. Every
-// SSTable write, manifest swap and WAL sync pays it, so an inline level
-// rewrite holds the commit path for many fsyncs in a row — exactly the
-// stall background maintenance removes.
+// SSTable write, manifest swap and WAL sync pays it, so a level rewrite
+// holds its worker for many fsyncs in a row.
 const compactionSyncDelay = 200 * time.Microsecond
 
 // compactionSyncDepth is the simulated device's queue depth: up to this
@@ -41,17 +40,14 @@ type compactionResult struct {
 	bgCompactions  float64
 }
 
-// compactionMode is one column of the ablation: the inline baseline (the
-// rewrite runs on the commit path) or the background scheduler with a given
-// worker-pool size.
+// compactionMode is one column of the ablation: the background scheduler
+// with a given worker-pool size. 1-worker is the baseline.
 type compactionMode struct {
 	label   string
-	inline  bool
 	workers int
 }
 
 var compactionModes = []compactionMode{
-	{label: "inline", inline: true},
 	{label: "1-worker", workers: 1},
 	{label: "2-workers", workers: 2},
 	{label: "4-workers", workers: 4},
@@ -72,7 +68,6 @@ func (c Config) openCompactionStore(m compactionMode) (*core.Store, error) {
 		KeepVersions:      1,
 		CounterInterval:   256,
 		MmapReads:         true,
-		InlineCompaction:  m.inline,
 		CompactionWorkers: m.workers,
 	})
 }
@@ -82,11 +77,10 @@ func (c Config) openCompactionStore(m compactionMode) (*core.Store, error) {
 // parallel writers keep the flush cascade busy, a scanner keeps verified
 // range reads in flight, and a multi-megabyte deep-level rewrite — whose
 // level claims are disjoint from every flush — is walked down in the
-// background. With inline compaction the rewrite runs on the commit path
-// under the commit lock, so puts queue behind it; with one background
-// worker the rewrite holds the pool's only token and every flush (and
-// every writer behind a full memtable) stalls for its duration; with more
-// workers the flush dispatches alongside it and the stall vanishes.
+// background. With one worker the rewrite holds the pool's only token and
+// every flush (and every writer behind a full memtable) stalls for its
+// duration; with more workers the flush dispatches alongside it and the
+// stall vanishes.
 func (c Config) compactionPoint(m compactionMode) (compactionResult, error) {
 	var res compactionResult
 
@@ -227,14 +221,12 @@ func (c Config) compactionPoint(m compactionMode) (compactionResult, error) {
 }
 
 // AblationCompaction quantifies the maintenance scheduler: sustained bulk
-// ingest with concurrent scans while a deep compaction runs, measured with
-// rewrites inline on the commit path (pre-background behaviour) and on the
-// debt-aware background pool at 1, 2 and 4 workers. Expected shape: inline
-// p99 collapses to roughly the full rewrite duration; with one background
-// worker the deep rewrite monopolizes the pool and flush stalls surface as
-// multi-millisecond put tails; growing the pool lets the flush run beside
-// the rewrite, collapsing both the stall time and the tail — with
-// single-writer steady-state throughput unchanged across all columns.
+// ingest with concurrent scans while a deep compaction runs, measured on
+// the debt-aware background pool at 1, 2 and 4 workers. Expected shape:
+// with one worker the deep rewrite monopolizes the pool and flush stalls
+// surface as multi-millisecond put tails; growing the pool lets the flush
+// run beside the rewrite, collapsing both the stall time and the tail —
+// with single-writer steady-state throughput unchanged across all columns.
 func AblationCompaction(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	labels := make([]string, len(compactionModes))
@@ -243,7 +235,7 @@ func AblationCompaction(cfg Config) (Table, error) {
 	}
 	t := Table{
 		Name: "Ablation: compaction",
-		Caption: fmt.Sprintf("%d writers sustained ingest + concurrent scans during a deep compaction, %v fsync at queue depth %d; inline vs background pool of 1/2/4 workers",
+		Caption: fmt.Sprintf("%d writers sustained ingest + concurrent scans during a deep compaction, %v fsync at queue depth %d; background pool of 1/2/4 workers",
 			compactionWriters, compactionSyncDelay, compactionSyncDepth),
 		XLabel: "metric",
 		Series: seriesOrder(labels...),

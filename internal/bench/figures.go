@@ -334,10 +334,7 @@ func All() []Experiment {
 		{"fig7b", Fig7b},
 		{"fig8", Fig8},
 		{"ablation-earlystop", AblationEarlyStop},
-		{"ablation-batch", AblationBatch},
-		{"ablation-commit", AblationCommit},
 		{"ablation-compaction", AblationCompaction},
-		{"ablation-async", AblationAsync},
 		{"ablation-shards", AblationShards},
 		{"ablation-repl", AblationRepl},
 		{"ablation-net", AblationNet},

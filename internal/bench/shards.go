@@ -21,8 +21,8 @@ import (
 // one giant group per fsync hides it — which is itself a finding the
 // ablation's shards=1 row documents). Writers drive the pipelined
 // CommitAsync path with a final all-shards Sync barrier, so the clock
-// covers time to FULL durability of every record (the ablation-async
-// methodology) while the per-shard pipelines stay saturated.
+// covers time to FULL durability of every record while the per-shard
+// pipelines stay saturated.
 const (
 	shardSyncDelay = 200 * time.Microsecond
 	shardBatchOps  = 4 // ops per writer commit; keys spread across shards
@@ -46,8 +46,8 @@ var shardSweep = []int{1, 2, 4}
 // ZERO cost model regardless of cfg: this ablation isolates commit-PIPELINE
 // serialization (what sharding parallelizes), and the calibrated
 // world-switch spins are pure CPU — on a small-core CI box they would
-// drown the fsync waits under an unscalable term that fig2/ablation-batch
-// already measure.
+// drown the fsync waits under an unscalable term that fig2 already
+// measures.
 func (c Config) openShardedBench(n int) (*shard.Router, error) {
 	enclave := sgx.New(sgx.Params{EPCSize: c.epcBytes()})
 	nodes := core.NewNodeCache(enclave)

@@ -65,9 +65,6 @@ func New(capacity int, enclave *sgx.Enclave) *Cache {
 // Inside reports whether the cache is placed inside the enclave.
 func (c *Cache) Inside() bool { return c.region != nil }
 
-// Capacity returns the configured capacity in bytes.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Get returns the cached block, charging the in-enclave access cost when
 // the cache is inside the enclave (MEE + paging).
 func (c *Cache) Get(k Key) ([]byte, bool) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -31,6 +32,30 @@ func mustOpenP2(t *testing.T, cfg Config) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// lookupRun and scanRun are the untrusted side of a one-run GET / SCAN for
+// the run with the given ID, through a snapshot of the current version.
+func lookupRun(s *Store, id uint64, key []byte, tsq uint64) (lsm.RunLookup, error) {
+	snap := s.Engine().AcquireSnapshot()
+	defer snap.Release()
+	for i, r := range snap.Runs() {
+		if r.ID == id {
+			return snap.LookupRun(i, key, tsq)
+		}
+	}
+	return lsm.RunLookup{}, lsm.ErrUnknownRun
+}
+
+func scanRun(s *Store, id uint64, start, end []byte) (lsm.RunScan, error) {
+	snap := s.Engine().AcquireSnapshot()
+	defer snap.Release()
+	for i, r := range snap.Runs() {
+		if r.ID == id {
+			return snap.ScanRunChunk(i, start, end, 0)
+		}
+	}
+	return lsm.RunScan{}, lsm.ErrUnknownRun
 }
 
 func TestPutGetVerified(t *testing.T) {
@@ -266,7 +291,7 @@ func TestAttackStaleResultDetected(t *testing.T) {
 	id := runs[0].ID
 	// The honest host would return the new version; a malicious host
 	// replays the old record (with its valid embedded proof).
-	staleLk, err := s.Engine().LookupRun(id, []byte("target"), ts1)
+	staleLk, err := lookupRun(s, id, []byte("target"), ts1)
 	if err != nil || !staleLk.Found {
 		t.Fatalf("stale lookup: %+v err=%v", staleLk, err)
 	}
@@ -288,7 +313,7 @@ func TestAttackForgedValueDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := s.Engine().Runs()[0].ID
-	lk, err := s.Engine().LookupRun(id, []byte("k"), record.MaxTs)
+	lk, err := lookupRun(s, id, []byte("k"), record.MaxTs)
 	if err != nil || !lk.Found {
 		t.Fatal("honest lookup failed")
 	}
@@ -320,11 +345,11 @@ func TestAttackFakeNonMembershipDetected(t *testing.T) {
 	}
 	id := s.Engine().Runs()[0].ID
 	d := s.snapshotDigests()[id]
-	predLk, err := s.Engine().LookupRun(id, []byte("key0049"), record.MaxTs)
+	predLk, err := lookupRun(s, id, []byte("key0049"), record.MaxTs)
 	if err != nil || !predLk.Found {
 		t.Fatal("pred lookup failed")
 	}
-	succLk, err := s.Engine().LookupRun(id, []byte("key0051"), record.MaxTs)
+	succLk, err := lookupRun(s, id, []byte("key0051"), record.MaxTs)
 	if err != nil || !succLk.Found {
 		t.Fatal("succ lookup failed")
 	}
@@ -348,7 +373,7 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	}
 	id := s.Engine().Runs()[0].ID
 	d := s.snapshotDigests()[id]
-	rs, err := s.Engine().ScanRun(id, []byte("key0050"), []byte("key0070"))
+	rs, err := scanRun(s, id, []byte("key0050"), []byte("key0070"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 	}
 	id := s.Engine().Runs()[0].ID
 	d := s.snapshotDigests()[id]
-	rs, err := s.Engine().ScanRun(id, []byte("key010"), []byte("key020"))
+	rs, err := scanRun(s, id, []byte("key010"), []byte("key020"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestProofSizeLogarithmic(t *testing.T) {
 		if err := s.BulkLoad(recs); err != nil {
 			t.Fatal(err)
 		}
-		lk, err := s.Engine().LookupRun(s.Engine().Runs()[0].ID, recs[n/2].Key, record.MaxTs)
+		lk, err := lookupRun(s, s.Engine().Runs()[0].ID, recs[n/2].Key, record.MaxTs)
 		if err != nil || !lk.Found {
 			t.Fatalf("lookup: %v %v", lk.Found, err)
 		}

@@ -61,14 +61,14 @@ func TestNodeCachePoisoning(t *testing.T) {
 	digs := s.snapshotDigests()
 	const target = 100 // even: lives in the lower run
 	key := twoRunKey(target)
-	lk, err := s.Engine().LookupRun(runs[1].ID, key, record.MaxTs)
+	lk, err := lookupRun(s, runs[1].ID, key, record.MaxTs)
 	if err != nil || !lk.Found {
 		t.Fatalf("honest lookup: %+v, %v", lk, err)
 	}
 	// A witness of the other run, at another leaf index: under a warm cache
 	// only the bytes a walk consumes can matter, and with the same index,
 	// chain and leaf the other run's sibling hashes would never be read.
-	other, err := s.Engine().LookupRun(runs[0].ID, twoRunKey(target+3), record.MaxTs)
+	other, err := lookupRun(s, runs[0].ID, twoRunKey(target+3), record.MaxTs)
 	if err != nil || !other.Found {
 		t.Fatalf("honest lookup in the other run: %+v, %v", other, err)
 	}
@@ -160,11 +160,11 @@ func TestNodeCacheRunsDoNotMix(t *testing.T) {
 	digs := s.snapshotDigests()
 	newer, older := runs[0].ID, runs[1].ID
 	key := twoRunKey(77)
-	lkNew, err := s.Engine().LookupRun(newer, key, record.MaxTs)
+	lkNew, err := lookupRun(s, newer, key, record.MaxTs)
 	if err != nil || !lkNew.Found {
 		t.Fatal(lkNew, err)
 	}
-	lkOld, err := s.Engine().LookupRun(older, key, record.MaxTs)
+	lkOld, err := lookupRun(s, older, key, record.MaxTs)
 	if err != nil || !lkOld.Found {
 		t.Fatal(lkOld, err)
 	}

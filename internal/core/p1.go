@@ -84,11 +84,9 @@ func OpenP1(cfg Config) (*StoreP1, error) {
 		MaxLevels:             cfg.MaxLevels,
 		KeepVersions:          cfg.KeepVersions,
 		DisableCompaction:     cfg.DisableCompaction,
-		DisableWAL:            cfg.DisableWAL,
 		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
 		GroupCommitWindow:     cfg.GroupCommitWindow,
 		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		InlineCompaction:      cfg.InlineCompaction,
 		CompactionWorkers:     cfg.CompactionWorkers,
 		Workers:               cfg.Workers,
 		Obs:                   cfg.Obs,

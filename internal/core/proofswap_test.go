@@ -23,11 +23,11 @@ func TestAttackProofSwap(t *testing.T) {
 	id := s.Engine().Runs()[0].ID
 	d := s.snapshotDigests()[id]
 
-	lkA, err := s.Engine().LookupRun(id, []byte("key010"), record.MaxTs)
+	lkA, err := lookupRun(s, id, []byte("key010"), record.MaxTs)
 	if err != nil || !lkA.Found {
 		t.Fatal("lookup A failed")
 	}
-	lkB, err := s.Engine().LookupRun(id, []byte("key011"), record.MaxTs)
+	lkB, err := lookupRun(s, id, []byte("key011"), record.MaxTs)
 	if err != nil || !lkB.Found {
 		t.Fatal("lookup B failed")
 	}
@@ -60,7 +60,7 @@ func TestAttackProofSwap(t *testing.T) {
 	if otherID == id {
 		otherID = runs[1].ID
 	}
-	lkOther, err := s.Engine().LookupRun(otherID, []byte("key010"), record.MaxTs)
+	lkOther, err := lookupRun(s, otherID, []byte("key010"), record.MaxTs)
 	if err != nil || !lkOther.Found {
 		t.Skip("key not present in other run")
 	}

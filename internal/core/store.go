@@ -29,7 +29,8 @@ const trustedStateName = "TRUSTED.bin"
 // rollback window, more counter traffic).
 const DefaultCounterInterval = 1024
 
-// Config configures an eLSM store.
+// Config configures an eLSM store. The engine fields pass through to
+// lsm.Options; none of them changes the shape of the write path.
 type Config struct {
 	// FS is the untrusted file system. Nil means a fresh in-memory FS.
 	FS vfs.FS
@@ -74,9 +75,6 @@ type Config struct {
 	// prior work (Speicher) that eLSM improves on (§7 distinction 1).
 	// Exists for the ablation benchmark; never enable in production.
 	DisableEarlyStop bool
-	// InlineCompaction restores synchronous flush/compaction on the commit
-	// path (pre-background behaviour) — ablation benchmarks only.
-	InlineCompaction bool
 	// CompactionWorkers bounds how many maintenance jobs (flushes +
 	// compactions of disjoint level pairs) run concurrently (0 = engine
 	// default, max(2, GOMAXPROCS/2)).
@@ -92,8 +90,8 @@ type Config struct {
 	// its own.
 	NodeCache *merkle.NodeCache
 	// KeepVersions, MemtableSize, TableFileSize, LevelBase,
-	// LevelMultiplier, MaxLevels, BlockSize, DisableCompaction and
-	// DisableWAL pass through to the engine (zero = engine default).
+	// LevelMultiplier, MaxLevels, BlockSize and DisableCompaction pass
+	// through to the engine (zero = engine default).
 	KeepVersions      int
 	MemtableSize      int
 	TableFileSize     int
@@ -102,7 +100,6 @@ type Config struct {
 	MaxLevels         int
 	BlockSize         int
 	DisableCompaction bool
-	DisableWAL        bool
 }
 
 // Result is a verified query result.
@@ -396,11 +393,9 @@ func Open(cfg Config) (*Store, error) {
 		MaxLevels:             cfg.MaxLevels,
 		KeepVersions:          cfg.KeepVersions,
 		DisableCompaction:     cfg.DisableCompaction,
-		DisableWAL:            cfg.DisableWAL,
 		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
 		GroupCommitWindow:     cfg.GroupCommitWindow,
 		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		InlineCompaction:      cfg.InlineCompaction,
 		CompactionWorkers:     cfg.CompactionWorkers,
 		Workers:               cfg.Workers,
 		Obs:                   cfg.Obs,

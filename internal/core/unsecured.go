@@ -44,11 +44,9 @@ func OpenUnsecured(cfg Config) (*Unsecured, error) {
 		MaxLevels:             cfg.MaxLevels,
 		KeepVersions:          cfg.KeepVersions,
 		DisableCompaction:     cfg.DisableCompaction,
-		DisableWAL:            cfg.DisableWAL,
 		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
 		GroupCommitWindow:     cfg.GroupCommitWindow,
 		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		InlineCompaction:      cfg.InlineCompaction,
 		CompactionWorkers:     cfg.CompactionWorkers,
 		Workers:               cfg.Workers,
 		Obs:                   cfg.Obs,

@@ -38,7 +38,6 @@ const (
 	tagNode
 	tagWAL
 	tagState
-	tagFile
 )
 
 // stackPreimage bounds the preimages assembled on the stack and hashed with
@@ -142,16 +141,6 @@ func StateDigest(roots []Hash, walDigest Hash) Hash {
 		h.Write(r[:])
 	}
 	h.Write(walDigest[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// FileDigest hashes raw file bytes (file-granularity protection in eLSM-P1).
-func FileDigest(data []byte) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagFile})
-	h.Write(data)
 	var out Hash
 	h.Sum(out[:0])
 	return out

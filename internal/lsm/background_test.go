@@ -3,6 +3,9 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,12 +82,11 @@ func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	runs := s.Runs()
-	if len(runs) == 0 {
+	snap := s.AcquireSnapshot()
+	if len(snap.Runs()) == 0 {
 		t.Fatal("no runs to pin")
 	}
-	target := runs[0]
-	release := s.PinRuns([]uint64{target.ID})
+	target := snap.Runs()[0]
 	if got := s.Stats().PinnedRuns; got == 0 {
 		t.Fatal("pin not reflected in PinnedRuns")
 	}
@@ -104,24 +106,21 @@ func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	}
 
 	// The retired run must remain readable through the pin.
-	lk, err := s.LookupRun(target.ID, []byte("key00007"), record.MaxTs)
+	lk, err := snap.LookupRun(0, []byte("key00007"), record.MaxTs)
 	if err != nil {
 		t.Fatalf("lookup on pinned retired run: %v", err)
 	}
 	if !lk.Found || string(lk.Rec.Value) != "pin-me" {
 		t.Fatalf("pinned retired run returned wrong data: %+v", lk)
 	}
-	sc, err := s.ScanRunChunk(target.ID, []byte("key00000"), []byte("key00020"), 0)
+	sc, err := snap.ScanRunChunk(0, []byte("key00000"), []byte("key00020"), 0)
 	if err != nil || len(sc.Records) == 0 {
 		t.Fatalf("scan on pinned retired run: %v (%d records)", err, len(sc.Records))
 	}
 
-	// Dropping the pin deletes the files and the run becomes unknown.
+	// Dropping the pin deletes the files.
 	before, _ := fs.List("0") // sst files are zero-padded numbers
-	release()
-	if _, err := s.LookupRun(target.ID, []byte("key00007"), record.MaxTs); !errors.Is(err, ErrUnknownRun) {
-		t.Fatalf("released run still resolvable: %v", err)
-	}
+	snap.Release()
 	after, _ := fs.List("0")
 	if len(after) >= len(before) {
 		t.Fatalf("releasing the last pin deleted no files: %d -> %d", len(before), len(after))
@@ -261,4 +260,140 @@ func TestBackgroundFlushFailureFailsStop(t *testing.T) {
 			t.Fatalf("acked key %s lost after mid-flush crash: ok=%v err=%v", key, ok, err)
 		}
 	}
+}
+
+// TestMaintenanceEntryPointsRace drives the three synchronous maintenance
+// entry points — Flush, Compact and BulkLoad, which all go through runSync —
+// from several goroutines at once beside writers, first against each other
+// and then against Close. Every call must return (nil, ErrClosed, the sticky
+// background error or BulkLoad's refusal of a non-empty store), none may
+// hang, no frozen memtable may be left behind, and every acknowledged write
+// must be readable — after the Close race, from the reopened store.
+func TestMaintenanceEntryPointsRace(t *testing.T) {
+	fs := vfs.NewMem()
+	s, err := Open(bgOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := func(err error) bool {
+		if err == nil || errors.Is(err, ErrClosed) || strings.Contains(err.Error(), "bulk load requires an empty store") {
+			return true
+		}
+		s.mu.RLock()
+		bg := s.bgErr
+		s.mu.RUnlock()
+		return bg != nil && errors.Is(err, bg)
+	}
+	bulk := []record.Record{{Key: []byte("bulk"), Ts: 1, Kind: record.KindSet, Value: []byte("v")}}
+
+	// race runs writers and maintenance callers until the writers are done,
+	// calling during() once everything is in flight, and returns the keys
+	// whose Put was acknowledged.
+	race := func(round string, during func()) map[string]bool {
+		t.Helper()
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		acked := map[string]bool{}
+		stop := make(chan struct{})
+		var writers sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			writers.Add(1)
+			go func(w int) {
+				defer writers.Done()
+				for i := 0; i < 400; i++ {
+					key := fmt.Sprintf("%s-w%d-%05d", round, w, i)
+					_, err := s.Put([]byte(key), []byte("vvvvvvvv"))
+					if err != nil {
+						if !allowed(err) {
+							t.Errorf("Put: %v", err)
+						}
+						return
+					}
+					mu.Lock()
+					acked[key] = true
+					mu.Unlock()
+				}
+			}(w)
+		}
+		calls := []func() error{
+			s.Flush,
+			s.Flush,
+			func() error { return s.Compact(1) },
+			func() error { return s.Compact(2) },
+			func() error { return s.BulkLoad(bulk) },
+		}
+		for _, call := range calls {
+			wg.Add(1)
+			go func(call func() error) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := call(); !allowed(err) {
+						t.Errorf("maintenance call: %v", err)
+						return
+					} else if errors.Is(err, ErrClosed) {
+						return
+					}
+				}
+			}(call)
+		}
+		done := make(chan struct{})
+		go func() {
+			during()
+			writers.Wait()
+			close(stop)
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: maintenance calls hung\n%s", round, buf[:runtime.Stack(buf, true)])
+		}
+		return acked
+	}
+	noFrozen := func(round string) {
+		t.Helper()
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		if s.frozen != nil {
+			t.Fatalf("%s: a frozen memtable was left behind", round)
+		}
+	}
+	readable := func(st *Store, round string, acked map[string]bool) {
+		t.Helper()
+		for key := range acked {
+			if rec, ok, err := st.Get([]byte(key), record.MaxTs); err != nil || !ok || string(rec.Value) != "vvvvvvvv" {
+				t.Fatalf("%s: acknowledged key %s: ok=%v err=%v", round, key, ok, err)
+			}
+		}
+	}
+
+	first := race("each-other", func() {})
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	noFrozen("each-other")
+	readable(s, "each-other", first)
+
+	second := race("close", func() {
+		time.Sleep(5 * time.Millisecond)
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	noFrozen("close")
+
+	s2, err := Open(bgOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	readable(s2, "each-other (reopened)", first)
+	readable(s2, "close (reopened)", second)
 }

@@ -42,10 +42,6 @@ import (
 // freezes the memtable (a pointer swap plus one WAL rename) and schedules a
 // background flush, stalling only if the previous frozen memtable is still
 // being flushed (counted in Stats.FlushStallNanos).
-//
-// With Options.InlineCompaction the pipeline collapses to the sequential
-// pre-background behaviour: the append worker itself fsyncs, applies and
-// runs flush/compaction on the commit path (the ablation baseline).
 
 // maxAutoCommitWindow caps the adaptive batching wait derived from the
 // fsync EWMA: even on pathologically slow storage the deliberate batching
@@ -514,9 +510,7 @@ func (s *Store) commitWorker() {
 			// the queue already holds a full group.
 			time.Sleep(w)
 		}
-		if !s.opts.InlineCompaction {
-			s.waitPipelineSlot()
-		}
+		s.waitPipelineSlot()
 		if batch := s.drainPending(); len(batch) > 0 {
 			s.processGroup(batch)
 		}
@@ -560,8 +554,8 @@ func (s *Store) drainPending() []*commitReq {
 	return batch
 }
 
-// processGroup runs the append stage for one group and hands it to the sync
-// stage (or, in InlineCompaction mode, completes it synchronously in full).
+// processGroup runs the append stage for one group and hands it to the
+// sync stage.
 func (s *Store) processGroup(batch []*commitReq) {
 	finish := func(err error) {
 		for _, req := range batch {
@@ -585,15 +579,13 @@ func (s *Store) processGroup(batch []*commitReq) {
 
 	s.commitMu.Lock()
 
-	if !s.opts.InlineCompaction {
-		// Backpressure point: if the memtable is full, drain the pipeline,
-		// freeze it and schedule the flush BEFORE appending this group, so
-		// the group's records land in the fresh active log and memtable.
-		if err := s.ensureMemtableRoom(); err != nil {
-			s.commitMu.Unlock()
-			finish(err)
-			return
-		}
+	// Backpressure point: if the memtable is full, drain the pipeline,
+	// freeze it and schedule the flush BEFORE appending this group, so
+	// the group's records land in the fresh active log and memtable.
+	if err := s.ensureMemtableRoom(); err != nil {
+		s.commitMu.Unlock()
+		finish(err)
+		return
 	}
 
 	s.mu.Lock()
@@ -649,15 +641,13 @@ func (s *Store) processGroup(batch []*commitReq) {
 				req.ts = s.lastTs.Load()
 			}
 		}
-		if !s.opts.DisableWAL {
-			var werr error
-			s.ocall(func() { werr = s.walW.AppendBatch(recs) })
-			if werr != nil {
-				s.mu.Unlock()
-				s.commitMu.Unlock()
-				finish(werr)
-				return
-			}
+		var werr error
+		s.ocall(func() { werr = s.walW.AppendBatch(recs) })
+		if werr != nil {
+			s.mu.Unlock()
+			s.commitMu.Unlock()
+			finish(werr)
+			return
 		}
 		s.listener.OnGroupAppended()
 	} else {
@@ -687,14 +677,6 @@ func (s *Store) processGroup(batch []*commitReq) {
 		group.appendNanos = uint64(time.Since(appendStart))
 		rec.CommitAppend.Observe(group.appendNanos)
 		group.traced = total > 0 && rec.ShouldTrace()
-	}
-	if s.opts.InlineCompaction {
-		// Sequential completion under commitMu: the inline rewrite must
-		// serialize with Flush/Compact exactly as the pre-pipeline commit
-		// path did.
-		s.completeGroupInline(group)
-		s.commitMu.Unlock()
-		return
 	}
 	// Hand off to the sync stage BEFORE releasing commitMu, so the sync
 	// queue preserves append order (completion, apply and barriers all
@@ -767,7 +749,7 @@ func (s *Store) completeGroups(groups []*commitGroup) {
 			anyRecs = true
 		}
 	}
-	if anyRecs && !s.opts.DisableWAL {
+	if anyRecs {
 		var serr error
 		syncStart := time.Now()
 		s.ocall(func() { serr = s.walW.Sync() })
@@ -876,58 +858,8 @@ func (s *Store) completeGroups(groups []*commitGroup) {
 	}
 }
 
-// completeGroupInline is the sequential (InlineCompaction) completion: the
-// append worker itself fsyncs, applies, and runs the legacy synchronous
-// flush/compaction on the commit path — the ablation baseline where a
-// writer that fills the memtable pays the whole level rewrite.
-func (s *Store) completeGroupInline(group *commitGroup) {
-	finish := func(err error) {
-		for _, req := range group.reqs {
-			req.finish(err)
-		}
-	}
-	if group.total > 0 && !s.opts.DisableWAL {
-		var serr error
-		syncStart := time.Now()
-		s.ocall(func() { serr = s.walW.Sync() })
-		if serr != nil {
-			s.setWALErr(serr)             // sticky: later commits fail until reopen
-			s.listener.OnGroupAbandoned() // consume the group's appended mark
-			finish(fmt.Errorf("%w: %w", ErrWALSyncFailed, serr))
-			return
-		}
-		d := time.Since(syncStart)
-		s.observeFsync(d)
-		s.walSyncs.Add(1)
-		if rec := s.opts.Obs; rec != nil {
-			rec.CommitFsync.ObserveDuration(d)
-		}
-	}
-	var groupErr error
-	if group.total > 0 {
-		s.groupCommits.Add(1)
-		s.groupedRecords.Add(uint64(group.total))
-		s.listener.OnGroupCommit(group.total)
-		s.mu.Lock()
-		for i := range group.recs {
-			s.mem.Put(group.recs[i])
-		}
-		s.appliedTs.Store(group.ts)
-		if s.mem.ApproxBytes() >= s.opts.MemtableSize && s.frozen == nil {
-			groupErr = s.freezeLocked()
-		}
-		s.mu.Unlock()
-		s.notifyGroupSink(group.recs, group.ts)
-	}
-	if groupErr == nil {
-		groupErr = s.inlineMaintenance()
-	}
-	finish(groupErr)
-}
-
 // observeFsync feeds the fsync-latency EWMA (α = 1/4). Only the sync stage
-// (or the inline append worker) calls it, so the read-modify-write is
-// race-free.
+// calls it, so the read-modify-write is race-free.
 func (s *Store) observeFsync(d time.Duration) {
 	old := s.fsyncEWMANanos.Load()
 	if old == 0 {
@@ -988,21 +920,4 @@ func (s *Store) ensureMemtableRoom() error {
 		return err
 	}
 	return s.scheduleFlush()
-}
-
-// inlineMaintenance runs the legacy synchronous rewrite on the commit path
-// (InlineCompaction mode): the append worker itself flushes the frozen
-// memtable and cascades overflowing levels, exactly where the cost used to
-// land. Exists for the ablation benchmark.
-func (s *Store) inlineMaintenance() error {
-	s.mu.RLock()
-	frozen := s.frozen != nil
-	s.mu.RUnlock()
-	if !frozen {
-		return nil
-	}
-	if err := s.flushFrozen(); err != nil {
-		return fmt.Errorf("lsm: flush: %w", err)
-	}
-	return s.compactOverflowing()
 }

@@ -35,10 +35,6 @@ import (
 // Every job fires exactly one of OnVersionCommitted (success) or
 // OnCompactionAbort (any failure after OnCompactionBegin), so the
 // listener's per-job rebuild context is always reclaimed.
-//
-// With Options.InlineCompaction the same phases run synchronously on the
-// commit path under commitMu — the pre-background behaviour, kept for the
-// ablation benchmark.
 
 // flushFrozen persists the frozen memtable (§5.3 step w2). In normal
 // (leveled) mode it is merged with level 1's runs; with compaction disabled
@@ -142,16 +138,12 @@ func (s *Store) flushFrozen() error {
 	// logs that carried them and swap the enclave's WAL digest to the
 	// active log's chain.
 	s.frozenWALs = s.frozenWALs[len(frozenWALs):]
-	if len(frozenWALs) > 0 {
-		s.ocall(func() {
-			for _, name := range frozenWALs {
-				_ = s.fs.Remove(name)
-			}
-		})
-	}
-	if !s.opts.DisableWAL {
-		s.listener.OnWALRotated()
-	}
+	s.ocall(func() {
+		for _, name := range frozenWALs {
+			_ = s.fs.Remove(name)
+		}
+	})
+	s.listener.OnWALRotated()
 	s.frozen = nil
 	s.flushes.Add(1)
 	s.bytesFlushed.Add(uint64(newRun.bytes))
@@ -167,9 +159,7 @@ func (s *Store) flushFrozen() error {
 		rec.CompactInstall.ObserveSince(phaseStart)
 	}
 	s.releaseRunRefs(inputs, 2) // retired version reference + job pin
-	if !s.opts.InlineCompaction {
-		s.scheduleOverflowCompactions()
-	}
+	s.scheduleOverflowCompactions()
 	return nil
 }
 
@@ -201,25 +191,11 @@ func (s *Store) Compact(lvl int) error {
 	if lvl < 1 || lvl >= s.opts.MaxLevels {
 		return fmt.Errorf("lsm: compact: level %d out of range [1,%d)", lvl, s.opts.MaxLevels)
 	}
-	if s.opts.InlineCompaction {
-		s.commitMu.Lock()
-		defer s.commitMu.Unlock()
-		return s.compactLevel(lvl, false)
-	}
 	return s.runSync(jobCompact, lvl, nil)
 }
 
-// compactOverflowing synchronously compacts levels over their size target
-// until none is (the inline-mode cascade; caller holds commitMu).
-func (s *Store) compactOverflowing() error {
-	return s.cascadeOverflow(func(lvl int) error {
-		return s.compactLevel(lvl, false)
-	})
-}
-
 // compactLevel merges all runs of lvl and lvl+1 into a single new run at
-// lvl+1 using the three-phase protocol. Runs on the maintenance worker (or
-// on the commit path under commitMu in inline mode).
+// lvl+1 using the three-phase protocol. Runs on the maintenance worker.
 func (s *Store) compactLevel(lvl int, background bool) error {
 	if lvl < 1 || lvl >= s.opts.MaxLevels {
 		return fmt.Errorf("lsm: compact: level %d out of range [1,%d)", lvl, s.opts.MaxLevels)
@@ -323,9 +299,7 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 		rec.CompactInstall.ObserveSince(phaseStart)
 	}
 	s.releaseRunRefs(inputs, 2) // retired version reference + job pin
-	if !s.opts.InlineCompaction {
-		s.scheduleOverflowCompactions()
-	}
+	s.scheduleOverflowCompactions()
 	return nil
 }
 
@@ -677,9 +651,6 @@ func (s *Store) BulkLoad(recs []record.Record) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.drainSync() // the empty-store check must not race in-flight commit applies
-	if s.opts.InlineCompaction {
-		return s.bulkLoadJob(recs, total, maxTs)
-	}
 	return s.runSync(jobFunc, 0, func() error { return s.bulkLoadJob(recs, total, maxTs) })
 }
 

@@ -77,7 +77,6 @@ func TestCompactionKeepsItsOwnCopy(t *testing.T) {
 	opts.MemtableSize = 1 << 20
 	opts.LevelBase = 1 << 30 // nothing compacts on its own
 	opts.KeepVersions = 0
-	opts.DisableWAL = true
 	s := mustOpen(t, opts)
 	defer s.Close()
 
@@ -134,7 +133,6 @@ func TestScanRunChunkKeepsItsOwnCopy(t *testing.T) {
 	opts := smallOpts(fs)
 	opts.MmapReads = true
 	opts.MemtableSize = 1 << 20
-	opts.DisableWAL = true
 	s := mustOpen(t, opts)
 	defer s.Close()
 	for i := 0; i < 400; i++ {
@@ -145,8 +143,9 @@ func TestScanRunChunkKeepsItsOwnCopy(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	run := s.Runs()[0]
-	rs, err := s.ScanRunChunk(run.ID, []byte("key00100"), []byte("key00299"), 150)
+	snap := s.AcquireSnapshot()
+	defer snap.Release()
+	rs, err := snap.ScanRunChunk(0, []byte("key00100"), []byte("key00299"), 150)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,20 +25,6 @@ type RunLookup struct {
 	EmptyRun bool
 }
 
-// LookupRun performs the untrusted side of a one-level GET.
-func (s *Store) LookupRun(runID uint64, key []byte, tsq uint64) (RunLookup, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return RunLookup{}, ErrClosed
-	}
-	r, err := s.findRunLocked(runID)
-	if err != nil {
-		return RunLookup{}, err
-	}
-	return lookupRun(r, key, tsq)
-}
-
 // lookupRun searches one immutable run. Safe without the engine lock as
 // long as the run is reachable (version membership or a pin) — its tables
 // and files never change.
@@ -93,29 +79,6 @@ type RunScan struct {
 	// returned key (still a valid right-boundary witness for the shrunken
 	// range) rather than a record beyond end.
 	Truncated bool
-}
-
-// ScanRun performs the untrusted side of a one-level SCAN over user keys
-// start ≤ k ≤ end.
-func (s *Store) ScanRun(runID uint64, start, end []byte) (RunScan, error) {
-	return s.ScanRunChunk(runID, start, end, 0)
-}
-
-// ScanRunChunk is ScanRun bounded to at most maxKeys distinct keys
-// (0 = unlimited). Version chains are never split: the limit applies at key
-// boundaries, so every returned key carries all its in-run versions and the
-// enclave can rebuild whole Merkle leaves from the chunk.
-func (s *Store) ScanRunChunk(runID uint64, start, end []byte, maxKeys int) (RunScan, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return RunScan{}, ErrClosed
-	}
-	r, err := s.findRunLocked(runID)
-	if err != nil {
-		return RunScan{}, err
-	}
-	return scanRunChunk(r, start, end, maxKeys)
 }
 
 // scanRunChunk is the untrusted side of a one-level SCAN over an immutable

@@ -135,23 +135,17 @@ func TestLemma54LevelOrdering(t *testing.T) {
 	// Walk runs newest-first; per key the maximum ts seen so far must
 	// strictly decrease across runs.
 	maxSeen := map[string]uint64{}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, ref := range s.runsLocked() {
-		r, err := s.findRunLocked(ref.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
+	snap := s.AcquireSnapshot()
+	defer snap.Release()
+	for i := range snap.Runs() {
 		perRunMax := map[string]uint64{}
-		for _, th := range r.tables {
-			it := th.table.Iter()
-			it.SeekGE(nil, record.MaxTs)
-			for ; it.Valid(); it.Next() {
-				rec := it.Record()
-				if rec.Ts > perRunMax[string(rec.Key)] {
-					perRunMax[string(rec.Key)] = rec.Ts
-				}
+		if err := snap.RunRecords(i, func(rec record.Record) error {
+			if rec.Ts > perRunMax[string(rec.Key)] {
+				perRunMax[string(rec.Key)] = rec.Ts
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		for k, ts := range perRunMax {
 			if prev, ok := maxSeen[k]; ok && ts >= prev {
@@ -274,7 +268,9 @@ func TestWALReplayPopulatesMemtable(t *testing.T) {
 
 	s2 := mustOpen(t, smallOpts(fs))
 	defer s2.Close()
-	if s2.MemCount() == 0 {
+	snap := s2.AcquireSnapshot()
+	defer snap.Release()
+	if _, ok := snap.MemGet([]byte("inmem"), record.MaxTs); !ok {
 		t.Fatal("memtable empty after WAL replay")
 	}
 	rec, ok, _ := s2.Get([]byte("inmem"), record.MaxTs)
@@ -397,15 +393,16 @@ func TestLookupRunMembershipAndBrackets(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("runs = %d", len(runs))
 	}
-	id := runs[0].ID
+	snap := s.AcquireSnapshot()
+	defer snap.Release()
 
 	// Present key.
-	lk, err := s.LookupRun(id, []byte("key0100"), record.MaxTs)
+	lk, err := snap.LookupRun(0, []byte("key0100"), record.MaxTs)
 	if err != nil || !lk.Found || string(lk.Rec.Key) != "key0100" {
 		t.Fatalf("membership lookup: %+v err=%v", lk, err)
 	}
 	// Absent key between two present ones.
-	lk, err = s.LookupRun(id, []byte("key0101"), record.MaxTs)
+	lk, err = snap.LookupRun(0, []byte("key0101"), record.MaxTs)
 	if err != nil || lk.Found {
 		t.Fatalf("non-membership lookup found something: %+v", lk)
 	}
@@ -416,12 +413,12 @@ func TestLookupRunMembershipAndBrackets(t *testing.T) {
 		t.Fatalf("succ = %v", lk.Succ)
 	}
 	// Before the first key.
-	lk, _ = s.LookupRun(id, []byte("a"), record.MaxTs)
+	lk, _ = snap.LookupRun(0, []byte("a"), record.MaxTs)
 	if lk.Found || lk.Pred != nil || lk.Succ == nil || string(lk.Succ.Key) != "key0000" {
 		t.Fatalf("before-first lookup: %+v", lk)
 	}
 	// After the last key.
-	lk, _ = s.LookupRun(id, []byte("z"), record.MaxTs)
+	lk, _ = snap.LookupRun(0, []byte("z"), record.MaxTs)
 	if lk.Found || lk.Succ != nil || lk.Pred == nil || string(lk.Pred.Key) != "key1998" {
 		t.Fatalf("after-last lookup: %+v", lk)
 	}
@@ -442,8 +439,9 @@ func TestScanRunBrackets(t *testing.T) {
 	if err := s.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
-	id := s.Runs()[0].ID
-	rs, err := s.ScanRun(id, []byte("key0100"), []byte("key0110"))
+	snap := s.AcquireSnapshot()
+	defer snap.Release()
+	rs, err := snap.ScanRunChunk(0, []byte("key0100"), []byte("key0110"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +455,7 @@ func TestScanRunBrackets(t *testing.T) {
 		t.Fatalf("succ = %v", rs.Succ)
 	}
 	// Range beyond the end: no records, pred = last.
-	rs, err = s.ScanRun(id, []byte("z"), []byte("zz"))
+	rs, err = snap.ScanRunChunk(0, []byte("z"), []byte("zz"), 0)
 	if err != nil || len(rs.Records) != 0 || rs.Pred == nil {
 		t.Fatalf("tail scan: %+v err=%v", rs, err)
 	}

@@ -37,7 +37,9 @@ const (
 )
 
 // Options configures a Store. The zero value is usable with an in-memory
-// FS; call withDefaults via Open.
+// FS; call withDefaults via Open. The write path has one shape whatever the
+// options: queue → WAL append → fsync → memtable apply → freeze →
+// background flush/compaction on the worker pool.
 type Options struct {
 	// FS is the untrusted file system holding WAL, SSTables and MANIFEST.
 	// Nil means a fresh in-memory FS.
@@ -77,11 +79,6 @@ type Options struct {
 	// DisableCompaction stops merging entirely: each flush appends a new
 	// immutable run to level 1 (Figure 7b's "wo. compaction" mode).
 	DisableCompaction bool
-	// InlineCompaction restores the pre-background behaviour: flush and
-	// level compaction run synchronously on the commit path (the leader
-	// pays the whole level rewrite under commitMu). Exists for the
-	// ablation benchmark; never enable in production.
-	InlineCompaction bool
 	// CompactionWorkers bounds how many maintenance jobs (flushes and
 	// compactions of disjoint level pairs) may execute concurrently.
 	// 0 selects DefaultCompactionWorkers() = max(2, GOMAXPROCS/2).
@@ -92,12 +89,10 @@ type Options struct {
 	// Shards × CompactionWorkers). Nil creates a private pool of
 	// CompactionWorkers tokens.
 	Workers *WorkerPool
-	// DisableWAL skips write-ahead logging (bulk experiments).
-	DisableWAL bool
 	// GroupCommitMaxOps caps how many operations one commit group may
 	// carry (0 = unbounded). 1 disables cross-client coalescing entirely —
-	// every commit pays its own fsync and counter-bump check — which is
-	// the per-op baseline of the commit ablation.
+	// every commit pays its own fsync and counter-bump check — the per-op
+	// reference core/groupcommit_test.go measures grouping against.
 	GroupCommitMaxOps int
 	// GroupCommitWindow makes a commit leader wait this long before
 	// draining the queue, trading latency for larger groups. 0 (the

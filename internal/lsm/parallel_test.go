@@ -2,6 +2,8 @@ package lsm
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,26 +206,33 @@ func recordsEqual(a, b record.Record) bool {
 }
 
 // TestParallelMatchesSerialScans runs one deterministic workload into a
-// 4-worker store and an inline (fully serial) store and requires the final
-// contents to match record for record — parallel maintenance must be
-// invisible to readers.
+// 4-worker store and a 1-worker (serial maintenance) store and requires the
+// final contents of both to match a plain map model of the same operations
+// record for record — parallel maintenance must be invisible to readers,
+// and the reference depends on no engine mode.
 func TestParallelMatchesSerialScans(t *testing.T) {
-	run := func(opts Options) []record.Record {
+	const nOps = 2000
+	opKey := func(i int) string { return fmt.Sprintf("key%05d", i%700) } // overwrites exercise dedup
+	opVal := func(i int) string { return fmt.Sprintf("val%06d", i) }
+	opDeletes := func(i int) bool { return i%13 == 0 }
+
+	run := func(workers int) []record.Record {
 		t.Helper()
+		opts := bgOpts(nil)
+		opts.MaxLevels = 6
+		opts.CompactionWorkers = workers
 		s, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		for i := 0; i < 2000; i++ {
-			key := fmt.Sprintf("key%05d", i%700) // overwrites exercise dedup
-			if i%13 == 0 {
-				if _, err := s.Delete([]byte(key)); err != nil {
-					t.Fatal(err)
-				}
-				continue
+		for i := 0; i < nOps; i++ {
+			if opDeletes(i) {
+				_, err = s.Delete([]byte(opKey(i)))
+			} else {
+				_, err = s.Put([]byte(opKey(i)), []byte(opVal(i)))
 			}
-			if _, err := s.Put([]byte(key), []byte(fmt.Sprintf("val%06d", i))); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -237,37 +246,71 @@ func TestParallelMatchesSerialScans(t *testing.T) {
 		return recs
 	}
 
-	parOpts := bgOpts(nil)
-	parOpts.MaxLevels = 6
-	parOpts.CompactionWorkers = 4
-	parallel := run(parOpts)
-
-	serOpts := bgOpts(nil)
-	serOpts.MaxLevels = 6
-	serOpts.InlineCompaction = true
-	serial := run(serOpts)
-
-	if len(parallel) != len(serial) {
-		t.Fatalf("parallel scan %d records, serial %d", len(parallel), len(serial))
+	// The model: one writer, so operation i commits at timestamp i+1; the
+	// scan returns each live key's newest record in key order.
+	live := map[string]record.Record{}
+	for i := 0; i < nOps; i++ {
+		if opDeletes(i) {
+			delete(live, opKey(i))
+			continue
+		}
+		live[opKey(i)] = record.Record{Key: []byte(opKey(i)), Ts: uint64(i + 1), Kind: record.KindSet, Value: []byte(opVal(i))}
 	}
-	for i := range parallel {
-		if !recordsEqual(parallel[i], serial[i]) {
-			t.Fatalf("record %d diverged: parallel %+v, serial %+v", i, parallel[i], serial[i])
+	keys := make([]string, 0, len(live))
+	for k := range live {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	for _, side := range []struct {
+		name    string
+		workers int
+	}{{"parallel", 4}, {"serial", 1}} {
+		got := run(side.workers)
+		if len(got) != len(keys) {
+			t.Fatalf("%s scan %d records, model %d", side.name, len(got), len(keys))
+		}
+		for i, k := range keys {
+			if !recordsEqual(got[i], live[k]) {
+				t.Fatalf("%s record %d diverged from the model: got %+v, want %+v", side.name, i, got[i], live[k])
+			}
 		}
 	}
+}
+
+// fastWALFS sends the log files straight to the backing FS and everything
+// else (tables, manifest) through the slow wrapper over it.
+type fastWALFS struct {
+	vfs.FS        // the slow wrapper
+	fast   vfs.FS // what it wraps
+}
+
+func (f fastWALFS) Create(name string) (vfs.File, error) {
+	if strings.HasPrefix(name, "wal") {
+		return f.fast.Create(name)
+	}
+	return f.FS.Create(name)
+}
+
+func (f fastWALFS) Open(name string) (vfs.File, error) {
+	if strings.HasPrefix(name, "wal") {
+		return f.fast.Open(name)
+	}
+	return f.FS.Open(name)
 }
 
 // TestStallAttributionFlushOnly pins the writer-stall bookkeeping: with
 // compaction disabled, a stalled writer can only be waiting on flush
 // progress, so no stall time may be charged to compaction debt.
 func TestStallAttributionFlushOnly(t *testing.T) {
-	// The sync must dwarf the time a writer needs to fill a memtable, also
-	// under the race detector on a loaded box: at 2 ms a flush (two syncs
-	// plus a now much cheaper merge) sometimes finished first and nobody
-	// stalled.
-	opts := bgOpts(vfs.NewSlowSync(vfs.NewMem(), 10*time.Millisecond))
+	// Puts stay memory-fast (the log syncs for free); only the flush pays
+	// syncs, and one must dwarf the time a writer needs to fill a memtable,
+	// also under the race detector on a loaded box: at 2 ms a flush (two
+	// syncs plus a now much cheaper merge) sometimes finished first and
+	// nobody stalled.
+	mem := vfs.NewMem()
+	opts := bgOpts(fastWALFS{FS: vfs.NewSlowSync(mem, 10*time.Millisecond), fast: mem})
 	opts.DisableCompaction = true
-	opts.DisableWAL = true // puts are memory-fast; only the flush pays syncs
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +357,6 @@ func (g *gateListener) OnCompactionBegin(info CompactionInfo) {
 func TestStallAttributionCompactionBlocked(t *testing.T) {
 	gate := &gateListener{entered: make(chan struct{}), release: make(chan struct{})}
 	opts := bgOpts(nil)
-	opts.DisableWAL = true
 	opts.CompactionWorkers = 1 // the gated compaction starves the flush
 	opts.Listener = gate
 	s, err := Open(opts)

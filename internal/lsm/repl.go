@@ -9,17 +9,11 @@ import (
 	"elsm/internal/vfs"
 )
 
-// Replication errors.
-var (
-	// ErrReplicationGap reports a shipped group whose timestamps do not
-	// extend the follower's applied frontier contiguously — a dropped,
-	// reordered or replayed group. The follower fails stop and must
-	// re-bootstrap from a checkpoint.
-	ErrReplicationGap = errors.New("lsm: replicated group does not extend the applied frontier")
-	// ErrWALRequired reports a replication operation on a store running
-	// with DisableWAL: without the group log there is nothing to ship.
-	ErrWALRequired = errors.New("lsm: replication requires the write-ahead log")
-)
+// ErrReplicationGap reports a shipped group whose timestamps do not extend
+// the follower's applied frontier contiguously — a dropped, reordered or
+// replayed group. The follower fails stop and must re-bootstrap from a
+// checkpoint.
+var ErrReplicationGap = errors.New("lsm: replicated group does not extend the applied frontier")
 
 // ReplicatedGroup is one durably committed commit group as observed by a
 // replication sink: the group's records in append (= timestamp) order plus
@@ -79,9 +73,6 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 func (s *Store) ApplyReplicated(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
-	}
-	if s.opts.DisableWAL {
-		return ErrWALRequired
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -193,9 +184,6 @@ func (cs *CheckpointSource) Release() { cs.Snap.Release() }
 // digest frontier in the same consistent cut. Streaming the (immutable,
 // pinned) files happens after the call returns, outside all locks.
 func (s *Store) CaptureCheckpoint(capture func() error) (*CheckpointSource, error) {
-	if s.opts.DisableWAL {
-		return nil, ErrWALRequired
-	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.drainSync()
@@ -359,10 +347,6 @@ func (sn *Snapshot) RunRecords(i int, fn func(record.Record) error) error {
 	}
 	return nil
 }
-
-// TableFileName exposes the SSTable naming convention so the checkpoint
-// importer can place shipped files where recovery expects them.
-func TableFileName(fileNum uint64) string { return tableName(fileNum) }
 
 // ReadFileBytes reads one untrusted file completely — the exporter's path
 // for streaming pinned SSTable bytes.

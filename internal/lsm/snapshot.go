@@ -125,8 +125,12 @@ func (sn *Snapshot) LookupRun(i int, key []byte, tsq uint64) (RunLookup, error) 
 	return lookupRun(sn.runs[i], key, sn.clamp(tsq))
 }
 
-// ScanRunChunk performs the untrusted side of a one-level SCAN chunk
-// against the i-th pinned run (see Store.ScanRunChunk).
+// ScanRunChunk performs the untrusted side of a one-level SCAN over user
+// keys start ≤ k ≤ end against the i-th pinned run, bounded to at most
+// maxKeys distinct keys (0 = unlimited). Version chains are never split: the
+// limit applies at key boundaries, so every returned key carries all its
+// in-run versions and the enclave can rebuild whole Merkle leaves from the
+// chunk.
 func (sn *Snapshot) ScanRunChunk(i int, start, end []byte, maxKeys int) (RunScan, error) {
 	if i < 0 || i >= len(sn.runs) {
 		return RunScan{}, ErrUnknownRun

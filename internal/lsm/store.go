@@ -203,7 +203,7 @@ type Store struct {
 	// concurrent job's install. Acquired BEFORE s.mu.
 	installMu sync.Mutex
 
-	mu     sync.RWMutex    // guards mem, frozen, levels, retired, bgErr
+	mu     sync.RWMutex    // guards mem, frozen, levels, bgErr
 	mem    *memtable.Table // active write buffer
 	frozen *memtable.Table // immutable predecessor being flushed (nil: none)
 	walW   *wal.Writer
@@ -213,11 +213,6 @@ type Store struct {
 	// job fails, or the store closes — the wake-ups a stalled writer or a
 	// synchronous Flush waits for.
 	flushDone *sync.Cond
-
-	// retired holds runs removed from the version but still pinned (an
-	// iterator or compaction holds a reference); findRunLocked resolves
-	// them so snapshot reads keep verifying against replaced runs.
-	retired map[uint64]*run
 
 	// frozenWALs are rotated log files carrying the frozen memtable's (and,
 	// after recovery, any predecessor's) records; deleted at flush install.
@@ -318,7 +313,6 @@ func Open(opts Options) (*Store, error) {
 		listener:  opts.Listener,
 		mem:       memtable.New(opts.Enclave),
 		levels:    make([][]*run, opts.MaxLevels+1),
-		retired:   make(map[uint64]*run),
 		files:     make(map[uint64]*openFile),
 		nextRunID: 1,
 	}
@@ -616,9 +610,6 @@ func (s *Store) recoverManifest() error {
 
 // openWAL creates/continues the active WAL writer.
 func (s *Store) openWAL() error {
-	if s.opts.DisableWAL {
-		return nil
-	}
 	var f vfs.File
 	var err error
 	s.ocall(func() {
@@ -651,32 +642,30 @@ func (s *Store) freezeLocked() error {
 	if s.frozen != nil {
 		panic("lsm: freeze with a frozen memtable outstanding")
 	}
-	if !s.opts.DisableWAL {
-		name := frozenWALName(s.nextWALSeq)
-		var err error
-		s.ocall(func() {
-			if s.walW != nil {
-				s.walW.Close()
-				s.walW = nil
-			}
-			if err = s.fs.Rename(walName, name); err != nil {
-				return
-			}
-			var f vfs.File
-			if f, err = s.fs.Create(walName); err != nil {
-				return
-			}
-			s.walW = wal.NewWriter(f)
-		})
-		if err != nil {
-			// The writer may be gone: fail stop, commits surface bgErr.
-			err = fmt.Errorf("lsm: wal rotate: %w", err)
-			s.setBgErrLocked(err)
-			return err
+	name := frozenWALName(s.nextWALSeq)
+	var err error
+	s.ocall(func() {
+		if s.walW != nil {
+			s.walW.Close()
+			s.walW = nil
 		}
-		s.nextWALSeq++
-		s.frozenWALs = append(s.frozenWALs, name)
+		if err = s.fs.Rename(walName, name); err != nil {
+			return
+		}
+		var f vfs.File
+		if f, err = s.fs.Create(walName); err != nil {
+			return
+		}
+		s.walW = wal.NewWriter(f)
+	})
+	if err != nil {
+		// The writer may be gone: fail stop, commits surface bgErr.
+		err = fmt.Errorf("lsm: wal rotate: %w", err)
+		s.setBgErrLocked(err)
+		return err
 	}
+	s.nextWALSeq++
+	s.frozenWALs = append(s.frozenWALs, name)
 	s.frozen = s.mem
 	s.frozen.Freeze()
 	s.mem = memtable.New(s.enclave)
@@ -695,7 +684,7 @@ func (s *Store) setBgErrLocked(err error) {
 }
 
 // setWALErr records the first WAL fsync failure (sticky fail-stop; see
-// walErr). Safe from the sync worker and inline commit paths.
+// walErr).
 func (s *Store) setWALErr(err error) {
 	s.mu.Lock()
 	if s.walErr == nil && err != nil {
@@ -713,13 +702,6 @@ func (s *Store) walErrLocked() error {
 		return nil
 	}
 	return fmt.Errorf("%w (reopen to recover): %w", ErrWALSyncFailed, s.walErr)
-}
-
-// WALErr reports the sticky WAL fsync failure, if any.
-func (s *Store) WALErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.walErrLocked()
 }
 
 // WALReplayDigest returns the digest chain recomputed during recovery and
@@ -747,7 +729,7 @@ func (s *Store) VerifyWALPrefix(trusted hashutil.Hash) (int, error) {
 	s.mu.RLock()
 	files := s.liveWALFiles()
 	s.mu.RUnlock()
-	if s.opts.DisableWAL || len(files) == 0 {
+	if len(files) == 0 {
 		if trusted.IsZero() {
 			return 0, nil
 		}
@@ -846,37 +828,31 @@ func (s *Store) retainRunLocked(r *run) {
 }
 
 // releaseRun drops one reference; at zero the run's files are deleted. The
-// zero re-check under the write lock closes the resurrection race: a reader
-// that re-pins a retired run under mu.RLock either increments before the
-// releaser's check (which then sees refs > 0 and leaves the run alone) or
-// cannot find the run at all because it was already unlinked.
+// zero re-check under the write lock orders the deletion after every pin
+// taken under mu.RLock while the run was still reachable: such a reader
+// either incremented before the check (which then sees refs > 0 and leaves
+// the run alone) or can no longer find the run at all.
 func (s *Store) releaseRun(r *run) {
 	s.pinnedRuns.Add(-1)
 	if r.refs.Add(-1) > 0 {
 		return
 	}
 	s.mu.Lock()
-	if r.refs.Load() > 0 {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.retired, r.id)
+	alive := r.refs.Load() > 0
 	s.mu.Unlock()
-	s.removeFiles(r.fileNums())
+	if !alive {
+		s.removeFiles(r.fileNums())
+	}
 }
 
-// retireRunsLocked removes runs from the version: they move to the retired
-// registry (still resolvable by pinned readers) and lose their version
-// reference outside the lock. Caller holds s.mu and must drop the version
-// reference — releaseRunRefs — after releasing it.
+// retireRunsLocked accounts for runs the install just removed from the
+// version: from here until it is dropped, their version reference counts
+// in pinnedRuns, keeping the gauge's invariant (refs beyond live version
+// membership) intact. Readers that pinned the runs keep them, and their
+// files, through their own references. Caller holds s.mu and must drop the
+// version reference — releaseRunRefs — after releasing it.
 func (s *Store) retireRunsLocked(runs []*run) {
-	for _, r := range runs {
-		s.retired[r.id] = r
-		// The version reference is accounted in pinnedRuns from here until
-		// it is dropped, keeping the gauge's invariant (refs beyond live
-		// version membership) intact.
-		s.pinnedRuns.Add(1)
-	}
+	s.pinnedRuns.Add(int64(len(runs)))
 }
 
 // releaseRunRefs drops n references from each run (deleting files at
@@ -889,70 +865,6 @@ func (s *Store) releaseRunRefs(runs []*run, n int) {
 			s.releaseRun(r)
 		}
 	}
-}
-
-// SnapshotRuns returns the current version's runs in read order (newest
-// data first), pinned, with a release function — one lock acquisition for
-// both the enumeration and the pins, so the snapshot can never race an
-// install in between. Verified readers walk this snapshot: a compaction
-// installing mid-read retires the runs but cannot delete their files or
-// their lookup addressability until the release. The release function must
-// be called exactly once (calling it again is a no-op).
-func (s *Store) SnapshotRuns() ([]RunRef, func()) {
-	s.mu.RLock()
-	var refs []RunRef
-	var pinned []*run
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for idx, r := range s.levels[lvl] {
-			refs = append(refs, RunRef{ID: r.id, Level: lvl, Index: idx})
-			s.retainRunLocked(r)
-			pinned = append(pinned, r)
-		}
-	}
-	s.mu.RUnlock()
-	return refs, s.releaseOnce(pinned)
-}
-
-// PinRuns takes references on the listed runs so their files survive
-// concurrent compactions; runs already fully deleted are skipped (the
-// caller's subsequent lookup fails and retries against a fresh snapshot).
-// The returned release function must be called exactly once.
-func (s *Store) PinRuns(ids []uint64) (release func()) {
-	s.mu.RLock()
-	pinned := make([]*run, 0, len(ids))
-	for _, id := range ids {
-		if r := s.lookupRunByIDLocked(id); r != nil {
-			s.retainRunLocked(r)
-			pinned = append(pinned, r)
-		}
-	}
-	s.mu.RUnlock()
-	return s.releaseOnce(pinned)
-}
-
-// releaseOnce wraps dropping a pin set in an idempotent closure.
-func (s *Store) releaseOnce(pinned []*run) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			for _, r := range pinned {
-				s.releaseRun(r)
-			}
-		})
-	}
-}
-
-// lookupRunByIDLocked resolves a run by ID in the live version or the
-// retired-but-pinned registry. Caller holds s.mu.
-func (s *Store) lookupRunByIDLocked(id uint64) *run {
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for _, r := range s.levels[lvl] {
-			if r.id == id {
-				return r
-			}
-		}
-	}
-	return s.retired[id]
 }
 
 // ---------------------------------------------------------------------------
@@ -980,10 +892,9 @@ func (s *Store) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
 
 // Flush forces all buffered writes to disk and waits for the resulting
 // level maintenance to settle: any outstanding frozen memtable is flushed
-// first (including one left behind by a failed earlier attempt — Flush is
-// the retry point), then the active memtable is frozen and flushed, and
-// overflowing levels are compacted. Synchronous — when Flush returns, the
-// memtable is empty and on disk.
+// first, then the active memtable is frozen and flushed, and overflowing
+// levels are compacted. Synchronous — when Flush returns, the memtable is
+// empty and on disk.
 func (s *Store) Flush() error {
 	for {
 		s.commitMu.Lock()
@@ -1005,22 +916,14 @@ func (s *Store) Flush() error {
 			return err
 		}
 		if s.frozen != nil {
-			// A frozen table is outstanding (mid-flush, or stranded by a
-			// failed inline attempt): flush it now, then re-evaluate. A
-			// background flush job racing this one is harmless — whoever
-			// runs second finds frozen == nil and no-ops.
+			// A frozen table is outstanding (its background flush is queued
+			// or running): flush it now, then re-evaluate. A background
+			// flush job racing this one is harmless — whoever runs second
+			// finds frozen == nil and no-ops.
 			s.mu.Unlock()
-			if s.opts.InlineCompaction {
-				err := s.flushFrozen()
-				s.commitMu.Unlock()
-				if err != nil {
-					return err
-				}
-			} else {
-				s.commitMu.Unlock()
-				if err := s.runSync(jobFlush, 0, nil); err != nil {
-					return err
-				}
+			s.commitMu.Unlock()
+			if err := s.runSync(jobFlush, 0, nil); err != nil {
+				return err
 			}
 			continue
 		}
@@ -1031,18 +934,6 @@ func (s *Store) Flush() error {
 		}
 		err := s.freezeLocked()
 		s.mu.Unlock()
-		if s.opts.InlineCompaction {
-			// Inline mode: the whole rewrite runs here, on the caller,
-			// serialized by commitMu like every other inline rewrite.
-			if err == nil {
-				err = s.flushFrozen()
-			}
-			if err == nil {
-				err = s.compactOverflowing()
-			}
-			s.commitMu.Unlock()
-			return err
-		}
 		s.commitMu.Unlock()
 		if err != nil {
 			return err
@@ -1058,40 +949,15 @@ func (s *Store) Flush() error {
 // size target until none does (the deterministic "flush and settle"
 // semantics tests and admin callers rely on).
 func (s *Store) settleCompactions() error {
-	return s.cascadeOverflow(func(lvl int) error {
-		return s.runSync(jobCompact, lvl, nil)
-	})
-}
-
-// cascadeOverflow repeatedly applies compact to the shallowest level over
-// its size target until no level is — the single definition of the
-// overflow cascade, shared by the synchronous (Flush/settle) and inline
-// paths.
-func (s *Store) cascadeOverflow(compact func(lvl int) error) error {
 	for {
-		lvl := s.overflowingLevel()
-		if lvl == 0 {
+		lvls := s.overflowingLevels()
+		if len(lvls) == 0 {
 			return nil
 		}
-		if err := compact(lvl); err != nil {
+		if err := s.runSync(jobCompact, lvls[0], nil); err != nil {
 			return err
 		}
 	}
-}
-
-// overflowingLevel returns the shallowest level over its size target, or 0.
-func (s *Store) overflowingLevel() int {
-	if s.opts.DisableCompaction {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for lvl := 1; lvl < s.opts.MaxLevels; lvl++ {
-		if s.levelBytesLocked(lvl) > s.opts.levelTarget(lvl) {
-			return lvl
-		}
-	}
-	return 0
 }
 
 // overflowingLevels returns every level over its size target, shallowest
@@ -1114,7 +980,7 @@ func (s *Store) overflowingLevels() []int {
 
 // ---------------------------------------------------------------------------
 // Reads (raw, unverified — the unsecured baseline path; the eLSM layer
-// drives the per-run lookup API in lookup.go instead)
+// drives the per-run lookup API of Snapshot instead)
 
 // Get returns the newest record of key with Ts ≤ tsq. Tombstones are
 // returned as-is (callers interpret Kind). The boolean reports whether any
@@ -1180,10 +1046,6 @@ func seekTable(tables []*tableHandle, key []byte, ts uint64) int {
 func (s *Store) Runs() []RunRef {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.runsLocked()
-}
-
-func (s *Store) runsLocked() []RunRef {
 	var out []RunRef
 	for lvl := 1; lvl < len(s.levels); lvl++ {
 		for idx, r := range s.levels[lvl] {
@@ -1191,41 +1053,6 @@ func (s *Store) runsLocked() []RunRef {
 		}
 	}
 	return out
-}
-
-// findRun locates a run by ID — in the live version or, for pinned
-// snapshot readers, among retired runs awaiting deletion. Caller holds
-// s.mu.
-func (s *Store) findRunLocked(id uint64) (*run, error) {
-	if r := s.lookupRunByIDLocked(id); r != nil {
-		return r, nil
-	}
-	return nil, fmt.Errorf("%w: %d", ErrUnknownRun, id)
-}
-
-// MemGet reads the (trusted, in-enclave) memtables: the active table first,
-// then the frozen one (its records are strictly older).
-func (s *Store) MemGet(key []byte, tsq uint64) (record.Record, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if rec, ok := s.mem.Get(key, tsq); ok {
-		return rec, true
-	}
-	if s.frozen != nil {
-		return s.frozen.Get(key, tsq)
-	}
-	return record.Record{}, false
-}
-
-// MemCount returns the number of buffered entries (active + frozen).
-func (s *Store) MemCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.mem.Count()
-	if s.frozen != nil {
-		n += s.frozen.Count()
-	}
-	return n
 }
 
 // LastTs returns the most recently assigned timestamp. With the pipelined
@@ -1291,12 +1118,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Enclave exposes the simulated enclave (for the authentication layer).
-func (s *Store) Enclave() *sgx.Enclave { return s.enclave }
-
-// NumLevels returns the configured maximum level count.
-func (s *Store) NumLevels() int { return s.opts.MaxLevels }
-
 // DiskBytes returns the total bytes across all on-disk runs.
 func (s *Store) DiskBytes() int64 {
 	s.mu.RLock()
@@ -1344,13 +1165,6 @@ func (s *Store) WaitMaintenance() error {
 			return nil
 		}
 	}
-}
-
-// BackgroundErr reports the sticky background maintenance failure, if any.
-func (s *Store) BackgroundErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bgErr
 }
 
 // Close drains in-flight maintenance (a background flush or compaction

@@ -75,13 +75,6 @@ func (t *Table) Freeze() {
 	t.mu.Unlock()
 }
 
-// Frozen reports whether Freeze was called.
-func (t *Table) Frozen() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.frozen
-}
-
 // Put inserts a record. Duplicate (key, ts) pairs overwrite.
 func (t *Table) Put(rec record.Record) {
 	rec = rec.Clone()

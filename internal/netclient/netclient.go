@@ -65,13 +65,6 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("netclient: server error (errno %d): %s", e.Errno, e.Msg)
 }
 
-// IsAuthFailure reports whether err is the server-side verification
-// fail-stop (forged, stale, incomplete or rolled-back data detected).
-func IsAuthFailure(err error) bool {
-	var se *ServerError
-	return errors.As(err, &se) && se.Errno == netproto.ErrnoAuth
-}
-
 // Result is one read result.
 type Result struct {
 	Value []byte
@@ -397,20 +390,6 @@ func (c *Client) PutAsync(key, value []byte) (*Future, error) {
 		return nil, err
 	}
 	if err := c.send(&netproto.Request{Op: netproto.OpPut, ID: id, Key: key, Value: value}); err != nil {
-		c.unregister(id)
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
-		return nil, err
-	}
-	return &Future{c: c, id: id, ch: ch}, nil
-}
-
-// BatchAsync is PutAsync for an atomic multi-op commit.
-func (c *Client) BatchAsync(ops []netproto.BatchOp) (*Future, error) {
-	id, ch, err := c.register(1)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.send(&netproto.Request{Op: netproto.OpBatch, ID: id, Ops: ops}); err != nil {
 		c.unregister(id)
 		c.fail(fmt.Errorf("netclient: write failed: %w", err))
 		return nil, err

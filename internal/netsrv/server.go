@@ -499,6 +499,7 @@ func (s *Server) serveBinary(br *bufio.Reader, nc net.Conn) {
 
 	// Reader: decode frames into the bounded queue; shed past the global
 	// budget; survive recoverable framing faults.
+read:
 	for {
 		typ, id, body, err := netproto.ReadFrame(br, netproto.MaxFrame)
 		if err != nil {
@@ -529,7 +530,9 @@ func (s *Server) serveBinary(br *bufio.Reader, nc net.Conn) {
 			s.busyRejects.Add(1)
 			s.obs.BusyShed("inflight-budget")
 			if !c.respond(respFrame{typ: uint8(netproto.CodeBusy), id: id}) {
-				break
+				// Leave the read loop, not just this select: falling
+				// through would admit the request without a budget token.
+				break read
 			}
 			continue
 		}

@@ -154,9 +154,17 @@ func TestStatsGaugesMove(t *testing.T) {
 		}
 	}
 
-	m, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
+	// The server counts bytes when its socket write returns, which can be
+	// after the client has read them: ask again until the count has landed.
+	var m map[string]uint64
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		var err error
+		if m, err = c.Stats(); err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		if m["net_bytes_out"] != 0 || time.Now().After(deadline) {
+			break
+		}
 	}
 	for _, name := range []string{
 		"net_connections", "net_inflight_requests", "net_busy_rejects",
@@ -355,6 +363,102 @@ func TestSlowClientTornDown(t *testing.T) {
 	c := dial(t, addr)
 	if err := c.Ping(); err != nil {
 		t.Fatalf("server unhealthy after slow-client teardown: %v", err)
+	}
+}
+
+// TestShedDuringTeardownAdmitsNothing: a request shed on the global budget
+// while its connection is going down must not be dispatched. The reader used
+// to fall out of the shed select into the admission path, so the request ran
+// without a budget token, its completion released one too many, a worker
+// blocked on the empty semaphore for good and neither the connection nor
+// Server.Close ever finished.
+func TestShedDuringTeardownAdmitsNothing(t *testing.T) {
+	store, err := elsm.Open(elsm.Options{})
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	defer store.Close()
+	srv, err := New(store, Config{MaxInflight: 1, ResponseBuffer: 1, WriteTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	addr := ln.Addr().String()
+	// Close under the test's own deadline: a wedged server fails this test,
+	// not the package timeout.
+	defer func() {
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Error("Server.Close did not return")
+		}
+	}()
+
+	// Preload through the store: with a budget of one, back-to-back requests
+	// on the wire can be shed while the previous token is still in flight.
+	val := bytes.Repeat([]byte("x"), 4096)
+	for i := 0; i < 2000; i++ {
+		if _, err := store.Put(fmt.Appendf(nil, "key%08d", i), val); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+	}
+
+	// The scan takes the only budget token and, never read, blocks the
+	// writer; the pings behind it are shed, and the first BUSY waits on the
+	// full response queue until the write deadline cancels the connection.
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write(netproto.AppendRequest(nil, &netproto.Request{
+		Op: netproto.OpScan, ID: 1, Start: nil, End: []byte("\xff"),
+	})); err != nil {
+		t.Fatalf("write scan: %v", err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	var pings []byte
+	for id := uint64(2); id < 10; id++ {
+		pings = netproto.AppendRequest(pings, &netproto.Request{Op: netproto.OpPing, ID: id})
+	}
+	if _, err := stalled.Write(pings); err != nil {
+		t.Fatalf("write pings: %v", err)
+	}
+
+	deadline := time.Now().Add(8 * time.Second)
+	for st := srv.Stats(); st.Connections != 0 || st.InflightRequests != 0; st = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled connection never finished tearing down: %+v", st)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// The whole budget is back: with MaxInflight 1, a token lost above would
+	// turn every request into BUSY for good. (A token comes back just after
+	// its response is written, so one retry loop absorbs a transient shed.)
+	c := dial(t, addr)
+	for i := 0; i < 4; i++ {
+		retryBy := time.Now().Add(5 * time.Second)
+		for {
+			res, err := c.Get([]byte("key00000000"))
+			if errors.Is(err, netclient.ErrBusy) && time.Now().Before(retryBy) {
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			if err != nil || !res.Found {
+				t.Fatalf("get %d after teardown: found %v, err %v", i, res.Found, err)
+			}
+			break
+		}
 	}
 }
 

@@ -300,14 +300,6 @@ func NewRecorder(shard int, o *Observer) *Recorder {
 	return &Recorder{Shard: shard, obs: o}
 }
 
-// Observer returns the shared hub (nil on a nil recorder).
-func (r *Recorder) Observer() *Observer {
-	if r == nil {
-		return nil
-	}
-	return r.obs
-}
-
 // Event files a structured event stamped with this recorder's shard.
 func (r *Recorder) Event(kind string, format string, args ...interface{}) {
 	if r == nil {

@@ -142,9 +142,6 @@ func (l *Leader) Close() {
 // Followers reports the number of connected tail streams.
 func (l *Leader) Followers() int64 { return l.followers.Load() }
 
-// Store exposes the hub's underlying authenticated store.
-func (l *Leader) Store() *core.Store { return l.st }
-
 // WriteCheckpoint streams the shard's current checkpoint into w. Captured
 // while the hub is attached, the checkpoint's frontier is always covered
 // by the ring (or by a later checkpoint), so a follower restoring it can

@@ -39,7 +39,6 @@ type Tailer struct {
 
 	lagGroups  atomic.Uint64
 	lagBytes   atomic.Uint64
-	applied    atomic.Uint64 // group frames applied (tests, gauges)
 	reconnects atomic.Uint64 // transport re-dials after the first attempt
 
 	mu     sync.Mutex
@@ -104,9 +103,6 @@ func (t *Tailer) Err() error {
 func (t *Tailer) Lag() (groups, bytes uint64) {
 	return t.lagGroups.Load(), t.lagBytes.Load()
 }
-
-// AppliedFrames reports how many group frames the tailer has applied.
-func (t *Tailer) AppliedFrames() uint64 { return t.applied.Load() }
 
 // Reconnects reports how many times the tailer re-dialed its source after
 // a transport failure or clean stream end.
@@ -317,7 +313,6 @@ func (t *Tailer) consume(r io.Reader) (int, error) {
 			return frames, fmt.Errorf("repl: apply shipped group: %w", err)
 		}
 		frames++
-		t.applied.Add(1)
 		t.lagGroups.Store(frame.FrontierSeq - frame.Seq)
 		t.lagBytes.Store(uint64(frame.FrontierBytes - frame.CumBytes))
 	}

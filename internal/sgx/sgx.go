@@ -141,16 +141,12 @@ func (e *Enclave) Stats() Stats {
 }
 
 // Region is a tracked allocation of enclave-protected memory. The actual
-// bytes live in ordinary Go memory (owned by the caller or by the region's
-// Data buffer); the region performs paging and MEE cost accounting for every
-// declared access.
+// bytes live in ordinary Go memory owned by the caller; the region performs
+// paging and MEE cost accounting for every declared access.
 type Region struct {
 	enclave *Enclave
 	id      int
 	size    int
-	// Data is an optional backing buffer allocated by AllocBuffer. Regions
-	// created with Alloc track cost only and have nil Data.
-	Data []byte
 }
 
 // Alloc registers a region of n bytes of enclave memory for cost accounting.
@@ -164,13 +160,6 @@ func (e *Enclave) Alloc(n int) *Region {
 	r := &Region{enclave: e, id: e.nextID, size: n}
 	e.regions[r.id] = r
 	e.allocated += int64(n)
-	return r
-}
-
-// AllocBuffer allocates a region together with a backing byte buffer.
-func (e *Enclave) AllocBuffer(n int) *Region {
-	r := e.Alloc(n)
-	r.Data = make([]byte, n)
 	return r
 }
 
@@ -202,7 +191,7 @@ func (r *Region) Free() {
 func (r *Region) Size() int { return r.size }
 
 // Grow extends the region's accounted size by delta bytes (e.g., a memtable
-// arena growing). It does not move Data.
+// arena growing).
 func (r *Region) Grow(delta int) {
 	if delta <= 0 {
 		return
@@ -305,11 +294,6 @@ func (r *Region) CopyIn(off int, n int) {
 	e.stats.copied += uint64(n)
 	e.mu.Unlock()
 	r.Touch(off, n)
-}
-
-// CopyOut models copying n bytes from the enclave out to untrusted memory.
-func (r *Region) CopyOut(off int, n int) {
-	r.CopyIn(off, n) // symmetric cost
 }
 
 // OCall runs fn in the untrusted world: the enclave exits (world switch),

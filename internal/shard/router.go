@@ -115,9 +115,6 @@ func (r *Router) NumShards() int { return len(r.shards) }
 // Shard exposes one partition's store (stats aggregation and tests).
 func (r *Router) Shard(i int) core.KV { return r.shards[i] }
 
-// Seq reports the router commit sequence (the value stamped on snapshots).
-func (r *Router) Seq() uint64 { return r.seq.Load() }
-
 // route returns the shard owning key.
 func (r *Router) route(key []byte) core.KV {
 	return r.shards[KeyShard(key, len(r.shards))]

@@ -415,9 +415,6 @@ func (t *Table) NumEntries() int { return t.numEntries }
 // NumBlocks returns the number of data blocks.
 func (t *Table) NumBlocks() int { return len(t.index) }
 
-// FileNum returns the table's file number.
-func (t *Table) FileNum() uint64 { return t.fileNum }
-
 // MetadataBytes approximates the in-enclave footprint of the table's index
 // and filters.
 func (t *Table) MetadataBytes() int {

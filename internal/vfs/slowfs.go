@@ -1,20 +1,13 @@
 package vfs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // SlowSyncFS wraps an FS and charges a fixed latency to every File.Sync —
 // an in-memory stand-in for a storage device whose fsync dominates the
-// write path (the regime group commit exists for). It also counts syncs,
-// which the group-commit tests and the commit ablation use to show that N
-// concurrent commits coalesce into far fewer than N fsyncs. Safe for
-// concurrent use.
+// write path (the regime group commit exists for). Safe for concurrent use.
 type SlowSyncFS struct {
 	inner FS
 	delay time.Duration
-	syncs atomic.Uint64
 
 	// slots models the device's queue depth: at most cap(slots) syncs are
 	// in flight at once; the rest queue behind them. Depth 1 is a single
@@ -39,9 +32,6 @@ func NewSlowSyncQD(inner FS, delay time.Duration, depth int) *SlowSyncFS {
 	}
 	return &SlowSyncFS{inner: inner, delay: delay, slots: make(chan struct{}, depth)}
 }
-
-// Syncs returns how many File.Sync calls have completed.
-func (f *SlowSyncFS) Syncs() uint64 { return f.syncs.Load() }
 
 // Create implements FS.
 func (f *SlowSyncFS) Create(name string) (File, error) {
@@ -96,6 +86,5 @@ func (sf *slowFile) Sync() error {
 		time.Sleep(sf.fs.delay)
 	}
 	<-sf.fs.slots
-	sf.fs.syncs.Add(1)
 	return sf.inner.Sync()
 }

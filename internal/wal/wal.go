@@ -28,11 +28,8 @@ import (
 	"elsm/internal/vfs"
 )
 
-// Corruption errors.
-var (
-	ErrCorrupt        = errors.New("wal: corrupt record")
-	ErrDigestMismatch = errors.New("wal: digest chain mismatch (log tampered or truncated)")
-)
+// ErrCorrupt reports a record whose framing or checksum does not parse.
+var ErrCorrupt = errors.New("wal: corrupt record")
 
 // commitMarker is the frame-kind byte of a group COMMIT marker. It is
 // disjoint from every record.Kind, so record frames and marker frames are
