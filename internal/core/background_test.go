@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"regexp"
 	"sort"
 	"sync"
 	"testing"
 
+	"elsm/internal/record"
+	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
 
@@ -251,5 +257,227 @@ func TestCrashMidBackgroundCompaction(t *testing.T) {
 				t.Fatal("no read error after corrupting every surviving table")
 			}
 		})
+	}
+}
+
+// manifestLastTs matches the timestamp floor in the engine's JSON manifest.
+var manifestLastTs = regexp.MustCompile(`"lastTs":\d+`)
+
+// zeroManifestTs rewrites the manifest's timestamp floor to zero, the way a
+// hostile host could: MANIFEST is plain untrusted JSON, so a recovered
+// store's timestamp counter must not depend on it.
+func zeroManifestTs(t *testing.T, mem *vfs.MemFS) {
+	t.Helper()
+	f, err := mem.Open("MANIFEST")
+	if err != nil {
+		return // crashed before the first manifest
+	}
+	data := manifestLastTs.ReplaceAll(f.Bytes(), []byte(`"lastTs":0`))
+	if f, err = mem.Create("MANIFEST"); err == nil {
+		_, err = f.Append(data)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashInsideBulkLoadKeepsTimestampFloor kills the disk at every
+// operation of a bulk load, zeroes the manifest's timestamp floor, and
+// recovers. Whenever recovery succeeds with the loaded run present — in
+// particular through the transition seal, when only the post-install seal
+// write was lost — the trusted state alone must put the timestamp counter
+// above every loaded record: a fresh Put may never reuse a loaded timestamp.
+func TestCrashInsideBulkLoadKeepsTimestampFloor(t *testing.T) {
+	const n = 200
+	recs := make([]record.Record, n)
+	for i := range recs {
+		recs[i] = record.Record{
+			Key:   []byte(fmt.Sprintf("key%05d", i)),
+			Ts:    uint64(i + 1),
+			Kind:  record.KindSet,
+			Value: []byte(fmt.Sprintf("loaded%05d", i)),
+		}
+	}
+	load := func(budget int) (*vfs.MemFS, *Store, error) {
+		mem := vfs.NewMem()
+		ffs := vfs.NewFault(mem)
+		s := mustOpenP2(t, smallCfg(ffs))
+		ffs.ArmFilter(vfs.OpAll, "")
+		if budget >= 0 {
+			ffs.Arm(budget)
+		}
+		err := s.BulkLoad(recs)
+		t.Cleanup(func() { ffs.Disarm(); s.Close() })
+		return mem, s, err
+	}
+	_, s, err := load(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int(s.fs.(*vfs.FaultFS).MatchingOps())
+
+	survived := 0
+	for budget := 0; budget <= total; budget++ {
+		mem, s, loadErr := load(budget)
+		crash := mem.Clone() // "crash": the bytes as the dead disk left them
+		zeroManifestTs(t, crash)
+		cfg := smallCfg(crash)
+		cfg.Platform, cfg.Counter = s.platform, s.counter
+		s2, err := Open(cfg)
+		if err != nil {
+			if loadErr == nil {
+				t.Fatalf("budget %d: load returned nil but recovery refused: %v", budget, err)
+			}
+			continue // fail closed after a failed load is acceptable
+		}
+		if len(s2.Engine().Runs()) == 0 {
+			s2.Close()
+			continue // recovered the empty pre-load store
+		}
+		survived++
+		ts, err := s2.Put([]byte("key00007"), []byte("fresh"))
+		if err != nil {
+			t.Fatalf("budget %d: put after recovery: %v", budget, err)
+		}
+		if ts <= n {
+			t.Fatalf("budget %d: fresh Put got ts %d, reusing a loaded timestamp (max %d)", budget, ts, n)
+		}
+		if res, err := s2.Get([]byte("key00007")); err != nil || string(res.Value) != "fresh" {
+			t.Fatalf("budget %d: Get after the fresh Put = %q (ts %d), err %v", budget, res.Value, res.Ts, err)
+		}
+		s2.Close()
+	}
+	if survived == 0 {
+		t.Fatal("no fault budget recovered with the loaded run present")
+	}
+	t.Logf("%d of %d fault budgets recovered with the run present", survived, total+1)
+}
+
+// sealedState unseals the trusted-state blob s last wrote to disk.
+func sealedState(t *testing.T, s *Store, disk vfs.FS) trustedState {
+	t.Helper()
+	f, err := disk.Open(trustedStateName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := make([]byte, f.Size())
+	if _, err := f.ReadAt(sealed, 0); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sgx.Unseal(s.sealKey, sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st trustedState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestAbortedJobRetractsItsTransitionSeal is the authentication layer's side
+// of the engine's abort matrix: a flush and a compaction each fail at an
+// output table's write, at Verify (a tampered input run) and at the manifest
+// write — the one point at which a transition seal is already staged and on
+// disk. Whatever the point, the next sealed blob carries no pending state,
+// and every read still verifies.
+func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
+	kinds := []struct {
+		name string
+		mem  int // keys left in the memtable by the setup
+		run  func(s *Store) error
+	}{
+		{"flush", 100, (*Store).Flush},
+		{"compact", 0, func(s *Store) error { return s.Compact(1) }},
+	}
+	faults := []struct {
+		name   string
+		staged bool // the job fails with its transition seal written
+		inject func(t *testing.T, mem *vfs.MemFS, ffs *vfs.FaultFS) (heal func())
+	}{
+		{"table-write", false, func(_ *testing.T, _ *vfs.MemFS, ffs *vfs.FaultFS) func() {
+			ffs.ArmFilter(vfs.OpCreate, "*.sst")
+			ffs.Arm(0)
+			return ffs.Disarm
+		}},
+		{"verify", false, func(t *testing.T, mem *vfs.MemFS, _ *vfs.FaultFS) func() {
+			names, _ := mem.List("")
+			for _, name := range names {
+				f, err := mem.Open(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if at := bytes.Index(f.Bytes(), []byte("val00123")); at >= 0 {
+					flip := func() {
+						if err := mem.Corrupt(name, int64(at)+5); err != nil {
+							t.Fatal(err)
+						}
+					}
+					flip()
+					return flip
+				}
+			}
+			t.Fatal("value to tamper with not found in any table")
+			return nil
+		}},
+		{"manifest-write", true, func(_ *testing.T, _ *vfs.MemFS, ffs *vfs.FaultFS) func() {
+			ffs.ArmFilter(vfs.OpAll, "MANIFEST*")
+			ffs.Arm(0)
+			return ffs.Disarm
+		}},
+	}
+	for _, kind := range kinds {
+		for _, fault := range faults {
+			kind, fault := kind, fault
+			t.Run(kind.name+"/"+fault.name, func(t *testing.T) {
+				mem := vfs.NewMem()
+				ffs := vfs.NewFault(mem)
+				cfg := smallCfg(ffs)
+				cfg.MemtableSize = 1 << 20 // nothing freezes or compacts on its own
+				cfg.LevelBase = 1 << 30
+				s := mustOpenP2(t, cfg)
+				defer s.Close()
+				const n = 300
+				for i := 0; i < n; i++ {
+					if i == n-kind.mem {
+						if err := s.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%05d", i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if kind.mem == 0 {
+					if err := s.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				heal := fault.inject(t, mem, ffs)
+				err := kind.run(s)
+				if err == nil {
+					t.Fatal("the job succeeded through its injected fault")
+				}
+				if fault.name == "verify" && !errors.Is(err, ErrCompactionInput) {
+					t.Fatalf("job over a tampered run = %v, want ErrCompactionInput", err)
+				}
+				if got := sealedState(t, s, mem).Pending != nil; got != fault.staged {
+					t.Fatalf("transition seal on disk at the failure: %v, want %v", got, fault.staged)
+				}
+				heal()
+
+				s.SealState()
+				if st := sealedState(t, s, mem); st.Pending != nil {
+					t.Fatalf("the seal after an aborted job still carries its pending state: %+v", st.Pending)
+				}
+				for i := 0; i < n; i++ {
+					key, val := fmt.Sprintf("key%05d", i), fmt.Sprintf("val%05d", i)
+					if res, err := s.Get([]byte(key)); err != nil || !res.Found || string(res.Value) != val {
+						t.Fatalf("Get(%s) after the aborted job = %q found=%v err=%v", key, res.Value, res.Found, err)
+					}
+				}
+			})
+		}
 	}
 }

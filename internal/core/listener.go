@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
@@ -10,68 +9,42 @@ import (
 	"elsm/internal/sstable"
 )
 
-// authListener implements the engine's EventListener callbacks with the
-// authenticated-compaction logic of Figure 4: it rebuilds a Merkle tree per
-// input run from the filtered record stream, checks each against the
-// trusted in-enclave root, builds the output tree, embeds per-record proofs
-// into output files, and commits the new digests only after the engine has
-// installed the new version.
-//
-// The engine runs flush/compaction jobs on a worker POOL, so several jobs'
-// Merkle rebuilds are live at once. Each job's staging state lives in its
-// own compactionJob context, keyed by the job's unique output-run ID — two
-// concurrent rebuilds can never interleave their trees. The engine
-// serializes the verify→install→commit window (OnCompactionEnd through
-// OnVersionCommitted / OnCompactionAbort) on its install lock, so at most
-// one staged transition seal exists at a time; Store.sealStagedBy records
-// which job staged it so only that job's abort can retract it. State shared
-// with the commit path (the WAL digest chains, bump bookkeeping) lives in
+// authListener implements the engine's EventListener callbacks. The commit
+// path's hooks maintain the WAL digest chains; BeginJob hands the engine a
+// compactionJob per flush, compaction or bulk load. State shared between the
+// two (the chains, bump bookkeeping, the staged transition seal) lives in
 // the Store under c.mu.
 type authListener struct {
 	c *Store
-
-	// In-flight compaction rebuild contexts, keyed by
-	// CompactionInfo.OutputRun (engine-unique; MemtableRunID 0 is never an
-	// output).
-	jobsMu sync.Mutex
-	jobs   map[uint64]*compactionJob
-
-	// walSwapPending marks that the engine rotated the WAL (frozen logs
-	// deleted); the walDigest swap is deferred so OnVersionInstalled can
-	// apply it ATOMICALLY with the digest-forest swap — a concurrent
-	// commit leader's periodic seal must never observe the new WAL chain
-	// paired with the old forest. OnWALRotated and OnVersionInstalled both
-	// run inside the engine's serialized install window, so a single slot
-	// (set and consumed within one window) needs no extra lock.
-	walSwapPending bool
 }
 
-// compactionJob is one maintenance job's Merkle staging state. Every hook
-// of a job fires on the job's own goroutine, in order: Begin, Filter per
-// record, NewProofAppender once the stream has ended, OnCompactionEnd.
-// Only the proof appenders NewProofAppender returns are used elsewhere —
-// each by one of the engine's file builders — and they only read the
-// finished output tree.
+// compactionJob is the authenticated-compaction logic of Figure 4 for one
+// maintenance job: it rebuilds a Merkle tree per input run from the filtered
+// record stream, checks each against the trusted in-enclave root, builds the
+// output tree, embeds per-record proofs into output files, and commits the
+// new digests only after the engine has installed the new version.
+//
+// The engine runs jobs on a worker POOL, so several jobs' Merkle rebuilds are
+// live at once, each in its own compactionJob — two concurrent rebuilds can
+// never interleave their trees. Every method runs on the job's own
+// goroutine, in order: Filter per record, NewProofAppender once the stream
+// has ended, Verify, then Installed and Committed, or Abort. Only the proof
+// appenders are used elsewhere — each by one of the engine's file builders —
+// and they only read the finished output tree. The engine serializes the
+// Verify→Installed→Committed window (or Verify→Abort) on its install lock, so
+// at most one staged transition seal exists at a time; Store.sealStagedBy
+// records which job staged it so only that job's Abort can retract it.
 type compactionJob struct {
+	c         *Store
+	info      lsm.CompactionInfo
 	hasher    *compactionHasher
 	streamErr error
 }
 
-// job returns the staging context for the given output run, or nil.
-func (l *authListener) job(runID uint64) *compactionJob {
-	l.jobsMu.Lock()
-	defer l.jobsMu.Unlock()
-	return l.jobs[runID]
-}
-
-// dropJob discards a job's staging context.
-func (l *authListener) dropJob(runID uint64) {
-	l.jobsMu.Lock()
-	delete(l.jobs, runID)
-	l.jobsMu.Unlock()
-}
-
-var _ lsm.EventListener = (*authListener)(nil)
+var (
+	_ lsm.EventListener = (*authListener)(nil)
+	_ lsm.Job           = (*compactionJob)(nil)
+)
 
 // OnWALAppend extends the enclave's WAL digest chain (§5.3 step w1). The
 // periodic counter bump moved to OnGroupCommit: it now fires once per
@@ -99,7 +72,7 @@ func (l *authListener) OnWALAppend(rec record.Record) {
 // chain spanning frozen+active logs, and the fresh chain over the active
 // log alone — because a flush install between append and durability
 // promotion deletes the frozen logs and rebases the trusted chain onto the
-// fresh one (OnVersionInstalled rewrites pending marks accordingly).
+// fresh one (compactionJob.Installed rewrites pending marks accordingly).
 func (l *authListener) OnGroupAppended() {
 	c := l.c
 	c.mu.Lock()
@@ -166,23 +139,11 @@ func (l *authListener) OnMemtableFrozen() {
 	c.mu.Unlock()
 }
 
-// OnWALRotated fires at flush install, after the frozen logs were deleted:
-// the live WAL is now only the active log, whose chain-from-zero is
-// freshDigest. The swap itself is deferred to OnVersionInstalled (which
-// the engine invokes immediately after, still under its lock) so the WAL
-// chain and the digest forest change in one c.mu critical section — a
-// counter bump sealing in between would otherwise fingerprint a torn
-// state.
-func (l *authListener) OnWALRotated() {
-	l.walSwapPending = true
-}
-
-// OnCompactionBegin allocates the job's staging context: the hasher that
+// BeginJob allocates the job's staging context: the hasher that
 // reconstructs every input run's tree and builds the output tree. It must
 // NOT touch any staged transition seal — a concurrent job may be mid-install
-// with a live one; abandoned stagings are retracted by OnCompactionAbort
-// instead.
-func (l *authListener) OnCompactionBegin(info lsm.CompactionInfo) {
+// with a live one; abandoned stagings are retracted by Abort instead.
+func (l *authListener) BeginJob(info lsm.CompactionInfo) lsm.Job {
 	// The inputs' trusted leaf counts bound the output's (a flush adds the
 	// memtable's keys on top; the bookkeeping grows for those).
 	expect := 0
@@ -190,13 +151,7 @@ func (l *authListener) OnCompactionBegin(info lsm.CompactionInfo) {
 	for _, id := range info.InputRuns {
 		expect += digs[id].NumLeaves
 	}
-	j := &compactionJob{hasher: newCompactionHasher(info.InputRuns, expect)}
-	l.jobsMu.Lock()
-	if l.jobs == nil {
-		l.jobs = make(map[uint64]*compactionJob)
-	}
-	l.jobs[info.OutputRun] = j
-	l.jobsMu.Unlock()
+	return &compactionJob{c: l.c, info: info, hasher: newCompactionHasher(info.InputRuns, expect)}
 }
 
 // Filter ingests every record of the merge stream, digesting it once:
@@ -205,46 +160,36 @@ func (l *authListener) OnCompactionBegin(info lsm.CompactionInfo) {
 // are trusted (L0 lives in the enclave) and only feed the output side. The
 // engine passes its own copy of the record — the bytes digested here are
 // the bytes it writes.
-func (l *authListener) Filter(info lsm.CompactionInfo, srcRun uint64, rec record.Record, dropped bool) {
-	j := l.job(info.OutputRun)
-	if j == nil || j.streamErr != nil {
-		return
+func (j *compactionJob) Filter(srcRun uint64, rec record.Record, dropped bool) {
+	if j.streamErr == nil {
+		j.streamErr = j.hasher.add(srcRun, rec, dropped)
 	}
-	j.streamErr = j.hasher.add(srcRun, rec, dropped)
 }
 
 // NewProofAppender hands the engine a cursor that embeds each output
 // record's Merkle proof (step c of §5.5.2, "OnTableFileCreated()" in
 // Figure 4) directly into the file being built. The first call finishes the
 // job's trees; every appender reads the same finished output tree.
-func (l *authListener) NewProofAppender(info lsm.CompactionInfo) (sstable.ProofAppender, error) {
-	j := l.job(info.OutputRun)
-	if j == nil {
-		return nil, fmt.Errorf("core: NewProofAppender outside a compaction")
-	}
+func (j *compactionJob) NewProofAppender() (sstable.ProofAppender, error) {
 	if j.streamErr != nil {
 		return nil, j.streamErr
 	}
 	return j.hasher.finish().newAppender(), nil
 }
 
-// OnCompactionEnd performs the authenticated-compaction input check
+// Verify performs the authenticated-compaction input check
 // (Figure 4 lines 31-33): every input run's reconstructed root must equal
 // the trusted root stored in the enclave, otherwise the compaction aborts
 // and the engine discards its output. The engine calls it under its
 // install lock, so exactly one job stages a transition seal at a time.
-func (l *authListener) OnCompactionEnd(info lsm.CompactionInfo) error {
-	j := l.job(info.OutputRun)
-	if j == nil {
-		return fmt.Errorf("core: OnCompactionEnd outside a compaction")
-	}
+func (j *compactionJob) Verify() error {
 	if j.streamErr != nil {
 		return j.streamErr
 	}
 	// A no-op if the engine already asked for proof appenders; a compaction
 	// that produced no output (everything dropped) finishes its trees here.
 	out := j.hasher.finish()
-	c := l.c
+	c, info := j.c, j.info
 	digs := c.snapshotDigests()
 	for i, id := range info.InputRuns {
 		trusted, ok := digs[id]
@@ -258,7 +203,7 @@ func (l *authListener) OnCompactionEnd(info lsm.CompactionInfo) error {
 	}
 	// Stage the post-install state and write a TRANSITION seal before the
 	// engine makes the install durable (manifest rename). From here until
-	// OnVersionInstalled clears the staging, every sealed blob names both
+	// Installed clears the staging, every sealed blob names both
 	// the current state and this pending one, so a crash on either side of
 	// the rename recovers cleanly: before it the directory matches
 	// Current, after it the directory matches Pending. Without this the
@@ -286,23 +231,24 @@ func (l *authListener) OnCompactionEnd(info lsm.CompactionInfo) error {
 		WALAppends: wa,
 		LastTs:     c.engine.AppliedTs(),
 	}
-	c.sealStagedBy = info.OutputRun
+	c.sealStagedBy = j
 	c.mu.Unlock()
 	c.commitState()
 	return nil
 }
 
-// OnVersionInstalled commits the staged digests: input runs are forgotten,
-// the output run's digest takes effect, and any pending WAL-chain swap
-// (flush install) is applied in the SAME c.mu critical section — one
-// copy-on-write snapshot swap, fast enough to run under the engine lock so
-// readers never observe a version whose digest is missing, and atomic so a
-// concurrent seal always fingerprints a coherent (forest, WAL chain) pair.
-func (l *authListener) OnVersionInstalled(info lsm.CompactionInfo) {
-	c := l.c
-	j := l.job(info.OutputRun)
+// Installed commits the staged digests: input runs are forgotten, the
+// output run's digest takes effect, and a flush's WAL-chain rebase (the
+// engine has just deleted the frozen logs) is applied in the SAME c.mu
+// critical section — one copy-on-write snapshot swap, fast enough to run
+// under the engine lock so readers never observe a version whose digest is
+// missing, and atomic so a concurrent commit leader's periodic seal always
+// fingerprints a coherent (forest, WAL chain) pair, never the new chain
+// beside the old forest.
+func (j *compactionJob) Installed() {
+	c := j.c
 	c.mu.Lock()
-	if l.walSwapPending {
+	if j.info.MemtableInput {
 		// The frozen logs are gone: the trusted chain rebases onto the
 		// active log's chain. The tip, the durable frontier and any group
 		// marks still awaiting durability promotion (groups appended to
@@ -313,52 +259,37 @@ func (l *authListener) OnVersionInstalled(info lsm.CompactionInfo) {
 		for i := range c.groupMarks {
 			c.groupMarks[i].digest = c.groupMarks[i].fresh
 		}
-		l.walSwapPending = false
 	}
-	if j != nil {
-		old := c.snap.Load().digests
-		next := make(map[uint64]runDigest, len(old)+1)
-		for id, d := range old {
-			next[id] = d
-		}
-		for _, id := range info.InputRuns {
-			delete(next, id)
-		}
-		next[info.OutputRun] = j.hasher.finish().digest
-		c.snap.Store(&trustedView{digests: next})
-	}
-	// The install is durable: the staged transition is no longer needed —
-	// OnVersionCommitted reseals with the new state as Current. The install
-	// window is serialized by the engine, so the staged seal (if any) is
-	// this job's own.
+	// The forest Verify staged IS the post-install forest: installs are
+	// serialized from Verify on, so nothing changed the digests in between,
+	// and what the transition seal promised is exactly what takes effect.
+	// The install is durable, so the staging is no longer needed — Committed
+	// reseals with the new state as Current.
+	c.snap.Store(&trustedView{digests: c.pendingSeal.Digests})
 	c.pendingSeal = nil
-	c.sealStagedBy = 0
+	c.sealStagedBy = nil
 	c.mu.Unlock()
-	l.dropJob(info.OutputRun)
 }
 
-// OnVersionCommitted pins the new dataset state to the monotonic counter
-// and seals it (§5.6.1) — the slow, durable half of the install, run by
-// the engine WITHOUT its lock so readers and writers are not stalled by
-// the seal write.
-func (l *authListener) OnVersionCommitted(info lsm.CompactionInfo) {
-	l.c.commitState()
+// Committed pins the new dataset state to the monotonic counter and seals it
+// (§5.6.1) — the slow, durable half of the install, run by the engine
+// WITHOUT its lock so readers and writers are not stalled by the seal write.
+func (j *compactionJob) Committed() {
+	j.c.commitState()
 }
 
-// OnCompactionAbort discards a failed job's staging context. If THIS job
-// had already staged a transition seal (OnCompactionEnd succeeded but the
-// install failed), the staged state can never match a recovered directory
-// — the job's output files were removed — so retract it; a transition
-// staged by a different, concurrently-installing job is left untouched
-// (sealStagedBy keys the staging to its owner). The next seal write drops
-// the retracted pending state from the sealed blob.
-func (l *authListener) OnCompactionAbort(info lsm.CompactionInfo) {
-	c := l.c
+// Abort discards a failed job. If THIS job had already staged a transition
+// seal (Verify succeeded but the install failed), the staged state can never
+// match a recovered directory — the job's output files were removed — so
+// retract it; a transition staged by a different, concurrently-installing
+// job is left untouched (sealStagedBy keys the staging to its owner). The
+// next seal write drops the retracted pending state from the sealed blob.
+func (j *compactionJob) Abort() {
+	c := j.c
 	c.mu.Lock()
-	if c.sealStagedBy == info.OutputRun {
+	if c.sealStagedBy == j {
 		c.pendingSeal = nil
-		c.sealStagedBy = 0
+		c.sealStagedBy = nil
 	}
 	c.mu.Unlock()
-	l.dropJob(info.OutputRun)
 }

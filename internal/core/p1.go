@@ -10,7 +10,6 @@ import (
 	"elsm/internal/record"
 	"elsm/internal/sgx"
 	"elsm/internal/sstable"
-	"elsm/internal/vfs"
 )
 
 // StoreP1 is the strawman design of §4: the entire store — including the
@@ -56,10 +55,6 @@ func OpenP1(cfg Config) (*StoreP1, error) {
 	if enclave == nil {
 		enclave = sgx.New(cfg.SGX)
 	}
-	fs := cfg.FS
-	if fs == nil {
-		fs = vfs.NewMem()
-	}
 	mk, err := crypto.NewMasterKey()
 	if err != nil {
 		return nil, err
@@ -70,35 +65,15 @@ func OpenP1(cfg Config) (*StoreP1, error) {
 	}
 	// The P1 read buffer lives INSIDE the enclave: hits pay MEE cost and,
 	// once the buffer exceeds the EPC, enclave paging (Figure 2).
-	cache := blockcache.New(cacheSize, enclave)
-	engine, err := lsm.Open(lsm.Options{
-		FS:                    fs,
-		Enclave:               enclave,
-		Cache:                 cache,
-		Transform:             &blockSealer{bc: crypto.NewBlock(mk)},
-		MemtableSize:          cfg.MemtableSize,
-		BlockSize:             cfg.BlockSize,
-		TableFileSize:         cfg.TableFileSize,
-		LevelBase:             cfg.LevelBase,
-		LevelMultiplier:       cfg.LevelMultiplier,
-		MaxLevels:             cfg.MaxLevels,
-		KeepVersions:          cfg.KeepVersions,
-		DisableCompaction:     cfg.DisableCompaction,
-		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
-		GroupCommitWindow:     cfg.GroupCommitWindow,
-		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		CompactionWorkers:     cfg.CompactionWorkers,
-		Workers:               cfg.Workers,
-		Obs:                   cfg.Obs,
-	})
+	opts := cfg.engineOptions()
+	opts.Enclave = enclave
+	opts.Cache = blockcache.New(cacheSize, enclave)
+	opts.Transform = &blockSealer{bc: crypto.NewBlock(mk)}
+	engine, err := lsm.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	chunkKeys := cfg.IterChunkKeys
-	if chunkKeys <= 0 {
-		chunkKeys = DefaultIterChunkKeys
-	}
-	return &StoreP1{engine: engine, enclave: enclave, cache: cache, iterChunkKeys: chunkKeys}, nil
+	return &StoreP1{engine: engine, enclave: enclave, cache: opts.Cache, iterChunkKeys: cfg.chunkKeys()}, nil
 }
 
 // Put implements KV.

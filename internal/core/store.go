@@ -102,6 +102,42 @@ type Config struct {
 	DisableCompaction bool
 }
 
+// engineOptions is the Config → lsm.Options pass-through the three Opens
+// share; each sets what its configuration decides: Enclave, Listener, Cache,
+// Transform.
+func (cfg Config) engineOptions() lsm.Options {
+	fs := cfg.FS
+	if fs == nil {
+		fs = vfs.NewMem()
+	}
+	return lsm.Options{
+		FS:                    fs,
+		MmapReads:             cfg.MmapReads,
+		MemtableSize:          cfg.MemtableSize,
+		BlockSize:             cfg.BlockSize,
+		TableFileSize:         cfg.TableFileSize,
+		LevelBase:             cfg.LevelBase,
+		LevelMultiplier:       cfg.LevelMultiplier,
+		MaxLevels:             cfg.MaxLevels,
+		KeepVersions:          cfg.KeepVersions,
+		DisableCompaction:     cfg.DisableCompaction,
+		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
+		GroupCommitWindow:     cfg.GroupCommitWindow,
+		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
+		CompactionWorkers:     cfg.CompactionWorkers,
+		Workers:               cfg.Workers,
+		Obs:                   cfg.Obs,
+	}
+}
+
+// chunkKeys resolves IterChunkKeys.
+func (cfg Config) chunkKeys() int {
+	if cfg.IterChunkKeys <= 0 {
+		return DefaultIterChunkKeys
+	}
+	return cfg.IterChunkKeys
+}
+
 // Result is a verified query result.
 type Result struct {
 	Key   []byte
@@ -248,13 +284,13 @@ type Store struct {
 	// manifest rename: every seal written while it is set carries it as
 	// trustedState.Pending, so recovery from a crash inside the install
 	// window can adopt the post-install state. Staged by the installing
-	// maintenance job (OnCompactionEnd, inside the engine's serialized
-	// install window), cleared at OnVersionInstalled or retracted by
-	// OnCompactionAbort if the install was abandoned. sealStagedBy records
-	// the output-run ID of the job that staged it, so only the owning job's
-	// abort retracts it (a concurrent failed job must not). Guarded by mu.
+	// maintenance job (compactionJob.Verify, inside the engine's serialized
+	// install window), cleared by its Installed or retracted by its Abort if
+	// the install was abandoned. sealStagedBy is the job that staged it, so
+	// only the owning job's abort retracts it (a concurrent failed job must
+	// not). Guarded by mu.
 	pendingSeal  *pendingState
-	sealStagedBy uint64
+	sealStagedBy *compactionJob
 
 	// scanTamper, when non-nil, mutates each per-run scan response before
 	// verification — a test-only stand-in for a malicious untrusted host.
@@ -274,8 +310,6 @@ type Store struct {
 
 	// rec is the shard's observability recorder (nil = instrumentation off).
 	rec *obs.Recorder
-
-	listener *authListener
 }
 
 // VerifyStats aggregates proof-verification work, used by the early-stop
@@ -340,10 +374,6 @@ func Open(cfg Config) (*Store, error) {
 	if counter == nil {
 		counter = sgx.NewMonotonicCounter()
 	}
-	fs := cfg.FS
-	if fs == nil {
-		fs = vfs.NewMem()
-	}
 	interval := cfg.CounterInterval
 	if interval == 0 {
 		interval = DefaultCounterInterval
@@ -351,17 +381,14 @@ func Open(cfg Config) (*Store, error) {
 	if interval < 0 {
 		interval = 0
 	}
-	chunkKeys := cfg.IterChunkKeys
-	if chunkKeys <= 0 {
-		chunkKeys = DefaultIterChunkKeys
-	}
+	opts := cfg.engineOptions()
 	c := &Store{
 		enclave:         enclave,
-		fs:              fs,
+		fs:              opts.FS,
 		platform:        platform,
 		counter:         counter,
 		counterInterval: interval,
-		iterChunkKeys:   chunkKeys,
+		iterChunkKeys:   cfg.chunkKeys(),
 		measurement:     sgx.Measure([]byte("elsm-p2")),
 	}
 	c.snap.Store(&trustedView{digests: make(map[uint64]runDigest)})
@@ -372,34 +399,13 @@ func Open(cfg Config) (*Store, error) {
 	if c.verify.nodes == nil {
 		c.verify.nodes = NewNodeCache(enclave)
 	}
-	c.listener = &authListener{c: c}
-
-	var cache *blockcache.Cache
+	opts.Enclave = enclave
+	opts.Listener = &authListener{c: c}
 	if cfg.CacheSize > 0 {
 		// P2 places the read buffer OUTSIDE the enclave (§4.2).
-		cache = blockcache.New(cfg.CacheSize, nil)
+		opts.Cache = blockcache.New(cfg.CacheSize, nil)
 	}
-	engine, err := lsm.Open(lsm.Options{
-		FS:                    fs,
-		Enclave:               enclave,
-		Listener:              c.listener,
-		Cache:                 cache,
-		MmapReads:             cfg.MmapReads,
-		MemtableSize:          cfg.MemtableSize,
-		BlockSize:             cfg.BlockSize,
-		TableFileSize:         cfg.TableFileSize,
-		LevelBase:             cfg.LevelBase,
-		LevelMultiplier:       cfg.LevelMultiplier,
-		MaxLevels:             cfg.MaxLevels,
-		KeepVersions:          cfg.KeepVersions,
-		DisableCompaction:     cfg.DisableCompaction,
-		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
-		GroupCommitWindow:     cfg.GroupCommitWindow,
-		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		CompactionWorkers:     cfg.CompactionWorkers,
-		Workers:               cfg.Workers,
-		Obs:                   cfg.Obs,
-	})
+	engine, err := lsm.Open(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +414,7 @@ func Open(cfg Config) (*Store, error) {
 		engine.Close()
 		return nil, err
 	}
-	if !fs.Exists(trustedStateName) {
+	if !c.fs.Exists(trustedStateName) {
 		// A fresh store seals its empty state before accepting writes:
 		// recovery refuses data files without sealed state, so deferring
 		// the first seal to the interval/flush/close path would leave a
@@ -420,7 +426,7 @@ func Open(cfg Config) (*Store, error) {
 
 // trustedView is an immutable snapshot of the digest forest. The map must
 // never be mutated after the view is published via snap; writers
-// (OnVersionInstalled, recovery) publish a fresh copy under c.mu.
+// (compactionJob.Installed, recovery) publish a fresh copy under c.mu.
 type trustedView struct {
 	digests map[uint64]runDigest
 }

@@ -7,7 +7,6 @@ import (
 	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
-	"elsm/internal/vfs"
 )
 
 // Unsecured is the ideal-performance baseline of §6: a plain LSM store with
@@ -23,42 +22,16 @@ var _ KV = (*Unsecured)(nil)
 // OpenUnsecured creates the unsecured baseline. The Config's SGX settings
 // are ignored; the read buffer (if any) lives in ordinary memory.
 func OpenUnsecured(cfg Config) (*Unsecured, error) {
-	fs := cfg.FS
-	if fs == nil {
-		fs = vfs.NewMem()
-	}
-	var cache *blockcache.Cache
+	opts := cfg.engineOptions()
+	opts.Enclave = sgx.NewUnlimited()
 	if cfg.CacheSize > 0 {
-		cache = blockcache.New(cfg.CacheSize, nil)
+		opts.Cache = blockcache.New(cfg.CacheSize, nil)
 	}
-	engine, err := lsm.Open(lsm.Options{
-		FS:                    fs,
-		Enclave:               sgx.NewUnlimited(),
-		Cache:                 cache,
-		MmapReads:             cfg.MmapReads,
-		MemtableSize:          cfg.MemtableSize,
-		BlockSize:             cfg.BlockSize,
-		TableFileSize:         cfg.TableFileSize,
-		LevelBase:             cfg.LevelBase,
-		LevelMultiplier:       cfg.LevelMultiplier,
-		MaxLevels:             cfg.MaxLevels,
-		KeepVersions:          cfg.KeepVersions,
-		DisableCompaction:     cfg.DisableCompaction,
-		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
-		GroupCommitWindow:     cfg.GroupCommitWindow,
-		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		CompactionWorkers:     cfg.CompactionWorkers,
-		Workers:               cfg.Workers,
-		Obs:                   cfg.Obs,
-	})
+	engine, err := lsm.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	chunkKeys := cfg.IterChunkKeys
-	if chunkKeys <= 0 {
-		chunkKeys = DefaultIterChunkKeys
-	}
-	return &Unsecured{engine: engine, iterChunkKeys: chunkKeys}, nil
+	return &Unsecured{engine: engine, iterChunkKeys: cfg.chunkKeys()}, nil
 }
 
 // Put implements KV.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path"
+	"regexp"
 	"testing"
 	"time"
 
@@ -100,14 +102,68 @@ func tamperProbe(t *testing.T, env *Env, opts elsm.Options) {
 	}
 }
 
+// manifestLastTs matches the timestamp floor in the engine's JSON manifest.
+var manifestLastTs = regexp.MustCompile(`"lastTs":\d+`)
+
+// zeroManifestTs zeroes the timestamp floor in every MANIFEST of the crash
+// image (shard subdirectories included), as a hostile host could: the
+// manifest is plain untrusted JSON, so nothing recovery hands out may rest
+// on it. Call it after the tamper probe and before recovery.
+func zeroManifestTs(t *testing.T, env *Env) {
+	t.Helper()
+	names, err := env.Mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if path.Base(name) != "MANIFEST" {
+			continue
+		}
+		f, err := env.Mem.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := manifestLastTs.ReplaceAll(f.Bytes(), []byte(`"lastTs":0`))
+		if f, err = env.Mem.Create(name); err == nil {
+			_, err = f.Append(data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkTsFloor verifies the recovered store's trusted timestamp counter sits
+// above every acked write: a fresh Put must not reuse a timestamp, whatever
+// the manifest claimed.
+func checkTsFloor(t *testing.T, env *Env, st *elsm.Store) {
+	t.Helper()
+	ts, err := st.Put([]byte("ts-floor-probe"), []byte("x"))
+	if err != nil {
+		t.Fatalf("put after recovery: %v", err)
+	}
+	for k := range env.Acked {
+		res, err := st.Get([]byte(k))
+		if err != nil {
+			t.Fatalf("acked key %q: verified read failed: %v", k, err)
+		}
+		if res.Ts >= ts {
+			t.Fatalf("fresh Put got ts %d, not above acked key %q at ts %d", ts, k, res.Ts)
+		}
+	}
+}
+
 // verifyRecovered is the shared Verify: tamper probe on the crash image,
-// then recover and check durability invariants.
+// the manifest's timestamp floor zeroed, then recover and check the
+// durability and timestamp-floor invariants.
 func verifyRecovered(t *testing.T, env *Env, opts elsm.Options) {
 	t.Helper()
 	tamperProbe(t, env, opts)
+	zeroManifestTs(t, env)
 	st := recoverStore(t, env, opts)
 	defer st.Close()
 	checkDurability(t, env, st)
+	checkTsFloor(t, env, st)
 }
 
 // TestCrashMatrixWALAppend enumerates crashes — with torn writes — over
@@ -336,9 +392,11 @@ func TestCrashMatrixPromotion(t *testing.T) {
 		},
 		Verify: func(t *testing.T, env *Env) {
 			tamperProbe(t, env, storeOpts(env))
+			zeroManifestTs(t, env)
 			st := recoverStore(t, env, storeOpts(env))
 			defer st.Close()
 			checkDurability(t, env, st)
+			checkTsFloor(t, env, st)
 			if epoch := st.ReplEpoch(); epoch > 1 {
 				t.Fatalf("epoch after crashed promotion = %d, want 0 or 1", epoch)
 			}

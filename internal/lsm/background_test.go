@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -396,4 +397,210 @@ func TestMaintenanceEntryPointsRace(t *testing.T) {
 	defer s2.Close()
 	readable(s2, "each-other (reopened)", first)
 	readable(s2, "close (reopened)", second)
+}
+
+// lifecycleListener records how each job it was handed ended, and rejects
+// Verify when told to.
+type lifecycleListener struct {
+	NopListener
+	mu     sync.Mutex
+	reject error
+	jobs   []*lifecycleJob
+	// onAbort runs in every Abort, which the driver calls before it cleans
+	// up: a FaultFS stays dead once tripped, and healing it here turns the
+	// injected fault into a transient one — the case in which the cleanup
+	// can, and so must, remove what the job wrote.
+	onAbort func()
+}
+
+type lifecycleJob struct {
+	NopJob
+	l                             *lifecycleListener
+	installed, committed, aborted int
+}
+
+func (l *lifecycleListener) BeginJob(CompactionInfo) Job {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	j := &lifecycleJob{l: l}
+	l.jobs = append(l.jobs, j)
+	return j
+}
+
+// last returns how the most recently begun job ended.
+func (l *lifecycleListener) last() (installed, committed, aborted int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	j := l.jobs[len(l.jobs)-1]
+	return j.installed, j.committed, j.aborted
+}
+
+func (j *lifecycleJob) count(n *int) {
+	j.l.mu.Lock()
+	*n++
+	j.l.mu.Unlock()
+}
+
+func (j *lifecycleJob) Verify() error {
+	j.l.mu.Lock()
+	defer j.l.mu.Unlock()
+	return j.l.reject
+}
+func (j *lifecycleJob) Installed() { j.count(&j.installed) }
+func (j *lifecycleJob) Committed() { j.count(&j.committed) }
+func (j *lifecycleJob) Abort() {
+	j.count(&j.aborted)
+	j.l.onAbort()
+}
+
+func tableFiles(t *testing.T, fs vfs.FS) []string {
+	t.Helper()
+	names, err := fs.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, name := range names {
+		if strings.HasSuffix(name, ".sst") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TestJobAbortMatrix fails each kind of maintenance job at each point the
+// driver can fail — an output table's write, the listener's Verify, the
+// manifest write — and checks the abort leaves no trace: the version, the
+// table files and the run pins are what they were, the job saw exactly one
+// Abort and neither Installed nor Committed, a failed flush fail-stops the
+// store while a failed explicit Compact/BulkLoad only returns its error, and
+// a later job of the same kind still installs.
+func TestJobAbortMatrix(t *testing.T) {
+	put := func(t *testing.T, s *Store, lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%05d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var loadRecs []record.Record
+	for i := 0; i < 300; i++ {
+		loadRecs = append(loadRecs, record.Record{
+			Key: []byte(fmt.Sprintf("key%05d", i)), Ts: uint64(i + 1), Kind: record.KindSet,
+			Value: []byte(fmt.Sprintf("val%05d", i)),
+		})
+	}
+	kinds := []struct {
+		name   string
+		setup  func(t *testing.T, s *Store) // leaves the job something to do
+		run    func(s *Store) error
+		sticky bool // the failure fail-stops the store
+	}{
+		{"flush", func(t *testing.T, s *Store) {
+			put(t, s, 0, 200)
+			if err := s.Flush(); err != nil { // a level-1 run: the flush has an input to pin
+				t.Fatal(err)
+			}
+			put(t, s, 100, 300)
+		}, (*Store).Flush, true},
+		{"compact", func(t *testing.T, s *Store) {
+			put(t, s, 0, 300)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}, func(s *Store) error { return s.Compact(1) }, false},
+		{"bulkload", func(*testing.T, *Store) {},
+			func(s *Store) error { return s.BulkLoad(loadRecs) }, false},
+	}
+	rejection := errors.New("listener says no")
+	faults := []struct {
+		name   string
+		inject func(ffs *vfs.FaultFS, l *lifecycleListener)
+	}{
+		{"table-write", func(ffs *vfs.FaultFS, _ *lifecycleListener) {
+			ffs.ArmFilter(vfs.OpCreate, "*.sst")
+			ffs.Arm(0)
+		}},
+		{"verify", func(_ *vfs.FaultFS, l *lifecycleListener) {
+			l.mu.Lock()
+			l.reject = rejection
+			l.mu.Unlock()
+		}},
+		{"manifest-write", func(ffs *vfs.FaultFS, _ *lifecycleListener) {
+			ffs.ArmFilter(vfs.OpAll, "MANIFEST*")
+			ffs.Arm(0)
+		}},
+	}
+	for _, kind := range kinds {
+		for _, fault := range faults {
+			kind, fault := kind, fault
+			t.Run(kind.name+"/"+fault.name, func(t *testing.T) {
+				mem := vfs.NewMem()
+				ffs := vfs.NewFault(mem)
+				l := &lifecycleListener{onAbort: ffs.Disarm}
+				opts := smallOpts(ffs)
+				opts.Listener = l
+				opts.MemtableSize = 1 << 20 // nothing freezes or compacts on its own
+				opts.LevelBase = 1 << 30
+				s := mustOpen(t, opts)
+				defer func() { s.Close() }()
+				kind.setup(t, s)
+
+				runs, files, pinned := s.Runs(), tableFiles(t, mem), s.Stats().PinnedRuns
+				fault.inject(ffs, l)
+				err := kind.run(s)
+				ffs.ArmFilter(vfs.OpAll, "")
+				l.mu.Lock()
+				l.reject = nil
+				l.mu.Unlock()
+
+				switch {
+				case err == nil:
+					t.Fatal("the job succeeded through its injected fault")
+				case fault.name == "verify" && !(errors.Is(err, ErrAborted) && errors.Is(err, rejection)):
+					t.Fatalf("Verify rejection surfaced as %v, want ErrAborted wrapping the listener's error", err)
+				case fault.name != "verify" && !errors.Is(err, vfs.ErrInjected):
+					t.Fatalf("I/O fault surfaced as %v, want the injected error", err)
+				}
+				if installed, committed, aborted := l.last(); installed != 0 || committed != 0 || aborted != 1 {
+					t.Fatalf("failed job saw Installed×%d Committed×%d Abort×%d, want exactly one Abort", installed, committed, aborted)
+				}
+				if got := s.Runs(); !reflect.DeepEqual(got, runs) {
+					t.Fatalf("version changed by an aborted job: %v → %v", runs, got)
+				}
+				if got := tableFiles(t, mem); !reflect.DeepEqual(got, files) {
+					t.Fatalf("table files changed by an aborted job: %v → %v", files, got)
+				}
+				if got := s.Stats().PinnedRuns; got != pinned {
+					t.Fatalf("PinnedRuns %d after the abort, %d before: the job leaked a pin", got, pinned)
+				}
+
+				// A failed flush fail-stops the store (a reopen replays the
+				// stranded logs); a failed explicit job only returned its error.
+				if kind.sticky {
+					if _, err := s.Put([]byte("after"), []byte("abort")); err == nil {
+						t.Fatal("a failed flush left no sticky background error")
+					}
+					s.Close()
+					s = mustOpen(t, opts)
+				}
+				if err := kind.run(s); err != nil {
+					t.Fatalf("job after the aborted one: %v", err)
+				}
+				if installed, committed, aborted := l.last(); installed != 1 || committed != 1 || aborted != 0 {
+					t.Fatalf("later job saw Installed×%d Committed×%d Abort×%d, want one install", installed, committed, aborted)
+				}
+				if _, err := s.Put([]byte("after"), []byte("abort")); err != nil {
+					t.Fatalf("put after the later job: %v", err)
+				}
+				for _, i := range []int{0, 150, 299} {
+					key, val := fmt.Sprintf("key%05d", i), fmt.Sprintf("val%05d", i)
+					if rec, ok, err := s.Get([]byte(key), record.MaxTs); err != nil || !ok || string(rec.Value) != val {
+						t.Fatalf("Get(%s) after the later job = %q %v %v", key, rec.Value, ok, err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -8,17 +8,19 @@ import (
 	"time"
 
 	"elsm/internal/costmodel"
+	"elsm/internal/obs"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
 	"elsm/internal/vfs"
 )
 
-// This file implements flush and level compaction as three-phase jobs
-// executed by the maintenance worker pool (scheduler.go):
+// This file implements maintenance jobs — flush, level compaction and bulk
+// load — executed by the maintenance worker pool (scheduler.go). Each kind
+// draws up a PLAN (phase 1); ONE driver, runPlan, runs it (phases 2 and 3):
 //
-//  1. snapshot — a brief s.mu critical section collects the immutable
-//     inputs: the frozen memtable and the input runs, pinned by reference
-//     count so no concurrent deletion can touch their files;
+//  1. plan — a brief s.mu critical section collects the immutable inputs:
+//     the frozen memtable and the input runs, pinned by reference count so
+//     no concurrent deletion can touch their files;
 //  2. merge/build/hash — the entire level rewrite (merge iteration,
 //     retention filtering, SSTable builds, the listener's Merkle
 //     reconstruction and output-tree hashing) runs WITHOUT the engine
@@ -26,26 +28,119 @@ import (
 //     disjoint level pairs proceed at full speed. Within one job the
 //     output files are built by a bounded flusher pool (bubt-style),
 //     overlapping enclave hashing with file writes;
-//  3. install — installMu serializes the authenticated verify
-//     (OnCompactionEnd) → level-vector swap → manifest persist →
-//     OnVersionCommitted window across concurrent jobs, so exactly one
-//     version transition (and one staged transition seal) is in flight at
-//     a time; s.mu is re-taken only for the swap itself.
+//  3. install — installMu serializes the authenticated verify (Job.Verify)
+//     → level-vector swap → manifest persist → Job.Installed →
+//     Job.Committed window across concurrent jobs, so exactly one version
+//     transition (and one staged transition seal) is in flight at a time;
+//     s.mu is re-taken only for the swap itself.
 //
-// Every job fires exactly one of OnVersionCommitted (success) or
-// OnCompactionAbort (any failure after OnCompactionBegin), so the
-// listener's per-job rebuild context is always reclaimed.
+// Every job ends in exactly one of Job.Committed (success) or Job.Abort (any
+// failure after BeginJob), so the listener's per-job rebuild context is
+// always reclaimed.
+
+// jobPlan is phase 1's result: what about a maintenance job depends on its
+// kind. swap and installed run under s.mu inside the install window.
+type jobPlan struct {
+	info CompactionInfo
+	// mem streams the job's trusted input (the frozen memtable, a bulk
+	// load's records); nil for a level compaction.
+	mem record.Iterator
+	// inputs are the runs the job merges and retires, each pinned once.
+	inputs []*run
+	// swap puts newRun into the level vector and returns what takes it out
+	// again should the manifest write fail.
+	swap func(newRun *run) (undo func())
+	// installed is the kind's bookkeeping once the manifest is durable.
+	installed func(newRun *run)
+	// rec, when set (timed), receives the duration of each phase.
+	rec        *obs.Recorder
+	phaseStart time.Time
+}
+
+// planLocked starts a plan over inputs: it allocates the output run's ID
+// and pins the inputs against deletion. The caller holds s.mu, releases it,
+// and hands the completed plan to runPlan.
+func (s *Store) planLocked(info CompactionInfo, inputs []*run) *jobPlan {
+	info.OutputRun = s.nextRunID
+	s.nextRunID++
+	for _, r := range inputs {
+		info.InputRuns = append(info.InputRuns, r.id)
+		s.retainRunLocked(r)
+	}
+	return &jobPlan{info: info, inputs: inputs}
+}
+
+// timed closes phase 1's timing and makes the driver time the other two
+// (flushes and level merges; a bulk load stays out of the histograms).
+func (p *jobPlan) timed(rec *obs.Recorder, phase1 time.Time) {
+	if rec != nil {
+		rec.CompactSnapshot.ObserveSince(phase1)
+		p.rec, p.phaseStart = rec, time.Now()
+	}
+}
+
+// runPlan is the driver: phases 2 and 3 of every maintenance job.
+func (s *Store) runPlan(p *jobPlan) error {
+	// Phase 2: merge, build and hash — lock-free.
+	var sources []mergeSource
+	if p.mem != nil {
+		sources = append(sources, mergeSource{runID: MemtableRunID, iter: p.mem})
+	}
+	for _, r := range p.inputs {
+		sources = append(sources, mergeSource{runID: r.id, iter: newRunIter(r)})
+	}
+	job := s.listener.BeginJob(p.info)
+	newRun, err := s.runCompaction(job, p.info, sources, p.inputs)
+	if err != nil {
+		job.Abort()
+		s.releaseRunRefs(p.inputs, 1) // job pins only: the version still owns them
+		return err
+	}
+	if p.rec != nil {
+		p.rec.CompactMerge.ObserveSince(p.phaseStart)
+		p.phaseStart = time.Now()
+	}
+
+	// Phase 3: verify and install the new version. installMu serializes the
+	// Verify→install→Committed window across concurrent jobs.
+	s.installMu.Lock()
+	if err = job.Verify(); err != nil {
+		err = fmt.Errorf("%w: %w", ErrAborted, err)
+	} else {
+		s.mu.Lock()
+		undo := p.swap(newRun)
+		if err = s.persistManifestLocked(); err != nil {
+			undo()
+			s.mu.Unlock()
+		}
+	}
+	if err != nil {
+		job.Abort()
+		s.installMu.Unlock()
+		s.releaseRunRefs(p.inputs, 1) // job pins only: the version still owns them
+		s.removeFiles(newRun.fileNums())
+		return err
+	}
+	s.retireRunsLocked(p.inputs)
+	p.installed(newRun)
+	s.refreshLevelBytesLocked()
+	job.Installed()
+	s.mu.Unlock()
+
+	job.Committed()
+	s.installMu.Unlock()
+	if p.rec != nil {
+		p.rec.CompactInstall.ObserveSince(p.phaseStart)
+	}
+	s.releaseRunRefs(p.inputs, 2) // retired version reference + job pin
+	return nil
+}
 
 // flushFrozen persists the frozen memtable (§5.3 step w2). In normal
 // (leveled) mode it is merged with level 1's runs; with compaction disabled
 // each flush prepends a fresh immutable run to level 1 instead.
 func (s *Store) flushFrozen() error {
-	// Phase 1: snapshot the immutable inputs.
-	rec := s.opts.Obs
-	var phaseStart time.Time
-	if rec != nil {
-		phaseStart = time.Now()
-	}
+	phaseStart := time.Now()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -60,105 +155,59 @@ func (s *Store) flushFrozen() error {
 		s.mu.Unlock()
 		return nil
 	}
-	outputRunID := s.nextRunID
-	s.nextRunID++
-	info := CompactionInfo{MemtableInput: true, OutputRun: outputRunID, OutputLevel: 1}
+	info := CompactionInfo{MemtableInput: true, OutputLevel: 1}
 	var inputs []*run
 	if s.opts.DisableCompaction {
 		info.BottomMost = s.deepestDataLevelLocked() == 0
 	} else {
 		info.BottomMost = s.deepestDataLevelLocked() <= 1
 		inputs = append([]*run(nil), s.levels[1]...)
-		for _, r := range inputs {
-			info.InputRuns = append(info.InputRuns, r.id)
-			s.retainRunLocked(r)
-		}
 	}
 	frozenWALs := append([]string(nil), s.frozenWALs...)
+	p := s.planLocked(info, inputs)
 	s.mu.Unlock()
-	if rec != nil {
-		rec.CompactSnapshot.ObserveSince(phaseStart)
-		phaseStart = time.Now()
-	}
+	p.timed(s.opts.Obs, phaseStart)
 
-	// Phase 2: merge, build and hash — lock-free.
-	sources := []mergeSource{{runID: MemtableRunID, iter: frozen.Iter()}}
-	for _, r := range inputs {
-		sources = append(sources, mergeSource{runID: r.id, iter: newRunIter(r)})
-	}
-	newRun, err := s.runCompaction(info, sources, inputs)
-	if err != nil {
-		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
-		return err
-	}
-	if rec != nil {
-		rec.CompactMerge.ObserveSince(phaseStart)
-		phaseStart = time.Now()
-	}
-
-	// Phase 3: verify and install the new version. installMu serializes the
-	// End→install→Committed window across concurrent jobs.
-	s.installMu.Lock()
-	if err := s.listener.OnCompactionEnd(info); err != nil {
-		s.listener.OnCompactionAbort(info)
-		s.installMu.Unlock()
-		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
-		s.removeFiles(newRun.fileNums())
-		return fmt.Errorf("%w: %w", ErrAborted, err)
-	}
-	s.mu.Lock()
-	oldL1 := s.levels[1]
-	if s.opts.DisableCompaction {
-		s.levels[1] = append([]*run{newRun}, oldL1...)
-	} else {
-		s.levels[1] = []*run{newRun}
-	}
-	// The manifest being installed accounts for every record in the frozen
-	// logs about to be deleted: advance the WAL watermark in the SAME
-	// manifest write, so a crash before the deletions finish cannot make
-	// recovery replay (double-apply) records the new run already holds.
-	oldFlushedSeq := s.flushedWALSeq
-	for _, name := range frozenWALs {
-		if seq, ok := frozenWALSeq(name); ok && seq >= s.flushedWALSeq {
-			s.flushedWALSeq = seq + 1
+	p.mem = frozen.Iter()
+	p.swap = func(newRun *run) func() {
+		oldL1 := s.levels[1]
+		if s.opts.DisableCompaction {
+			s.levels[1] = append([]*run{newRun}, oldL1...)
+		} else {
+			s.levels[1] = []*run{newRun}
 		}
-	}
-	if err := s.persistManifestLocked(); err != nil {
-		s.levels[1] = oldL1
-		s.flushedWALSeq = oldFlushedSeq
-		s.mu.Unlock()
-		s.listener.OnCompactionAbort(info)
-		s.installMu.Unlock()
-		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
-		s.removeFiles(newRun.fileNums())
-		return err
-	}
-	s.retireRunsLocked(inputs)
-	// The flushed records are durably in the new run: delete the frozen
-	// logs that carried them and swap the enclave's WAL digest to the
-	// active log's chain.
-	s.frozenWALs = s.frozenWALs[len(frozenWALs):]
-	s.ocall(func() {
+		// The manifest being installed accounts for every record in the
+		// frozen logs about to be deleted: advance the WAL watermark in the
+		// SAME manifest write, so a crash before the deletions finish cannot
+		// make recovery replay (double-apply) records the new run already
+		// holds.
+		oldFlushedSeq := s.flushedWALSeq
 		for _, name := range frozenWALs {
-			_ = s.fs.Remove(name)
+			if seq, ok := frozenWALSeq(name); ok && seq >= s.flushedWALSeq {
+				s.flushedWALSeq = seq + 1
+			}
 		}
-	})
-	s.listener.OnWALRotated()
-	s.frozen = nil
-	s.flushes.Add(1)
-	s.bytesFlushed.Add(uint64(newRun.bytes))
-	s.refreshLevelBytesLocked()
-	s.listener.OnVersionInstalled(info)
-	s.flushDone.Broadcast()
-	s.mu.Unlock()
-
-	frozen.Release()
-	s.listener.OnVersionCommitted(info)
-	s.installMu.Unlock()
-	if rec != nil {
-		rec.CompactInstall.ObserveSince(phaseStart)
+		return func() { s.levels[1], s.flushedWALSeq = oldL1, oldFlushedSeq }
 	}
-	s.releaseRunRefs(inputs, 2) // retired version reference + job pin
+	p.installed = func(newRun *run) {
+		// The flushed records are durably in the new run: delete the frozen
+		// logs that carried them (Job.Installed then swaps the enclave's WAL
+		// digest to the active log's chain).
+		s.frozenWALs = s.frozenWALs[len(frozenWALs):]
+		s.ocall(func() {
+			for _, name := range frozenWALs {
+				_ = s.fs.Remove(name)
+			}
+		})
+		s.frozen = nil
+		s.flushes.Add(1)
+		s.bytesFlushed.Add(uint64(newRun.bytes))
+		s.flushDone.Broadcast()
+		frozen.Release()
+	}
+	if err := s.runPlan(p); err != nil {
+		return err
+	}
 	s.scheduleOverflowCompactions()
 	return nil
 }
@@ -195,17 +244,12 @@ func (s *Store) Compact(lvl int) error {
 }
 
 // compactLevel merges all runs of lvl and lvl+1 into a single new run at
-// lvl+1 using the three-phase protocol. Runs on the maintenance worker.
+// lvl+1. Runs on the maintenance worker.
 func (s *Store) compactLevel(lvl int, background bool) error {
 	if lvl < 1 || lvl >= s.opts.MaxLevels {
 		return fmt.Errorf("lsm: compact: level %d out of range [1,%d)", lvl, s.opts.MaxLevels)
 	}
-	// Phase 1: snapshot and pin the input runs.
-	rec := s.opts.Obs
-	var phaseStart time.Time
-	if rec != nil {
-		phaseStart = time.Now()
-	}
+	phaseStart := time.Now()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -228,77 +272,26 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 		s.mu.Unlock()
 		return nil
 	}
-	outputRunID := s.nextRunID
-	s.nextRunID++
-	info := CompactionInfo{
-		OutputRun:   outputRunID,
-		OutputLevel: lvl + 1,
-		BottomMost:  s.deepestDataLevelLocked() <= lvl+1,
-	}
-	for _, r := range inputs {
-		info.InputRuns = append(info.InputRuns, r.id)
-		s.retainRunLocked(r)
-	}
+	info := CompactionInfo{OutputLevel: lvl + 1, BottomMost: s.deepestDataLevelLocked() <= lvl+1}
+	p := s.planLocked(info, inputs)
 	s.mu.Unlock()
-	if rec != nil {
-		rec.CompactSnapshot.ObserveSince(phaseStart)
-		phaseStart = time.Now()
-	}
+	p.timed(s.opts.Obs, phaseStart)
 
-	// Phase 2: merge, build and hash — lock-free.
-	var sources []mergeSource
-	for _, r := range inputs {
-		sources = append(sources, mergeSource{runID: r.id, iter: newRunIter(r)})
+	p.swap = func(newRun *run) func() {
+		oldUpper, oldLower := s.levels[lvl], s.levels[lvl+1]
+		s.levels[lvl], s.levels[lvl+1] = nil, []*run{newRun}
+		return func() { s.levels[lvl], s.levels[lvl+1] = oldUpper, oldLower }
 	}
-	newRun, err := s.runCompaction(info, sources, inputs)
-	if err != nil {
-		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
+	p.installed = func(newRun *run) {
+		s.compactions.Add(1)
+		s.bytesCompacted.Add(uint64(newRun.bytes))
+		if background {
+			s.backgroundCompactions.Add(1)
+		}
+	}
+	if err := s.runPlan(p); err != nil {
 		return err
 	}
-	if rec != nil {
-		rec.CompactMerge.ObserveSince(phaseStart)
-		phaseStart = time.Now()
-	}
-
-	// Phase 3: verify and install. installMu serializes the
-	// End→install→Committed window across concurrent jobs.
-	s.installMu.Lock()
-	if err := s.listener.OnCompactionEnd(info); err != nil {
-		s.listener.OnCompactionAbort(info)
-		s.installMu.Unlock()
-		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
-		s.removeFiles(newRun.fileNums())
-		return fmt.Errorf("%w: %w", ErrAborted, err)
-	}
-	s.mu.Lock()
-	oldUpper, oldLower := s.levels[lvl], s.levels[lvl+1]
-	s.levels[lvl] = nil
-	s.levels[lvl+1] = []*run{newRun}
-	if err := s.persistManifestLocked(); err != nil {
-		s.levels[lvl], s.levels[lvl+1] = oldUpper, oldLower
-		s.mu.Unlock()
-		s.listener.OnCompactionAbort(info)
-		s.installMu.Unlock()
-		s.releaseRunRefs(inputs, 1) // job pins only: the version still owns them
-		s.removeFiles(newRun.fileNums())
-		return err
-	}
-	s.retireRunsLocked(inputs)
-	s.compactions.Add(1)
-	s.bytesCompacted.Add(uint64(newRun.bytes))
-	if background {
-		s.backgroundCompactions.Add(1)
-	}
-	s.refreshLevelBytesLocked()
-	s.listener.OnVersionInstalled(info)
-	s.mu.Unlock()
-
-	s.listener.OnVersionCommitted(info)
-	s.installMu.Unlock()
-	if rec != nil {
-		rec.CompactInstall.ObserveSince(phaseStart)
-	}
-	s.releaseRunRefs(inputs, 2) // retired version reference + job pin
 	s.scheduleOverflowCompactions()
 	return nil
 }
@@ -351,15 +344,14 @@ func (l *recordList) add(rec record.Record) {
 }
 
 // runCompaction executes the merge: every input record is copied once into
-// the job's arena and streamed through the listener's Filter hook, the
-// version/tombstone retention policy decides what stays, and the kept
-// records are split into table files built by a bounded flusher pool, each
-// with a proof appender from the listener so the authentication layer
-// embeds proofs as the blocks are framed. Runs entirely without the engine
-// lock: its inputs are immutable (a frozen memtable and pinned runs). The
-// caller verifies via OnCompactionEnd under installMu before installing; on
-// any error returned here, OnCompactionAbort has already been fired.
-func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs []*run) (*run, error) {
+// the job's arena and streamed through job.Filter, the version/tombstone
+// retention policy decides what stays, and the kept records are split into
+// table files built by a bounded flusher pool, each with a proof appender
+// from the job so the authentication layer embeds proofs as the blocks are
+// framed. Runs entirely without the engine lock: its inputs are immutable (a
+// frozen memtable and pinned runs). On error it leaves no output file
+// behind; aborting the job is the caller's.
+func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSource, inputs []*run) (*run, error) {
 	// Step m1: bulk-load input files into untrusted memory for streaming.
 	var pinnedFiles []uint64
 	for _, r := range inputs {
@@ -367,12 +359,6 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 	}
 	s.pinViews(pinnedFiles)
 	defer s.unpinViews(pinnedFiles)
-
-	s.listener.OnCompactionBegin(info)
-	abort := func(err error) (*run, error) {
-		s.listener.OnCompactionAbort(info)
-		return nil, err
-	}
 
 	m := newMergeIter(sources)
 	defer m.Close()
@@ -425,7 +411,7 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 				nKept++
 			}
 		}
-		s.listener.Filter(info, src, rec, drop)
+		job.Filter(src, rec, drop)
 		if drop {
 			s.recordsDropped.Add(1)
 		} else {
@@ -439,9 +425,9 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 	// key, value and the proof it is about to get, whose size is known now
 	// that the stream (and with it the output tree's shape) is complete —
 	// so TableFileSize bounds a flush's files and a compaction's alike.
-	sizer, err := s.listener.NewProofAppender(info)
+	sizer, err := job.NewProofAppender()
 	if err != nil {
-		return abort(err)
+		return nil, err
 	}
 	var (
 		fileRecs recordList // one file's records, as sub-slices of kept's chunks
@@ -455,7 +441,7 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 			if sizer != nil {
 				n, err := sizer.ProofLen(rec)
 				if err != nil {
-					return abort(err)
+					return nil, err
 				}
 				curBytes += n
 			}
@@ -484,8 +470,8 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 	proofs := make([]sstable.ProofAppender, len(files))
 	for i := range files {
 		fileNums[i] = s.nextFileNum.Add(1) - 1
-		if proofs[i], err = s.listener.NewProofAppender(info); err != nil {
-			return abort(err)
+		if proofs[i], err = job.NewProofAppender(); err != nil {
+			return nil, err
 		}
 	}
 	if len(files) <= 1 {
@@ -520,7 +506,7 @@ func (s *Store) runCompaction(info CompactionInfo, sources []mergeSource, inputs
 				}
 			}
 			s.removeFiles(written)
-			return abort(err)
+			return nil, err
 		}
 	}
 	for _, th := range handles {
@@ -632,7 +618,7 @@ func (s *Store) removeFiles(fileNums []uint64) {
 // BulkLoad populates an empty store with pre-sorted records, placing them
 // directly in the deepest level that fits. This mirrors YCSB's load phase
 // at scale without paying per-record write amplification; the records
-// stream through the same listener events as a compaction (with
+// stream through a listener Job like a compaction's (with
 // CompactionInfo.BulkLoad set), so the output is fully authenticated. It
 // routes through the maintenance worker, serializing with any background
 // flush/compaction.
@@ -655,7 +641,9 @@ func (s *Store) BulkLoad(recs []record.Record) error {
 }
 
 // bulkLoadJob is the worker-side bulk load (caller holds commitMu, so no
-// commits interleave with the empty-store check).
+// commits interleave with the empty-store check). A bulk load is a version
+// transition like any other: it installs through the driver, serialized
+// with concurrent background installs.
 func (s *Store) bulkLoadJob(recs []record.Record, total int64, maxTs uint64) error {
 	s.mu.Lock()
 	if s.closed {
@@ -670,60 +658,31 @@ func (s *Store) bulkLoadJob(recs []record.Record, total int64, maxTs uint64) err
 	for lvl < s.opts.MaxLevels && s.opts.levelTarget(lvl) < total {
 		lvl++
 	}
-	outputRunID := s.nextRunID
-	s.nextRunID++
-	info := CompactionInfo{
-		OutputRun:   outputRunID,
-		OutputLevel: lvl,
-		BottomMost:  true,
-		BulkLoad:    true,
-	}
+	p := s.planLocked(CompactionInfo{OutputLevel: lvl, BottomMost: true, BulkLoad: true}, nil)
+	// The loaded timestamps are spent from here on, BEFORE Job.Verify stages
+	// the transition seal: that seal's timestamp floor is what recovery
+	// adopts if a crash lands between the manifest rename and the next seal,
+	// and the only other floor is the manifest's, which is plain untrusted
+	// JSON. Nothing can observe the early raise (the job is exclusive, the
+	// store is empty and commitMu is held); a failed install leaves only a
+	// harmless gap.
+	s.EnsureTs(maxTs)
 	s.mu.Unlock()
 
-	sources := []mergeSource{{runID: MemtableRunID, iter: newSliceIter(recs)}}
-	newRun, err := s.runCompaction(info, sources, nil)
-	if err != nil {
-		return err
+	p.mem = newSliceIter(recs)
+	p.swap = func(newRun *run) func() {
+		// Place the run by its ACTUAL size: the listener may have inflated
+		// records (embedded proofs are several times the record size), and a
+		// run installed over its level target would trigger a pathological
+		// full-run merge on the very next flush.
+		for lvl < s.opts.MaxLevels && s.opts.levelTarget(lvl) < newRun.bytes {
+			lvl++
+		}
+		s.levels[lvl] = []*run{newRun}
+		return func() { s.levels[lvl] = nil }
 	}
-
-	// Verify and install under installMu: bulk load is a version transition
-	// like any other, so it serializes with concurrent background installs.
-	s.installMu.Lock()
-	if err := s.listener.OnCompactionEnd(info); err != nil {
-		s.listener.OnCompactionAbort(info)
-		s.installMu.Unlock()
-		s.removeFiles(newRun.fileNums())
-		return fmt.Errorf("%w: %w", ErrAborted, err)
-	}
-	s.mu.Lock()
-	// Place the run by its ACTUAL size: the listener may have inflated
-	// records (embedded proofs are several times the record size), and a
-	// run installed over its level target would trigger a pathological
-	// full-run merge on the very next flush.
-	for lvl < s.opts.MaxLevels && s.opts.levelTarget(lvl) < newRun.bytes {
-		lvl++
-	}
-	s.levels[lvl] = []*run{newRun}
-	if maxTs > s.lastTs.Load() {
-		s.lastTs.Store(maxTs)
-	}
-	if maxTs > s.appliedTs.Load() {
-		s.appliedTs.Store(maxTs)
-	}
-	if err := s.persistManifestLocked(); err != nil {
-		s.levels[lvl] = nil
-		s.mu.Unlock()
-		s.listener.OnCompactionAbort(info)
-		s.installMu.Unlock()
-		s.removeFiles(newRun.fileNums())
-		return err
-	}
-	s.refreshLevelBytesLocked()
-	s.listener.OnVersionInstalled(info)
-	s.mu.Unlock()
-	s.listener.OnVersionCommitted(info)
-	s.installMu.Unlock()
-	return nil
+	p.installed = func(*run) {}
+	return s.runPlan(p)
 }
 
 // sliceIter iterates a pre-sorted record slice.

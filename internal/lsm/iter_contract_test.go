@@ -20,17 +20,26 @@ type scribbleListener struct {
 	filtered int
 }
 
-func (l *scribbleListener) Filter(_ CompactionInfo, _ uint64, rec record.Record, _ bool) {
+// scribbleJob is every job of a scribbleListener: the test runs them one at
+// a time.
+type scribbleJob struct {
+	NopJob
+	l *scribbleListener
+}
+
+func (l *scribbleListener) BeginJob(CompactionInfo) Job { return scribbleJob{l: l} }
+
+func (j scribbleJob) Filter(_ uint64, rec record.Record, _ bool) {
 	if len(rec.Proof) != 0 {
 		panic("compaction passed a stale proof to Filter")
 	}
-	l.filtered++
+	j.l.filtered++
 }
 
-func (l *scribbleListener) NewProofAppender(CompactionInfo) (sstable.ProofAppender, error) {
-	if l.scribble != nil {
-		l.scribble()
-		l.scribble = nil
+func (j scribbleJob) NewProofAppender() (sstable.ProofAppender, error) {
+	if j.l.scribble != nil {
+		j.l.scribble()
+		j.l.scribble = nil
 	}
 	return nil, nil
 }

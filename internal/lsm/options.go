@@ -9,8 +9,10 @@
 // The engine knows nothing about Merkle trees. The eLSM authentication
 // layer (internal/core) attaches purely through the EventListener callback
 // surface — the Go rendering of RocksDB's EventListener/CompactionFilter
-// hooks — which is the paper's headline "middleware without engine code
-// change" claim (§5.5.3).
+// hooks, with Figure 4's per-compaction callbacks (Filter(),
+// OnTableFileCreated(), the input-root check before install) gathered on
+// the Job handle BeginJob returns — which is the paper's headline
+// "middleware without engine code change" claim (§5.5.3).
 package lsm
 
 import (
@@ -191,8 +193,8 @@ func (o Options) levelTarget(i int) int64 {
 	return t
 }
 
-// MemtableRunID is the pseudo run ID used in Filter events for records
-// streaming out of the (trusted, in-enclave) memtable.
+// MemtableRunID is the pseudo run ID Job.Filter gets for records streaming
+// out of the (trusted, in-enclave) memtable.
 const MemtableRunID uint64 = 0
 
 // CompactionInfo describes one compaction (or flush, or bulk load) to the
@@ -217,31 +219,11 @@ type CompactionInfo struct {
 // EventListener is the callback surface through which the eLSM
 // authentication layer attaches to the engine, mirroring RocksDB's
 // EventListener + CompactionFilter APIs (§5.5.3). Commit-path hooks
-// (OnWALAppend, OnGroupCommit, OnMemtableFrozen) fire on committing
-// goroutines. Compaction hooks fire on maintenance-job goroutines, of
-// which SEVERAL may run concurrently (Options.CompactionWorkers): each job
-// gets its own OnCompactionBegin..OnVersionCommitted/OnCompactionAbort
-// lifecycle, distinguished by CompactionInfo.OutputRun (unique per job), so
-// implementations must key any per-compaction staging state by it.
-// Concurrency guarantees the engine provides:
-//
-//   - every hook of one job fires on that job's own goroutine, in order:
-//     OnCompactionBegin, Filter once per record (merge order), then
-//     NewProofAppender once the merge stream has ended — one call to size
-//     the output files and one per file;
-//   - the appenders NewProofAppender returned are then USED concurrently,
-//     one per file builder goroutine (the pipelined output build), until
-//     the last file is written — always before OnCompactionEnd or
-//     OnCompactionAbort. An appender is touched by one goroutine only;
-//     whatever the appenders of one job share must be read-only by then;
-//   - OnCompactionEnd → OnVersionInstalled → OnVersionCommitted run under
-//     the engine's install lock, so across ALL jobs at most one install
-//     sequence is in flight at a time ("one version install in flight");
-//   - every job that fired OnCompactionBegin fires exactly one of
-//     OnVersionCommitted (success) or OnCompactionAbort (failure at any
-//     later point, including a failed install).
-//
-// State shared between the commit-path and compaction groups (e.g. a WAL
+// (OnWALAppend, the OnGroup* trio, OnMemtableFrozen) fire on committing
+// goroutines. BeginJob fires on a maintenance-job goroutine, of which
+// SEVERAL may run concurrently (Options.CompactionWorkers); everything else
+// a flush, compaction or bulk load tells the listener goes through the Job
+// it returns. State shared between the commit path and the jobs (e.g. a WAL
 // digest chain) must be internally thread-safe. Implementations must not
 // call back into the Store.
 type EventListener interface {
@@ -278,48 +260,65 @@ type EventListener interface {
 	// now on belong to the NEXT flush generation, so the authentication
 	// layer starts a fresh digest chain for them alongside the full one.
 	OnMemtableFrozen()
-	// OnWALRotated fires at flush install, after the frozen logs carrying
-	// the flushed records are deleted: the live WAL is now only the active
-	// log, and the trusted digest chain restarts from the freeze point.
-	OnWALRotated()
-	// OnCompactionBegin fires before the merge starts.
-	OnCompactionBegin(info CompactionInfo)
-	// Filter fires for every input record in merge output order, tagged
-	// with its source run (MemtableRunID for memtable records) and
-	// whether the engine is dropping it (tombstone elimination or version
-	// GC). Mirrors RocksDB's CompactionFilter ("Filter()" in Figure 4).
+	// BeginJob fires before a maintenance job's merge starts and returns
+	// the handle the engine drives the job through. It must not disturb
+	// another job's install: a concurrent job may be inside its window.
+	BeginJob(info CompactionInfo) Job
+}
+
+// Job is the listener's handle on ONE maintenance job — a flush, a level
+// compaction or a bulk load, described by the CompactionInfo BeginJob got.
+// It is Figure 4 of the paper as an object: Filter is "Filter()",
+// NewProofAppender does the work of "OnTableFileCreated()", Verify is the
+// input-root check before install (§5.5.2), and Installed/Committed are the
+// digest swap and the counter-bound seal around the version install that
+// §5.6.1's rollback defence stands on. Every method runs on the job's own
+// goroutine, in the order listed; only the appenders NewProofAppender
+// returns are used elsewhere. Exactly one of Committed (success) or Abort
+// (failure at any point after BeginJob) ends a job.
+type Job interface {
+	// Filter is called for every input record in merge output order, tagged
+	// with its source run (MemtableRunID for memtable records) and whether
+	// the engine is dropping it (tombstone elimination or version GC).
 	// rec.Key and rec.Value are the engine's own copy of the record, taken
 	// out of the untrusted input before anything looked at it: a kept
 	// record is written from these very bytes, so what a listener digests
 	// here is what lands in the output. The slices are valid only during
 	// the call unless the record is kept; rec.Proof is always empty.
-	Filter(info CompactionInfo, srcRun uint64, rec record.Record, dropped bool)
-	// NewProofAppender fires after the merge, once to size the output files
-	// and once per file: the returned appender writes the proof of each
-	// record it is given straight into the SSTable block being built (the
-	// work of "OnTableFileCreated()" in Figure 4). Records reach an
-	// appender in merge order. Nil means the records carry no proofs.
-	NewProofAppender(info CompactionInfo) (sstable.ProofAppender, error)
-	// OnCompactionEnd fires after all output files are staged but before
-	// the new version is installed; returning an error aborts the
-	// compaction (the authenticated-compaction input check, §5.5.2).
-	OnCompactionEnd(info CompactionInfo) error
-	// OnVersionInstalled fires under the engine lock, immediately after
-	// the new version is durably installed; the listener swaps in its
-	// staged digests here (fast, in-memory — readers resume as soon as the
-	// lock drops).
-	OnVersionInstalled(info CompactionInfo)
-	// OnVersionCommitted fires after OnVersionInstalled, WITHOUT the
-	// engine lock: the listener performs its slow durability work here
-	// (counter bump, state seal and write) off the read/write paths.
-	OnVersionCommitted(info CompactionInfo)
-	// OnCompactionAbort fires when a job that fired OnCompactionBegin
-	// fails before OnVersionInstalled (merge error, OnCompactionEnd
-	// rejection, manifest write failure): the listener must discard the
+	Filter(srcRun uint64, rec record.Record, dropped bool)
+	// NewProofAppender is called once the merge stream has ended, once to
+	// size the output files and once per file: the returned appender writes
+	// the proof of each record it is given straight into the SSTable block
+	// being built. Records reach an appender in merge order. The appenders
+	// are then USED concurrently, one per file-builder goroutine and each by
+	// that goroutine only, until the last file is written — always before
+	// Verify or Abort; whatever the appenders of one job share must be
+	// read-only by then. Nil means the records carry no proofs.
+	NewProofAppender() (sstable.ProofAppender, error)
+	// Verify is called after all output files are written, under the
+	// engine's install lock: from here to Committed/Abort at most one job
+	// across the whole store is in flight ("one version install in
+	// flight"). An error aborts the job and the engine discards its output.
+	// The listener may stage a transition seal here — it is written before
+	// the manifest makes the install durable.
+	Verify() error
+	// Installed is called UNDER THE ENGINE LOCK, immediately after the
+	// manifest naming the new version is durable and, for a flush
+	// (MemtableInput), the frozen logs that carried the flushed records are
+	// deleted — the live WAL is now the active log alone. The listener swaps
+	// in its staged digests (and rebases its WAL chain) here: fast and
+	// in-memory, readers resume as soon as the lock drops.
+	Installed()
+	// Committed is called after Installed WITHOUT the engine lock, still
+	// under the install lock: the listener's slow durability work (counter
+	// bump, state seal and write) happens here, off the read/write paths.
+	Committed()
+	// Abort is called when the job fails before Installed (merge error,
+	// Verify rejection, manifest write failure): the listener discards the
 	// job's staging state, including any transition seal it staged — the
 	// output files are being removed, so a recovered directory can never
 	// match the staged state.
-	OnCompactionAbort(info CompactionInfo)
+	Abort()
 }
 
 // NopListener ignores all events.
@@ -342,26 +341,28 @@ func (NopListener) OnGroupAbandoned() {}
 // OnMemtableFrozen implements EventListener.
 func (NopListener) OnMemtableFrozen() {}
 
-// OnWALRotated implements EventListener.
-func (NopListener) OnWALRotated() {}
+// BeginJob implements EventListener.
+func (NopListener) BeginJob(CompactionInfo) Job { return NopJob{} }
 
-// OnCompactionBegin implements EventListener.
-func (NopListener) OnCompactionBegin(CompactionInfo) {}
+// NopJob is a Job that does nothing and rejects nothing.
+type NopJob struct{}
 
-// Filter implements EventListener.
-func (NopListener) Filter(CompactionInfo, uint64, record.Record, bool) {}
+var _ Job = NopJob{}
 
-// NewProofAppender implements EventListener.
-func (NopListener) NewProofAppender(CompactionInfo) (sstable.ProofAppender, error) { return nil, nil }
+// Filter implements Job.
+func (NopJob) Filter(uint64, record.Record, bool) {}
 
-// OnCompactionEnd implements EventListener.
-func (NopListener) OnCompactionEnd(CompactionInfo) error { return nil }
+// NewProofAppender implements Job.
+func (NopJob) NewProofAppender() (sstable.ProofAppender, error) { return nil, nil }
 
-// OnVersionInstalled implements EventListener.
-func (NopListener) OnVersionInstalled(CompactionInfo) {}
+// Verify implements Job.
+func (NopJob) Verify() error { return nil }
 
-// OnVersionCommitted implements EventListener.
-func (NopListener) OnVersionCommitted(CompactionInfo) {}
+// Installed implements Job.
+func (NopJob) Installed() {}
 
-// OnCompactionAbort implements EventListener.
-func (NopListener) OnCompactionAbort(CompactionInfo) {}
+// Committed implements Job.
+func (NopJob) Committed() {}
+
+// Abort implements Job.
+func (NopJob) Abort() {}

@@ -14,13 +14,12 @@ import (
 
 // trackListener checks the scheduler's two concurrency invariants from the
 // listener's vantage point: jobs whose level claims overlap never run
-// concurrently, and the OnCompactionEnd → OnVersionCommitted install window
-// is single-slot across all jobs.
+// concurrently, and the Verify → Committed install window is single-slot
+// across all jobs.
 type trackListener struct {
 	NopListener
 	mu           sync.Mutex
-	active       map[uint64][2]int // OutputRun → claimed [lo, hi] level pair
-	staged       map[uint64]bool   // OutputRun → inside the install window
+	active       map[*trackJob]struct{} // jobs begun and not yet ended
 	installDepth int
 	maxInstall   int
 	maxActive    int
@@ -28,11 +27,17 @@ type trackListener struct {
 	aborts       int
 }
 
+// trackJob is one job as trackListener sees it.
+type trackJob struct {
+	NopJob
+	l      *trackListener
+	run    uint64
+	pair   [2]int // claimed [lo, hi] level pair
+	staged bool   // inside the install window
+}
+
 func newTrackListener() *trackListener {
-	return &trackListener{
-		active: make(map[uint64][2]int),
-		staged: make(map[uint64]bool),
-	}
+	return &trackListener{active: make(map[*trackJob]struct{})}
 }
 
 // claimPair mirrors jobClaims: a flush owns {memtable, L1}, a compaction of
@@ -44,56 +49,58 @@ func claimPair(info CompactionInfo) [2]int {
 	return [2]int{info.OutputLevel - 1, info.OutputLevel}
 }
 
-func (l *trackListener) OnCompactionBegin(info CompactionInfo) {
+func (l *trackListener) BeginJob(info CompactionInfo) Job {
 	if info.BulkLoad {
-		return // exclusive job, runs with the queue fenced
+		return NopJob{} // exclusive job, runs with the queue fenced
 	}
-	p := claimPair(info)
+	j := &trackJob{l: l, run: info.OutputRun, pair: claimPair(info)}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for run, q := range l.active {
-		if p[0] <= q[1] && q[0] <= p[1] {
+	for other := range l.active {
+		if j.pair[0] <= other.pair[1] && other.pair[0] <= j.pair[1] {
 			l.overlaps = append(l.overlaps,
 				fmt.Sprintf("job %d (levels %v) ran concurrently with job %d (levels %v)",
-					info.OutputRun, p, run, q))
+					j.run, j.pair, other.run, other.pair))
 		}
 	}
-	l.active[info.OutputRun] = p
+	l.active[j] = struct{}{}
 	if n := len(l.active); n > l.maxActive {
 		l.maxActive = n
 	}
+	return j
 }
 
-func (l *trackListener) OnCompactionEnd(info CompactionInfo) error {
+func (j *trackJob) Verify() error {
+	l := j.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.installDepth++
 	if l.installDepth > l.maxInstall {
 		l.maxInstall = l.installDepth
 	}
-	l.staged[info.OutputRun] = true
+	j.staged = true
 	return nil
 }
 
-func (l *trackListener) finishLocked(run uint64) {
-	if l.staged[run] {
-		l.installDepth--
-		delete(l.staged, run)
+func (j *trackJob) finishLocked() {
+	if j.staged {
+		j.l.installDepth--
+		j.staged = false
 	}
-	delete(l.active, run)
+	delete(j.l.active, j)
 }
 
-func (l *trackListener) OnVersionCommitted(info CompactionInfo) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.finishLocked(info.OutputRun)
+func (j *trackJob) Committed() {
+	j.l.mu.Lock()
+	defer j.l.mu.Unlock()
+	j.finishLocked()
 }
 
-func (l *trackListener) OnCompactionAbort(info CompactionInfo) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.aborts++
-	l.finishLocked(info.OutputRun)
+func (j *trackJob) Abort() {
+	j.l.mu.Lock()
+	defer j.l.mu.Unlock()
+	j.l.aborts++
+	j.finishLocked()
 }
 
 // TestParallelJobsDisjointAndInstallsSerialized hammers a 4-worker store
@@ -343,12 +350,12 @@ type gateListener struct {
 	once    sync.Once
 }
 
-func (g *gateListener) OnCompactionBegin(info CompactionInfo) {
-	if info.MemtableInput {
-		return
+func (g *gateListener) BeginJob(info CompactionInfo) Job {
+	if !info.MemtableInput {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
 	}
-	g.once.Do(func() { close(g.entered) })
-	<-g.release
+	return NopJob{}
 }
 
 // TestStallAttributionCompactionBlocked is the regression test for the

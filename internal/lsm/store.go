@@ -195,12 +195,12 @@ type Store struct {
 	commitMu sync.Mutex // guards walW append/sync/rotate epochs
 
 	// installMu serializes phase 3 of maintenance jobs end to end — from
-	// the listener's OnCompactionEnd (which stages the transition seal)
-	// through the manifest write, OnVersionInstalled and
-	// OnVersionCommitted. With parallel phase-2 workers this is what keeps
-	// "one version install in flight": manifest writes never reorder, and
-	// the listener's single-slot staged seal is never clobbered by a
-	// concurrent job's install. Acquired BEFORE s.mu.
+	// the listener's Job.Verify (which stages the transition seal) through
+	// the manifest write, Job.Installed and Job.Committed (or Job.Abort).
+	// With parallel phase-2 workers this is what keeps "one version install
+	// in flight": manifest writes never reorder, and the listener's
+	// single-slot staged seal is never clobbered by a concurrent job's
+	// install. Acquired BEFORE s.mu.
 	installMu sync.Mutex
 
 	mu     sync.RWMutex    // guards mem, frozen, levels, bgErr
@@ -767,7 +767,7 @@ func (s *Store) VerifyWALPrefix(trusted hashutil.Hash) (int, error) {
 
 // EnsureTs raises the timestamp counter to at least minTs (recovery: the
 // sealed trusted state may record a later timestamp than the untrusted
-// manifest).
+// manifest; bulk load: the loaded records' timestamps are spent).
 func (s *Store) EnsureTs(minTs uint64) {
 	for {
 		cur := s.lastTs.Load()
