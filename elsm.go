@@ -630,6 +630,9 @@ func (s *Store) Scan(start, end []byte) ([]Result, error) { return s.ScanCtx(nil
 // ScanCtx is Scan with cancellation: a deadline or cancel mid-range stops
 // the underlying verified stream.
 func (s *Store) ScanCtx(ctx context.Context, start, end []byte) ([]Result, error) {
+	if s.enc == nil {
+		return core.ScanAll(s.base().IterAtCtx(ctx, start, end, record.MaxTs))
+	}
 	it := s.IterCtx(ctx, start, end)
 	var out []Result
 	for it.Next() {

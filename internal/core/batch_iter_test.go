@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
 )
@@ -206,45 +205,50 @@ func TestIteratorHistoricalMatchesScanAt(t *testing.T) {
 	}
 }
 
-// tamperCase mutates one per-run scan response the way a malicious host
-// would, via the scanTamper test hook.
+// tamperCase mutates what one run's cursor handed a scan chunk the way a
+// malicious host would, via the scanTamper test hook. The host serves the
+// proofs too: proofOf returns the embedded proof of any key of the run, for a
+// case that covers its tracks.
 type tamperCase struct {
 	name   string
-	mutate func(*lsm.RunScan) bool // returns true if it tampered
+	mutate func(sp *runSpan, proofOf func(key []byte) []byte) bool // returns true if it tampered
 }
 
 func tamperCases() []tamperCase {
 	return []tamperCase{
-		{"omit-interior-record", func(rs *lsm.RunScan) bool {
-			if len(rs.Records) < 8 {
+		{"omit-interior-record", func(sp *runSpan, _ func([]byte) []byte) bool {
+			if len(sp.rows) < 8 {
 				return false
 			}
-			rs.Records = append(append([]record.Record(nil), rs.Records[:3]...), rs.Records[4:]...)
+			sp.rows = append(append([]record.Record(nil), sp.rows[:3]...), sp.rows[4:]...)
 			return true
 		}},
-		{"reorder-records", func(rs *lsm.RunScan) bool {
-			if len(rs.Records) < 8 {
+		{"reorder-records", func(sp *runSpan, _ func([]byte) []byte) bool {
+			if len(sp.rows) < 8 {
 				return false
 			}
-			recs := append([]record.Record(nil), rs.Records...)
-			recs[2], recs[5] = recs[5], recs[2]
-			rs.Records = recs
+			rows := append([]record.Record(nil), sp.rows...)
+			rows[2], rows[5] = rows[5], rows[2]
+			sp.rows = rows
 			return true
 		}},
-		{"stale-substituted-value", func(rs *lsm.RunScan) bool {
-			if len(rs.Records) < 8 {
+		{"stale-substituted-value", func(sp *runSpan, _ func([]byte) []byte) bool {
+			if len(sp.rows) < 8 {
 				return false
 			}
-			recs := append([]record.Record(nil), rs.Records...)
-			recs[3].Value = []byte("stale-forgery")
-			rs.Records = recs
+			rows := append([]record.Record(nil), sp.rows...)
+			rows[3].Value = []byte("stale-forgery")
+			sp.rows = rows
 			return true
 		}},
-		{"drop-tail", func(rs *lsm.RunScan) bool {
-			if len(rs.Records) < 8 {
+		{"drop-tail", func(sp *runSpan, proofOf func([]byte) []byte) bool {
+			if len(sp.rows) < 8 {
 				return false
 			}
-			rs.Records = rs.Records[: len(rs.Records)-2 : len(rs.Records)-2]
+			// The span simply ends two keys early, under the proof of the
+			// key it now ends on: only the successor gives it away.
+			sp.rows = sp.rows[: len(sp.rows)-2 : len(sp.rows)-2]
+			sp.last = proofOf(sp.rows[len(sp.rows)-1].Key)
 			return true
 		}},
 	}
@@ -253,56 +257,73 @@ func tamperCases() []tamperCase {
 func TestAttackIteratorTamperMidStream(t *testing.T) {
 	// A malicious host altering one chunk of a streamed range read must
 	// stop the stream with ErrAuthFailed — in the streaming path AND in
-	// the materialized Scan that is rebased on it.
+	// the materialized Scan that is rebased on it, whether the verified-node
+	// cache is cold or an honest scan of the range has warmed it.
 	for _, tc := range tamperCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallCfg(nil)
-			cfg.IterChunkKeys = 32
-			s := mustOpenP2(t, cfg)
-			defer s.Close()
-			for i := 0; i < 300; i++ {
-				if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			for _, cache := range []string{"cold", "warm"} {
+				t.Run(cache, func(t *testing.T) {
+					cfg := smallCfg(nil)
+					cfg.IterChunkKeys = 32
+					s := mustOpenP2(t, cfg)
+					defer s.Close()
+					for i := 0; i < 300; i++ {
+						if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := s.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if cache == "warm" {
+						if out, err := s.Scan([]byte("key"), []byte("kez")); err != nil || len(out) != 300 {
+							t.Fatalf("honest scan: %d rows, %v", len(out), err)
+						}
+					}
+					proofOf := func(key []byte) []byte {
+						lk, err := lookupRun(s, s.Engine().Runs()[0].ID, key, record.MaxTs)
+						if err != nil || !lk.Found {
+							t.Errorf("no proof for %q: %v", key, err) // the hook may run on the prefetch goroutine
+						}
+						return lk.Rec.Proof
+					}
 
-			// Tamper with the SECOND chunk only: the stream must hand out
-			// verified results first, then stop with ErrAuthFailed.
-			chunk := 0
-			tampered := false
-			s.scanTamper = func(rs *lsm.RunScan) {
-				chunk++
-				if chunk >= 2 && !tampered {
-					tampered = tc.mutate(rs)
-				}
-			}
-			it := s.Iter([]byte("key"), []byte("kez"))
-			streamed := 0
-			for it.Next() {
-				streamed++
-			}
-			err := it.Close()
-			if !tampered {
-				t.Fatal("tamper hook never fired")
-			}
-			if !errors.Is(err, ErrAuthFailed) {
-				t.Fatalf("streaming tamper %s: err = %v, want ErrAuthFailed", tc.name, err)
-			}
-			if streamed == 0 || streamed >= 300 {
-				t.Fatalf("stream delivered %d rows before detection", streamed)
-			}
+					// Tamper with the SECOND chunk only: the stream must hand out
+					// verified results first, then stop with ErrAuthFailed.
+					chunk := 0
+					tampered := false
+					s.scanTamper = func(sp *runSpan) {
+						chunk++
+						if chunk >= 2 && !tampered {
+							tampered = tc.mutate(sp, proofOf)
+						}
+					}
+					it := s.Iter([]byte("key"), []byte("kez"))
+					streamed := 0
+					for it.Next() {
+						streamed++
+					}
+					err := it.Close()
+					if !tampered {
+						t.Fatal("tamper hook never fired")
+					}
+					if !errors.Is(err, ErrAuthFailed) {
+						t.Fatalf("streaming tamper %s: err = %v, want ErrAuthFailed", tc.name, err)
+					}
+					if streamed == 0 || streamed >= 300 {
+						t.Fatalf("stream delivered %d rows before detection", streamed)
+					}
 
-			// Materialized path: same detection, no partial results.
-			chunk, tampered = 0, false
-			out, err := s.Scan([]byte("key"), []byte("kez"))
-			if !errors.Is(err, ErrAuthFailed) {
-				t.Fatalf("materialized tamper %s: err = %v, want ErrAuthFailed", tc.name, err)
-			}
-			if out != nil {
-				t.Fatal("tampered scan returned partial results")
+					// Materialized path: same detection, no partial results.
+					chunk, tampered = 0, false
+					out, err := s.Scan([]byte("key"), []byte("kez"))
+					if !errors.Is(err, ErrAuthFailed) {
+						t.Fatalf("materialized tamper %s: err = %v, want ErrAuthFailed", tc.name, err)
+					}
+					if out != nil {
+						t.Fatal("tampered scan returned partial results")
+					}
+				})
 			}
 		})
 	}
@@ -325,22 +346,30 @@ func TestAttackIteratorOmittedKeyAcrossChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := []byte("key00100")
-	s.scanTamper = func(rs *lsm.RunScan) {
-		kept := rs.Records[:0:0]
-		for _, rec := range rs.Records {
+	omit := func(sp *runSpan) {
+		kept := sp.rows[:0:0]
+		for _, rec := range sp.rows {
 			if !bytes.Equal(rec.Key, target) {
 				kept = append(kept, rec)
 			}
 		}
-		rs.Records = kept
+		sp.rows = kept
 	}
-	it := s.Iter([]byte("key"), []byte("kez"))
-	for it.Next() {
-		if bytes.Equal(it.Result().Key, target) {
-			t.Fatal("omitted key emitted")
+	// Cold, then with the cache an honest scan of the range leaves behind.
+	for _, cache := range []string{"cold", "warm"} {
+		s.scanTamper = omit
+		it := s.Iter([]byte("key"), []byte("kez"))
+		for it.Next() {
+			if bytes.Equal(it.Result().Key, target) {
+				t.Fatalf("%s: omitted key emitted", cache)
+			}
 		}
-	}
-	if err := it.Close(); !errors.Is(err, ErrAuthFailed) {
-		t.Fatalf("key omission: err = %v, want ErrAuthFailed", err)
+		if err := it.Close(); !errors.Is(err, ErrAuthFailed) {
+			t.Fatalf("%s: key omission: err = %v, want ErrAuthFailed", cache, err)
+		}
+		s.scanTamper = nil
+		if out, err := s.Scan([]byte("key"), []byte("kez")); err != nil || len(out) != 200 {
+			t.Fatalf("honest scan: %d rows, %v", len(out), err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"elsm/internal/lsm"
+	"elsm/internal/merkle"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -56,6 +57,37 @@ func scanRun(s *Store, id uint64, start, end []byte) (lsm.RunScan, error) {
 		}
 	}
 	return lsm.RunScan{}, lsm.ErrUnknownRun
+}
+
+// spanOf is what scanChunk copies of a per-run range result the host
+// collected: the rows without their proofs, the proofs of the first and last
+// key, and the two brackets.
+func spanOf(rs lsm.RunScan) *runSpan {
+	sp := &runSpan{runID: rs.RunID, pred: rs.Pred, succ: rs.Succ}
+	for i, rec := range rs.Records {
+		if i == 0 {
+			sp.first = rec.Proof
+		}
+		if i == 0 || !bytes.Equal(rec.Key, rs.Records[i-1].Key) {
+			sp.last = rec.Proof
+		}
+		rec.Proof = nil
+		sp.rows = append(sp.rows, rec)
+	}
+	return sp
+}
+
+// scanVerdict verifies rs over [start, end] with no node cache and again
+// with warm, a verifier whose cache an honest scan of the range has filled.
+// A range result is accepted or rejected whatever the cache holds: the two
+// verdicts must agree, and the cold one is returned.
+func scanVerdict(t *testing.T, warm *verifier, start, end []byte, rs lsm.RunScan, d runDigest) error {
+	t.Helper()
+	cold := noCache.verifyRunScan(start, end, spanOf(rs), d, &spanScratch{})
+	if err := warm.verifyRunScan(start, end, spanOf(rs), d, &spanScratch{}); (err == nil) != (cold == nil) {
+		t.Fatalf("cold cache says %v, warm cache says %v", cold, err)
+	}
+	return cold
 }
 
 func TestPutGetVerified(t *testing.T) {
@@ -377,28 +409,32 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), rs, d); err != nil {
+	warm := &verifier{nodes: merkle.NewNodeCache()}
+	verify := func(rs lsm.RunScan) error {
+		return scanVerdict(t, warm, []byte("key0050"), []byte("key0070"), rs, d)
+	}
+	if err := verify(rs); err != nil {
 		t.Fatalf("honest scan rejected: %v", err)
 	}
 
 	// Omit an interior record.
 	dropMid := rs
 	dropMid.Records = append(append([]record.Record(nil), rs.Records[:10]...), rs.Records[11:]...)
-	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), dropMid, d); !errors.Is(err, ErrAuthFailed) {
+	if err := verify(dropMid); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("interior omission accepted: %v", err)
 	}
 
 	// Omit the first record (shift the range).
 	dropHead := rs
 	dropHead.Records = rs.Records[1:]
-	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), dropHead, d); !errors.Is(err, ErrAuthFailed) {
+	if err := verify(dropHead); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("head omission accepted: %v", err)
 	}
 
 	// Omit the tail.
 	dropTail := rs
 	dropTail.Records = rs.Records[:len(rs.Records)-1]
-	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), dropTail, d); !errors.Is(err, ErrAuthFailed) {
+	if err := verify(dropTail); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("tail omission accepted: %v", err)
 	}
 
@@ -406,14 +442,14 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	forge := rs
 	forge.Records = append([]record.Record(nil), rs.Records...)
 	forge.Records[5].Value = []byte("forged")
-	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), forge, d); !errors.Is(err, ErrAuthFailed) {
+	if err := verify(forge); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("forged scan value accepted: %v", err)
 	}
 
 	// Claim the whole range is empty.
 	empty := rs
 	empty.Records = nil
-	if err := noCache.verifyRunScan([]byte("key0050"), []byte("key0070"), empty, d); !errors.Is(err, ErrAuthFailed) {
+	if err := verify(empty); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("empty-range lie accepted: %v", err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"elsm/internal/lsm"
+	"elsm/internal/merkle"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -116,7 +118,11 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := noCache.verifyRunScan([]byte("key010"), []byte("key020"), rs, d); err != nil {
+	warm := &verifier{nodes: merkle.NewNodeCache()}
+	verify := func(rs lsm.RunScan) error {
+		return scanVerdict(t, warm, []byte("key010"), []byte("key020"), rs, d)
+	}
+	if err := verify(rs); err != nil {
 		t.Fatalf("honest multi-version scan rejected: %v", err)
 	}
 	// Count versions per key: we expect 2 per key.
@@ -143,7 +149,7 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 	if !dropped {
 		t.Fatal("setup: old version not found")
 	}
-	if err := noCache.verifyRunScan([]byte("key010"), []byte("key020"), tampered, d); !errors.Is(err, ErrAuthFailed) {
+	if err := verify(tampered); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("partial version chain accepted: %v", err)
 	}
 	// Drop the NEW version instead (freshness-relevant omission).
@@ -156,7 +162,7 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 		}
 		tampered.Records = append(tampered.Records, r)
 	}
-	if err := noCache.verifyRunScan([]byte("key010"), []byte("key020"), tampered, d); !errors.Is(err, ErrAuthFailed) {
+	if err := verify(tampered); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("scan omitting newest version accepted: %v", err)
 	}
 }

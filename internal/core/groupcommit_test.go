@@ -472,14 +472,14 @@ func TestTamperDetectionUnderConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := []byte("key00070")
-	s.scanTamper = func(rs *lsm.RunScan) {
-		kept := rs.Records[:0:0]
-		for _, rec := range rs.Records {
+	s.scanTamper = func(sp *runSpan) {
+		kept := sp.rows[:0:0]
+		for _, rec := range sp.rows {
 			if !bytes.Equal(rec.Key, target) {
 				kept = append(kept, rec)
 			}
 		}
-		rs.Records = kept
+		sp.rows = kept
 	}
 	verdicts := make(chan error, 4)
 	for r := 0; r < 4; r++ {

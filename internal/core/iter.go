@@ -207,17 +207,38 @@ func (it *sliceResultIter) Close() error {
 	return it.err
 }
 
-// scanAll drains an iterator into a materialized result slice — the
-// materialized Scan path, rebased on the streaming one.
-func scanAll(it Iterator) ([]Result, error) {
+// ScanAll drains an iterator into a materialized result slice and closes it
+// — the materialized Scan path, rebased on the streaming one. A chunked
+// stream is taken a chunk at a time, and a range that fits one chunk is
+// returned as that chunk, uncopied.
+func ScanAll(it Iterator) ([]Result, error) {
 	var out []Result
-	for it.Next() {
-		out = append(out, it.Result())
+	if ci, ok := it.(*chunkIter); ok {
+		out = ci.drain()
+	} else {
+		for it.Next() {
+			out = append(out, it.Result())
+		}
 	}
 	if err := it.Close(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// drain returns everything the stream has left, whole chunks at a time; a
+// stream that is one chunk long hands that chunk over as fetched.
+func (it *chunkIter) drain() []Result {
+	var out []Result
+	for it.Next() {
+		rest := it.buf[it.pos:]
+		it.pos = len(it.buf) - 1
+		if out == nil && it.done {
+			return rest
+		}
+		out = append(out, rest...)
+	}
+	return out
 }
 
 // errIter is an Iterator that failed before producing anything.

@@ -133,7 +133,7 @@ func (s *StoreP1) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (Result,
 
 // Scan implements KV, rebased on the streaming iterator.
 func (s *StoreP1) Scan(start, end []byte) ([]Result, error) {
-	return scanAll(s.IterAt(start, end, record.MaxTs))
+	return ScanAll(s.IterAt(start, end, record.MaxTs))
 }
 
 // IterAt implements KV: chunks stream through one ECall each, so large

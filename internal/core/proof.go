@@ -154,9 +154,8 @@ func (v proofView) reconstructLeaf(rec record.Record) hashutil.Hash {
 	return hashutil.LeafHash(rec.Key, h)
 }
 
-// DecodeProof materializes a serialized proof. Verified point reads do not
-// call it — they check proofs in place (proofView); it serves range
-// verification and benchmark/'s ledger.
+// DecodeProof materializes a serialized proof. Verified reads do not call it
+// — they check proofs in place (proofView); it serves benchmark/'s ledger.
 func DecodeProof(data []byte) (*EmbeddedProof, error) {
 	v, err := viewProof(data)
 	if err != nil {

@@ -292,9 +292,10 @@ type Store struct {
 	pendingSeal  *pendingState
 	sealStagedBy *compactionJob
 
-	// scanTamper, when non-nil, mutates each per-run scan response before
-	// verification — a test-only stand-in for a malicious untrusted host.
-	scanTamper func(*lsm.RunScan)
+	// scanTamper, when non-nil, mutates what each run's cursor handed a scan
+	// chunk before it is verified — a test-only stand-in for a malicious
+	// untrusted host.
+	scanTamper func(*runSpan)
 
 	// UnverifiedReplay counts WAL records recovered beyond the last
 	// sealed state (the rollback-window records of §5.6.1).
@@ -310,6 +311,9 @@ type Store struct {
 
 	// rec is the shard's observability recorder (nil = instrumentation off).
 	rec *obs.Recorder
+
+	// scanPool is the free list of scan-chunk scratch (see scanScratch).
+	scanPool chan *scanScratch
 }
 
 // VerifyStats aggregates proof-verification work, used by the early-stop
@@ -399,6 +403,10 @@ func Open(cfg Config) (*Store, error) {
 	if c.verify.nodes == nil {
 		c.verify.nodes = NewNodeCache(enclave)
 	}
+	// Like the node cache, the scan scratch is a fixed budget of protected
+	// memory charged once, for as long as the enclave lasts.
+	c.scanPool = make(chan *scanScratch, scanScratchSlots)
+	enclave.Alloc(scanScratchSlots * scanScratchBytes)
 	opts.Enclave = enclave
 	opts.Listener = &authListener{c: c}
 	if cfg.CacheSize > 0 {
@@ -824,7 +832,7 @@ func (c *Store) Scan(start, end []byte) ([]Result, error) {
 // rebased on the streaming verified iterator: the range is fetched and
 // verified chunk by chunk, then materialized for the caller.
 func (c *Store) ScanAt(start, end []byte, tsq uint64) ([]Result, error) {
-	return scanAll(c.IterAt(start, end, tsq))
+	return ScanAll(c.IterAt(start, end, tsq))
 }
 
 // Flush forces the memtable to disk through the authenticated flush path.

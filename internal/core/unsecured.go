@@ -77,7 +77,7 @@ func (s *Unsecured) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (Resul
 
 // Scan implements KV, rebased on the streaming iterator.
 func (s *Unsecured) Scan(start, end []byte) ([]Result, error) {
-	return scanAll(s.IterAt(start, end, record.MaxTs))
+	return ScanAll(s.IterAt(start, end, record.MaxTs))
 }
 
 // IterAt implements KV.

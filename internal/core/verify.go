@@ -46,8 +46,8 @@ var (
 type verifier struct {
 	nodes *merkle.NodeCache
 
-	nodeHits   atomic.Uint64 // witnesses whose walk ended at a cached node
-	nodeMisses atomic.Uint64 // witnesses walked to the trusted root
+	nodeHits   atomic.Uint64 // witnesses and scan spans whose walk ended at a cached node
+	nodeMisses atomic.Uint64 // those walked to the trusted root
 	nodeHashes atomic.Uint64 // interior node hashes computed
 }
 
@@ -60,16 +60,23 @@ func (v *verifier) verifyWitness(rec record.Record, d runDigest) (proofView, err
 		return p, fmt.Errorf("%w: %v", ErrForged, err)
 	}
 	walk, err := v.nodes.VerifyPath(p.reconstructLeaf(rec), int(p.leafIndex), d.NumLeaves, p.path, d.Root)
-	v.nodeHashes.Add(uint64(walk.Hashes))
+	v.countWalk(walk, err)
 	if err != nil {
 		return p, fmt.Errorf("%w: %v", ErrForged, err)
 	}
-	if walk.CacheHit {
+	return p, nil
+}
+
+// countWalk adds one path or range walk to the counters.
+func (v *verifier) countWalk(walk merkle.PathWalk, err error) {
+	v.nodeHashes.Add(uint64(walk.Hashes))
+	switch {
+	case err != nil:
+	case walk.CacheHit:
 		v.nodeHits.Add(1)
-	} else {
+	default:
 		v.nodeMisses.Add(1)
 	}
-	return p, nil
 }
 
 // verifyMembership is the per-run membership half of VRFY (§5.3): the
@@ -162,15 +169,61 @@ func (v *verifier) verifyNonMembership(key []byte, tsq uint64, lk lsm.RunLookup,
 	return nil
 }
 
+// runSpan is one run's share of a scan chunk as it crossed into the enclave:
+// every version of every key the run's cursor handed over, copied once, and
+// the at most four proofs that authenticate the span. Nothing in it aliases
+// untrusted memory.
+type runSpan struct {
+	runID uint64
+	// rows are the span's records in the order the cursor produced them. Key
+	// and Value alias the chunk's arena; Proof is unset — only the four
+	// proofs below are ever copied.
+	rows []record.Record
+	// first and last are the embedded proofs of the span's first and last
+	// key (of whichever version heads them in the run: leaf index and path
+	// are the key's). Unset when rows is empty.
+	first, last []byte
+	// pred is the record before the cursor's seek position and succ the one
+	// it stopped on, each with its proof; nil at the run's edges.
+	pred, succ *record.Record
+}
+
+// chainLink is one version's link of its key's hash chain. A key's versions
+// arrive newest first and the chain folds from the oldest, so they wait here.
+type chainLink struct {
+	ts     uint64
+	digest hashutil.Hash
+}
+
+// spanScratch is the memory verifyRunScan folds a span in, reused from run to
+// run and chunk to chunk: one leaf per key of the largest span seen and one
+// link per version of its longest chain.
+type spanScratch struct {
+	leaves []hashutil.Hash
+	chain  []chainLink
+}
+
+// foldChain hashes a key's version chain, links newest first, into its leaf.
+func foldChain(key []byte, chain []chainLink) hashutil.Hash {
+	inner := hashutil.Zero
+	for i := len(chain) - 1; i >= 0; i-- {
+		inner = hashutil.ChainLink(chain[i].ts, chain[i].digest, inner)
+	}
+	return hashutil.LeafHash(key, inner)
+}
+
 // verifyRunScan checks a per-run range result for integrity and
 // completeness (§5.4): the returned records must reconstruct a contiguous
 // span of leaves under the run root, and the bracketing witnesses must
-// prove no in-range leaf was withheld at either boundary.
-func (v *verifier) verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest) error {
-	if len(rs.Records) == 0 {
+// prove no in-range leaf was withheld at either boundary. One pass over the
+// rows range-checks them, orders them and folds every key's version chain —
+// all its in-run versions, those newer than the query time included — into
+// its leaf; the two boundary proofs then place the leaves in the tree.
+func (v *verifier) verifyRunScan(start, end []byte, sp *runSpan, d runDigest, sc *spanScratch) error {
+	if len(sp.rows) == 0 {
 		// Empty range result: same shape as non-membership, with the
 		// witnesses straddling the whole range.
-		lk := lsm.RunLookup{RunID: rs.RunID, Pred: rs.Pred, Succ: rs.Succ, EmptyRun: rs.EmptyRun}
+		lk := lsm.RunLookup{RunID: sp.runID, Pred: sp.pred, Succ: sp.succ}
 		if lk.Pred != nil && bytes.Compare(lk.Pred.Key, start) >= 0 {
 			return fmt.Errorf("%w: range predecessor inside range", ErrIncomplete)
 		}
@@ -183,72 +236,62 @@ func (v *verifier) verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest)
 		return v.verifyNonMembership(start, record.MaxTs, lk, d)
 	}
 
-	// Group in-range records into per-key version chains and rebuild the
-	// leaf hashes. Any missing or forged version breaks the chain.
-	var (
-		leaves  []hashutil.Hash
-		groups  [][]record.Record
-		current []record.Record
-	)
-	for i := range rs.Records {
-		rec := rs.Records[i]
+	// Rebuild the leaf hashes. Any missing or forged version breaks its
+	// key's chain.
+	leaves, chain := sc.leaves[:0], sc.chain[:0]
+	for i := range sp.rows {
+		rec := &sp.rows[i]
 		if bytes.Compare(rec.Key, start) < 0 || bytes.Compare(rec.Key, end) > 0 {
 			return fmt.Errorf("%w: record %q outside range", ErrForged, rec.Key)
 		}
-		if len(current) > 0 && !bytes.Equal(current[0].Key, rec.Key) {
-			groups = append(groups, current)
-			current = nil
-		}
-		if len(current) > 0 {
-			prev := current[len(current)-1]
-			if prev.Ts <= rec.Ts {
+		if i > 0 {
+			if prev := &sp.rows[i-1]; !bytes.Equal(prev.Key, rec.Key) {
+				leaves = append(leaves, foldChain(prev.Key, chain))
+				chain = chain[:0]
+			} else if prev.Ts <= rec.Ts {
 				return fmt.Errorf("%w: version order violated for %q", ErrForged, rec.Key)
 			}
 		}
-		current = append(current, rec)
+		chain = append(chain, chainLink{ts: rec.Ts, digest: rec.Digest()})
 	}
-	groups = append(groups, current)
-	for _, g := range groups {
-		inner := hashutil.Zero
-		for i := len(g) - 1; i >= 0; i-- {
-			inner = hashutil.ChainLink(g[i].Ts, g[i].Digest(), inner)
-		}
-		leaves = append(leaves, hashutil.LeafHash(g[0].Key, inner))
-	}
+	leaves = append(leaves, foldChain(sp.rows[len(sp.rows)-1].Key, chain))
+	sc.leaves, sc.chain = leaves, chain // keep what they grew to
 
-	// The range proof is assembled from the embedded proofs of the first
-	// and last records (§5.2): left-boundary siblings from the first
-	// record's path, right-boundary siblings from the last record's path.
-	firstProof, err := DecodeProof(groups[0][0].Proof)
+	// The range proof is the embedded proofs of the first and last keys
+	// (§5.2): left-boundary siblings from the first's path, right-boundary
+	// siblings from the last's.
+	first, err := viewProof(sp.first)
 	if err != nil {
 		return fmt.Errorf("%w: first record proof: %v", ErrForged, err)
 	}
-	lastGroup := groups[len(groups)-1]
-	lastProof, err := DecodeProof(lastGroup[0].Proof)
+	last, err := viewProof(sp.last)
 	if err != nil {
 		return fmt.Errorf("%w: last record proof: %v", ErrForged, err)
 	}
-	startIdx := int(firstProof.LeafIndex)
+	startIdx := int(first.leafIndex)
 	endIdx := startIdx + len(leaves) - 1
-	rp := &merkle.RangeProof{
-		Start: startIdx,
-		Left:  firstProof.LeftSiblings(),
-		Right: lastProof.RightSiblings(),
+	if endIdx > d.NumLeaves-1 {
+		return fmt.Errorf("%w: span exceeds digested key count", ErrForged)
 	}
-	if err := merkle.VerifyRange(leaves, d.NumLeaves, rp, d.Root); err != nil {
+	if int(last.leafIndex) != endIdx {
+		return fmt.Errorf("%w: last record proof is of leaf %d, span ends at %d", ErrForged, last.leafIndex, endIdx)
+	}
+	walk, err := v.nodes.VerifyRange(leaves, startIdx, d.NumLeaves, first.path, last.path, d.Root)
+	v.countWalk(walk, err)
+	if err != nil {
 		return fmt.Errorf("%w: range proof: %v", ErrForged, err)
 	}
 
 	// Boundary completeness: if leaves exist before/after the span, the
 	// host must present them and they must fall outside the query range.
 	if startIdx > 0 {
-		if rs.Pred == nil {
+		if sp.pred == nil {
 			return fmt.Errorf("%w: missing range predecessor (span starts at leaf %d)", ErrIncomplete, startIdx)
 		}
-		if bytes.Compare(rs.Pred.Key, start) >= 0 {
-			return fmt.Errorf("%w: predecessor %q inside range", ErrIncomplete, rs.Pred.Key)
+		if bytes.Compare(sp.pred.Key, start) >= 0 {
+			return fmt.Errorf("%w: predecessor %q inside range", ErrIncomplete, sp.pred.Key)
 		}
-		p, err := v.verifyWitness(*rs.Pred, d)
+		p, err := v.verifyWitness(*sp.pred, d)
 		if err != nil {
 			return err
 		}
@@ -257,21 +300,19 @@ func (v *verifier) verifyRunScan(start, end []byte, rs lsm.RunScan, d runDigest)
 		}
 	}
 	if endIdx < d.NumLeaves-1 {
-		if rs.Succ == nil {
+		if sp.succ == nil {
 			return fmt.Errorf("%w: missing range successor (span ends at leaf %d of %d)", ErrIncomplete, endIdx, d.NumLeaves)
 		}
-		if bytes.Compare(rs.Succ.Key, end) <= 0 {
-			return fmt.Errorf("%w: successor %q inside range", ErrIncomplete, rs.Succ.Key)
+		if bytes.Compare(sp.succ.Key, end) <= 0 {
+			return fmt.Errorf("%w: successor %q inside range", ErrIncomplete, sp.succ.Key)
 		}
-		p, err := v.verifyWitness(*rs.Succ, d)
+		p, err := v.verifyWitness(*sp.succ, d)
 		if err != nil {
 			return err
 		}
 		if int(p.leafIndex) != endIdx+1 {
 			return fmt.Errorf("%w: successor at leaf %d, span ends at %d", ErrIncomplete, p.leafIndex, endIdx)
 		}
-	} else if endIdx > d.NumLeaves-1 {
-		return fmt.Errorf("%w: span exceeds digested key count", ErrForged)
 	}
 	return nil
 }

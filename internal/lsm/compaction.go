@@ -361,7 +361,6 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 	defer s.unpinViews(pinnedFiles)
 
 	m := newMergeIter(sources)
-	defer m.Close()
 
 	// Step m2: merge with retention policy, streaming every input record
 	// through Filter (the authenticated compaction rebuilds input and
@@ -419,6 +418,11 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 			kept.add(rec)
 		}
 		m.Next()
+	}
+	// An input that stopped on a failed read is an I/O error, not a short
+	// run: report it before anyone compares roots over the truncated stream.
+	if err := m.Close(); err != nil {
+		return nil, err
 	}
 
 	// Split the output into files by the bytes each record will occupy —

@@ -2,66 +2,110 @@ package lsm
 
 import (
 	"elsm/internal/record"
+	"elsm/internal/sstable"
 )
 
-// concatIter chains the iterators of a run's tables (which are
-// non-overlapping and key-ordered) into one sorted stream.
-type concatIter struct {
-	tables []*tableHandle
-	idx    int
-	cur    record.Iterator
+// RunIter chains the iterators of a run's tables (which are
+// non-overlapping and key-ordered) into one sorted stream of views: the
+// untrusted side of a range read over the run, and a compaction's input.
+//
+// It opens nothing until it is used: SeekGE goes straight to the table and
+// block that hold the position, and a stream read from the top opens the
+// first table at its first Valid or Next. Moving forward it requests each
+// block once. The first error a table iterator reports ends the stream and
+// is what Close returns — a failed block read must never pass for the end
+// of the run, which a verifier would have to call an omission.
+type RunIter struct {
+	tables  []*tableHandle
+	idx     int          // table cur iterates; len(tables) when exhausted or failed
+	cur     sstable.Iter // valid whenever idx < len(tables), once started
+	started bool
+	err     error
 }
 
-var _ record.Iterator = (*concatIter)(nil)
+var _ record.Iterator = (*RunIter)(nil)
 
-func newRunIter(r *run) *concatIter {
-	it := &concatIter{tables: r.tables}
-	it.openTable(0)
-	return it
-}
+func newRunIter(r *run) *RunIter { return &RunIter{tables: r.tables} }
 
-func (it *concatIter) openTable(i int) {
-	it.idx = i
-	if i >= len(it.tables) {
-		it.cur = nil
-		return
-	}
-	ti := it.tables[i].table.Iter()
-	ti.SeekGE(nil, record.MaxTs) // position at first record
-	it.cur = ti
-}
-
-func (it *concatIter) Valid() bool { return it.cur != nil && it.cur.Valid() }
-
-func (it *concatIter) Next() {
-	if it.cur == nil {
-		return
-	}
-	it.cur.Next()
-	for it.cur != nil && !it.cur.Valid() {
-		it.openTable(it.idx + 1)
+// start positions an iterator nobody has sought at the run's first record.
+func (it *RunIter) start() {
+	if !it.started {
+		it.SeekGE(nil, record.MaxTs)
 	}
 }
 
-func (it *concatIter) Record() record.Record { return it.cur.Record() }
-
-func (it *concatIter) SeekGE(key []byte, ts uint64) {
-	ti := seekTable(it.tables, key, ts)
-	it.openTable(ti)
-	if it.cur != nil {
-		it.cur.SeekGE(key, ts)
-		for it.cur != nil && !it.cur.Valid() {
-			it.openTable(it.idx + 1)
+// settle moves on to the next table's first record while the current table
+// is spent, and ends the stream if it stopped on an error instead.
+func (it *RunIter) settle() {
+	for it.idx < len(it.tables) && !it.cur.Valid() {
+		if err := it.cur.Close(); err != nil {
+			it.fail(err)
+			return
+		}
+		if it.idx++; it.idx < len(it.tables) {
+			it.cur.Reset(it.tables[it.idx].table)
+			it.cur.SeekGE(nil, record.MaxTs)
 		}
 	}
 }
 
-func (it *concatIter) Close() error {
-	if it.cur != nil {
-		return it.cur.Close()
-	}
-	return nil
+func (it *RunIter) fail(err error) { it.err, it.idx = err, len(it.tables) }
+
+func (it *RunIter) Valid() bool {
+	it.start()
+	return it.idx < len(it.tables)
 }
+
+func (it *RunIter) Next() {
+	if it.Valid() {
+		it.cur.Next()
+		it.settle()
+	}
+}
+
+func (it *RunIter) Record() record.Record { return it.cur.Record() }
+
+func (it *RunIter) SeekGE(key []byte, ts uint64) {
+	it.started = true
+	if it.err != nil {
+		return
+	}
+	if it.idx = seekTable(it.tables, key, ts); it.idx < len(it.tables) {
+		it.cur.Reset(it.tables[it.idx].table)
+		it.cur.SeekGE(key, ts)
+		it.settle()
+	}
+}
+
+// SeekPrev returns the record before the position the last SeekGE found —
+// a range read's left-boundary witness — and whether there is one. Inside a
+// table it is sstable.Iter.SeekPrev's view; when the position opens a table,
+// or lies past the last one, it is (a copy of) the table before's last
+// record. Call it before the first Next.
+func (it *RunIter) SeekPrev() (prev record.Record, ok bool, err error) {
+	if it.err != nil {
+		return prev, false, it.err
+	}
+	if it.idx < len(it.tables) {
+		if prev, ok, err = it.cur.SeekPrev(); err != nil {
+			it.fail(err)
+		}
+		if ok || err != nil {
+			return prev, ok, err
+		}
+	}
+	if it.idx == 0 {
+		return prev, false, nil
+	}
+	if prev, err = it.tables[it.idx-1].table.Last(); err != nil {
+		it.fail(err)
+		return prev, false, err
+	}
+	return prev, true, nil
+}
+
+// Close reports the error that ended the stream, if one did.
+func (it *RunIter) Close() error { return it.err }
 
 // mergeSource tags an iterator with the run it drains (MemtableRunID for
 // the memtable).

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -176,4 +177,129 @@ func TestScanRunChunkKeepsItsOwnCopy(t *testing.T) {
 		check(rec, 100+i)
 	}
 	check(*rs.Succ, 250)
+}
+
+// bulkRun opens a store on fs holding one run of n single-version records
+// split over several small tables, no block cache in front of the files, and
+// returns it with a snapshot pinning the run.
+func bulkRun(t *testing.T, fs vfs.FS, n int) (*Store, *Snapshot, []record.Record) {
+	t.Helper()
+	opts := smallOpts(fs)
+	opts.DisableCompaction = true
+	s := mustOpen(t, opts)
+	recs := make([]record.Record, n)
+	for i := range recs {
+		recs[i] = record.Record{Key: []byte(fmt.Sprintf("key%05d", i)), Ts: uint64(i + 1), Kind: record.KindSet, Value: []byte(fmt.Sprintf("value%05d", i))}
+	}
+	if err := s.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.AcquireSnapshot()
+	if len(snap.runs) != 1 || len(snap.runs[0].tables) < 3 {
+		t.Fatalf("set-up: %d runs, want 1 of several tables", len(snap.runs))
+	}
+	return s, snap, recs
+}
+
+// TestRunIterIsLazyAndReadsBlocksOnce: creating a run iterator reads nothing;
+// a seek reads the one block that holds the position — not the run's first
+// block, not the table's first block, and not the seek block a second time to
+// start walking; the predecessor costs a read only when it lies in the block
+// (or table) before; and a walk over the whole run reads every block exactly
+// once. Block reads are counted as ReadAt calls on the table files.
+func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
+	ffs := vfs.NewFault(vfs.NewMem())
+	s, snap, recs := bulkRun(t, ffs, 600)
+	defer s.Close()
+	defer snap.Release()
+	reads := func() uint64 {
+		n := ffs.MatchingOps()
+		ffs.ArmFilter(vfs.OpReadAt, "*.sst")
+		return n
+	}
+	reads()
+	tables := snap.runs[0].tables
+	blocks := 0
+	for _, th := range tables {
+		blocks += th.meta.NumBlocks
+	}
+
+	it := newRunIter(snap.runs[0])
+	if n := reads(); n != 0 {
+		t.Fatalf("creating the iterator read %d blocks", n)
+	}
+	walked := 0
+	for ; it.Valid(); it.Next() {
+		if got := it.Record(); !bytes.Equal(got.Key, recs[walked].Key) || !bytes.Equal(got.Value, recs[walked].Value) {
+			t.Fatalf("record %d = %q", walked, got.Key)
+		}
+		walked++
+	}
+	if n := reads(); walked != len(recs) || it.Close() != nil || int(n) != blocks {
+		t.Fatalf("full walk: %d records, err %v, %d block reads for %d blocks", walked, it.Close(), n, blocks)
+	}
+
+	var cur RunIter
+	for i, rec := range recs {
+		if err := snap.SeekRun(0, &cur, rec.Key); err != nil {
+			t.Fatal(err)
+		}
+		if n := reads(); n != 1 || !cur.Valid() || !bytes.Equal(cur.Record().Key, rec.Key) {
+			t.Fatalf("seek to record %d read %d blocks", i, n)
+		}
+		prev, ok, err := cur.SeekPrev()
+		if n := reads(); err != nil || ok != (i > 0) || n > 1 || (ok && !bytes.Equal(prev.Key, recs[i-1].Key)) {
+			t.Fatalf("SeekPrev at record %d = %q, %v, %v (%d block reads)", i, prev.Key, ok, err, n)
+		}
+	}
+	// The record that opens each table has its predecessor in the table before.
+	edges := 0
+	for ti := 1; ti < len(tables); ti++ {
+		if err := snap.SeekRun(0, &cur, tables[ti].meta.Smallest); err != nil {
+			t.Fatal(err)
+		}
+		prev, ok, err := cur.SeekPrev()
+		if err != nil || !ok || !bytes.Equal(prev.Key, tables[ti-1].meta.Largest) {
+			t.Fatalf("SeekPrev at the head of table %d = %q, %v, %v", ti, prev.Key, ok, err)
+		}
+		edges++
+	}
+	// Past the end: nothing to stand on, the run's last record before it.
+	if err := snap.SeekRun(0, &cur, []byte("zzz")); err != nil {
+		t.Fatal(err)
+	}
+	if prev, ok, err := cur.SeekPrev(); cur.Valid() || err != nil || !ok || !bytes.Equal(prev.Key, recs[len(recs)-1].Key) {
+		t.Fatalf("SeekPrev past the end = %q, %v, %v", prev.Key, ok, err)
+	}
+	if edges == 0 {
+		t.Fatal("no table edge exercised")
+	}
+}
+
+// TestRunIterReadErrorIsSticky: a block read that fails mid-run must end the
+// stream with that error — not move on to the next table as if the run were
+// shorter — through the merge iterator a compaction reads its inputs with.
+func TestRunIterReadErrorIsSticky(t *testing.T) {
+	ffs := vfs.NewFault(vfs.NewMem())
+	s, snap, recs := bulkRun(t, ffs, 600)
+	defer s.Close()
+	defer snap.Release()
+	ffs.ArmFilter(vfs.OpReadAt, "*.sst")
+	ffs.Arm(snap.runs[0].tables[0].meta.NumBlocks - 1) // the first table's last block fails
+	m := newMergeIter([]mergeSource{{runID: snap.runs[0].id, iter: newRunIter(snap.runs[0])}})
+	n := 0
+	for ; m.Valid(); m.Next() {
+		n++
+	}
+	if err := m.Close(); !errors.Is(err, vfs.ErrInjected) || n == 0 || n >= len(recs) {
+		t.Fatalf("merge over a failing input: %d of %d records, Close = %v", n, len(recs), err)
+	}
+	ffs.Disarm()
+
+	// The collected form reports it too, instead of a short result.
+	ffs.Arm(0)
+	if rs, err := snap.ScanRunChunk(0, recs[10].Key, recs[50].Key, 0); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("ScanRunChunk over a failing run = %d records, %v", len(rs.Records), err)
+	}
+	ffs.Disarm()
 }

@@ -81,70 +81,47 @@ type RunScan struct {
 	Truncated bool
 }
 
-// scanRunChunk is the untrusted side of a one-level SCAN over an immutable
-// run, bounded to maxKeys distinct keys. Safe without the engine lock for
-// reachable (pinned) runs.
+// scanRunChunk collects a one-level SCAN over an immutable run from a
+// RunIter into records the caller owns, proofs included, bounded to maxKeys
+// distinct keys. Verified scans do not call it — they merge the runs' cursors
+// and copy only what they verify (core's readView.scanChunk); it serves
+// benchmark/'s ledger.
 func scanRunChunk(r *run, start, end []byte, maxKeys int) (RunScan, error) {
 	out := RunScan{RunID: r.id}
 	if len(r.tables) == 0 {
 		out.EmptyRun = true
 		return out, nil
 	}
-	// Predecessor of the range start.
-	ti := seekTable(r.tables, start, record.MaxTs)
-	if ti >= len(r.tables) {
-		last, err := r.tables[len(r.tables)-1].table.Last()
-		if err != nil {
-			return out, err
-		}
-		out.Pred = &last
-		return out, nil
-	}
-	prev, _, err := r.tables[ti].table.SeekWithPrev(start, record.MaxTs)
-	if err != nil {
+	it := newRunIter(r)
+	it.SeekGE(start, record.MaxTs)
+	if prev, ok, err := it.SeekPrev(); err != nil {
 		return out, err
+	} else if ok {
+		pred := prev.Clone()
+		out.Pred = &pred
 	}
-	if prev == nil && ti > 0 {
-		last, err := r.tables[ti-1].table.Last()
-		if err != nil {
-			return out, err
-		}
-		prev = &last
-	}
-	out.Pred = prev
-
 	// Collect in-range records and the successor, stopping at the key
 	// limit (only ever at a key boundary).
-	it := newRunIter(r)
-	defer it.Close()
-	it.SeekGE(start, record.MaxTs)
 	var (
 		keys    int
 		lastKey []byte
 	)
-	// The iterator's records are views of its current block: everything the
-	// result keeps is cloned.
-	for it.Valid() {
+	for ; it.Valid(); it.Next() {
 		view := it.Record()
-		if bytes.Compare(view.Key, end) > 0 {
+		newKey := lastKey == nil || !bytes.Equal(view.Key, lastKey)
+		if past := bytes.Compare(view.Key, end) > 0; past || (newKey && maxKeys > 0 && keys >= maxKeys) {
 			succ := view.Clone()
 			out.Succ = &succ
+			out.Truncated = !past
 			break
 		}
-		if lastKey == nil || !bytes.Equal(view.Key, lastKey) {
-			if maxKeys > 0 && keys >= maxKeys {
-				succ := view.Clone()
-				out.Succ = &succ
-				out.Truncated = true
-				break
-			}
+		if newKey {
 			keys++
 			lastKey = append(lastKey[:0], view.Key...)
 		}
 		out.Records = append(out.Records, view.Clone())
-		it.Next()
 	}
-	return out, nil
+	return out, it.Close()
 }
 
 // WarmCache streams every data block of every run through the block source

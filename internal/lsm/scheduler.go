@@ -62,9 +62,6 @@ func NewWorkerPool(n int) *WorkerPool {
 	return &WorkerPool{sem: make(chan struct{}, n)}
 }
 
-// Size returns the pool's token count.
-func (p *WorkerPool) Size() int { return cap(p.sem) }
-
 // Busy returns how many tokens are currently held.
 func (p *WorkerPool) Busy() int { return int(p.busy.Load()) }
 

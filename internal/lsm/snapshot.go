@@ -106,13 +106,16 @@ func (sn *Snapshot) MemGet(key []byte, tsq uint64) (record.Record, bool) {
 	return record.Record{}, false
 }
 
-// MemScan returns the newest version ≤ tsq of every key in [start, end]
-// from the snapshot's memtables, including tombstones, visiting at most
-// maxKeys distinct keys (0 = unlimited). When the limit cut the scan short
-// of end, last is the last key it covered — the caller's chunk ends there —
-// and nil otherwise.
-func (sn *Snapshot) MemScan(start, end []byte, tsq uint64, maxKeys int) (recs []record.Record, last []byte) {
-	return memScanTables(sn.mem, sn.frozen, start, end, sn.clamp(tsq), maxKeys)
+// MemIters returns iterators over the snapshot's (trusted, in-enclave)
+// memtables: the captured active table, then the captured frozen one or nil.
+// Every version of a key in the first is newer than every version in the
+// second. They are not clamped: records committed after acquisition live in
+// the same skiplist with timestamps beyond Ts(), and the caller skips them.
+func (sn *Snapshot) MemIters() (active, frozen record.Iterator) {
+	if sn.frozen != nil {
+		frozen = sn.frozen.Iter()
+	}
+	return sn.mem.Iter(), frozen
 }
 
 // LookupRun performs the untrusted side of a one-level GET against the
@@ -125,12 +128,24 @@ func (sn *Snapshot) LookupRun(i int, key []byte, tsq uint64) (RunLookup, error) 
 	return lookupRun(sn.runs[i], key, sn.clamp(tsq))
 }
 
-// ScanRunChunk performs the untrusted side of a one-level SCAN over user
-// keys start ≤ k ≤ end against the i-th pinned run, bounded to at most
-// maxKeys distinct keys (0 = unlimited). Version chains are never split: the
-// limit applies at key boundaries, so every returned key carries all its
-// in-run versions and the enclave can rebuild whole Merkle leaves from the
-// chunk.
+// SeekRun points it — the caller's, reusable from chunk to chunk — at the
+// i-th pinned run and seeks it to the first record of the first key ≥ start:
+// the untrusted side of a verified one-level SCAN (§5.4). What the iterator
+// hands out are views of untrusted blocks; a block-read error surfaces from
+// its Close.
+func (sn *Snapshot) SeekRun(i int, it *RunIter, start []byte) error {
+	if i < 0 || i >= len(sn.runs) {
+		return ErrUnknownRun
+	}
+	*it = RunIter{tables: sn.runs[i].tables}
+	it.SeekGE(start, record.MaxTs)
+	return nil
+}
+
+// ScanRunChunk collects the i-th pinned run's records over user keys
+// start ≤ k ≤ end, bounded to at most maxKeys distinct keys (0 = unlimited),
+// with the two records bracketing them, all copied out with their proofs.
+// Version chains are never split: the limit applies at key boundaries.
 func (sn *Snapshot) ScanRunChunk(i int, start, end []byte, maxKeys int) (RunScan, error) {
 	if i < 0 || i >= len(sn.runs) {
 		return RunScan{}, ErrUnknownRun
@@ -172,44 +187,6 @@ func (sn *Snapshot) ScanChunk(start, end []byte, tsq uint64, maxKeys int) (out [
 		}
 	}
 	return scanChunkSources(sources, start, end, tsq, maxKeys)
-}
-
-// memScanTables merges the given memtables (frozen may be nil) into the
-// newest version ≤ tsq per key in [start, end], tombstones included,
-// bounded to maxKeys distinct keys (see Snapshot.MemScan).
-func memScanTables(mem, frozen *memtable.Table, start, end []byte, tsq uint64, maxKeys int) (out []record.Record, last []byte) {
-	sources := []mergeSource{{runID: MemtableRunID, iter: mem.Iter()}}
-	if frozen != nil {
-		sources = append(sources, mergeSource{runID: MemtableRunID, iter: frozen.Iter()})
-	}
-	for _, src := range sources {
-		src.iter.SeekGE(start, record.MaxTs)
-	}
-	m := newMergeIter(sources)
-	defer m.Close()
-	var lastKey []byte
-	keys := 0
-	emitted := false
-	for m.Valid() {
-		rec, _ := m.Record()
-		if bytes.Compare(rec.Key, end) > 0 {
-			break
-		}
-		if lastKey == nil || !bytes.Equal(rec.Key, lastKey) {
-			if maxKeys > 0 && keys >= maxKeys {
-				return out, lastKey
-			}
-			keys++
-			lastKey = append([]byte(nil), rec.Key...)
-			emitted = false
-		}
-		if !emitted && rec.Ts <= tsq {
-			out = append(out, rec)
-			emitted = true
-		}
-		m.Next()
-	}
-	return out, nil
 }
 
 // scanChunkSources resolves the merged sources into the newest version

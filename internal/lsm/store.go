@@ -363,7 +363,6 @@ type manifestTable struct {
 type manifestRun struct {
 	ID     uint64          `json:"id"`
 	Files  []manifestTable `json:"files"`
-	Emtpy  bool            `json:"-"`
 	Nbytes int64           `json:"bytes"`
 }
 

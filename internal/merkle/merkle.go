@@ -253,21 +253,8 @@ type PathWalk struct {
 // nothing.
 func (c *NodeCache) VerifyPath(leaf Hash, index, numLeaves int, steps []byte, root Hash) (PathWalk, error) {
 	var walk PathWalk
-	if numLeaves <= 0 || index < 0 || index >= numLeaves {
-		return walk, ErrBadIndex
-	}
-	p := 0
-	for idx, n := uint(index), uint(numLeaves); n > 1; idx, n = idx>>1, (n+1)>>1 {
-		if idx&1 == 0 && idx+1 >= n {
-			continue // promoted node: no sibling at this level
-		}
-		if p >= len(steps) || steps[p] != byte(idx&1) {
-			return walk, fmt.Errorf("%w: no step or wrong sibling side at width %d", ErrBadPath, n)
-		}
-		p += PathNodeSize
-	}
-	if p != len(steps) {
-		return walk, fmt.Errorf("%w: %d bytes for %d steps", ErrBadPath, len(steps), p/PathNodeSize)
+	if err := checkPathShape(index, numLeaves, steps); err != nil {
+		return walk, err
 	}
 
 	if uint64(numLeaves) > maxCachedLeaves {
@@ -308,10 +295,136 @@ func (c *NodeCache) VerifyPath(leaf Hash, index, numLeaves int, steps []byte, ro
 	return walk, nil
 }
 
+// checkPathShape checks that steps holds exactly the PathLen(index,
+// numLeaves) steps of leaf index's authentication path, every side byte the
+// one (index, numLeaves) dictates.
+func checkPathShape(index, numLeaves int, steps []byte) error {
+	if numLeaves <= 0 || index < 0 || index >= numLeaves {
+		return ErrBadIndex
+	}
+	p := 0
+	for idx, n := uint(index), uint(numLeaves); n > 1; idx, n = idx>>1, (n+1)>>1 {
+		if idx&1 == 0 && idx+1 >= n {
+			continue // promoted node: no sibling at this level
+		}
+		if p >= len(steps) || steps[p] != byte(idx&1) {
+			return fmt.Errorf("%w: no step or wrong sibling side at width %d", ErrBadPath, n)
+		}
+		p += PathNodeSize
+	}
+	if p != len(steps) {
+		return fmt.Errorf("%w: %d bytes for %d steps", ErrBadPath, len(steps), p/PathNodeSize)
+	}
+	return nil
+}
+
+// VerifyRange is the range walker: it checks that leaves occupy positions
+// [start, start+len(leaves)-1] of the tree of numLeaves leaves with the
+// trusted root, given the authentication paths of the first and the last of
+// them as AppendPath encodes them — the two boundary paths are the whole
+// range proof (§5.4). It allocates nothing: the span is folded in place, so
+// leaves is overwritten. c may be nil.
+//
+// Both paths are shape-checked first and in full, as VerifyPath does. Then the
+// span is folded level by level: a span that starts at an odd position takes
+// its left neighbour from first's step at that level, one that ends at an even
+// position with a node to its right takes that from last's, every other node
+// is computed from the presented leaves. Once the span is a single node the
+// walk IS a path walk and follows VerifyPath's cache rules from that node up:
+// an equal cached node ends it, a different one is ErrRootMismatch, and the
+// nodes computed from there on are inserted only after success. A cached node
+// equal to the collapsed span authenticates everything folded into it — the
+// leaves and the boundary siblings below it — by collision resistance, as it
+// does for a single leaf. Left siblings are read from first and right
+// siblings from last at every level, which is what the reference VerifyRange
+// is handed (EmbeddedProof.LeftSiblings, RightSiblings).
+func (c *NodeCache) VerifyRange(leaves []Hash, start, numLeaves int, first, last []byte, root Hash) (PathWalk, error) {
+	var walk PathWalk
+	if len(leaves) == 0 || start < 0 || numLeaves <= 0 || len(leaves) > numLeaves-start {
+		return walk, ErrBadIndex
+	}
+	end := start + len(leaves) - 1
+	if err := checkPathShape(start, numLeaves, first); err != nil {
+		return walk, err
+	}
+	if err := checkPathShape(end, numLeaves, last); err != nil {
+		return walk, err
+	}
+	if uint64(numLeaves) > maxCachedLeaves {
+		c = nil
+	}
+
+	// Span phase: more than one node wide. lo < hi < n, so lo always has a
+	// sibling (first steps once per level); hi has one unless it is the
+	// promoted tail.
+	lo, hi, n, level := uint(start), uint(end), uint(numLeaves), 0
+	span := leaves
+	for ; lo < hi; lo, hi, n, level = lo>>1, hi>>1, (n+1)>>1, level+1 {
+		r, w := 0, 0
+		if lo&1 == 1 {
+			span[0] = hashutil.NodeHash(Hash(first[1:PathNodeSize]), span[0])
+			r, w = 1, 1
+			walk.Hashes++
+		}
+		first = first[PathNodeSize:]
+		for ; r+1 < len(span); r, w = r+2, w+1 {
+			span[w] = hashutil.NodeHash(span[r], span[r+1])
+			walk.Hashes++
+		}
+		if r < len(span) { // hi is even: pair it with last's right sibling, or promote it
+			if hi+1 < n {
+				span[w] = hashutil.NodeHash(span[r], Hash(last[1:PathNodeSize]))
+				walk.Hashes++
+			} else {
+				span[w] = span[r]
+			}
+			w++
+		}
+		if hi&1 == 1 || hi+1 < n {
+			last = last[PathNodeSize:]
+		}
+		span = span[:w]
+	}
+
+	// Path phase: VerifyPath from the node the span collapsed to.
+	var nodes [maxPathLen]Hash // nodes[l] is the node computed at level l, not yet in the cache
+	h, bottom := span[0], level
+	for ; n > 1; lo, n, level = lo>>1, (n+1)>>1, level+1 {
+		if c != nil {
+			if cached, ok := c.get(&root, level, lo); ok {
+				if cached != h {
+					return walk, ErrRootMismatch
+				}
+				walk.CacheHit = true
+				break
+			}
+			nodes[level] = h
+		}
+		if lo&1 == 1 || lo+1 < n {
+			if lo&1 == 1 {
+				h = hashutil.NodeHash(Hash(first[1:PathNodeSize]), h)
+			} else {
+				h = hashutil.NodeHash(h, Hash(last[1:PathNodeSize]))
+			}
+			first, last = first[PathNodeSize:], last[PathNodeSize:]
+			walk.Hashes++
+		}
+	}
+	if !walk.CacheHit && h != root {
+		return walk, ErrRootMismatch
+	}
+	if c != nil {
+		for l := bottom; l < level; l++ {
+			c.put(&root, l, uint(end)>>l, &nodes[l])
+		}
+	}
+	return walk, nil
+}
+
 // NodeCache remembers Merkle nodes that a path walk has already verified
 // under a trusted root, so later walks under the same root stop at the first
 // node they share. It is trusted state: it belongs inside the enclave, and
-// only VerifyPath writes it, after a successful verification.
+// only VerifyPath and VerifyRange write it, after a successful verification.
 //
 // An entry says "in the tree with root R, the node at (level, index) hashes
 // to H" — a fact about R alone, keyed by R itself and not by anything the
@@ -418,7 +531,8 @@ func (t *Tree) RangeProofFor(start, end int) (*RangeProof, error) {
 // [proof.Start, proof.Start+len(leaves)-1] in a tree with the given root and
 // numLeaves. Completeness follows: a verifier that also checks the boundary
 // keys (done by the caller, which knows the leaf contents) learns that no
-// leaf inside the span was withheld.
+// leaf inside the span was withheld. It is the reference the range walker
+// (NodeCache.VerifyRange, what verified scans run) is tested against.
 func VerifyRange(leaves []Hash, numLeaves int, proof *RangeProof, root Hash) error {
 	if len(leaves) == 0 {
 		return fmt.Errorf("%w: empty range", ErrBadIndex)

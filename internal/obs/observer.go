@@ -286,9 +286,9 @@ type Recorder struct {
 	CompactMerge    Histogram
 	CompactInstall  Histogram
 
-	// Verification cost per Get: time spent in Merkle verification and
-	// the proof bytes decoded (ProofBytes observes bytes, not
-	// nanoseconds).
+	// Verification cost per Get that reached a run and per scan chunk:
+	// time spent in Merkle verification and the proof bytes copied in for it
+	// (ProofBytes observes bytes, not nanoseconds).
 	Verify     Histogram
 	ProofBytes Histogram
 

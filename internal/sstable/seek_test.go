@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"testing"
 
@@ -167,4 +168,133 @@ func BenchmarkSeekWithPrev(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestScanCursorCopiesAsItPassesAndReadsBlocksOnce is the range-read sibling
+// of the test above: a scan seeks the iterator, asks for the record before
+// the seek position, and walks on, copying each record as it passes. The
+// copies — taken while the view was valid — must equal the table's records
+// after the host has overwritten every block it handed out, and no block may
+// be requested twice within one such walk: the seek block is not re-read to
+// start the walk, the predecessor costs a read only when it lies in the
+// block before, and (hostileSource answers a second read of a block with
+// garbage) a walk that did re-read would copy garbage.
+func TestScanCursorCopiesAsItPassesAndReadsBlocksOnce(t *testing.T) {
+	recs := seqRecords(150, 2)
+	tbl, f, _ := buildTable(t, recs, nil)
+	src := &hostileSource{src: FileSource{F: f}, reads: map[int]int{}}
+	tbl.source = src
+	var it Iter
+	check := func(key []byte, walk int) {
+		t.Helper()
+		pos := sort.Search(len(recs), func(i int) bool { return record.Compare(recs[i].Key, recs[i].Ts, key, record.MaxTs) >= 0 })
+		it.Reset(tbl)
+		it.SeekGE(key, record.MaxTs)
+		var prev *record.Record
+		if view, ok, err := it.SeekPrev(); err != nil {
+			t.Fatalf("SeekPrev(%q): %v", key, err)
+		} else if ok {
+			prev = cloneView(view)
+		}
+		var got []record.Record
+		for ; it.Valid() && len(got) < walk; it.Next() {
+			got = append(got, it.Record().Clone())
+		}
+		if err := it.Close(); err != nil {
+			t.Fatalf("walk from %q: %v", key, err)
+		}
+		if reads := src.endLookup(); reads > 1 {
+			t.Fatalf("walk of %d from %q read a block %d times", walk, key, reads)
+		}
+		if pos > 0 != (prev != nil) || (prev != nil && !sameRecord(prev, &recs[pos-1])) {
+			t.Fatalf("SeekPrev(%q) = %v, want record %d", key, prev, pos-1)
+		}
+		if want := recs[pos:min(pos+walk, len(recs))]; len(got) != len(want) {
+			t.Fatalf("walk from %q: %d records, want %d", key, len(got), len(want))
+		} else {
+			for i := range want {
+				if !sameRecord(&got[i], &want[i]) {
+					t.Fatalf("walk from %q: record %d = %v after the blocks were overwritten, want %v", key, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for i, r := range recs {
+		check(r.Key, 1+i%40)
+		check(append(append([]byte(nil), r.Key...), '~'), 1+i%40) // the gap after the key
+	}
+	check([]byte("a"), 10)        // before the first record
+	check([]byte("a"), len(recs)) // the whole table
+	check([]byte("zzz"), 10)      // past the last: nothing to walk, the last record before it
+	check(recs[len(recs)-1].Key, 10)
+}
+
+// TestScanCursorErrorIsSticky: a block that fails to read ends the walk, and
+// the iterator keeps saying why — it does not start over on the next seek.
+func TestScanCursorErrorIsSticky(t *testing.T) {
+	recs := seqRecords(100, 1)
+	tbl, f, _ := buildTable(t, recs, nil)
+	src := &hostileSource{src: FileSource{F: f}, reads: map[int]int{3: 1}} // block 3 already read "once": garbage
+	tbl.source = src
+	it := tbl.Iter()
+	n := 0
+	for it.SeekGE(nil, record.MaxTs); it.Valid(); it.Next() {
+		n++
+	}
+	if err := it.Close(); err == nil || n == 0 || n >= len(recs) {
+		t.Fatalf("walk over a garbage block: %d records, err %v", n, err)
+	}
+	it.SeekGE(recs[0].Key, record.MaxTs)
+	if _, _, err := it.SeekPrev(); it.Valid() || it.Close() == nil || err == nil {
+		t.Fatal("the iterator forgot its error")
+	}
+}
+
+// FuzzScanCursorBlock feeds arbitrary bytes to viewRecordAt, the one decoder
+// every block the host hands over goes through: it must never panic, and a
+// record it accepts lies wholly inside the input.
+func FuzzScanCursorBlock(f *testing.F) {
+	recs := seqRecords(3, 2)
+	var block []byte
+	for _, r := range recs {
+		block = append(block, byte(r.Kind))
+		block = binary.AppendUvarint(block, uint64(len(r.Key)))
+		block = append(block, r.Key...)
+		block = binary.BigEndian.AppendUint64(block, r.Ts)
+		block = binary.AppendUvarint(block, uint64(len(r.Value)))
+		block = append(block, r.Value...)
+		block = binary.AppendUvarint(block, uint64(len(r.Proof)))
+		block = append(block, r.Proof...)
+	}
+	f.Add(block, 0)
+	f.Add(block[:len(block)-1], 0)
+	f.Add(block, 7)
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, 0) // key length beyond any input
+	f.Add([]byte{}, 0)
+	f.Fuzz(func(t *testing.T, data []byte, p int) {
+		if p < 0 {
+			return
+		}
+		rec, n, err := viewRecordAt(data, p)
+		if err != nil {
+			return
+		}
+		if n <= 0 || p+n > len(data) {
+			t.Fatalf("consumed %d bytes at %d of %d", n, p, len(data))
+		}
+		if len(rec.Key)+len(rec.Value)+len(rec.Proof)+1+8+3 > n {
+			t.Fatalf("record fields (%d+%d+%d bytes) exceed the %d consumed", len(rec.Key), len(rec.Value), len(rec.Proof), n)
+		}
+		// Walking on from the accepted record stays in bounds too.
+		for q := p + n; q < len(data); {
+			_, m, err := viewRecordAt(data, q)
+			if err != nil {
+				break
+			}
+			if m <= 0 || q+m > len(data) {
+				t.Fatalf("consumed %d bytes at %d of %d", m, q, len(data))
+			}
+			q += m
+		}
+	})
 }

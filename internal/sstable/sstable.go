@@ -577,58 +577,66 @@ func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, e
 	}
 	if prevView.Kind == 0 && bi > 0 {
 		// Boundary miss: the predecessor is the previous block's last record.
-		last, err := t.lastOf(bi - 1)
+		last, err := t.lastView(bi - 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		return &last, cloneView(curView), nil
+		return cloneView(last), cloneView(curView), nil
 	}
 	return cloneView(prevView), cloneView(curView), nil
 }
 
-// lastOf returns a copy of the last record of block bi: the one the index
-// entry names.
-func (t *Table) lastOf(bi int) (record.Record, error) {
+// lastView returns the last record of block bi — the one the index entry
+// names — as a view of the block.
+func (t *Table) lastView(bi int) (record.Record, error) {
 	e := t.index[bi]
 	_, last, err := t.seekInBlock(bi, e.lastKey, e.lastTs)
 	if err == nil && last.Kind == 0 {
 		err = fmt.Errorf("%w: block %d ends before its index entry", ErrBadTable, bi)
 	}
+	return last, err
+}
+
+// Last returns a copy of the table's last record.
+func (t *Table) Last() (record.Record, error) {
+	last, err := t.lastView(len(t.index) - 1)
 	if err != nil {
 		return record.Record{}, err
 	}
 	return last.Clone(), nil
 }
 
-// Last returns the table's last record.
-func (t *Table) Last() (record.Record, error) {
-	return t.lastOf(len(t.index) - 1)
+// Iter returns an iterator over the table, unpositioned: SeekGE places it.
+func (t *Table) Iter() *Iter {
+	return &Iter{t: t}
 }
 
-// Iter returns an iterator over the table. It decodes one record at a time
-// over the block bytes the BlockSource returned: the slices of Record()
-// alias that block and are valid only until the next Next or SeekGE, as
-// record.Iterator documents — a caller that keeps a record copies it.
-func (t *Table) Iter() record.Iterator {
-	return &tableIter{t: t}
-}
-
-type tableIter struct {
+// Iter iterates a table. It decodes one record at a time over the block
+// bytes the BlockSource returned: the slices of Record() alias that block and
+// are valid only until the next Next or SeekGE, as record.Iterator documents
+// — a caller that keeps a record copies it. Walking forward it requests each
+// block once. The first block-read or decode error ends the iteration and is
+// what Close reports.
+type Iter struct {
 	t     *Table
 	block int    // index of the loaded block
 	data  []byte // its payload; nil when exhausted or failed
 	next  int    // offset in data of the record after rec
 	rec   record.Record
+	prev  record.Record // the record SeekGE stepped over last; zero Kind if none
 	valid bool
 	err   error
 }
 
-var _ record.Iterator = (*tableIter)(nil)
+var _ record.Iterator = (*Iter)(nil)
+
+// Reset re-targets the iterator at table t, unpositioned and with no error.
+func (it *Iter) Reset(t *Table) { *it = Iter{t: t} }
 
 // seekBlockStart positions at the first record of block i or, if that
 // block is empty, of the first non-empty block after it; past the last
 // block, or on a read or decode error, the iterator becomes invalid.
-func (it *tableIter) seekBlockStart(i int) {
+func (it *Iter) seekBlockStart(i int) {
 	it.data, it.valid = nil, false
 	for ; i < len(it.t.index); i++ {
 		data, err := it.t.block(i)
@@ -646,7 +654,7 @@ func (it *tableIter) seekBlockStart(i int) {
 
 // step decodes the record at it.next, moving on to the following block when
 // the current one is spent.
-func (it *tableIter) step() {
+func (it *Iter) step() {
 	if it.next >= len(it.data) {
 		it.seekBlockStart(it.block + 1)
 		return
@@ -660,22 +668,54 @@ func (it *tableIter) step() {
 	it.next += n
 }
 
-func (it *tableIter) Valid() bool { return it.valid }
+func (it *Iter) Valid() bool { return it.valid }
 
-func (it *tableIter) Next() {
+func (it *Iter) Next() {
 	if it.valid {
 		it.step()
 	}
 }
 
-func (it *tableIter) Record() record.Record { return it.rec }
+func (it *Iter) Record() record.Record { return it.rec }
 
-func (it *tableIter) SeekGE(key []byte, ts uint64) {
+func (it *Iter) SeekGE(key []byte, ts uint64) {
+	it.prev = record.Record{}
+	if it.err != nil {
+		return
+	}
 	it.seekBlockStart(it.t.seekBlock(key, ts))
 	for it.valid && record.Compare(it.rec.Key, it.rec.Ts, key, ts) < 0 {
+		it.prev = it.rec
 		it.step()
 	}
 }
 
+// SeekPrev returns, as a view, the record before the position the last
+// SeekGE found — a range read's left-boundary witness. It is the record the
+// seek stepped over last; only when the position opens a block (or lies past
+// the table's end) is it the last record of the block before, which costs one
+// more block read. ok is false at the table's first record. Call it before
+// the first Next.
+func (it *Iter) SeekPrev() (prev record.Record, ok bool, err error) {
+	if it.err != nil {
+		return prev, false, it.err
+	}
+	if it.prev.Kind != 0 {
+		return it.prev, true, nil
+	}
+	bi := len(it.t.index) // past the end: the table's last block
+	if it.valid {
+		bi = it.block
+	}
+	if bi == 0 {
+		return prev, false, nil
+	}
+	if prev, err = it.t.lastView(bi - 1); err != nil {
+		it.err, it.data, it.valid = err, nil, false
+		return prev, false, err
+	}
+	return prev, true, nil
+}
+
 // Close reports the first block-read or decode error encountered, if any.
-func (it *tableIter) Close() error { return it.err }
+func (it *Iter) Close() error { return it.err }

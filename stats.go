@@ -84,14 +84,18 @@ type Stats struct {
 	ResidentPages int
 	EnclaveBytes  int64
 
-	// Verification work (ModeP2 only).
+	// Verification work (ModeP2 only). VerifiedGets and RunsProbed count
+	// point reads; ProofBytes counts the embedded-proof bytes copied into the
+	// enclave by point reads and scans alike (a scan copies at most four
+	// proofs per run per chunk).
 	VerifiedGets uint64
 	ProofBytes   uint64
 	RunsProbed   uint64
 	// The verified-node cache at work (verify_node_cache_hits,
 	// verify_node_cache_misses, verify_node_hashes on the wire and in
-	// /metrics): witnesses whose Merkle path walk stopped at an
-	// already-verified cached node, witnesses walked all the way to the
+	// /metrics): Merkle walks — a point read's witnesses, a scan chunk's
+	// per-run range walk and its boundary witnesses — that stopped at an
+	// already-verified cached node, walks that went all the way to the
 	// trusted root, and the interior node hashes those walks computed.
 	// Shards share one cache but count their own walks.
 	VerifyNodeCacheHits   uint64

@@ -46,6 +46,49 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 }
 
+// TestStatsCountScans: verification work is counted under one set of names
+// whoever does it. A store that has only ever been scanned reports proof
+// bytes, Merkle walks and node hashes, and its recorder's Verify and
+// ProofBytes histograms have one observation per chunk — while the point-read
+// counters stay at zero.
+func TestStatsCountScans(t *testing.T) {
+	s, err := Open(testOptions(ModeP2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 1000; i++ {
+		if _, err := s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		out, err := s.Scan([]byte(fmt.Sprintf("key%04d", i*40)), []byte(fmt.Sprintf("key%04d", i*40+29)))
+		if err != nil || len(out) != 30 {
+			t.Fatalf("Scan = %d rows, %v", len(out), err)
+		}
+	}
+	st := s.Stats()
+	if st.VerifiedGets != 0 || st.RunsProbed != 0 {
+		t.Fatalf("point-read counters moved without a Get: %+v", st)
+	}
+	if st.ProofBytes == 0 || st.VerifyNodeHashes == 0 || st.VerifyNodeCacheHits+st.VerifyNodeCacheMisses == 0 {
+		t.Fatalf("a scan's verification work is not counted: %+v", st)
+	}
+	var chunks, verifies, proofObs uint64
+	for _, rec := range s.Recorders() {
+		chunks += rec.ScanChunk.Snapshot().Count
+		verifies += rec.Verify.Snapshot().Count
+		proofObs += rec.ProofBytes.Snapshot().Count
+	}
+	if chunks == 0 || verifies != chunks || proofObs != chunks {
+		t.Fatalf("%d scan chunks, %d Verify and %d ProofBytes observations", chunks, verifies, proofObs)
+	}
+}
+
 // TestStatsAdaptiveCommitWindow checks the public plumbing of the
 // adaptive group-commit window: with GroupCommitWindow =
 // AutoGroupCommitWindow on fsync-bound storage, Stats must report a
