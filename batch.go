@@ -104,7 +104,7 @@ func (b *Batch) CommitCtx(ctx context.Context) (uint64, error) {
 	if b.s.readOnly.Load() {
 		return 0, ErrReadOnlyReplica
 	}
-	ts, err := b.s.base().ApplyBatchCtx(ctx, b.ops)
+	ts, err := b.s.base().Commit(ctx, b.ops)
 	if err != nil {
 		return 0, err
 	}

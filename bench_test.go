@@ -308,7 +308,7 @@ func BenchmarkVerificationOverhead(b *testing.B) {
 	b.Run("verified", func(b *testing.B) {
 		ch := ycsb.NewKeyChooser(ycsb.Uniform, n, 1)
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Get(ycsb.Key(ch.Next())); err != nil {
+			if _, err := core.Get(s, ycsb.Key(ch.Next())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -62,8 +62,14 @@
 //	if err := it.Close(); err != nil { ... }       // ErrAuthFailed on tamper
 //	results, err = store.Scan([]byte("a"), []byte("z"))
 //
-// Every operation has a context-aware variant (PutCtx, GetCtx, IterCtx,
-// Batch.CommitCtx, ...): cancelling the context withdraws a commit still
+// Underneath, the store is seven context-first primitives (core.KV): Commit
+// of an atomic group, CommitAsync and Sync, GetAt, IterAt, Snapshot and
+// Close. Everything on Store, Snapshot and Batch is derived from them here:
+// Put and Delete are one-op Commits; Get and Scan are GetAt and a drained
+// IterAt at the latest timestamp; and every operation has a ctx-free
+// spelling (Put, Get, Iter, Batch.Commit, ...) that passes a nil context,
+// meaning "not cancellable", to its Ctx form (PutCtx, GetCtx, IterCtx,
+// Batch.CommitCtx, ...). Cancelling a context withdraws a commit still
 // waiting in the group-commit queue, stops a streaming iterator and its
 // prefetch, and deadlines long verified scans.
 //
@@ -133,7 +139,6 @@ import (
 	"elsm/internal/costmodel"
 	"elsm/internal/lsm"
 	"elsm/internal/obs"
-	"elsm/internal/record"
 	"elsm/internal/repl"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
@@ -352,8 +357,10 @@ func (o Options) validate() error {
 
 // Store is an authenticated key-value store.
 type Store struct {
+	// reads is the verified read API (Get, Scan, Iter and their variants),
+	// shared with Snapshot; it also holds the confidentiality layer.
+	reads
 	mode Mode
-	enc  *encLayer
 
 	// kv is the engine (the shard router when Shards > 1). A follower
 	// re-bootstrap swaps it wholesale, so every access goes through base().
@@ -397,6 +404,25 @@ func (s *Store) base() core.KV {
 	kv := s.kv
 	s.kvMu.RUnlock()
 	return kv
+}
+
+// reader implements readSource: the current engine, re-read per call.
+func (s *Store) reader() core.Reader { return s.base() }
+
+// newStore wraps an opened engine (one instance or the shard router) in the
+// public store, closing the engine if the confidentiality layer cannot be
+// built.
+func newStore(opts Options, kv core.KV, hub *obs.Observer, recs []*obs.Recorder) (*Store, error) {
+	s := &Store{mode: opts.Mode, kv: kv, ringBytes: opts.ReplRingBytes, obsv: hub, recs: recs}
+	s.src = s
+	if opts.Encryption != nil {
+		var err error
+		if s.enc, err = newEncLayer(*opts.Encryption); err != nil {
+			kv.Close()
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // cost resolves the simulated-enclave cost model.
@@ -507,15 +533,7 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{mode: opts.Mode, kv: kv, ringBytes: opts.ReplRingBytes, obsv: hub, recs: recs}
-	if opts.Encryption != nil {
-		s.enc, err = newEncLayer(*opts.Encryption)
-		if err != nil {
-			kv.Close()
-			return nil, err
-		}
-	}
-	return s, nil
+	return newStore(opts, kv, hub, recs)
 }
 
 // Mode reports which design this store runs.
@@ -558,13 +576,12 @@ func (s *Store) PutCtx(ctx context.Context, key, value []byte) (uint64, error) {
 		return 0, ErrReadOnlyReplica
 	}
 	if s.enc != nil {
-		ek, ev, err := s.enc.sealRecord(key, value)
-		if err != nil {
+		var err error
+		if key, value, err = s.enc.sealRecord(key, value); err != nil {
 			return 0, err
 		}
-		return s.base().PutCtx(ctx, ek, ev)
 	}
-	return s.base().PutCtx(ctx, key, value)
+	return s.base().Commit(ctx, []core.BatchOp{{Key: key, Value: value}})
 }
 
 // Delete removes a key (a verified tombstone write).
@@ -576,73 +593,18 @@ func (s *Store) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
 		return 0, ErrReadOnlyReplica
 	}
 	if s.enc != nil {
-		ek, err := s.enc.sealKey(key)
-		if err != nil {
+		var err error
+		if key, err = s.enc.sealKey(key); err != nil {
 			return 0, err
 		}
-		return s.base().DeleteCtx(ctx, ek)
 	}
-	return s.base().DeleteCtx(ctx, key)
+	return s.base().Commit(ctx, []core.BatchOp{{Key: key, Delete: true}})
 }
 
 // Sync is the durability barrier: it returns once every commit accepted
 // before the call — synchronous Commits and acknowledged CommitAsyncs
 // alike — is fsynced to stable storage.
 func (s *Store) Sync(ctx context.Context) error { return s.base().Sync(ctx) }
-
-// Get returns the latest value of key, verified for integrity and
-// freshness (and completeness of the "not found" answer).
-func (s *Store) Get(key []byte) (Result, error) { return s.GetAt(key, record.MaxTs) }
-
-// GetCtx is Get with cancellation.
-func (s *Store) GetCtx(ctx context.Context, key []byte) (Result, error) {
-	return s.GetAtCtx(ctx, key, record.MaxTs)
-}
-
-// GetAt returns the newest value with timestamp ≤ tsq.
-func (s *Store) GetAt(key []byte, tsq uint64) (Result, error) { return s.GetAtCtx(nil, key, tsq) }
-
-// GetAtCtx is GetAt with cancellation.
-func (s *Store) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (Result, error) {
-	if s.enc != nil {
-		ek, ok, err := s.enc.lookupKey(key)
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			return Result{}, nil
-		}
-		res, err := s.base().GetAtCtx(ctx, ek, tsq)
-		if err != nil || !res.Found {
-			return Result{}, err
-		}
-		return s.enc.openResult(res)
-	}
-	return s.base().GetAtCtx(ctx, key, tsq)
-}
-
-// Scan returns the latest value of every key in [start, end], verified for
-// completeness: a host that omits a matching record is detected. It is the
-// materialized form of Iter — prefer Iter for large ranges, which streams
-// the same verified results in bounded memory.
-func (s *Store) Scan(start, end []byte) ([]Result, error) { return s.ScanCtx(nil, start, end) }
-
-// ScanCtx is Scan with cancellation: a deadline or cancel mid-range stops
-// the underlying verified stream.
-func (s *Store) ScanCtx(ctx context.Context, start, end []byte) ([]Result, error) {
-	if s.enc == nil {
-		return core.ScanAll(s.base().IterAtCtx(ctx, start, end, record.MaxTs))
-	}
-	it := s.IterCtx(ctx, start, end)
-	var out []Result
-	for it.Next() {
-		out = append(out, it.Result())
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // ErrAuthFailed is re-exported so callers can classify verification
 // failures with errors.Is.

@@ -76,7 +76,7 @@ func (c Config) earlyStopPoint(dataBytes int, dist ycsb.Distribution, disableEar
 	}
 	// ...and the rest through the write path, creating younger runs.
 	for i := bulk; i < n; i++ {
-		if _, err := s.Put(ycsb.Key(uint64(i)), ycsb.Value(uint64(i), ycsb.DefaultValueSize)); err != nil {
+		if _, err := core.Put(s, ycsb.Key(uint64(i)), ycsb.Value(uint64(i), ycsb.DefaultValueSize)); err != nil {
 			return 0, 0, err
 		}
 	}

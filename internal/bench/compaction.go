@@ -139,7 +139,7 @@ func (c Config) compactionPoint(m compactionMode) (compactionResult, error) {
 			}
 			// Errors are tolerated (the store may be closing); the loop
 			// exists to keep reads in flight, not to converge.
-			if _, err := s.Scan([]byte("cw00-"), []byte("cw00-~")); err != nil {
+			if _, err := core.Scan(s, []byte("cw00-"), []byte("cw00-~")); err != nil {
 				return
 			}
 			scans.Add(1)
@@ -161,7 +161,7 @@ func (c Config) compactionPoint(m compactionMode) (compactionResult, error) {
 			for i := 0; i < perWriter; i++ {
 				key := []byte(fmt.Sprintf("cw%02d-%08d", w, i))
 				t0 := time.Now()
-				if _, perr := s.Put(key, val); perr != nil {
+				if _, perr := core.Put(s, key, val); perr != nil {
 					errCh <- perr
 					return
 				}
@@ -210,7 +210,7 @@ func (c Config) compactionPoint(m compactionMode) (compactionResult, error) {
 	var steady obs.Histogram
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		if _, err := s2.Put([]byte(fmt.Sprintf("st-%08d", i)), val); err != nil {
+		if _, err := core.Put(s2, []byte(fmt.Sprintf("st-%08d", i)), val); err != nil {
 			return res, err
 		}
 		steady.ObserveSince(t0)

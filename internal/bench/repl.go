@@ -96,7 +96,7 @@ func (c Config) replPoint(nFollowers, totalOps int) (leaderKops, readKops float6
 
 	val := []byte("repl-ablation-value-0123456789ab")
 	for i := 0; i < totalOps; i++ {
-		if _, err = leader.Put([]byte(fmt.Sprintf("pre-%07d", i)), val); err != nil {
+		if _, err = core.Put(leader, []byte(fmt.Sprintf("pre-%07d", i)), val); err != nil {
 			return 0, 0, 0, err
 		}
 	}
@@ -140,7 +140,7 @@ func (c Config) replPoint(nFollowers, totalOps int) (leaderKops, readKops float6
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, perr := leader.Put([]byte(fmt.Sprintf("w%d-%06d", w, i)), val); perr != nil {
+				if _, perr := core.Put(leader, []byte(fmt.Sprintf("w%d-%06d", w, i)), val); perr != nil {
 					errCh <- perr
 					return
 				}
@@ -179,7 +179,7 @@ func (c Config) replPoint(nFollowers, totalOps int) (leaderKops, readKops float6
 	reader := followers[0]
 	start = time.Now()
 	for i := 0; i < totalOps; i++ {
-		res, rerr := reader.Get([]byte(fmt.Sprintf("pre-%07d", i%totalOps)))
+		res, rerr := core.Get(reader, []byte(fmt.Sprintf("pre-%07d", i%totalOps)))
 		if rerr != nil {
 			return 0, 0, 0, rerr
 		}

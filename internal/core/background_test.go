@@ -68,14 +68,14 @@ func TestConcurrentWritesDuringCompaction(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("w%02d-%05d", w, i)
 				val := fmt.Sprintf("v%02d-%05d", w, i)
-				ts, err := s.Put([]byte(key), []byte(val))
+				ts, err := Put(s, []byte(key), []byte(val))
 				if err != nil {
 					errCh <- fmt.Errorf("put %s: %w", key, err)
 					return
 				}
 				acks[w] = append(acks[w], ack{key, val, ts})
 				// Verified read-your-write while compactions churn.
-				res, err := s.Get([]byte(key))
+				res, err := Get(s, []byte(key))
 				if err != nil {
 					errCh <- fmt.Errorf("verified get %s mid-compaction: %w", key, err)
 					return
@@ -119,7 +119,7 @@ func TestConcurrentWritesDuringCompaction(t *testing.T) {
 	}
 	for _, a := range acks {
 		for _, x := range a {
-			res, err := s.Get([]byte(x.key))
+			res, err := Get(s, []byte(x.key))
 			if err != nil || !res.Found || string(res.Value) != x.val {
 				t.Fatalf("final get %s: found=%v err=%v val=%q want %q",
 					x.key, res.Found, err, res.Value, x.val)
@@ -173,7 +173,7 @@ func TestCrashMidBackgroundCompaction(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				key := fmt.Sprintf("key%04d", i)
 				val := fmt.Sprintf("val%04d", i)
-				if _, err := s.Put([]byte(key), []byte(val)); err != nil {
+				if _, err := Put(s, []byte(key), []byte(val)); err != nil {
 					t.Fatal(err)
 				}
 				written[key] = val
@@ -219,7 +219,7 @@ func TestCrashMidBackgroundCompaction(t *testing.T) {
 
 			// Every committed record must verify on the surviving set.
 			for key, val := range written {
-				res, err := s2.Get([]byte(key))
+				res, err := Get(s2, []byte(key))
 				if err != nil {
 					t.Fatalf("verified read after crash: %v", err)
 				}
@@ -244,7 +244,7 @@ func TestCrashMidBackgroundCompaction(t *testing.T) {
 			}
 			detected := false
 			for key := range written {
-				res, err := s2.Get([]byte(key))
+				res, err := Get(s2, []byte(key))
 				if err != nil {
 					detected = true
 					break
@@ -335,14 +335,14 @@ func TestCrashInsideBulkLoadKeepsTimestampFloor(t *testing.T) {
 			continue // recovered the empty pre-load store
 		}
 		survived++
-		ts, err := s2.Put([]byte("key00007"), []byte("fresh"))
+		ts, err := Put(s2, []byte("key00007"), []byte("fresh"))
 		if err != nil {
 			t.Fatalf("budget %d: put after recovery: %v", budget, err)
 		}
 		if ts <= n {
 			t.Fatalf("budget %d: fresh Put got ts %d, reusing a loaded timestamp (max %d)", budget, ts, n)
 		}
-		if res, err := s2.Get([]byte("key00007")); err != nil || string(res.Value) != "fresh" {
+		if res, err := Get(s2, []byte("key00007")); err != nil || string(res.Value) != "fresh" {
 			t.Fatalf("budget %d: Get after the fresh Put = %q (ts %d), err %v", budget, res.Value, res.Ts, err)
 		}
 		s2.Close()
@@ -444,7 +444,7 @@ func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%05d", i))); err != nil {
+					if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%05d", i))); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -473,7 +473,7 @@ func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
 				}
 				for i := 0; i < n; i++ {
 					key, val := fmt.Sprintf("key%05d", i), fmt.Sprintf("val%05d", i)
-					if res, err := s.Get([]byte(key)); err != nil || !res.Found || string(res.Value) != val {
+					if res, err := Get(s, []byte(key)); err != nil || !res.Found || string(res.Value) != val {
 						t.Fatalf("Get(%s) after the aborted job = %q found=%v err=%v", key, res.Value, res.Found, err)
 					}
 				}

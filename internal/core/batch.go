@@ -16,22 +16,19 @@ func NewResolvedFuture(ts uint64, err error) *CommitFuture {
 	return lsm.NewResolvedFuture(ts, err)
 }
 
-// ApplyBatch applies a group of writes in ONE enclave round trip, riding
-// the engine's cross-client group-commit pipeline: the batch extends the
-// WAL digest chain per record but shares a single marker-terminated group
+// Commit applies a group of writes in ONE enclave round trip, riding the
+// engine's cross-client group-commit pipeline: the batch extends the WAL
+// digest chain per record but shares a single marker-terminated group
 // append+fsync — and at most one monotonic-counter bump, paid in
 // OnGroupCommit after the group is durable — with every concurrent commit
 // that joined the same group. It returns the batch's commit timestamp —
-// the trusted timestamp of its last record.
-func (c *Store) ApplyBatch(ops []BatchOp) (uint64, error) { return c.ApplyBatchCtx(nil, ops) }
-
-// ApplyBatchCtx is ApplyBatch with commit-queue cancellation: a context
-// cancelled while the batch still waits in the queue withdraws it (nothing
-// is written); once claimed by the committer the batch completes regardless.
-func (c *Store) ApplyBatchCtx(ctx context.Context, ops []BatchOp) (uint64, error) {
+// the trusted timestamp of its last record. A context cancelled while the
+// batch still waits in the queue withdraws it (nothing is written); once
+// claimed by the committer the batch completes regardless.
+func (c *Store) Commit(ctx context.Context, ops []BatchOp) (uint64, error) {
 	var ts uint64
 	var err error
-	c.enclave.ECall(func() { ts, err = c.engine.ApplyBatchCtx(ctx, ops) })
+	c.enclave.ECall(func() { ts, err = c.engine.Commit(ctx, ops) })
 	return ts, err
 }
 
@@ -46,36 +43,18 @@ func (c *Store) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, 
 	return fut, err
 }
 
-// ApplyBatch implements KV for eLSM-P1: one ECall for the whole group.
-func (s *StoreP1) ApplyBatch(ops []BatchOp) (uint64, error) { return s.ApplyBatchCtx(nil, ops) }
-
-// ApplyBatchCtx implements KV for eLSM-P1.
-func (s *StoreP1) ApplyBatchCtx(ctx context.Context, ops []BatchOp) (uint64, error) {
+// Commit implements KV for the raw store: one ECall for the whole group.
+func (s *RawStore) Commit(ctx context.Context, ops []BatchOp) (uint64, error) {
 	var ts uint64
 	var err error
-	s.enclave.ECall(func() { ts, err = s.engine.ApplyBatchCtx(ctx, ops) })
+	s.ecall(func() { ts, err = s.engine.Commit(ctx, ops) })
 	return ts, err
 }
 
-// CommitAsync implements KV for eLSM-P1.
-func (s *StoreP1) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, error) {
+// CommitAsync implements KV for the raw store.
+func (s *RawStore) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, error) {
 	var fut *CommitFuture
 	var err error
-	s.enclave.ECall(func() { fut, err = s.engine.CommitAsync(ctx, ops) })
+	s.ecall(func() { fut, err = s.engine.CommitAsync(ctx, ops) })
 	return fut, err
-}
-
-// ApplyBatch implements KV for the unsecured baseline.
-func (s *Unsecured) ApplyBatch(ops []BatchOp) (uint64, error) {
-	return s.engine.ApplyBatch(ops)
-}
-
-// ApplyBatchCtx implements KV for the unsecured baseline.
-func (s *Unsecured) ApplyBatchCtx(ctx context.Context, ops []BatchOp) (uint64, error) {
-	return s.engine.ApplyBatchCtx(ctx, ops)
-}
-
-// CommitAsync implements KV for the unsecured baseline.
-func (s *Unsecured) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, error) {
-	return s.engine.CommitAsync(ctx, ops)
 }

@@ -38,15 +38,15 @@ func TestBatchEquivalentToSingles(t *testing.T) {
 	for _, op := range ops {
 		var err error
 		if op.Delete {
-			_, err = single.Delete(op.Key)
+			_, err = Delete(single, op.Key)
 		} else {
-			_, err = single.Put(op.Key, op.Value)
+			_, err = Put(single, op.Key, op.Value)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	ts, err := batched.ApplyBatch(ops)
+	ts, err := batched.Commit(nil, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestBatchEquivalentToSingles(t *testing.T) {
 	if single.walDigest != batched.walDigest {
 		t.Fatal("batched WAL digest chain diverges from the single-put chain")
 	}
-	sr, err := single.Scan([]byte("key"), []byte("kez"))
+	sr, err := Scan(single, []byte("key"), []byte("kez"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := batched.Scan([]byte("key"), []byte("kez"))
+	br, err := Scan(batched, []byte("key"), []byte("kez"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBatchSingleCounterBump(t *testing.T) {
 	defer s.Close()
 	base, _ := counter.Read() // a fresh store seals once at open
 
-	if _, err := s.ApplyBatch(batchOf(0, 100)); err != nil {
+	if _, err := s.Commit(nil, batchOf(0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := counter.Read(); v != base+1 {
@@ -96,7 +96,7 @@ func TestBatchSingleCounterBump(t *testing.T) {
 
 	// The single-put path still bumps per interval.
 	for i := 0; i < 8; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("s%03d", i)), []byte("v")); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("s%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestBatchTriggersFlush(t *testing.T) {
 	defer s.Close()
 	// Far beyond the 4 KiB memtable: the batch must trigger a (background)
 	// flush and stay readable through the authenticated run path.
-	if _, err := s.ApplyBatch(batchOf(0, 500)); err != nil {
+	if _, err := s.Commit(nil, batchOf(0, 500)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Engine().WaitMaintenance(); err != nil {
@@ -120,11 +120,11 @@ func TestBatchTriggersFlush(t *testing.T) {
 	if s.Engine().Stats().Flushes == 0 {
 		t.Fatal("oversized batch did not flush")
 	}
-	res, err := s.Get([]byte("key00007"))
+	res, err := Get(s, []byte("key00007"))
 	if err != nil || !res.Found {
 		t.Fatalf("get after batch flush: %v found=%v", err, res.Found)
 	}
-	if _, err := s.ApplyBatch(nil); err != nil {
+	if _, err := s.Commit(nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestIteratorStreamsInChunks(t *testing.T) {
 	defer s.Close()
 	const n = 500
 	for i := 0; i < n; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i))); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestIteratorStreamsInChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Enclave().Stats().ECalls
-	it := s.Iter([]byte("key"), []byte("kez"))
+	it := s.IterAt(nil, []byte("key"), []byte("kez"), record.MaxTs)
 	count := 0
 	for it.Next() {
 		want := fmt.Sprintf("key%05d", count)
@@ -171,7 +171,7 @@ func TestIteratorHistoricalMatchesScanAt(t *testing.T) {
 	var mid uint64
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 60; i++ {
-			ts, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("r%d-%d", round, i)))
+			ts, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("r%d-%d", round, i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,11 +183,11 @@ func TestIteratorHistoricalMatchesScanAt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := s.ScanAt([]byte("key"), []byte("kez"), mid)
+	want, err := ScanAll(s.IterAt(nil, []byte("key"), []byte("kez"), mid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := s.IterAt([]byte("key"), []byte("kez"), mid)
+	it := s.IterAt(nil, []byte("key"), []byte("kez"), mid)
 	var got []Result
 	for it.Next() {
 		got = append(got, it.Result())
@@ -268,7 +268,7 @@ func TestAttackIteratorTamperMidStream(t *testing.T) {
 					s := mustOpenP2(t, cfg)
 					defer s.Close()
 					for i := 0; i < 300; i++ {
-						if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
+						if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -276,7 +276,7 @@ func TestAttackIteratorTamperMidStream(t *testing.T) {
 						t.Fatal(err)
 					}
 					if cache == "warm" {
-						if out, err := s.Scan([]byte("key"), []byte("kez")); err != nil || len(out) != 300 {
+						if out, err := Scan(s, []byte("key"), []byte("kez")); err != nil || len(out) != 300 {
 							t.Fatalf("honest scan: %d rows, %v", len(out), err)
 						}
 					}
@@ -298,7 +298,7 @@ func TestAttackIteratorTamperMidStream(t *testing.T) {
 							tampered = tc.mutate(sp, proofOf)
 						}
 					}
-					it := s.Iter([]byte("key"), []byte("kez"))
+					it := s.IterAt(nil, []byte("key"), []byte("kez"), record.MaxTs)
 					streamed := 0
 					for it.Next() {
 						streamed++
@@ -316,7 +316,7 @@ func TestAttackIteratorTamperMidStream(t *testing.T) {
 
 					// Materialized path: same detection, no partial results.
 					chunk, tampered = 0, false
-					out, err := s.Scan([]byte("key"), []byte("kez"))
+					out, err := Scan(s, []byte("key"), []byte("kez"))
 					if !errors.Is(err, ErrAuthFailed) {
 						t.Fatalf("materialized tamper %s: err = %v, want ErrAuthFailed", tc.name, err)
 					}
@@ -338,7 +338,7 @@ func TestAttackIteratorOmittedKeyAcrossChunks(t *testing.T) {
 	s := mustOpenP2(t, cfg)
 	defer s.Close()
 	for i := 0; i < 200; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func TestAttackIteratorOmittedKeyAcrossChunks(t *testing.T) {
 	// Cold, then with the cache an honest scan of the range leaves behind.
 	for _, cache := range []string{"cold", "warm"} {
 		s.scanTamper = omit
-		it := s.Iter([]byte("key"), []byte("kez"))
+		it := s.IterAt(nil, []byte("key"), []byte("kez"), record.MaxTs)
 		for it.Next() {
 			if bytes.Equal(it.Result().Key, target) {
 				t.Fatalf("%s: omitted key emitted", cache)
@@ -368,7 +368,7 @@ func TestAttackIteratorOmittedKeyAcrossChunks(t *testing.T) {
 			t.Fatalf("%s: key omission: err = %v, want ErrAuthFailed", cache, err)
 		}
 		s.scanTamper = nil
-		if out, err := s.Scan([]byte("key"), []byte("kez")); err != nil || len(out) != 200 {
+		if out, err := Scan(s, []byte("key"), []byte("kez")); err != nil || len(out) != 200 {
 			t.Fatalf("honest scan: %d rows, %v", len(out), err)
 		}
 	}

@@ -51,19 +51,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	const n = 400
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%05d", i))
-		if _, err := s.Put(k, []byte(fmt.Sprintf("val-%d", i))); err != nil {
+		if _, err := Put(s, k, []byte(fmt.Sprintf("val-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrites and deletes exercise version chains and tombstones.
 	for i := 0; i < n; i += 3 {
 		k := []byte(fmt.Sprintf("key-%05d", i))
-		if _, err := s.Put(k, []byte(fmt.Sprintf("val2-%d", i))); err != nil {
+		if _, err := Put(s, k, []byte(fmt.Sprintf("val2-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i += 7 {
-		if _, err := s.Delete([]byte(fmt.Sprintf("key-%05d", i))); err != nil {
+		if _, err := Delete(s, []byte(fmt.Sprintf("key-%05d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,11 +76,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%05d", i))
-		lr, err := s.Get(k)
+		lr, err := Get(s, k)
 		if err != nil {
 			t.Fatalf("leader get %s: %v", k, err)
 		}
-		fr, err := f.Get(k)
+		fr, err := Get(f, k)
 		if err != nil {
 			t.Fatalf("follower get %s: %v", k, err)
 		}
@@ -89,11 +89,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	// Scans too.
-	ls, err := s.Scan([]byte("key-"), []byte("key-99999"))
+	ls, err := Scan(s, []byte("key-"), []byte("key-99999"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fscan, err := f.Scan([]byte("key-"), []byte("key-99999"))
+	fscan, err := Scan(f, []byte("key-"), []byte("key-99999"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCheckpointEmptyStore(t *testing.T) {
 	defer s.Close()
 	f, _ := restoreOpen(t, exportBuf(t, s), s.platform)
 	defer f.Close()
-	r, err := f.Get([]byte("missing"))
+	r, err := Get(f, []byte("missing"))
 	if err != nil || r.Found {
 		t.Fatalf("expected clean miss, got %+v err %v", r, err)
 	}
@@ -125,7 +125,7 @@ func TestCheckpointTamperDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(vfs.NewMem()))
 	defer s.Close()
 	for i := 0; i < 300; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestCheckpointTamperDetected(t *testing.T) {
 func TestCheckpointShardMismatchRejected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(vfs.NewMem()))
 	defer s.Close()
-	if _, err := s.Put([]byte("k"), []byte("v")); err != nil {
+	if _, err := Put(s, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -206,7 +206,7 @@ func TestCheckpointShardMismatchRejected(t *testing.T) {
 func TestCheckpointWrongPlatformRejected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(vfs.NewMem()))
 	defer s.Close()
-	if _, err := s.Put([]byte("k"), []byte("v")); err != nil {
+	if _, err := Put(s, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	other, err := sgx.NewPlatform()
@@ -230,13 +230,13 @@ func TestCheckpointSharedSecretPlatforms(t *testing.T) {
 	cfg.Platform = leaderPlat
 	s := mustOpenP2(t, cfg)
 	defer s.Close()
-	if _, err := s.Put([]byte("alpha"), []byte("beta")); err != nil {
+	if _, err := Put(s, []byte("alpha"), []byte("beta")); err != nil {
 		t.Fatal(err)
 	}
 	followerPlat := sgx.NewPlatformFromSecret([]byte("repl-secret"))
 	f, _ := restoreOpen(t, exportBuf(t, s), followerPlat)
 	defer f.Close()
-	r, err := f.Get([]byte("alpha"))
+	r, err := Get(f, []byte("alpha"))
 	if err != nil || !r.Found || string(r.Value) != "beta" {
 		t.Fatalf("follower read: %+v err %v", r, err)
 	}

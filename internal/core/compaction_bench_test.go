@@ -38,7 +38,7 @@ func twoRunStoreOn(tb testing.TB, fs vfs.FS, n int, value func(i int) []byte) *S
 		for i := parity; i < 2*n; i += 2 {
 			ops = append(ops, BatchOp{Key: twoRunKey(i), Value: value(i)})
 			if len(ops) == cap(ops) || i+2 >= 2*n {
-				if _, err := s.ApplyBatch(ops); err != nil {
+				if _, err := s.Commit(nil, ops); err != nil {
 					tb.Fatal(err)
 				}
 				ops = ops[:0]

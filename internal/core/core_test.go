@@ -97,7 +97,7 @@ func TestPutGetVerified(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		key := fmt.Sprintf("key%05d", i%700)
 		val := fmt.Sprintf("val%d", i)
-		if _, err := s.Put([]byte(key), []byte(val)); err != nil {
+		if _, err := Put(s, []byte(key), []byte(val)); err != nil {
 			t.Fatal(err)
 		}
 		want[key] = val
@@ -106,7 +106,7 @@ func TestPutGetVerified(t *testing.T) {
 		t.Fatal("test did not exercise compaction")
 	}
 	for key, val := range want {
-		res, err := s.Get([]byte(key))
+		res, err := Get(s, []byte(key))
 		if err != nil {
 			t.Fatalf("get %q: %v", key, err)
 		}
@@ -116,7 +116,7 @@ func TestPutGetVerified(t *testing.T) {
 	}
 	// Verified non-membership for absent keys (early-stop across levels).
 	for _, k := range []string{"aaa", "key99999", "zzz", "key00000a"} {
-		res, err := s.Get([]byte(k))
+		res, err := Get(s, []byte(k))
 		if err != nil {
 			t.Fatalf("absent get %q: %v", k, err)
 		}
@@ -131,18 +131,18 @@ func TestHistoricalGetVerified(t *testing.T) {
 	defer s.Close()
 	var tss []uint64
 	for i := 0; i < 10; i++ {
-		ts, err := s.Put([]byte("k"), []byte(fmt.Sprintf("v%d", i)))
+		ts, err := Put(s, []byte("k"), []byte(fmt.Sprintf("v%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		tss = append(tss, ts)
 		// Interleave other keys to force flushes.
 		for j := 0; j < 200; j++ {
-			s.Put([]byte(fmt.Sprintf("fill%d-%d", i, j)), bytes.Repeat([]byte("x"), 64))
+			Put(s, []byte(fmt.Sprintf("fill%d-%d", i, j)), bytes.Repeat([]byte("x"), 64))
 		}
 	}
 	for i, ts := range tss {
-		res, err := s.GetAt([]byte("k"), ts)
+		res, err := s.GetAt(nil, []byte("k"), ts)
 		if err != nil {
 			t.Fatalf("historical get @%d: %v", ts, err)
 		}
@@ -151,7 +151,7 @@ func TestHistoricalGetVerified(t *testing.T) {
 		}
 	}
 	// Before the first version: verified absence.
-	res, err := s.GetAt([]byte("k"), tss[0]-1)
+	res, err := s.GetAt(nil, []byte("k"), tss[0]-1)
 	if err != nil {
 		t.Fatalf("pre-history get: %v", err)
 	}
@@ -163,15 +163,15 @@ func TestHistoricalGetVerified(t *testing.T) {
 func TestDeleteVerified(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
-	s.Put([]byte("k"), []byte("v"))
-	delTs, err := s.Delete([]byte("k"))
+	Put(s, []byte("k"), []byte("v"))
+	delTs, err := Delete(s, []byte("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Get([]byte("k"))
+	res, err := Get(s, []byte("k"))
 	if err != nil {
 		t.Fatalf("get after delete: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestDeleteVerified(t *testing.T) {
 		t.Fatal("deleted key still found")
 	}
 	// Historical read before the delete still verifies.
-	res, err = s.GetAt([]byte("k"), delTs-1)
+	res, err = s.GetAt(nil, []byte("k"), delTs-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestScanVerified(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
 	for i := 0; i < 1000; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
+		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	// Overwrite some keys so scans cross version chains.
 	for i := 0; i < 100; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i*10)), []byte(fmt.Sprintf("new%d", i)))
+		Put(s, []byte(fmt.Sprintf("key%04d", i*10)), []byte(fmt.Sprintf("new%d", i)))
 	}
-	out, err := s.Scan([]byte("key0100"), []byte("key0149"))
+	out, err := Scan(s, []byte("key0100"), []byte("key0149"))
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestScanVerified(t *testing.T) {
 		}
 	}
 	// Empty range scans verify too.
-	out, err = s.Scan([]byte("zzz0"), []byte("zzz9"))
+	out, err = Scan(s, []byte("zzz0"), []byte("zzz9"))
 	if err != nil {
 		t.Fatalf("empty scan: %v", err)
 	}
@@ -242,12 +242,12 @@ func TestBulkLoadVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1, 1999, 3999} {
-		res, err := s.Get(recs[i].Key)
+		res, err := Get(s, recs[i].Key)
 		if err != nil || !res.Found || !bytes.Equal(res.Value, recs[i].Value) {
 			t.Fatalf("bulk key %d: %+v err=%v", i, res, err)
 		}
 	}
-	out, err := s.Scan([]byte("key000100"), []byte("key000199"))
+	out, err := Scan(s, []byte("key000100"), []byte("key000199"))
 	if err != nil || len(out) != 100 {
 		t.Fatalf("bulk scan: %d results err=%v", len(out), err)
 	}
@@ -261,7 +261,7 @@ func TestAttackCorruptSSTableDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(fs))
 	defer s.Close()
 	for i := 0; i < 2000; i++ {
-		s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i)))
+		Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i)))
 	}
 	// Let background flushes and compactions finish first: one still running
 	// would read the files while they are being corrupted, or replace the
@@ -289,7 +289,7 @@ func TestAttackCorruptSSTableDetected(t *testing.T) {
 	authFailures := 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key%05d", i)
-		res, err := s.Get([]byte(key))
+		res, err := Get(s, []byte(key))
 		switch {
 		case err != nil:
 			authFailures++
@@ -310,8 +310,8 @@ func TestAttackCorruptSSTableDetected(t *testing.T) {
 func TestAttackStaleResultDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
-	ts1, _ := s.Put([]byte("target"), []byte("old"))
-	s.Put([]byte("target"), []byte("new"))
+	ts1, _ := Put(s, []byte("target"), []byte("old"))
+	Put(s, []byte("target"), []byte("new"))
 	// Push both versions into one on-disk run so they share a chain.
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestAttackStaleResultDetected(t *testing.T) {
 func TestAttackForgedValueDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
-	s.Put([]byte("k"), []byte("honest"))
+	Put(s, []byte("k"), []byte("honest"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestAttackFakeNonMembershipDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
 	for i := 0; i < 100; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("v"))
+		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v"))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
 	for i := 0; i < 200; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("v"))
+		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v"))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -459,12 +459,12 @@ func TestAttackRollbackDetected(t *testing.T) {
 	cfg := smallCfg(fs)
 	s := mustOpenP2(t, cfg)
 	for i := 0; i < 500; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("v1"))
+		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v1"))
 	}
 	s.Flush()
 	snapshot := fs.Clone() // the attacker snapshots an old authenticated state
 	for i := 0; i < 500; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("v2"))
+		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v2"))
 	}
 	s.Flush()
 	s.Close()
@@ -484,7 +484,7 @@ func TestAttackCompactionInputTamperDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(fs))
 	defer s.Close()
 	for i := 0; i < 1000; i++ {
-		s.Put([]byte(fmt.Sprintf("key%05d", i)), bytes.Repeat([]byte("v"), 32))
+		Put(s, []byte(fmt.Sprintf("key%05d", i)), bytes.Repeat([]byte("v"), 32))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -512,7 +512,7 @@ func TestAttackTrustedStateDeletionDetected(t *testing.T) {
 	cfg := smallCfg(fs)
 	s := mustOpenP2(t, cfg)
 	for i := 0; i < 500; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("v"))
+		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v"))
 	}
 	s.Flush()
 	s.Close()
@@ -528,8 +528,8 @@ func TestAttackWALTamperDetected(t *testing.T) {
 	fs := vfs.NewMem()
 	cfg := smallCfg(fs)
 	s := mustOpenP2(t, cfg)
-	s.Put([]byte("a"), []byte("1"))
-	s.Put([]byte("b"), []byte("2"))
+	Put(s, []byte("a"), []byte("1"))
+	Put(s, []byte("b"), []byte("2"))
 	s.Close() // seals state including WAL digest
 
 	// Tamper with the WAL body: rewrite a whole valid record so the CRC
@@ -559,7 +559,7 @@ func TestCleanRecoveryVerifies(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		key := fmt.Sprintf("key%04d", i%400)
 		val := fmt.Sprintf("v%d", i)
-		s.Put([]byte(key), []byte(val))
+		Put(s, []byte(key), []byte(val))
 		want[key] = val
 	}
 	s.Close()
@@ -572,16 +572,16 @@ func TestCleanRecoveryVerifies(t *testing.T) {
 		t.Fatalf("clean close left %d unverified records", n)
 	}
 	for key, val := range want {
-		res, err := s2.Get([]byte(key))
+		res, err := Get(s2, []byte(key))
 		if err != nil || !res.Found || string(res.Value) != val {
 			t.Fatalf("after recovery %q: %+v err=%v", key, res, err)
 		}
 	}
 	// Writes continue and verify.
-	if _, err := s2.Put([]byte("post"), []byte("recovery")); err != nil {
+	if _, err := Put(s2, []byte("post"), []byte("recovery")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s2.Get([]byte("post"))
+	res, err := Get(s2, []byte("post"))
 	if err != nil || !res.Found {
 		t.Fatalf("post-recovery put/get: %+v err=%v", res, err)
 	}
@@ -593,7 +593,7 @@ func TestUncleanRecoveryCountsUnverifiedSuffix(t *testing.T) {
 	cfg.CounterInterval = 10
 	s := mustOpenP2(t, cfg)
 	for i := 0; i < 25; i++ { // interval 10: seals at 10 and 20; 5 dangling
-		s.Put([]byte(fmt.Sprintf("key%02d", i)), []byte("v"))
+		Put(s, []byte(fmt.Sprintf("key%02d", i)), []byte("v"))
 	}
 	// Simulate crash: do NOT Close (no final seal).
 	s.Engine().Close()
@@ -615,7 +615,7 @@ func TestUncleanRecoveryCountsUnverifiedSuffix(t *testing.T) {
 	cfg3.RequireCleanRecovery = true
 	// After s2's Close the state is sealed again, so re-crash first.
 	s3 := mustOpenP2(t, cfg3)
-	s3.Put([]byte("zz"), []byte("dangling"))
+	Put(s3, []byte("zz"), []byte("dangling"))
 	s3.Engine().Close() // crash without seal
 	if _, err := Open(cfg3); err == nil {
 		t.Fatal("strict recovery accepted unverified suffix")
@@ -659,20 +659,20 @@ func TestEquivalenceAcrossStores(t *testing.T) {
 			val := fmt.Sprintf("v%d", i)
 			ref[key] = val
 			for name, s := range stores {
-				if _, err := s.Put([]byte(key), []byte(val)); err != nil {
+				if _, err := Put(s, []byte(key), []byte(val)); err != nil {
 					t.Fatalf("%s put: %v", name, err)
 				}
 			}
 		case op < 7: // delete
 			delete(ref, key)
 			for name, s := range stores {
-				if _, err := s.Delete([]byte(key)); err != nil {
+				if _, err := Delete(s, []byte(key)); err != nil {
 					t.Fatalf("%s delete: %v", name, err)
 				}
 			}
 		default: // get
 			for name, s := range stores {
-				res, err := s.Get([]byte(key))
+				res, err := Get(s, []byte(key))
 				if err != nil {
 					t.Fatalf("%s get %q: %v", name, key, err)
 				}
@@ -685,7 +685,7 @@ func TestEquivalenceAcrossStores(t *testing.T) {
 	}
 	// Final scan equivalence.
 	for name, s := range stores {
-		out, err := s.Scan([]byte("key000"), []byte("key299"))
+		out, err := Scan(s, []byte("key000"), []byte("key299"))
 		if err != nil {
 			t.Fatalf("%s scan: %v", name, err)
 		}

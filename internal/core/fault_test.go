@@ -30,7 +30,7 @@ func TestIOFaultDuringWritesSurfacesCleanly(t *testing.T) {
 			ffs.Arm(budget)
 			var failed bool
 			for i := 0; i < 2000 && !failed; i++ {
-				if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
+				if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
 					if !errors.Is(err, vfs.ErrInjected) {
 						t.Fatalf("op %d: unexpected error class: %v", i, err)
 					}
@@ -63,7 +63,7 @@ func TestRecoveryAfterMidFlushCrash(t *testing.T) {
 	written := map[string]bool{}
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("key%03d", i)
-		if _, err := s.Put([]byte(key), []byte("v")); err != nil {
+		if _, err := Put(s, []byte(key), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		written[key] = true
@@ -71,7 +71,7 @@ func TestRecoveryAfterMidFlushCrash(t *testing.T) {
 	// Kill the disk, then drive writes until the flush path trips.
 	ffs.Arm(25)
 	for i := 60; i < 3000 && !ffs.Tripped(); i++ {
-		s.Put([]byte(fmt.Sprintf("key%03d", i%200)), []byte("v2"))
+		Put(s, []byte(fmt.Sprintf("key%03d", i%200)), []byte("v2"))
 	}
 	if !ffs.Tripped() {
 		t.Fatal("flush fault never fired")
@@ -90,7 +90,7 @@ func TestRecoveryAfterMidFlushCrash(t *testing.T) {
 	defer s2.Close()
 	// Whatever recovered must verify.
 	for key := range written {
-		if _, err := s2.Get([]byte(key)); err != nil {
+		if _, err := Get(s2, []byte(key)); err != nil {
 			t.Fatalf("verified read after crash recovery failed: %v", err)
 		}
 	}
@@ -104,10 +104,10 @@ func TestAttackScanChainVersionOmission(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil)) // KeepVersions: 0 (full history)
 	defer s.Close()
 	for i := 0; i < 50; i++ {
-		s.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("v1"))
+		Put(s, []byte(fmt.Sprintf("key%03d", i)), []byte("v1"))
 	}
 	for i := 0; i < 50; i++ {
-		s.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("v2"))
+		Put(s, []byte(fmt.Sprintf("key%03d", i)), []byte("v2"))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func BenchmarkVerifiedGet(b *testing.B) {
 			if !tc.cold {
 				for pass := 0; pass < 4; pass++ {
 					for _, k := range keys {
-						if _, err := s.Get(k); err != nil {
+						if _, err := Get(s, k); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -65,7 +65,7 @@ func BenchmarkVerifiedGet(b *testing.B) {
 					s.verify.nodes = merkle.NewNodeCache()
 					b.StartTimer()
 				}
-				if _, err := s.Get(keys[i%len(keys)]); err != nil {
+				if _, err := Get(s, keys[i%len(keys)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,7 +84,7 @@ func TestVerifiedGetAllocationGuard(t *testing.T) {
 	defer s.Close()
 	key := twoRunKey(1000) // even: lives in the lower run
 	get := func() {
-		if res, err := s.Get(key); err != nil || !res.Found {
+		if res, err := Get(s, key); err != nil || !res.Found {
 			t.Errorf("Get = %+v, %v", res, err)
 		}
 	}
@@ -117,7 +117,7 @@ func scanBenchStoreOn(tb testing.TB, fs vfs.FS, n, cache int) *Store {
 		for i := 0; i < n; i += step {
 			ops = append(ops, BatchOp{Key: twoRunKey(i), Value: value})
 			if len(ops) == cap(ops) || i+step >= n {
-				if _, err := s.ApplyBatch(ops); err != nil {
+				if _, err := s.Commit(nil, ops); err != nil {
 					tb.Fatal(err)
 				}
 				ops = ops[:0]
@@ -169,7 +169,7 @@ func BenchmarkVerifiedScan(b *testing.B) {
 			}
 			scan := func(i int) {
 				at := starts[i%len(starts)]
-				out, err := s.Scan(twoRunKey(at), twoRunKey(at+rows-1))
+				out, err := Scan(s, twoRunKey(at), twoRunKey(at+rows-1))
 				if err != nil || len(out) != rows {
 					b.Fatalf("Scan = %d rows, %v", len(out), err)
 				}

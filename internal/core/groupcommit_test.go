@@ -9,12 +9,13 @@ import (
 	"time"
 
 	"elsm/internal/lsm"
+	"elsm/internal/record"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
 
 // TestGroupCommitConcurrentWritersStress drives the pipeline from many
-// goroutines mixing Put, Delete and ApplyBatch, then checks the core
+// goroutines mixing Put, Delete and multi-op Commit, then checks the core
 // commit invariants: every commit got its own timestamp, timestamps are
 // strictly monotonic in commit order per caller, the global timestamp
 // range is dense (no lost or duplicated records), and every key reads back
@@ -49,10 +50,10 @@ func TestGroupCommitConcurrentWritersStress(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					ts, err = s.Put([]byte(key), []byte(val))
+					ts, err = Put(s, []byte(key), []byte(val))
 					results[w] = append(results[w], write{key, val, 0, false})
 				case 1:
-					ts, err = s.Delete([]byte(key))
+					ts, err = Delete(s, []byte(key))
 					results[w] = append(results[w], write{key, "", 0, true})
 				default:
 					ops := make([]BatchOp, 4)
@@ -62,7 +63,7 @@ func TestGroupCommitConcurrentWritersStress(t *testing.T) {
 						ops[j] = BatchOp{Key: []byte(bk), Value: []byte(bv)}
 						results[w] = append(results[w], write{bk, bv, 0, false})
 					}
-					ts, err = s.ApplyBatch(ops)
+					ts, err = s.Commit(nil, ops)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("writer %d op %d: %w", w, i, err)
@@ -126,7 +127,7 @@ func TestGroupCommitConcurrentWritersStress(t *testing.T) {
 		}
 	}
 	for key, f := range want {
-		res, err := s.Get([]byte(key))
+		res, err := Get(s, []byte(key))
 		if err != nil {
 			t.Fatalf("get %q: %v", key, err)
 		}
@@ -176,7 +177,7 @@ func TestGroupCommitCoalescesSyncsAndBumps(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < opsPerWriter; i++ {
 					key := fmt.Sprintf("w%02d-k%03d", w, i)
-					if _, err := s.Put([]byte(key), []byte("v")); err != nil {
+					if _, err := Put(s, []byte(key), []byte("v")); err != nil {
 						t.Errorf("writer %d: %v", w, err)
 						return
 					}
@@ -228,7 +229,7 @@ func TestGroupCommitCrashRecoveryMidGroup(t *testing.T) {
 	}
 
 	s1 := mustOpenP2(t, base())
-	if _, err := s1.Put([]byte("sealed"), []byte("v")); err != nil {
+	if _, err := Put(s1, []byte("sealed"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Close(); err != nil { // seals trusted state over "sealed"
@@ -246,7 +247,7 @@ func TestGroupCommitCrashRecoveryMidGroup(t *testing.T) {
 				Value: []byte(fmt.Sprintf("v%d-%d", b, j)),
 			}
 		}
-		if _, err := s2.ApplyBatch(ops); err != nil {
+		if _, err := s2.Commit(nil, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,13 +265,13 @@ func TestGroupCommitCrashRecoveryMidGroup(t *testing.T) {
 
 	s3 := mustOpenP2(t, base())
 	defer s3.Close()
-	if res, err := s3.Get([]byte("sealed")); err != nil || !res.Found {
+	if res, err := Get(s3, []byte("sealed")); err != nil || !res.Found {
 		t.Fatalf("sealed record lost: %v found=%v", err, res.Found)
 	}
 	for b := 0; b < batches; b++ {
 		present := 0
 		for j := 0; j < perBatch; j++ {
-			res, err := s3.Get([]byte(fmt.Sprintf("g%02d-r%d", b, j)))
+			res, err := Get(s3, []byte(fmt.Sprintf("g%02d-r%d", b, j)))
 			if err != nil {
 				t.Fatalf("get batch %d record %d: %v", b, j, err)
 			}
@@ -333,7 +334,7 @@ func TestFsyncFailureKeepsSealableState(t *testing.T) {
 	}
 
 	s := mustOpenP2(t, base())
-	if _, err := s.Put([]byte("a"), []byte("1")); err != nil {
+	if _, err := Put(s, []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	// Target only the WAL's fsync: the group's append succeeds, its fsync
@@ -341,7 +342,7 @@ func TestFsyncFailureKeepsSealableState(t *testing.T) {
 	// durable.
 	fs.ArmFilter(vfs.OpSync, "wal*")
 	fs.Arm(0)
-	if _, err := s.Put([]byte("b"), []byte("2")); !errors.Is(err, lsm.ErrWALSyncFailed) {
+	if _, err := Put(s, []byte("b"), []byte("2")); !errors.Is(err, lsm.ErrWALSyncFailed) {
 		t.Fatalf("put with failing fsync = %v, want ErrWALSyncFailed", err)
 	}
 	fs.Disarm()
@@ -349,14 +350,14 @@ func TestFsyncFailureKeepsSealableState(t *testing.T) {
 	// with the typed error until the store is reopened, even though the
 	// disk recovered — the in-memory frontier can no longer be trusted to
 	// match the log.
-	if _, err := s.Put([]byte("never"), []byte("x")); !errors.Is(err, lsm.ErrWALSyncFailed) {
+	if _, err := Put(s, []byte("never"), []byte("x")); !errors.Is(err, lsm.ErrWALSyncFailed) {
 		t.Fatalf("put after sync failure = %v, want sticky ErrWALSyncFailed", err)
 	}
 	s.Close()
 	s = mustOpenP2(t, base())
 	// Subsequent commits must seal coherent durable state.
 	for i := 0; i < 4; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("c%d", i)), []byte("3")); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("c%d", i)), []byte("3")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +365,7 @@ func TestFsyncFailureKeepsSealableState(t *testing.T) {
 	if err := s.engine.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put([]byte("d"), []byte("4")); err != nil {
+	if _, err := Put(s, []byte("d"), []byte("4")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -376,7 +377,7 @@ func TestFsyncFailureKeepsSealableState(t *testing.T) {
 	s2 := mustOpenP2(t, base())
 	defer s2.Close()
 	for _, kv := range [][2]string{{"a", "1"}, {"c0", "3"}, {"d", "4"}} {
-		res, err := s2.Get([]byte(kv[0]))
+		res, err := Get(s2, []byte(kv[0]))
 		if err != nil || !res.Found || string(res.Value) != kv[1] {
 			t.Fatalf("get %q after recovery = (%q, found=%v, err=%v), want %q", kv[0], res.Value, res.Found, err, kv[1])
 		}
@@ -394,7 +395,7 @@ func TestTamperDetectionUnderConcurrentReaders(t *testing.T) {
 	defer s.Close()
 	const keys = 200
 	for i := 0; i < keys; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +419,7 @@ func TestTamperDetectionUnderConcurrentReaders(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("key%05d", (w*97+i)%keys)
-				if _, err := s.Put([]byte(key), []byte(fmt.Sprintf("u%d-%d", w, i))); err != nil {
+				if _, err := Put(s, []byte(key), []byte(fmt.Sprintf("u%d-%d", w, i))); err != nil {
 					rerrs <- err
 					return
 				}
@@ -431,7 +432,7 @@ func TestTamperDetectionUnderConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				key := fmt.Sprintf("key%05d", (r*31+i)%keys)
-				res, err := s.Get([]byte(key))
+				res, err := Get(s, []byte(key))
 				if err != nil {
 					rerrs <- fmt.Errorf("reader %d get: %w", r, err)
 					return
@@ -441,7 +442,7 @@ func TestTamperDetectionUnderConcurrentReaders(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					it := s.Iter([]byte("key00050"), []byte("key00090"))
+					it := s.IterAt(nil, []byte("key00050"), []byte("key00090"), record.MaxTs)
 					prev := []byte(nil)
 					for it.Next() {
 						if prev != nil && bytes.Compare(it.Result().Key, prev) <= 0 {
@@ -486,7 +487,7 @@ func TestTamperDetectionUnderConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			it := s.Iter([]byte("key00050"), []byte("key00090"))
+			it := s.IterAt(nil, []byte("key00050"), []byte("key00090"), record.MaxTs)
 			for it.Next() {
 				if bytes.Equal(it.Result().Key, target) {
 					verdicts <- errors.New("omitted key emitted")

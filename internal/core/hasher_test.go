@@ -405,7 +405,7 @@ func TestTamperedInputAbortsReusingCompaction(t *testing.T) {
 	s := mustOpenP2(t, cfg)
 	defer s.Close()
 	for i := 0; i < 300; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("value-%05d", i))); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("value-%05d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -460,7 +460,7 @@ func TestPipelinedOutputBuildVerifies(t *testing.T) {
 	const n = 1500
 	for round := 0; round < 2; round++ {
 		for i := round; i < n; i += 1 + round {
-			if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("r%d-%05d", round, i))); err != nil {
+			if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("r%d-%05d", round, i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -484,12 +484,12 @@ func TestPipelinedOutputBuildVerifies(t *testing.T) {
 		if i%2 == 1 {
 			want = fmt.Sprintf("r1-%05d", i)
 		}
-		res, err := s.Get([]byte(fmt.Sprintf("key%05d", i)))
+		res, err := Get(s, []byte(fmt.Sprintf("key%05d", i)))
 		if err != nil || !res.Found || string(res.Value) != want {
 			t.Fatalf("key %d: %q found=%v err=%v, want %q", i, res.Value, res.Found, err, want)
 		}
 	}
-	rows, err := s.Scan([]byte("key"), []byte("kez"))
+	rows, err := Scan(s, []byte("key"), []byte("kez"))
 	if err != nil || len(rows) != n {
 		t.Fatalf("verified scan: %d rows, err %v, want %d", len(rows), err, n)
 	}

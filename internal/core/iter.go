@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 
-	"elsm/internal/record"
+	"elsm/internal/lsm"
 )
 
 // DefaultIterChunkKeys is how many distinct keys a streaming iterator pulls
@@ -122,11 +122,8 @@ func (it *chunkIter) Next() bool {
 		return true
 	}
 	for !it.done {
-		if it.ctx != nil {
-			if err := it.ctx.Err(); err != nil {
-				it.err = err
-				return false
-			}
+		if it.err = lsm.CtxErr(it.ctx); it.err != nil {
+			return false
 		}
 		res := it.nextChunk()
 		if res.err != nil {
@@ -173,6 +170,7 @@ func (it *chunkIter) Close() error {
 
 // sliceResultIter serves an already-materialized result set.
 type sliceResultIter struct {
+	ctx    context.Context
 	res    []Result
 	pos    int
 	err    error
@@ -181,14 +179,17 @@ type sliceResultIter struct {
 
 // NewSliceIter wraps a materialized result set (and the error that produced
 // it) as an Iterator — the fallback for stores without a native streaming
-// path.
-func NewSliceIter(res []Result, err error) Iterator {
-	return &sliceResultIter{res: res, pos: -1, err: err}
+// path. A non-nil ctx stops the stream once cancelled, like a chunked one.
+func NewSliceIter(ctx context.Context, res []Result, err error) Iterator {
+	return &sliceResultIter{ctx: ctx, res: res, pos: -1, err: err}
 }
 
 // Next implements Iterator.
 func (it *sliceResultIter) Next() bool {
 	if it.closed || it.err != nil || it.pos+1 >= len(it.res) {
+		return false
+	}
+	if it.err = lsm.CtxErr(it.ctx); it.err != nil {
 		return false
 	}
 	it.pos++
@@ -241,26 +242,10 @@ func (it *chunkIter) drain() []Result {
 	return out
 }
 
-// errIter is an Iterator that failed before producing anything.
-type errIter struct{ err error }
-
-func (it *errIter) Next() bool     { return false }
-func (it *errIter) Result() Result { return Result{} }
-func (it *errIter) Err() error     { return it.err }
-func (it *errIter) Close() error   { return it.err }
-
 // ---------------------------------------------------------------------------
 // eLSM-P2 streaming verified scan
 
-// Iter streams the latest verified value of every key in [start, end].
-func (c *Store) Iter(start, end []byte) Iterator { return c.IterAt(start, end, record.MaxTs) }
-
-// IterAt is Iter at a historical timestamp.
-func (c *Store) IterAt(start, end []byte, tsq uint64) Iterator {
-	return c.IterAtCtx(nil, start, end, tsq)
-}
-
-// IterAtCtx streams the newest verified value ≤ tsq of every key in
+// IterAt streams the newest verified value ≤ tsq of every key in
 // [start, end]. The whole stream runs against ONE pinned read view — the
 // same unit that backs Snapshot — so the iterator is a point-in-time
 // observation: writes committed mid-iteration never surface in later
@@ -274,10 +259,10 @@ func (c *Store) IterAt(start, end []byte, tsq uint64) Iterator {
 // A cancelled ctx stops the stream (Err reports the cancellation) and
 // prevents further chunk fetches, including the background prefetch. The
 // iterator MUST be closed: the view's run pins are held until Close.
-func (c *Store) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) Iterator {
+func (c *Store) IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator {
 	v, err := c.acquireView()
 	if err != nil {
-		return &errIter{err: err}
+		return NewSliceIter(nil, nil, err)
 	}
 	return c.viewIter(ctx, v, start, end, tsq)
 }
@@ -287,10 +272,8 @@ func (c *Store) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) It
 func (c *Store) viewIter(ctx context.Context, v *readView, start, end []byte, tsq uint64) Iterator {
 	endC := append([]byte(nil), end...)
 	return newChunkIter(ctx, start, func(cursor []byte) ([]Result, []byte, bool, error) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, false, err
-			}
+		if err := lsm.CtxErr(ctx); err != nil {
+			return nil, nil, false, err
 		}
 		var (
 			out  []Result

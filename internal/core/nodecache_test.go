@@ -40,7 +40,7 @@ func twoRunValue(i int) []byte { return []byte(fmt.Sprintf("value-of-%012d", i))
 func readAll(t *testing.T, s *Store, n int) {
 	t.Helper()
 	for i := 0; i < 2*n; i++ {
-		res, err := s.Get(twoRunKey(i))
+		res, err := Get(s, twoRunKey(i))
 		if err != nil || !res.Found || !bytes.Equal(res.Value, twoRunValue(i)) {
 			t.Fatalf("Get(%d) = %+v, %v", i, res, err)
 		}
@@ -125,7 +125,7 @@ func TestNodeCachePoisoning(t *testing.T) {
 			if err := s.verify.verifyMembership(key, record.MaxTs, honest, d); err != nil {
 				t.Fatalf("%s cache, after %s: honest witness rejected: %v", state, a.name, err)
 			}
-			if res, err := s.Get(key); err != nil || !bytes.Equal(res.Value, twoRunValue(target)) {
+			if res, err := Get(s, key); err != nil || !bytes.Equal(res.Value, twoRunValue(target)) {
 				t.Fatalf("%s cache, after %s: honest Get = %+v, %v", state, a.name, res, err)
 			}
 			if state == "cold" {
@@ -145,7 +145,7 @@ func TestNodeCacheRunsDoNotMix(t *testing.T) {
 	const n = 200
 	for gen := 0; gen < 2; gen++ { // the same keys twice: one run per generation
 		for i := 0; i < n; i++ {
-			if _, err := s.Put(twoRunKey(i), []byte(fmt.Sprintf("gen%d-%d", gen, i))); err != nil {
+			if _, err := Put(s, twoRunKey(i), []byte(fmt.Sprintf("gen%d-%d", gen, i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -170,7 +170,7 @@ func TestNodeCacheRunsDoNotMix(t *testing.T) {
 	}
 	// Warm the cache with the newer run only (early stop never reaches the older).
 	for i := 0; i < n; i++ {
-		if _, err := s.Get(twoRunKey(i)); err != nil {
+		if _, err := Get(s, twoRunKey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,11 +229,11 @@ func TestTamperedTableUnderWarmCache(t *testing.T) {
 	if !flipped {
 		t.Fatal("value not found in any table")
 	}
-	if res, err := s.Get(twoRunKey(target)); !errors.Is(err, ErrAuthFailed) {
+	if res, err := Get(s, twoRunKey(target)); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("Get of the tampered record = %+v, %v; want ErrAuthFailed", res, err)
 	}
 	for _, i := range []int{target - 2, target - 1, target + 1, target + 2} {
-		if res, err := s.Get(twoRunKey(i)); err != nil || !bytes.Equal(res.Value, twoRunValue(i)) {
+		if res, err := Get(s, twoRunKey(i)); err != nil || !bytes.Equal(res.Value, twoRunValue(i)) {
 			t.Fatalf("Get(%d) beside the tampered record = %+v, %v", i, res, err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestConcurrentGetsWhileRunsRetire(t *testing.T) {
 	const keys = 300
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key%05d", i)) }
 	for i := 0; i < keys; i++ {
-		if _, err := s.Put(key(i), []byte("gen0")); err != nil {
+		if _, err := Put(s, key(i), []byte("gen0")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,12 +267,12 @@ func TestConcurrentGetsWhileRunsRetire(t *testing.T) {
 					return
 				default:
 				}
-				res, err := s.Get(key(i % keys))
+				res, err := Get(s, key(i%keys))
 				if err != nil || !res.Found || !bytes.HasPrefix(res.Value, []byte("gen")) {
 					t.Errorf("Get(%d) = %+v, %v", i%keys, res, err)
 					return
 				}
-				if res, err := s.Get(append(key(i%keys), '~')); err != nil || res.Found {
+				if res, err := Get(s, append(key(i%keys), '~')); err != nil || res.Found {
 					t.Errorf("Get of an absent key = %+v, %v", res, err)
 					return
 				}
@@ -281,7 +281,7 @@ func TestConcurrentGetsWhileRunsRetire(t *testing.T) {
 	}
 	for gen := 1; gen <= 4; gen++ {
 		for i := 0; i < keys; i++ {
-			if _, err := s.Put(key(i), []byte(fmt.Sprintf("gen%d", gen))); err != nil {
+			if _, err := Put(s, key(i), []byte(fmt.Sprintf("gen%d", gen))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -15,7 +15,7 @@ func TestAttackProofSwap(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
 	for i := 0; i < 200; i++ {
-		s.Put([]byte(fmt.Sprintf("key%03d", i)), []byte(fmt.Sprintf("v%d", i)))
+		Put(s, []byte(fmt.Sprintf("key%03d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestAttackProofSwap(t *testing.T) {
 	}
 
 	// A record from a DIFFERENT run presented against this run's digest.
-	s.Put([]byte("key010"), []byte("newer"))
+	Put(s, []byte("key010"), []byte("newer"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

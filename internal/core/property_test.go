@@ -67,7 +67,7 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 				case op < 45: // put
 					key := keyOf()
 					val := []byte(fmt.Sprintf("v%d", i))
-					ts, err := s.Put([]byte(key), val)
+					ts, err := Put(s, []byte(key), val)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -75,7 +75,7 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 					allTs = append(allTs, ts)
 				case op < 52: // delete
 					key := keyOf()
-					ts, err := s.Delete([]byte(key))
+					ts, err := Delete(s, []byte(key))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,7 +83,7 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 					allTs = append(allTs, ts)
 				case op < 75: // latest get
 					key := keyOf()
-					res, err := s.Get([]byte(key))
+					res, err := Get(s, []byte(key))
 					if err != nil {
 						t.Fatalf("op %d get: %v", i, err)
 					}
@@ -94,7 +94,7 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 				case op < 88 && len(allTs) > 0: // historical get
 					key := keyOf()
 					tsq := allTs[rnd.Intn(len(allTs))]
-					res, err := s.GetAt([]byte(key), tsq)
+					res, err := s.GetAt(nil, []byte(key), tsq)
 					if err != nil {
 						t.Fatalf("op %d historical get: %v", i, err)
 					}
@@ -107,7 +107,7 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 					hi := lo + rnd.Intn(15)
 					start := fmt.Sprintf("key%03d", lo)
 					end := fmt.Sprintf("key%03d", hi)
-					out, err := s.Scan([]byte(start), []byte(end))
+					out, err := Scan(s, []byte(start), []byte(end))
 					if err != nil {
 						t.Fatalf("op %d scan: %v", i, err)
 					}
@@ -150,7 +150,7 @@ func TestConcurrentVerifiedReadsDuringWrites(t *testing.T) {
 	defer s.Close()
 	// Pre-populate so reads hit disk runs immediately.
 	for i := 0; i < 500; i++ {
-		s.Put([]byte(fmt.Sprintf("key%03d", i%120)), []byte("seed"))
+		Put(s, []byte(fmt.Sprintf("key%03d", i%120)), []byte("seed"))
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -159,7 +159,7 @@ func TestConcurrentVerifiedReadsDuringWrites(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < 4000; i++ {
-			if _, err := s.Put([]byte(fmt.Sprintf("key%03d", i%120)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			if _, err := Put(s, []byte(fmt.Sprintf("key%03d", i%120)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}
@@ -177,7 +177,7 @@ func TestConcurrentVerifiedReadsDuringWrites(t *testing.T) {
 				default:
 				}
 				key := []byte(fmt.Sprintf("key%03d", rnd.Intn(120)))
-				if _, err := s.Get(key); err != nil {
+				if _, err := Get(s, key); err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return
 				}
@@ -193,7 +193,7 @@ func TestDigestForestMatchesRuns(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
 	for i := 0; i < 3000; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i%600)), []byte(fmt.Sprintf("v%d", i)))
+		Put(s, []byte(fmt.Sprintf("key%04d", i%600)), []byte(fmt.Sprintf("v%d", i)))
 		if i%500 == 0 {
 			runs := s.Engine().Runs()
 			digs := s.RunDigests()
@@ -213,23 +213,23 @@ func TestDigestForestMatchesRuns(t *testing.T) {
 func TestEmptyStoreOps(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
-	if res, err := s.Get([]byte("nothing")); err != nil || res.Found {
+	if res, err := Get(s, []byte("nothing")); err != nil || res.Found {
 		t.Fatalf("empty get: %+v err=%v", res, err)
 	}
-	if out, err := s.Scan([]byte("a"), []byte("z")); err != nil || len(out) != 0 {
+	if out, err := Scan(s, []byte("a"), []byte("z")); err != nil || len(out) != 0 {
 		t.Fatalf("empty scan: %d err=%v", len(out), err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatalf("empty flush: %v", err)
 	}
-	if res, err := s.GetAt([]byte("k"), 0); err != nil || res.Found {
+	if res, err := s.GetAt(nil, []byte("k"), 0); err != nil || res.Found {
 		t.Fatalf("tsq=0 get: %+v err=%v", res, err)
 	}
 	// Empty key and empty value are legal.
-	if _, err := s.Put([]byte{}, []byte{}); err != nil {
+	if _, err := Put(s, []byte{}, []byte{}); err != nil {
 		t.Fatalf("empty key/value put: %v", err)
 	}
-	res, err := s.Get([]byte{})
+	res, err := Get(s, []byte{})
 	if err != nil || !res.Found {
 		t.Fatalf("empty key get: %+v err=%v", res, err)
 	}
@@ -242,7 +242,7 @@ func TestLargeValuesAcrossBlocks(t *testing.T) {
 	defer s.Close()
 	big := bytes.Repeat([]byte("x"), 3000) // 6x block size
 	for i := 0; i < 30; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("big%02d", i)), big); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("big%02d", i)), big); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestLargeValuesAcrossBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		res, err := s.Get([]byte(fmt.Sprintf("big%02d", i)))
+		res, err := Get(s, []byte(fmt.Sprintf("big%02d", i)))
 		if err != nil || !res.Found || len(res.Value) != 3000 {
 			t.Fatalf("big value %d: len=%d err=%v", i, len(res.Value), err)
 		}

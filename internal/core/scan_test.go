@@ -84,10 +84,10 @@ func randomStore(t *testing.T, s *Store, rng *rand.Rand, runs int) (model, []uin
 		var err error
 		var val []byte
 		if rng.Intn(5) == 0 {
-			ts, err = s.Delete([]byte(k))
+			ts, err = Delete(s, []byte(k))
 		} else {
 			val = []byte(fmt.Sprintf("v%d-%s", len(stamps), k))
-			ts, err = s.Put([]byte(k), val)
+			ts, err = Put(s, []byte(k), val)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +146,7 @@ func TestScanMatchesSequentialModel(t *testing.T) {
 					}
 					want := m.scan(start, end, tsq)
 					for _, temp := range []string{"cold", "warm"} {
-						got, err := s.ScanAt([]byte(start), []byte(end), tsq)
+						got, err := ScanAll(s.IterAt(nil, []byte(start), []byte(end), tsq))
 						if err == nil {
 							err = sameResults(got, want)
 						}
@@ -314,7 +314,7 @@ func TestScanCopiesBeforeItVerifies(t *testing.T) {
 					data[i] = 0xff
 				}
 			}
-			if out, err := s.Scan(start, end); !errors.Is(err, ErrAuthFailed) {
+			if out, err := Scan(s, start, end); !errors.Is(err, ErrAuthFailed) {
 				t.Fatalf("Scan of overwritten tables = %d rows, %v; want ErrAuthFailed", len(out), err)
 			}
 		})
@@ -334,7 +334,7 @@ func TestReadFaultIsNotTampering(t *testing.T) {
 		s := mustOpenP2(t, cfg)
 		for run := 0; run < 2; run++ {
 			for i := run; i < 400; i += 2 - run { // evens, then every key again
-				if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("value")); err != nil {
+				if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte("value")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -360,7 +360,7 @@ func TestReadFaultIsNotTampering(t *testing.T) {
 		defer s.Close()
 		for budget := 0; ; budget++ {
 			ffs.Arm(budget)
-			out, err := s.Scan([]byte("key"), []byte("kez"))
+			out, err := Scan(s, []byte("key"), []byte("kez"))
 			ffs.Disarm()
 			if err == nil {
 				if len(out) != 400 || budget == 0 {
@@ -378,7 +378,7 @@ func TestReadFaultIsNotTampering(t *testing.T) {
 		s, ffs := open(t)
 		defer s.Close()
 		for budget := 0; ; budget++ {
-			it := s.Iter([]byte("key"), []byte("kez"))
+			it := s.IterAt(nil, []byte("key"), []byte("kez"), record.MaxTs)
 			rows := 0
 			for it.Next() {
 				if rows++; rows == 40 { // inside the second chunk, the third prefetched or in flight
@@ -405,7 +405,7 @@ func TestReadFaultIsNotTampering(t *testing.T) {
 		ffs.Arm(0)
 		ioError(t, "Compact", s.Compact(1))
 		ffs.Disarm()
-		if out, err := s.Scan([]byte("key"), []byte("kez")); err != nil || len(out) != 400 {
+		if out, err := Scan(s, []byte("key"), []byte("kez")); err != nil || len(out) != 400 {
 			t.Fatalf("Scan after the failed compaction: %d rows, %v", len(out), err)
 		}
 	})
@@ -421,7 +421,7 @@ func TestScanAllocBudget(t *testing.T) {
 	const rows = 50
 	start, end := twoRunKey(1000), twoRunKey(1000+rows-1)
 	scan := func() {
-		if out, err := s.Scan(start, end); err != nil || len(out) != rows {
+		if out, err := Scan(s, start, end); err != nil || len(out) != rows {
 			t.Errorf("Scan = %d rows, %v", len(out), err)
 		}
 	}

@@ -16,7 +16,7 @@ func TestHistoricalScanSeesMemtableHistory(t *testing.T) {
 	tsOld := make(map[string]uint64)
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("key%02d", i)
-		ts, err := s.Put([]byte(key), []byte("old"))
+		ts, err := Put(s, []byte(key), []byte("old"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,13 +24,13 @@ func TestHistoricalScanSeesMemtableHistory(t *testing.T) {
 	}
 	cut := s.Engine().LastTs()
 	for i := 0; i < 20; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%02d", i)), []byte("new")); err != nil {
+		if _, err := Put(s, []byte(fmt.Sprintf("key%02d", i)), []byte("new")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Everything is still in the memtable: the historical scan must see
 	// the "old" values at the cut timestamp.
-	out, err := s.ScanAt([]byte("key00"), []byte("key19"), cut)
+	out, err := ScanAll(s.IterAt(nil, []byte("key00"), []byte("key19"), cut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestHistoricalScanSeesMemtableHistory(t *testing.T) {
 		}
 	}
 	// At the latest timestamp, the same scan sees the new values.
-	out, err = s.ScanAt([]byte("key00"), []byte("key19"), record.MaxTs)
+	out, err = ScanAll(s.IterAt(nil, []byte("key00"), []byte("key19"), record.MaxTs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestHistoricalScanSeesMemtableHistory(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	out, err = s.ScanAt([]byte("key00"), []byte("key19"), cut)
+	out, err = ScanAll(s.IterAt(nil, []byte("key00"), []byte("key19"), cut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestHistoricalScanSeesMemtableHistory(t *testing.T) {
 		}
 	}
 	// Before any writes: verified-empty historical scan.
-	out, err = s.ScanAt([]byte("key00"), []byte("key19"), tsOld["key00"]-1)
+	out, err = ScanAll(s.IterAt(nil, []byte("key00"), []byte("key19"), tsOld["key00"]-1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,10 @@ import (
 
 	"elsm/internal/lsm"
 	"elsm/internal/record"
-	"elsm/internal/sgx"
 )
 
-// This file implements the Snapshot interface for the three store modes.
-// All three capture the same engine-level unit — lsm.Snapshot: the applied
+// This file implements the Snapshot interface for the P2 and raw stores.
+// Both capture the same engine-level unit — lsm.Snapshot: the applied
 // timestamp frontier, the memtable pair, and the reference-counted run set
 // of the current version — so a snapshot's reads are repeatable bit for bit
 // across concurrent flushes, compactions and WAL rotations; eLSM-P2
@@ -45,10 +44,8 @@ func (s *p2Snapshot) Ts() uint64 { return s.view.ts() }
 // GetAt implements Snapshot: the verified GET protocol against the pinned
 // view (tsq clamped to the snapshot frontier).
 func (s *p2Snapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
+	if err := lsm.CtxErr(ctx); err != nil {
+		return Result{}, err
 	}
 	var res Result
 	var err error
@@ -70,31 +67,26 @@ func (s *p2Snapshot) Close() error {
 	return nil
 }
 
-// rawSnapshot is the unverified snapshot shared by eLSM-P1 and the
-// unsecured baseline: the same pinned engine view, read through the plain
+// rawSnapshot is the unverified snapshot of the raw store (eLSM-P1 and the
+// unsecured baseline): the same pinned engine view, read through the plain
 // engine protocol (P1's integrity comes from block seals applied below
 // this layer; unsecured has none).
 type rawSnapshot struct {
-	esnap     *lsm.Snapshot
-	enclave   *sgx.Enclave // nil for the unsecured store
-	chunkKeys int
-	refs      int // iterator references, guarded by mu
-	closed    bool
-	mu        sync.Mutex
+	s      *RawStore
+	esnap  *lsm.Snapshot
+	refs   int // iterator references, guarded by mu
+	closed bool
+	mu     sync.Mutex
 }
 
-// newRawSnapshot pins the engine state for a P1/unsecured snapshot.
-func newRawSnapshot(engine *lsm.Store, enclave *sgx.Enclave, chunkKeys int) *rawSnapshot {
-	return &rawSnapshot{esnap: engine.AcquireSnapshot(), enclave: enclave, chunkKeys: chunkKeys}
-}
-
-// ecall runs fn as an enclave call when the mode has an enclave.
-func (s *rawSnapshot) ecall(fn func()) {
-	if s.enclave != nil {
-		s.enclave.ECall(fn)
-		return
+// newRawSnapshot pins the engine state for a raw-store snapshot.
+func newRawSnapshot(s *RawStore) (*rawSnapshot, error) {
+	esnap := s.engine.AcquireSnapshot()
+	if err := esnap.Err(); err != nil {
+		esnap.Release()
+		return nil, err
 	}
-	fn()
+	return &rawSnapshot{s: s, esnap: esnap}, nil
 }
 
 // Ts implements Snapshot.
@@ -102,22 +94,7 @@ func (s *rawSnapshot) Ts() uint64 { return s.esnap.Ts() }
 
 // GetAt implements Snapshot.
 func (s *rawSnapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-	}
-	var res Result
-	var err error
-	s.ecall(func() {
-		var rec record.Record
-		var ok bool
-		rec, ok, err = s.esnap.Get(key, tsq)
-		if err == nil && ok {
-			res = resultFrom(rec)
-		}
-	})
-	return res, err
+	return s.s.getAt(ctx, s.esnap, key, tsq)
 }
 
 // IterAt implements Snapshot: chunks stream through one enclave call each.
@@ -125,16 +102,14 @@ func (s *rawSnapshot) IterAt(ctx context.Context, start, end []byte, tsq uint64)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return &errIter{err: lsm.ErrClosed}
+		return NewSliceIter(nil, nil, lsm.ErrClosed)
 	}
 	s.refs++
 	s.mu.Unlock()
 	endC := append([]byte(nil), end...)
 	return newChunkIter(ctx, start, func(cursor []byte) ([]Result, []byte, bool, error) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, false, err
-			}
+		if err := lsm.CtxErr(ctx); err != nil {
+			return nil, nil, false, err
 		}
 		var (
 			recs []record.Record
@@ -142,7 +117,7 @@ func (s *rawSnapshot) IterAt(ctx context.Context, start, end []byte, tsq uint64)
 			done bool
 			err  error
 		)
-		s.ecall(func() { recs, next, done, err = s.esnap.ScanChunk(cursor, endC, tsq, s.chunkKeys) })
+		s.s.ecall(func() { recs, next, done, err = s.esnap.ScanChunk(cursor, endC, tsq, s.s.iterChunkKeys) })
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -181,14 +156,4 @@ func (s *rawSnapshot) Close() error {
 		s.esnap.Release()
 	}
 	return nil
-}
-
-// Snapshot implements KV for eLSM-P1.
-func (s *StoreP1) Snapshot() (Snapshot, error) {
-	return newRawSnapshot(s.engine, s.enclave, s.iterChunkKeys), nil
-}
-
-// Snapshot implements KV for the unsecured baseline.
-func (s *Unsecured) Snapshot() (Snapshot, error) {
-	return newRawSnapshot(s.engine, nil, s.iterChunkKeys), nil
 }

@@ -146,36 +146,40 @@ type Result struct {
 	Found bool
 }
 
-// KV is the common interface implemented by the eLSM-P2, eLSM-P1 and
-// unsecured stores (Equation 1 of the paper, extended with the grouped
-// write and streaming read paths that amortize enclave-boundary costs, and
-// the Sessions v2 surface: context-aware variants, pinned snapshots and
-// pipelined asynchronous durability). The context-free methods are thin
-// wrappers over their Ctx counterparts.
+// Reader is the verified read surface a live store and a Snapshot share:
+// the paper's GET(k, tsq) and SCAN(k1, k2, tsq). On authenticated stores
+// every result is verified before it is returned.
+type Reader interface {
+	// GetAt returns the newest value with timestamp ≤ tsq (record.MaxTs for
+	// the latest). The ctx is checked before the lookup starts.
+	GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error)
+	// IterAt streams the newest value ≤ tsq of every key in [start, end] in
+	// bounded memory over one pinned point-in-time view. A cancelled ctx
+	// stops the stream and its prefetch; errors (verification failures
+	// included) surface through the iterator's Err/Close, and the iterator
+	// must be closed to release its pins.
+	IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator
+}
+
+// KV is the call surface every store implements — eLSM-P2, the raw store
+// behind eLSM-P1 and the unsecured baseline, the shard router and the Eleos
+// comparator: Equation 1 of the paper (PUT, GET, SCAN) with the write
+// generalized to an atomic group and durability made pipelinable. These
+// seven methods are the primitives; everything else a caller may want
+// (Put, Delete, Get, Scan here in kv.go; the ctx-free and "latest" spellings
+// on the public elsm.Store) is derived from them once, so a new front end or
+// baseline implements seven methods and gets the rest.
+//
+// Every ctx may be nil, meaning "not cancellable".
 type KV interface {
-	Put(key, value []byte) (uint64, error)
-	Delete(key []byte) (uint64, error)
-	// ApplyBatch applies a group of writes atomically under one engine
-	// lock acquisition, returning the commit timestamp of the group.
-	ApplyBatch(ops []BatchOp) (uint64, error)
-	Get(key []byte) (Result, error)
-	GetAt(key []byte, tsq uint64) (Result, error)
-	Scan(start, end []byte) ([]Result, error)
-	// IterAt streams the newest value ≤ tsq of every key in [start, end]
-	// in bounded memory; errors (verification failures included) surface
-	// through the iterator's Err/Close.
-	IterAt(start, end []byte, tsq uint64) Iterator
+	Reader
 
-	// Context-aware variants. A context cancelled while a write still
-	// waits in the commit queue withdraws it (nothing is written); a
-	// context cancelled mid-iteration stops the stream and aborts its
-	// prefetch.
-	PutCtx(ctx context.Context, key, value []byte) (uint64, error)
-	DeleteCtx(ctx context.Context, key []byte) (uint64, error)
-	ApplyBatchCtx(ctx context.Context, ops []BatchOp) (uint64, error)
-	GetAtCtx(ctx context.Context, key []byte, tsq uint64) (Result, error)
-	IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) Iterator
-
+	// Commit applies a group of writes atomically and durably in one
+	// enclave round trip, returning the commit timestamp of the group (its
+	// last record's). An empty group writes nothing. A ctx cancelled while
+	// the group still waits in the commit queue withdraws it (nothing is
+	// written); once claimed by the committer it completes regardless.
+	Commit(ctx context.Context, ops []BatchOp) (uint64, error)
 	// CommitAsync applies a group of writes with pipelined durability: the
 	// future is acknowledged once the commit timestamp is assigned and the
 	// group is appended to the log, and resolved once it is fsynced and
@@ -198,17 +202,13 @@ type CommitFuture = lsm.CommitFuture
 
 // Snapshot is a pinned point-in-time read session over a KV store. On
 // authenticated stores every read through it is verified exactly like the
-// live paths, against the digest forest captured at creation.
+// live paths, against the digest forest captured at creation. GetAt and
+// IterAt clamp tsq to Ts.
 type Snapshot interface {
+	Reader
 	// Ts returns the snapshot's trusted timestamp frontier: the commit
 	// timestamp of the last write visible in it.
 	Ts() uint64
-	// GetAt returns the newest value with timestamp ≤ tsq as of the
-	// snapshot (tsq is clamped to Ts).
-	GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error)
-	// IterAt streams the snapshot's range [start, end] at tsq in bounded
-	// memory.
-	IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator
 	// Close releases the snapshot's pins. Idempotent; open iterators keep
 	// their own pins until closed.
 	Close() error
@@ -732,29 +732,6 @@ func (c *Store) UnverifiedReplay() int {
 // Operations (each wrapped in an ECall: the trusted application calls into
 // the enclave, §6.1)
 
-// Put writes a key-value record, returning its trusted timestamp.
-func (c *Store) Put(key, value []byte) (uint64, error) { return c.PutCtx(nil, key, value) }
-
-// PutCtx is Put with commit-queue cancellation: a context cancelled while
-// the write still waits in the group-commit queue withdraws it.
-func (c *Store) PutCtx(ctx context.Context, key, value []byte) (uint64, error) {
-	var ts uint64
-	var err error
-	c.enclave.ECall(func() { ts, err = c.engine.PutCtx(ctx, key, value) })
-	return ts, err
-}
-
-// Delete writes a tombstone.
-func (c *Store) Delete(key []byte) (uint64, error) { return c.DeleteCtx(nil, key) }
-
-// DeleteCtx is Delete with commit-queue cancellation.
-func (c *Store) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
-	var ts uint64
-	var err error
-	c.enclave.ECall(func() { ts, err = c.engine.DeleteCtx(ctx, key) })
-	return ts, err
-}
-
 // Sync is the durability barrier: it returns once every commit accepted
 // before the call — synchronous or asynchronous — is fsynced to the
 // untrusted log.
@@ -764,25 +741,15 @@ func (c *Store) Sync(ctx context.Context) error {
 	return err
 }
 
-// Get returns the latest verified value of key.
-func (c *Store) Get(key []byte) (Result, error) { return c.GetAt(key, record.MaxTs) }
-
 // GetAt returns the newest verified value with Ts ≤ tsq (the paper's
-// GET(k, tsq)).
-func (c *Store) GetAt(key []byte, tsq uint64) (Result, error) {
-	return c.GetAtCtx(nil, key, tsq)
-}
-
-// GetAtCtx is GetAt with cancellation (checked before the enclave call —
-// a point lookup is a single short ECall). It acquires an ephemeral read
-// view — the same pinned (runs, digests) unit that backs Snapshot — runs
-// the verified GET protocol against it, and releases it: point reads,
-// iterators and snapshots share one implementation.
-func (c *Store) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
+// GET(k, tsq)); ctx is checked before the enclave call — a point lookup is a
+// single short ECall. It acquires an ephemeral read view — the same pinned
+// (runs, digests) unit that backs Snapshot — runs the verified GET protocol
+// against it, and releases it: point reads, iterators and snapshots share
+// one implementation.
+func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
+	if err := lsm.CtxErr(ctx); err != nil {
+		return Result{}, err
 	}
 	var start time.Time
 	if c.rec != nil {
@@ -820,19 +787,6 @@ func resultFrom(rec record.Record) Result {
 		Ts:    rec.Ts,
 		Found: true,
 	}
-}
-
-// Scan returns the latest verified value of every key in [start, end]
-// (§5.4: completeness-verified range query).
-func (c *Store) Scan(start, end []byte) ([]Result, error) {
-	return c.ScanAt(start, end, record.MaxTs)
-}
-
-// ScanAt is Scan at a historical timestamp (the paper's SCAN(k1, k2, tsq)),
-// rebased on the streaming verified iterator: the range is fetched and
-// verified chunk by chunk, then materialized for the caller.
-func (c *Store) ScanAt(start, end []byte, tsq uint64) ([]Result, error) {
-	return ScanAll(c.IterAt(start, end, tsq))
 }
 
 // Flush forces the memtable to disk through the authenticated flush path.

@@ -63,6 +63,10 @@ func (c *Store) acquireEphemeralView() (*readView, error) {
 func (c *Store) acquireViewWith(acquire func() *lsm.Snapshot) (*readView, error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		esnap := acquire()
+		if err := esnap.Err(); err != nil {
+			esnap.Release()
+			return nil, err
+		}
 		digs := c.snapshotDigests()
 		ok := true
 		for _, ref := range esnap.Runs() {

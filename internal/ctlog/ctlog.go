@@ -65,8 +65,7 @@ var (
 
 // KV is the verified-store surface the log server needs: authenticated
 // point writes, verified-freshness lookups and completeness-verified range
-// scans. Both the public *elsm.Store (sharded or not) and any core.KV
-// satisfy it.
+// scans. The public *elsm.Store (sharded or not) satisfies it.
 type KV interface {
 	Put(key, value []byte) (uint64, error)
 	Get(key []byte) (core.Result, error)

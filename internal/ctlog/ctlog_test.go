@@ -6,12 +6,12 @@ import (
 	"testing"
 	"time"
 
-	"elsm/internal/core"
+	"elsm"
 )
 
-func testServer(t *testing.T) (*Server, *core.Store) {
+func testServer(t *testing.T) (*Server, *elsm.Store) {
 	t.Helper()
-	kv, err := core.Open(core.Config{
+	kv, err := elsm.Open(elsm.Options{
 		MemtableSize:  8 << 10,
 		TableFileSize: 8 << 10,
 		LevelBase:     32 << 10,
@@ -125,7 +125,7 @@ func TestIntensiveSubmissionStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if kv.Engine().Stats().Flushes == 0 {
+	if kv.Stats().Flushes == 0 {
 		t.Fatal("stream did not exercise flush")
 	}
 	for _, i := range []int{0, 999, 1999} {

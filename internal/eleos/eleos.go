@@ -15,6 +15,7 @@ package eleos
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -22,6 +23,7 @@ import (
 
 	"elsm/internal/core"
 	"elsm/internal/costmodel"
+	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
@@ -85,6 +87,7 @@ type Store struct {
 	writeBuf    []byte
 
 	monitor time.Duration
+	closed  bool
 }
 
 var _ core.KV = (*Store)(nil)
@@ -182,31 +185,30 @@ func (s *Store) approxOffset(bi int) int64 {
 	return int64(float64(bi) / float64(len(s.buckets)) * float64(s.region.Size()))
 }
 
-// Put implements core.KV: an in-place update or a gapped insert. Like the
-// other enclave-hosted stores, each operation enters the enclave via an
-// ECall (§6.1).
-func (s *Store) Put(key, value []byte) (uint64, error) {
-	var ts uint64
-	var err error
-	s.enclave.ECall(func() { ts, err = s.write(key, value, false) })
-	return ts, err
+// enter is the admission check every operation starts with: a cancelled
+// ctx (nil = not cancellable) or a closed store refuses it.
+func (s *Store) enter(ctx context.Context) error {
+	if err := lsm.CtxErr(ctx); err != nil {
+		return err
+	}
+	if s.closed {
+		return lsm.ErrClosed
+	}
+	return nil
 }
 
-// Delete implements core.KV (in-place tombstone mark, then removal).
-func (s *Store) Delete(key []byte) (uint64, error) {
-	var ts uint64
-	var err error
-	s.enclave.ECall(func() { ts, err = s.write(key, nil, true) })
-	return ts, err
-}
-
-// ApplyBatch implements core.KV: the whole group is applied inside one
-// ECall (Eleos is update-in-place, so the group shares a single world
-// switch but gains no further amortization). Unlike the LSM-backed stores,
+// Commit implements core.KV: each op is an in-place update or a gapped
+// insert, and the whole group is applied inside one ECall — like the other
+// enclave-hosted stores, each operation enters the enclave via an ECall
+// (§6.1); Eleos is update-in-place, so the group shares a single world
+// switch but gains no further amortization. Unlike the LSM-backed stores,
 // a mid-group failure (e.g. capacity exhaustion) leaves the preceding ops
 // applied — this baseline has no WAL to roll back from, and is only used
 // for benchmark comparisons where that distinction is part of the story.
-func (s *Store) ApplyBatch(ops []core.BatchOp) (uint64, error) {
+func (s *Store) Commit(ctx context.Context, ops []core.BatchOp) (uint64, error) {
+	if err := s.enter(ctx); err != nil {
+		return 0, err
+	}
 	var ts uint64
 	var err error
 	s.enclave.ECall(func() {
@@ -227,18 +229,13 @@ func (s *Store) ApplyBatch(ops []core.BatchOp) (uint64, error) {
 // IterAt implements core.KV. Eleos keeps no history, so the iterator serves
 // a materialized snapshot of the live range (tsq applies as in GetAt only
 // insofar as live versions qualify).
-func (s *Store) IterAt(start, end []byte, tsq uint64) core.Iterator {
-	res, err := s.Scan(start, end)
-	if err == nil && tsq != record.MaxTs {
-		kept := res[:0]
-		for _, r := range res {
-			if r.Ts <= tsq {
-				kept = append(kept, r)
-			}
-		}
-		res = kept
+func (s *Store) IterAt(ctx context.Context, start, end []byte, tsq uint64) core.Iterator {
+	if err := s.enter(ctx); err != nil {
+		return core.NewSliceIter(nil, nil, err)
 	}
-	return core.NewSliceIter(res, err)
+	var res []core.Result
+	s.enclave.ECall(func() { res = s.scan(start, end, tsq) })
+	return core.NewSliceIter(ctx, res, nil)
 }
 
 func (s *Store) write(key, value []byte, del bool) (uint64, error) {
@@ -299,25 +296,17 @@ func (s *Store) bufferWrite(key, value []byte, ts uint64) {
 	s.writeBuf = append(s.writeBuf, byte(ts), byte(ts>>8), byte(ts>>16))
 	s.dirty++
 	if s.dirty >= s.cfg.PersistEvery {
-		buf := s.writeBuf
-		costmodel.ChargeBytes(s.enclave.Params().Cost.EnclaveCopyPerKB, len(buf))
-		s.enclave.OCall(func() {
-			s.persistFile.Append(buf)
-			s.persistFile.Sync()
-		})
-		s.writeBuf = s.writeBuf[:0]
-		s.dirty = 0
+		costmodel.ChargeBytes(s.enclave.Params().Cost.EnclaveCopyPerKB, len(s.writeBuf))
+		s.persist()
 	}
-}
-
-// Get implements core.KV.
-func (s *Store) Get(key []byte) (core.Result, error) {
-	return s.GetAt(key, record.MaxTs)
 }
 
 // GetAt implements core.KV. Eleos is update-in-place and keeps no history:
 // a historical query returns the live version only if it is old enough.
-func (s *Store) GetAt(key []byte, tsq uint64) (core.Result, error) {
+func (s *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (core.Result, error) {
+	if err := s.enter(ctx); err != nil {
+		return core.Result{}, err
+	}
 	var res core.Result
 	var err error
 	s.enclave.ECall(func() { res, err = s.getAt(key, tsq) })
@@ -350,15 +339,8 @@ func (s *Store) getAt(key []byte, tsq uint64) (core.Result, error) {
 	}, nil
 }
 
-// Scan implements core.KV.
-func (s *Store) Scan(start, end []byte) ([]core.Result, error) {
-	var out []core.Result
-	var err error
-	s.enclave.ECall(func() { out, err = s.scan(start, end) })
-	return out, err
-}
-
-func (s *Store) scan(start, end []byte) ([]core.Result, error) {
+// scan collects the live versions no newer than tsq in [start, end].
+func (s *Store) scan(start, end []byte, tsq uint64) []core.Result {
 	var out []core.Result
 	bi, ei, _ := s.locate(start)
 	for ; bi < len(s.buckets); bi++ {
@@ -366,10 +348,10 @@ func (s *Store) scan(start, end []byte) ([]core.Result, error) {
 		for ; ei < len(b.entries); ei++ {
 			e := b.entries[ei]
 			if bytes.Compare(e.key, end) > 0 {
-				return out, nil
+				return out
 			}
 			s.touch(s.approxOffset(bi)+int64(ei*32), len(e.key)+len(e.val))
-			if e.del {
+			if e.del || e.ts > tsq {
 				continue
 			}
 			out = append(out, core.Result{
@@ -381,7 +363,7 @@ func (s *Store) scan(start, end []byte) ([]core.Result, error) {
 		}
 		ei = 0
 	}
-	return out, nil
+	return out
 }
 
 // BulkLoad fills an empty store from sorted records.
@@ -438,15 +420,28 @@ func (s *Store) Bytes() int64 { return s.bytes }
 // Enclave exposes the enclave for stats inspection.
 func (s *Store) Enclave() *sgx.Enclave { return s.enclave }
 
-// Close flushes the persistence buffer.
-func (s *Store) Close() error {
-	if len(s.writeBuf) > 0 {
-		buf := s.writeBuf
-		s.enclave.OCall(func() {
-			s.persistFile.Append(buf)
-			s.persistFile.Sync()
-		})
+// persist writes the buffered recent writes out through an OCall.
+func (s *Store) persist() {
+	if len(s.writeBuf) == 0 {
+		return
 	}
+	buf := s.writeBuf
+	s.enclave.OCall(func() {
+		s.persistFile.Append(buf)
+		s.persistFile.Sync()
+	})
+	s.writeBuf = s.writeBuf[:0]
+	s.dirty = 0
+}
+
+// Close flushes the persistence buffer. Operations after it fail with
+// lsm.ErrClosed.
+func (s *Store) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	s.persist()
 	s.region.Free()
 	return s.persistFile.Close()
 }

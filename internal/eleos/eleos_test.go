@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"elsm/internal/core"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
 	"elsm/internal/ycsb"
@@ -25,23 +26,23 @@ func mustOpen(t *testing.T, cfg Config) *Store {
 func TestPutGetDelete(t *testing.T) {
 	s := mustOpen(t, Config{})
 	defer s.Close()
-	if _, err := s.Put([]byte("b"), []byte("v1")); err != nil {
+	if _, err := core.Put(s, []byte("b"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put([]byte("a"), []byte("v2")); err != nil {
+	if _, err := core.Put(s, []byte("a"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Get([]byte("a"))
+	res, err := core.Get(s, []byte("a"))
 	if err != nil || !res.Found || string(res.Value) != "v2" {
 		t.Fatalf("get a = %+v err=%v", res, err)
 	}
-	if res, _ := s.Get([]byte("zz")); res.Found {
+	if res, _ := core.Get(s, []byte("zz")); res.Found {
 		t.Fatal("found absent key")
 	}
-	if _, err := s.Delete([]byte("a")); err != nil {
+	if _, err := core.Delete(s, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := s.Get([]byte("a")); res.Found {
+	if res, _ := core.Get(s, []byte("a")); res.Found {
 		t.Fatal("deleted key still found")
 	}
 }
@@ -49,17 +50,17 @@ func TestPutGetDelete(t *testing.T) {
 func TestUpdateInPlace(t *testing.T) {
 	s := mustOpen(t, Config{})
 	defer s.Close()
-	ts1, _ := s.Put([]byte("k"), []byte("v1"))
-	ts2, _ := s.Put([]byte("k"), []byte("v2"))
+	ts1, _ := core.Put(s, []byte("k"), []byte("v1"))
+	ts2, _ := core.Put(s, []byte("k"), []byte("v2"))
 	if ts2 <= ts1 {
 		t.Fatal("timestamps not monotonic")
 	}
-	res, _ := s.Get([]byte("k"))
+	res, _ := core.Get(s, []byte("k"))
 	if string(res.Value) != "v2" || res.Ts != ts2 {
 		t.Fatalf("res = %+v", res)
 	}
 	// Update-in-place has no history.
-	old, _ := s.GetAt([]byte("k"), ts1)
+	old, _ := s.GetAt(nil, []byte("k"), ts1)
 	if old.Found {
 		t.Fatal("update-in-place store returned history")
 	}
@@ -70,11 +71,11 @@ func TestManyInsertsSorted(t *testing.T) {
 	defer s.Close()
 	// Insert in reverse order to force shifting.
 	for i := 2000; i > 0; i-- {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
+		if _, err := core.Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, err := s.Scan([]byte("key00000"), []byte("key99999"))
+	out, err := core.Scan(s, []byte("key00000"), []byte("key99999"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestCapacityLimit(t *testing.T) {
 	defer s.Close()
 	var hitCap bool
 	for i := 0; i < 1000; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), make([]byte, 100)); err != nil {
+		if _, err := core.Put(s, []byte(fmt.Sprintf("key%05d", i)), make([]byte, 100)); err != nil {
 			if !errors.Is(err, ErrCapacity) {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -114,12 +115,12 @@ func TestBulkLoadAndScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1499, 2999} {
-		res, err := s.Get(recs[i].Key)
+		res, err := core.Get(s, recs[i].Key)
 		if err != nil || !res.Found {
 			t.Fatalf("bulk key %d: %+v err=%v", i, res, err)
 		}
 	}
-	out, err := s.Scan(ycsb.Key(100), ycsb.Key(199))
+	out, err := core.Scan(s, ycsb.Key(100), ycsb.Key(199))
 	if err != nil || len(out) != 100 {
 		t.Fatalf("scan = %d err=%v", len(out), err)
 	}
@@ -140,14 +141,14 @@ func TestInsertAfterBulkLoad(t *testing.T) {
 	if err := s.BulkLoad(ycsb.GenRecords(500, 16)); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := s.Put([]byte("zzz-new"), []byte("v"))
+	ts, err := core.Put(s, []byte("zzz-new"), []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ts <= 500 {
 		t.Fatalf("ts %d did not advance past bulk data", ts)
 	}
-	res, _ := s.Get([]byte("zzz-new"))
+	res, _ := core.Get(s, []byte("zzz-new"))
 	if !res.Found {
 		t.Fatal("inserted key missing")
 	}
@@ -156,7 +157,7 @@ func TestInsertAfterBulkLoad(t *testing.T) {
 func TestPersistenceFlushes(t *testing.T) {
 	s := mustOpen(t, Config{PersistEvery: 10})
 	for i := 0; i < 25; i++ {
-		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("value"))
+		core.Put(s, []byte(fmt.Sprintf("k%02d", i)), []byte("value"))
 	}
 	if s.persistFile.Size() == 0 {
 		t.Fatal("nothing persisted after 25 writes with interval 10")

@@ -8,71 +8,19 @@ import (
 	"elsm/internal/lsm"
 )
 
-// This file keeps the Eleos baseline conformant with core.KV's Sessions v2
-// surface. Eleos is an in-enclave update-in-place array with no commit
-// pipeline and no multi-version snapshots, so the context variants are
-// plain wrappers, CommitAsync degenerates to a synchronous commit behind an
-// already-resolved future, Sync flushes the persistence stream, and
-// Snapshot is unsupported (the paper's baseline has no point-in-time reads
-// to compare against).
+// Eleos is an in-enclave update-in-place array with no commit pipeline and
+// no multi-version snapshots, so CommitAsync degenerates to a synchronous
+// commit behind an already-resolved future, Sync flushes the persistence
+// stream, and Snapshot is unsupported (the paper's baseline has no
+// point-in-time reads to compare against).
 
 // ErrNoSnapshots reports that the baseline cannot pin point-in-time views.
 var ErrNoSnapshots = errors.New("eleos: snapshots are not supported by the update-in-place baseline")
 
-// PutCtx implements core.KV.
-func (s *Store) PutCtx(ctx context.Context, key, value []byte) (uint64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	return s.Put(key, value)
-}
-
-// DeleteCtx implements core.KV.
-func (s *Store) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	return s.Delete(key)
-}
-
-// ApplyBatchCtx implements core.KV.
-func (s *Store) ApplyBatchCtx(ctx context.Context, ops []core.BatchOp) (uint64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	return s.ApplyBatch(ops)
-}
-
-// GetAtCtx implements core.KV.
-func (s *Store) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (core.Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return core.Result{}, err
-		}
-	}
-	return s.GetAt(key, tsq)
-}
-
-// IterAtCtx implements core.KV.
-func (s *Store) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) core.Iterator {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return core.NewSliceIter(nil, err)
-		}
-	}
-	return s.IterAt(start, end, tsq)
-}
-
 // CommitAsync implements core.KV: commits synchronously and returns a
 // resolved future (the baseline has no durability pipeline to decouple).
 func (s *Store) CommitAsync(ctx context.Context, ops []core.BatchOp) (*core.CommitFuture, error) {
-	ts, err := s.ApplyBatchCtx(ctx, ops)
+	ts, err := s.Commit(ctx, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -81,20 +29,10 @@ func (s *Store) CommitAsync(ctx context.Context, ops []core.BatchOp) (*core.Comm
 
 // Sync implements core.KV: flushes the buffered persistence stream.
 func (s *Store) Sync(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := s.enter(ctx); err != nil {
+		return err
 	}
-	if len(s.writeBuf) > 0 {
-		buf := s.writeBuf
-		s.enclave.OCall(func() {
-			s.persistFile.Append(buf)
-			s.persistFile.Sync()
-		})
-		s.writeBuf = nil
-		s.dirty = 0
-	}
+	s.persist()
 	return nil
 }
 

@@ -41,7 +41,7 @@ func TestBackgroundFlushInstalls(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		key := fmt.Sprintf("key%05d", i)
 		val := fmt.Sprintf("val%05d", i)
-		if _, err := s.Put([]byte(key), []byte(val)); err != nil {
+		if _, err := putKV(s, []byte(key), []byte(val)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		want[key] = val
@@ -76,7 +76,7 @@ func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 400; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("pin-me")); err != nil {
+		if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte("pin-me")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func TestAdaptiveGroupCommitWindow(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 16; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+		if _, err := putKV(s, []byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestCloseDrainsInFlightFlush(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("key%05d", i)
-		if _, err := s.Put([]byte(key), []byte("v")); err != nil {
+		if _, err := putKV(s, []byte(key), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		want[key] = true
@@ -231,7 +231,7 @@ func TestBackgroundFlushFailureFailsStop(t *testing.T) {
 	// the first WAL append.
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("key%05d", i)
-		if _, err := s.Put([]byte(key), []byte("v")); err != nil {
+		if _, err := putKV(s, []byte(key), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		acked[key] = true
@@ -240,7 +240,7 @@ func TestBackgroundFlushFailureFailsStop(t *testing.T) {
 	var failed bool
 	for i := 50; i < 4000 && !failed; i++ {
 		key := fmt.Sprintf("key%05d", i)
-		if _, err := s.Put([]byte(key), []byte("v")); err != nil {
+		if _, err := putKV(s, []byte(key), []byte("v")); err != nil {
 			failed = true
 			break
 		}
@@ -303,7 +303,7 @@ func TestMaintenanceEntryPointsRace(t *testing.T) {
 				defer writers.Done()
 				for i := 0; i < 400; i++ {
 					key := fmt.Sprintf("%s-w%d-%05d", round, w, i)
-					_, err := s.Put([]byte(key), []byte("vvvvvvvv"))
+					_, err := putKV(s, []byte(key), []byte("vvvvvvvv"))
 					if err != nil {
 						if !allowed(err) {
 							t.Errorf("Put: %v", err)
@@ -479,7 +479,7 @@ func TestJobAbortMatrix(t *testing.T) {
 	put := func(t *testing.T, s *Store, lo, hi int) {
 		t.Helper()
 		for i := lo; i < hi; i++ {
-			if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%05d", i))); err != nil {
+			if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%05d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -579,7 +579,7 @@ func TestJobAbortMatrix(t *testing.T) {
 				// A failed flush fail-stops the store (a reopen replays the
 				// stranded logs); a failed explicit job only returned its error.
 				if kind.sticky {
-					if _, err := s.Put([]byte("after"), []byte("abort")); err == nil {
+					if _, err := putKV(s, []byte("after"), []byte("abort")); err == nil {
 						t.Fatal("a failed flush left no sticky background error")
 					}
 					s.Close()
@@ -591,7 +591,7 @@ func TestJobAbortMatrix(t *testing.T) {
 				if installed, committed, aborted := l.last(); installed != 1 || committed != 1 || aborted != 0 {
 					t.Fatalf("later job saw Installed×%d Committed×%d Abort×%d, want one install", installed, committed, aborted)
 				}
-				if _, err := s.Put([]byte("after"), []byte("abort")); err != nil {
+				if _, err := putKV(s, []byte("after"), []byte("abort")); err != nil {
 					t.Fatalf("put after the later job: %v", err)
 				}
 				for _, i := range []int{0, 150, 299} {

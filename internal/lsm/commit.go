@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements the pipelined cross-client group-commit pipeline.
-// Concurrent Put/Delete/ApplyBatch/CommitAsync callers enqueue their
+// Concurrent Commit/CommitAsync callers enqueue their
 // operations; two dedicated store goroutines turn the queue into durable,
 // visible state in two decoupled stages:
 //
@@ -198,7 +198,8 @@ func NewAggregateFuture(children []*CommitFuture, onSettled func()) *CommitFutur
 	return f
 }
 
-// ctxDone tolerates nil contexts (the context-free legacy wrappers).
+// ctxDone and CtxErr are the nil-ctx convention of every layer above the
+// engine: a nil context means "not cancellable".
 func ctxDone(ctx context.Context) <-chan struct{} {
 	if ctx == nil {
 		return nil
@@ -206,7 +207,8 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-func ctxErr(ctx context.Context) error {
+// CtxErr is ctx.Err() for a context that may be nil.
+func CtxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
@@ -334,13 +336,27 @@ func (s *Store) enqueueCommit(req *commitReq) error {
 	return nil
 }
 
-// commit enqueues ops and blocks until the pipeline has durably committed
-// them, returning the commit timestamp of the request's last record. A
-// context cancellation while the request is still queued withdraws it (the
-// write never happens); once the append worker has claimed it, the commit
-// completes regardless and its outcome is returned.
-func (s *Store) commit(ctx context.Context, ops []BatchOp) (uint64, error) {
-	if err := ctxErr(ctx); err != nil {
+// BatchOp is one operation of a grouped write: a set (Delete false) or a
+// tombstone (Delete true, Value ignored).
+type BatchOp struct {
+	Key    []byte
+	Value  []byte
+	Delete bool
+}
+
+// Commit is the engine's one synchronous write: it applies ops atomically
+// through the group-commit pipeline and blocks until they are durable and
+// visible. Timestamps are drawn from one contiguous reservation, every
+// record extends the listener's WAL digest chain individually, and the
+// whole batch reaches the untrusted log in one marker-terminated group
+// append — sharing its fsync and periodic monotonic-counter bump with any
+// concurrent commits that joined the same group. It returns the timestamp
+// of the batch's last record (records occupy the contiguous range
+// [ts-len(ops)+1, ts]). A context cancelled while the request is still
+// queued withdraws it (the write never happens); once the append worker has
+// claimed it, the commit completes regardless and its outcome is returned.
+func (s *Store) Commit(ctx context.Context, ops []BatchOp) (uint64, error) {
+	if err := CtxErr(ctx); err != nil {
 		return 0, err
 	}
 	if len(ops) == 0 {
@@ -369,7 +385,7 @@ func (s *Store) commit(ctx context.Context, ops []BatchOp) (uint64, error) {
 // prior appends and completes only once the sync stage has fsynced past
 // them.
 func (s *Store) Sync(ctx context.Context) error {
-	if err := ctxErr(ctx); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return err
 	}
 	req := &commitReq{done: make(chan struct{})} // no ops: a pure barrier
@@ -404,7 +420,7 @@ func (s *Store) awaitReq(ctx context.Context, req *commitReq) (uint64, error) {
 // wait against MaxAsyncCommitBacklog — once accepted into the queue the
 // commit proceeds regardless.
 func (s *Store) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	if len(ops) == 0 {

@@ -94,7 +94,7 @@ func TestCompactionKeepsItsOwnCopy(t *testing.T) {
 	put := func(lo, hi int, gen string) {
 		for i := lo; i < hi; i++ {
 			k, v := fmt.Sprintf("key%05d", i), fmt.Sprintf("value-%s-%05d", gen, i)
-			if _, err := s.Put([]byte(k), []byte(v)); err != nil {
+			if _, err := putKV(s, []byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 			want[k] = v
@@ -146,7 +146,7 @@ func TestScanRunChunkKeepsItsOwnCopy(t *testing.T) {
 	s := mustOpen(t, opts)
 	defer s.Close()
 	for i := 0; i < 400; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("value%05d", i))); err != nil {
+		if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("value%05d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,6 +26,15 @@ func smallOpts(fs vfs.FS) Options {
 	}
 }
 
+// putKV and delKV are the tests' one-op Commits.
+func putKV(s *Store, key, value []byte) (uint64, error) {
+	return s.Commit(nil, []BatchOp{{Key: key, Value: value}})
+}
+
+func delKV(s *Store, key []byte) (uint64, error) {
+	return s.Commit(nil, []BatchOp{{Key: key, Delete: true}})
+}
+
 func mustOpen(t *testing.T, opts Options) *Store {
 	t.Helper()
 	s, err := Open(opts)
@@ -38,7 +47,7 @@ func mustOpen(t *testing.T, opts Options) *Store {
 func TestPutGetBasic(t *testing.T) {
 	s := mustOpen(t, smallOpts(nil))
 	defer s.Close()
-	ts, err := s.Put([]byte("hello"), []byte("world"))
+	ts, err := putKV(s, []byte("hello"), []byte("world"))
 	if err != nil || ts == 0 {
 		t.Fatalf("put: ts=%d err=%v", ts, err)
 	}
@@ -54,8 +63,8 @@ func TestPutGetBasic(t *testing.T) {
 func TestOverwriteAndTimestamps(t *testing.T) {
 	s := mustOpen(t, smallOpts(nil))
 	defer s.Close()
-	ts1, _ := s.Put([]byte("k"), []byte("v1"))
-	ts2, _ := s.Put([]byte("k"), []byte("v2"))
+	ts1, _ := putKV(s, []byte("k"), []byte("v1"))
+	ts2, _ := putKV(s, []byte("k"), []byte("v2"))
 	if ts2 <= ts1 {
 		t.Fatalf("timestamps not monotonic: %d then %d", ts1, ts2)
 	}
@@ -72,8 +81,8 @@ func TestOverwriteAndTimestamps(t *testing.T) {
 func TestDeleteTombstone(t *testing.T) {
 	s := mustOpen(t, smallOpts(nil))
 	defer s.Close()
-	s.Put([]byte("k"), []byte("v"))
-	s.Delete([]byte("k"))
+	putKV(s, []byte("k"), []byte("v"))
+	delKV(s, []byte("k"))
 	rec, ok, _ := s.Get([]byte("k"), record.MaxTs)
 	if !ok || rec.Kind != record.KindDelete {
 		t.Fatalf("tombstone not surfaced: %v %v", rec.Kind, ok)
@@ -87,7 +96,7 @@ func putMany(t *testing.T, s *Store, n int, valSize int) map[string]string {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key%06d", i%(n/2+1)) // ~2 versions per key
 		v := fmt.Sprintf("v%d-%s", i, val)
-		if _, err := s.Put([]byte(key), []byte(v)); err != nil {
+		if _, err := putKV(s, []byte(key), []byte(v)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		latest[key] = v
@@ -128,7 +137,7 @@ func TestLemma54LevelOrdering(t *testing.T) {
 	defer s.Close()
 	for i := 0; i < 4000; i++ {
 		key := fmt.Sprintf("key%03d", i%97)
-		if _, err := s.Put([]byte(key), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if _, err := putKV(s, []byte(key), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,8 +170,8 @@ func TestLemma54LevelOrdering(t *testing.T) {
 func TestTombstoneDroppedAtBottom(t *testing.T) {
 	s := mustOpen(t, smallOpts(nil))
 	defer s.Close()
-	s.Put([]byte("doomed"), []byte("v"))
-	s.Delete([]byte("doomed"))
+	putKV(s, []byte("doomed"), []byte("v"))
+	delKV(s, []byte("doomed"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +194,7 @@ func TestKeepVersionsPolicy(t *testing.T) {
 			defer s.Close()
 			var tss []uint64
 			for i := 0; i < 5; i++ {
-				ts, _ := s.Put([]byte("k"), []byte(fmt.Sprintf("v%d", i)))
+				ts, _ := putKV(s, []byte("k"), []byte(fmt.Sprintf("v%d", i)))
 				tss = append(tss, ts)
 			}
 			if err := s.Flush(); err != nil {
@@ -213,9 +222,9 @@ func TestScanMerged(t *testing.T) {
 	s := mustOpen(t, smallOpts(nil))
 	defer s.Close()
 	for i := 0; i < 500; i++ {
-		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
+		putKV(s, []byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	s.Delete([]byte("key0150"))
+	delKV(s, []byte("key0150"))
 	recs, err := s.Scan([]byte("key0100"), []byte("key0199"), record.MaxTs)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +263,7 @@ func TestRecovery(t *testing.T) {
 		}
 	}
 	// Writes continue with fresh timestamps.
-	ts, err := s2.Put([]byte("post-recovery"), []byte("v"))
+	ts, err := putKV(s2, []byte("post-recovery"), []byte("v"))
 	if err != nil || ts <= lastTs {
 		t.Fatalf("post-recovery put ts=%d err=%v", ts, err)
 	}
@@ -263,7 +272,7 @@ func TestRecovery(t *testing.T) {
 func TestWALReplayPopulatesMemtable(t *testing.T) {
 	fs := vfs.NewMem()
 	s := mustOpen(t, smallOpts(fs))
-	s.Put([]byte("inmem"), []byte("v1")) // stays in memtable (small)
+	putKV(s, []byte("inmem"), []byte("v1")) // stays in memtable (small)
 	s.Close()
 
 	s2 := mustOpen(t, smallOpts(fs))
@@ -283,12 +292,12 @@ func TestVerifyWALPrefix(t *testing.T) {
 	fs := vfs.NewMem()
 	s := mustOpen(t, smallOpts(fs))
 	defer s.Close()
-	s.Put([]byte("a"), []byte("1"))
+	putKV(s, []byte("a"), []byte("1"))
 	s.mu.Lock()
 	mid := s.walW.Digest()
 	s.mu.Unlock()
-	s.Put([]byte("b"), []byte("2"))
-	s.Put([]byte("c"), []byte("3"))
+	putKV(s, []byte("b"), []byte("2"))
+	putKV(s, []byte("c"), []byte("3"))
 
 	extra, err := s.VerifyWALPrefix(mid)
 	if err != nil || extra != 2 {
@@ -332,7 +341,7 @@ func TestBulkLoad(t *testing.T) {
 		t.Fatal("second bulk load accepted")
 	}
 	// Timestamps continue above the loaded ones.
-	ts, _ := s.Put([]byte("new"), []byte("v"))
+	ts, _ := putKV(s, []byte("new"), []byte("v"))
 	if ts <= 5000 {
 		t.Fatalf("post-bulk-load ts = %d", ts)
 	}
@@ -470,7 +479,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3000; i++ {
-			s.Put([]byte(fmt.Sprintf("key%04d", i%200)), []byte(fmt.Sprintf("v%d", i)))
+			putKV(s, []byte(fmt.Sprintf("key%04d", i%200)), []byte(fmt.Sprintf("v%d", i)))
 		}
 		close(stop)
 	}()

@@ -128,12 +128,12 @@ func TestParallelJobsDisjointAndInstallsSerialized(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("w%d-key%05d", w, i)
-				if _, err := s.Put([]byte(key), []byte(fmt.Sprintf("val%05d", i))); err != nil {
+				if _, err := putKV(s, []byte(key), []byte(fmt.Sprintf("val%05d", i))); err != nil {
 					t.Errorf("writer %d put %d: %v", w, i, err)
 					return
 				}
 				if i%97 == 0 {
-					if _, err := s.Delete([]byte(key)); err != nil {
+					if _, err := delKV(s, []byte(key)); err != nil {
 						t.Errorf("writer %d delete %d: %v", w, i, err)
 						return
 					}
@@ -235,9 +235,9 @@ func TestParallelMatchesSerialScans(t *testing.T) {
 		defer s.Close()
 		for i := 0; i < nOps; i++ {
 			if opDeletes(i) {
-				_, err = s.Delete([]byte(opKey(i)))
+				_, err = delKV(s, []byte(opKey(i)))
 			} else {
-				_, err = s.Put([]byte(opKey(i)), []byte(opVal(i)))
+				_, err = putKV(s, []byte(opKey(i)), []byte(opVal(i)))
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -324,7 +324,7 @@ func TestStallAttributionFlushOnly(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 2000; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("vvvvvvvv")); err != nil {
+		if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte("vvvvvvvv")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,7 +373,7 @@ func TestStallAttributionCompactionBlocked(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 300; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("seed%05d", i)), []byte("v")); err != nil {
+		if _, err := putKV(s, []byte(fmt.Sprintf("seed%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +388,7 @@ func TestStallAttributionCompactionBlocked(t *testing.T) {
 	writerDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < 600; i++ { // several memtables' worth: must stall
-			if _, err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("vvvvvvvv")); err != nil {
+			if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte("vvvvvvvv")); err != nil {
 				writerDone <- err
 				return
 			}

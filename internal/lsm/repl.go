@@ -17,8 +17,9 @@ var ErrReplicationGap = errors.New("lsm: replicated group does not extend the ap
 
 // ReplicatedGroup is one durably committed commit group as observed by a
 // replication sink: the group's records in append (= timestamp) order plus
-// the timestamp interval (PrevTs, LastTs] they cover. Records are shared
-// with the engine and must be treated as immutable.
+// the timestamp interval (PrevTs, LastTs] they cover. Recs views the
+// committing callers' buffers: it is valid for the duration of the sink
+// call only — copy to retain.
 type ReplicatedGroup struct {
 	Recs   []record.Record
 	PrevTs uint64 // applied frontier before the group

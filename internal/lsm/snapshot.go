@@ -30,6 +30,7 @@ type Snapshot struct {
 	refs   []RunRef
 	runs   []*run // aligned with refs
 	gauged bool   // counted in Stats.SnapshotsOpen (sessions, not point reads)
+	closed bool   // the store was already closed at acquisition
 	once   sync.Once
 }
 
@@ -47,6 +48,7 @@ func (s *Store) AcquireEphemeralSnapshot() *Snapshot { return s.acquireSnapshot(
 func (s *Store) acquireSnapshot(gauged bool) *Snapshot {
 	snap := &Snapshot{s: s, gauged: gauged}
 	s.mu.RLock()
+	snap.closed = s.closed
 	snap.ts = s.appliedTs.Load()
 	snap.mem = s.mem
 	snap.frozen = s.frozen
@@ -62,6 +64,15 @@ func (s *Store) acquireSnapshot(gauged bool) *Snapshot {
 		s.snapshotsOpen.Add(1)
 	}
 	return snap
+}
+
+// Err reports ErrClosed for a snapshot acquired from a closed store: its
+// table files are closed, so it must not be read (only released).
+func (sn *Snapshot) Err() error {
+	if sn.closed {
+		return ErrClosed
+	}
+	return nil
 }
 
 // Ts returns the snapshot's timestamp: the last commit visible in it.

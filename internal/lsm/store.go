@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -864,29 +863,6 @@ func (s *Store) releaseRunRefs(runs []*run, n int) {
 			s.releaseRun(r)
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Writes (all routed through the group-commit pipeline in commit.go)
-
-// Put inserts a key-value record, returning the assigned trusted timestamp.
-func (s *Store) Put(key, value []byte) (uint64, error) {
-	return s.commit(nil, []BatchOp{{Key: key, Value: value}})
-}
-
-// PutCtx is Put with queue-wait cancellation (see ApplyBatchCtx).
-func (s *Store) PutCtx(ctx context.Context, key, value []byte) (uint64, error) {
-	return s.commit(ctx, []BatchOp{{Key: key, Value: value}})
-}
-
-// Delete writes a tombstone for key.
-func (s *Store) Delete(key []byte) (uint64, error) {
-	return s.commit(nil, []BatchOp{{Key: key, Delete: true}})
-}
-
-// DeleteCtx is Delete with queue-wait cancellation (see ApplyBatchCtx).
-func (s *Store) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
-	return s.commit(ctx, []BatchOp{{Key: key, Delete: true}})
 }
 
 // Flush forces all buffered writes to disk and waits for the resulting

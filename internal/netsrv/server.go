@@ -255,7 +255,16 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Under mu, so that Close's Wait never runs beside an Add: a
+		// connection accepted as the server closes is dropped instead.
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			continue
+		}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)
@@ -642,12 +651,14 @@ func (s *Server) admitWrite(c *conn, req *netproto.Request) {
 	}
 	actx, acancel := context.WithTimeout(c.ctx, s.cfg.AdmissionWait)
 	fut, err := b.CommitAsync(actx)
+	// Read before acancel, which would make every failure look like one.
+	timedOut := actx.Err() != nil && c.ctx.Err() == nil
 	acancel()
 	var f respFrame
 	switch {
 	case err == nil:
 		f = respFrame{id: req.ID, fut: fut, release: true}
-	case actx.Err() != nil && c.ctx.Err() == nil:
+	case timedOut:
 		// The admission gate (MaxAsyncCommitBacklog) stayed full for
 		// the whole wait: the durability pipeline is saturated.
 		s.busyRejects.Add(1)

@@ -14,6 +14,7 @@ import (
 	"elsm"
 	"elsm/internal/netclient"
 	"elsm/internal/netproto"
+	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
 
@@ -302,6 +303,65 @@ func TestCommitBacklogSheds(t *testing.T) {
 	// The connection survives shedding: a fresh write succeeds.
 	if _, err := c.Put([]byte("after"), []byte("shed")); err != nil {
 		t.Fatalf("write after shed: %v", err)
+	}
+}
+
+// TestRefusedWriteIsNotBusy: a write the store refuses at admission (here a
+// read-only replica's ErrReadOnlyReplica) answers CodeErr with its errno and
+// counts no load shed. Only an admission wait that ran out is CodeBusy.
+func TestRefusedWriteIsNotBusy(t *testing.T) {
+	platform := sgx.NewPlatformFromSecret([]byte("netsrv-test"))
+	leader, err := elsm.Open(elsm.Options{Platform: platform})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	src, err := leader.ReplicationSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := elsm.OpenFollower(elsm.Options{Platform: platform}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	srv, err := New(follower, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for id, req := range []*netproto.Request{
+		{Op: netproto.OpPut, Key: []byte("k"), Value: []byte("v")},
+		{Op: netproto.OpDel, Key: []byte("k")},
+		{Op: netproto.OpBatch, Ops: []netproto.BatchOp{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Delete: true}}},
+	} {
+		req.ID = uint64(id + 1)
+		if _, err := conn.Write(netproto.AppendRequest(nil, req)); err != nil {
+			t.Fatal(err)
+		}
+		typ, rid, body, err := netproto.ReadFrame(br, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := netproto.DecodeResponse(typ, rid, body); err != nil ||
+			resp.Code != netproto.CodeErr || resp.ID != req.ID || resp.Errno != netproto.ErrnoReadOnly {
+			t.Fatalf("%v on a read-only replica = %+v err %v, want CodeErr/ErrnoReadOnly", req.Op, resp, err)
+		}
+	}
+	if n := srv.Stats().BusyRejects; n != 0 {
+		t.Fatalf("%d refused writes counted as load sheds", n)
 	}
 }
 

@@ -83,14 +83,36 @@ func NewLeader(st *core.Store, maxRingBytes int64, shard, shards int) *Leader {
 	return l
 }
 
+// ownRecords copies a group's records into one arena. The engine's records
+// view the committing callers' key and value slices, which the callers may
+// reuse once their commit returns — and the ring outlives the commit: a tail
+// stream chains and attests a group's bytes when it serves them.
+func ownRecords(recs []record.Record) []record.Record {
+	n := 0
+	for i := range recs {
+		n += len(recs[i].Key) + len(recs[i].Value)
+	}
+	arena := make([]byte, 0, n)
+	out := make([]record.Record, len(recs))
+	for i, r := range recs {
+		k := len(arena)
+		arena = append(arena, r.Key...)
+		v := len(arena)
+		arena = append(arena, r.Value...)
+		out[i] = record.Record{Key: arena[k:v:v], Ts: r.Ts, Kind: r.Kind, Value: arena[v:len(arena):len(arena)]}
+	}
+	return out
+}
+
 // onGroup ingests one committed group from the engine's sync stage
-// (single-threaded, commit order).
+// (single-threaded, commit order), copying what it retains.
 func (l *Leader) onGroup(g lsm.ReplicatedGroup) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
+	recs := ownRecords(g.Recs)
 	if len(l.groups) == 0 {
 		// (Re-)anchor the empty ring at the group's base.
 		l.baseTs = g.PrevTs
@@ -108,7 +130,7 @@ func (l *Leader) onGroup(g lsm.ReplicatedGroup) {
 	l.seq++
 	l.cum += g.Bytes
 	l.groups = append(l.groups, hubGroup{
-		recs:   g.Recs,
+		recs:   recs,
 		prevTs: g.PrevTs,
 		lastTs: g.LastTs,
 		seq:    l.seq,

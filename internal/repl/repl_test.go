@@ -57,7 +57,7 @@ func (h *leaderHarness) close() {
 
 func (h *leaderHarness) put(t *testing.T, k, v string) {
 	t.Helper()
-	if _, err := h.st.Put([]byte(k), []byte(v)); err != nil {
+	if _, err := core.Put(h.st, []byte(k), []byte(v)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -95,11 +95,11 @@ func waitCaughtUp(t *testing.T, st *core.Store, ts uint64) {
 // expectGet verifies one key reads identically on both stores.
 func expectSame(t *testing.T, leader, follower *core.Store, key string) {
 	t.Helper()
-	lr, err := leader.Get([]byte(key))
+	lr, err := core.Get(leader, []byte(key))
 	if err != nil {
 		t.Fatalf("leader get %s: %v", key, err)
 	}
-	fr, err := follower.Get([]byte(key))
+	fr, err := core.Get(follower, []byte(key))
 	if err != nil {
 		t.Fatalf("follower get %s: %v", key, err)
 	}
@@ -128,7 +128,7 @@ func TestTailCatchUp(t *testing.T) {
 		h.put(t, fmt.Sprintf("key-%04d", i), fmt.Sprintf("v2-%d", i))
 	}
 	for i := 0; i < 200; i += 5 {
-		if _, err := h.st.Delete([]byte(fmt.Sprintf("key-%04d", i))); err != nil {
+		if _, err := core.Delete(h.st, []byte(fmt.Sprintf("key-%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func TestTamperedShipRejectedFailStop(t *testing.T) {
 	if got := f.Engine().AppliedTs(); got != frontier {
 		t.Fatalf("follower advanced to %d past tampered frame (frontier %d)", got, frontier)
 	}
-	r, err := f.Get([]byte("poisoned"))
+	r, err := core.Get(f, []byte("poisoned"))
 	if err != nil || r.Found {
 		t.Fatalf("tampered record visible: %+v err %v", r, err)
 	}
@@ -230,7 +230,7 @@ func TestTailTooFarBehind(t *testing.T) {
 	hub := NewLeader(st, 1, 0, 1) // 1-byte ring: retains only the newest group
 	defer hub.Close()
 	for i := 0; i < 50; i++ {
-		if _, err := st.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+		if _, err := core.Put(st, []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestLocalTailerBehindFailStop(t *testing.T) {
 	f := bootstrap(t, src, fs, platform, sgx.NewMonotonicCounter())
 	defer f.Close()
 	for i := 0; i < 50; i++ {
-		if _, err := st.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+		if _, err := core.Put(st, []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}

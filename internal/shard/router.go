@@ -120,42 +120,9 @@ func (r *Router) route(key []byte) core.KV {
 	return r.shards[KeyShard(key, len(r.shards))]
 }
 
-// Put implements core.KV.
-func (r *Router) Put(key, value []byte) (uint64, error) { return r.PutCtx(nil, key, value) }
-
-// PutCtx implements core.KV: the write routes to its key's shard and rides
-// that shard's group-commit pipeline.
-func (r *Router) PutCtx(ctx context.Context, key, value []byte) (uint64, error) {
-	ts, err := r.route(key).PutCtx(ctx, key, value)
-	if err == nil {
-		r.seq.Add(1)
-	}
-	return ts, err
-}
-
-// Delete implements core.KV.
-func (r *Router) Delete(key []byte) (uint64, error) { return r.DeleteCtx(nil, key) }
-
-// DeleteCtx implements core.KV.
-func (r *Router) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
-	ts, err := r.route(key).DeleteCtx(ctx, key)
-	if err == nil {
-		r.seq.Add(1)
-	}
-	return ts, err
-}
-
-// Get implements core.KV.
-func (r *Router) Get(key []byte) (core.Result, error) { return r.GetAt(key, record.MaxTs) }
-
-// GetAt implements core.KV.
-func (r *Router) GetAt(key []byte, tsq uint64) (core.Result, error) {
-	return r.GetAtCtx(nil, key, tsq)
-}
-
-// GetAtCtx implements core.KV: one shard's verified GET protocol.
-func (r *Router) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (core.Result, error) {
-	return r.route(key).GetAtCtx(ctx, key, tsq)
+// GetAt implements core.KV: one shard's verified GET protocol.
+func (r *Router) GetAt(ctx context.Context, key []byte, tsq uint64) (core.Result, error) {
+	return r.route(key).GetAt(ctx, key, tsq)
 }
 
 // split partitions a batch into per-shard sub-batches, preserving the
@@ -175,12 +142,11 @@ func (r *Router) split(ops []core.BatchOp) (parts [][]core.BatchOp, involved []i
 	return parts, involved
 }
 
-// ApplyBatch implements core.KV.
-func (r *Router) ApplyBatch(ops []core.BatchOp) (uint64, error) { return r.ApplyBatchCtx(nil, ops) }
-
-// ApplyBatchCtx implements core.KV: the batch splits into per-shard
-// sub-batches, each committed atomically through its shard's pipeline, with
-// the per-shard fsyncs proceeding in parallel. The call returns once every
+// Commit implements core.KV. A one-op batch — every Put and Delete — routes
+// straight to its key's shard and rides that shard's group-commit pipeline,
+// without being split. A larger batch splits into per-shard sub-batches,
+// each committed atomically through its shard's pipeline, with the
+// per-shard fsyncs proceeding in parallel. The call returns once every
 // sub-batch is durable (an all-shards durability barrier), reporting the
 // highest per-shard commit timestamp; any shard's failure is the batch's
 // outcome. The ctx is checked only BEFORE the router starts admitting:
@@ -191,19 +157,18 @@ func (r *Router) ApplyBatch(ops []core.BatchOp) (uint64, error) { return r.Apply
 // across shards. (A shard pipeline failing mid-admission — store closed,
 // I/O fault — can still leave the earlier shards' sub-batches applied;
 // that is the crash window, and the call reports the failure.)
-func (r *Router) ApplyBatchCtx(ctx context.Context, ops []core.BatchOp) (uint64, error) {
+func (r *Router) Commit(ctx context.Context, ops []core.BatchOp) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
 	}
+	if len(ops) == 1 {
+		return r.commitOn(ctx, r.route(ops[0].Key), ops)
+	}
 	parts, involved := r.split(ops)
 	if len(involved) == 1 {
-		ts, err := r.shards[involved[0]].ApplyBatchCtx(ctx, parts[involved[0]])
-		if err == nil {
-			r.seq.Add(1)
-		}
-		return ts, err
+		return r.commitOn(ctx, r.shards[involved[0]], parts[involved[0]])
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := lsm.CtxErr(ctx); err != nil {
 		return 0, err
 	}
 	// Cross-shard: hold the snapshot gate until the batch is visible
@@ -249,12 +214,14 @@ func (r *Router) ApplyBatchCtx(ctx context.Context, ops []core.BatchOp) (uint64,
 	return maxTs, nil
 }
 
-// ctxErr tolerates nil contexts.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
+// commitOn commits a batch that lives on one shard, ticking the router
+// sequence on success.
+func (r *Router) commitOn(ctx context.Context, sh core.KV, ops []core.BatchOp) (uint64, error) {
+	ts, err := sh.Commit(ctx, ops)
+	if err == nil {
+		r.seq.Add(1)
 	}
-	return ctx.Err()
+	return ts, err
 }
 
 // CommitAsync implements core.KV: per-shard sub-batches are admitted to
@@ -262,7 +229,7 @@ func ctxErr(ctx context.Context) error {
 // the aggregate — acknowledged once every shard accepted (highest per-shard
 // timestamp), resolved once every shard is durable. The snapshot gate is
 // held by the aggregation goroutine until the whole batch has settled. As
-// with ApplyBatchCtx, the ctx bounds only the pre-admission check: a
+// with Commit, the ctx bounds only the pre-admission check: a
 // cancellation before admission withdraws the whole batch; after it, every
 // sub-batch is admitted unconditionally so cancellation can never tear the
 // batch across shards.
@@ -278,7 +245,7 @@ func (r *Router) CommitAsync(ctx context.Context, ops []core.BatchOp) (*core.Com
 		}
 		return fut, err
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := lsm.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	r.gate.RLock()
@@ -318,36 +285,17 @@ func (r *Router) Sync(ctx context.Context) error {
 	return firstErr
 }
 
-// Scan implements core.KV: the materialized form of the merged verified
-// stream.
-func (r *Router) Scan(start, end []byte) ([]core.Result, error) {
-	it := r.IterAt(start, end, record.MaxTs)
-	var out []core.Result
-	for it.Next() {
-		out = append(out, it.Result())
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// IterAt implements core.KV.
-func (r *Router) IterAt(start, end []byte, tsq uint64) core.Iterator {
-	return r.IterAtCtx(nil, start, end, tsq)
-}
-
-// IterAtCtx implements core.KV: the range streams from every shard's
+// IterAt implements core.KV: the range streams from every shard's
 // verified chunk iterator and merges in key order through the loser tree.
 // The whole merged stream runs over ONE router snapshot — all N shard views
 // pinned atomically under the commit gate — so it is a point-in-time
 // observation across shards, and each shard's incremental completeness
 // verification carries over: the hash partition is exhaustive, so N
 // complete per-shard ranges compose into one complete range.
-func (r *Router) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) core.Iterator {
+func (r *Router) IterAt(ctx context.Context, start, end []byte, tsq uint64) core.Iterator {
 	snap, err := r.Snapshot()
 	if err != nil {
-		return core.NewSliceIter(nil, err)
+		return core.NewSliceIter(nil, nil, err)
 	}
 	return snap.(*snapshot).iterAt(ctx, start, end, tsq, func() { snap.Close() })
 }

@@ -73,7 +73,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("key%04d", i)
 		val := fmt.Sprintf("val%d", i)
-		if _, err := r.Put([]byte(key), []byte(val)); err != nil {
+		if _, err := core.Put(r, []byte(key), []byte(val)); err != nil {
 			t.Fatal(err)
 		}
 		model[key] = val
@@ -91,23 +91,23 @@ func TestRouterEndToEnd(t *testing.T) {
 		dk := fmt.Sprintf("key%04d", batch*20+7)
 		ops = append(ops, core.BatchOp{Key: []byte(dk), Delete: true})
 		delete(model, dk)
-		if _, err := r.ApplyBatch(ops); err != nil {
+		if _, err := r.Commit(nil, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for key, want := range model {
-		res, err := r.Get([]byte(key))
+		res, err := core.Get(r, []byte(key))
 		if err != nil || !res.Found || string(res.Value) != want {
 			t.Fatalf("get %q = %q found=%v err=%v, want %q", key, res.Value, res.Found, err, want)
 		}
 	}
-	if res, err := r.Get([]byte("key0007")); err != nil || res.Found {
+	if res, err := core.Get(r, []byte("key0007")); err != nil || res.Found {
 		t.Fatalf("deleted key still found: %+v err=%v", res, err)
 	}
 
 	// Merged scan: complete, ordered, verified.
-	scan, err := r.Scan([]byte("key"), []byte("kez"))
+	scan, err := core.Scan(r, []byte("key"), []byte("kez"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRouterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if _, err := r.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("churned")); err != nil {
+		if _, err := core.Put(r, []byte(fmt.Sprintf("key%04d", i)), []byte("churned")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestRouterCommitAsyncAggregate(t *testing.T) {
 		t.Fatalf("aggregate resolve after Sync: %v", err)
 	}
 	for i := 0; i < 32; i++ {
-		res, err := r.Get([]byte(fmt.Sprintf("async%03d", i)))
+		res, err := core.Get(r, []byte(fmt.Sprintf("async%03d", i)))
 		if err != nil || !res.Found {
 			t.Fatalf("async record %d: %v found=%v", i, err, res.Found)
 		}
@@ -219,13 +219,13 @@ func TestCrossShardCancellationNeverTears(t *testing.T) {
 		{Key: []byte("cancel-c"), Value: []byte("v")},
 		{Key: []byte("cancel-d"), Value: []byte("v")},
 	}
-	if _, err := r.ApplyBatchCtx(ctx, ops); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled cross-shard ApplyBatch: %v", err)
+	if _, err := r.Commit(ctx, ops); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled cross-shard Commit: %v", err)
 	}
 	if _, err := r.CommitAsync(ctx, ops); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled cross-shard CommitAsync: %v", err)
 	}
-	res, err := r.Scan([]byte("cancel"), []byte("cancem"))
+	res, err := core.Scan(r, []byte("cancel"), []byte("cancem"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestCrossShardCrashMidCommit(t *testing.T) {
 			ops = append(ops, core.BatchOp{Key: keyFor(0, batch, i), Value: []byte("v")})
 			ops = append(ops, core.BatchOp{Key: keyFor(1, batch, i), Value: []byte("v")})
 		}
-		if _, err := r.ApplyBatch(ops); err != nil {
+		if _, err := r.Commit(nil, ops); err != nil {
 			if !errors.Is(err, vfs.ErrInjected) {
 				t.Fatalf("batch %d: unexpected error class: %v", batch, err)
 			}
@@ -330,7 +330,7 @@ func TestCrossShardCrashMidCommit(t *testing.T) {
 		for shard := 0; shard < n; shard++ {
 			for i := 0; i < 2; i++ {
 				key := keyFor(shard, batch, i)
-				res, err := r2.Get(key)
+				res, err := core.Get(r2, key)
 				if err != nil {
 					t.Fatalf("verified read of acked batch %d key %q failed: %v", batch, key, err)
 				}
@@ -345,7 +345,7 @@ func TestCrossShardCrashMidCommit(t *testing.T) {
 	for shard := 0; shard < n; shard++ {
 		found := 0
 		for i := 0; i < 2; i++ {
-			res, err := r2.Get(keyFor(shard, failedBatch, i))
+			res, err := core.Get(r2, keyFor(shard, failedBatch, i))
 			if err != nil {
 				t.Fatalf("read of failed batch on shard %d: %v", shard, err)
 			}
@@ -379,7 +379,7 @@ func TestRouterConcurrentWritersAcrossShards(t *testing.T) {
 			for i := 0; i < opsEach; i++ {
 				switch i % 3 {
 				case 0:
-					if _, err := r.Put([]byte(fmt.Sprintf("w%d-key%04d", w, i)), []byte("v")); err != nil {
+					if _, err := core.Put(r, []byte(fmt.Sprintf("w%d-key%04d", w, i)), []byte("v")); err != nil {
 						errCh <- err
 						return
 					}
@@ -391,7 +391,7 @@ func TestRouterConcurrentWritersAcrossShards(t *testing.T) {
 							Value: []byte("v"),
 						})
 					}
-					if _, err := r.ApplyBatchCtx(ctx, ops); err != nil {
+					if _, err := r.Commit(ctx, ops); err != nil {
 						errCh <- err
 						return
 					}
@@ -465,7 +465,7 @@ func TestRouterConcurrentWritersAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everything landed: cross-check a sample and the total count.
-	scan, err := r.Scan([]byte("w"), []byte("x"))
+	scan, err := core.Scan(r, []byte("w"), []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

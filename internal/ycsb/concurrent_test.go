@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"context"
 	"elsm/internal/core"
 )
 
@@ -15,51 +16,24 @@ type lockedKV struct {
 
 var _ DB = (*lockedKV)(nil)
 
-func (l *lockedKV) Put(k, v []byte) (uint64, error) {
+func (l *lockedKV) Commit(ctx context.Context, ops []core.BatchOp) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.inner.Put(k, v)
+	return l.inner.Commit(ctx, ops)
 }
 
-func (l *lockedKV) Delete(k []byte) (uint64, error) {
+func (l *lockedKV) GetAt(ctx context.Context, k []byte, tsq uint64) (core.Result, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.inner.Delete(k)
+	return l.inner.GetAt(ctx, k, tsq)
 }
 
-func (l *lockedKV) Get(k []byte) (core.Result, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Get(k)
-}
-
-func (l *lockedKV) GetAt(k []byte, tsq uint64) (core.Result, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.GetAt(k, tsq)
-}
-
-func (l *lockedKV) ApplyBatch(ops []core.BatchOp) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.ApplyBatch(ops)
-}
-
-func (l *lockedKV) Scan(a, b []byte) ([]core.Result, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Scan(a, b)
-}
-
-func (l *lockedKV) IterAt(a, b []byte, tsq uint64) core.Iterator {
+func (l *lockedKV) IterAt(ctx context.Context, a, b []byte, tsq uint64) core.Iterator {
 	// Serialize the whole streamed read: materialize under the lock.
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	res, err := l.inner.Scan(a, b)
-	return core.NewSliceIter(res, err)
+	return l.inner.IterAt(ctx, a, b, tsq)
 }
-
-func (l *lockedKV) Close() error { return l.inner.Close() }
 
 func TestRunConcurrentAggregates(t *testing.T) {
 	kv := newMapKV()

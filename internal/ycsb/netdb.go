@@ -1,9 +1,13 @@
 package ycsb
 
 import (
+	"context"
+	"errors"
+
 	"elsm/internal/core"
 	"elsm/internal/netclient"
 	"elsm/internal/netproto"
+	"elsm/internal/record"
 )
 
 // NetDB adapts a netclient.Client to the DB surface, so every YCSB
@@ -18,13 +22,16 @@ type NetDB struct {
 // Close responsibility) of the client.
 func NewNetDB(c *netclient.Client) *NetDB { return &NetDB{c: c} }
 
-// Put writes one record durably over the wire.
-func (db *NetDB) Put(key, value []byte) (uint64, error) {
-	return db.c.Put(key, value)
-}
-
-// ApplyBatch applies one atomic durable commit over the wire.
-func (db *NetDB) ApplyBatch(ops []core.BatchOp) (uint64, error) {
+// Commit applies one atomic durable commit over the wire: a single op as
+// its own Put or Delete frame, more as one Batch. Here and below the ctx is
+// ignored: the client's calls are not cancellable.
+func (db *NetDB) Commit(_ context.Context, ops []core.BatchOp) (uint64, error) {
+	if len(ops) == 1 {
+		if ops[0].Delete {
+			return db.c.Delete(ops[0].Key)
+		}
+		return db.c.Put(ops[0].Key, ops[0].Value)
+	}
 	wire := make([]netproto.BatchOp, len(ops))
 	for i, op := range ops {
 		wire[i] = netproto.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete}
@@ -32,21 +39,22 @@ func (db *NetDB) ApplyBatch(ops []core.BatchOp) (uint64, error) {
 	return db.c.Batch(wire)
 }
 
-// Get reads one verified record over the wire.
-func (db *NetDB) Get(key []byte) (core.Result, error) {
-	res, err := db.c.Get(key)
-	if err != nil {
-		return core.Result{}, err
+// GetAt reads one verified record over the wire. The protocol's point read
+// is latest-only, so any other tsq is refused.
+func (db *NetDB) GetAt(_ context.Context, key []byte, tsq uint64) (core.Result, error) {
+	if tsq != record.MaxTs {
+		return core.Result{}, errors.New("ycsb: the wire protocol has no historical point read")
 	}
-	if !res.Found {
-		return core.Result{}, nil
+	res, err := db.c.Get(key)
+	if err != nil || !res.Found {
+		return core.Result{}, err
 	}
 	return core.Result{Key: key, Value: res.Value, Ts: res.Ts, Found: true}, nil
 }
 
 // IterAt streams the verified range [start, end] at tsq as a
 // core.Iterator over the protocol's chunked SCAN stream.
-func (db *NetDB) IterAt(start, end []byte, tsq uint64) core.Iterator {
+func (db *NetDB) IterAt(_ context.Context, start, end []byte, tsq uint64) core.Iterator {
 	sc, err := db.c.ScanAt(start, end, tsq)
 	if err != nil {
 		return &netIter{err: err}

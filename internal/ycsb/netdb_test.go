@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elsm"
+	"elsm/internal/core"
 	"elsm/internal/netclient"
 	"elsm/internal/netsrv"
 )
@@ -51,7 +52,7 @@ func TestNetDBWorkloads(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	// Spot-check the load landed.
-	res, err := db.Get(Key(0))
+	res, err := core.Get(db, Key(0))
 	if err != nil || !res.Found {
 		t.Fatalf("get after load: %+v err %v", res, err)
 	}

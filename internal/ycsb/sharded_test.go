@@ -72,7 +72,7 @@ func TestBatchedLoadSpreadsAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		res, err := r.Shard(i).Scan(Key(0), Key(400))
+		res, err := core.Scan(r.Shard(i), Key(0), Key(400))
 		if err != nil {
 			t.Fatalf("shard %d scan: %v", i, err)
 		}
@@ -80,7 +80,7 @@ func TestBatchedLoadSpreadsAcrossShards(t *testing.T) {
 			t.Fatalf("shard %d received no records from the batched load", i)
 		}
 	}
-	got, err := r.Scan(Key(0), Key(400))
+	got, err := core.Scan(r, Key(0), Key(400))
 	if err != nil {
 		t.Fatal(err)
 	}

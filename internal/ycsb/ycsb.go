@@ -6,6 +6,7 @@
 package ycsb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -248,14 +249,13 @@ func RecordsForBytes(bytes int64) int {
 	return int(n)
 }
 
-// DB is the minimal store surface the YCSB driver needs. core.KV (and so
-// every eLSM store mode) satisfies it; tests drive it with trivial fakes
-// without having to stub the full Sessions v2 interface.
+// DB is the minimal store surface the YCSB driver needs: the two reads and
+// the one synchronous write of core.KV (so every eLSM store mode satisfies
+// it); tests drive it with trivial fakes without having to stub sessions
+// and async durability.
 type DB interface {
-	Put(key, value []byte) (uint64, error)
-	ApplyBatch(ops []core.BatchOp) (uint64, error)
-	Get(key []byte) (core.Result, error)
-	IterAt(start, end []byte, tsq uint64) core.Iterator
+	core.Reader
+	Commit(ctx context.Context, ops []core.BatchOp) (uint64, error)
 }
 
 // Load inserts n records through the KV's write path (the slow, realistic
@@ -265,7 +265,7 @@ func Load(kv DB, n int, valueSize int) error {
 		valueSize = DefaultValueSize
 	}
 	for i := 0; i < n; i++ {
-		if _, err := kv.Put(Key(uint64(i)), Value(uint64(i), valueSize)); err != nil {
+		if _, err := core.Put(kv, Key(uint64(i)), Value(uint64(i), valueSize)); err != nil {
 			return fmt.Errorf("ycsb load at %d: %w", i, err)
 		}
 	}
@@ -286,7 +286,7 @@ func LoadBatched(kv DB, n, valueSize, batchSize int) error {
 	for i := 0; i < n; i++ {
 		ops = append(ops, core.BatchOp{Key: Key(uint64(i)), Value: Value(uint64(i), valueSize)})
 		if len(ops) == batchSize || i == n-1 {
-			if _, err := kv.ApplyBatch(ops); err != nil {
+			if _, err := kv.Commit(nil, ops); err != nil {
 				return fmt.Errorf("ycsb batched load at %d: %w", i, err)
 			}
 			ops = ops[:0]
@@ -354,29 +354,29 @@ func (r *Runner) RunOps(n int) (Stats, error) {
 		var err error
 		switch {
 		case p < wl.ReadProp:
-			_, err = r.KV.Get(Key(r.Chooser.Next()))
+			_, err = core.Get(r.KV, Key(r.Chooser.Next()))
 		case p < wl.ReadProp+wl.UpdateProp:
 			idx := r.Chooser.Next()
-			_, err = r.KV.Put(Key(idx), Value(idx+r.seq, valueSize))
+			_, err = core.Put(r.KV, Key(idx), Value(idx+r.seq, valueSize))
 		case p < wl.ReadProp+wl.UpdateProp+wl.InsertProp:
 			idx := r.Chooser.NoteInsert()
-			_, err = r.KV.Put(Key(idx), Value(idx, valueSize))
+			_, err = core.Put(r.KV, Key(idx), Value(idx, valueSize))
 		case p < wl.ReadProp+wl.UpdateProp+wl.InsertProp+wl.ScanProp:
 			// Range reads stream through the verified iterator, the way a
 			// production client would consume a large range.
 			startIdx := r.Chooser.Next()
 			ln := 1 + r.rnd.Intn(max(wl.ScanLen, 1))
-			it := r.KV.IterAt(Key(startIdx), Key(startIdx+uint64(ln)), record.MaxTs)
+			it := r.KV.IterAt(nil, Key(startIdx), Key(startIdx+uint64(ln)), record.MaxTs)
 			for it.Next() {
 			}
 			err = it.Close()
 		default: // read-modify-write
 			idx := r.Chooser.Next()
 			var res core.Result
-			res, err = r.KV.Get(Key(idx))
+			res, err = core.Get(r.KV, Key(idx))
 			if err == nil {
 				v := append(res.Value, byte('!'))
-				_, err = r.KV.Put(Key(idx), v)
+				_, err = core.Put(r.KV, Key(idx), v)
 			}
 		}
 		hist.ObserveDuration(time.Since(opStart))

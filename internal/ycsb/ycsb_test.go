@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"context"
 	"elsm/internal/core"
 	"elsm/internal/record"
 )
@@ -142,46 +143,30 @@ var _ DB = (*mapKV)(nil)
 
 func newMapKV() *mapKV { return &mapKV{m: map[string][]byte{}} }
 
-func (s *mapKV) Put(k, v []byte) (uint64, error) {
-	s.ts++
-	s.m[string(k)] = append([]byte(nil), v...)
+func (s *mapKV) Commit(_ context.Context, ops []core.BatchOp) (uint64, error) {
+	for _, op := range ops {
+		s.ts++
+		if op.Delete {
+			delete(s.m, string(op.Key))
+		} else {
+			s.m[string(op.Key)] = append([]byte(nil), op.Value...)
+		}
+	}
 	return s.ts, nil
 }
-func (s *mapKV) Delete(k []byte) (uint64, error) {
-	s.ts++
-	delete(s.m, string(k))
-	return s.ts, nil
-}
-func (s *mapKV) Get(k []byte) (core.Result, error) {
+func (s *mapKV) GetAt(_ context.Context, k []byte, _ uint64) (core.Result, error) {
 	v, ok := s.m[string(k)]
 	return core.Result{Key: k, Value: v, Found: ok}, nil
 }
-func (s *mapKV) GetAt(k []byte, _ uint64) (core.Result, error) { return s.Get(k) }
-func (s *mapKV) ApplyBatch(ops []core.BatchOp) (uint64, error) {
-	var ts uint64
-	for _, op := range ops {
-		if op.Delete {
-			ts, _ = s.Delete(op.Key)
-		} else {
-			ts, _ = s.Put(op.Key, op.Value)
-		}
-	}
-	return ts, nil
-}
-func (s *mapKV) Scan(start, end []byte) ([]core.Result, error) {
+func (s *mapKV) IterAt(ctx context.Context, start, end []byte, _ uint64) core.Iterator {
 	var out []core.Result
 	for k, v := range s.m {
 		if k >= string(start) && k <= string(end) {
 			out = append(out, core.Result{Key: []byte(k), Value: v, Found: true})
 		}
 	}
-	return out, nil
+	return core.NewSliceIter(ctx, out, nil)
 }
-func (s *mapKV) IterAt(start, end []byte, _ uint64) core.Iterator {
-	res, err := s.Scan(start, end)
-	return core.NewSliceIter(res, err)
-}
-func (s *mapKV) Close() error { return nil }
 
 func TestRunnerExecutesMix(t *testing.T) {
 	kv := newMapKV()

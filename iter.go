@@ -1,11 +1,6 @@
 package elsm
 
-import (
-	"context"
-
-	"elsm/internal/core"
-	"elsm/internal/record"
-)
+import "elsm/internal/core"
 
 // Iterator is a streaming verified range read: results arrive one at a
 // time, each verified for integrity and freshness as its chunk crosses the
@@ -36,38 +31,6 @@ type Iterator struct {
 	start, end []byte // plaintext bounds (encryption mode only)
 	cur        Result
 	err        error
-}
-
-// Iter streams the latest verified value of every key in [start, end].
-func (s *Store) Iter(start, end []byte) *Iterator { return s.IterAt(start, end, record.MaxTs) }
-
-// IterCtx is Iter with cancellation: cancelling ctx stops the stream (Err
-// reports the cancellation) and aborts the background chunk prefetch —
-// the way to deadline a long verified scan.
-func (s *Store) IterCtx(ctx context.Context, start, end []byte) *Iterator {
-	return s.IterAtCtx(ctx, start, end, record.MaxTs)
-}
-
-// IterAt is Iter at a historical timestamp (newest version ≤ tsq per key).
-func (s *Store) IterAt(start, end []byte, tsq uint64) *Iterator {
-	return s.IterAtCtx(nil, start, end, tsq)
-}
-
-// IterAtCtx is IterAt with cancellation.
-func (s *Store) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) *Iterator {
-	if s.enc != nil {
-		estart, eend, err := s.enc.rangeBounds(start, end)
-		if err != nil {
-			return &Iterator{err: err}
-		}
-		return &Iterator{
-			inner: s.base().IterAtCtx(ctx, estart, eend, tsq),
-			enc:   s.enc,
-			start: append([]byte(nil), start...),
-			end:   append([]byte(nil), end...),
-		}
-	}
-	return &Iterator{inner: s.base().IterAtCtx(ctx, start, end, tsq)}
 }
 
 // Next advances to the next verified result, returning false at the end of

@@ -65,6 +65,12 @@ func (s *Store) ReplicationSource() (FollowerSource, error) {
 // contiguity) before applying it. Reads serve the follower's own Merkle
 // forest with full verification; writes fail with ErrReadOnlyReplica.
 //
+// An automatic re-bootstrap (see Stats.ReplRebootstraps) closes the old
+// engine and swaps in a new one. A read, iterator or snapshot that races
+// the swap may fail with the engine's "store closed" error rather than
+// read the discarded engine; the call is safe to retry, and the retry sees
+// the new one.
+//
 // Requirements: ModeP2 (the default), and opts.Platform sharing the
 // leader's attestation root (sgx.NewPlatformFromSecret on both sides
 // stands in for remote attestation). opts.Shards must match the leader's

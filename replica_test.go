@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"elsm/internal/lsm"
 	"elsm/internal/repl"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
+	"io"
 )
 
 // replicaOpts builds small-scale leader/follower options over a shared
@@ -60,8 +62,13 @@ func waitConverged(t *testing.T, leader, follower *Store) []Result {
 		if err := follower.ReplicationErr(); err != nil {
 			t.Fatalf("replication failed: %v", err)
 		}
-		got := scanAll(t, follower)
-		if sameResults(want, got) {
+		// A read racing an automatic re-bootstrap's engine swap sees the old
+		// engine's closed error for a moment (rebootstrapLocked): retry.
+		got, err := follower.Scan([]byte("a"), []byte("z"))
+		if err != nil && !errors.Is(err, lsm.ErrClosed) {
+			t.Fatalf("scan: %v", err)
+		}
+		if err == nil && sameResults(want, got) {
 			return got
 		}
 		if time.Now().After(deadline) {
@@ -416,3 +423,95 @@ func TestFollowerAutoRebootstrap(t *testing.T) {
 		t.Fatalf("ReplicationErr after recovered re-bootstrap: %v", err)
 	}
 }
+
+// savedCheckpoints is a follower source whose checkpoints were captured
+// earlier; the tail is the leader's live one.
+type savedCheckpoints struct {
+	FollowerSource
+	ckpts [][]byte
+}
+
+func (s savedCheckpoints) Checkpoint(shard int) (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(s.ckpts[shard])), nil
+}
+
+// testReplicatedGroupsOwnTheirBytes pins the leader hub's ownership of what
+// it retains: Store.Put does not copy its arguments, so a caller may reuse
+// its key and value buffers once Put returns — while the hub's ring serves
+// (chains and attests) the group to followers arbitrarily later. A follower
+// must receive what was written, never what the buffers hold by then.
+func testReplicatedGroupsOwnTheirBytes(t *testing.T, shards int) {
+	secret := "own-bytes-secret"
+	leader, err := Open(replicaOpts(shards, secret))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	src, err := leader.ReplicationSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := savedCheckpoints{FollowerSource: src}
+	for i := 0; i < shards; i++ {
+		rc, err := src.Checkpoint(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved.ckpts = append(saved.ckpts, ckpt)
+	}
+
+	// Every group below reaches the follower through the ring alone. The
+	// last key's and value's buffers are scribbled on after their Put
+	// returned and before any tail stream has served them.
+	var key, val []byte
+	for i := 0; i < 50; i++ {
+		key, val = []byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%04d", i))
+		if _, err := leader.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range key {
+		key[i], val[i] = 'x', 'x'
+	}
+
+	follower, err := OpenFollower(replicaOpts(shards, secret), saved)
+	if err != nil {
+		t.Fatalf("open follower: %v", err)
+	}
+	defer follower.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(scanAll(t, follower)) < 50 && follower.ReplicationErr() == nil && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := follower.ReplicationErr(); err != nil {
+		t.Fatalf("replication failed: %v", err)
+	}
+	for _, r := range scanAll(t, follower) {
+		if !bytes.HasPrefix(r.Key, []byte("key-")) || !bytes.HasPrefix(r.Value, []byte("val-")) {
+			t.Fatalf("follower holds %q = %q, which the leader never wrote", r.Key, r.Value)
+		}
+	}
+	waitConverged(t, leader, follower)
+
+	// Live: the follower tails while one writer reuses a single key buffer
+	// and a single value buffer for every Put.
+	key, val = make([]byte, 8), make([]byte, 8)
+	for i := 0; i < 200; i++ {
+		copy(key, fmt.Sprintf("liv-%04d", i))
+		copy(val, fmt.Sprintf("val-%04d", i))
+		if _, err := leader.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := waitConverged(t, leader, follower); len(got) != 250 {
+		t.Fatalf("converged on %d keys, want 250", len(got))
+	}
+}
+
+func TestReplicatedGroupsOwnTheirBytes(t *testing.T)        { testReplicatedGroupsOwnTheirBytes(t, 1) }
+func TestReplicatedGroupsOwnTheirBytesSharded(t *testing.T) { testReplicatedGroupsOwnTheirBytes(t, 4) }

@@ -102,15 +102,7 @@ func openSharded(opts Options) (*Store, error) {
 		return nil, err
 	}
 	router.SetObserver(hub)
-	s := &Store{mode: opts.Mode, kv: router, ringBytes: opts.ReplRingBytes, obsv: hub, recs: recs}
-	if opts.Encryption != nil {
-		s.enc, err = newEncLayer(*opts.Encryption)
-		if err != nil {
-			router.Close()
-			return nil, err
-		}
-	}
-	return s, nil
+	return newStore(opts, router, hub, recs)
 }
 
 // Shards reports the store's partition count (1 for a single-instance

@@ -1,11 +1,6 @@
 package elsm
 
-import (
-	"context"
-
-	"elsm/internal/core"
-	"elsm/internal/record"
-)
+import "elsm/internal/core"
 
 // Snapshot is a consistent verified read session: it captures the store's
 // current trusted digest snapshot and pins its runs and memtable view, so
@@ -25,9 +20,12 @@ import (
 // pattern: Ts exposes the captured trusted timestamp, and GetAt/IterAt
 // still accept historical timestamps within the snapshot (clamped to Ts).
 type Snapshot struct {
-	s     *Store
+	reads
 	inner core.Snapshot
 }
+
+// reader implements readSource: the pinned view.
+func (sn *Snapshot) reader() core.Reader { return sn.inner }
 
 // Snapshot captures the current verified state as a read session. The
 // returned snapshot observes every commit acknowledged as durable before
@@ -37,99 +35,14 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{s: s, inner: inner}, nil
+	sn := &Snapshot{inner: inner}
+	sn.reads = reads{enc: s.enc, src: sn}
+	return sn, nil
 }
 
 // Ts returns the snapshot's trusted timestamp: the commit timestamp of the
 // newest write visible in it.
 func (sn *Snapshot) Ts() uint64 { return sn.inner.Ts() }
-
-// Get returns the latest value of key as of the snapshot, verified.
-func (sn *Snapshot) Get(key []byte) (Result, error) {
-	return sn.GetAtCtx(nil, key, record.MaxTs)
-}
-
-// GetCtx is Get with cancellation.
-func (sn *Snapshot) GetCtx(ctx context.Context, key []byte) (Result, error) {
-	return sn.GetAtCtx(ctx, key, record.MaxTs)
-}
-
-// GetAt returns the newest value with timestamp ≤ tsq as of the snapshot
-// (tsq is clamped to Ts).
-func (sn *Snapshot) GetAt(key []byte, tsq uint64) (Result, error) {
-	return sn.GetAtCtx(nil, key, tsq)
-}
-
-// GetAtCtx is GetAt with cancellation.
-func (sn *Snapshot) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (Result, error) {
-	if enc := sn.s.enc; enc != nil {
-		ek, ok, err := enc.lookupKey(key)
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			return Result{}, nil
-		}
-		res, err := sn.inner.GetAt(ctx, ek, tsq)
-		if err != nil || !res.Found {
-			return Result{}, err
-		}
-		return enc.openResult(res)
-	}
-	return sn.inner.GetAt(ctx, key, tsq)
-}
-
-// Iter streams the latest verified value of every key in [start, end] as
-// of the snapshot.
-func (sn *Snapshot) Iter(start, end []byte) *Iterator {
-	return sn.IterAtCtx(nil, start, end, record.MaxTs)
-}
-
-// IterCtx is Iter with cancellation.
-func (sn *Snapshot) IterCtx(ctx context.Context, start, end []byte) *Iterator {
-	return sn.IterAtCtx(ctx, start, end, record.MaxTs)
-}
-
-// IterAt is Iter at a historical timestamp within the snapshot.
-func (sn *Snapshot) IterAt(start, end []byte, tsq uint64) *Iterator {
-	return sn.IterAtCtx(nil, start, end, tsq)
-}
-
-// IterAtCtx is IterAt with cancellation.
-func (sn *Snapshot) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) *Iterator {
-	if enc := sn.s.enc; enc != nil {
-		estart, eend, err := enc.rangeBounds(start, end)
-		if err != nil {
-			return &Iterator{err: err}
-		}
-		return &Iterator{
-			inner: sn.inner.IterAt(ctx, estart, eend, tsq),
-			enc:   enc,
-			start: append([]byte(nil), start...),
-			end:   append([]byte(nil), end...),
-		}
-	}
-	return &Iterator{inner: sn.inner.IterAt(ctx, start, end, tsq)}
-}
-
-// Scan materializes the latest verified value of every key in [start, end]
-// as of the snapshot.
-func (sn *Snapshot) Scan(start, end []byte) ([]Result, error) {
-	return sn.ScanCtx(nil, start, end)
-}
-
-// ScanCtx is Scan with cancellation.
-func (sn *Snapshot) ScanCtx(ctx context.Context, start, end []byte) ([]Result, error) {
-	it := sn.IterCtx(ctx, start, end)
-	var out []Result
-	for it.Next() {
-		out = append(out, it.Result())
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // Close releases the snapshot's pins. Idempotent.
 func (sn *Snapshot) Close() error { return sn.inner.Close() }

@@ -126,7 +126,8 @@ type engined interface {
 	Engine() *lsm.Store
 }
 
-// enclaved is implemented by the enclave-hosted variants.
+// enclaved is implemented by the enclave-hosted variants (the unsecured
+// baseline implements it too, with a nil enclave).
 type enclaved interface {
 	Enclave() *sgx.Enclave
 }
@@ -160,7 +161,7 @@ func statsOf(kv core.KV) Stats {
 		out.GroupCommitWindowNanos = es.GroupCommitWindowNanos
 		out.FsyncEWMANanos = es.FsyncEWMANanos
 	}
-	if e, ok := kv.(enclaved); ok {
+	if e, ok := kv.(enclaved); ok && e.Enclave() != nil {
 		st := e.Enclave().Stats()
 		out.PageFaults = st.PageFaults
 		out.ECalls = st.ECalls

@@ -3,6 +3,7 @@ package elsm
 import (
 	"testing"
 
+	"context"
 	"elsm/internal/core"
 	"elsm/internal/record"
 )
@@ -26,10 +27,19 @@ func bulkLoad(t testing.TB, s *Store, recs []record.Record) {
 // unsharded stores alike.
 type storeDB struct{ s *Store }
 
-func (d storeDB) Put(key, value []byte) (uint64, error) { return d.s.Put(key, value) }
-func (d storeDB) Get(key []byte) (core.Result, error)   { return d.s.Get(key) }
+func (d storeDB) GetAt(ctx context.Context, key []byte, tsq uint64) (core.Result, error) {
+	return d.s.GetAtCtx(ctx, key, tsq)
+}
 
-func (d storeDB) ApplyBatch(ops []core.BatchOp) (uint64, error) {
+// Commit writes the way a client would: one op through Put or Delete, more
+// through a Batch.
+func (d storeDB) Commit(ctx context.Context, ops []core.BatchOp) (uint64, error) {
+	if len(ops) == 1 && ops[0].Delete {
+		return d.s.DeleteCtx(ctx, ops[0].Key)
+	}
+	if len(ops) == 1 {
+		return d.s.PutCtx(ctx, ops[0].Key, ops[0].Value)
+	}
 	b := d.s.NewBatch()
 	for _, op := range ops {
 		if op.Delete {
@@ -38,9 +48,9 @@ func (d storeDB) ApplyBatch(ops []core.BatchOp) (uint64, error) {
 			b.Put(op.Key, op.Value)
 		}
 	}
-	return b.Commit()
+	return b.CommitCtx(ctx)
 }
 
-func (d storeDB) IterAt(start, end []byte, tsq uint64) core.Iterator {
-	return d.s.IterAt(start, end, tsq)
+func (d storeDB) IterAt(ctx context.Context, start, end []byte, tsq uint64) core.Iterator {
+	return d.s.IterAtCtx(ctx, start, end, tsq)
 }
