@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig2,fig5a,fig5b,fig5c,fig6a,fig6b,fig6c,fig7a,fig7b,fig8,ablation-earlystop,ablation-compaction,ablation-shards,ablation-repl,ablation-net or 'all'")
+		expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig2,fig5a,fig5b,fig5c,fig6a,fig6b,fig6c,fig7a,fig7b,fig8,ablation-earlystop,ablation-compaction,ablation-shards,ablation-repl or 'all'")
 		scale    = flag.Int("scale", 32, "divide the paper's byte sizes by this factor (EPC scales too)")
 		ops      = flag.Int("ops", 1200, "measured operations per data point")
 		costName = flag.String("cost", "calibrated", "SGX cost model: calibrated | zero")

@@ -1,79 +1,56 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"elsm"
-	"elsm/internal/repl"
+	"elsm/internal/netclient"
+	"elsm/internal/netproto"
+	"elsm/internal/netsrv"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
 
-// dialogue runs one client session against serve() over an in-memory pipe.
-// Lines tagged with a leading ">" are sent without reading a reply (the
-// multi-line BATCH command, whose single reply follows the last op line —
-// request it with the pseudo-line "<"); SCAN replies are read until their
-// END/ERR terminator. net.Pipe is unbuffered, so a send that expected no
-// reply but drew one would deadlock rather than pass silently.
-func dialogue(t *testing.T, store *elsm.Store, lines []string) []string {
+// serve puts store behind the server main() assembles — netsrv with the
+// flag defaults — on a loopback port, and returns its address.
+func serve(t *testing.T, store *elsm.Store) string {
 	t.Helper()
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		serve(server, store)
-		close(done)
-	}()
-	w := bufio.NewWriter(client)
-	r := bufio.NewReader(client)
-	var replies []string
-	readReply := func(context string) {
-		for {
-			reply, err := r.ReadString('\n')
-			if err != nil {
-				t.Fatalf("read reply to %q: %v", context, err)
-			}
-			reply = strings.TrimSpace(reply)
-			replies = append(replies, reply)
-			// SCAN streams ROW lines (and STATS streams STAT lines) until
-			// END or ERR.
-			if strings.HasPrefix(reply, "ROW ") || strings.HasPrefix(reply, "STAT ") {
-				continue
-			}
-			return
-		}
+	cfg, err := netConfig(netsrv.DefaultMaxConnections, netsrv.DefaultPipelineDepth, netsrv.DefaultMaxInflight)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, line := range lines {
-		if line == "<" {
-			readReply("<deferred>")
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, ">"); ok {
-			fmt.Fprintln(w, rest)
-			w.Flush()
-			continue
-		}
-		fmt.Fprintln(w, line)
-		w.Flush()
-		if strings.HasPrefix(strings.ToUpper(line), "QUIT") {
-			break
-		}
-		readReply(line)
+	srv, err := netsrv.New(store, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	client.Close()
-	<-done
-	return replies
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
 }
 
-func mustOpen(t *testing.T) *elsm.Store {
+func dial(t *testing.T, addr string) *netclient.Client {
 	t.Helper()
-	store, err := elsm.Open(elsm.Options{})
+	c, err := netclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+func mustOpen(t *testing.T, opts elsm.Options) *elsm.Store {
+	t.Helper()
+	store, err := elsm.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,407 +58,303 @@ func mustOpen(t *testing.T) *elsm.Store {
 	return store
 }
 
-func TestServerProtocol(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		"PUT alpha one",
-		"PUT beta two",
-		"GET alpha",
-		"GET missing",
-		"SCAN a z",
-		"DEL alpha",
-		"GET alpha",
-		"BOGUS",
-		"QUIT",
-	})
-	want := []struct {
-		idx    int
-		prefix string
-	}{
-		{0, "OK "},
-		{1, "OK "},
-		{2, "VALUE "},
-		{3, "NOTFOUND"},
-		{4, "ROW alpha one"},
-		{5, "ROW beta two"},
-		{6, "END 2"},
-		{7, "OK "},
-		{8, "NOTFOUND"},
-		{9, "ERR "},
+// rows drains a scan into "key=value" strings.
+func rows(t *testing.T, sc *netclient.Scanner, err error) []string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(replies) != len(want) {
-		t.Fatalf("replies = %d: %v", len(replies), replies)
+	var out []string
+	for sc.Next() {
+		out = append(out, fmt.Sprintf("%s=%s", sc.Key(), sc.Value()))
 	}
-	for _, w := range want {
-		if !strings.HasPrefix(replies[w.idx], w.prefix) {
-			t.Fatalf("reply %d = %q, want prefix %q", w.idx, replies[w.idx], w.prefix)
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func wantRows(t *testing.T, what string, got []string, want ...string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s = %v, want %v", what, got, want)
+	}
+}
+
+// exchange writes raw request frames on a connection of its own and returns
+// one decoded response per frame, in arrival order.
+func exchange(t *testing.T, addr string, frames ...[]byte) []*netproto.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, f := range frames {
+		if _, err := conn.Write(f); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !strings.Contains(replies[2], "one") {
-		t.Fatalf("GET reply %q missing value", replies[2])
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	out := make([]*netproto.Response, len(frames))
+	for i := range out {
+		typ, id, body, err := netproto.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if out[i], err = netproto.DecodeResponse(typ, id, body); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+// rawFrame is a request frame with a hand-built body.
+func rawFrame(op netproto.Op, id uint64, body []byte) []byte {
+	var b bytes.Buffer
+	netproto.WriteFrame(&b, uint8(op), id, body)
+	return b.Bytes()
+}
+
+func TestServerProtocol(t *testing.T) {
+	c := dial(t, serve(t, mustOpen(t, elsm.Options{})))
+	if ts, err := c.Put([]byte("alpha"), []byte("one")); err != nil || ts != 1 {
+		t.Fatalf("put alpha: ts %d, %v", ts, err)
+	}
+	if ts, err := c.Put([]byte("beta"), []byte("two")); err != nil || ts != 2 {
+		t.Fatalf("put beta: ts %d, %v", ts, err)
+	}
+	if res, err := c.Get([]byte("alpha")); err != nil || !res.Found || string(res.Value) != "one" || res.Ts != 1 {
+		t.Fatalf("get alpha = %+v, %v", res, err)
+	}
+	if res, err := c.Get([]byte("missing")); err != nil || res.Found {
+		t.Fatalf("get missing = %+v, %v", res, err)
+	}
+	sc, err := c.Scan([]byte("a"), []byte("z"))
+	wantRows(t, "scan", rows(t, sc, err), "alpha=one", "beta=two")
+	if _, err := c.Delete([]byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Get([]byte("alpha")); err != nil || res.Found {
+		t.Fatalf("get after delete = %+v, %v", res, err)
 	}
 }
 
-// TestServerStats checks the STATS command: STAT lines for the engine and
-// background-maintenance counters, terminated by END.
-// TestServerSnapshotVerbs drives the SNAPSHOT/SGET/SSCAN/RELEASE session
-// verbs: a pinned snapshot keeps answering with its capture-time state
-// while the live store moves on, and releasing an unknown id errors.
+// TestServerSnapshotVerbs: the wire's point-in-time read is a scan at a
+// commit timestamp. It keeps answering with that moment's state while the
+// live store moves on, and is repeatable.
 func TestServerSnapshotVerbs(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		"PUT alice v1",
-		"PUT bob v1",
-		"SNAPSHOT",
-		"PUT alice v2",
-		"DEL bob",
-		"SGET 1 alice",
-		"SGET 1 bob",
-		"GET alice",
-		"GET bob",
-		"SSCAN 1 a z",
-		"RELEASE 1",
-		"SGET 1 alice",
-		"RELEASE 7",
-	})
-	if !strings.HasPrefix(replies[2], "OK 1 ") {
-		t.Fatalf("SNAPSHOT reply = %q, want OK 1 <ts>", replies[2])
+	c := dial(t, serve(t, mustOpen(t, elsm.Options{})))
+	c.Put([]byte("alice"), []byte("v1"))
+	at, err := c.Put([]byte("bob"), []byte("v1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if replies[5] != "VALUE 1 v1" {
-		t.Fatalf("snapshot get alice = %q, want the pre-churn VALUE 1 v1", replies[5])
+	c.Put([]byte("alice"), []byte("v2"))
+	if _, err := c.Delete([]byte("bob")); err != nil {
+		t.Fatal(err)
 	}
-	if replies[6] != "VALUE 2 v1" {
-		t.Fatalf("snapshot get bob = %q, want VALUE 2 v1 (deletion must not leak in)", replies[6])
+	for i := 0; i < 2; i++ {
+		sc, err := c.ScanAt([]byte("a"), []byte("z"), at)
+		wantRows(t, "scan at the earlier timestamp", rows(t, sc, err), "alice=v1", "bob=v1")
 	}
-	if replies[7] != "VALUE 3 v2" {
-		t.Fatalf("live get alice = %q, want VALUE 3 v2", replies[7])
-	}
-	if replies[8] != "NOTFOUND" {
-		t.Fatalf("live get bob = %q, want NOTFOUND", replies[8])
-	}
-	scan := replies[9 : len(replies)-3]
-	if len(scan) != 3 || scan[0] != "ROW alice v1" || scan[1] != "ROW bob v1" || scan[2] != "END 2" {
-		t.Fatalf("snapshot scan = %q, want both capture-time rows", scan)
-	}
-	if replies[len(replies)-3] != "OK" {
-		t.Fatalf("RELEASE = %q, want OK", replies[len(replies)-3])
-	}
-	if !strings.HasPrefix(replies[len(replies)-2], "ERR") {
-		t.Fatalf("SGET on released snapshot = %q, want ERR", replies[len(replies)-2])
-	}
-	if !strings.HasPrefix(replies[len(replies)-1], "ERR") {
-		t.Fatalf("RELEASE of unknown id = %q, want ERR", replies[len(replies)-1])
-	}
-	if st := store.Stats(); st.SnapshotsOpen != 0 {
-		t.Fatalf("SnapshotsOpen = %d after RELEASE, want 0", st.SnapshotsOpen)
-	}
+	sc, err := c.ScanAt([]byte("bob"), []byte("bob"), at)
+	wantRows(t, "point read at the earlier timestamp", rows(t, sc, err), "bob=v1")
+	sc, err = c.Scan([]byte("a"), []byte("z"))
+	wantRows(t, "live scan", rows(t, sc, err), "alice=v2")
 }
 
-// TestServerAsyncVerbs drives PUTASYNC/SYNC: acknowledgments carry
-// monotonic timestamps, SYNC settles them all, and the writes are durable
-// and visible afterwards.
+// TestServerAsyncVerbs: pipelined writes are acknowledged with fresh
+// timestamps in issue order, durable once waited for, and SYNC is a barrier.
 func TestServerAsyncVerbs(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		"PUTASYNC k1 v1",
-		"PUTASYNC k2 v2",
-		"PUTASYNC k3 v3",
-		"SYNC",
-		"GET k2",
-		"SYNC",
-	})
+	c := dial(t, serve(t, mustOpen(t, elsm.Options{})))
+	var futs []*netclient.Future
+	for i := 1; i <= 3; i++ {
+		fut, err := c.PutAsync(fmt.Appendf(nil, "k%d", i), fmt.Appendf(nil, "v%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	var last uint64
-	for i := 0; i < 3; i++ {
-		var ts uint64
-		if _, err := fmt.Sscanf(replies[i], "ACK %d", &ts); err != nil || ts <= last {
-			t.Fatalf("PUTASYNC reply %d = %q, want ACK with a fresh timestamp", i, replies[i])
+	for i, fut := range futs {
+		ts, err := fut.Wait()
+		if err != nil || ts <= last {
+			t.Fatalf("async put %d: ts %d after %d, %v", i, ts, last, err)
 		}
 		last = ts
 	}
-	if replies[3] != "OK 3" {
-		t.Fatalf("SYNC = %q, want OK 3 (three settled futures)", replies[3])
-	}
-	if replies[4] != fmt.Sprintf("VALUE %d v2", last-1) {
-		t.Fatalf("get after SYNC = %q, want the async write", replies[4])
-	}
-	if replies[5] != "OK 0" {
-		t.Fatalf("idle SYNC = %q, want OK 0", replies[5])
-	}
-}
-
-// TestServerSnapshotsReleasedOnDisconnect checks the per-connection cleanup
-// path: a client that drops with snapshots open must not leak pins.
-func TestServerSnapshotsReleasedOnDisconnect(t *testing.T) {
-	store := mustOpen(t)
-	dialogue(t, store, []string{
-		"PUT k v",
-		"SNAPSHOT",
-		"SNAPSHOT",
-		"QUIT",
-	})
-	if st := store.Stats(); st.SnapshotsOpen != 0 {
-		t.Fatalf("SnapshotsOpen = %d after disconnect, want 0", st.SnapshotsOpen)
+	if res, err := c.Get([]byte("k2")); err != nil || string(res.Value) != "v2" || res.Ts != last-1 {
+		t.Fatalf("get after sync = %+v, %v", res, err)
 	}
 }
 
 func TestServerStats(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		"PUT alpha one",
-		"STATS",
-		"QUIT",
-	})
-	if len(replies) < 2 || replies[0] != "OK 1" {
-		t.Fatalf("unexpected replies: %v", replies)
+	c := dial(t, serve(t, mustOpen(t, elsm.Options{})))
+	if _, err := c.Put([]byte("alpha"), []byte("one")); err != nil {
+		t.Fatal(err)
 	}
-	statLines := replies[1 : len(replies)-1]
-	if replies[len(replies)-1] != "END" {
-		t.Fatalf("STATS not END-terminated: %v", replies[len(replies)-1])
-	}
-	seen := map[string]bool{}
-	for _, line := range statLines {
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "STAT" {
-			t.Fatalf("malformed STAT line %q", line)
-		}
-		seen[fields[1]] = true
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range []string{
 		"shards", "flushes", "compactions", "background_compactions",
 		"flush_stall_nanos", "compaction_stall_nanos", "pinned_runs",
 		"group_commit_window_nanos", "wal_syncs", "verified_gets",
 		"shard0_wal_syncs", "shard0_snapshots_open", "shard0_async_commits_in_flight",
+		"net_connections", "net_bytes_in",
 	} {
-		if !seen[name] {
-			t.Fatalf("STATS missing %q (got %v)", name, seen)
+		if _, ok := stats[name]; !ok {
+			t.Fatalf("STATS missing %q (got %v)", name, stats)
 		}
 	}
 }
 
-// TestServerShardedStore drives the wire protocol against a 4-shard store:
-// cross-shard MPUT batches, merged verified SCAN, snapshot verbs over the
-// router snapshot, and the per-shard STATS gauges that make the topology
-// observable.
+// TestServerShardedStore drives the wire against a 4-shard store: a
+// cross-shard batch, the merged verified scan, a scan at a timestamp that
+// predates an overwrite, and the per-shard STATS gauges that make the
+// topology observable.
 func TestServerShardedStore(t *testing.T) {
-	store, err := elsm.Open(elsm.Options{Shards: 4})
+	c := dial(t, serve(t, mustOpen(t, elsm.Options{Shards: 4})))
+	keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
+	var ops []netproto.BatchOp
+	var want []string
+	for i, k := range keys {
+		ops = append(ops, netproto.BatchOp{Key: []byte(k), Value: fmt.Appendf(nil, "%d", i+1)})
+		want = append(want, fmt.Sprintf("%s=%d", k, i+1))
+	}
+	at, err := c.Batch(ops)
+	if err != nil {
+		t.Fatalf("cross-shard batch: %v", err)
+	}
+	if res, err := c.Get([]byte("charlie")); err != nil || string(res.Value) != "3" {
+		t.Fatalf("get after cross-shard batch = %+v, %v", res, err)
+	}
+	if _, err := c.Put([]byte("alpha"), []byte("overwritten")); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.ScanAt([]byte("a"), []byte("z"), at)
+	wantRows(t, "merged scan before the overwrite", rows(t, sc, err), want...)
+	want[0] = "alpha=overwritten"
+	sc, err = c.Scan([]byte("a"), []byte("z"))
+	wantRows(t, "merged live scan", rows(t, sc, err), want...)
+	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { store.Close() })
-
-	lines := []string{
-		"MPUT alpha 1 bravo 2 charlie 3 delta 4 echo 5 foxtrot 6",
-		"GET charlie",
-		"SNAPSHOT",
-		"PUT alpha overwritten",
-		"SGET 1 alpha",
-		"SSCAN 1 a z",
-		"SCAN a z",
-		"RELEASE 1",
-		"STATS",
-		"QUIT",
-	}
-	replies := dialogue(t, store, lines)
-	if !strings.HasPrefix(replies[0], "OK ") {
-		t.Fatalf("cross-shard MPUT: %q", replies[0])
-	}
-	if !strings.HasPrefix(replies[1], "VALUE ") || !strings.HasSuffix(replies[1], " 3") {
-		t.Fatalf("GET after cross-shard batch: %q", replies[1])
-	}
-	// The snapshot predates the overwrite: SGET must serve the old value.
-	var sgetRow string
-	for _, r := range replies {
-		if strings.HasPrefix(r, "VALUE ") && strings.HasSuffix(r, " 1") {
-			sgetRow = r
-		}
-	}
-	if sgetRow == "" {
-		t.Fatalf("snapshot read did not serve the pre-overwrite value: %v", replies)
-	}
-	// Both the snapshot scan and the live merged scan return all six keys,
-	// END-terminated, with ROW lines in key order.
-	ends, rows := 0, []string{}
-	for _, r := range replies {
-		if r == "END 6" {
-			ends++
-		}
-		if strings.HasPrefix(r, "ROW ") {
-			rows = append(rows, strings.Fields(r)[1])
-		}
-	}
-	if ends != 2 || len(rows) != 12 {
-		t.Fatalf("merged scans: %d END 6 lines, %d rows (want 2 and 12): %v", ends, len(rows), replies)
-	}
-	for i := 1; i < 6; i++ {
-		if rows[i-1] >= rows[i] || rows[6+i-1] >= rows[6+i] {
-			t.Fatalf("merged scan rows out of key order: %v", rows)
-		}
-	}
-	shardStats := 0
-	for _, r := range replies {
-		if strings.HasPrefix(r, "STAT shard3_") {
-			shardStats++
-		}
-	}
-	if shardStats == 0 {
-		t.Fatalf("per-shard STATS gauges missing for shard 3: %v", replies)
+	if _, ok := stats["shard3_wal_syncs"]; !ok || stats["shards"] != 4 {
+		t.Fatalf("per-shard STATS gauges missing for shard 3: %v", stats)
 	}
 }
 
+// TestServerBinarySafety: keys and values are byte strings on the wire —
+// spaces, newlines, quotes and NULs come back as they went in, and a scan
+// frames them unambiguously.
 func TestServerBinarySafety(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		`PUT key "a value with spaces"`,
-		"GET key",
-		`PUT "key with spaces" plain`,
-		`GET "key with spaces"`,
-		`PUT bin "line1\nline2\x00"`,
-		"GET bin",
-		`SCAN " " "~~~~"`,
-		"QUIT",
-	})
-	if want := `VALUE 1 "a value with spaces"`; replies[1] != want {
-		t.Fatalf("GET = %q, want %q", replies[1], want)
+	c := dial(t, serve(t, mustOpen(t, elsm.Options{})))
+	pairs := [][2]string{
+		{"key", "a value with spaces"},
+		{"key with spaces", "plain"},
+		{"bin\x00\"", "line1\nline2\x00"},
 	}
-	if replies[3] != "VALUE 2 plain" {
-		t.Fatalf("GET quoted key = %q", replies[3])
-	}
-	if want := `VALUE 3 "line1\nline2\x00"`; replies[5] != want {
-		t.Fatalf("GET binary = %q, want %q", replies[5], want)
-	}
-	// The scan must frame all three records unambiguously in 3 rows + END.
-	var rows, end int
-	for _, r := range replies[6:] {
-		switch {
-		case strings.HasPrefix(r, "ROW "):
-			rows++
-		case strings.HasPrefix(r, "END "):
-			end++
+	for _, kv := range pairs {
+		if _, err := c.Put([]byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if rows != 3 || end != 1 {
-		t.Fatalf("scan framing: %d rows, %d END in %v", rows, end, replies[6:])
+	for _, kv := range pairs {
+		if res, err := c.Get([]byte(kv[0])); err != nil || string(res.Value) != kv[1] {
+			t.Fatalf("get %q = %q, %v; want %q", kv[0], res.Value, err, kv[1])
+		}
 	}
+	sc, err := c.Scan([]byte(" "), []byte("~~~~"))
+	wantRows(t, "scan", rows(t, sc, err),
+		"bin\x00\"=line1\nline2\x00", "key=a value with spaces", "key with spaces=plain")
 }
 
+// TestServerRejectsMalformed: an unknown opcode, a truncated body and a
+// batch declaring more operations than the protocol allows each draw a typed
+// error under their own id, write nothing, and leave the connection serving.
 func TestServerRejectsMalformed(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		`PUT key "unterminated`,
-		`PUT ke"y v`,
-		"PUT onlykey",
-		"MPUT k1 v1 k2", // odd arity
-		"GET key",
-		"QUIT",
-	})
-	for i := 0; i < 4; i++ {
-		if !strings.HasPrefix(replies[i], "ERR ") {
-			t.Fatalf("reply %d = %q, want ERR", i, replies[i])
+	addr := serve(t, mustOpen(t, elsm.Options{}))
+	resps := exchange(t, addr,
+		rawFrame(0x7f, 1, nil),
+		rawFrame(netproto.OpPut, 2, []byte{3, 'k', 'e', 'y', 9}), // a 9-byte value, and no bytes
+		rawFrame(netproto.OpBatch, 3, []byte{0x91, 0x4e}),        // 10001 operations
+		netproto.AppendRequest(nil, &netproto.Request{Op: netproto.OpGet, ID: 4, Key: []byte("key")}),
+	)
+	for i, errno := range []netproto.Errno{netproto.ErrnoUnknownOp, netproto.ErrnoMalformed, netproto.ErrnoMalformed} {
+		if r := resps[i]; r.Code != netproto.CodeErr || r.ID != uint64(i+1) || r.Errno != errno {
+			t.Fatalf("malformed request %d answered %+v, want errno %d", i+1, r, errno)
 		}
 	}
-	if replies[4] != "NOTFOUND" {
-		t.Fatalf("malformed PUTs must not write; GET = %q", replies[4])
-	}
-}
-
-func TestServerBadBatchSizeClosesConnection(t *testing.T) {
-	// A bad size declaration is a framing-level protocol error: the server
-	// cannot resynchronize, so it must ERR and drop the session rather
-	// than execute later pipelined lines out of context.
-	for _, size := range []string{"notanumber", "99999999", "-1"} {
-		replies := dialogue(t, mustOpen(t), []string{"BATCH " + size})
-		if len(replies) != 1 || !strings.HasPrefix(replies[0], "ERR ") {
-			t.Fatalf("BATCH %s replies = %v, want one ERR", size, replies)
-		}
+	if r := resps[3]; r.Code != netproto.CodeNotFound || r.ID != 4 {
+		t.Fatalf("get after malformed requests = %+v, want NOTFOUND under id 4", r)
 	}
 }
 
 func TestServerBatchCommands(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		"MPUT a 1 b 2 c 3",
-		"GET b",
-		">BATCH 3",
-		">PUT d 4",
-		">DEL a",
-		">PUT e 5",
-		"<",
-		"SCAN a z",
-		"QUIT",
+	c := dial(t, serve(t, mustOpen(t, elsm.Options{})))
+	ts, err := c.Batch([]netproto.BatchOp{
+		{Key: []byte("a"), Value: []byte("1")},
+		{Key: []byte("b"), Value: []byte("2")},
+		{Key: []byte("c"), Value: []byte("3")},
 	})
-	if !strings.HasPrefix(replies[0], "OK ") {
-		t.Fatalf("MPUT = %q", replies[0])
+	if err != nil || ts != 3 {
+		t.Fatalf("batch: ts %d, %v", ts, err)
 	}
-	if replies[1] != "VALUE 2 2" {
-		t.Fatalf("GET after MPUT = %q", replies[1])
+	if res, err := c.Get([]byte("b")); err != nil || string(res.Value) != "2" || res.Ts != 2 {
+		t.Fatalf("get after batch = %+v, %v", res, err)
 	}
-	if !strings.HasPrefix(replies[2], "OK ") {
-		t.Fatalf("BATCH = %q", replies[2])
+	if _, err := c.Batch([]netproto.BatchOp{
+		{Key: []byte("d"), Value: []byte("4")},
+		{Key: []byte("a"), Delete: true},
+		{Key: []byte("e"), Value: []byte("5")},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wantRows := []string{"ROW b 2", "ROW c 3", "ROW d 4", "ROW e 5", "END 4"}
-	got := replies[3:]
-	if len(got) != len(wantRows) {
-		t.Fatalf("scan = %v, want %v", got, wantRows)
-	}
-	for i, w := range wantRows {
-		if got[i] != w {
-			t.Fatalf("scan row %d = %q, want %q", i, got[i], w)
-		}
-	}
+	sc, err := c.Scan([]byte("a"), []byte("z"))
+	wantRows(t, "scan", rows(t, sc, err), "b=2", "c=3", "d=4", "e=5")
 }
 
 // TestServerConnectionsShareCommitGroups proves the server-side write
-// coalescing: MPUT and BATCH requests arriving on SEPARATE connections ride
-// the store's shared group-commit pipeline, so the store issues measurably
-// fewer WAL fsyncs than it served write requests. The store sits on
-// sync-delayed storage (where grouping matters) with a small batching
-// window so concurrent requests reliably land in shared groups.
+// coalescing: batches arriving on SEPARATE connections ride the store's
+// shared group-commit pipeline, so the store issues measurably fewer WAL
+// fsyncs than it served write requests. The store sits on sync-delayed
+// storage (where grouping matters) with a small batching window so
+// concurrent requests reliably land in shared groups.
 func TestServerConnectionsShareCommitGroups(t *testing.T) {
-	fs := vfs.NewSlowSync(vfs.NewMem(), 500*time.Microsecond)
-	store, err := elsm.Open(elsm.Options{
-		FS:                fs,
+	store := mustOpen(t, elsm.Options{
+		FS:                vfs.NewSlowSync(vfs.NewMem(), 500*time.Microsecond),
 		GroupCommitWindow: 2 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
+	addr := serve(t, store)
 
 	const conns = 8
 	const requestsPerConn = 10
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)
-	for c := 0; c < conns; c++ {
+	for n := 0; n < conns; n++ {
+		c := dial(t, addr)
 		wg.Add(1)
-		go func(c int) {
+		go func(n int) {
 			defer wg.Done()
-			client, server := net.Pipe()
-			done := make(chan struct{})
-			go func() {
-				serve(server, store)
-				close(done)
-			}()
-			defer func() {
-				client.Close()
-				<-done
-			}()
-			w := bufio.NewWriter(client)
-			r := bufio.NewReader(client)
 			for i := 0; i < requestsPerConn; i++ {
-				// Alternate MPUT and BATCH, the two grouped write forms.
-				if i%2 == 0 {
-					fmt.Fprintf(w, "MPUT c%02d-a%02d 1 c%02d-b%02d 2\n", c, i, c, i)
-				} else {
-					fmt.Fprintf(w, "BATCH 2\nPUT c%02d-a%02d 3\nDEL c%02d-b%02d\n", c, i, c, i)
+				a, b := fmt.Appendf(nil, "c%02d-a%02d", n, i), fmt.Appendf(nil, "c%02d-b%02d", n, i)
+				ops := []netproto.BatchOp{{Key: a, Value: []byte("1")}, {Key: b, Value: []byte("2")}}
+				if i%2 == 1 {
+					ops = []netproto.BatchOp{{Key: a, Value: []byte("3")}, {Key: b, Delete: true}}
 				}
-				w.Flush()
-				reply, err := r.ReadString('\n')
-				if err != nil {
-					errs <- fmt.Errorf("conn %d req %d: %v", c, i, err)
-					return
-				}
-				if !strings.HasPrefix(reply, "OK ") {
-					errs <- fmt.Errorf("conn %d req %d: reply %q", c, i, reply)
+				if _, err := c.Batch(ops); err != nil {
+					errs <- fmt.Errorf("conn %d req %d: %v", n, i, err)
 					return
 				}
 			}
-		}(c)
+		}(n)
 	}
 	wg.Wait()
 	close(errs)
@@ -501,98 +374,54 @@ func TestServerConnectionsShareCommitGroups(t *testing.T) {
 		total, conns, st.WALSyncs, st.GroupCommits)
 
 	// And the coalesced writes are all there, verified.
-	for c := 0; c < conns; c++ {
-		res, err := store.Get([]byte(fmt.Sprintf("c%02d-a%02d", c, requestsPerConn-2)))
+	for n := 0; n < conns; n++ {
+		res, err := store.Get(fmt.Appendf(nil, "c%02d-a%02d", n, requestsPerConn-2))
 		if err != nil || !res.Found {
-			t.Fatalf("conn %d data lost after coalesced commit: %v found=%v", c, err, res.Found)
+			t.Fatalf("conn %d data lost after coalesced commit: %v found=%v", n, err, res.Found)
 		}
 	}
 }
 
+// TestServerBatchAborted: a batch with an undecodable operation applies
+// nothing, and the requests pipelined behind it are answered in step.
 func TestServerBatchAborted(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		">BATCH 2",
-		">PUT x 1",
-		">NOPE y",
-		"<",
-		"GET x",
-		"QUIT",
-	})
-	if !strings.HasPrefix(replies[0], "ERR ") {
-		t.Fatalf("bad batch op = %q, want ERR", replies[0])
+	addr := serve(t, mustOpen(t, elsm.Options{}))
+	batch := []byte{2, 0, 1, 'x', 1, '1', 7, 1, 'y'} // put x=1, then an op of kind 7
+	resps := exchange(t, addr,
+		rawFrame(netproto.OpBatch, 1, batch),
+		netproto.AppendRequest(nil, &netproto.Request{Op: netproto.OpGet, ID: 2, Key: []byte("x")}),
+	)
+	if r := resps[0]; r.Code != netproto.CodeErr || r.ID != 1 || r.Errno != netproto.ErrnoMalformed {
+		t.Fatalf("bad batch op answered %+v, want ErrnoMalformed under id 1", r)
 	}
-	if replies[1] != "NOTFOUND" {
-		t.Fatalf("aborted batch must apply nothing; GET x = %q", replies[1])
+	if r := resps[1]; r.Code != netproto.CodeNotFound || r.ID != 2 {
+		t.Fatalf("aborted batch must apply nothing; get x = %+v", r)
 	}
 }
 
-func TestServerBatchAbortDrainsPipelinedOps(t *testing.T) {
-	// A pipelining client sends the whole batch before reading. When an
-	// early op aborts the batch, the remaining declared op lines must be
-	// consumed — NOT executed as top-level commands — and the reply stream
-	// must stay in sync for the next real command.
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		">BATCH 3",
-		">NOPE first",
-		">PUT y 2",
-		">PUT z 3",
-		"<",
-		"GET y",
-		"GET z",
-		"QUIT",
-	})
-	if !strings.HasPrefix(replies[0], "ERR ") {
-		t.Fatalf("bad batch op = %q, want ERR", replies[0])
-	}
-	if replies[1] != "NOTFOUND" || replies[2] != "NOTFOUND" {
-		t.Fatalf("drained batch ops leaked as commands: %v", replies[1:])
-	}
-}
-
-// pipeDialer turns serve() into a dialable endpoint: every Dial spawns a
-// fresh serve goroutine on one end of a net.Pipe, exactly as one TCP accept
-// would.
-func pipeDialer(store *elsm.Store) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		client, server := net.Pipe()
-		go serve(server, store)
-		return client, nil
-	}
-}
-
-// TestServerReplProtocol drives the REPL endpoint end to end over the wire:
-// a follower bootstraps from REPL CKPT, tails REPL TAIL, converges with the
-// leader, and both sides expose the replication gauges on STATS.
+// TestServerReplProtocol drives replication end to end over the wire: a
+// follower bootstraps from the checkpoint verb, tails the tail verb,
+// converges with the leader, both sides expose the replication gauges on
+// STATS, the follower refuses writes with the typed error, and promotion
+// over the wire makes it writable.
 func TestServerReplProtocol(t *testing.T) {
 	secret := []byte("server-repl-secret")
-	leader, err := elsm.Open(elsm.Options{Platform: sgx.NewPlatformFromSecret(secret)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { leader.Close() })
+	leader := mustOpen(t, elsm.Options{Platform: sgx.NewPlatformFromSecret(secret)})
 	for i := 0; i < 50; i++ {
-		if _, err := leader.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v1")); err != nil {
+		if _, err := leader.Put(fmt.Appendf(nil, "k%03d", i), []byte("v1")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Leader hubs exist before a follower dials in (the server does this
-	// lazily on the first REPL command; either order works).
-	if _, err := leader.ReplicationSource(); err != nil {
-		t.Fatal(err)
-	}
-
-	netSrc := repl.NewNetSource("pipe")
-	netSrc.Dial = pipeDialer(leader)
-	follower, err := elsm.OpenFollower(elsm.Options{Platform: sgx.NewPlatformFromSecret(secret)}, netSrc)
+	leaderAddr := serve(t, leader)
+	follower, err := elsm.OpenFollower(elsm.Options{Platform: sgx.NewPlatformFromSecret(secret)}, elsm.NewFollowerSource(leaderAddr))
 	if err != nil {
 		t.Fatalf("open follower over wire: %v", err)
 	}
 	t.Cleanup(func() { follower.Close() })
+	fc := dial(t, serve(t, follower))
 
 	for i := 0; i < 50; i++ {
-		if _, err := leader.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v2")); err != nil {
+		if _, err := leader.Put(fmt.Appendf(nil, "k%03d", i), []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -601,7 +430,7 @@ func TestServerReplProtocol(t *testing.T) {
 		if err := follower.ReplicationErr(); err != nil {
 			t.Fatalf("replication failed: %v", err)
 		}
-		res, err := follower.Get([]byte("k049"))
+		res, err := fc.Get([]byte("k049"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,53 +445,53 @@ func TestServerReplProtocol(t *testing.T) {
 
 	// STATS on the follower exposes the lag gauges; on the leader, the
 	// connected-follower count.
-	replies := dialogue(t, follower, []string{"STATS", "QUIT"})
-	stats := statMap(t, replies)
+	stats, err := fc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"repl_lag_groups", "repl_lag_bytes", "followers_connected"} {
 		if _, ok := stats[name]; !ok {
 			t.Fatalf("follower STATS missing %q", name)
 		}
 	}
-	replies = dialogue(t, leader, []string{"STATS", "QUIT"})
-	if got := statMap(t, replies)["followers_connected"]; got < 1 {
-		t.Fatalf("leader followers_connected = %d, want >= 1", got)
+	lc := dial(t, leaderAddr)
+	if stats, err := lc.Stats(); err != nil || stats["followers_connected"] < 1 {
+		t.Fatalf("leader followers_connected = %d (%v), want >= 1", stats["followers_connected"], err)
 	}
 
-	// A write against the follower draws ERR, and REPL rejects bad forms
-	// on the status line.
-	replies = dialogue(t, follower, []string{"PUT x y", "QUIT"})
-	if !strings.HasPrefix(replies[0], "ERR") || !strings.Contains(replies[0], "replica") {
-		t.Fatalf("follower PUT reply %q, want ERR ...replica...", replies[0])
+	// A write against the follower draws the typed read-only error; a
+	// checkpoint of a shard that does not exist, an error.
+	var se *netclient.ServerError
+	if _, err := fc.Put([]byte("x"), []byte("y")); !errors.As(err, &se) || se.Errno != netproto.ErrnoReadOnly {
+		t.Fatalf("follower put: %v, want ErrnoReadOnly", err)
 	}
-	replies = dialogue(t, leader, []string{"REPL CKPT 9", "QUIT"})
-	if !strings.HasPrefix(replies[0], "ERR") {
-		t.Fatalf("REPL bad shard reply %q, want ERR", replies[0])
+	s, err := lc.Checkpoint(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(make([]byte, 1)); !errors.As(err, &se) {
+		t.Fatalf("checkpoint of shard 9: %v, want a server error", err)
 	}
 
-	// A tail cursor older than the retained ring draws the exact BEHIND
-	// token (the hubs were anchored after the first 50 writes, so fromTs 0
-	// is out of the ring) — followers match it verbatim to re-bootstrap.
-	replies = dialogue(t, leader, []string{"REPL TAIL 0 0", "QUIT"})
-	if replies[0] != repl.StatusBehind {
-		t.Fatalf("REPL TAIL behind reply %q, want %q", replies[0], repl.StatusBehind)
+	// A tail cursor older than the retained ring (the hubs were anchored
+	// after the first 50 writes, so 0 is out of it) draws the typed BEHIND.
+	if s, err = lc.Tail(0, 0); err != nil {
+		t.Fatal(err)
 	}
-}
+	if _, err := s.Read(make([]byte, 1)); !errors.Is(err, netclient.ErrBehind) {
+		t.Fatalf("tail from 0: %v, want netclient.ErrBehind", err)
+	}
 
-// statMap parses STAT lines from a dialogue reply slice.
-func statMap(t *testing.T, replies []string) map[string]uint64 {
-	t.Helper()
-	out := map[string]uint64{}
-	for _, line := range replies {
-		fields := strings.Fields(line)
-		if len(fields) == 3 && fields[0] == "STAT" {
-			v, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				t.Fatalf("bad STAT value in %q", line)
-			}
-			out[fields[1]] = v
-		}
+	// Promote is refused on a leader, and turns the follower writable.
+	if _, err := lc.Promote(); err == nil {
+		t.Fatal("promote on a leader succeeded")
 	}
-	return out
+	if epoch, err := fc.Promote(); err != nil || epoch == 0 {
+		t.Fatalf("promote: epoch %d, %v", epoch, err)
+	}
+	if _, err := fc.Put([]byte("x"), []byte("y")); err != nil {
+		t.Fatalf("put on the promoted store: %v", err)
+	}
 }
 
 // TestNetConfigFlagValidation covers the admission-control flag parsing:

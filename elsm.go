@@ -118,7 +118,7 @@
 //	epoch, err := follower.Promote(ctx) // drain, seal new epoch, go writable
 //	src, _ := follower.ReplicationSource() // the promoted store leads now
 //
-// (elsm-server: REPL PROMOTE.) Verification failures never self-heal:
+// (Over the wire: elsm-cli promote.) Verification failures never self-heal:
 // a follower that detected tampering stays down with ReplicationErr.
 //
 // Three modes reproduce the paper's configurations: ModeP2 (the

@@ -337,6 +337,5 @@ func All() []Experiment {
 		{"ablation-compaction", AblationCompaction},
 		{"ablation-shards", AblationShards},
 		{"ablation-repl", AblationRepl},
-		{"ablation-net", AblationNet},
 	}
 }

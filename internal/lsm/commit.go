@@ -13,8 +13,10 @@ import (
 
 // This file implements the pipelined cross-client group-commit pipeline.
 // Concurrent Commit/CommitAsync callers enqueue their
-// operations; two dedicated store goroutines turn the queue into durable,
-// visible state in two decoupled stages:
+// operations — and a follower's ApplyReplicated enqueues shipped groups,
+// whose timestamps are checked instead of assigned; two dedicated store
+// goroutines turn the queue into durable, visible state in two decoupled
+// stages:
 //
 //   - the APPEND worker drains the queue into commit groups: one engine-lock
 //     critical section assigns the group's contiguous timestamp range,
@@ -215,14 +217,17 @@ func CtxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// commitReq is one caller's pending commit. A request with no ops is a
+// commitReq is one caller's pending commit: ops the append stage stamps,
+// or recs — a shipped group, ApplyReplicated — whose timestamps the leader
+// assigned and the append stage only checks. A request with neither is a
 // Sync durability barrier: it carries nothing, and completes once every
 // group appended before it is durable.
 type commitReq struct {
-	ops []BatchOp
-	ts  uint64 // commit timestamp (the group's last record of this request)
-	err error
-	fut *CommitFuture // non-nil for async commits
+	ops  []BatchOp
+	recs []record.Record
+	ts   uint64 // commit timestamp (the group's last record of this request)
+	err  error
+	fut  *CommitFuture // non-nil for async commits
 	// release, if set, runs when the request settles (async backlog slot
 	// return) — before the future resolves, so gauges never lag callers
 	// woken by Done.
@@ -236,6 +241,9 @@ type commitReq struct {
 	// commit-group trace. Zero when instrumentation is off.
 	enqueued time.Time
 }
+
+// size is the number of records the request adds to its group.
+func (r *commitReq) size() int { return len(r.ops) + len(r.recs) }
 
 // finish completes the request, resolving its future if any.
 func (r *commitReq) finish(err error) {
@@ -466,19 +474,19 @@ func (s *Store) resolveCommitWindow() time.Duration {
 	return w
 }
 
-// pendingGroupFull reports whether the queue already carries at least
-// GroupCommitMaxOps operations (never true when groups are unbounded).
-func (s *Store) pendingGroupFull() bool {
+// pendingGroupFormed reports whether waiting could not improve the next
+// group: the queue already carries at least GroupCommitMaxOps operations,
+// or it carries a shipped group — one its leader formed already, applied by
+// a tailer that sends the next only after this one is durable, so nothing
+// can join it and a window would be pure replication lag.
+func (s *Store) pendingGroupFormed() bool {
 	max := s.opts.GroupCommitMaxOps
-	if max <= 0 {
-		return false
-	}
 	s.gc.mu.Lock()
 	defer s.gc.mu.Unlock()
 	n := 0
 	for _, req := range s.gc.pending {
-		n += len(req.ops)
-		if n >= max {
+		n += req.size()
+		if len(req.recs) > 0 || (max > 0 && n >= max) {
 			return true
 		}
 	}
@@ -520,10 +528,10 @@ func (s *Store) commitWorker() {
 			_ = s.ensureMemtableRoom()
 			s.commitMu.Unlock()
 		}
-		if w := s.resolveCommitWindow(); w > 0 && !s.pendingGroupFull() {
+		if w := s.resolveCommitWindow(); w > 0 && !s.pendingGroupFormed() {
 			// Deliberate batching window: hold the append stage briefly so
 			// more concurrent commits can join this group. Skipped when
-			// the queue already holds a full group.
+			// the queue already holds a full group or a shipped one.
 			time.Sleep(w)
 		}
 		s.waitPipelineSlot()
@@ -560,7 +568,7 @@ func (s *Store) drainPending() []*commitReq {
 			continue // withdrawn
 		}
 		batch = append(batch, req)
-		n += len(req.ops)
+		n += req.size()
 		if max > 0 && n >= max {
 			i++
 			break
@@ -628,9 +636,22 @@ func (s *Store) processGroup(batch []*commitReq) {
 		finish(err)
 		return
 	}
+	// A shipped group that does not extend the frontier fails alone; the
+	// rest of the batch (barriers, on a follower) goes on without it.
 	total := 0
+	kept := batch[:0]
 	for _, req := range batch {
-		total += len(req.ops)
+		if err := checkShipped(req.recs, s.lastTs.Load()+uint64(total)); err != nil {
+			req.finish(err)
+			continue
+		}
+		total += req.size()
+		kept = append(kept, req)
+	}
+	if batch = kept; len(batch) == 0 {
+		s.mu.Unlock()
+		s.commitMu.Unlock()
+		return
 	}
 	var recs []record.Record
 	var groupTs uint64
@@ -652,8 +673,13 @@ func (s *Store) processGroup(batch []*commitReq) {
 				recs = append(recs, rec)
 				ts++
 			}
+			for i := range req.recs {
+				s.listener.OnWALAppend(req.recs[i])
+			}
+			recs = append(recs, req.recs...)
+			ts += uint64(len(req.recs))
 			req.ts = ts - 1
-			if len(req.ops) == 0 {
+			if req.size() == 0 {
 				req.ts = s.lastTs.Load()
 			}
 		}

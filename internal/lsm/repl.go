@@ -63,97 +63,33 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 	})
 }
 
-// ApplyReplicated applies one shipped commit group on a follower: the
-// records run through the exact pipeline a local commit group takes —
-// listener digest extension, WAL group append with COMMIT marker, fsync,
-// listener commit mark, memtable apply — so the follower's WAL chain,
-// sealed frontier and on-disk state are bit-compatible with a store that
+// ApplyReplicated applies one shipped commit group on a follower — and a
+// restored checkpoint's WAL tail — through the commit pipeline every local
+// write takes: listener digest extension, WAL group append with COMMIT
+// marker, fsync, listener commit mark, memtable apply, sink republish (a
+// follower can lead a downstream replica). The follower's WAL chain, sealed
+// frontier and on-disk state are therefore bit-compatible with a store that
 // executed the writes locally. The caller has already authenticated the
-// group (frame report + digest chain); this layer enforces the structural
-// invariant that the group extends the applied frontier contiguously.
+// group (frame report + digest chain); the append stage enforces that it
+// extends the applied frontier contiguously.
 func (s *Store) ApplyReplicated(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	if err := s.ensureMemtableRoom(); err != nil {
-		return err
-	}
-	s.drainSync()
+	_, err := s.awaitReq(nil, &commitReq{recs: recs, done: make(chan struct{})})
+	return err
+}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.bgErr; err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("lsm: background maintenance failed: %w", err)
-	}
-	if err := s.walErrLocked(); err != nil {
-		// Sticky WAL failure: the follower's log can no longer promise
-		// durability, so stop applying shipped groups until reopen.
-		s.mu.Unlock()
-		return err
-	}
-	last := s.lastTs.Load()
+// checkShipped is the append stage's check on records that arrive stamped:
+// they must carry the timestamps last+1, last+2, … and a writable kind.
+func checkShipped(recs []record.Record, last uint64) error {
 	for i := range recs {
-		if recs[i].Ts != last+uint64(i)+1 {
-			s.mu.Unlock()
-			return fmt.Errorf("%w: record %d carries ts %d, want %d",
-				ErrReplicationGap, i, recs[i].Ts, last+uint64(i)+1)
+		if want := last + uint64(i) + 1; recs[i].Ts != want {
+			return fmt.Errorf("%w: record %d carries ts %d, want %d", ErrReplicationGap, i, recs[i].Ts, want)
 		}
 		if recs[i].Kind != record.KindSet && recs[i].Kind != record.KindDelete {
-			s.mu.Unlock()
 			return fmt.Errorf("%w: record %d has kind %d", ErrReplicationGap, i, recs[i].Kind)
 		}
-	}
-	for i := range recs {
-		s.listener.OnWALAppend(recs[i])
-	}
-	var werr error
-	s.ocall(func() { werr = s.walW.AppendBatch(recs) })
-	if werr != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("lsm: replicated append: %w", werr)
-	}
-	s.listener.OnGroupAppended()
-	s.lastTs.Add(uint64(len(recs)))
-	s.mu.Unlock()
-
-	// Sync stage, inline: the pipeline is drained and commitMu is held, so
-	// ordering with local groups (there are none on a follower) is trivial.
-	var serr error
-	s.ocall(func() { serr = s.walW.Sync() })
-	if serr != nil {
-		s.setWALErr(serr)             // sticky: later applies fail until reopen
-		s.listener.OnGroupAbandoned() // consume the group's appended mark
-		return fmt.Errorf("%w: %w", ErrWALSyncFailed, serr)
-	}
-	s.walSyncs.Add(1)
-	s.groupCommits.Add(1)
-	s.groupedRecords.Add(uint64(len(recs)))
-	s.listener.OnGroupCommit(len(recs))
-	s.mu.Lock()
-	for i := range recs {
-		s.mem.Put(recs[i])
-	}
-	lastTs := s.lastTs.Load()
-	s.appliedTs.Store(lastTs)
-	memFull := s.mem.ApproxBytes() >= s.opts.MemtableSize
-	s.mu.Unlock()
-	// A follower can itself lead a downstream replica (chained
-	// replication): republish the group.
-	s.notifyGroupSink(recs, lastTs)
-	if memFull {
-		gc := &s.gc
-		gc.mu.Lock()
-		if !gc.closed {
-			gc.wantFreeze = true
-			gc.cond.Signal()
-		}
-		gc.mu.Unlock()
 	}
 	return nil
 }

@@ -39,6 +39,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -54,6 +55,11 @@ var ErrBusy = errors.New("netclient: server busy")
 // ErrClosed reports a request issued against a closed client.
 var ErrClosed = errors.New("netclient: client closed")
 
+// ErrBehind is netproto.ErrnoBehind as a sentinel: the server ended a Tail
+// because its cursor fell out of the leader's retained log. Match it with
+// errors.Is.
+var ErrBehind = errors.New("netclient: tail cursor behind the leader's retained log")
+
 // ServerError is a typed failure the server reported for one request. The
 // connection remains usable.
 type ServerError struct {
@@ -63,6 +69,11 @@ type ServerError struct {
 
 func (e *ServerError) Error() string {
 	return fmt.Sprintf("netclient: server error (errno %d): %s", e.Errno, e.Msg)
+}
+
+// Is makes an ErrnoBehind failure match ErrBehind.
+func (e *ServerError) Is(target error) bool {
+	return target == ErrBehind && e.Errno == netproto.ErrnoBehind
 }
 
 // Result is one read result.
@@ -86,6 +97,7 @@ type Client struct {
 	err     error // first transport error; poisons the client
 	closed  bool
 
+	stop       chan struct{} // closed by the first fail: releases the reader
 	readerDone chan struct{}
 }
 
@@ -105,15 +117,15 @@ func New(conn net.Conn) *Client {
 		conn:       conn,
 		bw:         bufio.NewWriterSize(conn, 8<<10),
 		pending:    make(map[uint64]chan *netproto.Response),
+		stop:       make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
 }
 
-// Close tears the connection down. Pending requests fail with ErrClosed.
-// Close open Scanners first: an abandoned, undrained scan can wedge the
-// demultiplexer mid-stream.
+// Close tears the connection down. Pending requests — abandoned scans and
+// streams included — fail with ErrClosed.
 func (c *Client) Close() error {
 	c.fail(ErrClosed)
 	<-c.readerDone
@@ -129,9 +141,17 @@ func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
 		c.closed = true
+		close(c.stop)
 	}
 	c.mu.Unlock()
 	c.conn.Close()
+}
+
+// failure reports what poisoned the client.
+func (c *Client) failure() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // readLoop demultiplexes response frames to their waiting requests. On
@@ -142,6 +162,7 @@ func (c *Client) readLoop() {
 		if c.err == nil {
 			c.err = ErrClosed
 			c.closed = true
+			close(c.stop)
 		}
 		pend := c.pending
 		c.pending = make(map[uint64]chan *netproto.Response)
@@ -157,7 +178,10 @@ func (c *Client) readLoop() {
 		if err != nil {
 			var fe *netproto.FrameError
 			if errors.As(err, &fe) {
-				continue // defensive; servers do not send oversized frames
+				// A dropped response would strand its request, and a
+				// dropped chunk would tear a hole in its stream.
+				c.fail(fmt.Errorf("netclient: protocol error: %w", err))
+				return
 			}
 			c.fail(fmt.Errorf("netclient: connection lost: %w", err))
 			return
@@ -175,12 +199,22 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Lock()
 		ch := c.pending[resp.ID]
-		if ch != nil && resp.Code != netproto.CodeRows {
-			delete(c.pending, resp.ID) // terminal frame for this id
+		terminal := resp.Code != netproto.CodeRows && resp.Code != netproto.CodeChunk
+		if ch != nil && terminal {
+			delete(c.pending, resp.ID)
 		}
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- resp
+			// A consumer that abandoned its scan or stream leaves the
+			// channel full; Close must still get past it.
+			select {
+			case ch <- resp:
+			case <-c.stop:
+				if terminal {
+					close(ch) // unregistered above: the exit sweep would miss it
+				}
+				return
+			}
 		}
 	}
 }
@@ -250,16 +284,13 @@ func (c *Client) flushPending() error {
 
 // recv awaits the terminal response for one request, flushing buffered
 // requests first (see send).
-func (c *Client) recv(id uint64, ch chan *netproto.Response) (*netproto.Response, error) {
+func (c *Client) recv(ch chan *netproto.Response) (*netproto.Response, error) {
 	if err := c.flushPending(); err != nil {
 		c.fail(fmt.Errorf("netclient: write failed: %w", err))
 	}
 	resp, ok := <-ch
 	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
+		return nil, c.failure()
 	}
 	// The terminal response arrived: the readLoop already unregistered the
 	// id, so the (empty) channel can serve the next request.
@@ -280,9 +311,9 @@ func (c *Client) check(resp *netproto.Response) (*netproto.Response, error) {
 	return resp, nil
 }
 
-// call runs one request to its single terminal response.
-func (c *Client) call(req *netproto.Request) (*netproto.Response, error) {
-	id, ch, err := c.register(1)
+// issue registers req under a fresh id and buffers its frame (see send).
+func (c *Client) issue(req *netproto.Request, buffer int) (chan *netproto.Response, error) {
+	id, ch, err := c.register(buffer)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +323,32 @@ func (c *Client) call(req *netproto.Request) (*netproto.Response, error) {
 		c.fail(fmt.Errorf("netclient: write failed: %w", err))
 		return nil, err
 	}
-	return c.recv(id, ch)
+	return ch, nil
+}
+
+// issueStream issues a multi-frame request and puts it on the wire: its
+// consumer reads the channel directly, not through recv. The buffer of 8
+// keeps the reader goroutine a few chunks ahead of the consumer without
+// buffering an unbounded stream.
+func (c *Client) issueStream(req *netproto.Request) (chan *netproto.Response, error) {
+	ch, err := c.issue(req, 8)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.flushPending(); err != nil {
+		c.fail(fmt.Errorf("netclient: write failed: %w", err))
+		return nil, err
+	}
+	return ch, nil
+}
+
+// call runs one request to its single terminal response.
+func (c *Client) call(req *netproto.Request) (*netproto.Response, error) {
+	ch, err := c.issue(req, 1)
+	if err != nil {
+		return nil, err
+	}
+	return c.recv(ch)
 }
 
 // Ping round-trips a liveness probe.
@@ -359,10 +415,19 @@ func (c *Client) Stats() (map[string]uint64, error) {
 	return m, nil
 }
 
+// Promote turns the follower the server fronts into a writable leader —
+// the operator's failover step — and returns its new replication epoch.
+func (c *Client) Promote() (uint64, error) {
+	resp, err := c.call(&netproto.Request{Op: netproto.OpPromote})
+	if err != nil {
+		return 0, err
+	}
+	return resp.Ts, nil
+}
+
 // Future is an in-flight pipelined request. See PutAsync.
 type Future struct {
 	c  *Client
-	id uint64
 	ch chan *netproto.Response
 }
 
@@ -370,7 +435,7 @@ type Future struct {
 // timestamp. For writes, durability has been established when Wait
 // returns nil.
 func (f *Future) Wait() (uint64, error) {
-	resp, err := f.c.recv(f.id, f.ch)
+	resp, err := f.c.recv(f.ch)
 	if err != nil {
 		return 0, err
 	}
@@ -385,32 +450,22 @@ func (f *Future) Wait() (uint64, error) {
 // frame may sit in the client's write buffer until the next Wait (or any
 // other response wait) flushes it — a whole window rides one syscall.
 func (c *Client) PutAsync(key, value []byte) (*Future, error) {
-	id, ch, err := c.register(1)
+	ch, err := c.issue(&netproto.Request{Op: netproto.OpPut, Key: key, Value: value}, 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.send(&netproto.Request{Op: netproto.OpPut, ID: id, Key: key, Value: value}); err != nil {
-		c.unregister(id)
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
-		return nil, err
-	}
-	return &Future{c: c, id: id, ch: ch}, nil
+	return &Future{c: c, ch: ch}, nil
 }
 
 // GetAsync issues a verified read without waiting. Wait's timestamp is the
 // record's write timestamp; a missing key reports ts 0. Use Get when the
 // value bytes are needed.
 func (c *Client) GetAsync(key []byte) (*Future, error) {
-	id, ch, err := c.register(1)
+	ch, err := c.issue(&netproto.Request{Op: netproto.OpGet, Key: key}, 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.send(&netproto.Request{Op: netproto.OpGet, ID: id, Key: key}); err != nil {
-		c.unregister(id)
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
-		return nil, err
-	}
-	return &Future{c: c, id: id, ch: ch}, nil
+	return &Future{c: c, ch: ch}, nil
 }
 
 // Scanner iterates one verified range scan, streamed from the server in
@@ -419,7 +474,6 @@ func (c *Client) GetAsync(key []byte) (*Future, error) {
 // before trusting the rows.
 type Scanner struct {
 	c    *Client
-	id   uint64
 	ch   chan *netproto.Response
 	rows []netproto.Row
 	i    int
@@ -435,24 +489,11 @@ func (c *Client) Scan(start, end []byte) (*Scanner, error) {
 // ScanAt streams the verified range [start, end] at timestamp tsq
 // (0 = latest).
 func (c *Client) ScanAt(start, end []byte, tsq uint64) (*Scanner, error) {
-	// Chunk buffer of 8: the reader goroutine stays a few chunks ahead of
-	// the consumer without buffering an unbounded range.
-	id, ch, err := c.register(8)
+	ch, err := c.issueStream(&netproto.Request{Op: netproto.OpScan, Start: start, End: end, Tsq: tsq})
 	if err != nil {
 		return nil, err
 	}
-	if err := c.send(&netproto.Request{Op: netproto.OpScan, ID: id, Start: start, End: end, Tsq: tsq}); err != nil {
-		c.unregister(id)
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
-		return nil, err
-	}
-	// Scanner.Next consumes its channel directly (not via recv), so the
-	// request must reach the wire here.
-	if err := c.flushPending(); err != nil {
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
-		return nil, err
-	}
-	return &Scanner{c: c, id: id, ch: ch}, nil
+	return &Scanner{c: c, ch: ch}, nil
 }
 
 // Next advances to the next row.
@@ -467,9 +508,7 @@ func (s *Scanner) Next() bool {
 	for {
 		resp, ok := <-s.ch
 		if !ok {
-			s.c.mu.Lock()
-			s.err = s.c.err
-			s.c.mu.Unlock()
+			s.err = s.c.failure()
 			return false
 		}
 		switch resp.Code {
@@ -513,9 +552,7 @@ func (s *Scanner) Close() error {
 	for !s.done && s.err == nil {
 		resp, ok := <-s.ch
 		if !ok {
-			s.c.mu.Lock()
-			s.err = s.c.err
-			s.c.mu.Unlock()
+			s.err = s.c.failure()
 			break
 		}
 		if resp.Code == netproto.CodeRows {
@@ -530,4 +567,61 @@ func (s *Scanner) Close() error {
 	}
 	s.rows, s.i = nil, 0
 	return s.err
+}
+
+// Stream is an opaque byte stream from the server — a replication
+// checkpoint or tail — as an io.Reader. It ends with io.EOF at the server's
+// end frame, or with whatever cut it short: ErrBehind, another *ServerError,
+// the client's transport failure. There is no cancel frame: closing the
+// client abandons the stream, so a replication stream gets a connection of
+// its own.
+type Stream struct {
+	c   *Client
+	ch  chan *netproto.Response
+	buf []byte
+	err error
+}
+
+// Checkpoint streams shard's attested checkpoint.
+func (c *Client) Checkpoint(shard int) (*Stream, error) {
+	return c.stream(&netproto.Request{Op: netproto.OpCheckpoint, Shard: uint32(shard)})
+}
+
+// Tail streams shard's attested commit-group frames from the applied
+// frontier fromTs, blocking at the leader's head for more.
+func (c *Client) Tail(shard int, fromTs uint64) (*Stream, error) {
+	return c.stream(&netproto.Request{Op: netproto.OpTail, Shard: uint32(shard), Tsq: fromTs})
+}
+
+func (c *Client) stream(req *netproto.Request) (*Stream, error) {
+	ch, err := c.issueStream(req)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{c: c, ch: ch}, nil
+}
+
+// Read implements io.Reader.
+func (s *Stream) Read(p []byte) (int, error) {
+	for len(s.buf) == 0 {
+		if s.err != nil {
+			return 0, s.err
+		}
+		resp, ok := <-s.ch
+		switch {
+		case !ok:
+			s.err = s.c.failure()
+		case resp.Code == netproto.CodeChunk:
+			s.buf = resp.Value
+		case resp.Code == netproto.CodeScanEnd:
+			s.err = io.EOF
+		default:
+			if _, s.err = s.c.check(resp); s.err == nil {
+				s.err = fmt.Errorf("netclient: unexpected stream frame code %d", resp.Code)
+			}
+		}
+	}
+	n := copy(p, s.buf)
+	s.buf = s.buf[n:]
+	return n, nil
 }

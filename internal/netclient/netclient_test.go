@@ -1,6 +1,7 @@
-package netclient
+package netclient_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"elsm"
+	"elsm/internal/netclient"
 	"elsm/internal/netproto"
 	"elsm/internal/netsrv"
 	"elsm/internal/sgx"
@@ -18,7 +20,7 @@ import (
 
 // serve opens a store behind a real netsrv.Server on loopback and returns
 // the server, its address and a connected client. Teardown is automatic.
-func serve(t *testing.T, opts elsm.Options, cfg netsrv.Config) (*netsrv.Server, string, *Client) {
+func serve(t *testing.T, opts elsm.Options, cfg netsrv.Config) (*netsrv.Server, string, *netclient.Client) {
 	t.Helper()
 	store, err := elsm.Open(opts)
 	if err != nil {
@@ -27,7 +29,7 @@ func serve(t *testing.T, opts elsm.Options, cfg netsrv.Config) (*netsrv.Server, 
 	return serveStore(t, store, cfg)
 }
 
-func serveStore(t *testing.T, store *elsm.Store, cfg netsrv.Config) (*netsrv.Server, string, *Client) {
+func serveStore(t *testing.T, store *elsm.Store, cfg netsrv.Config) (*netsrv.Server, string, *netclient.Client) {
 	t.Helper()
 	srv, err := netsrv.New(store, cfg)
 	if err != nil {
@@ -38,7 +40,7 @@ func serveStore(t *testing.T, store *elsm.Store, cfg netsrv.Config) (*netsrv.Ser
 		t.Fatalf("listen: %v", err)
 	}
 	go srv.Serve(ln)
-	c, err := Dial(ln.Addr().String())
+	c, err := netclient.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -65,12 +67,6 @@ func noLeaks(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	})
-}
-
-func (c *Client) pendingIDs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
 }
 
 func TestRoundTrips(t *testing.T) {
@@ -117,7 +113,7 @@ func TestRoundTrips(t *testing.T) {
 		t.Fatalf("stats do not describe this session: connections %d, group commits %d (of %d counters)",
 			stats["net_connections"], stats["group_commits"], len(stats))
 	}
-	if n := c.pendingIDs(); n != 0 {
+	if n := c.PendingIDs(); n != 0 {
 		t.Fatalf("%d request ids still registered after every call returned", n)
 	}
 }
@@ -141,14 +137,14 @@ func TestFuturesResolveOutOfOrder(t *testing.T) {
 	if _, err := second.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(first.ch) != 1 {
+	if !first.Delivered() {
 		t.Fatal("the first request's response was not kept for its future")
 	}
 	if wts, err := first.Wait(); err != nil || wts == 0 {
 		t.Fatalf("write: ts %d, %v", wts, err)
 	}
 
-	var puts []*Future
+	var puts []*netclient.Future
 	for i := 0; i < 32; i++ {
 		fut, err := c.PutAsync(fmt.Appendf(nil, "key%02d", i), []byte("v"))
 		if err != nil {
@@ -224,7 +220,7 @@ func TestScanner(t *testing.T) {
 	if sc.Next() {
 		t.Fatal("a closed scan advanced")
 	}
-	if n := c.pendingIDs(); n != 0 {
+	if n := c.PendingIDs(); n != 0 {
 		t.Fatalf("%d request ids still registered after the scan closed", n)
 	}
 	if res, err := c.Get([]byte("key00999")); err != nil || !res.Found {
@@ -232,9 +228,65 @@ func TestScanner(t *testing.T) {
 	}
 }
 
-// TestBusyAndServerErrors: load shedding surfaces as ErrBusy — per request
+// TestStreams: a checkpoint stream reads to io.EOF; a tail from a cursor the
+// leader no longer retains ends in ErrBehind; and Close gets past a stream —
+// or a scan — whose consumer walked away with chunks undelivered.
+func TestStreams(t *testing.T) {
+	noLeaks(t)
+	_, addr, c := serve(t, elsm.Options{}, netsrv.Config{})
+	val := bytes.Repeat([]byte("v"), 1024)
+	for i := 0; i < 400; i++ { // enough for a dozen 32 KiB checkpoint chunks
+		if _, err := c.PutAsync(fmt.Appendf(nil, "key%05d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Checkpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := io.Copy(io.Discard, s); err != nil || n < 400*1024 {
+		t.Fatalf("checkpoint stream: %d bytes, %v", n, err)
+	}
+	if s, err = c.Tail(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(make([]byte, 1)); !errors.Is(err, netclient.ErrBehind) {
+		t.Fatalf("tail from before the retained log: %v, want ErrBehind", err)
+	}
+	var se *netclient.ServerError
+	if _, err := s.Read(make([]byte, 1)); !errors.As(err, &se) || se.Errno != netproto.ErrnoBehind {
+		t.Fatalf("the stream's error is not sticky: %v", err)
+	}
+
+	abandoned, err := netclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := abandoned.Checkpoint(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := abandoned.Scan([]byte("key"), []byte("key~")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the reader fill both channels and block
+	closed := make(chan struct{})
+	go func() {
+		abandoned.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung behind an abandoned stream")
+	}
+}
+
+// TestBusyAndServerErrors: load shedding surfaces as netclient.ErrBusy — per request
 // with the connection left usable, or for the whole connection — and a
-// failure the server reports as a *ServerError carrying its errno.
+// failure the server reports as a *netclient.ServerError carrying its errno.
 func TestBusyAndServerErrors(t *testing.T) {
 	noLeaks(t)
 	t.Run("request shed", func(t *testing.T) {
@@ -244,7 +296,7 @@ func TestBusyAndServerErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Get([]byte("k")); !errors.Is(err, ErrBusy) {
+		if _, err := c.Get([]byte("k")); !errors.Is(err, netclient.ErrBusy) {
 			t.Fatalf("a request past the in-flight budget = %v, want ErrBusy", err)
 		}
 		if _, err := held.Wait(); err != nil {
@@ -259,15 +311,15 @@ func TestBusyAndServerErrors(t *testing.T) {
 		if err := c.Ping(); err != nil {
 			t.Fatal(err)
 		}
-		over, err := Dial(addr)
+		over, err := netclient.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer over.Close()
-		if err := over.Ping(); !errors.Is(err, ErrBusy) {
+		if err := over.Ping(); !errors.Is(err, netclient.ErrBusy) {
 			t.Fatalf("a connection over the cap = %v, want ErrBusy", err)
 		}
-		if _, err := over.PutAsync([]byte("k"), []byte("v")); !errors.Is(err, ErrBusy) {
+		if _, err := over.PutAsync([]byte("k"), []byte("v")); !errors.Is(err, netclient.ErrBusy) {
 			t.Fatalf("a later request on the refused connection = %v, want ErrBusy", err)
 		}
 	})
@@ -291,9 +343,9 @@ func TestBusyAndServerErrors(t *testing.T) {
 		}
 		_, _, c := serveStore(t, follower, netsrv.Config{})
 		_, err = c.Put([]byte("k"), []byte("w"))
-		var se *ServerError
+		var se *netclient.ServerError
 		if !errors.As(err, &se) || se.Errno != netproto.ErrnoReadOnly {
-			t.Fatalf("a write to a read-only replica = %v, want a ServerError with ErrnoReadOnly", err)
+			t.Fatalf("a write to a read-only replica = %v, want a netclient.ServerError with ErrnoReadOnly", err)
 		}
 		if res, err := c.Get([]byte("k")); err != nil || !res.Found || string(res.Value) != "v" {
 			t.Fatalf("the connection after a server error: %+v, %v", res, err)
@@ -304,9 +356,9 @@ func TestBusyAndServerErrors(t *testing.T) {
 // inFlight starts one of each kind of pending request on c — blocking calls,
 // futures and an open scan — and returns a function that waits for all of
 // them and reports how many failed.
-func inFlight(t *testing.T, c *Client) (settle func() (failed, total int)) {
+func inFlight(t *testing.T, c *netclient.Client) (settle func() (failed, total int)) {
 	t.Helper()
-	var futs []*Future
+	var futs []*netclient.Future
 	for i := 0; i < 4; i++ {
 		fut, err := c.PutAsync(fmt.Appendf(nil, "fut%d", i), []byte("v"))
 		if err != nil {
@@ -359,17 +411,17 @@ func TestServerCloseFailsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle := inFlight(t, c)
-	for c.pendingIDs() < 7 { // all seven registered (the calls are on goroutines)
+	for c.PendingIDs() < 7 { // all seven registered (the calls are on goroutines)
 		time.Sleep(time.Millisecond)
 	}
-	if err := c.flushPending(); err != nil {
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	if failed, total := settle(); failed != total {
 		t.Fatalf("%d of %d requests pending at server close failed, want all", failed, total)
 	}
-	if err := c.Ping(); err == nil || errors.Is(err, ErrClosed) {
+	if err := c.Ping(); err == nil || errors.Is(err, netclient.ErrClosed) {
 		t.Fatalf("a call after the connection was lost = %v, want the transport error", err)
 	}
 	if _, err := c.Scan(nil, []byte("z")); err == nil {
@@ -378,7 +430,7 @@ func TestServerCloseFailsPending(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.pendingIDs(); n != 0 {
+	if n := c.PendingIDs(); n != 0 {
 		t.Fatalf("%d request ids still registered after Close", n)
 	}
 }
@@ -390,13 +442,13 @@ func TestCutPipeFailsPending(t *testing.T) {
 	near, far := net.Pipe()
 	drained := make(chan struct{})
 	go func() { io.Copy(io.Discard, far); close(drained) }()
-	c := New(near)
+	c := netclient.New(near)
 	settle := inFlight(t, c)
 	sc, err := c.Scan(nil, []byte("z")) // flushes everything buffered
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c.pendingIDs() < 8 {
+	for c.PendingIDs() < 8 {
 		time.Sleep(time.Millisecond)
 	}
 	far.Close()
@@ -418,6 +470,25 @@ func TestCutPipeFailsPending(t *testing.T) {
 	<-drained
 }
 
+// TestUnreadableFrameFailsPending: a frame the client cannot accept would
+// strand its request — or tear a hole in a stream — if it were skipped, so it
+// fails the connection and what is pending learns why.
+func TestUnreadableFrameFailsPending(t *testing.T) {
+	noLeaks(t)
+	near, far := net.Pipe()
+	go func() {
+		io.CopyN(io.Discard, far, 13) // one empty-bodied request
+		far.Write([]byte{0, 0, 0, 1, byte(netproto.CodeChunk)})
+		io.Copy(io.Discard, far)
+	}()
+	c := netclient.New(near)
+	defer c.Close()
+	var fe *netproto.FrameError
+	if err := c.Ping(); !errors.As(err, &fe) {
+		t.Fatalf("ping answered by an unreadable frame: %v, want a *netproto.FrameError", err)
+	}
+}
+
 // TestCloseFailsPending: the client's own Close fails what is pending with
 // ErrClosed.
 func TestCloseFailsPending(t *testing.T) {
@@ -427,16 +498,16 @@ func TestCloseFailsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.flushPending(); err != nil {
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fut.Wait(); !errors.Is(err, ErrClosed) {
+	if _, err := fut.Wait(); !errors.Is(err, netclient.ErrClosed) {
 		t.Fatalf("a future pending at Close = %v, want ErrClosed", err)
 	}
-	if err := c.Ping(); !errors.Is(err, ErrClosed) {
+	if err := c.Ping(); !errors.Is(err, netclient.ErrClosed) {
 		t.Fatalf("a call after Close = %v, want ErrClosed", err)
 	}
 }

@@ -18,9 +18,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{Op: OpBatch, ID: 3, Ops: []BatchOp{
 		{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Delete: true},
 	}}))
+	f.Add(AppendRequest(nil, &Request{Op: OpCheckpoint, ID: 4, Shard: 3}))
+	f.Add(AppendRequest(nil, &Request{Op: OpTail, ID: 5, Shard: 1, Tsq: 1 << 40}))
+	f.Add(AppendRequest(nil, &Request{Op: OpPromote, ID: 6}))
 	f.Add([]byte{0, 0, 0, 3, 1, 2, 3})             // undersized payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0}) // oversized declaration
-	f.Add([]byte("PUT alpha one\n"))               // line protocol bytes
+	f.Add([]byte("PUT alpha one\n"))               // text, not frames
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -62,6 +65,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(uint8(CodeRows), AppendRows(nil, []Row{{Key: []byte("k"), Ts: 1, Value: []byte("v")}}))
 	f.Add(uint8(CodeErr), AppendErr(nil, ErrnoAuth, "bad"))
 	f.Add(uint8(CodeStats), AppendStats(nil, []Stat{{Name: "g", Value: 1}}))
+	f.Add(uint8(CodeChunk), []byte("opaque stream bytes"))
+	f.Add(uint8(CodeErr), AppendErr(nil, ErrnoBehind, "behind"))
 	f.Add(uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
 		resp, err := DecodeResponse(typ, 1, body)

@@ -10,24 +10,22 @@
 //
 // Requests carry a client-chosen id; responses echo it, so a server may
 // answer out of order and a client demultiplexes by id. Streaming results
-// (SCAN) are multi-frame: any number of CodeRows chunks followed by one
-// CodeScanEnd terminator (or CodeErr), all under the request's id.
+// are multi-frame: any number of CodeRows chunks (SCAN) or CodeChunk chunks
+// (the replication streams) followed by one CodeScanEnd terminator (or
+// CodeErr), all under the request's id.
 //
 // The codec is defensive by construction: byte strings are uvarint
 // length-prefixed and every decode is bounds-checked, so truncated,
 // oversized or garbage frames surface as typed errors (*FrameError,
 // *DecodeError) a server can answer without losing framing — ReadFrame
 // discards an oversized frame's payload and keeps the connection usable.
-//
-// The first payload-length byte of any frame under 16 MB is 0x00, while
-// the legacy line protocol starts with a printable command letter; servers
-// exploit this to sniff the protocol on the first byte of a connection.
 package netproto
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // MaxFrame bounds one frame's payload (type + id + body). Frames declaring
@@ -59,7 +57,24 @@ const (
 	OpStats
 	// OpPing is a liveness probe (empty body).
 	OpPing
+	// OpCheckpoint streams one shard's attested checkpoint as CodeChunk
+	// frames: shard.
+	OpCheckpoint
+	// OpTail streams one shard's attested commit-group frames from the
+	// applied frontier tsq as CodeChunk frames, until either side goes
+	// away: shard, tsq. ErrnoBehind ends it when tsq has fallen out of the
+	// leader's retained log.
+	OpTail
+	// OpPromote turns a follower into a writable leader and answers CodeOK
+	// carrying the new replication epoch (empty body).
+	OpPromote
+
+	opEnd // one past the last opcode
 )
+
+// Known reports whether o is an opcode of this protocol version: what lets
+// a server tell an unknown request from a malformed one.
+func (o Op) Known() bool { return o >= OpPut && o < opEnd }
 
 func (o Op) String() string {
 	switch o {
@@ -79,6 +94,12 @@ func (o Op) String() string {
 		return "STATS"
 	case OpPing:
 		return "PING"
+	case OpCheckpoint:
+		return "CHECKPOINT"
+	case OpTail:
+		return "TAIL"
+	case OpPromote:
+		return "PROMOTE"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -96,7 +117,8 @@ const (
 	CodeNotFound
 	// CodeRows is one SCAN chunk: count, then per row key, ts, value.
 	CodeRows
-	// CodeScanEnd terminates a SCAN stream: total row count.
+	// CodeScanEnd terminates a stream: total row count (SCAN; 0 after a
+	// checkpoint or tail).
 	CodeScanEnd
 	// CodeErr reports a typed failure: errno, message.
 	CodeErr
@@ -108,6 +130,9 @@ const (
 	CodeStats
 	// CodePong answers OpPing (empty body).
 	CodePong
+	// CodeChunk is one piece of an opaque byte stream (OpCheckpoint,
+	// OpTail): the body is the bytes.
+	CodeChunk
 )
 
 // Errno classifies a CodeErr response.
@@ -127,6 +152,9 @@ const (
 	ErrnoAuth
 	// ErrnoReadOnly reports a write against a read-only replica.
 	ErrnoReadOnly
+	// ErrnoBehind ends an OpTail whose cursor is no longer in the leader's
+	// retained log: the follower must re-bootstrap from a checkpoint.
+	ErrnoBehind
 )
 
 // BatchOp is one operation of an OpBatch request.
@@ -272,14 +300,19 @@ func readBytes(b []byte, what string) ([]byte, []byte, error) {
 
 // Request is one decoded client request.
 type Request struct {
-	Op  Op
-	ID  uint64
-	Key []byte // Put, Get, Del
+	Op Op
+	// Shard is the Checkpoint and Tail payload. It sits in Op's padding:
+	// the replication verbs do not grow the struct every Put and Get
+	// allocates.
+	Shard uint32
+	ID    uint64
+	Key   []byte // Put, Get, Del
 	// Value is the Put payload.
 	Value []byte
 	// Ops is the Batch payload.
 	Ops []BatchOp
-	// Start, End, Tsq are the Scan payload (Tsq 0 = latest).
+	// Start, End, Tsq are the Scan payload (Tsq 0 = latest). Tsq is also
+	// Tail's cursor: the stream carries the groups after that timestamp.
 	Start, End []byte
 	Tsq        uint64
 }
@@ -310,7 +343,12 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		body = appendBytes(body, req.Start)
 		body = appendBytes(body, req.End)
 		body = appendUvarint(body, req.Tsq)
-	case OpSync, OpStats, OpPing:
+	case OpCheckpoint:
+		body = appendUvarint(body, uint64(req.Shard))
+	case OpTail:
+		body = appendUvarint(body, uint64(req.Shard))
+		body = appendUvarint(body, req.Tsq)
+	case OpSync, OpStats, OpPing, OpPromote:
 		// empty body
 	}
 	var hdr [4 + frameOverhead]byte
@@ -321,8 +359,7 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	return append(dst, body...)
 }
 
-// maxBatchOps bounds one decoded batch (protocol abuse guard, mirroring
-// the line protocol's cap).
+// maxBatchOps bounds one decoded batch (protocol abuse guard).
 const maxBatchOps = 10000
 
 // DecodeRequest decodes a request frame's body. Unknown opcodes and
@@ -383,8 +420,22 @@ func DecodeRequest(typ uint8, id uint64, body []byte) (*Request, error) {
 		if req.Tsq, body, err = readUvarint(body, "scan tsq"); err != nil {
 			return nil, err
 		}
-	case OpSync, OpStats, OpPing:
-		// empty body expected; tolerate trailing bytes below
+	case OpCheckpoint, OpTail:
+		var shard uint64
+		if shard, body, err = readUvarint(body, "shard"); err != nil {
+			return nil, err
+		}
+		if shard > math.MaxUint32 {
+			return nil, &DecodeError{What: "shard"}
+		}
+		req.Shard = uint32(shard)
+		if req.Op == OpTail {
+			if req.Tsq, body, err = readUvarint(body, "tail cursor"); err != nil {
+				return nil, err
+			}
+		}
+	case OpSync, OpStats, OpPing, OpPromote:
+		// empty body
 	default:
 		return nil, &DecodeError{What: fmt.Sprintf("opcode %d", typ)}
 	}
@@ -403,7 +454,7 @@ type Response struct {
 	Code  Code
 	ID    uint64
 	Ts    uint64 // OK, Value
-	Value []byte // Value
+	Value []byte // Value, Chunk
 	Rows  []Row  // Rows
 	Total uint64 // ScanEnd
 	Errno Errno  // Err
@@ -465,6 +516,8 @@ func DecodeResponse(typ uint8, id uint64, body []byte) (*Response, error) {
 		}
 	case CodeNotFound, CodeBusy, CodePong:
 		// empty body
+	case CodeChunk:
+		resp.Value, body = body, nil
 	case CodeRows:
 		var n uint64
 		if n, body, err = readUvarint(body, "row count"); err != nil {

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // roundTripReq encodes req, reads it back through ReadFrame and decodes it.
@@ -43,10 +45,16 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpSync, ID: 7},
 		{Op: OpStats, ID: 8},
 		{Op: OpPing, ID: 9},
+		{Op: OpCheckpoint, ID: 10, Shard: 3},
+		{Op: OpTail, ID: 11, Shard: 2, Tsq: 1 << 40},
+		{Op: OpPromote, ID: 12},
 	}
 	for _, req := range reqs {
 		got := roundTripReq(t, req)
-		if got.Op != req.Op || got.ID != req.ID || got.Tsq != req.Tsq {
+		if !req.Op.Known() {
+			t.Fatalf("%s is not a known op", req.Op)
+		}
+		if got.Op != req.Op || got.ID != req.ID || got.Tsq != req.Tsq || got.Shard != req.Shard {
 			t.Fatalf("%s: got %+v, want %+v", req.Op, got, req)
 		}
 		if !bytes.Equal(got.Key, req.Key) || !bytes.Equal(got.Value, req.Value) ||
@@ -61,6 +69,27 @@ func TestRequestRoundTrip(t *testing.T) {
 				t.Fatalf("%s op %d: got %+v, want %+v", req.Op, i, got.Ops[i], req.Ops[i])
 			}
 		}
+	}
+}
+
+// TestReplicationVerbsDoNotGrowRequest: every Put and Get allocates a
+// Request, so the replication verbs' payload lives in fields and padding
+// that were already there, and a shard that cannot be one is malformed.
+func TestReplicationVerbsDoNotGrowRequest(t *testing.T) {
+	type parentRequest struct {
+		Op         Op
+		ID         uint64
+		Key, Value []byte
+		Ops        []BatchOp
+		Start, End []byte
+		Tsq        uint64
+	}
+	if got, want := unsafe.Sizeof(Request{}), unsafe.Sizeof(parentRequest{}); got != want {
+		t.Fatalf("Request is %d bytes, %d without the replication verbs", got, want)
+	}
+	body := appendUvarint(nil, math.MaxUint32+1)
+	if _, err := DecodeRequest(uint8(OpCheckpoint), 1, body); err == nil {
+		t.Fatal("a shard above 32 bits decoded")
 	}
 }
 
@@ -81,6 +110,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		{CodeStats, AppendStats(nil, []Stat{{Name: "net_connections", Value: 4}}),
 			Response{Stats: []Stat{{Name: "net_connections", Value: 4}}}},
 		{CodePong, nil, Response{}},
+		{CodeChunk, []byte("opaque\x00bytes"), Response{Value: []byte("opaque\x00bytes")}},
+		{CodeErr, AppendErr(nil, ErrnoBehind, "behind"), Response{Errno: ErrnoBehind, Msg: "behind"}},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -182,6 +213,8 @@ func TestGarbageBodiesDrawTypedErrors(t *testing.T) {
 		{"batch count abuse", uint8(OpBatch), appendUvarint(nil, 1<<32)},
 		{"scan missing tsq", uint8(OpScan), appendBytes(appendBytes(nil, []byte("a")), []byte("z"))},
 		{"trailing bytes", uint8(OpPing), []byte{1}},
+		{"opcode past the last", uint8(OpPromote) + 1, nil},
+		{"tail missing cursor", uint8(OpTail), appendUvarint(nil, 1)},
 	}
 	for _, c := range cases {
 		_, err := DecodeRequest(c.typ, 1, c.body)
@@ -196,9 +229,8 @@ func TestGarbageBodiesDrawTypedErrors(t *testing.T) {
 }
 
 func TestBinarySniffByte(t *testing.T) {
-	// The dual-protocol server distinguishes framed connections by their
-	// first byte: any frame below MaxFrame starts 0x00, line commands
-	// start with a printable letter.
+	// Any frame below MaxFrame starts 0x00, so text typed at the port — its
+	// first byte printable — declares a length no server accepts.
 	frame := AppendRequest(nil, &Request{Op: OpGet, ID: 1, Key: []byte("k")})
 	if frame[0] != 0 {
 		t.Fatalf("first frame byte = %#x, want 0x00", frame[0])

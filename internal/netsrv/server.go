@@ -29,10 +29,11 @@
 // deadline, so one stalled client tears its own connection down instead of
 // pinning SCAN chunk memory for everyone.
 //
-// The server auto-detects the legacy line protocol on the first byte of
-// each connection (binary frames start 0x00, line commands with a letter),
-// so old clients — including REPL checkpoint/tail followers — share the
-// port with pipelined binary clients.
+// Replication rides the same pipeline: a follower's checkpoint and tail
+// requests (one connection each, see repl.NetSource) are read-side requests
+// whose answer is a stream of opaque chunk frames. A tail occupies its
+// worker, its pipeline slot and one in-flight token until either side goes
+// away, so MaxInflight must exceed followers × shards.
 package netsrv
 
 import (
@@ -49,6 +50,7 @@ import (
 	"elsm/internal/netproto"
 	"elsm/internal/obs"
 	"elsm/internal/record"
+	"elsm/internal/repl"
 )
 
 // Defaults for the zero Config. Exported so flag defaults and docs quote
@@ -73,9 +75,9 @@ const connWorkers = 4
 // Config tunes the front end. The zero value is production-ready; fields
 // set to zero resolve to the Default* constants above.
 type Config struct {
-	// MaxConnections caps concurrent connections (line and binary). A
-	// connection beyond the cap is answered with one BUSY frame and
-	// closed — clients see a typed refusal, not a hung dial.
+	// MaxConnections caps concurrent connections. A connection beyond the
+	// cap is answered with one BUSY frame and closed — clients see a typed
+	// refusal, not a hung dial.
 	MaxConnections int
 	// PipelineDepth bounds each connection's decoded-but-unanswered
 	// requests. When a client pipelines past it, the server stops reading
@@ -148,8 +150,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats is a point-in-time snapshot of the front end's gauges — the wire
-// layer's counterpart of elsm.Stats, exposed as net_* lines by the binary
-// protocol's STATS request.
+// layer's counterpart of elsm.Stats, exposed as net_* lines by the STATS
+// request.
 type Stats struct {
 	// Connections is the number of connections being served now.
 	Connections uint64
@@ -160,7 +162,7 @@ type Stats struct {
 	// the in-flight budget, and writes shed on commit-backlog
 	// backpressure.
 	BusyRejects uint64
-	// BytesIn / BytesOut count socket traffic in both protocols.
+	// BytesIn / BytesOut count socket traffic.
 	BytesIn  uint64
 	BytesOut uint64
 	// PipelineDepthHWM is the highest per-connection pipeline depth any
@@ -323,8 +325,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handle serves one accepted connection: admission, protocol sniff,
-// dispatch.
+// handle serves one accepted connection: admission, then the pipeline.
 func (s *Server) handle(nc net.Conn) {
 	defer nc.Close()
 	// Connection cap: shed with a typed BUSY frame, never queue the
@@ -347,18 +348,7 @@ func (s *Server) handle(nc net.Conn) {
 	defer s.conns.Add(-1)
 
 	cc := &countingConn{Conn: nc, srv: s}
-	br := bufio.NewReaderSize(cc, 8<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] >= 0x20 {
-		// Printable first byte: the legacy line protocol (including REPL
-		// streams). Binary frames under 16 MB always start 0x00.
-		serveLine(br, cc, s.store)
-		return
-	}
-	s.serveBinary(br, cc)
+	s.serve(bufio.NewReaderSize(cc, 8<<10), cc)
 }
 
 // respFrame is one encoded response awaiting the writer goroutine.
@@ -377,7 +367,7 @@ type respFrame struct {
 	release bool
 }
 
-// conn is one binary connection's pipeline state.
+// conn is one connection's pipeline state.
 type conn struct {
 	srv    *Server
 	ctx    context.Context
@@ -404,6 +394,8 @@ func errnoOf(err error) netproto.Errno {
 		return netproto.ErrnoAuth
 	case errors.Is(err, elsm.ErrReadOnlyReplica):
 		return netproto.ErrnoReadOnly
+	case errors.Is(err, repl.ErrBehind):
+		return netproto.ErrnoBehind
 	default:
 		return netproto.ErrnoGeneric
 	}
@@ -413,8 +405,8 @@ func errFrame(id uint64, errno netproto.Errno, msg string) respFrame {
 	return respFrame{typ: uint8(netproto.CodeErr), id: id, body: netproto.AppendErr(nil, errno, msg)}
 }
 
-// serveBinary runs the reader/workers/writer pipeline over one connection.
-func (s *Server) serveBinary(br *bufio.Reader, nc net.Conn) {
+// serve runs the reader/workers/writer pipeline over one connection.
+func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := &conn{
@@ -524,7 +516,7 @@ read:
 		req, derr := netproto.DecodeRequest(typ, id, body)
 		if derr != nil {
 			errno := netproto.ErrnoMalformed
-			if op := netproto.Op(typ); op < netproto.OpPut || op > netproto.OpPing {
+			if !netproto.Op(typ).Known() {
 				errno = netproto.ErrnoUnknownOp
 			}
 			if !c.respond(errFrame(id, errno, derr.Error())) {
@@ -586,6 +578,12 @@ read:
 // NetService histogram (SCAN included: the span covers the whole chunk
 // stream).
 func (s *Server) execute(c *conn, req *netproto.Request) {
+	if req.Op == netproto.OpCheckpoint || req.Op == netproto.OpTail {
+		// A replication stream lasts as long as its follower: not a
+		// service time.
+		s.executeStream(c, req)
+		return
+	}
 	if o := s.obs; o != nil {
 		defer func(start time.Time) { o.NetService.ObserveSince(start) }(time.Now())
 	}
@@ -613,6 +611,13 @@ func (s *Server) execute(c *conn, req *netproto.Request) {
 		c.respond(respFrame{typ: uint8(netproto.CodeOK), id: id, body: netproto.AppendOK(nil, 0)})
 	case netproto.OpStats:
 		c.respond(respFrame{typ: uint8(netproto.CodeStats), id: id, body: netproto.AppendStats(nil, s.statsPairs())})
+	case netproto.OpPromote:
+		epoch, err := s.store.Promote(c.ctx)
+		if err != nil {
+			c.respond(errFrame(id, errnoOf(err), err.Error()))
+			return
+		}
+		c.respond(respFrame{typ: uint8(netproto.CodeOK), id: id, body: netproto.AppendOK(nil, epoch)})
 	default:
 		c.respond(errFrame(id, netproto.ErrnoUnknownOp, fmt.Sprintf("netsrv: unhandled op %d", req.Op)))
 	}
@@ -730,9 +735,61 @@ func (s *Server) executeScan(c *conn, req *netproto.Request) {
 	c.respond(respFrame{typ: uint8(netproto.CodeScanEnd), id: req.ID, body: netproto.AppendOK(nil, total)})
 }
 
+// chunkWriter turns a replication stream's writes into CodeChunk frames on
+// the connection's response queue. The bounded queue is the flow control: a
+// follower that stops draining blocks Write until the writer goroutine's
+// WriteTimeout tears the connection down, which fails Write. A write of any
+// size — the tail writes a commit group, up to 64 MB, at once — goes out in
+// frames of at most streamChunkBytes, far under netproto.MaxFrame, which
+// also bounds what the queue can hold.
+type chunkWriter struct {
+	c  *conn
+	id uint64
+}
+
+const streamChunkBytes = 256 << 10
+
+func (w chunkWriter) Write(p []byte) (int, error) {
+	for sent := 0; sent < len(p); {
+		piece := p[sent:min(len(p), sent+streamChunkBytes)]
+		// The frame outlives the call and the caller reuses p: copy.
+		if !w.c.respond(respFrame{typ: uint8(netproto.CodeChunk), id: w.id, body: append([]byte(nil), piece...)}) {
+			return sent, w.c.ctx.Err()
+		}
+		sent += len(piece)
+	}
+	return len(p), nil
+}
+
+// executeStream serves a follower one shard's checkpoint or tail as
+// CodeChunk frames, ended by CodeScanEnd or a typed CodeErr — ErrnoBehind,
+// also mid-stream, when the tail's cursor falls out of the leader's
+// retained log. A tail lasts until the connection's context ends: the
+// follower hung up, a write timed out, or the server is closing. A leader
+// hub that closed is a clean end; the follower re-dials and learns then
+// whether the leader is gone.
+func (s *Server) executeStream(c *conn, req *netproto.Request) {
+	if uint64(req.Shard) >= uint64(s.store.Shards()) {
+		c.respond(errFrame(req.ID, netproto.ErrnoGeneric, fmt.Sprintf("netsrv: no such shard %d", req.Shard)))
+		return
+	}
+	shard := int(req.Shard)
+	w := chunkWriter{c: c, id: req.ID}
+	var err error
+	if req.Op == netproto.OpCheckpoint {
+		err = s.store.ServeCheckpoint(shard, w)
+	} else {
+		err = s.store.ServeTail(shard, req.Tsq, w, c.ctx.Done())
+	}
+	if err != nil && !errors.Is(err, repl.ErrLeaderClosed) {
+		c.respond(errFrame(req.ID, errnoOf(err), err.Error()))
+		return
+	}
+	c.respond(respFrame{typ: uint8(netproto.CodeScanEnd), id: req.ID, body: netproto.AppendOK(nil, 0)})
+}
+
 // statsPairs renders the store's counters plus the front end's net_*
-// gauges — the binary protocol's STATS payload. The store list mirrors the
-// line protocol's STATS command; the net_* block is what this layer adds.
+// gauges: the STATS payload.
 func (s *Server) statsPairs() []netproto.Stat {
 	pairs := storeStatsPairs(s.store)
 	ns := s.Stats()
@@ -744,4 +801,100 @@ func (s *Server) statsPairs() []netproto.Stat {
 		netproto.Stat{Name: "net_bytes_out", Value: ns.BytesOut},
 		netproto.Stat{Name: "net_pipeline_depth_hwm", Value: ns.PipelineDepthHWM},
 	)
+}
+
+// storeStatsPairs renders the store's counters as name/value pairs,
+// including the background-maintenance counters, the resolved group-commit
+// window and the per-shard (shardN_*) breakdown, so an operator can see
+// whether load spreads or one partition runs hot.
+func storeStatsPairs(store *elsm.Store) []netproto.Stat {
+	st := store.Stats()
+	pairs := []netproto.Stat{
+		{Name: "shards", Value: uint64(st.Shards)},
+		{Name: "flushes", Value: st.Flushes},
+		{Name: "compactions", Value: st.Compactions},
+		{Name: "background_compactions", Value: st.BackgroundCompactions},
+		{Name: "bytes_flushed", Value: st.BytesFlushed},
+		{Name: "bytes_compacted", Value: st.BytesCompacted},
+		{Name: "records_dropped", Value: st.RecordsDropped},
+		{Name: "manifest_updates", Value: st.ManifestUpdates},
+		{Name: "disk_bytes", Value: uint64(st.DiskBytes)},
+		{Name: "wal_syncs", Value: st.WALSyncs},
+		{Name: "group_commits", Value: st.GroupCommits},
+		{Name: "grouped_records", Value: st.GroupedRecords},
+		{Name: "wal_torn_records", Value: st.WALTornRecords},
+		{Name: "flush_stall_nanos", Value: st.FlushStallNanos},
+		{Name: "compaction_stall_nanos", Value: st.CompactionStallNanos},
+		{Name: "compaction_debt_bytes", Value: st.CompactionDebtBytes},
+		{Name: "parallel_compactions", Value: st.ParallelCompactions},
+		{Name: "compaction_workers_busy", Value: st.CompactionWorkersBusy},
+		{Name: "pinned_runs", Value: st.PinnedRuns},
+		{Name: "snapshots_open", Value: st.SnapshotsOpen},
+		{Name: "async_commits_in_flight", Value: st.AsyncCommitsInFlight},
+		{Name: "group_commit_window_nanos", Value: st.GroupCommitWindowNanos},
+		{Name: "fsync_ewma_nanos", Value: st.FsyncEWMANanos},
+		{Name: "page_faults", Value: st.PageFaults},
+		{Name: "ecalls", Value: st.ECalls},
+		{Name: "ocalls", Value: st.OCalls},
+		{Name: "copied_bytes", Value: st.CopiedBytes},
+		{Name: "enclave_bytes", Value: uint64(st.EnclaveBytes)},
+		{Name: "verified_gets", Value: st.VerifiedGets},
+		{Name: "proof_bytes", Value: st.ProofBytes},
+		{Name: "runs_probed", Value: st.RunsProbed},
+		{Name: "verify_node_cache_hits", Value: st.VerifyNodeCacheHits},
+		{Name: "verify_node_cache_misses", Value: st.VerifyNodeCacheMisses},
+		{Name: "verify_node_hashes", Value: st.VerifyNodeHashes},
+		{Name: "repl_lag_groups", Value: st.ReplLagGroups},
+		{Name: "repl_lag_bytes", Value: st.ReplLagBytes},
+		{Name: "followers_connected", Value: st.FollowersConnected},
+		{Name: "repl_reconnects", Value: st.ReplReconnects},
+		{Name: "repl_rebootstraps", Value: st.ReplRebootstraps},
+		{Name: "repl_epoch", Value: st.ReplEpoch},
+	}
+	for lvl, debt := range st.CompactionDebtByLevel {
+		pairs = append(pairs, netproto.Stat{Name: fmt.Sprintf("compaction_debt_level%d", lvl), Value: debt})
+	}
+	pairs = append(pairs, histStatsPairs(store)...)
+	for i, ss := range store.ShardStats() {
+		pairs = append(pairs,
+			netproto.Stat{Name: fmt.Sprintf("shard%d_wal_syncs", i), Value: ss.WALSyncs},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_group_commits", i), Value: ss.GroupCommits},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_snapshots_open", i), Value: ss.SnapshotsOpen},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_async_commits_in_flight", i), Value: ss.AsyncCommitsInFlight},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_disk_bytes", i), Value: uint64(ss.DiskBytes)},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_compaction_debt_bytes", i), Value: ss.CompactionDebtBytes},
+		)
+	}
+	return pairs
+}
+
+// histStatsPairs folds the store's per-shard latency histograms (the
+// canonical obs.Recorder.Hists list — the same one /metrics renders) into
+// store-wide count/p50/p99 pairs for STATS. Shards merge bucket-wise before
+// the quantile is taken, so the percentile is computed over the union of
+// observations, never averaged across shards. Histograms with no
+// observations are omitted: an uninstrumented or idle store keeps its STATS
+// output unchanged.
+func histStatsPairs(store *elsm.Store) []netproto.Stat {
+	recs := store.Recorders()
+	if len(recs) == 0 {
+		return nil
+	}
+	var pairs []netproto.Stat
+	names := recs[0].Hists()
+	for idx, nh := range names {
+		snap := nh.Hist.Snapshot()
+		for _, r := range recs[1:] {
+			snap.Merge(r.Hists()[idx].Hist.Snapshot())
+		}
+		if snap.Count == 0 {
+			continue
+		}
+		pairs = append(pairs,
+			netproto.Stat{Name: "hist_" + nh.Name + "_count", Value: snap.Count},
+			netproto.Stat{Name: "hist_" + nh.Name + "_p50", Value: snap.Quantile(0.5)},
+			netproto.Stat{Name: "hist_" + nh.Name + "_p99", Value: snap.Quantile(0.99)},
+		)
+	}
+	return pairs
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -592,51 +591,6 @@ func TestFrameFaultsAnswered(t *testing.T) {
 	if resp, err := netproto.DecodeResponse(typ, id, body); err != nil ||
 		resp.Code != netproto.CodeErr || resp.ID != 10 || resp.Errno != netproto.ErrnoMalformed {
 		t.Fatalf("malformed-body answer = %+v err %v", resp, err)
-	}
-}
-
-// TestLineProtocolSniffed drives the legacy line protocol through the
-// binary server's port: the first printable byte routes the connection to
-// the line handler.
-func TestLineProtocolSniffed(t *testing.T) {
-	_, addr := startServer(t, elsm.Options{}, Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, "PUT alpha one\nGET alpha\nSTATS\nQUIT\n"); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "OK ") {
-		t.Fatalf("PUT reply %q err %v", line, err)
-	}
-	line, err = br.ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "VALUE ") || !strings.Contains(line, "one") {
-		t.Fatalf("GET reply %q err %v", line, err)
-	}
-	sawWALSyncs := false
-	for {
-		line, err = br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("STATS stream: %v", err)
-		}
-		if strings.HasPrefix(line, "STAT wal_syncs ") {
-			sawWALSyncs = true
-		}
-		if line == "END\n" {
-			break
-		}
-	}
-	if !sawWALSyncs {
-		t.Fatalf("line STATS lost the store counters after the netsrv move")
-	}
-	// Both protocols interleave on one port.
-	c := dial(t, addr)
-	if res, err := c.Get([]byte("alpha")); err != nil || string(res.Value) != "one" {
-		t.Fatalf("binary read of line-written key: %+v err %v", res, err)
 	}
 }
 

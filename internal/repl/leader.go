@@ -172,23 +172,6 @@ func (l *Leader) WriteCheckpoint(w io.Writer) error {
 	return l.st.ExportCheckpoint(w, l.shard, l.shards)
 }
 
-// TailReady reports whether a tail stream starting at fromTs can serve at
-// least its first frame: ErrLeaderClosed after Close, ErrBehind when the
-// cursor has fallen out of the retained ring (re-bootstrap), nil
-// otherwise. Used by servers to settle the status line before ServeTail
-// blocks at the head of a quiet leader.
-func (l *Leader) TailReady(fromTs uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrLeaderClosed
-	}
-	if fromTs < l.baseTs {
-		return ErrBehind
-	}
-	return nil
-}
-
 // ServeTail streams committed groups with timestamps above fromTs into w,
 // blocking at the head for more. While the stream idles at the head it
 // emits an attested heartbeat frame every HeartbeatInterval, so a live but

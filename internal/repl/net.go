@@ -1,25 +1,20 @@
 package repl
 
 import (
-	"bufio"
-	"fmt"
+	"errors"
 	"io"
 	"net"
-	"strings"
 	"time"
+
+	"elsm/internal/netclient"
 )
 
-// netDialTimeout bounds one REPL connection attempt.
+// netDialTimeout bounds one replication connection attempt.
 const netDialTimeout = 5 * time.Second
 
-// netStatusTimeout bounds the wait for the status line. The server answers
-// TAIL before blocking at the stream head, so a healthy leader responds
-// well within this; the deadline keeps a follower's Close from hanging on
-// a connection that never produced a status.
-const netStatusTimeout = 10 * time.Second
-
-// netWriteTimeout bounds each write on a REPL connection (the command
-// line): a peer that stopped draining its socket cannot wedge the caller.
+// netWriteTimeout bounds the one write a follower makes on a replication
+// connection, its request frame: a peer that stopped draining its socket
+// cannot wedge the caller.
 const netWriteTimeout = 10 * time.Second
 
 // netIdleTimeout is the per-read deadline on established streams. The
@@ -30,16 +25,9 @@ const netWriteTimeout = 10 * time.Second
 // tighten it.
 var netIdleTimeout = 30 * time.Second
 
-// StatusBehind is the exact status line the server answers a TAIL whose
-// cursor has fallen out of the leader's retained ring — the protocol-level
-// form of ErrBehind. A dedicated token, not formatted error text: clients
-// match it exactly.
-const StatusBehind = "ERR BEHIND"
-
-// NetSource speaks the elsm-server REPL protocol: one TCP connection per
-// stream, opened with a single text command line, answered with "OK\n"
-// followed by the raw binary stream (checkpoint bytes or group frames), or
-// with "ERR <reason>\n".
+// NetSource reaches a leader's elsm-server: one netclient connection per
+// stream, carrying one OpCheckpoint or OpTail request and the chunk frames
+// that answer it.
 type NetSource struct {
 	addr string
 	// Dial overrides net.Dial (tests); nil uses TCP.
@@ -49,70 +37,59 @@ type NetSource struct {
 // NewNetSource creates a source dialing addr for every stream.
 func NewNetSource(addr string) *NetSource { return &NetSource{addr: addr} }
 
-func (ns *NetSource) dial() (net.Conn, error) {
-	if ns.Dial != nil {
-		return ns.Dial()
+// open dials a connection of its own for the stream that request starts.
+func (ns *NetSource) open(request func(*netclient.Client) (*netclient.Stream, error)) (io.ReadCloser, error) {
+	dial := ns.Dial
+	if dial == nil {
+		dial = func() (net.Conn, error) { return net.DialTimeout("tcp", ns.addr, netDialTimeout) }
 	}
-	return net.DialTimeout("tcp", ns.addr, netDialTimeout)
-}
-
-// open sends one command line and consumes the status line.
-func (ns *NetSource) open(cmd string) (io.ReadCloser, error) {
-	conn, err := ns.dial()
+	conn, err := dial()
 	if err != nil {
 		return nil, err
 	}
 	conn.SetWriteDeadline(time.Now().Add(netWriteTimeout))
-	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
-		conn.Close()
+	c := netclient.New(idleConn{conn})
+	s, err := request(c)
+	if err != nil {
+		c.Close()
 		return nil, err
 	}
-	conn.SetWriteDeadline(time.Time{})
-	// The status read is deadline-bounded so it can never wedge a caller
-	// (Tailer.Close during this window has no stream to close yet); the
-	// deadline is lifted before handing over the payload stream.
-	conn.SetReadDeadline(time.Now().Add(netStatusTimeout))
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("repl: %s: no status: %w", cmd, err)
-	}
-	conn.SetReadDeadline(time.Time{})
-	status = strings.TrimRight(status, "\r\n")
-	if status == StatusBehind {
-		conn.Close()
-		return nil, ErrBehind
-	}
-	if status != "OK" {
-		conn.Close()
-		return nil, fmt.Errorf("repl: %s: %s", cmd, status)
-	}
-	return &connStream{r: br, conn: conn}, nil
+	return &netStream{s: s, c: c}, nil
 }
 
 // Checkpoint requests shard's checkpoint stream.
 func (ns *NetSource) Checkpoint(shard int) (io.ReadCloser, error) {
-	return ns.open(fmt.Sprintf("REPL CKPT %d", shard))
+	return ns.open(func(c *netclient.Client) (*netclient.Stream, error) { return c.Checkpoint(shard) })
 }
 
 // Tail requests shard's group frames from fromTs.
 func (ns *NetSource) Tail(shard int, fromTs uint64) (io.ReadCloser, error) {
-	return ns.open(fmt.Sprintf("REPL TAIL %d %d", shard, fromTs))
+	return ns.open(func(c *netclient.Client) (*netclient.Stream, error) { return c.Tail(shard, fromTs) })
 }
 
-// connStream couples the buffered reader with its connection's lifetime
-// and arms an idle deadline before every read: the leader's heartbeats
-// keep a healthy stream far inside it, so a read that trips the deadline
+// idleConn arms the idle deadline before every read: the leader's
+// heartbeats keep a healthy stream far inside it, so a read that trips it
 // means a hung peer, and the stream fails instead of wedging its tailer.
-type connStream struct {
-	r    io.Reader
-	conn net.Conn
+type idleConn struct{ net.Conn }
+
+func (c idleConn) Read(p []byte) (int, error) {
+	c.SetReadDeadline(time.Now().Add(netIdleTimeout))
+	return c.Conn.Read(p)
 }
 
-func (cs *connStream) Read(p []byte) (int, error) {
-	cs.conn.SetReadDeadline(time.Now().Add(netIdleTimeout))
-	return cs.r.Read(p)
+// netStream is one stream and the connection that exists to carry it.
+type netStream struct {
+	s *netclient.Stream
+	c *netclient.Client
 }
 
-func (cs *connStream) Close() error { return cs.conn.Close() }
+// Read surfaces the wire's typed re-bootstrap signal as ErrBehind.
+func (ns *netStream) Read(p []byte) (int, error) {
+	n, err := ns.s.Read(p)
+	if errors.Is(err, netclient.ErrBehind) {
+		err = ErrBehind
+	}
+	return n, err
+}
+
+func (ns *netStream) Close() error { return ns.c.Close() }

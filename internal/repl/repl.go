@@ -48,7 +48,7 @@ var (
 // Source is where a follower gets its data: a checkpoint stream to
 // bootstrap a shard and a tail stream of committed groups from a given
 // applied frontier. Implementations: LocalSource (in-process leader) and
-// NetSource (an elsm-server REPL endpoint).
+// NetSource (a leader's elsm-server).
 type Source interface {
 	// Checkpoint streams shard's current checkpoint; the reader sees the
 	// whole stream followed by EOF.

@@ -246,9 +246,9 @@ func (t *Tailer) consume(r io.Reader) (int, error) {
 		body, rep, err := readFrame(r)
 		if err != nil {
 			// Typed stream terminations (LocalSource delivers the serve
-			// side's error through the pipe) must surface, not reconnect:
-			// ErrBehind is the re-bootstrap signal, ErrLeaderClosed ends
-			// the tail for good.
+			// side's error through the pipe, NetSource through the wire's
+			// error frame) must surface, not reconnect: ErrBehind is the
+			// re-bootstrap signal, ErrLeaderClosed ends the tail for good.
 			if errors.Is(err, ErrBehind) || errors.Is(err, ErrLeaderClosed) {
 				return frames, err
 			}

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -65,6 +66,10 @@ func chainOver(recs []record.Record) hashutil.Hash {
 // frameFixedLen is the size of a frame body with zero records: type byte,
 // shard pair, epoch, eight u64 position fields, record count, chain.
 const frameFixedLen = 1 + 2*4 + 8 + 8*8 + 4 + 32
+
+// minRecordLen is an encoded record with an empty key and value: kind byte,
+// key length, timestamp, value length.
+const minRecordLen = 1 + 4 + 8 + 4
 
 // encodeFrame serializes the frame body and returns (body, report
 // payload): the report over the body is appended separately by the caller.
@@ -138,10 +143,16 @@ func readFrame(r io.Reader) (body []byte, rep sgx.Report, err error) {
 	if n == 0 || n > maxFrameBody {
 		return nil, rep, fmt.Errorf("repl: implausible frame length %d", n)
 	}
-	body = make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
+	// Reserve for an ordinary frame and grow as the bytes arrive beyond
+	// that: a four-byte header cannot cost maxFrameBody.
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, 32<<10)))
+	if _, err = io.CopyN(buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // mid-frame: not a clean stream end
+		}
 		return nil, rep, err
 	}
+	body = buf.Bytes()
 	var rb [128]byte
 	if _, err = io.ReadFull(r, rb[:]); err != nil {
 		return nil, rep, err
@@ -188,7 +199,9 @@ func decodeFrame(body []byte) (*groupFrame, error) {
 	f.CumBytes = int64(u64())
 	nrecs := int(binary.BigEndian.Uint32(body[p : p+4]))
 	p += 4
-	if nrecs < 0 || nrecs > maxFrameBody/13 {
+	// A record is at least minRecordLen bytes, so the body bounds the count
+	// — and with it what the reservation below may allocate.
+	if nrecs < 0 || nrecs > (len(body)-frameFixedLen)/minRecordLen {
 		return bad("implausible record count")
 	}
 	if f.Heartbeat && nrecs != 0 {

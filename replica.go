@@ -22,18 +22,18 @@ var ErrReadOnlyReplica = errors.New("elsm: store is a read-only replica")
 // FollowerSource feeds a follower: per-shard checkpoint streams for
 // bootstrap and authenticated group tails for catch-up. Obtain one from the
 // leader process via Store.ReplicationSource (in-process) or
-// NewFollowerSource (over the elsm-server REPL protocol).
+// NewFollowerSource (over the leader's elsm-server).
 type FollowerSource = repl.Source
 
-// NewFollowerSource returns a FollowerSource that dials an elsm-server
-// leader's REPL endpoint at addr for every stream.
+// NewFollowerSource returns a FollowerSource that dials the leader's
+// elsm-server at addr for every stream.
 func NewFollowerSource(addr string) FollowerSource { return repl.NewNetSource(addr) }
 
 // ReplicationSource turns this store into a replication leader: every shard
 // gets a hub that retains recently committed groups and serves verified
 // checkpoint and tail streams. The returned source can bootstrap and feed
 // any number of in-process followers (OpenFollower) or be served over the
-// network (cmd/elsm-server does this for the REPL protocol). Requires
+// network (internal/netsrv does, for its checkpoint and tail verbs). Requires
 // ModeP2 — replication ships attested state. Idempotent; the hubs close
 // with the store.
 func (s *Store) ReplicationSource() (FollowerSource, error) {
@@ -413,7 +413,7 @@ func (s *Store) ReplicationErr() error {
 }
 
 // ServeCheckpoint streams shard's portable checkpoint to w — the leader
-// half of the REPL CKPT command.
+// half of the wire's checkpoint verb.
 func (s *Store) ServeCheckpoint(shard int, w io.Writer) error {
 	src, err := s.ReplicationSource()
 	if err != nil {
@@ -429,7 +429,7 @@ func (s *Store) ServeCheckpoint(shard int, w io.Writer) error {
 }
 
 // ServeTail streams shard's committed groups from fromTs to w, blocking at
-// the head — the leader half of the REPL TAIL command. It returns when w
+// the head — the leader half of the wire's tail verb. It returns when w
 // fails, stop closes, the store closes, or fromTs has fallen out of the
 // retained ring (repl.ErrBehind; the follower must re-bootstrap).
 func (s *Store) ServeTail(shard int, fromTs uint64, w io.Writer, stop <-chan struct{}) error {
@@ -438,19 +438,6 @@ func (s *Store) ServeTail(shard int, fromTs uint64, w io.Writer, stop <-chan str
 		return err
 	}
 	return l.ServeTail(fromTs, w, stop)
-}
-
-// TailReady reports whether a ServeTail for (shard, fromTs) can serve at
-// least its first frame: repl.ErrBehind when fromTs has fallen out of the
-// retained ring, nil when the stream would start (possibly blocking at the
-// head for new groups). Servers use it to settle the protocol status line
-// before the stream goes quiet.
-func (s *Store) TailReady(shard int, fromTs uint64) error {
-	l, err := s.tailLeader(shard)
-	if err != nil {
-		return err
-	}
-	return l.TailReady(fromTs)
 }
 
 // tailLeader resolves shard's replication hub, creating the hubs lazily.

@@ -1,26 +1,68 @@
-package elsm
+package elsm_test
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"elsm"
 	"elsm/internal/lsm"
+	"elsm/internal/netsrv"
 	"elsm/internal/repl"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
-	"io"
 )
+
+// sourceOpener makes leader reachable and returns the follower's way to it.
+type sourceOpener = func(t *testing.T, leader *elsm.Store) elsm.FollowerSource
+
+// sources are the two ways a follower reaches its leader, held to one
+// contract: the leader's in-process hubs, and the leader's netsrv front end
+// on a loopback port. A network source's server closes with the test.
+var sources = []struct {
+	name string
+	open sourceOpener
+}{
+	{"local", func(t *testing.T, leader *elsm.Store) elsm.FollowerSource {
+		src, err := leader.ReplicationSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}},
+	{"net", func(t *testing.T, leader *elsm.Store) elsm.FollowerSource {
+		srv, err := netsrv.New(leader, netsrv.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		return elsm.NewFollowerSource(ln.Addr().String())
+	}},
+}
+
+// overSources runs test once per source.
+func overSources(t *testing.T, test func(t *testing.T, open sourceOpener)) {
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) { test(t, src.open) })
+	}
+}
 
 // replicaOpts builds small-scale leader/follower options over a shared
 // attestation secret.
-func replicaOpts(shards int, secret string) Options {
-	return Options{
-		Mode:         ModeP2,
+func replicaOpts(shards int, secret string) elsm.Options {
+	return elsm.Options{
+		Mode:         elsm.ModeP2,
 		Shards:       shards,
 		Platform:     sgx.NewPlatformFromSecret([]byte(secret)),
 		MemtableSize: 8 << 10,
@@ -29,7 +71,7 @@ func replicaOpts(shards int, secret string) Options {
 }
 
 // scanAll returns the store's full verified scan.
-func scanAll(t *testing.T, s *Store) []Result {
+func scanAll(t *testing.T, s *elsm.Store) []elsm.Result {
 	t.Helper()
 	res, err := s.Scan([]byte("a"), []byte("z"))
 	if err != nil {
@@ -39,7 +81,7 @@ func scanAll(t *testing.T, s *Store) []Result {
 }
 
 // sameResults compares two verified scans byte for byte.
-func sameResults(a, b []Result) bool {
+func sameResults(a, b []elsm.Result) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -54,7 +96,7 @@ func sameResults(a, b []Result) bool {
 
 // waitConverged polls until the follower's verified scan is byte-identical
 // to the leader's, returning the converged scan.
-func waitConverged(t *testing.T, leader, follower *Store) []Result {
+func waitConverged(t *testing.T, leader, follower *elsm.Store) []elsm.Result {
 	t.Helper()
 	want := scanAll(t, leader)
 	deadline := time.Now().Add(10 * time.Second)
@@ -82,9 +124,9 @@ func waitConverged(t *testing.T, leader, follower *Store) []Result {
 // from a checkpoint and then tailed must answer every verified Get and
 // Scan byte-identically to the leader — same keys, same values, same
 // trusted timestamps.
-func testFollowerOracle(t *testing.T, shards int) {
+func testFollowerOracle(t *testing.T, shards int, open sourceOpener) {
 	secret := "oracle-secret"
-	leader, err := Open(replicaOpts(shards, secret))
+	leader, err := elsm.Open(replicaOpts(shards, secret))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +142,7 @@ func testFollowerOracle(t *testing.T, shards int) {
 		put(fmt.Sprintf("key-%04d", i), fmt.Sprintf("v1-%d", i))
 	}
 
-	src, err := leader.ReplicationSource()
-	if err != nil {
-		t.Fatal(err)
-	}
-	follower, err := OpenFollower(replicaOpts(shards, secret), src)
+	follower, err := elsm.OpenFollower(replicaOpts(shards, secret), open(t, leader))
 	if err != nil {
 		t.Fatalf("open follower: %v", err)
 	}
@@ -155,25 +193,29 @@ func testFollowerOracle(t *testing.T, shards int) {
 	if fc := leader.Stats().FollowersConnected; fc < uint64(shards) {
 		t.Fatalf("leader reports %d connected follower streams, want >= %d", fc, shards)
 	}
-	if lag := follower.Stats().ReplLagGroups; lag != 0 {
-		t.Fatalf("converged follower reports lag %d groups", lag)
+	// The tailer records a frame's lag once its apply has returned, a
+	// moment after the group became readable.
+	for deadline := time.Now().Add(5 * time.Second); follower.Stats().ReplLagGroups != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("converged follower reports lag %d groups", follower.Stats().ReplLagGroups)
+		}
 	}
 
 	// Writes are rejected with the typed error on every write surface.
-	if _, err := follower.Put([]byte("w"), []byte("v")); !errors.Is(err, ErrReadOnlyReplica) {
+	if _, err := follower.Put([]byte("w"), []byte("v")); !errors.Is(err, elsm.ErrReadOnlyReplica) {
 		t.Fatalf("follower Put: %v, want ErrReadOnlyReplica", err)
 	}
-	if _, err := follower.Delete([]byte("w")); !errors.Is(err, ErrReadOnlyReplica) {
+	if _, err := follower.Delete([]byte("w")); !errors.Is(err, elsm.ErrReadOnlyReplica) {
 		t.Fatalf("follower Delete: %v, want ErrReadOnlyReplica", err)
 	}
 	fb := follower.NewBatch()
 	fb.Put([]byte("w"), []byte("v"))
-	if _, err := fb.Commit(); !errors.Is(err, ErrReadOnlyReplica) {
+	if _, err := fb.Commit(); !errors.Is(err, elsm.ErrReadOnlyReplica) {
 		t.Fatalf("follower batch Commit: %v, want ErrReadOnlyReplica", err)
 	}
 	fb2 := follower.NewBatch()
 	fb2.Put([]byte("w"), []byte("v"))
-	if _, err := fb2.CommitAsync(nil); !errors.Is(err, ErrReadOnlyReplica) {
+	if _, err := fb2.CommitAsync(nil); !errors.Is(err, elsm.ErrReadOnlyReplica) {
 		t.Fatalf("follower CommitAsync: %v, want ErrReadOnlyReplica", err)
 	}
 	// The rejected writes never reached the replica.
@@ -182,8 +224,17 @@ func testFollowerOracle(t *testing.T, shards int) {
 	}
 }
 
-func TestFollowerOracle(t *testing.T)        { testFollowerOracle(t, 1) }
-func TestFollowerOracleSharded(t *testing.T) { testFollowerOracle(t, 4) }
+func TestFollowerOracle(t *testing.T) {
+	overSources(t, func(t *testing.T, open sourceOpener) {
+		testFollowerOracle(t, 1, open)
+	})
+}
+
+func TestFollowerOracleSharded(t *testing.T) {
+	overSources(t, func(t *testing.T, open sourceOpener) {
+		testFollowerOracle(t, 4, open)
+	})
+}
 
 // TestFollowerShardCountMismatchRejected: a follower configured with a
 // partition count different from the leader's must fail bootstrap with an
@@ -191,7 +242,7 @@ func TestFollowerOracleSharded(t *testing.T) { testFollowerOracle(t, 4) }
 // as a silently incomplete replica.
 func TestFollowerShardCountMismatchRejected(t *testing.T) {
 	secret := "topology-secret"
-	leader, err := Open(replicaOpts(4, secret))
+	leader, err := elsm.Open(replicaOpts(4, secret))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +254,7 @@ func TestFollowerShardCountMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFollower(replicaOpts(2, secret), src); !IsAuthFailure(err) {
+	if _, err := elsm.OpenFollower(replicaOpts(2, secret), src); !elsm.IsAuthFailure(err) {
 		t.Fatalf("follower with 2 shards of a 4-shard leader: %v, want auth failure", err)
 	}
 }
@@ -211,7 +262,7 @@ func TestFollowerShardCountMismatchRejected(t *testing.T) {
 // TestFollowerWrongSecretRejected: a follower whose platform does not share
 // the leader's attestation root must fail bootstrap, not serve bad data.
 func TestFollowerWrongSecretRejected(t *testing.T) {
-	leader, err := Open(replicaOpts(1, "leader-secret"))
+	leader, err := elsm.Open(replicaOpts(1, "leader-secret"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +274,7 @@ func TestFollowerWrongSecretRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFollower(replicaOpts(1, "other-secret"), src); !IsAuthFailure(err) {
+	if _, err := elsm.OpenFollower(replicaOpts(1, "other-secret"), src); !elsm.IsAuthFailure(err) {
 		t.Fatalf("mismatched platform bootstrap: %v, want auth failure", err)
 	}
 }
@@ -235,23 +286,19 @@ func TestFollowerWrongSecretRejected(t *testing.T) {
 // byte-identical on the promoted store, the promoted store must accept
 // writes, and a revived zombie leader's old-epoch frames must be rejected
 // with repl.ErrFenced.
-func testPromotionUnderLoad(t *testing.T, shards int) {
+func testPromotionUnderLoad(t *testing.T, shards int, open sourceOpener) {
 	secret := "failover-secret"
 	leaderOpts := replicaOpts(shards, secret)
 	leaderFS := vfs.NewMem() // kept so the dead leader can be revived as a zombie
 	leaderOpts.FS = leaderFS
-	leader, err := Open(leaderOpts)
+	leader, err := elsm.Open(leaderOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	closeLeader := sync.OnceFunc(func() { leader.Close() })
 	defer closeLeader()
 
-	src, err := leader.ReplicationSource()
-	if err != nil {
-		t.Fatal(err)
-	}
-	follower, err := OpenFollower(replicaOpts(shards, secret), src)
+	follower, err := elsm.OpenFollower(replicaOpts(shards, secret), open(t, leader))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +377,7 @@ func testPromotionUnderLoad(t *testing.T, shards int) {
 	defer func() { repl.HeartbeatInterval = oldHB }()
 	zombieOpts := replicaOpts(shards, secret)
 	zombieOpts.FS = leaderFS
-	zombie, err := Open(zombieOpts)
+	zombie, err := elsm.Open(zombieOpts)
 	if err != nil {
 		t.Fatalf("revive zombie leader: %v", err)
 	}
@@ -338,15 +385,11 @@ func testPromotionUnderLoad(t *testing.T, shards int) {
 	if _, err := zombie.Put([]byte("zombie-write"), []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
-	zsrc, err := zombie.ReplicationSource()
+	cores, err := follower.ShardCores()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cores, err := follower.shardCores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := repl.StartTailer(cores[0], zsrc, 0, len(cores))
+	tl := repl.StartTailer(cores[0], open(t, zombie), 0, len(cores))
 	defer tl.Close()
 	select {
 	case <-tl.Done():
@@ -362,8 +405,17 @@ func testPromotionUnderLoad(t *testing.T, shards int) {
 	}
 }
 
-func TestPromotionUnderLoad(t *testing.T)        { testPromotionUnderLoad(t, 1) }
-func TestPromotionUnderLoadSharded(t *testing.T) { testPromotionUnderLoad(t, 4) }
+func TestPromotionUnderLoad(t *testing.T) {
+	overSources(t, func(t *testing.T, open sourceOpener) {
+		testPromotionUnderLoad(t, 1, open)
+	})
+}
+
+func TestPromotionUnderLoadSharded(t *testing.T) {
+	overSources(t, func(t *testing.T, open sourceOpener) {
+		testPromotionUnderLoad(t, 4, open)
+	})
+}
 
 // TestFollowerAutoRebootstrap: a follower whose frontier falls out of the
 // leader's retained ring while it is down must re-bootstrap from a fresh
@@ -371,10 +423,14 @@ func TestPromotionUnderLoadSharded(t *testing.T) { testPromotionUnderLoad(t, 4) 
 // converge — surfacing the recovery in Stats().ReplRebootstraps instead of
 // an error.
 func TestFollowerAutoRebootstrap(t *testing.T) {
+	overSources(t, testFollowerAutoRebootstrap)
+}
+
+func testFollowerAutoRebootstrap(t *testing.T, open sourceOpener) {
 	secret := "rebootstrap-secret"
 	leaderOpts := replicaOpts(1, secret)
 	leaderOpts.ReplRingBytes = 4096 // a tiny ring: a burst of groups evicts it
-	leader, err := Open(leaderOpts)
+	leader, err := elsm.Open(leaderOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,15 +438,12 @@ func TestFollowerAutoRebootstrap(t *testing.T) {
 	if _, err := leader.Put([]byte("seed"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	src, err := leader.ReplicationSource()
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := open(t, leader)
 
 	fopts := replicaOpts(1, secret)
 	fopts.FS = vfs.NewMem()
 	fopts.Counter = sgx.NewMonotonicCounter()
-	follower, err := OpenFollower(fopts, src)
+	follower, err := elsm.OpenFollower(fopts, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +463,7 @@ func TestFollowerAutoRebootstrap(t *testing.T) {
 	// Reopen on the stale directory: the tail starts behind the ring, the
 	// tailer fails stop with ErrBehind, and the supervisor re-bootstraps
 	// from a fresh checkpoint without surfacing an error.
-	follower, err = OpenFollower(fopts, src)
+	follower, err = elsm.OpenFollower(fopts, src)
 	if err != nil {
 		t.Fatalf("reopen stale follower: %v", err)
 	}
@@ -427,7 +480,7 @@ func TestFollowerAutoRebootstrap(t *testing.T) {
 // savedCheckpoints is a follower source whose checkpoints were captured
 // earlier; the tail is the leader's live one.
 type savedCheckpoints struct {
-	FollowerSource
+	elsm.FollowerSource
 	ckpts [][]byte
 }
 
@@ -442,7 +495,7 @@ func (s savedCheckpoints) Checkpoint(shard int) (io.ReadCloser, error) {
 // must receive what was written, never what the buffers hold by then.
 func testReplicatedGroupsOwnTheirBytes(t *testing.T, shards int) {
 	secret := "own-bytes-secret"
-	leader, err := Open(replicaOpts(shards, secret))
+	leader, err := elsm.Open(replicaOpts(shards, secret))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +532,7 @@ func testReplicatedGroupsOwnTheirBytes(t *testing.T, shards int) {
 		key[i], val[i] = 'x', 'x'
 	}
 
-	follower, err := OpenFollower(replicaOpts(shards, secret), saved)
+	follower, err := elsm.OpenFollower(replicaOpts(shards, secret), saved)
 	if err != nil {
 		t.Fatalf("open follower: %v", err)
 	}
