@@ -13,7 +13,8 @@ import (
 // 5 %): deriving the conveniences must cost what calling the primitive
 // costs. A Get allocates exactly what the engine's GetAt does; a Put what
 // the engine's Commit of a prebuilt one-op batch does, plus that batch; and
-// the shard router adds nothing to a one-op Commit. The stores are warm,
+// the shard router adds nothing to a one-op Commit — for one shard and for
+// four, now that both are the same facade. The stores are warm,
 // uninstrumented (trace sampling allocates on every 64th group) and never
 // flush during the measurement.
 func TestFacadeAddsNoAllocs(t *testing.T) {
@@ -73,5 +74,12 @@ func TestFacadeAddsNoAllocs(t *testing.T) {
 		t.Errorf("a one-op Commit through the router allocates %v, on its shard %v", routed, direct)
 	}
 	put4 := allocs(func() { _, err := sharded.Put(key, val); fail(err) })
-	t.Logf("Put, 4 shards: %v allocs", put4)
+	if put4 != routed+1 {
+		t.Errorf("Put on 4 shards allocates %v, the router's one-op Commit %v (+1 for the batch)", put4, routed)
+	}
+	get4 := allocs(func() { _, err := sharded.Get(key); fail(err) })
+	if prim := allocs(func() { _, err := router.GetAt(nil, key, record.MaxTs); fail(err) }); get4 != prim {
+		t.Errorf("Get on 4 shards allocates %v, the router's GetAt %v", get4, prim)
+	}
+	t.Logf("4 shards: Put %v allocs, Get %v", put4, get4)
 }

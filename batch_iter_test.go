@@ -198,7 +198,7 @@ func crashedBatchStore(t *testing.T) (dir string, platform *sgx.Platform, counte
 		t.Fatal(err)
 	}
 	counter = sgx.NewMonotonicCounter()
-	s1, err := Open(Options{Dir: dir, Platform: platform, Counter: counter})
+	s1, err := Open(Options{Dir: dir, Platform: platform, ShardCounters: []*sgx.MonotonicCounter{counter}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func crashedBatchStore(t *testing.T) (dir string, platform *sgx.Platform, counte
 	if err := s1.Close(); err != nil { // seals state: WAL digest covers "base"
 		t.Fatal(err)
 	}
-	s2, err := Open(Options{Dir: dir, Platform: platform, Counter: counter})
+	s2, err := Open(Options{Dir: dir, Platform: platform, ShardCounters: []*sgx.MonotonicCounter{counter}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func crashedBatchStore(t *testing.T) (dir string, platform *sgx.Platform, counte
 
 func TestBatchFullReplayAppliesWholeBatch(t *testing.T) {
 	dir, platform, counter := crashedBatchStore(t)
-	s, err := Open(Options{Dir: dir, Platform: platform, Counter: counter})
+	s, err := Open(Options{Dir: dir, Platform: platform, ShardCounters: []*sgx.MonotonicCounter{counter}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestBatchPartialReplayIsRecoveryError(t *testing.T) {
 	if err := os.Truncate(wal, offs[8]); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(Options{Dir: dir, Platform: platform, Counter: counter, RequireCleanRecovery: true})
+	_, err := Open(Options{Dir: dir, Platform: platform, ShardCounters: []*sgx.MonotonicCounter{counter}, RequireCleanRecovery: true})
 	if err == nil {
 		t.Fatal("partially-replayed batch passed clean recovery")
 	}
@@ -275,7 +275,7 @@ func TestBatchTornWALRecoversGroupPrefix(t *testing.T) {
 	if err := os.Truncate(wal, offs[len(offs)-1]-5); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Options{Dir: dir, Platform: platform, Counter: counter})
+	s, err := Open(Options{Dir: dir, Platform: platform, ShardCounters: []*sgx.MonotonicCounter{counter}})
 	if err != nil {
 		t.Fatalf("torn tail must recover to the last whole group: %v", err)
 	}

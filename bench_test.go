@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"elsm/internal/core"
+	"elsm/internal/costmodel"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
@@ -85,18 +86,19 @@ func BenchmarkPutP2Authenticated(b *testing.B) { benchmarkPut(b, ModeP2) }
 func BenchmarkPutP1(b *testing.B)              { benchmarkPut(b, ModeP1) }
 func BenchmarkPutUnsecured(b *testing.B)       { benchmarkPut(b, ModeUnsecured) }
 
-// benchCostStore opens a store with the calibrated hardware cost model, so
-// the batched-write benchmarks expose the enclave-boundary amortization
-// (world switches burn CPU) and not just Go-level locking.
-func benchCostStore(b *testing.B, mode Mode) *Store {
+// benchCostStore opens an eLSM-P2 core store with the calibrated hardware
+// cost model (a paper-simulation setting, so it lives on core.Config.SGX,
+// not on elsm.Options): the batched-write benchmarks expose the
+// enclave-boundary amortization (world switches burn CPU) and not just
+// Go-level locking.
+func benchCostStore(b *testing.B) *core.Store {
 	b.Helper()
-	s, err := Open(Options{
-		Mode:                  mode,
-		MemtableSize:          1 << 20,
-		TableFileSize:         256 << 10,
-		LevelBase:             1 << 20,
-		MmapReads:             true,
-		SimulateHardwareCosts: true,
+	s, err := core.Open(core.Config{
+		SGX:           sgx.Params{Cost: costmodel.Calibrated()},
+		MemtableSize:  1 << 20,
+		TableFileSize: 256 << 10,
+		LevelBase:     1 << 20,
+		MmapReads:     true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -106,16 +108,16 @@ func benchCostStore(b *testing.B, mode Mode) *Store {
 }
 
 // BenchmarkPut100Single vs BenchmarkPut100Batch: the same 100 records per
-// iteration through the one-at-a-time path (100 ECalls + 100 WAL OCalls)
-// and through Batch.Commit (one ECall, one grouped WAL append+fsync, at
+// iteration through one-op commits (100 ECalls + 100 WAL OCalls) and
+// through one 100-op commit (one ECall, one grouped WAL append+fsync, at
 // most one counter bump).
 func BenchmarkPut100SingleP2(b *testing.B) {
-	s := benchCostStore(b, ModeP2)
+	s := benchCostStore(b)
 	val := ycsb.Value(1, ycsb.DefaultValueSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 100; j++ {
-			if _, err := s.Put(ycsb.Key(uint64(i*100+j)), val); err != nil {
+			if _, err := core.Put(s, ycsb.Key(uint64(i*100+j)), val); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -123,15 +125,15 @@ func BenchmarkPut100SingleP2(b *testing.B) {
 }
 
 func BenchmarkPut100BatchP2(b *testing.B) {
-	s := benchCostStore(b, ModeP2)
+	s := benchCostStore(b)
 	val := ycsb.Value(1, ycsb.DefaultValueSize)
+	ops := make([]core.BatchOp, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch := s.NewBatch()
-		for j := 0; j < 100; j++ {
-			batch.Put(ycsb.Key(uint64(i*100+j)), val)
+		for j := range ops {
+			ops[j] = core.BatchOp{Key: ycsb.Key(uint64(i*100 + j)), Value: val}
 		}
-		if _, err := batch.Commit(); err != nil {
+		if _, err := s.Commit(nil, ops); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -523,5 +525,98 @@ func TestNetConfigFlagValidation(t *testing.T) {
 			t.Fatalf("netConfig(%d, %d, %d) err = %v, want %q",
 				c.maxConns, c.depth, c.inflight, err, c.want)
 		}
+	}
+}
+
+// TestDirNeedsSealingRoot: an authenticated data directory without a
+// platform secret is refused at the first boot — the second could not unseal
+// it — while everything a restart can reopen is let through.
+func TestDirNeedsSealingRoot(t *testing.T) {
+	for _, c := range []struct {
+		dir    string
+		mode   elsm.Mode
+		secret string
+		ok     bool
+	}{
+		{"", elsm.ModeP2, "", true},   // in memory: nothing to restart on
+		{"d", elsm.ModeP2, "s", true}, // the platform key derives from the secret
+		{"d", elsm.ModeP2, "", false},
+		{"d", elsm.ModeUnsecured, "", true}, // nothing is sealed
+	} {
+		err := checkSealingRoot(c.dir, c.mode, c.secret)
+		if (err == nil) != c.ok {
+			t.Errorf("checkSealingRoot(%q, %v, %q) = %v, want ok=%v", c.dir, c.mode, c.secret, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "-repl-secret") {
+			t.Errorf("refusal %q does not name the flag that fixes it", err)
+		}
+	}
+}
+
+// TestSignalSealsAStateARestartReopens drives main's serving half the way
+// an operator does: serve a directory, write, SIGTERM — run returns cleanly
+// with the listener closed and the open connection drained — close the store,
+// and start again on the same directory with the same secret.
+func TestSignalSealsAStateARestartReopens(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *elsm.Store {
+		store, err := elsm.Open(elsm.Options{Dir: dir, Platform: sgx.NewPlatformFromSecret([]byte("restart"))})
+		if err != nil {
+			t.Fatalf("open %s: %v", dir, err)
+		}
+		return store
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cfg, err := netConfig(netsrv.DefaultMaxConnections, netsrv.DefaultPipelineDepth, netsrv.DefaultMaxInflight)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := open()
+	done := make(chan error, 1)
+	go func() { done <- run(store, addr, "", "", cfg) }()
+	var c *netclient.Client
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if c, err = netclient.Dial(addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never listened on %s: %v", addr, err)
+		}
+	}
+	if _, err := c.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() // left open across the signal: run must drain it
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after SIGTERM: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SIGTERM did not stop the server")
+	}
+	if _, err := net.Dial("tcp", addr); err == nil {
+		t.Fatal("listener still open after SIGTERM")
+	}
+	if _, err := c.Get([]byte("k")); err == nil {
+		t.Fatal("run returned with a connection still served: the store would close under it")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store = open()
+	defer store.Close()
+	if res, err := store.Get([]byte("k")); err != nil || !res.Found || string(res.Value) != "v" {
+		t.Fatalf("after restart: %+v, %v", res, err)
 	}
 }

@@ -73,18 +73,20 @@
 // waiting in the group-commit queue, stops a streaming iterator and its
 // prefetch, and deadlines long verified scans.
 //
-// For write-heavy deployments, Options.Shards hash-partitions the store
-// into N independent authenticated instances behind a router (N WALs, N
-// group-commit pipelines, N maintenance workers — and N independent trust
-// roots), with the same API on top: batches split across shards and commit
-// in parallel, scans merge the per-shard verified streams in key order,
-// and snapshots pin all shards atomically:
+// A store is a set of shards — one unless told otherwise. For write-heavy
+// deployments, Options.Shards hash-partitions it into N independent
+// authenticated instances behind a router (N WALs, N group-commit
+// pipelines — and N independent trust roots), with the same API on top:
+// batches split across shards and commit in parallel, scans merge the
+// per-shard verified streams in key order, and snapshots pin all shards
+// atomically:
 //
 //	store, err := elsm.Open(elsm.Options{Dir: dir, Shards: 4})
 //
 // The shard count is part of the on-disk layout — reopen with the value
-// the store was created with (and pass per-shard ShardCounters to keep
-// rollback detection across restarts).
+// the store was created with, and pass the same Platform and ShardCounters
+// (one counter per shard, one for an unsharded store) to unseal the trusted
+// state and keep rollback detection across restarts.
 //
 // Read replicas scale verified reads: a leader exports portable verified
 // checkpoints and ships its committed groups with attestation, and a
@@ -136,7 +138,6 @@ import (
 	"time"
 
 	"elsm/internal/core"
-	"elsm/internal/costmodel"
 	"elsm/internal/lsm"
 	"elsm/internal/obs"
 	"elsm/internal/repl"
@@ -175,7 +176,9 @@ func (m Mode) String() string {
 type Result = core.Result
 
 // Options configures Open. The zero value opens an in-memory eLSM-P2 store
-// with a zero-cost simulated enclave (functional mode). No option changes
+// of one shard. The simulated enclave is always functional (zero cost
+// model, the paper's 128 MB EPC); the paper-reproduction harness sets the
+// calibrated cost model and the EPC size on core.Config.SGX. No option changes
 // the shape of the write path: every write is logged, fsynced and applied by
 // the group-commit pipeline, and flush/compaction run in the background.
 type Options struct {
@@ -185,13 +188,6 @@ type Options struct {
 	Dir string
 	// FS overrides the untrusted file system (takes precedence over Dir).
 	FS vfs.FS
-	// EPCSize is the simulated enclave's protected-memory capacity
-	// (default 128 MB, the paper's hardware).
-	EPCSize int
-	// SimulateHardwareCosts enables the calibrated SGX cost model
-	// (world switches, paging, copies burn CPU); off, the enclave is
-	// purely functional.
-	SimulateHardwareCosts bool
 	// CacheSize is the read-buffer size in bytes (0 = no buffer).
 	CacheSize int
 	// MmapReads selects the mmap read path (P2/unsecured only).
@@ -202,22 +198,16 @@ type Options struct {
 	Encryption *EncryptionOptions
 	// RequireCleanRecovery refuses recovery with unverified WAL suffixes.
 	RequireCleanRecovery bool
-	// Platform and Counter persist the root of trust across restarts
-	// (required for unseal + rollback detection after reopen).
+	// Platform persists the sealing root across restarts (required to
+	// unseal the trusted state after reopen); see ShardCounters for the
+	// other half of the root of trust.
 	Platform *sgx.Platform
-	Counter  *sgx.MonotonicCounter
 	// IterChunkKeys bounds how many distinct keys a streaming iterator
 	// chunk covers per run — the unit of per-ECall verification work and
 	// of background prefetch (0 = the built-in default, currently 512).
 	// Larger chunks amortize enclave boundary crossings better; smaller
 	// chunks bound the enclave-resident working set.
 	IterChunkKeys int
-	// GroupCommitMaxOps caps how many operations one cross-client commit
-	// group may carry (0 = unbounded). Setting 1 disables write
-	// coalescing entirely: every commit pays its own WAL fsync and
-	// counter-bump check — useful only for measuring what group commit
-	// buys.
-	GroupCommitMaxOps int
 	// GroupCommitWindow makes a commit leader wait this long for more
 	// concurrent commits to join its group before flushing it, trading
 	// single-writer latency for larger groups. 0 (the default) relies on
@@ -258,12 +248,11 @@ type Options struct {
 	// smaller rings trade memory for re-bootstrap frequency under follower
 	// downtime. Leaders only.
 	ReplRingBytes int
-	// ShardCounters persists each shard's root of trust across restarts
-	// when Shards > 1: one trusted monotonic counter per shard, in shard
-	// order (the sharded counterpart of Counter, which is single-instance
-	// — each shard seals and verifies against its own counter, so one
-	// shard's state never binds another's). Empty means fresh counters
-	// (no rollback detection across reopen).
+	// ShardCounters persists each shard's root of trust across restarts:
+	// one trusted monotonic counter per shard, in shard order (one entry
+	// for an unsharded store). Each shard seals and verifies against its
+	// own counter, so one shard's state never binds another's. Empty means
+	// fresh counters (no rollback detection across reopen).
 	ShardCounters []*sgx.MonotonicCounter
 	// CompactionWorkers bounds how many background maintenance jobs —
 	// memtable flushes plus compactions of disjoint level pairs — run
@@ -288,18 +277,11 @@ type Options struct {
 	// every group — debugging only, the ring churns fast).
 	TraceSampleEvery int
 	// Advanced engine tuning (zero = defaults).
-	MemtableSize      int
-	TableFileSize     int
-	LevelBase         int64
-	MaxLevels         int
-	BlockSize         int
-	DisableCompaction bool
-
-	// obsHub, when set, reuses an existing observability hub instead of
-	// creating one — the follower re-bootstrap path passes the old hub
-	// through so the event history and network-level histograms survive the
-	// engine swap.
-	obsHub *obs.Observer
+	MemtableSize  int
+	TableFileSize int
+	LevelBase     int64
+	MaxLevels     int
+	BlockSize     int
 }
 
 // AutoGroupCommitWindow selects the adaptive group-commit window: the
@@ -310,11 +292,11 @@ const AutoGroupCommitWindow = lsm.AutoGroupCommitWindow
 
 // validate rejects option values that would silently misbehave.
 func (o Options) validate() error {
+	if o.Mode < ModeP2 || o.Mode > ModeUnsecured {
+		return fmt.Errorf("elsm: unknown mode %d", o.Mode)
+	}
 	if o.IterChunkKeys < 0 {
 		return fmt.Errorf("elsm: IterChunkKeys must be ≥ 0, got %d", o.IterChunkKeys)
-	}
-	if o.GroupCommitMaxOps < 0 {
-		return fmt.Errorf("elsm: GroupCommitMaxOps must be ≥ 0, got %d", o.GroupCommitMaxOps)
 	}
 	if o.GroupCommitWindow < 0 && o.GroupCommitWindow != AutoGroupCommitWindow {
 		return fmt.Errorf("elsm: GroupCommitWindow must be ≥ 0 or AutoGroupCommitWindow, got %v", o.GroupCommitWindow)
@@ -346,12 +328,6 @@ func (o Options) validate() error {
 	if len(o.ShardCounters) > 0 && len(o.ShardCounters) != o.Shards {
 		return fmt.Errorf("elsm: ShardCounters carries %d counters for %d shards (one per shard, in shard order)", len(o.ShardCounters), o.Shards)
 	}
-	if o.Counter != nil && len(o.ShardCounters) > 0 {
-		return fmt.Errorf("elsm: Counter and ShardCounters are mutually exclusive (ambiguous roots of trust)")
-	}
-	if o.Shards > 1 && o.Counter != nil {
-		return fmt.Errorf("elsm: Counter is single-instance; with Shards > 1 pass per-shard roots of trust via ShardCounters")
-	}
 	return nil
 }
 
@@ -360,92 +336,85 @@ type Store struct {
 	// reads is the verified read API (Get, Scan, Iter and their variants),
 	// shared with Snapshot; it also holds the confidentiality layer.
 	reads
-	mode Mode
+	// opts is what the store was opened with, resolved; a follower's
+	// re-bootstrap reopens the shards from it.
+	opts Options
 
-	// kv is the engine (the shard router when Shards > 1). A follower
-	// re-bootstrap swaps it wholesale, so every access goes through base().
-	kvMu sync.RWMutex
-	kv   core.KV
+	// eng is the open shard set (shards.go). A follower re-bootstrap
+	// replaces it wholesale with one pointer store, so every operation
+	// loads it once and works against a set that never changes under it.
+	eng atomic.Pointer[engineSet]
 
 	// Replication roles (replica.go). A follower applies shipped groups
 	// and rejects local writes until promoted; a leader lazily hosts
 	// per-shard hubs. readOnly is atomic because Promote flips it while
 	// reads and (rejected) writes are in flight.
-	readOnly  atomic.Bool
-	replMu    sync.Mutex // guards tailers, leaders, bootErr
-	tailers   []*repl.Tailer
-	leaders   []*repl.Leader
-	bootErr   error // last failed automatic re-bootstrap (ReplicationErr)
-	ringBytes int   // Options.ReplRingBytes, for the lazy leader hubs
+	readOnly atomic.Bool
+	replMu   sync.Mutex // guards tailers, leaders, bootErr
+	tailers  []*repl.Tailer
+	leaders  []*repl.Leader
+	bootErr  error // last failed automatic re-bootstrap (ReplicationErr)
 
-	// Follower failover state: the resolved options and source OpenFollower
-	// ran with, kept so the supervisor can wipe, re-bootstrap and reopen
-	// behind shards without operator help. failoverMu serializes the
-	// role transitions (re-bootstrap, Promote, Close).
+	// Follower failover state: the source OpenFollower ran with, kept so the
+	// supervisor can wipe, re-bootstrap and reopen behind shards without
+	// operator help. failoverMu serializes the role transitions
+	// (re-bootstrap, Promote, Close).
 	failoverMu   sync.Mutex
 	closed       bool
 	fsrc         FollowerSource
-	fopts        *Options
 	rebootstraps atomic.Uint64
 
-	// Observability: the shared hub (traces, events, store-wide histograms)
-	// and the per-shard recorders the engines observe into. Both nil with
-	// DisableInstrumentation. recs is swapped together with kv at a
-	// follower re-bootstrap (kvMu); the hub survives the swap.
+	// obsv is the observability hub (traces, events, store-wide
+	// histograms), nil with DisableInstrumentation. It outlives the engine
+	// swap; the per-shard recorders travel with the engine set.
 	obsv *obs.Observer
-	recs []*obs.Recorder
 }
 
-// base returns the current engine. It is a loan, not a handle: after a
-// follower re-bootstrap swaps the engine, operations against the old one
-// fail with the engine's closed error.
-func (s *Store) base() core.KV {
-	s.kvMu.RLock()
-	kv := s.kv
-	s.kvMu.RUnlock()
-	return kv
-}
+// base returns the current engine (the router on a sharded store). It is a
+// loan, not a handle: after a follower re-bootstrap swaps the shard set,
+// operations against the old one fail with the engine's closed error.
+func (s *Store) base() core.KV { return s.eng.Load().kv }
 
 // reader implements readSource: the current engine, re-read per call.
 func (s *Store) reader() core.Reader { return s.base() }
 
-// newStore wraps an opened engine (one instance or the shard router) in the
-// public store, closing the engine if the confidentiality layer cannot be
-// built.
-func newStore(opts Options, kv core.KV, hub *obs.Observer, recs []*obs.Recorder) (*Store, error) {
-	s := &Store{mode: opts.Mode, kv: kv, ringBytes: opts.ReplRingBytes, obsv: hub, recs: recs}
-	s.src = s
-	if opts.Encryption != nil {
-		var err error
-		if s.enc, err = newEncLayer(*opts.Encryption); err != nil {
-			kv.Close()
-			return nil, err
+// resolved applies the defaults, validates, and pins down what every shard
+// must share: the parent filesystem (nil stays nil: private in-memory
+// shards) and the sealing platform.
+func (o Options) resolved() (Options, error) {
+	if o.Mode == 0 {
+		o.Mode = ModeP2
+	}
+	if o.Shards == 0 {
+		o.Shards = 1
+	}
+	if err := o.validate(); err != nil {
+		return o, err
+	}
+	var err error
+	if o.FS == nil && o.Dir != "" {
+		if o.FS, err = vfs.NewOS(o.Dir); err != nil {
+			return o, err
 		}
 	}
-	return s, nil
-}
-
-// cost resolves the simulated-enclave cost model.
-func (o Options) cost() costmodel.Model {
-	if o.SimulateHardwareCosts {
-		return costmodel.Calibrated()
+	if o.Platform == nil {
+		o.Platform, err = sgx.NewPlatform()
 	}
-	return costmodel.Zero
+	return o, err
 }
 
 // coreConfig maps the engine-tuning options onto a core.Config — the ONE
-// place the pass-through fields are enumerated, shared by the single-
-// instance and sharded open paths (which differ only in FS layout, enclave
-// sharing and trust-root wiring, set by the callers on the returned value).
+// place the pass-through fields are enumerated; openShards adds what the
+// shards share and what shardEnv yields.
 func (o Options) coreConfig(fs vfs.FS) core.Config {
 	return core.Config{
 		FS:                    fs,
+		Platform:              o.Platform,
 		CacheSize:             o.CacheSize,
 		MmapReads:             o.MmapReads,
 		KeepVersions:          o.KeepVersions,
 		RequireCleanRecovery:  o.RequireCleanRecovery,
 		IterChunkKeys:         o.IterChunkKeys,
-		GroupCommitMaxOps:     o.GroupCommitMaxOps,
 		GroupCommitWindow:     o.GroupCommitWindow,
 		MaxAsyncCommitBacklog: o.MaxAsyncCommitBacklog,
 		CompactionWorkers:     o.CompactionWorkers,
@@ -454,90 +423,47 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		LevelBase:             o.LevelBase,
 		MaxLevels:             o.MaxLevels,
 		BlockSize:             o.BlockSize,
-		DisableCompaction:     o.DisableCompaction,
 	}
 }
 
-// buildObs resolves the store's observability hub and per-shard recorders
-// from the options: nil/nil when instrumentation is off, otherwise a fresh
-// hub (or the one threaded through obsHub by a follower re-bootstrap) with
-// one recorder per shard.
-func (o Options) buildObs(shards int) (*obs.Observer, []*obs.Recorder) {
+// newHub creates the store's observability hub (nil when instrumentation
+// is off).
+func (o Options) newHub() *obs.Observer {
 	if o.DisableInstrumentation {
-		return nil, nil
+		return nil
 	}
-	hub := o.obsHub
-	if hub == nil {
-		hub = obs.NewObserver(obs.Config{
-			SampleEvery:     o.TraceSampleEvery,
-			SlowOpThreshold: o.SlowOpThreshold,
-		})
-	}
-	recs := make([]*obs.Recorder, shards)
-	for i := range recs {
-		recs[i] = obs.NewRecorder(i, hub)
-	}
-	return hub, recs
-}
-
-// openMode opens one store instance of the given design.
-func openMode(mode Mode, cfg core.Config) (core.KV, error) {
-	switch mode {
-	case ModeP2:
-		return core.Open(cfg)
-	case ModeP1:
-		return core.OpenP1(cfg)
-	case ModeUnsecured:
-		return core.OpenUnsecured(cfg)
-	default:
-		return nil, fmt.Errorf("elsm: unknown mode %d", mode)
-	}
+	return obs.NewObserver(obs.Config{SampleEvery: o.TraceSampleEvery, SlowOpThreshold: o.SlowOpThreshold})
 }
 
 // Open creates or recovers a store.
 func Open(opts Options) (*Store, error) {
-	if opts.Mode == 0 {
-		opts.Mode = ModeP2
-	}
-	if opts.Shards == 0 {
-		opts.Shards = 1
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if opts.Shards > 1 {
-		return openSharded(opts)
-	}
-	if opts.Counter == nil && len(opts.ShardCounters) == 1 {
-		// A one-shard store is a single instance; accept the sharded
-		// spelling of its root of trust.
-		opts.Counter = opts.ShardCounters[0]
-	}
-	fs := opts.FS
-	if fs == nil && opts.Dir != "" {
-		osfs, err := vfs.NewOS(opts.Dir)
-		if err != nil {
-			return nil, err
-		}
-		fs = osfs
-	}
-	cfg := opts.coreConfig(fs)
-	cfg.SGX = sgx.Params{EPCSize: opts.EPCSize, Cost: opts.cost()}
-	cfg.Platform = opts.Platform
-	cfg.Counter = opts.Counter
-	hub, recs := opts.buildObs(1)
-	if recs != nil {
-		cfg.Obs = recs[0]
-	}
-	kv, err := openMode(opts.Mode, cfg)
+	opts, err := opts.resolved()
 	if err != nil {
 		return nil, err
 	}
-	return newStore(opts, kv, hub, recs)
+	return openStore(opts)
+}
+
+// openStore builds the public store over the shard set of resolved options.
+func openStore(opts Options) (*Store, error) {
+	s := &Store{opts: opts, obsv: opts.newHub()}
+	s.src = s
+	if opts.Encryption != nil {
+		var err error
+		if s.enc, err = newEncLayer(*opts.Encryption); err != nil {
+			return nil, err
+		}
+	}
+	set, err := openShards(opts, s.obsv)
+	if err != nil {
+		return nil, err
+	}
+	s.eng.Store(set)
+	return s, nil
 }
 
 // Mode reports which design this store runs.
-func (s *Store) Mode() Mode { return s.mode }
+func (s *Store) Mode() Mode { return s.opts.Mode }
 
 // Observer returns the store's observability hub — sampled traces, the
 // slow-op log, the structured event log and the store-wide histograms.
@@ -558,9 +484,7 @@ func (s *Store) Recorders() []*obs.Recorder {
 	if s == nil {
 		return nil
 	}
-	s.kvMu.RLock()
-	defer s.kvMu.RUnlock()
-	return s.recs
+	return s.eng.Load().recs
 }
 
 // Put writes a key-value pair, returning the trusted timestamp assigned

@@ -94,7 +94,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	opts := testOptions(ModeP2)
 	opts.FS = fs
 	opts.Platform = platform
-	opts.Counter = counter
+	opts.ShardCounters = []*sgx.MonotonicCounter{counter}
 
 	s, err := Open(opts)
 	if err != nil {
@@ -267,7 +267,6 @@ func TestOpenValidatesTuningOptions(t *testing.T) {
 		wantMsg string
 	}{
 		{Options{IterChunkKeys: -1}, "IterChunkKeys must be ≥ 0"},
-		{Options{GroupCommitMaxOps: -1}, "GroupCommitMaxOps must be ≥ 0"},
 		{Options{GroupCommitWindow: -time.Millisecond}, "GroupCommitWindow must be ≥ 0"},
 		{Options{GroupCommitWindow: 2 * time.Second}, "exceeds the 1s cap"}, // over the 1s cap
 		{Options{MaxAsyncCommitBacklog: -1}, "MaxAsyncCommitBacklog must be ≥ 0"},
@@ -282,12 +281,11 @@ func TestOpenValidatesTuningOptions(t *testing.T) {
 			t.Fatalf("bad option set %d: error %q does not name the offending knob (want %q)", i, err, tc.wantMsg)
 		}
 	}
-	// And valid settings work end to end: tiny chunks, bounded groups, a
-	// small batching window.
+	// And valid settings work end to end: tiny chunks, a small batching
+	// window.
 	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
 		opts := testOptions(mode)
 		opts.IterChunkKeys = 4
-		opts.GroupCommitMaxOps = 8
 		opts.GroupCommitWindow = 100 * time.Microsecond
 		s, err := Open(opts)
 		if err != nil {

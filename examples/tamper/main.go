@@ -23,9 +23,9 @@ func main() {
 	counter := sgx.NewMonotonicCounter() // the trusted monotonic counter (§5.6.1)
 
 	opts := elsm.Options{
-		FS:       fs,
-		Platform: platform,
-		Counter:  counter,
+		FS:            fs,
+		Platform:      platform,
+		ShardCounters: []*sgx.MonotonicCounter{counter},
 		// Small limits so data reaches untrusted SSTables quickly.
 		MemtableSize:  4 << 10,
 		TableFileSize: 4 << 10,
@@ -76,7 +76,7 @@ func main() {
 	opts2 := opts
 	opts2.FS = fs2
 	opts2.Platform = platform
-	opts2.Counter = sgx.NewMonotonicCounter()
+	opts2.ShardCounters = []*sgx.MonotonicCounter{sgx.NewMonotonicCounter()}
 	store2, err := elsm.Open(opts2)
 	if err != nil {
 		log.Fatal(err)

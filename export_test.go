@@ -1,8 +1,15 @@
 package elsm
 
-import "elsm/internal/core"
+import (
+	"elsm/internal/core"
+	"elsm/internal/obs"
+)
 
-// ShardCores exposes every partition's ModeP2 core store to the external
-// test package (the replication tests run there so that they can serve a
-// leader through internal/netsrv, which imports this package).
-func (s *Store) ShardCores() ([]*core.Store, error) { return s.shardCores() }
+// LoadedSet exposes, from ONE load of the engine pointer, every partition's
+// ModeP2 core store and its recorder to the external test package (the
+// replication tests run there so that they can serve a leader through
+// internal/netsrv, which imports this package).
+func (s *Store) LoadedSet() ([]*core.Store, []*obs.Recorder) {
+	set := s.eng.Load()
+	return set.cores, set.recs
+}

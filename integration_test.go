@@ -113,7 +113,7 @@ func TestReopenLoop(t *testing.T) {
 	opts.FS = newTestFS()
 	plat, counter := newTestTrust(t)
 	opts.Platform = plat
-	opts.Counter = counter
+	opts.ShardCounters = []*sgx.MonotonicCounter{counter}
 
 	total := 0
 	for cycle := 0; cycle < 5; cycle++ {

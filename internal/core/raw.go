@@ -181,9 +181,6 @@ func (s *RawStore) BulkLoad(recs []record.Record) error {
 // Engine exposes the underlying engine.
 func (s *RawStore) Engine() *lsm.Store { return s.engine }
 
-// Enclave exposes the simulated enclave (nil for the unsecured store).
-func (s *RawStore) Enclave() *sgx.Enclave { return s.enclave }
-
 // Close implements KV.
 func (s *RawStore) Close() error {
 	if s.cache != nil {

@@ -89,14 +89,13 @@ type Config struct {
 	// stores of one Enclave — all shards of a process; nil gives this store
 	// its own.
 	NodeCache *merkle.NodeCache
-	// KeepVersions, MemtableSize, TableFileSize, LevelBase,
-	// LevelMultiplier, MaxLevels, BlockSize and DisableCompaction pass
-	// through to the engine (zero = engine default).
+	// KeepVersions, MemtableSize, TableFileSize, LevelBase, MaxLevels,
+	// BlockSize and DisableCompaction pass through to the engine (zero =
+	// engine default).
 	KeepVersions      int
 	MemtableSize      int
 	TableFileSize     int
 	LevelBase         int64
-	LevelMultiplier   int
 	MaxLevels         int
 	BlockSize         int
 	DisableCompaction bool
@@ -117,7 +116,6 @@ func (cfg Config) engineOptions() lsm.Options {
 		BlockSize:             cfg.BlockSize,
 		TableFileSize:         cfg.TableFileSize,
 		LevelBase:             cfg.LevelBase,
-		LevelMultiplier:       cfg.LevelMultiplier,
 		MaxLevels:             cfg.MaxLevels,
 		KeepVersions:          cfg.KeepVersions,
 		DisableCompaction:     cfg.DisableCompaction,

@@ -18,9 +18,9 @@ import (
 // the env's fault-injecting disk and its persistent root of trust.
 func storeOpts(env *Env) elsm.Options {
 	return elsm.Options{
-		FS:       env.Fault,
-		Platform: env.Platform,
-		Counter:  env.Counter,
+		FS:            env.Fault,
+		Platform:      env.Platform,
+		ShardCounters: []*sgx.MonotonicCounter{env.Counter},
 	}
 }
 

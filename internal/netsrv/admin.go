@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 
+	"elsm/internal/netproto"
 	"elsm/internal/obs"
 )
 
@@ -45,57 +45,29 @@ func (s *Server) AdminHandler() http.Handler {
 	return mux
 }
 
-// splitShardStat recognizes the per-shard stat naming convention
-// ("shard3_disk_bytes") and splits it into the label value and base name,
-// so /metrics can expose one metric with a shard label instead of N
-// metric names.
-func splitShardStat(name string) (shard, base string, ok bool) {
-	rest, found := strings.CutPrefix(name, "shard")
-	if !found {
-		return "", "", false
-	}
-	i := 0
-	for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
-		i++
-	}
-	if i == 0 || i >= len(rest) || rest[i] != '_' {
-		return "", "", false
-	}
-	return rest[:i], rest[i+1:], true
-}
-
-// handleMetrics renders every stat the STATS commands expose, in
-// Prometheus text format under the elsm_ prefix: store and net_* gauges
-// (per-shard ones as shard-labeled series), then the per-shard latency
-// histograms as summaries with a merged shard="all" series, then the
-// hub-level histograms and event counter. The hist_* quantile pairs of
-// the wire STATS list are skipped — here the histograms render natively.
+// handleMetrics renders every counter the STATS verb exposes, in
+// Prometheus text format under the elsm_ prefix: store and net_* gauges,
+// the per-shard ones again as one shard-labeled series per entry of
+// Store.ShardStats, then the per-shard latency histograms as summaries with
+// a merged shard="all" series, then the hub-level histograms and event
+// counter. (STATS carries the histograms as hist_* quantile pairs; here
+// they render natively.)
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
-	type shardSample struct {
-		shard string
-		v     uint64
+	gauge := func(name string, v uint64) { obs.WriteGauge(&buf, "elsm_"+name, v) }
+	s.store.Stats().Counters(false, gauge)
+	s.Stats().counters(gauge)
+	var rows [][]netproto.Stat // rows[i]: shard i's per-shard counters
+	for _, ss := range s.store.ShardStats() {
+		var row []netproto.Stat
+		ss.Counters(true, func(name string, v uint64) { row = append(row, netproto.Stat{Name: name, Value: v}) })
+		rows = append(rows, row)
 	}
-	var order []string
-	grouped := map[string][]shardSample{}
-	for _, st := range s.statsPairs() {
-		if strings.HasPrefix(st.Name, "hist_") {
-			continue
-		}
-		if shard, base, ok := splitShardStat(st.Name); ok {
-			if _, seen := grouped[base]; !seen {
-				order = append(order, base)
-			}
-			grouped[base] = append(grouped[base], shardSample{shard, st.Value})
-			continue
-		}
-		obs.WriteGauge(&buf, "elsm_"+st.Name, st.Value)
-	}
-	for _, base := range order {
-		name := obs.PromName("elsm_" + base)
+	for j, c := range rows[0] {
+		name := obs.PromName("elsm_" + c.Name)
 		fmt.Fprintf(&buf, "# TYPE %s gauge\n", name)
-		for _, smp := range grouped[base] {
-			fmt.Fprintf(&buf, "%s{shard=%q} %d\n", name, smp.shard, smp.v)
+		for i, row := range rows {
+			fmt.Fprintf(&buf, "%s{shard=\"%d\"} %d\n", name, i, row[j].Value)
 		}
 	}
 	obs.WriteRecorderMetrics(&buf, "elsm_", s.store.Recorders())

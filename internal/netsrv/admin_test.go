@@ -17,6 +17,10 @@ import (
 // name{label="v",...} value — the shape a scraper must be able to parse.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+(\.[0-9]+)?([eE][+-][0-9]+)?$`)
 
+// shardStat matches the STATS naming of a per-shard counter
+// ("shard3_disk_bytes"): the shard, then the counter's own name.
+var shardStat = regexp.MustCompile(`^shard([0-9]+)_(.+)$`)
+
 // adminGet serves one request through the admin handler.
 func adminGet(t *testing.T, srv *Server, path string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -87,10 +91,10 @@ func TestAdminEndpoint(t *testing.T) {
 		if strings.HasPrefix(st.Name, "hist_") {
 			continue
 		}
-		if shard, base, ok := splitShardStat(st.Name); ok {
-			name := obs.PromName("elsm_" + base)
+		if m := shardStat.FindStringSubmatch(st.Name); m != nil {
+			name := obs.PromName("elsm_" + m[2])
 			if !shardLabeled[name] && !shardQuantile[name] {
-				t.Errorf("per-shard stat %s (shard %s) missing from /metrics as %s{shard=...}", st.Name, shard, name)
+				t.Errorf("per-shard stat %s (shard %s) missing from /metrics as %s{shard=...}", st.Name, m[1], name)
 			}
 			continue
 		}

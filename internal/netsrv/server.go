@@ -788,84 +788,30 @@ func (s *Server) executeStream(c *conn, req *netproto.Request) {
 	c.respond(respFrame{typ: uint8(netproto.CodeScanEnd), id: req.ID, body: netproto.AppendOK(nil, 0)})
 }
 
-// statsPairs renders the store's counters plus the front end's net_*
-// gauges: the STATS payload.
+// statsPairs renders the STATS payload: the store's counters as
+// elsm.Stats.Counters declares them, the commit-pipeline histograms, the
+// per-shard breakdown (shardN_*, so an operator can see whether load spreads
+// or one partition runs hot) and the front end's net_* gauges.
 func (s *Server) statsPairs() []netproto.Stat {
-	pairs := storeStatsPairs(s.store)
-	ns := s.Stats()
-	return append(pairs,
-		netproto.Stat{Name: "net_connections", Value: ns.Connections},
-		netproto.Stat{Name: "net_inflight_requests", Value: ns.InflightRequests},
-		netproto.Stat{Name: "net_busy_rejects", Value: ns.BusyRejects},
-		netproto.Stat{Name: "net_bytes_in", Value: ns.BytesIn},
-		netproto.Stat{Name: "net_bytes_out", Value: ns.BytesOut},
-		netproto.Stat{Name: "net_pipeline_depth_hwm", Value: ns.PipelineDepthHWM},
-	)
+	var pairs []netproto.Stat
+	add := func(name string, v uint64) { pairs = append(pairs, netproto.Stat{Name: name, Value: v}) }
+	s.store.Stats().Counters(false, add)
+	pairs = append(pairs, histStatsPairs(s.store)...)
+	for i, ss := range s.store.ShardStats() {
+		ss.Counters(true, func(name string, v uint64) { add(fmt.Sprintf("shard%d_%s", i, name), v) })
+	}
+	s.Stats().counters(add)
+	return pairs
 }
 
-// storeStatsPairs renders the store's counters as name/value pairs,
-// including the background-maintenance counters, the resolved group-commit
-// window and the per-shard (shardN_*) breakdown, so an operator can see
-// whether load spreads or one partition runs hot.
-func storeStatsPairs(store *elsm.Store) []netproto.Stat {
-	st := store.Stats()
-	pairs := []netproto.Stat{
-		{Name: "shards", Value: uint64(st.Shards)},
-		{Name: "flushes", Value: st.Flushes},
-		{Name: "compactions", Value: st.Compactions},
-		{Name: "background_compactions", Value: st.BackgroundCompactions},
-		{Name: "bytes_flushed", Value: st.BytesFlushed},
-		{Name: "bytes_compacted", Value: st.BytesCompacted},
-		{Name: "records_dropped", Value: st.RecordsDropped},
-		{Name: "manifest_updates", Value: st.ManifestUpdates},
-		{Name: "disk_bytes", Value: uint64(st.DiskBytes)},
-		{Name: "wal_syncs", Value: st.WALSyncs},
-		{Name: "group_commits", Value: st.GroupCommits},
-		{Name: "grouped_records", Value: st.GroupedRecords},
-		{Name: "wal_torn_records", Value: st.WALTornRecords},
-		{Name: "flush_stall_nanos", Value: st.FlushStallNanos},
-		{Name: "compaction_stall_nanos", Value: st.CompactionStallNanos},
-		{Name: "compaction_debt_bytes", Value: st.CompactionDebtBytes},
-		{Name: "parallel_compactions", Value: st.ParallelCompactions},
-		{Name: "compaction_workers_busy", Value: st.CompactionWorkersBusy},
-		{Name: "pinned_runs", Value: st.PinnedRuns},
-		{Name: "snapshots_open", Value: st.SnapshotsOpen},
-		{Name: "async_commits_in_flight", Value: st.AsyncCommitsInFlight},
-		{Name: "group_commit_window_nanos", Value: st.GroupCommitWindowNanos},
-		{Name: "fsync_ewma_nanos", Value: st.FsyncEWMANanos},
-		{Name: "page_faults", Value: st.PageFaults},
-		{Name: "ecalls", Value: st.ECalls},
-		{Name: "ocalls", Value: st.OCalls},
-		{Name: "copied_bytes", Value: st.CopiedBytes},
-		{Name: "enclave_bytes", Value: uint64(st.EnclaveBytes)},
-		{Name: "verified_gets", Value: st.VerifiedGets},
-		{Name: "proof_bytes", Value: st.ProofBytes},
-		{Name: "runs_probed", Value: st.RunsProbed},
-		{Name: "verify_node_cache_hits", Value: st.VerifyNodeCacheHits},
-		{Name: "verify_node_cache_misses", Value: st.VerifyNodeCacheMisses},
-		{Name: "verify_node_hashes", Value: st.VerifyNodeHashes},
-		{Name: "repl_lag_groups", Value: st.ReplLagGroups},
-		{Name: "repl_lag_bytes", Value: st.ReplLagBytes},
-		{Name: "followers_connected", Value: st.FollowersConnected},
-		{Name: "repl_reconnects", Value: st.ReplReconnects},
-		{Name: "repl_rebootstraps", Value: st.ReplRebootstraps},
-		{Name: "repl_epoch", Value: st.ReplEpoch},
-	}
-	for lvl, debt := range st.CompactionDebtByLevel {
-		pairs = append(pairs, netproto.Stat{Name: fmt.Sprintf("compaction_debt_level%d", lvl), Value: debt})
-	}
-	pairs = append(pairs, histStatsPairs(store)...)
-	for i, ss := range store.ShardStats() {
-		pairs = append(pairs,
-			netproto.Stat{Name: fmt.Sprintf("shard%d_wal_syncs", i), Value: ss.WALSyncs},
-			netproto.Stat{Name: fmt.Sprintf("shard%d_group_commits", i), Value: ss.GroupCommits},
-			netproto.Stat{Name: fmt.Sprintf("shard%d_snapshots_open", i), Value: ss.SnapshotsOpen},
-			netproto.Stat{Name: fmt.Sprintf("shard%d_async_commits_in_flight", i), Value: ss.AsyncCommitsInFlight},
-			netproto.Stat{Name: fmt.Sprintf("shard%d_disk_bytes", i), Value: uint64(ss.DiskBytes)},
-			netproto.Stat{Name: fmt.Sprintf("shard%d_compaction_debt_bytes", i), Value: ss.CompactionDebtBytes},
-		)
-	}
-	return pairs
+// counters calls fn with the wire name and value of every front-end gauge.
+func (ns Stats) counters(fn func(name string, v uint64)) {
+	fn("net_connections", ns.Connections)
+	fn("net_inflight_requests", ns.InflightRequests)
+	fn("net_busy_rejects", ns.BusyRejects)
+	fn("net_bytes_in", ns.BytesIn)
+	fn("net_bytes_out", ns.BytesOut)
+	fn("net_pipeline_depth_hwm", ns.PipelineDepthHWM)
 }
 
 // histStatsPairs folds the store's per-shard latency histograms (the

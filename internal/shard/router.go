@@ -341,32 +341,18 @@ func (r *Router) Close() error {
 	return firstErr
 }
 
-// flusher, loader and engined are the optional per-shard surfaces the
-// router re-exports for tooling (benchmarks, bulk ingestion, tests).
+// flusher and loader are the optional per-shard surfaces the router
+// re-exports for tooling (benchmarks, bulk ingestion, tests).
 type flusher interface{ Flush() error }
 type loader interface {
 	BulkLoad([]record.Record) error
 }
-type engined interface{ Engine() *lsm.Store }
 
 // Flush forces every shard's memtable to disk.
 func (r *Router) Flush() error {
 	for _, sh := range r.shards {
 		if f, ok := sh.(flusher); ok {
 			if err := f.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WaitMaintenance blocks until every shard's background flush/compaction
-// worker has drained the jobs enqueued before the call.
-func (r *Router) WaitMaintenance() error {
-	for _, sh := range r.shards {
-		if e, ok := sh.(engined); ok {
-			if err := e.Engine().WaitMaintenance(); err != nil {
 				return err
 			}
 		}

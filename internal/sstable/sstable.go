@@ -349,6 +349,13 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 	indexOff := int64(binary.BigEndian.Uint64(ft[16:24]))
 	indexLen := int64(binary.BigEndian.Uint64(ft[24:32]))
 	numEntries := int(binary.BigEndian.Uint64(ft[32:40]))
+	// The host wrote these numbers: every span is held to the file before
+	// anything is allocated for it (they are int64s read from uint64s, so
+	// "negative" is a length above 1<<63).
+	inFile := func(off, n int64) bool { return off >= 0 && n >= 0 && n <= size && off <= size-n }
+	if !inFile(filterOff, filterLen) || !inFile(indexOff, indexLen) {
+		return nil, fmt.Errorf("%w: footer spans lie outside the %d-byte file", ErrBadTable, size)
+	}
 
 	ib := make([]byte, indexLen)
 	if _, err := f.ReadAt(ib, indexOff); err != nil {
@@ -360,12 +367,12 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 	}
 	n := int(binary.BigEndian.Uint32(ib[:4]))
 	const minIndexEntry = 1 + 24 // empty key
-	if n > len(ib)/minIndexEntry {
+	if n == 0 || n > len(ib)/minIndexEntry {
 		return nil, fmt.Errorf("%w: index claims %d entries in %d bytes", ErrBadTable, n, len(ib))
 	}
 	t.index = make([]indexEntry, 0, n)
 	t.filters = make([]bloom.Filter, 0, n)
-	p := 4
+	p, dataEnd := 4, int64(0)
 	for i := 0; i < n; i++ {
 		klen, w := binary.Uvarint(ib[p:])
 		if w <= 0 || klen > uint64(len(ib)) || p+w+int(klen)+24 > len(ib) {
@@ -379,6 +386,13 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		e.off = int64(binary.BigEndian.Uint64(ib[p+8 : p+16]))
 		e.length = int64(binary.BigEndian.Uint64(ib[p+16 : p+24]))
 		p += 24
+		if !inFile(e.off, e.length) || e.off < dataEnd {
+			return nil, fmt.Errorf("%w: block %d lies outside the %d-byte file or over the block before", ErrBadTable, i, size)
+		}
+		dataEnd = e.off + e.length
+		if i > 0 && record.Compare(t.index[i-1].lastKey, t.index[i-1].lastTs, e.lastKey, e.lastTs) >= 0 {
+			return nil, fmt.Errorf("%w: index entry %d does not ascend", ErrBadTable, i)
+		}
 		t.index = append(t.index, e)
 	}
 
@@ -653,20 +667,42 @@ func (it *Iter) seekBlockStart(i int) {
 }
 
 // step decodes the record at it.next, moving on to the following block when
-// the current one is spent.
+// the current one is spent. Records must ascend strictly, within a block and
+// from block to block: a block's first record is held to the index entry of
+// the block before it and its last record to its own — the index is the
+// reader's copy, where the bytes of a block already passed may be gone.
 func (it *Iter) step() {
+	index := it.t.index
 	if it.next >= len(it.data) {
+		if e := index[it.block]; record.Compare(it.rec.Key, it.rec.Ts, e.lastKey, e.lastTs) > 0 {
+			it.fail(fmt.Errorf("%w: block %d runs past its index entry", ErrBadTable, it.block))
+			return
+		}
 		it.seekBlockStart(it.block + 1)
 		return
 	}
 	rec, n, err := viewRecordAt(it.data, it.next)
 	if err != nil {
-		it.err, it.data, it.valid = err, nil, false
+		it.fail(err)
+		return
+	}
+	ordered := true
+	if it.next > 0 {
+		ordered = record.Compare(it.rec.Key, it.rec.Ts, rec.Key, rec.Ts) < 0
+	} else if it.block > 0 {
+		e := index[it.block-1]
+		ordered = record.Compare(e.lastKey, e.lastTs, rec.Key, rec.Ts) < 0
+	}
+	if !ordered {
+		it.fail(fmt.Errorf("%w: block %d: records out of order", ErrBadTable, it.block))
 		return
 	}
 	it.rec, it.valid = rec, true
 	it.next += n
 }
+
+// fail ends the iteration with err, the error Close reports.
+func (it *Iter) fail(err error) { it.err, it.data, it.valid = err, nil, false }
 
 func (it *Iter) Valid() bool { return it.valid }
 
@@ -711,7 +747,7 @@ func (it *Iter) SeekPrev() (prev record.Record, ok bool, err error) {
 		return prev, false, nil
 	}
 	if prev, err = it.t.lastView(bi - 1); err != nil {
-		it.err, it.data, it.valid = err, nil, false
+		it.fail(err)
 		return prev, false, err
 	}
 	return prev, true, nil

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"elsm/internal/core"
 	"elsm/internal/obs"
 	"elsm/internal/repl"
 	"elsm/internal/sgx"
-	"elsm/internal/shard"
 	"elsm/internal/vfs"
 )
 
@@ -37,19 +37,16 @@ func NewFollowerSource(addr string) FollowerSource { return repl.NewNetSource(ad
 // ModeP2 — replication ships attested state. Idempotent; the hubs close
 // with the store.
 func (s *Store) ReplicationSource() (FollowerSource, error) {
-	if s.mode != ModeP2 {
-		return nil, fmt.Errorf("elsm: replication requires ModeP2 (attested checkpoints and shipped groups); store runs %v", s.mode)
+	if s.opts.Mode != ModeP2 {
+		return nil, fmt.Errorf("elsm: replication requires ModeP2 (attested checkpoints and shipped groups); store runs %v", s.opts.Mode)
 	}
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	if s.leaders == nil {
-		cores, err := s.shardCores()
-		if err != nil {
-			return nil, err
-		}
+		cores := s.eng.Load().cores
 		leaders := make([]*repl.Leader, len(cores))
 		for i, cs := range cores {
-			leaders[i] = repl.NewLeader(cs, int64(s.ringBytes), i, len(cores))
+			leaders[i] = repl.NewLeader(cs, int64(s.opts.ReplRingBytes), i, len(cores))
 		}
 		s.leaders = leaders
 	}
@@ -77,7 +74,7 @@ func (s *Store) ReplicationSource() (FollowerSource, error) {
 // partition count — the attested shard identity in every checkpoint and
 // shipped group enforces it, so a mismatch fails bootstrap (or the first
 // tailed frame) instead of building an incomplete replica. Missing
-// counters are created fresh; pass Counter/ShardCounters to keep rollback
+// counters are created fresh; pass ShardCounters to keep rollback
 // detection across follower restarts.
 //
 //	platform := sgx.NewPlatformFromSecret(secret) // same secret as leader
@@ -94,87 +91,74 @@ func OpenFollower(opts Options, src FollowerSource) (*Store, error) {
 	if opts.Platform == nil {
 		return nil, errors.New("elsm: follower needs Options.Platform sharing the leader's attestation root (sgx.NewPlatformFromSecret)")
 	}
-	if opts.Shards == 0 {
-		opts.Shards = 1
-	}
-	if err := opts.validate(); err != nil {
+	opts, err := opts.resolved()
+	if err != nil {
 		return nil, err
 	}
 	// Restore and open must see one filesystem and one set of counters, so
-	// resolve both here instead of letting Open conjure fresh ones.
+	// pin both here instead of letting each open conjure fresh ones.
 	if opts.FS == nil {
-		if opts.Dir != "" {
-			osfs, err := vfs.NewOS(opts.Dir)
-			if err != nil {
-				return nil, err
-			}
-			opts.FS = osfs
-			opts.Dir = ""
-		} else {
-			opts.FS = vfs.NewMem()
-		}
+		opts.FS = vfs.NewMem()
 	}
-	if opts.Shards == 1 {
-		if opts.Counter == nil && len(opts.ShardCounters) == 1 {
-			opts.Counter = opts.ShardCounters[0]
-			opts.ShardCounters = nil
-		}
-		if opts.Counter == nil {
-			opts.Counter = sgx.NewMonotonicCounter()
-		}
-	} else if len(opts.ShardCounters) == 0 {
+	if len(opts.ShardCounters) == 0 {
 		opts.ShardCounters = make([]*sgx.MonotonicCounter, opts.Shards)
 		for i := range opts.ShardCounters {
 			opts.ShardCounters[i] = sgx.NewMonotonicCounter()
 		}
 	}
-	for i := 0; i < opts.Shards; i++ {
-		fs, ctr, err := followerShardEnv(&opts, i)
-		if err != nil {
-			return nil, err
-		}
-		if !core.NeedsBootstrap(fs) {
-			continue // sealed state present: a restart, recover it below
-		}
-		if err := bootstrapShard(fs, opts.Platform, ctr, src, i, opts.Shards); err != nil {
-			return nil, err
-		}
+	if err := bootstrapShards(opts, src, nil); err != nil {
+		return nil, err
 	}
-	s, err := Open(opts)
+	s, err := openStore(opts)
 	if err != nil {
 		return nil, err
 	}
 	s.readOnly.Store(true)
 	s.fsrc = src
-	s.fopts = &opts
-	if err := s.startTailers(); err != nil {
-		s.Close()
-		return nil, err
-	}
+	s.startTailers()
 	return s, nil
 }
 
-// followerShardEnv resolves shard i's filesystem and trust root from the
-// follower's (already resolved) options.
-func followerShardEnv(opts *Options, i int) (vfs.FS, *sgx.MonotonicCounter, error) {
-	if opts.Shards <= 1 {
-		return opts.FS, opts.Counter, nil
+// bootstrapShards imports a verified checkpoint from src into every shard
+// without sealed local state, and into those stale marks as having fallen
+// behind the leader's ring, wiping any partial prior restore first; a shard
+// with state recovers it at open exactly like a leader restart. The restore
+// rejects a checkpoint whose attested shard identity is not (i, Shards) — a
+// mismatched follower Options.Shards, or a transport serving the wrong
+// shard's stream, fails here instead of silently building an incomplete
+// replica.
+func bootstrapShards(opts Options, src FollowerSource, stale []bool) error {
+	for i := 0; i < opts.Shards; i++ {
+		fs, ctr, err := opts.shardEnv(i)
+		if err != nil {
+			return err
+		}
+		if behind := i < len(stale) && stale[i]; !behind && !core.NeedsBootstrap(fs) {
+			continue
+		}
+		if err := core.WipeFS(fs); err != nil {
+			return fmt.Errorf("elsm: follower shard %d wipe: %w", i, err)
+		}
+		rc, err := src.Checkpoint(i)
+		if err != nil {
+			return fmt.Errorf("elsm: follower shard %d checkpoint: %w", i, err)
+		}
+		err = core.RestoreCheckpoint(rc, core.RestoreConfig{
+			FS: fs, Platform: opts.Platform, Counter: ctr, Shard: i, Shards: opts.Shards,
+		})
+		rc.Close()
+		if err != nil {
+			return fmt.Errorf("elsm: follower shard %d bootstrap: %w", i, err)
+		}
 	}
-	sub, err := vfs.Sub(opts.FS, shard.DirName(i))
-	if err != nil {
-		return nil, nil, fmt.Errorf("elsm: follower shard %d filesystem: %w", i, err)
-	}
-	return sub, opts.ShardCounters[i], nil
+	return nil
 }
 
 // startTailers starts one tailer per shard from the durable frontier and a
 // supervisor goroutine per tailer that reacts to repl.ErrBehind with an
 // automatic checkpoint re-bootstrap.
-func (s *Store) startTailers() error {
-	cores, err := s.shardCores()
-	if err != nil {
-		return err
-	}
+func (s *Store) startTailers() {
+	cores := s.eng.Load().cores
 	tailers := make([]*repl.Tailer, len(cores))
 	for i, cs := range cores {
 		tailers[i] = repl.StartTailer(cs, s.fsrc, i, len(cores))
@@ -185,7 +169,6 @@ func (s *Store) startTailers() error {
 	for _, t := range tailers {
 		go s.superviseTailer(t)
 	}
-	return nil
 }
 
 // currentTailers snapshots the live tailer set (it changes across
@@ -200,33 +183,18 @@ func (s *Store) currentTailers() []*repl.Tailer {
 // fail-stop a follower can recover from on its own — the leader's ring no
 // longer reaches our frontier (or a promotion moved the epoch past ours),
 // but a fresh verified checkpoint re-joins the stream. Everything else
-// (verification failures, fencing) stays down for the operator.
+// (verification failures, fencing) stays down for the operator. N shards
+// falling behind together race N supervisors here; the first one
+// re-bootstraps the whole store, the rest find their tailer's generation
+// already replaced and stand down.
 func (s *Store) superviseTailer(t *repl.Tailer) {
 	<-t.Done()
 	if !errors.Is(t.Err(), repl.ErrBehind) {
 		return
 	}
-	s.maybeRebootstrap(t)
-}
-
-// maybeRebootstrap re-bootstraps the follower unless the trigger's tailer
-// generation was already replaced (N shards falling behind together race N
-// supervisors here; the first one re-bootstraps the whole store, the rest
-// find their tailer gone and stand down).
-func (s *Store) maybeRebootstrap(trigger *repl.Tailer) {
 	s.failoverMu.Lock()
 	defer s.failoverMu.Unlock()
-	if s.closed || !s.readOnly.Load() {
-		return
-	}
-	member := false
-	for _, t := range s.currentTailers() {
-		if t == trigger {
-			member = true
-			break
-		}
-	}
-	if !member {
+	if s.closed || !s.readOnly.Load() || !slices.Contains(s.currentTailers(), t) {
 		return
 	}
 	if err := s.rebootstrapLocked(); err != nil {
@@ -249,67 +217,29 @@ func (s *Store) maybeRebootstrap(trigger *repl.Tailer) {
 // moment; the store is serving verified state again when this returns.
 func (s *Store) rebootstrapLocked() error {
 	old := s.currentTailers()
-	for _, t := range old {
-		t.Close()
-	}
-	behind := make(map[int]bool, len(old))
+	stale := make([]bool, len(old))
 	for i, t := range old {
-		behind[i] = errors.Is(t.Err(), repl.ErrBehind)
+		t.Close()
+		stale[i] = errors.Is(t.Err(), repl.ErrBehind)
 	}
 	if err := s.base().Close(); err != nil {
 		return fmt.Errorf("close stale engine: %w", err)
 	}
-	opts := *s.fopts
-	// Thread the existing hub through so the event history and store-wide
-	// histograms survive the engine swap (per-shard recorders restart with
-	// the fresh engine).
-	opts.obsHub = s.obsv
-	for i := 0; i < opts.Shards; i++ {
-		fs, ctr, err := followerShardEnv(&opts, i)
-		if err != nil {
-			return err
-		}
-		if !behind[i] && !core.NeedsBootstrap(fs) {
-			continue
-		}
-		if err := bootstrapShard(fs, opts.Platform, ctr, s.fsrc, i, opts.Shards); err != nil {
-			return err
-		}
+	if err := bootstrapShards(s.opts, s.fsrc, stale); err != nil {
+		return err
 	}
-	fresh, err := Open(opts)
+	// The hub is passed through so the event history and store-wide
+	// histograms survive the swap; per-shard recorders restart with the
+	// fresh engines.
+	fresh, err := openShards(s.opts, s.obsv)
 	if err != nil {
 		return fmt.Errorf("reopen after re-bootstrap: %w", err)
 	}
-	s.kvMu.Lock()
-	s.kv = fresh.kv // steal the engine; the wrapper is discarded un-closed
-	s.recs = fresh.recs
-	s.kvMu.Unlock()
+	s.eng.Store(fresh)
 	s.replMu.Lock()
 	s.bootErr = nil
 	s.replMu.Unlock()
-	return s.startTailers()
-}
-
-// bootstrapShard wipes any partial prior restore and imports shard i's
-// checkpoint from src into fs. The restore rejects a checkpoint whose
-// attested shard identity is not (i, shards) — mismatched follower
-// opts.Shards, or a transport serving the wrong shard's stream, fail here
-// instead of silently building an incomplete replica.
-func bootstrapShard(fs vfs.FS, platform *sgx.Platform, ctr *sgx.MonotonicCounter, src FollowerSource, i, shards int) error {
-	if err := core.WipeFS(fs); err != nil {
-		return fmt.Errorf("elsm: follower shard %d wipe: %w", i, err)
-	}
-	rc, err := src.Checkpoint(i)
-	if err != nil {
-		return fmt.Errorf("elsm: follower shard %d checkpoint: %w", i, err)
-	}
-	err = core.RestoreCheckpoint(rc, core.RestoreConfig{
-		FS: fs, Platform: platform, Counter: ctr, Shard: i, Shards: shards,
-	})
-	rc.Close()
-	if err != nil {
-		return fmt.Errorf("elsm: follower shard %d bootstrap: %w", i, err)
-	}
+	s.startTailers()
 	return nil
 }
 
@@ -320,11 +250,10 @@ func (s *Store) IsFollower() bool { return s.readOnly.Load() }
 // sharded store, where epochs advance in lockstep at promotion). Frames
 // attesting an older epoch are fenced with repl.ErrFenced.
 func (s *Store) ReplEpoch() uint64 {
-	cores, err := s.shardCores()
-	if err != nil || len(cores) == 0 {
-		return 0
+	if cores := s.eng.Load().cores; len(cores) > 0 {
+		return cores[0].ReplEpoch()
 	}
-	return cores[0].ReplEpoch()
+	return 0
 }
 
 // Promote turns this follower into a writable leader — the failover path
@@ -362,17 +291,14 @@ func (s *Store) Promote(ctx context.Context) (uint64, error) {
 			return 0, fmt.Errorf("elsm: refusing to promote shard %d over a failed-stop tailer: %w", i, err)
 		}
 	}
-	cores, err := s.shardCores()
-	if err != nil {
-		return 0, err
-	}
+	set := s.eng.Load()
 	// Pre-drain every shard's apply pipeline so the per-shard epoch bumps
 	// below cannot fail halfway through (all shards promote, or none).
-	if err := s.base().Sync(ctx); err != nil {
+	if err := set.kv.Sync(ctx); err != nil {
 		return 0, fmt.Errorf("elsm: promote drain: %w", err)
 	}
 	var epoch uint64
-	for i, cs := range cores {
+	for i, cs := range set.cores {
 		e, err := cs.Promote()
 		if err != nil {
 			return 0, fmt.Errorf("elsm: promote shard %d: %w", i, err)
@@ -415,17 +341,11 @@ func (s *Store) ReplicationErr() error {
 // ServeCheckpoint streams shard's portable checkpoint to w — the leader
 // half of the wire's checkpoint verb.
 func (s *Store) ServeCheckpoint(shard int, w io.Writer) error {
-	src, err := s.ReplicationSource()
+	l, err := s.leaderOf(shard)
 	if err != nil {
 		return err
 	}
-	rc, err := src.Checkpoint(shard)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	_, err = io.Copy(w, rc)
-	return err
+	return l.WriteCheckpoint(w)
 }
 
 // ServeTail streams shard's committed groups from fromTs to w, blocking at
@@ -433,15 +353,15 @@ func (s *Store) ServeCheckpoint(shard int, w io.Writer) error {
 // fails, stop closes, the store closes, or fromTs has fallen out of the
 // retained ring (repl.ErrBehind; the follower must re-bootstrap).
 func (s *Store) ServeTail(shard int, fromTs uint64, w io.Writer, stop <-chan struct{}) error {
-	l, err := s.tailLeader(shard)
+	l, err := s.leaderOf(shard)
 	if err != nil {
 		return err
 	}
 	return l.ServeTail(fromTs, w, stop)
 }
 
-// tailLeader resolves shard's replication hub, creating the hubs lazily.
-func (s *Store) tailLeader(shard int) (*repl.Leader, error) {
+// leaderOf resolves shard's replication hub, creating the hubs lazily.
+func (s *Store) leaderOf(shard int) (*repl.Leader, error) {
 	if _, err := s.ReplicationSource(); err != nil {
 		return nil, err
 	}
@@ -452,47 +372,4 @@ func (s *Store) tailLeader(shard int) (*repl.Leader, error) {
 		return nil, fmt.Errorf("elsm: no such shard %d", shard)
 	}
 	return leaders[shard], nil
-}
-
-// shardCores resolves every partition's ModeP2 core store, in shard order.
-func (s *Store) shardCores() ([]*core.Store, error) {
-	kv := s.base()
-	if r, ok := kv.(*shard.Router); ok {
-		out := make([]*core.Store, r.NumShards())
-		for i := range out {
-			cs, ok := r.Shard(i).(*core.Store)
-			if !ok {
-				return nil, fmt.Errorf("elsm: shard %d is not a ModeP2 instance", i)
-			}
-			out[i] = cs
-		}
-		return out, nil
-	}
-	cs, ok := kv.(*core.Store)
-	if !ok {
-		return nil, fmt.Errorf("elsm: store is not a ModeP2 instance")
-	}
-	return []*core.Store{cs}, nil
-}
-
-// replStats folds replication gauges into st: follower lag and transport
-// reconnects summed over the given tailers, re-bootstrap count and sealed
-// epoch from the store, connected-follower count summed over this store's
-// hubs.
-func (s *Store) replStats(st *Stats, tailers []*repl.Tailer) {
-	for _, t := range tailers {
-		g, b := t.Lag()
-		st.ReplLagGroups += g
-		st.ReplLagBytes += b
-		st.ReplReconnects += t.Reconnects()
-	}
-	st.ReplRebootstraps = s.rebootstraps.Load()
-	if cores, err := s.shardCores(); err == nil && len(cores) > 0 {
-		st.ReplEpoch = cores[0].ReplEpoch()
-	}
-	s.replMu.Lock()
-	for _, l := range s.leaders {
-		st.FollowersConnected += uint64(l.Followers())
-	}
-	s.replMu.Unlock()
 }

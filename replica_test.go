@@ -385,10 +385,7 @@ func testPromotionUnderLoad(t *testing.T, shards int, open sourceOpener) {
 	if _, err := zombie.Put([]byte("zombie-write"), []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
-	cores, err := follower.ShardCores()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cores, _ := follower.LoadedSet()
 	tl := repl.StartTailer(cores[0], open(t, zombie), 0, len(cores))
 	defer tl.Close()
 	select {
@@ -442,7 +439,7 @@ func testFollowerAutoRebootstrap(t *testing.T, open sourceOpener) {
 
 	fopts := replicaOpts(1, secret)
 	fopts.FS = vfs.NewMem()
-	fopts.Counter = sgx.NewMonotonicCounter()
+	fopts.ShardCounters = []*sgx.MonotonicCounter{sgx.NewMonotonicCounter()}
 	follower, err := elsm.OpenFollower(fopts, src)
 	if err != nil {
 		t.Fatal(err)
@@ -474,6 +471,142 @@ func testFollowerAutoRebootstrap(t *testing.T, open sourceOpener) {
 	}
 	if err := follower.ReplicationErr(); err != nil {
 		t.Fatalf("ReplicationErr after recovered re-bootstrap: %v", err)
+	}
+}
+
+// cutSource is a follower source the test can partition: going down closes
+// every open tail stream and fails new ones until it comes back.
+type cutSource struct {
+	elsm.FollowerSource
+	mu   sync.Mutex
+	down bool
+	open []io.Closer
+}
+
+func (c *cutSource) Tail(shard int, fromTs uint64) (io.ReadCloser, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down {
+		return nil, errors.New("cutSource: partitioned")
+	}
+	rc, err := c.FollowerSource.Tail(shard, fromTs)
+	if err == nil {
+		c.open = append(c.open, rc)
+	}
+	return rc, err
+}
+
+func (c *cutSource) partition(down bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.down = down
+	for _, rc := range c.open {
+		rc.Close()
+	}
+	c.open = nil
+}
+
+// TestRebootstrapUnderReaders pins the engine swap: while a live follower
+// re-bootstraps again and again (partitioned from its leader until the ring
+// has moved past it), concurrent readers see the old engines' closed error
+// or the new engines' verified data — never another error, never a wrong
+// value — and every load of the shard set is whole: its recorders are the
+// ones its engines observe into. Run under -race, it is also the check that
+// nothing reads the set except through the one pointer.
+func TestRebootstrapUnderReaders(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testRebootstrapUnderReaders(t, shards) })
+	}
+}
+
+func testRebootstrapUnderReaders(t *testing.T, shards int) {
+	secret := "swap-secret"
+	leaderOpts := replicaOpts(shards, secret)
+	leaderOpts.ReplRingBytes = 4096
+	leader, err := elsm.Open(leaderOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	const seeds = 16 // enough keys to land on every shard
+	for i := 0; i < seeds; i++ {
+		if _, err := leader.Put([]byte(fmt.Sprintf("seed-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inner, err := leader.ReplicationSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &cutSource{FollowerSource: inner}
+	follower, err := elsm.OpenFollower(replicaOpts(shards, secret), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	waitConverged(t, leader, follower)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cores, recs := follower.LoadedSet()
+				if len(cores) != shards || len(recs) != shards {
+					t.Errorf("loaded a set of %d engines and %d recorders, want %d of each", len(cores), len(recs), shards)
+					return
+				}
+				for sh := range cores {
+					if cores[sh].Recorder() != recs[sh] {
+						t.Errorf("torn set: shard %d's engine does not observe into the set's recorder", sh)
+						return
+					}
+				}
+				res, err := follower.Get([]byte(fmt.Sprintf("seed-%02d", i%seeds)))
+				switch {
+				case errors.Is(err, lsm.ErrClosed): // the engine this read borrowed was swapped out
+				case err != nil:
+					t.Errorf("read across the swap: %v", err)
+					return
+				case !res.Found || string(res.Value) != "v":
+					t.Errorf("read across the swap returned %+v", res)
+					return
+				}
+				if i%16 == 0 {
+					follower.Stats()
+					follower.Recorders()
+				}
+			}
+		}(r)
+	}
+
+	val := bytes.Repeat([]byte("x"), 512)
+	for round := 1; round <= 3; round++ {
+		src.partition(true)
+		for i := 0; i < 200; i++ { // far past every shard's ring
+			if _, err := leader.Put([]byte(fmt.Sprintf("gap-%d-%04d", round, i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.partition(false)
+		for deadline := time.Now().Add(20 * time.Second); follower.Stats().ReplRebootstraps < uint64(round); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: follower never re-bootstrapped (ReplicationErr: %v)", round, follower.ReplicationErr())
+			}
+		}
+	}
+	close(stop)
+	readers.Wait()
+	waitConverged(t, leader, follower)
+	if err := follower.ReplicationErr(); err != nil {
+		t.Fatalf("ReplicationErr after recovered re-bootstraps: %v", err)
 	}
 }
 

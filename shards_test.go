@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"elsm/internal/core"
 	"elsm/internal/sgx"
+	"elsm/internal/shard"
+	"elsm/internal/vfs"
 )
 
 // shardedOptions is the small-geometry config for sharded tests.
@@ -30,8 +33,7 @@ func TestOpenValidatesShardOptions(t *testing.T) {
 		{Options{Shards: 3}, "Shards must be a power of two"},
 		{Options{Shards: 6}, "Shards must be a power of two"},
 		{Options{Shards: 2, ShardCounters: []*sgx.MonotonicCounter{sgx.NewMonotonicCounter()}}, "ShardCounters carries 1 counters for 2 shards"},
-		{Options{Shards: 2, Counter: sgx.NewMonotonicCounter()}, "Counter is single-instance"},
-		{Options{Counter: sgx.NewMonotonicCounter(), ShardCounters: []*sgx.MonotonicCounter{sgx.NewMonotonicCounter()}}, "mutually exclusive"},
+		{Options{ShardCounters: make([]*sgx.MonotonicCounter, 2)}, "ShardCounters carries 2 counters for 1 shards"},
 	}
 	for i, tc := range bad {
 		_, err := Open(tc.opts)
@@ -271,10 +273,77 @@ func TestShardedPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestOpensLayoutWrittenBeforeOneOpenPath: the one open path did not move
+// anything on disk. The fixture is written the way Open and openSharded
+// used to place shards — a single instance in the root of the filesystem, N
+// instances under "shard-00" … with keys routed by shard.KeyShard, each
+// sealed under its own counter — by opening core stores at those places
+// directly, not through the code under test.
+func TestOpensLayoutWrittenBeforeOneOpenPath(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		fs := vfs.NewMem()
+		platform, err := sgx.NewPlatform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters := make([]*sgx.MonotonicCounter, n)
+		const keys = 600 // past every shard's 2 KiB memtable: runs on disk as well as a WAL tail
+		key := func(k int) []byte { return []byte(fmt.Sprintf("key%04d", k)) }
+		for i := range counters {
+			counters[i] = sgx.NewMonotonicCounter()
+			at := vfs.FS(fs)
+			if n > 1 {
+				if at, err = vfs.Sub(fs, fmt.Sprintf("shard-%02d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cs, err := core.Open(core.Config{FS: at, Platform: platform, Counter: counters[i], MemtableSize: 2 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < keys; k++ {
+				if shard.KeyShard(key(k), n) == i {
+					if _, err := core.Put(cs, key(k), []byte(fmt.Sprintf("v%d", k))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := cs.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(Options{FS: fs, Shards: n, Platform: platform, ShardCounters: counters})
+		if err != nil {
+			t.Fatalf("shards=%d: open the old layout: %v", n, err)
+		}
+		for k := 0; k < keys; k++ {
+			res, err := s.Get(key(k))
+			if err != nil || !res.Found || string(res.Value) != fmt.Sprintf("v%d", k) {
+				t.Fatalf("shards=%d: %s = %+v, %v", n, key(k), res, err)
+			}
+		}
+		if rows, err := s.Scan([]byte("key"), []byte("kez")); err != nil || len(rows) != keys {
+			t.Fatalf("shards=%d: scan: %d rows, %v", n, len(rows), err)
+		}
+		if st := s.Stats(); st.DiskBytes == 0 || st.Shards != uint64(n) {
+			t.Fatalf("shards=%d: opened as %d shards over %d bytes of runs", n, st.Shards, st.DiskBytes)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestShardedStatsAggregation: the aggregate view sums per-shard pipelines,
 // the per-shard view exposes the topology, and the gauges move.
 func TestShardedStatsAggregation(t *testing.T) {
-	s, err := Open(shardedOptions(ModeP2, 4))
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testStatsAggregation(t, n) })
+	}
+}
+
+func testStatsAggregation(t *testing.T, n int) {
+	s, err := Open(shardedOptions(ModeP2, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +361,11 @@ func TestShardedStatsAggregation(t *testing.T) {
 	}
 
 	agg := s.Stats()
-	if agg.Shards != 4 {
-		t.Fatalf("aggregate Shards = %d, want 4", agg.Shards)
+	if agg.Shards != uint64(n) {
+		t.Fatalf("aggregate Shards = %d, want %d", agg.Shards, n)
 	}
 	per := s.ShardStats()
-	if len(per) != 4 {
+	if len(per) != n {
 		t.Fatalf("ShardStats returned %d entries", len(per))
 	}
 	var sumSyncs, sumFlushes uint64
@@ -311,8 +380,8 @@ func TestShardedStatsAggregation(t *testing.T) {
 		sumSyncs += ss.WALSyncs
 		sumFlushes += ss.Flushes
 	}
-	if activeShards < 2 {
-		t.Fatalf("writes did not spread: only %d of 4 shards synced (per-shard %v)", activeShards, per)
+	if activeShards < min(n, 2) {
+		t.Fatalf("writes did not spread: only %d of %d shards synced (per-shard %v)", activeShards, n, per)
 	}
 	if agg.WALSyncs != sumSyncs {
 		t.Fatalf("aggregate WALSyncs %d != per-shard sum %d", agg.WALSyncs, sumSyncs)
@@ -330,13 +399,13 @@ func TestShardedStatsAggregation(t *testing.T) {
 		t.Fatal("VerifiedGets did not move after a sharded get")
 	}
 
-	// A router snapshot pins every shard.
+	// A snapshot pins every shard.
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().SnapshotsOpen; got != 4 {
-		t.Fatalf("SnapshotsOpen = %d with one router snapshot over 4 shards", got)
+	if got := s.Stats().SnapshotsOpen; got != uint64(n) {
+		t.Fatalf("SnapshotsOpen = %d with one snapshot over %d shards", got, n)
 	}
 	snap.Close()
 	if got := s.Stats().SnapshotsOpen; got != 0 {

@@ -1,21 +1,25 @@
 package elsm
 
 import (
+	"fmt"
+
 	"elsm/internal/core"
 	"elsm/internal/lsm"
 	"elsm/internal/sgx"
-	"elsm/internal/shard"
 )
 
 // Stats is a point-in-time snapshot of the store's engine and simulated-
-// enclave activity, for observability and the benchmark harness. On a
-// sharded store, Store.Stats aggregates across shards (counters sum;
-// per-pipeline gauges like GroupCommitWindowNanos report the maximum) and
-// Store.ShardStats exposes the per-shard breakdown.
+// enclave activity, for observability and the benchmark harness.
+// Store.ShardStats reports one per shard and Store.Stats their fold (counters
+// sum; per-pipeline gauges like GroupCommitWindowNanos report the maximum).
+// Every numeric field is a uint64 — by contract, TestStatsTableIsTotal holds
+// the struct to it — so that one accessor type serves them all, and each is
+// declared once more, in statCounters below: its wire name, its fold rule,
+// whether it is also reported per shard and where a shard's value is read.
 type Stats struct {
 	// Shards is the partition count these counters cover: the store's
 	// shard count for the aggregate view, 1 for a per-shard entry.
-	Shards int
+	Shards uint64
 
 	// Mode-independent engine counters.
 	Flushes         uint64
@@ -24,7 +28,7 @@ type Stats struct {
 	BytesCompacted  uint64
 	RecordsDropped  uint64
 	ManifestUpdates uint64
-	DiskBytes       int64
+	DiskBytes       uint64
 
 	// Group-commit pipeline counters. WALSyncs/GroupCommits stay far below
 	// the committed-operation count when concurrent writers coalesce;
@@ -81,8 +85,8 @@ type Stats struct {
 	ECalls        uint64
 	OCalls        uint64
 	CopiedBytes   uint64
-	ResidentPages int
-	EnclaveBytes  int64
+	ResidentPages uint64
+	EnclaveBytes  uint64
 
 	// Verification work (ModeP2 only). VerifiedGets and RunsProbed count
 	// point reads; ProofBytes counts the embedded-proof bytes copied into the
@@ -121,174 +125,168 @@ type Stats struct {
 	ReplEpoch        uint64
 }
 
-// engined is implemented by every store variant.
-type engined interface {
-	Engine() *lsm.Store
+// foldRule says how a counter aggregates across shards.
+type foldRule uint8
+
+const (
+	foldSum  foldRule = iota // counters and current-level gauges add up
+	foldMax                  // tuning gauges of one pipeline, and the worker pool all shards share
+	foldOnce                 // a value every shard repeats (shared enclave, whole-store events): shard 0's
+)
+
+// statCounter declares one numeric field of Stats.
+type statCounter struct {
+	wire     string   // name in STATS, elsm_<wire> in /metrics; "" keeps the field off the wire
+	fold     foldRule // how Store.Stats aggregates it
+	perShard bool     // also reported per shard (shardN_<wire>, elsm_<wire>{shard="N"})
+	field    func(*Stats) *uint64
+	from     func(*shardSources) uint64 // where a shard's value is read; nil: set by statsOf or ShardStats
 }
 
-// enclaved is implemented by the enclave-hosted variants (the unsecured
-// baseline implements it too, with a nil enclave).
-type enclaved interface {
-	Enclave() *sgx.Enclave
+// shardSources is what one shard's counters are read from: its engine, the
+// enclave every shard shares (zero for ModeUnsecured) and its verification
+// counters (zero outside ModeP2).
+type shardSources struct {
+	eng lsm.Stats
+	enc sgx.Stats
+	ver core.VerifyStats
 }
 
-// statsOf collects one KV instance's counters.
-func statsOf(kv core.KV) Stats {
-	out := Stats{Shards: 1}
-	if e, ok := kv.(engined); ok {
-		es := e.Engine().Stats()
-		out.Flushes = es.Flushes
-		out.Compactions = es.Compactions
-		out.BytesFlushed = es.BytesFlushed
-		out.BytesCompacted = es.BytesCompacted
-		out.RecordsDropped = es.RecordsDropped
-		out.ManifestUpdates = es.ManifestUpdates
-		out.DiskBytes = e.Engine().DiskBytes()
-		out.WALSyncs = es.WALSyncs
-		out.GroupCommits = es.GroupCommits
-		out.GroupedRecords = es.GroupedRecords
-		out.WALTornRecords = es.WALTornRecords
-		out.FlushStallNanos = es.FlushStallNanos
-		out.CompactionStallNanos = es.CompactionStallNanos
-		out.BackgroundCompactions = es.BackgroundCompactions
-		out.PinnedRuns = es.PinnedRuns
-		out.CompactionDebtBytes = es.CompactionDebtBytes
-		out.CompactionDebtByLevel = append([]uint64(nil), es.CompactionDebtByLevel...)
-		out.ParallelCompactions = es.ParallelCompactions
-		out.CompactionWorkersBusy = es.CompactionWorkersBusy
-		out.SnapshotsOpen = es.SnapshotsOpen
-		out.AsyncCommitsInFlight = es.AsyncCommitsInFlight
-		out.GroupCommitWindowNanos = es.GroupCommitWindowNanos
-		out.FsyncEWMANanos = es.FsyncEWMANanos
-	}
-	if e, ok := kv.(enclaved); ok && e.Enclave() != nil {
-		st := e.Enclave().Stats()
-		out.PageFaults = st.PageFaults
-		out.ECalls = st.ECalls
-		out.OCalls = st.OCalls
-		out.CopiedBytes = st.CopiedBytes
-		out.ResidentPages = st.ResidentPages
-		out.EnclaveBytes = st.AllocatedBytes
-	}
-	if p2, ok := kv.(*core.Store); ok {
-		vs := p2.VerifyStatsSnapshot()
-		out.VerifiedGets = vs.Gets
-		out.ProofBytes = vs.ProofBytes
-		out.RunsProbed = vs.RunsProbed
-		out.VerifyNodeCacheHits = vs.NodeCacheHits
-		out.VerifyNodeCacheMisses = vs.NodeCacheMisses
-		out.VerifyNodeHashes = vs.NodeHashes
-	}
-	return out
+// statCounters is the one place a counter is declared: Store.Stats folds by
+// it, the STATS verb and /metrics render from it (in this order), and
+// TestStatsTableIsTotal holds it to every numeric field of Stats.
+var statCounters = []statCounter{
+	{"shards", foldSum, false, func(s *Stats) *uint64 { return &s.Shards }, nil},
+	{"flushes", foldSum, false, func(s *Stats) *uint64 { return &s.Flushes }, func(f *shardSources) uint64 { return f.eng.Flushes }},
+	{"compactions", foldSum, false, func(s *Stats) *uint64 { return &s.Compactions }, func(f *shardSources) uint64 { return f.eng.Compactions }},
+	{"background_compactions", foldSum, false, func(s *Stats) *uint64 { return &s.BackgroundCompactions }, func(f *shardSources) uint64 { return f.eng.BackgroundCompactions }},
+	{"bytes_flushed", foldSum, false, func(s *Stats) *uint64 { return &s.BytesFlushed }, func(f *shardSources) uint64 { return f.eng.BytesFlushed }},
+	{"bytes_compacted", foldSum, false, func(s *Stats) *uint64 { return &s.BytesCompacted }, func(f *shardSources) uint64 { return f.eng.BytesCompacted }},
+	{"records_dropped", foldSum, false, func(s *Stats) *uint64 { return &s.RecordsDropped }, func(f *shardSources) uint64 { return f.eng.RecordsDropped }},
+	{"manifest_updates", foldSum, false, func(s *Stats) *uint64 { return &s.ManifestUpdates }, func(f *shardSources) uint64 { return f.eng.ManifestUpdates }},
+	{"disk_bytes", foldSum, true, func(s *Stats) *uint64 { return &s.DiskBytes }, nil},
+	{"wal_syncs", foldSum, true, func(s *Stats) *uint64 { return &s.WALSyncs }, func(f *shardSources) uint64 { return f.eng.WALSyncs }},
+	{"group_commits", foldSum, true, func(s *Stats) *uint64 { return &s.GroupCommits }, func(f *shardSources) uint64 { return f.eng.GroupCommits }},
+	{"grouped_records", foldSum, false, func(s *Stats) *uint64 { return &s.GroupedRecords }, func(f *shardSources) uint64 { return f.eng.GroupedRecords }},
+	{"wal_torn_records", foldSum, false, func(s *Stats) *uint64 { return &s.WALTornRecords }, func(f *shardSources) uint64 { return f.eng.WALTornRecords }},
+	{"flush_stall_nanos", foldSum, false, func(s *Stats) *uint64 { return &s.FlushStallNanos }, func(f *shardSources) uint64 { return f.eng.FlushStallNanos }},
+	{"compaction_stall_nanos", foldSum, false, func(s *Stats) *uint64 { return &s.CompactionStallNanos }, func(f *shardSources) uint64 { return f.eng.CompactionStallNanos }},
+	{"compaction_debt_bytes", foldSum, true, func(s *Stats) *uint64 { return &s.CompactionDebtBytes }, func(f *shardSources) uint64 { return f.eng.CompactionDebtBytes }},
+	{"parallel_compactions", foldSum, false, func(s *Stats) *uint64 { return &s.ParallelCompactions }, func(f *shardSources) uint64 { return f.eng.ParallelCompactions }},
+	{"compaction_workers_busy", foldMax, false, func(s *Stats) *uint64 { return &s.CompactionWorkersBusy }, func(f *shardSources) uint64 { return f.eng.CompactionWorkersBusy }},
+	{"pinned_runs", foldSum, false, func(s *Stats) *uint64 { return &s.PinnedRuns }, func(f *shardSources) uint64 { return f.eng.PinnedRuns }},
+	{"snapshots_open", foldSum, true, func(s *Stats) *uint64 { return &s.SnapshotsOpen }, func(f *shardSources) uint64 { return f.eng.SnapshotsOpen }},
+	{"async_commits_in_flight", foldSum, true, func(s *Stats) *uint64 { return &s.AsyncCommitsInFlight }, func(f *shardSources) uint64 { return f.eng.AsyncCommitsInFlight }},
+	{"group_commit_window_nanos", foldMax, false, func(s *Stats) *uint64 { return &s.GroupCommitWindowNanos }, func(f *shardSources) uint64 { return f.eng.GroupCommitWindowNanos }},
+	{"fsync_ewma_nanos", foldMax, false, func(s *Stats) *uint64 { return &s.FsyncEWMANanos }, func(f *shardSources) uint64 { return f.eng.FsyncEWMANanos }},
+	{"page_faults", foldOnce, false, func(s *Stats) *uint64 { return &s.PageFaults }, func(f *shardSources) uint64 { return f.enc.PageFaults }},
+	{"ecalls", foldOnce, false, func(s *Stats) *uint64 { return &s.ECalls }, func(f *shardSources) uint64 { return f.enc.ECalls }},
+	{"ocalls", foldOnce, false, func(s *Stats) *uint64 { return &s.OCalls }, func(f *shardSources) uint64 { return f.enc.OCalls }},
+	{"copied_bytes", foldOnce, false, func(s *Stats) *uint64 { return &s.CopiedBytes }, func(f *shardSources) uint64 { return f.enc.CopiedBytes }},
+	{"", foldOnce, false, func(s *Stats) *uint64 { return &s.ResidentPages }, func(f *shardSources) uint64 { return uint64(f.enc.ResidentPages) }},
+	{"enclave_bytes", foldOnce, false, func(s *Stats) *uint64 { return &s.EnclaveBytes }, func(f *shardSources) uint64 { return uint64(f.enc.AllocatedBytes) }},
+	{"verified_gets", foldSum, false, func(s *Stats) *uint64 { return &s.VerifiedGets }, func(f *shardSources) uint64 { return f.ver.Gets }},
+	{"proof_bytes", foldSum, false, func(s *Stats) *uint64 { return &s.ProofBytes }, func(f *shardSources) uint64 { return f.ver.ProofBytes }},
+	{"runs_probed", foldSum, false, func(s *Stats) *uint64 { return &s.RunsProbed }, func(f *shardSources) uint64 { return f.ver.RunsProbed }},
+	{"verify_node_cache_hits", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeCacheHits }, func(f *shardSources) uint64 { return f.ver.NodeCacheHits }},
+	{"verify_node_cache_misses", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeCacheMisses }, func(f *shardSources) uint64 { return f.ver.NodeCacheMisses }},
+	{"verify_node_hashes", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeHashes }, func(f *shardSources) uint64 { return f.ver.NodeHashes }},
+	{"repl_lag_groups", foldSum, false, func(s *Stats) *uint64 { return &s.ReplLagGroups }, nil},
+	{"repl_lag_bytes", foldSum, false, func(s *Stats) *uint64 { return &s.ReplLagBytes }, nil},
+	{"followers_connected", foldSum, false, func(s *Stats) *uint64 { return &s.FollowersConnected }, nil},
+	{"repl_reconnects", foldSum, false, func(s *Stats) *uint64 { return &s.ReplReconnects }, nil},
+	{"repl_rebootstraps", foldOnce, false, func(s *Stats) *uint64 { return &s.ReplRebootstraps }, nil},
+	{"repl_epoch", foldOnce, false, func(s *Stats) *uint64 { return &s.ReplEpoch }, nil},
 }
 
-// add folds another shard's counters into the aggregate: counters and
-// current-level gauges sum, per-pipeline tuning gauges take the maximum.
-// Enclave fields are NOT folded here — shards share one enclave, so the
-// caller counts it once.
-func (s *Stats) add(o Stats) {
-	s.Shards += o.Shards
-	s.Flushes += o.Flushes
-	s.Compactions += o.Compactions
-	s.BytesFlushed += o.BytesFlushed
-	s.BytesCompacted += o.BytesCompacted
-	s.RecordsDropped += o.RecordsDropped
-	s.ManifestUpdates += o.ManifestUpdates
-	s.DiskBytes += o.DiskBytes
-	s.WALSyncs += o.WALSyncs
-	s.GroupCommits += o.GroupCommits
-	s.GroupedRecords += o.GroupedRecords
-	s.WALTornRecords += o.WALTornRecords
-	s.FlushStallNanos += o.FlushStallNanos
-	s.CompactionStallNanos += o.CompactionStallNanos
-	s.BackgroundCompactions += o.BackgroundCompactions
-	s.PinnedRuns += o.PinnedRuns
-	s.CompactionDebtBytes += o.CompactionDebtBytes
-	for len(s.CompactionDebtByLevel) < len(o.CompactionDebtByLevel) {
-		s.CompactionDebtByLevel = append(s.CompactionDebtByLevel, 0)
-	}
-	for i, d := range o.CompactionDebtByLevel {
-		s.CompactionDebtByLevel[i] += d
-	}
-	s.ParallelCompactions += o.ParallelCompactions
-	if o.CompactionWorkersBusy > s.CompactionWorkersBusy {
-		s.CompactionWorkersBusy = o.CompactionWorkersBusy
-	}
-	s.SnapshotsOpen += o.SnapshotsOpen
-	s.AsyncCommitsInFlight += o.AsyncCommitsInFlight
-	if o.GroupCommitWindowNanos > s.GroupCommitWindowNanos {
-		s.GroupCommitWindowNanos = o.GroupCommitWindowNanos
-	}
-	if o.FsyncEWMANanos > s.FsyncEWMANanos {
-		s.FsyncEWMANanos = o.FsyncEWMANanos
-	}
-	s.VerifiedGets += o.VerifiedGets
-	s.ProofBytes += o.ProofBytes
-	s.RunsProbed += o.RunsProbed
-	s.VerifyNodeCacheHits += o.VerifyNodeCacheHits
-	s.VerifyNodeCacheMisses += o.VerifyNodeCacheMisses
-	s.VerifyNodeHashes += o.VerifyNodeHashes
-}
-
-// Stats returns current counters — aggregated across every shard on a
-// sharded store. Fields not applicable to the store's mode are zero.
-func (s *Store) Stats() Stats {
-	kv := s.base()
-	r, ok := kv.(*shard.Router)
-	if !ok {
-		out := statsOf(kv)
-		s.replStats(&out, s.currentTailers())
-		return out
-	}
+// foldStats aggregates per-shard entries by each counter's fold rule;
+// CompactionDebtByLevel, the one non-scalar, sums element-wise.
+func foldStats(shards []Stats) Stats {
 	var out Stats
-	for i := 0; i < r.NumShards(); i++ {
-		st := statsOf(r.Shard(i))
-		if i == 0 {
-			// The enclave is shared: count its activity once.
-			out.PageFaults = st.PageFaults
-			out.ECalls = st.ECalls
-			out.OCalls = st.OCalls
-			out.CopiedBytes = st.CopiedBytes
-			out.ResidentPages = st.ResidentPages
-			out.EnclaveBytes = st.EnclaveBytes
+	for i := range shards {
+		for _, c := range statCounters {
+			acc, v := c.field(&out), *c.field(&shards[i])
+			switch {
+			case c.fold == foldSum:
+				*acc += v
+			case c.fold == foldMax && v > *acc, c.fold == foldOnce && i == 0:
+				*acc = v
+			}
 		}
-		out.add(st)
+		for lvl, debt := range shards[i].CompactionDebtByLevel {
+			if lvl == len(out.CompactionDebtByLevel) {
+				out.CompactionDebtByLevel = append(out.CompactionDebtByLevel, 0)
+			}
+			out.CompactionDebtByLevel[lvl] += debt
+		}
 	}
-	s.replStats(&out, s.currentTailers())
 	return out
 }
 
-// ShardStats returns the per-shard counter breakdown, in shard order. A
-// single-instance store returns one entry (identical to Stats). Enclave
-// fields repeat the shared enclave's totals in every entry.
-func (s *Store) ShardStats() []Stats {
-	kv := s.base()
-	r, ok := kv.(*shard.Router)
-	if !ok {
-		one := statsOf(kv)
-		s.replStats(&one, s.currentTailers())
-		return []Stats{one}
-	}
-	tailers := s.currentTailers()
-	rebootstraps := s.rebootstraps.Load()
-	out := make([]Stats, r.NumShards())
-	for i := range out {
-		out[i] = statsOf(r.Shard(i))
-		if cs, ok := r.Shard(i).(*core.Store); ok {
-			out[i].ReplEpoch = cs.ReplEpoch()
+// Counters calls fn with the wire name and value of every counter the STATS
+// verb and /metrics report, in table order and then the per-level compaction
+// debt — or, with perShard, only those also reported shard by shard.
+func (st Stats) Counters(perShard bool, fn func(name string, v uint64)) {
+	for _, c := range statCounters {
+		if c.wire != "" && (c.perShard || !perShard) {
+			fn(c.wire, *c.field(&st))
 		}
+	}
+	if !perShard {
+		for lvl, debt := range st.CompactionDebtByLevel {
+			fn(fmt.Sprintf("compaction_debt_level%d", lvl), debt)
+		}
+	}
+}
+
+// statsOf collects shard i's engine, enclave and verification counters, each
+// from the source its statCounters row names.
+func (set *engineSet) statsOf(i int) Stats {
+	eng := set.shards[i].Engine()
+	src := shardSources{eng: eng.Stats()}
+	out := Stats{Shards: 1, DiskBytes: uint64(eng.DiskBytes())}
+	out.CompactionDebtByLevel = append([]uint64(nil), src.eng.CompactionDebtByLevel...)
+	if set.enclave != nil {
+		src.enc = set.enclave.Stats()
+	}
+	if set.cores != nil {
+		src.ver = set.cores[i].VerifyStatsSnapshot()
+		out.ReplEpoch = set.cores[i].ReplEpoch()
+	}
+	for _, c := range statCounters {
+		if c.from != nil {
+			*c.field(&out) = c.from(&src)
+		}
+	}
+	return out
+}
+
+// Stats returns current counters: ShardStats folded by each counter's rule
+// (the one entry itself on an unsharded store). Fields not applicable to
+// the store's mode are zero.
+func (s *Store) Stats() Stats { return foldStats(s.ShardStats()) }
+
+// ShardStats returns the per-shard counter breakdown, in shard order.
+// Enclave fields repeat the shared enclave's totals in every entry, and
+// ReplRebootstraps the store's; the replication gauges are each shard's own
+// tailer's (follower) or hub's (leader).
+func (s *Store) ShardStats() []Stats {
+	set := s.eng.Load()
+	rebootstraps := s.rebootstraps.Load()
+	s.replMu.Lock()
+	tailers, leaders := s.tailers, s.leaders
+	s.replMu.Unlock()
+	out := make([]Stats, len(set.shards))
+	for i := range out {
+		out[i] = set.statsOf(i)
 		out[i].ReplRebootstraps = rebootstraps
 		if i < len(tailers) {
 			out[i].ReplLagGroups, out[i].ReplLagBytes = tailers[i].Lag()
 			out[i].ReplReconnects = tailers[i].Reconnects()
 		}
-	}
-	s.replMu.Lock()
-	for i, l := range s.leaders {
-		if i < len(out) {
-			out[i].FollowersConnected = uint64(l.Followers())
+		if i < len(leaders) {
+			out[i].FollowersConnected = uint64(leaders[i].Followers())
 		}
 	}
-	s.replMu.Unlock()
 	return out
 }

@@ -3,6 +3,7 @@ package elsm
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,10 +149,18 @@ var statsFoldRules = map[string]string{
 }
 
 // TestStatsShardFold is the aggregation property test: on a quiescent
-// sharded store, Stats() must equal the documented fold of ShardStats().
+// store of one shard or four, Stats() must equal the documented fold of
+// ShardStats() — the rules here are the reference the counter table's are
+// held to (shared-enclave fields once, pipeline gauges the maximum).
 func TestStatsShardFold(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testStatsShardFold(t, n) })
+	}
+}
+
+func testStatsShardFold(t *testing.T, n int) {
 	opts := testOptions(ModeP2)
-	opts.Shards = 4
+	opts.Shards = n
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +186,8 @@ func TestStatsShardFold(t *testing.T) {
 	}
 	shards := s.ShardStats()
 	agg := s.Stats()
-	if len(shards) != 4 {
-		t.Fatalf("ShardStats returned %d entries, want 4", len(shards))
+	if len(shards) != n {
+		t.Fatalf("ShardStats returned %d entries, want %d", len(shards), n)
 	}
 
 	num := func(v reflect.Value) int64 {
@@ -197,7 +206,7 @@ func TestStatsShardFold(t *testing.T) {
 		name := tp.Field(i).Name
 		rule, ok := statsFoldRules[name]
 		if !ok {
-			t.Fatalf("Stats field %s has no fold rule: classify it in statsFoldRules (and stats.go's add)", name)
+			t.Fatalf("Stats field %s has no fold rule: classify it in statsFoldRules (and in stats.go's statCounters)", name)
 		}
 		got := av.Field(i)
 		switch rule {
@@ -248,6 +257,66 @@ func TestStatsShardFold(t *testing.T) {
 			}
 		default:
 			t.Fatalf("unknown fold rule %q for %s", rule, name)
+		}
+	}
+}
+
+// TestStatsTableIsTotal: every exported numeric field of Stats is declared
+// in statCounters exactly once, so a new counter cannot be left out of the
+// fold, the STATS verb or /metrics; and no two rows share a wire name.
+func TestStatsTableIsTotal(t *testing.T) {
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	rows := map[uintptr]int{} // field address → rows of the table naming it
+	wire := map[string]bool{}
+	for _, c := range statCounters {
+		rows[reflect.ValueOf(c.field(&st)).Pointer()]++
+		if c.wire != "" && wire[c.wire] {
+			t.Errorf("wire name %q declared twice", c.wire)
+		}
+		wire[c.wire] = true
+	}
+	numeric := 0
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			continue // CompactionDebtByLevel, the one non-scalar, folds and renders by hand
+		}
+		if !f.IsExported() {
+			continue
+		}
+		numeric++
+		if f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("Stats.%s is %v: the table's accessors are *uint64", f.Name, f.Type)
+			continue
+		}
+		if n := rows[v.Field(i).Addr().Pointer()]; n != 1 {
+			t.Errorf("Stats.%s appears in statCounters %d times, want exactly once", f.Name, n)
+		}
+	}
+	if len(statCounters) != numeric {
+		t.Errorf("statCounters has %d rows for %d numeric fields", len(statCounters), numeric)
+	}
+	// The fold rules of the table against the reference classification.
+	names := map[uintptr]string{}
+	for i := 0; i < v.NumField(); i++ {
+		names[v.Field(i).Addr().Pointer()] = v.Type().Field(i).Name
+	}
+	for _, c := range statCounters {
+		name := names[reflect.ValueOf(c.field(&st)).Pointer()]
+		if want := map[foldRule]string{foldSum: "sum", foldMax: "max", foldOnce: "once"}[c.fold]; statsFoldRules[name] != want {
+			t.Errorf("Stats.%s folds by %q in statCounters, %q in the reference", name, want, statsFoldRules[name])
+		}
+		// A row names where a shard's value is read, but for the few that
+		// statsOf (Shards, DiskBytes, ReplEpoch) and ShardStats (the
+		// replication gauges) set themselves.
+		setByHand := name == "Shards" || name == "DiskBytes" || name == "FollowersConnected" || strings.HasPrefix(name, "Repl")
+		if (c.from == nil) != setByHand {
+			t.Errorf("Stats.%s: has a source = %v, set by hand = %v", name, c.from != nil, setByHand)
 		}
 	}
 }
