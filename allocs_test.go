@@ -6,6 +6,7 @@ import (
 
 	"elsm/internal/core"
 	"elsm/internal/record"
+	"elsm/internal/sgx"
 	"elsm/internal/shard"
 )
 
@@ -82,4 +83,23 @@ func TestFacadeAddsNoAllocs(t *testing.T) {
 		t.Errorf("Get on 4 shards allocates %v, the router's GetAt %v", get4, prim)
 	}
 	t.Logf("4 shards: Put %v allocs, Get %v", put4, get4)
+}
+
+// TestBoundaryMeterAllocatesNothing: the enclave every Get and Put crosses is
+// a set of counters. On the product's enclave (no observer) a crossing, a
+// counted copy and a declared region access allocate nothing.
+func TestBoundaryMeterAllocatesNothing(t *testing.T) {
+	e := sgx.New(sgx.Params{})
+	r := e.Alloc(1 << 20)
+	ran := 0
+	for name, f := range map[string]func(){
+		"ECall":        func() { e.ECall(func() { ran++ }) },
+		"OCall":        func() { e.OCall(func() { ran++ }) },
+		"Copy":         func() { e.Copy(4096) },
+		"Region.Touch": func() { r.Touch(ran%(1<<19), 4096) },
+	} {
+		if got := testing.AllocsPerRun(200, f); got != 0 {
+			t.Errorf("%s allocates %v", name, got)
+		}
+	}
 }

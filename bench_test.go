@@ -14,7 +14,6 @@ import (
 	"elsm/internal/core"
 	"elsm/internal/costmodel"
 	"elsm/internal/record"
-	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 	"elsm/internal/ycsb"
 )
@@ -86,55 +85,81 @@ func BenchmarkPutP2Authenticated(b *testing.B) { benchmarkPut(b, ModeP2) }
 func BenchmarkPutP1(b *testing.B)              { benchmarkPut(b, ModeP1) }
 func BenchmarkPutUnsecured(b *testing.B)       { benchmarkPut(b, ModeUnsecured) }
 
-// benchCostStore opens an eLSM-P2 core store with the calibrated hardware
-// cost model (a paper-simulation setting, so it lives on core.Config.SGX,
-// not on elsm.Options): the batched-write benchmarks expose the
-// enclave-boundary amortization (world switches burn CPU) and not just
-// Go-level locking.
-func benchCostStore(b *testing.B) *core.Store {
-	b.Helper()
+// simCostStore opens an eLSM-P2 core store in a simulated enclave (a
+// paper-simulation setting, so it goes in through core.Config.Enclave, not
+// elsm.Options): what the batched-write benchmarks expose is the
+// enclave-boundary amortization — crossings counted, then priced — and not
+// just Go-level locking.
+func simCostStore(tb testing.TB) (*core.Store, *costmodel.Sim) {
+	tb.Helper()
+	sim := costmodel.New(costmodel.DefaultEPCSize)
 	s, err := core.Open(core.Config{
-		SGX:           sgx.Params{Cost: costmodel.Calibrated()},
+		Enclave:       sim.Enclave(),
 		MemtableSize:  1 << 20,
 		TableFileSize: 256 << 10,
 		LevelBase:     1 << 20,
 		MmapReads:     true,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { s.Close() })
-	return s
+	tb.Cleanup(func() { s.Close() })
+	return s, sim
+}
+
+// put100 writes records [base, base+100) through one-op commits, or through
+// one 100-op commit.
+func put100(tb testing.TB, s *core.Store, base uint64, batched bool) {
+	val := ycsb.Value(1, ycsb.DefaultValueSize)
+	ops := make([]core.BatchOp, 100)
+	for j := range ops {
+		ops[j] = core.BatchOp{Key: ycsb.Key(base + uint64(j)), Value: val}
+	}
+	if !batched {
+		for j := range ops {
+			if _, err := s.Commit(nil, ops[j:j+1]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	} else if _, err := s.Commit(nil, ops); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // BenchmarkPut100Single vs BenchmarkPut100Batch: the same 100 records per
 // iteration through one-op commits (100 ECalls + 100 WAL OCalls) and
 // through one 100-op commit (one ECall, one grouped WAL append+fsync, at
-// most one counter bump).
-func BenchmarkPut100SingleP2(b *testing.B) {
-	s := benchCostStore(b)
-	val := ycsb.Value(1, ycsb.DefaultValueSize)
+// most one counter bump). ns/op is what the box measured; sim-ns/op is what
+// costmodel.Calibrated prices the counted boundary traffic at, and the
+// cost on SGX hardware is their sum.
+func BenchmarkPut100SingleP2(b *testing.B) { benchmarkPut100(b, false) }
+func BenchmarkPut100BatchP2(b *testing.B)  { benchmarkPut100(b, true) }
+
+func benchmarkPut100(b *testing.B, batched bool) {
+	s, sim := simCostStore(b)
+	before := sim.Counts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < 100; j++ {
-			if _, err := core.Put(s, ycsb.Key(uint64(i*100+j)), val); err != nil {
-				b.Fatal(err)
-			}
-		}
+		put100(b, s, uint64(i*100), batched)
 	}
+	b.StopTimer()
+	priced := costmodel.Calibrated().Price(sim.Counts().Sub(before))
+	b.ReportMetric(float64(priced.Nanoseconds())/float64(b.N), "sim-ns/op")
 }
 
-func BenchmarkPut100BatchP2(b *testing.B) {
-	s := benchCostStore(b)
-	val := ycsb.Value(1, ycsb.DefaultValueSize)
-	ops := make([]core.BatchOp, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range ops {
-			ops[j] = core.BatchOp{Key: ycsb.Key(uint64(i*100 + j)), Value: val}
-		}
-		if _, err := s.Commit(nil, ops); err != nil {
-			b.Fatal(err)
+// TestBatchedPutCrossesOnce is the amortization those two benchmarks price,
+// as counts: 100 single Puts enter the enclave 100 times, one 100-op batch
+// once.
+func TestBatchedPutCrossesOnce(t *testing.T) {
+	for _, c := range []struct {
+		batched bool
+		ecalls  uint64
+	}{{false, 100}, {true, 1}} {
+		s, sim := simCostStore(t)
+		before := sim.Counts()
+		put100(t, s, 0, c.batched)
+		if got := sim.Counts().Sub(before).ECalls; got != c.ecalls {
+			t.Errorf("batched=%v: 100 records entered the enclave %d times, want %d", c.batched, got, c.ecalls)
 		}
 	}
 }
@@ -292,7 +317,6 @@ func TestObsOverheadGuard(t *testing.T) {
 // engine lookup underneath it (no hardware cost model in either).
 func BenchmarkVerificationOverhead(b *testing.B) {
 	cfg := core.Config{
-		SGX:           sgx.Params{EPCSize: 1 << 40},
 		MemtableSize:  256 << 10,
 		TableFileSize: 128 << 10,
 		LevelBase:     512 << 10,

@@ -13,6 +13,12 @@
 // -scale 1 reproduces paper-absolute sizes (needs tens of GB of RAM and
 // hours of runtime).
 //
+// A figure value is the wall time measured on this box plus the simulated
+// time of the enclave events counted meanwhile (internal/costmodel: virtual
+// time, nothing is burned); the tables print the simulated share in
+// brackets, and -json writes both components of every figure point into one
+// BENCH_figures.json (each ablation into its own BENCH_<name>.json).
+//
 // Latency quantiles in every table come from the store's shared
 // log-bucket histograms (internal/obs) — the same estimator the server's
 // /metrics endpoint exposes — so bench rows compare directly against
@@ -28,7 +34,6 @@ import (
 	"time"
 
 	"elsm/internal/bench"
-	"elsm/internal/costmodel"
 )
 
 func main() {
@@ -36,8 +41,7 @@ func main() {
 		expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig2,fig5a,fig5b,fig5c,fig6a,fig6b,fig6c,fig7a,fig7b,fig8,ablation-earlystop,ablation-compaction,ablation-shards,ablation-repl or 'all'")
 		scale    = flag.Int("scale", 32, "divide the paper's byte sizes by this factor (EPC scales too)")
 		ops      = flag.Int("ops", 1200, "measured operations per data point")
-		costName = flag.String("cost", "calibrated", "SGX cost model: calibrated | zero")
-		jsonDir  = flag.String("json", "", "also write each result as machine-readable BENCH_<name>.json into this directory (empty: off)")
+		jsonDir  = flag.String("json", "", "also write the figures as BENCH_figures.json and each ablation as BENCH_<name>.json into this directory (empty: off)")
 		verbose  = flag.Bool("v", false, "print per-point progress")
 		listFlag = flag.Bool("list", false, "list available experiments and exit")
 	)
@@ -51,17 +55,7 @@ func main() {
 		return
 	}
 
-	var cost costmodel.Model
-	switch *costName {
-	case "calibrated":
-		cost = costmodel.Calibrated()
-	case "zero":
-		cost = costmodel.Zero
-	default:
-		fmt.Fprintf(os.Stderr, "unknown cost model %q\n", *costName)
-		os.Exit(2)
-	}
-	cfg := bench.Config{Scale: *scale, Ops: *ops, Cost: &cost, Verbose: *verbose}
+	cfg := bench.Config{Scale: *scale, Ops: *ops, Verbose: *verbose}
 
 	selected := map[string]bool{}
 	runAll := false
@@ -76,23 +70,20 @@ func main() {
 		}
 	}
 
-	fmt.Printf("# eLSM paper reproduction — scale 1/%d, %d ops/point, cost=%s\n\n", *scale, *ops, *costName)
+	fmt.Printf("# eLSM paper reproduction — scale 1/%d, %d ops/point\n\n", *scale, *ops)
 	if runAll || selected["table1"] {
 		fmt.Println(bench.Table1())
 	}
 	exitCode := 0
-	emit := func(tbl bench.Table) {
-		fmt.Println(tbl.Format())
-		if *jsonDir != "" {
-			path, err := tbl.WriteJSON(*jsonDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				exitCode = 1
-				return
-			}
-			fmt.Printf("(wrote %s)\n\n", path)
+	wrote := func(path string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%v\n", err)
+			exitCode = 1
+			return
 		}
+		fmt.Printf("(wrote %s)\n\n", path)
 	}
+	var figures []bench.Table
 	for _, exp := range bench.All() {
 		if !runAll && !selected[exp.Name] {
 			continue
@@ -104,8 +95,16 @@ func main() {
 			exitCode = 1
 			continue
 		}
-		emit(tbl)
+		fmt.Println(tbl.Format())
 		fmt.Printf("(%s completed in %v)\n\n", exp.Name, time.Since(start).Round(time.Millisecond))
+		if strings.HasPrefix(exp.Name, "fig") {
+			figures = append(figures, tbl)
+		} else if *jsonDir != "" {
+			wrote(tbl.WriteJSON(*jsonDir))
+		}
+	}
+	if *jsonDir != "" && len(figures) > 0 {
+		wrote(cfg.WriteFigures(*jsonDir, figures))
 	}
 	os.Exit(exitCode)
 }

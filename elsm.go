@@ -176,10 +176,10 @@ func (m Mode) String() string {
 type Result = core.Result
 
 // Options configures Open. The zero value opens an in-memory eLSM-P2 store
-// of one shard. The simulated enclave is always functional (zero cost
-// model, the paper's 128 MB EPC); the paper-reproduction harness sets the
-// calibrated cost model and the EPC size on core.Config.SGX. No option changes
-// the shape of the write path: every write is logged, fsynced and applied by
+// of one shard. Its enclave only counts boundary traffic (Stats.ECalls,
+// OCalls, CopiedBytes); the paper-reproduction harness passes a simulated one
+// (internal/costmodel) through core.Config.Enclave to page and price what is
+// counted. No option changes the shape of the write path: every write is logged, fsynced and applied by
 // the group-commit pipeline, and flush/compaction run in the background.
 type Options struct {
 	// Mode selects the design (default ModeP2).

@@ -13,8 +13,7 @@ import (
 )
 
 func main() {
-	// A zero-value Options opens an in-memory eLSM-P2 store with a
-	// functional (cost-free) simulated enclave.
+	// A zero-value Options opens an in-memory eLSM-P2 store.
 	store, err := elsm.Open(elsm.Options{})
 	if err != nil {
 		log.Fatalf("open: %v", err)

@@ -4,10 +4,9 @@
 // package because internal/bench drives the network front end, which is
 // built on the public elsm API.
 //
-// The figure benchmarks run at 1/256 scale with the calibrated SGX cost
-// model so `go test -bench=.` finishes in minutes; run
-// `go run ./cmd/elsm-bench -exp all` for the paper-scale (1/32) sweeps
-// recorded in EXPERIMENTS.md.
+// The figure benchmarks run at 1/256 scale — the scale of the committed
+// BENCH_figures.json — so `go test -bench=.` finishes in minutes; run
+// `go run ./cmd/elsm-bench -exp all` for the paper-scale (1/32) sweeps.
 package elsm_test
 
 import (
@@ -15,13 +14,11 @@ import (
 	"testing"
 
 	"elsm/internal/bench"
-	"elsm/internal/costmodel"
 )
 
 // benchCfg is the reduced-scale configuration for figure benchmarks.
 func benchCfg() bench.Config {
-	m := costmodel.Calibrated()
-	return bench.Config{Scale: 256, Ops: 300, Cost: &m}
+	return bench.Config{Scale: 256, Ops: 300}
 }
 
 // runFigure executes one figure reproduction per benchmark iteration and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"elsm/internal/core"
-	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 	"elsm/internal/ycsb"
 )
@@ -50,10 +49,8 @@ func AblationEarlyStop(cfg Config) (Table, error) {
 // earlyStopPoint builds a deliberately multi-run store (bulk bottom run
 // plus organically flushed young runs) and measures verified GETs.
 func (c Config) earlyStopPoint(dataBytes int, dist ycsb.Distribution, disableEarlyStop bool) (float64, float64, error) {
-	cost := *c.Cost
 	s, err := core.Open(core.Config{
 		FS:               vfs.NewMem(),
-		SGX:              sgx.Params{EPCSize: c.epcBytes(), Cost: cost},
 		MemtableSize:     c.paperMB(4),
 		TableFileSize:    c.paperMB(4),
 		LevelBase:        int64(c.paperMB(10)),

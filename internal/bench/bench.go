@@ -6,7 +6,17 @@
 //
 // Sizes are the paper's divided by Config.Scale (default 32), with the
 // simulated EPC scaled identically so every dataset:EPC ratio — and hence
-// every crossover — is preserved (DESIGN.md "Scaling rule").
+// every crossover — is preserved.
+//
+// A figure point is two numbers added together (Point): the mean wall time
+// of an operation on this box, where the enclave only counts, and the
+// simulated time internal/costmodel prices those counts at — world switches,
+// boundary copies, EPC faults. The second is exact for a seeded read-only
+// run on any box, which is what the figures' shapes are asserted on. Write
+// points also price the flushes and compactions that happen to run during
+// the measured window, so their simulated share varies a little between
+// runs. The ablations run in a plain counting enclave and report wall time
+// only.
 package bench
 
 import (
@@ -16,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"elsm/internal/core"
 	"elsm/internal/costmodel"
@@ -34,8 +45,6 @@ type Config struct {
 	// Ops is the number of measured operations per data point
 	// (default 1200).
 	Ops int
-	// Cost is the SGX hardware cost model (default calibrated).
-	Cost *costmodel.Model
 	// Verbose prints progress to stdout.
 	Verbose bool
 }
@@ -46,10 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ops <= 0 {
 		c.Ops = 1200
-	}
-	if c.Cost == nil {
-		m := costmodel.Calibrated()
-		c.Cost = &m
 	}
 	return c
 }
@@ -78,6 +83,18 @@ type Row struct {
 	// Series maps series name to mean µs/op (NaN-free; missing points —
 	// e.g. Eleos beyond its capacity — are absent).
 	Series map[string]float64 `json:"series"`
+	// Points splits each figure value into its measured and simulated
+	// components; the ablations leave it empty.
+	Points map[string]Point `json:"points,omitempty"`
+}
+
+// Point is one figure value taken apart: MeasuredUs + SimulatedUs is the
+// value in Row.Series, and the embedded counts (per measured window, not per
+// op) are what SimulatedUs was priced from.
+type Point struct {
+	MeasuredUs  float64 `json:"measured_us"`
+	SimulatedUs float64 `json:"simulated_us"`
+	costmodel.Counts
 }
 
 // Table is a reproduced figure.
@@ -112,11 +129,33 @@ func (t Table) FileSlug() string {
 // WriteJSON persists the table as BENCH_<slug>.json in dir, so the perf
 // trajectory is machine-trackable across PRs. Returns the written path.
 func (t Table) WriteJSON(dir string) (string, error) {
-	data, err := json.MarshalIndent(t, "", "  ")
+	return writeJSON(dir, t.FileSlug(), t)
+}
+
+// Figures is the paper's figures from one run, with what they were run at
+// and priced by (the Eleos series at Prices with Monitor = EleosMonitor): the
+// committed BENCH_figures.json.
+type Figures struct {
+	Scale        int             `json:"scale"`
+	Ops          int             `json:"ops"`
+	Prices       costmodel.Model `json:"prices_ns"`
+	EleosMonitor time.Duration   `json:"eleos_monitor_ns"`
+	Tables       []Table         `json:"tables"`
+}
+
+// WriteFigures persists the figure tables of one run as BENCH_figures.json
+// in dir. Returns the written path.
+func (c Config) WriteFigures(dir string, tables []Table) (string, error) {
+	c = c.withDefaults()
+	return writeJSON(dir, "figures", Figures{Scale: c.Scale, Ops: c.Ops, Prices: costmodel.Calibrated(), EleosMonitor: eleosMonitor, Tables: tables})
+}
+
+func writeJSON(dir, stem string, v interface{}) (string, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return "", fmt.Errorf("bench: marshal %s: %w", t.Name, err)
+		return "", fmt.Errorf("bench: marshal %s: %w", stem, err)
 	}
-	path := filepath.Join(dir, "BENCH_"+t.FileSlug()+".json")
+	path := filepath.Join(dir, "BENCH_"+stem+".json")
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("bench: write %s: %w", path, err)
 	}
@@ -124,7 +163,8 @@ func (t Table) WriteJSON(dir string) (string, error) {
 }
 
 // Format renders the table as the paper-style text block. Values are mean
-// µs/op unless the row label says otherwise (the ablation's B/op rows).
+// µs/op unless the row label says otherwise (the ablation's B/op rows); a
+// figure value is followed in brackets by its simulated share.
 func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s — %s (mean µs/op) ==\n", t.Name, t.Caption)
@@ -136,7 +176,9 @@ func (t Table) Format() string {
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-22s", r.X)
 		for _, s := range t.Series {
-			if v, ok := r.Series[s]; ok {
+			if p, ok := r.Points[s]; ok {
+				fmt.Fprintf(&b, "%12.1f (%7.1f)", r.Series[s], p.SimulatedUs)
+			} else if v, ok := r.Series[s]; ok {
 				fmt.Fprintf(&b, "%22.1f", v)
 			} else {
 				fmt.Fprintf(&b, "%22s", "-")
@@ -184,17 +226,30 @@ type storeParams struct {
 	disableComp bool
 }
 
-// buildStore opens a store of the given variant at the experiment scale.
-func (c Config) buildStore(p storeParams) (core.KV, error) {
-	cost := *c.Cost
-	epc := c.epcBytes()
+// eleosMonitor is SUVM's monitoring overhead per memory reference: what
+// Eleos pays for paging its enclave in software (costmodel.Model.Monitor).
+const eleosMonitor = 300 * time.Nanosecond
+
+// prices is the price list a variant's counts are priced at.
+func (p storeParams) prices() costmodel.Model {
+	m := costmodel.Calibrated()
+	if p.variant == Eleos {
+		m.Monitor = eleosMonitor
+	}
+	return m
+}
+
+// buildStore opens a store of the given variant at the experiment scale in
+// the given enclave. The unsecured variants ignore it, so for them it counts
+// nothing.
+func (c Config) buildStore(p storeParams, enclave *sgx.Enclave) (core.KV, error) {
 	memtable := p.memtable
 	if memtable == 0 {
 		memtable = c.paperMB(4)
 	}
 	base := core.Config{
 		FS:                vfs.NewMem(),
-		SGX:               sgx.Params{EPCSize: epc, Cost: cost},
+		Enclave:           enclave,
 		MemtableSize:      memtable,
 		TableFileSize:     c.paperMB(4),
 		LevelBase:         int64(c.paperMB(10)),
@@ -223,7 +278,7 @@ func (c Config) buildStore(p storeParams) (core.KV, error) {
 		// The 1 GB limit of §6.2, with headroom for per-entry overhead so
 		// the paper's 1 GB data point itself still fits.
 		return eleos.Open(eleos.Config{
-			SGX:      sgx.Params{EPCSize: epc, Cost: cost},
+			Enclave:  enclave,
 			MaxBytes: int64(c.paperMB(1280)),
 		})
 	default:
@@ -255,33 +310,38 @@ func loadAndWarm(kv core.KV, dataBytes int) error {
 	return nil
 }
 
-// measure runs the workload and returns mean µs/op.
-func (c Config) measure(kv core.KV, wl ycsb.Workload, dataBytes int) (float64, error) {
-	n := ycsb.RecordsForBytes(int64(dataBytes))
-	r := ycsb.NewRunner(kv, wl, n, 0xe15a)
-	st, err := r.RunOps(c.Ops)
+// point builds one (variant, workload) cell in a simulated enclave with the
+// scaled EPC, loads it, runs the workload, and returns the measured mean with
+// the simulated time of everything the enclave counted meanwhile, spread over
+// the operations.
+func (c Config) point(p storeParams, wl ycsb.Workload) (Point, error) {
+	sim := costmodel.New(c.epcBytes())
+	kv, err := c.buildStore(p, sim.Enclave())
 	if err != nil {
-		return 0, err
-	}
-	return float64(st.Mean.Nanoseconds()) / 1e3, nil
-}
-
-// point builds, loads, measures and closes one (variant, workload) cell.
-func (c Config) point(p storeParams, wl ycsb.Workload) (float64, error) {
-	kv, err := c.buildStore(p)
-	if err != nil {
-		return 0, err
+		return Point{}, err
 	}
 	defer kv.Close()
 	if err := loadAndWarm(kv, p.dataBytes); err != nil {
-		return 0, err
+		return Point{}, err
 	}
-	return c.measure(kv, wl, p.dataBytes)
+	n := ycsb.RecordsForBytes(int64(p.dataBytes))
+	r := ycsb.NewRunner(kv, wl, n, 0xe15a)
+	before := sim.Counts()
+	st, err := r.RunOps(c.Ops)
+	if err != nil {
+		return Point{}, err
+	}
+	counts := sim.Counts().Sub(before)
+	return Point{
+		MeasuredUs:  float64(st.Mean.Nanoseconds()) / 1e3,
+		SimulatedUs: float64(p.prices().Price(counts).Nanoseconds()) / 1e3 / float64(c.Ops),
+		Counts:      counts,
+	}, nil
 }
 
 // addPoint measures one cell, tolerating capacity errors (Eleos > 1 GB).
 func (c Config) addPoint(row *Row, p storeParams, wl ycsb.Workload, series string) error {
-	v, err := c.point(p, wl)
+	pt, err := c.point(p, wl)
 	if err != nil {
 		if p.variant == Eleos {
 			c.logf("    %s @ %s: skipped (%v)", series, row.X, err)
@@ -289,8 +349,12 @@ func (c Config) addPoint(row *Row, p storeParams, wl ycsb.Workload, series strin
 		}
 		return fmt.Errorf("%s @ %s: %w", series, row.X, err)
 	}
-	c.logf("    %s @ %s: %.1f us/op", series, row.X, v)
-	row.Series[series] = v
+	c.logf("    %s @ %s: %.1f us/op measured + %.1f simulated", series, row.X, pt.MeasuredUs, pt.SimulatedUs)
+	row.Series[series] = pt.MeasuredUs + pt.SimulatedUs
+	if row.Points == nil {
+		row.Points = map[string]Point{}
+	}
+	row.Points[series] = pt
 	return nil
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"elsm/internal/core"
 	"elsm/internal/obs"
-	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 	"elsm/internal/ycsb"
 )
@@ -60,7 +59,6 @@ func (c Config) openCompactionStore(m compactionMode) (*core.Store, error) {
 	fs := vfs.NewSlowSyncQD(vfs.NewMem(), compactionSyncDelay, compactionSyncDepth)
 	return core.Open(core.Config{
 		FS:                fs,
-		SGX:               sgx.Params{EPCSize: c.epcBytes(), Cost: *c.Cost},
 		MemtableSize:      c.paperMB(1),
 		TableFileSize:     c.paperMB(1),
 		LevelBase:         int64(c.paperMB(2)),

@@ -15,6 +15,12 @@ eLSM-P2 (§5)   Inside enclave   Outside enclave   Record granularity
 `
 }
 
+// fig2BufferMB is Figure 2's X axis: the read buffer size, paper scale.
+var fig2BufferMB = []int{4, 16, 64, 128, 256, 512, 1024, 2048}
+
+// fig6aDataMB is Figure 6a's X axis: the data size, paper scale.
+var fig6aDataMB = []int{8, 64, 128, 256, 512, 1024, 2048, 3072}
+
 // Fig2 reproduces Figure 2: read latency with the read buffer placed
 // inside vs outside the enclave, on a 5 GB dataset, sweeping buffer size.
 // Expected shape: ~2x gap for small buffers (the extra in-enclave copy),
@@ -29,7 +35,7 @@ func Fig2(cfg Config) (Table, error) {
 	}
 	data := cfg.paperMB(5 * 1024)
 	wl := ycsb.Mix(100, ycsb.Uniform)
-	for _, bufMB := range []int{4, 16, 64, 128, 256, 512, 1024, 2048} {
+	for _, bufMB := range fig2BufferMB {
 		row := Row{X: mbLabel(bufMB), Series: map[string]float64{}}
 		cfg.logf("Fig2 buffer=%s", row.X)
 		outP := storeParams{variant: UnsecuredBuffer, dataBytes: data, cacheBytes: cfg.paperMB(bufMB)}
@@ -142,7 +148,7 @@ func Fig6a(cfg Config) (Table, error) {
 		Series:  seriesOrder(string(P2Mmap), string(P1), string(Eleos), string(UnsecuredBuffer)),
 	}
 	wl := ycsb.Mix(100, ycsb.Uniform)
-	for _, dataMB := range []int{8, 64, 128, 256, 512, 1024, 2048, 3072} {
+	for _, dataMB := range fig6aDataMB {
 		data := cfg.paperMB(dataMB)
 		row := Row{X: mbLabel(dataMB), Series: map[string]float64{}}
 		cfg.logf("Fig6a data=%s", row.X)

@@ -42,14 +42,9 @@ var shardSweep = []int{1, 2, 4}
 
 // openShardedBench builds an n-shard router of eLSM-P2 stores on
 // sync-delayed storage, the way elsm.Open(Options{Shards: n}) wires it:
-// one shared enclave, a private filesystem per shard. The enclave runs the
-// ZERO cost model regardless of cfg: this ablation isolates commit-PIPELINE
-// serialization (what sharding parallelizes), and the calibrated
-// world-switch spins are pure CPU — on a small-core CI box they would
-// drown the fsync waits under an unscalable term that fig2 already
-// measures.
+// one shared enclave, a private filesystem per shard.
 func (c Config) openShardedBench(n int) (*shard.Router, error) {
-	enclave := sgx.New(sgx.Params{EPCSize: c.epcBytes()})
+	enclave := sgx.New(sgx.Params{})
 	nodes := core.NewNodeCache(enclave)
 	shards := make([]core.KV, n)
 	for i := range shards {

@@ -7,8 +7,9 @@
 //
 // When placed inside, the cache owns an sgx.Region of its capacity; each
 // cached block is assigned a stable virtual offset in the region, and every
-// hit touches those pages — so a cache larger than the EPC faults on most
-// accesses, exactly the behaviour behind Figure 2 and Figure 6c.
+// hit touches those pages — so under a simulated EPC (costmodel.Sim) a cache
+// larger than it faults on most accesses, exactly the behaviour behind
+// Figure 2 and Figure 6c.
 package blockcache
 
 import (
@@ -65,8 +66,8 @@ func New(capacity int, enclave *sgx.Enclave) *Cache {
 // Inside reports whether the cache is placed inside the enclave.
 func (c *Cache) Inside() bool { return c.region != nil }
 
-// Get returns the cached block, charging the in-enclave access cost when
-// the cache is inside the enclave (MEE + paging).
+// Get returns the cached block, declaring the in-enclave access when the
+// cache is inside the enclave (what MEE and paging are priced from).
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[k]
@@ -89,7 +90,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 }
 
 // Put inserts a block, evicting LRU entries to stay within capacity. Inside
-// the enclave the insert is charged as a boundary copy-in (the second data
+// the enclave the insert is counted as a boundary copy-in (the second data
 // copy S1 of §4.2).
 func (c *Cache) Put(k Key, data []byte) {
 	c.mu.Lock()

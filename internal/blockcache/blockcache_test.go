@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"elsm/internal/costmodel"
 	"elsm/internal/sgx"
 )
 
@@ -61,26 +60,55 @@ func TestDropFile(t *testing.T) {
 	}
 }
 
+// touchLog is an sgx.Observer recording which pages were touched.
+type touchLog struct {
+	pages map[int]int // page → touches
+	freed int
+}
+
+func (l *touchLog) Touch(region uint64, off, n int) {
+	for p := off / 4096; p <= (off+n-1)/4096; p++ {
+		l.pages[p]++
+	}
+}
+
+func (l *touchLog) Free(uint64) { l.freed++ }
+
 func TestInsidePlacementChargesEnclave(t *testing.T) {
-	e := sgx.New(sgx.Params{EPCSize: 8 * 4096, Cost: costmodel.Zero})
-	c := New(64*4096, e) // cache 8x the EPC
+	log := &touchLog{pages: map[int]int{}}
+	e := sgx.New(sgx.Params{Observer: log})
+	c := New(64*4096, e)
 	if !c.Inside() {
 		t.Fatal("placement not inside")
+	}
+	if got := e.Stats().AllocatedBytes; got != 64*4096 {
+		t.Fatalf("cache holds %d enclave bytes, want its capacity", got)
 	}
 	blk := make([]byte, 4096)
 	for i := 0; i < 32; i++ {
 		c.Put(Key{1, i}, blk)
 	}
-	before := e.Stats().PageFaults
-	// Hitting blocks spread across a region larger than the EPC must
-	// fault (the Figure 2 blow-up).
+	if got := e.Stats().CopiedBytes; got != 32*4096 {
+		t.Fatalf("32 inserts copied %d bytes into the enclave", got)
+	}
+	// Every block keeps its own pages of the region, so hits on a cache
+	// larger than the EPC spread over more pages than the EPC holds (the
+	// Figure 2 blow-up, once a costmodel.Sim pages them).
 	for i := 0; i < 32; i++ {
 		c.Get(Key{1, i})
 	}
-	if after := e.Stats().PageFaults; after <= before {
-		t.Fatalf("no paging on oversized in-enclave cache (%d -> %d)", before, after)
+	if len(log.pages) != 32 {
+		t.Fatalf("32 blocks touched %d distinct pages", len(log.pages))
+	}
+	for p, n := range log.pages {
+		if n != 2 {
+			t.Fatalf("page %d touched %d times, want once by Put and once by Get", p, n)
+		}
 	}
 	c.Release()
+	if log.freed != 1 || e.Stats().AllocatedBytes != 0 {
+		t.Fatalf("after Release: %d regions freed, %d bytes held", log.freed, e.Stats().AllocatedBytes)
+	}
 }
 
 func TestUpdateExistingKey(t *testing.T) {

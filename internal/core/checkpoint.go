@@ -320,7 +320,7 @@ type RestoreConfig struct {
 	// Counter is the follower's own monotonic counter; the imported state
 	// is sealed against it.
 	Counter *sgx.MonotonicCounter
-	// Enclave hosts the verification work; nil uses an unlimited enclave.
+	// Enclave hosts the verification work; nil uses a fresh one.
 	Enclave *sgx.Enclave
 	// Shard and Shards are the partition identity this restore expects
 	// (Shards 0 means 1). The attested header must match exactly: a
@@ -380,7 +380,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	}
 	enclave := cfg.Enclave
 	if enclave == nil {
-		enclave = sgx.NewUnlimited()
+		enclave = sgx.New(sgx.Params{})
 	}
 	measurement := sgx.Measure([]byte("elsm-p2"))
 

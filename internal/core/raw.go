@@ -61,7 +61,7 @@ func OpenP1(cfg Config) (*RawStore, error) {
 	}
 	enclave := cfg.Enclave
 	if enclave == nil {
-		enclave = sgx.New(cfg.SGX)
+		enclave = sgx.New(sgx.Params{})
 	}
 	mk, err := crypto.NewMasterKey()
 	if err != nil {
@@ -84,11 +84,10 @@ func OpenP1(cfg Config) (*RawStore, error) {
 	return &RawStore{engine: engine, enclave: enclave, cache: opts.Cache, iterChunkKeys: cfg.chunkKeys()}, nil
 }
 
-// OpenUnsecured creates the unsecured baseline. The Config's SGX settings
-// are ignored; the read buffer (if any) lives in ordinary memory.
+// OpenUnsecured creates the unsecured baseline. The Config's Enclave is
+// ignored; the read buffer (if any) lives in ordinary memory.
 func OpenUnsecured(cfg Config) (*RawStore, error) {
 	opts := cfg.engineOptions()
-	opts.Enclave = sgx.NewUnlimited()
 	if cfg.CacheSize > 0 {
 		opts.Cache = blockcache.New(cfg.CacheSize, nil)
 	}

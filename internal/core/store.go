@@ -34,9 +34,9 @@ const DefaultCounterInterval = 1024
 type Config struct {
 	// FS is the untrusted file system. Nil means a fresh in-memory FS.
 	FS vfs.FS
-	// SGX configures the simulated enclave (EPC size, cost model).
-	SGX sgx.Params
-	// Enclave overrides SGX with an existing enclave instance.
+	// Enclave hosts the store; nil means a fresh one. Shards share one, and
+	// the paper-reproduction benchmarks pass a simulated one
+	// (costmodel.Sim) to price what it counts.
 	Enclave *sgx.Enclave
 	// Platform is the machine root of trust for sealing; nil creates a
 	// fresh one (note: a fresh platform cannot unseal state sealed by a
@@ -362,7 +362,7 @@ func NewNodeCache(e *sgx.Enclave) *merkle.NodeCache {
 func Open(cfg Config) (*Store, error) {
 	enclave := cfg.Enclave
 	if enclave == nil {
-		enclave = sgx.New(cfg.SGX)
+		enclave = sgx.New(sgx.Params{})
 	}
 	platform := cfg.Platform
 	if platform == nil {

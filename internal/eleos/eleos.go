@@ -8,9 +8,11 @@
 // paper observes it trailing both eLSM variants at scale and capping out
 // around 1 GB.
 //
-// The simulation charges: (a) a per-access monitoring cost, (b) enclave
-// residency costs on the touched array region (so working sets beyond the
-// EPC thrash), and (c) periodic persistence OCalls for recent writes.
+// The store declares to its enclave: (a) every array reference, as a touch
+// of the region the array lives in — which is what a simulated enclave
+// (costmodel.Sim) prices as SUVM's per-reference monitoring and pages, so
+// working sets beyond the EPC thrash — and (b) periodic persistence OCalls
+// and copies for recent writes.
 package eleos
 
 import (
@@ -19,10 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"elsm/internal/core"
-	"elsm/internal/costmodel"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
@@ -33,7 +33,7 @@ import (
 // observed 1 GB Eleos scalability limit.
 var ErrCapacity = errors.New("eleos: dataset exceeds supported capacity (the 1 GB limit observed in §6.2)")
 
-// DefaultMaxBytes is the paper's 1 GB limit scaled by 1/32 (DESIGN.md).
+// DefaultMaxBytes is the paper's 1 GB limit scaled by 1/32.
 const DefaultMaxBytes = 32 << 20
 
 // slackFactor is the array headroom ("we leave 30% of the array space
@@ -46,9 +46,8 @@ const bucketCap = 64
 
 // Config configures the baseline.
 type Config struct {
-	// Enclave hosts the array; nil builds one from SGX.
+	// Enclave hosts the array; nil means a fresh one.
 	Enclave *sgx.Enclave
-	SGX     sgx.Params
 	// FS receives the persistence stream; nil means a fresh in-memory FS.
 	FS vfs.FS
 	// MaxBytes caps the dataset (DefaultMaxBytes if zero).
@@ -56,9 +55,6 @@ type Config struct {
 	// PersistEvery flushes the write buffer to disk after this many
 	// writes (default 256).
 	PersistEvery int
-	// MonitorCost is SUVM's per-memory-reference monitoring overhead
-	// (default 300ns when the enclave has a non-zero cost model).
-	MonitorCost time.Duration
 }
 
 type entry struct {
@@ -86,8 +82,7 @@ type Store struct {
 	dirty       int
 	writeBuf    []byte
 
-	monitor time.Duration
-	closed  bool
+	closed bool
 }
 
 var _ core.KV = (*Store)(nil)
@@ -95,7 +90,7 @@ var _ core.KV = (*Store)(nil)
 // Open creates an empty baseline store.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Enclave == nil {
-		cfg.Enclave = sgx.New(cfg.SGX)
+		cfg.Enclave = sgx.New(sgx.Params{})
 	}
 	if cfg.FS == nil {
 		cfg.FS = vfs.NewMem()
@@ -105,10 +100,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if cfg.PersistEvery == 0 {
 		cfg.PersistEvery = 256
-	}
-	monitor := cfg.MonitorCost
-	if monitor == 0 && !cfg.Enclave.Params().Cost.IsZero() {
-		monitor = 300 * time.Nanosecond
 	}
 	var f vfs.File
 	var err error
@@ -122,17 +113,13 @@ func Open(cfg Config) (*Store, error) {
 		region:      cfg.Enclave.Alloc(0),
 		buckets:     []*bucket{{}},
 		persistFile: f,
-		monitor:     monitor,
 	}
 	return s, nil
 }
 
-// touch charges SUVM costs for accessing approximately n bytes around
-// byte-offset off of the array.
+// touch declares a reference to approximately n bytes around byte-offset off
+// of the array.
 func (s *Store) touch(off int64, n int) {
-	if s.monitor > 0 {
-		costmodel.Spin(s.monitor)
-	}
 	size := s.region.Size()
 	if size == 0 {
 		return
@@ -242,7 +229,7 @@ func (s *Store) write(key, value []byte, del bool) (uint64, error) {
 	s.nextTs++
 	ts := s.nextTs
 	bi, ei, found := s.locate(key)
-	// Binary search touched log(n) bucket probes; charge one bucket read.
+	// Binary search touched log(n) bucket probes; declare one bucket read.
 	s.touch(s.approxOffset(bi), bucketCap*8)
 	b := s.buckets[bi]
 	if found {
@@ -296,7 +283,7 @@ func (s *Store) bufferWrite(key, value []byte, ts uint64) {
 	s.writeBuf = append(s.writeBuf, byte(ts), byte(ts>>8), byte(ts>>16))
 	s.dirty++
 	if s.dirty >= s.cfg.PersistEvery {
-		costmodel.ChargeBytes(s.enclave.Params().Cost.EnclaveCopyPerKB, len(s.writeBuf))
+		s.enclave.Copy(len(s.writeBuf))
 		s.persist()
 	}
 }
@@ -416,9 +403,6 @@ func (s *Store) BulkLoad(recs []record.Record) error {
 
 // Bytes returns the dataset size.
 func (s *Store) Bytes() int64 { return s.bytes }
-
-// Enclave exposes the enclave for stats inspection.
-func (s *Store) Enclave() *sgx.Enclave { return s.enclave }
 
 // persist writes the buffered recent writes out through an OCall.
 func (s *Store) persist() {

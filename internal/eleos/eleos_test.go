@@ -7,15 +7,11 @@ import (
 
 	"elsm/internal/core"
 	"elsm/internal/record"
-	"elsm/internal/sgx"
 	"elsm/internal/ycsb"
 )
 
 func mustOpen(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	if cfg.Enclave == nil {
-		cfg.Enclave = sgx.NewUnlimited()
-	}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

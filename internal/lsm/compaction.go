@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"elsm/internal/costmodel"
 	"elsm/internal/obs"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
@@ -560,7 +559,7 @@ func (s *Store) writeRunFile(fileNum uint64, recs recordList, proofs sstable.Pro
 
 	// Step m3: one world switch to flush the file to the untrusted FS.
 	name := tableName(fileNum)
-	costmodel.ChargeBytes(s.enclave.Params().Cost.EnclaveCopyPerKB, len(buf.data))
+	s.enclave.Copy(len(buf.data))
 	var werr error
 	var f vfs.File
 	s.ocall(func() {

@@ -28,7 +28,7 @@ import (
 )
 
 // Default tuning values. The byte-denominated defaults are the paper's
-// LevelDB values scaled by 1/32 (DESIGN.md "Scaling rule").
+// LevelDB values scaled by 1/32.
 const (
 	DefaultMemtableSize    = 128 << 10 // paper: 4 MB write buffer
 	DefaultBlockSize       = 4 << 10   // unscaled: record sizes are unscaled
@@ -46,8 +46,8 @@ type Options struct {
 	// FS is the untrusted file system holding WAL, SSTables and MANIFEST.
 	// Nil means a fresh in-memory FS.
 	FS vfs.FS
-	// Enclave is the simulated enclave hosting the store's code and
-	// trusted data structures. Nil means an unlimited zero-cost enclave
+	// Enclave meters the boundary of the enclave hosting the store's code
+	// and trusted data structures. Nil means a private one nobody reads
 	// (the unsecured configuration).
 	Enclave *sgx.Enclave
 	// Listener receives engine events; nil installs a no-op listener.
@@ -135,7 +135,7 @@ func (o Options) withDefaults() Options {
 		o.FS = vfs.NewMem()
 	}
 	if o.Enclave == nil {
-		o.Enclave = sgx.NewUnlimited()
+		o.Enclave = sgx.New(sgx.Params{})
 	}
 	if o.Listener == nil {
 		o.Listener = NopListener{}

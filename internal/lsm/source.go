@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"elsm/internal/blockcache"
-	"elsm/internal/costmodel"
 	"elsm/internal/sstable"
 )
 
@@ -12,10 +11,10 @@ import (
 // one of the three read paths the paper evaluates:
 //
 //   - mmap (eLSM-P2-mmap, §5.5.1): data is read directly from the untrusted
-//     file view — no OCall, no buffering, no copy charge;
+//     file view — no OCall, no buffering, no counted copy;
 //   - buffered (eLSM-P2-buffer / eLSM-P1): hits come from the block cache
-//     (inside or outside the enclave — the cache itself charges in-enclave
-//     costs when placed inside); misses pay an OCall plus the
+//     (inside or outside the enclave — the cache itself declares its
+//     in-enclave accesses when placed inside); misses pay an OCall plus the
 //     boundary copy, and for P1 the block decrypt (real AES work);
 //   - direct (no cache configured): every read pays the miss path.
 //
@@ -59,7 +58,7 @@ func (src *storeSource) ReadBlock(fileNum uint64, blockIdx int, off, length int6
 			if !cache.Inside() {
 				// P2 buffered hit: the enclave reads the block from
 				// untrusted memory, copying the touched bytes in.
-				costmodel.ChargeBytes(s.enclave.Params().Cost.EnclaveCopyPerKB, int(length))
+				s.enclave.Copy(int(length))
 			}
 			return data, nil
 		}
@@ -81,7 +80,7 @@ func (src *storeSource) ReadBlock(fileNum uint64, blockIdx int, off, length int6
 		cache.Put(key, data)
 	} else {
 		// No buffer at all: the block still crosses into the enclave.
-		costmodel.ChargeBytes(s.enclave.Params().Cost.EnclaveCopyPerKB, len(data))
+		s.enclave.Copy(len(data))
 	}
 	return data, nil
 }

@@ -38,8 +38,8 @@ type Table struct {
 }
 
 // New creates an empty memtable. If enclave is non-nil, the table allocates
-// an enclave region and charges accesses against it; pass nil for untrusted
-// or cost-free placement.
+// an enclave region and declares its accesses to it; pass nil for untrusted
+// placement.
 func New(enclave *sgx.Enclave) *Table {
 	t := &Table{
 		head:   &node{next: make([]*node, maxHeight)},
@@ -119,7 +119,7 @@ func (t *Table) Put(rec record.Record) {
 	t.touch(t.bytes, rec.Size())
 }
 
-// touch charges enclave-memory access cost for n bytes. The offset rotates
+// touch declares an enclave-memory access of n bytes. The offset rotates
 // through the region so the access pattern spreads across pages, mimicking
 // skiplist node placement (race-free: uses an atomic cursor, not t.rnd).
 func (t *Table) touch(sizeHint, n int) {
@@ -178,8 +178,8 @@ func (t *Table) ApproxBytes() int {
 
 // Release frees the enclave region backing this memtable. The skiplist
 // itself stays readable: a pinned snapshot may keep serving reads from a
-// flushed (and Released) table, it just no longer charges enclave-memory
-// cost. Taking the write lock serializes with concurrent readers' touch.
+// flushed (and Released) table, it just no longer counts as enclave
+// memory. Taking the write lock serializes with concurrent readers' touch.
 func (t *Table) Release() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

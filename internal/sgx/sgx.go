@@ -1,194 +1,153 @@
-// Package sgx simulates the Intel SGX enclave execution environment used by
-// the paper: a protected memory region (EPC) of limited size with expensive
-// paging beyond it, costly world switches (ECall/OCall), a trusted monotonic
-// counter for rollback defence, and sealing/measurement primitives.
+// Package sgx stands in for the Intel SGX execution environment the paper
+// builds on. It keeps the trust primitives — a platform root of trust,
+// sealing, measurement and reports (seal.go), a trusted monotonic counter for
+// rollback defence — and a boundary meter: an Enclave counts the world
+// switches (ECall/OCall), the bytes copied across the boundary and the
+// protected memory its regions hold.
 //
-// The simulator does not provide real isolation — it provides the *cost
-// structure* and the *trust-boundary bookkeeping* of SGX, which is what the
-// paper's design and evaluation depend on. See DESIGN.md ("Hardware
-// substitution") for the calibration rationale.
+// It provides no isolation and charges no time. What an SGX CPU would make
+// those events cost — and the EPC paging a region's accesses would cause — is
+// the business of an Observer, which the product never installs: the
+// paper-reproduction layer (internal/costmodel) implements one and prices the
+// counts afterwards.
 //
-// Concurrency: all types are safe for concurrent use unless noted otherwise.
+// Concurrency: all types are safe for concurrent use.
 package sgx
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"elsm/internal/costmodel"
+	"sync/atomic"
 )
 
-// DefaultPageSize is the SGX EPC page granularity.
-const DefaultPageSize = 4096
+// Observer is told which protected memory an enclave's code touches, so a
+// model outside this package can page it. Regions are named by an id unique
+// within their enclave. Calls arrive on the goroutine making the access, with
+// no lock held; a Touch that races with the Free of its region may be
+// delivered after it.
+type Observer interface {
+	// Touch reports an access to bytes [off, off+n) of a region, n > 0.
+	Touch(region uint64, off, n int)
+	// Free reports that a region is gone; its id is not reused.
+	Free(region uint64)
+}
 
-// DefaultEPCSize mirrors the paper's 128 MB EPC. Benchmarks scale this down
-// together with dataset sizes (DESIGN.md "Scaling rule").
-const DefaultEPCSize = 128 << 20
-
-// Params configures a simulated enclave.
+// Params configures an enclave. The zero value is the product's.
 type Params struct {
-	// EPCSize is the protected-memory capacity in bytes. Accesses to
-	// enclave regions whose combined working set exceeds this trigger
-	// simulated paging. Zero means DefaultEPCSize.
-	EPCSize int
-	// PageSize is the paging granularity. Zero means DefaultPageSize.
-	PageSize int
-	// Cost is the hardware cost model. The zero model disables all cost
-	// accounting (functional tests).
-	Cost costmodel.Model
+	// Observer receives every region access; nil (the product) receives
+	// nothing and costs nothing.
+	Observer Observer
 }
 
-func (p Params) withDefaults() Params {
-	if p.EPCSize == 0 {
-		p.EPCSize = DefaultEPCSize
-	}
-	if p.PageSize == 0 {
-		p.PageSize = DefaultPageSize
-	}
-	return p
-}
-
-// Stats counts simulated hardware events. Retrieve a snapshot with
-// Enclave.Stats.
+// Stats is a snapshot of an enclave's counters.
 type Stats struct {
-	// PageFaults is the number of EPC page evict+load round trips.
-	PageFaults uint64
 	// ECalls and OCalls count boundary crossings (each is two world
 	// switches: exit and re-enter).
 	ECalls uint64
 	OCalls uint64
 	// CopiedBytes counts bytes copied across the enclave boundary.
 	CopiedBytes uint64
-	// ResidentPages is the current EPC occupancy in pages.
-	ResidentPages int
 	// AllocatedBytes is the total size of live enclave regions.
 	AllocatedBytes int64
 }
 
-// Enclave is a simulated SGX enclave: an accounting domain for protected
-// memory regions plus the ECall/OCall boundary.
+// Enclave meters one enclave's boundary: a set of counters and nothing else.
 type Enclave struct {
-	params Params
-
-	mu        sync.Mutex
-	regions   map[int]*Region
-	nextID    int
-	pages     map[pageKey]*pageEntry
-	ring      []*pageEntry // CLOCK ring over resident pages
-	hand      int
-	resident  int
-	capacity  int // capacity in pages
-	allocated int64
-
-	stats struct {
-		faults  uint64
-		ecalls  uint64
-		ocalls  uint64
-		copied  uint64
-		evicted uint64
-	}
+	observer   Observer
+	ecalls     atomic.Uint64
+	ocalls     atomic.Uint64
+	copied     atomic.Uint64
+	allocated  atomic.Int64
+	lastRegion atomic.Uint64
 }
 
-type pageKey struct {
-	region int
-	page   int
-}
+// New creates an enclave.
+func New(p Params) *Enclave { return &Enclave{observer: p.Observer} }
 
-type pageEntry struct {
-	key      pageKey
-	ref      bool
-	resident bool
-}
+// NewUnlimited is New(Params{}) under the name the frozen benchmark/ module
+// compiles against.
+func NewUnlimited() *Enclave { return New(Params{}) }
 
-// New creates an enclave with the given parameters.
-func New(p Params) *Enclave {
-	p = p.withDefaults()
-	cap := p.EPCSize / p.PageSize
-	if cap < 1 {
-		cap = 1
-	}
-	return &Enclave{
-		params:   p,
-		regions:  make(map[int]*Region),
-		pages:    make(map[pageKey]*pageEntry),
-		capacity: cap,
-	}
-}
-
-// NewUnlimited creates an enclave with an effectively infinite EPC and zero
-// cost model: the "no SGX" configuration used by unsecured baselines and
-// functional tests.
-func NewUnlimited() *Enclave {
-	return New(Params{EPCSize: 1 << 50, Cost: costmodel.Zero})
-}
-
-// Params returns the enclave's configuration.
-func (e *Enclave) Params() Params { return e.params }
-
-// Stats returns a snapshot of the simulated hardware event counters.
+// Stats returns a snapshot of the counters. Each is read atomically; the set
+// is not one atomic snapshot.
 func (e *Enclave) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return Stats{
-		PageFaults:     e.stats.faults,
-		ECalls:         e.stats.ecalls,
-		OCalls:         e.stats.ocalls,
-		CopiedBytes:    e.stats.copied,
-		ResidentPages:  e.resident,
-		AllocatedBytes: e.allocated,
+		ECalls:         e.ecalls.Load(),
+		OCalls:         e.ocalls.Load(),
+		CopiedBytes:    e.copied.Load(),
+		AllocatedBytes: e.allocated.Load(),
+	}
+}
+
+// ECall runs fn inside the enclave on behalf of untrusted code: one entry
+// and one exit.
+func (e *Enclave) ECall(fn func()) {
+	e.ecalls.Add(1)
+	fn()
+}
+
+// OCall runs fn in the untrusted world on behalf of enclave code: one exit
+// and one re-entry.
+func (e *Enclave) OCall(fn func()) {
+	e.ocalls.Add(1)
+	fn()
+}
+
+// Copy counts n bytes copied across the enclave boundary, in either
+// direction.
+func (e *Enclave) Copy(n int) {
+	if n > 0 {
+		e.copied.Add(uint64(n))
 	}
 }
 
 // Region is a tracked allocation of enclave-protected memory. The actual
-// bytes live in ordinary Go memory owned by the caller; the region performs
-// paging and MEE cost accounting for every declared access.
+// bytes live in ordinary Go memory owned by the caller; the region accounts
+// their size and reports declared accesses to the enclave's observer.
+//
+// A freed region accounts nothing: Free is idempotent, and Grow, Touch and
+// CopyIn on a freed region — including ones that lose a race with Free — do
+// nothing, so an owner may release a region while readers are still in
+// flight.
 type Region struct {
 	enclave *Enclave
-	id      int
-	size    int
+	id      uint64
+	size    atomic.Int64 // regionFreed once freed
 }
 
-// Alloc registers a region of n bytes of enclave memory for cost accounting.
+const regionFreed = -1
+
+// Alloc registers a region of n bytes of enclave memory.
 func (e *Enclave) Alloc(n int) *Region {
 	if n < 0 {
 		panic(fmt.Sprintf("sgx: negative allocation %d", n))
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.nextID++
-	r := &Region{enclave: e, id: e.nextID, size: n}
-	e.regions[r.id] = r
-	e.allocated += int64(n)
+	r := &Region{enclave: e, id: e.lastRegion.Add(1)}
+	r.size.Store(int64(n))
+	e.allocated.Add(int64(n))
 	return r
 }
 
-// Free releases the region. Accessing a freed region panics.
+// Free releases the region.
 func (r *Region) Free() {
-	e := r.enclave
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.regions[r.id]; !ok {
+	size := r.size.Swap(regionFreed)
+	if size == regionFreed {
 		return
 	}
-	delete(e.regions, r.id)
-	e.allocated -= int64(r.size)
-	npages := (r.size + e.params.PageSize - 1) / e.params.PageSize
-	for p := 0; p < npages; p++ {
-		k := pageKey{region: r.id, page: p}
-		if pe, ok := e.pages[k]; ok {
-			if pe.resident {
-				pe.resident = false
-				e.resident--
-			}
-			delete(e.pages, k)
-		}
+	r.enclave.allocated.Add(-size)
+	if o := r.enclave.observer; o != nil {
+		o.Free(r.id)
 	}
-	r.enclave = nil
 }
 
-// Size returns the region size in bytes.
-func (r *Region) Size() int { return r.size }
+// Size returns the region size in bytes, zero once freed.
+func (r *Region) Size() int {
+	if size := r.size.Load(); size != regionFreed {
+		return int(size)
+	}
+	return 0
+}
 
 // Grow extends the region's accounted size by delta bytes (e.g., a memtable
 // arena growing).
@@ -196,136 +155,40 @@ func (r *Region) Grow(delta int) {
 	if delta <= 0 {
 		return
 	}
+	// The enclave's total moves first and is taken back if the region turns
+	// out to be freed, so it never reads below the live regions' sizes; Free
+	// subtracts whatever size it swaps out.
 	e := r.enclave
-	e.mu.Lock()
-	r.size += delta
-	e.allocated += int64(delta)
-	e.mu.Unlock()
-}
-
-// Touch charges the cost of accessing [off, off+n) within the region: MEE
-// overhead for every byte plus a page fault for every non-resident page.
-// This is the heart of the paging simulation.
-func (r *Region) Touch(off, n int) {
-	if n <= 0 {
-		return
-	}
-	e := r.enclave
-	if e == nil {
-		panic("sgx: access to freed region")
-	}
-	cost := e.params.Cost
-	if !cost.IsZero() {
-		costmodel.ChargeBytes(cost.MEEPerKB, n)
-	}
-	ps := e.params.PageSize
-	first := off / ps
-	last := (off + n - 1) / ps
-	faults := 0
-	e.mu.Lock()
-	for p := first; p <= last; p++ {
-		k := pageKey{region: r.id, page: p}
-		pe, ok := e.pages[k]
-		if !ok {
-			pe = &pageEntry{key: k}
-			e.pages[k] = pe
-		}
-		if pe.resident {
-			pe.ref = true
-			continue
-		}
-		// Fault: evict a victim if the EPC is full, then load.
-		if e.resident >= e.capacity {
-			e.evictLocked()
-		}
-		pe.resident = true
-		pe.ref = true
-		e.resident++
-		e.ring = append(e.ring, pe)
-		faults++
-	}
-	e.stats.faults += uint64(faults)
-	e.mu.Unlock()
-	if faults > 0 && !cost.IsZero() {
-		costmodel.Charge(cost.PageFault, faults)
-	}
-}
-
-// evictLocked removes one resident page using the CLOCK algorithm.
-// Caller holds e.mu.
-func (e *Enclave) evictLocked() {
+	e.allocated.Add(int64(delta))
 	for {
-		if len(e.ring) == 0 {
+		size := r.size.Load()
+		if size == regionFreed {
+			e.allocated.Add(-int64(delta))
 			return
 		}
-		if e.hand >= len(e.ring) {
-			e.hand = 0
+		if r.size.CompareAndSwap(size, size+int64(delta)) {
+			return
 		}
-		pe := e.ring[e.hand]
-		if !pe.resident {
-			// Stale entry from a freed region; compact lazily.
-			e.ring[e.hand] = e.ring[len(e.ring)-1]
-			e.ring = e.ring[:len(e.ring)-1]
-			continue
-		}
-		if pe.ref {
-			pe.ref = false
-			e.hand++
-			continue
-		}
-		pe.resident = false
-		e.resident--
-		e.stats.evicted++
-		e.ring[e.hand] = e.ring[len(e.ring)-1]
-		e.ring = e.ring[:len(e.ring)-1]
+	}
+}
+
+// Touch declares an access to [off, off+n) within the region.
+func (r *Region) Touch(off, n int) {
+	o := r.enclave.observer
+	if o == nil || n <= 0 || r.size.Load() == regionFreed {
 		return
 	}
+	o.Touch(r.id, off, n)
 }
 
-// CopyIn models copying n bytes from untrusted memory into the enclave
-// (charging the boundary-copy rate and touching the destination region).
-func (r *Region) CopyIn(off int, n int) {
-	e := r.enclave
-	cost := e.params.Cost
-	if !cost.IsZero() {
-		costmodel.ChargeBytes(cost.EnclaveCopyPerKB, n)
+// CopyIn declares n bytes copied from untrusted memory into the region at
+// off: a boundary copy and an access to the destination.
+func (r *Region) CopyIn(off, n int) {
+	if r.size.Load() == regionFreed {
+		return
 	}
-	e.mu.Lock()
-	e.stats.copied += uint64(n)
-	e.mu.Unlock()
+	r.enclave.Copy(n)
 	r.Touch(off, n)
-}
-
-// OCall runs fn in the untrusted world: the enclave exits (world switch),
-// fn executes outside, then execution re-enters (second world switch).
-func (e *Enclave) OCall(fn func()) {
-	cost := e.params.Cost
-	if !cost.IsZero() {
-		costmodel.Spin(cost.WorldSwitch)
-	}
-	e.mu.Lock()
-	e.stats.ocalls++
-	e.mu.Unlock()
-	fn()
-	if !cost.IsZero() {
-		costmodel.Spin(cost.WorldSwitch)
-	}
-}
-
-// ECall runs fn inside the enclave on behalf of untrusted code, charging the
-// enter/exit world switches.
-func (e *Enclave) ECall(fn func()) {
-	cost := e.params.Cost
-	if !cost.IsZero() {
-		costmodel.Spin(cost.WorldSwitch)
-	}
-	e.mu.Lock()
-	e.stats.ecalls++
-	e.mu.Unlock()
-	fn()
-	if !cost.IsZero() {
-		costmodel.Spin(cost.WorldSwitch)
-	}
 }
 
 // ErrCounterRollback is returned when a monotonic counter write would move

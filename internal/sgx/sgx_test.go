@@ -4,102 +4,126 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
-
-	"elsm/internal/costmodel"
 )
 
-func TestPagingWithinEPCNoFaultsOnRevisit(t *testing.T) {
-	e := New(Params{EPCSize: 64 * 4096, Cost: costmodel.Zero})
-	r := e.Alloc(32 * 4096)
-	r.Touch(0, 32*4096)
-	first := e.Stats().PageFaults
-	if first != 32 {
-		t.Fatalf("cold faults = %d, want 32", first)
-	}
-	r.Touch(0, 32*4096)
-	if got := e.Stats().PageFaults; got != first {
-		t.Fatalf("re-touch faulted: %d -> %d", first, got)
-	}
-}
-
-func TestPagingThrashesBeyondEPC(t *testing.T) {
-	e := New(Params{EPCSize: 16 * 4096, Cost: costmodel.Zero})
-	r := e.Alloc(64 * 4096)
-	// Sequentially touch a working set 4x the EPC, twice: the second
-	// sweep must fault again (capacity evictions).
-	r.Touch(0, 64*4096)
-	after1 := e.Stats().PageFaults
-	r.Touch(0, 64*4096)
-	after2 := e.Stats().PageFaults
-	if after2-after1 < 32 {
-		t.Fatalf("second sweep faulted only %d times; eviction broken", after2-after1)
-	}
-	if got := e.Stats().ResidentPages; got > 16 {
-		t.Fatalf("resident %d pages > EPC capacity 16", got)
-	}
-}
-
-func TestFreeReleasesResidency(t *testing.T) {
-	e := New(Params{EPCSize: 8 * 4096, Cost: costmodel.Zero})
-	r := e.Alloc(8 * 4096)
-	r.Touch(0, 8*4096)
-	if e.Stats().ResidentPages != 8 {
-		t.Fatalf("resident = %d", e.Stats().ResidentPages)
-	}
-	r.Free()
-	if e.Stats().ResidentPages != 0 {
-		t.Fatalf("resident after free = %d", e.Stats().ResidentPages)
-	}
-	if e.Stats().AllocatedBytes != 0 {
-		t.Fatalf("allocated after free = %d", e.Stats().AllocatedBytes)
-	}
-}
-
 func TestOCallECallCounting(t *testing.T) {
-	e := NewUnlimited()
+	e := New(Params{})
 	ran := 0
 	e.OCall(func() { ran++ })
 	e.ECall(func() { ran++ })
+	e.Copy(100)
+	e.Copy(0)
 	if ran != 2 {
 		t.Fatalf("callbacks ran %d times", ran)
 	}
-	st := e.Stats()
-	if st.OCalls != 1 || st.ECalls != 1 {
-		t.Fatalf("counted ocalls=%d ecalls=%d", st.OCalls, st.ECalls)
+	if st := e.Stats(); st.OCalls != 1 || st.ECalls != 1 || st.CopiedBytes != 100 {
+		t.Fatalf("counted %+v", st)
 	}
 }
 
-func TestWorldSwitchCostIsCharged(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
+// recorder is an Observer that counts what it is told.
+type recorder struct {
+	mu      sync.Mutex
+	touches map[uint64]int // region → bytes touched
+	freed   map[uint64]int // region → Free calls
+}
+
+func newRecorder() *recorder {
+	return &recorder{touches: map[uint64]int{}, freed: map[uint64]int{}}
+}
+
+func (r *recorder) Touch(region uint64, off, n int) {
+	r.mu.Lock()
+	r.touches[region] += n
+	r.mu.Unlock()
+}
+
+func (r *recorder) Free(region uint64) {
+	r.mu.Lock()
+	r.freed[region]++
+	r.mu.Unlock()
+}
+
+// TestFreedRegionAccountsNothing pins the one behaviour of a freed region:
+// every method is a no-op, Free included, and the observer hears of the
+// region's end exactly once.
+func TestFreedRegionAccountsNothing(t *testing.T) {
+	obs := newRecorder()
+	e := New(Params{Observer: obs})
+	r := e.Alloc(100)
+	r.Grow(50)
+	r.Touch(0, 10)
+	r.CopyIn(10, 20)
+	if r.Size() != 150 || e.Stats().AllocatedBytes != 150 || e.Stats().CopiedBytes != 20 || obs.touches[r.id] != 30 {
+		t.Fatalf("live region: size %d, stats %+v, touched %d", r.Size(), e.Stats(), obs.touches[r.id])
 	}
-	e := New(Params{EPCSize: 1 << 30, Cost: costmodel.Model{WorldSwitch: 200 * time.Microsecond}})
-	start := time.Now()
-	for i := 0; i < 10; i++ {
-		e.OCall(func() {})
-	}
-	if el := time.Since(start); el < 2*time.Millisecond {
-		t.Fatalf("10 OCalls at 2x200µs took only %v", el)
+	r.Free()
+	r.Free()
+	r.Grow(50)
+	r.Touch(0, 10)
+	r.CopyIn(10, 20)
+	if r.Size() != 0 || e.Stats().AllocatedBytes != 0 || e.Stats().CopiedBytes != 20 || obs.touches[r.id] != 30 || obs.freed[r.id] != 1 {
+		t.Fatalf("freed region: size %d, stats %+v, touched %d, freed %d times", r.Size(), e.Stats(), obs.touches[r.id], obs.freed[r.id])
 	}
 }
 
-func TestConcurrentTouches(t *testing.T) {
-	e := New(Params{EPCSize: 32 * 4096, Cost: costmodel.Zero})
-	r := e.Alloc(128 * 4096)
+// TestConcurrentMeterIsExact runs N goroutines × M rounds of every metered
+// call, on private regions and on one shared region that is freed mid-run,
+// under the race detector in CI: the counters come out exactly N×M, and the
+// allocation total returns to zero whichever side of the shared Free each
+// Grow fell on.
+func TestConcurrentMeterIsExact(t *testing.T) {
+	const goroutines, rounds = 8, 500
+	obs := newRecorder()
+	e := New(Params{Observer: obs})
+	shared := e.Alloc(64)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				r.Touch((g*17+i*31)%120*4096, 4096)
+			for i := 0; i < rounds; i++ {
+				e.ECall(func() {})
+				e.OCall(func() {})
+				e.Copy(3)
+				r := e.Alloc(10)
+				r.Grow(5)
+				r.Touch(0, 7)
+				shared.Grow(1)
+				shared.Touch(0, 1)
+				_ = shared.Size()
+				if g == 0 && i == rounds/2 {
+					shared.Free()
+				}
+				r.Free()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := e.Stats().ResidentPages; got > 32 {
-		t.Fatalf("resident %d > capacity 32", got)
+	const n = goroutines * rounds
+	want := Stats{ECalls: n, OCalls: n, CopiedBytes: 3 * n}
+	if got := e.Stats(); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
+	if got := e.lastRegion.Load(); got != n+1 {
+		t.Fatalf("%d regions allocated, want %d", got, n+1)
+	}
+	private := 0
+	for id, bytes := range obs.touches {
+		if id != shared.id {
+			private += bytes
+		}
+	}
+	if private != 7*n {
+		t.Fatalf("observer saw %d private bytes touched, want %d", private, 7*n)
+	}
+	for id, times := range obs.freed {
+		if times != 1 {
+			t.Fatalf("region %d reported freed %d times", id, times)
+		}
+	}
+	if len(obs.freed) != n+1 {
+		t.Fatalf("observer saw %d regions freed, want %d", len(obs.freed), n+1)
 	}
 }
 
@@ -188,7 +212,7 @@ func TestAttestationReport(t *testing.T) {
 }
 
 func TestRegionGrow(t *testing.T) {
-	e := NewUnlimited()
+	e := New(Params{})
 	r := e.Alloc(100)
 	r.Grow(50)
 	if r.Size() != 150 {

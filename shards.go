@@ -51,7 +51,7 @@ func (o Options) shardEnv(i int) (fs vfs.FS, ctr *sgx.MonotonicCounter, err erro
 // openShards opens the Options.Shards independent store instances of
 // resolved options — one per hash partition, each with its own WAL, digest
 // forest and monotonic counter — and mounts them behind a shard.Router when
-// there is more than one. One platform and one simulated enclave host every
+// there is more than one. One platform and one enclave host every
 // shard (the enclave is the machine's trusted runtime and the EPC a machine
 // resource; concurrent per-shard ECalls do not serialize), while the roots
 // of trust stay per shard: each instance seals and verifies its own

@@ -78,15 +78,13 @@ type Stats struct {
 	GroupCommitWindowNanos uint64
 	FsyncEWMANanos         uint64
 
-	// Simulated SGX activity (zero for ModeUnsecured). Shards share one
-	// enclave, so the aggregate equals any one shard's view and per-shard
-	// entries repeat it.
-	PageFaults    uint64
-	ECalls        uint64
-	OCalls        uint64
-	CopiedBytes   uint64
-	ResidentPages uint64
-	EnclaveBytes  uint64
+	// Enclave boundary traffic (zero for ModeUnsecured): crossings, bytes
+	// copied across, protected bytes held. Shards share one enclave, so the
+	// aggregate equals any one shard's view and per-shard entries repeat it.
+	ECalls       uint64
+	OCalls       uint64
+	CopiedBytes  uint64
+	EnclaveBytes uint64
 
 	// Verification work (ModeP2 only). VerifiedGets and RunsProbed count
 	// point reads; ProofBytes counts the embedded-proof bytes copied into the
@@ -136,7 +134,7 @@ const (
 
 // statCounter declares one numeric field of Stats.
 type statCounter struct {
-	wire     string   // name in STATS, elsm_<wire> in /metrics; "" keeps the field off the wire
+	wire     string   // name in STATS, elsm_<wire> in /metrics
 	fold     foldRule // how Store.Stats aggregates it
 	perShard bool     // also reported per shard (shardN_<wire>, elsm_<wire>{shard="N"})
 	field    func(*Stats) *uint64
@@ -179,11 +177,9 @@ var statCounters = []statCounter{
 	{"async_commits_in_flight", foldSum, true, func(s *Stats) *uint64 { return &s.AsyncCommitsInFlight }, func(f *shardSources) uint64 { return f.eng.AsyncCommitsInFlight }},
 	{"group_commit_window_nanos", foldMax, false, func(s *Stats) *uint64 { return &s.GroupCommitWindowNanos }, func(f *shardSources) uint64 { return f.eng.GroupCommitWindowNanos }},
 	{"fsync_ewma_nanos", foldMax, false, func(s *Stats) *uint64 { return &s.FsyncEWMANanos }, func(f *shardSources) uint64 { return f.eng.FsyncEWMANanos }},
-	{"page_faults", foldOnce, false, func(s *Stats) *uint64 { return &s.PageFaults }, func(f *shardSources) uint64 { return f.enc.PageFaults }},
 	{"ecalls", foldOnce, false, func(s *Stats) *uint64 { return &s.ECalls }, func(f *shardSources) uint64 { return f.enc.ECalls }},
 	{"ocalls", foldOnce, false, func(s *Stats) *uint64 { return &s.OCalls }, func(f *shardSources) uint64 { return f.enc.OCalls }},
 	{"copied_bytes", foldOnce, false, func(s *Stats) *uint64 { return &s.CopiedBytes }, func(f *shardSources) uint64 { return f.enc.CopiedBytes }},
-	{"", foldOnce, false, func(s *Stats) *uint64 { return &s.ResidentPages }, func(f *shardSources) uint64 { return uint64(f.enc.ResidentPages) }},
 	{"enclave_bytes", foldOnce, false, func(s *Stats) *uint64 { return &s.EnclaveBytes }, func(f *shardSources) uint64 { return uint64(f.enc.AllocatedBytes) }},
 	{"verified_gets", foldSum, false, func(s *Stats) *uint64 { return &s.VerifiedGets }, func(f *shardSources) uint64 { return f.ver.Gets }},
 	{"proof_bytes", foldSum, false, func(s *Stats) *uint64 { return &s.ProofBytes }, func(f *shardSources) uint64 { return f.ver.ProofBytes }},
@@ -228,7 +224,7 @@ func foldStats(shards []Stats) Stats {
 // debt — or, with perShard, only those also reported shard by shard.
 func (st Stats) Counters(perShard bool, fn func(name string, v uint64)) {
 	for _, c := range statCounters {
-		if c.wire != "" && (c.perShard || !perShard) {
+		if c.perShard || !perShard {
 			fn(c.wire, *c.field(&st))
 		}
 	}

@@ -141,8 +141,7 @@ var statsFoldRules = map[string]string{
 	"FsyncEWMANanos": "max",
 	// The enclave is shared by every shard (per-shard entries repeat its
 	// totals); whole-store replication state likewise: counted once.
-	"PageFaults": "once", "ECalls": "once", "OCalls": "once",
-	"CopiedBytes": "once", "ResidentPages": "once", "EnclaveBytes": "once",
+	"ECalls": "once", "OCalls": "once", "CopiedBytes": "once", "EnclaveBytes": "once",
 	"ReplEpoch": "once", "ReplRebootstraps": "once",
 	// Element-wise sum.
 	"CompactionDebtByLevel": "sum-by-level",
@@ -271,7 +270,7 @@ func TestStatsTableIsTotal(t *testing.T) {
 	wire := map[string]bool{}
 	for _, c := range statCounters {
 		rows[reflect.ValueOf(c.field(&st)).Pointer()]++
-		if c.wire != "" && wire[c.wire] {
+		if wire[c.wire] {
 			t.Errorf("wire name %q declared twice", c.wire)
 		}
 		wire[c.wire] = true
