@@ -264,8 +264,8 @@ func TestBackgroundFlushFailureFailsStop(t *testing.T) {
 }
 
 // TestMaintenanceEntryPointsRace drives the three synchronous maintenance
-// entry points — Flush, Compact and BulkLoad, which all go through runSync —
-// from several goroutines at once beside writers, first against each other
+// entry points — Flush, which freezes and waits, and Compact and BulkLoad,
+// which queue a request — from several goroutines at once beside writers, first against each other
 // and then against Close. Every call must return (nil, ErrClosed, the sticky
 // background error or BulkLoad's refusal of a non-empty store), none may
 // hang, no frozen memtable may be left behind, and every acknowledged write

@@ -525,7 +525,7 @@ func (s *Store) commitWorker() {
 			// even if no further commits arrive to trigger the check.
 			// Failures surface as bgErr (set inside) or on later commits.
 			s.commitMu.Lock()
-			_ = s.ensureMemtableRoom()
+			_ = s.ensureMemtableRoom(false)
 			s.commitMu.Unlock()
 		}
 		if w := s.resolveCommitWindow(); w > 0 && !s.pendingGroupFormed() {
@@ -603,10 +603,10 @@ func (s *Store) processGroup(batch []*commitReq) {
 
 	s.commitMu.Lock()
 
-	// Backpressure point: if the memtable is full, drain the pipeline,
-	// freeze it and schedule the flush BEFORE appending this group, so
-	// the group's records land in the fresh active log and memtable.
-	if err := s.ensureMemtableRoom(); err != nil {
+	// Backpressure point: if the memtable is full, drain the pipeline and
+	// freeze it BEFORE appending this group, so the group's records land in
+	// the fresh active log and memtable.
+	if err := s.ensureMemtableRoom(false); err != nil {
 		s.commitMu.Unlock()
 		finish(err)
 		return
@@ -912,54 +912,33 @@ func (s *Store) observeFsync(d time.Duration) {
 }
 
 // ensureMemtableRoom is the append worker's memtable-full step (caller
-// holds commitMu, NOT s.mu): if the active memtable is over its size
-// target, drain the sync pipeline (every appended record must be applied
-// before its log is frozen, and no fsync may be in flight across the WAL
-// rotation), wait out any still-flushing predecessor — charged to
-// FlushStallNanos, or to CompactionStallNanos when compaction debt, not
-// flush progress, is what held the workers when the wait began — then
-// freeze the memtable and schedule its flush.
-func (s *Store) ensureMemtableRoom() error {
-	s.mu.RLock()
-	full := s.mem.ApproxBytes() >= s.opts.MemtableSize
-	s.mu.RUnlock()
-	if !full {
-		return nil
-	}
-	s.drainSync()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The maintenance-closed check breaks a shutdown race: a concurrent
-	// Close drains the maintenance worker first, so waiting for a flush
-	// here would wait forever.
-	for s.frozen != nil && s.bgErr == nil && !s.closed && !s.maintenanceClosed() {
-		// With multiple jobs in flight the old "whatever job the worker
-		// held" attribution misfires: a running flush plus a background
-		// compaction is a FLUSH wait, not compaction debt. Charge the
-		// compaction bucket only when compactions hold workers and no
-		// flush is actually running.
-		blockedByCompaction := s.maint.flushInFlight.Load() == 0 &&
-			s.maint.compactInFlight.Load() > 0
-		start := time.Now()
-		s.flushDone.Wait()
-		d := time.Since(start).Nanoseconds()
-		// FlushStallNanos is the TOTAL stall; CompactionStallNanos is the
-		// subset attributable to compaction debt delaying the flush.
-		s.flushStallNanos.Add(d)
-		if blockedByCompaction {
-			s.compactionStallNanos.Add(d)
+// holds commitMu, NOT s.mu): if the active memtable is over its size target
+// — or force is set, which is Flush — drain the sync pipeline (every
+// appended record must be applied before its log is frozen, and no fsync
+// may be in flight across the WAL rotation), wait out any still-flushing
+// predecessor (a stall only when a full memtable caused it) and freeze the
+// memtable; the scheduler discovers the flush.
+func (s *Store) ensureMemtableRoom(force bool) error {
+	if !force {
+		s.mu.RLock()
+		full := s.mem.ApproxBytes() >= s.opts.MemtableSize
+		s.mu.RUnlock()
+		if !full {
+			return nil
 		}
 	}
+	s.drainSync()
+	if err := s.awaitFlushed(!force); err != nil {
+		return err
+	}
+	// commitMu is held, so nothing froze since the wait: s.frozen is nil.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
-	case s.closed || s.maintenanceClosed():
+	case s.closed:
 		return ErrClosed
 	case s.bgErr != nil:
 		return s.bgErr
-	case s.mem.ApproxBytes() < s.opts.MemtableSize:
-		return nil
 	}
-	if err := s.freezeLocked(); err != nil {
-		return err
-	}
-	return s.scheduleFlush()
+	return s.freezeLocked()
 }

@@ -201,22 +201,10 @@ func (s *Store) flushFrozen() error {
 		s.frozen = nil
 		s.flushes.Add(1)
 		s.bytesFlushed.Add(uint64(newRun.bytes))
-		s.flushDone.Broadcast()
+		s.maint.note(func() { s.maint.flushed++ })
 		frozen.Release()
 	}
-	if err := s.runPlan(p); err != nil {
-		return err
-	}
-	s.scheduleOverflowCompactions()
-	return nil
-}
-
-func (s *Store) levelBytesLocked(lvl int) int64 {
-	var total int64
-	for _, r := range s.levels[lvl] {
-		total += r.bytes
-	}
-	return total
+	return s.runPlan(p)
 }
 
 // deepestDataLevelLocked returns the deepest level holding data (0 if none).
@@ -233,21 +221,19 @@ func (s *Store) deepestDataLevelLocked() int {
 
 // Compact merges level lvl into level lvl+1 (the paper's
 // COMPACTION(Li, Li+1), §5.3), synchronously: it returns once the rewrite
-// has installed (routed through the maintenance worker so it serializes
-// with background jobs).
+// has installed (a request to the maintenance scheduler, so it serializes
+// with the jobs the scheduler discovers), whether or not lvl is over its
+// target.
 func (s *Store) Compact(lvl int) error {
 	if lvl < 1 || lvl >= s.opts.MaxLevels {
 		return fmt.Errorf("lsm: compact: level %d out of range [1,%d)", lvl, s.opts.MaxLevels)
 	}
-	return s.runSync(jobCompact, lvl, nil)
+	return s.runSync(&maintJob{kind: jobCompact, level: lvl})
 }
 
 // compactLevel merges all runs of lvl and lvl+1 into a single new run at
-// lvl+1. Runs on the maintenance worker.
-func (s *Store) compactLevel(lvl int, background bool) error {
-	if lvl < 1 || lvl >= s.opts.MaxLevels {
-		return fmt.Errorf("lsm: compact: level %d out of range [1,%d)", lvl, s.opts.MaxLevels)
-	}
+// lvl+1. Runs on a maintenance worker that owns both levels.
+func (s *Store) compactLevel(lvl int) error {
 	phaseStart := time.Now()
 	s.mu.Lock()
 	if s.closed {
@@ -257,14 +243,6 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 	if err := s.bgErr; err != nil {
 		s.mu.Unlock()
 		return err
-	}
-	if background && s.levelBytesLocked(lvl) <= s.opts.levelTarget(lvl) {
-		// The overflow that queued this job was already resolved by a
-		// synchronous Compact/Flush-settle; re-merging a healthy level
-		// would only burn write amplification — and surprise callers who
-		// were promised a quiescent store after Flush returned.
-		s.mu.Unlock()
-		return nil
 	}
 	inputs := append(append([]*run(nil), s.levels[lvl]...), s.levels[lvl+1]...)
 	if len(inputs) == 0 {
@@ -284,15 +262,8 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 	p.installed = func(newRun *run) {
 		s.compactions.Add(1)
 		s.bytesCompacted.Add(uint64(newRun.bytes))
-		if background {
-			s.backgroundCompactions.Add(1)
-		}
 	}
-	if err := s.runPlan(p); err != nil {
-		return err
-	}
-	s.scheduleOverflowCompactions()
-	return nil
+	return s.runPlan(p)
 }
 
 // recordArena holds the key and value bytes of the records a job keeps:
@@ -622,9 +593,9 @@ func (s *Store) removeFiles(fileNums []uint64) {
 // directly in the deepest level that fits. This mirrors YCSB's load phase
 // at scale without paying per-record write amplification; the records
 // stream through a listener Job like a compaction's (with
-// CompactionInfo.BulkLoad set), so the output is fully authenticated. It
-// routes through the maintenance worker, serializing with any background
-// flush/compaction.
+// CompactionInfo.BulkLoad set), so the output is fully authenticated. It is
+// an exclusive request to the maintenance scheduler: it runs with no flush
+// or compaction in flight.
 func (s *Store) BulkLoad(recs []record.Record) error {
 	var maxTs uint64
 	var total int64
@@ -640,7 +611,7 @@ func (s *Store) BulkLoad(recs []record.Record) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.drainSync() // the empty-store check must not race in-flight commit applies
-	return s.runSync(jobFunc, 0, func() error { return s.bulkLoadJob(recs, total, maxTs) })
+	return s.runSync(&maintJob{kind: jobExclusive, fn: func() error { return s.bulkLoadJob(recs, total, maxTs) }})
 }
 
 // bulkLoadJob is the worker-side bulk load (caller holds commitMu, so no

@@ -129,7 +129,7 @@ func TestCompactionKeepsItsOwnCopy(t *testing.T) {
 			t.Fatalf("Get(%s) = %q %v %v, want %q: the output kept bytes of an overwritten input", k, rec.Value, ok, err, v)
 		}
 	}
-	out, err := s.Scan([]byte("key"), []byte("kez"), record.MaxTs)
+	out, err := scanAll(s, []byte("key"), []byte("kez"))
 	if err != nil || len(out) != len(want) {
 		t.Fatalf("scan after merge: %d records, err %v, want %d", len(out), err, len(want))
 	}
@@ -302,4 +302,44 @@ func TestRunIterReadErrorIsSticky(t *testing.T) {
 		t.Fatalf("ScanRunChunk over a failing run = %d records, %v", len(rs.Records), err)
 	}
 	ffs.Disarm()
+}
+
+// TestTruncatedViewIsAnErrorNotAPanic: a compaction-pinned view (and an mmap
+// view) is fetched from the host long after sstable.Open checked the index
+// against the file, so the host may hand back fewer bytes than the index
+// describes. A block that lies outside the view — partly or wholly — must
+// read as a malformed table from the point read and from the iterator; the
+// old slicing panicked on the one and returned a short block on the other.
+func TestTruncatedViewIsAnErrorNotAPanic(t *testing.T) {
+	s, snap, recs := bulkRun(t, vfs.NewMem(), 600)
+	defer s.Close()
+	defer snap.Release()
+	th := snap.runs[0].tables[0]
+	last := th.meta.Largest
+	for _, path := range []string{"pinned", "mmap"} {
+		s.fileMu.Lock()
+		of := s.files[th.meta.FileNum]
+		of.pinned, of.view = nil, nil
+		if short := make([]byte, 100); path == "pinned" {
+			of.pinned = short
+		} else {
+			of.view = short
+		}
+		s.fileMu.Unlock()
+
+		if _, _, err := s.Get(last, record.MaxTs); !errors.Is(err, sstable.ErrBadTable) {
+			t.Errorf("%s view: Get of a key past the view = %v, want ErrBadTable", path, err)
+		}
+		it := newRunIter(snap.runs[0])
+		n := 0
+		for ; it.Valid(); it.Next() {
+			n++
+		}
+		if err := it.Close(); !errors.Is(err, sstable.ErrBadTable) || n >= len(recs) {
+			t.Errorf("%s view: iterator walked %d of %d records, Close = %v, want ErrBadTable", path, n, len(recs), err)
+		}
+	}
+	s.fileMu.Lock()
+	s.files[th.meta.FileNum].pinned, s.files[th.meta.FileNum].view = nil, nil
+	s.fileMu.Unlock()
 }

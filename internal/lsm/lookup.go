@@ -147,37 +147,3 @@ func (s *Store) WarmCache() error {
 	}
 	return nil
 }
-
-// Scan is the raw (unverified) merged range query used by the unsecured
-// baseline: newest version ≤ tsq per key in [start, end], tombstones
-// resolved.
-func (s *Store) Scan(start, end []byte, tsq uint64) ([]record.Record, error) {
-	out, _, _, err := s.ScanChunk(start, end, tsq, 0)
-	return out, err
-}
-
-// ScanChunk is Scan bounded to at most maxKeys distinct keys (0 =
-// unlimited), the raw engine half of a streaming range read. It returns the
-// resolved records, the cursor to resume from (the first unprocessed key)
-// and whether the range was exhausted. Keys whose newest version ≤ tsq is a
-// tombstone count toward the limit but produce no record, so a chunk may be
-// smaller than maxKeys — or empty — without being the last.
-func (s *Store) ScanChunk(start, end []byte, tsq uint64, maxKeys int) (out []record.Record, next []byte, done bool, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, nil, false, ErrClosed
-	}
-	sources := []mergeSource{{runID: MemtableRunID, iter: s.mem.Iter()}}
-	if s.frozen != nil {
-		sources = append(sources, mergeSource{runID: MemtableRunID, iter: s.frozen.Iter()})
-	}
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for _, r := range s.levels[lvl] {
-			if len(r.tables) > 0 {
-				sources = append(sources, mergeSource{runID: r.id, iter: newRunIter(r)})
-			}
-		}
-	}
-	return scanChunkSources(sources, start, end, tsq, maxKeys)
-}

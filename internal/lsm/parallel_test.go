@@ -246,7 +246,7 @@ func TestParallelMatchesSerialScans(t *testing.T) {
 		if err := s.WaitMaintenance(); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := s.Scan([]byte("key"), []byte("kez"), record.MaxTs)
+		recs, err := scanAll(s, []byte("key"), []byte("kez"))
 		if err != nil {
 			t.Fatal(err)
 		}

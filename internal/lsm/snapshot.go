@@ -184,8 +184,13 @@ func (sn *Snapshot) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	return record.Record{}, false, nil
 }
 
-// ScanChunk is the snapshot form of Store.ScanChunk: the raw merged range
-// read over the pinned sources, bounded to maxKeys distinct keys.
+// ScanChunk is the raw (unverified) merged range read over the pinned
+// sources — newest version ≤ tsq per key in [start, end], tombstones
+// resolved — bounded to at most maxKeys distinct keys (0 = unlimited). It
+// returns the resolved records, the cursor to resume from (the first
+// unprocessed key) and whether the range was exhausted. Keys whose newest
+// version ≤ tsq is a tombstone count toward the limit but produce no record,
+// so a chunk may be smaller than maxKeys — or empty — without being the last.
 func (sn *Snapshot) ScanChunk(start, end []byte, tsq uint64, maxKeys int) (out []record.Record, next []byte, done bool, err error) {
 	tsq = sn.clamp(tsq)
 	sources := []mergeSource{{runID: MemtableRunID, iter: sn.mem.Iter()}}
@@ -201,8 +206,7 @@ func (sn *Snapshot) ScanChunk(start, end []byte, tsq uint64, maxKeys int) (out [
 }
 
 // scanChunkSources resolves the merged sources into the newest version
-// ≤ tsq per key, bounded to maxKeys distinct keys (0 = unlimited) — the
-// shared body of Store.ScanChunk and Snapshot.ScanChunk.
+// ≤ tsq per key, bounded to maxKeys distinct keys (0 = unlimited).
 func scanChunkSources(sources []mergeSource, start, end []byte, tsq uint64, maxKeys int) (out []record.Record, next []byte, done bool, err error) {
 	for _, src := range sources {
 		src.iter.SeekGE(start, record.MaxTs)

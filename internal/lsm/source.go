@@ -42,13 +42,20 @@ func (src *storeSource) ReadBlock(fileNum uint64, blockIdx int, off, length int6
 		return nil, fmt.Errorf("lsm: read block of unknown file %d", fileNum)
 	}
 
-	// Compaction-pinned view: direct streaming from untrusted memory.
-	if pinnedView != nil {
-		return src.openBlock(fileNum, blockIdx, slice(pinnedView, off, length))
+	// Compaction-pinned view (direct streaming from untrusted memory), or
+	// else the mmap read path.
+	view := pinnedView
+	if view == nil {
+		view = mmapView
 	}
-	// mmap read path.
-	if mmapView != nil {
-		return src.openBlock(fileNum, blockIdx, slice(mmapView, off, length))
+	if view != nil {
+		// The host hands out the view long after sstable.Open checked the
+		// index against the file: it may have truncated the file since.
+		if off < 0 || length < 0 || length > int64(len(view))-off {
+			return nil, fmt.Errorf("%w: block %d of file %d at [%d,+%d) lies outside its %d-byte view",
+				sstable.ErrBadTable, blockIdx, fileNum, off, length, len(view))
+		}
+		return src.openBlock(fileNum, blockIdx, view[off:off+length])
 	}
 
 	cache := s.opts.Cache
@@ -97,13 +104,6 @@ func (src *storeSource) openBlock(fileNum uint64, blockIdx int, data []byte) ([]
 		return nil, fmt.Errorf("lsm: block %d/%d: %w", fileNum, blockIdx, err)
 	}
 	return out, nil
-}
-
-func slice(view []byte, off, length int64) []byte {
-	if off+length > int64(len(view)) {
-		return view[off:]
-	}
-	return view[off : off+length]
 }
 
 // pinViews bulk-loads the given files into untrusted memory for compaction

@@ -128,12 +128,12 @@ type Stats struct {
 	// active memtable filled while the previous frozen memtable was still
 	// flushing (the background flush could not keep up with the write rate).
 	FlushStallNanos uint64
-	// CompactionStallNanos is the portion of those stalls attributable to a
-	// level compaction occupying the maintenance worker when the wait began
+	// CompactionStallNanos is the portion of those stalls during which level
+	// compactions held maintenance workers and no flush was running
 	// (compaction debt delaying the flush the writer is waiting on).
 	CompactionStallNanos uint64
-	// BackgroundCompactions counts level compactions executed by the
-	// maintenance worker (scheduled, not requested synchronously).
+	// BackgroundCompactions counts level compactions the scheduler
+	// discovered from level debt (not requested through Compact).
 	BackgroundCompactions uint64
 	// CompactionDebtBytes is the current total bytes by which levels
 	// exceed their size targets — the backlog the scheduler orders
@@ -172,8 +172,8 @@ type Stats struct {
 // group N. Flush and compaction run on a pool of maintenance workers
 // (scheduler.go) scheduled by compaction debt over disjoint level pairs:
 // the commit path only freezes the full memtable (an O(1) pointer swap plus
-// a WAL rotation) and schedules the level rewrite, so writers never wait on
-// a multi-megabyte merge unless flushes fall behind the write rate
+// a WAL rotation) and the scheduler discovers the flush, so writers never
+// wait on a multi-megabyte merge unless flushes fall behind the write rate
 // (Stats.FlushStallNanos counts exactly that).
 //
 // Lock order: commitMu > installMu > mu > gc.syncMu / maint.mu > the
@@ -207,11 +207,6 @@ type Store struct {
 	frozen *memtable.Table // immutable predecessor being flushed (nil: none)
 	walW   *wal.Writer
 	levels [][]*run // levels[0] unused; levels[i] newest-run-first
-
-	// flushDone (on mu) is broadcast whenever frozen clears, a background
-	// job fails, or the store closes — the wake-ups a stalled writer or a
-	// synchronous Flush waits for.
-	flushDone *sync.Cond
 
 	// frozenWALs are rotated log files carrying the frozen memtable's (and,
 	// after recovery, any predecessor's) records; deleted at flush install.
@@ -247,7 +242,7 @@ type Store struct {
 	// levelBytesGauge mirrors the per-level byte totals of s.levels,
 	// updated under s.mu at every install/recovery but READ lock-free by
 	// the scheduler's debt ordering (maint.mu must never wait on s.mu —
-	// ensureMemtableRoom holds s.mu while taking maint.mu).
+	// a freeze holds s.mu while taking maint.mu).
 	levelBytesGauge []atomic.Int64
 
 	// asyncSlots is the MaxAsyncCommitBacklog admission semaphore;
@@ -316,7 +311,6 @@ func Open(opts Options) (*Store, error) {
 		nextRunID: 1,
 	}
 	s.nextFileNum.Store(1)
-	s.flushDone = sync.NewCond(&s.mu)
 	s.nextWALSeq = 1
 	s.workers = opts.Workers
 	s.levelBytesGauge = make([]atomic.Int64, len(s.levels))
@@ -627,7 +621,7 @@ func (s *Store) openWAL() error {
 	return nil
 }
 
-// freezeLocked hands the full active memtable to the maintenance worker:
+// freezeLocked hands the active memtable to the maintenance scheduler:
 // the active WAL is rotated to a frozen-numbered file (so the frozen
 // table's durability is pinned to a closed log that survives until the
 // flush installs), the memtable pointer is swapped, and writes continue
@@ -668,17 +662,18 @@ func (s *Store) freezeLocked() error {
 	s.frozen.Freeze()
 	s.mem = memtable.New(s.enclave)
 	s.listener.OnMemtableFrozen()
+	s.maint.note(func() { s.maint.frozen++ })
 	return nil
 }
 
 // setBgErrLocked records the first background failure and wakes stalled
-// writers so they observe it. Caller holds s.mu.
+// writers and settle waiters so they observe it. Caller holds s.mu.
 func (s *Store) setBgErrLocked(err error) {
 	if s.bgErr == nil && err != nil {
 		s.bgErr = err
 		s.opts.Obs.Event(obs.EventFailStop, "background failure (fail-stop): %v", err)
+		s.maint.note(func() { s.maint.err = err })
 	}
-	s.flushDone.Broadcast()
 }
 
 // setWALErr records the first WAL fsync failure (sticky fail-stop; see
@@ -689,7 +684,6 @@ func (s *Store) setWALErr(err error) {
 		s.walErr = err
 		s.opts.Obs.Event(obs.EventWALError, "wal fsync failed (sticky fail-stop): %v", err)
 	}
-	s.flushDone.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -866,92 +860,11 @@ func (s *Store) releaseRunRefs(runs []*run, n int) {
 }
 
 // Flush forces all buffered writes to disk and waits for the resulting
-// level maintenance to settle: any outstanding frozen memtable is flushed
-// first, then the active memtable is frozen and flushed, and overflowing
-// levels are compacted. Synchronous — when Flush returns, the memtable is
-// empty and on disk.
-func (s *Store) Flush() error {
-	for {
-		s.commitMu.Lock()
-		// Quiesce the commit pipeline: appended-but-unapplied groups must
-		// land in the memtable before it is frozen (the rotated log and the
-		// frozen table must carry the same records), and the WAL file must
-		// have no fsync in flight across the rotation. Holding commitMu
-		// keeps new groups out until the freeze is done.
-		s.drainSync()
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			s.commitMu.Unlock()
-			return ErrClosed
-		}
-		if err := s.bgErr; err != nil {
-			s.mu.Unlock()
-			s.commitMu.Unlock()
-			return err
-		}
-		if s.frozen != nil {
-			// A frozen table is outstanding (its background flush is queued
-			// or running): flush it now, then re-evaluate. A background
-			// flush job racing this one is harmless — whoever runs second
-			// finds frozen == nil and no-ops.
-			s.mu.Unlock()
-			s.commitMu.Unlock()
-			if err := s.runSync(jobFlush, 0, nil); err != nil {
-				return err
-			}
-			continue
-		}
-		if s.mem.Count() == 0 {
-			s.mu.Unlock()
-			s.commitMu.Unlock()
-			return nil
-		}
-		err := s.freezeLocked()
-		s.mu.Unlock()
-		s.commitMu.Unlock()
-		if err != nil {
-			return err
-		}
-		if err := s.runSync(jobFlush, 0, nil); err != nil {
-			return err
-		}
-		return s.settleCompactions()
-	}
-}
-
-// settleCompactions synchronously compacts every level that exceeds its
-// size target until none does (the deterministic "flush and settle"
-// semantics tests and admin callers rely on).
-func (s *Store) settleCompactions() error {
-	for {
-		lvls := s.overflowingLevels()
-		if len(lvls) == 0 {
-			return nil
-		}
-		if err := s.runSync(jobCompact, lvls[0], nil); err != nil {
-			return err
-		}
-	}
-}
-
-// overflowingLevels returns every level over its size target, shallowest
-// first — the background scheduler queues all of them at once so disjoint
-// overflow rewrites can proceed in parallel.
-func (s *Store) overflowingLevels() []int {
-	if s.opts.DisableCompaction {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []int
-	for lvl := 1; lvl < s.opts.MaxLevels; lvl++ {
-		if s.levelBytesLocked(lvl) > s.opts.levelTarget(lvl) {
-			out = append(out, lvl)
-		}
-	}
-	return out
-}
+// level maintenance to settle: the active memtable is frozen (behind any
+// predecessor still flushing) and the call returns once it is on disk and
+// no level is over its size target. The flush and the compactions are the
+// scheduler's; a failure of either is the sticky background error.
+func (s *Store) Flush() error { return s.freezeAndSettle(true) }
 
 // ---------------------------------------------------------------------------
 // Reads (raw, unverified — the unsecured baseline path; the eLSM layer
@@ -1063,10 +976,9 @@ func (s *Store) Stats() Stats {
 		debtByLevel[lvl] = uint64(d)
 		debtTotal += uint64(d)
 	}
-	running := s.maint.running.Load()
-	if running < 0 {
-		running = 0
-	}
+	s.maint.mu.Lock()
+	running := s.maint.inflight
+	s.maint.mu.Unlock()
 	return Stats{
 		Flushes:                s.flushes.Load(),
 		Compactions:            s.compactions.Load(),
@@ -1106,41 +1018,14 @@ func (s *Store) DiskBytes() int64 {
 	return total
 }
 
-// WaitMaintenance blocks until every maintenance job enqueued before the
-// call (background flushes, compactions) has finished — a barrier for tests
-// and tooling that assert on post-flush state.
+// WaitMaintenance blocks until the maintenance the store has committed to
+// is done — a barrier for tests and tooling that assert on settled state.
 //
 // A commit that fills the memtable acknowledges its caller before the
-// append worker has consumed the wantFreeze nudge and queued the flush, so
-// a bare barrier could fence an empty queue and miss work the store has
-// already committed to. Consume that pending decision here first:
-// ensureMemtableRoom is exactly the worker's freeze step and a no-op when
-// the memtable isn't full.
-func (s *Store) WaitMaintenance() error {
-	s.commitMu.Lock()
-	err := s.ensureMemtableRoom()
-	s.commitMu.Unlock()
-	if err != nil && !errors.Is(err, ErrClosed) {
-		return err
-	}
-	// One barrier fences the work queued before the call, but finishing
-	// jobs queue MORE work (a flush schedules overflow compactions, which
-	// cascade): loop until a barrier passes with nothing queued or running
-	// behind it — the quiescent state callers assert on. Terminates absent
-	// concurrent writers because every pass retires debt.
-	for {
-		if err := s.runSync(jobBarrier, 0, nil); err != nil {
-			return err
-		}
-		m := &s.maint
-		m.mu.Lock()
-		idle := len(m.queue) == 0 && m.inflight == 0
-		m.mu.Unlock()
-		if idle {
-			return nil
-		}
-	}
-}
+// append worker has consumed the wantFreeze nudge, so the call consumes
+// that pending decision first: ensureMemtableRoom is exactly the worker's
+// freeze step and a no-op when the memtable isn't full.
+func (s *Store) WaitMaintenance() error { return s.freezeAndSettle(false) }
 
 // Close drains in-flight maintenance (a background flush or compaction
 // runs to completion so the manifest, run files and trusted digests stay
@@ -1159,7 +1044,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.flushDone.Broadcast()
 	if s.walW != nil {
 		s.walW.Close()
 	}

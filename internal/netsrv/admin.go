@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 
+	"elsm"
 	"elsm/internal/netproto"
 	"elsm/internal/obs"
 )
@@ -47,18 +48,19 @@ func (s *Server) AdminHandler() http.Handler {
 
 // handleMetrics renders every counter the STATS verb exposes, in
 // Prometheus text format under the elsm_ prefix: store and net_* gauges,
-// the per-shard ones again as one shard-labeled series per entry of
-// Store.ShardStats, then the per-shard latency histograms as summaries with
+// the per-shard ones again as one shard-labeled series per entry of the
+// same Store.ShardStats collection the store gauges were folded from, then the per-shard latency histograms as summaries with
 // a merged shard="all" series, then the hub-level histograms and event
 // counter. (STATS carries the histograms as hist_* quantile pairs; here
 // they render natively.)
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	gauge := func(name string, v uint64) { obs.WriteGauge(&buf, "elsm_"+name, v) }
-	s.store.Stats().Counters(false, gauge)
+	shards := s.store.ShardStats()
+	elsm.FoldStats(shards).Counters(false, gauge)
 	s.Stats().counters(gauge)
 	var rows [][]netproto.Stat // rows[i]: shard i's per-shard counters
-	for _, ss := range s.store.ShardStats() {
+	for _, ss := range shards {
 		var row []netproto.Stat
 		ss.Counters(true, func(name string, v uint64) { row = append(row, netproto.Stat{Name: name, Value: v}) })
 		rows = append(rows, row)

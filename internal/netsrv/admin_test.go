@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"elsm"
@@ -138,4 +139,86 @@ func TestAdminEndpoint(t *testing.T) {
 	}
 
 	adminGet(t, srv, "/debug/pprof/cmdline")
+}
+
+// TestStatsAggregateIsTheSumOfItsShardLines: a STATS response and a /metrics
+// page each collect the shards once, so beside concurrent writers every
+// counter reported shard by shard (all of them fold by sum) still equals the
+// sum of its own shardN_ lines — two collections would let the aggregate run
+// ahead of the breakdown printed under it.
+func TestStatsAggregateIsTheSumOfItsShardLines(t *testing.T) {
+	srv, addr := startServer(t, elsm.Options{Shards: 4}, Config{})
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		c := dial(t, addr)
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.Put(fmt.Appendf(nil, "w%d-key%06d", w, i), []byte("value")); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	// check compares every shard-labeled name that also has an unlabeled
+	// line (the latency summaries have a shard="all" series instead).
+	check := func(surface string, total, shardSum map[string]uint64) {
+		t.Helper()
+		compared := 0
+		for name, sum := range shardSum {
+			if v, ok := total[name]; ok {
+				compared++
+				if v != sum {
+					t.Errorf("%s: %s = %d, its shard lines add up to %d", surface, name, v, sum)
+				}
+			}
+		}
+		if compared == 0 {
+			t.Fatalf("%s: no counter is reported both in total and by shard", surface)
+		}
+	}
+	moved := false
+	for round := 0; round < 200 && !t.Failed(); round++ {
+		total, shardSum := map[string]uint64{}, map[string]uint64{}
+		for _, st := range srv.statsPairs() {
+			if m := shardStat.FindStringSubmatch(st.Name); m != nil {
+				shardSum[m[2]] += st.Value
+			} else {
+				total[st.Name] = st.Value
+			}
+		}
+		check("STATS", total, shardSum)
+		moved = moved || total["group_commits"] > 0
+
+		total, shardSum = map[string]uint64{}, map[string]uint64{}
+		for _, line := range strings.Split(adminGet(t, srv, "/metrics").Body.String(), "\n") {
+			var v uint64
+			series, value, ok := strings.Cut(line, " ")
+			if !ok || strings.HasPrefix(line, "#") {
+				continue
+			}
+			if _, err := fmt.Sscan(value, &v); err != nil {
+				continue // a summary's float
+			}
+			if name, _, perShard := strings.Cut(series, `{shard="`); perShard {
+				shardSum[name] += v
+			} else {
+				total[series] = v
+			}
+		}
+		check("/metrics", total, shardSum)
+	}
+	close(stop)
+	writers.Wait()
+	if !moved {
+		t.Fatal("the writers never committed: the check raced nothing")
+	}
 }

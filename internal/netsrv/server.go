@@ -791,13 +791,15 @@ func (s *Server) executeStream(c *conn, req *netproto.Request) {
 // statsPairs renders the STATS payload: the store's counters as
 // elsm.Stats.Counters declares them, the commit-pipeline histograms, the
 // per-shard breakdown (shardN_*, so an operator can see whether load spreads
-// or one partition runs hot) and the front end's net_* gauges.
+// or one partition runs hot) and the front end's net_* gauges. The shards
+// are collected once: the aggregate is the fold of the breakdown shown.
 func (s *Server) statsPairs() []netproto.Stat {
 	var pairs []netproto.Stat
 	add := func(name string, v uint64) { pairs = append(pairs, netproto.Stat{Name: name, Value: v}) }
-	s.store.Stats().Counters(false, add)
+	shards := s.store.ShardStats()
+	elsm.FoldStats(shards).Counters(false, add)
 	pairs = append(pairs, histStatsPairs(s.store)...)
-	for i, ss := range s.store.ShardStats() {
+	for i, ss := range shards {
 		ss.Counters(true, func(name string, v uint64) { add(fmt.Sprintf("shard%d_%s", i, name), v) })
 	}
 	s.Stats().counters(add)

@@ -195,9 +195,11 @@ var statCounters = []statCounter{
 	{"repl_epoch", foldOnce, false, func(s *Stats) *uint64 { return &s.ReplEpoch }, nil},
 }
 
-// foldStats aggregates per-shard entries by each counter's fold rule;
-// CompactionDebtByLevel, the one non-scalar, sums element-wise.
-func foldStats(shards []Stats) Stats {
+// FoldStats aggregates per-shard entries by each counter's fold rule;
+// CompactionDebtByLevel, the one non-scalar, sums element-wise. A caller
+// that reports both the aggregate and the breakdown folds the one
+// ShardStats result it shows, so the two cannot disagree.
+func FoldStats(shards []Stats) Stats {
 	var out Stats
 	for i := range shards {
 		for _, c := range statCounters {
@@ -260,7 +262,7 @@ func (set *engineSet) statsOf(i int) Stats {
 // Stats returns current counters: ShardStats folded by each counter's rule
 // (the one entry itself on an unsharded store). Fields not applicable to
 // the store's mode are zero.
-func (s *Store) Stats() Stats { return foldStats(s.ShardStats()) }
+func (s *Store) Stats() Stats { return FoldStats(s.ShardStats()) }
 
 // ShardStats returns the per-shard counter breakdown, in shard order.
 // Enclave fields repeat the shared enclave's totals in every entry, and
