@@ -8,6 +8,8 @@
 //	elsm-bench -exp fig2 -scale 64      # smaller/faster sweep
 //	elsm-bench -exp table1              # the qualitative design matrix
 //
+// An -exp name that is not in -list is refused (exit 2).
+//
 // Sizes are the paper's divided by -scale, with the simulated EPC scaled
 // identically, so every crossover of the paper's figures is preserved.
 // -scale 1 reproduces paper-absolute sizes (needs tens of GB of RAM and
@@ -17,77 +19,86 @@
 // time of the enclave events counted meanwhile (internal/costmodel: virtual
 // time, nothing is burned); the tables print the simulated share in
 // brackets, and -json writes both components of every figure point into one
-// BENCH_figures.json (each ablation into its own BENCH_<name>.json).
+// BENCH_figures.json.
 //
-// Latency quantiles in every table come from the store's shared
-// log-bucket histograms (internal/obs) — the same estimator the server's
-// /metrics endpoint exposes — so bench rows compare directly against
-// production scrapes, including the instrumentation-overhead A/B guard
-// in the repo's bench tests.
+// The measured mean comes from the log-bucket histograms of internal/obs —
+// the same estimator the server's /metrics endpoint exposes — so bench rows
+// compare directly against production scrapes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"elsm/internal/bench"
 )
 
+// names lists every -exp value but "all", in -list order.
+func names() []string {
+	out := []string{"table1"}
+	for _, e := range bench.All() {
+		out = append(out, e.Name)
+	}
+	return out
+}
+
+// selectExperiments resolves a comma-separated -exp value into whether
+// Table 1 is printed and the figures to run, in paper order. A name it does
+// not know is an error, so a stale name in a script cannot pass green.
+func selectExperiments(spec string) (table1 bool, figs []bench.Experiment, err error) {
+	valid := append([]string{"all"}, names()...)
+	selected := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		if !slices.Contains(valid, name) {
+			return false, nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+		selected[name] = true
+	}
+	all := selected["all"]
+	for _, e := range bench.All() {
+		if all || selected[e.Name] {
+			figs = append(figs, e)
+		}
+	}
+	return all || selected["table1"], figs, nil
+}
+
 func main() {
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig2,fig5a,fig5b,fig5c,fig6a,fig6b,fig6c,fig7a,fig7b,fig8,ablation-earlystop,ablation-compaction,ablation-shards,ablation-repl or 'all'")
+		expFlag  = flag.String("exp", "all", "comma-separated experiments from -list, or 'all'")
 		scale    = flag.Int("scale", 32, "divide the paper's byte sizes by this factor (EPC scales too)")
 		ops      = flag.Int("ops", 1200, "measured operations per data point")
-		jsonDir  = flag.String("json", "", "also write the figures as BENCH_figures.json and each ablation as BENCH_<name>.json into this directory (empty: off)")
+		jsonDir  = flag.String("json", "", "also write the figures as BENCH_figures.json into this directory (empty: off)")
 		verbose  = flag.Bool("v", false, "print per-point progress")
 		listFlag = flag.Bool("list", false, "list available experiments and exit")
 	)
 	flag.Parse()
 
 	if *listFlag {
-		fmt.Println("table1")
-		for _, e := range bench.All() {
-			fmt.Println(e.Name)
-		}
+		fmt.Println(strings.Join(names(), "\n"))
 		return
+	}
+	table1, figs, err := selectExperiments(*expFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "elsm-bench: %v\n", err)
+		os.Exit(2)
 	}
 
 	cfg := bench.Config{Scale: *scale, Ops: *ops, Verbose: *verbose}
-
-	selected := map[string]bool{}
-	runAll := false
-	for _, name := range strings.Split(*expFlag, ",") {
-		name = strings.TrimSpace(name)
-		if name == "all" {
-			runAll = true
-			continue
-		}
-		if name != "" {
-			selected[name] = true
-		}
-	}
-
 	fmt.Printf("# eLSM paper reproduction — scale 1/%d, %d ops/point\n\n", *scale, *ops)
-	if runAll || selected["table1"] {
+	if table1 {
 		fmt.Println(bench.Table1())
 	}
 	exitCode := 0
-	wrote := func(path string, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			exitCode = 1
-			return
-		}
-		fmt.Printf("(wrote %s)\n\n", path)
-	}
-	var figures []bench.Table
-	for _, exp := range bench.All() {
-		if !runAll && !selected[exp.Name] {
-			continue
-		}
+	var tables []bench.Table
+	for _, exp := range figs {
 		start := time.Now()
 		tbl, err := exp.Run(cfg)
 		if err != nil {
@@ -97,14 +108,15 @@ func main() {
 		}
 		fmt.Println(tbl.Format())
 		fmt.Printf("(%s completed in %v)\n\n", exp.Name, time.Since(start).Round(time.Millisecond))
-		if strings.HasPrefix(exp.Name, "fig") {
-			figures = append(figures, tbl)
-		} else if *jsonDir != "" {
-			wrote(tbl.WriteJSON(*jsonDir))
-		}
+		tables = append(tables, tbl)
 	}
-	if *jsonDir != "" && len(figures) > 0 {
-		wrote(cfg.WriteFigures(*jsonDir, figures))
+	if *jsonDir != "" && len(tables) > 0 {
+		if path, err := cfg.WriteFigures(*jsonDir, tables); err != nil {
+			fmt.Fprintf(os.Stderr, "%v\n", err)
+			exitCode = 1
+		} else {
+			fmt.Printf("(wrote %s)\n\n", path)
+		}
 	}
 	os.Exit(exitCode)
 }

@@ -417,7 +417,6 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		IterChunkKeys:         o.IterChunkKeys,
 		GroupCommitWindow:     o.GroupCommitWindow,
 		MaxAsyncCommitBacklog: o.MaxAsyncCommitBacklog,
-		CompactionWorkers:     o.CompactionWorkers,
 		MemtableSize:          o.MemtableSize,
 		TableFileSize:         o.TableFileSize,
 		LevelBase:             o.LevelBase,

@@ -15,16 +15,15 @@
 // run on any box, which is what the figures' shapes are asserted on. Write
 // points also price the flushes and compactions that happen to run during
 // the measured window, so their simulated share varies a little between
-// runs. The ablations run in a plain counting enclave and report wall time
-// only.
+// runs.
 package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -84,7 +83,7 @@ type Row struct {
 	// e.g. Eleos beyond its capacity — are absent).
 	Series map[string]float64 `json:"series"`
 	// Points splits each figure value into its measured and simulated
-	// components; the ablations leave it empty.
+	// components.
 	Points map[string]Point `json:"points,omitempty"`
 }
 
@@ -106,32 +105,6 @@ type Table struct {
 	Rows    []Row    `json:"rows"`
 }
 
-// FileSlug derives the machine-readable result file stem from the table
-// name: "Ablation: group commit" → "ablation-group-commit".
-func (t Table) FileSlug() string {
-	var b strings.Builder
-	lastDash := true
-	for _, r := range strings.ToLower(t.Name) {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-			lastDash = false
-		default:
-			if !lastDash {
-				b.WriteByte('-')
-				lastDash = true
-			}
-		}
-	}
-	return strings.TrimSuffix(b.String(), "-")
-}
-
-// WriteJSON persists the table as BENCH_<slug>.json in dir, so the perf
-// trajectory is machine-trackable across PRs. Returns the written path.
-func (t Table) WriteJSON(dir string) (string, error) {
-	return writeJSON(dir, t.FileSlug(), t)
-}
-
 // Figures is the paper's figures from one run, with what they were run at
 // and priced by (the Eleos series at Prices with Monitor = EleosMonitor): the
 // committed BENCH_figures.json.
@@ -147,24 +120,19 @@ type Figures struct {
 // in dir. Returns the written path.
 func (c Config) WriteFigures(dir string, tables []Table) (string, error) {
 	c = c.withDefaults()
-	return writeJSON(dir, "figures", Figures{Scale: c.Scale, Ops: c.Ops, Prices: costmodel.Calibrated(), EleosMonitor: eleosMonitor, Tables: tables})
-}
-
-func writeJSON(dir, stem string, v interface{}) (string, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(Figures{Scale: c.Scale, Ops: c.Ops, Prices: costmodel.Calibrated(), EleosMonitor: eleosMonitor, Tables: tables}, "", "  ")
 	if err != nil {
-		return "", fmt.Errorf("bench: marshal %s: %w", stem, err)
+		return "", fmt.Errorf("bench: marshal figures: %w", err)
 	}
-	path := filepath.Join(dir, "BENCH_"+stem+".json")
+	path := filepath.Join(dir, "BENCH_figures.json")
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("bench: write %s: %w", path, err)
 	}
 	return path, nil
 }
 
-// Format renders the table as the paper-style text block. Values are mean
-// µs/op unless the row label says otherwise (the ablation's B/op rows); a
-// figure value is followed in brackets by its simulated share.
+// Format renders the table as the paper-style text block: each value, a mean
+// µs/op, is followed in brackets by its simulated share.
 func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s — %s (mean µs/op) ==\n", t.Name, t.Caption)
@@ -178,8 +146,6 @@ func (t Table) Format() string {
 		for _, s := range t.Series {
 			if p, ok := r.Points[s]; ok {
 				fmt.Fprintf(&b, "%12.1f (%7.1f)", r.Series[s], p.SimulatedUs)
-			} else if v, ok := r.Series[s]; ok {
-				fmt.Fprintf(&b, "%22.1f", v)
 			} else {
 				fmt.Fprintf(&b, "%22s", "-")
 			}
@@ -339,14 +305,15 @@ func (c Config) point(p storeParams, wl ycsb.Workload) (Point, error) {
 	}, nil
 }
 
-// addPoint measures one cell, tolerating capacity errors (Eleos > 1 GB).
+// addPoint measures one cell, leaving it empty where Eleos exceeds its
+// capacity (1 GB): the paper's plots stop Eleos there too.
 func (c Config) addPoint(row *Row, p storeParams, wl ycsb.Workload, series string) error {
 	pt, err := c.point(p, wl)
+	if errors.Is(err, eleos.ErrCapacity) {
+		c.logf("    %s @ %s: skipped (%v)", series, row.X, err)
+		return nil
+	}
 	if err != nil {
-		if p.variant == Eleos {
-			c.logf("    %s @ %s: skipped (%v)", series, row.X, err)
-			return nil // the paper's plots stop Eleos at 1 GB too
-		}
 		return fmt.Errorf("%s @ %s: %w", series, row.X, err)
 	}
 	c.logf("    %s @ %s: %.1f us/op measured + %.1f simulated", series, row.X, pt.MeasuredUs, pt.SimulatedUs)
@@ -357,9 +324,6 @@ func (c Config) addPoint(row *Row, p storeParams, wl ycsb.Workload, series strin
 	row.Points[series] = pt
 	return nil
 }
-
-// sortedSeries extracts the union of series names in first-seen order.
-func seriesOrder(names ...string) []string { return names }
 
 // mbLabel renders a paper-scale size label.
 func mbLabel(mb int) string {
@@ -373,5 +337,3 @@ func mbLabel(mb int) string {
 func gbLabelTenths(gbTenths int) string {
 	return fmt.Sprintf("%.1fGB", float64(gbTenths)/10)
 }
-
-var _ = sort.Strings // reserved for future series sorting

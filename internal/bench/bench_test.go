@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -50,35 +48,23 @@ func TestTable1(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	tbl := Table{
-		Name:    "Ablation: group commit",
-		Caption: "c",
-		XLabel:  "x",
-		Series:  []string{"a"},
-		Rows:    []Row{{X: "1", Series: map[string]float64{"a": 2.5}}},
-	}
-	if got, want := tbl.FileSlug(), "ablation-group-commit"; got != want {
-		t.Fatalf("slug = %q, want %q", got, want)
-	}
-	dir := t.TempDir()
-	path, err := tbl.WriteJSON(dir)
+// TestFig5bEleosStopsAt1GB: Eleos has a point up to its 1 GB capacity and
+// none past it, as in the paper's plot; any other Eleos failure is an error,
+// not a hole.
+func TestFig5bEleosStopsAt1GB(t *testing.T) {
+	tbl, err := Fig5b(tinyCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]bool{"0.6GB": true, "0.8GB": true, "1.0GB": true, "2.0GB": false, "3.0GB": false}
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tbl.Rows), len(want))
 	}
-	var back Table
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != tbl.Name || len(back.Rows) != 1 || back.Rows[0].Series["a"] != 2.5 {
-		t.Fatalf("round trip = %+v", back)
-	}
-	if !strings.HasSuffix(path, "BENCH_ablation-group-commit.json") {
-		t.Fatalf("path = %q", path)
+	for _, row := range tbl.Rows {
+		_, has := row.Points[string(Eleos)]
+		if w, ok := want[row.X]; !ok || has != w {
+			t.Errorf("%s: Eleos point present = %v, want %v", row.X, has, w)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ func Fig2(cfg Config) (Table, error) {
 		Name:    "Figure 2",
 		Caption: "read buffer inside vs outside enclave (5 GB data)",
 		XLabel:  "buffer size (paper)",
-		Series:  seriesOrder(string(UnsecuredBuffer), string(P1)),
+		Series:  []string{string(UnsecuredBuffer), string(P1)},
 	}
 	data := cfg.paperMB(5 * 1024)
 	wl := ycsb.Mix(100, ycsb.Uniform)
@@ -61,7 +61,7 @@ func Fig5a(cfg Config) (Table, error) {
 		Name:    "Figure 5a",
 		Caption: "latency vs read-write ratio (3 GB, uniform)",
 		XLabel:  "read %",
-		Series:  seriesOrder(string(P2Mmap), string(P1), "LevelDB (unsecure)"),
+		Series:  []string{string(P2Mmap), string(P1), "LevelDB (unsecure)"},
 	}
 	data := cfg.paperMB(3 * 1024)
 	for pct := 0; pct <= 100; pct += 20 {
@@ -91,7 +91,7 @@ func Fig5b(cfg Config) (Table, error) {
 		Name:    "Figure 5b",
 		Caption: "workload A latency vs data size",
 		XLabel:  "data size (paper)",
-		Series:  seriesOrder(string(P2Mmap), string(P1), string(Eleos)),
+		Series:  []string{string(P2Mmap), string(P1), string(Eleos)},
 	}
 	wl := ycsb.WorkloadA()
 	for _, gbTenths := range []int{6, 8, 10, 20, 30} {
@@ -118,7 +118,7 @@ func Fig5c(cfg Config) (Table, error) {
 		Name:    "Figure 5c",
 		Caption: "latency vs key distribution (3 GB, 50/50 mix)",
 		XLabel:  "distribution",
-		Series:  seriesOrder(string(P2Mmap), string(P1)),
+		Series:  []string{string(P2Mmap), string(P1)},
 	}
 	data := cfg.paperMB(3 * 1024)
 	for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian, ycsb.Latest} {
@@ -145,7 +145,7 @@ func Fig6a(cfg Config) (Table, error) {
 		Name:    "Figure 6a",
 		Caption: "read latency vs data size",
 		XLabel:  "data size (paper)",
-		Series:  seriesOrder(string(P2Mmap), string(P1), string(Eleos), string(UnsecuredBuffer)),
+		Series:  []string{string(P2Mmap), string(P1), string(Eleos), string(UnsecuredBuffer)},
 	}
 	wl := ycsb.Mix(100, ycsb.Uniform)
 	for _, dataMB := range fig6aDataMB {
@@ -170,7 +170,7 @@ func Fig6b(cfg Config) (Table, error) {
 		Name:    "Figure 6b",
 		Caption: "eLSM-P2 read path: mmap vs buffer",
 		XLabel:  "data size (paper)",
-		Series:  seriesOrder(string(P2Mmap), string(P2Buffer)),
+		Series:  []string{string(P2Mmap), string(P2Buffer)},
 	}
 	wl := ycsb.Mix(100, ycsb.Uniform)
 	for _, dataMB := range []int{8, 64, 128, 256, 512, 1024, 2048, 3072} {
@@ -196,7 +196,7 @@ func Fig6c(cfg Config) (Table, error) {
 		Name:    "Figure 6c",
 		Caption: "read latency vs buffer size (2 GB data)",
 		XLabel:  "buffer size (paper)",
-		Series:  seriesOrder(string(P2Buffer), string(P1)),
+		Series:  []string{string(P2Buffer), string(P1)},
 	}
 	data := cfg.paperMB(2 * 1024)
 	wl := ycsb.Mix(100, ycsb.Uniform)
@@ -227,7 +227,7 @@ func Fig7a(cfg Config) (Table, error) {
 		Name:    "Figure 7a",
 		Caption: "write latency with compaction vs data size",
 		XLabel:  "data size (paper)",
-		Series:  seriesOrder(string(P2Mmap), string(P1), string(Eleos)),
+		Series:  []string{string(P2Mmap), string(P1), string(Eleos)},
 	}
 	wl := ycsb.Mix(0, ycsb.Uniform)
 	for _, dataMB := range []int{205, 1024, 2048, 3072, 4096} {
@@ -257,12 +257,12 @@ func Fig7b(cfg Config) (Table, error) {
 		Name:    "Figure 7b",
 		Caption: "writes with/without compaction",
 		XLabel:  "data size (paper)",
-		Series: seriesOrder(
-			string(P2Mmap)+" (w. comp)",
-			string(P1)+" (w. comp)",
-			string(P2Mmap)+" (wo. comp)",
-			string(P1)+" (wo. comp)",
-		),
+		Series: []string{
+			string(P2Mmap) + " (w. comp)",
+			string(P1) + " (w. comp)",
+			string(P2Mmap) + " (wo. comp)",
+			string(P1) + " (wo. comp)",
+		},
 	}
 	wl := ycsb.Mix(0, ycsb.Uniform)
 	for _, dataMB := range []int{205, 1024, 2048, 4096} {
@@ -300,7 +300,7 @@ func Fig8(cfg Config) (Table, error) {
 		Name:    "Figure 8",
 		Caption: "write-buffer placement (disk writes)",
 		XLabel:  "write buffer (paper)",
-		Series:  seriesOrder(string(P1), "LSM outside (unsecured)"),
+		Series:  []string{string(P1), "LSM outside (unsecured)"},
 	}
 	data := cfg.paperMB(512)
 	wl := ycsb.Mix(0, ycsb.Uniform)
@@ -339,9 +339,5 @@ func All() []Experiment {
 		{"fig7a", Fig7a},
 		{"fig7b", Fig7b},
 		{"fig8", Fig8},
-		{"ablation-earlystop", AblationEarlyStop},
-		{"ablation-compaction", AblationCompaction},
-		{"ablation-shards", AblationShards},
-		{"ablation-repl", AblationRepl},
 	}
 }

@@ -6,10 +6,7 @@
 // hash via double hashing, with k chosen from the bits-per-key budget.
 package bloom
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // Filter is an immutable serialized Bloom filter. The last byte stores the
 // probe count so readers need no external configuration.
@@ -88,25 +85,4 @@ func (f Filter) MayContain(key []byte) bool {
 		h += delta
 	}
 	return true
-}
-
-// EstimateFalsePositiveRate empirically measures the false-positive rate of
-// a filter built over n synthetic keys, probing with m absent keys. Used by
-// tests and the ablation benchmarks.
-func EstimateFalsePositiveRate(n, m, bitsPerKey int) float64 {
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = make([]byte, 8)
-		binary.BigEndian.PutUint64(keys[i], uint64(i))
-	}
-	f := Build(keys, bitsPerKey)
-	hits := 0
-	probe := make([]byte, 8)
-	for i := 0; i < m; i++ {
-		binary.BigEndian.PutUint64(probe, uint64(n+i))
-		if f.MayContain(probe) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(m)
 }

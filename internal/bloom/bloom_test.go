@@ -28,7 +28,7 @@ func TestNoFalseNegatives(t *testing.T) {
 }
 
 func TestFalsePositiveRateReasonable(t *testing.T) {
-	rate := EstimateFalsePositiveRate(10000, 10000, 10)
+	rate := estimateFalsePositiveRate(10000, 10000, 10)
 	if rate > 0.03 {
 		t.Fatalf("false positive rate %.4f too high for 10 bits/key", rate)
 	}
@@ -38,8 +38,8 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 }
 
 func TestMoreBitsLowerRate(t *testing.T) {
-	loose := EstimateFalsePositiveRate(20000, 20000, 4)
-	tight := EstimateFalsePositiveRate(20000, 20000, 16)
+	loose := estimateFalsePositiveRate(20000, 20000, 4)
+	tight := estimateFalsePositiveRate(20000, 20000, 16)
 	if tight >= loose {
 		t.Fatalf("16 bits/key rate %.4f not below 4 bits/key rate %.4f", tight, loose)
 	}
@@ -81,4 +81,24 @@ func TestCorruptProbeCountIsSafe(t *testing.T) {
 	if !f.MayContain(keys(1)[0]) {
 		t.Fatal("corrupt filter must fail open (return maybe)")
 	}
+}
+
+// estimateFalsePositiveRate empirically measures the false-positive rate of
+// a filter built over n synthetic keys, probing with m absent keys.
+func estimateFalsePositiveRate(n, m, bitsPerKey int) float64 {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = make([]byte, 8)
+		binary.BigEndian.PutUint64(keys[i], uint64(i))
+	}
+	f := Build(keys, bitsPerKey)
+	hits := 0
+	probe := make([]byte, 8)
+	for i := 0; i < m; i++ {
+		binary.BigEndian.PutUint64(probe, uint64(n+i))
+		if f.MayContain(probe) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(m)
 }

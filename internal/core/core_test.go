@@ -126,6 +126,60 @@ func TestPutGetVerified(t *testing.T) {
 	}
 }
 
+// TestGetEarlyStopCounts is the paper's first difference from Speicher
+// (§7, Lemma 5.4) as counts on one fixed tree of three runs: a GET stops at
+// the first verified hit, so a key whose newest version is in the newest run
+// probes that run alone and reads exactly that record's proof, while a key
+// only in the deepest run, or in none, probes every run.
+func TestGetEarlyStopCounts(t *testing.T) {
+	cfg := smallCfg(nil)
+	cfg.MemtableSize = 1 << 20 // only the explicit flushes below make runs
+	cfg.DisableCompaction = true
+	s := mustOpenP2(t, cfg)
+	defer s.Close()
+	for _, keys := range [][]string{{"deep", "shared"}, {"mid"}, {"new", "shared"}} { // oldest run first
+		for _, k := range keys {
+			if _, err := Put(s, []byte(k), []byte("v-"+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := s.Engine().Runs()
+	if len(runs) != 3 {
+		t.Fatalf("%d runs, want 3", len(runs))
+	}
+	newest, err := lookupRun(s, runs[0].ID, []byte("shared"), record.MaxTs)
+	if err != nil || !newest.Found {
+		t.Fatalf("newest run lookup of shared: found=%v err=%v", newest.Found, err)
+	}
+	for _, tc := range []struct {
+		key        string
+		found      bool
+		runs       uint64
+		proofBytes uint64 // 0: not checked
+	}{
+		{"shared", true, 1, uint64(len(newest.Rec.Proof))},
+		{"deep", true, 3, 0},
+		{"absent", false, 3, 0},
+	} {
+		before := s.VerifyStatsSnapshot()
+		res, err := Get(s, []byte(tc.key))
+		if err != nil || res.Found != tc.found {
+			t.Fatalf("get %q: found=%v err=%v, want found=%v", tc.key, res.Found, err, tc.found)
+		}
+		after := s.VerifyStatsSnapshot()
+		if got := after.RunsProbed - before.RunsProbed; got != tc.runs {
+			t.Errorf("get %q probed %d runs, want %d", tc.key, got, tc.runs)
+		}
+		if got := after.ProofBytes - before.ProofBytes; tc.proofBytes != 0 && got != tc.proofBytes {
+			t.Errorf("get %q read %d proof bytes, want %d", tc.key, got, tc.proofBytes)
+		}
+	}
+}
+
 func TestHistoricalGetVerified(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()

@@ -454,7 +454,7 @@ func TestPipelinedOutputBuildVerifies(t *testing.T) {
 	cfg := smallCfg(nil) // 4 KiB files: a 1500-key run is dozens of them
 	cfg.MemtableSize = 1 << 20
 	cfg.LevelBase = 1 << 30
-	cfg.CompactionWorkers = 4
+	cfg.Workers = lsm.NewWorkerPool(4)
 	s := mustOpenP2(t, cfg)
 	defer s.Close()
 	const n = 1500

@@ -60,9 +60,6 @@ type Config struct {
 	// IterChunkKeys bounds how many distinct keys a streaming iterator
 	// chunk covers per run (0 = DefaultIterChunkKeys).
 	IterChunkKeys int
-	// GroupCommitMaxOps caps how many operations one cross-client commit
-	// group may carry (0 = unbounded; 1 = per-op commits, no coalescing).
-	GroupCommitMaxOps int
 	// GroupCommitWindow makes a commit leader wait this long for more
 	// concurrent commits to join its group (0 = rely on the natural
 	// batching window of the previous group's fsync).
@@ -70,17 +67,10 @@ type Config struct {
 	// MaxAsyncCommitBacklog caps acknowledged-but-not-yet-durable
 	// CommitAsync commits (0 = engine default).
 	MaxAsyncCommitBacklog int
-	// DisableEarlyStop makes every GET iterate and verify ALL runs
-	// instead of stopping at the first verified hit — the behaviour of
-	// prior work (Speicher) that eLSM improves on (§7 distinction 1).
-	// Exists for the ablation benchmark; never enable in production.
-	DisableEarlyStop bool
-	// CompactionWorkers bounds how many maintenance jobs (flushes +
-	// compactions of disjoint level pairs) run concurrently (0 = engine
-	// default, max(2, GOMAXPROCS/2)).
-	CompactionWorkers int
-	// Workers shares one maintenance worker pool across several stores
-	// (shard sets); nil gives this store its own pool of CompactionWorkers.
+	// Workers bounds how many maintenance jobs (flushes + compactions of
+	// disjoint level pairs) run concurrently, and may be shared across
+	// several stores (shard sets); nil gives this store its own pool of
+	// lsm.DefaultCompactionWorkers() tokens.
 	Workers *lsm.WorkerPool
 	// Obs is this shard's observability recorder, threaded through to the
 	// engine and the verified read paths. Nil disables instrumentation.
@@ -119,10 +109,8 @@ func (cfg Config) engineOptions() lsm.Options {
 		MaxLevels:             cfg.MaxLevels,
 		KeepVersions:          cfg.KeepVersions,
 		DisableCompaction:     cfg.DisableCompaction,
-		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
 		GroupCommitWindow:     cfg.GroupCommitWindow,
 		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		CompactionWorkers:     cfg.CompactionWorkers,
 		Workers:               cfg.Workers,
 		Obs:                   cfg.Obs,
 	}
@@ -299,8 +287,6 @@ type Store struct {
 	// sealed state (the rollback-window records of §5.6.1).
 	unverifiedReplay int
 
-	disableEarlyStop bool
-
 	statGets       atomic.Uint64
 	statProofBytes atomic.Uint64
 	statRunsProbed atomic.Uint64
@@ -314,9 +300,8 @@ type Store struct {
 	scanPool chan *scanScratch
 }
 
-// VerifyStats aggregates proof-verification work, used by the early-stop
-// ablation (§7: eLSM's proofs cover only levels L1..Li; prior work pays
-// for every level on every GET).
+// VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
+// only levels L1..Li; prior work pays for every level on every GET).
 type VerifyStats struct {
 	// Gets counts verified point lookups.
 	Gets uint64
@@ -395,7 +380,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	c.snap.Store(&trustedView{digests: make(map[uint64]runDigest)})
 	c.sealKey = platform.SealingKey(c.measurement)
-	c.disableEarlyStop = cfg.DisableEarlyStop
 	c.rec = cfg.Obs
 	c.verify.nodes = cfg.NodeCache
 	if c.verify.nodes == nil {

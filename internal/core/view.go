@@ -102,9 +102,7 @@ func (v *readView) ts() uint64 { return v.esnap.Ts() }
 // memtables (trusted, in-enclave) first, then each pinned run in
 // newest-first order with per-run verification, stopping at the first
 // verified hit (the early-stop optimization — levels below the hit need no
-// proof by Lemma 5.4). With DisableEarlyStop the walk continues through
-// every run (prior-work behaviour, for the ablation), verifying deeper
-// runs' membership or non-membership too. Caller is inside an ECall.
+// proof by Lemma 5.4). Caller is inside an ECall.
 func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 	c := v.c
 	c.statGets.Add(1)
@@ -123,7 +121,6 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 			c.rec.ProofBytes.Observe(proofBytes)
 		}()
 	}
-	var first *Result
 	for i, run := range v.esnap.Runs() {
 		d := v.digs[run.ID]
 		if d.NumLeaves == 0 {
@@ -148,14 +145,7 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 				return Result{}, verr
 			}
 			c.statProofBytes.Add(uint64(len(lk.Rec.Proof)))
-			if !c.disableEarlyStop {
-				return resultFrom(lk.Rec), nil
-			}
-			if first == nil {
-				r := resultFrom(lk.Rec)
-				first = &r
-			}
-			continue
+			return resultFrom(lk.Rec), nil
 		}
 		verr := c.verify.verifyNonMembership(key, tsq, lk, d)
 		if instr {
@@ -176,9 +166,6 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 		if lk.Succ != nil {
 			c.statProofBytes.Add(uint64(len(lk.Succ.Proof)))
 		}
-	}
-	if first != nil {
-		return *first, nil
 	}
 	return Result{}, nil
 }

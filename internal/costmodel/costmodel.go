@@ -73,7 +73,7 @@ func Calibrated() Model {
 }
 
 // Scaled returns Calibrated with every term multiplied by f. Useful for
-// sensitivity/ablation benchmarks.
+// sensitivity studies of the cost model.
 func Scaled(f float64) Model {
 	c := Calibrated()
 	return Model{

@@ -475,18 +475,14 @@ func (s *Store) resolveCommitWindow() time.Duration {
 }
 
 // pendingGroupFormed reports whether waiting could not improve the next
-// group: the queue already carries at least GroupCommitMaxOps operations,
-// or it carries a shipped group — one its leader formed already, applied by
-// a tailer that sends the next only after this one is durable, so nothing
-// can join it and a window would be pure replication lag.
+// group: the queue carries a shipped group — one its leader formed already,
+// applied by a tailer that sends the next only after this one is durable, so
+// nothing can join it and a window would be pure replication lag.
 func (s *Store) pendingGroupFormed() bool {
-	max := s.opts.GroupCommitMaxOps
 	s.gc.mu.Lock()
 	defer s.gc.mu.Unlock()
-	n := 0
 	for _, req := range s.gc.pending {
-		n += req.size()
-		if len(req.recs) > 0 || (max > 0 && n >= max) {
+		if len(req.recs) > 0 {
 			return true
 		}
 	}
@@ -531,7 +527,7 @@ func (s *Store) commitWorker() {
 		if w := s.resolveCommitWindow(); w > 0 && !s.pendingGroupFormed() {
 			// Deliberate batching window: hold the append stage briefly so
 			// more concurrent commits can join this group. Skipped when
-			// the queue already holds a full group or a shipped one.
+			// the queue already holds a shipped group.
 			time.Sleep(w)
 		}
 		s.waitPipelineSlot()
@@ -553,28 +549,20 @@ func (s *Store) waitPipelineSlot() {
 	gc.syncMu.Unlock()
 }
 
-// drainPending claims a bounded prefix of the queue as the next group,
-// skipping requests withdrawn by context cancellation.
+// drainPending claims the whole queue as the next group, skipping requests
+// withdrawn by context cancellation.
 func (s *Store) drainPending() []*commitReq {
 	gc := &s.gc
 	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	max := s.opts.GroupCommitMaxOps
-	var batch []*commitReq
-	n, i := 0, 0
-	for ; i < len(gc.pending); i++ {
-		req := gc.pending[i]
-		if !req.claimed.CompareAndSwap(false, true) {
-			continue // withdrawn
-		}
-		batch = append(batch, req)
-		n += req.size()
-		if max > 0 && n >= max {
-			i++
-			break
+	pending := gc.pending
+	gc.pending = nil
+	gc.mu.Unlock()
+	batch := pending[:0]
+	for _, req := range pending {
+		if req.claimed.CompareAndSwap(false, true) {
+			batch = append(batch, req)
 		}
 	}
-	gc.pending = append(gc.pending[:0:0], gc.pending[i:]...)
 	return batch
 }
 
@@ -734,8 +722,7 @@ func (s *Store) processGroup(batch []*commitReq) {
 
 // syncWorker is the sync stage: it fsyncs appended groups and completes
 // them in order. All groups queued at wake-up share one fsync (sync
-// absorption) — except with GroupCommitMaxOps == 1, where every group pays
-// its own fsync, preserving the documented per-op-commit baseline.
+// absorption).
 func (s *Store) syncWorker() {
 	gc := &s.gc
 	defer gc.syncWG.Done()
@@ -748,14 +735,8 @@ func (s *Store) syncWorker() {
 			gc.syncMu.Unlock()
 			return
 		}
-		var groups []*commitGroup
-		if s.opts.GroupCommitMaxOps == 1 {
-			groups = gc.syncq[:1]
-			gc.syncq = append(gc.syncq[:0:0], gc.syncq[1:]...)
-		} else {
-			groups = gc.syncq
-			gc.syncq = nil
-		}
+		groups := gc.syncq
+		gc.syncq = nil
 		gc.syncBusy = true
 		gc.syncMu.Unlock()
 

@@ -453,7 +453,7 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 			handles[fi], errs[fi] = s.writeRunFile(fileNums[fi], recs, proofs[fi])
 		}
 	} else {
-		flushers := s.opts.CompactionWorkers
+		flushers := s.workers.size()
 		if flushers > len(files) {
 			flushers = len(files)
 		}

@@ -30,12 +30,12 @@ import (
 // Default tuning values. The byte-denominated defaults are the paper's
 // LevelDB values scaled by 1/32.
 const (
-	DefaultMemtableSize    = 128 << 10 // paper: 4 MB write buffer
-	DefaultBlockSize       = 4 << 10   // unscaled: record sizes are unscaled
-	DefaultTableFileSize   = 128 << 10 // paper: ~2-4 MB SSTables
-	DefaultLevelBase       = 320 << 10 // paper: 10 MB L1 target
-	DefaultLevelMultiplier = 10
-	DefaultMaxLevels       = 7
+	DefaultMemtableSize  = 128 << 10 // paper: 4 MB write buffer
+	DefaultBlockSize     = 4 << 10   // unscaled: record sizes are unscaled
+	DefaultTableFileSize = 128 << 10 // paper: ~2-4 MB SSTables
+	DefaultLevelBase     = 320 << 10 // paper: 10 MB L1 target
+	DefaultMaxLevels     = 7
+	levelMultiplier      = 10 // per-level size ratio
 )
 
 // Options configures a Store. The zero value is usable with an in-memory
@@ -68,10 +68,8 @@ type Options struct {
 	// TableFileSize caps individual SSTable files.
 	TableFileSize int
 	// LevelBase is the L1 size target; level i targets
-	// LevelBase × LevelMultiplier^(i-1).
+	// LevelBase × 10^(i-1).
 	LevelBase int64
-	// LevelMultiplier is the per-level size ratio.
-	LevelMultiplier int
 	// MaxLevels bounds the number of on-disk levels.
 	MaxLevels int
 	// KeepVersions bounds retained versions per key during compaction:
@@ -81,21 +79,14 @@ type Options struct {
 	// DisableCompaction stops merging entirely: each flush appends a new
 	// immutable run to level 1 (Figure 7b's "wo. compaction" mode).
 	DisableCompaction bool
-	// CompactionWorkers bounds how many maintenance jobs (flushes and
-	// compactions of disjoint level pairs) may execute concurrently.
-	// 0 selects DefaultCompactionWorkers() = max(2, GOMAXPROCS/2).
-	CompactionWorkers int
-	// Workers, when non-nil, is a worker-token pool SHARED with other
-	// stores (the sharded open path passes one pool to every shard so the
-	// machine-wide concurrency stays bounded by CompactionWorkers, not
-	// Shards × CompactionWorkers). Nil creates a private pool of
-	// CompactionWorkers tokens.
+	// Workers is the worker-token pool bounding how many maintenance jobs
+	// (flushes and compactions of disjoint level pairs) may execute
+	// concurrently; its size also bounds a job's parallel file builders. It
+	// may be SHARED with other stores (the sharded open path passes one pool
+	// to every shard so the machine-wide concurrency stays bounded by the
+	// pool, not Shards × pool). Nil creates a private pool of
+	// DefaultCompactionWorkers() tokens.
 	Workers *WorkerPool
-	// GroupCommitMaxOps caps how many operations one commit group may
-	// carry (0 = unbounded). 1 disables cross-client coalescing entirely —
-	// every commit pays its own fsync and counter-bump check — the per-op
-	// reference core/groupcommit_test.go measures grouping against.
-	GroupCommitMaxOps int
 	// GroupCommitWindow makes a commit leader wait this long before
 	// draining the queue, trading latency for larger groups. 0 (the
 	// default) relies on the natural batching window: the queue refills
@@ -152,9 +143,6 @@ func (o Options) withDefaults() Options {
 	if o.LevelBase <= 0 {
 		o.LevelBase = DefaultLevelBase
 	}
-	if o.LevelMultiplier <= 1 {
-		o.LevelMultiplier = DefaultLevelMultiplier
-	}
 	if o.MaxLevels <= 0 {
 		o.MaxLevels = DefaultMaxLevels
 	}
@@ -164,11 +152,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxAsyncCommitBacklog <= 0 {
 		o.MaxAsyncCommitBacklog = DefaultMaxAsyncCommitBacklog
 	}
-	if o.CompactionWorkers <= 0 {
-		o.CompactionWorkers = DefaultCompactionWorkers()
-	}
 	if o.Workers == nil {
-		o.Workers = NewWorkerPool(o.CompactionWorkers)
+		o.Workers = NewWorkerPool(DefaultCompactionWorkers())
 	}
 	return o
 }
@@ -188,7 +173,7 @@ func DefaultCompactionWorkers() int {
 func (o Options) levelTarget(i int) int64 {
 	t := o.LevelBase
 	for ; i > 1; i-- {
-		t *= int64(o.LevelMultiplier)
+		t *= levelMultiplier
 	}
 	return t
 }
@@ -221,7 +206,7 @@ type CompactionInfo struct {
 // EventListener + CompactionFilter APIs (§5.5.3). Commit-path hooks
 // (OnWALAppend, the OnGroup* trio, OnMemtableFrozen) fire on committing
 // goroutines. BeginJob fires on a maintenance-job goroutine, of which
-// SEVERAL may run concurrently (Options.CompactionWorkers); everything else
+// SEVERAL may run concurrently (Options.Workers); everything else
 // a flush, compaction or bulk load tells the listener goes through the Job
 // it returns. State shared between the commit path and the jobs (e.g. a WAL
 // digest chain) must be internally thread-safe. Implementations must not

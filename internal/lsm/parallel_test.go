@@ -112,7 +112,7 @@ func TestParallelJobsDisjointAndInstallsSerialized(t *testing.T) {
 	tl := newTrackListener()
 	opts := bgOpts(nil)
 	opts.MaxLevels = 6
-	opts.CompactionWorkers = 4
+	opts.Workers = NewWorkerPool(4)
 	opts.Listener = tl
 	s, err := Open(opts)
 	if err != nil {
@@ -227,7 +227,7 @@ func TestParallelMatchesSerialScans(t *testing.T) {
 		t.Helper()
 		opts := bgOpts(nil)
 		opts.MaxLevels = 6
-		opts.CompactionWorkers = workers
+		opts.Workers = NewWorkerPool(workers)
 		s, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -341,75 +341,110 @@ func TestStallAttributionFlushOnly(t *testing.T) {
 	}
 }
 
-// gateListener parks the first non-flush compaction in phase 2 until
-// released, holding its worker token.
+// gateListener parks the first compaction of level `level` until released,
+// holding its worker token.
 type gateListener struct {
 	NopListener
+	level   int
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
 func (g *gateListener) BeginJob(info CompactionInfo) Job {
-	if !info.MemtableInput {
+	if !info.MemtableInput && info.OutputLevel-1 == g.level {
 		g.once.Do(func() { close(g.entered) })
 		<-g.release
 	}
 	return NopJob{}
 }
 
-// TestStallAttributionCompactionBlocked is the regression test for the
-// attribution fix: a writer stalled because compaction debt holds the only
-// worker (no flush is running) must charge its wait to CompactionStallNanos.
+// TestStallAttributionCompactionBlocked pins what a parked compaction costs
+// writers. With one worker token, a writer stalled because the compaction
+// holds it (no flush is running) must charge its wait to
+// CompactionStallNanos. With two, a compaction of L2 claims {L2, L3},
+// disjoint from a flush's {memtable, L1}: flushes run on the second token, the
+// writer finishes while the gate is still closed, and no stall is charged to
+// compaction.
 func TestStallAttributionCompactionBlocked(t *testing.T) {
-	gate := &gateListener{entered: make(chan struct{}), release: make(chan struct{})}
-	opts := bgOpts(nil)
-	opts.CompactionWorkers = 1 // the gated compaction starves the flush
-	opts.Listener = gate
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for i := 0; i < 300; i++ {
-		if _, err := putKV(s, []byte(fmt.Sprintf("seed%05d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	compactDone := make(chan error, 1)
-	go func() { compactDone <- s.Compact(1) }()
-	<-gate.entered // the compaction now owns the only worker token
-
-	writerDone := make(chan error, 1)
-	go func() {
-		for i := 0; i < 600; i++ { // several memtables' worth: must stall
-			if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte("vvvvvvvv")); err != nil {
-				writerDone <- err
-				return
+	for _, tc := range []struct {
+		workers, gated int // pool size; level of the parked compaction
+	}{{1, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			gate := &gateListener{level: tc.gated, entered: make(chan struct{}), release: make(chan struct{})}
+			opts := bgOpts(nil)
+			opts.Workers = NewWorkerPool(tc.workers)
+			opts.Listener = gate
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		writerDone <- nil
-	}()
+			defer s.Close()
 
-	// Let the writer hit the full-memtable wall while the flush it needs
-	// sits queued behind the parked compaction.
-	time.Sleep(100 * time.Millisecond)
-	close(gate.release)
-	if err := <-writerDone; err != nil {
-		t.Fatalf("writer: %v", err)
-	}
-	if err := <-compactDone; err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	if err := s.WaitMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.CompactionStallNanos == 0 {
-		t.Fatal("writer wait behind a parked compaction charged no CompactionStallNanos")
+			for i := 0; i < 300; i++ {
+				if _, err := putKV(s, []byte(fmt.Sprintf("seed%05d", i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for lvl := 1; lvl < tc.gated; lvl++ { // walk the seed down to the gated level
+				if err := s.Compact(lvl); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			compactDone := make(chan error, 1)
+			go func() { compactDone <- s.Compact(tc.gated) }()
+			<-gate.entered // the compaction now holds a worker token
+			flushes := s.Stats().Flushes
+
+			writerDone := make(chan error, 1)
+			go func() {
+				for i := 0; i < 600; i++ { // several memtables' worth
+					if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte("vvvvvvvv")); err != nil {
+						writerDone <- err
+						return
+					}
+				}
+				writerDone <- nil
+			}()
+
+			if tc.workers == 1 {
+				// Let the writer hit the full-memtable wall while the flush
+				// it needs sits queued behind the parked compaction.
+				time.Sleep(100 * time.Millisecond)
+				close(gate.release)
+				if err := <-writerDone; err != nil {
+					t.Fatalf("writer: %v", err)
+				}
+			} else {
+				select {
+				case err := <-writerDone:
+					n := s.Stats().Flushes - flushes
+					close(gate.release)
+					if err != nil {
+						t.Fatalf("writer: %v", err)
+					}
+					if n < 2 {
+						t.Fatalf("%d flushes behind the closed gate, want several", n)
+					}
+				case <-time.After(10 * time.Second):
+					close(gate.release)
+					t.Fatal("writer stalled behind a compaction whose levels no flush needs")
+				}
+			}
+			if err := <-compactDone; err != nil {
+				t.Fatalf("compact: %v", err)
+			}
+			if err := s.WaitMaintenance(); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if blocked := st.CompactionStallNanos > 0; blocked != (tc.workers == 1) {
+				t.Fatalf("CompactionStallNanos = %d with %d worker token(s)", st.CompactionStallNanos, tc.workers)
+			}
+		})
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // This file implements the maintenance scheduler: ONE picker, pickJob,
 // decides every flush and compaction from the store's state, and what it
-// picks runs on a bounded pool of workers (Options.CompactionWorkers,
-// shareable across stores). A dispatcher goroutine asks it when an idle
+// picks runs on a bounded pool of workers (Options.Workers, shareable
+// across stores). A dispatcher goroutine asks it when an idle
 // store gets work; a worker asks it again, in the critical section that
 // retires the job it just finished, for its successor.
 //
@@ -80,6 +80,9 @@ func NewWorkerPool(n int) *WorkerPool {
 
 // Busy returns how many tokens are currently held.
 func (p *WorkerPool) Busy() int { return int(p.busy.Load()) }
+
+// size returns how many tokens the pool has.
+func (p *WorkerPool) size() int { return cap(p.sem) }
 
 func (p *WorkerPool) acquire() {
 	p.sem <- struct{}{}
@@ -399,17 +402,18 @@ func (s *Store) runJob(j *maintJob) {
 
 // awaitFlushed blocks while a frozen memtable is outstanding — the
 // full-memtable stall. With charge set the wait goes to FlushStallNanos,
-// and also to CompactionStallNanos when level compactions hold workers and
-// no flush is running: compaction debt, not flush progress, is then what
-// the writer waits for. It returns ErrClosed once Close was requested (the
-// dispatcher may be gone, so a new freeze might never flush) and the
-// sticky background error if there is one.
+// and also to CompactionStallNanos when no flush is running and this store's
+// compactions keep one from starting — one owns L1, or they hold every
+// worker token: compaction debt, not flush progress, is then what the writer
+// waits for. A flush merely not yet dispatched is not charged. It returns
+// ErrClosed once Close was requested (the dispatcher may be gone, so a new
+// freeze might never flush) and the sticky background error if there is one.
 func (s *Store) awaitFlushed(charge bool) error {
 	m := &s.maint
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.flushed < m.frozen && m.err == nil && !m.closing {
-		blockedByCompaction := m.flushing == 0 && m.compacting > 0
+		blockedByCompaction := m.flushing == 0 && (m.claimed[1] || m.compacting >= s.workers.size())
 		start := time.Now()
 		m.cond.Wait()
 		if d := time.Since(start).Nanoseconds(); charge {

@@ -128,9 +128,10 @@ type Stats struct {
 	// active memtable filled while the previous frozen memtable was still
 	// flushing (the background flush could not keep up with the write rate).
 	FlushStallNanos uint64
-	// CompactionStallNanos is the portion of those stalls during which level
-	// compactions held maintenance workers and no flush was running
-	// (compaction debt delaying the flush the writer is waiting on).
+	// CompactionStallNanos is the portion of those stalls during which no
+	// flush was running and level compactions kept it from starting: one
+	// owned L1, or they held every worker token (compaction debt delaying the
+	// flush the writer is waiting on).
 	CompactionStallNanos uint64
 	// BackgroundCompactions counts level compactions the scheduler
 	// discovered from level debt (not requested through Compact).

@@ -1,6 +1,9 @@
 package vfs
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // SlowSyncFS wraps an FS and charges a fixed latency to every File.Sync —
 // an in-memory stand-in for a storage device whose fsync dominates the
@@ -9,10 +12,9 @@ type SlowSyncFS struct {
 	inner FS
 	delay time.Duration
 
-	// slots models the device's queue depth: at most cap(slots) syncs are
-	// in flight at once; the rest queue behind them. Depth 1 is a single
-	// spindle — every sync serializes, as on one WAL file on one disk.
-	slots chan struct{}
+	// slot models a device of queue depth 1, a single spindle: every sync
+	// serializes, as on one WAL file on one disk.
+	slot sync.Mutex
 }
 
 var _ FS = (*SlowSyncFS)(nil)
@@ -20,17 +22,7 @@ var _ FS = (*SlowSyncFS)(nil)
 // NewSlowSync wraps inner, making every Sync take delay. The simulated
 // device has queue depth 1: concurrent syncs serialize.
 func NewSlowSync(inner FS, delay time.Duration) *SlowSyncFS {
-	return NewSlowSyncQD(inner, delay, 1)
-}
-
-// NewSlowSyncQD wraps inner with a device of the given queue depth: up to
-// depth syncs overlap their latency, as on an NVMe device with internal
-// parallelism. Depth < 1 is clamped to 1 (a serial device).
-func NewSlowSyncQD(inner FS, delay time.Duration, depth int) *SlowSyncFS {
-	if depth < 1 {
-		depth = 1
-	}
-	return &SlowSyncFS{inner: inner, delay: delay, slots: make(chan struct{}, depth)}
+	return &SlowSyncFS{inner: inner, delay: delay}
 }
 
 // Create implements FS.
@@ -81,10 +73,10 @@ func (sf *slowFile) Truncate(size int64) error                { return sf.inner.
 func (sf *slowFile) Close() error                             { return sf.inner.Close() }
 
 func (sf *slowFile) Sync() error {
-	sf.fs.slots <- struct{}{}
+	sf.fs.slot.Lock()
 	if sf.fs.delay > 0 {
 		time.Sleep(sf.fs.delay)
 	}
-	<-sf.fs.slots
+	sf.fs.slot.Unlock()
 	return sf.inner.Sync()
 }
