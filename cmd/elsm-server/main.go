@@ -18,10 +18,10 @@
 //	-shards N
 //	    hash-partition the store into N authenticated instances behind the
 //	    router; STATS reports aggregate and per-shard (shardN_*) gauges.
-//	-commit-window, -iter-chunk-keys, -compaction-workers
-//	    engine tuning: group-commit batching delay, keys per streamed SCAN
-//	    chunk, maintenance pool size. Every mode runs with an 8 MiB read
-//	    buffer.
+//	-iter-chunk-keys, -compaction-workers
+//	    engine tuning: keys per streamed SCAN chunk, maintenance pool size.
+//	    Every mode runs with an 8 MiB read buffer; commit groups form on
+//	    their own, while the previous group is in its fsync.
 //	-max-connections, -pipeline-depth, -max-inflight
 //	    admission control: concurrent connections, requests in flight per
 //	    connection and globally. Excess load is shed with a typed BUSY; the
@@ -63,21 +63,20 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7878", "listen address")
-		dir          = flag.String("dir", "", "data directory (empty: in-memory)")
-		mode         = flag.String("mode", "p2", "store mode: p2 | p1 | unsecured")
-		shards       = flag.Int("shards", 1, "hash-partitioned shard count (power of two; each shard runs its own WAL, committer and maintenance worker)")
-		commitWindow = flag.Duration("commit-window", 0, "group-commit batching window (0: natural batching only, -1ns: adaptive from fsync latency)")
-		chunkKeys    = flag.Int("iter-chunk-keys", 0, "keys per streamed SCAN chunk (0: default)")
-		compWorkers  = flag.Int("compaction-workers", 0, "maintenance worker pool size shared across shards (0: max(2, GOMAXPROCS/2))")
-		maxConns     = flag.Int("max-connections", netsrv.DefaultMaxConnections, "max concurrent client connections; further connects are shed with BUSY")
-		pipeDepth    = flag.Int("pipeline-depth", netsrv.DefaultPipelineDepth, "max pipelined requests in flight per connection")
-		maxInflight  = flag.Int("max-inflight", netsrv.DefaultMaxInflight, "max requests in flight across all connections; excess is shed with BUSY")
-		follow       = flag.String("follow", "", "run as a read-only replica of the leader at this address (requires -repl-secret and mode p2)")
-		replSecret   = flag.String("repl-secret", "", "platform secret: the sealing root a restart on the same -dir unseals with (required with -dir in mode p2), and the attestation secret binding leader and followers (stands in for remote attestation; required with -follow, lets followers stream checkpoints and tails from this server)")
-		adminAddr    = flag.String("admin", "", "observability HTTP listen address (e.g. 127.0.0.1:7879) serving /metrics, /debug/pprof/*, /traces and /events; empty disables. Plaintext and unauthenticated — keep it on localhost or behind a proxy")
-		slowOp       = flag.Duration("slow-op-threshold", 0, "end-to-end latency above which a commit group's stage breakdown lands in the slow-op log (0: the 50ms default)")
-		traceEvery   = flag.Int("trace-sample-every", 0, "trace every Nth commit group through the pipeline (0: the default 64; 1: every group)")
+		addr        = flag.String("addr", "127.0.0.1:7878", "listen address")
+		dir         = flag.String("dir", "", "data directory (empty: in-memory)")
+		mode        = flag.String("mode", "p2", "store mode: p2 | p1 | unsecured")
+		shards      = flag.Int("shards", 1, "hash-partitioned shard count (power of two; each shard runs its own WAL, committer and maintenance worker)")
+		chunkKeys   = flag.Int("iter-chunk-keys", 0, "keys per streamed SCAN chunk (0: default)")
+		compWorkers = flag.Int("compaction-workers", 0, "maintenance worker pool size shared across shards (0: max(2, GOMAXPROCS/2))")
+		maxConns    = flag.Int("max-connections", netsrv.DefaultMaxConnections, "max concurrent client connections; further connects are shed with BUSY")
+		pipeDepth   = flag.Int("pipeline-depth", netsrv.DefaultPipelineDepth, "max pipelined requests in flight per connection")
+		maxInflight = flag.Int("max-inflight", netsrv.DefaultMaxInflight, "max requests in flight across all connections; excess is shed with BUSY")
+		follow      = flag.String("follow", "", "run as a read-only replica of the leader at this address (requires -repl-secret and mode p2)")
+		replSecret  = flag.String("repl-secret", "", "platform secret: the sealing root a restart on the same -dir unseals with (required with -dir in mode p2), and the attestation secret binding leader and followers (stands in for remote attestation; required with -follow, lets followers stream checkpoints and tails from this server)")
+		adminAddr   = flag.String("admin", "", "observability HTTP listen address (e.g. 127.0.0.1:7879) serving /metrics, /debug/pprof/*, /traces and /events; empty disables. Plaintext and unauthenticated — keep it on localhost or behind a proxy")
+		slowOp      = flag.Duration("slow-op-threshold", 0, "end-to-end latency above which a commit group's stage breakdown lands in the slow-op log (0: the 50ms default)")
+		traceEvery  = flag.Int("trace-sample-every", 0, "trace every Nth commit group through the pipeline (0: the default 64; 1: every group)")
 	)
 	flag.Parse()
 
@@ -85,7 +84,6 @@ func main() {
 		Dir:               *dir,
 		Shards:            *shards,
 		CacheSize:         readBufferBytes,
-		GroupCommitWindow: *commitWindow,
 		IterChunkKeys:     *chunkKeys,
 		CompactionWorkers: *compWorkers,
 		SlowOpThreshold:   *slowOp,

@@ -206,7 +206,7 @@ func TestServerStats(t *testing.T) {
 	for _, name := range []string{
 		"shards", "flushes", "compactions", "background_compactions",
 		"flush_stall_nanos", "compaction_stall_nanos", "pinned_runs",
-		"group_commit_window_nanos", "wal_syncs", "verified_gets",
+		"group_commits", "wal_syncs", "verified_gets",
 		"shard0_wal_syncs", "shard0_snapshots_open", "shard0_async_commits_in_flight",
 		"net_connections", "net_bytes_in",
 	} {
@@ -327,13 +327,11 @@ func TestServerBatchCommands(t *testing.T) {
 // coalescing: batches arriving on SEPARATE connections ride the store's
 // shared group-commit pipeline, so the store issues measurably fewer WAL
 // fsyncs than it served write requests. The store sits on sync-delayed
-// storage (where grouping matters) with a small batching window so
-// concurrent requests reliably land in shared groups.
+// storage (where grouping matters): requests arriving while one group is in
+// its fsync join the next, so eight closed-loop connections need at most one
+// fsync per two requests.
 func TestServerConnectionsShareCommitGroups(t *testing.T) {
-	store := mustOpen(t, elsm.Options{
-		FS:                vfs.NewSlowSync(vfs.NewMem(), 500*time.Microsecond),
-		GroupCommitWindow: 2 * time.Millisecond,
-	})
+	store := mustOpen(t, elsm.Options{FS: vfs.NewSlowSync(vfs.NewMem(), 500*time.Microsecond)})
 	addr := serve(t, store)
 
 	const conns = 8
@@ -369,7 +367,7 @@ func TestServerConnectionsShareCommitGroups(t *testing.T) {
 	if st.GroupedRecords != total*2 {
 		t.Fatalf("pipeline carried %d records, want %d", st.GroupedRecords, total*2)
 	}
-	if st.WALSyncs >= total {
+	if st.WALSyncs*2 > total {
 		t.Fatalf("server issued %d fsyncs for %d write requests — connections are not sharing commit groups", st.WALSyncs, total)
 	}
 	t.Logf("%d write requests from %d connections → %d fsyncs, %d commit groups",

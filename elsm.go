@@ -19,12 +19,11 @@
 //	res, err := store.Get([]byte("key"))   // verified: integrity+freshness
 //
 // Every write — single Put or client Batch — rides a cross-client
-// group-commit pipeline: concurrent commits coalesce into one grouped WAL
-// append, one fsync and at most one monotonic-counter bump, each group is
-// marker-terminated in the log so crash recovery replays a prefix of whole
-// commits, and the WAL append of one group overlaps the fsync of the
-// previous (two-stage pipelining). Batches additionally pack their
-// operations into one enclave round trip:
+// group commit: commits that arrive while one group is in its fsync
+// coalesce into the next, which costs one grouped WAL append, one fsync and
+// at most one monotonic-counter bump, and each group is marker-terminated
+// in the log so crash recovery replays a prefix of whole commits. Batches
+// additionally pack their operations into one enclave round trip:
 //
 //	b := store.NewBatch()
 //	b.Put([]byte("k1"), []byte("v1"))
@@ -138,7 +137,6 @@ import (
 	"time"
 
 	"elsm/internal/core"
-	"elsm/internal/lsm"
 	"elsm/internal/obs"
 	"elsm/internal/repl"
 	"elsm/internal/sgx"
@@ -208,15 +206,6 @@ type Options struct {
 	// Larger chunks amortize enclave boundary crossings better; smaller
 	// chunks bound the enclave-resident working set.
 	IterChunkKeys int
-	// GroupCommitWindow makes a commit leader wait this long for more
-	// concurrent commits to join its group before flushing it, trading
-	// single-writer latency for larger groups. 0 (the default) relies on
-	// the natural batching window: while one group's fsync is in flight,
-	// the next group accumulates. AutoGroupCommitWindow derives the wait
-	// adaptively from the observed fsync latency (an EWMA; the resolved
-	// value is reported in Stats.GroupCommitWindowNanos). Capped at one
-	// second.
-	GroupCommitWindow time.Duration
 	// MaxAsyncCommitBacklog caps how many Batch.CommitAsync commits may
 	// be acknowledged but not yet durable at once (0 = the built-in
 	// default, currently 1024). A caller hitting the cap blocks — with
@@ -284,12 +273,6 @@ type Options struct {
 	BlockSize     int
 }
 
-// AutoGroupCommitWindow selects the adaptive group-commit window: the
-// leader wait tracks half the fsync-latency EWMA instead of a fixed
-// duration, so fast storage pays (near) zero delay while slow storage gets
-// groups sized to its fsync cost.
-const AutoGroupCommitWindow = lsm.AutoGroupCommitWindow
-
 // validate rejects option values that would silently misbehave.
 func (o Options) validate() error {
 	if o.Mode < ModeP2 || o.Mode > ModeUnsecured {
@@ -297,12 +280,6 @@ func (o Options) validate() error {
 	}
 	if o.IterChunkKeys < 0 {
 		return fmt.Errorf("elsm: IterChunkKeys must be ≥ 0, got %d", o.IterChunkKeys)
-	}
-	if o.GroupCommitWindow < 0 && o.GroupCommitWindow != AutoGroupCommitWindow {
-		return fmt.Errorf("elsm: GroupCommitWindow must be ≥ 0 or AutoGroupCommitWindow, got %v", o.GroupCommitWindow)
-	}
-	if o.GroupCommitWindow > time.Second {
-		return fmt.Errorf("elsm: GroupCommitWindow %v exceeds the 1s cap (it delays every commit)", o.GroupCommitWindow)
 	}
 	if o.MaxAsyncCommitBacklog < 0 {
 		return fmt.Errorf("elsm: MaxAsyncCommitBacklog must be ≥ 0, got %d", o.MaxAsyncCommitBacklog)
@@ -415,7 +392,6 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		KeepVersions:          o.KeepVersions,
 		RequireCleanRecovery:  o.RequireCleanRecovery,
 		IterChunkKeys:         o.IterChunkKeys,
-		GroupCommitWindow:     o.GroupCommitWindow,
 		MaxAsyncCommitBacklog: o.MaxAsyncCommitBacklog,
 		MemtableSize:          o.MemtableSize,
 		TableFileSize:         o.TableFileSize,

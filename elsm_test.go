@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"elsm/internal/crypto"
 	"elsm/internal/sgx"
@@ -267,8 +266,6 @@ func TestOpenValidatesTuningOptions(t *testing.T) {
 		wantMsg string
 	}{
 		{Options{IterChunkKeys: -1}, "IterChunkKeys must be ≥ 0"},
-		{Options{GroupCommitWindow: -time.Millisecond}, "GroupCommitWindow must be ≥ 0"},
-		{Options{GroupCommitWindow: 2 * time.Second}, "exceeds the 1s cap"}, // over the 1s cap
 		{Options{MaxAsyncCommitBacklog: -1}, "MaxAsyncCommitBacklog must be ≥ 0"},
 		{Options{CompactionWorkers: -1}, "CompactionWorkers must be ≥ 0"},
 	}
@@ -281,12 +278,10 @@ func TestOpenValidatesTuningOptions(t *testing.T) {
 			t.Fatalf("bad option set %d: error %q does not name the offending knob (want %q)", i, err, tc.wantMsg)
 		}
 	}
-	// And valid settings work end to end: tiny chunks, a small batching
-	// window.
+	// And valid settings work end to end: tiny chunks.
 	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
 		opts := testOptions(mode)
 		opts.IterChunkKeys = 4
-		opts.GroupCommitWindow = 100 * time.Microsecond
 		s, err := Open(opts)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)

@@ -11,5 +11,9 @@ import (
 // internal/netsrv, which imports this package).
 func (s *Store) LoadedSet() ([]*core.Store, []*obs.Recorder) {
 	set := s.eng.Load()
-	return set.cores, set.recs
+	cores := make([]*core.Store, len(set.shards))
+	for i := range cores {
+		cores[i] = set.p2(i)
+	}
+	return cores, set.recs
 }

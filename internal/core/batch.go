@@ -17,7 +17,7 @@ func NewResolvedFuture(ts uint64, err error) *CommitFuture {
 }
 
 // Commit applies a group of writes in ONE enclave round trip, riding the
-// engine's cross-client group-commit pipeline: the batch extends the WAL
+// engine's cross-client group commit: the batch extends the WAL
 // digest chain per record but shares a single marker-terminated group
 // append+fsync — and at most one monotonic-counter bump, paid in
 // OnGroupCommit after the group is durable — with every concurrent commit
@@ -35,7 +35,7 @@ func (c *Store) Commit(ctx context.Context, ops []BatchOp) (uint64, error) {
 // CommitAsync implements KV for eLSM-P2: the batch is appended and digest-
 // chained like a synchronous commit, but the caller gets a CommitFuture
 // acknowledged at append (timestamp assigned) and resolved at fsync — the
-// engine pipelines the next group's WAL append with this group's fsync.
+// caller can go on while its group is in the commit worker's fsync.
 func (c *Store) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, error) {
 	var fut *CommitFuture
 	var err error

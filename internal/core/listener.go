@@ -61,10 +61,9 @@ func (l *authListener) OnWALAppend(rec record.Record) {
 	c.mu.Unlock()
 }
 
-// OnGroupAppended records the WAL chain values at a group boundary. The
-// pipelined committer appends group N+1 while group N's fsync is still in
-// flight, so the chain tip (walDigest) runs AHEAD of stable storage; the
-// mark queued here is promoted to the durable frontier by the group's
+// OnGroupAppended records the WAL chain values at a group boundary. Until
+// the group's fsync the chain tip (walDigest) runs AHEAD of stable storage;
+// the mark kept here is promoted to the durable frontier by the group's
 // matching OnGroupCommit, and only the durable frontier is ever sealed —
 // a counter bump binding records an fsync has not confirmed would, after a
 // crash, demand a WAL prefix that no longer exists and brick the store as a
@@ -72,15 +71,15 @@ func (l *authListener) OnWALAppend(rec record.Record) {
 // chain spanning frozen+active logs, and the fresh chain over the active
 // log alone — because a flush install between append and durability
 // promotion deletes the frozen logs and rebases the trusted chain onto the
-// fresh one (compactionJob.Installed rewrites pending marks accordingly).
+// fresh one (compactionJob.Installed rewrites the pending mark accordingly).
 func (l *authListener) OnGroupAppended() {
 	c := l.c
 	c.mu.Lock()
-	c.groupMarks = append(c.groupMarks, walMark{
+	c.pendingMark = &walMark{
 		digest:  c.walDigest,
 		fresh:   c.freshDigest,
 		appends: c.walAppends,
-	})
+	}
 	c.mu.Unlock()
 }
 
@@ -91,9 +90,8 @@ func (l *authListener) OnGroupAppended() {
 func (l *authListener) OnGroupCommit(n int) {
 	c := l.c
 	c.mu.Lock()
-	if len(c.groupMarks) > 0 {
-		mark := c.groupMarks[0]
-		c.groupMarks = c.groupMarks[1:]
+	if mark := c.pendingMark; mark != nil {
+		c.pendingMark = nil
 		c.durableDigest = mark.digest
 		c.durableFresh = mark.fresh
 		c.durableAppends = mark.appends
@@ -108,19 +106,15 @@ func (l *authListener) OnGroupCommit(n int) {
 	}
 }
 
-// OnGroupAbandoned consumes (and discards) the mark of a group whose fsync
-// failed: the durable frontier stays where it was — conservatively valid,
-// since a chain prefix once durable stays durable — but the mark MUST
-// leave the queue, or the next successful group's OnGroupCommit would
-// promote this group's stale mark and every later promotion would lag one
-// group behind (and a pre-rotation stale mark could later seal a digest
-// from a deleted log's chain, bricking recovery as a false rollback).
+// OnGroupAbandoned discards the mark of a group whose fsync failed: the
+// durable frontier stays where it was — conservatively valid, since a chain
+// prefix once durable stays durable — and the stale mark must never be
+// promoted (a pre-rotation mark could seal a digest from a deleted log's
+// chain, bricking recovery as a false rollback).
 func (l *authListener) OnGroupAbandoned() {
 	c := l.c
 	c.mu.Lock()
-	if len(c.groupMarks) > 0 {
-		c.groupMarks = c.groupMarks[1:]
-	}
+	c.pendingMark = nil
 	c.mu.Unlock()
 }
 
@@ -128,9 +122,9 @@ func (l *authListener) OnGroupAbandoned() {
 // rotated to a frozen log, records appended from now on land in a fresh
 // active log, so the chain over that log alone restarts from zero. The
 // full chain (walDigest) keeps spanning frozen + active logs until the
-// flush installs. The engine drains the commit pipeline before any freeze,
-// so no group marks are in flight here and the durable fresh frontier
-// restarts at zero with the chain itself.
+// flush installs. The engine freezes only between groups, so no group mark
+// is pending here and the durable fresh frontier restarts at zero with the
+// chain itself.
 func (l *authListener) OnMemtableFrozen() {
 	c := l.c
 	c.mu.Lock()
@@ -250,14 +244,14 @@ func (j *compactionJob) Installed() {
 	c.mu.Lock()
 	if j.info.MemtableInput {
 		// The frozen logs are gone: the trusted chain rebases onto the
-		// active log's chain. The tip, the durable frontier and any group
-		// marks still awaiting durability promotion (groups appended to
+		// active log's chain. The tip, the durable frontier and the group
+		// mark still awaiting durability promotion (a group appended to
 		// the active log after the freeze, fsync still in flight) all
 		// switch to their fresh-basis values.
 		c.walDigest = c.freshDigest
 		c.durableDigest = c.durableFresh
-		for i := range c.groupMarks {
-			c.groupMarks[i].digest = c.groupMarks[i].fresh
+		if c.pendingMark != nil {
+			c.pendingMark.digest = c.pendingMark.fresh
 		}
 	}
 	// The forest Verify staged IS the post-install forest: installs are

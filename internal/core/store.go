@@ -60,10 +60,6 @@ type Config struct {
 	// IterChunkKeys bounds how many distinct keys a streaming iterator
 	// chunk covers per run (0 = DefaultIterChunkKeys).
 	IterChunkKeys int
-	// GroupCommitWindow makes a commit leader wait this long for more
-	// concurrent commits to join its group (0 = rely on the natural
-	// batching window of the previous group's fsync).
-	GroupCommitWindow time.Duration
 	// MaxAsyncCommitBacklog caps acknowledged-but-not-yet-durable
 	// CommitAsync commits (0 = engine default).
 	MaxAsyncCommitBacklog int
@@ -109,7 +105,6 @@ func (cfg Config) engineOptions() lsm.Options {
 		MaxLevels:             cfg.MaxLevels,
 		KeepVersions:          cfg.KeepVersions,
 		DisableCompaction:     cfg.DisableCompaction,
-		GroupCommitWindow:     cfg.GroupCommitWindow,
 		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
 		Workers:               cfg.Workers,
 		Obs:                   cfg.Obs,
@@ -244,13 +239,14 @@ type Store struct {
 	walDigest   hashutil.Hash
 	freshDigest hashutil.Hash
 	walAppends  uint64
-	// The pipelined committer appends ahead of its fsyncs, so the chain
-	// tips above run ahead of stable storage. groupMarks queues one mark
-	// per appended-but-not-yet-durable commit group (FIFO, in append
-	// order); OnGroupCommit pops marks into the durable frontier below,
-	// which is the ONLY state commitState may seal — binding the counter
-	// to unsynced records would turn a crash into a false rollback.
-	groupMarks     []walMark
+	// Between a group's append and its fsync the chain tips above run
+	// ahead of stable storage. pendingMark is that group's mark (nil when
+	// no group is in flight: each append gets its OnGroupCommit or
+	// OnGroupAbandoned before the next); OnGroupCommit promotes it into the
+	// durable frontier below, which is the ONLY state commitState may seal —
+	// binding the counter to unsynced records would turn a crash into a
+	// false rollback.
+	pendingMark    *walMark
 	durableDigest  hashutil.Hash
 	durableFresh   hashutil.Hash
 	durableAppends uint64
@@ -511,9 +507,8 @@ func (c *Store) commitState() {
 	defer c.sealMu.Unlock()
 	c.mu.Lock()
 	digs := c.snap.Load().digests // consistent with the WAL frontier: swaps hold mu
-	// Seal the DURABLE WAL frontier, never the append tip: with the
-	// pipelined committer the tip may include records whose fsync is still
-	// in flight, and a counter bound to them would refuse recovery from a
+	// Seal the DURABLE WAL frontier, never the append tip: the tip may
+	// include records of a group whose fsync is still in flight, and a counter bound to them would refuse recovery from a
 	// crash that (legitimately) tore them away.
 	epoch := c.epoch.Load()
 	fp := stateFingerprint(digs, c.durableDigest, epoch)

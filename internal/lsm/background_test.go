@@ -131,57 +131,6 @@ func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGroupCommitWindow checks GroupCommitWindow =
-// AutoGroupCommitWindow: the resolved window must track the observed fsync
-// latency (half the EWMA) and stay under the cap.
-func TestAdaptiveGroupCommitWindow(t *testing.T) {
-	delay := 400 * time.Microsecond
-	fs := vfs.NewSlowSync(vfs.NewMem(), delay)
-	opts := bgOpts(fs)
-	opts.MemtableSize = 1 << 20 // no flushes: isolate the commit path
-	opts.GroupCommitWindow = AutoGroupCommitWindow
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ {
-		if _, err := putKV(s, []byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.FsyncEWMANanos == 0 {
-		t.Fatal("fsync EWMA not observed")
-	}
-	if st.GroupCommitWindowNanos == 0 {
-		t.Fatal("auto window resolved to zero despite slow fsyncs")
-	}
-	if got := time.Duration(st.GroupCommitWindowNanos); got > maxAutoCommitWindow {
-		t.Fatalf("auto window %v exceeds cap %v", got, maxAutoCommitWindow)
-	}
-	// Half of a ≥400µs EWMA should be at least ~100µs.
-	if st.GroupCommitWindowNanos < uint64((delay / 4).Nanoseconds()) {
-		t.Fatalf("auto window %v implausibly small for %v fsyncs",
-			time.Duration(st.GroupCommitWindowNanos), delay)
-	}
-}
-
-// TestFixedWindowStillResolves pins the non-adaptive path: a configured
-// window is reported verbatim.
-func TestFixedWindowStillResolves(t *testing.T) {
-	opts := bgOpts(nil)
-	opts.GroupCommitWindow = 123 * time.Microsecond
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.Stats().GroupCommitWindowNanos; got != uint64((123 * time.Microsecond).Nanoseconds()) {
-		t.Fatalf("fixed window misreported: %d", got)
-	}
-}
-
 // TestCloseDrainsInFlightFlush closes the store right after a write burst
 // that scheduled a background flush: Close must drain the job (manifest
 // and digests consistent), and a reopen must recover every record.

@@ -609,8 +609,7 @@ func (s *Store) BulkLoad(recs []record.Record) error {
 		}
 	}
 	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.drainSync() // the empty-store check must not race in-flight commit applies
+	defer s.commitMu.Unlock() // the empty-store check must not race a commit
 	return s.runSync(&maintJob{kind: jobExclusive, fn: func() error { return s.bulkLoadJob(recs, total, maxTs) }})
 }
 

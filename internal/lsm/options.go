@@ -17,7 +17,6 @@ package lsm
 
 import (
 	"runtime"
-	"time"
 
 	"elsm/internal/blockcache"
 	"elsm/internal/obs"
@@ -87,14 +86,6 @@ type Options struct {
 	// pool, not Shards × pool). Nil creates a private pool of
 	// DefaultCompactionWorkers() tokens.
 	Workers *WorkerPool
-	// GroupCommitWindow makes a commit leader wait this long before
-	// draining the queue, trading latency for larger groups. 0 (the
-	// default) relies on the natural batching window: the queue refills
-	// while the previous group's fsync is in flight.
-	// AutoGroupCommitWindow (-1) derives the wait adaptively from an EWMA
-	// of observed fsync latency (half the EWMA, capped at 2ms); the
-	// resolved value is reported in Stats.GroupCommitWindowNanos.
-	GroupCommitWindow time.Duration
 	// MaxAsyncCommitBacklog caps how many CommitAsync commits may be
 	// accepted but not yet durable; a caller hitting the cap blocks (with
 	// context cancellation) until the pipeline drains. 0 selects
@@ -110,16 +101,10 @@ type Options struct {
 }
 
 // DefaultMaxAsyncCommitBacklog bounds the number of acknowledged-but-not-
-// yet-durable async commits. Large enough to keep the WAL/fsync pipeline
+// yet-durable async commits. Large enough to keep the commit worker
 // saturated, small enough to bound the data a crash can lose and the memory
 // the pending queue holds.
 const DefaultMaxAsyncCommitBacklog = 1024
-
-// AutoGroupCommitWindow selects the adaptive leader batching window: the
-// wait tracks half the observed fsync-latency EWMA instead of a fixed
-// duration, so fast storage pays (near) zero delay and slow storage gets
-// groups sized to its fsync cost.
-const AutoGroupCommitWindow time.Duration = -1
 
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
@@ -145,9 +130,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLevels <= 0 {
 		o.MaxLevels = DefaultMaxLevels
-	}
-	if o.GroupCommitWindow < 0 && o.GroupCommitWindow != AutoGroupCommitWindow {
-		o.GroupCommitWindow = 0
 	}
 	if o.MaxAsyncCommitBacklog <= 0 {
 		o.MaxAsyncCommitBacklog = DefaultMaxAsyncCommitBacklog
@@ -217,8 +199,8 @@ type EventListener interface {
 	OnWALAppend(rec record.Record)
 	// OnGroupAppended fires once per commit group, immediately after the
 	// group's records were appended (NOT yet fsynced) to the untrusted
-	// log, on the appending goroutine under the engine lock. With the
-	// pipelined committer the WAL chain tip runs ahead of durable storage;
+	// log, on the committing goroutine under the engine lock. Until the
+	// group's fsync the WAL chain tip runs ahead of durable storage;
 	// this hook lets the authentication layer remember the chain value at
 	// each group boundary so the matching OnGroupCommit can promote exactly
 	// that prefix to "durable" — a seal must never fingerprint WAL records

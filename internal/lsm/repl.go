@@ -28,10 +28,10 @@ type ReplicatedGroup struct {
 }
 
 // GroupSink receives every durably committed group, in commit order, after
-// the group has been applied to the memtable. It is invoked from the sync
-// stage (single-threaded), so implementations see a strictly ordered,
-// gap-free stream; they must not block for long — the commit pipeline's
-// apply latency includes the call.
+// the group has been applied to the memtable. It is invoked from the commit
+// worker (single-threaded), so implementations see a strictly ordered,
+// gap-free stream; they must not block for long — the group's apply latency
+// includes the call.
 type GroupSink func(ReplicatedGroup)
 
 // SetGroupSink installs (or, with nil, removes) the store's replication
@@ -70,7 +70,7 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 // follower can lead a downstream replica). The follower's WAL chain, sealed
 // frontier and on-disk state are therefore bit-compatible with a store that
 // executed the writes locally. The caller has already authenticated the
-// group (frame report + digest chain); the append stage enforces that it
+// group (frame report + digest chain); the commit worker enforces that it
 // extends the applied frontier contiguously.
 func (s *Store) ApplyReplicated(recs []record.Record) error {
 	if len(recs) == 0 {
@@ -80,7 +80,7 @@ func (s *Store) ApplyReplicated(recs []record.Record) error {
 	return err
 }
 
-// checkShipped is the append stage's check on records that arrive stamped:
+// checkShipped is the commit worker's check on records that arrive stamped:
 // they must carry the timestamps last+1, last+2, … and a writable kind.
 func checkShipped(recs []record.Record, last uint64) error {
 	for i := range recs {
@@ -113,8 +113,8 @@ type CheckpointSource struct {
 // Release drops the source's snapshot pins. Idempotent.
 func (cs *CheckpointSource) Release() { cs.Snap.Release() }
 
-// CaptureCheckpoint quiesces the commit pipeline (commitMu held, sync stage
-// drained — so durable == applied == last assigned timestamp) and, under
+// CaptureCheckpoint quiesces the commit pipeline (commitMu held, so no
+// group is in flight and durable == applied == last assigned timestamp) and, under
 // one engine read lock (so no version install or WAL rotation can
 // interleave), pins the current snapshot, copies the live WAL file bytes,
 // and invokes capture — the authentication layer's window to read its
@@ -123,7 +123,6 @@ func (cs *CheckpointSource) Release() { cs.Snap.Release() }
 func (s *Store) CaptureCheckpoint(capture func() error) (*CheckpointSource, error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	s.drainSync()
 
 	s.mu.RLock()
 	if s.closed {

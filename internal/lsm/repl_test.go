@@ -2,9 +2,7 @@ package lsm
 
 import (
 	"errors"
-	"fmt"
 	"testing"
-	"time"
 
 	"elsm/internal/record"
 	"elsm/internal/vfs"
@@ -81,29 +79,5 @@ func TestApplyReplicatedRidesThePipeline(t *testing.T) {
 	}
 	if _, ok, _ := s.Get([]byte("f"), record.MaxTs); ok {
 		t.Fatal("a group whose fsync failed became readable")
-	}
-}
-
-// TestShippedGroupsSkipTheBatchingWindow: a shipped group is the group its
-// leader formed, and the tailer sends the next one only after this one is
-// durable, so nothing could join it during a window. A follower configured
-// like its leader must not pay the window per group and fall behind.
-func TestShippedGroupsSkipTheBatchingWindow(t *testing.T) {
-	const groups, window = 10, 150 * time.Millisecond
-	opts := smallOpts(vfs.NewMem())
-	opts.GroupCommitWindow = window
-	s := mustOpen(t, opts)
-	defer s.Close()
-	start := time.Now()
-	for i := uint64(1); i <= groups; i++ {
-		if err := s.ApplyReplicated(shipped(i, fmt.Sprintf("k%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if took := time.Since(start); took > groups*window/3 {
-		t.Fatalf("%d shipped groups took %v with a %v window: the window was slept per group", groups, took, window)
-	}
-	if got := s.AppliedTs(); got != groups {
-		t.Fatalf("applied frontier %d, want %d", got, groups)
 	}
 }

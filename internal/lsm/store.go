@@ -157,32 +157,24 @@ type Stats struct {
 	// AsyncCommitsInFlight is the current number of CommitAsync commits
 	// acknowledged but not yet durable (bounded by MaxAsyncCommitBacklog).
 	AsyncCommitsInFlight uint64
-	// GroupCommitWindowNanos is the resolved leader batching window: the
-	// configured value, or — with GroupCommitWindow = AutoGroupCommitWindow —
-	// the value currently derived from the fsync-latency EWMA.
-	GroupCommitWindowNanos uint64
-	// FsyncEWMANanos is the exponentially-weighted moving average of
-	// observed WAL fsync latency feeding the adaptive window.
-	FsyncEWMANanos uint64
 }
 
 // Store is the LSM engine. Reads may run concurrently; writes flow through
-// the two-stage group-commit pipeline (commit.go): an append worker coalesces
-// concurrent commits into groups and appends them to the WAL, a sync worker
-// fsyncs and applies them — so the append of group N+1 overlaps the fsync of
-// group N. Flush and compaction run on a pool of maintenance workers
+// the group-commit pipeline (commit.go): one commit worker coalesces
+// concurrent commits into groups and appends, fsyncs and applies each in
+// turn, while the next group queues behind its fsync. Flush and compaction run on a pool of maintenance workers
 // (scheduler.go) scheduled by compaction debt over disjoint level pairs:
 // the commit path only freezes the full memtable (an O(1) pointer swap plus
 // a WAL rotation) and the scheduler discovers the flush, so writers never
 // wait on a multi-megabyte merge unless flushes fall behind the write rate
 // (Stats.FlushStallNanos counts exactly that).
 //
-// Lock order: commitMu > installMu > mu > gc.syncMu / maint.mu > the
-// listener's own locks. commitMu serializes append epochs — a commit
-// group's WAL append, a freeze's WAL rotation (which first drains the sync
-// stage, so no fsync is in flight across the rename), close — without
-// covering fsyncs and without blocking readers, which only take mu.RLock
-// and therefore never wait on storage. installMu serializes the install
+// Lock order: commitMu > installMu > mu > gc.mu / maint.mu > the listener's
+// own locks. commitMu serializes WAL epochs — a commit group from append
+// through fsync and apply, a freeze's WAL rotation, close — so holding it
+// means no group is in flight. It spans the fsync, which is safe because
+// readers (mu.RLock only) and maintenance jobs never take it and so never
+// wait on storage. installMu serializes the install
 // phase (manifest write + digest swap + post-install seal) across
 // concurrent maintenance jobs. Maintenance jobs take mu only for the
 // snapshot and install phases of a rewrite, never commitMu.
@@ -233,7 +225,7 @@ type Store struct {
 	// reopened and recovery re-establishes a verified log prefix.
 	walErr error
 
-	gc    committer   // two-stage group-commit pipeline (commit.go)
+	gc    committer   // group-commit queue and worker (commit.go)
 	maint maintenance // flush/compaction scheduler (scheduler.go)
 
 	// workers is the maintenance worker-token pool (possibly shared with
@@ -265,8 +257,8 @@ type Store struct {
 	nextRunID   uint64        // guarded by mu
 	lastTs      atomic.Uint64
 	// appliedTs is the last timestamp durably applied to the memtable: the
-	// pipelined committer assigns timestamps (lastTs) at append but makes
-	// records visible only after their group's fsync, so reads and
+	// committer assigns timestamps (lastTs) at append but makes records
+	// visible only after their group's fsync, so reads and
 	// snapshots anchor to appliedTs — every record ≤ appliedTs is visible,
 	// every record > appliedTs is not yet. Stored under mu in apply order.
 	appliedTs atomic.Uint64
@@ -292,7 +284,6 @@ type Store struct {
 	compactionStallNanos  atomic.Int64
 	backgroundCompactions atomic.Uint64
 	pinnedRuns            atomic.Int64
-	fsyncEWMANanos        atomic.Int64
 }
 
 // Open creates or recovers a store.
@@ -944,13 +935,14 @@ func (s *Store) Runs() []RunRef {
 	return out
 }
 
-// LastTs returns the most recently assigned timestamp. With the pipelined
-// committer this can run ahead of durable, visible state — see AppliedTs.
+// LastTs returns the most recently assigned timestamp. While a group is
+// between append and fsync it runs ahead of durable, visible state — see
+// AppliedTs.
 func (s *Store) LastTs() uint64 { return s.lastTs.Load() }
 
 // AppliedTs returns the last timestamp durably applied to the memtable:
 // every record at or below it is fsynced and readable, every record above
-// it is still in the commit pipeline.
+// it is still in the commit worker's current group.
 func (s *Store) AppliedTs() uint64 { return s.appliedTs.Load() }
 
 // Stats returns engine event counters.
@@ -981,28 +973,26 @@ func (s *Store) Stats() Stats {
 	running := s.maint.inflight
 	s.maint.mu.Unlock()
 	return Stats{
-		Flushes:                s.flushes.Load(),
-		Compactions:            s.compactions.Load(),
-		BytesFlushed:           s.bytesFlushed.Load(),
-		BytesCompacted:         s.bytesCompacted.Load(),
-		RecordsDropped:         s.recordsDropped.Load(),
-		ManifestUpdates:        s.manifestUpdates.Load(),
-		WALSyncs:               s.walSyncs.Load(),
-		GroupCommits:           s.groupCommits.Load(),
-		GroupedRecords:         s.groupedRecords.Load(),
-		WALTornRecords:         uint64(torn),
-		FlushStallNanos:        uint64(s.flushStallNanos.Load()),
-		CompactionStallNanos:   uint64(s.compactionStallNanos.Load()),
-		BackgroundCompactions:  s.backgroundCompactions.Load(),
-		CompactionDebtBytes:    debtTotal,
-		CompactionDebtByLevel:  debtByLevel,
-		ParallelCompactions:    uint64(running),
-		CompactionWorkersBusy:  uint64(s.workers.Busy()),
-		PinnedRuns:             uint64(pinned),
-		SnapshotsOpen:          uint64(snaps),
-		AsyncCommitsInFlight:   uint64(async),
-		GroupCommitWindowNanos: uint64(s.resolveCommitWindow().Nanoseconds()),
-		FsyncEWMANanos:         uint64(s.fsyncEWMANanos.Load()),
+		Flushes:               s.flushes.Load(),
+		Compactions:           s.compactions.Load(),
+		BytesFlushed:          s.bytesFlushed.Load(),
+		BytesCompacted:        s.bytesCompacted.Load(),
+		RecordsDropped:        s.recordsDropped.Load(),
+		ManifestUpdates:       s.manifestUpdates.Load(),
+		WALSyncs:              s.walSyncs.Load(),
+		GroupCommits:          s.groupCommits.Load(),
+		GroupedRecords:        s.groupedRecords.Load(),
+		WALTornRecords:        uint64(torn),
+		FlushStallNanos:       uint64(s.flushStallNanos.Load()),
+		CompactionStallNanos:  uint64(s.compactionStallNanos.Load()),
+		BackgroundCompactions: s.backgroundCompactions.Load(),
+		CompactionDebtBytes:   debtTotal,
+		CompactionDebtByLevel: debtByLevel,
+		ParallelCompactions:   uint64(running),
+		CompactionWorkersBusy: uint64(s.workers.Busy()),
+		PinnedRuns:            uint64(pinned),
+		SnapshotsOpen:         uint64(snaps),
+		AsyncCommitsInFlight:  uint64(async),
 	}
 }
 
@@ -1023,14 +1013,13 @@ func (s *Store) DiskBytes() int64 {
 // is done — a barrier for tests and tooling that assert on settled state.
 //
 // A commit that fills the memtable acknowledges its caller before the
-// append worker has consumed the wantFreeze nudge, so the call consumes
-// that pending decision first: ensureMemtableRoom is exactly the worker's
-// freeze step and a no-op when the memtable isn't full.
+// commit worker freezes it; the call waits for the worker (commitMu) and
+// then runs the same freeze step, a no-op once the memtable isn't full.
 func (s *Store) WaitMaintenance() error { return s.freezeAndSettle(false) }
 
 // Close drains in-flight maintenance (a background flush or compaction
 // runs to completion so the manifest, run files and trusted digests stay
-// consistent) and the commit pipeline (appended groups are fsynced, applied
+// consistent) and the commit worker (the group it is on is fsynced, applied
 // and acknowledged; commits still queued fail with ErrClosed), then
 // releases resources. Buffered writes are NOT flushed — callers flush
 // explicitly if desired; the WAL preserves them for recovery.

@@ -16,6 +16,7 @@ import (
 	"elsm/internal/netproto"
 	"elsm/internal/netsrv"
 	"elsm/internal/sgx"
+	"elsm/internal/vfs"
 )
 
 // serve opens a store behind a real netsrv.Server on loopback and returns
@@ -290,13 +291,30 @@ func TestStreams(t *testing.T) {
 func TestBusyAndServerErrors(t *testing.T) {
 	noLeaks(t)
 	t.Run("request shed", func(t *testing.T) {
-		// One in-flight slot, held ~150ms by a write in its commit window.
-		_, _, c := serve(t, elsm.Options{GroupCommitWindow: 150 * time.Millisecond}, netsrv.Config{MaxInflight: 1})
+		// One in-flight slot, held by a write parked in its fsync. The
+		// release runs at cleanup too, ahead of the teardown serve queued.
+		// The connection answers in order, so the shed read's BUSY arrives
+		// once the write is released.
+		fs := vfs.NewSlowSync(vfs.NewMem(), 0)
+		srv, _, c := serve(t, elsm.Options{FS: fs}, netsrv.Config{MaxInflight: 1})
+		release := fs.Hold()
+		t.Cleanup(release)
 		held, err := c.PutAsync([]byte("k"), []byte("v"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Get([]byte("k")); !errors.Is(err, netclient.ErrBusy) {
+		shed, err := c.GetAsync([]byte("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for srv.Stats().BusyRejects == 0 {
+			runtime.Gosched()
+		}
+		release()
+		if _, err := shed.Wait(); !errors.Is(err, netclient.ErrBusy) {
 			t.Fatalf("a request past the in-flight budget = %v, want ErrBusy", err)
 		}
 		if _, err := held.Wait(); err != nil {
@@ -404,9 +422,13 @@ func inFlight(t *testing.T, c *netclient.Client) (settle func() (failed, total i
 // Close returns with nothing left behind.
 func TestServerCloseFailsPending(t *testing.T) {
 	noLeaks(t)
-	// Writes sit in a one-second commit window, so all are still pending
-	// when the server cuts its connections.
-	srv, _, c := serve(t, elsm.Options{GroupCommitWindow: time.Second}, netsrv.Config{})
+	// Writes sit behind a held fsync, so all are still pending when the
+	// server cuts its connections; its Close returns once the release lets
+	// the handlers drain.
+	fs := vfs.NewSlowSync(vfs.NewMem(), 0)
+	srv, _, c := serve(t, elsm.Options{FS: fs}, netsrv.Config{})
+	release := fs.Hold()
+	t.Cleanup(release)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -417,10 +439,13 @@ func TestServerCloseFailsPending(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
 	if failed, total := settle(); failed != total {
 		t.Fatalf("%d of %d requests pending at server close failed, want all", failed, total)
 	}
+	release()
+	<-closed
 	if err := c.Ping(); err == nil || errors.Is(err, netclient.ErrClosed) {
 		t.Fatalf("a call after the connection was lost = %v, want the transport error", err)
 	}
@@ -493,7 +518,9 @@ func TestUnreadableFrameFailsPending(t *testing.T) {
 // ErrClosed.
 func TestCloseFailsPending(t *testing.T) {
 	noLeaks(t)
-	_, _, c := serve(t, elsm.Options{GroupCommitWindow: time.Second}, netsrv.Config{})
+	fs := vfs.NewSlowSync(vfs.NewMem(), 0)
+	_, _, c := serve(t, elsm.Options{FS: fs}, netsrv.Config{})
+	t.Cleanup(fs.Hold()) // the write parks in its fsync
 	fut, err := c.PutAsync([]byte("k"), []byte("v"))
 	if err != nil {
 		t.Fatal(err)

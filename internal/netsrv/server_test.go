@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -224,32 +225,33 @@ func TestConnectionCapSheds(t *testing.T) {
 // requests past MaxInflight draw CodeBusy immediately while the admitted
 // request completes fine.
 func TestGlobalInflightBudgetSheds(t *testing.T) {
-	// A long group-commit window makes the first write hold its in-flight
-	// slot long enough for the follow-up burst to hit the exhausted budget
-	// deterministically.
-	srv, addr := startServer(t,
-		elsm.Options{GroupCommitWindow: 150 * time.Millisecond},
-		Config{MaxInflight: 1, PipelineDepth: 16})
-	c := dial(t, addr)
+	// The first write parks in a held fsync, holding its in-flight slot
+	// until release, so every request after it — here on a second
+	// connection, whose answers do not queue behind the write — hits the
+	// exhausted budget. The release runs at cleanup too, ahead of the
+	// teardown.
+	fs := vfs.NewSlowSync(vfs.NewMem(), 0)
+	srv, addr := startServer(t, elsm.Options{FS: fs}, Config{MaxInflight: 1, PipelineDepth: 16})
+	writer, reader := dial(t, addr), dial(t, addr)
+	release := fs.Hold()
+	t.Cleanup(release)
 
-	slow, err := c.PutAsync([]byte("slow"), []byte("write"))
-	if err != nil {
-		t.Fatalf("putasync: %v", err)
+	slow := make(chan error, 1)
+	go func() { _, err := writer.Put([]byte("slow"), []byte("write")); slow <- err }()
+	for srv.Stats().InflightRequests == 0 {
+		runtime.Gosched()
 	}
 	var busy int
 	for i := 0; i < 8; i++ {
-		fut, err := c.GetAsync([]byte("slow"))
-		if err != nil {
-			t.Fatalf("getasync: %v", err)
-		}
-		if _, err := fut.Wait(); errors.Is(err, netclient.ErrBusy) {
+		if _, err := reader.Get([]byte("slow")); errors.Is(err, netclient.ErrBusy) {
 			busy++
 		}
 	}
-	if busy == 0 {
-		t.Fatalf("no request shed with MaxInflight 1 and a slot held for 150ms")
+	if busy != 8 {
+		t.Fatalf("%d of 8 requests shed with MaxInflight 1 and its slot held, want all", busy)
 	}
-	if _, err := slow.Wait(); err != nil {
+	release()
+	if err := <-slow; err != nil {
 		t.Fatalf("admitted write failed: %v", err)
 	}
 	if srv.Stats().BusyRejects == 0 {

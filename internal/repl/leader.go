@@ -104,7 +104,7 @@ func ownRecords(recs []record.Record) []record.Record {
 	return out
 }
 
-// onGroup ingests one committed group from the engine's sync stage
+// onGroup ingests one committed group from the engine's commit worker
 // (single-threaded, commit order), copying what it retains.
 func (l *Leader) onGroup(g lsm.ReplicatedGroup) {
 	l.mu.Lock()

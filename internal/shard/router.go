@@ -225,7 +225,7 @@ func (r *Router) commitOn(ctx context.Context, sh core.KV, ops []core.BatchOp) (
 }
 
 // CommitAsync implements core.KV: per-shard sub-batches are admitted to
-// every involved shard's pipelined committer, and the returned future is
+// every involved shard's commit queue, and the returned future is
 // the aggregate — acknowledged once every shard accepted (highest per-shard
 // timestamp), resolved once every shard is durable. The snapshot gate is
 // held by the aggregation goroutine until the whole batch has settled. As

@@ -25,6 +25,15 @@ func NewSlowSync(inner FS, delay time.Duration) *SlowSyncFS {
 	return &SlowSyncFS{inner: inner, delay: delay}
 }
 
+// Hold takes the device's one slot, so every Sync blocks until release is
+// called — a commit parked in its fsync for as long as a test needs, with
+// no timer. release is idempotent.
+func (f *SlowSyncFS) Hold() (release func()) {
+	f.slot.Lock()
+	var once sync.Once
+	return func() { once.Do(f.slot.Unlock) }
+}
+
 // Create implements FS.
 func (f *SlowSyncFS) Create(name string) (File, error) {
 	inner, err := f.inner.Create(name)

@@ -43,10 +43,10 @@ func (s *Store) ReplicationSource() (FollowerSource, error) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	if s.leaders == nil {
-		cores := s.eng.Load().cores
-		leaders := make([]*repl.Leader, len(cores))
-		for i, cs := range cores {
-			leaders[i] = repl.NewLeader(cs, int64(s.opts.ReplRingBytes), i, len(cores))
+		set := s.eng.Load()
+		leaders := make([]*repl.Leader, len(set.shards))
+		for i := range leaders {
+			leaders[i] = repl.NewLeader(set.p2(i), int64(s.opts.ReplRingBytes), i, len(leaders))
 		}
 		s.leaders = leaders
 	}
@@ -158,10 +158,10 @@ func bootstrapShards(opts Options, src FollowerSource, stale []bool) error {
 // supervisor goroutine per tailer that reacts to repl.ErrBehind with an
 // automatic checkpoint re-bootstrap.
 func (s *Store) startTailers() {
-	cores := s.eng.Load().cores
-	tailers := make([]*repl.Tailer, len(cores))
-	for i, cs := range cores {
-		tailers[i] = repl.StartTailer(cs, s.fsrc, i, len(cores))
+	set := s.eng.Load()
+	tailers := make([]*repl.Tailer, len(set.shards))
+	for i := range tailers {
+		tailers[i] = repl.StartTailer(set.p2(i), s.fsrc, i, len(tailers))
 	}
 	s.replMu.Lock()
 	s.tailers = tailers
@@ -250,8 +250,8 @@ func (s *Store) IsFollower() bool { return s.readOnly.Load() }
 // sharded store, where epochs advance in lockstep at promotion). Frames
 // attesting an older epoch are fenced with repl.ErrFenced.
 func (s *Store) ReplEpoch() uint64 {
-	if cores := s.eng.Load().cores; len(cores) > 0 {
-		return cores[0].ReplEpoch()
+	if cs := s.eng.Load().p2(0); cs != nil {
+		return cs.ReplEpoch()
 	}
 	return 0
 }
@@ -298,8 +298,8 @@ func (s *Store) Promote(ctx context.Context) (uint64, error) {
 		return 0, fmt.Errorf("elsm: promote drain: %w", err)
 	}
 	var epoch uint64
-	for i, cs := range set.cores {
-		e, err := cs.Promote()
+	for i := range set.shards {
+		e, err := set.p2(i).Promote()
 		if err != nil {
 			return 0, fmt.Errorf("elsm: promote shard %d: %w", i, err)
 		}

@@ -26,7 +26,6 @@ type engine interface {
 type engineSet struct {
 	kv      core.KV         // shards[0], or the router over all of them when N > 1
 	shards  []engine        // in shard order
-	cores   []*core.Store   // the same shards as ModeP2 stores; nil in other modes
 	recs    []*obs.Recorder // per-shard latency recorders; nil when uninstrumented
 	enclave *sgx.Enclave    // the one enclave hosting every shard; nil for ModeUnsecured
 }
@@ -101,10 +100,11 @@ func openShards(o Options, hub *obs.Observer) (*engineSet, error) {
 			cfg.Obs = obs.NewRecorder(i, hub)
 			set.recs = append(set.recs, cfg.Obs)
 		}
-		if err := set.open(o.Mode, cfg); err != nil {
+		sh, err := openShard(o.Mode, cfg)
+		if err != nil {
 			return fail(fmt.Errorf("elsm: open shard %d: %w", i, err))
 		}
-		kvs = append(kvs, set.shards[i])
+		set.shards, kvs = append(set.shards, sh), append(kvs, sh)
 	}
 	set.kv = kvs[0]
 	if o.Shards > 1 {
@@ -118,27 +118,22 @@ func openShards(o Options, hub *obs.Observer) (*engineSet, error) {
 	return set, nil
 }
 
-// open opens one shard of the given (validated) design and appends it to
-// the set.
-func (set *engineSet) open(mode Mode, cfg core.Config) error {
-	if mode == ModeP2 {
-		cs, err := core.Open(cfg)
-		if err != nil {
-			return err
-		}
-		set.shards, set.cores = append(set.shards, cs), append(set.cores, cs)
-		return nil
+// openShard opens one shard of the given (validated) design.
+func openShard(mode Mode, cfg core.Config) (engine, error) {
+	switch mode {
+	case ModeP2:
+		return core.Open(cfg)
+	case ModeP1:
+		return core.OpenP1(cfg)
 	}
-	open := core.OpenP1
-	if mode == ModeUnsecured {
-		open = core.OpenUnsecured
-	}
-	rs, err := open(cfg)
-	if err != nil {
-		return err
-	}
-	set.shards = append(set.shards, rs)
-	return nil
+	return core.OpenUnsecured(cfg)
+}
+
+// p2 returns shard i as the ModeP2 store it is, or nil in the other modes
+// — what replication, the epoch and the verification counters need.
+func (set *engineSet) p2(i int) *core.Store {
+	cs, _ := set.shards[i].(*core.Store)
+	return cs
 }
 
 // Shards reports the store's partition count (1 for an unsharded store).

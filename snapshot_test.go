@@ -313,12 +313,13 @@ func TestCommitAsyncAcknowledgeResolveSync(t *testing.T) {
 	}
 }
 
-// TestCtxCancelMidCommitQueue fills the durability pipeline on slow-fsync
-// storage, queues one more write, cancels it while it is still waiting in
-// the commit queue, and checks it is withdrawn: the caller gets
-// context.Canceled and the key never becomes visible.
+// TestCtxCancelMidCommitQueue parks the commit worker in a held fsync,
+// queues one more write behind it, cancels it while it is waiting in the
+// commit queue, and checks it is withdrawn: with the worker parked nothing
+// can claim it, so the caller gets context.Canceled and the key never
+// becomes visible.
 func TestCtxCancelMidCommitQueue(t *testing.T) {
-	fs := vfs.NewSlowSync(vfs.NewMem(), 50*time.Millisecond)
+	fs := vfs.NewSlowSync(vfs.NewMem(), 0)
 	opts := testOptions(ModeP2)
 	opts.FS = fs
 	opts.MemtableSize = 1 << 20
@@ -327,14 +328,17 @@ func TestCtxCancelMidCommitQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	release := fs.Hold()
+	defer release()
 
-	// Occupy both pipeline slots (and the fsync) with async commits.
-	for i := 0; i < 4; i++ {
-		b := s.NewBatch()
-		b.Put([]byte(fmt.Sprintf("filler%d", i)), []byte("v"))
-		if _, err := b.CommitAsync(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	b := s.NewBatch()
+	b.Put([]byte("filler"), []byte("v"))
+	filler, err := b.CommitAsync(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := filler.Ts(context.Background()); err != nil { // appended: the worker is in its fsync
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -342,21 +346,19 @@ func TestCtxCancelMidCommitQueue(t *testing.T) {
 		_, err := s.PutCtx(ctx, []byte("cancelled-key"), []byte("should-not-land"))
 		errCh <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // let the put reach the queue, not the worker
+	time.Sleep(5 * time.Millisecond) // let the put reach the queue
 	cancel()
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, context.Canceled) {
-			// The worker may have claimed it first — then it must have
-			// committed successfully. Both outcomes are legal; only a
-			// cancellation error with a visible write is a bug.
-			if err != nil {
-				t.Fatalf("cancelled put failed with %v, want context.Canceled or success", err)
-			}
-			return
+			t.Fatalf("cancelled put = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled put never returned")
+	}
+	release()
+	if _, err := filler.Wait(context.Background()); err != nil {
+		t.Fatalf("the parked write: %v", err)
 	}
 	// Withdrawn: even after full durability, the key must not exist.
 	if err := s.Sync(context.Background()); err != nil {

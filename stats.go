@@ -11,7 +11,8 @@ import (
 // Stats is a point-in-time snapshot of the store's engine and simulated-
 // enclave activity, for observability and the benchmark harness.
 // Store.ShardStats reports one per shard and Store.Stats their fold (counters
-// sum; per-pipeline gauges like GroupCommitWindowNanos report the maximum).
+// sum; the busy gauge of the worker pool every shard shares reports the
+// maximum).
 // Every numeric field is a uint64 — by contract, TestStatsTableIsTotal holds
 // the struct to it — so that one accessor type serves them all, and each is
 // declared once more, in statCounters below: its wire name, its fold rule,
@@ -71,12 +72,6 @@ type Stats struct {
 	// Options.MaxAsyncCommitBacklog).
 	SnapshotsOpen        uint64
 	AsyncCommitsInFlight uint64
-	// GroupCommitWindowNanos is the resolved leader batching window (the
-	// adaptive value when GroupCommitWindow = AutoGroupCommitWindow);
-	// FsyncEWMANanos is the fsync-latency EWMA feeding it. Aggregated as
-	// the maximum across shards.
-	GroupCommitWindowNanos uint64
-	FsyncEWMANanos         uint64
 
 	// Enclave boundary traffic (zero for ModeUnsecured): crossings, bytes
 	// copied across, protected bytes held. Shards share one enclave, so the
@@ -128,7 +123,7 @@ type foldRule uint8
 
 const (
 	foldSum  foldRule = iota // counters and current-level gauges add up
-	foldMax                  // tuning gauges of one pipeline, and the worker pool all shards share
+	foldMax                  // the worker pool all shards share
 	foldOnce                 // a value every shard repeats (shared enclave, whole-store events): shard 0's
 )
 
@@ -175,8 +170,6 @@ var statCounters = []statCounter{
 	{"pinned_runs", foldSum, false, func(s *Stats) *uint64 { return &s.PinnedRuns }, func(f *shardSources) uint64 { return f.eng.PinnedRuns }},
 	{"snapshots_open", foldSum, true, func(s *Stats) *uint64 { return &s.SnapshotsOpen }, func(f *shardSources) uint64 { return f.eng.SnapshotsOpen }},
 	{"async_commits_in_flight", foldSum, true, func(s *Stats) *uint64 { return &s.AsyncCommitsInFlight }, func(f *shardSources) uint64 { return f.eng.AsyncCommitsInFlight }},
-	{"group_commit_window_nanos", foldMax, false, func(s *Stats) *uint64 { return &s.GroupCommitWindowNanos }, func(f *shardSources) uint64 { return f.eng.GroupCommitWindowNanos }},
-	{"fsync_ewma_nanos", foldMax, false, func(s *Stats) *uint64 { return &s.FsyncEWMANanos }, func(f *shardSources) uint64 { return f.eng.FsyncEWMANanos }},
 	{"ecalls", foldOnce, false, func(s *Stats) *uint64 { return &s.ECalls }, func(f *shardSources) uint64 { return f.enc.ECalls }},
 	{"ocalls", foldOnce, false, func(s *Stats) *uint64 { return &s.OCalls }, func(f *shardSources) uint64 { return f.enc.OCalls }},
 	{"copied_bytes", foldOnce, false, func(s *Stats) *uint64 { return &s.CopiedBytes }, func(f *shardSources) uint64 { return f.enc.CopiedBytes }},
@@ -247,9 +240,9 @@ func (set *engineSet) statsOf(i int) Stats {
 	if set.enclave != nil {
 		src.enc = set.enclave.Stats()
 	}
-	if set.cores != nil {
-		src.ver = set.cores[i].VerifyStatsSnapshot()
-		out.ReplEpoch = set.cores[i].ReplEpoch()
+	if cs := set.p2(i); cs != nil {
+		src.ver = cs.VerifyStatsSnapshot()
+		out.ReplEpoch = cs.ReplEpoch()
 	}
 	for _, c := range statCounters {
 		if c.from != nil {

@@ -5,9 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"elsm/internal/vfs"
 )
 
 func TestStatsSnapshot(t *testing.T) {
@@ -90,34 +87,6 @@ func TestStatsCountScans(t *testing.T) {
 	}
 }
 
-// TestStatsAdaptiveCommitWindow checks the public plumbing of the
-// adaptive group-commit window: with GroupCommitWindow =
-// AutoGroupCommitWindow on fsync-bound storage, Stats must report a
-// non-zero resolved window derived from the fsync-latency EWMA.
-func TestStatsAdaptiveCommitWindow(t *testing.T) {
-	opts := testOptions(ModeP2)
-	opts.FS = vfs.NewSlowSync(vfs.NewMem(), 300*time.Microsecond)
-	opts.MemtableSize = 1 << 20 // keep flushes out of the picture
-	opts.GroupCommitWindow = AutoGroupCommitWindow
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 12; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.FsyncEWMANanos == 0 {
-		t.Fatal("fsync EWMA not plumbed through Stats")
-	}
-	if st.GroupCommitWindowNanos == 0 {
-		t.Fatal("resolved adaptive window not plumbed through Stats")
-	}
-}
-
 // statsFoldRules classifies EVERY Stats field by its documented
 // shard-aggregation rule. TestStatsShardFold walks the struct by
 // reflection against this table, so adding a Stats field without deciding
@@ -136,9 +105,8 @@ var statsFoldRules = map[string]string{
 	"VerifyNodeCacheHits": "sum", "VerifyNodeCacheMisses": "sum", "VerifyNodeHashes": "sum",
 	"ReplLagGroups": "sum", "ReplLagBytes": "sum",
 	"FollowersConnected": "sum", "ReplReconnects": "sum",
-	// Per-pipeline tuning gauges: the maximum across shards.
-	"CompactionWorkersBusy": "max", "GroupCommitWindowNanos": "max",
-	"FsyncEWMANanos": "max",
+	// The worker pool every shard shares: the maximum across shards.
+	"CompactionWorkersBusy": "max",
 	// The enclave is shared by every shard (per-shard entries repeat its
 	// totals); whole-store replication state likewise: counted once.
 	"ECalls": "once", "OCalls": "once", "CopiedBytes": "once", "EnclaveBytes": "once",
@@ -150,7 +118,7 @@ var statsFoldRules = map[string]string{
 // TestStatsShardFold is the aggregation property test: on a quiescent
 // store of one shard or four, Stats() must equal the documented fold of
 // ShardStats() — the rules here are the reference the counter table's are
-// held to (shared-enclave fields once, pipeline gauges the maximum).
+// held to (shared-enclave fields once, the shared pool's gauge the maximum).
 func TestStatsShardFold(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testStatsShardFold(t, n) })
