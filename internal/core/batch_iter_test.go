@@ -265,6 +265,7 @@ func TestAttackIteratorTamperMidStream(t *testing.T) {
 				t.Run(cache, func(t *testing.T) {
 					cfg := smallCfg(nil)
 					cfg.IterChunkKeys = 32
+					cfg.MemtableSize = 1 << 20 // one run, from the flush below: proofOf and the chunk count rely on it
 					s := mustOpenP2(t, cfg)
 					defer s.Close()
 					for i := 0; i < 300; i++ {

@@ -142,6 +142,7 @@ func (h *compactionHasher) add(srcRun uint64, rec record.Record, dropped bool) e
 		}
 		h.kept++
 		h.keptTs = rec.Ts
+		h.out.recordBytes += len(rec.Key) + len(rec.Value) + recordFrame
 		if src >= 0 {
 			h.inputs[src].kept++
 		}
@@ -222,6 +223,7 @@ func (h *compactionHasher) finish() *outputTree {
 		o.tree = merkle.New(o.leaves)
 		o.leaves = nil
 		o.digest = runDigest{Root: o.tree.Root(), NumLeaves: o.tree.NumLeaves()}
+		o.groupBits = groupBits(o.digest.NumLeaves, o.recordBytes, o.blockSize)
 	}
 	return &h.out
 }
@@ -235,6 +237,12 @@ func (h *compactionHasher) finish() *outputTree {
 type outputTree struct {
 	tree   *merkle.Tree
 	digest runDigest
+	// groupBits is k: the run's blocks are cut at groups of 2^k leaves
+	// (sstable.ProofAppender.Group), chosen at finish from blockSize and
+	// recordBytes, the output records' framed size.
+	groupBits   int
+	blockSize   int
+	recordBytes int
 
 	leaves []hashutil.Hash // handed to tree by finish
 	keys   []byte
@@ -245,22 +253,42 @@ type outputTree struct {
 
 func (o *outputTree) key(leaf int) []byte { return o.keys[o.keyOff[leaf]:o.keyOff[leaf+1]] }
 
-// proofAppender writes the embedded proofs of one output file's records
-// straight into the file's blocks (sstable.ProofAppender). Records of a file
-// arrive in stream order, so after the first one — found by binary search on
-// the key arena — each lookup is a step of the (leaf, ver) cursor; a record
-// the cursor does not predict is searched for like the first.
+// recordFrame approximates the bytes a block spends on one record beside its
+// key and value: kind, ts, two length varints and a one-byte chain part with
+// its length.
+const recordFrame = 1 + 8 + 2 + 2
+
+// groupBits chooses a run's k: the largest for which a group of records of
+// the average size and its section fit one block. k = 0 — a block per leaf,
+// each carrying that leaf's own path — is what records too large to share a
+// block get.
+func groupBits(leaves, recordBytes, blockSize int) int {
+	if leaves == 0 {
+		return 0
+	}
+	for k := merkle.Height(leaves); k > 0; k-- {
+		records := min(1<<k, leaves) * recordBytes / leaves
+		if records+binary.MaxVarintLen16+merkle.SectionLen(k, leaves, 0) <= blockSize {
+			return k
+		}
+	}
+	return 0
+}
+
+// proofAppender writes the proofs of one output file's records straight into
+// the file's blocks (sstable.ProofAppender): a chain part per record and a
+// section per block. Records of a file arrive in stream order, so after the
+// first one — found by binary search on the key arena — each lookup is a
+// step of the (leaf, ver) cursor; a record the cursor does not predict is
+// searched for like the first.
 type proofAppender struct {
 	o         *outputTree
 	leaf, ver int // last record located; ver indexes o.vers, -1 before any
-	// pathLen is the path length of leaf pathOf (-1 for none): a record is
-	// sized and then appended, and a key's versions share their leaf.
-	pathOf, pathLen int
 }
 
 var _ sstable.ProofAppender = (*proofAppender)(nil)
 
-func (o *outputTree) newAppender() *proofAppender { return &proofAppender{o: o, ver: -1, pathOf: -1} }
+func (o *outputTree) newAppender() *proofAppender { return &proofAppender{o: o, ver: -1} }
 
 func (a *proofAppender) at(leaf, ver int, rec record.Record) bool {
 	if a.o.vers[ver].ts != rec.Ts || !bytes.Equal(a.o.key(leaf), rec.Key) {
@@ -270,10 +298,21 @@ func (a *proofAppender) at(leaf, ver int, rec record.Record) bool {
 	return true
 }
 
-// locate moves the cursor to rec.
+// locate moves the cursor to rec and checks that its proof has an encoding.
 func (a *proofAppender) locate(rec record.Record) error {
+	if err := a.find(rec); err != nil {
+		return err
+	}
+	if newer := a.newer(); newer > maxProofList {
+		return fmt.Errorf("%w: key %q has %d newer versions in one run, the format holds %d",
+			ErrBadProof, rec.Key, newer, maxProofList)
+	}
+	return nil
+}
+
+func (a *proofAppender) find(rec record.Record) error {
 	o := a.o
-	// The record just sized, or — vers is in stream order — the one after.
+	// The record just located, or — vers is in stream order — the one after.
 	for ver := a.ver; ver >= 0 && ver <= a.ver+1 && ver < len(o.vers); ver++ {
 		leaf := a.leaf
 		if ver == o.verOff[leaf+1] {
@@ -297,45 +336,65 @@ func (a *proofAppender) locate(rec record.Record) error {
 	return fmt.Errorf("core: no version %d for key %q", rec.Ts, rec.Key)
 }
 
-// shape locates rec and returns its proof's two list lengths.
-func (a *proofAppender) shape(rec record.Record) (newer, path int, err error) {
+// newer returns the number of versions newer than the located record.
+func (a *proofAppender) newer() int { return a.ver - a.o.verOff[a.leaf] }
+
+// Group implements sstable.ProofAppender: a record's group is its leaf's
+// aligned subtree of 2^groupBits leaves.
+func (a *proofAppender) Group(rec record.Record) (int, error) {
 	if err := a.locate(rec); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	newer = a.ver - a.o.verOff[a.leaf]
-	if newer > maxProofList {
-		return 0, 0, fmt.Errorf("%w: key %q has %d newer versions in one run, the format holds %d",
-			ErrBadProof, rec.Key, newer, maxProofList)
-	}
-	if a.pathOf != a.leaf {
-		a.pathOf, a.pathLen = a.leaf, merkle.PathLen(a.leaf, a.o.digest.NumLeaves)
-	}
-	return newer, a.pathLen, nil
+	return a.leaf >> a.o.groupBits, nil
 }
 
-// ProofLen implements sstable.ProofAppender.
-func (a *proofAppender) ProofLen(rec record.Record) (int, error) {
-	newer, path, err := a.shape(rec)
-	return proofSize(newer, path), err
+// AppendSection implements sstable.ProofAppender.
+func (a *proofAppender) AppendSection(dst []byte) []byte {
+	return a.o.tree.AppendSection(dst, a.o.groupBits, a.leaf)
 }
 
-// AppendProof implements sstable.ProofAppender: the bytes are those of
-// EmbeddedProof.Encode for the same record, written without building one.
-func (a *proofAppender) AppendProof(dst []byte, rec record.Record) ([]byte, error) {
-	newer, path, err := a.shape(rec)
-	if err != nil {
-		return dst, err
+// AppendChain implements sstable.ProofAppender: 0x00 for a leaf's only
+// version, whose chain is empty, else 0x01 and the chain as the embedded
+// proof carries it.
+func (a *proofAppender) AppendChain(dst []byte) []byte {
+	if a.o.verOff[a.leaf+1]-a.o.verOff[a.leaf] == 1 {
+		return append(dst, 0)
 	}
-	o := a.o
-	dst = binary.BigEndian.AppendUint32(dst, uint32(a.leaf))
+	return a.appendChain(append(dst, 1))
+}
+
+// appendChain appends the located record's version chain as the embedded
+// proof encodes it: the count and headers of the newer versions, ascending
+// Ts, then the inner value.
+func (a *proofAppender) appendChain(dst []byte) []byte {
+	o, newer := a.o, a.newer()
 	dst = binary.BigEndian.AppendUint16(dst, uint16(newer))
-	// Newer versions, ascending Ts: versions are stored newest first, so
-	// walk from the entry just above this record back to the newest.
+	// Versions are stored newest first, so walk from the entry just above
+	// this record back to the newest.
 	for i := a.ver - 1; i >= a.ver-newer; i-- {
 		dst = binary.BigEndian.AppendUint64(dst, o.vers[i].ts)
 		dst = append(dst, o.vers[i].dig[:]...)
 	}
-	dst = append(dst, o.vers[a.ver].inner[:]...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(path))
-	return o.tree.AppendPath(dst, a.leaf), nil
+	return append(dst, o.vers[a.ver].inner[:]...)
+}
+
+// ProofLen returns the length of the embedded proof AppendProof gives rec.
+func (a *proofAppender) ProofLen(rec record.Record) (int, error) {
+	if err := a.locate(rec); err != nil {
+		return 0, err
+	}
+	return proofSize(a.newer(), merkle.PathLen(a.leaf, a.o.digest.NumLeaves)), nil
+}
+
+// AppendProof appends rec's whole embedded proof, the bytes of
+// EmbeddedProof.Encode for it: what a reader rebuilds from the chain part and
+// section this appender writes (sstable.Proof), assembled here from the tree.
+func (a *proofAppender) AppendProof(dst []byte, rec record.Record) ([]byte, error) {
+	if err := a.locate(rec); err != nil {
+		return dst, err
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(a.leaf))
+	dst = a.appendChain(dst)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(merkle.PathLen(a.leaf, a.o.digest.NumLeaves)))
+	return a.o.tree.AppendPath(dst, a.leaf), nil
 }

@@ -543,17 +543,20 @@ func TestAttackCompactionInputTamperDetected(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Tamper with an on-disk input file, then force a compaction over it.
-	// Corrupt densely: most file bytes are embedded proofs, which
-	// compaction legitimately ignores (it rebuilds them), so a single
-	// flipped byte may not touch authenticated record content.
+	// Tamper with the on-disk tables — every one, so whichever files the
+	// compaction reads are among them — then force a compaction over them.
+	// Corrupt densely: part of each file is embedded proofs, which compaction
+	// legitimately ignores (it rebuilds them), so a single flipped byte may
+	// not touch authenticated record content.
 	names, _ := fs.List("0")
 	if len(names) == 0 {
 		t.Fatal("no tables")
 	}
-	f, _ := fs.Open(names[0])
-	for off := int64(0); off < f.Size()/2; off += 37 {
-		fs.Corrupt(names[0], off)
+	for _, name := range names {
+		f, _ := fs.Open(name)
+		for off := int64(0); off < f.Size()/2; off += 37 {
+			fs.Corrupt(name, off)
+		}
 	}
 	err := s.Compact(s.Engine().Runs()[0].Level)
 	if err == nil {

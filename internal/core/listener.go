@@ -145,7 +145,9 @@ func (l *authListener) BeginJob(info lsm.CompactionInfo) lsm.Job {
 	for _, id := range info.InputRuns {
 		expect += digs[id].NumLeaves
 	}
-	return &compactionJob{c: l.c, info: info, hasher: newCompactionHasher(info.InputRuns, expect)}
+	h := newCompactionHasher(info.InputRuns, expect)
+	h.out.blockSize = info.BlockSize
+	return &compactionJob{c: l.c, info: info, hasher: h}
 }
 
 // Filter ingests every record of the merge stream, digesting it once:
@@ -160,10 +162,11 @@ func (j *compactionJob) Filter(srcRun uint64, rec record.Record, dropped bool) {
 	}
 }
 
-// NewProofAppender hands the engine a cursor that embeds each output
-// record's Merkle proof (step c of §5.5.2, "OnTableFileCreated()" in
-// Figure 4) directly into the file being built. The first call finishes the
-// job's trees; every appender reads the same finished output tree.
+// NewProofAppender hands the engine a cursor that embeds the output records'
+// Merkle proofs (step c of §5.5.2, "OnTableFileCreated()" in Figure 4)
+// directly into the file being built, one group section per block. The
+// first call finishes the job's trees; every appender reads the same
+// finished output tree.
 func (j *compactionJob) NewProofAppender() (sstable.ProofAppender, error) {
 	if j.streamErr != nil {
 		return nil, j.streamErr

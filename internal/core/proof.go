@@ -32,9 +32,12 @@ type ChainEntry struct {
 	RecDigest hashutil.Hash
 }
 
-// EmbeddedProof is the per-record authentication proof stored alongside the
-// record in its SSTable (§5.2: 〈k, v ‖ π〉). It localizes the record within
-// its run's Merkle tree and within its key's version hash chain.
+// EmbeddedProof is the per-record authentication proof that travels with a
+// record copied out of its SSTable (§5.2: 〈k, v ‖ π〉). It localizes the
+// record within its run's Merkle tree and within its key's version hash
+// chain. On disk a block stores its records' paths once, in its group
+// section; the reader reassembles this encoding whenever it copies a witness
+// (sstable.Proof).
 type EmbeddedProof struct {
 	// LeafIndex is the position of this record's key among the run's
 	// distinct keys (the Merkle leaf order).

@@ -185,9 +185,10 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 // Every row a run's cursor lands on is copied out of its untrusted block
 // once — key and value into the chunk's arena, which the returned Results
 // alias — and everything the enclave then compares, resolves or hashes is
-// that copy. Proofs stay behind as views of the (pinned, still untrusted)
+// that copy. Proofs stay behind as handles on the (pinned, still untrusted)
 // blocks until the merge has stopped; then the at most four per run that
-// verification reads are copied (runSource.capture) and each run's span is
+// verification reads are rebuilt as they are copied (runSource.capture), byte
+// for byte the embedded proofs the verifier knows, and each run's span is
 // verified against its digest (verifyRunScan). No result leaves before every
 // span has verified. The returned cursor resumes immediately after the
 // chunk's effective end. Caller is inside an ECall.
@@ -361,10 +362,11 @@ type runSource struct {
 	rows  []record.Record // rows consumed, in order: the span
 	heads int             // distinct keys among them
 
-	proofView           []byte        // the current row's embedded proof
-	firstView, lastView []byte        // proofs of the span's first and last key
-	predView            record.Record // the record before the seek position
-	hasPred             bool
+	proof       sstable.Proof // of the current row
+	first, last sstable.Proof // of the span's first and last key
+	predView    record.Record // the record before the seek position
+	predProof   sstable.Proof
+	hasPred     bool
 
 	span       runSpan       // what capture hands the verifier
 	pred, succ record.Record // backing span.pred and span.succ
@@ -373,7 +375,7 @@ type runSource struct {
 // seekPrev notes the record before the position the cursor was just sought
 // to. A read error stays in the cursor, for scanChunk to find.
 func (s *runSource) seekPrev() {
-	s.predView, s.hasPred, _ = s.it.SeekPrev()
+	s.predView, s.predProof, s.hasPred, _ = s.it.SeekPrev()
 }
 
 // load copies the row the cursor stands on into the arena.
@@ -384,16 +386,16 @@ func (s *runSource) load(a *rowArena) {
 	view := s.it.Record()
 	key, value := a.copyRow(view.Key, view.Value)
 	s.rec = record.Record{Key: key, Ts: view.Ts, Kind: view.Kind, Value: value}
-	s.proofView = view.Proof
+	s.proof = s.it.Proof()
 }
 
 // consume moves the current row into the span and the cursor to the next.
 func (s *runSource) consume(a *rowArena) {
 	if n := len(s.rows); n == 0 || !bytes.Equal(s.rows[n-1].Key, s.rec.Key) {
 		if s.heads++; s.heads == 1 {
-			s.firstView = s.proofView
+			s.first = s.proof
 		}
-		s.lastView = s.proofView
+		s.last = s.proof
 	}
 	s.rows = append(s.rows, s.rec)
 	s.it.Next()
@@ -403,37 +405,40 @@ func (s *runSource) consume(a *rowArena) {
 // capture copies the rest of what verifyRunScan reads out of untrusted
 // memory, appending to sc.bounds — the proofs of the span's first and last
 // key, the predecessor with its proof and the proof of the row the cursor
-// stopped on (the successor): at most four proofs however long the span. (If
-// the buffer has to grow, what was taken before stays where it is, in the old
-// array.) It fills in s.span and returns the number of proof bytes copied.
+// stopped on (the successor): at most four proofs however long the span, each
+// rebuilt from its block's section as it is copied. (If the buffer has to
+// grow, what was taken before stays where it is, in the old array.) It fills
+// in s.span and returns the number of proof bytes copied.
 func (s *runSource) capture(sc *scanScratch) (proofBytes int) {
 	take := func(src []byte) []byte {
 		off := len(sc.bounds)
 		sc.bounds = append(sc.bounds, src...)
 		return sc.bounds[off:len(sc.bounds):len(sc.bounds)]
 	}
+	expand := func(p sstable.Proof) []byte {
+		off := len(sc.bounds)
+		sc.bounds = p.AppendTo(sc.bounds)
+		proofBytes += len(sc.bounds) - off
+		return sc.bounds[off:len(sc.bounds):len(sc.bounds)]
+	}
 	sp := &s.span
 	*sp = runSpan{runID: s.runID, rows: s.rows}
 	if s.heads > 0 {
-		sp.first = take(s.firstView)
+		sp.first = expand(s.first)
 		sp.last = sp.first
-		proofBytes = len(sp.first)
 		if s.heads > 1 {
-			sp.last = take(s.lastView)
-			proofBytes += len(sp.last)
+			sp.last = expand(s.last)
 		}
 	}
 	if s.hasPred {
 		v := s.predView
-		s.pred = record.Record{Key: take(v.Key), Ts: v.Ts, Kind: v.Kind, Value: take(v.Value), Proof: take(v.Proof)}
+		s.pred = record.Record{Key: take(v.Key), Ts: v.Ts, Kind: v.Kind, Value: take(v.Value), Proof: expand(s.predProof)}
 		sp.pred = &s.pred
-		proofBytes += len(v.Proof)
 	}
 	if s.valid {
 		s.succ = s.rec
-		s.succ.Proof = take(s.proofView)
+		s.succ.Proof = expand(s.proof)
 		sp.succ = &s.succ
-		proofBytes += len(s.proofView)
 	}
 	return proofBytes
 }

@@ -33,8 +33,10 @@ const maxShortPoints = 25
 
 // maxPoints caps the crash points per scenario even in full mode — a
 // workload's op count can drift with background-maintenance timing, and
-// the matrix must stay bounded.
-const maxPoints = 200
+// the matrix must stay bounded. It is above every scenario's count (the
+// largest, parallel-maintenance, performs about 500), so a full run is
+// exhaustive.
+const maxPoints = 800
 
 // Group records one attempted commit group: its keys and values, and
 // whether the store acknowledged it as durable. Acked groups must survive

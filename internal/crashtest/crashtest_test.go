@@ -261,7 +261,10 @@ func TestCrashMatrixParallelMaintenance(t *testing.T) {
 			}
 			defer st.Close()
 			val := bytes.Repeat([]byte("y"), 256)
-			for i := 0; i < 90; i++ {
+			// 110 writes: enough flushes and merges to keep both workers
+			// busy (≈ 500 file-system operations) in tables that store one
+			// group section per block rather than a root path per record.
+			for i := 0; i < 110; i++ {
 				key := fmt.Sprintf("par-%03d", i)
 				if _, err := st.Put([]byte(key), val); err != nil {
 					return

@@ -61,6 +61,7 @@ type jobPlan struct {
 // and hands the completed plan to runPlan.
 func (s *Store) planLocked(info CompactionInfo, inputs []*run) *jobPlan {
 	info.OutputRun = s.nextRunID
+	info.BlockSize = s.opts.BlockSize
 	s.nextRunID++
 	for _, r := range inputs {
 		info.InputRuns = append(info.InputRuns, r.id)
@@ -396,9 +397,11 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 	}
 
 	// Split the output into files by the bytes each record will occupy —
-	// key, value and the proof it is about to get, whose size is known now
-	// that the stream (and with it the output tree's shape) is complete —
-	// so TableFileSize bounds a flush's files and a compaction's alike.
+	// key, value and its share of the proofs it is about to get: its chain
+	// part, and a group section where it opens a group or a file. Their
+	// sizes are known now that the stream (and with it the output tree's
+	// shape) is complete, so TableFileSize bounds a flush's files and a
+	// compaction's alike.
 	sizer, err := job.NewProofAppender()
 	if err != nil {
 		return nil, err
@@ -407,21 +410,29 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 		fileRecs recordList // one file's records, as sub-slices of kept's chunks
 		files    []recordList
 		curBytes int
+		group    = -1 // of the last record sized in this file
+		scratch  []byte
 	)
 	for _, chunk := range kept {
 		start := 0
 		for i, rec := range chunk {
 			curBytes += rec.Size()
 			if sizer != nil {
-				n, err := sizer.ProofLen(rec)
+				g, err := sizer.Group(rec)
 				if err != nil {
 					return nil, err
 				}
-				curBytes += n
+				if g != group {
+					scratch = sizer.AppendSection(scratch[:0])
+					curBytes += len(scratch)
+					group = g
+				}
+				scratch = sizer.AppendChain(scratch[:0])
+				curBytes += len(scratch)
 			}
 			if curBytes >= s.opts.TableFileSize {
 				files = append(files, append(fileRecs, chunk[start:i+1]))
-				fileRecs, start, curBytes = nil, i+1, 0
+				fileRecs, start, curBytes, group = nil, i+1, 0, -1
 			}
 		}
 		if start < len(chunk) {

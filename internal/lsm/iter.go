@@ -65,6 +65,9 @@ func (it *RunIter) Next() {
 
 func (it *RunIter) Record() record.Record { return it.cur.Record() }
 
+// Proof returns the handle on the current record's proof (sstable.Iter.Proof).
+func (it *RunIter) Proof() sstable.Proof { return it.cur.Proof() }
+
 func (it *RunIter) SeekGE(key []byte, ts uint64) {
 	it.started = true
 	if it.err != nil {
@@ -78,30 +81,30 @@ func (it *RunIter) SeekGE(key []byte, ts uint64) {
 }
 
 // SeekPrev returns the record before the position the last SeekGE found —
-// a range read's left-boundary witness — and whether there is one. Inside a
-// table it is sstable.Iter.SeekPrev's view; when the position opens a table,
-// or lies past the last one, it is (a copy of) the table before's last
-// record. Call it before the first Next.
-func (it *RunIter) SeekPrev() (prev record.Record, ok bool, err error) {
+// a range read's left-boundary witness — with the handle on its proof, and
+// whether there is one. Inside a table it is sstable.Iter.SeekPrev's view;
+// when the position opens a table, or lies past the last one, it is the
+// table before's last record. Call it before the first Next.
+func (it *RunIter) SeekPrev() (prev record.Record, proof sstable.Proof, ok bool, err error) {
 	if it.err != nil {
-		return prev, false, it.err
+		return prev, proof, false, it.err
 	}
 	if it.idx < len(it.tables) {
-		if prev, ok, err = it.cur.SeekPrev(); err != nil {
+		if prev, proof, ok, err = it.cur.SeekPrev(); err != nil {
 			it.fail(err)
 		}
 		if ok || err != nil {
-			return prev, ok, err
+			return prev, proof, ok, err
 		}
 	}
 	if it.idx == 0 {
-		return prev, false, nil
+		return prev, proof, false, nil
 	}
-	if prev, err = it.tables[it.idx-1].table.Last(); err != nil {
+	if prev, proof, err = it.tables[it.idx-1].table.LastView(); err != nil {
 		it.fail(err)
-		return prev, false, err
+		return prev, proof, false, err
 	}
-	return prev, true, nil
+	return prev, proof, true, nil
 }
 
 // Close reports the error that ended the stream, if one did.

@@ -247,7 +247,7 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 		if n := reads(); n != 1 || !cur.Valid() || !bytes.Equal(cur.Record().Key, rec.Key) {
 			t.Fatalf("seek to record %d read %d blocks", i, n)
 		}
-		prev, ok, err := cur.SeekPrev()
+		prev, _, ok, err := cur.SeekPrev()
 		if n := reads(); err != nil || ok != (i > 0) || n > 1 || (ok && !bytes.Equal(prev.Key, recs[i-1].Key)) {
 			t.Fatalf("SeekPrev at record %d = %q, %v, %v (%d block reads)", i, prev.Key, ok, err, n)
 		}
@@ -258,7 +258,7 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 		if err := snap.SeekRun(0, &cur, tables[ti].meta.Smallest); err != nil {
 			t.Fatal(err)
 		}
-		prev, ok, err := cur.SeekPrev()
+		prev, _, ok, err := cur.SeekPrev()
 		if err != nil || !ok || !bytes.Equal(prev.Key, tables[ti-1].meta.Largest) {
 			t.Fatalf("SeekPrev at the head of table %d = %q, %v, %v", ti, prev.Key, ok, err)
 		}
@@ -268,7 +268,7 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 	if err := snap.SeekRun(0, &cur, []byte("zzz")); err != nil {
 		t.Fatal(err)
 	}
-	if prev, ok, err := cur.SeekPrev(); cur.Valid() || err != nil || !ok || !bytes.Equal(prev.Key, recs[len(recs)-1].Key) {
+	if prev, _, ok, err := cur.SeekPrev(); cur.Valid() || err != nil || !ok || !bytes.Equal(prev.Key, recs[len(recs)-1].Key) {
 		t.Fatalf("SeekPrev past the end = %q, %v, %v", prev.Key, ok, err)
 	}
 	if edges == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"elsm/internal/record"
+	"elsm/internal/sstable"
 )
 
 // RunLookup is the untrusted host's answer to a per-run point lookup
@@ -43,14 +44,16 @@ func lookupRun(r *run, key []byte, tsq uint64) (RunLookup, error) {
 		out.Pred = &last
 		return out, nil
 	}
-	prev, cur, err := r.tables[ti].table.SeekWithPrev(key, tsq)
-	if err != nil {
+	// A hit needs only its own record copied out: seek for the pair that
+	// brackets the key only when the table does not hold it.
+	t := r.tables[ti].table
+	if rec, ok, err := t.Get(key, tsq); err != nil || ok {
+		out.Found, out.Rec = ok, rec
 		return out, err
 	}
-	if cur != nil && bytes.Equal(cur.Key, key) {
-		out.Found = true
-		out.Rec = *cur
-		return out, nil
+	prev, cur, err := t.SeekWithPrev(key, tsq)
+	if err != nil {
+		return out, err
 	}
 	out.Succ = cur
 	if prev == nil && ti > 0 {
@@ -82,7 +85,7 @@ type RunScan struct {
 }
 
 // scanRunChunk collects a one-level SCAN over an immutable run from a
-// RunIter into records the caller owns, proofs included, bounded to maxKeys
+// RunIter into records the caller owns, proofs rebuilt, bounded to maxKeys
 // distinct keys. Verified scans do not call it — they merge the runs' cursors
 // and copy only what they verify (core's readView.scanChunk); it serves
 // benchmark/'s ledger.
@@ -94,10 +97,10 @@ func scanRunChunk(r *run, start, end []byte, maxKeys int) (RunScan, error) {
 	}
 	it := newRunIter(r)
 	it.SeekGE(start, record.MaxTs)
-	if prev, ok, err := it.SeekPrev(); err != nil {
+	if prev, proof, ok, err := it.SeekPrev(); err != nil {
 		return out, err
 	} else if ok {
-		pred := prev.Clone()
+		pred := sstable.Clone(prev, proof)
 		out.Pred = &pred
 	}
 	// Collect in-range records and the successor, stopping at the key
@@ -110,7 +113,7 @@ func scanRunChunk(r *run, start, end []byte, maxKeys int) (RunScan, error) {
 		view := it.Record()
 		newKey := lastKey == nil || !bytes.Equal(view.Key, lastKey)
 		if past := bytes.Compare(view.Key, end) > 0; past || (newKey && maxKeys > 0 && keys >= maxKeys) {
-			succ := view.Clone()
+			succ := sstable.Clone(view, it.Proof())
 			out.Succ = &succ
 			out.Truncated = !past
 			break
@@ -119,7 +122,7 @@ func scanRunChunk(r *run, start, end []byte, maxKeys int) (RunScan, error) {
 			keys++
 			lastKey = append(lastKey[:0], view.Key...)
 		}
-		out.Records = append(out.Records, view.Clone())
+		out.Records = append(out.Records, sstable.Clone(view, it.Proof()))
 	}
 	return out, it.Close()
 }

@@ -181,6 +181,8 @@ type CompactionInfo struct {
 	BottomMost bool
 	// BulkLoad marks direct dataset loads (no verified inputs).
 	BulkLoad bool
+	// BlockSize is the block payload target the output tables are built to.
+	BlockSize int
 }
 
 // EventListener is the callback surface through which the eLSM
@@ -255,7 +257,7 @@ type Job interface {
 	Filter(srcRun uint64, rec record.Record, dropped bool)
 	// NewProofAppender is called once the merge stream has ended, once to
 	// size the output files and once per file: the returned appender writes
-	// the proof of each record it is given straight into the SSTable block
+	// the proofs of the records it is given straight into the SSTable blocks
 	// being built. Records reach an appender in merge order. The appenders
 	// are then USED concurrently, one per file-builder goroutine and each by
 	// that goroutine only, until the last file is written — always before

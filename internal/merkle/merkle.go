@@ -1,8 +1,9 @@
 // Package merkle implements the Merkle hash trees that digest each LSM-tree
 // level in eLSM (§5.2): full binary trees over ordered leaf hashes with
 // membership proofs (authentication paths), index-carrying verification that
-// supports adjacency (non-membership) checks, and contiguous range proofs
-// for query completeness (§5.4, the segment-tree view).
+// supports adjacency (non-membership) checks, contiguous range proofs for
+// query completeness (§5.4, the segment-tree view), and the group sections
+// that let one SSTable block store the paths of all its records at once.
 //
 // The tree promotes a lone trailing node to the next level (no duplication),
 // so every leaf's authentication path is uniquely determined by (index,
@@ -158,17 +159,14 @@ const PathNodeSize = 1 + hashutil.Size
 
 // PathLen returns the number of steps in the authentication path of leaf
 // index in a tree of numLeaves leaves — one per level where the node has a
-// sibling. It is what Path returns the length of, computed without a tree.
+// sibling. It is what Path returns the length of, computed without a tree:
+// below the level where index's ancestor becomes its level's last node, every
+// node has a right or a left sibling; from there up the ancestor is the last
+// node, with a (left) sibling exactly when it is odd.
 func PathLen(index, numLeaves int) int {
-	n := 0
-	i := uint(index)
-	for w := uint(numLeaves); w > 1; w = (w + 1) >> 1 {
-		if i&1 == 1 || i+1 < w {
-			n++
-		}
-		i >>= 1
-	}
-	return n
+	last := uint(numLeaves - 1)
+	below := bits.Len(uint(index) ^ last)
+	return below + bits.OnesCount(last>>below)
 }
 
 // AppendPath appends the authentication path of leaf i to dst, bottom-up,
@@ -179,7 +177,13 @@ func (t *Tree) AppendPath(dst []byte, i int) []byte {
 	if i < 0 || len(t.levels) == 0 || i >= len(t.levels[0]) {
 		panic(fmt.Sprintf("merkle: leaf index %d out of range", i))
 	}
-	for _, level := range t.levels[:len(t.levels)-1] {
+	return t.appendPath(dst, 0, i)
+}
+
+// appendPath appends the authentication path of node i of level l, in
+// AppendPath's encoding.
+func (t *Tree) appendPath(dst []byte, l, i int) []byte {
+	for _, level := range t.levels[l : len(t.levels)-1] {
 		switch {
 		case i%2 == 1:
 			dst = append(dst, 1)
@@ -191,6 +195,168 @@ func (t *Tree) AppendPath(dst []byte, i int) []byte {
 		i /= 2
 	}
 	return dst
+}
+
+// Group sections. A group is the aligned run of up to 2^k leaves under node
+// (k, g) — leaves g·2^k to (g+1)·2^k−1, fewer in the last group — and its
+// section is what an SSTable block of the group stores of the tree instead of
+// a path per record:
+//
+//	k u8 ‖ uvarint numLeaves ‖ uvarint first ‖ nodes ‖ upper
+//
+// first is the leaf index of the block's first record. nodes is every node of
+// the group's subtree below its root, hashutil.Size bytes each, level by level
+// from the leaves and left to right within a level: level l contributes nodes
+// g·2^(k−l) onward, as many of 2^(k−l) as the level is wide. upper is the
+// authentication path of the group's root, node (k, g), in AppendPath's
+// encoding. A leaf's path is then its siblings among nodes followed by upper,
+// byte for byte what AppendPath gives. The header fixes the section's length,
+// so a section is either exactly the one its header describes or malformed.
+
+// ErrBadSection reports a group section whose header and length disagree.
+var ErrBadSection = errors.New("merkle: malformed group section")
+
+// maxSectionLeaves bounds the leaf count a section may claim: a proof's leaf
+// index is a uint32.
+const maxSectionLeaves = 1 << 32
+
+// groupLevel returns where level l < k of group g's subtree starts (its first
+// node's index in the level) and how many nodes it has, in a tree of n leaves.
+func groupLevel(k, n, g, l int) (lo, count int) {
+	lo = g << (k - l)
+	width := (n-1)>>l + 1
+	return lo, min(1<<(k-l), width-lo)
+}
+
+// groupNodes returns the number of nodes section stores for group g.
+func groupNodes(k, n, g int) int {
+	total := 0
+	for l := 0; l < k; l++ {
+		_, c := groupLevel(k, n, g, l)
+		total += c
+	}
+	return total
+}
+
+// upperSteps returns the number of steps of node (k, g)'s authentication
+// path: the levels from k up form a tree of ⌈n/2^k⌉ leaves.
+func upperSteps(k, n, g int) int { return PathLen(g, (n-1)>>k+1) }
+
+// SectionLen returns the encoded length of the section for a block whose
+// first record is leaf first, in groups of 2^k leaves of a tree of numLeaves
+// leaves; k ≤ the tree's height.
+func SectionLen(k, numLeaves, first int) int {
+	g := first >> k
+	return 1 + uvarintLen(numLeaves) + uvarintLen(first) +
+		groupNodes(k, numLeaves, g)*hashutil.Size + upperSteps(k, numLeaves, g)*PathNodeSize
+}
+
+func uvarintLen(v int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(v))
+}
+
+// Height returns the height of a tree of numLeaves leaves: the largest useful
+// group size exponent, whose one group is the whole tree.
+func Height(numLeaves int) int { return bits.Len(uint(numLeaves - 1)) }
+
+// AppendSection appends the section of the group of 2^k leaves holding leaf
+// first, for a block whose first record is that leaf.
+func (t *Tree) AppendSection(dst []byte, k, first int) []byte {
+	n := t.NumLeaves()
+	if first < 0 || first >= n || k < 0 || k > Height(n) {
+		panic(fmt.Sprintf("merkle: section of leaf %d in groups of 2^%d, %d leaves", first, k, n))
+	}
+	g := first >> k
+	dst = append(dst, byte(k))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, uint64(first))
+	for l := 0; l < k; l++ {
+		lo, count := groupLevel(k, n, g, l)
+		for _, h := range t.levels[l][lo : lo+count] {
+			dst = append(dst, h[:]...)
+		}
+	}
+	return t.appendPath(dst, k, g)
+}
+
+// Section is a group section parsed in place: its slices alias the bytes it
+// was parsed from.
+type Section struct {
+	k, numLeaves, first int
+	nodes, upper        []byte
+}
+
+// ParseSection parses a section, checking that its length is the one its
+// header dictates before anything is sliced.
+func ParseSection(b []byte) (Section, error) {
+	var s Section
+	if len(b) == 0 {
+		return s, ErrBadSection
+	}
+	n, w := binary.Uvarint(b[1:])
+	if w <= 0 || n == 0 || n > maxSectionLeaves {
+		return s, ErrBadSection
+	}
+	first, w2 := binary.Uvarint(b[1+w:])
+	if w2 <= 0 || first >= n || int(b[0]) > Height(int(n)) {
+		return s, ErrBadSection
+	}
+	s.k, s.numLeaves, s.first = int(b[0]), int(n), int(first)
+	g := s.first >> s.k
+	rest := b[1+w+w2:]
+	nodes := groupNodes(s.k, s.numLeaves, g) * hashutil.Size
+	if len(rest) != nodes+upperSteps(s.k, s.numLeaves, g)*PathNodeSize {
+		return s, ErrBadSection
+	}
+	s.nodes, s.upper = rest[:nodes], rest[nodes:]
+	return s, nil
+}
+
+// First returns the leaf index of the first record of the section's block.
+func (s *Section) First() int { return s.first }
+
+// PathLen returns the number of steps of leaf's authentication path, or -1
+// if leaf does not lie in the section's group at or after its first leaf.
+func (s *Section) PathLen(leaf int) int {
+	if !s.holds(leaf) {
+		return -1
+	}
+	return PathLen(leaf, s.numLeaves)
+}
+
+// holds reports that leaf lies in the section's group at or after its first.
+func (s *Section) holds(leaf int) bool {
+	return leaf >= s.first && leaf < s.numLeaves && leaf>>s.k == s.first>>s.k
+}
+
+// AppendPath appends the authentication path of leaf, one PathLen accepts:
+// the bytes Tree.AppendPath gives for the tree the section was cut from. For
+// any other leaf it appends nothing.
+func (s *Section) AppendPath(dst []byte, leaf int) []byte {
+	if !s.holds(leaf) {
+		return dst
+	}
+	g := s.first >> s.k
+	base := 0 // index in nodes of the current level's first node
+	for l := 0; l < s.k; l++ {
+		lo, count := groupLevel(s.k, s.numLeaves, g, l)
+		i, width := leaf>>l, (s.numLeaves-1)>>l+1
+		sib := -1
+		switch {
+		case i%2 == 1:
+			sib = i - 1
+		case i+1 < width:
+			sib = i + 1
+		}
+		if sib >= 0 {
+			at := (base + sib - lo) * hashutil.Size
+			dst = append(dst, byte(i%2))
+			dst = append(dst, s.nodes[at:at+hashutil.Size]...)
+		}
+		base += count
+	}
+	return append(dst, s.upper...)
 }
 
 // Proof-verification errors.

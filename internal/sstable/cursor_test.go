@@ -2,76 +2,204 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
+	"elsm/internal/hashutil"
+	"elsm/internal/merkle"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
 
-// fakeProofs is a ProofAppender whose proof for a record is a function of
-// the record alone, so a table built through it can be compared with one
-// built from records that already carry those proofs.
-type fakeProofs struct{ fail []byte }
-
-func fakeProof(rec record.Record) []byte {
-	// Long enough to need a two-byte length varint, with the record mixed in.
-	p := bytes.Repeat([]byte{byte(rec.Ts)}, 130+int(rec.Ts%7))
-	return append(p, rec.Key...)
+// treeProofs is a ProofAppender over a real Merkle tree with one leaf per
+// distinct key of recs, cut into groups of 2^k leaves. A key with several
+// versions gets the 0x01 chain form, with made-up but well-formed entries.
+type treeProofs struct {
+	recs   []record.Record
+	leaf   []int // per record
+	single []bool
+	tree   *merkle.Tree
+	k      int
+	at     int // the record Group located last
+	fail   []byte
 }
 
-func (f fakeProofs) ProofLen(rec record.Record) (int, error) {
-	if f.fail != nil && bytes.Equal(rec.Key, f.fail) {
+func newTreeProofs(recs []record.Record, k int) *treeProofs {
+	p := &treeProofs{recs: recs, k: k}
+	var leaves []merkle.Hash
+	for i, rec := range recs {
+		if i == 0 || !bytes.Equal(rec.Key, recs[i-1].Key) {
+			leaves = append(leaves, hashutil.Of(rec.Key))
+		}
+		p.leaf = append(p.leaf, len(leaves)-1)
+	}
+	for i := range recs {
+		p.single = append(p.single, (i == 0 || p.leaf[i-1] != p.leaf[i]) && (i+1 == len(recs) || p.leaf[i+1] != p.leaf[i]))
+	}
+	p.tree = merkle.New(leaves)
+	p.k = min(k, merkle.Height(len(leaves)))
+	return p
+}
+
+func (p *treeProofs) Group(rec record.Record) (int, error) {
+	if p.fail != nil && bytes.Equal(rec.Key, p.fail) {
 		return 0, errors.New("no proof")
 	}
-	return len(fakeProof(rec)), nil
+	for i := range p.recs {
+		if record.CompareRecords(p.recs[i], rec) == 0 {
+			p.at = i
+			return p.leaf[i] >> p.k, nil
+		}
+	}
+	return 0, errors.New("no such record")
 }
 
-func (f fakeProofs) AppendProof(dst []byte, rec record.Record) ([]byte, error) {
-	return append(dst, fakeProof(rec)...), nil
+func (p *treeProofs) AppendSection(dst []byte) []byte {
+	return p.tree.AppendSection(dst, p.k, p.leaf[p.at])
 }
 
-// TestBuilderProofAppender checks that proofs appended in place produce the
-// same file, byte for byte, as records that carry their proofs, and that a
-// missing proof fails the build.
+func (p *treeProofs) AppendChain(dst []byte) []byte {
+	if p.single[p.at] {
+		return append(dst, 0)
+	}
+	newer := 0
+	for j := p.at - 1; j >= 0 && p.leaf[j] == p.leaf[p.at]; j-- {
+		newer++
+	}
+	dst = binary.BigEndian.AppendUint16(append(dst, 1), uint16(newer))
+	for j := 0; j < newer; j++ {
+		dst = binary.BigEndian.AppendUint64(dst, p.recs[p.at-1-j].Ts)
+		dst = append(dst, bytes.Repeat([]byte{byte(j)}, hashutil.Size)...)
+	}
+	return append(dst, bytes.Repeat([]byte{byte(p.at)}, hashutil.Size)...)
+}
+
+// proof is the embedded proof a reader must rebuild for record i.
+func (p *treeProofs) proof(i int) []byte {
+	p.at = i
+	chain := p.AppendChain(nil)
+	out := binary.BigEndian.AppendUint32(nil, uint32(p.leaf[i]))
+	if chain[0] == 0 {
+		out = append(out, make([]byte, 2+hashutil.Size)...)
+	} else {
+		out = append(out, chain[1:]...)
+	}
+	out = binary.BigEndian.AppendUint16(out, uint16(merkle.PathLen(p.leaf[i], p.tree.NumLeaves())))
+	return p.tree.AppendPath(out, p.leaf[i])
+}
+
+// buildWithProofs builds recs into a table of blockSize blocks through p.
+func buildWithProofs(t testing.TB, recs []record.Record, p ProofAppender, blockSize int) (*Table, vfs.File, error) {
+	f, err := vfs.NewMem().Create("t.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(f, BuilderOptions{BlockSize: blockSize, FileNum: 3, Proofs: p})
+	for _, rec := range recs {
+		if err := b.Add(rec); err != nil {
+			return nil, nil, err
+		}
+	}
+	if _, err := b.Finish(); err != nil {
+		return nil, nil, err
+	}
+	tbl, err := Open(f, 3, &FileSource{F: f})
+	return tbl, f, err
+}
+
+// TestBuilderProofAppender builds tables through a ProofAppender at several
+// group sizes, with groups that fit a block and groups that spill over
+// several. Every block must carry one section and hold records of one group
+// only, its section's first leaf that of its first record; every read path
+// must hand back records whose proofs are rebuilt exactly; and a record with
+// no proof must fail the build.
 func TestBuilderProofAppender(t *testing.T) {
-	build := func(recs []record.Record, proofs ProofAppender) ([]byte, error) {
-		f, err := vfs.NewMem().Create("t.sst")
+	recs := seqRecords(300, 2)
+	for i := range recs {
+		if i%3 == 0 {
+			recs[i].Proof = []byte("stale: must be ignored")
+		}
+	}
+	recs = append(recs[:100:100], seqRecordsFrom(100, 200, 1)...) // single versions too
+	for _, k := range []int{0, 2, 4, 9} {
+		p := newTreeProofs(recs, k)
+		tbl, _, err := buildWithProofs(t, recs, p, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBuilder(f, BuilderOptions{BlockSize: 512, FileNum: 3, Proofs: proofs})
-		for _, rec := range recs {
-			if err := b.Add(rec); err != nil {
-				return nil, err
+		spilled := false
+		for bi := 0; bi < tbl.NumBlocks(); bi++ {
+			data, err := tbl.block(bi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := newCursor(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := merkle.ParseSection(c.section)
+			if err != nil {
+				t.Fatalf("k=%d block %d: %v", k, bi, err)
+			}
+			for ok, err := c.step(); ok || err != nil; ok, err = c.step() {
+				if err != nil {
+					t.Fatal(err)
+				}
+				i := sort.Search(len(recs), func(i int) bool { return record.CompareRecords(recs[i], c.rec) >= 0 })
+				if c.ord == 0 && p.leaf[i] != s.First() {
+					t.Fatalf("k=%d block %d: section starts at leaf %d, its first record is leaf %d", k, bi, s.First(), p.leaf[i])
+				}
+				if p.leaf[i]>>p.k != s.First()>>p.k {
+					t.Fatalf("k=%d block %d holds leaves of two groups", k, bi)
+				}
+				if got := Clone(c.rec, c.proof()); !bytes.Equal(got.Proof, p.proof(i)) {
+					t.Fatalf("k=%d record %d: rebuilt proof differs", k, i)
+				}
+			}
+			spilled = spilled || (bi > 0 && s.First()&(1<<p.k-1) != 0)
+		}
+		if k == 2 && !spilled {
+			t.Fatal("no group spilled over two blocks")
+		}
+		for i, want := range recs {
+			if got, ok, err := tbl.Get(want.Key, want.Ts); err != nil || !ok || !bytes.Equal(got.Proof, p.proof(i)) {
+				t.Fatalf("k=%d Get of record %d: ok %v, err %v, proof rebuilt %v", k, i, ok, err, ok && bytes.Equal(got.Proof, p.proof(i)))
+			}
+			prev, cur, err := tbl.SeekWithPrev(want.Key, want.Ts)
+			if err != nil || !bytes.Equal(cur.Proof, p.proof(i)) || (i > 0 && !bytes.Equal(prev.Proof, p.proof(i-1))) {
+				t.Fatalf("k=%d SeekWithPrev to record %d: proofs differ (%v)", k, i, err)
+			}
+			it := tbl.Iter()
+			it.SeekGE(want.Key, want.Ts)
+			if view, proof, ok, err := it.SeekPrev(); err != nil || ok != (i > 0) || (ok && !bytes.Equal(Clone(view, proof).Proof, p.proof(i-1))) {
+				t.Fatalf("k=%d SeekPrev at record %d: ok %v, err %v", k, i, ok, err)
 			}
 		}
-		if _, err := b.Finish(); err != nil {
-			return nil, err
+		if last, err := tbl.Last(); err != nil || !bytes.Equal(last.Proof, p.proof(len(recs)-1)) {
+			t.Fatalf("k=%d Last: %v", k, err)
 		}
-		return f.Bytes(), nil
 	}
-	bare := seqRecords(300, 2)
-	carrying := make([]record.Record, len(bare))
-	for i := range bare {
-		bare[i].Proof = []byte("stale: must be ignored")
-		carrying[i] = bare[i]
-		carrying[i].Proof = fakeProof(bare[i])
-	}
-	want, err := build(carrying, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := build(bare, fakeProofs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("table built through a ProofAppender differs from one built from proof-carrying records")
-	}
-	if _, err := build(bare, fakeProofs{fail: bare[100].Key}); err == nil {
+	p := newTreeProofs(recs, 2)
+	p.fail = recs[150].Key
+	if _, _, err := buildWithProofs(t, recs, p, 512); err == nil {
 		t.Fatal("a record without a proof was built into a table")
+	}
+}
+
+// TestVersion1Refused: a table whose footer names format version 1 — one
+// root path per record — does not open, and the error says which version.
+func TestVersion1Refused(t *testing.T) {
+	_, f, _ := buildTable(t, seqRecords(20, 1), nil)
+	img := append([]byte(nil), f.Bytes()...)
+	binary.BigEndian.PutUint64(img[len(img)-8:], Magic&^0xffff|1)
+	f = memFile(t, img)
+	_, err := Open(f, 7, &FileSource{F: f})
+	if !errors.Is(err, ErrBadTable) || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("Open of a version-1 table = %v, want ErrBadTable naming format version 1", err)
 	}
 }
 

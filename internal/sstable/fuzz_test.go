@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -22,7 +23,7 @@ func footerOnly(indexOff, indexLen uint64) []byte {
 }
 
 // memFile is data as an in-memory vfs.File.
-func memFile(t *testing.T, data []byte) vfs.File {
+func memFile(t testing.TB, data []byte) vfs.File {
 	t.Helper()
 	f, err := vfs.NewMem().Create("t.sst")
 	if err != nil {
@@ -98,6 +99,9 @@ func FuzzOpenTable(f *testing.F) {
 		}
 		f.Add(append([]byte(nil), tf.Bytes()...))
 	}
+	for _, seed := range sectionSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file := memFile(t, data)
 		n := allocated(func() {
@@ -117,6 +121,10 @@ func FuzzOpenTable(f *testing.F) {
 				prev.Kind = record.KindSet // any non-zero: "there is a predecessor"
 			}
 			it.Close()
+			it.SeekGE([]byte("key"), record.MaxTs)
+			if view, proof, ok, _ := it.SeekPrev(); ok {
+				Clone(view, proof)
+			}
 			tbl.SeekWithPrev(prev.Key, prev.Ts)
 			tbl.SeekWithPrev([]byte("key"), record.MaxTs)
 			tbl.Get(prev.Key, record.MaxTs)
@@ -153,5 +161,31 @@ func TestIterStopsAtRecordsOutOfOrder(t *testing.T) {
 	}
 	if err := it.Close(); !errors.Is(err, ErrBadTable) || len(got) != 2 || got[1] != "key00002" {
 		t.Fatalf("iterated %q, Close = %v; want key00000, key00002, then ErrBadTable", got, err)
+	}
+}
+
+// sectionSeeds are tables with group sections, the honest one first, then
+// three lies about its first block's section: a section cut short (its length
+// says fewer bytes than the records after it need), a k whose node count
+// disagrees with (k, leaves), and a first leaf past the leaf count.
+func sectionSeeds(f *testing.F) [][]byte {
+	recs := seqRecords(12, 2)
+	_, tf, err := buildWithProofs(f, recs, newTreeProofs(recs, 2), 256)
+	if err != nil {
+		f.Fatal(err)
+	}
+	honest := tf.Bytes()
+	secLen, n := binary.Uvarint(honest[1:])
+	w := 1 + n // the section starts after its mark and length
+	mutate := func(fn func(img []byte)) []byte {
+		img := append([]byte(nil), honest...)
+		fn(img)
+		return img
+	}
+	return [][]byte{
+		honest,
+		mutate(func(img []byte) { binary.PutUvarint(img[1:], secLen-hashutil.Size) }),
+		mutate(func(img []byte) { img[w]++ }),       // k
+		mutate(func(img []byte) { img[w+2] = 100 }), // first leaf, after a one-byte leaf count of 12
 	}
 }

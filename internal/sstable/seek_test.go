@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"elsm/internal/record"
+	"elsm/internal/vfs"
 )
 
 // hostileSource is the untrusted host as a BlockSource. It hands out a
@@ -191,10 +192,11 @@ func TestScanCursorCopiesAsItPassesAndReadsBlocksOnce(t *testing.T) {
 		it.Reset(tbl)
 		it.SeekGE(key, record.MaxTs)
 		var prev *record.Record
-		if view, ok, err := it.SeekPrev(); err != nil {
+		if view, proof, ok, err := it.SeekPrev(); err != nil {
 			t.Fatalf("SeekPrev(%q): %v", key, err)
 		} else if ok {
-			prev = cloneView(view)
+			c := Clone(view, proof)
+			prev = &c
 		}
 		var got []record.Record
 		for ; it.Valid() && len(got) < walk; it.Next() {
@@ -245,14 +247,17 @@ func TestScanCursorErrorIsSticky(t *testing.T) {
 		t.Fatalf("walk over a garbage block: %d records, err %v", n, err)
 	}
 	it.SeekGE(recs[0].Key, record.MaxTs)
-	if _, _, err := it.SeekPrev(); it.Valid() || it.Close() == nil || err == nil {
+	if _, _, _, err := it.SeekPrev(); it.Valid() || it.Close() == nil || err == nil {
 		t.Fatal("the iterator forgot its error")
 	}
 }
 
-// FuzzScanCursorBlock feeds arbitrary bytes to viewRecordAt, the one decoder
-// every block the host hands over goes through: it must never panic, and a
-// record it accepts lies wholly inside the input.
+// FuzzScanCursorBlock feeds arbitrary bytes to the block decoders every block
+// the host hands over goes through: viewRecordAt at an arbitrary offset, and
+// the cursor over a whole block with every record's proof rebuilt from the
+// block's section. Nothing may panic, a record viewRecordAt accepts lies
+// wholly inside the input, and a rebuilt proof is exactly as long as
+// announced.
 func FuzzScanCursorBlock(f *testing.F) {
 	recs := seqRecords(3, 2)
 	var block []byte
@@ -271,7 +276,22 @@ func FuzzScanCursorBlock(f *testing.F) {
 	f.Add(block, 7)
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, 0) // key length beyond any input
 	f.Add([]byte{}, 0)
+	for _, img := range sectionSeeds(f) { // the first block of each table
+		e, err := firstBlock(img)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img[e.off:e.off+e.length], 0)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, p int) {
+		if c, err := newCursor(data); err == nil {
+			for ok, err := c.step(); ok && err == nil; ok, err = c.step() {
+				var r rebuild
+				if r.parse(c.proof()); len(r.appendTo(nil)) != r.n {
+					t.Fatalf("record %d: rebuilt %d proof bytes, announced %d", c.ord, len(r.appendTo(nil)), r.n)
+				}
+			}
+		}
 		if p < 0 {
 			return
 		}
@@ -297,4 +317,20 @@ func FuzzScanCursorBlock(f *testing.F) {
 			q += m
 		}
 	})
+}
+
+// firstBlock returns the index entry of a table image's first block.
+func firstBlock(img []byte) (indexEntry, error) {
+	f, err := vfs.NewMem().Create("t.sst")
+	if err == nil {
+		_, err = f.Append(img)
+	}
+	if err != nil {
+		return indexEntry{}, err
+	}
+	tbl, err := Open(f, 1, &FileSource{F: f})
+	if err != nil {
+		return indexEntry{}, err
+	}
+	return tbl.index[0], nil
 }

@@ -4,14 +4,35 @@
 // and in eLSM-P1 their data blocks are sealed (encrypted + MACed) at file
 // granularity.
 //
-// File layout:
+// File layout (format version 2):
 //
 //	[data block 0] … [data block n-1] [filter block] [index block] [footer]
 //
-// Data blocks hold whole records, framed as
+// A data block is whole records, after a group section if it has one:
 //
-//	kind u8 ‖ uvarint keyLen ‖ key ‖ ts u64 ‖ uvarint valLen ‖ value ‖
-//	uvarint proofLen ‖ proof
+//	[0x00 ‖ uvarint sectionLen ‖ section] record ‖ record ‖ …
+//	record = kind u8 ‖ uvarint keyLen ‖ key ‖ ts u64 ‖ uvarint valLen ‖ value ‖
+//	         uvarint proofLen ‖ proof
+//
+// (0x00 is no record kind.) A table built without a ProofAppender (P1,
+// unsecured) has no sections and stores each record's proof bytes as they
+// were given. A P2 run's blocks are cut at aligned Merkle subtrees: every
+// record of a block belongs to one group of 2^k leaves, and the section is
+// that group's subtree and root path (merkle.Section), stored once for the
+// block. A record's proof field then holds only its version-chain part:
+//
+//	0x00                                          the leaf has no other version
+//	0x01 ‖ u16 n ‖ n × (ts u64 ‖ digest) ‖ inner  otherwise
+//
+// and its leaf index is the section's first leaf plus the number of key
+// changes before it in the block. Whoever copies a record out of a block as a
+// witness rebuilds from these the embedded proof the verifier reads (Proof):
+//
+//	leaf u32 ‖ u16 n ‖ n × (ts u64 ‖ digest) ‖ inner ‖ u16 steps ‖ path
+//
+// with n = 0 and a zero inner for the 0x00 form, and path the leaf's
+// authentication path expanded from the section. A section or chain part that
+// does not parse expands to no proof at all, which no verifier accepts.
 //
 // The index block maps each data block's last (key, ts) to its file extent;
 // the filter block holds one Bloom filter per data block (§2: "a Bloom
@@ -19,17 +40,22 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"elsm/internal/bloom"
+	"elsm/internal/hashutil"
+	"elsm/internal/merkle"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
 
-// Magic identifies SSTable files (last 8 footer bytes).
-const Magic = 0xe15a_5a7a_b1e5_0001
+// Magic identifies SSTable files (last 8 footer bytes); its low 16 bits are
+// the format version. Version 1 stored a whole root path in every record and
+// is refused.
+const Magic = 0xe15a_5a7a_b1e5_0002
 
 // DefaultBlockSize is the target data-block payload size.
 const DefaultBlockSize = 4096
@@ -76,22 +102,28 @@ type BuilderOptions struct {
 	// FileNum is the table's file number, used for block binding.
 	FileNum uint64
 	// Proofs, when non-nil, supplies every record's embedded proof at build
-	// time, written straight into the block buffer; Record.Proof is then
-	// ignored. Nil writes each record's own Proof bytes.
+	// time, as a chain part per record and a group section per block;
+	// Record.Proof is then ignored. Nil writes each record's own Proof bytes
+	// and no sections.
 	Proofs ProofAppender
 }
 
 // ProofAppender produces the embedded proofs of the records added to one
-// table (§5.2: 〈k, v ‖ π〉). The builder asks for a proof's length, frames
-// it, and has the proof appended directly after — no intermediate buffer.
-// An implementation serves one builder; it need not be safe for concurrent
-// use.
+// table (§5.2: 〈k, v ‖ π〉), split the way a block stores them (see the
+// package doc). For each record the builder calls Group, then AppendSection
+// if the record opens a block, then AppendChain. An implementation serves one
+// builder; it need not be safe for concurrent use.
 type ProofAppender interface {
-	// ProofLen returns the exact number of bytes AppendProof will append
-	// for rec, or an error if rec has no proof.
-	ProofLen(rec record.Record) (int, error)
-	// AppendProof appends rec's serialized proof to dst.
-	AppendProof(dst []byte, rec record.Record) ([]byte, error)
+	// Group locates rec in its run's Merkle tree and returns the group its
+	// leaf belongs to, or an error if rec has no proof. A block never holds
+	// records of two groups.
+	Group(rec record.Record) (int, error)
+	// AppendSection appends the group section of a block whose first record
+	// is the one Group located last.
+	AppendSection(dst []byte) []byte
+	// AppendChain appends the version-chain part of the proof of the record
+	// Group located last.
+	AppendChain(dst []byte) []byte
 }
 
 // Meta describes a finished table.
@@ -129,6 +161,10 @@ type Builder struct {
 	lastKey    []byte
 	lastTs     uint64
 	meta       Meta
+	// group is the proof group of the records in blockBuf; scratch holds a
+	// section or chain part until its length is framed.
+	group   int
+	scratch []byte
 }
 
 type indexEntry struct {
@@ -164,6 +200,19 @@ func (b *Builder) Add(rec record.Record) error {
 	if b.haveLast && record.Compare(b.lastKey, b.lastTs, rec.Key, rec.Ts) >= 0 {
 		return fmt.Errorf("%w: %q@%d after %q@%d", ErrOrder, rec.Key, rec.Ts, b.lastKey, b.lastTs)
 	}
+	proofs := b.opts.Proofs
+	if proofs != nil {
+		g, err := proofs.Group(rec)
+		if err != nil {
+			return err
+		}
+		if len(b.blockBuf) > 0 && g != b.group {
+			if err := b.flushBlock(); err != nil {
+				return err
+			}
+		}
+		b.group = g
+	}
 	if !b.haveLast {
 		b.meta.Smallest = append([]byte(nil), rec.Key...)
 		b.meta.SmallestTs = rec.Ts
@@ -172,25 +221,22 @@ func (b *Builder) Add(rec record.Record) error {
 	b.lastKey = append(b.lastKey[:0], rec.Key...)
 	b.lastTs = rec.Ts
 
-	buf := append(b.blockBuf, byte(rec.Kind))
+	buf := b.blockBuf
+	if len(buf) == 0 && proofs != nil {
+		b.scratch = proofs.AppendSection(b.scratch[:0])
+		buf = appendFramed(append(buf, sectionMark), b.scratch)
+	}
+	buf = append(buf, byte(rec.Kind))
 	buf = binary.AppendUvarint(buf, uint64(len(rec.Key)))
 	b.keyOffs = append(b.keyOffs, len(buf), len(buf)+len(rec.Key))
 	buf = append(buf, rec.Key...)
 	buf = binary.BigEndian.AppendUint64(buf, rec.Ts)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Value)))
-	buf = append(buf, rec.Value...)
-	if b.opts.Proofs == nil {
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Proof)))
-		buf = append(buf, rec.Proof...)
+	buf = appendFramed(buf, rec.Value)
+	if proofs == nil {
+		buf = appendFramed(buf, rec.Proof)
 	} else {
-		n, err := b.opts.Proofs.ProofLen(rec)
-		if err != nil {
-			return err
-		}
-		buf = binary.AppendUvarint(buf, uint64(n))
-		if buf, err = b.opts.Proofs.AppendProof(buf, rec); err != nil {
-			return err
-		}
+		b.scratch = proofs.AppendChain(b.scratch[:0])
+		buf = appendFramed(buf, b.scratch)
 	}
 	b.blockBuf = buf
 	b.numEntries++
@@ -198,6 +244,11 @@ func (b *Builder) Add(rec record.Record) error {
 		return b.flushBlock()
 	}
 	return nil
+}
+
+// appendFramed appends p with its uvarint length in front.
+func appendFramed(dst, p []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(p))), p...)
 }
 
 func (b *Builder) flushBlock() error {
@@ -341,8 +392,11 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 	if _, err := f.ReadAt(ft, size-footerLen); err != nil {
 		return nil, fmt.Errorf("sstable: read footer: %w", err)
 	}
-	if binary.BigEndian.Uint64(ft[40:48]) != Magic {
+	switch m := binary.BigEndian.Uint64(ft[40:48]); {
+	case m>>16 != Magic>>16:
 		return nil, fmt.Errorf("%w: bad magic", ErrBadTable)
+	case m != Magic:
+		return nil, fmt.Errorf("%w: format version %d, this reader reads only version %d", ErrBadTable, m&0xffff, Magic&0xffff)
 	}
 	filterOff := int64(binary.BigEndian.Uint64(ft[0:8]))
 	filterLen := int64(binary.BigEndian.Uint64(ft[8:16]))
@@ -457,22 +511,190 @@ func (t *Table) seekBlock(key []byte, ts uint64) int {
 }
 
 // DecodeBlock parses all records in a block payload into records that own
-// their bytes. No product code calls it — point reads seek with the
-// per-record cursor and clone only their witnesses (SeekWithPrev), scans and
-// compaction iterate views (Iter) — it survives as the whole-block decode
-// that benchmark/ times in isolation (sstable.decode_block_ns).
+// their bytes, proofs rebuilt. No product code calls it — point reads seek
+// with the per-record cursor and clone only their witnesses (SeekWithPrev),
+// scans and compaction iterate views (Iter) — it survives as the whole-block
+// decode that benchmark/ times in isolation (sstable.decode_block_ns).
 func DecodeBlock(data []byte) ([]record.Record, error) {
+	c, err := newCursor(data)
+	if err != nil {
+		return nil, err
+	}
 	var out []record.Record
-	p := 0
-	for p < len(data) {
-		rec, n, err := viewRecordAt(data, p)
+	for {
+		ok, err := c.step()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rec.Clone())
-		p += n
+		if !ok {
+			return out, nil
+		}
+		out = append(out, Clone(c.rec, c.proof()))
 	}
-	return out, nil
+}
+
+// cursor steps through the records of one block in place. ord counts the
+// key changes before the current record: its leaf is the section's first
+// leaf plus ord.
+type cursor struct {
+	data, section []byte
+	next          int // offset in data of the record after rec
+	rec           record.Record
+	ord           int // -1 before the first record
+}
+
+// sectionMark opens a block that carries a section: a byte no record starts
+// with, record kinds starting at one.
+const sectionMark = 0
+
+// newCursor splits a block into its section, if it has one, and records,
+// positioned before the first record.
+func newCursor(data []byte) (cursor, error) {
+	c := cursor{data: data, ord: -1}
+	if len(data) == 0 || data[0] != sectionMark {
+		return c, nil
+	}
+	n, w := binary.Uvarint(data[1:])
+	if w <= 0 || n == 0 || n > uint64(len(data)-1-w) {
+		return cursor{}, fmt.Errorf("%w: bad section frame", ErrBadTable)
+	}
+	c.next = 1 + w + int(n)
+	c.section = data[1+w : c.next : c.next]
+	return c, nil
+}
+
+// step moves to the next record, reporting false at the end of the block.
+func (c *cursor) step() (bool, error) {
+	if c.next >= len(c.data) {
+		return false, nil
+	}
+	rec, n, err := viewRecordAt(c.data, c.next)
+	if err != nil {
+		return false, err
+	}
+	if c.ord < 0 || !bytes.Equal(rec.Key, c.rec.Key) {
+		c.ord++
+	}
+	c.rec, c.next = rec, c.next+n
+	return true, nil
+}
+
+func (c *cursor) proof() Proof { return Proof{stored: c.rec.Proof, section: c.section, ord: c.ord} }
+
+func (c *cursor) view() view { return view{c.rec, c.proof()} }
+
+// Proof is a handle on the embedded proof of a record viewed in a block: the
+// record's stored proof field, its block's section and the record's key
+// ordinal in the block. Like the view it comes with, it aliases the block.
+type Proof struct {
+	stored  []byte
+	section []byte // nil in a block without one: stored is the proof
+	ord     int
+}
+
+// zeroChain is the chain part of a leaf's only version: no newer versions
+// and a zero inner value.
+var zeroChain [2 + hashutil.Size]byte
+
+// chainLen returns the length of the chain part the stored field expands
+// to, or -1 if it is neither form the package doc lists.
+func chainLen(stored []byte) int {
+	switch {
+	case len(stored) == 1 && stored[0] == 0:
+		return len(zeroChain)
+	case len(stored) > 1 && stored[0] == 1:
+		return len(stored) - 1
+	}
+	return -1
+}
+
+// rebuild is a proof's parts, parsed once; n is the length of the proof they
+// rebuild, 0 if anything is malformed or the record's leaf lies outside the
+// section's group.
+type rebuild struct {
+	p           Proof
+	s           merkle.Section
+	leaf, steps int
+	n           int
+}
+
+func (r *rebuild) parse(p Proof) {
+	*r = rebuild{p: p}
+	if p.section == nil {
+		r.n = len(p.stored)
+		return
+	}
+	var err error
+	r.s, err = merkle.ParseSection(p.section)
+	chain := chainLen(p.stored)
+	if err != nil || chain < 0 {
+		return
+	}
+	r.leaf = r.s.First() + p.ord
+	if r.steps = r.s.PathLen(r.leaf); r.steps >= 0 {
+		r.n = 4 + chain + 2 + r.steps*merkle.PathNodeSize
+	}
+}
+
+func (r *rebuild) appendTo(dst []byte) []byte {
+	p := r.p
+	switch {
+	case p.section == nil:
+		return append(dst, p.stored...)
+	case r.n == 0:
+		return dst
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.leaf))
+	if p.stored[0] == 0 {
+		dst = append(dst, zeroChain[:]...)
+	} else {
+		dst = append(dst, p.stored[1:]...)
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(r.steps))
+	return r.s.AppendPath(dst, r.leaf)
+}
+
+// AppendTo appends the embedded proof: for a record of a block with a
+// section, rebuilt as the package doc describes — nothing if it cannot be —
+// and otherwise the stored bytes as they are.
+func (p Proof) AppendTo(dst []byte) []byte {
+	var r rebuild
+	r.parse(p)
+	return r.appendTo(dst)
+}
+
+// Clone copies rec, a record viewed in a block, out of the block with its
+// proof rebuilt from p, in one allocation as record.Clone does.
+func Clone(rec record.Record, p Proof) record.Record {
+	var r rebuild
+	r.parse(p)
+	k, v := len(rec.Key), len(rec.Key)+len(rec.Value)
+	buf := make([]byte, v, v+r.n)
+	copy(buf, rec.Key)
+	copy(buf[k:], rec.Value)
+	buf = r.appendTo(buf)
+	field := func(lo, hi int) []byte {
+		if lo == hi {
+			return nil
+		}
+		return buf[lo:hi:hi]
+	}
+	return record.Record{Key: field(0, k), Ts: rec.Ts, Kind: rec.Kind, Value: field(k, v), Proof: field(v, len(buf))}
+}
+
+// view is a record viewed in a block and the handle on its proof.
+type view struct {
+	rec   record.Record
+	proof Proof
+}
+
+// clone copies the view out of the block, or returns nil for the zero view.
+func (v view) clone() *record.Record {
+	if v.rec.Kind == 0 {
+		return nil
+	}
+	c := Clone(v.rec, v.proof)
+	return &c
 }
 
 // viewRecordAt parses the record framed at data[p:] without copying: the
@@ -521,54 +743,50 @@ func (t *Table) block(i int) ([]byte, error) {
 // seekInBlock walks block bi with the per-record cursor to the seek
 // position of (key, ts): cur is the first record ≥ (key, ts) and prev the
 // record before it, both views of the block (zero Kind when there is none).
-func (t *Table) seekInBlock(bi int, key []byte, ts uint64) (prev, cur record.Record, err error) {
+func (t *Table) seekInBlock(bi int, key []byte, ts uint64) (prev, cur view, err error) {
 	data, err := t.block(bi)
 	if err != nil {
 		return prev, cur, err
 	}
-	for p := 0; p < len(data); {
-		rec, n, err := viewRecordAt(data, p)
-		if err != nil {
-			return prev, cur, err
+	c, err := newCursor(data)
+	var last record.Record // the record before c's, and its key ordinal
+	lastOrd := 0
+	for err == nil {
+		var ok bool
+		if ok, err = c.step(); !ok {
+			break
 		}
-		if record.Compare(rec.Key, rec.Ts, key, ts) >= 0 {
-			return prev, rec, nil
+		if record.Compare(c.rec.Key, c.rec.Ts, key, ts) >= 0 {
+			cur = c.view()
+			break
 		}
-		prev = rec
-		p += n
+		last, lastOrd = c.rec, c.ord
 	}
-	return prev, cur, nil
-}
-
-// cloneView copies a block view out of untrusted memory, or returns nil for
-// the zero view.
-func cloneView(view record.Record) *record.Record {
-	if view.Kind == 0 {
-		return nil
+	if last.Kind != 0 {
+		prev = view{last, Proof{stored: last.Proof, section: c.section, ord: lastOrd}}
 	}
-	c := view.Clone()
-	return &c
+	return prev, cur, err
 }
 
 // Get returns the newest record of key with Ts ≤ tsq, if the table holds
-// one. The Bloom filter short-circuits definite misses.
+// one, its proof rebuilt. The Bloom filter short-circuits definite misses.
 func (t *Table) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	bi := t.seekBlock(key, tsq)
 	if bi >= len(t.index) || !t.filters[bi].MayContain(key) {
 		return record.Record{}, false, nil
 	}
 	_, cur, err := t.seekInBlock(bi, key, tsq)
-	if err != nil || cur.Kind == 0 || string(cur.Key) != string(key) {
+	if err != nil || cur.rec.Kind == 0 || string(cur.rec.Key) != string(key) {
 		return record.Record{}, false, err
 	}
-	return cur.Clone(), true, nil
+	return *cur.clone(), true, nil
 }
 
 // SeekWithPrev locates the seek position of (key, ts) and returns the
 // records immediately before and at that position (either may be nil at the
-// table edges). The eLSM layer uses this to assemble non-membership
-// witnesses: for an absent key, prev and cur bracket it (§5.5.1 "returns
-// the two neighboring records").
+// table edges), proofs rebuilt. The eLSM layer uses this to assemble
+// non-membership witnesses: for an absent key, prev and cur bracket it
+// (§5.5.1 "returns the two neighboring records").
 //
 // The seek is untrusted-side work: it compares keys in place on the block
 // bytes, reads each block at most once, and copies out only the one or two
@@ -589,35 +807,40 @@ func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, e
 	if err != nil {
 		return nil, nil, err
 	}
-	if prevView.Kind == 0 && bi > 0 {
+	if prevView.rec.Kind == 0 && bi > 0 {
 		// Boundary miss: the predecessor is the previous block's last record.
-		last, err := t.lastView(bi - 1)
-		if err != nil {
+		if prevView, err = t.lastView(bi - 1); err != nil {
 			return nil, nil, err
 		}
-		return cloneView(last), cloneView(curView), nil
 	}
-	return cloneView(prevView), cloneView(curView), nil
+	return prevView.clone(), curView.clone(), nil
 }
 
 // lastView returns the last record of block bi — the one the index entry
 // names — as a view of the block.
-func (t *Table) lastView(bi int) (record.Record, error) {
+func (t *Table) lastView(bi int) (view, error) {
 	e := t.index[bi]
 	_, last, err := t.seekInBlock(bi, e.lastKey, e.lastTs)
-	if err == nil && last.Kind == 0 {
+	if err == nil && last.rec.Kind == 0 {
 		err = fmt.Errorf("%w: block %d ends before its index entry", ErrBadTable, bi)
 	}
 	return last, err
 }
 
-// Last returns a copy of the table's last record.
+// LastView returns the table's last record as a view of its block, with the
+// handle on its proof.
+func (t *Table) LastView() (record.Record, Proof, error) {
+	v, err := t.lastView(len(t.index) - 1)
+	return v.rec, v.proof, err
+}
+
+// Last returns a copy of the table's last record, its proof rebuilt.
 func (t *Table) Last() (record.Record, error) {
-	last, err := t.lastView(len(t.index) - 1)
+	v, err := t.lastView(len(t.index) - 1)
 	if err != nil {
 		return record.Record{}, err
 	}
-	return last.Clone(), nil
+	return *v.clone(), nil
 }
 
 // Iter returns an iterator over the table, unpositioned: SeekGE places it.
@@ -628,16 +851,15 @@ func (t *Table) Iter() *Iter {
 // Iter iterates a table. It decodes one record at a time over the block
 // bytes the BlockSource returned: the slices of Record() alias that block and
 // are valid only until the next Next or SeekGE, as record.Iterator documents
-// — a caller that keeps a record copies it. Walking forward it requests each
-// block once. The first block-read or decode error ends the iteration and is
-// what Close reports.
+// — a caller that keeps a record copies it, and one that keeps its proof
+// copies Proof() (Clone does both). Walking forward it requests each block
+// once. The first block-read or decode error ends the iteration and is what
+// Close reports.
 type Iter struct {
 	t     *Table
 	block int    // index of the loaded block
-	data  []byte // its payload; nil when exhausted or failed
-	next  int    // offset in data of the record after rec
-	rec   record.Record
-	prev  record.Record // the record SeekGE stepped over last; zero Kind if none
+	cur   cursor // on the current record of that block
+	prev  view   // the record SeekGE stepped over last; zero Kind if none
 	valid bool
 	err   error
 }
@@ -648,47 +870,52 @@ var _ record.Iterator = (*Iter)(nil)
 func (it *Iter) Reset(t *Table) { *it = Iter{t: t} }
 
 // seekBlockStart positions at the first record of block i or, if that
-// block is empty, of the first non-empty block after it; past the last
+// block has none, of the first block after it that has; past the last
 // block, or on a read or decode error, the iterator becomes invalid.
 func (it *Iter) seekBlockStart(i int) {
-	it.data, it.valid = nil, false
+	it.valid = false
 	for ; i < len(it.t.index); i++ {
 		data, err := it.t.block(i)
+		if err == nil {
+			it.cur, err = newCursor(data)
+		}
 		if err != nil {
-			it.err = err
+			it.fail(err)
 			return
 		}
-		if len(data) > 0 {
-			it.block, it.data, it.next = i, data, 0
+		if it.cur.next < len(data) {
+			it.block = i
 			it.step()
 			return
 		}
 	}
 }
 
-// step decodes the record at it.next, moving on to the following block when
-// the current one is spent. Records must ascend strictly, within a block and
+// step decodes the next record, moving on to the following block when the
+// current one is spent. Records must ascend strictly, within a block and
 // from block to block: a block's first record is held to the index entry of
 // the block before it and its last record to its own — the index is the
 // reader's copy, where the bytes of a block already passed may be gone.
 func (it *Iter) step() {
 	index := it.t.index
-	if it.next >= len(it.data) {
-		if e := index[it.block]; record.Compare(it.rec.Key, it.rec.Ts, e.lastKey, e.lastTs) > 0 {
+	last, opening := it.cur.rec, it.cur.ord < 0
+	ok, err := it.cur.step()
+	switch {
+	case err != nil:
+		it.fail(err)
+		return
+	case !ok:
+		if e := index[it.block]; record.Compare(last.Key, last.Ts, e.lastKey, e.lastTs) > 0 {
 			it.fail(fmt.Errorf("%w: block %d runs past its index entry", ErrBadTable, it.block))
 			return
 		}
 		it.seekBlockStart(it.block + 1)
 		return
 	}
-	rec, n, err := viewRecordAt(it.data, it.next)
-	if err != nil {
-		it.fail(err)
-		return
-	}
+	rec := it.cur.rec
 	ordered := true
-	if it.next > 0 {
-		ordered = record.Compare(it.rec.Key, it.rec.Ts, rec.Key, rec.Ts) < 0
+	if !opening {
+		ordered = record.Compare(last.Key, last.Ts, rec.Key, rec.Ts) < 0
 	} else if it.block > 0 {
 		e := index[it.block-1]
 		ordered = record.Compare(e.lastKey, e.lastTs, rec.Key, rec.Ts) < 0
@@ -697,12 +924,11 @@ func (it *Iter) step() {
 		it.fail(fmt.Errorf("%w: block %d: records out of order", ErrBadTable, it.block))
 		return
 	}
-	it.rec, it.valid = rec, true
-	it.next += n
+	it.valid = true
 }
 
 // fail ends the iteration with err, the error Close reports.
-func (it *Iter) fail(err error) { it.err, it.data, it.valid = err, nil, false }
+func (it *Iter) fail(err error) { it.err, it.cur, it.valid = err, cursor{}, false }
 
 func (it *Iter) Valid() bool { return it.valid }
 
@@ -712,45 +938,50 @@ func (it *Iter) Next() {
 	}
 }
 
-func (it *Iter) Record() record.Record { return it.rec }
+func (it *Iter) Record() record.Record { return it.cur.rec }
+
+// Proof returns the handle on the current record's proof, valid as long as
+// Record's slices are.
+func (it *Iter) Proof() Proof { return it.cur.proof() }
 
 func (it *Iter) SeekGE(key []byte, ts uint64) {
-	it.prev = record.Record{}
+	it.prev = view{}
 	if it.err != nil {
 		return
 	}
 	it.seekBlockStart(it.t.seekBlock(key, ts))
-	for it.valid && record.Compare(it.rec.Key, it.rec.Ts, key, ts) < 0 {
-		it.prev = it.rec
+	for it.valid && record.Compare(it.cur.rec.Key, it.cur.rec.Ts, key, ts) < 0 {
+		it.prev = it.cur.view()
 		it.step()
 	}
 }
 
-// SeekPrev returns, as a view, the record before the position the last
-// SeekGE found — a range read's left-boundary witness. It is the record the
-// seek stepped over last; only when the position opens a block (or lies past
-// the table's end) is it the last record of the block before, which costs one
-// more block read. ok is false at the table's first record. Call it before
-// the first Next.
-func (it *Iter) SeekPrev() (prev record.Record, ok bool, err error) {
+// SeekPrev returns, as a view with its proof handle, the record before the
+// position the last SeekGE found — a range read's left-boundary witness. It
+// is the record the seek stepped over last; only when the position opens a
+// block (or lies past the table's end) is it the last record of the block
+// before, which costs one more block read. ok is false at the table's first
+// record. Call it before the first Next.
+func (it *Iter) SeekPrev() (prev record.Record, proof Proof, ok bool, err error) {
 	if it.err != nil {
-		return prev, false, it.err
+		return prev, proof, false, it.err
 	}
-	if it.prev.Kind != 0 {
-		return it.prev, true, nil
+	if it.prev.rec.Kind != 0 {
+		return it.prev.rec, it.prev.proof, true, nil
 	}
 	bi := len(it.t.index) // past the end: the table's last block
 	if it.valid {
 		bi = it.block
 	}
 	if bi == 0 {
-		return prev, false, nil
+		return prev, proof, false, nil
 	}
-	if prev, err = it.t.lastView(bi - 1); err != nil {
+	v, err := it.t.lastView(bi - 1)
+	if err != nil {
 		it.fail(err)
-		return prev, false, err
+		return prev, proof, false, err
 	}
-	return prev, true, nil
+	return v.rec, v.proof, true, nil
 }
 
 // Close reports the first block-read or decode error encountered, if any.

@@ -34,10 +34,13 @@ func buildTable(t *testing.T, recs []record.Record, tr BlockTransform) (*Table, 
 	return tbl, f, meta
 }
 
-func seqRecords(n, versions int) []record.Record {
+func seqRecords(n, versions int) []record.Record { return seqRecordsFrom(0, n, versions) }
+
+// seqRecordsFrom is seqRecords for keys lo to hi-1.
+func seqRecordsFrom(lo, hi, versions int) []record.Record {
 	var out []record.Record
-	ts := uint64(n*versions + 1)
-	for i := 0; i < n; i++ {
+	ts := uint64(hi*versions + 1)
+	for i := lo; i < hi; i++ {
 		for v := 0; v < versions; v++ {
 			ts--
 			out = append(out, record.Record{

@@ -204,7 +204,6 @@ func (s *Store) superviseTailer(t *repl.Tailer) {
 		s.obsv.Event(obs.EventRebootstrap, -1, "automatic re-bootstrap failed: %v", err)
 		return
 	}
-	s.rebootstraps.Add(1)
 	s.obsv.Event(obs.EventRebootstrap, -1,
 		"follower re-bootstrapped from checkpoint (total %d)", s.rebootstraps.Load())
 }
@@ -235,6 +234,8 @@ func (s *Store) rebootstrapLocked() error {
 	if err != nil {
 		return fmt.Errorf("reopen after re-bootstrap: %w", err)
 	}
+	// Counted before the swap: whoever reads the fresh engine sees it.
+	s.rebootstraps.Add(1)
 	s.eng.Store(fresh)
 	s.replMu.Lock()
 	s.bootErr = nil
