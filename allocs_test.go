@@ -14,8 +14,8 @@ import (
 // 5 %): deriving the conveniences must cost what calling the primitive
 // costs. A Get allocates exactly what the engine's GetAt does; a Put what
 // the engine's Commit of a prebuilt one-op batch does, plus that batch; and
-// the shard router adds nothing to a one-op Commit — for one shard and for
-// four, now that both are the same facade. The stores are warm,
+// the shard router adds nothing to a one-op Commit or CommitAsync — for one
+// shard and for four. The stores are warm,
 // uninstrumented (trace sampling allocates on every 64th group) and never
 // flush during the measurement.
 func TestFacadeAddsNoAllocs(t *testing.T) {
@@ -83,6 +83,28 @@ func TestFacadeAddsNoAllocs(t *testing.T) {
 		t.Errorf("Get on 4 shards allocates %v, the router's GetAt %v", get4, prim)
 	}
 	t.Logf("4 shards: Put %v allocs, Get %v", put4, get4)
+
+	// A networked Put is a one-op CommitAsync: the router adds nothing to it
+	// either, whether it fronts one shard or four.
+	one, err := shard.New([]core.KV{base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitAsync := func(kv core.KV) func() {
+		return func() {
+			fut, err := kv.CommitAsync(nil, ops)
+			if err == nil {
+				_, err = fut.Wait(nil)
+			}
+			fail(err)
+		}
+	}
+	for _, r := range []*shard.Router{one, router} {
+		owner := r.Shard(shard.KeyShard(key, r.NumShards()))
+		if routed, direct := allocs(commitAsync(r)), allocs(commitAsync(owner)); routed != direct {
+			t.Errorf("a one-op CommitAsync through a %d-shard router allocates %v, on its shard %v", r.NumShards(), routed, direct)
+		}
+	}
 }
 
 // TestBoundaryMeterAllocatesNothing: the enclave every Get and Put crosses is

@@ -52,6 +52,12 @@ func (s *Store) acquireSnapshot(gauged bool) *Snapshot {
 	snap.ts = s.appliedTs.Load()
 	snap.mem = s.mem
 	snap.frozen = s.frozen
+	n := 0
+	for lvl := 1; lvl < len(s.levels); lvl++ {
+		n += len(s.levels[lvl])
+	}
+	snap.refs = make([]RunRef, 0, n)
+	snap.runs = make([]*run, 0, n)
 	for lvl := 1; lvl < len(s.levels); lvl++ {
 		for idx, r := range s.levels[lvl] {
 			snap.refs = append(snap.refs, RunRef{ID: r.id, Level: lvl, Index: idx})

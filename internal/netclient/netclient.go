@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -87,12 +88,16 @@ type Result struct {
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
-	buf []byte // encode scratch, under wmu
+	// Request frames go out through a double buffer: callers append to out
+	// and one of them at a time, the flusher, swaps it with spare and writes
+	// it with wmu released (see flush).
+	wmu      sync.Mutex // guards out and flushing
+	out      []byte     // frames appended since the flusher's last swap
+	spare    []byte     // the flusher's buffer
+	flushing bool       // a flusher is writing: its loop carries every frame appended meanwhile
 
 	mu      sync.Mutex // guards pending, nextID, err, closed
-	pending map[uint64]chan *netproto.Response
+	pending map[uint64]chan netproto.Response
 	nextID  uint64
 	err     error // first transport error; poisons the client
 	closed  bool
@@ -115,8 +120,7 @@ func Dial(addr string) (*Client, error) {
 func New(conn net.Conn) *Client {
 	c := &Client{
 		conn:       conn,
-		bw:         bufio.NewWriterSize(conn, 8<<10),
-		pending:    make(map[uint64]chan *netproto.Response),
+		pending:    make(map[uint64]chan netproto.Response),
 		stop:       make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
@@ -165,16 +169,21 @@ func (c *Client) readLoop() {
 			close(c.stop)
 		}
 		pend := c.pending
-		c.pending = make(map[uint64]chan *netproto.Response)
+		c.pending = make(map[uint64]chan netproto.Response)
 		c.mu.Unlock()
 		for _, ch := range pend {
 			close(ch) // receivers read c.err after a closed channel
 		}
 		close(c.readerDone)
 	}()
+	// Every frame is read into buf, reused from frame to frame; a response
+	// that hands out slices of its body (Value, Rows, Chunk) gets a copy of
+	// its own, so nothing a caller holds aliases buf.
 	br := bufio.NewReaderSize(c.conn, 8<<10)
+	var buf []byte
+	var resp netproto.Response
 	for {
-		typ, id, body, err := c.readFrame(br)
+		typ, id, body, err := netproto.ReadFrameBuf(br, 0, &buf)
 		if err != nil {
 			var fe *netproto.FrameError
 			if errors.As(err, &fe) {
@@ -186,8 +195,11 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("netclient: connection lost: %w", err))
 			return
 		}
-		resp, err := netproto.DecodeResponse(typ, id, body)
-		if err != nil {
+		switch netproto.Code(typ) {
+		case netproto.CodeValue, netproto.CodeRows, netproto.CodeChunk:
+			body = append([]byte(nil), body...)
+		}
+		if err := netproto.DecodeResponseInto(&resp, typ, id, body); err != nil {
 			c.fail(fmt.Errorf("netclient: protocol error: %w", err))
 			return
 		}
@@ -219,28 +231,24 @@ func (c *Client) readLoop() {
 	}
 }
 
-func (c *Client) readFrame(br *bufio.Reader) (uint8, uint64, []byte, error) {
-	return netproto.ReadFrame(br, 0)
-}
-
 // chPool recycles single-response channels across requests: a pipelined
 // workload otherwise allocates one channel per operation. A channel is
 // pooled only after its terminal response was received (so it is empty and
 // unregistered); channels closed by a dying readLoop never re-enter the
 // pool.
 var chPool = sync.Pool{
-	New: func() any { return make(chan *netproto.Response, 1) },
+	New: func() any { return make(chan netproto.Response, 1) },
 }
 
 // register allocates an id and its response channel. chunked requests
 // (SCAN) get a buffered channel so the reader can run ahead of the
 // consumer by a few chunks.
-func (c *Client) register(buffer int) (uint64, chan *netproto.Response, error) {
-	var ch chan *netproto.Response
+func (c *Client) register(buffer int) (uint64, chan netproto.Response, error) {
+	var ch chan netproto.Response
 	if buffer == 1 {
-		ch = chPool.Get().(chan *netproto.Response)
+		ch = chPool.Get().(chan netproto.Response)
 	} else {
-		ch = make(chan *netproto.Response, buffer)
+		ch = make(chan netproto.Response, buffer)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,67 +270,90 @@ func (c *Client) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
-// send encodes and buffers one request frame WITHOUT flushing: pipelined
-// senders batch a whole window of requests into one write syscall. The
-// flush happens in recv — every caller flushes before blocking on a
-// response, so a request is always on the wire before anyone waits for
-// its answer.
-func (c *Client) send(req *netproto.Request) error {
+// send appends one request frame to the write buffer without writing it:
+// pipelined senders batch a whole window of requests into one write
+// syscall. It reaches the wire through flush, which every caller runs
+// before it blocks on a response (recv) — either it writes the frame itself
+// or a flusher already writing picks it up — so a request is always on its
+// way before anyone waits for its answer.
+func (c *Client) send(req *netproto.Request) {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.buf = netproto.AppendRequest(c.buf[:0], req)
-	_, err := c.bw.Write(c.buf)
+	c.out = netproto.AppendRequest(c.out, req)
+	c.wmu.Unlock()
+}
+
+// flush puts every appended frame on the wire with as few writes as the
+// callers' timing allows. A caller that finds a flusher active returns at
+// once: the flusher loops until the buffer is empty, so it carries that
+// caller's frame. Otherwise the caller becomes the flusher. It yields once
+// first — the callers one response burst woke are runnable behind it and
+// would each flush a frame of their own; yielding lets them append first —
+// then swaps buffers and writes with wmu released, so callers keep
+// appending while the write is in the kernel. A write error fails the
+// client, which fails every pending request.
+func (c *Client) flush() error {
+	c.wmu.Lock()
+	if c.flushing || len(c.out) == 0 {
+		c.wmu.Unlock()
+		return nil
+	}
+	c.flushing = true
+	c.wmu.Unlock()
+	runtime.Gosched()
+	var err error
+	c.wmu.Lock()
+	for len(c.out) > 0 && err == nil {
+		buf := c.out
+		c.out = c.spare[:0]
+		c.wmu.Unlock()
+		_, err = c.conn.Write(buf)
+		c.wmu.Lock()
+		c.spare = buf
+	}
+	c.flushing = false
+	c.wmu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("netclient: write failed: %w", err)
+		c.fail(err)
+	}
 	return err
 }
 
-// flushPending pushes buffered request frames to the wire.
-func (c *Client) flushPending() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.bw.Flush()
-}
-
-// recv awaits the terminal response for one request, flushing buffered
-// requests first (see send).
-func (c *Client) recv(ch chan *netproto.Response) (*netproto.Response, error) {
-	if err := c.flushPending(); err != nil {
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
-	}
+// recv awaits the terminal response for one request, flushing first (see
+// send).
+func (c *Client) recv(ch chan netproto.Response) (netproto.Response, error) {
+	c.flush()
 	resp, ok := <-ch
 	if !ok {
-		return nil, c.failure()
+		return netproto.Response{}, c.failure()
 	}
 	// The terminal response arrived: the readLoop already unregistered the
 	// id, so the (empty) channel can serve the next request.
 	if cap(ch) == 1 {
 		chPool.Put(ch)
 	}
-	return c.check(resp)
+	return resp, check(&resp)
 }
 
 // check converts error-class responses into Go errors.
-func (c *Client) check(resp *netproto.Response) (*netproto.Response, error) {
+func check(resp *netproto.Response) error {
 	switch resp.Code {
 	case netproto.CodeBusy:
-		return nil, ErrBusy
+		return ErrBusy
 	case netproto.CodeErr:
-		return nil, &ServerError{Errno: resp.Errno, Msg: resp.Msg}
+		return &ServerError{Errno: resp.Errno, Msg: resp.Msg}
 	}
-	return resp, nil
+	return nil
 }
 
 // issue registers req under a fresh id and buffers its frame (see send).
-func (c *Client) issue(req *netproto.Request, buffer int) (chan *netproto.Response, error) {
+func (c *Client) issue(req *netproto.Request, buffer int) (chan netproto.Response, error) {
 	id, ch, err := c.register(buffer)
 	if err != nil {
 		return nil, err
 	}
 	req.ID = id
-	if err := c.send(req); err != nil {
-		c.unregister(id)
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
-		return nil, err
-	}
+	c.send(req)
 	return ch, nil
 }
 
@@ -330,23 +361,22 @@ func (c *Client) issue(req *netproto.Request, buffer int) (chan *netproto.Respon
 // consumer reads the channel directly, not through recv. The buffer of 8
 // keeps the reader goroutine a few chunks ahead of the consumer without
 // buffering an unbounded stream.
-func (c *Client) issueStream(req *netproto.Request) (chan *netproto.Response, error) {
+func (c *Client) issueStream(req *netproto.Request) (chan netproto.Response, error) {
 	ch, err := c.issue(req, 8)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.flushPending(); err != nil {
-		c.fail(fmt.Errorf("netclient: write failed: %w", err))
+	if err := c.flush(); err != nil {
 		return nil, err
 	}
 	return ch, nil
 }
 
 // call runs one request to its single terminal response.
-func (c *Client) call(req *netproto.Request) (*netproto.Response, error) {
+func (c *Client) call(req *netproto.Request) (netproto.Response, error) {
 	ch, err := c.issue(req, 1)
 	if err != nil {
-		return nil, err
+		return netproto.Response{}, err
 	}
 	return c.recv(ch)
 }
@@ -428,7 +458,7 @@ func (c *Client) Promote() (uint64, error) {
 // Future is an in-flight pipelined request. See PutAsync.
 type Future struct {
 	c  *Client
-	ch chan *netproto.Response
+	ch chan netproto.Response
 }
 
 // Wait blocks until the request's response arrives and returns its
@@ -447,8 +477,9 @@ func (f *Future) Wait() (uint64, error) {
 // batching, and the caller settles it later via Wait. Issuing a window of
 // PutAsyncs before waiting is how one connection keeps many commits in
 // flight (and how independent writes coalesce into shared fsyncs). The
-// frame may sit in the client's write buffer until the next Wait (or any
-// other response wait) flushes it — a whole window rides one syscall.
+// frame may sit in the client's write buffer until the next Wait — or any
+// other caller's wait — flushes it: a flush writes every frame appended
+// before it ends, so a whole window rides one syscall.
 func (c *Client) PutAsync(key, value []byte) (*Future, error) {
 	ch, err := c.issue(&netproto.Request{Op: netproto.OpPut, Key: key, Value: value}, 1)
 	if err != nil {
@@ -474,7 +505,7 @@ func (c *Client) GetAsync(key []byte) (*Future, error) {
 // before trusting the rows.
 type Scanner struct {
 	c    *Client
-	ch   chan *netproto.Response
+	ch   chan netproto.Response
 	rows []netproto.Row
 	i    int
 	err  error
@@ -522,7 +553,7 @@ func (s *Scanner) Next() bool {
 			s.done = true
 			return false
 		default:
-			_, err := s.c.check(resp)
+			err := check(&resp)
 			if err == nil {
 				err = fmt.Errorf("netclient: unexpected scan frame code %d", resp.Code)
 			}
@@ -559,7 +590,7 @@ func (s *Scanner) Close() error {
 			continue
 		}
 		if resp.Code != netproto.CodeScanEnd {
-			if _, err := s.c.check(resp); err != nil {
+			if err := check(&resp); err != nil {
 				s.err = err
 			}
 		}
@@ -577,7 +608,7 @@ func (s *Scanner) Close() error {
 // its own.
 type Stream struct {
 	c   *Client
-	ch  chan *netproto.Response
+	ch  chan netproto.Response
 	buf []byte
 	err error
 }
@@ -616,7 +647,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 		case resp.Code == netproto.CodeScanEnd:
 			s.err = io.EOF
 		default:
-			if _, s.err = s.c.check(resp); s.err == nil {
+			if s.err = check(&resp); s.err == nil {
 				s.err = fmt.Errorf("netclient: unexpected stream frame code %d", resp.Code)
 			}
 		}

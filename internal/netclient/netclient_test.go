@@ -538,3 +538,118 @@ func TestCloseFailsPending(t *testing.T) {
 		t.Fatalf("a call after Close = %v, want ErrClosed", err)
 	}
 }
+
+// heldConn counts its writes and holds the first one until release closes.
+type heldConn struct {
+	net.Conn
+	held, release chan struct{}
+	mu            sync.Mutex
+	writes        int
+}
+
+func (h *heldConn) Write(p []byte) (int, error) {
+	h.mu.Lock()
+	h.writes++
+	first := h.writes == 1
+	h.mu.Unlock()
+	if first {
+		close(h.held)
+		<-h.release
+	}
+	return h.Conn.Write(p)
+}
+
+// TestFlushCombinesBehindAHeldWrite: while one caller's socket write is in
+// the kernel, callers that append behind it do not write for themselves —
+// the flusher's loop carries them all in one more write, in the order they
+// were issued.
+func TestFlushCombinesBehindAHeldWrite(t *testing.T) {
+	noLeaks(t)
+	const n = 8
+	near, far := net.Pipe()
+	hc := &heldConn{Conn: near, held: make(chan struct{}), release: make(chan struct{})}
+	// The far end answers every request in order with its id as the ts,
+	// recording the keys as they arrive.
+	keys := make(chan string, n+1)
+	go func() {
+		defer far.Close()
+		for {
+			typ, id, body, err := netproto.ReadFrame(far, 0)
+			if err != nil {
+				return
+			}
+			req, err := netproto.DecodeRequest(typ, id, body)
+			if err != nil {
+				t.Errorf("decode: %v", err)
+				return
+			}
+			keys <- string(req.Key)
+			if err := netproto.WriteFrame(far, uint8(netproto.CodeOK), id, netproto.AppendOK(nil, id)); err != nil {
+				return
+			}
+		}
+	}()
+	c := netclient.New(hc)
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	put := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if ts, err := c.Put(fmt.Appendf(nil, "key%d", i), []byte("v")); err != nil || ts != uint64(i+1) {
+				t.Errorf("put %d: ts %d, %v", i, ts, err)
+			}
+		}()
+	}
+	put(0)
+	<-hc.held // the first caller is the flusher, parked in its write
+	for i := 1; i <= n; i++ {
+		before, deadline := c.Buffered(), time.Now().Add(5*time.Second)
+		put(i)
+		for c.Buffered() == before { // appended: the next caller queues behind it
+			if time.Now().After(deadline) {
+				close(hc.release)
+				t.Fatalf("request %d was never appended while a write was held", i)
+			}
+			runtime.Gosched()
+		}
+	}
+	close(hc.release)
+	wg.Wait()
+	if hc.writes != 2 {
+		t.Fatalf("%d requests took %d socket writes, want 2: the held one and one for everything behind it", n+1, hc.writes)
+	}
+	for i := 0; i <= n; i++ {
+		if got, want := <-keys, fmt.Sprintf("key%d", i); got != want {
+			t.Fatalf("request %d on the wire is %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestGetValueOutlivesReadBuffer: the client reads every frame into one
+// reused buffer, so a Get's value must be a copy of its own — later
+// responses landing in that buffer do not change it.
+func TestGetValueOutlivesReadBuffer(t *testing.T) {
+	noLeaks(t)
+	_, _, c := serve(t, elsm.Options{}, netsrv.Config{})
+	for _, kv := range []string{"a", "b", "c"} {
+		if _, err := c.Put([]byte(kv), bytes.Repeat([]byte(kv), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := c.Get([]byte("a"))
+	if err != nil || !first.Found {
+		t.Fatalf("get: %+v, %v", first, err)
+	}
+	for i := 0; i < 10; i++ {
+		for _, k := range []string{"b", "c"} {
+			if _, err := c.Get([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := bytes.Repeat([]byte("a"), 64); !bytes.Equal(first.Value, want) {
+		t.Fatalf("a Get's value changed under later responses: %q", first.Value)
+	}
+}

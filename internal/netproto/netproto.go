@@ -201,36 +201,48 @@ func (e *DecodeError) Error() string { return "netproto: malformed " + e.What }
 // ---------------------------------------------------------------------------
 // Frame I/O
 
-// WriteFrame writes one frame. body may be nil.
-func WriteFrame(w io.Writer, typ uint8, id uint64, body []byte) error {
-	var hdr [4 + frameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(frameOverhead+len(body)))
-	hdr[4] = typ
-	binary.BigEndian.PutUint64(hdr[5:13], id)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+// HeaderSize is the length of a frame's fixed prefix: the 4-byte payload
+// length, the type byte and the 8-byte id.
+const HeaderSize = 4 + frameOverhead
+
+// AppendFrameHeader appends the fixed prefix of a frame whose body is
+// bodyLen bytes long; the body follows it.
+func AppendFrameHeader(dst []byte, typ uint8, id uint64, bodyLen int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameOverhead+bodyLen))
+	dst = append(dst, typ)
+	return binary.BigEndian.AppendUint64(dst, id)
 }
 
-// ReadFrame reads one frame, returning its type, request id and body.
+// WriteFrame writes one frame. body may be nil.
+func WriteFrame(w io.Writer, typ uint8, id uint64, body []byte) error {
+	_, err := w.Write(append(AppendFrameHeader(nil, typ, id, len(body)), body...))
+	return err
+}
+
+// ReadFrame reads one frame into a fresh buffer; see ReadFrameBuf.
+func ReadFrame(r io.Reader, max int) (typ uint8, id uint64, body []byte, err error) {
+	var buf []byte
+	return ReadFrameBuf(r, max, &buf)
+}
+
+// ReadFrameBuf reads one frame, returning its type, request id and body.
+// The payload lands in *buf, which is grown when it is too short and kept
+// for the next call: body aliases *buf and is valid until it is reused.
 //
 // Recoverable faults — a frame whose declared payload exceeds MaxFrame or
 // is too short to carry the fixed prefix — discard the payload and return a
 // *FrameError: the stream stays in sync and the caller should answer with
 // ErrnoFrameTooLarge/ErrnoMalformed and keep serving. Any other error is a
 // transport-level failure (EOF, a torn header) and ends the connection.
-func ReadFrame(r io.Reader, max int) (typ uint8, id uint64, body []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrameBuf(r io.Reader, max int, buf *[]byte) (typ uint8, id uint64, body []byte, err error) {
+	if cap(*buf) < HeaderSize {
+		*buf = make([]byte, 0, 512)
+	}
+	hdr := (*buf)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if max <= 0 {
 		max = MaxFrame
 	}
@@ -238,15 +250,10 @@ func ReadFrame(r io.Reader, max int) (typ uint8, id uint64, body []byte, err err
 		fe := &FrameError{Size: n}
 		// Salvage the prefix so the fault can be answered under its id,
 		// then discard the rest of the declared payload to stay in sync.
-		salvage := n
-		if salvage > frameOverhead {
-			salvage = frameOverhead
-		}
-		var pre [frameOverhead]byte
-		if salvage > 0 {
-			if _, err := io.ReadFull(r, pre[:salvage]); err != nil {
-				return 0, 0, nil, err
-			}
+		salvage := min(n, frameOverhead)
+		pre := (*buf)[:salvage]
+		if _, err := io.ReadFull(r, pre); err != nil {
+			return 0, 0, nil, err
 		}
 		if salvage == frameOverhead {
 			fe.Type = pre[0]
@@ -257,11 +264,14 @@ func ReadFrame(r io.Reader, max int) (typ uint8, id uint64, body []byte, err err
 		}
 		return 0, 0, nil, fe
 	}
-	payload := make([]byte, n)
+	if cap(*buf) < n {
+		*buf = make([]byte, 0, n)
+	}
+	payload := (*buf)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, 0, nil, err
 	}
-	return payload[0], binary.BigEndian.Uint64(payload[1:9]), payload[9:], nil
+	return payload[0], binary.BigEndian.Uint64(payload[1:9]), payload[9:n:n], nil
 }
 
 // ---------------------------------------------------------------------------
@@ -285,10 +295,11 @@ func readUvarint(b []byte, what string) (uint64, []byte, error) {
 }
 
 func readBytes(b []byte, what string) ([]byte, []byte, error) {
-	n, rest, err := readUvarint(b, what+" length")
-	if err != nil {
-		return nil, nil, err
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return nil, nil, &DecodeError{What: what + " length"}
 	}
+	rest := b[k:]
 	if n > uint64(len(rest)) {
 		return nil, nil, &DecodeError{What: what}
 	}
@@ -317,132 +328,148 @@ type Request struct {
 	Tsq        uint64
 }
 
-// AppendRequest encodes req as one frame appended to dst.
+// AppendRequest encodes req as one frame appended to dst. The body is
+// encoded in place behind a header whose length is patched afterwards.
 func AppendRequest(dst []byte, req *Request) []byte {
-	var body []byte
+	start := len(dst)
+	dst = AppendFrameHeader(dst, uint8(req.Op), req.ID, 0)
 	switch req.Op {
 	case OpPut:
-		body = appendBytes(body, req.Key)
-		body = appendBytes(body, req.Value)
+		dst = appendBytes(dst, req.Key)
+		dst = appendBytes(dst, req.Value)
 	case OpGet, OpDel:
-		body = appendBytes(body, req.Key)
+		dst = appendBytes(dst, req.Key)
 	case OpBatch:
-		body = appendUvarint(body, uint64(len(req.Ops)))
+		dst = appendUvarint(dst, uint64(len(req.Ops)))
 		for _, op := range req.Ops {
 			kind := byte(0)
 			if op.Delete {
 				kind = 1
 			}
-			body = append(body, kind)
-			body = appendBytes(body, op.Key)
+			dst = append(dst, kind)
+			dst = appendBytes(dst, op.Key)
 			if !op.Delete {
-				body = appendBytes(body, op.Value)
+				dst = appendBytes(dst, op.Value)
 			}
 		}
 	case OpScan:
-		body = appendBytes(body, req.Start)
-		body = appendBytes(body, req.End)
-		body = appendUvarint(body, req.Tsq)
+		dst = appendBytes(dst, req.Start)
+		dst = appendBytes(dst, req.End)
+		dst = appendUvarint(dst, req.Tsq)
 	case OpCheckpoint:
-		body = appendUvarint(body, uint64(req.Shard))
+		dst = appendUvarint(dst, uint64(req.Shard))
 	case OpTail:
-		body = appendUvarint(body, uint64(req.Shard))
-		body = appendUvarint(body, req.Tsq)
+		dst = appendUvarint(dst, uint64(req.Shard))
+		dst = appendUvarint(dst, req.Tsq)
 	case OpSync, OpStats, OpPing, OpPromote:
 		// empty body
 	}
-	var hdr [4 + frameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(frameOverhead+len(body)))
-	hdr[4] = uint8(req.Op)
-	binary.BigEndian.PutUint64(hdr[5:13], req.ID)
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
 }
 
 // maxBatchOps bounds one decoded batch (protocol abuse guard).
 const maxBatchOps = 10000
 
-// DecodeRequest decodes a request frame's body. Unknown opcodes and
-// malformed bodies return *DecodeError; the caller answers ErrnoUnknownOp/
-// ErrnoMalformed and keeps the connection.
+// DecodeRequest decodes a request frame's body into a fresh Request; see
+// DecodeRequestInto.
 func DecodeRequest(typ uint8, id uint64, body []byte) (*Request, error) {
-	req := &Request{Op: Op(typ), ID: id}
+	req := new(Request)
+	if err := DecodeRequestInto(req, typ, id, body); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// DecodeRequestInto decodes a request frame's body into req, overwriting
+// every field: only the backing array of req.Ops survives, reused by the
+// next batch decoded into req. The byte fields alias body. Unknown opcodes
+// and malformed bodies return *DecodeError; the caller answers
+// ErrnoUnknownOp/ErrnoMalformed and keeps the connection.
+func DecodeRequestInto(req *Request, typ uint8, id uint64, body []byte) error {
+	ops := req.Ops[:0]
+	*req = Request{Op: Op(typ), ID: id}
 	var err error
 	switch req.Op {
 	case OpPut:
 		if req.Key, body, err = readBytes(body, "put key"); err != nil {
-			return nil, err
+			return err
 		}
 		if req.Value, body, err = readBytes(body, "put value"); err != nil {
-			return nil, err
+			return err
 		}
 	case OpGet, OpDel:
 		if req.Key, body, err = readBytes(body, "key"); err != nil {
-			return nil, err
+			return err
 		}
 	case OpBatch:
 		var n uint64
 		if n, body, err = readUvarint(body, "batch count"); err != nil {
-			return nil, err
+			return err
 		}
 		if n > maxBatchOps {
-			return nil, &DecodeError{What: fmt.Sprintf("batch count %d (max %d)", n, maxBatchOps)}
+			return &DecodeError{What: fmt.Sprintf("batch count %d (max %d)", n, maxBatchOps)}
 		}
-		req.Ops = make([]BatchOp, 0, n)
+		if n > 0 {
+			if uint64(cap(ops)) < n {
+				ops = make([]BatchOp, 0, n)
+			}
+			req.Ops = ops
+		}
 		for i := uint64(0); i < n; i++ {
 			if len(body) == 0 {
-				return nil, &DecodeError{What: "batch op kind"}
+				return &DecodeError{What: "batch op kind"}
 			}
 			kind := body[0]
 			body = body[1:]
 			if kind > 1 {
-				return nil, &DecodeError{What: "batch op kind"}
+				return &DecodeError{What: "batch op kind"}
 			}
 			var op BatchOp
 			op.Delete = kind == 1
 			if op.Key, body, err = readBytes(body, "batch key"); err != nil {
-				return nil, err
+				return err
 			}
 			if !op.Delete {
 				if op.Value, body, err = readBytes(body, "batch value"); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			req.Ops = append(req.Ops, op)
 		}
 	case OpScan:
 		if req.Start, body, err = readBytes(body, "scan start"); err != nil {
-			return nil, err
+			return err
 		}
 		if req.End, body, err = readBytes(body, "scan end"); err != nil {
-			return nil, err
+			return err
 		}
 		if req.Tsq, body, err = readUvarint(body, "scan tsq"); err != nil {
-			return nil, err
+			return err
 		}
 	case OpCheckpoint, OpTail:
 		var shard uint64
 		if shard, body, err = readUvarint(body, "shard"); err != nil {
-			return nil, err
+			return err
 		}
 		if shard > math.MaxUint32 {
-			return nil, &DecodeError{What: "shard"}
+			return &DecodeError{What: "shard"}
 		}
 		req.Shard = uint32(shard)
 		if req.Op == OpTail {
 			if req.Tsq, body, err = readUvarint(body, "tail cursor"); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case OpSync, OpStats, OpPing, OpPromote:
 		// empty body
 	default:
-		return nil, &DecodeError{What: fmt.Sprintf("opcode %d", typ)}
+		return &DecodeError{What: fmt.Sprintf("opcode %d", typ)}
 	}
 	if len(body) != 0 {
-		return nil, &DecodeError{What: "trailing bytes"}
+		return &DecodeError{What: "trailing bytes"}
 	}
-	return req, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -498,21 +525,34 @@ func AppendStats(dst []byte, stats []Stat) []byte {
 	return dst
 }
 
-// DecodeResponse decodes a response frame's body.
+// DecodeResponse decodes a response frame's body into a fresh Response; see
+// DecodeResponseInto.
 func DecodeResponse(typ uint8, id uint64, body []byte) (*Response, error) {
-	resp := &Response{Code: Code(typ), ID: id}
+	resp := new(Response)
+	if err := DecodeResponseInto(resp, typ, id, body); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// DecodeResponseInto decodes a response frame's body into resp, overwriting
+// every field. Value and the byte fields of Rows alias body; Rows and Stats
+// are fresh slices, so a decoded response may be handed on while resp is
+// reused.
+func DecodeResponseInto(resp *Response, typ uint8, id uint64, body []byte) error {
+	*resp = Response{Code: Code(typ), ID: id}
 	var err error
 	switch resp.Code {
 	case CodeOK:
 		if resp.Ts, body, err = readUvarint(body, "ok ts"); err != nil {
-			return nil, err
+			return err
 		}
 	case CodeValue:
 		if resp.Ts, body, err = readUvarint(body, "value ts"); err != nil {
-			return nil, err
+			return err
 		}
 		if resp.Value, body, err = readBytes(body, "value"); err != nil {
-			return nil, err
+			return err
 		}
 	case CodeNotFound, CodeBusy, CodePong:
 		// empty body
@@ -521,58 +561,58 @@ func DecodeResponse(typ uint8, id uint64, body []byte) (*Response, error) {
 	case CodeRows:
 		var n uint64
 		if n, body, err = readUvarint(body, "row count"); err != nil {
-			return nil, err
+			return err
 		}
 		for i := uint64(0); i < n; i++ {
 			var r Row
 			if r.Key, body, err = readBytes(body, "row key"); err != nil {
-				return nil, err
+				return err
 			}
 			if r.Ts, body, err = readUvarint(body, "row ts"); err != nil {
-				return nil, err
+				return err
 			}
 			if r.Value, body, err = readBytes(body, "row value"); err != nil {
-				return nil, err
+				return err
 			}
 			resp.Rows = append(resp.Rows, r)
 		}
 	case CodeScanEnd:
 		if resp.Total, body, err = readUvarint(body, "scan total"); err != nil {
-			return nil, err
+			return err
 		}
 	case CodeErr:
 		var errno uint64
 		if errno, body, err = readUvarint(body, "errno"); err != nil {
-			return nil, err
+			return err
 		}
 		resp.Errno = Errno(errno)
 		var msg []byte
 		if msg, body, err = readBytes(body, "error message"); err != nil {
-			return nil, err
+			return err
 		}
 		resp.Msg = string(msg)
 	case CodeStats:
 		var n uint64
 		if n, body, err = readUvarint(body, "stat count"); err != nil {
-			return nil, err
+			return err
 		}
 		for i := uint64(0); i < n; i++ {
 			var st Stat
 			var name []byte
 			if name, body, err = readBytes(body, "stat name"); err != nil {
-				return nil, err
+				return err
 			}
 			st.Name = string(name)
 			if st.Value, body, err = readUvarint(body, "stat value"); err != nil {
-				return nil, err
+				return err
 			}
 			resp.Stats = append(resp.Stats, st)
 		}
 	default:
-		return nil, &DecodeError{What: fmt.Sprintf("response code %d", typ)}
+		return &DecodeError{What: fmt.Sprintf("response code %d", typ)}
 	}
 	if len(body) != 0 {
-		return nil, &DecodeError{What: "trailing bytes"}
+		return &DecodeError{What: "trailing bytes"}
 	}
-	return resp, nil
+	return nil
 }

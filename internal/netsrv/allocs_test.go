@@ -1,0 +1,64 @@
+package netsrv
+
+import (
+	"fmt"
+	"runtime/debug"
+	"testing"
+
+	"elsm"
+)
+
+// TestWireAllocs pins what one warm request costs in allocations end to end
+// — netclient encode, loopback, netsrv decode, the store, netsrv encode,
+// netclient decode — all in this process, so testing.AllocsPerRun counts
+// both sides. The store is uninstrumented (trace sampling allocates) and
+// never flushes during the measurement. With pooled request boxes, a
+// reused client read buffer and responses carried by value, the wire adds
+// almost nothing of its own: a Get costs the engine's read plus the
+// client's copy of the value, a Put the engine's one-op CommitAsync plus
+// the server's batch and its admission-wait context. A change that adds an
+// allocation per frame fails here before it shows on the gate.
+func TestWireAllocs(t *testing.T) {
+	const (
+		maxGetAllocs = 6
+		maxPutAllocs = 22
+	)
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector drops sync.Pool puts at random: counts are not exact under it")
+			}
+		}
+	}
+	_, addr := startServer(t, elsm.Options{MemtableSize: 64 << 20, DisableInstrumentation: true}, Config{})
+	c := dial(t, addr)
+	for i := 0; i < 100; i++ {
+		if _, err := c.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key, val := []byte("key0050"), []byte("value")
+	allocs := func(f func()) float64 {
+		for i := 0; i < 20; i++ { // warm the pools, buffers and channels
+			f()
+		}
+		return testing.AllocsPerRun(500, f)
+	}
+	get := allocs(func() {
+		if res, err := c.Get(key); err != nil || !res.Found {
+			t.Fatalf("get: %+v, %v", res, err)
+		}
+	})
+	put := allocs(func() {
+		if _, err := c.Put(key, val); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	})
+	t.Logf("wire Get: %v allocs, wire Put: %v allocs", get, put)
+	if get > maxGetAllocs {
+		t.Errorf("a warm Get over the wire allocates %v, want ≤ %d", get, maxGetAllocs)
+	}
+	if put > maxPutAllocs {
+		t.Errorf("a warm Put over the wire allocates %v, want ≤ %d", put, maxPutAllocs)
+	}
+}

@@ -29,6 +29,11 @@
 // deadline, so one stalled client tears its own connection down instead of
 // pinning SCAN chunk memory for everyone.
 //
+// The steady state allocates nothing per frame in the front end: requests
+// are read and decoded into pooled boxes, and the writer encodes the
+// responses whose bodies it can build (commit outcomes, Get values) into
+// one scratch buffer and appends whole frames into its socket buffer.
+//
 // Replication rides the same pipeline: a follower's checkpoint and tail
 // requests (one connection each, see repl.NetSource) are read-side requests
 // whose answer is a stream of opaque chunk frames. A tail occupies its
@@ -351,20 +356,56 @@ func (s *Server) handle(nc net.Conn) {
 	s.serve(bufio.NewReaderSize(cc, 8<<10), cc)
 }
 
-// respFrame is one encoded response awaiting the writer goroutine.
+// respFrame is one response awaiting the writer goroutine.
 //
-// A frame carrying fut is a durable write admitted by the reader: the
-// writer awaits durability and encodes the outcome itself (into a scratch
-// buffer it reuses across frames — the write fast path allocates no
-// response body). A frame with release set carries a pipeline slot and a
-// global in-flight token; the writer returns both once the frame is
+// Two kinds of frame leave their body for the writer to encode, into a
+// scratch buffer it reuses across frames, so neither allocates one: a frame
+// carrying fut is a durable write admitted by the reader — the writer
+// awaits durability and encodes the outcome — and a CodeValue frame carries
+// a Get's ts and value. A frame with release set carries a pipeline slot
+// and a global in-flight token; the writer returns both once the frame is
 // handled.
 type respFrame struct {
 	typ     uint8
 	id      uint64
 	body    []byte
+	ts      uint64 // CodeValue
+	value   []byte // CodeValue
 	fut     *elsm.CommitFuture
 	release bool
+}
+
+// reqBox is one decoded request and the frame it was read into: the
+// request's byte fields alias buf. The reader takes a box from boxPool for
+// every frame, and the box goes back once its request has been admitted (a
+// write: the batch copied its bytes) or executed (a read).
+type reqBox struct {
+	req netproto.Request
+	buf []byte
+}
+
+var boxPool = sync.Pool{New: func() any { return new(reqBox) }}
+
+// maxPooledFrame bounds the frame buffer a box may keep in the pool, so one
+// large batch does not pin its buffer for the life of the process.
+const maxPooledFrame = 64 << 10
+
+func putBox(b *reqBox) {
+	if cap(b.buf) <= maxPooledFrame {
+		boxPool.Put(b)
+	}
+}
+
+// deadlineWriter arms the write deadline before every socket write: each
+// write, not each frame, gets WriteTimeout to drain.
+type deadlineWriter struct {
+	net.Conn
+	timeout time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	w.Conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.Conn.Write(p)
 }
 
 // conn is one connection's pipeline state.
@@ -415,22 +456,24 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 		cancel: cancel,
 		respCh: make(chan respFrame, s.cfg.ResponseBuffer),
 	}
-	reqCh := make(chan *netproto.Request, s.cfg.PipelineDepth)
+	reqCh := make(chan *reqBox, s.cfg.PipelineDepth)
 
-	// Writer: the only goroutine touching the socket's write side. Write
-	// deadlines bound every flush; on failure the whole connection is
+	// Writer: the only goroutine touching the socket's write side. It
+	// appends whole frames into one socket buffer and writes it out when
+	// the queue is momentarily empty (or the buffer fills), every socket
+	// write under a fresh deadline; on failure the whole connection is
 	// cancelled but the writer keeps draining respCh so workers never
 	// block on a dead connection. Frames carrying a commit future are
-	// resolved here: the writer awaits durability and encodes the outcome
-	// into a scratch buffer reused across frames, so the durable-write
-	// fast path allocates nothing per response. Awaiting in queue order is
-	// safe — group commit completes futures in admission order, so the
-	// head of the queue is never behind a later future.
+	// resolved here: the writer awaits durability and encodes the outcome,
+	// as it encodes a Get's value, into a scratch buffer reused across
+	// frames. Awaiting in queue order is safe — group commit completes
+	// futures in admission order, so the head of the queue is never behind
+	// a later future.
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		bw := bufio.NewWriterSize(nc, 8<<10)
+		bw := bufio.NewWriterSize(deadlineWriter{Conn: nc, timeout: s.cfg.WriteTimeout}, 8<<10)
 		var scratch []byte
 		dead := false
 		flush := func() {
@@ -443,7 +486,9 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 			}
 		}
 		for f := range c.respCh {
-			if f.fut != nil && !dead {
+			switch {
+			case dead:
+			case f.fut != nil:
 				ts, err := f.fut.Wait(ctx)
 				if err != nil {
 					f.typ = uint8(netproto.CodeErr)
@@ -453,10 +498,22 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 					scratch = netproto.AppendOK(scratch[:0], ts)
 				}
 				f.body = scratch
+			case f.typ == uint8(netproto.CodeValue):
+				scratch = netproto.AppendValue(scratch[:0], f.ts, f.value)
+				f.body = scratch
 			}
 			if !dead {
-				nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				if err := netproto.WriteFrame(bw, f.typ, f.id, f.body); err != nil {
+				// The header is appended in place into the buffer's free
+				// space (through an io.Writer it would escape to the
+				// heap); the body is copied in behind it.
+				if bw.Available() < netproto.HeaderSize {
+					flush()
+				}
+				_, err := bw.Write(netproto.AppendFrameHeader(bw.AvailableBuffer(), f.typ, f.id, len(f.body)))
+				if err == nil {
+					_, err = bw.Write(f.body)
+				}
+				if err != nil {
 					dead = true
 					cancel()
 				}
@@ -489,8 +546,9 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 		workerWG.Add(1)
 		go func() {
 			defer workerWG.Done()
-			for req := range reqCh {
-				s.execute(c, req)
+			for box := range reqCh {
+				s.execute(c, &box.req)
+				putBox(box)
 				c.depth.Add(-1)
 				s.inflight.Add(-1)
 				<-s.inflightSem
@@ -502,8 +560,10 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 	// budget; survive recoverable framing faults.
 read:
 	for {
-		typ, id, body, err := netproto.ReadFrame(br, netproto.MaxFrame)
+		box := boxPool.Get().(*reqBox)
+		typ, id, body, err := netproto.ReadFrameBuf(br, netproto.MaxFrame, &box.buf)
 		if err != nil {
+			putBox(box)
 			var fe *netproto.FrameError
 			if errors.As(err, &fe) {
 				if !c.respond(errFrame(fe.ID, netproto.ErrnoFrameTooLarge, fe.Error())) {
@@ -513,8 +573,9 @@ read:
 			}
 			break // transport error or cancelled: tear down
 		}
-		req, derr := netproto.DecodeRequest(typ, id, body)
-		if derr != nil {
+		req := &box.req
+		if derr := netproto.DecodeRequestInto(req, typ, id, body); derr != nil {
+			putBox(box)
 			errno := netproto.ErrnoMalformed
 			if !netproto.Op(typ).Known() {
 				errno = netproto.ErrnoUnknownOp
@@ -528,6 +589,7 @@ read:
 		select {
 		case s.inflightSem <- struct{}{}:
 		default:
+			putBox(box)
 			s.busyRejects.Add(1)
 			s.obs.BusyShed("inflight-budget")
 			if !c.respond(respFrame{typ: uint8(netproto.CodeBusy), id: id}) {
@@ -553,10 +615,12 @@ read:
 			// (CommitAsync returns as soon as the commit is queued) and
 			// the writer awaits durability — no worker handoff.
 			s.admitWrite(c, req)
+			putBox(box)
 		default:
 			select {
-			case reqCh <- req:
+			case reqCh <- box:
 			case <-ctx.Done():
+				putBox(box)
 				c.depth.Add(-1)
 				s.inflight.Add(-1)
 				<-s.inflightSem
@@ -599,7 +663,7 @@ func (s *Server) execute(c *conn, req *netproto.Request) {
 		case !res.Found:
 			c.respond(respFrame{typ: uint8(netproto.CodeNotFound), id: id})
 		default:
-			c.respond(respFrame{typ: uint8(netproto.CodeValue), id: id, body: netproto.AppendValue(nil, res.Ts, res.Value)})
+			c.respond(respFrame{typ: uint8(netproto.CodeValue), id: id, ts: res.Ts, value: res.Value})
 		}
 	case netproto.OpScan:
 		s.executeScan(c, req)

@@ -224,7 +224,18 @@ func (r *Router) commitOn(ctx context.Context, sh core.KV, ops []core.BatchOp) (
 	return ts, err
 }
 
-// CommitAsync implements core.KV: per-shard sub-batches are admitted to
+// commitAsyncOn admits a batch that lives on one shard, ticking the router
+// sequence on success.
+func (r *Router) commitAsyncOn(ctx context.Context, sh core.KV, ops []core.BatchOp) (*core.CommitFuture, error) {
+	fut, err := sh.CommitAsync(ctx, ops)
+	if err == nil {
+		r.seq.Add(1)
+	}
+	return fut, err
+}
+
+// CommitAsync implements core.KV: a one-op batch routes straight to its
+// key's shard, as in Commit; otherwise per-shard sub-batches are admitted to
 // every involved shard's commit queue, and the returned future is
 // the aggregate — acknowledged once every shard accepted (highest per-shard
 // timestamp), resolved once every shard is durable. The snapshot gate is
@@ -237,13 +248,12 @@ func (r *Router) CommitAsync(ctx context.Context, ops []core.BatchOp) (*core.Com
 	if len(ops) == 0 {
 		return lsm.NewResolvedFuture(0, nil), nil
 	}
+	if len(ops) == 1 {
+		return r.commitAsyncOn(ctx, r.route(ops[0].Key), ops)
+	}
 	parts, involved := r.split(ops)
 	if len(involved) == 1 {
-		fut, err := r.shards[involved[0]].CommitAsync(ctx, parts[involved[0]])
-		if err == nil {
-			r.seq.Add(1)
-		}
-		return fut, err
+		return r.commitAsyncOn(ctx, r.shards[involved[0]], parts[involved[0]])
 	}
 	if err := lsm.CtxErr(ctx); err != nil {
 		return nil, err
