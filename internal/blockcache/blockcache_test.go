@@ -21,9 +21,8 @@ func TestPutGetOutside(t *testing.T) {
 	if !ok || string(data) != "block data" {
 		t.Fatalf("get = %q, %v", data, ok)
 	}
-	hits, misses, used := c.Stats()
-	if hits != 1 || misses != 1 || used != 10 {
-		t.Fatalf("stats = %d %d %d", hits, misses, used)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Used != 10 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -119,8 +118,7 @@ func TestUpdateExistingKey(t *testing.T) {
 	if !ok || string(data) != "v2-longer" {
 		t.Fatalf("get = %q", data)
 	}
-	_, _, used := c.Stats()
-	if used != 9 {
+	if used := c.Stats().Used; used != 9 {
 		t.Fatalf("used = %d", used)
 	}
 }

@@ -12,23 +12,25 @@ import (
 // keys in level 1, even keys in level 2 — so that Compact(1) is one
 // authenticated two-run merge of 2n records through the listener, with
 // nothing else going on. Levels are sized so that no background compaction
-// ever triggers.
+// ever triggers. It has no block cache: every block request is a file read.
 func twoRunStore(tb testing.TB, n int) *Store {
 	value := make([]byte, 100)
-	return twoRunStoreOn(tb, vfs.NewMem(), n, func(int) []byte { return value })
+	return twoRunStoreOn(tb, vfs.NewMem(), n, func(int) []byte { return value }, 0)
 }
 
 // twoRunKey is the i-th key of a twoRunStore.
 func twoRunKey(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
 
-// twoRunStoreOn is twoRunStore on a given file system with a value per key.
-func twoRunStoreOn(tb testing.TB, fs vfs.FS, n int, value func(i int) []byte) *Store {
+// twoRunStoreOn is twoRunStore on a given file system with a value per key
+// and a block cache of the given size.
+func twoRunStoreOn(tb testing.TB, fs vfs.FS, n int, value func(i int) []byte, cache int) *Store {
 	tb.Helper()
 	s, err := Open(Config{
 		FS:           fs,
 		MemtableSize: 64 << 20,
 		LevelBase:    1 << 30,
 		KeepVersions: 1,
+		CacheSize:    cache,
 	})
 	if err != nil {
 		tb.Fatal(err)

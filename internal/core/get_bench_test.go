@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elsm/internal/merkle"
+	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
 
@@ -76,23 +77,55 @@ func BenchmarkVerifiedGet(b *testing.B) {
 }
 
 // TestVerifiedGetAllocationGuard pins the allocation cost of a warm verified
-// Get at its worst present-key shape — two witnesses refuting the upper run,
-// one proving the lower — so a change that brings back a whole-block decode,
-// a materialized proof or a per-field record copy trips it.
+// Get — every block in the cache, the scratch pooled — at exactly what its
+// Result keeps: one allocation for a hit's key and value, none for an absent
+// key. The upper run of a twoRunStore also gets a newer version of one even
+// key, so the four shapes are: a hit in the upper run; a hit in the lower
+// run after the upper run's non-membership proof; an absent key, refuted in
+// both; and a historical GetAt, refuted in the upper run by the newer version
+// itself. A change that brings back a cloned witness, a per-Get snapshot or a
+// second copy of the result trips it.
 func TestVerifiedGetAllocationGuard(t *testing.T) {
-	s := twoRunStore(t, 2000)
+	s := twoRunStoreOn(t, vfs.NewMem(), 2000, func(int) []byte { return make([]byte, 100) }, 8<<20)
 	defer s.Close()
 	key := twoRunKey(1000) // even: lives in the lower run
-	get := func() {
-		if res, err := Get(s, key); err != nil || !res.Found {
-			t.Errorf("Get = %+v, %v", res, err)
+	old, err := Get(s, key)
+	if err != nil || !old.Found {
+		t.Fatalf("Get = %+v, %v", old, err)
+	}
+	if _, err := Put(s, key, []byte("newer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		key   []byte
+		tsq   uint64
+		found bool
+	}{
+		{"upper-run hit", key, record.MaxTs, true},
+		{"lower-run hit", twoRunKey(1002), record.MaxTs, true},
+		{"absent key", append(twoRunKey(1000), '~'), record.MaxTs, false},
+		{"historical GetAt", key, old.Ts, true},
+	} {
+		get := func() {
+			if res, err := s.GetAt(nil, tc.key, tc.tsq); err != nil || res.Found != tc.found {
+				t.Errorf("%s: GetAt = %+v, %v", tc.name, res, err)
+			}
+		}
+		get()
+		want := 0.0
+		if tc.found {
+			want = 1
+		}
+		if allocs := testing.AllocsPerRun(100, get); allocs != want {
+			t.Errorf("a warm verified Get (%s) allocates %.0f times, want %.0f", tc.name, allocs, want)
 		}
 	}
-	get()
-	if allocs := testing.AllocsPerRun(100, get); allocs > 24 {
-		t.Fatalf("a warm verified Get allocates %.0f times, want ≤ 24", allocs)
-	} else {
-		t.Logf("a warm verified Get allocates %.0f times", allocs)
+	if runs := len(s.Engine().Runs()); runs != 2 {
+		t.Fatalf("%d runs, want 2", runs)
 	}
 }
 

@@ -49,7 +49,11 @@ func (s *p2Snapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result,
 	}
 	var res Result
 	var err error
-	s.c.enclave.ECall(func() { res, err = s.view.getAt(key, tsq) })
+	s.c.enclave.ECall(func() {
+		g := s.c.getGetScratch()
+		defer s.c.putGetScratch(g)
+		res, err = s.view.getAt(key, tsq, g)
+	})
 	return res, err
 }
 

@@ -276,8 +276,11 @@ type Store struct {
 
 	// scanTamper, when non-nil, mutates what each run's cursor handed a scan
 	// chunk before it is verified — a test-only stand-in for a malicious
-	// untrusted host.
+	// untrusted host. getTamper is the same for a Get: it is called with the
+	// views one run's lookup handed over, before the enclave copies them
+	// (copied false) and after (copied true).
 	scanTamper func(*runSpan)
+	getTamper  func(views *lsm.RunViews, copied bool)
 
 	// UnverifiedReplay counts WAL records recovered beyond the last
 	// sealed state (the rollback-window records of §5.6.1).
@@ -292,8 +295,10 @@ type Store struct {
 	// rec is the shard's observability recorder (nil = instrumentation off).
 	rec *obs.Recorder
 
-	// scanPool is the free list of scan-chunk scratch (see scanScratch).
+	// scanPool and getPool are the free lists of scan-chunk and Get scratch
+	// (see scanScratch, getScratch).
 	scanPool chan *scanScratch
+	getPool  chan *getScratch
 }
 
 // VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
@@ -381,10 +386,11 @@ func Open(cfg Config) (*Store, error) {
 	if c.verify.nodes == nil {
 		c.verify.nodes = NewNodeCache(enclave)
 	}
-	// Like the node cache, the scan scratch is a fixed budget of protected
-	// memory charged once, for as long as the enclave lasts.
+	// Like the node cache, the scan and Get scratch are a fixed budget of
+	// protected memory charged once, for as long as the enclave lasts.
 	c.scanPool = make(chan *scanScratch, scanScratchSlots)
-	enclave.Alloc(scanScratchSlots * scanScratchBytes)
+	c.getPool = make(chan *getScratch, getScratchSlots)
+	enclave.Alloc(scanScratchSlots*scanScratchBytes + getScratchSlots*getScratchBytes)
 	opts.Enclave = enclave
 	opts.Listener = &authListener{c: c}
 	if cfg.CacheSize > 0 {
@@ -721,9 +727,9 @@ func (c *Store) Sync(ctx context.Context) error {
 // GetAt returns the newest verified value with Ts ≤ tsq (the paper's
 // GET(k, tsq)); ctx is checked before the enclave call — a point lookup is a
 // single short ECall. It acquires an ephemeral read view — the same pinned
-// (runs, digests) unit that backs Snapshot — runs the verified GET protocol
-// against it, and releases it: point reads, iterators and snapshots share
-// one implementation.
+// (runs, digests) unit that backs Snapshot, in pooled memory (getScratch) —
+// runs the verified GET protocol against it, and releases it: point reads,
+// iterators and snapshots share one implementation.
 func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
 	if err := lsm.CtxErr(ctx); err != nil {
 		return Result{}, err
@@ -735,13 +741,13 @@ func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, erro
 	var res Result
 	var err error
 	c.enclave.ECall(func() {
-		var v *readView
-		v, err = c.acquireEphemeralView()
-		if err != nil {
+		g := c.getGetScratch()
+		defer c.putGetScratch(g)
+		if err = c.pinView(&g.view, false); err != nil {
 			return
 		}
-		defer v.release()
-		res, err = v.getAt(key, tsq)
+		defer g.view.release()
+		res, err = g.view.getAt(key, tsq, g)
 	})
 	if c.rec != nil && err == nil {
 		c.rec.GetE2E.ObserveSince(start)
@@ -753,17 +759,17 @@ func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, erro
 // installs between the run snapshot and the digest load.
 const maxRetries = 4
 
-// resultFrom converts a verified record (tombstones become not-found).
+// resultFrom copies a verified record into a Result, key and value in one
+// allocation (tombstones become not-found).
 func resultFrom(rec record.Record) Result {
 	if rec.Kind == record.KindDelete {
 		return Result{}
 	}
-	return Result{
-		Key:   append([]byte(nil), rec.Key...),
-		Value: append([]byte(nil), rec.Value...),
-		Ts:    rec.Ts,
-		Found: true,
-	}
+	k := len(rec.Key)
+	kv := make([]byte, k+len(rec.Value))
+	copy(kv, rec.Key)
+	copy(kv[k:], rec.Value)
+	return Result{Key: kv[:k:k], Value: kv[k:], Ts: rec.Ts, Found: true}
 }
 
 // Flush forces the memtable to disk through the authenticated flush path.

@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"elsm/internal/blockcache"
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
@@ -44,8 +45,8 @@ type readView struct {
 }
 
 // acquireView captures a coherent (runs, digests) pair as a read session
-// (counted in SnapshotsOpen); acquireEphemeralView is the ungauged variant
-// for one-shot point reads. The digest forest is loaded AFTER the engine
+// (counted in SnapshotsOpen); a one-shot point read pins its pooled view
+// instead (getScratch). The digest forest is loaded AFTER the engine
 // snapshot: installs swap levels and digests in one engine-lock critical
 // section, so the loaded view can only be same-age or newer than the run
 // set — and a newer view is coherent as long as it still carries a digest
@@ -53,36 +54,38 @@ type readView struct {
 // means an install replaced pinned runs in the acquisition window;
 // re-acquire against the new version.
 func (c *Store) acquireView() (*readView, error) {
-	return c.acquireViewWith(c.engine.AcquireSnapshot)
+	v := &readView{c: c, esnap: new(lsm.Snapshot)}
+	if err := c.pinView(v, true); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
-func (c *Store) acquireEphemeralView() (*readView, error) {
-	return c.acquireViewWith(c.engine.AcquireEphemeralSnapshot)
-}
-
-func (c *Store) acquireViewWith(acquire func() *lsm.Snapshot) (*readView, error) {
+// pinView (re)acquires v's engine snapshot, reusing its memory, and the
+// digest forest to go with it.
+func (c *Store) pinView(v *readView, session bool) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		esnap := acquire()
-		if err := esnap.Err(); err != nil {
-			esnap.Release()
-			return nil, err
+		c.engine.AcquireSnapshotInto(v.esnap, session)
+		if err := v.esnap.Err(); err != nil {
+			v.esnap.Release()
+			return err
 		}
 		digs := c.snapshotDigests()
 		ok := true
-		for _, ref := range esnap.Runs() {
+		for _, ref := range v.esnap.Runs() {
 			if _, have := digs[ref.ID]; !have {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			v := &readView{c: c, esnap: esnap, digs: digs}
+			v.digs = digs
 			v.refs.Store(1)
-			return v, nil
+			return nil
 		}
-		esnap.Release()
+		v.esnap.Release()
 	}
-	return nil, fmt.Errorf("core: view acquisition retries exhausted under concurrent compaction")
+	return fmt.Errorf("core: view acquisition retries exhausted under concurrent compaction")
 }
 
 // retain adds a reference (an iterator opened from a Snapshot).
@@ -102,13 +105,17 @@ func (v *readView) ts() uint64 { return v.esnap.Ts() }
 // memtables (trusted, in-enclave) first, then each pinned run in
 // newest-first order with per-run verification, stopping at the first
 // verified hit (the early-stop optimization — levels below the hit need no
-// proof by Lemma 5.4). Caller is inside an ECall.
-func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
+// proof by Lemma 5.4). Per run the host hands over views of its blocks,
+// pinned in the block cache; the enclave copies the witnesses out of them
+// once, into g (getScratch.take), verifies the copies, and lets go of the
+// blocks when the Get ends. Caller is inside an ECall.
+func (v *readView) getAt(key []byte, tsq uint64, g *getScratch) (Result, error) {
 	c := v.c
 	c.statGets.Add(1)
 	if rec, ok := v.esnap.MemGet(key, tsq); ok {
 		return resultFrom(rec), nil
 	}
+	defer g.pins.Release()
 	// Memtable miss: the run walk below pays verification. With
 	// instrumentation on, accumulate the verify time and proof bytes this
 	// GET spends and observe them once on the way out (error exits
@@ -127,9 +134,16 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 			continue
 		}
 		c.statRunsProbed.Add(1)
-		lk, lerr := v.esnap.LookupRun(i, key, tsq)
-		if lerr != nil {
+		var lerr error
+		if g.views, lerr = v.esnap.LookupRunViews(i, key, tsq, &g.pins); lerr != nil {
 			return Result{}, lerr
+		}
+		if c.getTamper != nil {
+			c.getTamper(&g.views, false)
+		}
+		lk := g.take()
+		if c.getTamper != nil {
+			c.getTamper(&g.views, true)
 		}
 		var vstart time.Time
 		if instr {
@@ -145,7 +159,11 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 				return Result{}, verr
 			}
 			c.statProofBytes.Add(uint64(len(lk.Rec.Proof)))
-			return resultFrom(lk.Rec), nil
+			if lk.Rec.Kind != record.KindSet {
+				return Result{}, nil // a tombstone
+			}
+			// take copied the hit's key and value into memory of its own.
+			return Result{Key: lk.Rec.Key, Value: lk.Rec.Value, Ts: lk.Rec.Ts, Found: true}, nil
 		}
 		verr := c.verify.verifyNonMembership(key, tsq, lk, d)
 		if instr {
@@ -168,6 +186,96 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 		}
 	}
 	return Result{}, nil
+}
+
+// getScratch is the memory one verified Get works in: the views a run's
+// lookup hands over (aliasing untrusted blocks), the witnesses the enclave
+// copies out of them (buf, and the records the verifier reads that alias
+// it), the pins holding the viewed blocks in place until then, and, for a
+// one-shot Get, its read view and the engine snapshot behind it. Gets hand
+// it on through the store's bounded free list, as scans do their
+// scanScratch, so a store keeps at most getScratchSlots of them, none above
+// getScratchBytes: that product is what Open charges to the enclave.
+type getScratch struct {
+	view       readView
+	snap       lsm.Snapshot
+	views      lsm.RunViews
+	pins       blockcache.Pins
+	buf        []byte
+	pred, succ record.Record
+}
+
+const (
+	getScratchSlots = 8
+	getScratchBytes = 16 << 10
+)
+
+// take copies what the verifier reads of one run's answer out of the blocks
+// its views alias — key, timestamp, kind, value and the proof rebuilt from
+// its block's section — once. A hit's key and value go into one allocation
+// of their own, which the Result keeps if the hit verifies; everything else
+// goes into g.buf, reused run after run. (If buf has to grow, what was taken
+// before stays where it is, in the old array.) Nothing after take reads a
+// view.
+func (g *getScratch) take() lsm.RunLookup {
+	v := &g.views
+	g.buf = g.buf[:0]
+	lk := lsm.RunLookup{RunID: v.RunID, Found: v.Found, EmptyRun: v.EmptyRun}
+	if v.Found {
+		lk.Rec = g.copy(v.Rec, true)
+		return lk
+	}
+	if v.Pred.Rec.Kind != 0 {
+		g.pred = g.copy(v.Pred, false)
+		lk.Pred = &g.pred
+	}
+	if v.Succ.Rec.Kind != 0 {
+		g.succ = g.copy(v.Succ, false)
+		lk.Succ = &g.succ
+	}
+	return lk
+}
+
+func (g *getScratch) copy(v sstable.View, hit bool) record.Record {
+	rec := record.Record{Ts: v.Rec.Ts, Kind: v.Rec.Kind}
+	if hit && rec.Kind == record.KindSet {
+		k := len(v.Rec.Key)
+		kv := make([]byte, k+len(v.Rec.Value))
+		copy(kv, v.Rec.Key)
+		copy(kv[k:], v.Rec.Value)
+		rec.Key, rec.Value = kv[:k:k], kv[k:]
+	} else {
+		off := len(g.buf)
+		g.buf = append(append(g.buf, v.Rec.Key...), v.Rec.Value...)
+		k := off + len(v.Rec.Key)
+		rec.Key, rec.Value = g.buf[off:k:k], g.buf[k:len(g.buf):len(g.buf)]
+	}
+	off := len(g.buf)
+	g.buf = v.Proof.AppendTo(g.buf)
+	rec.Proof = g.buf[off:len(g.buf):len(g.buf)]
+	return rec
+}
+
+func (c *Store) getGetScratch() *getScratch {
+	select {
+	case g := <-c.getPool:
+		return g
+	default:
+		g := new(getScratch)
+		g.view.c, g.view.esnap = c, &g.snap
+		return g
+	}
+}
+
+func (c *Store) putGetScratch(g *getScratch) {
+	g.views, g.pred, g.succ, g.view.digs = lsm.RunViews{}, record.Record{}, record.Record{}, nil
+	if cap(g.buf) > getScratchBytes {
+		return // one outsized witness must not pin its scratch forever
+	}
+	select {
+	case c.getPool <- g:
+	default:
+	}
 }
 
 // scanChunk runs one bounded round of the SCAN protocol of §5.4 over
@@ -201,6 +309,7 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 	tsq = min(tsq, v.ts()) // later commits share the captured memtables
 	sc := c.getScanScratch()
 	defer c.putScanScratch(sc)
+	defer sc.pins.Release() // the blocks the cursors viewed, once verified
 
 	arena := rowArena{next: sc.arenaHint}
 	active, frozen := v.esnap.MemIters()
@@ -214,7 +323,7 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 			continue
 		}
 		src := sc.addRun(run.ID, d)
-		if err := v.esnap.SeekRun(i, &src.it, start); err != nil {
+		if err := v.esnap.SeekRun(i, &src.it, start, &sc.pins); err != nil {
 			return nil, nil, false, err
 		}
 		src.seekPrev()
@@ -484,7 +593,8 @@ type scanScratch struct {
 	span      spanScratch
 	bounds    []byte
 	results   []Result
-	arenaHint int // a first arena block this size would have held the last chunk
+	pins      blockcache.Pins // the blocks the run cursors read, held until verified
+	arenaHint int             // a first arena block this size would have held the last chunk
 }
 
 const (

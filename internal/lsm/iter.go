@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"elsm/internal/blockcache"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
 )
@@ -17,8 +18,9 @@ import (
 // of the run, which a verifier would have to call an omission.
 type RunIter struct {
 	tables  []*tableHandle
-	idx     int          // table cur iterates; len(tables) when exhausted or failed
-	cur     sstable.Iter // valid whenever idx < len(tables), once started
+	pins    *blockcache.Pins // what every block read is pinned into; nil: none
+	idx     int              // table cur iterates; len(tables) when exhausted or failed
+	cur     sstable.Iter     // valid whenever idx < len(tables), once started
 	started bool
 	err     error
 }
@@ -43,7 +45,7 @@ func (it *RunIter) settle() {
 			return
 		}
 		if it.idx++; it.idx < len(it.tables) {
-			it.cur.Reset(it.tables[it.idx].table)
+			it.cur.ResetPinned(it.tables[it.idx].table, it.pins)
 			it.cur.SeekGE(nil, record.MaxTs)
 		}
 	}
@@ -74,7 +76,7 @@ func (it *RunIter) SeekGE(key []byte, ts uint64) {
 		return
 	}
 	if it.idx = seekTable(it.tables, key, ts); it.idx < len(it.tables) {
-		it.cur.Reset(it.tables[it.idx].table)
+		it.cur.ResetPinned(it.tables[it.idx].table, it.pins)
 		it.cur.SeekGE(key, ts)
 		it.settle()
 	}
@@ -100,11 +102,12 @@ func (it *RunIter) SeekPrev() (prev record.Record, proof sstable.Proof, ok bool,
 	if it.idx == 0 {
 		return prev, proof, false, nil
 	}
-	if prev, proof, err = it.tables[it.idx-1].table.LastView(); err != nil {
+	v, err := it.tables[it.idx-1].table.LastView(it.pins)
+	if err != nil {
 		it.fail(err)
 		return prev, proof, false, err
 	}
-	return prev, proof, true, nil
+	return v.Rec, v.Proof, true, nil
 }
 
 // Close reports the error that ended the stream, if one did.

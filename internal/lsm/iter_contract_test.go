@@ -241,7 +241,7 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 
 	var cur RunIter
 	for i, rec := range recs {
-		if err := snap.SeekRun(0, &cur, rec.Key); err != nil {
+		if err := snap.SeekRun(0, &cur, rec.Key, nil); err != nil {
 			t.Fatal(err)
 		}
 		if n := reads(); n != 1 || !cur.Valid() || !bytes.Equal(cur.Record().Key, rec.Key) {
@@ -255,7 +255,7 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 	// The record that opens each table has its predecessor in the table before.
 	edges := 0
 	for ti := 1; ti < len(tables); ti++ {
-		if err := snap.SeekRun(0, &cur, tables[ti].meta.Smallest); err != nil {
+		if err := snap.SeekRun(0, &cur, tables[ti].meta.Smallest, nil); err != nil {
 			t.Fatal(err)
 		}
 		prev, _, ok, err := cur.SeekPrev()
@@ -265,7 +265,7 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 		edges++
 	}
 	// Past the end: nothing to stand on, the run's last record before it.
-	if err := snap.SeekRun(0, &cur, []byte("zzz")); err != nil {
+	if err := snap.SeekRun(0, &cur, []byte("zzz"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if prev, _, ok, err := cur.SeekPrev(); cur.Valid() || err != nil || !ok || !bytes.Equal(prev.Key, recs[len(recs)-1].Key) {

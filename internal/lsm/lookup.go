@@ -3,68 +3,81 @@ package lsm
 import (
 	"bytes"
 
+	"elsm/internal/blockcache"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
 )
 
-// RunLookup is the untrusted host's answer to a per-run point lookup
-// (§5.3, algorithm QUERYGET for one level): either the newest matching
-// record with Ts ≤ tsq, or the two records bracketing the queried key so
-// the enclave can verify non-membership.
-type RunLookup struct {
-	RunID uint64
-	// Found reports a matching record (Rec) with Ts ≤ tsq.
-	Found bool
-	Rec   record.Record
-	// Pred and Succ bracket the (absent) key when Found is false. Either
-	// may be nil at the run's edges. When Pred carries the queried key
-	// itself, it is the oldest version newer than tsq (the historical
-	// non-membership witness: no version ≤ tsq exists in this run).
-	Pred *record.Record
-	Succ *record.Record
+// RunViews is the untrusted host's answer to a per-run point lookup (§5.3,
+// algorithm QUERYGET for one level), as views of the run's blocks: either
+// the newest matching record with Ts ≤ tsq (Rec), or the two records
+// bracketing the queried key (Pred, Succ) so the enclave can verify
+// non-membership. Either of those may be the zero View at the run's edges.
+// When Pred carries the queried key itself, it is the oldest version newer
+// than tsq (the historical non-membership witness: no version ≤ tsq exists
+// in this run). The views alias untrusted memory, valid while the Pins the
+// lookup was given hold: the enclave copies them before it reads them.
+type RunViews struct {
+	RunID           uint64
+	Found           bool
+	Rec, Pred, Succ sstable.View
 	// EmptyRun marks a run with no tables at all.
 	EmptyRun bool
 }
 
-// lookupRun searches one immutable run. Safe without the engine lock as
-// long as the run is reachable (version membership or a pin) — its tables
-// and files never change.
-func lookupRun(r *run, key []byte, tsq uint64) (RunLookup, error) {
-	out := RunLookup{RunID: r.id}
+// RunLookup is RunViews copied out, each witness a record that owns its
+// bytes with its proof rebuilt (nil where RunViews has the zero View).
+type RunLookup struct {
+	RunID    uint64
+	Found    bool
+	Rec      record.Record
+	Pred     *record.Record
+	Succ     *record.Record
+	EmptyRun bool
+}
+
+// lookupRun searches one immutable run with one walk of one block (two at a
+// table's or block's boundary, for a key the run does not hold), the
+// blocks pinned into pins. Safe without the engine lock as long as the run
+// is reachable (version membership or a pin) — its tables and files never
+// change. There is no Bloom probe: a key the run does not hold needs its
+// bracketing pair anyway, for the proof of its absence.
+func lookupRun(r *run, key []byte, tsq uint64, pins *blockcache.Pins) (RunViews, error) {
+	out := RunViews{RunID: r.id}
 	if len(r.tables) == 0 {
 		out.EmptyRun = true
 		return out, nil
 	}
 	ti := seekTable(r.tables, key, tsq)
 	if ti >= len(r.tables) {
-		last, err := r.tables[len(r.tables)-1].table.Last()
-		if err != nil {
-			return out, err
-		}
-		out.Pred = &last
-		return out, nil
-	}
-	// A hit needs only its own record copied out: seek for the pair that
-	// brackets the key only when the table does not hold it.
-	t := r.tables[ti].table
-	if rec, ok, err := t.Get(key, tsq); err != nil || ok {
-		out.Found, out.Rec = ok, rec
+		var err error
+		out.Pred, err = r.tables[len(r.tables)-1].table.LastView(pins)
 		return out, err
 	}
-	prev, cur, err := t.SeekWithPrev(key, tsq)
+	prev, cur, err := r.tables[ti].table.Seek(key, tsq, pins)
 	if err != nil {
 		return out, err
 	}
-	out.Succ = cur
-	if prev == nil && ti > 0 {
-		last, err := r.tables[ti-1].table.Last()
-		if err != nil {
+	if cur.Rec.Kind != 0 && bytes.Equal(cur.Rec.Key, key) {
+		out.Found, out.Rec = true, cur
+		return out, nil
+	}
+	if prev.Rec.Kind == 0 && ti > 0 {
+		if prev, err = r.tables[ti-1].table.LastView(pins); err != nil {
 			return out, err
 		}
-		prev = &last
 	}
-	out.Pred = prev
+	out.Pred, out.Succ = prev, cur
 	return out, nil
+}
+
+// clone copies the views out (RunLookup).
+func (v RunViews) clone() RunLookup {
+	out := RunLookup{RunID: v.RunID, Found: v.Found, EmptyRun: v.EmptyRun, Pred: v.Pred.Clone(), Succ: v.Succ.Clone()}
+	if rec := v.Rec.Clone(); rec != nil {
+		out.Rec = *rec
+	}
+	return out
 }
 
 // RunScan is the untrusted host's answer to a per-run range query (§5.4):

@@ -2,8 +2,9 @@ package lsm
 
 import (
 	"bytes"
-	"sync"
+	"sync/atomic"
 
+	"elsm/internal/blockcache"
 	"elsm/internal/memtable"
 	"elsm/internal/record"
 )
@@ -23,53 +24,56 @@ import (
 // INDEX into Runs() — the snapshot's read order — not by run ID, keeping
 // the hot acquisition path (one per verified point read) map-free.
 type Snapshot struct {
-	s      *Store
-	ts     uint64
-	mem    *memtable.Table
-	frozen *memtable.Table // nil if no flush was in flight at acquisition
-	refs   []RunRef
-	runs   []*run // aligned with refs
-	gauged bool   // counted in Stats.SnapshotsOpen (sessions, not point reads)
-	closed bool   // the store was already closed at acquisition
-	once   sync.Once
+	s        *Store
+	ts       uint64
+	mem      *memtable.Table
+	frozen   *memtable.Table // nil if no flush was in flight at acquisition
+	refs     []RunRef
+	runs     []*run // aligned with refs
+	gauged   bool   // counted in Stats.SnapshotsOpen (sessions, not point reads)
+	closed   bool   // the store was already closed at acquisition
+	released atomic.Bool
 }
 
 // AcquireSnapshot pins the current applied state as a read SESSION,
 // counted in Stats.SnapshotsOpen. One engine-lock acquisition captures the
 // timestamp frontier, the memtable pointers and the run set with their
 // pins, so the snapshot can never straddle a version install.
-func (s *Store) AcquireSnapshot() *Snapshot { return s.acquireSnapshot(true) }
+func (s *Store) AcquireSnapshot() *Snapshot {
+	sn := new(Snapshot)
+	s.AcquireSnapshotInto(sn, true)
+	return sn
+}
 
 // AcquireEphemeralSnapshot is AcquireSnapshot for a one-shot read: same
 // pins and consistency, but not counted as an open session (a point GET
 // should not flicker the SnapshotsOpen gauge).
-func (s *Store) AcquireEphemeralSnapshot() *Snapshot { return s.acquireSnapshot(false) }
+func (s *Store) AcquireEphemeralSnapshot() *Snapshot {
+	sn := new(Snapshot)
+	s.AcquireSnapshotInto(sn, false)
+	return sn
+}
 
-func (s *Store) acquireSnapshot(gauged bool) *Snapshot {
-	snap := &Snapshot{s: s, gauged: gauged}
+// AcquireSnapshotInto is AcquireSnapshot (session) or
+// AcquireEphemeralSnapshot into sn, a zero or released Snapshot whose run
+// lists it reuses: a reader that keeps one Snapshot from read to read
+// acquires without allocating.
+func (s *Store) AcquireSnapshotInto(sn *Snapshot, session bool) {
+	refs, runs := sn.refs[:0], sn.runs[:0]
 	s.mu.RLock()
-	snap.closed = s.closed
-	snap.ts = s.appliedTs.Load()
-	snap.mem = s.mem
-	snap.frozen = s.frozen
-	n := 0
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		n += len(s.levels[lvl])
-	}
-	snap.refs = make([]RunRef, 0, n)
-	snap.runs = make([]*run, 0, n)
+	*sn = Snapshot{s: s, ts: s.appliedTs.Load(), mem: s.mem, frozen: s.frozen, gauged: session, closed: s.closed}
 	for lvl := 1; lvl < len(s.levels); lvl++ {
 		for idx, r := range s.levels[lvl] {
-			snap.refs = append(snap.refs, RunRef{ID: r.id, Level: lvl, Index: idx})
+			refs = append(refs, RunRef{ID: r.id, Level: lvl, Index: idx})
 			s.retainRunLocked(r)
-			snap.runs = append(snap.runs, r)
+			runs = append(runs, r)
 		}
 	}
 	s.mu.RUnlock()
-	if gauged {
+	sn.refs, sn.runs = refs, runs
+	if session {
 		s.snapshotsOpen.Add(1)
 	}
-	return snap
 }
 
 // Err reports ErrClosed for a snapshot acquired from a closed store: its
@@ -88,16 +92,20 @@ func (sn *Snapshot) Ts() uint64 { return sn.ts }
 func (sn *Snapshot) Runs() []RunRef { return sn.refs }
 
 // Release drops the snapshot's run pins, allowing files of runs replaced
-// since acquisition to be deleted. Idempotent.
+// since acquisition to be deleted, and its references to them and to the
+// memtables: a released Snapshot must not be read. Idempotent.
 func (sn *Snapshot) Release() {
-	sn.once.Do(func() {
-		for _, r := range sn.runs {
-			sn.s.releaseRun(r)
-		}
-		if sn.gauged {
-			sn.s.snapshotsOpen.Add(-1)
-		}
-	})
+	if !sn.released.CompareAndSwap(false, true) {
+		return
+	}
+	for _, r := range sn.runs {
+		sn.s.releaseRun(r)
+	}
+	if sn.gauged {
+		sn.s.snapshotsOpen.Add(-1)
+	}
+	clear(sn.runs)
+	sn.mem, sn.frozen = nil, nil
 }
 
 // clamp bounds a query timestamp to the snapshot's frontier.
@@ -135,26 +143,36 @@ func (sn *Snapshot) MemIters() (active, frozen record.Iterator) {
 	return sn.mem.Iter(), frozen
 }
 
-// LookupRun performs the untrusted side of a one-level GET against the
-// i-th pinned run (index into Runs()). No engine lock is needed: the run
-// is immutable and its files outlive the snapshot.
-func (sn *Snapshot) LookupRun(i int, key []byte, tsq uint64) (RunLookup, error) {
+// LookupRunViews performs the untrusted side of a one-level GET against the
+// i-th pinned run (index into Runs()), handing out views of the blocks it
+// read, pinned into pins. No engine lock is needed: the run is immutable and
+// its files outlive the snapshot.
+func (sn *Snapshot) LookupRunViews(i int, key []byte, tsq uint64, pins *blockcache.Pins) (RunViews, error) {
 	if i < 0 || i >= len(sn.runs) {
-		return RunLookup{}, ErrUnknownRun
+		return RunViews{}, ErrUnknownRun
 	}
-	return lookupRun(sn.runs[i], key, sn.clamp(tsq))
+	return lookupRun(sn.runs[i], key, sn.clamp(tsq), pins)
+}
+
+// LookupRun is LookupRunViews with the views copied out.
+func (sn *Snapshot) LookupRun(i int, key []byte, tsq uint64) (RunLookup, error) {
+	v, err := sn.LookupRunViews(i, key, tsq, nil)
+	if err != nil {
+		return RunLookup{}, err
+	}
+	return v.clone(), nil
 }
 
 // SeekRun points it — the caller's, reusable from chunk to chunk — at the
 // i-th pinned run and seeks it to the first record of the first key ≥ start:
 // the untrusted side of a verified one-level SCAN (§5.4). What the iterator
-// hands out are views of untrusted blocks; a block-read error surfaces from
-// its Close.
-func (sn *Snapshot) SeekRun(i int, it *RunIter, start []byte) error {
+// hands out are views of untrusted blocks, pinned into pins if it is
+// non-nil; a block-read error surfaces from its Close.
+func (sn *Snapshot) SeekRun(i int, it *RunIter, start []byte, pins *blockcache.Pins) error {
 	if i < 0 || i >= len(sn.runs) {
 		return ErrUnknownRun
 	}
-	*it = RunIter{tables: sn.runs[i].tables}
+	*it = RunIter{tables: sn.runs[i].tables, pins: pins}
 	it.SeekGE(start, record.MaxTs)
 	return nil
 }

@@ -24,10 +24,21 @@ type storeSource struct {
 	s *Store
 }
 
-var _ sstable.BlockSource = (*storeSource)(nil)
+var _ sstable.PinningSource = (*storeSource)(nil)
 
-// ReadBlock implements sstable.BlockSource.
+// ReadBlock implements sstable.BlockSource: the caller may keep the bytes.
 func (src *storeSource) ReadBlock(fileNum uint64, blockIdx int, off, length int64) ([]byte, error) {
+	return src.read(fileNum, blockIdx, off, length, nil)
+}
+
+// ReadBlockPinned implements sstable.PinningSource: a block cache hit or
+// fill is pinned into pins (blockcache.Cache.Acquire). Views and direct
+// reads need no pin.
+func (src *storeSource) ReadBlockPinned(fileNum uint64, blockIdx int, off, length int64, pins *blockcache.Pins) ([]byte, error) {
+	return src.read(fileNum, blockIdx, off, length, pins)
+}
+
+func (src *storeSource) read(fileNum uint64, blockIdx int, off, length int64, pins *blockcache.Pins) ([]byte, error) {
 	s := src.s
 	// Snapshot the view pointers under fileMu: compaction pins/unpins run
 	// concurrently with readers now that the merge phase is lock-free.
@@ -61,7 +72,7 @@ func (src *storeSource) ReadBlock(fileNum uint64, blockIdx int, off, length int6
 	cache := s.opts.Cache
 	key := blockcache.Key{FileNum: fileNum, BlockIdx: blockIdx}
 	if cache != nil {
-		if data, ok := cache.Get(key); ok {
+		if data, ok := cache.Acquire(key, pins); ok {
 			if !cache.Inside() {
 				// P2 buffered hit: the enclave reads the block from
 				// untrusted memory, copying the touched bytes in.
@@ -71,13 +82,21 @@ func (src *storeSource) ReadBlock(fileNum uint64, blockIdx int, off, length int6
 		}
 	}
 	// Miss: exit the enclave to read the block from the file system.
+	readAt := func(dst []byte) error {
+		var rerr error
+		s.ocall(func() { _, rerr = of.file.ReadAt(dst, off) })
+		if rerr != nil {
+			return fmt.Errorf("lsm: read block %d of file %d: %w", blockIdx, fileNum, rerr)
+		}
+		return nil
+	}
+	if cache != nil && s.opts.Transform == nil {
+		// The block is read straight into a frame of the cache.
+		return cache.Fill(key, int(length), pins, readAt)
+	}
 	raw := make([]byte, length)
-	var rerr error
-	s.ocall(func() {
-		_, rerr = of.file.ReadAt(raw, off)
-	})
-	if rerr != nil {
-		return nil, fmt.Errorf("lsm: read block %d of file %d: %w", blockIdx, fileNum, rerr)
+	if err := readAt(raw); err != nil {
+		return nil, err
 	}
 	data, err := src.openBlock(fileNum, blockIdx, raw)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"elsm/internal/blockcache"
 	"elsm/internal/hashutil"
 	"elsm/internal/memtable"
 	"elsm/internal/obs"
@@ -157,6 +158,11 @@ type Stats struct {
 	// AsyncCommitsInFlight is the current number of CommitAsync commits
 	// acknowledged but not yet durable (bounded by MaxAsyncCommitBacklog).
 	AsyncCommitsInFlight uint64
+	// The read buffer's block lookups that hit and missed, and the misses
+	// read into a frame an evicted block left free (zero without a cache).
+	BlockCacheHits           uint64
+	BlockCacheMisses         uint64
+	BlockCacheFramesRecycled uint64
 }
 
 // Store is the LSM engine. Reads may run concurrently; writes flow through
@@ -972,6 +978,10 @@ func (s *Store) Stats() Stats {
 	s.maint.mu.Lock()
 	running := s.maint.inflight
 	s.maint.mu.Unlock()
+	var cache blockcache.Stats
+	if s.opts.Cache != nil {
+		cache = s.opts.Cache.Stats()
+	}
 	return Stats{
 		Flushes:               s.flushes.Load(),
 		Compactions:           s.compactions.Load(),
@@ -993,8 +1003,15 @@ func (s *Store) Stats() Stats {
 		PinnedRuns:            uint64(pinned),
 		SnapshotsOpen:         uint64(snaps),
 		AsyncCommitsInFlight:  uint64(async),
+
+		BlockCacheHits:           cache.Hits,
+		BlockCacheMisses:         cache.Misses,
+		BlockCacheFramesRecycled: cache.Recycled,
 	}
 }
+
+// BlockCache returns the read buffer, nil without one.
+func (s *Store) BlockCache() *blockcache.Cache { return s.opts.Cache }
 
 // DiskBytes returns the total bytes across all on-disk runs.
 func (s *Store) DiskBytes() int64 {

@@ -133,7 +133,7 @@ func TestBuilderProofAppender(t *testing.T) {
 		}
 		spilled := false
 		for bi := 0; bi < tbl.NumBlocks(); bi++ {
-			data, err := tbl.block(bi)
+			data, err := tbl.block(bi, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 
+	"elsm/internal/blockcache"
 	"elsm/internal/bloom"
 	"elsm/internal/hashutil"
 	"elsm/internal/merkle"
@@ -85,6 +86,16 @@ func BlockID(fileNum uint64, blockIdx int) uint64 {
 // enclave boundary with the appropriate cost accounting.
 type BlockSource interface {
 	ReadBlock(fileNum uint64, blockIdx int, off, length int64) ([]byte, error)
+}
+
+// PinningSource is a BlockSource that can hold a block in place for a reader
+// that copies what it needs and lets go: the bytes ReadBlockPinned returns
+// stay the block's until pins is released (see blockcache). A reader that
+// passes a nil Pins, and every reader of a source without the method, gets
+// ReadBlock's bytes, which it may keep.
+type PinningSource interface {
+	BlockSource
+	ReadBlockPinned(fileNum uint64, blockIdx int, off, length int64, pins *blockcache.Pins) ([]byte, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,8 +359,8 @@ func (b *Builder) Finish() (Meta, error) {
 // — in eLSM these structures live inside the enclave ("file indices at
 // levels L≥1 are placed inside the enclave", §4.2) — while data blocks are
 // fetched on demand through a BlockSource and never decoded whole: point
-// reads (Get, SeekWithPrev, Last) and Iter step through a block record by
-// record, and only the records a point read returns are copied out of it.
+// reads (Seek, Get, LastView) and Iter step through a block record by record
+// and hand out views of it.
 type Table struct {
 	fileNum    uint64
 	index      []indexEntry
@@ -512,9 +523,9 @@ func (t *Table) seekBlock(key []byte, ts uint64) int {
 
 // DecodeBlock parses all records in a block payload into records that own
 // their bytes, proofs rebuilt. No product code calls it — point reads seek
-// with the per-record cursor and clone only their witnesses (SeekWithPrev),
-// scans and compaction iterate views (Iter) — it survives as the whole-block
-// decode that benchmark/ times in isolation (sstable.decode_block_ns).
+// with the per-record cursor and hand out views (Seek), scans and compaction
+// iterate views (Iter) — it survives as the whole-block decode that
+// benchmark/ times in isolation (sstable.decode_block_ns).
 func DecodeBlock(data []byte) ([]record.Record, error) {
 	c, err := newCursor(data)
 	if err != nil {
@@ -581,7 +592,7 @@ func (c *cursor) step() (bool, error) {
 
 func (c *cursor) proof() Proof { return Proof{stored: c.rec.Proof, section: c.section, ord: c.ord} }
 
-func (c *cursor) view() view { return view{c.rec, c.proof()} }
+func (c *cursor) view() View { return View{c.rec, c.proof()} }
 
 // Proof is a handle on the embedded proof of a record viewed in a block: the
 // record's stored proof field, its block's section and the record's key
@@ -664,7 +675,9 @@ func (p Proof) AppendTo(dst []byte) []byte {
 }
 
 // Clone copies rec, a record viewed in a block, out of the block with its
-// proof rebuilt from p, in one allocation as record.Clone does.
+// proof rebuilt from p, in one allocation as record.Clone does. Verified
+// reads do not call it: they copy a view's fields into enclave scratch
+// (Proof.AppendTo); it serves the cloning wrappers, scanRunChunk and tests.
 func Clone(rec record.Record, p Proof) record.Record {
 	var r rebuild
 	r.parse(p)
@@ -682,18 +695,20 @@ func Clone(rec record.Record, p Proof) record.Record {
 	return record.Record{Key: field(0, k), Ts: rec.Ts, Kind: rec.Kind, Value: field(k, v), Proof: field(v, len(buf))}
 }
 
-// view is a record viewed in a block and the handle on its proof.
-type view struct {
-	rec   record.Record
-	proof Proof
+// View is a record viewed in a block and the handle on its proof. Ts and
+// Kind are the View's own; Key, Value and the proof alias the block. The
+// zero View (Kind 0) is no record.
+type View struct {
+	Rec   record.Record
+	Proof Proof
 }
 
-// clone copies the view out of the block, or returns nil for the zero view.
-func (v view) clone() *record.Record {
-	if v.rec.Kind == 0 {
+// Clone copies the view out of the block, or returns nil for the zero view.
+func (v View) Clone() *record.Record {
+	if v.Rec.Kind == 0 {
 		return nil
 	}
-	c := Clone(v.rec, v.proof)
+	c := Clone(v.Rec, v.Proof)
 	return &c
 }
 
@@ -732,19 +747,25 @@ func viewRecordAt(data []byte, p int) (rec record.Record, n int, err error) {
 	return rec, p - start, nil
 }
 
-// block fetches data block i through the BlockSource. The bytes may be the
-// block cache's, the mmap view or a compaction-pinned file image: untrusted
-// memory the host can rewrite at any time, so callers copy what they keep.
-func (t *Table) block(i int) ([]byte, error) {
+// block fetches data block i through the BlockSource — pinned into pins when
+// pins is non-nil and the source can pin. The bytes may be the block cache's,
+// the mmap view or a compaction-pinned file image: untrusted memory the host
+// can rewrite at any time, so callers copy what they keep.
+func (t *Table) block(i int, pins *blockcache.Pins) ([]byte, error) {
 	e := t.index[i]
+	if pins != nil {
+		if ps, ok := t.source.(PinningSource); ok {
+			return ps.ReadBlockPinned(t.fileNum, i, e.off, e.length, pins)
+		}
+	}
 	return t.source.ReadBlock(t.fileNum, i, e.off, e.length)
 }
 
 // seekInBlock walks block bi with the per-record cursor to the seek
 // position of (key, ts): cur is the first record ≥ (key, ts) and prev the
 // record before it, both views of the block (zero Kind when there is none).
-func (t *Table) seekInBlock(bi int, key []byte, ts uint64) (prev, cur view, err error) {
-	data, err := t.block(bi)
+func (t *Table) seekInBlock(bi int, key []byte, ts uint64, pins *blockcache.Pins) (prev, cur View, err error) {
+	data, err := t.block(bi, pins)
 	if err != nil {
 		return prev, cur, err
 	}
@@ -763,84 +784,94 @@ func (t *Table) seekInBlock(bi int, key []byte, ts uint64) (prev, cur view, err 
 		last, lastOrd = c.rec, c.ord
 	}
 	if last.Kind != 0 {
-		prev = view{last, Proof{stored: last.Proof, section: c.section, ord: lastOrd}}
+		prev = View{last, Proof{stored: last.Proof, section: c.section, ord: lastOrd}}
 	}
 	return prev, cur, err
 }
 
 // Get returns the newest record of key with Ts ≤ tsq, if the table holds
-// one, its proof rebuilt. The Bloom filter short-circuits definite misses.
+// one, its proof rebuilt: the raw (unverified) point read. The Bloom filter
+// short-circuits definite misses.
 func (t *Table) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	bi := t.seekBlock(key, tsq)
 	if bi >= len(t.index) || !t.filters[bi].MayContain(key) {
 		return record.Record{}, false, nil
 	}
-	_, cur, err := t.seekInBlock(bi, key, tsq)
-	if err != nil || cur.rec.Kind == 0 || string(cur.rec.Key) != string(key) {
+	_, cur, err := t.seekInBlock(bi, key, tsq, nil)
+	if err != nil || cur.Rec.Kind == 0 || string(cur.Rec.Key) != string(key) {
 		return record.Record{}, false, err
 	}
-	return *cur.clone(), true, nil
+	return *cur.Clone(), true, nil
 }
 
-// SeekWithPrev locates the seek position of (key, ts) and returns the
-// records immediately before and at that position (either may be nil at the
-// table edges), proofs rebuilt. The eLSM layer uses this to assemble
-// non-membership witnesses: for an absent key, prev and cur bracket it
-// (§5.5.1 "returns the two neighboring records").
+// Seek locates the seek position of (key, ts) and returns views of the
+// records at (cur) and immediately before (prev) that position, either zero
+// at the table's edges, with their blocks pinned into pins (see block). The
+// eLSM layer assembles a point read's witnesses from them: cur alone when it
+// holds key, else the pair that brackets the key (§5.5.1 "returns the two
+// neighboring records"). So prev costs a read of the block before only when
+// cur does not hold key; within the block it comes with the walk.
 //
 // The seek is untrusted-side work: it compares keys in place on the block
-// bytes, reads each block at most once, and copies out only the one or two
-// records it returns. Nothing it decides is believed — the verifier repeats
-// every comparison it relies on against the returned copies, never against
-// the block.
-func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, err error) {
+// bytes, reads each block at most once and copies nothing. Nothing it decides
+// is believed — the verifier repeats every comparison it relies on against
+// its own copies of the views, never against the block.
+func (t *Table) Seek(key []byte, ts uint64, pins *blockcache.Pins) (prev, cur View, err error) {
+	return t.seek(key, ts, pins, false)
+}
+
+func (t *Table) seek(key []byte, ts uint64, pins *blockcache.Pins, alwaysPrev bool) (prev, cur View, err error) {
 	bi := t.seekBlock(key, ts)
 	if bi >= len(t.index) {
 		// Position is past the end: prev is the table's last record.
-		last, err := t.Last()
-		if err != nil {
-			return nil, nil, err
-		}
-		return &last, nil, nil
+		prev, err = t.lastView(bi-1, pins)
+		return prev, cur, err
 	}
-	prevView, curView, err := t.seekInBlock(bi, key, ts)
+	if prev, cur, err = t.seekInBlock(bi, key, ts, pins); err != nil {
+		return prev, cur, err
+	}
+	hit := cur.Rec.Kind != 0 && bytes.Equal(cur.Rec.Key, key)
+	if prev.Rec.Kind == 0 && bi > 0 && (alwaysPrev || !hit) {
+		// Boundary miss: the predecessor is the previous block's last record.
+		prev, err = t.lastView(bi-1, pins)
+	}
+	return prev, cur, err
+}
+
+// SeekWithPrev is Seek with both records copied out, proofs rebuilt (nil at
+// the table edges), and prev looked up even when cur holds key.
+func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, err error) {
+	p, c, err := t.seek(key, ts, nil, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if prevView.rec.Kind == 0 && bi > 0 {
-		// Boundary miss: the predecessor is the previous block's last record.
-		if prevView, err = t.lastView(bi - 1); err != nil {
-			return nil, nil, err
-		}
-	}
-	return prevView.clone(), curView.clone(), nil
+	return p.Clone(), c.Clone(), nil
 }
 
 // lastView returns the last record of block bi — the one the index entry
 // names — as a view of the block.
-func (t *Table) lastView(bi int) (view, error) {
+func (t *Table) lastView(bi int, pins *blockcache.Pins) (View, error) {
 	e := t.index[bi]
-	_, last, err := t.seekInBlock(bi, e.lastKey, e.lastTs)
-	if err == nil && last.rec.Kind == 0 {
+	_, last, err := t.seekInBlock(bi, e.lastKey, e.lastTs, pins)
+	if err == nil && last.Rec.Kind == 0 {
 		err = fmt.Errorf("%w: block %d ends before its index entry", ErrBadTable, bi)
 	}
 	return last, err
 }
 
-// LastView returns the table's last record as a view of its block, with the
-// handle on its proof.
-func (t *Table) LastView() (record.Record, Proof, error) {
-	v, err := t.lastView(len(t.index) - 1)
-	return v.rec, v.proof, err
+// LastView returns the table's last record as a view of its block, pinned
+// into pins (see block).
+func (t *Table) LastView(pins *blockcache.Pins) (View, error) {
+	return t.lastView(len(t.index)-1, pins)
 }
 
 // Last returns a copy of the table's last record, its proof rebuilt.
 func (t *Table) Last() (record.Record, error) {
-	v, err := t.lastView(len(t.index) - 1)
+	v, err := t.LastView(nil)
 	if err != nil {
 		return record.Record{}, err
 	}
-	return *v.clone(), nil
+	return *v.Clone(), nil
 }
 
 // Iter returns an iterator over the table, unpositioned: SeekGE places it.
@@ -857,9 +888,10 @@ func (t *Table) Iter() *Iter {
 // Close reports.
 type Iter struct {
 	t     *Table
-	block int    // index of the loaded block
-	cur   cursor // on the current record of that block
-	prev  view   // the record SeekGE stepped over last; zero Kind if none
+	pins  *blockcache.Pins // what every block read is pinned into; nil: none
+	block int              // index of the loaded block
+	cur   cursor           // on the current record of that block
+	prev  View             // the record SeekGE stepped over last; zero Kind if none
 	valid bool
 	err   error
 }
@@ -867,7 +899,11 @@ type Iter struct {
 var _ record.Iterator = (*Iter)(nil)
 
 // Reset re-targets the iterator at table t, unpositioned and with no error.
-func (it *Iter) Reset(t *Table) { *it = Iter{t: t} }
+func (it *Iter) Reset(t *Table) { it.ResetPinned(t, nil) }
+
+// ResetPinned is Reset for a reader that pins every block the iterator reads
+// into pins (see Table.Seek).
+func (it *Iter) ResetPinned(t *Table, pins *blockcache.Pins) { *it = Iter{t: t, pins: pins} }
 
 // seekBlockStart positions at the first record of block i or, if that
 // block has none, of the first block after it that has; past the last
@@ -875,7 +911,7 @@ func (it *Iter) Reset(t *Table) { *it = Iter{t: t} }
 func (it *Iter) seekBlockStart(i int) {
 	it.valid = false
 	for ; i < len(it.t.index); i++ {
-		data, err := it.t.block(i)
+		data, err := it.t.block(i, it.pins)
 		if err == nil {
 			it.cur, err = newCursor(data)
 		}
@@ -945,7 +981,7 @@ func (it *Iter) Record() record.Record { return it.cur.rec }
 func (it *Iter) Proof() Proof { return it.cur.proof() }
 
 func (it *Iter) SeekGE(key []byte, ts uint64) {
-	it.prev = view{}
+	it.prev = View{}
 	if it.err != nil {
 		return
 	}
@@ -966,8 +1002,8 @@ func (it *Iter) SeekPrev() (prev record.Record, proof Proof, ok bool, err error)
 	if it.err != nil {
 		return prev, proof, false, it.err
 	}
-	if it.prev.rec.Kind != 0 {
-		return it.prev.rec, it.prev.proof, true, nil
+	if it.prev.Rec.Kind != 0 {
+		return it.prev.Rec, it.prev.Proof, true, nil
 	}
 	bi := len(it.t.index) // past the end: the table's last block
 	if it.valid {
@@ -976,12 +1012,12 @@ func (it *Iter) SeekPrev() (prev record.Record, proof Proof, ok bool, err error)
 	if bi == 0 {
 		return prev, proof, false, nil
 	}
-	v, err := it.t.lastView(bi - 1)
+	v, err := it.t.lastView(bi-1, it.pins)
 	if err != nil {
 		it.fail(err)
 		return prev, proof, false, err
 	}
-	return v.rec, v.proof, true, nil
+	return v.Rec, v.Proof, true, nil
 }
 
 // Close reports the first block-read or decode error encountered, if any.

@@ -2,8 +2,14 @@
 // itself lives in the untrusted world (outside the enclave, §5.3 step w3);
 // the enclave keeps only a running digest chain over appended records
 // (step w1: dig' = H(dig ‖ record)), so replay after a crash can be
-// verified — a host that drops, reorders, or alters WAL entries produces a
-// digest mismatch.
+// verified up to the sealed frontier — a host that drops, reorders, or
+// alters WAL entries the last sealed state covers produces a digest
+// mismatch. Past that frontier the chain proves nothing: it is unkeyed
+// SHA-256, and recovery only requires the sealed digest to be a prefix of
+// the replayed chain, so a group the host appends with valid CRCs replays
+// as trusted (ROADMAP.md, "The WAL past the last seal is forgeable"), and
+// dropping acknowledged groups back to the seal is the §5.6.1 rollback
+// window.
 //
 // Record framing: [crc32 u32][len u32][kind u8][keyLen u32][key][ts u64][valLen u32][val]
 //

@@ -73,6 +73,13 @@ type Stats struct {
 	SnapshotsOpen        uint64
 	AsyncCommitsInFlight uint64
 
+	// The read buffer (each shard has its own): block lookups that hit and
+	// that missed, and the misses read into a frame an evicted block left
+	// free instead of into new memory.
+	BlockCacheHits           uint64
+	BlockCacheMisses         uint64
+	BlockCacheFramesRecycled uint64
+
 	// Enclave boundary traffic (zero for ModeUnsecured): crossings, bytes
 	// copied across, protected bytes held. Shards share one enclave, so the
 	// aggregate equals any one shard's view and per-shard entries repeat it.
@@ -170,6 +177,9 @@ var statCounters = []statCounter{
 	{"pinned_runs", foldSum, false, func(s *Stats) *uint64 { return &s.PinnedRuns }, func(f *shardSources) uint64 { return f.eng.PinnedRuns }},
 	{"snapshots_open", foldSum, true, func(s *Stats) *uint64 { return &s.SnapshotsOpen }, func(f *shardSources) uint64 { return f.eng.SnapshotsOpen }},
 	{"async_commits_in_flight", foldSum, true, func(s *Stats) *uint64 { return &s.AsyncCommitsInFlight }, func(f *shardSources) uint64 { return f.eng.AsyncCommitsInFlight }},
+	{"block_cache_hits", foldSum, false, func(s *Stats) *uint64 { return &s.BlockCacheHits }, func(f *shardSources) uint64 { return f.eng.BlockCacheHits }},
+	{"block_cache_misses", foldSum, false, func(s *Stats) *uint64 { return &s.BlockCacheMisses }, func(f *shardSources) uint64 { return f.eng.BlockCacheMisses }},
+	{"block_cache_frames_recycled", foldSum, false, func(s *Stats) *uint64 { return &s.BlockCacheFramesRecycled }, func(f *shardSources) uint64 { return f.eng.BlockCacheFramesRecycled }},
 	{"ecalls", foldOnce, false, func(s *Stats) *uint64 { return &s.ECalls }, func(f *shardSources) uint64 { return f.enc.ECalls }},
 	{"ocalls", foldOnce, false, func(s *Stats) *uint64 { return &s.OCalls }, func(f *shardSources) uint64 { return f.enc.OCalls }},
 	{"copied_bytes", foldOnce, false, func(s *Stats) *uint64 { return &s.CopiedBytes }, func(f *shardSources) uint64 { return f.enc.CopiedBytes }},

@@ -101,6 +101,7 @@ var statsFoldRules = map[string]string{
 	"BackgroundCompactions": "sum", "PinnedRuns": "sum",
 	"CompactionDebtBytes": "sum", "ParallelCompactions": "sum",
 	"SnapshotsOpen": "sum", "AsyncCommitsInFlight": "sum",
+	"BlockCacheHits": "sum", "BlockCacheMisses": "sum", "BlockCacheFramesRecycled": "sum",
 	"VerifiedGets": "sum", "ProofBytes": "sum", "RunsProbed": "sum",
 	"VerifyNodeCacheHits": "sum", "VerifyNodeCacheMisses": "sum", "VerifyNodeHashes": "sum",
 	"ReplLagGroups": "sum", "ReplLagBytes": "sum",
