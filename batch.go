@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"elsm/internal/core"
+	"elsm/internal/record"
 )
 
 // CommitFuture is the handle of an asynchronous batch commit: acknowledged
@@ -47,10 +48,8 @@ func (b *Batch) Put(key, value []byte) *Batch {
 		b.ops = append(b.ops, core.BatchOp{Key: ek, Value: ev})
 		return b
 	}
-	b.ops = append(b.ops, core.BatchOp{
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-	})
+	kv := record.Record{Key: key, Value: value}.Clone() // one allocation for both
+	b.ops = append(b.ops, core.BatchOp{Key: kv.Key, Value: kv.Value})
 	return b
 }
 

@@ -480,7 +480,7 @@ func (s *Store) PutCtx(ctx context.Context, key, value []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	return s.base().Commit(ctx, []core.BatchOp{{Key: key, Value: value}})
+	return s.commitOne(ctx, core.BatchOp{Key: key, Value: value})
 }
 
 // Delete removes a key (a verified tombstone write).
@@ -497,7 +497,22 @@ func (s *Store) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	return s.base().Commit(ctx, []core.BatchOp{{Key: key, Delete: true}})
+	return s.commitOne(ctx, core.BatchOp{Key: key, Delete: true})
+}
+
+// oneOpPool recycles the one-op batches of Put and Delete: a slice handed
+// through the core.KV interface escapes to the heap, and the engine holds
+// none of a synchronous commit's operations once Commit returns.
+var oneOpPool = sync.Pool{New: func() any { return new([1]core.BatchOp) }}
+
+// commitOne commits op as a one-op batch.
+func (s *Store) commitOne(ctx context.Context, op core.BatchOp) (uint64, error) {
+	ops := oneOpPool.Get().(*[1]core.BatchOp)
+	ops[0] = op
+	ts, err := s.base().Commit(ctx, ops[:])
+	ops[0] = core.BatchOp{}
+	oneOpPool.Put(ops)
+	return ts, err
 }
 
 // Sync is the durability barrier: it returns once every commit accepted

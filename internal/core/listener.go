@@ -75,10 +75,11 @@ func (l *authListener) OnWALAppend(rec record.Record) {
 func (l *authListener) OnGroupAppended() {
 	c := l.c
 	c.mu.Lock()
-	c.pendingMark = &walMark{
+	c.pendingMark = walMark{
 		digest:  c.walDigest,
 		fresh:   c.freshDigest,
 		appends: c.walAppends,
+		pending: true,
 	}
 	c.mu.Unlock()
 }
@@ -90,8 +91,8 @@ func (l *authListener) OnGroupAppended() {
 func (l *authListener) OnGroupCommit(n int) {
 	c := l.c
 	c.mu.Lock()
-	if mark := c.pendingMark; mark != nil {
-		c.pendingMark = nil
+	if mark := c.pendingMark; mark.pending {
+		c.pendingMark = walMark{}
 		c.durableDigest = mark.digest
 		c.durableFresh = mark.fresh
 		c.durableAppends = mark.appends
@@ -114,7 +115,7 @@ func (l *authListener) OnGroupCommit(n int) {
 func (l *authListener) OnGroupAbandoned() {
 	c := l.c
 	c.mu.Lock()
-	c.pendingMark = nil
+	c.pendingMark = walMark{}
 	c.mu.Unlock()
 }
 
@@ -253,7 +254,7 @@ func (j *compactionJob) Installed() {
 		// switch to their fresh-basis values.
 		c.walDigest = c.freshDigest
 		c.durableDigest = c.durableFresh
-		if c.pendingMark != nil {
+		if c.pendingMark.pending {
 			c.pendingMark.digest = c.pendingMark.fresh
 		}
 	}

@@ -240,13 +240,13 @@ type Store struct {
 	freshDigest hashutil.Hash
 	walAppends  uint64
 	// Between a group's append and its fsync the chain tips above run
-	// ahead of stable storage. pendingMark is that group's mark (nil when
-	// no group is in flight: each append gets its OnGroupCommit or
-	// OnGroupAbandoned before the next); OnGroupCommit promotes it into the
-	// durable frontier below, which is the ONLY state commitState may seal —
-	// binding the counter to unsynced records would turn a crash into a
-	// false rollback.
-	pendingMark    *walMark
+	// ahead of stable storage. pendingMark is that group's mark (its
+	// pending flag is clear when no group is in flight: each append gets
+	// its OnGroupCommit or OnGroupAbandoned before the next); OnGroupCommit
+	// promotes it into the durable frontier below, which is the ONLY state
+	// commitState may seal — binding the counter to unsynced records would
+	// turn a crash into a false rollback.
+	pendingMark    walMark
 	durableDigest  hashutil.Hash
 	durableFresh   hashutil.Hash
 	durableAppends uint64
@@ -426,10 +426,12 @@ type trustedView struct {
 // walMark is one commit group's WAL chain state at append time, in both
 // bases: digest spans the live logs (frozen + active), fresh spans the
 // active log alone (the basis the chain rebases onto at a flush install).
+// It is kept by value; pending marks a group between append and fsync.
 type walMark struct {
 	digest  hashutil.Hash
 	fresh   hashutil.Hash
 	appends uint64
+	pending bool
 }
 
 // snapshotDigests returns the current immutable digest view — a single

@@ -17,13 +17,15 @@ import (
 // instead of assigned; ONE store goroutine, the commit worker, drains the
 // queue into a group and, holding commitMu throughout:
 //
-//   - appends it: one engine-lock critical section assigns the group's
-//     contiguous timestamp range, extends the enclave's WAL digest chain per
-//     record, and appends the whole group (plus its COMMIT marker) to the
-//     untrusted log, then acknowledges async futures (the timestamp is known);
+//   - appends it: a short engine-lock critical section checks the store is
+//     writable and reserves the group's contiguous timestamp range; then,
+//     under commitMu alone, the worker extends the enclave's WAL digest chains
+//     per record and appends the whole group (plus its COMMIT marker) to the
+//     untrusted log, and acknowledges async futures (the timestamp is known);
 //   - fsyncs the log once for the group, pays its OnGroupCommit notification
 //     (the authentication layer's periodic counter bump), applies it to the
-//     memtable, and wakes its waiters / resolves its futures;
+//     memtable (the single writer of its lock-free skiplist) and only then
+//     publishes appliedTs, and wakes its waiters / resolves its futures;
 //   - freezes the memtable if the group filled it (a pointer swap plus one
 //     WAL rename; the scheduler discovers the flush), stalling only if the
 //     previous frozen memtable is still being flushed (Stats.FlushStallNanos).
@@ -34,6 +36,11 @@ import (
 // CommitAsync returns a CommitFuture acknowledged at append and resolved at
 // durability, bounded by MaxAsyncCommitBacklog acknowledged-but-not-durable
 // commits.
+//
+// The path allocates nothing per commit once warm: synchronous requests come
+// from a pool and are signalled through a reusable channel, an async request
+// lives inside its future, and the worker reuses its queue slices, its
+// group's record slice and the WAL writer's frame buffer.
 
 // CommitFuture is the handle of an asynchronous commit. It is acknowledged
 // ("accepted") when the commit worker has assigned the commit timestamp and
@@ -42,6 +49,7 @@ import (
 // between acceptance and resolution loses the commit — that is the
 // durability trade CommitAsync makes; Sync is the barrier that closes it.
 type CommitFuture struct {
+	req          commitReq // the commit's request, for CommitAsync
 	ts           uint64
 	err          error
 	acceptErr    error
@@ -207,43 +215,66 @@ func CtxErr(ctx context.Context) error {
 // assigned and the worker only checks. A request with neither is a Sync
 // durability barrier: it carries nothing, and completes once every group
 // appended before it is durable.
+//
+// A synchronous request comes from reqPool and goes back once its waiter has
+// read ts and err; an async one is the req field of its CommitFuture.
 type commitReq struct {
 	ops  []BatchOp
 	recs []record.Record
 	ts   uint64 // commit timestamp (the group's last record of this request)
 	err  error
-	fut  *CommitFuture // non-nil for async commits
-	// release, if set, runs when the request settles (async backlog slot
-	// return) — before the future resolves, so gauges never lag callers
-	// woken by Done.
-	release func()
+	fut  *CommitFuture // the future this request lives in; nil if synchronous
 	// claimed settles the race between the commit worker taking the
 	// request and a cancelled waiter withdrawing it: whoever wins the CAS
 	// owns the request.
 	claimed atomic.Bool
-	done    chan struct{}
+	// done wakes a synchronous request's waiter. The worker sends once and
+	// the waiter receives once, so a recycled request reuses it.
+	done chan struct{}
 	// enqueued stamps queue admission for the queue-wait histogram and the
 	// commit-group trace. Zero when instrumentation is off.
 	enqueued time.Time
 }
 
+// reqPool recycles synchronous requests with their done channels.
+var reqPool = sync.Pool{New: func() any { return &commitReq{done: make(chan struct{}, 1)} }}
+
+// newSyncReq takes a cleared synchronous request from the pool.
+func newSyncReq() *commitReq { return reqPool.Get().(*commitReq) }
+
+// recycle clears a synchronous request its waiter is done with and pools it.
+// A request withdrawn by cancellation must never come here: the worker may
+// still hold it in the slice it drained, and a reused request would be
+// processed twice.
+func (r *commitReq) recycle() {
+	r.ops, r.recs, r.ts, r.err = nil, nil, 0, nil
+	r.claimed.Store(false)
+	r.enqueued = time.Time{}
+	reqPool.Put(r)
+}
+
 // size is the number of records the request adds to its group.
 func (r *commitReq) size() int { return len(r.ops) + len(r.recs) }
 
-// finish completes the request, resolving its future if any.
-func (r *commitReq) finish(err error) {
-	r.err = err
-	if r.release != nil {
-		r.release()
+// finish completes a request: an async one returns its backlog slot (before
+// the future resolves, so gauges never lag callers woken by Done) and
+// settles its future; a synchronous one wakes its waiter. The worker must
+// not touch the request afterwards — its waiter may already have recycled
+// it.
+func (s *Store) finish(r *commitReq, err error) {
+	if f := r.fut; f != nil {
+		s.releaseAsyncSlot()
+		finishFut(f, err)
+		return
 	}
-	finishFut(r.fut, err)
-	close(r.done)
+	r.err = err
+	r.done <- struct{}{}
 }
 
 // finishAll completes every request of a group with the same outcome.
-func finishAll(batch []*commitReq, err error) {
+func (s *Store) finishAll(batch []*commitReq, err error) {
 	for _, req := range batch {
-		req.finish(err)
+		s.finish(req, err)
 	}
 }
 
@@ -254,6 +285,8 @@ type committer struct {
 	pending  []*commitReq
 	closed   bool
 	workerWG sync.WaitGroup
+	// recs is the worker's group buffer, reused from group to group.
+	recs []record.Record
 }
 
 // startCommitter launches the commit worker.
@@ -319,7 +352,8 @@ func (s *Store) Commit(ctx context.Context, ops []BatchOp) (uint64, error) {
 	if len(ops) == 0 {
 		return s.lastTs.Load(), nil
 	}
-	req := &commitReq{ops: ops, done: make(chan struct{})}
+	req := newSyncReq()
+	req.ops = ops
 	rec := s.opts.Obs
 	if rec == nil {
 		return s.awaitReq(ctx, req)
@@ -344,29 +378,32 @@ func (s *Store) Sync(ctx context.Context) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
 	}
-	req := &commitReq{done: make(chan struct{})} // no ops: a pure barrier
-	_, err := s.awaitReq(ctx, req)
+	_, err := s.awaitReq(ctx, newSyncReq()) // no ops: a pure barrier
 	return err
 }
 
-// awaitReq enqueues req and waits for completion or ctx cancellation.
+// awaitReq enqueues req, a synchronous request from newSyncReq, waits for
+// completion or ctx cancellation, and recycles it unless it was withdrawn.
 func (s *Store) awaitReq(ctx context.Context, req *commitReq) (uint64, error) {
 	if err := s.enqueueCommit(req); err != nil {
+		req.recycle()
 		return 0, err
 	}
 	select {
 	case <-req.done:
-		return req.ts, req.err
 	case <-ctxDone(ctx):
 		if req.claimed.CompareAndSwap(false, true) {
 			// Still queued: withdrawn before any effect. The commit
-			// worker skips claimed requests when draining.
+			// worker skips claimed requests when draining; the request
+			// is left to the garbage collector, not recycled.
 			return 0, ctx.Err()
 		}
 		// The commit worker owns it; the commit will complete.
 		<-req.done
-		return req.ts, req.err
 	}
+	ts, err := req.ts, req.err
+	req.recycle()
+	return ts, err
 }
 
 // CommitAsync enqueues ops and returns a CommitFuture immediately. The
@@ -374,7 +411,10 @@ func (s *Store) awaitReq(ctx context.Context, req *commitReq) (uint64, error) {
 // timestamp (CommitFuture.Ts) and resolved when the group is durable and
 // visible (CommitFuture.Wait / Done). The context bounds only the admission
 // wait against MaxAsyncCommitBacklog — once accepted into the queue the
-// commit proceeds regardless.
+// commit proceeds regardless. The backlog gate is tried before ctx.Done is
+// called, and Done is called only if the gate is full: the wire server's
+// admission context builds its timer on the first Done and relies on this
+// order to admit a write with room in the backlog without one.
 func (s *Store) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
@@ -382,16 +422,21 @@ func (s *Store) CommitAsync(ctx context.Context, ops []BatchOp) (*CommitFuture, 
 	if len(ops) == 0 {
 		return NewResolvedFuture(s.lastTs.Load(), nil), nil
 	}
-	// Backlog gate: a slot is held from admission to durability.
+	// Backlog gate: a slot is held from admission to durability. Try it
+	// before asking for ctx.Done (see above).
 	select {
 	case s.asyncSlots <- struct{}{}:
-	case <-ctxDone(ctx):
-		return nil, ctx.Err()
+	default:
+		select {
+		case s.asyncSlots <- struct{}{}:
+		case <-ctxDone(ctx):
+			return nil, ctx.Err()
+		}
 	}
 	s.asyncInFlight.Add(1)
 	fut := newCommitFuture()
-	req := &commitReq{ops: ops, fut: fut, release: s.releaseAsyncSlot, done: make(chan struct{})}
-	if err := s.enqueueCommit(req); err != nil {
+	fut.req.ops, fut.req.fut = ops, fut
+	if err := s.enqueueCommit(&fut.req); err != nil {
 		s.releaseAsyncSlot()
 		return nil, err
 	}
@@ -405,17 +450,19 @@ func (s *Store) releaseAsyncSlot() {
 
 // commitWorker drains the queue into groups and commits each in turn,
 // skipping requests withdrawn by context cancellation. After close it fails
-// whatever is still queued (the documented Close semantics).
+// whatever is still queued (the documented Close semantics). The queue's
+// slice and a spare swap places at every drain, so neither regrows.
 func (s *Store) commitWorker() {
 	gc := &s.gc
 	defer gc.workerWG.Done()
+	var spare []*commitReq
 	for {
 		gc.mu.Lock()
 		for len(gc.pending) == 0 && !gc.closed {
 			gc.cond.Wait()
 		}
 		pending, closed := gc.pending, gc.closed
-		gc.pending = nil
+		gc.pending = spare
 		gc.mu.Unlock()
 		batch := pending[:0]
 		for _, req := range pending {
@@ -424,10 +471,12 @@ func (s *Store) commitWorker() {
 			}
 		}
 		if closed {
-			finishAll(batch, ErrClosed)
+			s.finishAll(batch, ErrClosed)
 			return
 		}
 		s.processGroup(batch)
+		clear(pending) // hold no finished or withdrawn request
+		spare = pending[:0]
 	}
 }
 
@@ -456,8 +505,9 @@ func (s *Store) processGroup(batch []*commitReq) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	batch, recs, err := s.appendGroup(batch)
+	defer clear(recs) // hold no caller's key or value past the group
 	if err != nil {
-		finishAll(batch, err)
+		s.finishAll(batch, err)
 		return
 	}
 	// Acceptance: timestamps are assigned and the group is in the log
@@ -491,7 +541,7 @@ func (s *Store) processGroup(batch []*commitReq) {
 			// commit fails until the store is reopened.
 			s.setWALErr(serr)
 			s.listener.OnGroupAbandoned()
-			finishAll(batch, fmt.Errorf("%w: %w", ErrWALSyncFailed, serr))
+			s.finishAll(batch, fmt.Errorf("%w: %w", ErrWALSyncFailed, serr))
 			return
 		}
 		s.walSyncs.Add(1)
@@ -506,13 +556,15 @@ func (s *Store) processGroup(batch []*commitReq) {
 		if rec != nil {
 			applyStart = time.Now()
 		}
+		// commitMu alone covers the apply: s.mem changes only under it,
+		// and records above appliedTs are invisible to every read until
+		// the store below publishes the group whole.
 		lastTs := recs[len(recs)-1].Ts
-		s.mu.Lock()
+		mem := s.mem
 		for i := range recs {
-			s.mem.Put(recs[i])
+			mem.Put(recs[i])
 		}
 		s.appliedTs.Store(lastTs)
-		s.mu.Unlock()
 		s.notifyGroupSink(recs, lastTs)
 		if rec != nil {
 			applyNanos = uint64(time.Since(applyStart))
@@ -523,7 +575,7 @@ func (s *Store) processGroup(batch []*commitReq) {
 	if rec != nil {
 		resolveStart = time.Now()
 	}
-	finishAll(batch, nil)
+	s.finishAll(batch, nil)
 	if rec != nil && len(recs) > 0 {
 		resolveNanos := uint64(time.Since(resolveStart))
 		rec.CommitResolve.Observe(resolveNanos)
@@ -552,47 +604,20 @@ func (s *Store) processGroup(batch []*commitReq) {
 
 // appendGroup is the append step (caller holds commitMu): unless the store
 // has failed or closed, it stamps the group's timestamps, extends the
-// listener's digest chain per record and appends the group to the WAL. It
+// listener's digest chains per record and appends the group to the WAL. It
 // returns the requests still in the group — a shipped group that does not
 // extend the frontier fails alone, and the rest (barriers, on a follower)
 // go on without it — and the records appended, none for a barrier-only
-// group.
+// group. The engine lock covers only the checks and the timestamp
+// reservation: every other user of walW holds commitMu, and records above
+// appliedTs are invisible, so the hashing and the append OCall run without
+// it.
 func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return batch, nil, ErrClosed
-	}
-	if err := s.bgErr; err != nil {
-		// A background flush/compaction failed: the store fails stop
-		// rather than buffering writes it can never persist.
-		return batch, nil, fmt.Errorf("lsm: background maintenance failed: %w", err)
-	}
-	if err := s.walErrLocked(); err != nil {
-		// An earlier WAL fsync failed: refuse new commits (sticky
-		// fail-stop) instead of acknowledging writes whose durability
-		// the failed log can no longer promise.
+	batch, total, ts, err := s.reserveGroup(batch)
+	if err != nil || total == 0 {
 		return batch, nil, err
 	}
-	total := 0
-	kept := batch[:0]
-	for _, req := range batch {
-		if err := checkShipped(req.recs, s.lastTs.Load()+uint64(total)); err != nil {
-			req.finish(err)
-			continue
-		}
-		total += req.size()
-		kept = append(kept, req)
-	}
-	batch = kept
-	if total == 0 {
-		for _, req := range batch {
-			req.ts = s.lastTs.Load()
-		}
-		return batch, nil, nil
-	}
-	ts := s.lastTs.Add(uint64(total)) - uint64(total) + 1
-	recs := make([]record.Record, 0, total)
+	recs := s.gc.recs[:0]
 	for _, req := range batch {
 		for _, op := range req.ops {
 			kind := record.KindSet
@@ -611,18 +636,54 @@ func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, 
 		}
 		recs = append(recs, req.recs...)
 		ts += uint64(len(req.recs))
-		req.ts = ts - 1
-		if req.size() == 0 {
-			req.ts = s.lastTs.Load()
-		}
 	}
+	s.gc.recs = recs
 	var werr error
 	s.ocall(func() { werr = s.walW.AppendBatch(recs) })
 	if werr != nil {
-		return batch, nil, werr
+		return batch, recs, werr
 	}
 	s.listener.OnGroupAppended()
 	return batch, recs, nil
+}
+
+// reserveGroup is appendGroup's engine-lock step: it refuses the group if
+// the store has failed or closed, fails shipped requests that do not extend
+// the frontier, sets every kept request's commit timestamp, and reserves
+// the group's contiguous range, returning its size and first timestamp.
+func (s *Store) reserveGroup(batch []*commitReq) ([]*commitReq, int, uint64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return batch, 0, 0, ErrClosed
+	}
+	if err := s.bgErr; err != nil {
+		// A background flush/compaction failed: the store fails stop
+		// rather than buffering writes it can never persist.
+		return batch, 0, 0, fmt.Errorf("lsm: background maintenance failed: %w", err)
+	}
+	if err := s.walErrLocked(); err != nil {
+		// An earlier WAL fsync failed: refuse new commits (sticky
+		// fail-stop) instead of acknowledging writes whose durability
+		// the failed log can no longer promise.
+		return batch, 0, 0, err
+	}
+	last := s.lastTs.Load()
+	total := 0
+	kept := batch[:0]
+	for _, req := range batch {
+		if err := checkShipped(req.recs, last+uint64(total)); err != nil {
+			s.finish(req, err)
+			continue
+		}
+		total += req.size()
+		req.ts = last + uint64(total) // a barrier's is the frontier before it
+		kept = append(kept, req)
+	}
+	if total > 0 {
+		s.lastTs.Add(uint64(total))
+	}
+	return kept, total, last + 1, nil
 }
 
 // ensureMemtableRoom is the commit worker's memtable-full step, and Flush's
@@ -632,13 +693,8 @@ func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, 
 // when a full memtable caused it) and freeze the memtable; the scheduler
 // discovers the flush.
 func (s *Store) ensureMemtableRoom(force bool) error {
-	if !force {
-		s.mu.RLock()
-		full := s.mem.ApproxBytes() >= s.opts.MemtableSize
-		s.mu.RUnlock()
-		if !full {
-			return nil
-		}
+	if !force && s.mem.ApproxBytes() < s.opts.MemtableSize {
+		return nil // commitMu is held: s.mem cannot be swapped
 	}
 	if err := s.awaitFlushed(!force); err != nil {
 		return err

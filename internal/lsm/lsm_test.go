@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -299,18 +300,24 @@ func TestVerifyWALPrefix(t *testing.T) {
 	fs := vfs.NewMem()
 	s := mustOpen(t, smallOpts(fs))
 	defer s.Close()
-	putKV(s, []byte("a"), []byte("1"))
-	s.mu.Lock()
-	mid := s.walW.Digest()
-	s.mu.Unlock()
-	putKV(s, []byte("b"), []byte("2"))
-	putKV(s, []byte("c"), []byte("3"))
+	// The chain the enclave keeps: one link per appended record.
+	var dig hashutil.Hash
+	put := func(k, v string) hashutil.Hash {
+		ts, err := putKV(s, []byte(k), []byte(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dig = hashutil.WALLink(dig, byte(record.KindSet), []byte(k), ts, []byte(v))
+		return dig
+	}
+	mid := put("a", "1")
+	put("b", "2")
+	full := put("c", "3")
 
 	extra, err := s.VerifyWALPrefix(mid)
 	if err != nil || extra != 2 {
 		t.Fatalf("extra=%d err=%v", extra, err)
 	}
-	full := func() [32]byte { s.mu.Lock(); defer s.mu.Unlock(); return s.walW.Digest() }()
 	extra, err = s.VerifyWALPrefix(full)
 	if err != nil || extra != 0 {
 		t.Fatalf("full prefix: extra=%d err=%v", extra, err)

@@ -187,12 +187,12 @@ type CompactionInfo struct {
 
 // EventListener is the callback surface through which the eLSM
 // authentication layer attaches to the engine, mirroring RocksDB's
-// EventListener + CompactionFilter APIs (§5.5.3). Commit-path hooks
-// (OnWALAppend, the OnGroup* trio, OnMemtableFrozen) fire on committing
-// goroutines. BeginJob fires on a maintenance-job goroutine, of which
-// SEVERAL may run concurrently (Options.Workers); everything else
-// a flush, compaction or bulk load tells the listener goes through the Job
-// it returns. State shared between the commit path and the jobs (e.g. a WAL
+// EventListener + CompactionFilter APIs (§5.5.3). Commit-path hooks fire
+// on the commit worker under commitMu: OnWALAppend and the OnGroup* trio
+// without the engine lock, OnMemtableFrozen with it. BeginJob fires on a
+// maintenance-job goroutine, of which SEVERAL may run concurrently
+// (Options.Workers); everything else a flush, compaction or bulk load tells
+// the listener goes through the Job it returns. State shared between the commit path and the jobs (e.g. a WAL
 // digest chain) must be internally thread-safe. Implementations must not
 // call back into the Store.
 type EventListener interface {
@@ -201,13 +201,12 @@ type EventListener interface {
 	OnWALAppend(rec record.Record)
 	// OnGroupAppended fires once per commit group, immediately after the
 	// group's records were appended (NOT yet fsynced) to the untrusted
-	// log, on the committing goroutine under the engine lock. Until the
-	// group's fsync the WAL chain tip runs ahead of durable storage;
-	// this hook lets the authentication layer remember the chain value at
-	// each group boundary so the matching OnGroupCommit can promote exactly
-	// that prefix to "durable" — a seal must never fingerprint WAL records
-	// an fsync has not yet confirmed, or a crash would strand the counter
-	// beyond any recoverable state.
+	// log. Until the group's fsync the WAL chain tip runs ahead of durable
+	// storage; this hook lets the authentication layer remember the chain
+	// value at each group boundary so the matching OnGroupCommit can
+	// promote exactly that prefix to "durable" — a seal must never
+	// fingerprint WAL records an fsync has not yet confirmed, or a crash
+	// would strand the counter beyond any recoverable state.
 	OnGroupAppended()
 	// OnGroupCommit fires once per commit group, after the group's n
 	// records are durably synced to the untrusted log, in group append

@@ -18,8 +18,9 @@ var ErrReplicationGap = errors.New("lsm: replicated group does not extend the ap
 // ReplicatedGroup is one durably committed commit group as observed by a
 // replication sink: the group's records in append (= timestamp) order plus
 // the timestamp interval (PrevTs, LastTs] they cover. Recs views the
-// committing callers' buffers: it is valid for the duration of the sink
-// call only — copy to retain.
+// committing callers' buffers, and the slice itself is the commit worker's,
+// reused for the next group: it is valid for the duration of the sink call
+// only — copy to retain.
 type ReplicatedGroup struct {
 	Recs   []record.Record
 	PrevTs uint64 // applied frontier before the group
@@ -76,7 +77,9 @@ func (s *Store) ApplyReplicated(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	_, err := s.awaitReq(nil, &commitReq{recs: recs, done: make(chan struct{})})
+	req := newSyncReq()
+	req.recs = recs
+	_, err := s.awaitReq(nil, req)
 	return err
 }
 

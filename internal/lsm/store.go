@@ -180,7 +180,9 @@ type Stats struct {
 // through fsync and apply, a freeze's WAL rotation, close — so holding it
 // means no group is in flight. It spans the fsync, which is safe because
 // readers (mu.RLock only) and maintenance jobs never take it and so never
-// wait on storage. installMu serializes the install
+// wait on storage. The commit worker holds mu only to check the store is
+// writable and reserve a group's timestamps; it hashes, appends and applies
+// under commitMu alone (see appendGroup). installMu serializes the install
 // phase (manifest write + digest swap + post-install seal) across
 // concurrent maintenance jobs. Maintenance jobs take mu only for the
 // snapshot and install phases of a rewrite, never commitMu.
@@ -201,8 +203,8 @@ type Store struct {
 	// install. Acquired BEFORE s.mu.
 	installMu sync.Mutex
 
-	mu     sync.RWMutex    // guards mem, frozen, levels, bgErr
-	mem    *memtable.Table // active write buffer
+	mu     sync.RWMutex    // guards mem (swapped under commitMu as well), frozen, levels, bgErr
+	mem    *memtable.Table // active write buffer; the commit worker is its one writer
 	frozen *memtable.Table // immutable predecessor being flushed (nil: none)
 	walW   *wal.Writer
 	levels [][]*run // levels[0] unused; levels[i] newest-run-first
@@ -266,7 +268,9 @@ type Store struct {
 	// committer assigns timestamps (lastTs) at append but makes records
 	// visible only after their group's fsync, so reads and
 	// snapshots anchor to appliedTs — every record ≤ appliedTs is visible,
-	// every record > appliedTs is not yet. Stored under mu in apply order.
+	// every record > appliedTs is not yet. The commit worker stores it after
+	// the group's last memtable insert, so a reader that loads it sees every
+	// record at or below it.
 	appliedTs atomic.Uint64
 	closed    bool
 
@@ -613,9 +617,6 @@ func (s *Store) openWAL() error {
 		return fmt.Errorf("lsm: wal create: %w", err)
 	}
 	s.walW = wal.NewWriter(f)
-	if s.replayedRecords > 0 {
-		s.walW = wal.ResumeWriter(f, s.walReplayDigest)
-	}
 	return nil
 }
 
@@ -876,6 +877,10 @@ func (s *Store) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	defer s.mu.RUnlock()
 	if s.closed {
 		return record.Record{}, false, ErrClosed
+	}
+	// A group being applied is not visible until appliedTs covers it whole.
+	if applied := s.appliedTs.Load(); tsq > applied {
+		tsq = applied
 	}
 	if rec, ok := s.mem.Get(key, tsq); ok {
 		return rec, true, nil

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"elsm/internal/record"
@@ -176,5 +178,227 @@ func TestClonedRecordsIndependent(t *testing.T) {
 	rec, _ := mt.Get([]byte("mutate"), record.MaxTs)
 	if string(rec.Value) != "value" {
 		t.Fatalf("value corrupted: %q", rec.Value)
+	}
+}
+
+// oracle is the model the memtable is held to: every record, sorted by
+// (key asc, ts desc), a duplicate (key, ts) replacing its predecessor.
+type oracle []record.Record
+
+func (o oracle) search(key []byte, ts uint64) int {
+	return sort.Search(len(o), func(i int) bool { return record.Compare(o[i].Key, o[i].Ts, key, ts) >= 0 })
+}
+
+func (o *oracle) put(rec record.Record) {
+	i := o.search(rec.Key, rec.Ts)
+	if i < len(*o) && record.Compare((*o)[i].Key, (*o)[i].Ts, rec.Key, rec.Ts) == 0 {
+		(*o)[i] = rec
+		return
+	}
+	*o = append(*o, record.Record{})
+	copy((*o)[i+1:], (*o)[i:])
+	(*o)[i] = rec
+}
+
+func (o oracle) get(key []byte, tsq uint64) (record.Record, bool) {
+	i := o.search(key, tsq)
+	if i == len(o) || !bytes.Equal(o[i].Key, key) {
+		return record.Record{}, false
+	}
+	return o[i], true
+}
+
+func sameRecord(a, b record.Record) bool {
+	return bytes.Equal(a.Key, b.Key) && a.Ts == b.Ts && a.Kind == b.Kind && bytes.Equal(a.Value, b.Value)
+}
+
+// TestModel drives random Put / Get / Iter / SeekGE sequences against the
+// sorted-slice oracle: few short keys (the empty key among them) with many
+// versions each, empty and slab-sized values, tombstones, and duplicate
+// (key, ts) pairs that replace a node.
+func TestModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		mt := New(nil)
+		var want oracle
+		randKey := func() []byte {
+			k := make([]byte, rnd.Intn(3))
+			for i := range k {
+				k[i] = byte('a' + rnd.Intn(2))
+			}
+			return k
+		}
+		randValue := func() []byte {
+			switch rnd.Intn(10) {
+			case 0:
+				return nil
+			case 1:
+				return bytes.Repeat([]byte{'L'}, byteSlab/4+1+rnd.Intn(100)) // its own allocation
+			}
+			v := make([]byte, rnd.Intn(40))
+			rnd.Read(v)
+			return v
+		}
+		for step := 0; step < 2000; step++ {
+			switch op := rnd.Intn(10); {
+			case op < 5:
+				rec := record.Record{Key: randKey(), Ts: uint64(1 + rnd.Intn(300)), Kind: record.KindSet, Value: randValue()}
+				if rnd.Intn(8) == 0 {
+					rec.Kind, rec.Value = record.KindDelete, nil
+				}
+				mt.Put(rec)
+				want.put(rec.Clone())
+			case op < 8:
+				key, tsq := randKey(), uint64(rnd.Intn(320))
+				got, ok := mt.Get(key, tsq)
+				exp, expOK := want.get(key, tsq)
+				if ok != expOK || (ok && !sameRecord(got, exp)) {
+					t.Fatalf("seed %d step %d: Get(%q, %d) = %v %+v, want %v %+v", seed, step, key, tsq, ok, got, expOK, exp)
+				}
+			case op < 9:
+				key, ts := randKey(), uint64(rnd.Intn(320))
+				it := mt.Iter()
+				it.SeekGE(key, ts)
+				for i := want.search(key, ts); i < len(want); i++ {
+					if !it.Valid() || !sameRecord(it.Record(), want[i]) {
+						t.Fatalf("seed %d step %d: SeekGE(%q, %d) diverges from the oracle at %d", seed, step, key, ts, i)
+					}
+					it.Next()
+				}
+				if it.Valid() {
+					t.Fatalf("seed %d step %d: SeekGE(%q, %d) runs past the oracle", seed, step, key, ts)
+				}
+			default:
+				it := mt.Iter()
+				for i := range want {
+					if !it.Valid() || !sameRecord(it.Record(), want[i]) {
+						t.Fatalf("seed %d step %d: Iter diverges from the oracle at %d", seed, step, i)
+					}
+					it.Next()
+				}
+				if it.Valid() {
+					t.Fatalf("seed %d step %d: Iter runs past the oracle", seed, step)
+				}
+			}
+			if mt.Count() != len(want) {
+				t.Fatalf("seed %d step %d: Count %d, oracle holds %d", seed, step, mt.Count(), len(want))
+			}
+		}
+	}
+}
+
+// TestReadersBesideTheWriter runs one writer inserting versions in
+// timestamp order, publishing each like the engine's appliedTs, and four
+// readers that keep fixing a snapshot timestamp and reading at it without a
+// lock until the writer is done: every Get, and every Iter filtered to the
+// snapshot, must equal the oracle at that timestamp, however far the writer
+// has moved on. Each new version sorts just before its key's older ones, so
+// a lookup that re-read a link after comparing it would return a version
+// newer than its snapshot.
+func TestReadersBesideTheWriter(t *testing.T) {
+	const n, keys = 12000, 40
+	recs := make([]record.Record, n)
+	var all oracle
+	for i := range recs {
+		key := []byte(fmt.Sprintf("k%02d", (i*7)%keys))
+		recs[i] = record.Record{Key: key, Ts: uint64(i + 1), Kind: record.KindSet, Value: []byte(fmt.Sprintf("v%d", i))}
+		all.put(recs[i])
+	}
+	mt := New(nil)
+	var applied atomic.Uint64
+	var writing atomic.Bool
+	writing.Store(true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writing.Store(false)
+		for _, rec := range recs {
+			mt.Put(rec)
+			applied.Store(rec.Ts)
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(r)))
+			for round := 0; writing.Load() || round < 2; round++ {
+				// Every version at or below ts is in the table, so the
+				// full oracle answers a Get at ts.
+				ts := applied.Load()
+				for i := 0; i < 50; i++ {
+					key := []byte(fmt.Sprintf("k%02d", rnd.Intn(keys+2)))
+					got, ok := mt.Get(key, ts)
+					exp, expOK := all.get(key, ts)
+					if ok != expOK || (ok && !sameRecord(got, exp)) {
+						t.Errorf("reader %d at ts %d: Get(%s) = %v %+v, want %v %+v", r, ts, key, ok, got, expOK, exp)
+						return
+					}
+				}
+				if round%64 != 0 {
+					continue
+				}
+				var want oracle
+				for _, rec := range all {
+					if rec.Ts <= ts {
+						want = append(want, rec)
+					}
+				}
+				i := 0
+				for it := mt.Iter(); it.Valid(); it.Next() {
+					rec := it.Record()
+					if rec.Ts > ts {
+						continue // committed after the snapshot
+					}
+					if i >= len(want) || !sameRecord(rec, want[i]) {
+						t.Errorf("reader %d at ts %d: Iter diverges from the oracle at %d", r, ts, i)
+						return
+					}
+					i++
+				}
+				if i != len(want) {
+					t.Errorf("reader %d at ts %d: Iter saw %d records, want %d", r, ts, i, len(want))
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
+// TestApproxBytesFormula pins the flush trigger record for record: it is
+// Σ(record size + 8·height) with the heights drawn from the table's seeded
+// sequence, a replaced (key, ts) adding only its size difference. The
+// engine's flush points — and with them every space and write
+// amplification figure — depend on this sequence.
+func TestApproxBytesFormula(t *testing.T) {
+	rnd := rand.New(rand.NewSource(0xe15a))
+	height := func() int {
+		h := 1
+		for h < 12 && rnd.Intn(4) == 0 {
+			h++
+		}
+		return h
+	}
+	mt := New(nil)
+	want := 0
+	vals := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		rec := record.Record{
+			Key:   []byte(fmt.Sprintf("key%05d", vals.Intn(4000))),
+			Ts:    uint64(vals.Intn(3) + 1),
+			Kind:  record.KindSet,
+			Value: make([]byte, vals.Intn(200)),
+		}
+		if old, ok := mt.Get(rec.Key, rec.Ts); ok && old.Ts == rec.Ts {
+			want += rec.Size() - old.Size()
+		} else {
+			want += rec.Size() + 8*height()
+		}
+		mt.Put(rec)
+		if got := mt.ApproxBytes(); got != want {
+			t.Fatalf("after record %d: ApproxBytes %d, the formula gives %d", i, got, want)
+		}
 	}
 }

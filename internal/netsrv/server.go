@@ -416,6 +416,54 @@ type conn struct {
 	respCh chan respFrame
 	depth  atomic.Int64
 	hwm    int64 // reader-goroutine-local high-water mark
+	admit  admissionCtx
+}
+
+// admissionCtx bounds one write admission by AdmissionWait, building the
+// timed context on the first Done rather than up front. lsm.CommitAsync
+// tries its backlog gate before it asks for Done, so a write admitted at
+// once costs no timer; a layer that asked first would only bring the timer
+// back, which TestWireAllocs catches. Its methods are safe for concurrent
+// use. Each connection's reader reuses its own, one admission at a time:
+// the context is valid from the CommitAsync call until end.
+type admissionCtx struct {
+	context.Context // the connection's
+	wait            time.Duration
+	mu              sync.Mutex
+	timed           context.Context // built by the admission's first Done
+	cancel          context.CancelFunc
+}
+
+// current is the timed context if Done built one, else the connection's.
+func (a *admissionCtx) current() context.Context {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.timed != nil {
+		return a.timed
+	}
+	return a.Context
+}
+
+func (a *admissionCtx) Done() <-chan struct{} {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.timed == nil {
+		a.timed, a.cancel = context.WithTimeout(a.Context, a.wait)
+	}
+	return a.timed.Done()
+}
+
+func (a *admissionCtx) Err() error                  { return a.current().Err() }
+func (a *admissionCtx) Deadline() (time.Time, bool) { return a.current().Deadline() }
+
+// end closes the admission, stopping its timer if one was built.
+func (a *admissionCtx) end() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.cancel != nil {
+		a.cancel()
+		a.timed, a.cancel = nil, nil
+	}
 }
 
 // respond queues one frame for the writer, returning false if the
@@ -455,6 +503,7 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 		ctx:    ctx,
 		cancel: cancel,
 		respCh: make(chan respFrame, s.cfg.ResponseBuffer),
+		admit:  admissionCtx{Context: ctx, wait: s.cfg.AdmissionWait},
 	}
 	reqCh := make(chan *reqBox, s.cfg.PipelineDepth)
 
@@ -718,11 +767,10 @@ func (s *Server) admitWrite(c *conn, req *netproto.Request) {
 			}
 		}
 	}
-	actx, acancel := context.WithTimeout(c.ctx, s.cfg.AdmissionWait)
-	fut, err := b.CommitAsync(actx)
-	// Read before acancel, which would make every failure look like one.
-	timedOut := actx.Err() != nil && c.ctx.Err() == nil
-	acancel()
+	fut, err := b.CommitAsync(&c.admit)
+	// Read before end, which would make every failure look like one.
+	timedOut := c.admit.Err() != nil && c.ctx.Err() == nil
+	c.admit.end()
 	var f respFrame
 	switch {
 	case err == nil:

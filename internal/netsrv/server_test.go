@@ -3,11 +3,13 @@ package netsrv
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -304,6 +306,41 @@ func TestCommitBacklogSheds(t *testing.T) {
 	// The connection survives shedding: a fresh write succeeds.
 	if _, err := c.Put([]byte("after"), []byte("shed")); err != nil {
 		t.Fatalf("write after shed: %v", err)
+	}
+}
+
+// TestAdmissionCtxConcurrentUse: an admission context builds one timer no
+// matter how many goroutines ask for Done at once, runs out after its wait,
+// and after end the next admission starts unexpired. Run under -race.
+func TestAdmissionCtxConcurrentUse(t *testing.T) {
+	a := &admissionCtx{Context: context.Background(), wait: time.Millisecond}
+	for round := 0; round < 3; round++ {
+		if err := a.Err(); err != nil {
+			t.Fatalf("round %d: a fresh admission reads %v", round, err)
+		}
+		done := make([]<-chan struct{}, 4)
+		var wg sync.WaitGroup
+		for i := range done {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				done[i] = a.Done()
+				a.Err()
+				a.Deadline()
+			}()
+		}
+		wg.Wait()
+		for _, d := range done[1:] {
+			if d != done[0] {
+				t.Fatalf("round %d: concurrent Done calls built more than one timer", round)
+			}
+		}
+		<-done[0]
+		if err := a.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: after the wait Err is %v, want DeadlineExceeded", round, err)
+		}
+		a.end()
 	}
 }
 

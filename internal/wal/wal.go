@@ -1,15 +1,16 @@
 // Package wal implements the write-ahead log of the LSM store. The log file
-// itself lives in the untrusted world (outside the enclave, §5.3 step w3);
-// the enclave keeps only a running digest chain over appended records
-// (step w1: dig' = H(dig ‖ record)), so replay after a crash can be
-// verified up to the sealed frontier — a host that drops, reorders, or
-// alters WAL entries the last sealed state covers produces a digest
-// mismatch. Past that frontier the chain proves nothing: it is unkeyed
-// SHA-256, and recovery only requires the sealed digest to be a prefix of
-// the replayed chain, so a group the host appends with valid CRCs replays
-// as trusted (ROADMAP.md, "The WAL past the last seal is forgeable"), and
-// dropping acknowledged groups back to the seal is the §5.6.1 rollback
-// window.
+// itself lives in the untrusted world (outside the enclave, §5.3 step w3).
+// The writer keeps no digest: the enclave's digest chains over appended
+// records (step w1: dig' = H(dig ‖ record)) are the authentication layer's,
+// extended as the engine hands it each record, and replay recomputes the
+// chain from the bytes it reads, so recovery can be verified up to the sealed
+// frontier — a host that drops, reorders, or alters WAL entries the last
+// sealed state covers produces a digest mismatch. Past that frontier the
+// chain proves nothing: it is unkeyed SHA-256, and recovery only requires the
+// sealed digest to be a prefix of the replayed chain, so a group the host
+// appends with valid CRCs replays as trusted (ROADMAP.md, "The WAL past the
+// last seal is forgeable"), and dropping acknowledged groups back to the seal
+// is the §5.6.1 rollback window.
 //
 // Record framing: [crc32 u32][len u32][kind u8][keyLen u32][key][ts u64][valLen u32][val]
 //
@@ -42,49 +43,54 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // unambiguous.
 const commitMarker = 0xF0
 
-// Writer appends records to a WAL file while maintaining the enclave-side
-// digest chain. Not safe for concurrent use (the LSM store serializes
+// Writer appends records to a WAL file, framing each group in place in one
+// reused buffer. Not safe for concurrent use (the LSM store serializes
 // writes).
 type Writer struct {
 	f   vfs.File
-	dig hashutil.Hash
 	buf []byte
 }
 
-// NewWriter starts a fresh log on f with a zero digest.
+// NewWriter appends to the log on f, fresh or recovered.
 func NewWriter(f vfs.File) *Writer {
 	return &Writer{f: f}
 }
 
-// ResumeWriter continues appending to an existing log whose replayed digest
-// chain ended at dig (crash recovery).
-func ResumeWriter(f vfs.File, dig hashutil.Hash) *Writer {
-	return &Writer{f: f, dig: dig}
+// frameHeader is the [crc32 u32][len u32] prefix of every frame.
+const frameHeader = 8
+
+// beginFrame reserves a frame header at the end of dst; endFrame fills it in
+// once the body follows it.
+func beginFrame(dst []byte) ([]byte, int) {
+	return append(dst, make([]byte, frameHeader)...), len(dst)
+}
+
+// endFrame writes the CRC and length of the frame that starts at start.
+func endFrame(dst []byte, start int) []byte {
+	body := dst[start+frameHeader:]
+	binary.BigEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(body))
+	binary.BigEndian.PutUint32(dst[start+4:], uint32(len(body)))
+	return dst
 }
 
 // encode appends the framed record to dst.
 func encode(dst []byte, rec record.Record) []byte {
-	body := make([]byte, 0, 1+4+len(rec.Key)+8+4+len(rec.Value))
-	body = append(body, byte(rec.Kind))
-	body = binary.BigEndian.AppendUint32(body, uint32(len(rec.Key)))
-	body = append(body, rec.Key...)
-	body = binary.BigEndian.AppendUint64(body, rec.Ts)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(rec.Value)))
-	body = append(body, rec.Value...)
-
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
+	dst, start := beginFrame(dst)
+	dst = append(dst, byte(rec.Kind))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.Key)))
+	dst = append(dst, rec.Key...)
+	dst = binary.BigEndian.AppendUint64(dst, rec.Ts)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.Value)))
+	dst = append(dst, rec.Value...)
+	return endFrame(dst, start)
 }
 
 // encodeMarker appends a COMMIT marker frame declaring an n-record group.
 func encodeMarker(dst []byte, n int) []byte {
-	body := make([]byte, 0, 5)
-	body = append(body, commitMarker)
-	body = binary.BigEndian.AppendUint32(body, uint32(n))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
+	dst, start := beginFrame(dst)
+	dst = append(dst, commitMarker)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	return endFrame(dst, start)
 }
 
 // Append writes one record as a single-record commit group.
@@ -93,11 +99,10 @@ func (w *Writer) Append(rec record.Record) error {
 }
 
 // AppendBatch writes a group of records plus its COMMIT marker as one
-// contiguous file append, advancing the digest chain per record. The whole
-// group reaches the untrusted file in a single write and replay only
-// accepts marker-terminated groups, so a crash (or a truncating host) can
-// only remove whole groups from the tail — and the digest chain exposes
-// anything subtler as tampering.
+// contiguous file append. The whole group reaches the untrusted file in a
+// single write and replay only accepts marker-terminated groups, so a crash
+// (or a truncating host) can only remove whole groups from the tail — and
+// the enclave's digest chain exposes anything subtler as tampering.
 func (w *Writer) AppendBatch(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -110,15 +115,8 @@ func (w *Writer) AppendBatch(recs []record.Record) error {
 	if _, err := w.f.Append(w.buf); err != nil {
 		return fmt.Errorf("wal: append batch: %w", err)
 	}
-	for i := range recs {
-		w.dig = hashutil.WALLink(w.dig, byte(recs[i].Kind), recs[i].Key, recs[i].Ts, recs[i].Value)
-	}
 	return nil
 }
-
-// Digest returns the current chain digest. The enclave stores this value;
-// the log file itself is untrusted.
-func (w *Writer) Digest() hashutil.Hash { return w.dig }
 
 // Sync flushes the log to stable storage.
 func (w *Writer) Sync() error { return w.f.Sync() }

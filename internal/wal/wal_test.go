@@ -27,6 +27,16 @@ func testRecords(n int) []record.Record {
 	return out
 }
 
+// chain is the digest chain over recs from zero, computed independently of
+// the log: what the enclave extends per appended record.
+func chain(recs []record.Record) hashutil.Hash {
+	dig := hashutil.Zero
+	for _, rec := range recs {
+		dig = hashutil.WALLink(dig, byte(rec.Kind), rec.Key, rec.Ts, rec.Value)
+	}
+	return dig
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
@@ -37,7 +47,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantDig := w.Digest()
+	wantDig := chain(recs)
 
 	var got []record.Record
 	info, err := Replay(f, func(rec record.Record) error {
@@ -48,7 +58,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Digest != wantDig {
-		t.Fatalf("replay digest %s != writer digest %s", info.Digest, wantDig)
+		t.Fatalf("replay digest %s != chain over the appended records %s", info.Digest, wantDig)
 	}
 	if len(got) != len(recs) || info.Records != len(recs) {
 		t.Fatalf("replayed %d (info %d) of %d", len(got), info.Records, len(recs))
@@ -104,7 +114,11 @@ func TestTamperedValueChangesDigest(t *testing.T) {
 		f, _ := fs.Create("wal")
 		w := NewWriter(f)
 		w.Append(record.Record{Key: []byte("k"), Ts: 1, Kind: record.KindSet, Value: []byte(val)})
-		return w.Digest()
+		info, err := Replay(f, func(record.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Digest
 	}
 	if write("honest") == write("forged") {
 		t.Fatal("digest chain blind to value change")
@@ -119,17 +133,16 @@ func TestResumeWriterContinuesChain(t *testing.T) {
 	for _, rec := range recs[:10] {
 		w.Append(rec)
 	}
-	mid := w.Digest()
 
-	// Simulate restart: replay then resume.
+	// Simulate restart: replay, then a new writer appends to the same log.
 	info, err := Replay(f, func(record.Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Digest != mid {
-		t.Fatal("replay digest != writer digest at restart point")
+	if info.Digest != chain(recs[:10]) {
+		t.Fatal("replay digest != chain at the restart point")
 	}
-	w2 := ResumeWriter(f, info.Digest)
+	w2 := NewWriter(f)
 	for _, rec := range recs[10:] {
 		w2.Append(rec)
 	}
@@ -137,8 +150,15 @@ func TestResumeWriterContinuesChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Digest != w2.Digest() {
-		t.Fatal("resumed chain diverged from full replay")
+	if final.Digest != chain(recs) || final.Records != len(recs) {
+		t.Fatal("resumed log does not replay to the full chain")
+	}
+	suffix, err := ReplayFromOffset(f, info.CommittedSize, info.Digest, func(record.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if suffix.Digest != final.Digest {
+		t.Fatal("the resumed suffix, chained onto the replayed prefix, diverged from full replay")
 	}
 }
 
@@ -160,8 +180,8 @@ func TestGroupAppendReplaysAsOneGroup(t *testing.T) {
 	if info.Records != 9 || info.TornRecords != 0 {
 		t.Fatalf("replay = %+v, want 9 committed records", info)
 	}
-	if info.Digest != w.Digest() {
-		t.Fatal("grouped replay digest != writer digest")
+	if info.Digest != chain(recs) {
+		t.Fatal("grouped replay digest != chain over the records")
 	}
 }
 
@@ -263,7 +283,7 @@ func TestReplayFromOffsetMidLog(t *testing.T) {
 		}
 		if g == 3 {
 			midOff = f.Size()
-			midDig = w.Digest()
+			midDig = chain(recs[:40])
 			midCount = 40
 		}
 	}
@@ -285,8 +305,8 @@ func TestReplayFromOffsetMidLog(t *testing.T) {
 			t.Fatalf("suffix record %d: got %s@%d want %s@%d", i, rec.Key, rec.Ts, want.Key, want.Ts)
 		}
 	}
-	if info.Digest != w.Digest() {
-		t.Fatalf("suffix digest %s != writer digest %s", info.Digest, w.Digest())
+	if info.Digest != chain(recs) {
+		t.Fatalf("suffix digest %s != chain over the whole log %s", info.Digest, chain(recs))
 	}
 	if info.CommittedSize != f.Size() {
 		t.Fatalf("committed size %d != file size %d", info.CommittedSize, f.Size())
@@ -299,7 +319,7 @@ func TestReplayFromOffsetMidLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrong.Digest == w.Digest() {
+	if wrong.Digest == chain(recs) {
 		t.Fatal("suffix digest ignores the prefix it chains from")
 	}
 
