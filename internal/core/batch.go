@@ -20,7 +20,7 @@ func NewResolvedFuture(ts uint64, err error) *CommitFuture {
 // engine's cross-client group commit: the batch extends the WAL
 // digest chain per record but shares a single marker-terminated group
 // append+fsync — and at most one monotonic-counter bump, paid in
-// OnGroupCommit after the group is durable — with every concurrent commit
+// OnGroupSynced after the group is durable — with every concurrent commit
 // that joined the same group. It returns the batch's commit timestamp —
 // the trusted timestamp of its last record. A context cancelled while the
 // batch still waits in the queue withdraws it (nothing is written); once

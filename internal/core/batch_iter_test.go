@@ -53,7 +53,7 @@ func TestBatchEquivalentToSingles(t *testing.T) {
 	if want := single.Engine().LastTs(); ts != want {
 		t.Fatalf("batch commit ts = %d, want %d", ts, want)
 	}
-	if single.walDigest != batched.walDigest {
+	if single.chain.tip != batched.chain.tip {
 		t.Fatal("batched WAL digest chain diverges from the single-put chain")
 	}
 	sr, err := Scan(single, []byte("key"), []byte("kez"))

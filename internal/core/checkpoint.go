@@ -165,7 +165,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		c.mu.Lock()
 		// The pipeline is drained: the durable frontier IS the tip.
 		digs = c.snap.Load().digests
-		walDigest = c.durableDigest
+		walDigest = c.chain.durable.digest
 		epoch = c.epoch.Load()
 		c.mu.Unlock()
 		return nil
@@ -184,11 +184,14 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 	var tail uint64
 	wantTs := uint64(0) // first record fixes the base
 	for i := range src.WALData {
-		info, rerr := wal.ReplayBytes(src.WALData[i], chain, func(rec record.Record) error {
-			if wantTs != 0 && rec.Ts != wantTs {
-				return fmt.Errorf("%w: wal tail not contiguous at ts %d", ErrCheckpointCorrupt, rec.Ts)
+		info, rerr := wal.Replay(src.WALData[i], func(group []record.Record) error {
+			for _, rec := range group {
+				if wantTs != 0 && rec.Ts != wantTs {
+					return fmt.Errorf("%w: wal tail not contiguous at ts %d", ErrCheckpointCorrupt, rec.Ts)
+				}
+				wantTs = rec.Ts + 1
 			}
-			wantTs = rec.Ts + 1
+			chain = LinkWAL(chain, group)
 			return nil
 		})
 		if rerr != nil {
@@ -197,7 +200,6 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		if info.CommittedSize != int64(len(src.WALData[i])) {
 			return fmt.Errorf("%w: wal %s torn in quiesced capture", ErrCheckpointCorrupt, src.WALNames[i])
 		}
-		chain = info.Digest
 		tail += uint64(info.Records)
 	}
 	if chain != walDigest {
@@ -228,7 +230,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		for _, tbl := range run.Tables {
 			// Hash the pinned (immutable) file now; the write loop below
 			// re-reads it, so large stores never hold every table in memory.
-			data, rerr := c.engine.ReadFileBytes(tbl.Name)
+			data, rerr := c.readFile(tbl.Name)
 			if rerr != nil {
 				return fmt.Errorf("checkpoint export: table %s: %w", tbl.Name, rerr)
 			}
@@ -263,7 +265,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		return err
 	}
 	for _, tbl := range hdr.Tables {
-		data, rerr := c.engine.ReadFileBytes(tbl.Name)
+		data, rerr := c.readFile(tbl.Name)
 		if rerr != nil {
 			return fmt.Errorf("checkpoint export: table %s: %w", tbl.Name, rerr)
 		}
@@ -461,13 +463,16 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 		if err := checkSectionSHA(wf.Name, data, wf.SHA256); err != nil {
 			return err
 		}
-		info, rerr := wal.ReplayBytes(data, chain, func(rec record.Record) error {
-			if rec.Ts != wantTs {
-				return fmt.Errorf("%w: wal tail not contiguous at ts %d (want %d)",
-					ErrCheckpointCorrupt, rec.Ts, wantTs)
+		info, rerr := wal.Replay(data, func(group []record.Record) error {
+			for _, rec := range group {
+				if rec.Ts != wantTs {
+					return fmt.Errorf("%w: wal tail not contiguous at ts %d (want %d)",
+						ErrCheckpointCorrupt, rec.Ts, wantTs)
+				}
+				wantTs++
 			}
-			wantTs++
-			tailRecs = append(tailRecs, rec)
+			chain = LinkWAL(chain, group)
+			tailRecs = append(tailRecs, group...)
 			return nil
 		})
 		if rerr != nil {
@@ -476,7 +481,6 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 		if info.CommittedSize != int64(len(data)) || info.TornRecords > 0 {
 			return fmt.Errorf("%w: wal section %s torn", ErrCheckpointCorrupt, wf.Name)
 		}
-		chain = info.Digest
 	}
 	if chain != hdr.WALDigest {
 		return fmt.Errorf("%w: wal chain mismatch", ErrCheckpointCorrupt)
@@ -558,32 +562,16 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	// bound to ITS counter — written last, after every verification. The
 	// leader's attested epoch is adopted verbatim: it is the fencing token
 	// every subsequently tailed frame must match.
-	fp := stateFingerprint(hdr.Digests, hdr.WALDigest, hdr.Epoch)
-	ctr, _ := cfg.Counter.Read()
 	st := trustedState{
 		Digests:    hdr.Digests,
 		WALDigest:  hdr.WALDigest,
 		WALAppends: hdr.WALAppends,
 		LastTs:     hdr.LastTs,
-		Counter:    ctr + 1,
 		Epoch:      hdr.Epoch,
 	}
-	blob, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("checkpoint import: state marshal: %w", err)
+	if err := writeTrustedState(cfg.FS, enclave, cfg.Platform.SealingKey(measurement), cfg.Counter, st); err != nil {
+		return fmt.Errorf("checkpoint import: %w", err)
 	}
-	sealed, err := sgx.Seal(cfg.Platform.SealingKey(measurement), blob)
-	if err != nil {
-		return fmt.Errorf("checkpoint import: seal: %w", err)
-	}
-	// Blob first, bump second: a crash between the two leaves the blob one
-	// ahead of the counter (accepted) instead of the counter ahead of the
-	// blob (a false rollback). Atomic rename so a torn write cannot leave
-	// a half-blob that reads as tampering.
-	if err := writeSealedState(cfg.FS, sealed); err != nil {
-		return fmt.Errorf("checkpoint import: seal write: %w", err)
-	}
-	cfg.Counter.Increment(fp)
 	return nil
 }
 
@@ -632,19 +620,10 @@ func checkSectionSHA(name string, data, wantSHA []byte) error {
 	return nil
 }
 
-// writeFile creates name with data, synced.
+// writeFile installs one imported file (vfs.WriteFile).
 func writeFile(fs vfs.FS, name string, data []byte) error {
-	f, err := fs.Create(name)
-	if err != nil {
-		return fmt.Errorf("checkpoint import: create %s: %w", name, err)
-	}
-	if _, err := f.Append(data); err != nil {
-		f.Close()
+	if err := vfs.WriteFile(fs, name, data); err != nil {
 		return fmt.Errorf("checkpoint import: write %s: %w", name, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint import: sync %s: %w", name, err)
-	}
-	return f.Close()
+	return nil
 }

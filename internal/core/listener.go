@@ -3,17 +3,16 @@ package core
 import (
 	"fmt"
 
-	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
 )
 
 // authListener implements the engine's EventListener callbacks. The commit
-// path's hooks maintain the WAL digest chains; BeginJob hands the engine a
-// compactionJob per flush, compaction or bulk load. State shared between the
-// two (the chains, bump bookkeeping, the staged transition seal) lives in
-// the Store under c.mu.
+// path's hooks maintain the WAL digest chain (walChain); BeginJob hands the
+// engine a compactionJob per flush, compaction or bulk load. State shared
+// between the two (the chain, the staged transition seal) lives in the
+// Store under c.mu.
 type authListener struct {
 	c *Store
 }
@@ -46,91 +45,45 @@ var (
 	_ lsm.Job           = (*compactionJob)(nil)
 )
 
-// OnWALAppend extends the enclave's WAL digest chain (§5.3 step w1). The
-// periodic counter bump moved to OnGroupCommit: it now fires once per
-// durably-synced commit group, never in the middle of one — which both
-// amortizes the bump across every commit that joined the group and
-// guarantees the sealed state always describes a group-aligned, durable
-// WAL prefix.
-func (l *authListener) OnWALAppend(rec record.Record) {
+// OnGroupAppended extends the enclave's WAL digest chain over one appended
+// group (§5.3 step w1) and holds the group's chain value until its fsync
+// reports. Until then the chain tip runs AHEAD of stable storage, and only
+// the durable frontier is ever sealed — a counter bump binding records an
+// fsync has not confirmed would, after a crash, demand a WAL prefix that no
+// longer exists and brick the store as a false rollback. At recovery the
+// engine calls it for every replayed group, which is how the sealed
+// digests are found on the chain without a second read of the log.
+func (l *authListener) OnGroupAppended(recs []record.Record) {
 	c := l.c
 	c.mu.Lock()
-	c.walDigest = hashutil.WALLink(c.walDigest, byte(rec.Kind), rec.Key, rec.Ts, rec.Value)
-	c.freshDigest = hashutil.WALLink(c.freshDigest, byte(rec.Kind), rec.Key, rec.Ts, rec.Value)
-	c.walAppends++
+	c.chain.appended(recs)
 	c.mu.Unlock()
 }
 
-// OnGroupAppended records the WAL chain values at a group boundary. Until
-// the group's fsync the chain tip (walDigest) runs AHEAD of stable storage;
-// the mark kept here is promoted to the durable frontier by the group's
-// matching OnGroupCommit, and only the durable frontier is ever sealed —
-// a counter bump binding records an fsync has not confirmed would, after a
-// crash, demand a WAL prefix that no longer exists and brick the store as a
-// false rollback. Each mark carries the chain in BOTH bases — the full
-// chain spanning frozen+active logs, and the fresh chain over the active
-// log alone — because a flush install between append and durability
-// promotion deletes the frozen logs and rebases the trusted chain onto the
-// fresh one (compactionJob.Installed rewrites the pending mark accordingly).
-func (l *authListener) OnGroupAppended() {
+// OnGroupSynced settles the group's chain value — the durable frontier on
+// success, dropped on a failed fsync — and then pins the dataset state to
+// the monotonic counter (§5.6.1) once the configured interval of appends
+// has durably committed: at most one bump per group, paid after the group
+// is durable.
+func (l *authListener) OnGroupSynced(durable bool) {
 	c := l.c
 	c.mu.Lock()
-	c.pendingMark = walMark{
-		digest:  c.walDigest,
-		fresh:   c.freshDigest,
-		appends: c.walAppends,
-		pending: true,
-	}
-	c.mu.Unlock()
-}
-
-// OnGroupCommit promotes the group's appended chain mark to the durable
-// frontier, then pins the dataset state to the monotonic counter (§5.6.1)
-// once the configured interval of appends has durably committed — at most
-// one bump per group, paid after the group is durable.
-func (l *authListener) OnGroupCommit(n int) {
-	c := l.c
-	c.mu.Lock()
-	if mark := c.pendingMark; mark.pending {
-		c.pendingMark = walMark{}
-		c.durableDigest = mark.digest
-		c.durableFresh = mark.fresh
-		c.durableAppends = mark.appends
-	}
-	bump := c.counterInterval > 0 && c.durableAppends-c.appendsAtBump >= uint64(c.counterInterval)
-	if bump {
-		c.appendsAtBump = c.durableAppends
-	}
+	c.chain.synced(durable)
+	bump := durable && c.chain.bumpDue(c.counterInterval)
 	c.mu.Unlock()
 	if bump {
 		c.commitState()
 	}
 }
 
-// OnGroupAbandoned discards the mark of a group whose fsync failed: the
-// durable frontier stays where it was — conservatively valid, since a chain
-// prefix once durable stays durable — and the stale mark must never be
-// promoted (a pre-rotation mark could seal a digest from a deleted log's
-// chain, bricking recovery as a false rollback).
-func (l *authListener) OnGroupAbandoned() {
-	c := l.c
-	c.mu.Lock()
-	c.pendingMark = walMark{}
-	c.mu.Unlock()
-}
-
 // OnMemtableFrozen marks a flush generation boundary: the active WAL was
-// rotated to a frozen log, records appended from now on land in a fresh
-// active log, so the chain over that log alone restarts from zero. The
-// full chain (walDigest) keeps spanning frozen + active logs until the
-// flush installs. The engine freezes only between groups, so no group mark
-// is pending here and the durable fresh frontier restarts at zero with the
-// chain itself.
+// rotated to a frozen log, so the chain over the active log alone restarts
+// from zero. The full chain keeps spanning frozen + active logs until the
+// flush installs.
 func (l *authListener) OnMemtableFrozen() {
 	c := l.c
 	c.mu.Lock()
-	c.freshDigest = hashutil.Zero
-	c.durableFresh = hashutil.Zero
+	c.chain.frozen()
 	c.mu.Unlock()
 }
 
@@ -216,17 +169,18 @@ func (j *compactionJob) Verify() error {
 	}
 	next[info.OutputRun] = out.digest
 	c.mu.Lock()
-	wd, wa := c.durableDigest, c.durableAppends
+	durable := c.chain.durable
+	wd := durable.digest
 	if info.MemtableInput {
 		// A flush install deletes the frozen logs and rebases the chain
 		// onto the active log alone: the post-install basis is the fresh
 		// chain's durable frontier.
-		wd = c.durableFresh
+		wd = durable.fresh
 	}
 	c.pendingSeal = &pendingState{
 		Digests:    next,
 		WALDigest:  wd,
-		WALAppends: wa,
+		WALAppends: durable.appends,
 		LastTs:     c.engine.AppliedTs(),
 	}
 	c.sealStagedBy = j
@@ -248,15 +202,8 @@ func (j *compactionJob) Installed() {
 	c.mu.Lock()
 	if j.info.MemtableInput {
 		// The frozen logs are gone: the trusted chain rebases onto the
-		// active log's chain. The tip, the durable frontier and the group
-		// mark still awaiting durability promotion (a group appended to
-		// the active log after the freeze, fsync still in flight) all
-		// switch to their fresh-basis values.
-		c.walDigest = c.freshDigest
-		c.durableDigest = c.durableFresh
-		if c.pendingMark.pending {
-			c.pendingMark.digest = c.pendingMark.fresh
-		}
+		// active log's chain.
+		c.chain.rebase()
 	}
 	// The forest Verify staged IS the post-install forest: installs are
 	// serialized from Verify on, so nothing changed the digests in between,

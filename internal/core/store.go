@@ -224,43 +224,20 @@ type Store struct {
 	// an immutable map swapped atomically by copy-on-write whenever a
 	// flush/compaction installs a new version (the ONLY digest mutations).
 	// Get/Iter load it without taking any lock, so verified reads never
-	// contend with the committer, whose per-record OnWALAppend work holds
-	// mu.
+	// contend with the committer, whose chain work holds mu.
 	snap atomic.Pointer[trustedView]
 
-	// mu guards the write-side trusted state (WAL digest chains, bump
-	// bookkeeping) and serializes snapshot swaps. Readers never take it.
-	mu sync.Mutex
-	// walDigest chains every record in the live WAL files (frozen logs
-	// awaiting a flush install, then the active log); freshDigest chains
-	// only the records since the last memtable freeze (the active log).
-	// At flush install the frozen logs are deleted and walDigest becomes
-	// freshDigest.
-	walDigest   hashutil.Hash
-	freshDigest hashutil.Hash
-	walAppends  uint64
-	// Between a group's append and its fsync the chain tips above run
-	// ahead of stable storage. pendingMark is that group's mark (its
-	// pending flag is clear when no group is in flight: each append gets
-	// its OnGroupCommit or OnGroupAbandoned before the next); OnGroupCommit
-	// promotes it into the durable frontier below, which is the ONLY state
-	// commitState may seal — binding the counter to unsynced records would
-	// turn a crash into a false rollback.
-	pendingMark    walMark
-	durableDigest  hashutil.Hash
-	durableFresh   hashutil.Hash
-	durableAppends uint64
+	// mu guards the write-side trusted state (the WAL digest chain and its
+	// bump bookkeeping) and serializes snapshot swaps. Readers never take
+	// it.
+	mu    sync.Mutex
+	chain walChain
 
 	// sealMu serializes commitState end to end (fingerprint, counter bump,
 	// seal write): the maintenance worker and a commit leader may both
 	// reach it concurrently, and an older sealed blob must never overwrite
 	// a newer one after the counter moved on.
 	sealMu sync.Mutex
-
-	// appendsAtBump records walAppends at the last periodic counter bump;
-	// OnGroupCommit bumps again once counterInterval more records have
-	// committed, so a whole group shares at most one bump.
-	appendsAtBump uint64
 
 	// pendingSeal, when non-nil, is a staged version install awaiting its
 	// manifest rename: every seal written while it is set carries it as
@@ -397,16 +374,23 @@ func Open(cfg Config) (*Store, error) {
 		// P2 places the read buffer OUTSIDE the enclave (§4.2).
 		opts.Cache = blockcache.New(cfg.CacheSize, nil)
 	}
+	// The sealed state is read before the engine opens: the engine's one
+	// replay of the log hands every group to the listener, and the chain
+	// must know which sealed digests to look for as it goes.
+	st, err := c.loadTrustedState()
+	if err != nil {
+		return nil, err
+	}
 	engine, err := lsm.Open(opts)
 	if err != nil {
 		return nil, err
 	}
 	c.engine = engine
-	if err := c.recoverTrustedState(cfg.RequireCleanRecovery); err != nil {
+	if err := c.recoverTrustedState(st, cfg.RequireCleanRecovery); err != nil {
 		engine.Close()
 		return nil, err
 	}
-	if !c.fs.Exists(trustedStateName) {
+	if st == nil {
 		// A fresh store seals its empty state before accepting writes:
 		// recovery refuses data files without sealed state, so deferring
 		// the first seal to the interval/flush/close path would leave a
@@ -421,17 +405,6 @@ func Open(cfg Config) (*Store, error) {
 // (compactionJob.Installed, recovery) publish a fresh copy under c.mu.
 type trustedView struct {
 	digests map[uint64]runDigest
-}
-
-// walMark is one commit group's WAL chain state at append time, in both
-// bases: digest spans the live logs (frozen + active), fresh spans the
-// active log alone (the basis the chain rebases onto at a flush install).
-// It is kept by value; pending marks a group between append and fsync.
-type walMark struct {
-	digest  hashutil.Hash
-	fresh   hashutil.Hash
-	appends uint64
-	pending bool
 }
 
 // snapshotDigests returns the current immutable digest view — a single
@@ -499,132 +472,127 @@ type pendingState struct {
 	LastTs     uint64               `json:"lastTs"`
 }
 
-// commitState persists the sealed state blob claiming the NEXT counter
-// value, then bumps the monotonic counter over the state fingerprint
-// (§5.6.1). The order is load-bearing for crash consistency: the blob
-// lands first, so a crash (or write failure) anywhere in the window leaves
-// either the old blob with the still-unbumped counter or the new blob one
-// ahead of it — both of which counter.Verify accepts ("claimed value must
-// not lag the trusted counter") — and never a bumped counter pointing at a
-// stale blob, which recovery would refuse as a false rollback. sealMu
-// covers the whole write+bump: a concurrent seal (commit leader vs
+// commitState seals the current trusted state and binds it to the
+// monotonic counter (§5.6.1; see writeTrustedState for the crash order).
+// sealMu covers the whole write+bump: a concurrent seal (commit worker vs
 // maintenance worker) must not let an older blob land after a newer
 // counter value.
 func (c *Store) commitState() {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 	c.mu.Lock()
-	digs := c.snap.Load().digests // consistent with the WAL frontier: swaps hold mu
 	// Seal the DURABLE WAL frontier, never the append tip: the tip may
-	// include records of a group whose fsync is still in flight, and a counter bound to them would refuse recovery from a
-	// crash that (legitimately) tore them away.
-	epoch := c.epoch.Load()
-	fp := stateFingerprint(digs, c.durableDigest, epoch)
-	ctr, _ := c.counter.Read()
+	// include records of a group whose fsync is still in flight, and a
+	// counter bound to them would refuse recovery from a crash that
+	// (legitimately) tore them away.
 	st := trustedState{
-		Digests:    digs, // immutable; marshalled below without mutation
-		WALDigest:  c.durableDigest,
-		WALAppends: c.durableAppends,
+		Digests:    c.snap.Load().digests, // consistent with the chain: swaps hold mu
+		WALDigest:  c.chain.durable.digest,
+		WALAppends: c.chain.durable.appends,
 		LastTs:     c.engine.AppliedTs(),
-		Counter:    ctr + 1,
-		Epoch:      epoch,
+		Epoch:      c.epoch.Load(),
 		Pending:    c.pendingSeal, // staged install (if any) rides in every seal
 	}
 	c.mu.Unlock()
+	_ = writeTrustedState(c.fs, c.enclave, c.sealKey, c.counter, st)
+}
 
+// writeTrustedState is the one way the trusted state is sealed to a file:
+// st claims the counter's NEXT value, is sealed under key and installed as
+// TRUSTED.bin by vfs.WriteFile (tmp write, fsync, atomic rename), and only
+// then is the counter bumped over the state's fingerprint. The order is
+// load-bearing for crash consistency: a crash (or write failure) anywhere
+// in the window leaves either the old blob with the still-unbumped counter
+// or the new blob one ahead of it — both of which counter.Verify accepts
+// ("claimed value must not lag the trusted counter") — and never a bumped
+// counter pointing at a stale blob, which recovery would refuse as a false
+// rollback. A torn write leaves the old blob or the new one, never half of
+// one that would read as tampering.
+func writeTrustedState(fs vfs.FS, e *sgx.Enclave, key [32]byte, ctr *sgx.MonotonicCounter, st trustedState) error {
+	cur, _ := ctr.Read()
+	st.Counter = cur + 1
 	blob, err := json.Marshal(st)
 	if err != nil {
-		panic(fmt.Sprintf("core: trusted state marshal: %v", err))
+		return fmt.Errorf("core: trusted state marshal: %w", err)
 	}
-	sealed, err := sgx.Seal(c.sealKey, blob)
+	sealed, err := sgx.Seal(key, blob)
 	if err != nil {
-		panic(fmt.Sprintf("core: trusted state seal: %v", err))
+		return fmt.Errorf("core: trusted state seal: %w", err)
 	}
-	written := false
-	c.enclave.OCall(func() {
-		written = writeSealedState(c.fs, sealed) == nil
-	})
-	if written {
-		c.counter.Increment(fp)
+	e.OCall(func() { err = vfs.WriteFile(fs, trustedStateName, sealed) })
+	if err != nil {
+		return fmt.Errorf("core: trusted state write: %w", err)
 	}
+	ctr.Increment(stateFingerprint(st.Digests, st.WALDigest, st.Epoch))
+	return nil
 }
 
-// writeSealedState installs a new TRUSTED.bin via tmp-write + atomic
-// rename. The live blob is never truncated in place: a crash mid-seal
-// (even one that tears the write) leaves either the old complete blob or
-// the new one on disk, never a half-written blob that recovery would
-// refuse as tampering.
-func writeSealedState(fs vfs.FS, sealed []byte) error {
-	const tmp = trustedStateName + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Append(sealed); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, trustedStateName)
-}
-
-// recoverTrustedState validates a recovered store against the sealed state
-// and the monotonic counter, detecting tampering and rollback.
-func (c *Store) recoverTrustedState(requireClean bool) error {
-	replayDigest, replayCount := c.engine.WALReplayDigest()
+// loadTrustedState reads TRUSTED.bin whole, if there is one, unseals it
+// and checks it against the monotonic counter — the sealed counter value
+// must not lag the trusted hardware counter, and the bound fingerprint must
+// match — before the engine opens. A blob that does not unseal or decode is
+// ErrAuthFailed: the host altered it. It then arms the chain to look, during
+// the engine's replay, for the sealed WAL digests: the Current one and, if a
+// version install was staged when the seal was written, the Pending one.
+// Nil means a store that was never sealed.
+func (c *Store) loadTrustedState() (*trustedState, error) {
 	if !c.fs.Exists(trustedStateName) {
-		if len(c.engine.Runs()) > 0 || replayCount > 0 {
-			return fmt.Errorf("%w: data files exist without sealed state", ErrStateMissing)
-		}
-		return nil // fresh store
+		return nil, nil
 	}
-	var sealed []byte
-	var rerr error
-	c.enclave.OCall(func() {
-		f, err := c.fs.Open(trustedStateName)
-		if err != nil {
-			rerr = err
-			return
-		}
-		defer f.Close()
-		sealed = make([]byte, f.Size())
-		if _, err := f.ReadAt(sealed, 0); err != nil && len(sealed) > 0 {
-			rerr = err
-		}
-	})
-	if rerr != nil {
-		return fmt.Errorf("core: trusted state read: %w", rerr)
+	sealed, err := c.readFile(trustedStateName)
+	if err != nil {
+		return nil, fmt.Errorf("core: trusted state read: %w", err)
 	}
 	blob, err := sgx.Unseal(c.sealKey, sealed)
 	if err != nil {
-		return fmt.Errorf("%w: unseal: %v", ErrAuthFailed, err)
+		return nil, fmt.Errorf("%w: unseal: %v", ErrAuthFailed, err)
 	}
 	var st trustedState
 	if err := json.Unmarshal(blob, &st); err != nil {
-		return fmt.Errorf("%w: trusted state decode: %v", ErrAuthFailed, err)
+		return nil, fmt.Errorf("%w: trusted state decode: %v", ErrAuthFailed, err)
 	}
-	// Rollback check: the sealed counter value must not lag the trusted
-	// hardware counter, and the bound fingerprint must match.
-	fp := stateFingerprint(st.Digests, st.WALDigest, st.Epoch)
-	if err := c.counter.Verify(st.Counter, fp); err != nil {
-		return fmt.Errorf("%w: %v", ErrRollback, err)
+	if err := c.counter.Verify(st.Counter, stateFingerprint(st.Digests, st.WALDigest, st.Epoch)); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrRollback, err)
 	}
-	// The engine's recovered runs must match a trusted digest set, and the
-	// matching trusted WAL digest must be a prefix of the recovered chain.
+	c.mu.Lock()
+	if st.Pending != nil {
+		c.chain.seekSealed(st.WALDigest, st.Pending.WALDigest)
+	} else {
+		c.chain.seekSealed(st.WALDigest)
+	}
+	c.mu.Unlock()
+	return &st, nil
+}
+
+// readFile reads one untrusted file whole, across the enclave boundary.
+func (c *Store) readFile(name string) (data []byte, err error) {
+	c.enclave.OCall(func() { data, err = vfs.ReadFile(c.fs, name) })
+	return data, err
+}
+
+// recoverTrustedState validates the recovered engine against the sealed
+// state st (nil: none), detecting tampering and rollback: the engine's
+// runs must match a sealed digest set, and the matching sealed WAL digest
+// must be a prefix of the chain the engine's replay fed the listener.
+func (c *Store) recoverTrustedState(st *trustedState, requireClean bool) error {
+	engineRuns := c.engine.Runs() // the engine's lock comes before c.mu
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	replayed := c.chain.appends
+	if st == nil {
+		if len(engineRuns) > 0 || replayed > 0 {
+			return fmt.Errorf("%w: data files exist without sealed state", ErrStateMissing)
+		}
+		c.chain.recovered(0)
+		return nil // fresh store
+	}
 	// The seal carries up to two acceptable states: the Current triple,
 	// and — if a version install was staged when the seal was written —
 	// the Pending post-install state. A crash inside the install window
 	// (manifest renamed, post-install seal not yet durable) recovers to a
 	// directory matching Pending; anything matching neither is rollback or
 	// tampering.
-	engineRuns := c.engine.Runs()
-	try := func(digests map[uint64]runDigest, walDigest hashutil.Hash) (int, error) {
+	try := func(digests map[uint64]runDigest, seek chainSeek) (uint64, error) {
 		if len(engineRuns) != len(digests) {
 			return 0, fmt.Errorf("%w: %d runs recovered, %d digested", ErrRollback, len(engineRuns), len(digests))
 		}
@@ -633,18 +601,16 @@ func (c *Store) recoverTrustedState(requireClean bool) error {
 				return 0, fmt.Errorf("%w: run %d not in sealed state", ErrRollback, r.ID)
 			}
 		}
-		extra, err := c.engine.VerifyWALPrefix(walDigest)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrRollback, err)
+		if !seek.found {
+			return 0, fmt.Errorf("%w: trusted WAL digest not found on the replayed chain (log tampered)", ErrRollback)
 		}
-		return extra, nil
+		return replayed - seek.at, nil
 	}
-	extra, err := try(st.Digests, st.WALDigest)
+	extra, err := try(st.Digests, c.chain.seek[0])
 	if err != nil && st.Pending != nil {
-		if pExtra, pErr := try(st.Pending.Digests, st.Pending.WALDigest); pErr == nil {
+		if pExtra, pErr := try(st.Pending.Digests, c.chain.seek[1]); pErr == nil {
 			// The staged install landed before the crash: adopt it.
 			st.Digests = st.Pending.Digests
-			st.WALDigest = st.Pending.WALDigest
 			st.WALAppends = st.Pending.WALAppends
 			if st.Pending.LastTs > st.LastTs {
 				st.LastTs = st.Pending.LastTs
@@ -663,22 +629,13 @@ func (c *Store) recoverTrustedState(requireClean bool) error {
 			return fmt.Errorf("%w: %d WAL records dropped from an uncommitted group", ErrRollback, torn)
 		}
 	}
-	c.mu.Lock()
 	c.snap.Store(&trustedView{digests: st.Digests})
-	c.walDigest = replayDigest
-	// All live logs (any recovered frozen ones included) feed the next
-	// freeze together, so the "since last freeze" chain starts as the full
-	// replayed chain.
-	c.freshDigest = replayDigest
-	c.walAppends = st.WALAppends + uint64(extra)
 	// Everything replayed is on disk: the durable frontier starts at the
-	// recovered tip (no groups are in flight).
-	c.durableDigest = replayDigest
-	c.durableFresh = replayDigest
-	c.durableAppends = c.walAppends
-	c.appendsAtBump = c.walAppends
-	c.unverifiedReplay = extra
-	c.mu.Unlock()
+	// recovered tip (no groups are in flight). All live logs (any recovered
+	// frozen ones included) feed the next freeze together, so the fresh
+	// chain starts as the full replayed chain.
+	c.chain.recovered(st.WALAppends + extra)
+	c.unverifiedReplay = int(extra)
 	c.epoch.Store(st.Epoch)
 	c.engine.EnsureTs(st.LastTs)
 	return nil

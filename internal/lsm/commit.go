@@ -19,11 +19,13 @@ import (
 //
 //   - appends it: a short engine-lock critical section checks the store is
 //     writable and reserves the group's contiguous timestamp range; then,
-//     under commitMu alone, the worker extends the enclave's WAL digest chains
-//     per record and appends the whole group (plus its COMMIT marker) to the
-//     untrusted log, and acknowledges async futures (the timestamp is known);
-//   - fsyncs the log once for the group, pays its OnGroupCommit notification
-//     (the authentication layer's periodic counter bump), applies it to the
+//     under commitMu alone, the worker appends the whole group (plus its
+//     COMMIT marker) to the untrusted log, hands it to the listener's
+//     OnGroupAppended (the enclave's WAL digest chain), and acknowledges async
+//     futures (the timestamp is known);
+//   - fsyncs the log once for the group, reports the outcome to the
+//     listener's OnGroupSynced (the durable chain frontier and the periodic
+//     counter bump), applies it to the
 //     memtable (the single writer of its lock-free skiplist) and only then
 //     publishes appliedTs, and wakes its waiters / resolves its futures;
 //   - freezes the memtable if the group filled it (a pointer swap plus one
@@ -336,11 +338,11 @@ type BatchOp struct {
 
 // Commit is the engine's one synchronous write: it applies ops atomically
 // through the group-commit pipeline and blocks until they are durable and
-// visible. Timestamps are drawn from one contiguous reservation, every
-// record extends the listener's WAL digest chain individually, and the
+// visible. Timestamps are drawn from one contiguous reservation, and the
 // whole batch reaches the untrusted log in one marker-terminated group
-// append — sharing its fsync and periodic monotonic-counter bump with any
-// concurrent commits that joined the same group. It returns the timestamp
+// append, which the listener chains into its WAL digest — sharing its fsync
+// and periodic monotonic-counter bump with any concurrent commits that
+// joined the same group. It returns the timestamp
 // of the batch's last record (records occupy the contiguous range
 // [ts-len(ops)+1, ts]). A context cancelled while the request is still
 // queued withdraws it (the write never happens); once the commit worker has
@@ -533,14 +535,14 @@ func (s *Store) processGroup(batch []*commitReq) {
 			// The group's durability is unknown; fail it without applying
 			// (records never become visible unless durable). Its WAL
 			// records may still be replayed after a crash — the same
-			// exposure a failed fsync always had. The group must still
-			// consume its OnGroupAppended mark (OnGroupAbandoned).
+			// exposure a failed fsync always had. The listener keeps its
+			// previous durable frontier.
 			// The failure is STICKY: fsync error semantics mean the kernel
 			// may have dropped dirty pages anywhere in the log, so later
 			// fsyncs succeeding would prove nothing. Every subsequent
 			// commit fails until the store is reopened.
 			s.setWALErr(serr)
-			s.listener.OnGroupAbandoned()
+			s.listener.OnGroupSynced(false)
 			s.finishAll(batch, fmt.Errorf("%w: %w", ErrWALSyncFailed, serr))
 			return
 		}
@@ -552,7 +554,7 @@ func (s *Store) processGroup(batch []*commitReq) {
 			fsyncNanos = uint64(time.Since(syncStart))
 			rec.CommitFsync.Observe(fsyncNanos)
 		}
-		s.listener.OnGroupCommit(len(recs))
+		s.listener.OnGroupSynced(true)
 		if rec != nil {
 			applyStart = time.Now()
 		}
@@ -603,15 +605,17 @@ func (s *Store) processGroup(batch []*commitReq) {
 }
 
 // appendGroup is the append step (caller holds commitMu): unless the store
-// has failed or closed, it stamps the group's timestamps, extends the
-// listener's digest chains per record and appends the group to the WAL. It
-// returns the requests still in the group — a shipped group that does not
+// has failed or closed, it stamps the group's timestamps, appends the group
+// to the WAL and hands it to the listener, which extends its digest chain.
+// It returns the requests still in the group — a shipped group that does not
 // extend the frontier fails alone, and the rest (barriers, on a follower)
 // go on without it — and the records appended, none for a barrier-only
 // group. The engine lock covers only the checks and the timestamp
 // reservation: every other user of walW holds commitMu, and records above
-// appliedTs are invisible, so the hashing and the append OCall run without
-// it.
+// appliedTs are invisible, so the append OCall and the hashing run without
+// it. A failed append is sticky like a failed fsync: it may have left a torn
+// frame in the log, which only recovery's truncation can remove, so no later
+// group may follow it.
 func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, error) {
 	batch, total, ts, err := s.reserveGroup(batch)
 	if err != nil || total == 0 {
@@ -626,13 +630,8 @@ func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, 
 				kind = record.KindDelete
 				value = nil
 			}
-			rec := record.Record{Key: op.Key, Ts: ts, Kind: kind, Value: value}
-			s.listener.OnWALAppend(rec)
-			recs = append(recs, rec)
+			recs = append(recs, record.Record{Key: op.Key, Ts: ts, Kind: kind, Value: value})
 			ts++
-		}
-		for i := range req.recs {
-			s.listener.OnWALAppend(req.recs[i])
 		}
 		recs = append(recs, req.recs...)
 		ts += uint64(len(req.recs))
@@ -641,9 +640,10 @@ func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, 
 	var werr error
 	s.ocall(func() { werr = s.walW.AppendBatch(recs) })
 	if werr != nil {
+		s.setWALErr(werr)
 		return batch, recs, werr
 	}
-	s.listener.OnGroupAppended()
+	s.listener.OnGroupAppended(recs)
 	return batch, recs, nil
 }
 
@@ -663,7 +663,7 @@ func (s *Store) reserveGroup(batch []*commitReq) ([]*commitReq, int, uint64, err
 		return batch, 0, 0, fmt.Errorf("lsm: background maintenance failed: %w", err)
 	}
 	if err := s.walErrLocked(); err != nil {
-		// An earlier WAL fsync failed: refuse new commits (sticky
+		// An earlier WAL append or fsync failed: refuse new commits (sticky
 		// fail-stop) instead of acknowledging writes whose durability
 		// the failed log can no longer promise.
 		return batch, 0, 0, err

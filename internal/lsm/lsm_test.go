@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -293,39 +292,6 @@ func TestWALReplayPopulatesMemtable(t *testing.T) {
 	rec, ok, _ := s2.Get([]byte("inmem"), record.MaxTs)
 	if !ok || string(rec.Value) != "v1" {
 		t.Fatalf("replayed value = %q %v", rec.Value, ok)
-	}
-}
-
-func TestVerifyWALPrefix(t *testing.T) {
-	fs := vfs.NewMem()
-	s := mustOpen(t, smallOpts(fs))
-	defer s.Close()
-	// The chain the enclave keeps: one link per appended record.
-	var dig hashutil.Hash
-	put := func(k, v string) hashutil.Hash {
-		ts, err := putKV(s, []byte(k), []byte(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dig = hashutil.WALLink(dig, byte(record.KindSet), []byte(k), ts, []byte(v))
-		return dig
-	}
-	mid := put("a", "1")
-	put("b", "2")
-	full := put("c", "3")
-
-	extra, err := s.VerifyWALPrefix(mid)
-	if err != nil || extra != 2 {
-		t.Fatalf("extra=%d err=%v", extra, err)
-	}
-	extra, err = s.VerifyWALPrefix(full)
-	if err != nil || extra != 0 {
-		t.Fatalf("full prefix: extra=%d err=%v", extra, err)
-	}
-	var bogus [32]byte
-	bogus[0] = 0xee
-	if _, err := s.VerifyWALPrefix(bogus); err == nil {
-		t.Fatal("bogus digest accepted as prefix")
 	}
 }
 

@@ -187,42 +187,38 @@ type CompactionInfo struct {
 
 // EventListener is the callback surface through which the eLSM
 // authentication layer attaches to the engine, mirroring RocksDB's
-// EventListener + CompactionFilter APIs (§5.5.3). Commit-path hooks fire
-// on the commit worker under commitMu: OnWALAppend and the OnGroup* trio
-// without the engine lock, OnMemtableFrozen with it. BeginJob fires on a
-// maintenance-job goroutine, of which SEVERAL may run concurrently
-// (Options.Workers); everything else a flush, compaction or bulk load tells
-// the listener goes through the Job it returns. State shared between the commit path and the jobs (e.g. a WAL
-// digest chain) must be internally thread-safe. Implementations must not
-// call back into the Store.
+// EventListener + CompactionFilter APIs (§5.5.3). The WAL's digest chain is
+// the listener's alone: the engine hands it every group it appends, and the
+// groups recovery replays, and never hashes a record itself. The commit hooks
+// fire on the commit worker under commitMu (recovery's OnGroupAppended calls
+// come from Open, before the store is shared): OnGroupAppended and
+// OnGroupSynced without the engine lock, OnMemtableFrozen with it. BeginJob
+// fires on a maintenance-job goroutine, of which SEVERAL may run
+// concurrently (Options.Workers); everything else a flush, compaction or bulk
+// load tells the listener goes through the Job it returns. State shared
+// between the commit path and the jobs (e.g. a WAL digest chain) must be
+// internally thread-safe. Implementations must not call back into the Store.
 type EventListener interface {
-	// OnWALAppend fires before a record is appended to the untrusted WAL,
-	// letting the enclave extend its WAL digest chain (§5.3 step w1).
-	OnWALAppend(rec record.Record)
-	// OnGroupAppended fires once per commit group, immediately after the
-	// group's records were appended (NOT yet fsynced) to the untrusted
-	// log. Until the group's fsync the WAL chain tip runs ahead of durable
-	// storage; this hook lets the authentication layer remember the chain
-	// value at each group boundary so the matching OnGroupCommit can
-	// promote exactly that prefix to "durable" — a seal must never
-	// fingerprint WAL records an fsync has not yet confirmed, or a crash
-	// would strand the counter beyond any recoverable state.
-	OnGroupAppended()
-	// OnGroupCommit fires once per commit group, after the group's n
-	// records are durably synced to the untrusted log, in group append
-	// order. The authentication layer performs its periodic monotonic-
-	// counter bump here, so a group pays at most one bump — and the bump
-	// always pins a durable, group-aligned WAL state (sealing mid-append
-	// would bind the counter to records a crash could still tear away).
-	OnGroupCommit(n int)
-	// OnGroupAbandoned fires instead of OnGroupCommit when an appended
-	// group's fsync FAILED: the group's durability is unknown, so the
-	// listener must consume (and discard) the group's OnGroupAppended mark
-	// without promoting the durable frontier — every appended group fires
-	// exactly one of OnGroupCommit/OnGroupAbandoned, in append order, or
-	// the mark queue would desynchronize and later promotions would pin
-	// the wrong chain value.
-	OnGroupAbandoned()
+	// OnGroupAppended fires once per commit group, after the group's
+	// records (and its COMMIT marker) reached the untrusted log and before
+	// its fsync: the listener extends its WAL digest chain over recs (§5.3
+	// step w1) and holds the group's chain value until OnGroupSynced says
+	// whether the group is durable. recs and their bytes are valid for the
+	// call only. A group whose append fails fires nothing.
+	//
+	// Open fires it too, once per complete group it replays from the live
+	// logs (frozen logs in order, then the active log), and never fires
+	// OnGroupSynced for those: everything replayed is on disk, so the
+	// listener treats its last replayed group as durable once Open returns.
+	OnGroupAppended(recs []record.Record)
+	// OnGroupSynced fires once per appended group, in append order, after
+	// the group's fsync: durable reports whether it succeeded. A durable
+	// group's chain value becomes the frontier the listener may seal (and
+	// pays its periodic monotonic-counter bump here, so a group pays at most
+	// one and it always pins a durable, group-aligned WAL state). A failed
+	// fsync leaves the group's durability unknown: the listener drops its
+	// value and keeps the previous frontier, which stays valid.
+	OnGroupSynced(durable bool)
 	// OnMemtableFrozen fires when the active memtable (and with it the
 	// active WAL) is frozen for a background flush: records appended from
 	// now on belong to the NEXT flush generation, so the authentication
@@ -294,17 +290,11 @@ type NopListener struct{}
 
 var _ EventListener = NopListener{}
 
-// OnWALAppend implements EventListener.
-func (NopListener) OnWALAppend(record.Record) {}
-
 // OnGroupAppended implements EventListener.
-func (NopListener) OnGroupAppended() {}
+func (NopListener) OnGroupAppended([]record.Record) {}
 
-// OnGroupCommit implements EventListener.
-func (NopListener) OnGroupCommit(int) {}
-
-// OnGroupAbandoned implements EventListener.
-func (NopListener) OnGroupAbandoned() {}
+// OnGroupSynced implements EventListener.
+func (NopListener) OnGroupSynced(bool) {}
 
 // OnMemtableFrozen implements EventListener.
 func (NopListener) OnMemtableFrozen() {}

@@ -66,9 +66,9 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 
 // ApplyReplicated applies one shipped commit group on a follower — and a
 // restored checkpoint's WAL tail — through the commit pipeline every local
-// write takes: listener digest extension, WAL group append with COMMIT
-// marker, fsync, listener commit mark, memtable apply, sink republish (a
-// follower can lead a downstream replica). The follower's WAL chain, sealed
+// write takes: WAL group append with COMMIT marker, the listener's chain
+// extension, fsync, the listener's durable frontier, memtable apply, sink
+// republish (a follower can lead a downstream replica). The follower's WAL chain, sealed
 // frontier and on-disk state are therefore bit-compatible with a store that
 // executed the writes locally. The caller has already authenticated the
 // group (frame report + digest chain); the commit worker enforces that it
@@ -154,23 +154,11 @@ func (s *Store) CaptureCheckpoint(capture func() error) (*CheckpointSource, erro
 	var rerr error
 	s.ocall(func() {
 		for _, name := range names {
-			f, err := s.fs.Open(name)
+			data, err := vfs.ReadFile(s.fs, name) // a copy: the live file keeps growing
 			if err != nil {
-				rerr = fmt.Errorf("lsm: checkpoint wal open %s: %w", name, err)
+				rerr = fmt.Errorf("lsm: checkpoint wal read %s: %w", name, err)
 				return
 			}
-			data := f.Bytes()
-			if data != nil {
-				data = append([]byte(nil), data...) // the live file keeps growing
-			} else {
-				data = make([]byte, f.Size())
-				if _, err := f.ReadAt(data, 0); err != nil && len(data) > 0 {
-					f.Close()
-					rerr = fmt.Errorf("lsm: checkpoint wal read %s: %w", name, err)
-					return
-				}
-			}
-			f.Close()
 			src.WALNames = append(src.WALNames, name)
 			src.WALData = append(src.WALData, data)
 		}
@@ -285,29 +273,4 @@ func (sn *Snapshot) RunRecords(i int, fn func(record.Record) error) error {
 		}
 	}
 	return nil
-}
-
-// ReadFileBytes reads one untrusted file completely — the exporter's path
-// for streaming pinned SSTable bytes.
-func (s *Store) ReadFileBytes(name string) ([]byte, error) {
-	var data []byte
-	var rerr error
-	s.ocall(func() {
-		var f vfs.File
-		f, rerr = s.fs.Open(name)
-		if rerr != nil {
-			return
-		}
-		defer f.Close()
-		b := f.Bytes()
-		if b != nil {
-			data = append([]byte(nil), b...)
-			return
-		}
-		data = make([]byte, f.Size())
-		if _, err := f.ReadAt(data, 0); err != nil && len(data) > 0 {
-			rerr = err
-		}
-	})
-	return data, rerr
 }

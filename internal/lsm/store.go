@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"elsm/internal/blockcache"
-	"elsm/internal/hashutil"
 	"elsm/internal/memtable"
 	"elsm/internal/obs"
 	"elsm/internal/record"
@@ -29,7 +28,6 @@ const (
 	walName         = "wal.log"
 	frozenWALPrefix = "wal-frozen-"
 	manifestName    = "MANIFEST"
-	manifestTmp     = "MANIFEST.tmp"
 )
 
 // frozenWALName formats the name of a rotated (frozen) log.
@@ -54,11 +52,12 @@ var (
 	ErrBadBulkLoad   = errors.New("lsm: bulk load records not sorted")
 	ErrUnknownRun    = errors.New("lsm: unknown run")
 	ErrManifestParse = errors.New("lsm: manifest parse failure")
-	// ErrWALSyncFailed is the sticky fail-stop after a WAL fsync error:
-	// the group that hit the failure AND every commit attempted afterwards
-	// fail with it, because the kernel may have dropped any dirty log page
-	// once fsync reported an error. Reopening the store recovers — replay
-	// truncates the log back to a verified prefix.
+	// ErrWALSyncFailed is the sticky fail-stop after a WAL fsync (or
+	// append) error: the group whose fsync failed AND every commit attempted
+	// afterwards fail with it, because the kernel may have dropped any dirty
+	// log page once fsync reported an error, and a failed append may have
+	// left a torn frame. Reopening the store recovers — replay truncates the
+	// log back to a verified prefix.
 	ErrWALSyncFailed = errors.New("lsm: wal sync failed")
 )
 
@@ -226,8 +225,8 @@ type Store struct {
 	// stop — subsequent commits and maintenance return it.
 	bgErr error
 
-	// walErr is the first WAL fsync failure and is STICKY: once one fsync
-	// fails, the durability of everything past the durable frontier is
+	// walErr is the first WAL append or fsync failure and is STICKY: once
+	// one fails, the durability of everything past the durable frontier is
 	// unknown (the kernel may have dropped dirty pages), so every later
 	// commit attempt fails with ErrWALSyncFailed until the store is
 	// reopened and recovery re-establishes a verified log prefix.
@@ -274,9 +273,7 @@ type Store struct {
 	appliedTs atomic.Uint64
 	closed    bool
 
-	walReplayDigest hashutil.Hash
-	replayedRecords int
-	walTornRecords  int
+	walTornRecords int
 
 	// Event counters, updated without mu (the commit pipeline and the
 	// maintenance worker run outside the engine lock) and folded into
@@ -420,23 +417,7 @@ func (s *Store) persistManifestLocked() error {
 		return fmt.Errorf("lsm: manifest marshal: %w", err)
 	}
 	var werr error
-	s.ocall(func() {
-		var f vfs.File
-		f, werr = s.fs.Create(manifestTmp)
-		if werr != nil {
-			return
-		}
-		if _, werr = f.Append(data); werr != nil {
-			return
-		}
-		if werr = f.Sync(); werr != nil {
-			return
-		}
-		if werr = f.Close(); werr != nil {
-			return
-		}
-		werr = s.fs.Rename(manifestTmp, manifestName)
-	})
+	s.ocall(func() { werr = vfs.WriteFile(s.fs, manifestName, data) })
 	if werr != nil {
 		return fmt.Errorf("lsm: manifest write: %w", werr)
 	}
@@ -495,72 +476,67 @@ func (s *Store) recover() error {
 		s.frozenWALs = append(s.frozenWALs, sn.name)
 	}
 
-	// Replay every live log in order into the memtable, chaining the digest
-	// across files. Only complete commit groups are replayed; a torn tail is
-	// legal only on the final (active) log — the crash signature — and is
-	// truncated away so appends resume cleanly. A tear anywhere else is
-	// tampering.
+	// Replay every live log in order into the memtable, handing each group
+	// to the listener, whose digest chain spans the files: this one pass is
+	// all the reading of the log recovery does. Only complete commit groups
+	// are replayed; a torn tail is legal only on the final (active) log — the
+	// crash signature — and is truncated away so appends resume cleanly. A
+	// tear anywhere else is tampering.
 	files := s.liveWALFiles()
-	dig := hashutil.Zero
 	for i, name := range files {
-		var f vfs.File
-		var oerr error
-		s.ocall(func() { f, oerr = s.fs.Open(name) })
-		if oerr != nil {
-			return fmt.Errorf("lsm: wal open %s: %w", name, oerr)
+		var data []byte
+		var rerr error
+		s.ocall(func() { data, rerr = vfs.ReadFile(s.fs, name) })
+		if rerr != nil {
+			return fmt.Errorf("lsm: wal read %s: %w", name, rerr)
 		}
-		info, err := wal.ReplayFrom(f, dig, func(rec record.Record) error {
-			s.mem.Put(rec)
-			if rec.Ts > s.lastTs.Load() {
-				s.lastTs.Store(rec.Ts)
+		info, err := wal.Replay(data, func(group []record.Record) error {
+			for j := range group {
+				s.mem.Put(group[j])
 			}
-			s.replayedRecords++
+			if ts := group[len(group)-1].Ts; ts > s.lastTs.Load() {
+				s.lastTs.Store(ts)
+			}
+			s.listener.OnGroupAppended(group)
 			return nil
 		})
 		if err != nil {
-			f.Close()
 			return fmt.Errorf("lsm: wal replay %s: %w", name, err)
 		}
-		if info.CommittedSize < f.Size() {
+		if info.CommittedSize < int64(len(data)) {
 			if i != len(files)-1 || name != walName {
-				f.Close()
 				return fmt.Errorf("lsm: frozen wal %s torn (%d records) — not a crash artifact", name, info.TornRecords)
 			}
 			s.walTornRecords = info.TornRecords
-			var terr error
-			s.ocall(func() {
-				if terr = f.Truncate(info.CommittedSize); terr == nil {
-					terr = f.Sync()
-				}
-			})
-			if terr != nil {
-				f.Close()
-				return fmt.Errorf("lsm: wal tail truncate: %w", terr)
+			if err := s.truncateWAL(info.CommittedSize); err != nil {
+				return fmt.Errorf("lsm: wal tail truncate: %w", err)
 			}
 		}
-		dig = info.Digest
-		f.Close()
 	}
-	s.walReplayDigest = dig
 	return nil
+}
+
+// truncateWAL cuts the active log back to size bytes, durably.
+func (s *Store) truncateWAL(size int64) error {
+	var err error
+	s.ocall(func() {
+		var f vfs.File
+		if f, err = s.fs.Open(walName); err != nil {
+			return
+		}
+		defer f.Close()
+		if err = f.Truncate(size); err == nil {
+			err = f.Sync()
+		}
+	})
+	return err
 }
 
 // recoverManifest rebuilds the level structure from the MANIFEST file.
 func (s *Store) recoverManifest() error {
 	var data []byte
 	var rerr error
-	s.ocall(func() {
-		f, err := s.fs.Open(manifestName)
-		if err != nil {
-			rerr = err
-			return
-		}
-		defer f.Close()
-		data = make([]byte, f.Size())
-		if _, err := f.ReadAt(data, 0); err != nil && len(data) > 0 {
-			rerr = err
-		}
-	})
+	s.ocall(func() { data, rerr = vfs.ReadFile(s.fs, manifestName) })
 	if rerr != nil {
 		return fmt.Errorf("lsm: manifest read: %w", rerr)
 	}
@@ -675,13 +651,13 @@ func (s *Store) setBgErrLocked(err error) {
 	}
 }
 
-// setWALErr records the first WAL fsync failure (sticky fail-stop; see
-// walErr).
+// setWALErr records the first WAL append or fsync failure (sticky
+// fail-stop; see walErr).
 func (s *Store) setWALErr(err error) {
 	s.mu.Lock()
 	if s.walErr == nil && err != nil {
 		s.walErr = err
-		s.opts.Obs.Event(obs.EventWALError, "wal fsync failed (sticky fail-stop): %v", err)
+		s.opts.Obs.Event(obs.EventWALError, "wal write failed (sticky fail-stop): %v", err)
 	}
 	s.mu.Unlock()
 }
@@ -695,13 +671,6 @@ func (s *Store) walErrLocked() error {
 	return fmt.Errorf("%w (reopen to recover): %w", ErrWALSyncFailed, s.walErr)
 }
 
-// WALReplayDigest returns the digest chain recomputed during recovery and
-// the number of replayed records; the authentication layer compares it with
-// its sealed trusted digest.
-func (s *Store) WALReplayDigest() (hashutil.Hash, int) {
-	return s.walReplayDigest, s.replayedRecords
-}
-
 // WALTornRecords reports how many records recovery dropped because their
 // commit group never completed (a crash — or a truncating host — cut the
 // log inside the group). The records were never acknowledged durable as a
@@ -709,51 +678,6 @@ func (s *Store) WALReplayDigest() (hashutil.Hash, int) {
 // demands clean recovery treats any torn tail as suspect.
 func (s *Store) WALTornRecords() int {
 	return s.walTornRecords
-}
-
-// VerifyWALPrefix re-reads the live WAL files (frozen logs in order, then
-// the active log) and checks that trusted is a prefix of the concatenated
-// digest chain, returning how many records follow that prefix. An error
-// means the log was tampered with (the trusted digest never occurs on the
-// chain). A zero trusted digest matches the empty prefix.
-func (s *Store) VerifyWALPrefix(trusted hashutil.Hash) (int, error) {
-	s.mu.RLock()
-	files := s.liveWALFiles()
-	s.mu.RUnlock()
-	if len(files) == 0 {
-		if trusted.IsZero() {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("lsm: WAL missing but trusted digest is non-zero")
-	}
-	found := trusted.IsZero()
-	extra := 0
-	dig := hashutil.Zero
-	for _, name := range files {
-		var f vfs.File
-		var oerr error
-		s.ocall(func() { f, oerr = s.fs.Open(name) })
-		if oerr != nil {
-			return 0, fmt.Errorf("lsm: wal open %s: %w", name, oerr)
-		}
-		_, err := wal.Replay(f, func(rec record.Record) error {
-			dig = hashutil.WALLink(dig, byte(rec.Kind), rec.Key, rec.Ts, rec.Value)
-			if found {
-				extra++
-			} else if dig == trusted {
-				found = true
-			}
-			return nil
-		})
-		f.Close()
-		if err != nil {
-			return 0, err
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("lsm: trusted WAL digest not found on chain (log tampered)")
-	}
-	return extra, nil
 }
 
 // EnsureTs raises the timestamp counter to at least minTs (recovery: the

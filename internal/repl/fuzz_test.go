@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"elsm/internal/core"
+	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
 )
@@ -32,7 +34,7 @@ func fuzzSeedFrames() [][]byte {
 			{Key: []byte("b"), Ts: 9, Kind: record.KindDelete},
 		},
 	}
-	group.Chain = chainOver(group.Recs)
+	group.Chain = core.LinkWAL(hashutil.Zero, group.Recs)
 	beat := &groupFrame{Heartbeat: true, Shards: 1, FrontierTs: 9, CumBytes: 60}
 	huge := encodeFrame(beat)
 	huge[0] = frameGroup

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"elsm/internal/core"
+	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
 )
@@ -259,7 +260,7 @@ func (l *Leader) ServeTail(fromTs uint64, w io.Writer, stop <-chan struct{}) err
 		}
 		l.mu.Unlock()
 
-		frame.Chain = chainOver(frame.Recs)
+		frame.Chain = core.LinkWAL(hashutil.Zero, frame.Recs)
 		body := encodeFrame(&frame)
 		rep := l.st.AttestPayload(body)
 		if err := writeFrame(w, body, rep); err != nil {

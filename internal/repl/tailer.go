@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"elsm/internal/core"
+	"elsm/internal/hashutil"
 	"elsm/internal/obs"
 )
 
@@ -300,7 +301,7 @@ func (t *Tailer) consume(r io.Reader) (int, error) {
 			continue
 		}
 		// 4. The records must reproduce the declared hash chain.
-		if chainOver(frame.Recs) != frame.Chain {
+		if core.LinkWAL(hashutil.Zero, frame.Recs) != frame.Chain {
 			return frames, fmt.Errorf("repl: shipped group rejected: %w", core.ErrForged)
 		}
 		// 5. The group must extend the applied frontier exactly.

@@ -54,15 +54,6 @@ type groupFrame struct {
 	Chain hashutil.Hash
 }
 
-// chainOver folds recs into a WAL hash chain from zero.
-func chainOver(recs []record.Record) hashutil.Hash {
-	dig := hashutil.Zero
-	for i := range recs {
-		dig = hashutil.WALLink(dig, byte(recs[i].Kind), recs[i].Key, recs[i].Ts, recs[i].Value)
-	}
-	return dig
-}
-
 // frameFixedLen is the size of a frame body with zero records: type byte,
 // shard pair, epoch, eight u64 position fields, record count, chain.
 const frameFixedLen = 1 + 2*4 + 8 + 8*8 + 4 + 32

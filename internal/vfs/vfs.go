@@ -59,6 +59,46 @@ type File interface {
 	Close() error
 }
 
+// ReadFile returns a private copy of the whole named file. It is the one way
+// a file is read at once — a manifest, a log, a sealed blob, a table being
+// exported — and the copy stays valid whatever the file takes later.
+func ReadFile(fs FS, name string) ([]byte, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := make([]byte, f.Size())
+	if n, err := f.ReadAt(data, 0); n < len(data) {
+		return nil, fmt.Errorf("vfs: read %s: %w", name, err)
+	}
+	return data, nil
+}
+
+// WriteFile replaces the named file with data: it writes name+".tmp",
+// fsyncs and closes it, then renames it over name. A crash at any point
+// leaves either the old file or the new one, never a torn mix, so this is
+// the one way a whole file is written.
+func WriteFile(fs FS, name string, data []byte) error {
+	tmp := name + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Append(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return fs.Rename(tmp, name)
+}
+
 // ---------------------------------------------------------------------------
 // Sub-filesystems
 

@@ -256,3 +256,68 @@ func TestSubIsolatesShardDirectories(t *testing.T) {
 		})
 	}
 }
+
+// TestWholeFileRoundTrip pins the two whole-file helpers: WriteFile replaces
+// a file and leaves no temporary behind, and ReadFile hands out a copy that
+// later writes do not reach.
+func TestWholeFileRoundTrip(t *testing.T) {
+	for name, fs := range testFSes(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadFile(fs, "state"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("missing file: %v", err)
+			}
+			for _, content := range []string{"first version", "v2", ""} {
+				if err := WriteFile(fs, "state", []byte(content)); err != nil {
+					t.Fatal(err)
+				}
+				got, err := ReadFile(fs, "state")
+				if err != nil || string(got) != content {
+					t.Fatalf("read %q, %v; want %q", got, err, content)
+				}
+				if fs.Exists("state.tmp") {
+					t.Fatal("WriteFile left its temporary behind")
+				}
+			}
+			got, _ := ReadFile(fs, "state")
+			if err := WriteFile(fs, "state", []byte("later")); err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "" {
+				t.Fatalf("an earlier read changed to %q", got)
+			}
+		})
+	}
+}
+
+// TestWriteFileCrashLeavesOldOrNew fails WriteFile at every one of its
+// mutating operations, tearing the write that trips: what the file holds
+// afterwards is always the old content or the new, never a mix.
+func TestWriteFileCrashLeavesOldOrNew(t *testing.T) {
+	for k := 0; ; k++ {
+		ffs := NewFault(NewMem())
+		if err := WriteFile(ffs, "state", []byte("old content")); err != nil {
+			t.Fatal(err)
+		}
+		ffs.SetTornWrites(true)
+		ffs.ArmFilter(OpMutating, "")
+		ffs.Arm(k)
+		err := WriteFile(ffs, "state", []byte("the new content"))
+		ffs.Disarm()
+		got, rerr := ReadFile(ffs, "state")
+		if rerr != nil {
+			t.Fatalf("crash at op %d: %v", k, rerr)
+		}
+		if string(got) != "old content" && string(got) != "the new content" {
+			t.Fatalf("crash at op %d left %q", k, got)
+		}
+		if err == nil {
+			if string(got) != "the new content" {
+				t.Fatalf("completed write reads %q", got)
+			}
+			if k < 4 {
+				t.Fatalf("WriteFile finished within %d mutating operations", k)
+			}
+			return
+		}
+	}
+}

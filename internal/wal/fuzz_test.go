@@ -4,17 +4,16 @@ import (
 	"runtime"
 	"testing"
 
-	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
 
-// FuzzWALReplay hands ReplayBytes an arbitrary log — the host keeps the WAL
+// FuzzWALReplay hands Replay an arbitrary log — the host keeps the WAL
 // — and holds it to what recovery and checkpoint import rely on: it never
 // panics; it allocates a small multiple of the log, never a length a frame
 // declares; it delivers only records of whole marker-terminated groups; and
 // CommittedSize cuts the log at a prefix that replays, cleanly, to the same
-// records and the same chain digest.
+// records and so to the same chain.
 func FuzzWALReplay(f *testing.F) {
 	file, err := vfs.NewMem().Create("wal")
 	if err != nil {
@@ -35,17 +34,19 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})       // a frame length beyond any input
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var start hashutil.Hash
-		var delivered int
+		var delivered []record.Record
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		info, err := ReplayBytes(data, start, func(record.Record) error { delivered++; return nil })
+		info, err := Replay(data, func(group []record.Record) error {
+			delivered = append(delivered, group...)
+			return nil
+		})
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(16*len(data)+1<<16) {
 			t.Fatalf("%d bytes allocated replaying a %d-byte log", n, len(data))
 		}
-		if delivered != info.Records {
-			t.Fatalf("delivered %d records, reported %d", delivered, info.Records)
+		if len(delivered) != info.Records {
+			t.Fatalf("delivered %d records, reported %d", len(delivered), info.Records)
 		}
 		if info.CommittedSize < 0 || info.CommittedSize > int64(len(data)) {
 			t.Fatalf("CommittedSize %d outside the %d-byte log", info.CommittedSize, len(data))
@@ -53,13 +54,17 @@ func FuzzWALReplay(f *testing.F) {
 		// Whatever followed (a torn tail, or damage reported as err), the
 		// committed prefix stands on its own: every record delivered came
 		// from a whole group inside it.
-		again, perr := ReplayBytes(data[:info.CommittedSize], start, func(record.Record) error { return nil })
+		var redelivered []record.Record
+		again, perr := Replay(data[:info.CommittedSize], func(group []record.Record) error {
+			redelivered = append(redelivered, group...)
+			return nil
+		})
 		if perr != nil {
 			t.Fatalf("committed prefix does not replay: %v (full replay: %v)", perr, err)
 		}
-		if again.Records != info.Records || again.Digest != info.Digest {
-			t.Fatalf("committed prefix replays to %d records, digest %s; the log to %d, %s",
-				again.Records, again.Digest, info.Records, info.Digest)
+		if again.Records != info.Records || chain(redelivered) != chain(delivered) {
+			t.Fatalf("committed prefix replays to %d records, chain %s; the log to %d, %s",
+				again.Records, chain(redelivered), info.Records, chain(delivered))
 		}
 		if again.TornRecords != 0 || again.CommittedSize != info.CommittedSize {
 			t.Fatalf("committed prefix is not whole groups: %d torn, committed %d of %d",

@@ -1,16 +1,17 @@
 // Package wal implements the write-ahead log of the LSM store. The log file
 // itself lives in the untrusted world (outside the enclave, §5.3 step w3).
-// The writer keeps no digest: the enclave's digest chains over appended
-// records (step w1: dig' = H(dig ‖ record)) are the authentication layer's,
-// extended as the engine hands it each record, and replay recomputes the
-// chain from the bytes it reads, so recovery can be verified up to the sealed
-// frontier — a host that drops, reorders, or alters WAL entries the last
-// sealed state covers produces a digest mismatch. Past that frontier the
-// chain proves nothing: it is unkeyed SHA-256, and recovery only requires the
-// sealed digest to be a prefix of the replayed chain, so a group the host
-// appends with valid CRCs replays as trusted (ROADMAP.md, "The WAL past the
-// last seal is forgeable"), and dropping acknowledged groups back to the seal
-// is the §5.6.1 rollback window.
+// The package keeps no digest, neither when writing nor when replaying: the
+// enclave's chain over appended records (step w1: dig' = H(dig ‖ record)) has
+// one owner, the authentication layer, which extends it over every group the
+// engine appends and, at recovery, over every group Replay hands back. So
+// recovery can be verified up to the sealed frontier — a host that drops,
+// reorders, or alters WAL entries the last sealed state covers produces a
+// digest mismatch. Past that frontier the chain proves nothing: it is
+// unkeyed SHA-256, and recovery only requires the sealed digest to be a
+// prefix of the replayed chain, so a group the host appends with valid CRCs
+// replays as trusted (ROADMAP.md, "The WAL past the last seal is
+// forgeable"), and dropping acknowledged groups back to the seal is the
+// §5.6.1 rollback window.
 //
 // Record framing: [crc32 u32][len u32][kind u8][keyLen u32][key][ts u64][valLen u32][val]
 //
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -126,10 +126,6 @@ func (w *Writer) Close() error { return w.f.Close() }
 
 // ReplayInfo reports what a group-aware replay recovered.
 type ReplayInfo struct {
-	// Digest is the recomputed chain over the delivered (committed)
-	// records. Callers compare it with the trusted value saved in the
-	// enclave; a mismatch means the untrusted host tampered with the log.
-	Digest hashutil.Hash
 	// Records counts delivered records.
 	Records int
 	// CommittedSize is the byte offset just past the last complete group's
@@ -140,66 +136,18 @@ type ReplayInfo struct {
 	TornRecords int
 }
 
-// Replay reads the log in order, calling fn for each record of each
-// complete (marker-terminated) commit group. An incomplete tail — a torn
-// frame at EOF, or trailing record frames with no COMMIT marker — is NOT an
-// error: it is the signature of a crash mid-append, and is reported via
-// TornRecords/CommittedSize so the caller can truncate it away. Structural
-// damage before the tail (a CRC mismatch, a marker whose count disagrees
-// with its group) still fails with ErrCorrupt: that is tampering, not a
-// crash artifact.
-func Replay(f vfs.File, fn func(record.Record) error) (ReplayInfo, error) {
-	return ReplayFrom(f, hashutil.Zero, fn)
-}
-
-// ReplayFrom is Replay with the digest chain seeded at start instead of
-// zero. Recovery uses it to chain the digest across a sequence of log files
-// (frozen logs awaiting a flush install, then the active log): replaying
-// file N+1 from file N's final digest yields the same chain as one
-// concatenated log.
-func ReplayFrom(f vfs.File, start hashutil.Hash, fn func(record.Record) error) (ReplayInfo, error) {
-	return ReplayFromOffset(f, 0, start, fn)
-}
-
-// ReplayFromOffset replays the log starting at byte offset off, which must
-// be a group boundary (0 or a prior replay's CommittedSize). Replication
-// tailing uses it to resume mid-log: a follower that already applied the
-// groups before off re-reads only the suffix, seeding the digest chain with
-// the trusted value reached at off. CommittedSize in the returned info is
-// absolute (an offset into the file, not into the suffix).
-func ReplayFromOffset(f vfs.File, off int64, start hashutil.Hash, fn func(record.Record) error) (ReplayInfo, error) {
+// Replay walks data — a whole log, read with vfs.ReadFile, or shipped WAL
+// bytes — and calls fn once per complete (marker-terminated) commit group, in
+// log order. The records view data; the group slice is reused once fn
+// returns. An incomplete tail — a torn frame at EOF, or trailing record
+// frames with no COMMIT marker — is NOT an error: it is the signature of a
+// crash mid-append, and is reported via TornRecords/CommittedSize so the
+// caller can truncate it away. Structural damage before the tail (a CRC
+// mismatch, a marker whose count disagrees with its group) still fails with
+// ErrCorrupt: that is tampering, not a crash artifact. Replay keeps no
+// digest: the caller chains what it is handed.
+func Replay(data []byte, fn func(group []record.Record) error) (ReplayInfo, error) {
 	var info ReplayInfo
-	info.Digest = start
-	info.CommittedSize = off
-	data := f.Bytes()
-	if data != nil {
-		if off > int64(len(data)) {
-			return info, fmt.Errorf("wal: replay offset %d beyond log size %d", off, len(data))
-		}
-		data = data[off:]
-	} else {
-		size := f.Size()
-		if off > size {
-			return info, fmt.Errorf("wal: replay offset %d beyond log size %d", off, size)
-		}
-		data = make([]byte, size-off)
-		if _, err := f.ReadAt(data, off); err != nil && len(data) > 0 {
-			return info, fmt.Errorf("wal: read: %w", err)
-		}
-	}
-	rel, err := ReplayBytes(data, start, fn)
-	rel.CommittedSize += off
-	return rel, err
-}
-
-// ReplayBytes is the byte-slice core of replay: it walks data — an
-// in-memory copy of a log (or a group-aligned suffix of one) — delivering
-// records of complete commit groups exactly as Replay does over a file.
-// Checkpoint import uses it to verify shipped WAL bytes against the
-// attested digest chain without materializing a file.
-func ReplayBytes(data []byte, start hashutil.Hash, fn func(record.Record) error) (ReplayInfo, error) {
-	var info ReplayInfo
-	info.Digest = start
 	var pending []record.Record
 	off := 0
 	for off < len(data) {
@@ -222,13 +170,12 @@ func ReplayBytes(data []byte, start hashutil.Hash, fn func(record.Record) error)
 				return info, fmt.Errorf("%w: commit marker declares %d records, group has %d",
 					ErrCorrupt, count, len(pending))
 			}
-			for _, rec := range pending {
-				if err := fn(rec); err != nil {
+			if len(pending) > 0 {
+				if err := fn(pending); err != nil {
 					return info, err
 				}
-				info.Digest = hashutil.WALLink(info.Digest, byte(rec.Kind), rec.Key, rec.Ts, rec.Value)
-				info.Records++
 			}
+			info.Records += len(pending)
 			pending = pending[:0]
 			info.CommittedSize = int64(off)
 			continue
@@ -258,7 +205,7 @@ func decodeBody(body []byte) (record.Record, error) {
 	if p+klen+8+4 > len(body) {
 		return rec, fmt.Errorf("%w: bad key length %d", ErrCorrupt, klen)
 	}
-	rec.Key = append([]byte(nil), body[p:p+klen]...)
+	rec.Key = body[p : p+klen : p+klen]
 	p += klen
 	rec.Ts = binary.BigEndian.Uint64(body[p : p+8])
 	p += 8
@@ -267,6 +214,6 @@ func decodeBody(body []byte) (record.Record, error) {
 	if p+vlen != len(body) {
 		return rec, fmt.Errorf("%w: bad value length %d", ErrCorrupt, vlen)
 	}
-	rec.Value = append([]byte(nil), body[p:p+vlen]...)
+	rec.Value = body[p : p+vlen : p+vlen]
 	return rec, nil
 }

@@ -37,6 +37,38 @@ func chain(recs []record.Record) hashutil.Hash {
 	return dig
 }
 
+// replayLog reads the log named "wal" whole and replays it, handing fn each
+// delivered record in order.
+func replayLog(fs vfs.FS, fn func(record.Record) error) (ReplayInfo, error) {
+	data, err := vfs.ReadFile(fs, "wal")
+	if err != nil {
+		return ReplayInfo{}, err
+	}
+	return Replay(data, func(group []record.Record) error {
+		for _, rec := range group {
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// replayChain replays the log named "wal" and returns the chain over the
+// records it delivers: what the enclave recomputes at recovery.
+func replayChain(t *testing.T, fs vfs.FS) (ReplayInfo, hashutil.Hash) {
+	t.Helper()
+	var got []record.Record
+	info, err := replayLog(fs, func(rec record.Record) error {
+		got = append(got, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info, chain(got)
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
@@ -50,15 +82,15 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	wantDig := chain(recs)
 
 	var got []record.Record
-	info, err := Replay(f, func(rec record.Record) error {
+	info, err := replayLog(fs, func(rec record.Record) error {
 		got = append(got, rec)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Digest != wantDig {
-		t.Fatalf("replay digest %s != chain over the appended records %s", info.Digest, wantDig)
+	if dig := chain(got); dig != wantDig {
+		t.Fatalf("chain over the replayed records %s != chain over the appended records %s", dig, wantDig)
 	}
 	if len(got) != len(recs) || info.Records != len(recs) {
 		t.Fatalf("replayed %d (info %d) of %d", len(got), info.Records, len(recs))
@@ -79,13 +111,16 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestReplayEmptyLog(t *testing.T) {
 	fs := vfs.NewMem()
-	f, _ := fs.Create("wal")
-	info, err := Replay(f, func(record.Record) error { return nil })
+	fs.Create("wal")
+	info, err := replayLog(fs, func(record.Record) error {
+		t.Fatal("an empty log delivered a record")
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Digest.IsZero() {
-		t.Fatalf("empty log digest %s", info.Digest)
+	if info != (ReplayInfo{}) {
+		t.Fatalf("empty log replays to %+v", info)
 	}
 }
 
@@ -100,7 +135,7 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := fs.Corrupt("wal", f.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Replay(f, func(record.Record) error { return nil })
+	_, err := replayLog(fs, func(record.Record) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corruption not detected: %v", err)
 	}
@@ -108,17 +143,15 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestTamperedValueChangesDigest(t *testing.T) {
 	// A tamper that keeps CRC valid (rewrite whole record) still changes
-	// the digest chain — that is what the enclave compares against.
+	// the chain over what replay delivers — that is what the enclave
+	// compares against.
 	fs := vfs.NewMem()
-	write := func(val string) (digest [32]byte) {
+	write := func(val string) hashutil.Hash {
 		f, _ := fs.Create("wal")
 		w := NewWriter(f)
 		w.Append(record.Record{Key: []byte("k"), Ts: 1, Kind: record.KindSet, Value: []byte(val)})
-		info, err := Replay(f, func(record.Record) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Digest
+		_, dig := replayChain(t, fs)
+		return dig
 	}
 	if write("honest") == write("forged") {
 		t.Fatal("digest chain blind to value change")
@@ -135,30 +168,16 @@ func TestResumeWriterContinuesChain(t *testing.T) {
 	}
 
 	// Simulate restart: replay, then a new writer appends to the same log.
-	info, err := Replay(f, func(record.Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Digest != chain(recs[:10]) {
-		t.Fatal("replay digest != chain at the restart point")
+	if _, dig := replayChain(t, fs); dig != chain(recs[:10]) {
+		t.Fatal("replayed chain != chain at the restart point")
 	}
 	w2 := NewWriter(f)
 	for _, rec := range recs[10:] {
 		w2.Append(rec)
 	}
-	final, err := Replay(f, func(record.Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Digest != chain(recs) || final.Records != len(recs) {
+	final, dig := replayChain(t, fs)
+	if dig != chain(recs) || final.Records != len(recs) {
 		t.Fatal("resumed log does not replay to the full chain")
-	}
-	suffix, err := ReplayFromOffset(f, info.CommittedSize, info.Digest, func(record.Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if suffix.Digest != final.Digest {
-		t.Fatal("the resumed suffix, chained onto the replayed prefix, diverged from full replay")
 	}
 }
 
@@ -173,15 +192,23 @@ func TestGroupAppendReplaysAsOneGroup(t *testing.T) {
 	if err := w.AppendBatch(recs[4:]); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Replay(f, func(record.Record) error { return nil })
+	data, err := vfs.ReadFile(fs, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != 9 || info.TornRecords != 0 {
-		t.Fatalf("replay = %+v, want 9 committed records", info)
+	var sizes []int
+	info, err := Replay(data, func(group []record.Record) error {
+		sizes = append(sizes, len(group))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if info.Digest != chain(recs) {
-		t.Fatal("grouped replay digest != chain over the records")
+	if info.Records != 9 || info.TornRecords != 0 || fmt.Sprint(sizes) != "[4 5]" {
+		t.Fatalf("replay = %+v in groups %v, want 9 committed records in groups [4 5]", info, sizes)
+	}
+	if _, dig := replayChain(t, fs); dig != chain(recs) {
+		t.Fatal("grouped replay chain != chain over the records")
 	}
 }
 
@@ -209,12 +236,12 @@ func TestTornTailDroppedAtGroupBoundary(t *testing.T) {
 	full := f.Size()
 	// Cut at every byte boundary inside the second group.
 	for cut := committed + 1; cut < full; cut += 7 {
-		_, f2, _, _ := build()
+		fs2, f2, _, _ := build()
 		if err := f2.Truncate(cut); err != nil {
 			t.Fatal(err)
 		}
 		var n int
-		info, err := Replay(f2, func(record.Record) error { n++; return nil })
+		info, err := replayLog(fs2, func(record.Record) error { n++; return nil })
 		if err != nil {
 			t.Fatalf("cut at %d: torn tail must not error: %v", cut, err)
 		}
@@ -244,7 +271,7 @@ func TestMarkerCountMismatchIsCorruption(t *testing.T) {
 	if _, err := f.Append(buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Replay(f, func(record.Record) error { return nil })
+	_, err := replayLog(fs, func(record.Record) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("marker/group mismatch not flagged: %v", err)
 	}
@@ -259,84 +286,8 @@ func TestReplayCallbackError(t *testing.T) {
 		w.Append(rec)
 	}
 	sentinel := errors.New("stop")
-	_, err := Replay(f, func(record.Record) error { return sentinel })
+	_, err := replayLog(fs, func(record.Record) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
-	}
-}
-
-// TestReplayFromOffsetMidLog replays a log suffix from an arbitrary group
-// boundary in the middle of the log — the replication tail path — and
-// checks it sees exactly the later groups, chained onto the prefix digest.
-func TestReplayFromOffsetMidLog(t *testing.T) {
-	fs := vfs.NewMem()
-	f, _ := fs.Create("wal")
-	w := NewWriter(f)
-	recs := testRecords(90)
-	// Nine groups of ten; capture the boundary after group four.
-	var midOff int64
-	var midDig hashutil.Hash
-	var midCount int
-	for g := 0; g < 9; g++ {
-		if err := w.AppendBatch(recs[g*10 : (g+1)*10]); err != nil {
-			t.Fatal(err)
-		}
-		if g == 3 {
-			midOff = f.Size()
-			midDig = chain(recs[:40])
-			midCount = 40
-		}
-	}
-
-	var got []record.Record
-	info, err := ReplayFromOffset(f, midOff, midDig, func(rec record.Record) error {
-		got = append(got, rec)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs)-midCount {
-		t.Fatalf("suffix replay saw %d records, want %d", len(got), len(recs)-midCount)
-	}
-	for i, rec := range got {
-		want := recs[midCount+i]
-		if string(rec.Key) != string(want.Key) || rec.Ts != want.Ts {
-			t.Fatalf("suffix record %d: got %s@%d want %s@%d", i, rec.Key, rec.Ts, want.Key, want.Ts)
-		}
-	}
-	if info.Digest != chain(recs) {
-		t.Fatalf("suffix digest %s != chain over the whole log %s", info.Digest, chain(recs))
-	}
-	if info.CommittedSize != f.Size() {
-		t.Fatalf("committed size %d != file size %d", info.CommittedSize, f.Size())
-	}
-
-	// The same offset with a different base digest yields a different
-	// final digest: the chain binds the suffix to its exact prefix, so a
-	// caller comparing against the attested digest detects the swap.
-	wrong, err := ReplayFromOffset(f, midOff, hashutil.Hash{}, func(record.Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrong.Digest == chain(recs) {
-		t.Fatal("suffix digest ignores the prefix it chains from")
-	}
-
-	// A tampered byte inside the suffix is corruption, not a torn tail.
-	raw := append([]byte(nil), f.Bytes()...)
-	raw[midOff+20] ^= 0x01
-	tf, _ := fs.Create("tampered")
-	if _, err := tf.WriteAt(raw, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReplayFromOffset(tf, midOff, midDig, func(record.Record) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("tampered suffix: %v, want ErrCorrupt", err)
-	}
-
-	// An offset past the end is rejected outright.
-	if _, err := ReplayFromOffset(f, f.Size()+1, midDig, func(record.Record) error { return nil }); err == nil {
-		t.Fatal("offset past EOF accepted")
 	}
 }
