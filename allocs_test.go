@@ -14,7 +14,8 @@ import (
 // TestFacadeAddsNoAllocs guards the gate's tightest bounds (allocs_per_op,
 // 5 %): deriving the conveniences must cost what calling the primitive
 // costs. A Get allocates exactly what the engine's GetAt does — for a
-// memtable hit, exactly its Result; a Put what the engine's Commit of a
+// memtable hit, exactly its Result; a Scan what draining the engine's IterAt
+// does; a Put what the engine's Commit of a
 // prebuilt one-op batch does; and the shard router adds nothing to a one-op
 // Commit or CommitAsync — for one shard and for four. The stores are warm,
 // uninstrumented (trace sampling allocates on every 64th group) and never
@@ -62,6 +63,13 @@ func TestFacadeAddsNoAllocs(t *testing.T) {
 		}
 		t.Logf("Get(%s): %v allocs", k, facade)
 	}
+	lo, hi := []byte("key0000"), []byte("key0049") // key0001 from the memtable, the rest from the run
+	facadeScan := allocs(func() { _, err := s.Scan(lo, hi); fail(err) })
+	primScan := allocs(func() { _, err := core.ScanAll(base.IterAt(nil, lo, hi, record.MaxTs)); fail(err) })
+	if facadeScan != primScan {
+		t.Errorf("Scan allocates %v, ScanAll of the engine's IterAt %v", facadeScan, primScan)
+	}
+	t.Logf("Scan of 50 rows: %v allocs", facadeScan)
 	memKey := []byte("key0001") // rewritten after the flush: a memtable hit
 	if hit := allocs(func() { _, err := s.Get(memKey); fail(err) }); hit != 1 {
 		t.Errorf("a memtable-hit Get allocates %v, want exactly its Result", hit)

@@ -41,9 +41,14 @@ type Iterator interface {
 	Close() error
 }
 
-// fetchChunk pulls the next bounded chunk of results starting at cursor,
-// returning the resume cursor and whether the range is exhausted.
-type fetchChunk func(cursor []byte) (out []Result, next []byte, done bool, err error)
+// chunkSource is what a chunked stream reads: a pinned view that fetches the
+// next bounded chunk of [cursor, end] at tsq — returning the resume cursor and
+// whether the range is exhausted — and is released once, when the stream
+// closes. The verified stream (readScratch) and the raw snapshot implement it.
+type chunkSource interface {
+	fetchChunk(cursor, end []byte, tsq uint64) (out []Result, next []byte, done bool, err error)
+	release()
+}
 
 // chunkResult is one fetched (and, on authenticated stores, verified)
 // chunk.
@@ -68,15 +73,16 @@ type chunkResult struct {
 // A non-nil ctx bounds the stream: once cancelled, Next stops fetching
 // (reporting ctx.Err() through Err/Close) and no further prefetch is
 // launched — a long verified scan can be deadlined or aborted mid-range.
-// onClose, if set, runs exactly once when the iterator is closed (after
-// any in-flight prefetch has drained), releasing the read view pinned for
-// the stream.
+// The source is released exactly once when the iterator is closed (after
+// any in-flight prefetch has drained), unpinning the stream's view.
 type chunkIter struct {
 	ctx      context.Context
-	fetch    fetchChunk
-	onClose  func()
+	src      chunkSource
+	end      []byte
+	tsq      uint64
 	cursor   []byte
-	inflight chan chunkResult // nil when no prefetch is outstanding
+	chunks   chan chunkResult // made by the first prefetch, reused by the rest
+	inflight bool
 	buf      []Result
 	pos      int
 	done     bool
@@ -84,32 +90,41 @@ type chunkIter struct {
 	err      error
 }
 
-func newChunkIter(ctx context.Context, start []byte, fetch fetchChunk, onClose func()) *chunkIter {
-	return &chunkIter{ctx: ctx, fetch: fetch, onClose: onClose, cursor: append([]byte(nil), start...), pos: -1}
+// newChunkIter streams [start, end] at tsq from src. start and end must not
+// change until the stream is closed.
+func newChunkIter(ctx context.Context, src chunkSource, start, end []byte, tsq uint64) *chunkIter {
+	return &chunkIter{ctx: ctx, src: src, end: end, tsq: tsq, cursor: start, pos: -1}
+}
+
+// fetch pulls the chunk at cursor, unless the stream's ctx is done. It reads
+// only what the iterator never changes, so the prefetch goroutine may run it.
+func (it *chunkIter) fetch(cursor []byte) chunkResult {
+	if err := lsm.CtxErr(it.ctx); err != nil {
+		return chunkResult{err: err}
+	}
+	out, next, done, err := it.src.fetchChunk(cursor, it.end, it.tsq)
+	return chunkResult{out: out, next: next, done: done, err: err}
 }
 
 // startPrefetch launches the fetch of the chunk at it.cursor.
 func (it *chunkIter) startPrefetch() {
-	ch := make(chan chunkResult, 1)
-	cursor := it.cursor
-	fetch := it.fetch
-	go func() {
-		out, next, done, err := fetch(cursor)
-		ch <- chunkResult{out: out, next: next, done: done, err: err}
-	}()
-	it.inflight = ch
+	if it.chunks == nil {
+		it.chunks = make(chan chunkResult, 1)
+	}
+	it.inflight = true
+	go it.prefetch(it.cursor)
 }
+
+func (it *chunkIter) prefetch(cursor []byte) { it.chunks <- it.fetch(cursor) }
 
 // nextChunk returns the chunk at it.cursor, from the prefetch in flight if
 // one was started, synchronously otherwise.
 func (it *chunkIter) nextChunk() chunkResult {
-	if it.inflight != nil {
-		res := <-it.inflight
-		it.inflight = nil
-		return res
+	if it.inflight {
+		it.inflight = false
+		return <-it.chunks
 	}
-	out, next, done, err := it.fetch(it.cursor)
-	return chunkResult{out: out, next: next, done: done, err: err}
+	return it.fetch(it.cursor)
 }
 
 // Next implements Iterator.
@@ -149,22 +164,20 @@ func (it *chunkIter) Err() error { return it.err }
 
 // Close implements Iterator. A prefetch still in flight is drained so its
 // verification outcome is not lost: a tampered chunk the consumer never
-// reached still surfaces here. The view release (onClose) runs after the
-// drain, so no fetch can observe a released view.
+// reached still surfaces here. The source is released after the drain, so
+// no fetch can observe a released view.
 func (it *chunkIter) Close() error {
 	if it.closed {
 		return it.err
 	}
 	it.closed = true
-	if it.inflight != nil {
-		if res := <-it.inflight; res.err != nil && it.err == nil {
+	if it.inflight {
+		it.inflight = false
+		if res := <-it.chunks; res.err != nil && it.err == nil {
 			it.err = res.err
 		}
-		it.inflight = nil
 	}
-	if it.onClose != nil {
-		it.onClose()
-	}
+	it.src.release()
 	return it.err
 }
 
@@ -260,28 +273,24 @@ func (it *chunkIter) drain() []Result {
 // prevents further chunk fetches, including the background prefetch. The
 // iterator MUST be closed: the view's run pins are held until Close.
 func (c *Store) IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator {
-	v, err := c.acquireView()
-	if err != nil {
-		return NewSliceIter(nil, nil, err)
-	}
-	return c.viewIter(ctx, v, start, end, tsq)
+	return c.stream(ctx, nil, start, end, tsq)
 }
 
-// viewIter builds the chunked verified iterator over an already-pinned
-// view, taking one reference on it for the stream's lifetime.
-func (c *Store) viewIter(ctx context.Context, v *readView, start, end []byte, tsq uint64) Iterator {
-	endC := append([]byte(nil), end...)
-	return newChunkIter(ctx, start, func(cursor []byte) ([]Result, []byte, bool, error) {
-		if err := lsm.CtxErr(ctx); err != nil {
-			return nil, nil, false, err
+// stream builds the chunked verified iterator over v, on a reference the
+// stream owns; a nil v means a view of the stream's own, pinned here. The
+// stream keeps what it needs between chunks in a pooled readScratch — that
+// view (or v), and copies of start and end — which Close hands back.
+func (c *Store) stream(ctx context.Context, v *readView, start, end []byte, tsq uint64) Iterator {
+	g := c.getReadScratch()
+	if v == nil {
+		if err := c.pinView(&g.view, true); err != nil {
+			c.putReadScratch(g)
+			return NewSliceIter(nil, nil, err)
 		}
-		var (
-			out  []Result
-			next []byte
-			done bool
-			err  error
-		)
-		c.enclave.ECall(func() { out, next, done, err = v.scanChunk(cursor, endC, tsq, c.iterChunkKeys) })
-		return out, next, done, err
-	}, v.release)
+		v = &g.view
+	}
+	g.stream = v
+	g.buf = append(append(g.buf[:0], start...), end...)
+	n := len(start)
+	return newChunkIter(ctx, g, g.buf[:n:n], g.buf[n:], tsq)
 }

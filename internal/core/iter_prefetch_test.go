@@ -8,30 +8,41 @@ import (
 	"time"
 )
 
-// stubChunks builds a fetchChunk serving the given chunks in order, with
+// stubChunks builds a chunkSource serving the given chunks in order, with
 // instrumentation: started receives the chunk index as each fetch begins,
 // and inflight tracks concurrent fetches (the lookahead bound).
-func stubChunks(chunks [][]Result, errAt int, started chan int, maxInflight *atomic.Int32) fetchChunk {
-	var idx atomic.Int32
-	var inflight atomic.Int32
-	return func(cursor []byte) ([]Result, []byte, bool, error) {
-		i := int(idx.Add(1)) - 1
-		if cur := inflight.Add(1); cur > maxInflight.Load() {
-			maxInflight.Store(cur)
-		}
-		defer inflight.Add(-1)
-		if started != nil {
-			started <- i
-		}
-		if i == errAt {
-			return nil, nil, false, fmt.Errorf("%w: chunk %d forged", ErrAuthFailed, i)
-		}
-		if i >= len(chunks) {
-			return nil, nil, true, nil
-		}
-		return chunks[i], []byte{byte(i + 1)}, i == len(chunks)-1, nil
-	}
+func stubChunks(chunks [][]Result, errAt int, started chan int, maxInflight *atomic.Int32) chunkSource {
+	return &stubSource{chunks: chunks, errAt: errAt, started: started, maxInflight: maxInflight}
 }
+
+type stubSource struct {
+	chunks      [][]Result
+	errAt       int
+	started     chan int
+	maxInflight *atomic.Int32
+	idx         atomic.Int32
+	inflight    atomic.Int32
+}
+
+func (s *stubSource) fetchChunk([]byte, []byte, uint64) ([]Result, []byte, bool, error) {
+	i := int(s.idx.Add(1)) - 1
+	if cur := s.inflight.Add(1); cur > s.maxInflight.Load() {
+		s.maxInflight.Store(cur)
+	}
+	defer s.inflight.Add(-1)
+	if s.started != nil {
+		s.started <- i
+	}
+	if i == s.errAt {
+		return nil, nil, false, fmt.Errorf("%w: chunk %d forged", ErrAuthFailed, i)
+	}
+	if i >= len(s.chunks) {
+		return nil, nil, true, nil
+	}
+	return s.chunks[i], []byte{byte(i + 1)}, i == len(s.chunks)-1, nil
+}
+
+func (s *stubSource) release() {}
 
 func mkChunks(n, per int) [][]Result {
 	out := make([][]Result, n)
@@ -57,7 +68,7 @@ func TestChunkIterPrefetchesOneChunkAhead(t *testing.T) {
 	chunks := mkChunks(4, 3)
 	started := make(chan int, 16)
 	var maxInflight atomic.Int32
-	it := newChunkIter(nil, nil, stubChunks(chunks, -1, started, &maxInflight), nil)
+	it := newChunkIter(nil, stubChunks(chunks, -1, started, &maxInflight), nil, nil, 0)
 
 	// First Next fetches chunk 0 synchronously and must kick off the
 	// prefetch of chunk 1 without any further consumer demand.
@@ -98,7 +109,7 @@ func TestChunkIterPrefetchesOneChunkAhead(t *testing.T) {
 func TestChunkIterResultsUnchangedByPrefetch(t *testing.T) {
 	chunks := mkChunks(5, 4)
 	var maxInflight atomic.Int32
-	it := newChunkIter(nil, nil, stubChunks(chunks, -1, nil, &maxInflight), nil)
+	it := newChunkIter(nil, stubChunks(chunks, -1, nil, &maxInflight), nil, nil, 0)
 	var got []Result
 	for it.Next() {
 		got = append(got, it.Result())
@@ -127,7 +138,7 @@ func TestChunkIterCloseDrainsPrefetchedError(t *testing.T) {
 	chunks := mkChunks(3, 2)
 	started := make(chan int, 16)
 	var maxInflight atomic.Int32
-	it := newChunkIter(nil, nil, stubChunks(chunks, 1, started, &maxInflight), nil)
+	it := newChunkIter(nil, stubChunks(chunks, 1, started, &maxInflight), nil, nil, 0)
 	if !it.Next() {
 		t.Fatal("Next = false on first chunk")
 	}
@@ -145,7 +156,7 @@ func TestChunkIterCloseDrainsPrefetchedError(t *testing.T) {
 func TestChunkIterPrefetchErrorStopsStream(t *testing.T) {
 	chunks := mkChunks(4, 2)
 	var maxInflight atomic.Int32
-	it := newChunkIter(nil, nil, stubChunks(chunks, 2, nil, &maxInflight), nil)
+	it := newChunkIter(nil, stubChunks(chunks, 2, nil, &maxInflight), nil, nil, 0)
 	n := 0
 	for it.Next() {
 		n++

@@ -413,8 +413,13 @@ func TestReadFaultIsNotTampering(t *testing.T) {
 
 // TestScanAllocBudget pins the allocation cost of a verified 50-row Scan on
 // a warm store (every block in the cache, every node of the range verified
-// before): a change that brings back a copy per row, a key-indexed map or a
-// materialized proof trips it without the benchmark gate.
+// before, the scratch pooled) at what the caller keeps: the iterator, the
+// Result slice and one block holding the rows' keys and values. Streamed
+// over k chunks, each chunk adds its Result slice, its block and the
+// prefetch goroutine that fetched it, and the stream its prefetch channel
+// (two objects: the channel and its buffer): at most 3k + 3. A change that brings back a copy per row, a per-chunk
+// arena, a heap-allocated view, a key-indexed map or a materialized proof
+// trips it without the benchmark gate.
 func TestScanAllocBudget(t *testing.T) {
 	s := scanBenchStore(t, 4000, 64<<20)
 	defer s.Close()
@@ -426,9 +431,188 @@ func TestScanAllocBudget(t *testing.T) {
 		}
 	}
 	scan()
-	if allocs := testing.AllocsPerRun(50, scan); allocs > 3*rows+60 {
-		t.Fatalf("a warm verified %d-row Scan allocates %.0f times, want ≤ %d", rows, allocs, 3*rows+60)
+	if allocs := testing.AllocsPerRun(50, scan); allocs > 3 {
+		t.Fatalf("a warm verified %d-row Scan allocates %.0f times, want ≤ 3", rows, allocs)
 	} else {
 		t.Logf("a warm verified %d-row Scan allocates %.0f times", rows, allocs)
+	}
+
+	const k = 5
+	s.iterChunkKeys = rows / k
+	stream := func() {
+		it := s.IterAt(nil, start, end, record.MaxTs)
+		n := 0
+		for it.Next() {
+			n++
+		}
+		if err := it.Close(); err != nil || n != rows {
+			t.Errorf("Iter = %d rows, %v", n, err)
+		}
+	}
+	stream()
+	if allocs := testing.AllocsPerRun(50, stream); allocs > 3*k+3 {
+		t.Fatalf("a warm verified %d-row Iter over %d chunks allocates %.0f times, want ≤ %d", rows, k, allocs, 3*k+3)
+	} else {
+		t.Logf("a warm verified %d-row Iter over %d chunks allocates %.0f times", rows, k, allocs)
+	}
+}
+
+// TestResultsOutlivePooledMemory keeps the rows of one Scan and of a Snapshot
+// iterator's first chunk, then runs 200 scans and streams of other ranges
+// concurrently, the kept iterator's prefetch in flight: the kept rows must not
+// change by a byte. Results that aliased the reused arena, the memtable
+// cursors' scratch or a stream's pooled bounds would be overwritten here.
+func TestResultsOutlivePooledMemory(t *testing.T) {
+	cfg := scanCfg(nil)
+	cfg.IterChunkKeys = 16
+	s := mustOpenP2(t, cfg)
+	defer s.Close()
+	const n = 800
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%05d", i)) }
+	for run := 0; run < 3; run++ {
+		for i := run; i < n; i += run + 1 {
+			if _, err := Put(s, key(i), []byte(fmt.Sprintf("value-%d-of-%05d", run, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 7 { // and some rows only the memtable holds
+		if _, err := Put(s, key(i), []byte(fmt.Sprintf("value-m-of-%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := func(rows []Result) []Result {
+		out := make([]Result, len(rows))
+		for i, r := range rows {
+			out[i] = Result{Key: bytes.Clone(r.Key), Value: bytes.Clone(r.Value), Ts: r.Ts, Found: r.Found}
+		}
+		return out
+	}
+
+	// Warm scratch first: the kept rows then land in arena memory that later
+	// chunks reuse, not in arrays a growing arena has left behind.
+	if _, err := Scan(s, key(0), key(n)); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := Scan(s, key(100), key(115))
+	if err != nil || len(kept) != 16 {
+		t.Fatalf("Scan = %d rows, %v", len(kept), err)
+	}
+	wantScan := clone(kept)
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	it := snap.IterAt(nil, key(200), key(400), record.MaxTs)
+	var first []Result
+	for len(first) < cfg.IterChunkKeys && it.Next() {
+		first = append(first, it.Result())
+	}
+	wantFirst := clone(first)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for q := 0; q < 50; q++ {
+				lo := (w*50 + q) * 3 % (n - 40)
+				if q%2 == 0 {
+					if _, err := Scan(s, key(lo), key(lo+30)); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				it := s.IterAt(nil, key(lo), key(lo+40), record.MaxTs)
+				for it.Next() {
+				}
+				if err := it.Close(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := sameResults(kept, wantScan); err != nil {
+		t.Errorf("the kept Scan changed: %v", err)
+	}
+	if err := sameResults(first, wantFirst); err != nil {
+		t.Errorf("the kept first chunk changed: %v", err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScratchFreeListsStayBounded: Open charges the enclave for
+// scanScratchSlots scan scratches of at most scanScratchBytes and
+// readScratchSlots read scratches of at most readScratchBytes. A chunk whose
+// rows outgrow the scan bound drops its scratch instead of pooling it, a
+// stream over outsized bounds drops its read scratch, and however many
+// streams are open at once, no more are pooled than there are slots.
+func TestScratchFreeListsStayBounded(t *testing.T) {
+	s := mustOpenP2(t, scanCfg(nil))
+	defer s.Close()
+	const rows = 512
+	value := make([]byte, 1<<10)
+	for i := 0; i < rows; i++ {
+		if _, err := Put(s, twoRunKey(i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	drain := func() {
+		for len(s.scanPool) > 0 {
+			<-s.scanPool
+		}
+	}
+	drain()
+	if out, err := Scan(s, twoRunKey(0), twoRunKey(rows-1)); err != nil || len(out) != rows {
+		t.Fatalf("Scan = %d rows, %v", len(out), err)
+	}
+	if got := len(s.scanPool); got != 0 {
+		t.Fatalf("a %d-row chunk of 1 KiB values left %d scan scratch pooled, want it dropped", rows, got)
+	}
+	if _, err := Scan(s, twoRunKey(0), twoRunKey(9)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.scanPool); got != 1 {
+		t.Fatalf("a 10-row chunk left %d scan scratch pooled, want 1", got)
+	}
+
+	its := make([]Iterator, 3*readScratchSlots)
+	for i := range its {
+		start := twoRunKey(i)
+		if i == 0 {
+			start = append(start, make([]byte, readScratchBytes)...) // outsized bounds
+		}
+		its[i] = s.IterAt(nil, start, twoRunKey(rows), record.MaxTs)
+		if !its[i].Next() {
+			t.Fatalf("stream %d is empty: %v", i, its[i].Err())
+		}
+	}
+	for _, it := range its {
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(s.readPool); got > readScratchSlots {
+		t.Fatalf("%d read scratches pooled, more than the %d slots", got, readScratchSlots)
+	}
+	for len(s.readPool) > 0 {
+		if g := <-s.readPool; cap(g.buf) > readScratchBytes {
+			t.Fatalf("a pooled read scratch holds %d bytes, more than %d", cap(g.buf), readScratchBytes)
+		}
+	}
+	for len(s.scanPool) > 0 {
+		if n := (<-s.scanPool).release(); n > scanScratchBytes {
+			t.Fatalf("a pooled scan scratch holds %d bytes, more than %d", n, scanScratchBytes)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"sync"
 
@@ -50,8 +51,8 @@ func (s *p2Snapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result,
 	var res Result
 	var err error
 	s.c.enclave.ECall(func() {
-		g := s.c.getGetScratch()
-		defer s.c.putGetScratch(g)
+		g := s.c.getReadScratch()
+		defer s.c.putReadScratch(g)
 		res, err = s.view.getAt(key, tsq, g)
 	})
 	return res, err
@@ -62,7 +63,7 @@ func (s *p2Snapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result,
 // mid-iteration does not unpin the stream's runs.
 func (s *p2Snapshot) IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator {
 	s.view.retain()
-	return s.c.viewIter(ctx, s.view, start, end, tsq)
+	return s.c.stream(ctx, s.view, start, end, tsq)
 }
 
 // Close implements Snapshot, releasing the snapshot's run pins. Idempotent.
@@ -110,37 +111,31 @@ func (s *rawSnapshot) IterAt(ctx context.Context, start, end []byte, tsq uint64)
 	}
 	s.refs++
 	s.mu.Unlock()
-	endC := append([]byte(nil), end...)
-	return newChunkIter(ctx, start, func(cursor []byte) ([]Result, []byte, bool, error) {
-		if err := lsm.CtxErr(ctx); err != nil {
-			return nil, nil, false, err
-		}
-		var (
-			recs []record.Record
-			next []byte
-			done bool
-			err  error
-		)
-		s.s.ecall(func() { recs, next, done, err = s.esnap.ScanChunk(cursor, endC, tsq, s.s.iterChunkKeys) })
-		if err != nil {
-			return nil, nil, false, err
-		}
-		out := make([]Result, 0, len(recs))
-		for _, rec := range recs {
-			out = append(out, resultFrom(rec))
-		}
-		return out, next, done, nil
-	}, s.unref)
+	return newChunkIter(ctx, s, bytes.Clone(start), bytes.Clone(end), tsq)
 }
 
-// unref drops an iterator reference, releasing the engine pins once the
-// snapshot is closed and no iterators remain.
-func (s *rawSnapshot) unref() {
+// fetchChunk implements chunkSource: one chunk per enclave call.
+func (s *rawSnapshot) fetchChunk(cursor, end []byte, tsq uint64) (out []Result, next []byte, done bool, err error) {
+	var recs []record.Record
+	s.s.ecall(func() { recs, next, done, err = s.esnap.ScanChunk(cursor, end, tsq, s.s.iterChunkKeys) })
+	if err != nil {
+		return nil, nil, false, err
+	}
+	out = make([]Result, 0, len(recs))
+	for _, rec := range recs {
+		out = append(out, resultFrom(rec))
+	}
+	return out, next, done, nil
+}
+
+// release implements chunkSource: it drops an iterator reference, releasing
+// the engine pins once the snapshot is closed and no iterators remain.
+func (s *rawSnapshot) release() {
 	s.mu.Lock()
 	s.refs--
-	release := s.closed && s.refs == 0
+	last := s.closed && s.refs == 0
 	s.mu.Unlock()
-	if release {
+	if last {
 		s.esnap.Release()
 	}
 }

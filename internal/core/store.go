@@ -272,10 +272,10 @@ type Store struct {
 	// rec is the shard's observability recorder (nil = instrumentation off).
 	rec *obs.Recorder
 
-	// scanPool and getPool are the free lists of scan-chunk and Get scratch
-	// (see scanScratch, getScratch).
+	// scanPool and readPool are the free lists of scan-chunk scratch and of
+	// the scratch of Gets and streams (see scanScratch, readScratch).
 	scanPool chan *scanScratch
-	getPool  chan *getScratch
+	readPool chan *readScratch
 }
 
 // VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
@@ -366,8 +366,8 @@ func Open(cfg Config) (*Store, error) {
 	// Like the node cache, the scan and Get scratch are a fixed budget of
 	// protected memory charged once, for as long as the enclave lasts.
 	c.scanPool = make(chan *scanScratch, scanScratchSlots)
-	c.getPool = make(chan *getScratch, getScratchSlots)
-	enclave.Alloc(scanScratchSlots*scanScratchBytes + getScratchSlots*getScratchBytes)
+	c.readPool = make(chan *readScratch, readScratchSlots)
+	enclave.Alloc(scanScratchSlots*scanScratchBytes + readScratchSlots*readScratchBytes)
 	opts.Enclave = enclave
 	opts.Listener = &authListener{c: c}
 	if cfg.CacheSize > 0 {
@@ -686,7 +686,7 @@ func (c *Store) Sync(ctx context.Context) error {
 // GetAt returns the newest verified value with Ts ≤ tsq (the paper's
 // GET(k, tsq)); ctx is checked before the enclave call — a point lookup is a
 // single short ECall. It acquires an ephemeral read view — the same pinned
-// (runs, digests) unit that backs Snapshot, in pooled memory (getScratch) —
+// (runs, digests) unit that backs Snapshot, in pooled memory (readScratch) —
 // runs the verified GET protocol against it, and releases it: point reads,
 // iterators and snapshots share one implementation.
 func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
@@ -700,8 +700,8 @@ func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, erro
 	var res Result
 	var err error
 	c.enclave.ECall(func() {
-		g := c.getGetScratch()
-		defer c.putGetScratch(g)
+		g := c.getReadScratch()
+		defer c.putReadScratch(g)
 		if err = c.pinView(&g.view, false); err != nil {
 			return
 		}

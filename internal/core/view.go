@@ -11,6 +11,7 @@ import (
 	"elsm/internal/blockcache"
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
+	"elsm/internal/memtable"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
 )
@@ -46,7 +47,7 @@ type readView struct {
 
 // acquireView captures a coherent (runs, digests) pair as a read session
 // (counted in SnapshotsOpen); a one-shot point read pins its pooled view
-// instead (getScratch). The digest forest is loaded AFTER the engine
+// instead (readScratch). The digest forest is loaded AFTER the engine
 // snapshot: installs swap levels and digests in one engine-lock critical
 // section, so the loaded view can only be same-age or newer than the run
 // set — and a newer view is coherent as long as it still carries a digest
@@ -107,9 +108,9 @@ func (v *readView) ts() uint64 { return v.esnap.Ts() }
 // verified hit (the early-stop optimization — levels below the hit need no
 // proof by Lemma 5.4). Per run the host hands over views of its blocks,
 // pinned in the block cache; the enclave copies the witnesses out of them
-// once, into g (getScratch.take), verifies the copies, and lets go of the
+// once, into g (readScratch.take), verifies the copies, and lets go of the
 // blocks when the Get ends. Caller is inside an ECall.
-func (v *readView) getAt(key []byte, tsq uint64, g *getScratch) (Result, error) {
+func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error) {
 	c := v.c
 	c.statGets.Add(1)
 	if rec, ok := v.esnap.MemGet(key, tsq); ok {
@@ -188,26 +189,29 @@ func (v *readView) getAt(key []byte, tsq uint64, g *getScratch) (Result, error) 
 	return Result{}, nil
 }
 
-// getScratch is the memory one verified Get works in: the views a run's
+// readScratch is the memory one verified Get works in: the views a run's
 // lookup hands over (aliasing untrusted blocks), the witnesses the enclave
 // copies out of them (buf, and the records the verifier reads that alias
 // it), the pins holding the viewed blocks in place until then, and, for a
-// one-shot Get, its read view and the engine snapshot behind it. Gets hand
-// it on through the store's bounded free list, as scans do their
-// scanScratch, so a store keeps at most getScratchSlots of them, none above
-// getScratchBytes: that product is what Open charges to the enclave.
-type getScratch struct {
+// one-shot Get, its read view and the engine snapshot behind it. A verified
+// stream owns one for its lifetime (Store.stream): the view it reads, and
+// its start and end bytes in buf. Both hand it on through the store's
+// bounded free list, as scans do their scanScratch, so a store keeps at most
+// readScratchSlots of them, none above readScratchBytes: that product is
+// what Open charges to the enclave.
+type readScratch struct {
 	view       readView
 	snap       lsm.Snapshot
 	views      lsm.RunViews
 	pins       blockcache.Pins
 	buf        []byte
 	pred, succ record.Record
+	stream     *readView // a stream's: view, or a Snapshot's
 }
 
 const (
-	getScratchSlots = 8
-	getScratchBytes = 16 << 10
+	readScratchSlots = 8
+	readScratchBytes = 16 << 10
 )
 
 // take copies what the verifier reads of one run's answer out of the blocks
@@ -217,7 +221,7 @@ const (
 // goes into g.buf, reused run after run. (If buf has to grow, what was taken
 // before stays where it is, in the old array.) Nothing after take reads a
 // view.
-func (g *getScratch) take() lsm.RunLookup {
+func (g *readScratch) take() lsm.RunLookup {
 	v := &g.views
 	g.buf = g.buf[:0]
 	lk := lsm.RunLookup{RunID: v.RunID, Found: v.Found, EmptyRun: v.EmptyRun}
@@ -236,7 +240,7 @@ func (g *getScratch) take() lsm.RunLookup {
 	return lk
 }
 
-func (g *getScratch) copy(v sstable.View, hit bool) record.Record {
+func (g *readScratch) copy(v sstable.View, hit bool) record.Record {
 	rec := record.Record{Ts: v.Rec.Ts, Kind: v.Rec.Kind}
 	if hit && rec.Kind == record.KindSet {
 		k := len(v.Rec.Key)
@@ -256,26 +260,41 @@ func (g *getScratch) copy(v sstable.View, hit bool) record.Record {
 	return rec
 }
 
-func (c *Store) getGetScratch() *getScratch {
+func (c *Store) getReadScratch() *readScratch {
 	select {
-	case g := <-c.getPool:
+	case g := <-c.readPool:
 		return g
 	default:
-		g := new(getScratch)
+		g := new(readScratch)
 		g.view.c, g.view.esnap = c, &g.snap
 		return g
 	}
 }
 
-func (c *Store) putGetScratch(g *getScratch) {
-	g.views, g.pred, g.succ, g.view.digs = lsm.RunViews{}, record.Record{}, record.Record{}, nil
-	if cap(g.buf) > getScratchBytes {
-		return // one outsized witness must not pin its scratch forever
+func (c *Store) putReadScratch(g *readScratch) {
+	g.views, g.pred, g.succ, g.view.digs, g.stream = lsm.RunViews{}, record.Record{}, record.Record{}, nil, nil
+	if cap(g.buf) > readScratchBytes {
+		return // one outsized witness or range must not pin its scratch forever
 	}
 	select {
-	case c.getPool <- g:
+	case c.readPool <- g:
 	default:
 	}
+}
+
+// fetchChunk implements chunkSource: a stream's chunk is fetched and
+// verified in one ECall.
+func (g *readScratch) fetchChunk(cursor, end []byte, tsq uint64) (out []Result, next []byte, done bool, err error) {
+	v := g.stream
+	v.c.enclave.ECall(func() { out, next, done, err = v.scanChunk(cursor, end, tsq, v.c.iterChunkKeys) })
+	return out, next, done, err
+}
+
+// release implements chunkSource: the stream drops its view reference and
+// hands the scratch back.
+func (g *readScratch) release() {
+	g.stream.release()
+	g.view.c.putReadScratch(g)
 }
 
 // scanChunk runs one bounded round of the SCAN protocol of §5.4 over
@@ -291,15 +310,16 @@ func (c *Store) putGetScratch(g *getScratch) {
 // tombstone counts toward maxKeys and yields no row.
 //
 // Every row a run's cursor lands on is copied out of its untrusted block
-// once — key and value into the chunk's arena, which the returned Results
-// alias — and everything the enclave then compares, resolves or hashes is
-// that copy. Proofs stay behind as handles on the (pinned, still untrusted)
-// blocks until the merge has stopped; then the at most four per run that
-// verification reads are rebuilt as they are copied (runSource.capture), byte
-// for byte the embedded proofs the verifier knows, and each run's span is
-// verified against its digest (verifyRunScan). No result leaves before every
-// span has verified. The returned cursor resumes immediately after the
-// chunk's effective end. Caller is inside an ECall.
+// once — key and value into the scratch's arena — and everything the enclave
+// then compares, resolves or hashes is that copy. Proofs stay behind as
+// handles on the (pinned, still untrusted) blocks until the merge has
+// stopped; then the at most four per run that verification reads are rebuilt
+// as they are copied (runSource.capture), byte for byte the embedded proofs
+// the verifier knows, and each run's span is verified against its digest
+// (verifyRunScan). No result leaves before every span has verified; then the
+// winning rows are copied once more, out of the arena (or memtable) into one
+// block of their own (deliver). The returned cursor resumes immediately after
+// the chunk's effective end. Caller is inside an ECall.
 func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []Result, next []byte, done bool, err error) {
 	c := v.c
 	instr := c.rec != nil
@@ -311,11 +331,15 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 	defer c.putScanScratch(sc)
 	defer sc.pins.Release() // the blocks the cursors viewed, once verified
 
-	arena := rowArena{next: sc.arenaHint}
-	active, frozen := v.esnap.MemIters()
-	active.SeekGE(start, record.MaxTs)
+	active, frozen := v.esnap.MemTables()
+	mems := sc.mems[:1]
+	mems[0].Reset(active)
 	if frozen != nil {
-		frozen.SeekGE(start, record.MaxTs)
+		mems = sc.mems[:2]
+		mems[1].Reset(frozen)
+	}
+	for m := range mems {
+		mems[m].SeekGE(start, record.MaxTs)
 	}
 	for i, run := range v.esnap.Runs() {
 		d := v.digs[run.ID]
@@ -327,7 +351,7 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 			return nil, nil, false, err
 		}
 		src.seekPrev()
-		src.load(&arena)
+		src.load(sc)
 	}
 	runs := sc.runs
 
@@ -346,11 +370,10 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 				key, have = k, true
 			}
 		}
-		if active.Valid() {
-			pick(active.Record().Key)
-		}
-		if frozen != nil && frozen.Valid() {
-			pick(frozen.Record().Key)
+		for m := range mems {
+			if mems[m].Valid() {
+				pick(mems[m].Record().Key)
+			}
 		}
 		for i := range runs {
 			if runs[i].valid {
@@ -371,8 +394,8 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 		// Consume the key from every source, newest source first.
 		var res Result
 		resolved := false
-		for _, mem := range [2]record.Iterator{active, frozen} {
-			for ; mem != nil && mem.Valid(); mem.Next() {
+		for m := range mems {
+			for mem := &mems[m]; mem.Valid(); mem.Next() {
 				rec := mem.Record()
 				if !bytes.Equal(rec.Key, key) {
 					break
@@ -380,9 +403,8 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 				if !resolved && rec.Ts <= tsq {
 					resolved = true
 					if rec.Kind == record.KindSet {
-						// Trusted memory, but the memtable's own: copy.
-						k, val := arena.copyRow(rec.Key, rec.Value)
-						res = Result{Key: k, Value: val, Ts: rec.Ts, Found: true}
+						// Trusted memory that never moves: deliver copies it.
+						res = Result{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Found: true}
 					}
 				}
 			}
@@ -396,7 +418,7 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 						res = Result{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Found: true}
 					}
 				}
-				src.consume(&arena)
+				src.consume(sc)
 			}
 		}
 		if res.Found {
@@ -404,7 +426,6 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 		}
 	}
 	sc.results = results
-	sc.arenaHint = arena.used + arena.used/4
 
 	// What is left to copy is the boundary proofs. A cursor that stopped
 	// early says why, and is asked before anything is verified: a failed read
@@ -447,14 +468,35 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 	if err != nil {
 		return nil, nil, false, err
 	}
+	out, next = deliver(results, chunkEnd, done)
+	return out, next, done, nil
+}
 
-	out = append(make([]Result, 0, len(results)), results...)
-	if done {
-		return out, nil, true, nil
+// deliver copies verified rows out of the scratch: their keys and values into
+// one block of exactly their size, which the returned Results alias, and,
+// unless the range is done, the cursor that resumes it — the smallest key
+// strictly greater than chunkEnd — into the block's tail.
+func deliver(rows []Result, chunkEnd []byte, done bool) (out []Result, next []byte) {
+	n := 0
+	for _, r := range rows {
+		n += len(r.Key) + len(r.Value)
 	}
-	// The smallest key strictly greater than chunkEnd resumes the range.
-	next = append(append(make([]byte, 0, len(chunkEnd)+1), chunkEnd...), 0)
-	return out, next, false, nil
+	if !done {
+		n += len(chunkEnd) + 1
+	}
+	block := make([]byte, 0, n)
+	out = make([]Result, len(rows))
+	for i, r := range rows {
+		off := len(block)
+		block = append(block, r.Key...)
+		k := len(block)
+		block = append(block, r.Value...)
+		out[i] = Result{Key: block[off:k:k], Value: block[k:len(block):len(block)], Ts: r.Ts, Found: true}
+	}
+	if !done {
+		next = append(append(block, chunkEnd...), 0)[len(block):]
+	}
+	return out, next
 }
 
 // runSource is one pinned run in the scan merge: its untrusted cursor, the
@@ -488,18 +530,18 @@ func (s *runSource) seekPrev() {
 }
 
 // load copies the row the cursor stands on into the arena.
-func (s *runSource) load(a *rowArena) {
+func (s *runSource) load(sc *scanScratch) {
 	if s.valid = s.it.Valid(); !s.valid {
 		return
 	}
 	view := s.it.Record()
-	key, value := a.copyRow(view.Key, view.Value)
+	key, value := sc.copyRow(view.Key, view.Value)
 	s.rec = record.Record{Key: key, Ts: view.Ts, Kind: view.Kind, Value: value}
 	s.proof = s.it.Proof()
 }
 
 // consume moves the current row into the span and the cursor to the next.
-func (s *runSource) consume(a *rowArena) {
+func (s *runSource) consume(sc *scanScratch) {
 	if n := len(s.rows); n == 0 || !bytes.Equal(s.rows[n-1].Key, s.rec.Key) {
 		if s.heads++; s.heads == 1 {
 			s.first = s.proof
@@ -508,7 +550,7 @@ func (s *runSource) consume(a *rowArena) {
 	}
 	s.rows = append(s.rows, s.rec)
 	s.it.Next()
-	s.load(a)
+	s.load(sc)
 }
 
 // capture copies the rest of what verifyRunScan reads out of untrusted
@@ -552,49 +594,22 @@ func (s *runSource) capture(sc *scanScratch) (proofBytes int) {
 	return proofBytes
 }
 
-// rowArena is the chunk-owned memory rows are copied into: blocks that never
-// move or get reused, so the chunk's Results can alias a copied row for as
-// long as their holder keeps them.
-type rowArena struct {
-	buf  []byte
-	next int // size of the next block
-	used int
-}
-
-const (
-	arenaMinBlock = 1 << 10
-	arenaMaxBlock = 64 << 10
-)
-
-// copyRow copies key and value into the arena.
-func (a *rowArena) copyRow(key, value []byte) (k, v []byte) {
-	n := len(key) + len(value)
-	if n > cap(a.buf)-len(a.buf) {
-		size := min(max(a.next, arenaMinBlock), arenaMaxBlock)
-		a.next = 2 * size
-		a.buf = make([]byte, 0, max(size, n))
-	}
-	off, mid := len(a.buf), len(a.buf)+len(key)
-	a.buf = append(append(a.buf, key...), value...)
-	a.used += n
-	return a.buf[off:mid:mid], a.buf[mid : off+n : off+n]
-}
-
-// scanScratch is the enclave memory one scanChunk call works in beyond the
-// arena it returns: the run sources with their row lists, the verifier's leaf
-// and chain scratch, the boundary-proof buffer and the result list before it
-// is cut to size. One call owns it at a time — a stream's chunks are fetched
-// one after another, the prefetch goroutine included (chunkIter) — and calls
-// hand it on through the store's bounded free list, so a store keeps at most
-// scanScratchSlots of them, none above scanScratchBytes: that product is what
-// Open charges to the enclave.
+// scanScratch is the enclave memory one scanChunk call works in: the arena
+// its rows are copied into, the memtable cursors, the run sources with their
+// row lists, the verifier's leaf and chain scratch, the boundary-proof buffer
+// and the result list before deliver copies it out. One call owns it at a
+// time — a stream's chunks are fetched one after another, the prefetch
+// goroutine included (chunkIter) — and calls hand it on through the store's
+// bounded free list, so a store keeps at most scanScratchSlots of them, none
+// above scanScratchBytes: that product is what Open charges to the enclave.
 type scanScratch struct {
-	runs      []runSource
-	span      spanScratch
-	bounds    []byte
-	results   []Result
-	pins      blockcache.Pins // the blocks the run cursors read, held until verified
-	arenaHint int             // a first arena block this size would have held the last chunk
+	arena   []byte
+	mems    [2]memtable.Iterator // the active memtable's, then the frozen one's
+	runs    []runSource
+	span    spanScratch
+	bounds  []byte
+	results []Result
+	pins    blockcache.Pins // the blocks the run cursors read, held until verified
 }
 
 const (
@@ -614,9 +629,18 @@ func (sc *scanScratch) addRun(id uint64, d runDigest) *runSource {
 	return src
 }
 
-// release drops every reference the scratch holds into the arena, the pinned
-// runs and their blocks, keeping only its own capacity, and reports that
-// capacity in bytes.
+// copyRow copies key and value into the arena. (If the arena has to grow,
+// the rows copied before stay where they are, in the old array.)
+func (sc *scanScratch) copyRow(key, value []byte) (k, v []byte) {
+	off := len(sc.arena)
+	sc.arena = append(append(sc.arena, key...), value...)
+	mid, n := off+len(key), len(sc.arena)
+	return sc.arena[off:mid:mid], sc.arena[mid:n:n]
+}
+
+// release drops every reference the scratch holds into the arena, the
+// memtables, the pinned runs and their blocks, keeping only its own
+// capacity, and reports that capacity in bytes.
 func (sc *scanScratch) release() (bytes int) {
 	slots := sc.runs[:cap(sc.runs)] // the unused ones keep their row lists too
 	for i := range slots {
@@ -626,9 +650,9 @@ func (sc *scanScratch) release() (bytes int) {
 		bytes += cap(rows) * int(unsafe.Sizeof(record.Record{}))
 	}
 	clear(sc.results)
-	sc.runs, sc.results = sc.runs[:0], sc.results[:0]
+	sc.runs, sc.results, sc.arena, sc.mems = sc.runs[:0], sc.results[:0], sc.arena[:0], [2]memtable.Iterator{}
 	return bytes + cap(sc.runs)*int(unsafe.Sizeof(runSource{})) + cap(sc.results)*int(unsafe.Sizeof(Result{})) +
-		cap(sc.span.leaves)*hashutil.Size + cap(sc.span.chain)*int(unsafe.Sizeof(chainLink{})) + cap(sc.bounds)
+		cap(sc.span.leaves)*hashutil.Size + cap(sc.span.chain)*int(unsafe.Sizeof(chainLink{})) + cap(sc.bounds) + cap(sc.arena)
 }
 
 func (c *Store) getScanScratch() *scanScratch {

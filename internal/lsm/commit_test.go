@@ -183,8 +183,8 @@ func TestCommitCancellationStress(t *testing.T) {
 		snap := s.AcquireSnapshot()
 		defer snap.Release()
 		versions := make(map[string]int)
-		mem, _ := snap.MemIters()
-		for ; mem.Valid(); mem.Next() {
+		active, _ := snap.MemTables()
+		for mem := active.Iter(); mem.Valid(); mem.Next() {
 			versions[string(mem.Record().Key)]++
 		}
 		acked, seen := 0, make(map[uint64]bool)

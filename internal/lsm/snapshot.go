@@ -131,16 +131,13 @@ func (sn *Snapshot) MemGet(key []byte, tsq uint64) (record.Record, bool) {
 	return record.Record{}, false
 }
 
-// MemIters returns iterators over the snapshot's (trusted, in-enclave)
-// memtables: the captured active table, then the captured frozen one or nil.
-// Every version of a key in the first is newer than every version in the
-// second. They are not clamped: records committed after acquisition live in
-// the same skiplist with timestamps beyond Ts(), and the caller skips them.
-func (sn *Snapshot) MemIters() (active, frozen record.Iterator) {
-	if sn.frozen != nil {
-		frozen = sn.frozen.Iter()
-	}
-	return sn.mem.Iter(), frozen
+// MemTables returns the snapshot's (trusted, in-enclave) memtables: the
+// captured active table, then the captured frozen one or nil. Every version
+// of a key in the first is newer than every version in the second. Reads of
+// them are not clamped: records committed after acquisition live in the same
+// skiplist with timestamps beyond Ts(), and the caller skips them.
+func (sn *Snapshot) MemTables() (active, frozen *memtable.Table) {
+	return sn.mem, sn.frozen
 }
 
 // LookupRunViews performs the untrusted side of a one-level GET against the

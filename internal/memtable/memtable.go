@@ -275,27 +275,34 @@ func (t *Table) Release() {
 // lock: each step follows the links as they are at that moment, so the
 // iterator also sees records inserted after it was created. Callers that
 // read at a fixed timestamp skip the records above it.
-func (t *Table) Iter() record.Iterator {
-	return &iterator{t: t, cur: t.head.next[0].Load()}
+func (t *Table) Iter() *Iterator {
+	it := new(Iterator)
+	it.Reset(t)
+	return it
 }
 
-type iterator struct {
+// Iterator walks a table in record order (see Iter).
+type Iterator struct {
 	t   *Table
 	cur *node
 }
 
-var _ record.Iterator = (*iterator)(nil)
+var _ record.Iterator = (*Iterator)(nil)
 
-func (it *iterator) Valid() bool { return it.cur != nil }
+// Reset points it at the first record of t: a reader that keeps an Iterator
+// by value walks table after table without allocating.
+func (it *Iterator) Reset(t *Table) { *it = Iterator{t: t, cur: t.head.next[0].Load()} }
 
-func (it *iterator) Next() {
+func (it *Iterator) Valid() bool { return it.cur != nil }
+
+func (it *Iterator) Next() {
 	if it.cur != nil {
 		it.cur = it.cur.next[0].Load()
 	}
 }
 
-func (it *iterator) Record() record.Record { return it.cur.record() }
+func (it *Iterator) Record() record.Record { return it.cur.record() }
 
-func (it *iterator) SeekGE(key []byte, ts uint64) { it.cur = it.t.findGE(key, ts) }
+func (it *Iterator) SeekGE(key []byte, ts uint64) { it.cur = it.t.findGE(key, ts) }
 
-func (it *iterator) Close() error { return nil }
+func (it *Iterator) Close() error { return nil }
