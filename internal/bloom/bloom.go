@@ -6,7 +6,10 @@
 // hash via double hashing, with k chosen from the bits-per-key budget.
 package bloom
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Filter is an immutable serialized Bloom filter. The last byte stores the
 // probe count so readers need no external configuration.
@@ -31,7 +34,11 @@ func hash64(key []byte) uint64 {
 
 // Build constructs a filter over the given keys with the given bits-per-key
 // budget (0 means DefaultBitsPerKey).
-func Build(keys [][]byte, bitsPerKey int) Filter {
+func Build(keys [][]byte, bitsPerKey int) Filter { return Append(nil, keys, bitsPerKey) }
+
+// Append appends to dst the filter Build gives keys, with no allocation when
+// dst has room for it.
+func Append(dst []byte, keys [][]byte, bitsPerKey int) []byte {
 	if bitsPerKey <= 0 {
 		bitsPerKey = DefaultBitsPerKey
 	}
@@ -49,7 +56,10 @@ func Build(keys [][]byte, bitsPerKey int) Filter {
 	}
 	nBytes := (bits + 7) / 8
 	bits = nBytes * 8
-	filter := make(Filter, nBytes+1)
+	start := len(dst)
+	dst = slices.Grow(dst, nBytes+1)[:start+nBytes+1]
+	filter := dst[start:]
+	clear(filter)
 	filter[nBytes] = byte(k)
 	for _, key := range keys {
 		h := hash64(key)
@@ -60,7 +70,7 @@ func Build(keys [][]byte, bitsPerKey int) Filter {
 			h += delta
 		}
 	}
-	return filter
+	return dst
 }
 
 // MayContain reports whether the key is possibly in the set. False means

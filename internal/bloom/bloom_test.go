@@ -102,3 +102,20 @@ func estimateFalsePositiveRate(n, m, bitsPerKey int) float64 {
 	}
 	return float64(hits) / float64(m)
 }
+
+// TestAppendEqualsBuild appends filters behind a prefix into a buffer whose
+// spare capacity holds a larger filter's bits: the appended bytes must be
+// Build's and the prefix untouched.
+func TestAppendEqualsBuild(t *testing.T) {
+	prefix := []byte("filter block")
+	dirty := Append(append([]byte(nil), prefix...), keys(5000), 16)
+	for _, n := range []int{0, 1, 7, 100, 5000} {
+		for _, bits := range []int{0, 4, 10, 16} {
+			want := Build(keys(n), bits)
+			got := Append(dirty[:len(prefix)], keys(n), bits)
+			if string(got[:len(prefix)]) != string(prefix) || string(got[len(prefix):]) != string(want) {
+				t.Fatalf("n=%d bits=%d: Append differs from Build", n, bits)
+			}
+		}
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
@@ -82,22 +84,48 @@ type pendingVersion struct {
 	kept bool
 }
 
+// hasherPool keeps hashers, and with them their output bookkeeping, from
+// one job to the next. A sync.Pool drops what it holds after two
+// collections, so a level's worth of bookkeeping does not stay resident
+// once maintenance goes quiet.
+var hasherPool = sync.Pool{New: func() any { return new(compactionHasher) }}
+
 // newCompactionHasher prepares a hasher for a merge of the given input runs.
 // expectLeaves sizes the output bookkeeping up front (0 lets it grow): the
 // caller passes the inputs' trusted leaf counts, which the output of a
-// compaction cannot exceed.
+// compaction cannot exceed. The hasher may be one a finished job released.
 func newCompactionHasher(inputRuns []uint64, expectLeaves int) *compactionHasher {
-	h := &compactionHasher{inputs: make([]inputRun, len(inputRuns))}
-	for i, id := range inputRuns {
-		h.inputs[i].id = id
-	}
-	o := &h.out
-	o.leaves = make([]hashutil.Hash, 0, expectLeaves)
-	o.keyOff = append(make([]int, 0, expectLeaves+1), 0)
-	o.verOff = append(make([]int, 0, expectLeaves+1), 0)
-	o.vers = make([]versionEntry, 0, expectLeaves)
+	h := hasherPool.Get().(*compactionHasher)
+	h.reset(inputRuns, expectLeaves)
 	return h
 }
+
+// reset empties h for a new job, keeping its arrays.
+func (h *compactionHasher) reset(inputRuns []uint64, expectLeaves int) {
+	inputs := slices.Grow(h.inputs[:0], len(inputRuns))[:len(inputRuns)]
+	clear(inputs)
+	for i, id := range inputRuns {
+		inputs[i].id = id
+	}
+	o := &h.out
+	*h = compactionHasher{
+		inputs:  inputs,
+		curKey:  h.curKey[:0],
+		pending: h.pending[:0],
+		out: outputTree{
+			tree:   o.tree,
+			nodes:  slices.Grow(o.nodes[:0], merkle.NodeCount(expectLeaves)),
+			keys:   o.keys[:0],
+			keyOff: append(slices.Grow(o.keyOff[:0], expectLeaves+1), 0),
+			vers:   slices.Grow(o.vers[:0], expectLeaves),
+			verOff: append(slices.Grow(o.verOff[:0], expectLeaves+1), 0),
+		},
+	}
+}
+
+// release returns the hasher to the pool once nothing reads its output tree
+// any more: the job has ended and every proof appender is done.
+func (h *compactionHasher) release() { hasherPool.Put(h) }
 
 // add ingests the next record of the merge stream: srcRun names the run it
 // came from (lsm.MemtableRunID for the trusted memtable, which has no tree
@@ -206,7 +234,7 @@ func (h *compactionHasher) foldKey() {
 			}
 		}
 		o.verOff = append(o.verOff, len(o.vers))
-		o.leaves = append(o.leaves, outLeaf)
+		o.nodes = append(o.nodes, outLeaf)
 	}
 	h.pending, h.kept, h.haveKey = p[:0], 0, false
 }
@@ -220,8 +248,7 @@ func (h *compactionHasher) finish() *outputTree {
 			h.foldKey()
 		}
 		o := &h.out
-		o.tree = merkle.New(o.leaves)
-		o.leaves = nil
+		o.nodes = o.tree.Build(o.nodes)
 		o.digest = runDigest{Root: o.tree.Root(), NumLeaves: o.tree.NumLeaves()}
 		o.groupBits = groupBits(o.digest.NumLeaves, o.recordBytes, o.blockSize)
 	}
@@ -233,9 +260,10 @@ func (h *compactionHasher) finish() *outputTree {
 // keys[keyOff[i]:keyOff[i+1]] and its versions, newest first, are
 // vers[verOff[i]:verOff[i+1]] — vers holds one entry per output record, in
 // stream order. Immutable once finished, so any number of proofAppenders
-// may read it at once.
+// may read it at once, until the job ends and its hasher — arrays and all —
+// goes back to the pool.
 type outputTree struct {
-	tree   *merkle.Tree
+	tree   merkle.Tree
 	digest runDigest
 	// groupBits is k: the run's blocks are cut at groups of 2^k leaves
 	// (sstable.ProofAppender.Group), chosen at finish from blockSize and
@@ -244,7 +272,7 @@ type outputTree struct {
 	blockSize   int
 	recordBytes int
 
-	leaves []hashutil.Hash // handed to tree by finish
+	nodes  []hashutil.Hash // the leaves, then every level above them: tree's array
 	keys   []byte
 	keyOff []int // one more entry than leaves; keyOff[0] is 0
 	vers   []versionEntry

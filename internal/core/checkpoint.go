@@ -534,7 +534,9 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 			return fmt.Errorf("%w: run %d stream: %v", ErrCheckpointCorrupt, ref.ID, verr)
 		}
 		h.finish()
-		if h.inputs[0].digest() != want {
+		got := h.inputs[0].digest()
+		h.release()
+		if got != want {
 			snap.Release()
 			closeEng()
 			return fmt.Errorf("%w: run %d digest mismatch (shipped bytes tampered)", ErrCheckpointCorrupt, ref.ID)

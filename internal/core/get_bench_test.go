@@ -86,7 +86,7 @@ func BenchmarkVerifiedGet(b *testing.B) {
 // itself. A change that brings back a cloned witness, a per-Get snapshot or a
 // second copy of the result trips it.
 func TestVerifiedGetAllocationGuard(t *testing.T) {
-	s := twoRunStoreOn(t, vfs.NewMem(), 2000, func(int) []byte { return make([]byte, 100) }, 8<<20)
+	s := twoRunStoreOn(t, Config{FS: vfs.NewMem(), CacheSize: 8 << 20}, 2000, func(int) []byte { return make([]byte, 100) })
 	defer s.Close()
 	key := twoRunKey(1000) // even: lives in the lower run
 	old, err := Get(s, key)

@@ -29,7 +29,7 @@ type streamRec struct {
 // overlapping keys, the merge orders them key ascending and timestamp
 // descending, and the engine's retention policy (KeepVersions, tombstone
 // shadowing, bottom-most tombstone elimination) marks what is dropped.
-func randomStream(rnd *rand.Rand, nRuns int, withMem bool, keepVersions int, bottomMost bool) ([]uint64, []streamRec) {
+func randomStream(rnd *rand.Rand, nRuns int, withMem bool, keepVersions int, bottomMost bool, maxKeys int) ([]uint64, []streamRec) {
 	var sources []uint64
 	for id := 1; id <= nRuns; id++ {
 		sources = append(sources, uint64(id))
@@ -40,7 +40,7 @@ func randomStream(rnd *rand.Rand, nRuns int, withMem bool, keepVersions int, bot
 	}
 	var stream []streamRec
 	ts := uint64(1_000_000)
-	nKeys := 1 + rnd.Intn(120)
+	nKeys := 1 + rnd.Intn(maxKeys)
 	for k := 0; k < nKeys; k++ {
 		key := []byte(fmt.Sprintf("key%04d-%s", k, strings.Repeat("x", rnd.Intn(6))))
 		nVersions := 1
@@ -89,7 +89,7 @@ func TestHasherMatchesReference(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		nRuns := 1 + rnd.Intn(4)
 		keepVersions := []int{0, 1, 3}[rnd.Intn(3)]
-		inputs, stream := randomStream(rnd, nRuns, rnd.Intn(2) == 0, keepVersions, rnd.Intn(2) == 0)
+		inputs, stream := randomStream(rnd, nRuns, rnd.Intn(2) == 0, keepVersions, rnd.Intn(2) == 0, 120)
 
 		h := newCompactionHasher(inputs, rnd.Intn(2)*len(stream))
 		refIn := map[uint64]*refTreeBuilder{}
@@ -159,6 +159,81 @@ func TestHasherMatchesReference(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("no stream exercised leaf reuse")
+	}
+}
+
+// TestHasherReuseMatchesFresh runs randomized streams back to back through
+// one hasher — a large job, a small one, a large one again, and so on — with
+// dropped versions, tombstones and reused leaves, and requires of each what
+// a fresh hasher gives the same stream: the input digests, the output digest
+// and its k, every leaf, and every record's group, section, chain part and
+// whole proof. Reuse keeps a finished job's arrays, never their contents.
+func TestHasherReuseMatchesFresh(t *testing.T) {
+	rnd := rand.New(rand.NewSource(20261017))
+	reused := new(compactionHasher)
+	leavesReused, dropped := 0, 0
+	for job := 0; job < 9; job++ {
+		maxKeys := 1500
+		if job%2 == 1 {
+			maxKeys = 40
+		}
+		inputs, stream := randomStream(rnd, 1+rnd.Intn(4), rnd.Intn(2) == 0, []int{0, 1, 3}[job%3], job%4 == 0, maxKeys)
+		expect := rnd.Intn(2) * len(stream)
+		fresh := new(compactionHasher)
+		fresh.reset(inputs, expect)
+		reused.reset(inputs, expect)
+		var kept []record.Record
+		for _, h := range []*compactionHasher{fresh, reused} {
+			h.out.blockSize = 1024
+			for _, sr := range stream {
+				if err := h.add(sr.src, sr.rec, sr.dropped); err != nil {
+					t.Fatalf("job %d: add: %v", job, err)
+				}
+			}
+		}
+		for _, sr := range stream {
+			if sr.dropped {
+				dropped++
+			} else {
+				kept = append(kept, sr.rec)
+			}
+		}
+		want, got := fresh.finish(), reused.finish()
+		leavesReused += fresh.reused
+		for i := range inputs {
+			if fresh.inputs[i].digest() != reused.inputs[i].digest() {
+				t.Fatalf("job %d: input %d digest %+v, fresh %+v", job, i, reused.inputs[i].digest(), fresh.inputs[i].digest())
+			}
+		}
+		if got.digest != want.digest || got.groupBits != want.groupBits || reused.reused != fresh.reused {
+			t.Fatalf("job %d: output %+v k=%d reused %d, fresh %+v k=%d reused %d", job,
+				got.digest, got.groupBits, reused.reused, want.digest, want.groupBits, fresh.reused)
+		}
+		for i := 0; i < want.digest.NumLeaves; i++ {
+			if got.tree.Leaf(i) != want.tree.Leaf(i) {
+				t.Fatalf("job %d: leaf %d differs", job, i)
+			}
+		}
+		gotApp, wantApp := got.newAppender(), want.newAppender()
+		for i, rec := range kept {
+			gg, errGot := gotApp.Group(rec)
+			wg, errWant := wantApp.Group(rec)
+			if errGot != nil || errWant != nil || gg != wg {
+				t.Fatalf("job %d rec %d: group %d (%v), fresh %d (%v)", job, i, gg, errGot, wg, errWant)
+			}
+			if !bytes.Equal(gotApp.AppendSection(nil), wantApp.AppendSection(nil)) ||
+				!bytes.Equal(gotApp.AppendChain(nil), wantApp.AppendChain(nil)) {
+				t.Fatalf("job %d rec %d: section or chain differs", job, i)
+			}
+			gp, _ := gotApp.AppendProof(nil, rec)
+			wp, _ := wantApp.AppendProof(nil, rec)
+			if !bytes.Equal(gp, wp) {
+				t.Fatalf("job %d rec %d: proof differs", job, i)
+			}
+		}
+	}
+	if leavesReused == 0 || dropped == 0 {
+		t.Fatalf("streams reused %d leaves and dropped %d versions; want both", leavesReused, dropped)
 	}
 }
 
@@ -251,7 +326,7 @@ func TestHasherRejectsDisorder(t *testing.T) {
 // memtable, returning the finished output tree and the records it keeps.
 func hashStream(t *testing.T, rnd *rand.Rand, nRuns int) (*outputTree, []record.Record) {
 	t.Helper()
-	inputs, stream := randomStream(rnd, nRuns, true, 0, false)
+	inputs, stream := randomStream(rnd, nRuns, true, 0, false, 120)
 	h := newCompactionHasher(inputs, 0)
 	var kept []record.Record
 	for _, sr := range stream {
@@ -295,6 +370,31 @@ func TestAppenderLocatesOutOfOrder(t *testing.T) {
 	ghost.Ts = 1
 	if _, err := shuffled.AppendProof(nil, ghost); err == nil || !strings.Contains(err.Error(), "no version") {
 		t.Fatalf("absent version: %v", err)
+	}
+}
+
+// TestJobEndLetsGoOfItsHasher: whichever of Committed and Abort ends a job
+// hands its hasher back and keeps no reference to it, so nothing of a
+// finished job's output tree is reachable through the job.
+func TestJobEndLetsGoOfItsHasher(t *testing.T) {
+	s := mustOpenP2(t, smallCfg(vfs.NewMem()))
+	defer s.Close()
+	l := &authListener{c: s}
+	rec := record.Record{Key: []byte("k"), Ts: 1, Kind: record.KindSet, Value: []byte("v")}
+	for _, end := range []string{"Committed", "Abort"} {
+		j := l.BeginJob(lsm.CompactionInfo{OutputRun: 1 << 40, MemtableInput: true, BlockSize: 512}).(*compactionJob)
+		j.Filter(lsm.MemtableRunID, rec, false)
+		if _, err := j.NewProofAppender(); err != nil {
+			t.Fatal(err)
+		}
+		if end == "Committed" {
+			j.Committed()
+		} else {
+			j.Abort()
+		}
+		if j.hasher != nil {
+			t.Fatalf("a job ended by %s still holds its hasher", end)
+		}
 	}
 }
 

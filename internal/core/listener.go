@@ -87,8 +87,9 @@ func (l *authListener) OnMemtableFrozen() {
 	c.mu.Unlock()
 }
 
-// BeginJob allocates the job's staging context: the hasher that
-// reconstructs every input run's tree and builds the output tree. It must
+// BeginJob prepares the job's staging context: the hasher, taken from the
+// pool, that reconstructs every input run's tree and builds the output tree
+// (the job's end returns it). It must
 // NOT touch any staged transition seal — a concurrent job may be mid-install
 // with a live one; abandoned stagings are retracted by Abort instead.
 func (l *authListener) BeginJob(info lsm.CompactionInfo) lsm.Job {
@@ -221,6 +222,16 @@ func (j *compactionJob) Installed() {
 // WITHOUT its lock so readers and writers are not stalled by the seal write.
 func (j *compactionJob) Committed() {
 	j.c.commitState()
+	j.release()
+}
+
+// release hands the job's hasher back for the next job. Exactly one of
+// Committed and Abort ends a job, and only after the engine's last proof
+// appender over the output tree is done; the job keeps no reference, so a
+// use after the end fails loudly instead of reading another job's tree.
+func (j *compactionJob) release() {
+	j.hasher.release()
+	j.hasher = nil
 }
 
 // Abort discards a failed job. If THIS job had already staged a transition
@@ -237,4 +248,5 @@ func (j *compactionJob) Abort() {
 		c.sealStagedBy = nil
 	}
 	c.mu.Unlock()
+	j.release()
 }

@@ -30,7 +30,7 @@ func cacheImage(c *merkle.NodeCache) []byte {
 // twoRunValues is twoRunStore with a distinct value per key: odd keys in the
 // upper run, even keys in the lower, no block cache in front of the files.
 func twoRunValues(t *testing.T, fs vfs.FS, n int) *Store {
-	return twoRunStoreOn(t, fs, n, twoRunValue, 0)
+	return twoRunStoreOn(t, Config{FS: fs}, n, twoRunValue)
 }
 
 func twoRunValue(i int) []byte { return []byte(fmt.Sprintf("value-of-%012d", i)) }

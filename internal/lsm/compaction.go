@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"elsm/internal/obs"
@@ -271,24 +272,35 @@ func (s *Store) compactLevel(lvl int) error {
 // trusted-side copies taken out of the (untrusted, pinned) input blocks, in
 // slabs, so a record costs no allocation of its own. A record is staged
 // behind the committed bytes and stays only if committed — a dropped
-// record's bytes are the scratch the next one overwrites. Slabs are plain
-// garbage once the job's records are dropped; they are not pooled, a run's
-// worth of them would sit in the pool for good.
+// record's bytes are the scratch the next one overwrites. Slabs come from
+// slabPool and go back at release, once the job's files are written; a
+// record larger than a slab gets a slab of its own that is not pooled.
 type recordArena struct {
-	slab []byte // current slab; len is the committed prefix
+	slab   []byte // current slab; len is the committed prefix
+	pooled []*[arenaSlabSize]byte
 }
 
 const arenaSlabSize = 256 << 10
+
+// slabPool and chunkPool hold fixed-size job scratch between jobs. A
+// sync.Pool drops what it holds after two collections, so scratch left by
+// one burst of maintenance does not stay resident.
+var (
+	slabPool  = sync.Pool{New: func() any { return new([arenaSlabSize]byte) }}
+	chunkPool = sync.Pool{New: func() any { return new([recordListChunk]record.Record) }}
+)
 
 // stage copies key and value into the arena without committing them.
 func (a *recordArena) stage(key, value []byte) (k, v []byte) {
 	n := len(key) + len(value)
 	if cap(a.slab)-len(a.slab) < n {
-		size := arenaSlabSize
-		if n > size {
-			size = n
+		if n > arenaSlabSize {
+			a.slab = make([]byte, 0, n)
+		} else {
+			slab := slabPool.Get().(*[arenaSlabSize]byte)
+			a.pooled = append(a.pooled, slab)
+			a.slab = slab[:0]
 		}
-		a.slab = make([]byte, 0, size)
 	}
 	buf := a.slab[len(a.slab) : len(a.slab)+n : len(a.slab)+n]
 	copy(buf, key)
@@ -299,8 +311,18 @@ func (a *recordArena) stage(key, value []byte) (k, v []byte) {
 // commit keeps the n bytes last staged.
 func (a *recordArena) commit(n int) { a.slab = a.slab[:len(a.slab)+n] }
 
+// release hands the pooled slabs back; no record staged in them may be read
+// afterwards.
+func (a *recordArena) release() {
+	for _, slab := range a.pooled {
+		slabPool.Put(slab)
+	}
+	*a = recordArena{}
+}
+
 // recordList is the records a job keeps, in merge order, in fixed-size
-// chunks: a run's worth of records grows without ever being copied.
+// chunks from chunkPool: a run's worth of records grows without ever being
+// copied.
 type recordList [][]record.Record
 
 const recordListChunk = 1024
@@ -308,10 +330,20 @@ const recordListChunk = 1024
 func (l *recordList) add(rec record.Record) {
 	n := len(*l)
 	if n == 0 || len((*l)[n-1]) == recordListChunk {
-		*l = append(*l, make([]record.Record, 0, recordListChunk))
+		*l = append(*l, chunkPool.Get().(*[recordListChunk]record.Record)[:0])
 		n++
 	}
 	(*l)[n-1] = append((*l)[n-1], rec)
+}
+
+// release hands the chunks back, cleared so the pool keeps no record bytes
+// alive.
+func (l *recordList) release() {
+	for _, chunk := range *l {
+		clear(chunk)
+		chunkPool.Put((*[recordListChunk]record.Record)(chunk[:recordListChunk]))
+	}
+	*l = nil
 }
 
 // runCompaction executes the merge: every input record is copied once into
@@ -348,6 +380,12 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 		nKept    int
 		dropRest bool
 	)
+	// Every return comes after the last flusher has finished with the
+	// records.
+	defer func() {
+		arena.release()
+		kept.release()
+	}()
 	for m.Valid() {
 		view, src := m.Record()
 		key, value := arena.stage(view.Key, view.Value)
@@ -445,10 +483,12 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 
 	// Write output files, bubt-style: each output SSTable is independent
 	// once the merge has partitioned the stream, so build/hash/write them
-	// with a bounded flusher pool, overlapping enclave hashing with file
-	// I/O. File numbers are pre-assigned so the on-disk order matches the
-	// key order regardless of completion order. Each file gets its own
-	// proof appender over the finalized whole-stream output tree.
+	// with a bounded set of flushers — the job's goroutine and up to
+	// Workers−1 more, each taking the next file until none is left —
+	// overlapping enclave hashing with file I/O. File numbers are
+	// pre-assigned so the on-disk order matches the key order regardless
+	// of completion order. Each file gets its own proof appender over the
+	// finalized whole-stream output tree.
 	handles := make([]*tableHandle, len(files))
 	errs := make([]error, len(files))
 	fileNums := make([]uint64, len(files))
@@ -459,27 +499,28 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 			return nil, err
 		}
 	}
-	if len(files) <= 1 {
-		for fi, recs := range files {
-			handles[fi], errs[fi] = s.writeRunFile(fileNums[fi], recs, proofs[fi])
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	flush := func() {
+		tb := tableBuildPool.Get().(*tableBuild)
+		defer tb.release()
+		for fi := int(next.Add(1) - 1); fi < len(files); fi = int(next.Add(1) - 1) {
+			handles[fi], errs[fi] = s.writeRunFile(tb, fileNums[fi], files[fi], proofs[fi])
 		}
-	} else {
-		flushers := s.workers.size()
-		if flushers > len(files) {
-			flushers = len(files)
-		}
-		sem := make(chan struct{}, flushers)
-		var wg sync.WaitGroup
-		for fi := range files {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(fi int) {
-				defer func() { <-sem; wg.Done() }()
-				handles[fi], errs[fi] = s.writeRunFile(fileNums[fi], files[fi], proofs[fi])
-			}(fi)
-		}
-		wg.Wait()
 	}
+	for w := 1; w < min(s.workers.size(), len(files)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			flush()
+		}()
+	}
+	if len(files) > 0 {
+		flush()
+	}
+	wg.Wait()
 	newRun := &run{id: info.OutputRun}
 	newRun.refs.Store(1) // the version reference, effective at install
 	for _, err := range errs {
@@ -502,26 +543,36 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 	return newRun, nil
 }
 
-// memBufPool recycles the in-enclave staging buffers used by parallel
-// flushers; the buffer contents are fully copied out during the flush
-// OCall, so a buffer can be reused as soon as writeRunFile returns.
-var memBufPool = sync.Pool{New: func() any { return &memBuf{} }}
+// tableBuildPool recycles what a flusher builds its tables with: the
+// in-enclave staging buffer, whose contents are fully copied out during the
+// flush OCall, and the builder's block, filter and index buffers. Both can
+// be reused as soon as writeRunFile returns.
+var tableBuildPool = sync.Pool{New: func() any { return new(tableBuild) }}
+
+type tableBuild struct {
+	buf memBuf
+	b   sstable.Builder
+}
+
+// release hands tb back with no reference into the job that used it: the
+// builder lets go of the last table's proof appender.
+func (tb *tableBuild) release() {
+	tb.b.Reset(nil, sstable.BuilderOptions{})
+	tableBuildPool.Put(tb)
+}
 
 // writeRunFile builds one output SSTable from recs, which it only reads;
 // proofs (nil for none) embeds each record's proof as its block is framed.
-// The table is built inside the enclave and flushed to the untrusted FS in
-// one OCall (step m3), charging the boundary copy for the file bytes. Safe
-// to call concurrently for distinct files of the same job (fileNum is
-// pre-assigned by the caller so output order is deterministic).
-func (s *Store) writeRunFile(fileNum uint64, recs recordList, proofs sstable.ProofAppender) (*tableHandle, error) {
-	// Build in enclave memory first (pooled buffer: parallel flushers churn
-	// one table-sized allocation per file otherwise).
-	buf := memBufPool.Get().(*memBuf)
-	defer func() {
-		buf.data = buf.data[:0]
-		memBufPool.Put(buf)
-	}()
-	b := sstable.NewBuilder(buf, sstable.BuilderOptions{
+// The table is built inside the enclave, in tb (pooled: parallel flushers
+// churn one table-sized allocation per file otherwise), and flushed to the
+// untrusted FS in one OCall (step m3), charging the boundary copy for the
+// file bytes. Safe to call concurrently for distinct files of the same job,
+// each with its own tb (fileNum is pre-assigned by the caller so output
+// order is deterministic).
+func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, proofs sstable.ProofAppender) (*tableHandle, error) {
+	buf, b := &tb.buf, &tb.b
+	buf.data = buf.data[:0]
+	b.Reset(buf, sstable.BuilderOptions{
 		BlockSize: s.opts.BlockSize,
 		Transform: s.opts.Transform,
 		FileNum:   fileNum,

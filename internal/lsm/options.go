@@ -248,7 +248,9 @@ type Job interface {
 	// out of the untrusted input before anything looked at it: a kept
 	// record is written from these very bytes, so what a listener digests
 	// here is what lands in the output. The slices are valid only during
-	// the call unless the record is kept; rec.Proof is always empty.
+	// the call, or until the job's files are written if the record is
+	// kept: the engine then reuses their memory for later jobs. rec.Proof
+	// is always empty.
 	Filter(srcRun uint64, rec record.Record, dropped bool)
 	// NewProofAppender is called once the merge stream has ended, once to
 	// size the output files and once per file: the returned appender writes

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"elsm/internal/hashutil"
@@ -30,7 +31,7 @@ type PathNode struct {
 	Left bool
 }
 
-// Tree is an immutable Merkle tree over an ordered leaf set.
+// Tree is a Merkle tree over an ordered leaf set, immutable once built.
 type Tree struct {
 	// levels[0] is the leaf level; levels[len-1] is the single root.
 	levels [][]Hash
@@ -39,34 +40,52 @@ type Tree struct {
 // New builds a tree over the given leaf hashes. An empty leaf set yields a
 // tree whose root is the zero hash (the digest of an empty level).
 func New(leaves []Hash) *Tree {
-	if len(leaves) == 0 {
-		return &Tree{}
-	}
-	total := 0
-	for w := len(leaves); ; w = (w + 1) / 2 {
+	nodes := make([]Hash, len(leaves), NodeCount(len(leaves)))
+	copy(nodes, leaves)
+	t := new(Tree)
+	t.Build(nodes)
+	return t
+}
+
+// NodeCount returns the number of nodes, every level counted, of a tree over
+// n leaves: the capacity Build hashes the upper levels into.
+func NodeCount(n int) int {
+	total := n
+	for w := n; w > 1; {
+		w = (w + 1) / 2
 		total += w
-		if w == 1 {
-			break
-		}
 	}
-	nodes := make([]Hash, total) // every level, in one backing array
-	cur := nodes[:len(leaves):len(leaves)]
-	copy(cur, leaves)
-	levels := [][]Hash{cur}
+	return total
+}
+
+// Build makes t the tree over the leaves nodes[:len(nodes)], hashing the
+// upper levels in place into nodes' spare capacity — grown if it is short
+// of NodeCount(len(nodes)) — and returns nodes over the array t now reads.
+// t reuses its level table; a caller that keeps the array for another
+// Build must be done with t first.
+func (t *Tree) Build(nodes []Hash) []Hash {
+	n := len(nodes)
+	nodes = slices.Grow(nodes, NodeCount(n)-n)
+	t.levels = t.levels[:0]
+	if n == 0 {
+		return nodes
+	}
+	cur, rest := nodes[:n:n], nodes[n:cap(nodes)]
+	t.levels = append(t.levels, cur)
 	for len(cur) > 1 {
-		nodes = nodes[len(cur):]
 		w := (len(cur) + 1) / 2
-		next := nodes[:w:w]
+		next := rest[:w:w]
+		rest = rest[w:]
 		for i := 0; i+1 < len(cur); i += 2 {
 			next[i/2] = hashutil.NodeHash(cur[i], cur[i+1])
 		}
 		if len(cur)%2 == 1 {
 			next[w-1] = cur[len(cur)-1] // promote the lone trailing node
 		}
-		levels = append(levels, next)
+		t.levels = append(t.levels, next)
 		cur = next
 	}
-	return &Tree{levels: levels}
+	return nodes
 }
 
 // RootBuilder computes the root and leaf count New would give a leaf

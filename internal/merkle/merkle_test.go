@@ -334,6 +334,50 @@ func TestRootBuilderMatchesTree(t *testing.T) {
 	}
 }
 
+// TestBuildInPlaceMatchesNew rebuilds one Tree over one reused node array
+// for every leaf count up to 300, larger and smaller counts alternating and
+// the spare capacity holding the previous tree's nodes, and requires the
+// roots, paths and sections of New (and the reference root). Build hashes
+// into the array it is given when it has room and grows it once otherwise.
+func TestBuildInPlaceMatchesNew(t *testing.T) {
+	const maxN = 300
+	all := leafSet(maxN)
+	var reused Tree
+	var nodes []Hash
+	for i := 0; i <= maxN; i++ {
+		n := i / 2
+		if i%2 == 1 {
+			n = maxN - i/2
+		}
+		want := New(all[:n])
+		if got := want.Root(); got != referenceRoot(all[:n]) {
+			t.Fatalf("New over %d leaves: root %s, reference %s", n, got, referenceRoot(all[:n]))
+		}
+		nodes = append(nodes[:0], all[:n]...)
+		roomy := cap(nodes) >= NodeCount(n)
+		built := reused.Build(nodes)
+		if len(built) != n || (roomy && n > 0 && &built[0] != &nodes[0]) {
+			t.Fatalf("Build over %d leaves: %d leaves back, moved %v with room %v", n, len(built), n > 0 && &built[0] != &nodes[0], roomy)
+		}
+		nodes = built
+		if reused.Root() != want.Root() || reused.NumLeaves() != n {
+			t.Fatalf("Build over %d leaves: root %s (%d leaves), New %s", n, reused.Root(), reused.NumLeaves(), want.Root())
+		}
+		for leaf := 0; leaf < n; leaf++ {
+			if string(reused.AppendPath(nil, leaf)) != string(want.AppendPath(nil, leaf)) {
+				t.Fatalf("Build over %d leaves: path of leaf %d differs from New's", n, leaf)
+			}
+		}
+		for k := 0; n > 0 && k <= Height(n); k++ {
+			for _, first := range []int{0, n / 3, n / 2, n - 1} {
+				if string(reused.AppendSection(nil, k, first)) != string(want.AppendSection(nil, k, first)) {
+					t.Fatalf("Build over %d leaves: section 2^%d at leaf %d differs from New's", n, k, first)
+				}
+			}
+		}
+	}
+}
+
 // TestAppendPathMatchesPath checks the append-style encoder and PathLen
 // against Path for every leaf of every tree size up to 70.
 func TestAppendPathMatchesPath(t *testing.T) {

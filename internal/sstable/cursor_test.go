@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"elsm/internal/crypto"
 	"elsm/internal/hashutil"
 	"elsm/internal/merkle"
 	"elsm/internal/record"
@@ -403,4 +404,62 @@ type viewSource struct{ data []byte }
 
 func (v *viewSource) ReadBlock(_ uint64, _ int, off, length int64) ([]byte, error) {
 	return v.data[off : off+length], nil
+}
+
+// TestReusedBuilderWritesFreshBytes builds tables of alternating sizes and
+// modes — P2 proofs through a ProofAppender, P1 sealed blocks, plain — with
+// one Builder, Reset between them, and requires each table's bytes and Meta
+// to be a fresh NewBuilder's. After Reset(nil, BuilderOptions{}) the builder
+// holds no file, proof appender or transform of the tables it built.
+func TestReusedBuilderWritesFreshBytes(t *testing.T) {
+	mk, err := crypto.NewMasterKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealer := &testSealer{bc: crypto.NewBlock(mk)}
+	large, small := seqRecords(900, 2), seqRecordsFrom(40, 90, 1)
+	build := func(b *Builder, recs []record.Record, mode string) ([]byte, Meta) {
+		f, err := vfs.NewMem().Create("t.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := BuilderOptions{BlockSize: 512, FileNum: 9}
+		switch mode {
+		case "P1":
+			opts.Transform = sealer
+		case "P2":
+			opts.Proofs = newTreeProofs(recs, 3)
+		}
+		if b == nil {
+			b = NewBuilder(f, opts)
+		} else {
+			b.Reset(f, opts)
+		}
+		for _, rec := range recs {
+			if err := b.Add(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		meta, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Bytes(), meta
+	}
+	reused := new(Builder)
+	for _, step := range []struct {
+		recs []record.Record
+		mode string
+	}{{large, "P2"}, {small, "P1"}, {large, "P1"}, {small, "P2"}, {large, "plain"}, {small, "plain"}, {small, "P2"}} {
+		wantBytes, wantMeta := build(nil, step.recs, step.mode)
+		gotBytes, gotMeta := build(reused, step.recs, step.mode)
+		if !bytes.Equal(gotBytes, wantBytes) || fmt.Sprint(gotMeta) != fmt.Sprint(wantMeta) {
+			t.Fatalf("%s table of %d records: a reused builder wrote %d bytes (%+v), a fresh one %d (%+v)",
+				step.mode, len(step.recs), len(gotBytes), gotMeta, len(wantBytes), wantMeta)
+		}
+	}
+	reused.Reset(nil, BuilderOptions{})
+	if reused.f != nil || reused.opts.Proofs != nil || reused.opts.Transform != nil {
+		t.Fatal("a reset builder still references the last table's file, proofs or transform")
+	}
 }

@@ -164,16 +164,19 @@ type Builder struct {
 	blockKeys [][]byte
 	// indexKeys backs the index entries' lastKey slices (keyEnd marks each
 	// entry's end), so a block costs no key allocation.
-	indexKeys  []byte
-	index      []builtBlock
-	filters    [][]byte
-	numEntries int
-	haveLast   bool
-	lastKey    []byte
-	lastTs     uint64
-	meta       Meta
+	indexKeys []byte
+	index     []builtBlock
+	// filterBlock is the filter block as it grows: a count, patched at
+	// Finish, then each block's filter, framed as it is built.
+	filterBlock []byte
+	numEntries  int
+	haveLast    bool
+	lastKey     []byte
+	lastTs      uint64
+	meta        Meta
 	// group is the proof group of the records in blockBuf; scratch holds a
-	// section or chain part until its length is framed.
+	// section or chain part until its length is framed, and the index block
+	// and the footer at Finish.
 	group   int
 	scratch []byte
 }
@@ -196,13 +199,35 @@ type builtBlock struct {
 
 // NewBuilder starts building a table into f.
 func NewBuilder(f vfs.File, opts BuilderOptions) *Builder {
+	b := new(Builder)
+	b.Reset(f, opts)
+	return b
+}
+
+// Reset starts building a new table into f, keeping the buffers of the
+// tables built before. The builder holds f and opts until the next Reset:
+// Reset(nil, BuilderOptions{}) lets go of a finished table's file and
+// proof appender.
+func (b *Builder) Reset(f vfs.File, opts BuilderOptions) {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
 	if opts.BitsPerKey <= 0 {
 		opts.BitsPerKey = bloom.DefaultBitsPerKey
 	}
-	return &Builder{f: f, opts: opts, meta: Meta{FileNum: opts.FileNum}}
+	*b = Builder{
+		f:           f,
+		opts:        opts,
+		meta:        Meta{FileNum: opts.FileNum},
+		blockBuf:    b.blockBuf[:0],
+		keyOffs:     b.keyOffs[:0],
+		blockKeys:   b.blockKeys[:0],
+		indexKeys:   b.indexKeys[:0],
+		index:       b.index[:0],
+		filterBlock: append(b.filterBlock[:0], 0, 0, 0, 0),
+		lastKey:     b.lastKey[:0],
+		scratch:     b.scratch[:0],
+	}
 }
 
 // Add appends a record. Records must arrive in strict record order. The
@@ -270,7 +295,9 @@ func (b *Builder) flushBlock() error {
 	for i := 0; i < len(b.keyOffs); i += 2 {
 		b.blockKeys = append(b.blockKeys, b.blockBuf[b.keyOffs[i]:b.keyOffs[i+1]])
 	}
-	b.filters = append(b.filters, bloom.Build(b.blockKeys, b.opts.BitsPerKey))
+	at := len(b.filterBlock)
+	b.filterBlock = bloom.Append(append(b.filterBlock, 0, 0, 0, 0), b.blockKeys, b.opts.BitsPerKey)
+	binary.BigEndian.PutUint32(b.filterBlock[at:], uint32(len(b.filterBlock)-at-4))
 	payload := b.blockBuf
 	if b.opts.Transform != nil {
 		payload = b.opts.Transform.Seal(BlockID(b.opts.FileNum, len(b.index)), payload)
@@ -301,12 +328,8 @@ func (b *Builder) Finish() (Meta, error) {
 		return Meta{}, fmt.Errorf("%w: empty table", ErrBadTable)
 	}
 	// Filter block.
-	var fb []byte
-	fb = binary.BigEndian.AppendUint32(fb, uint32(len(b.filters)))
-	for _, f := range b.filters {
-		fb = binary.BigEndian.AppendUint32(fb, uint32(len(f)))
-		fb = append(fb, f...)
-	}
+	fb := b.filterBlock
+	binary.BigEndian.PutUint32(fb, uint32(len(b.index)))
 	filterOff := b.off
 	if _, err := b.f.Append(fb); err != nil {
 		return Meta{}, fmt.Errorf("sstable: write filters: %w", err)
@@ -314,8 +337,7 @@ func (b *Builder) Finish() (Meta, error) {
 	b.off += int64(len(fb))
 
 	// Index block.
-	var ib []byte
-	ib = binary.BigEndian.AppendUint32(ib, uint32(len(b.index)))
+	ib := binary.BigEndian.AppendUint32(b.scratch[:0], uint32(len(b.index)))
 	keyStart := 0
 	for _, e := range b.index {
 		ib = binary.AppendUvarint(ib, uint64(e.keyEnd-keyStart))
@@ -325,6 +347,7 @@ func (b *Builder) Finish() (Meta, error) {
 		ib = binary.BigEndian.AppendUint64(ib, uint64(e.off))
 		ib = binary.BigEndian.AppendUint64(ib, uint64(e.length))
 	}
+	b.scratch = ib
 	indexOff := b.off
 	if _, err := b.f.Append(ib); err != nil {
 		return Meta{}, fmt.Errorf("sstable: write index: %w", err)
@@ -332,8 +355,7 @@ func (b *Builder) Finish() (Meta, error) {
 	b.off += int64(len(ib))
 
 	// Footer: filterOff, filterLen, indexOff, indexLen, numEntries, magic.
-	var ft []byte
-	ft = binary.BigEndian.AppendUint64(ft, uint64(filterOff))
+	ft := binary.BigEndian.AppendUint64(b.scratch[:0], uint64(filterOff))
 	ft = binary.BigEndian.AppendUint64(ft, uint64(len(fb)))
 	ft = binary.BigEndian.AppendUint64(ft, uint64(indexOff))
 	ft = binary.BigEndian.AppendUint64(ft, uint64(len(ib)))
