@@ -63,16 +63,24 @@ func twoRunStoreOn(tb testing.TB, cfg Config, n int, value func(i int) []byte) *
 // (§5.5.2, Figure 4): a two-run merge with every input record copied and
 // digested, both input trees reconstructed and checked, the output tree
 // built and a proof embedded in every output record. It reports what the
-// merges allocate per record, counts and bytes.
+// merges allocate per record, counts and bytes, on one worker token (one
+// part, one flusher) and on two (two key-range parts, two flushers).
 func BenchmarkAuthenticatedCompaction(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchmarkCompaction(b, workers) })
+	}
+}
+
+func benchmarkCompaction(b *testing.B, workers int) {
 	const n = 10000
+	value := make([]byte, 100)
 	var ms0, ms1 runtime.MemStats
 	var mallocs, bytes uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := twoRunStore(b, n)
+		s := twoRunStoreOn(b, Config{FS: vfs.NewMem(), Workers: lsm.NewWorkerPool(workers)}, n, func(int) []byte { return value })
 		runtime.ReadMemStats(&ms0)
 		b.StartTimer()
 		if err := s.Compact(1); err != nil {
@@ -94,27 +102,35 @@ func BenchmarkAuthenticatedCompaction(b *testing.B) {
 // TestCompactionAllocationGuard pins what authenticated compaction allocates
 // once its job scratch is warm: the third of three identical two-run merges,
 // with the collector off, so the pools keep what the first two jobs
-// returned, and one P, so every flusher draws on the same per-P pool cache.
-// The record arena and chunks, the hasher's bookkeeping, the Merkle nodes
-// and the table builders all come back from their pools; what is left is a
-// few allocations per output file and the bytes of the files themselves —
-// the in-memory file system's copy alone is 1.06× the bytes compacted, so
-// the bound on bytes leaves a fifth of that for everything else. A change
-// that brings back a per-record allocation, or a per-job buffer the size of
-// the level, trips it. The race detector drops pool puts at random, so the
-// guard skips under it.
+// returned, and one P, so every goroutine draws on the same per-P pool
+// cache. The record arenas and chunks, the hashers' bookkeeping and leaf
+// chunks, the Merkle nodes, the job's parts and file lists and the table
+// builders all come back from their pools; what is left is a few
+// allocations per output file and the bytes of the files themselves — the
+// in-memory file system's copy alone is 1.06× the bytes compacted, so the
+// bound on bytes leaves a fifth of that for everything else. A change that
+// brings back a per-record allocation, or a per-job buffer the size of the
+// level, trips it. A job on two worker tokens merges in two key-range parts
+// and is held to the same bounds. The race detector drops pool puts at
+// random, so the guard skips under it.
 func TestCompactionAllocationGuard(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector drops sync.Pool puts")
 	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { compactionAllocationGuard(t, workers) })
+	}
+}
+
+func compactionAllocationGuard(t *testing.T, workers int) {
 	const n = 4000
-	// One worker token: the job's own goroutine is its only flusher, so what
-	// the first two jobs leave in the pools does not depend on how the
-	// scheduler interleaved their flushers.
+	// Every flusher of a job holds a builder before any takes a file, so
+	// the first two jobs leave as many in the pool as the third takes,
+	// however the scheduler ran their flushers.
 	value := make([]byte, 100)
 	stores := make([]*Store, 3)
 	for i := range stores {
-		stores[i] = twoRunStoreOn(t, Config{FS: vfs.NewMem(), Workers: lsm.NewWorkerPool(1)}, n, func(int) []byte { return value })
+		stores[i] = twoRunStoreOn(t, Config{FS: vfs.NewMem(), Workers: lsm.NewWorkerPool(workers)}, n, func(int) []byte { return value })
 	}
 	defer func() {
 		for _, s := range stores {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,13 +80,140 @@ func randomStream(rnd *rand.Rand, nRuns int, withMem bool, keepVersions int, bot
 	return inputs, stream
 }
 
+// randomBounds cuts a stream's key space for parted hashers, the way the
+// engine's bounds or a lying host's might: at keys with several versions, at
+// keys every version of which is dropped, between keys, before the first and
+// after the last, and in pairs with no key between them — empty parts.
+func randomBounds(rnd *rand.Rand, stream []streamRec) [][]byte {
+	var keys, multi, droppedOnly [][]byte
+	for i := 0; i < len(stream); {
+		j, allDropped := i, true
+		for ; j < len(stream) && bytes.Equal(stream[j].rec.Key, stream[i].rec.Key); j++ {
+			allDropped = allDropped && stream[j].dropped
+		}
+		key := stream[i].rec.Key
+		keys = append(keys, key)
+		if j-i > 1 {
+			multi = append(multi, key)
+		}
+		if allDropped {
+			droppedOnly = append(droppedOnly, key)
+		}
+		i = j
+	}
+	pick := func(from [][]byte) []byte {
+		if len(from) == 0 {
+			return keys[rnd.Intn(len(keys))]
+		}
+		return from[rnd.Intn(len(from))]
+	}
+	var bounds [][]byte
+	for n := rnd.Intn(5); len(bounds) < n; {
+		switch rnd.Intn(6) {
+		case 0:
+			bounds = append(bounds, pick(multi))
+		case 1:
+			bounds = append(bounds, pick(droppedOnly))
+		case 2:
+			bounds = append(bounds, append(append([]byte(nil), pick(keys)...), 0))
+		case 3:
+			bounds = append(bounds, []byte("a"), []byte("z"))
+		case 4:
+			k := append(append([]byte(nil), pick(keys)...), 0)
+			bounds = append(bounds, k, append(k, 0))
+		default:
+			bounds = append(bounds, pick(keys))
+		}
+	}
+	slices.SortFunc(bounds, bytes.Compare)
+	return slices.CompactFunc(bounds, bytes.Equal)
+}
+
+// partOf is the part of a stream cut at bounds that key lies in.
+func partOf(key []byte, bounds [][]byte) int {
+	return sort.Search(len(bounds), func(i int) bool { return bytes.Compare(bounds[i], key) > 0 })
+}
+
+// hashParted digests stream in one pooled hasher per part of bounds, each
+// part on a goroutine of its own as the engine feeds them, and finishes the
+// joined trees; the first hasher returned holds them. The caller releases
+// every hasher.
+func hashParted(t *testing.T, inputs []uint64, stream []streamRec, bounds [][]byte, expect, blockSize int) []*compactionHasher {
+	t.Helper()
+	parts, err := newPartedHashers(nil, inputs, bounds, expect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts[0].out.blockSize = blockSize
+	var wg sync.WaitGroup
+	for p, h := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, sr := range stream {
+				if partOf(sr.rec.Key, bounds) != p {
+					continue
+				}
+				if err := h.add(sr.src, sr.rec, sr.dropped); err != nil {
+					t.Errorf("part %d of %q: add: %v", p, bounds, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	parts[0].finish(parts[1:]...)
+	return parts
+}
+
+// requireSameJob fails unless two finished hashers agree on everything a
+// job reads from them: every input digest, the output digest and its k, the
+// leaves reused, every leaf, and every kept record's group, section, chain
+// part and whole proof.
+func requireSameJob(t *testing.T, what string, got, want *compactionHasher, kept []record.Record) {
+	t.Helper()
+	g, w := &got.out, &want.out
+	for i := range want.inputs {
+		if got.inputs[i].digest() != want.inputs[i].digest() {
+			t.Fatalf("%s: input %d digest %+v, want %+v", what, i, got.inputs[i].digest(), want.inputs[i].digest())
+		}
+	}
+	if g.digest != w.digest || g.groupBits != w.groupBits || got.reused != want.reused {
+		t.Fatalf("%s: output %+v k=%d reused %d, want %+v k=%d reused %d", what,
+			g.digest, g.groupBits, got.reused, w.digest, w.groupBits, want.reused)
+	}
+	for i := 0; i < w.digest.NumLeaves; i++ {
+		if g.tree.Leaf(i) != w.tree.Leaf(i) {
+			t.Fatalf("%s: leaf %d differs", what, i)
+		}
+	}
+	gotApp, wantApp := g.newAppender(), w.newAppender()
+	for i, rec := range kept {
+		gg, errGot := gotApp.Group(rec)
+		wg, errWant := wantApp.Group(rec)
+		if errGot != nil || errWant != nil || gg != wg {
+			t.Fatalf("%s rec %d: group %d (%v), want %d (%v)", what, i, gg, errGot, wg, errWant)
+		}
+		if !bytes.Equal(gotApp.AppendSection(nil), wantApp.AppendSection(nil)) ||
+			!bytes.Equal(gotApp.AppendChain(nil), wantApp.AppendChain(nil)) {
+			t.Fatalf("%s rec %d: section or chain differs", what, i)
+		}
+		gp, _ := gotApp.AppendProof(nil, rec)
+		wp, _ := wantApp.AppendProof(nil, rec)
+		if !bytes.Equal(gp, wp) {
+			t.Fatalf("%s rec %d: proof differs", what, i)
+		}
+	}
+}
+
 // TestHasherMatchesReference is the equivalence property of the single-pass
 // compaction path: over randomized merge streams it must produce the run
 // digests of the per-tree builders it replaced, proofs byte-identical to
-// proofFor(rec).Encode(), and proofs that verify.
+// proofFor(rec).Encode(), and proofs that verify. The same stream cut at
+// random bounds and digested in parts must give what one hasher gives.
 func TestHasherMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20260928))
-	reused := 0
+	reused, parted := 0, 0
 	for iter := 0; iter < 300; iter++ {
 		nRuns := 1 + rnd.Intn(4)
 		keepVersions := []int{0, 1, 3}[rnd.Intn(3)]
@@ -156,9 +284,17 @@ func TestHasherMatchesReference(t *testing.T) {
 				t.Fatalf("iter %d rec %d: emitted proof does not verify: %v", iter, i, err)
 			}
 		}
+
+		bounds := randomBounds(rnd, stream)
+		parts := hashParted(t, inputs, stream, bounds, rnd.Intn(2)*len(stream), h.out.blockSize)
+		requireSameJob(t, fmt.Sprintf("iter %d cut at %q", iter, bounds), parts[0], h, kept)
+		parted += len(parts) - 1
+		for _, p := range parts {
+			p.release()
+		}
 	}
-	if reused == 0 {
-		t.Fatal("no stream exercised leaf reuse")
+	if reused == 0 || parted == 0 {
+		t.Fatalf("streams reused %d leaves and were cut %d times; want both", reused, parted)
 	}
 }
 
@@ -168,6 +304,8 @@ func TestHasherMatchesReference(t *testing.T) {
 // a fresh hasher gives the same stream: the input digests, the output digest
 // and its k, every leaf, and every record's group, section, chain part and
 // whole proof. Reuse keeps a finished job's arrays, never their contents.
+// Each stream is also cut at random bounds and digested by pooled parted
+// hashers, a later part's leaves in pooled chunks, which must agree too.
 func TestHasherReuseMatchesFresh(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20261017))
 	reused := new(compactionHasher)
@@ -180,8 +318,8 @@ func TestHasherReuseMatchesFresh(t *testing.T) {
 		inputs, stream := randomStream(rnd, 1+rnd.Intn(4), rnd.Intn(2) == 0, []int{0, 1, 3}[job%3], job%4 == 0, maxKeys)
 		expect := rnd.Intn(2) * len(stream)
 		fresh := new(compactionHasher)
-		fresh.reset(inputs, expect)
-		reused.reset(inputs, expect)
+		fresh.reset(inputs, expect, expect)
+		reused.reset(inputs, expect, expect)
 		var kept []record.Record
 		for _, h := range []*compactionHasher{fresh, reused} {
 			h.out.blockSize = 1024
@@ -198,38 +336,15 @@ func TestHasherReuseMatchesFresh(t *testing.T) {
 				kept = append(kept, sr.rec)
 			}
 		}
-		want, got := fresh.finish(), reused.finish()
+		fresh.finish()
+		reused.finish()
 		leavesReused += fresh.reused
-		for i := range inputs {
-			if fresh.inputs[i].digest() != reused.inputs[i].digest() {
-				t.Fatalf("job %d: input %d digest %+v, fresh %+v", job, i, reused.inputs[i].digest(), fresh.inputs[i].digest())
-			}
-		}
-		if got.digest != want.digest || got.groupBits != want.groupBits || reused.reused != fresh.reused {
-			t.Fatalf("job %d: output %+v k=%d reused %d, fresh %+v k=%d reused %d", job,
-				got.digest, got.groupBits, reused.reused, want.digest, want.groupBits, fresh.reused)
-		}
-		for i := 0; i < want.digest.NumLeaves; i++ {
-			if got.tree.Leaf(i) != want.tree.Leaf(i) {
-				t.Fatalf("job %d: leaf %d differs", job, i)
-			}
-		}
-		gotApp, wantApp := got.newAppender(), want.newAppender()
-		for i, rec := range kept {
-			gg, errGot := gotApp.Group(rec)
-			wg, errWant := wantApp.Group(rec)
-			if errGot != nil || errWant != nil || gg != wg {
-				t.Fatalf("job %d rec %d: group %d (%v), fresh %d (%v)", job, i, gg, errGot, wg, errWant)
-			}
-			if !bytes.Equal(gotApp.AppendSection(nil), wantApp.AppendSection(nil)) ||
-				!bytes.Equal(gotApp.AppendChain(nil), wantApp.AppendChain(nil)) {
-				t.Fatalf("job %d rec %d: section or chain differs", job, i)
-			}
-			gp, _ := gotApp.AppendProof(nil, rec)
-			wp, _ := wantApp.AppendProof(nil, rec)
-			if !bytes.Equal(gp, wp) {
-				t.Fatalf("job %d rec %d: proof differs", job, i)
-			}
+		requireSameJob(t, fmt.Sprintf("job %d", job), reused, fresh, kept)
+		bounds := randomBounds(rnd, stream)
+		parts := hashParted(t, inputs, stream, bounds, expect, 1024)
+		requireSameJob(t, fmt.Sprintf("job %d cut at %q", job, bounds), parts[0], fresh, kept)
+		for _, p := range parts {
+			p.release()
 		}
 	}
 	if leavesReused == 0 || dropped == 0 {
@@ -320,6 +435,34 @@ func TestHasherRejectsDisorder(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+
+	// A parted job's bounds must ascend strictly, and each part refuses a
+	// key outside its own range.
+	for _, bounds := range [][][]byte{{[]byte("b"), []byte("a")}, {[]byte("b"), []byte("b")}, {[]byte("a"), []byte("c"), []byte("b")}} {
+		if _, err := newPartedHashers(nil, []uint64{1}, bounds, 0); err == nil {
+			t.Errorf("bounds %q accepted", bounds)
+		}
+	}
+	for name, c := range map[string]struct {
+		part int
+		key  string
+	}{
+		"below the first part's end in the second": {1, "a"},
+		"at the first part's end":                  {0, "b"},
+		"past the first part's end":                {0, "c"},
+		"at the second part's end":                 {1, "d"},
+	} {
+		parts, err := newPartedHashers(nil, []uint64{1}, [][]byte{[]byte("b"), []byte("d")}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parts[c.part].add(1, rec(c.key, 5), false); err == nil {
+			t.Errorf("key %s: accepted", name)
+		}
+		for _, h := range parts {
+			h.release()
+		}
+	}
 }
 
 // hashStream digests a random full-history stream over nRuns runs and the
@@ -383,7 +526,7 @@ func TestJobEndLetsGoOfItsHasher(t *testing.T) {
 	rec := record.Record{Key: []byte("k"), Ts: 1, Kind: record.KindSet, Value: []byte("v")}
 	for _, end := range []string{"Committed", "Abort"} {
 		j := l.BeginJob(lsm.CompactionInfo{OutputRun: 1 << 40, MemtableInput: true, BlockSize: 512}).(*compactionJob)
-		j.Filter(lsm.MemtableRunID, rec, false)
+		j.Filter(0, lsm.MemtableRunID, rec, false)
 		if _, err := j.NewProofAppender(); err != nil {
 			t.Fatal(err)
 		}
@@ -392,8 +535,8 @@ func TestJobEndLetsGoOfItsHasher(t *testing.T) {
 		} else {
 			j.Abort()
 		}
-		if j.hasher != nil {
-			t.Fatalf("a job ended by %s still holds its hasher", end)
+		if j.parts != nil {
+			t.Fatalf("a job ended by %s still holds its hashers", end)
 		}
 	}
 }

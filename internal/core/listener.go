@@ -25,19 +25,24 @@ type authListener struct {
 //
 // The engine runs jobs on a worker POOL, so several jobs' Merkle rebuilds are
 // live at once, each in its own compactionJob — two concurrent rebuilds can
-// never interleave their trees. Every method runs on the job's own
-// goroutine, in order: Filter per record, NewProofAppender once the stream
-// has ended, Verify, then Installed and Committed, or Abort. Only the proof
-// appenders are used elsewhere — each by one of the engine's file builders —
-// and they only read the finished output tree. The engine serializes the
-// Verify→Installed→Committed window (or Verify→Abort) on its install lock, so
-// at most one staged transition seal exists at a time; Store.sealStagedBy
-// records which job staged it so only that job's Abort can retract it.
+// never interleave their trees. Within a job, Filter runs on one goroutine
+// per key-range part and feeds that part's hasher only; every other method
+// runs on the job's own goroutine, in order: NewProofAppender once every
+// part's stream has ended, Verify, then Installed and Committed, or Abort.
+// Only the proof appenders are used elsewhere — each by one of the engine's
+// file builders — and they only read the finished output tree. The engine
+// serializes the Verify→Installed→Committed window (or Verify→Abort) on its
+// install lock, so at most one staged transition seal exists at a time;
+// Store.sealStagedBy records which job staged it so only that job's Abort
+// can retract it.
 type compactionJob struct {
-	c         *Store
-	info      lsm.CompactionInfo
-	hasher    *compactionHasher
-	streamErr error
+	c    *Store
+	info lsm.CompactionInfo
+	// parts holds a hasher per key-range part, in key order; parts[0]
+	// finishes the joined trees. Nil once the job has ended, or if its
+	// bounds were refused (err).
+	parts []*compactionHasher
+	err   error
 }
 
 var (
@@ -87,35 +92,58 @@ func (l *authListener) OnMemtableFrozen() {
 	c.mu.Unlock()
 }
 
-// BeginJob prepares the job's staging context: the hasher, taken from the
-// pool, that reconstructs every input run's tree and builds the output tree
-// (the job's end returns it). It must
+// BeginJob prepares the job's staging context: hashers from the pool, one
+// per key-range part, that between them reconstruct every input run's tree
+// and build the output tree (the job's end returns them). It must
 // NOT touch any staged transition seal — a concurrent job may be mid-install
 // with a live one; abandoned stagings are retracted by Abort instead.
 func (l *authListener) BeginJob(info lsm.CompactionInfo) lsm.Job {
-	// The inputs' trusted leaf counts bound the output's (a flush adds the
-	// memtable's keys on top; the bookkeeping grows for those).
-	expect := 0
+	// The inputs' trusted leaf counts and the trusted records streamed
+	// beside them bound the output's.
+	expect := info.TrustedRecords
 	digs := l.c.snapshotDigests()
 	for _, id := range info.InputRuns {
 		expect += digs[id].NumLeaves
 	}
-	h := newCompactionHasher(info.InputRuns, expect)
-	h.out.blockSize = info.BlockSize
-	return &compactionJob{c: l.c, info: info, hasher: h}
+	j := &compactionJob{c: l.c, info: info}
+	j.parts, j.err = newPartedHashers(make([]*compactionHasher, 0, len(info.Bounds)+1), info.InputRuns, info.Bounds, expect)
+	if j.err == nil {
+		j.parts[0].out.blockSize = info.BlockSize
+	}
+	return j
 }
 
-// Filter ingests every record of the merge stream, digesting it once:
-// records from untrusted input runs feed that run's reconstruction (step a
-// of §5.5.2); kept records feed the output tree (step b). Memtable records
-// are trusted (L0 lives in the enclave) and only feed the output side. The
-// engine passes its own copy of the record — the bytes digested here are
-// the bytes it writes.
-func (j *compactionJob) Filter(srcRun uint64, rec record.Record, dropped bool) {
-	if j.streamErr == nil {
-		j.streamErr = j.hasher.add(srcRun, rec, dropped)
+// Filter ingests every record of its part's merge stream, digesting it
+// once: records from untrusted input runs feed that run's reconstruction
+// (step a of §5.5.2); kept records feed the output tree (step b). Memtable
+// records are trusted (L0 lives in the enclave) and only feed the output
+// side. The engine passes its own copy of the record — the bytes digested
+// here are the bytes it writes. Parts run concurrently, each on its own
+// hasher.
+func (j *compactionJob) Filter(part int, srcRun uint64, rec record.Record, dropped bool) {
+	if j.err != nil {
+		return
+	}
+	if h := j.parts[part]; h.err == nil {
+		h.err = h.add(srcRun, rec, dropped)
 	}
 }
+
+// streamErr reports why the job's stream was refused, if it was.
+func (j *compactionJob) streamErr() error {
+	if j.err != nil {
+		return j.err
+	}
+	for _, h := range j.parts {
+		if h.err != nil {
+			return h.err
+		}
+	}
+	return nil
+}
+
+// finish joins the parts' trees (see compactionHasher.finish).
+func (j *compactionJob) finish() *outputTree { return j.parts[0].finish(j.parts[1:]...) }
 
 // NewProofAppender hands the engine a cursor that embeds the output records'
 // Merkle proofs (step c of §5.5.2, "OnTableFileCreated()" in Figure 4)
@@ -123,10 +151,10 @@ func (j *compactionJob) Filter(srcRun uint64, rec record.Record, dropped bool) {
 // first call finishes the job's trees; every appender reads the same
 // finished output tree.
 func (j *compactionJob) NewProofAppender() (sstable.ProofAppender, error) {
-	if j.streamErr != nil {
-		return nil, j.streamErr
+	if err := j.streamErr(); err != nil {
+		return nil, err
 	}
-	return j.hasher.finish().newAppender(), nil
+	return j.finish().newAppender(), nil
 }
 
 // Verify performs the authenticated-compaction input check
@@ -135,12 +163,12 @@ func (j *compactionJob) NewProofAppender() (sstable.ProofAppender, error) {
 // and the engine discards its output. The engine calls it under its
 // install lock, so exactly one job stages a transition seal at a time.
 func (j *compactionJob) Verify() error {
-	if j.streamErr != nil {
-		return j.streamErr
+	if err := j.streamErr(); err != nil {
+		return err
 	}
 	// A no-op if the engine already asked for proof appenders; a compaction
 	// that produced no output (everything dropped) finishes its trees here.
-	out := j.hasher.finish()
+	out := j.finish()
 	c, info := j.c, j.info
 	digs := c.snapshotDigests()
 	for i, id := range info.InputRuns {
@@ -148,7 +176,7 @@ func (j *compactionJob) Verify() error {
 		if !ok {
 			return fmt.Errorf("core: no trusted digest for input run %d", id)
 		}
-		if got := j.hasher.inputs[i].digest(); got != trusted {
+		if got := j.parts[0].inputs[i].digest(); got != trusted {
 			return fmt.Errorf("%w: input run %d root mismatch (got %s want %s)",
 				ErrCompactionInput, id, got.Root, trusted.Root)
 		}
@@ -225,13 +253,15 @@ func (j *compactionJob) Committed() {
 	j.release()
 }
 
-// release hands the job's hasher back for the next job. Exactly one of
+// release hands the job's hashers back for the next job. Exactly one of
 // Committed and Abort ends a job, and only after the engine's last proof
 // appender over the output tree is done; the job keeps no reference, so a
 // use after the end fails loudly instead of reading another job's tree.
 func (j *compactionJob) release() {
-	j.hasher.release()
-	j.hasher = nil
+	for _, h := range j.parts {
+		h.release()
+	}
+	j.parts = nil
 }
 
 // Abort discards a failed job. If THIS job had already staged a transition

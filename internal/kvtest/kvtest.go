@@ -165,9 +165,15 @@ func commitIsAtomic(t *testing.T, o Opener) {
 	if o.UpdateInPlace {
 		return
 	}
-	// Snapshots taken while batches land see one generation, whole.
+	// Snapshots taken while batches land see one generation, whole. The
+	// writer commits a batch per token, and each round grants it
+	// writesPerRound more: writes overlap every snapshot, and the keys'
+	// history — every version is kept, and a version's proof lists every
+	// newer one — stays bounded however fast the writer runs.
+	const writesPerRound = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	tokens := make(chan struct{}, writesPerRound) // one round's grant
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -175,7 +181,7 @@ func commitIsAtomic(t *testing.T, o Opener) {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-tokens:
 			}
 			if _, err := kv.Commit(nil, batch(gen)); err != nil {
 				t.Errorf("batch %d: %v", gen, err)
@@ -184,6 +190,12 @@ func commitIsAtomic(t *testing.T, o Opener) {
 		}
 	}()
 	for round := 0; round < 50; round++ {
+		for i := 0; i < writesPerRound; i++ {
+			select {
+			case tokens <- struct{}{}:
+			default: // the writer has not spent the last grant yet
+			}
+		}
 		snap, err := kv.Snapshot()
 		if err != nil {
 			t.Fatal(err)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"elsm/internal/memtable"
 	"elsm/internal/obs"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
@@ -26,8 +28,10 @@ import (
 //     reconstruction and output-tree hashing) runs WITHOUT the engine
 //     lock: readers, the commit pipeline, and OTHER maintenance jobs on
 //     disjoint level pairs proceed at full speed. Within one job the
-//     output files are built by a bounded flusher pool (bubt-style),
-//     overlapping enclave hashing with file writes;
+//     merge runs as key-range parts, one goroutine each (RocksDB's
+//     subcompactions), and the output files are built by a bounded
+//     flusher pool (bubt-style), overlapping enclave hashing with file
+//     writes; both are bounded by the worker pool's size;
 //  3. install — installMu serializes the authenticated verify (Job.Verify)
 //     → level-vector swap → manifest persist → Job.Installed →
 //     Job.Committed window across concurrent jobs, so exactly one version
@@ -42,9 +46,10 @@ import (
 // kind. swap and installed run under s.mu inside the install window.
 type jobPlan struct {
 	info CompactionInfo
-	// mem streams the job's trusted input (the frozen memtable, a bulk
-	// load's records); nil for a level compaction.
-	mem record.Iterator
+	// frozen and bulk are the job's trusted input, at most one of them: a
+	// flush's frozen memtable, a bulk load's records.
+	frozen *memtable.Table
+	bulk   []record.Record
 	// inputs are the runs the job merges and retires, each pinned once.
 	inputs []*run
 	// swap puts newRun into the level vector and returns what takes it out
@@ -83,15 +88,9 @@ func (p *jobPlan) timed(rec *obs.Recorder, phase1 time.Time) {
 // runPlan is the driver: phases 2 and 3 of every maintenance job.
 func (s *Store) runPlan(p *jobPlan) error {
 	// Phase 2: merge, build and hash — lock-free.
-	var sources []mergeSource
-	if p.mem != nil {
-		sources = append(sources, mergeSource{runID: MemtableRunID, iter: p.mem})
-	}
-	for _, r := range p.inputs {
-		sources = append(sources, mergeSource{runID: r.id, iter: newRunIter(r)})
-	}
+	p.info.Bounds = p.split(s.workers.size())
 	job := s.listener.BeginJob(p.info)
-	newRun, err := s.runCompaction(job, p.info, sources, p.inputs)
+	newRun, err := s.runCompaction(job, p)
 	if err != nil {
 		job.Abort()
 		s.releaseRunRefs(p.inputs, 1) // job pins only: the version still owns them
@@ -156,7 +155,7 @@ func (s *Store) flushFrozen() error {
 		s.mu.Unlock()
 		return nil
 	}
-	info := CompactionInfo{MemtableInput: true, OutputLevel: 1}
+	info := CompactionInfo{MemtableInput: true, OutputLevel: 1, TrustedRecords: frozen.Count()}
 	var inputs []*run
 	if s.opts.DisableCompaction {
 		info.BottomMost = s.deepestDataLevelLocked() == 0
@@ -169,7 +168,7 @@ func (s *Store) flushFrozen() error {
 	s.mu.Unlock()
 	p.timed(s.opts.Obs, phaseStart)
 
-	p.mem = frozen.Iter()
+	p.frozen = frozen
 	p.swap = func(newRun *run) func() {
 		oldL1 := s.levels[1]
 		if s.opts.DisableCompaction {
@@ -268,6 +267,58 @@ func (s *Store) compactLevel(lvl int) error {
 	return s.runPlan(p)
 }
 
+// minPartRecords is the fewest trusted records (a frozen memtable's, a bulk
+// load's) a key-range part is cut for: a smaller part saves less than its
+// goroutine and its share of the join cost.
+const minPartRecords = 256
+
+// split chooses the job's key-range parts (CompactionInfo.Bounds), at most
+// maxParts of them: at the first keys of the tables of the input run with
+// the most tables, a table or more a part; without two such tables, at
+// quantiles of the trusted records, minPartRecords or more a part. The table
+// keys come from the host, but they only balance the parts: the listener
+// checks every record against its part's bounds.
+func (p *jobPlan) split(maxParts int) [][]byte {
+	var most []*tableHandle
+	for _, r := range p.inputs {
+		if len(r.tables) > len(most) {
+			most = r.tables
+		}
+	}
+	var bounds [][]byte
+	add := func(key []byte) {
+		if len(key) > 0 && (len(bounds) == 0 || bytes.Compare(key, bounds[len(bounds)-1]) > 0) {
+			bounds = append(bounds, key)
+		}
+	}
+	switch {
+	case len(most) >= 2:
+		parts := min(maxParts, len(most))
+		for i := 1; i < parts; i++ {
+			add(most[i*len(most)/parts].meta.Smallest)
+		}
+	case p.frozen != nil:
+		n := p.frozen.Count()
+		parts := min(maxParts, n/minPartRecords)
+		var it memtable.Iterator
+		it.Reset(p.frozen)
+		for i, next := 0, 1; next < parts && it.Valid(); i++ {
+			if i == next*n/parts {
+				add(it.Record().Key)
+				next++
+			}
+			it.Next()
+		}
+	default:
+		n := len(p.bulk)
+		parts := min(maxParts, n/minPartRecords)
+		for i := 1; i < parts; i++ {
+			add(p.bulk[i*n/parts].Key)
+		}
+	}
+	return bounds
+}
+
 // recordArena holds the key and value bytes of the records a job keeps:
 // trusted-side copies taken out of the (untrusted, pinned) input blocks, in
 // slabs, so a record costs no allocation of its own. A record is staged
@@ -282,12 +333,13 @@ type recordArena struct {
 
 const arenaSlabSize = 256 << 10
 
-// slabPool and chunkPool hold fixed-size job scratch between jobs. A
+// slabPool, chunkPool and jobScratchPool hold job scratch between jobs. A
 // sync.Pool drops what it holds after two collections, so scratch left by
 // one burst of maintenance does not stay resident.
 var (
-	slabPool  = sync.Pool{New: func() any { return new([arenaSlabSize]byte) }}
-	chunkPool = sync.Pool{New: func() any { return new([recordListChunk]record.Record) }}
+	slabPool       = sync.Pool{New: func() any { return new([arenaSlabSize]byte) }}
+	chunkPool      = sync.Pool{New: func() any { return new([recordListChunk]record.Record) }}
+	jobScratchPool = sync.Pool{New: func() any { return new(jobScratch) }}
 )
 
 // stage copies key and value into the arena without committing them.
@@ -317,7 +369,8 @@ func (a *recordArena) release() {
 	for _, slab := range a.pooled {
 		slabPool.Put(slab)
 	}
-	*a = recordArena{}
+	clear(a.pooled)
+	*a = recordArena{pooled: a.pooled[:0]}
 }
 
 // recordList is the records a job keeps, in merge order, in fixed-size
@@ -343,55 +396,314 @@ func (l *recordList) release() {
 		clear(chunk)
 		chunkPool.Put((*[recordListChunk]record.Record)(chunk[:recordListChunk]))
 	}
-	*l = nil
+	l.forget()
 }
 
-// runCompaction executes the merge: every input record is copied once into
-// the job's arena and streamed through job.Filter, the version/tombstone
-// retention policy decides what stays, and the kept records are split into
-// table files built by a bounded flusher pool, each with a proof appender
-// from the job so the authentication layer embeds proofs as the blocks are
-// framed. Runs entirely without the engine lock: its inputs are immutable (a
-// frozen memtable and pinned runs). On error it leaves no output file
-// behind; aborting the job is the caller's.
-func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSource, inputs []*run) (*run, error) {
-	// Step m1: bulk-load input files into untrusted memory for streaming.
-	var pinnedFiles []uint64
-	for _, r := range inputs {
-		pinnedFiles = append(pinnedFiles, r.fileNums()...)
+// forget empties a list of sub-slices of chunks another list owns.
+func (l *recordList) forget() {
+	clear(*l)
+	*l = (*l)[:0]
+}
+
+// mergePart is one key-range part of a job: the merge of every input over
+// [lo, hi), which copies the records it keeps into its own arena and
+// chunks. Its iterators are values, reset for each job.
+type mergePart struct {
+	idx     int // the part's index, as Job.Filter gets it
+	mem     memtable.Iterator
+	bulk    sliceIter
+	runs    []RunIter
+	sources []mergeSource
+	m       mergeIter
+	arena   recordArena
+	kept    recordList
+	curKey  []byte
+	dropped uint64 // records the retention policy dropped
+	err     error  // the read error that ended an input, if one did
+}
+
+// open points the part's sources at p's inputs over [lo, hi).
+func (pt *mergePart) open(idx int, p *jobPlan, lo, hi []byte) {
+	pt.idx = idx
+	pt.sources = pt.sources[:0]
+	switch {
+	case p.frozen != nil:
+		pt.mem.Reset(p.frozen)
+		pt.sources = append(pt.sources, mergeSource{runID: MemtableRunID, iter: &pt.mem})
+	case p.bulk != nil:
+		pt.bulk = sliceIter{recs: p.bulk}
+		pt.sources = append(pt.sources, mergeSource{runID: MemtableRunID, iter: &pt.bulk})
 	}
-	s.pinViews(pinnedFiles)
-	defer s.unpinViews(pinnedFiles)
+	pt.runs = slices.Grow(pt.runs[:0], len(p.inputs))[:len(p.inputs)]
+	for i, r := range p.inputs {
+		pt.runs[i] = RunIter{tables: r.tables}
+		pt.sources = append(pt.sources, mergeSource{runID: r.id, iter: &pt.runs[i]})
+	}
+	if lo != nil {
+		for _, src := range pt.sources {
+			src.iter.SeekGE(lo, record.MaxTs)
+		}
+	}
+	pt.m.reset(pt.sources, hi)
+}
 
-	m := newMergeIter(sources)
+// release hands the part's slabs and chunks back and lets go of the job.
+func (pt *mergePart) release() {
+	pt.arena.release()
+	pt.kept.release()
+	clear(pt.runs)
+	clear(pt.sources)
+	*pt = mergePart{
+		runs:    pt.runs[:0],
+		sources: pt.sources[:0],
+		arena:   pt.arena,
+		kept:    pt.kept,
+		curKey:  pt.curKey[:0],
+	}
+}
 
-	// Step m2: merge with retention policy, streaming every input record
-	// through Filter (the authenticated compaction rebuilds input and
-	// output Merkle trees from this stream). The iterators hand out views
-	// of the pinned, untrusted blocks: the record is copied into the arena
-	// FIRST, and the retention decision, the listener's digest and the
-	// bytes written all come from that copy — the view is never read again,
-	// so the host cannot change a record between its hashing and its write.
+// outFile is one output table of a job: its records, as sub-slices of the
+// parts' chunks, and what building it takes and gives.
+type outFile struct {
+	recs   recordList
+	num    uint64
+	proofs sstable.ProofAppender
+	th     *tableHandle
+	err    error
+}
+
+// jobScratch is what a job runs on besides its records: the parts, the
+// files, and the lists that join them. It goes back to jobScratchPool when
+// the job's files are written, keeping its arrays, none of their contents.
+type jobScratch struct {
+	parts   []mergePart
+	kept    recordList // every part's kept records, in part order
+	files   []outFile
+	pinned  []uint64
+	scratch []byte
+	wg      sync.WaitGroup
+}
+
+// nextFile appends an empty file, reusing an earlier job's record list.
+func (js *jobScratch) nextFile() *outFile {
+	n := len(js.files)
+	js.files = slices.Grow(js.files, 1)[:n+1]
+	f := &js.files[n]
+	f.recs = f.recs[:0]
+	return f
+}
+
+func (js *jobScratch) release() {
+	for i := range js.parts {
+		js.parts[i].release()
+	}
+	js.kept.forget()
+	for i := range js.files {
+		f := &js.files[i]
+		f.recs.forget()
+		*f = outFile{recs: f.recs}
+	}
+	js.parts, js.files = js.parts[:0], js.files[:0]
+	js.pinned, js.scratch = js.pinned[:0], js.scratch[:0]
+	jobScratchPool.Put(js)
+}
+
+// runCompaction executes the merge: the key space is cut into the parts
+// CompactionInfo.Bounds names, each merged on its own goroutine, every input
+// record copied once into its part's arena and streamed through job.Filter;
+// the version/tombstone retention policy decides what stays. The parts' kept
+// records, joined in key order, are split into table files exactly as one
+// merge would split them, built by a bounded flusher pool, each with a proof
+// appender from the job so the authentication layer embeds proofs as the
+// blocks are framed. Runs entirely without the engine lock: its inputs are
+// immutable (a frozen memtable and pinned runs). On error it leaves no
+// output file behind; aborting the job is the caller's.
+func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
+	js := jobScratchPool.Get().(*jobScratch)
+	// Every return comes after the last flusher has finished with the
+	// records.
+	defer js.release()
+
+	// Step m1: bulk-load input files into untrusted memory for streaming.
+	for _, r := range p.inputs {
+		for _, th := range r.tables {
+			js.pinned = append(js.pinned, th.meta.FileNum)
+		}
+	}
+	s.pinViews(js.pinned)
+	defer s.unpinViews(js.pinned)
+
+	// Step m2: merge with retention policy, part by part, streaming every
+	// input record through Filter (the authenticated compaction rebuilds
+	// input and output Merkle trees from this stream).
+	bounds := p.info.Bounds
+	js.parts = slices.Grow(js.parts[:0], len(bounds)+1)[:len(bounds)+1]
+	for i := range js.parts {
+		var lo, hi []byte
+		if i > 0 {
+			lo = bounds[i-1]
+		}
+		if i < len(bounds) {
+			hi = bounds[i]
+		}
+		js.parts[i].open(i, p, lo, hi)
+	}
+	for i := 1; i < len(js.parts); i++ {
+		js.wg.Add(1)
+		go func(pt *mergePart) {
+			defer js.wg.Done()
+			s.mergePart(job, pt, p.info.BottomMost)
+		}(&js.parts[i])
+	}
+	s.mergePart(job, &js.parts[0], p.info.BottomMost)
+	js.wg.Wait()
+	for i := range js.parts {
+		s.recordsDropped.Add(js.parts[i].dropped)
+	}
+	for i := range js.parts {
+		pt := &js.parts[i]
+		// An input that stopped on a failed read is an I/O error, not a
+		// short run: report it before anyone compares roots over the
+		// truncated stream.
+		if pt.err != nil {
+			return nil, pt.err
+		}
+		js.kept = append(js.kept, pt.kept...)
+	}
+
+	// Split the output into files by the bytes each record will occupy —
+	// key, value and its share of the proofs it is about to get: its chain
+	// part, and a group section where it opens a group or a file. Their
+	// sizes are known now that the stream (and with it the output tree's
+	// shape) is complete, so TableFileSize bounds a flush's files and a
+	// compaction's alike. The cut runs over the joined stream, so the files
+	// are the ones a single merge writes, however many parts there were.
+	sizer, err := job.NewProofAppender()
+	if err != nil {
+		return nil, err
+	}
 	var (
-		arena    recordArena
-		kept     recordList
-		curKey   []byte
+		f        = js.nextFile()
+		curBytes int
+		group    = -1 // of the last record sized in this file
+	)
+	for _, chunk := range js.kept {
+		start := 0
+		for i, rec := range chunk {
+			curBytes += rec.Size()
+			if sizer != nil {
+				g, err := sizer.Group(rec)
+				if err != nil {
+					return nil, err
+				}
+				if g != group {
+					js.scratch = sizer.AppendSection(js.scratch[:0])
+					curBytes += len(js.scratch)
+					group = g
+				}
+				js.scratch = sizer.AppendChain(js.scratch[:0])
+				curBytes += len(js.scratch)
+			}
+			if curBytes >= s.opts.TableFileSize {
+				f.recs = append(f.recs, chunk[start:i+1])
+				f = js.nextFile()
+				start, curBytes, group = i+1, 0, -1
+			}
+		}
+		if start < len(chunk) {
+			f.recs = append(f.recs, chunk[start:])
+		}
+	}
+	if len(f.recs) == 0 {
+		js.files = js.files[:len(js.files)-1]
+	}
+
+	// Write output files, bubt-style: each output SSTable is independent
+	// once the merge has partitioned the stream, so build/hash/write them
+	// with a bounded set of flushers — the job's goroutine and up to
+	// Workers−1 more, each taking the next file until none is left —
+	// overlapping enclave hashing with file I/O. File numbers are
+	// pre-assigned so the on-disk order matches the key order regardless
+	// of completion order. Each file gets its own proof appender over the
+	// finalized whole-stream output tree.
+	files := js.files
+	for i := range files {
+		files[i].num = s.nextFileNum.Add(1) - 1
+		if files[i].proofs, err = job.NewProofAppender(); err != nil {
+			return nil, err
+		}
+	}
+	// No flusher takes a file before every flusher holds a builder, so a
+	// job takes as many builders as it has flushers however the scheduler
+	// runs them. Each takes its own, from its own P's share of the pool.
+	var (
+		next  atomic.Int64
+		ready sync.WaitGroup
+	)
+	flush := func() {
+		tb := tableBuildPool.Get().(*tableBuild)
+		defer tb.release()
+		ready.Done()
+		ready.Wait()
+		for fi := int(next.Add(1) - 1); fi < len(files); fi = int(next.Add(1) - 1) {
+			f := &files[fi]
+			f.th, f.err = s.writeRunFile(tb, f.num, f.recs, f.proofs)
+		}
+	}
+	flushers := min(s.workers.size(), len(files))
+	ready.Add(flushers)
+	for w := 1; w < flushers; w++ {
+		js.wg.Add(1)
+		go func() {
+			defer js.wg.Done()
+			flush()
+		}()
+	}
+	if flushers > 0 {
+		flush()
+	}
+	js.wg.Wait()
+	for i := range files {
+		if err := files[i].err; err != nil {
+			var written []uint64
+			for _, f := range files {
+				if f.th != nil {
+					written = append(written, f.th.meta.FileNum)
+				}
+			}
+			s.removeFiles(written)
+			return nil, err
+		}
+	}
+	newRun := &run{id: p.info.OutputRun, tables: make([]*tableHandle, 0, len(files))}
+	newRun.refs.Store(1) // the version reference, effective at install
+	for _, f := range files {
+		newRun.tables = append(newRun.tables, f.th)
+		newRun.bytes += f.th.meta.Size
+		newRun.entries += f.th.meta.NumEntries
+	}
+	return newRun, nil
+}
+
+// mergePart runs one part's merge. The iterators hand out views of the
+// pinned, untrusted blocks: the record is copied into the part's arena
+// FIRST, and the retention decision, the listener's digest and the bytes
+// written all come from that copy — the view is never read again, so the
+// host cannot change a record between its hashing and its write. A key's
+// versions all lie in one part, so the policy's state is the part's own.
+func (s *Store) mergePart(job Job, pt *mergePart, bottomMost bool) {
+	var (
+		m        = &pt.m
 		haveKey  bool
 		nKept    int
 		dropRest bool
 	)
-	// Every return comes after the last flusher has finished with the
-	// records.
-	defer func() {
-		arena.release()
-		kept.release()
-	}()
 	for m.Valid() {
 		view, src := m.Record()
-		key, value := arena.stage(view.Key, view.Value)
+		key, value := pt.arena.stage(view.Key, view.Value)
 		rec := record.Record{Key: key, Ts: view.Ts, Kind: view.Kind, Value: value}
-		if !haveKey || !bytes.Equal(rec.Key, curKey) {
-			curKey = append(curKey[:0], rec.Key...)
+		if !haveKey || !bytes.Equal(rec.Key, pt.curKey) {
+			pt.curKey = append(pt.curKey[:0], rec.Key...)
 			haveKey = true
 			nKept = 0
 			dropRest = false
@@ -407,7 +719,7 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 			// retains full history — tombstones and shadowed versions
 			// stay so historical GET(k, tsq) remains answerable.
 			dropRest = true
-			if info.BottomMost {
+			if bottomMost {
 				drop = true
 			} else {
 				nKept++
@@ -419,128 +731,16 @@ func (s *Store) runCompaction(job Job, info CompactionInfo, sources []mergeSourc
 				nKept++
 			}
 		}
-		job.Filter(src, rec, drop)
+		job.Filter(pt.idx, src, rec, drop)
 		if drop {
-			s.recordsDropped.Add(1)
+			pt.dropped++
 		} else {
-			arena.commit(len(key) + len(value))
-			kept.add(rec)
+			pt.arena.commit(len(key) + len(value))
+			pt.kept.add(rec)
 		}
 		m.Next()
 	}
-	// An input that stopped on a failed read is an I/O error, not a short
-	// run: report it before anyone compares roots over the truncated stream.
-	if err := m.Close(); err != nil {
-		return nil, err
-	}
-
-	// Split the output into files by the bytes each record will occupy —
-	// key, value and its share of the proofs it is about to get: its chain
-	// part, and a group section where it opens a group or a file. Their
-	// sizes are known now that the stream (and with it the output tree's
-	// shape) is complete, so TableFileSize bounds a flush's files and a
-	// compaction's alike.
-	sizer, err := job.NewProofAppender()
-	if err != nil {
-		return nil, err
-	}
-	var (
-		fileRecs recordList // one file's records, as sub-slices of kept's chunks
-		files    []recordList
-		curBytes int
-		group    = -1 // of the last record sized in this file
-		scratch  []byte
-	)
-	for _, chunk := range kept {
-		start := 0
-		for i, rec := range chunk {
-			curBytes += rec.Size()
-			if sizer != nil {
-				g, err := sizer.Group(rec)
-				if err != nil {
-					return nil, err
-				}
-				if g != group {
-					scratch = sizer.AppendSection(scratch[:0])
-					curBytes += len(scratch)
-					group = g
-				}
-				scratch = sizer.AppendChain(scratch[:0])
-				curBytes += len(scratch)
-			}
-			if curBytes >= s.opts.TableFileSize {
-				files = append(files, append(fileRecs, chunk[start:i+1]))
-				fileRecs, start, curBytes, group = nil, i+1, 0, -1
-			}
-		}
-		if start < len(chunk) {
-			fileRecs = append(fileRecs, chunk[start:])
-		}
-	}
-	if len(fileRecs) > 0 {
-		files = append(files, fileRecs)
-	}
-
-	// Write output files, bubt-style: each output SSTable is independent
-	// once the merge has partitioned the stream, so build/hash/write them
-	// with a bounded set of flushers — the job's goroutine and up to
-	// Workers−1 more, each taking the next file until none is left —
-	// overlapping enclave hashing with file I/O. File numbers are
-	// pre-assigned so the on-disk order matches the key order regardless
-	// of completion order. Each file gets its own proof appender over the
-	// finalized whole-stream output tree.
-	handles := make([]*tableHandle, len(files))
-	errs := make([]error, len(files))
-	fileNums := make([]uint64, len(files))
-	proofs := make([]sstable.ProofAppender, len(files))
-	for i := range files {
-		fileNums[i] = s.nextFileNum.Add(1) - 1
-		if proofs[i], err = job.NewProofAppender(); err != nil {
-			return nil, err
-		}
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	flush := func() {
-		tb := tableBuildPool.Get().(*tableBuild)
-		defer tb.release()
-		for fi := int(next.Add(1) - 1); fi < len(files); fi = int(next.Add(1) - 1) {
-			handles[fi], errs[fi] = s.writeRunFile(tb, fileNums[fi], files[fi], proofs[fi])
-		}
-	}
-	for w := 1; w < min(s.workers.size(), len(files)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			flush()
-		}()
-	}
-	if len(files) > 0 {
-		flush()
-	}
-	wg.Wait()
-	newRun := &run{id: info.OutputRun}
-	newRun.refs.Store(1) // the version reference, effective at install
-	for _, err := range errs {
-		if err != nil {
-			var written []uint64
-			for _, th := range handles {
-				if th != nil {
-					written = append(written, th.meta.FileNum)
-				}
-			}
-			s.removeFiles(written)
-			return nil, err
-		}
-	}
-	for _, th := range handles {
-		newRun.tables = append(newRun.tables, th)
-		newRun.bytes += th.meta.Size
-		newRun.entries += th.meta.NumEntries
-	}
-	return newRun, nil
+	pt.err = m.Close()
 }
 
 // tableBuildPool recycles what a flusher builds its tables with: the
@@ -571,7 +771,9 @@ func (tb *tableBuild) release() {
 // order is deterministic).
 func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, proofs sstable.ProofAppender) (*tableHandle, error) {
 	buf, b := &tb.buf, &tb.b
-	buf.data = buf.data[:0]
+	// A file is cut once its records reach TableFileSize; the index, filter
+	// and footer add a little. One allocation covers a new buffer.
+	buf.data = slices.Grow(buf.data[:0], s.opts.TableFileSize+s.opts.TableFileSize/8)
 	b.Reset(buf, sstable.BuilderOptions{
 		BlockSize: s.opts.BlockSize,
 		Transform: s.opts.Transform,
@@ -693,7 +895,7 @@ func (s *Store) bulkLoadJob(recs []record.Record, total int64, maxTs uint64) err
 	for lvl < s.opts.MaxLevels && s.opts.levelTarget(lvl) < total {
 		lvl++
 	}
-	p := s.planLocked(CompactionInfo{OutputLevel: lvl, BottomMost: true, BulkLoad: true}, nil)
+	p := s.planLocked(CompactionInfo{OutputLevel: lvl, BottomMost: true, BulkLoad: true, TrustedRecords: len(recs)}, nil)
 	// The loaded timestamps are spent from here on, BEFORE Job.Verify stages
 	// the transition seal: that seal's timestamp floor is what recovery
 	// adopts if a crash lands between the manifest rename and the next seal,
@@ -704,7 +906,7 @@ func (s *Store) bulkLoadJob(recs []record.Record, total int64, maxTs uint64) err
 	s.EnsureTs(maxTs)
 	s.mu.Unlock()
 
-	p.mem = newSliceIter(recs)
+	p.bulk = recs
 	p.swap = func(newRun *run) func() {
 		// Place the run by its ACTUAL size: the listener may have inflated
 		// records (embedded proofs are several times the record size), and a
@@ -727,8 +929,6 @@ type sliceIter struct {
 }
 
 var _ record.Iterator = (*sliceIter)(nil)
-
-func newSliceIter(recs []record.Record) *sliceIter { return &sliceIter{recs: recs} }
 
 func (it *sliceIter) Valid() bool           { return it.pos < len(it.recs) }
 func (it *sliceIter) Next()                 { it.pos++ }

@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"bytes"
+
 	"elsm/internal/blockcache"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
@@ -126,12 +128,19 @@ type mergeSource struct {
 type mergeIter struct {
 	sources []mergeSource
 	curSrc  int
+	hi      []byte // the stream ends before the first key ≥ hi; nil: open
 }
 
 func newMergeIter(sources []mergeSource) *mergeIter {
-	m := &mergeIter{sources: sources, curSrc: -1}
-	m.findMin()
+	m := new(mergeIter)
+	m.reset(sources, nil)
 	return m
+}
+
+// reset starts m over sources, ending before key hi (nil: at their end).
+func (m *mergeIter) reset(sources []mergeSource, hi []byte) {
+	*m = mergeIter{sources: sources, hi: hi}
+	m.findMin()
 }
 
 func (m *mergeIter) findMin() {
@@ -147,6 +156,9 @@ func (m *mergeIter) findMin() {
 			m.curSrc = i
 			best = r
 		}
+	}
+	if m.curSrc >= 0 && m.hi != nil && bytes.Compare(best.Key, m.hi) >= 0 {
+		m.curSrc = -1
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"elsm/internal/record"
@@ -18,7 +19,7 @@ import (
 type scribbleListener struct {
 	NopListener
 	scribble func()
-	filtered int
+	filtered atomic.Int64 // Filter runs on every part's goroutine
 }
 
 // scribbleJob is every job of a scribbleListener: the test runs them one at
@@ -30,11 +31,11 @@ type scribbleJob struct {
 
 func (l *scribbleListener) BeginJob(CompactionInfo) Job { return scribbleJob{l: l} }
 
-func (j scribbleJob) Filter(_ uint64, rec record.Record, _ bool) {
+func (j scribbleJob) Filter(_ int, _ uint64, rec record.Record, _ bool) {
 	if len(rec.Proof) != 0 {
 		panic("compaction passed a stale proof to Filter")
 	}
-	j.l.filtered++
+	j.l.filtered.Add(1)
 }
 
 func (j scribbleJob) NewProofAppender() (sstable.ProofAppender, error) {
@@ -110,14 +111,14 @@ func TestCompactionKeepsItsOwnCopy(t *testing.T) {
 	put(300, 900, "b") // level 1 over level 2, half the keys in both
 
 	l.scribble = func() { overwriteTables(t, fs) }
-	before := l.filtered
+	before := l.filtered.Load()
 	if err := s.Compact(1); err != nil {
 		t.Fatal(err)
 	}
 	if l.scribble != nil {
 		t.Fatal("the compaction never asked for a proof appender")
 	}
-	if got := l.filtered - before; got != 1200 {
+	if got := l.filtered.Load() - before; got != 1200 {
 		t.Fatalf("merge streamed %d records, want 1200", got)
 	}
 	if runs := s.Runs(); len(runs) != 1 {

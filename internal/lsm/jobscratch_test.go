@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -24,30 +23,45 @@ import (
 // in full, the output's as kept — and Verify requires each input run's
 // digest to be the one the job that wrote the run recorded. A run whose
 // files hold other bytes than the ones its job digested fails the next job
-// that reads it.
+// that reads it. A digest is taken over the run's record digests in key
+// order, so it does not depend on how a job cut the stream into parts.
 type digestListener struct {
 	NopListener
-	mu   sync.Mutex
-	runs map[uint64][sha256.Size]byte // installed runs
+	mu     sync.Mutex
+	runs   map[uint64][sha256.Size]byte // installed runs
+	parted atomic.Int32                 // jobs cut into more than one part
 }
 
 type digestJob struct {
 	NopJob
-	l    *digestListener
-	info CompactionInfo
-	in   map[uint64]hash.Hash
-	out  hash.Hash
+	l     *digestListener
+	info  CompactionInfo
+	parts []digestPart
+}
+
+// digestPart is one key-range part's share of a job, written only by that
+// part's goroutine: the digest of every record, per input run and kept.
+type digestPart struct {
+	in  map[uint64][][sha256.Size]byte
+	out [][sha256.Size]byte
 }
 
 func (l *digestListener) BeginJob(info CompactionInfo) Job {
-	j := &digestJob{l: l, info: info, in: map[uint64]hash.Hash{}, out: sha256.New()}
-	for _, id := range info.InputRuns {
-		j.in[id] = sha256.New()
+	j := &digestJob{l: l, info: info, parts: make([]digestPart, len(info.Bounds)+1)}
+	if len(info.Bounds) > 0 {
+		l.parted.Add(1)
+	}
+	for p := range j.parts {
+		j.parts[p].in = map[uint64][][sha256.Size]byte{}
+		for _, id := range info.InputRuns {
+			j.parts[p].in[id] = nil
+		}
 	}
 	return j
 }
 
-func digestRecord(h hash.Hash, rec record.Record) {
+func digestRecord(rec record.Record) [sha256.Size]byte {
+	h := sha256.New()
 	var hdr [26]byte
 	binary.BigEndian.PutUint64(hdr[:], uint64(len(rec.Key)))
 	binary.BigEndian.PutUint64(hdr[8:], uint64(len(rec.Value)))
@@ -56,22 +70,39 @@ func digestRecord(h hash.Hash, rec record.Record) {
 	h.Write(hdr[:])
 	h.Write(rec.Key)
 	h.Write(rec.Value)
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
-func (j *digestJob) Filter(src uint64, rec record.Record, dropped bool) {
+func (j *digestJob) Filter(part int, src uint64, rec record.Record, dropped bool) {
+	p := &j.parts[part]
 	if src != MemtableRunID {
-		digestRecord(j.in[src], rec)
+		if _, ok := p.in[src]; !ok {
+			panic(fmt.Sprintf("record from undeclared input run %d", src))
+		}
+		p.in[src] = append(p.in[src], digestRecord(rec))
 	}
 	if !dropped {
-		digestRecord(j.out, rec)
+		p.out = append(p.out, digestRecord(rec))
 	}
+}
+
+// streamDigest digests the record digests list gives of each part, in part
+// order.
+func (j *digestJob) streamDigest(list func(p *digestPart) [][sha256.Size]byte) [sha256.Size]byte {
+	h := sha256.New()
+	for p := range j.parts {
+		for _, d := range list(&j.parts[p]) {
+			h.Write(d[:])
+		}
+	}
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 func (j *digestJob) Verify() error {
 	j.l.mu.Lock()
 	defer j.l.mu.Unlock()
-	for id, h := range j.in {
-		if want := j.l.runs[id]; !bytes.Equal(h.Sum(nil), want[:]) {
+	for _, id := range j.info.InputRuns {
+		if j.streamDigest(func(p *digestPart) [][sha256.Size]byte { return p.in[id] }) != j.l.runs[id] {
 			return fmt.Errorf("input run %d: its files differ from the records its job digested", id)
 		}
 	}
@@ -81,18 +112,18 @@ func (j *digestJob) Verify() error {
 func (j *digestJob) Committed() {
 	j.l.mu.Lock()
 	defer j.l.mu.Unlock()
-	for id := range j.in {
+	for _, id := range j.info.InputRuns {
 		delete(j.l.runs, id)
 	}
-	var sum [sha256.Size]byte
-	j.l.runs[j.info.OutputRun] = [sha256.Size]byte(j.out.Sum(sum[:0]))
+	j.l.runs[j.info.OutputRun] = j.streamDigest(func(p *digestPart) [][sha256.Size]byte { return p.out })
 }
 
 // TestPooledJobScratchIsInvisible runs flushes and compactions of
 // alternating sizes — bursts of hundreds of records, then a handful, with a
 // value larger than an arena slab among them — on a four-worker pool, so
 // jobs take arena slabs, record chunks and table builders that other jobs
-// just gave back, while explicit compactions race the flush-driven ones.
+// just gave back, while explicit compactions race the flush-driven ones;
+// jobs over multi-table runs merge in up to four key-range parts at once.
 // Every job's input check (digestListener) must pass, and the store must
 // read back exactly what a map of the same writes holds. A slab handed back
 // while a flusher still reads it is a race under -race, and wrong bytes in
@@ -168,8 +199,8 @@ func TestPooledJobScratchIsInvisible(t *testing.T) {
 	if err := s.WaitMaintenance(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Flushes < 10 || st.Compactions < 2 {
-		t.Fatalf("%d flushes and %d compactions; the test wants many of both", st.Flushes, st.Compactions)
+	if st := s.Stats(); st.Flushes < 10 || st.Compactions < 2 || l.parted.Load() < 2 {
+		t.Fatalf("%d flushes and %d compactions, %d of the jobs in parts; the test wants many of each", st.Flushes, st.Compactions, l.parted.Load())
 	}
 
 	keys := make([]string, 0, len(oracle))

@@ -80,7 +80,8 @@ type Options struct {
 	DisableCompaction bool
 	// Workers is the worker-token pool bounding how many maintenance jobs
 	// (flushes and compactions of disjoint level pairs) may execute
-	// concurrently; its size also bounds a job's parallel file builders. It
+	// concurrently; its size also bounds a job's key-range parts
+	// (CompactionInfo.Bounds) and its parallel file builders. It
 	// may be SHARED with other stores (the sharded open path passes one pool
 	// to every shard so the machine-wide concurrency stays bounded by the
 	// pool, not Shards × pool). Nil creates a private pool of
@@ -183,6 +184,20 @@ type CompactionInfo struct {
 	BulkLoad bool
 	// BlockSize is the block payload target the output tables are built to.
 	BlockSize int
+	// TrustedRecords counts the records the job streams from its trusted
+	// input — the frozen memtable, a bulk load — beside the input runs'.
+	TrustedRecords int
+	// Bounds splits the job's key space into len(Bounds)+1 parts that are
+	// merged at once, one goroutine each: part p holds the keys in
+	// [Bounds[p-1], Bounds[p]), the first and last part being open below
+	// and above. Bounds are user keys in strictly ascending order, so every
+	// version of a key lies in one part. There are at most Workers parts.
+	// The engine chooses them from the table boundaries of the input with
+	// the most tables, from the frozen memtable's or a bulk load's records
+	// otherwise; nil is one part. They only balance the work: a listener
+	// that verifies the stream checks that the bounds ascend and that every
+	// record it is given lies in its part.
+	Bounds [][]byte
 }
 
 // EventListener is the callback surface through which the eLSM
@@ -237,13 +252,18 @@ type EventListener interface {
 // input-root check before install (§5.5.2), and Installed/Committed are the
 // digest swap and the counter-bound seal around the version install that
 // §5.6.1's rollback defence stands on. Every method runs on the job's own
-// goroutine, in the order listed; only the appenders NewProofAppender
-// returns are used elsewhere. Exactly one of Committed (success) or Abort
-// (failure at any point after BeginJob) ends a job.
+// goroutine, in the order listed, except Filter, whose calls come from one
+// goroutine per key-range part; only the appenders NewProofAppender returns
+// are used elsewhere. Exactly one of Committed (success) or Abort (failure at
+// any point after BeginJob) ends a job.
 type Job interface {
-	// Filter is called for every input record in merge output order, tagged
-	// with its source run (MemtableRunID for memtable records) and whether
-	// the engine is dropping it (tombstone elimination or version GC).
+	// Filter is called for every input record, tagged with the key-range
+	// part it belongs to (an index into CompactionInfo.Bounds' parts), its
+	// source run (MemtableRunID for memtable records) and whether the engine
+	// is dropping it (tombstone elimination or version GC). Each part's
+	// records come in merge output order from one goroutine of that part's
+	// own; different parts call concurrently. Every call has returned before
+	// the first NewProofAppender.
 	// rec.Key and rec.Value are the engine's own copy of the record, taken
 	// out of the untrusted input before anything looked at it: a kept
 	// record is written from these very bytes, so what a listener digests
@@ -251,8 +271,8 @@ type Job interface {
 	// the call, or until the job's files are written if the record is
 	// kept: the engine then reuses their memory for later jobs. rec.Proof
 	// is always empty.
-	Filter(srcRun uint64, rec record.Record, dropped bool)
-	// NewProofAppender is called once the merge stream has ended, once to
+	Filter(part int, srcRun uint64, rec record.Record, dropped bool)
+	// NewProofAppender is called once every part's stream has ended, once to
 	// size the output files and once per file: the returned appender writes
 	// the proofs of the records it is given straight into the SSTable blocks
 	// being built. Records reach an appender in merge order. The appenders
@@ -310,7 +330,7 @@ type NopJob struct{}
 var _ Job = NopJob{}
 
 // Filter implements Job.
-func (NopJob) Filter(uint64, record.Record, bool) {}
+func (NopJob) Filter(int, uint64, record.Record, bool) {}
 
 // NewProofAppender implements Job.
 func (NopJob) NewProofAppender() (sstable.ProofAppender, error) { return nil, nil }

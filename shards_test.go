@@ -170,12 +170,23 @@ func TestShardedSnapshotAtomicAcrossShards(t *testing.T) {
 	defer s.Close()
 
 	// Writer: cross-shard batches where every key of batch i carries value
-	// i — a snapshot that sees two different values tore a batch.
+	// i — a snapshot that sees two different values tore a batch. It
+	// commits a batch per token, and each round grants it writesPerRound
+	// more: writes overlap every snapshot, and the keys' history stays
+	// bounded however fast the writer runs.
+	const writesPerRound = 8
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
+	tokens := make(chan struct{}, writesPerRound) // one round's grant
 	go func() {
 		for i := 0; ; i++ {
+			select {
+			case <-ctx.Done():
+				done <- nil
+				return
+			case <-tokens:
+			}
 			b := s.NewBatch()
 			for j := 0; j < 16; j++ {
 				b.Put([]byte(fmt.Sprintf("atomic%02d", j)), []byte(fmt.Sprintf("gen%06d", i)))
@@ -184,16 +195,16 @@ func TestShardedSnapshotAtomicAcrossShards(t *testing.T) {
 				done <- err
 				return
 			}
-			select {
-			case <-ctx.Done():
-				done <- nil
-				return
-			default:
-			}
 		}
 	}()
 
 	for round := 0; round < 30; round++ {
+		for i := 0; i < writesPerRound; i++ {
+			select {
+			case tokens <- struct{}{}:
+			default: // the writer has not spent the last grant yet
+			}
+		}
 		snap, err := s.Snapshot()
 		if err != nil {
 			t.Fatal(err)
