@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elsm/internal/core"
+	"elsm/internal/lsm"
 	"elsm/internal/race"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
@@ -25,7 +26,7 @@ import (
 func TestFacadeAddsNoAllocs(t *testing.T) {
 	open := func(shards int) *Store {
 		t.Helper()
-		s, err := Open(Options{Shards: shards, MemtableSize: 64 << 20, CacheSize: 1 << 20, DisableInstrumentation: true})
+		s, err := Open(Options{Shards: shards, CacheSize: 1 << 20, DisableInstrumentation: true, geometry: lsm.Geometry{MemtableSize: 64 << 20}})
 		if err != nil {
 			t.Fatal(err)
 		}

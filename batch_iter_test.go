@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"elsm/internal/lsm"
 	"elsm/internal/sgx"
 	"elsm/internal/ycsb"
 )
@@ -141,7 +142,7 @@ func TestBatchAndIteratorEncrypted(t *testing.T) {
 func TestIteratorStreams10kBounded(t *testing.T) {
 	// A 10k-record verified range must stream chunk by chunk (many ECalls,
 	// each carrying a bounded slice) instead of materializing in one call.
-	s, err := Open(Options{MmapReads: true, MemtableSize: 1 << 20, TableFileSize: 256 << 10, LevelBase: 1 << 20})
+	s, err := Open(Options{mmapReads: true, geometry: lsm.Geometry{MemtableSize: 1 << 20, TableFileSize: 256 << 10, LevelBase: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}

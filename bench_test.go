@@ -13,6 +13,7 @@ import (
 
 	"elsm/internal/core"
 	"elsm/internal/costmodel"
+	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 	"elsm/internal/ycsb"
@@ -25,15 +26,10 @@ import (
 
 func benchStore(b *testing.B, mode Mode) *Store {
 	b.Helper()
-	opts := Options{
-		Mode:          mode,
-		MemtableSize:  256 << 10,
-		TableFileSize: 128 << 10,
-		LevelBase:     512 << 10,
-		CacheSize:     4 << 20,
-	}
+	opts := Options{Mode: mode, CacheSize: 4 << 20}
+	opts.geometry = lsm.Geometry{MemtableSize: 256 << 10, TableFileSize: 128 << 10, LevelBase: 512 << 10}
 	if mode != ModeP1 {
-		opts.MmapReads = true
+		opts.mmapReads = true
 		opts.CacheSize = 0
 	}
 	s, err := Open(opts)
@@ -94,11 +90,9 @@ func simCostStore(tb testing.TB) (*core.Store, *costmodel.Sim) {
 	tb.Helper()
 	sim := costmodel.New(costmodel.DefaultEPCSize)
 	s, err := core.Open(core.Config{
-		Enclave:       sim.Enclave(),
-		MemtableSize:  1 << 20,
-		TableFileSize: 256 << 10,
-		LevelBase:     1 << 20,
-		MmapReads:     true,
+		Enclave:   sim.Enclave(),
+		Geometry:  lsm.Geometry{MemtableSize: 1 << 20, TableFileSize: 256 << 10, LevelBase: 1 << 20},
+		MmapReads: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -252,8 +246,8 @@ func TestObsOverheadGuard(t *testing.T) {
 		s, err := Open(Options{
 			Mode:                   ModeP2,
 			FS:                     vfs.NewSlowSync(vfs.NewMem(), syncDelay),
-			MemtableSize:           64 << 20, // keep flushes off the measured path
 			DisableInstrumentation: disable,
+			geometry:               lsm.Geometry{MemtableSize: 64 << 20}, // keep flushes off the measured path
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -321,10 +315,8 @@ func TestObsOverheadGuard(t *testing.T) {
 // engine lookup underneath it (no hardware cost model in either).
 func BenchmarkVerificationOverhead(b *testing.B) {
 	cfg := core.Config{
-		MemtableSize:  256 << 10,
-		TableFileSize: 128 << 10,
-		LevelBase:     512 << 10,
-		MmapReads:     true,
+		Geometry:  lsm.Geometry{MemtableSize: 256 << 10, TableFileSize: 128 << 10, LevelBase: 512 << 10},
+		MmapReads: true,
 	}
 	s, err := core.Open(cfg)
 	if err != nil {

@@ -132,12 +132,17 @@ func main() {
 // repository benchmark's workloads run (BENCHMARK.json: "8 MiB cache").
 const readBufferBytes = 8 << 20
 
-// checkSealingRoot refuses a data directory whose sealed state the next boot
-// could not unseal: eLSM-P2 seals its trusted state under a key derived from
-// the platform, and without -repl-secret the platform key is random per
-// process, so the second start on the same -dir would fail authentication.
+// checkSealingRoot refuses a data directory the next boot could not read.
+// eLSM-P2 seals its trusted state under a key derived from the platform, and
+// without -repl-secret the platform key is random per process, so the second
+// start on the same -dir would fail authentication. eLSM-P1 seals its table
+// blocks under a key it draws afresh at every open, so no secret helps it.
 func checkSealingRoot(dir string, mode elsm.Mode, secret string) error {
-	if dir != "" && mode == elsm.ModeP2 && secret == "" {
+	switch {
+	case dir == "":
+	case mode == elsm.ModeP1:
+		return fmt.Errorf("-dir %s cannot serve -mode p1: %v seals its table blocks under a key drawn afresh at every open, so a restart on this directory could not read them", dir, mode)
+	case mode == elsm.ModeP2 && secret == "":
 		return fmt.Errorf("-dir %s needs -repl-secret: %v seals its trusted state under the platform key, which without a secret is random per boot — a restart on this directory could not unseal it", dir, mode)
 	}
 	return nil

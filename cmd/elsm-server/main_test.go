@@ -526,27 +526,31 @@ func TestNetConfigFlagValidation(t *testing.T) {
 	}
 }
 
-// TestDirNeedsSealingRoot: an authenticated data directory without a
-// platform secret is refused at the first boot — the second could not unseal
-// it — while everything a restart can reopen is let through.
+// TestDirNeedsSealingRoot: a data directory the second boot could not read
+// is refused at the first — an authenticated one without a platform secret,
+// and any eLSM-P1 one, whose block key is drawn afresh at every open — while
+// everything a restart can reopen is let through.
 func TestDirNeedsSealingRoot(t *testing.T) {
 	for _, c := range []struct {
 		dir    string
 		mode   elsm.Mode
 		secret string
-		ok     bool
+		refuse string // "": let through; else what the refusal must name
 	}{
-		{"", elsm.ModeP2, "", true},   // in memory: nothing to restart on
-		{"d", elsm.ModeP2, "s", true}, // the platform key derives from the secret
-		{"d", elsm.ModeP2, "", false},
-		{"d", elsm.ModeUnsecured, "", true}, // nothing is sealed
+		{"", elsm.ModeP2, "", ""},   // in memory: nothing to restart on
+		{"d", elsm.ModeP2, "s", ""}, // the platform key derives from the secret
+		{"d", elsm.ModeP2, "", "-repl-secret"},
+		{"d", elsm.ModeUnsecured, "", ""}, // nothing is sealed
+		{"", elsm.ModeP1, "", ""},
+		{"d", elsm.ModeP1, "", "drawn afresh at every open"},
+		{"d", elsm.ModeP1, "s", "drawn afresh at every open"}, // no secret derives the block key
 	} {
 		err := checkSealingRoot(c.dir, c.mode, c.secret)
-		if (err == nil) != c.ok {
-			t.Errorf("checkSealingRoot(%q, %v, %q) = %v, want ok=%v", c.dir, c.mode, c.secret, err, c.ok)
+		if (err == nil) != (c.refuse == "") {
+			t.Errorf("checkSealingRoot(%q, %v, %q) = %v, want refused=%v", c.dir, c.mode, c.secret, err, c.refuse != "")
 		}
-		if err != nil && !strings.Contains(err.Error(), "-repl-secret") {
-			t.Errorf("refusal %q does not name the flag that fixes it", err)
+		if err != nil && !strings.Contains(err.Error(), c.refuse) {
+			t.Errorf("refusal %q does not name its cause (want %q)", err, c.refuse)
 		}
 	}
 }

@@ -5,9 +5,11 @@
 // The store runs its code and small metadata inside a (simulated) SGX
 // enclave while placing read buffers and SSTable files in untrusted memory
 // and disk. Data outside the enclave is protected by a forest of Merkle
-// trees (one per LSM run) with per-record embedded proofs; every GET and
-// SCAN result is verified for integrity, freshness and completeness before
-// it is returned, and COMPACTION re-authenticates its inputs inside the
+// trees (one per LSM run) whose proofs are embedded in the runs' SSTable
+// blocks: a group section of the tree per block and a version-chain part
+// per record (see internal/sstable's package doc). Every GET and SCAN
+// result is verified for integrity, freshness and completeness before it
+// is returned, and COMPACTION re-authenticates its inputs inside the
 // enclave. A trusted monotonic counter defends against rollback.
 //
 // Quick start:
@@ -137,6 +139,7 @@ import (
 	"time"
 
 	"elsm/internal/core"
+	"elsm/internal/lsm"
 	"elsm/internal/obs"
 	"elsm/internal/repl"
 	"elsm/internal/sgx"
@@ -151,7 +154,9 @@ const (
 	// the enclave, read buffers and files outside, Merkle-authenticated.
 	ModeP2 Mode = iota + 1
 	// ModeP1 is the eLSM-P1 strawman: read buffers inside the enclave,
-	// file-granularity sealing, no Merkle forest.
+	// file-granularity sealing, no Merkle forest. Every open draws a fresh
+	// block key and nothing seals it, so a P1 store lives as long as its
+	// process: reopening one on its files fails with a block MAC mismatch.
 	ModeP1
 	// ModeUnsecured is the plain LSM baseline with no enclave.
 	ModeUnsecured
@@ -186,11 +191,11 @@ type Options struct {
 	Dir string
 	// FS overrides the untrusted file system (takes precedence over Dir).
 	FS vfs.FS
-	// CacheSize is the read-buffer size in bytes (0 = no buffer).
+	// CacheSize is the read-buffer size in bytes (0 = no buffer in P2 and
+	// unsecured, 8 MB in P1; negative is rejected).
 	CacheSize int
-	// MmapReads selects the mmap read path (P2/unsecured only).
-	MmapReads bool
-	// KeepVersions bounds retained versions per key (0 = keep all).
+	// KeepVersions bounds retained versions per key (0 = keep all;
+	// negative is rejected).
 	KeepVersions int
 	// Encryption enables the confidentiality layer (§5.6.2).
 	Encryption *EncryptionOptions
@@ -265,18 +270,32 @@ type Options struct {
 	// in the trace ring (0 = the built-in default, currently 64; 1 traces
 	// every group — debugging only, the ring churns fast).
 	TraceSampleEvery int
-	// Advanced engine tuning (zero = defaults).
-	MemtableSize  int
-	TableFileSize int
-	LevelBase     int64
-	MaxLevels     int
-	BlockSize     int
+
+	// geometry and mmapReads are the engine's sizes and read path, which
+	// only tests change (the root package's directly, others through
+	// WithGeometry); zero means the defaults of lsm.Geometry and core.Config.
+	geometry  lsm.Geometry
+	mmapReads bool
+}
+
+// WithGeometry returns o with the engine sizes g (zero fields keep their
+// defaults). It is a test hook: the module's tests use it for small
+// memtables and tables, and no other engine setting passes through it.
+func (o Options) WithGeometry(g lsm.Geometry) Options {
+	o.geometry = g
+	return o
 }
 
 // validate rejects option values that would silently misbehave.
 func (o Options) validate() error {
 	if o.Mode < ModeP2 || o.Mode > ModeUnsecured {
 		return fmt.Errorf("elsm: unknown mode %d", o.Mode)
+	}
+	if o.CacheSize < 0 {
+		return fmt.Errorf("elsm: CacheSize must be ≥ 0, got %d", o.CacheSize)
+	}
+	if o.KeepVersions < 0 {
+		return fmt.Errorf("elsm: KeepVersions must be ≥ 0 (0 = keep all), got %d", o.KeepVersions)
 	}
 	if o.IterChunkKeys < 0 {
 		return fmt.Errorf("elsm: IterChunkKeys must be ≥ 0, got %d", o.IterChunkKeys)
@@ -388,16 +407,12 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		FS:                    fs,
 		Platform:              o.Platform,
 		CacheSize:             o.CacheSize,
-		MmapReads:             o.MmapReads,
 		KeepVersions:          o.KeepVersions,
 		RequireCleanRecovery:  o.RequireCleanRecovery,
 		IterChunkKeys:         o.IterChunkKeys,
 		MaxAsyncCommitBacklog: o.MaxAsyncCommitBacklog,
-		MemtableSize:          o.MemtableSize,
-		TableFileSize:         o.TableFileSize,
-		LevelBase:             o.LevelBase,
-		MaxLevels:             o.MaxLevels,
-		BlockSize:             o.BlockSize,
+		Geometry:              o.geometry,
+		MmapReads:             o.mmapReads,
 	}
 }
 

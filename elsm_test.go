@@ -8,18 +8,21 @@ import (
 	"testing"
 
 	"elsm/internal/crypto"
+	"elsm/internal/lsm"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
 
 func testOptions(mode Mode) Options {
 	return Options{
-		Mode:          mode,
-		MemtableSize:  4 << 10,
-		TableFileSize: 4 << 10,
-		LevelBase:     16 << 10,
-		BlockSize:     512,
-		CacheSize:     64 << 10,
+		Mode:      mode,
+		CacheSize: 64 << 10,
+		geometry: lsm.Geometry{
+			MemtableSize:  4 << 10,
+			TableFileSize: 4 << 10,
+			LevelBase:     16 << 10,
+			BlockSize:     512,
+		},
 	}
 }
 
@@ -28,7 +31,7 @@ func TestAllModesBasicOps(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			opts := testOptions(mode)
 			if mode == ModeP1 {
-				opts.MmapReads = false
+				opts.mmapReads = false
 			}
 			s, err := Open(opts)
 			if err != nil {
@@ -254,7 +257,7 @@ func TestOpenRejectsBadConfig(t *testing.T) {
 		t.Fatal("unknown mode accepted")
 	}
 	opts := testOptions(ModeP1)
-	opts.MmapReads = true
+	opts.mmapReads = true
 	if _, err := Open(opts); err == nil {
 		t.Fatal("P1 with mmap accepted")
 	}
@@ -265,6 +268,8 @@ func TestOpenValidatesTuningOptions(t *testing.T) {
 		opts    Options
 		wantMsg string
 	}{
+		{Options{CacheSize: -1}, "CacheSize must be ≥ 0"},
+		{Options{KeepVersions: -1}, "KeepVersions must be ≥ 0"},
 		{Options{IterChunkKeys: -1}, "IterChunkKeys must be ≥ 0"},
 		{Options{MaxAsyncCommitBacklog: -1}, "MaxAsyncCommitBacklog must be ≥ 0"},
 		{Options{CompactionWorkers: -1}, "CompactionWorkers must be ≥ 0"},

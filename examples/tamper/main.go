@@ -26,11 +26,6 @@ func main() {
 		FS:            fs,
 		Platform:      platform,
 		ShardCounters: []*sgx.MonotonicCounter{counter},
-		// Small limits so data reaches untrusted SSTables quickly.
-		MemtableSize:  4 << 10,
-		TableFileSize: 4 << 10,
-		LevelBase:     16 << 10,
-		BlockSize:     512,
 	}
 	store, err := elsm.Open(opts)
 	if err != nil {
@@ -49,22 +44,44 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("   verified read: account01000 -> %s\n", res.Value)
+	// Push every record into untrusted SSTables and let background
+	// compaction settle, so the tables listed below are the live ones.
+	settle(store)
 
 	// --- Attack 1: corrupt SSTable bytes on the untrusted disk.
 	fmt.Println("## attack 1: host flips bytes inside the SSTables")
-	names, _ := fs.List("0")
+	names, err := fs.List("0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(names) == 0 {
+		log.Fatal("no SSTables on disk to corrupt")
+	}
 	for _, name := range names {
-		f, _ := fs.Open(name)
-		for off := int64(0); off < f.Size(); off += 29 {
-			fs.Corrupt(name, off)
+		f, err := fs.Open(name)
+		if err != nil {
+			log.Fatal(err)
 		}
+		for off := int64(0); off < f.Size(); off += 29 {
+			if err := fs.Corrupt(name, off); err != nil {
+				log.Fatal(err)
+			}
+		}
+		f.Close()
 	}
 	detected := 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("account%05d", i)
-		if _, err := store.Get([]byte(key)); err != nil {
+		res, err := store.Get([]byte(key))
+		switch {
+		case err != nil:
 			detected++
+		case string(res.Value) != fmt.Sprintf("balance=%d", i):
+			log.Fatalf("silent wrong answer: %s -> %q", key, res.Value)
 		}
+	}
+	if detected == 0 {
+		log.Fatal("corruption NOT detected")
 	}
 	fmt.Printf("   %d/2000 reads failed verification — no silent wrong answers\n", detected)
 	store.Close()
@@ -81,14 +98,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		store2.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v1"))
-	}
+	// Each phase ends in authenticated SSTables and a manifest, so the
+	// snapshot is a complete old state, not just a write-ahead log.
+	writeAll(store2, "v1")
+	settle(store2)
 	snapshot := fs2.Clone() // attacker snapshots here
-	for i := 0; i < 500; i++ {
-		store2.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v2"))
+	writeAll(store2, "v2")
+	settle(store2)
+	if err := store2.Close(); err != nil {
+		log.Fatal(err)
 	}
-	store2.Close()
 	fs2.Restore(snapshot) // attacker rolls the disk back
 
 	if _, err := elsm.Open(opts2); err != nil && elsm.IsAuthFailure(err) {
@@ -98,4 +117,24 @@ func main() {
 	}
 
 	fmt.Println("## all attacks detected")
+}
+
+// settle flushes the memtable into SSTables and waits for background
+// compaction, so the files on disk are the store's live state.
+func settle(store *elsm.Store) {
+	if err := store.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	if err := store.WaitMaintenance(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// writeAll sets keys k0000..k0499 to val.
+func writeAll(store *elsm.Store, val string) {
+	for i := 0; i < 500; i++ {
+		if _, err := store.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(val)); err != nil {
+			log.Fatal(err)
+		}
+	}
 }

@@ -214,12 +214,14 @@ func (c Config) buildStore(p storeParams, enclave *sgx.Enclave) (core.KV, error)
 		memtable = c.paperMB(4)
 	}
 	base := core.Config{
-		FS:                vfs.NewMem(),
-		Enclave:           enclave,
-		MemtableSize:      memtable,
-		TableFileSize:     c.paperMB(4),
-		LevelBase:         int64(c.paperMB(10)),
-		MaxLevels:         7,
+		FS:      vfs.NewMem(),
+		Enclave: enclave,
+		Geometry: lsm.Geometry{
+			MemtableSize:  memtable,
+			TableFileSize: c.paperMB(4),
+			LevelBase:     int64(c.paperMB(10)),
+			MaxLevels:     7,
+		},
 		KeepVersions:      1, // vanilla LevelDB retention for benchmarks
 		CounterInterval:   4096,
 		DisableCompaction: p.disableComp,

@@ -80,7 +80,7 @@ func TestInsidePlacementChargesEnclave(t *testing.T) {
 	if !c.Inside() {
 		t.Fatal("placement not inside")
 	}
-	if got := e.Stats().AllocatedBytes; got != 64*4096 {
+	if got := e.Stats().EnclaveBytes; got != 64*4096 {
 		t.Fatalf("cache holds %d enclave bytes, want its capacity", got)
 	}
 	blk := make([]byte, 4096)
@@ -105,8 +105,8 @@ func TestInsidePlacementChargesEnclave(t *testing.T) {
 		}
 	}
 	c.Release()
-	if log.freed != 1 || e.Stats().AllocatedBytes != 0 {
-		t.Fatalf("after Release: %d regions freed, %d bytes held", log.freed, e.Stats().AllocatedBytes)
+	if log.freed != 1 || e.Stats().EnclaveBytes != 0 {
+		t.Fatalf("after Release: %d regions freed, %d bytes held", log.freed, e.Stats().EnclaveBytes)
 	}
 }
 

@@ -502,7 +502,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	eng, err := lsm.Open(lsm.Options{
 		FS:                cfg.FS,
 		Enclave:           enclave,
-		MemtableSize:      memCap,
+		Geometry:          lsm.Geometry{MemtableSize: memCap},
 		DisableCompaction: true,
 	})
 	if err != nil {

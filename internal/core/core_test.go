@@ -16,13 +16,15 @@ import (
 // smallCfg forces frequent flushes/compactions with little data.
 func smallCfg(fs vfs.FS) Config {
 	return Config{
-		FS:            fs,
-		MemtableSize:  4 << 10,
-		BlockSize:     512,
-		TableFileSize: 4 << 10,
-		LevelBase:     16 << 10,
-		MaxLevels:     5,
-		KeepVersions:  0, // retain history: exercises version chains
+		FS: fs,
+		Geometry: lsm.Geometry{
+			MemtableSize:  4 << 10,
+			BlockSize:     512,
+			TableFileSize: 4 << 10,
+			LevelBase:     16 << 10,
+			MaxLevels:     5,
+		},
+		KeepVersions: 0, // retain history: exercises version chains
 	}
 }
 
@@ -101,6 +103,11 @@ func TestPutGetVerified(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[key] = val
+	}
+	// Settle the background maintenance first: under -race the writes can
+	// outrun the first compaction, which the level debt makes certain.
+	if err := s.Engine().WaitMaintenance(); err != nil {
+		t.Fatal(err)
 	}
 	if s.Engine().Stats().Compactions == 0 {
 		t.Fatal("test did not exercise compaction")

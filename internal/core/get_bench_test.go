@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"elsm/internal/lsm"
 	"elsm/internal/merkle"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
@@ -71,7 +72,7 @@ func BenchmarkVerifiedGet(b *testing.B) {
 				}
 			}
 			after := s.VerifyStatsSnapshot()
-			b.ReportMetric(float64(after.NodeHashes-before.NodeHashes)/float64(b.N), "hashes/op")
+			b.ReportMetric(float64(after.VerifyNodeHashes-before.VerifyNodeHashes)/float64(b.N), "hashes/op")
 		})
 	}
 }
@@ -140,7 +141,7 @@ func scanBenchStore(tb testing.TB, n, cache int) *Store {
 
 func scanBenchStoreOn(tb testing.TB, fs vfs.FS, n, cache int) *Store {
 	tb.Helper()
-	s, err := Open(Config{FS: fs, MemtableSize: 64 << 20, DisableCompaction: true, CacheSize: cache})
+	s, err := Open(Config{FS: fs, Geometry: lsm.Geometry{MemtableSize: 64 << 20}, DisableCompaction: true, CacheSize: cache})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func BenchmarkVerifiedScan(b *testing.B) {
 			b.StopTimer()
 			after := s.VerifyStatsSnapshot()
 			ops := float64(b.N)
-			b.ReportMetric(float64(after.NodeHashes-before.NodeHashes)/ops, "node-hashes/op")
+			b.ReportMetric(float64(after.VerifyNodeHashes-before.VerifyNodeHashes)/ops, "node-hashes/op")
 			b.ReportMetric(float64(after.ProofBytes-before.ProofBytes)/ops, "proof-bytes-copied/op")
 			b.ReportMetric(float64(ffs.MatchingOps()-reads)/ops, "blocks-read/op")
 			b.ReportMetric(float64(rowsCopied)/ops/float64(rows), "rows-copied/row-returned")

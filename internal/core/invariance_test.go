@@ -134,9 +134,9 @@ func TestVerifyWorkInvariance(t *testing.T) {
 			w.proofBytes = append(w.proofBytes, s.VerifyStatsSnapshot().ProofBytes-v0)
 		}
 		after := s.VerifyStatsSnapshot()
-		w.hashes = after.NodeHashes - before.NodeHashes
-		w.hits = after.NodeCacheHits - before.NodeCacheHits
-		w.misses = after.NodeCacheMisses - before.NodeCacheMisses
+		w.hashes = after.VerifyNodeHashes - before.VerifyNodeHashes
+		w.hits = after.VerifyNodeCacheHits - before.VerifyNodeCacheHits
+		w.misses = after.VerifyNodeCacheMisses - before.VerifyNodeCacheMisses
 		w.runs = after.RunsProbed - before.RunsProbed
 		return w
 	}

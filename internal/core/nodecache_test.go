@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"elsm/internal/lsm"
 	"elsm/internal/merkle"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
@@ -140,7 +141,7 @@ func TestNodeCachePoisoning(t *testing.T) {
 // warm cache of one run neither accepts its witness for the other nor
 // spares the other a single hash.
 func TestNodeCacheRunsDoNotMix(t *testing.T) {
-	s := mustOpenP2(t, Config{FS: vfs.NewMem(), MemtableSize: 64 << 20, LevelBase: 1 << 30, KeepVersions: 1, DisableCompaction: true})
+	s := mustOpenP2(t, Config{FS: vfs.NewMem(), Geometry: lsm.Geometry{MemtableSize: 64 << 20, LevelBase: 1 << 30}, KeepVersions: 1, DisableCompaction: true})
 	defer s.Close()
 	const n = 200
 	for gen := 0; gen < 2; gen++ { // the same keys twice: one run per generation
@@ -182,9 +183,9 @@ func TestNodeCacheRunsDoNotMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := s.VerifyStatsSnapshot()
-	if want := uint64(merkle.PathLen(77, n)); after.NodeHashes-before.NodeHashes != want || after.NodeCacheMisses != before.NodeCacheMisses+1 {
+	if want := uint64(merkle.PathLen(77, n)); after.VerifyNodeHashes-before.VerifyNodeHashes != want || after.VerifyNodeCacheMisses != before.VerifyNodeCacheMisses+1 {
 		t.Fatalf("the older run's first witness cost %d hashes (want the full %d) and %d root walks (want 1)",
-			after.NodeHashes-before.NodeHashes, want, after.NodeCacheMisses-before.NodeCacheMisses)
+			after.VerifyNodeHashes-before.VerifyNodeHashes, want, after.VerifyNodeCacheMisses-before.VerifyNodeCacheMisses)
 	}
 }
 
@@ -200,7 +201,7 @@ func TestTamperedTableUnderWarmCache(t *testing.T) {
 	defer s.Close()
 	readAll(t, s, n)
 	readAll(t, s, n)
-	if vs := s.VerifyStatsSnapshot(); vs.NodeCacheHits == 0 {
+	if vs := s.VerifyStatsSnapshot(); vs.VerifyNodeCacheHits == 0 {
 		t.Fatalf("cache never hit: %+v", vs)
 	}
 	const target = 100
@@ -297,7 +298,7 @@ func TestConcurrentGetsWhileRunsRetire(t *testing.T) {
 	if st := s.Engine().Stats(); st.Compactions == 0 {
 		t.Fatalf("no run was retired: %+v", st)
 	}
-	if vs := s.VerifyStatsSnapshot(); vs.NodeCacheHits == 0 || vs.NodeCacheMisses == 0 {
+	if vs := s.VerifyStatsSnapshot(); vs.VerifyNodeCacheHits == 0 || vs.VerifyNodeCacheMisses == 0 {
 		t.Fatalf("expected both cached and root walks: %+v", vs)
 	}
 }

@@ -55,6 +55,10 @@ func (b *blockSealer) Open(blockID uint64, sealed []byte) ([]byte, error) {
 
 // OpenP1 creates an eLSM-P1 store. The read buffer is always on (8 MB when
 // CacheSize is not positive): P1's whole point is the in-enclave buffer.
+// Every open draws a fresh block key and nothing seals it, so the tables one
+// open writes cannot be read by the next: a P1 store lives as long as its
+// process, and reopening one on the same files fails with a block MAC
+// mismatch.
 func OpenP1(cfg Config) (*RawStore, error) {
 	if cfg.MmapReads {
 		return nil, fmt.Errorf("core: eLSM-P1 cannot mmap (files must be decrypted in enclave, §6.3)")

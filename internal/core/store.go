@@ -75,15 +75,10 @@ type Config struct {
 	// stores of one Enclave — all shards of a process; nil gives this store
 	// its own.
 	NodeCache *merkle.NodeCache
-	// KeepVersions, MemtableSize, TableFileSize, LevelBase, MaxLevels,
-	// BlockSize and DisableCompaction pass through to the engine (zero =
-	// engine default).
+	// Geometry, KeepVersions and DisableCompaction pass through to the
+	// engine (zero = engine default).
+	lsm.Geometry
 	KeepVersions      int
-	MemtableSize      int
-	TableFileSize     int
-	LevelBase         int64
-	MaxLevels         int
-	BlockSize         int
 	DisableCompaction bool
 }
 
@@ -98,11 +93,7 @@ func (cfg Config) engineOptions() lsm.Options {
 	return lsm.Options{
 		FS:                    fs,
 		MmapReads:             cfg.MmapReads,
-		MemtableSize:          cfg.MemtableSize,
-		BlockSize:             cfg.BlockSize,
-		TableFileSize:         cfg.TableFileSize,
-		LevelBase:             cfg.LevelBase,
-		MaxLevels:             cfg.MaxLevels,
+		Geometry:              cfg.Geometry,
 		KeepVersions:          cfg.KeepVersions,
 		DisableCompaction:     cfg.DisableCompaction,
 		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
@@ -280,32 +271,34 @@ type Store struct {
 
 // VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
 // only levels L1..Li; prior work pays for every level on every GET).
+// VerifiedGets and RunsProbed count point reads; ProofBytes counts the
+// embedded-proof bytes copied into the enclave by point reads and scans
+// alike (a scan copies at most four proofs per run per chunk).
 type VerifyStats struct {
-	// Gets counts verified point lookups.
-	Gets uint64
-	// ProofBytes counts embedded-proof bytes verified.
-	ProofBytes uint64
-	// RunsProbed counts per-run lookups performed.
-	RunsProbed uint64
-	// NodeCacheHits counts witnesses whose Merkle path walk ended at an
-	// already-verified cached node; NodeCacheMisses those walked all the
-	// way to the trusted root. NodeHashes counts the interior node hashes
-	// the walks computed.
-	NodeCacheHits   uint64
-	NodeCacheMisses uint64
-	NodeHashes      uint64
+	VerifiedGets uint64
+	ProofBytes   uint64
+	RunsProbed   uint64
+	// The verified-node cache at work: Merkle walks — a point read's
+	// witnesses, a scan chunk's per-run range walk and its boundary
+	// witnesses — that stopped at an already-verified cached node, walks
+	// that went all the way to the trusted root, and the interior node
+	// hashes those walks computed. Shards share one cache but count their
+	// own walks.
+	VerifyNodeCacheHits   uint64
+	VerifyNodeCacheMisses uint64
+	VerifyNodeHashes      uint64
 }
 
 // VerifyStatsSnapshot returns the accumulated counters.
 func (c *Store) VerifyStatsSnapshot() VerifyStats {
 	return VerifyStats{
-		Gets:       c.statGets.Load(),
-		ProofBytes: c.statProofBytes.Load(),
-		RunsProbed: c.statRunsProbed.Load(),
+		VerifiedGets: c.statGets.Load(),
+		ProofBytes:   c.statProofBytes.Load(),
+		RunsProbed:   c.statRunsProbed.Load(),
 
-		NodeCacheHits:   c.verify.nodeHits.Load(),
-		NodeCacheMisses: c.verify.nodeMisses.Load(),
-		NodeHashes:      c.verify.nodeHashes.Load(),
+		VerifyNodeCacheHits:   c.verify.nodeHits.Load(),
+		VerifyNodeCacheMisses: c.verify.nodeMisses.Load(),
+		VerifyNodeHashes:      c.verify.nodeHashes.Load(),
 	}
 }
 

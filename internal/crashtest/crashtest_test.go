@@ -11,6 +11,7 @@ import (
 
 	"elsm"
 	"elsm/internal/core"
+	"elsm/internal/lsm"
 	"elsm/internal/sgx"
 )
 
@@ -201,6 +202,11 @@ func TestCrashMatrixWALAppend(t *testing.T) {
 	})
 }
 
+// flushOpts is storeOpts with a 4 KiB memtable.
+func flushOpts(env *Env) elsm.Options {
+	return storeOpts(env).WithGeometry(lsm.Geometry{MemtableSize: 4 << 10})
+}
+
 // TestCrashMatrixFlushInstall enumerates crashes over EVERY file while a
 // tiny memtable forces flushes — covering the SSTable writes, the
 // manifest tmp+rename install, the frozen-WAL deletions and the
@@ -209,9 +215,7 @@ func TestCrashMatrixFlushInstall(t *testing.T) {
 	Enumerate(t, Scenario{
 		Name: "flush-install",
 		Run: func(env *Env) {
-			opts := storeOpts(env)
-			opts.MemtableSize = 4 << 10
-			st, err := elsm.Open(opts)
+			st, err := elsm.Open(flushOpts(env))
 			if err != nil {
 				return
 			}
@@ -227,9 +231,7 @@ func TestCrashMatrixFlushInstall(t *testing.T) {
 			_ = st.Flush() // drive at least one full install inside the window
 		},
 		Verify: func(t *testing.T, env *Env) {
-			opts := storeOpts(env)
-			opts.MemtableSize = 4 << 10
-			verifyRecovered(t, env, opts)
+			verifyRecovered(t, env, flushOpts(env))
 		},
 	})
 }
@@ -243,11 +245,12 @@ func TestCrashMatrixFlushInstall(t *testing.T) {
 // and tamper detection survives the parallel install traffic.
 func TestCrashMatrixParallelMaintenance(t *testing.T) {
 	parallelOpts := func(env *Env) elsm.Options {
-		opts := storeOpts(env)
-		opts.MemtableSize = 4 << 10
-		opts.TableFileSize = 4 << 10
-		opts.LevelBase = 16 << 10
-		opts.MaxLevels = 5
+		opts := storeOpts(env).WithGeometry(lsm.Geometry{
+			MemtableSize:  4 << 10,
+			TableFileSize: 4 << 10,
+			LevelBase:     16 << 10,
+			MaxLevels:     5,
+		})
 		opts.CompactionWorkers = 2
 		return opts
 	}

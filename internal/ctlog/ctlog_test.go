@@ -7,16 +7,17 @@ import (
 	"time"
 
 	"elsm"
+	"elsm/internal/lsm"
 )
 
 func testServer(t *testing.T) (*Server, *elsm.Store) {
 	t.Helper()
-	kv, err := elsm.Open(elsm.Options{
+	kv, err := elsm.Open(elsm.Options{}.WithGeometry(lsm.Geometry{
 		MemtableSize:  8 << 10,
 		TableFileSize: 8 << 10,
 		LevelBase:     32 << 10,
 		BlockSize:     1024,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -555,11 +555,13 @@ const ChunkKeys = 8
 // history retained.
 func SmallConfig() core.Config {
 	return core.Config{
-		MemtableSize:  4 << 10,
-		BlockSize:     512,
-		TableFileSize: 4 << 10,
-		LevelBase:     16 << 10,
-		MaxLevels:     5,
+		Geometry: lsm.Geometry{
+			MemtableSize:  4 << 10,
+			BlockSize:     512,
+			TableFileSize: 4 << 10,
+			LevelBase:     16 << 10,
+			MaxLevels:     5,
+		},
 		IterChunkKeys: ChunkKeys,
 	}
 }

@@ -17,13 +17,15 @@ import (
 // bgOpts forces frequent flushes/compactions with little data.
 func bgOpts(fs vfs.FS) Options {
 	return Options{
-		FS:            fs,
-		MemtableSize:  4 << 10,
-		BlockSize:     512,
-		TableFileSize: 4 << 10,
-		LevelBase:     16 << 10,
-		MaxLevels:     5,
-		KeepVersions:  1,
+		FS: fs,
+		Geometry: Geometry{
+			MemtableSize:  4 << 10,
+			BlockSize:     512,
+			TableFileSize: 4 << 10,
+			LevelBase:     16 << 10,
+			MaxLevels:     5,
+		},
+		KeepVersions: 1,
 	}
 }
 

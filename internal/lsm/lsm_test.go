@@ -15,13 +15,15 @@ import (
 // with little data.
 func smallOpts(fs vfs.FS) Options {
 	return Options{
-		FS:            fs,
-		MemtableSize:  4 << 10,
-		BlockSize:     512,
-		TableFileSize: 4 << 10,
-		LevelBase:     8 << 10, // three levels deep within a few thousand writes
-		MaxLevels:     5,
-		KeepVersions:  1,
+		FS: fs,
+		Geometry: Geometry{
+			MemtableSize:  4 << 10,
+			BlockSize:     512,
+			TableFileSize: 4 << 10,
+			LevelBase:     8 << 10, // three levels deep within a few thousand writes
+			MaxLevels:     5,
+		},
+		KeepVersions: 1,
 	}
 }
 

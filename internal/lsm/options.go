@@ -26,16 +26,61 @@ import (
 	"elsm/internal/vfs"
 )
 
-// Default tuning values. The byte-denominated defaults are the paper's
-// LevelDB values scaled by 1/32.
+// Geometry is the engine's five sizes: when a memtable is full, how large a
+// block and a table file grow, what each level holds and how many levels
+// there are. A zero field takes its default. The byte-denominated defaults
+// are the paper's LevelDB values scaled by 1/32; the block size is
+// sstable.DefaultBlockSize, unscaled because record sizes are.
+type Geometry struct {
+	// MemtableSize triggers a flush when the write buffer exceeds it.
+	MemtableSize int
+	// BlockSize is the SSTable block payload target.
+	BlockSize int
+	// TableFileSize caps individual SSTable files.
+	TableFileSize int
+	// LevelBase is the L1 size target; level i targets
+	// LevelBase × 10^(i-1).
+	LevelBase int64
+	// MaxLevels bounds the number of on-disk levels.
+	MaxLevels int
+}
+
+// The geometry's defaults.
 const (
 	DefaultMemtableSize  = 128 << 10 // paper: 4 MB write buffer
-	DefaultBlockSize     = 4 << 10   // unscaled: record sizes are unscaled
 	DefaultTableFileSize = 128 << 10 // paper: ~2-4 MB SSTables
 	DefaultLevelBase     = 320 << 10 // paper: 10 MB L1 target
 	DefaultMaxLevels     = 7
 	levelMultiplier      = 10 // per-level size ratio
 )
+
+func (g Geometry) withDefaults() Geometry {
+	if g.MemtableSize <= 0 {
+		g.MemtableSize = DefaultMemtableSize
+	}
+	if g.BlockSize <= 0 {
+		g.BlockSize = sstable.DefaultBlockSize
+	}
+	if g.TableFileSize <= 0 {
+		g.TableFileSize = DefaultTableFileSize
+	}
+	if g.LevelBase <= 0 {
+		g.LevelBase = DefaultLevelBase
+	}
+	if g.MaxLevels <= 0 {
+		g.MaxLevels = DefaultMaxLevels
+	}
+	return g
+}
+
+// levelTarget returns the size budget of 1-based level i.
+func (g Geometry) levelTarget(i int) int64 {
+	t := g.LevelBase
+	for ; i > 1; i-- {
+		t *= levelMultiplier
+	}
+	return t
+}
 
 // Options configures a Store. The zero value is usable with an in-memory
 // FS; call withDefaults via Open. The write path has one shape whatever the
@@ -60,17 +105,8 @@ type Options struct {
 	MmapReads bool
 	// Transform seals/opens data blocks at file granularity (eLSM-P1).
 	Transform sstable.BlockTransform
-	// MemtableSize triggers a flush when the write buffer exceeds it.
-	MemtableSize int
-	// BlockSize is the SSTable block payload target.
-	BlockSize int
-	// TableFileSize caps individual SSTable files.
-	TableFileSize int
-	// LevelBase is the L1 size target; level i targets
-	// LevelBase × 10^(i-1).
-	LevelBase int64
-	// MaxLevels bounds the number of on-disk levels.
-	MaxLevels int
+	// Geometry sizes the memtable, blocks, table files and levels.
+	Geometry
 	// KeepVersions bounds retained versions per key during compaction:
 	// 0 keeps every version (full history, the paper's chain semantics),
 	// 1 keeps only the newest (vanilla LevelDB), k keeps the newest k.
@@ -117,21 +153,7 @@ func (o Options) withDefaults() Options {
 	if o.Listener == nil {
 		o.Listener = NopListener{}
 	}
-	if o.MemtableSize <= 0 {
-		o.MemtableSize = DefaultMemtableSize
-	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = DefaultBlockSize
-	}
-	if o.TableFileSize <= 0 {
-		o.TableFileSize = DefaultTableFileSize
-	}
-	if o.LevelBase <= 0 {
-		o.LevelBase = DefaultLevelBase
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = DefaultMaxLevels
-	}
+	o.Geometry = o.Geometry.withDefaults()
 	if o.MaxAsyncCommitBacklog <= 0 {
 		o.MaxAsyncCommitBacklog = DefaultMaxAsyncCommitBacklog
 	}
@@ -150,15 +172,6 @@ func DefaultCompactionWorkers() int {
 		n = 2
 	}
 	return n
-}
-
-// levelTarget returns the size budget of 1-based level i.
-func (o Options) levelTarget(i int) int64 {
-	t := o.LevelBase
-	for ; i > 1; i-- {
-		t *= levelMultiplier
-	}
-	return t
 }
 
 // MemtableRunID is the pseudo run ID Job.Filter gets for records streaming

@@ -114,6 +114,8 @@ type Stats struct {
 	BytesCompacted  uint64
 	RecordsDropped  uint64
 	ManifestUpdates uint64
+	// DiskBytes is the total size of the on-disk runs (Store.DiskBytes).
+	DiskBytes uint64
 	// WALSyncs counts WAL fsyncs issued by the commit pipeline — under
 	// group commit, far fewer than committed operations.
 	WALSyncs uint64
@@ -918,6 +920,7 @@ func (s *Store) Stats() Stats {
 		BytesCompacted:        s.bytesCompacted.Load(),
 		RecordsDropped:        s.recordsDropped.Load(),
 		ManifestUpdates:       s.manifestUpdates.Load(),
+		DiskBytes:             uint64(s.DiskBytes()),
 		WALSyncs:              s.walSyncs.Load(),
 		GroupCommits:          s.groupCommits.Load(),
 		GroupedRecords:        s.groupedRecords.Load(),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elsm"
+	"elsm/internal/lsm"
 	"elsm/internal/race"
 )
 
@@ -28,7 +29,7 @@ func TestWireAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector drops sync.Pool puts at random: counts are not exact under it")
 	}
-	_, addr := startServer(t, elsm.Options{MemtableSize: 64 << 20, DisableInstrumentation: true}, Config{})
+	_, addr := startServer(t, elsm.Options{DisableInstrumentation: true}.WithGeometry(lsm.Geometry{MemtableSize: 64 << 20}), Config{})
 	c := dial(t, addr)
 	for i := 0; i < 100; i++ {
 		if _, err := c.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("value")); err != nil {

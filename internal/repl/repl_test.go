@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"elsm/internal/core"
+	"elsm/internal/lsm"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
@@ -16,14 +17,16 @@ import (
 // testCfg is a small-scale P2 config over fs.
 func testCfg(fs vfs.FS, platform *sgx.Platform, ctr *sgx.MonotonicCounter) core.Config {
 	return core.Config{
-		FS:              fs,
-		Platform:        platform,
-		Counter:         ctr,
-		MemtableSize:    4 << 10,
-		BlockSize:       512,
-		TableFileSize:   4 << 10,
-		LevelBase:       16 << 10,
-		MaxLevels:       5,
+		FS:       fs,
+		Platform: platform,
+		Counter:  ctr,
+		Geometry: lsm.Geometry{
+			MemtableSize:  4 << 10,
+			BlockSize:     512,
+			TableFileSize: 4 << 10,
+			LevelBase:     16 << 10,
+			MaxLevels:     5,
+		},
 		CounterInterval: 16,
 	}
 }

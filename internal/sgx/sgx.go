@@ -40,16 +40,16 @@ type Params struct {
 	Observer Observer
 }
 
-// Stats is a snapshot of an enclave's counters.
-type Stats struct {
+// EnclaveStats is a snapshot of an enclave's counters.
+type EnclaveStats struct {
 	// ECalls and OCalls count boundary crossings (each is two world
 	// switches: exit and re-enter).
 	ECalls uint64
 	OCalls uint64
 	// CopiedBytes counts bytes copied across the enclave boundary.
 	CopiedBytes uint64
-	// AllocatedBytes is the total size of live enclave regions.
-	AllocatedBytes int64
+	// EnclaveBytes is the total size of live enclave regions.
+	EnclaveBytes uint64
 }
 
 // Enclave meters one enclave's boundary: a set of counters and nothing else.
@@ -71,12 +71,12 @@ func NewUnlimited() *Enclave { return New(Params{}) }
 
 // Stats returns a snapshot of the counters. Each is read atomically; the set
 // is not one atomic snapshot.
-func (e *Enclave) Stats() Stats {
-	return Stats{
-		ECalls:         e.ecalls.Load(),
-		OCalls:         e.ocalls.Load(),
-		CopiedBytes:    e.copied.Load(),
-		AllocatedBytes: e.allocated.Load(),
+func (e *Enclave) Stats() EnclaveStats {
+	return EnclaveStats{
+		ECalls:       e.ecalls.Load(),
+		OCalls:       e.ocalls.Load(),
+		CopiedBytes:  e.copied.Load(),
+		EnclaveBytes: uint64(e.allocated.Load()),
 	}
 }
 

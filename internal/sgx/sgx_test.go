@@ -54,7 +54,7 @@ func TestFreedRegionAccountsNothing(t *testing.T) {
 	r.Grow(50)
 	r.Touch(0, 10)
 	r.CopyIn(10, 20)
-	if r.Size() != 150 || e.Stats().AllocatedBytes != 150 || e.Stats().CopiedBytes != 20 || obs.touches[r.id] != 30 {
+	if r.Size() != 150 || e.Stats().EnclaveBytes != 150 || e.Stats().CopiedBytes != 20 || obs.touches[r.id] != 30 {
 		t.Fatalf("live region: size %d, stats %+v, touched %d", r.Size(), e.Stats(), obs.touches[r.id])
 	}
 	r.Free()
@@ -62,7 +62,7 @@ func TestFreedRegionAccountsNothing(t *testing.T) {
 	r.Grow(50)
 	r.Touch(0, 10)
 	r.CopyIn(10, 20)
-	if r.Size() != 0 || e.Stats().AllocatedBytes != 0 || e.Stats().CopiedBytes != 20 || obs.touches[r.id] != 30 || obs.freed[r.id] != 1 {
+	if r.Size() != 0 || e.Stats().EnclaveBytes != 0 || e.Stats().CopiedBytes != 20 || obs.touches[r.id] != 30 || obs.freed[r.id] != 1 {
 		t.Fatalf("freed region: size %d, stats %+v, touched %d, freed %d times", r.Size(), e.Stats(), obs.touches[r.id], obs.freed[r.id])
 	}
 }
@@ -101,7 +101,7 @@ func TestConcurrentMeterIsExact(t *testing.T) {
 	}
 	wg.Wait()
 	const n = goroutines * rounds
-	want := Stats{ECalls: n, OCalls: n, CopiedBytes: 3 * n}
+	want := EnclaveStats{ECalls: n, OCalls: n, CopiedBytes: 3 * n}
 	if got := e.Stats(); got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
@@ -218,7 +218,7 @@ func TestRegionGrow(t *testing.T) {
 	if r.Size() != 150 {
 		t.Fatalf("size = %d", r.Size())
 	}
-	if e.Stats().AllocatedBytes != 150 {
-		t.Fatalf("allocated = %d", e.Stats().AllocatedBytes)
+	if e.Stats().EnclaveBytes != 150 {
+		t.Fatalf("allocated = %d", e.Stats().EnclaveBytes)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"elsm/internal/core"
+	"elsm/internal/lsm"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
@@ -17,13 +18,15 @@ import (
 // few hundred writes exercise flush and compaction on every shard.
 func smallCfg(fs vfs.FS) core.Config {
 	return core.Config{
-		FS:            fs,
-		MemtableSize:  4 << 10,
-		BlockSize:     512,
-		TableFileSize: 4 << 10,
-		LevelBase:     16 << 10,
-		MaxLevels:     5,
-		KeepVersions:  1,
+		FS: fs,
+		Geometry: lsm.Geometry{
+			MemtableSize:  4 << 10,
+			BlockSize:     512,
+			TableFileSize: 4 << 10,
+			LevelBase:     16 << 10,
+			MaxLevels:     5,
+		},
+		KeepVersions: 1,
 	}
 }
 

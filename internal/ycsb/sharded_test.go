@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"elsm/internal/core"
+	"elsm/internal/lsm"
 	"elsm/internal/sgx"
 	"elsm/internal/shard"
 )
@@ -17,12 +18,14 @@ func openShardedKV(t *testing.T, n int) *shard.Router {
 	shards := make([]core.KV, n)
 	for i := range shards {
 		s, err := core.Open(core.Config{
-			Enclave:       enclave,
-			MemtableSize:  32 << 10,
-			BlockSize:     512,
-			TableFileSize: 16 << 10,
-			LevelBase:     64 << 10,
-			KeepVersions:  1,
+			Enclave: enclave,
+			Geometry: lsm.Geometry{
+				MemtableSize:  32 << 10,
+				BlockSize:     512,
+				TableFileSize: 16 << 10,
+				LevelBase:     64 << 10,
+			},
+			KeepVersions: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

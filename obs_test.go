@@ -128,7 +128,7 @@ func TestObsDisableInstrumentation(t *testing.T) {
 func TestObsSlowOpCapture(t *testing.T) {
 	opts := testOptions(ModeP2)
 	opts.FS = vfs.NewSlowSync(vfs.NewMem(), 5*time.Millisecond)
-	opts.MemtableSize = 1 << 20 // keep flushes (also sync-delayed) off the path
+	opts.geometry.MemtableSize = 1 << 20 // keep flushes (also sync-delayed) off the path
 	opts.SlowOpThreshold = time.Millisecond
 	s, err := Open(opts)
 	if err != nil {

@@ -62,12 +62,10 @@ func overSources(t *testing.T, test func(t *testing.T, open sourceOpener)) {
 // attestation secret.
 func replicaOpts(shards int, secret string) elsm.Options {
 	return elsm.Options{
-		Mode:         elsm.ModeP2,
-		Shards:       shards,
-		Platform:     sgx.NewPlatformFromSecret([]byte(secret)),
-		MemtableSize: 8 << 10,
-		BlockSize:    512,
-	}
+		Mode:     elsm.ModeP2,
+		Shards:   shards,
+		Platform: sgx.NewPlatformFromSecret([]byte(secret)),
+	}.WithGeometry(lsm.Geometry{MemtableSize: 8 << 10, BlockSize: 512})
 }
 
 // scanAll returns the store's full verified scan.

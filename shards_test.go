@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"elsm/internal/core"
+	"elsm/internal/lsm"
 	"elsm/internal/sgx"
 	"elsm/internal/shard"
 	"elsm/internal/vfs"
@@ -308,7 +309,7 @@ func TestOpensLayoutWrittenBeforeOneOpenPath(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cs, err := core.Open(core.Config{FS: at, Platform: platform, Counter: counters[i], MemtableSize: 2 << 10})
+			cs, err := core.Open(core.Config{FS: at, Platform: platform, Counter: counters[i], Geometry: lsm.Geometry{MemtableSize: 2 << 10}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -259,7 +259,7 @@ func TestCommitAsyncAcknowledgeResolveSync(t *testing.T) {
 	fs := vfs.NewSlowSync(vfs.NewMem(), 200*time.Microsecond)
 	opts := testOptions(ModeP2)
 	opts.FS = fs
-	opts.MemtableSize = 1 << 20
+	opts.geometry.MemtableSize = 1 << 20
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestCtxCancelMidCommitQueue(t *testing.T) {
 	fs := vfs.NewSlowSync(vfs.NewMem(), 0)
 	opts := testOptions(ModeP2)
 	opts.FS = fs
-	opts.MemtableSize = 1 << 20
+	opts.geometry.MemtableSize = 1 << 20
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

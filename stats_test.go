@@ -3,7 +3,6 @@ package elsm
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -169,19 +168,19 @@ func testStatsShardFold(t *testing.T, n int) {
 		return 0
 	}
 	av := reflect.ValueOf(agg)
-	tp := av.Type()
-	for i := 0; i < tp.NumField(); i++ {
-		name := tp.Field(i).Name
+	for _, f := range statsFields() {
+		name := f.Name
 		rule, ok := statsFoldRules[name]
 		if !ok {
 			t.Fatalf("Stats field %s has no fold rule: classify it in statsFoldRules (and in stats.go's statCounters)", name)
 		}
-		got := av.Field(i)
+		got := av.FieldByIndex(f.Index)
+		field := func(ss Stats) reflect.Value { return reflect.ValueOf(ss).FieldByIndex(f.Index) }
 		switch rule {
 		case "sum":
 			var want int64
 			for _, ss := range shards {
-				want += num(reflect.ValueOf(ss).Field(i))
+				want += num(field(ss))
 			}
 			if num(got) != want {
 				t.Errorf("%s: aggregate %d != shard sum %d", name, num(got), want)
@@ -189,7 +188,7 @@ func testStatsShardFold(t *testing.T, n int) {
 		case "max":
 			var want int64
 			for _, ss := range shards {
-				if v := num(reflect.ValueOf(ss).Field(i)); v > want {
+				if v := num(field(ss)); v > want {
 					want = v
 				}
 			}
@@ -197,7 +196,7 @@ func testStatsShardFold(t *testing.T, n int) {
 				t.Errorf("%s: aggregate %d != shard max %d", name, num(got), want)
 			}
 		case "once":
-			want := num(reflect.ValueOf(shards[0]).Field(i))
+			want := num(field(shards[0]))
 			if num(got) != want {
 				t.Errorf("%s: aggregate %d != shard 0's %d (shared, counted once)", name, num(got), want)
 			}
@@ -229,9 +228,23 @@ func testStatsShardFold(t *testing.T, n int) {
 	}
 }
 
-// TestStatsTableIsTotal: every exported numeric field of Stats is declared
-// in statCounters exactly once, so a new counter cannot be left out of the
-// fold, the STATS verb or /metrics; and no two rows share a wire name.
+// statsFields lists the fields of Stats a caller sees: its own and those it
+// promotes from the layers' counter structs (not the embedded structs
+// themselves), so a counter a layer adds is held to the same rules.
+func statsFields() []reflect.StructField {
+	var out []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Stats{})) {
+		if !f.Anonymous && f.IsExported() {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestStatsTableIsTotal: every exported numeric field of Stats, promoted
+// ones included, is declared in statCounters exactly once, so a new counter
+// cannot be left out of the fold, the STATS verb or /metrics; and no two
+// rows share a wire name.
 func TestStatsTableIsTotal(t *testing.T) {
 	var st Stats
 	v := reflect.ValueOf(&st).Elem()
@@ -245,8 +258,10 @@ func TestStatsTableIsTotal(t *testing.T) {
 		wire[c.wire] = true
 	}
 	numeric := 0
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Type().Field(i)
+	names := map[uintptr]string{}
+	for _, f := range statsFields() {
+		addr := v.FieldByIndex(f.Index).Addr().Pointer()
+		names[addr] = f.Name
 		switch f.Type.Kind() {
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
@@ -254,15 +269,12 @@ func TestStatsTableIsTotal(t *testing.T) {
 		default:
 			continue // CompactionDebtByLevel, the one non-scalar, folds and renders by hand
 		}
-		if !f.IsExported() {
-			continue
-		}
 		numeric++
 		if f.Type.Kind() != reflect.Uint64 {
 			t.Errorf("Stats.%s is %v: the table's accessors are *uint64", f.Name, f.Type)
 			continue
 		}
-		if n := rows[v.Field(i).Addr().Pointer()]; n != 1 {
+		if n := rows[addr]; n != 1 {
 			t.Errorf("Stats.%s appears in statCounters %d times, want exactly once", f.Name, n)
 		}
 	}
@@ -270,21 +282,10 @@ func TestStatsTableIsTotal(t *testing.T) {
 		t.Errorf("statCounters has %d rows for %d numeric fields", len(statCounters), numeric)
 	}
 	// The fold rules of the table against the reference classification.
-	names := map[uintptr]string{}
-	for i := 0; i < v.NumField(); i++ {
-		names[v.Field(i).Addr().Pointer()] = v.Type().Field(i).Name
-	}
 	for _, c := range statCounters {
 		name := names[reflect.ValueOf(c.field(&st)).Pointer()]
 		if want := map[foldRule]string{foldSum: "sum", foldMax: "max", foldOnce: "once"}[c.fold]; statsFoldRules[name] != want {
 			t.Errorf("Stats.%s folds by %q in statCounters, %q in the reference", name, want, statsFoldRules[name])
-		}
-		// A row names where a shard's value is read, but for the few that
-		// statsOf (Shards, DiskBytes, ReplEpoch) and ShardStats (the
-		// replication gauges) set themselves.
-		setByHand := name == "Shards" || name == "DiskBytes" || name == "FollowersConnected" || strings.HasPrefix(name, "Repl")
-		if (c.from == nil) != setByHand {
-			t.Errorf("Stats.%s: has a source = %v, set by hand = %v", name, c.from != nil, setByHand)
 		}
 	}
 }
