@@ -16,7 +16,7 @@ import (
 )
 
 func TestBatchCommitAllModes(t *testing.T) {
-	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
+	for _, mode := range []Mode{ModeP2, ModeUnsecured} {
 		t.Run(mode.String(), func(t *testing.T) {
 			s, err := Open(Options{Mode: mode, CacheSize: 1 << 20})
 			if err != nil {
@@ -142,7 +142,7 @@ func TestBatchAndIteratorEncrypted(t *testing.T) {
 func TestIteratorStreams10kBounded(t *testing.T) {
 	// A 10k-record verified range must stream chunk by chunk (many ECalls,
 	// each carrying a bounded slice) instead of materializing in one call.
-	s, err := Open(Options{mmapReads: true, geometry: lsm.Geometry{MemtableSize: 1 << 20, TableFileSize: 256 << 10, LevelBase: 1 << 20}})
+	s, err := Open(Options{geometry: lsm.Geometry{MemtableSize: 1 << 20, TableFileSize: 256 << 10, LevelBase: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
-// Per-operation microbenchmarks of the three store designs (functional
-// cost, zero hardware model unless stated): these isolate the software
-// overhead of verification itself — proof decode, Merkle path recompute,
-// chain checks — on top of the raw engine. The paper-figure benchmarks
-// live in figures_bench_test.go.
+// Per-operation microbenchmarks of the product, eLSM-P2, on its block
+// cache (functional cost, zero hardware model unless stated): these isolate
+// the software overhead of verification itself — proof decode, Merkle path
+// recompute, chain checks — on top of the raw engine. The same operations
+// on the baselines, and verification against the unsecured store, are
+// internal/bench's; the paper-figure benchmarks live in
+// figures_bench_test.go.
 package elsm
 
 import (
@@ -14,24 +16,14 @@ import (
 	"elsm/internal/core"
 	"elsm/internal/costmodel"
 	"elsm/internal/lsm"
-	"elsm/internal/record"
 	"elsm/internal/vfs"
 	"elsm/internal/ycsb"
 )
 
-// ---------------------------------------------------------------------------
-// Per-operation microbenchmarks (functional cost, zero hardware model):
-// these isolate the software overhead of verification itself — proof
-// decode, Merkle path recompute, chain checks — on top of the raw engine.
-
-func benchStore(b *testing.B, mode Mode) *Store {
+func benchStore(b *testing.B) *Store {
 	b.Helper()
-	opts := Options{Mode: mode, CacheSize: 4 << 20}
+	opts := Options{CacheSize: 4 << 20}
 	opts.geometry = lsm.Geometry{MemtableSize: 256 << 10, TableFileSize: 128 << 10, LevelBase: 512 << 10}
-	if mode != ModeP1 {
-		opts.mmapReads = true
-		opts.CacheSize = 0
-	}
 	s, err := Open(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -45,8 +37,8 @@ func loadStore(b *testing.B, s *Store, n int) {
 	bulkLoad(b, s, ycsb.GenRecords(n, ycsb.DefaultValueSize))
 }
 
-func benchmarkGet(b *testing.B, mode Mode) {
-	s := benchStore(b, mode)
+func BenchmarkGetP2Verified(b *testing.B) {
+	s := benchStore(b)
 	const n = 50_000
 	loadStore(b, s, n)
 	ch := ycsb.NewKeyChooser(ycsb.Uniform, n, 1)
@@ -62,12 +54,8 @@ func benchmarkGet(b *testing.B, mode Mode) {
 	}
 }
 
-func BenchmarkGetP2Verified(b *testing.B) { benchmarkGet(b, ModeP2) }
-func BenchmarkGetP1(b *testing.B)         { benchmarkGet(b, ModeP1) }
-func BenchmarkGetUnsecured(b *testing.B)  { benchmarkGet(b, ModeUnsecured) }
-
-func benchmarkPut(b *testing.B, mode Mode) {
-	s := benchStore(b, mode)
+func BenchmarkPutP2Authenticated(b *testing.B) {
+	s := benchStore(b)
 	val := ycsb.Value(1, ycsb.DefaultValueSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,10 +64,6 @@ func benchmarkPut(b *testing.B, mode Mode) {
 		}
 	}
 }
-
-func BenchmarkPutP2Authenticated(b *testing.B) { benchmarkPut(b, ModeP2) }
-func BenchmarkPutP1(b *testing.B)              { benchmarkPut(b, ModeP1) }
-func BenchmarkPutUnsecured(b *testing.B)       { benchmarkPut(b, ModeUnsecured) }
 
 // simCostStore opens an eLSM-P2 core store in a simulated enclave (a
 // paper-simulation setting, so it goes in through core.Config.Enclave, not
@@ -90,9 +74,8 @@ func simCostStore(tb testing.TB) (*core.Store, *costmodel.Sim) {
 	tb.Helper()
 	sim := costmodel.New(costmodel.DefaultEPCSize)
 	s, err := core.Open(core.Config{
-		Enclave:   sim.Enclave(),
-		Geometry:  lsm.Geometry{MemtableSize: 1 << 20, TableFileSize: 256 << 10, LevelBase: 1 << 20},
-		MmapReads: true,
+		Enclave:  sim.Enclave(),
+		Geometry: lsm.Geometry{MemtableSize: 1 << 20, TableFileSize: 256 << 10, LevelBase: 1 << 20},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -159,7 +142,7 @@ func TestBatchedPutCrossesOnce(t *testing.T) {
 }
 
 func BenchmarkScanP2Verified(b *testing.B) {
-	s := benchStore(b, ModeP2)
+	s := benchStore(b)
 	const n = 20_000
 	loadStore(b, s, n)
 	keys := make([][]byte, n) // built here, so -benchmem counts only the Scan
@@ -183,7 +166,7 @@ func BenchmarkScanP2Verified(b *testing.B) {
 // iterator — bounded memory, chunked verification — against the
 // materialized Scan of the same range below it.
 func BenchmarkIterStream10kP2(b *testing.B) {
-	s := benchStore(b, ModeP2)
+	s := benchStore(b)
 	const n = 10_000
 	loadStore(b, s, n)
 	b.ResetTimer()
@@ -203,7 +186,7 @@ func BenchmarkIterStream10kP2(b *testing.B) {
 }
 
 func BenchmarkScanMaterialized10kP2(b *testing.B) {
-	s := benchStore(b, ModeP2)
+	s := benchStore(b)
 	const n = 10_000
 	loadStore(b, s, n)
 	b.ResetTimer()
@@ -308,39 +291,4 @@ func TestObsOverheadGuard(t *testing.T) {
 	}
 	t.Fatalf("instrumentation costs %.2f%% median put throughput across %d attempts (budget %.0f%%)",
 		worst*100, attempts, maxRegression*100)
-}
-
-// BenchmarkVerificationOverhead measures the pure software cost of the
-// eLSM verification layer by comparing a verified GET against the raw
-// engine lookup underneath it (no hardware cost model in either).
-func BenchmarkVerificationOverhead(b *testing.B) {
-	cfg := core.Config{
-		Geometry:  lsm.Geometry{MemtableSize: 256 << 10, TableFileSize: 128 << 10, LevelBase: 512 << 10},
-		MmapReads: true,
-	}
-	s, err := core.Open(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	const n = 50_000
-	if err := s.BulkLoad(ycsb.GenRecords(n, ycsb.DefaultValueSize)); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("verified", func(b *testing.B) {
-		ch := ycsb.NewKeyChooser(ycsb.Uniform, n, 1)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Get(s, ycsb.Key(ch.Next())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("raw-engine", func(b *testing.B) {
-		ch := ycsb.NewKeyChooser(ycsb.Uniform, n, 1)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := s.Engine().Get(ycsb.Key(ch.Next()), record.MaxTs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -1,4 +1,4 @@
-// Command elsm-server exposes an authenticated eLSM store over TCP
+// Command elsm-server exposes an authenticated eLSM-P2 store over TCP
 // (stdlib net only), modelling the paper's trusted cloud application
 // serving verified reads and durable writes to remote clients. It speaks
 // the framed binary protocol of internal/netproto — internal/netsrv is the
@@ -8,20 +8,19 @@
 //
 // Flags:
 //
-//	-addr, -dir, -mode p2|p1|unsecured
-//	    where to listen, where to keep data (empty: in memory), which of
-//	    the paper's configurations to run. An authenticated -dir needs
-//	    -repl-secret: the sealed trusted state on disk can only be unsealed
-//	    by the platform key the secret derives, and without one the key is
-//	    random per boot. SIGINT/SIGTERM drain the connections and seal a
-//	    clean final state before exiting.
+//	-addr, -dir
+//	    where to listen, where to keep data (empty: in memory). A -dir
+//	    needs -repl-secret: the sealed trusted state on disk can only be
+//	    unsealed by the platform key the secret derives, and without one the
+//	    key is random per boot. SIGINT/SIGTERM drain the connections and
+//	    seal a clean final state before exiting.
 //	-shards N
 //	    hash-partition the store into N authenticated instances behind the
 //	    router; STATS reports aggregate and per-shard (shardN_*) gauges.
 //	-iter-chunk-keys, -compaction-workers
 //	    engine tuning: keys per streamed SCAN chunk, maintenance pool size.
-//	    Every mode runs with an 8 MiB read buffer; commit groups form on
-//	    their own, while the previous group is in its fsync.
+//	    The store reads through an 8 MiB buffer outside the enclave; commit
+//	    groups form on their own, while the previous group is in its fsync.
 //	-max-connections, -pipeline-depth, -max-inflight
 //	    admission control: concurrent connections, requests in flight per
 //	    connection and globally. Excess load is shed with a typed BUSY; the
@@ -65,15 +64,14 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7878", "listen address")
 		dir         = flag.String("dir", "", "data directory (empty: in-memory)")
-		mode        = flag.String("mode", "p2", "store mode: p2 | p1 | unsecured")
 		shards      = flag.Int("shards", 1, "hash-partitioned shard count (power of two; each shard runs its own WAL, committer and maintenance worker)")
 		chunkKeys   = flag.Int("iter-chunk-keys", 0, "keys per streamed SCAN chunk (0: default)")
 		compWorkers = flag.Int("compaction-workers", 0, "maintenance worker pool size shared across shards (0: max(2, GOMAXPROCS/2))")
 		maxConns    = flag.Int("max-connections", netsrv.DefaultMaxConnections, "max concurrent client connections; further connects are shed with BUSY")
 		pipeDepth   = flag.Int("pipeline-depth", netsrv.DefaultPipelineDepth, "max pipelined requests in flight per connection")
 		maxInflight = flag.Int("max-inflight", netsrv.DefaultMaxInflight, "max requests in flight across all connections; excess is shed with BUSY")
-		follow      = flag.String("follow", "", "run as a read-only replica of the leader at this address (requires -repl-secret and mode p2)")
-		replSecret  = flag.String("repl-secret", "", "platform secret: the sealing root a restart on the same -dir unseals with (required with -dir in mode p2), and the attestation secret binding leader and followers (stands in for remote attestation; required with -follow, lets followers stream checkpoints and tails from this server)")
+		follow      = flag.String("follow", "", "run as a read-only replica of the leader at this address (requires -repl-secret)")
+		replSecret  = flag.String("repl-secret", "", "platform secret: the sealing root a restart on the same -dir unseals with (required with -dir), and the attestation secret binding leader and followers (stands in for remote attestation; required with -follow, lets followers stream checkpoints and tails from this server)")
 		adminAddr   = flag.String("admin", "", "observability HTTP listen address (e.g. 127.0.0.1:7879) serving /metrics, /debug/pprof/*, /traces and /events; empty disables. Plaintext and unauthenticated — keep it on localhost or behind a proxy")
 		slowOp      = flag.Duration("slow-op-threshold", 0, "end-to-end latency above which a commit group's stage breakdown lands in the slow-op log (0: the 50ms default)")
 		traceEvery  = flag.Int("trace-sample-every", 0, "trace every Nth commit group through the pipeline (0: the default 64; 1: every group)")
@@ -89,17 +87,7 @@ func main() {
 		SlowOpThreshold:   *slowOp,
 		TraceSampleEvery:  *traceEvery,
 	}
-	switch *mode {
-	case "p2":
-		opts.Mode = elsm.ModeP2
-	case "p1":
-		opts.Mode = elsm.ModeP1
-	case "unsecured":
-		opts.Mode = elsm.ModeUnsecured
-	default:
-		log.Fatalf("unknown mode %q", *mode)
-	}
-	if err := checkSealingRoot(*dir, opts.Mode, *replSecret); err != nil {
+	if err := checkSealingRoot(*dir, *replSecret); err != nil {
 		log.Fatal(err)
 	}
 	if *replSecret != "" {
@@ -128,22 +116,17 @@ func main() {
 	}
 }
 
-// readBufferBytes is the read buffer every mode serves with — the size the
+// readBufferBytes is the read buffer the server serves with — the size the
 // repository benchmark's workloads run (BENCHMARK.json: "8 MiB cache").
 const readBufferBytes = 8 << 20
 
 // checkSealingRoot refuses a data directory the next boot could not read.
 // eLSM-P2 seals its trusted state under a key derived from the platform, and
 // without -repl-secret the platform key is random per process, so the second
-// start on the same -dir would fail authentication. eLSM-P1 seals its table
-// blocks under a key it draws afresh at every open, so no secret helps it.
-func checkSealingRoot(dir string, mode elsm.Mode, secret string) error {
-	switch {
-	case dir == "":
-	case mode == elsm.ModeP1:
-		return fmt.Errorf("-dir %s cannot serve -mode p1: %v seals its table blocks under a key drawn afresh at every open, so a restart on this directory could not read them", dir, mode)
-	case mode == elsm.ModeP2 && secret == "":
-		return fmt.Errorf("-dir %s needs -repl-secret: %v seals its trusted state under the platform key, which without a secret is random per boot — a restart on this directory could not unseal it", dir, mode)
+// start on the same -dir would fail authentication.
+func checkSealingRoot(dir, secret string) error {
+	if dir != "" && secret == "" {
+		return fmt.Errorf("-dir %s needs -repl-secret: eLSM-P2 seals its trusted state under the platform key, which without a secret is random per boot — a restart on this directory could not unseal it", dir)
 	}
 	return nil
 }

@@ -527,27 +527,22 @@ func TestNetConfigFlagValidation(t *testing.T) {
 }
 
 // TestDirNeedsSealingRoot: a data directory the second boot could not read
-// is refused at the first — an authenticated one without a platform secret,
-// and any eLSM-P1 one, whose block key is drawn afresh at every open — while
+// — one without a platform secret — is refused at the first, while
 // everything a restart can reopen is let through.
 func TestDirNeedsSealingRoot(t *testing.T) {
 	for _, c := range []struct {
 		dir    string
-		mode   elsm.Mode
 		secret string
 		refuse string // "": let through; else what the refusal must name
 	}{
-		{"", elsm.ModeP2, "", ""},   // in memory: nothing to restart on
-		{"d", elsm.ModeP2, "s", ""}, // the platform key derives from the secret
-		{"d", elsm.ModeP2, "", "-repl-secret"},
-		{"d", elsm.ModeUnsecured, "", ""}, // nothing is sealed
-		{"", elsm.ModeP1, "", ""},
-		{"d", elsm.ModeP1, "", "drawn afresh at every open"},
-		{"d", elsm.ModeP1, "s", "drawn afresh at every open"}, // no secret derives the block key
+		{"", "", ""},   // in memory: nothing to restart on
+		{"", "s", ""},  // a leader or follower in memory
+		{"d", "s", ""}, // the platform key derives from the secret
+		{"d", "", "-repl-secret"},
 	} {
-		err := checkSealingRoot(c.dir, c.mode, c.secret)
+		err := checkSealingRoot(c.dir, c.secret)
 		if (err == nil) != (c.refuse == "") {
-			t.Errorf("checkSealingRoot(%q, %v, %q) = %v, want refused=%v", c.dir, c.mode, c.secret, err, c.refuse != "")
+			t.Errorf("checkSealingRoot(%q, %q) = %v, want refused=%v", c.dir, c.secret, err, c.refuse != "")
 		}
 		if err != nil && !strings.Contains(err.Error(), c.refuse) {
 			t.Errorf("refusal %q does not name its cause (want %q)", err, c.refuse)

@@ -124,10 +124,11 @@
 // (Over the wire: elsm-cli promote.) Verification failures never self-heal:
 // a follower that detected tampering stays down with ReplicationErr.
 //
-// Three modes reproduce the paper's configurations: ModeP2 (the
-// contribution: buffers outside the enclave, record-granularity Merkle
-// authentication), ModeP1 (the strawman: everything in-enclave,
-// file-granularity sealing) and ModeUnsecured (plain LSM baseline).
+// The store is eLSM-P2, the paper's contribution: buffers outside the
+// enclave, record-granularity Merkle authentication. ModeUnsecured, the
+// plain LSM baseline, remains for measuring P2 against; the strawman
+// eLSM-P1 and the mmap read path are reproduction baselines of
+// internal/core and internal/bench, not configurations of this package.
 package elsm
 
 import (
@@ -146,19 +147,16 @@ import (
 	"elsm/internal/vfs"
 )
 
-// Mode selects the system design being run (Table 1 of the paper).
+// Mode selects the system design being run (Table 1 of the paper): the
+// product, or the baseline it is measured against.
 type Mode int
 
 const (
 	// ModeP2 is eLSM-P2, the paper's contribution: code and metadata in
 	// the enclave, read buffers and files outside, Merkle-authenticated.
 	ModeP2 Mode = iota + 1
-	// ModeP1 is the eLSM-P1 strawman: read buffers inside the enclave,
-	// file-granularity sealing, no Merkle forest. Every open draws a fresh
-	// block key and nothing seals it, so a P1 store lives as long as its
-	// process: reopening one on its files fails with a block MAC mismatch.
-	ModeP1
-	// ModeUnsecured is the plain LSM baseline with no enclave.
+	// ModeUnsecured is the plain LSM baseline with no enclave, no
+	// authentication and no sealing.
 	ModeUnsecured
 )
 
@@ -166,8 +164,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeP2:
 		return "eLSM-P2"
-	case ModeP1:
-		return "eLSM-P1"
 	case ModeUnsecured:
 		return "unsecured"
 	default:
@@ -191,8 +187,8 @@ type Options struct {
 	Dir string
 	// FS overrides the untrusted file system (takes precedence over Dir).
 	FS vfs.FS
-	// CacheSize is the read-buffer size in bytes (0 = no buffer in P2 and
-	// unsecured, 8 MB in P1; negative is rejected).
+	// CacheSize is the read-buffer size in bytes (0 = no buffer; negative
+	// is rejected).
 	CacheSize int
 	// KeepVersions bounds retained versions per key (0 = keep all;
 	// negative is rejected).
@@ -271,11 +267,10 @@ type Options struct {
 	// every group — debugging only, the ring churns fast).
 	TraceSampleEvery int
 
-	// geometry and mmapReads are the engine's sizes and read path, which
-	// only tests change (the root package's directly, others through
-	// WithGeometry); zero means the defaults of lsm.Geometry and core.Config.
-	geometry  lsm.Geometry
-	mmapReads bool
+	// geometry is the engine's sizes, which only tests change (the root
+	// package's directly, others through WithGeometry); zero fields mean
+	// lsm.Geometry's defaults.
+	geometry lsm.Geometry
 }
 
 // WithGeometry returns o with the engine sizes g (zero fields keep their
@@ -412,7 +407,6 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		IterChunkKeys:         o.IterChunkKeys,
 		MaxAsyncCommitBacklog: o.MaxAsyncCommitBacklog,
 		Geometry:              o.geometry,
-		MmapReads:             o.mmapReads,
 	}
 }
 

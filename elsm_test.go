@@ -27,13 +27,9 @@ func testOptions(mode Mode) Options {
 }
 
 func TestAllModesBasicOps(t *testing.T) {
-	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
+	for _, mode := range []Mode{ModeP2, ModeUnsecured} {
 		t.Run(mode.String(), func(t *testing.T) {
-			opts := testOptions(mode)
-			if mode == ModeP1 {
-				opts.mmapReads = false
-			}
-			s, err := Open(opts)
+			s, err := Open(testOptions(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,11 +252,6 @@ func TestOpenRejectsBadConfig(t *testing.T) {
 	if _, err := Open(Options{Mode: Mode(99)}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	opts := testOptions(ModeP1)
-	opts.mmapReads = true
-	if _, err := Open(opts); err == nil {
-		t.Fatal("P1 with mmap accepted")
-	}
 }
 
 func TestOpenValidatesTuningOptions(t *testing.T) {
@@ -284,7 +275,7 @@ func TestOpenValidatesTuningOptions(t *testing.T) {
 		}
 	}
 	// And valid settings work end to end: tiny chunks.
-	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
+	for _, mode := range []Mode{ModeP2, ModeUnsecured} {
 		opts := testOptions(mode)
 		opts.IterChunkKeys = 4
 		s, err := Open(opts)

@@ -6,11 +6,21 @@
 // enclave, cheap hits).
 //
 // Frames. A miss reads the block straight into a frame the cache owns
-// (Fill), taken from a short free list of evicted frames when one is about
-// the block's size, else allocated with its capacity rounded up to
+// (Fill), taken from a free list of evicted and dropped frames when one is
+// about the block's size, else allocated with its capacity rounded up to
 // frameAlign. The cache is charged the block's length, not the frame's
 // capacity, so what it holds — and its hit ratio — does not depend on which
 // frame a block landed in.
+//
+// Spare frames. The free list always keeps up to freeFrames frames, and more
+// while they fit in the capacity beside the cached blocks. So when
+// compaction drops a file that readers use, its frames wait for the blocks
+// of the tables that replace it instead of going to the garbage collector:
+// the heap does not fill with frames freed after other blocks took new
+// ones, half-empty spans whose count would vary with the timing of reads
+// and compactions. A cache that has not missed for readIdle when compaction
+// drops a file has no reader left to take them, and goes back to
+// freeFrames.
 //
 // Pins. A reader that copies what it needs out of a block and then lets go of
 // it (a verified Get, a verified scan chunk) reads with Acquire and a Pins:
@@ -21,9 +31,9 @@
 // Sticky frames. Every other read (Get, and Acquire without a Pins) may keep
 // the bytes as long as it likes, so it marks the frame sticky, and a sticky
 // frame goes to the garbage collector on eviction, never to the free list.
-// So do the buffers Put inserts, which are the caller's, and the frames of a
-// dropped file. No reader's correctness depends on pinning: pinning only
-// earns the frame its recycling.
+// So do the buffers Put inserts, which are the caller's. No reader's
+// correctness depends on pinning: pinning only earns the frame its
+// recycling.
 //
 // When placed inside, the cache owns an sgx.Region of its capacity; each
 // cached block is assigned a stable virtual offset in the region, and every
@@ -35,6 +45,7 @@ package blockcache
 import (
 	"slices"
 	"sync"
+	"time"
 
 	"elsm/internal/sgx"
 )
@@ -44,9 +55,11 @@ const (
 	// the next block of about its length. Above 1 KiB the allocator's size
 	// classes are multiples of it, so the rounding costs no heap.
 	frameAlign = 128
-	// freeFrames bounds the free list: a cache that stops missing hoards
-	// no more than this many spare frames.
+	// freeFrames is the free list any cache may keep, however full or idle.
 	freeFrames = 32
+	// readIdle is how long a cache may go without a miss, while compaction
+	// drops its files, before it stops keeping their frames.
+	readIdle = time.Second
 )
 
 // Key identifies a cached block.
@@ -60,6 +73,7 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	used     int // bytes of the cached blocks, by block length
+	spare    int // capacity of the frames on the free list
 	entries  map[Key]*frame
 	lru      frame // sentinel of the LRU ring: lru.next is the most recent
 	free     []*frame
@@ -68,7 +82,11 @@ type Cache struct {
 	nextOff int
 
 	hits, misses, recycled uint64
-	pinned                 int // frames with a pin
+	// missesSeen is misses as DropFile last found it changed, at
+	// missSeenAt.
+	missesSeen uint64
+	missSeenAt time.Time
+	pinned     int // frames with a pin
 }
 
 // frame is one block's memory and its place in the cache.
@@ -94,7 +112,8 @@ type Pins struct {
 // Stats are the cache's counters and occupancy.
 type Stats struct {
 	Hits, Misses uint64
-	// Recycled counts misses read into a frame an evicted block left free.
+	// Recycled counts misses read into a frame an evicted or dropped block
+	// left free.
 	Recycled uint64
 	// Used is the bytes of the cached blocks; Pinned the frames a reader
 	// holds pinned right now.
@@ -209,15 +228,22 @@ func (c *Cache) Put(k Key, data []byte) {
 }
 
 // DropFile evicts all blocks of the given file (called when compaction
-// deletes the file). Their frames go to the garbage collector.
+// deletes the file). Their frames are recycled as evicted ones are, unless
+// the cache has not missed for readIdle: then the free list goes back to
+// freeFrames.
 func (c *Cache) DropFile(fileNum uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, f := range c.entries {
 		if k.FileNum == fileNum {
-			f.sticky = true
 			c.remove(f)
 		}
+	}
+	now := time.Now()
+	if c.misses != c.missesSeen {
+		c.missesSeen, c.missSeenAt = c.misses, now
+	} else if now.Sub(c.missSeenAt) >= readIdle {
+		c.trimFree(0)
 	}
 }
 
@@ -296,11 +322,13 @@ func (c *Cache) insert(f *frame) {
 }
 
 // evict removes least recently used blocks until the cache is within
-// capacity, always keeping the most recent one. Caller holds mu.
+// capacity, always keeping the most recent one, then trims the free list
+// to the room left. Caller holds mu.
 func (c *Cache) evict() {
 	for c.used > c.capacity && c.lru.prev != c.lru.next {
 		c.remove(c.lru.prev)
 	}
+	c.trimFree(c.capacity - c.used)
 }
 
 // remove takes f out of the cache; an unpinned frame is retired at once, a
@@ -328,14 +356,26 @@ func (c *Cache) pushFront(f *frame) {
 func unlink(f *frame) { f.prev.next, f.next.prev = f.next, f.prev }
 
 // putFree recycles f, a frame no reader pins and the cache no longer holds,
-// unless it is sticky or the free list is full: then the garbage collector
-// takes it. Caller holds mu.
+// unless it is sticky, or the free list holds freeFrames frames and f does
+// not fit in the capacity beside them and the cached blocks: then the
+// garbage collector takes it. Caller holds mu.
 func (c *Cache) putFree(f *frame) {
-	if f.sticky || len(c.free) == freeFrames {
+	if f.sticky || len(c.free) >= freeFrames && c.used+c.spare+cap(f.data) > c.capacity {
 		return
 	}
 	f.key = Key{}
 	c.free = append(c.free, f)
+	c.spare += cap(f.data)
+}
+
+// trimFree hands the oldest free frames beyond freeFrames to the garbage
+// collector until the rest take no more than room bytes. Caller holds mu.
+func (c *Cache) trimFree(room int) {
+	n := 0
+	for ; len(c.free)-n > freeFrames && c.spare > room; n++ {
+		c.spare -= cap(c.free[n].data)
+	}
+	c.free = slices.Delete(c.free, 0, n)
 }
 
 // takeFree pops the most recently freed frame that fits a block of the given
@@ -347,11 +387,13 @@ func (c *Cache) takeFree(length int) *frame {
 		f := c.free[i]
 		if n := cap(f.data); n >= length && n-length <= length/8 {
 			c.free = slices.Delete(c.free, i, i+1)
+			c.spare -= cap(f.data)
 			c.recycled++
 			return f
 		}
 	}
 	if len(c.free) > 0 {
+		c.spare -= cap(c.free[0].data)
 		c.free = slices.Delete(c.free, 0, 1)
 	}
 	return nil

@@ -141,3 +141,59 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// fillAll reads blocks 0..n-1 of file fn, each length bytes long, as a
+// verified Get does: a pinned Acquire, a Fill on the miss, and the pins
+// released at once.
+func fillAll(t *testing.T, c *Cache, fn uint64, n, length int) {
+	t.Helper()
+	var pins Pins
+	for i := 0; i < n; i++ {
+		if _, ok := c.Acquire(Key{fn, i}, &pins); ok {
+			continue
+		}
+		if _, err := c.Fill(Key{fn, i}, length, &pins, func([]byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pins.Release()
+}
+
+// TestDroppedFileFramesRecycled: the frames of a file compaction dropped
+// hold the blocks of the file that replaces it, with no new frame; past
+// freeFrames, the free list keeps only what fits beside the cached blocks,
+// and nothing once the cache has not missed for readIdle.
+func TestDroppedFileFramesRecycled(t *testing.T) {
+	const blocks, length = 2 * freeFrames, 1024 // a whole frame: no rounding
+	c := New(3*blocks*length, nil)
+	fillAll(t, c, 1, blocks, length)
+	fillAll(t, c, 2, blocks, length)
+	c.DropFile(1)
+	fillAll(t, c, 3, blocks, length)
+	if st := c.Stats(); st.Recycled != blocks || len(c.free) != 0 {
+		t.Fatalf("after replacing a dropped file: %+v, %d free frames; want all %d frames recycled", st, len(c.free), blocks)
+	}
+
+	// Full: blocks put in leave room for freeFrames free frames.
+	c.DropFile(2)
+	for i := 0; i < 2*blocks; i++ {
+		c.Put(Key{4, i}, make([]byte, length))
+	}
+	if st := c.Stats(); st.Used != c.capacity || len(c.free) != freeFrames {
+		t.Fatalf("full cache: %+v, %d free frames; want %d", st, len(c.free), freeFrames)
+	}
+
+	// Idle: no miss since the last drop, readIdle ago.
+	c = New(2*blocks*length, nil)
+	fillAll(t, c, 1, blocks, length)
+	fillAll(t, c, 2, blocks, length)
+	c.DropFile(1)
+	if len(c.free) != blocks {
+		t.Fatalf("cache read a moment ago: %d free frames; want %d", len(c.free), blocks)
+	}
+	c.missSeenAt = c.missSeenAt.Add(-readIdle)
+	c.DropFile(2)
+	if len(c.free) != freeFrames {
+		t.Fatalf("idle cache: %d free frames; want %d", len(c.free), freeFrames)
+	}
+}

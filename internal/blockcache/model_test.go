@@ -28,8 +28,9 @@ type held struct {
 // Release, Get, Put, Fill over a cached block (the reader who lost a fill
 // race) and DropFile against the cache, from four readers that each keep a
 // Pins. After every step: a pinned or sticky frame is never on the free
-// list, nor a cached one, nor one twice; the pinned-frame gauge matches the
-// pins outstanding; the cached blocks fit the capacity; and every byte a
+// list, nor a cached one, nor one twice; the free list is within its bound
+// and the spare gauge matches it; the pinned-frame gauge matches the pins
+// outstanding; the cached blocks fit the capacity; and every byte a
 // reader still holds — pinned, or handed out unpinned — shows its block. At
 // the end every pin balances to zero.
 func TestCacheModel(t *testing.T) {
@@ -132,11 +133,13 @@ func check(t *testing.T, c *Cache, step int, op string, readers []Pins, pinned [
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	onFree := map[*frame]bool{}
-	if len(c.free) > freeFrames {
-		fail("%d free frames, bound %d", len(c.free), freeFrames)
+	onFree, spare := map[*frame]bool{}, 0
+	if len(c.free) > freeFrames && c.used+c.spare > c.capacity {
+		fail("%d free frames past the bound of %d, with %d spare bytes beside %d cached in a capacity of %d",
+			len(c.free), freeFrames, c.spare, c.used, c.capacity)
 	}
 	for _, f := range c.free {
+		spare += cap(f.data)
 		switch {
 		case onFree[f]:
 			fail("a frame is on the free list twice")
@@ -148,6 +151,9 @@ func check(t *testing.T, c *Cache, step int, op string, readers []Pins, pinned [
 			fail("a cached frame is on the free list")
 		}
 		onFree[f] = true
+	}
+	if spare != c.spare {
+		fail("free frames of %d bytes, spare gauge %d", spare, c.spare)
 	}
 	ring, used := 0, 0
 	for f := c.lru.next; f != &c.lru; f = f.next {

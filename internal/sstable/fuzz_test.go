@@ -98,7 +98,10 @@ func FuzzOpenTable(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte(nil), tf.Bytes()...))
+		// The same table without its filters: its Get reads every block.
+		f.Add(withFilterCount(tf.Bytes(), 0))
 	}
+	// A P2 table carries no filters: the first of the section seeds.
 	for _, seed := range sectionSeeds(f) {
 		f.Add(seed)
 	}
@@ -130,7 +133,7 @@ func FuzzOpenTable(f *testing.F) {
 			tbl.Get(prev.Key, record.MaxTs)
 			tbl.Last()
 		})
-		// Index, filters, one block at a time and one clone per record: a
+		// Index, filters if any, one block at a time and one clone per record: a
 		// small multiple of the file, never a number the file declares.
 		if limit := uint64(64*len(data) + 1<<20); n > limit {
 			t.Fatalf("%d bytes allocated reading a %d-byte file", n, len(data))

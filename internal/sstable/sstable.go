@@ -34,9 +34,14 @@
 // authentication path expanded from the section. A section or chain part that
 // does not parse expands to no proof at all, which no verifier accepts.
 //
-// The index block maps each data block's last (key, ts) to its file extent;
-// the filter block holds one Bloom filter per data block (§2: "a Bloom
-// filter is built for each data block").
+// The index block maps each data block's last (key, ts) to its file extent.
+// The filter block is a u32 count followed by that many length-framed Bloom
+// filters (u32 length ‖ filter). A table built without a ProofAppender
+// carries one filter per data block (§2: "a Bloom filter is built for each
+// data block"), and its raw Get skips a block whose filter rules the key
+// out. A P2 table's filter block is a bare count of 0: a P2 read proves a
+// key absent with the two records around it (§5.5.1), so it reads the block
+// whatever a filter says, and the enclave would only pay to hold one.
 package sstable
 
 import (
@@ -106,16 +111,15 @@ type BuilderOptions struct {
 	// BlockSize is the target uncompressed block payload size
 	// (DefaultBlockSize if zero).
 	BlockSize int
-	// BitsPerKey is the Bloom-filter budget (bloom.DefaultBitsPerKey if zero).
-	BitsPerKey int
 	// Transform optionally seals data blocks (eLSM-P1).
 	Transform BlockTransform
 	// FileNum is the table's file number, used for block binding.
 	FileNum uint64
 	// Proofs, when non-nil, supplies every record's embedded proof at build
 	// time, as a chain part per record and a group section per block;
-	// Record.Proof is then ignored. Nil writes each record's own Proof bytes
-	// and no sections.
+	// Record.Proof is then ignored, and the table carries no filters. Nil
+	// writes each record's own Proof bytes, no sections, and a Bloom filter
+	// of bloom.DefaultBitsPerKey per block.
 	Proofs ProofAppender
 }
 
@@ -167,7 +171,8 @@ type Builder struct {
 	indexKeys []byte
 	index     []builtBlock
 	// filterBlock is the filter block as it grows: a count, patched at
-	// Finish, then each block's filter, framed as it is built.
+	// Finish, then each block's filter, framed as it is built (the count
+	// alone, left 0, with Proofs).
 	filterBlock []byte
 	numEntries  int
 	haveLast    bool
@@ -211,9 +216,6 @@ func NewBuilder(f vfs.File, opts BuilderOptions) *Builder {
 func (b *Builder) Reset(f vfs.File, opts BuilderOptions) {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
-	}
-	if opts.BitsPerKey <= 0 {
-		opts.BitsPerKey = bloom.DefaultBitsPerKey
 	}
 	*b = Builder{
 		f:           f,
@@ -291,13 +293,15 @@ func (b *Builder) flushBlock() error {
 	if len(b.blockBuf) == 0 {
 		return nil
 	}
-	b.blockKeys = b.blockKeys[:0]
-	for i := 0; i < len(b.keyOffs); i += 2 {
-		b.blockKeys = append(b.blockKeys, b.blockBuf[b.keyOffs[i]:b.keyOffs[i+1]])
+	if b.opts.Proofs == nil {
+		b.blockKeys = b.blockKeys[:0]
+		for i := 0; i < len(b.keyOffs); i += 2 {
+			b.blockKeys = append(b.blockKeys, b.blockBuf[b.keyOffs[i]:b.keyOffs[i+1]])
+		}
+		at := len(b.filterBlock)
+		b.filterBlock = bloom.Append(append(b.filterBlock, 0, 0, 0, 0), b.blockKeys, bloom.DefaultBitsPerKey)
+		binary.BigEndian.PutUint32(b.filterBlock[at:], uint32(len(b.filterBlock)-at-4))
 	}
-	at := len(b.filterBlock)
-	b.filterBlock = bloom.Append(append(b.filterBlock, 0, 0, 0, 0), b.blockKeys, b.opts.BitsPerKey)
-	binary.BigEndian.PutUint32(b.filterBlock[at:], uint32(len(b.filterBlock)-at-4))
 	payload := b.blockBuf
 	if b.opts.Transform != nil {
 		payload = b.opts.Transform.Seal(BlockID(b.opts.FileNum, len(b.index)), payload)
@@ -327,9 +331,11 @@ func (b *Builder) Finish() (Meta, error) {
 	if b.numEntries == 0 {
 		return Meta{}, fmt.Errorf("%w: empty table", ErrBadTable)
 	}
-	// Filter block.
+	// Filter block: a bare count of 0 with Proofs.
 	fb := b.filterBlock
-	binary.BigEndian.PutUint32(fb, uint32(len(b.index)))
+	if b.opts.Proofs == nil {
+		binary.BigEndian.PutUint32(fb, uint32(len(b.index)))
+	}
 	filterOff := b.off
 	if _, err := b.f.Append(fb); err != nil {
 		return Meta{}, fmt.Errorf("sstable: write filters: %w", err)
@@ -377,16 +383,16 @@ func (b *Builder) Finish() (Meta, error) {
 // ---------------------------------------------------------------------------
 // Reader
 
-// Table reads an SSTable. Metadata (index + filters) is loaded once at Open
-// — in eLSM these structures live inside the enclave ("file indices at
-// levels L≥1 are placed inside the enclave", §4.2) — while data blocks are
+// Table reads an SSTable. Metadata (index + filters, if any) is loaded once
+// at Open — in eLSM these structures live inside the enclave ("file indices
+// at levels L≥1 are placed inside the enclave", §4.2) — while data blocks are
 // fetched on demand through a BlockSource and never decoded whole: point
 // reads (Seek, Get, LastView) and Iter step through a block record by record
 // and hand out views of it.
 type Table struct {
 	fileNum    uint64
 	index      []indexEntry
-	filters    []bloom.Filter
+	filters    []bloom.Filter // one per block, or none
 	numEntries int
 	source     BlockSource
 }
@@ -458,7 +464,6 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		return nil, fmt.Errorf("%w: index claims %d entries in %d bytes", ErrBadTable, n, len(ib))
 	}
 	t.index = make([]indexEntry, 0, n)
-	t.filters = make([]bloom.Filter, 0, n)
 	p, dataEnd := 4, int64(0)
 	for i := 0; i < n; i++ {
 		klen, w := binary.Uvarint(ib[p:])
@@ -491,6 +496,10 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		return nil, fmt.Errorf("%w: short filter block", ErrBadTable)
 	}
 	fn := int(binary.BigEndian.Uint32(fb[:4]))
+	if fn != 0 && fn != n {
+		return nil, fmt.Errorf("%w: %d filters for %d blocks", ErrBadTable, fn, n)
+	}
+	t.filters = make([]bloom.Filter, 0, fn)
 	p = 4
 	for i := 0; i < fn; i++ {
 		if p+4 > len(fb) {
@@ -503,9 +512,6 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		}
 		t.filters = append(t.filters, bloom.Filter(fb[p:p+flen]))
 		p += flen
-	}
-	if len(t.filters) != len(t.index) {
-		return nil, fmt.Errorf("%w: %d filters for %d blocks", ErrBadTable, len(t.filters), len(t.index))
 	}
 	return t, nil
 }
@@ -522,7 +528,9 @@ func (t *Table) MetadataBytes() int {
 	total := 0
 	for i := range t.index {
 		total += len(t.index[i].lastKey) + 24
-		total += len(t.filters[i])
+	}
+	for _, f := range t.filters {
+		total += len(f)
 	}
 	return total
 }
@@ -812,11 +820,12 @@ func (t *Table) seekInBlock(bi int, key []byte, ts uint64, pins *blockcache.Pins
 }
 
 // Get returns the newest record of key with Ts ≤ tsq, if the table holds
-// one, its proof rebuilt: the raw (unverified) point read. The Bloom filter
-// short-circuits definite misses.
+// one, its proof rebuilt: the raw (unverified) point read. A block's Bloom
+// filter short-circuits definite misses; a table without filters may hold
+// any key.
 func (t *Table) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	bi := t.seekBlock(key, tsq)
-	if bi >= len(t.index) || !t.filters[bi].MayContain(key) {
+	if bi >= len(t.index) || len(t.filters) > 0 && !t.filters[bi].MayContain(key) {
 		return record.Record{}, false, nil
 	}
 	_, cur, err := t.seekInBlock(bi, key, tsq, nil)

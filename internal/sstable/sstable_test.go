@@ -2,6 +2,8 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -246,6 +248,75 @@ func TestCorruptFooterRejected(t *testing.T) {
 	if _, err := Open(f, 7, &FileSource{F: f}); err == nil {
 		t.Fatal("corrupt footer accepted")
 	}
+}
+
+// withFilterCount returns a copy of a table image whose filter block claims
+// n filters.
+func withFilterCount(img []byte, n uint32) []byte {
+	img = append([]byte(nil), img...)
+	filterOff := binary.BigEndian.Uint64(img[len(img)-48:])
+	binary.BigEndian.PutUint32(img[filterOff:], n)
+	return img
+}
+
+// TestOpenFilterCount: a table carries no filters (a P2 table) or one per
+// block, and Open refuses any other count. A table without filters may hold
+// any key: its Get reads the block.
+func TestOpenFilterCount(t *testing.T) {
+	tbl, f, _ := buildTable(t, seqRecords(100, 1), nil)
+	blocks := uint32(tbl.NumBlocks())
+	plain := f.Bytes()
+	recs := seqRecords(12, 2)
+	_, pf, err := buildWithProofs(t, recs, newTreeProofs(recs, 2), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proofs := pf.Bytes()
+	for _, c := range []struct {
+		name  string
+		img   []byte
+		count uint32
+		ok    bool
+	}{
+		{"plain, one a block", plain, blocks, true},
+		{"plain, none", plain, 0, true},
+		{"plain, one", plain, 1, false},
+		{"plain, one short", plain, blocks - 1, false},
+		{"plain, one over", plain, blocks + 1, false},
+		{"plain, 2^31", plain, 1 << 31, false},
+		{"proofs, none", proofs, 0, true},
+		{"proofs, one", proofs, 1, false},
+	} {
+		img := withFilterCount(c.img, c.count)
+		mf := memFile(t, img)
+		_, err := Open(mf, 7, &FileSource{F: mf})
+		if (err == nil) != c.ok || err != nil && !errors.Is(err, ErrBadTable) {
+			t.Errorf("%s: Open = %v, want accepted=%v", c.name, err, c.ok)
+		}
+	}
+	mf := memFile(t, withFilterCount(plain, 0))
+	reads := &countReads{src: &FileSource{F: mf}}
+	bare, err := Open(mf, 7, reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := bare.Get([]byte("key00000x"), record.MaxTs); ok || err != nil || reads.n != 1 {
+		t.Fatalf("absent key without filters: ok=%v err=%v after %d block reads, want one", ok, err, reads.n)
+	}
+	if rec, ok, err := bare.Get([]byte("key00042"), record.MaxTs); !ok || err != nil || string(rec.Value) != "val-42-0" {
+		t.Fatalf("present key without filters: %+v ok=%v err=%v", rec, ok, err)
+	}
+}
+
+// countReads is a BlockSource that counts its reads.
+type countReads struct {
+	src BlockSource
+	n   int
+}
+
+func (c *countReads) ReadBlock(fileNum uint64, blockIdx int, off, length int64) ([]byte, error) {
+	c.n++
+	return c.src.ReadBlock(fileNum, blockIdx, off, length)
 }
 
 func TestEncryptedBlocks(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"elsm/internal/vfs"
 )
 
-// engine is what every mode's store offers the facade beyond the call
+// engine is what both modes' stores offer the facade beyond the call
 // surface: the flush hook and the LSM engine underneath.
 type engine interface {
 	core.KV
@@ -60,13 +60,10 @@ func (o Options) shardEnv(i int) (fs vfs.FS, ctr *sgx.MonotonicCounter, err erro
 func openShards(o Options, hub *obs.Observer) (*engineSet, error) {
 	set := &engineSet{}
 	// One verified-node cache per enclave, not per shard: its entries are
-	// keyed by trusted root, so shards cannot disturb each other's. Only
-	// ModeP2 verifies Merkle paths on reads.
+	// keyed by trusted root, so shards cannot disturb each other's.
 	var nodes *merkle.NodeCache
-	if o.Mode != ModeUnsecured {
-		set.enclave = sgx.New(sgx.Params{})
-	}
 	if o.Mode == ModeP2 {
+		set.enclave = sgx.New(sgx.Params{})
 		nodes = core.NewNodeCache(set.enclave)
 	}
 	// One maintenance worker pool serves every shard: the machine has one
@@ -120,16 +117,13 @@ func openShards(o Options, hub *obs.Observer) (*engineSet, error) {
 
 // openShard opens one shard of the given (validated) design.
 func openShard(mode Mode, cfg core.Config) (engine, error) {
-	switch mode {
-	case ModeP2:
-		return core.Open(cfg)
-	case ModeP1:
-		return core.OpenP1(cfg)
+	if mode == ModeUnsecured {
+		return core.OpenUnsecured(cfg)
 	}
-	return core.OpenUnsecured(cfg)
+	return core.Open(cfg)
 }
 
-// p2 returns shard i as the ModeP2 store it is, or nil in the other modes
+// p2 returns shard i as the ModeP2 store it is, or nil in ModeUnsecured
 // — what replication, the epoch and the verification counters need.
 func (set *engineSet) p2(i int) *core.Store {
 	cs, _ := set.shards[i].(*core.Store)

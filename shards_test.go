@@ -60,11 +60,11 @@ func TestOpenValidatesShardOptions(t *testing.T) {
 
 // TestShardedMergedScanMatchesOracle is the acceptance oracle: the same
 // operation sequence applied to a 4-shard store and a single-instance store
-// must produce byte-identical, verification-passing merged scans — in all
-// three modes. (Trusted timestamps are per-shard and excluded: only
+// must produce byte-identical, verification-passing merged scans — in both
+// modes. (Trusted timestamps are per-shard and excluded: only
 // keys/values/found are compared.)
 func TestShardedMergedScanMatchesOracle(t *testing.T) {
-	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
+	for _, mode := range []Mode{ModeP2, ModeUnsecured} {
 		t.Run(mode.String(), func(t *testing.T) {
 			sharded, err := Open(shardedOptions(mode, 4))
 			if err != nil {

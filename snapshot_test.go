@@ -40,11 +40,11 @@ func sstFiles(t *testing.T, fs vfs.FS) int {
 
 // TestSnapshotPinnedUnderChurn is the acceptance scenario: open a snapshot,
 // then force flush + compaction + WAL rotation underneath it, and prove —
-// in all three modes — that the snapshot's reads stay verified and
+// in both modes — that the snapshot's reads stay verified and
 // byte-identical, that the live store moved on, and that Close releases the
 // run refcounts (replaced run files are actually deleted, no leaks).
 func TestSnapshotPinnedUnderChurn(t *testing.T) {
-	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
+	for _, mode := range []Mode{ModeP2, ModeUnsecured} {
 		t.Run(mode.String(), func(t *testing.T) {
 			fs := vfs.NewMem()
 			s, err := Open(snapshotChurnOptions(mode, fs))
@@ -374,10 +374,10 @@ func TestCtxCancelMidCommitQueue(t *testing.T) {
 }
 
 // TestCtxCancelMidIterator cancels a context in the middle of a verified
-// stream and checks the iterator stops with the cancellation error, in all
-// three modes.
+// stream and checks the iterator stops with the cancellation error, in both
+// modes.
 func TestCtxCancelMidIterator(t *testing.T) {
-	for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
+	for _, mode := range []Mode{ModeP2, ModeUnsecured} {
 		t.Run(mode.String(), func(t *testing.T) {
 			opts := testOptions(mode)
 			opts.IterChunkKeys = 8 // many chunks: the cancel lands mid-stream

@@ -25,7 +25,7 @@ import (
 //     block cache.
 //   - sgx.EnclaveStats, the simulated enclave (zero for ModeUnsecured):
 //     ECalls, OCalls, CopiedBytes and EnclaveBytes.
-//   - core.VerifyStats, verification (zero outside ModeP2): VerifiedGets,
+//   - core.VerifyStats, verification (zero for ModeUnsecured): VerifiedGets,
 //     ProofBytes, RunsProbed and the Merkle node cache's hits, misses and
 //     hashes.
 //
@@ -188,8 +188,8 @@ func (set *engineSet) statsOf(i int) Stats {
 }
 
 // Stats returns current counters: ShardStats folded by each counter's rule
-// (the one entry itself on an unsharded store). Fields not applicable to
-// the store's mode are zero.
+// (the one entry itself on an unsharded store). A ModeUnsecured store has
+// no enclave and verifies nothing: those counters are zero.
 func (s *Store) Stats() Stats { return FoldStats(s.ShardStats()) }
 
 // ShardStats returns the per-shard counter breakdown, in shard order.
