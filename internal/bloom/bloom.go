@@ -1,6 +1,11 @@
-// Package bloom implements the per-block Bloom filters that LSM stores
-// attach to SSTable data blocks (§2 of the paper): a fast negative test for
-// "is key k possibly in this block", avoiding block reads for missing keys.
+// Package bloom implements Bloom filters: a fast negative test for "is key k
+// possibly in this set". Two layers build them. The unsecured store's tables
+// carry one per data block (§2 of the paper), so a raw Get skips a block
+// that cannot hold its key. The eLSM-P2 enclave builds one per run over the
+// keys it has just hashed into the run's Merkle tree and keeps it in trusted
+// memory beside the run's digest: its "no" is as good as a non-membership
+// proof, so a verified Get skips that run. Build and Append make a filter
+// from a key list; New and Add make the same bytes one key at a time.
 //
 // The implementation follows LevelDB's: k probes derived from one 64-bit
 // hash via double hashing, with k chosen from the bits-per-key budget.
@@ -36,9 +41,25 @@ func hash64(key []byte) uint64 {
 // budget (0 means DefaultBitsPerKey).
 func Build(keys [][]byte, bitsPerKey int) Filter { return Append(nil, keys, bitsPerKey) }
 
+// New returns an empty filter sized for n keys at bitsPerKey (0 means
+// DefaultBitsPerKey). Adding those keys gives the bytes Build gives them.
+func New(n, bitsPerKey int) Filter { return grow(nil, n, bitsPerKey) }
+
 // Append appends to dst the filter Build gives keys, with no allocation when
 // dst has room for it.
 func Append(dst []byte, keys [][]byte, bitsPerKey int) []byte {
+	start := len(dst)
+	dst = grow(dst, len(keys), bitsPerKey)
+	f := Filter(dst[start:])
+	for _, key := range keys {
+		f.Add(key)
+	}
+	return dst
+}
+
+// grow appends to dst an empty filter sized for n keys: its bits, cleared,
+// and the probe count.
+func grow(dst []byte, n, bitsPerKey int) []byte {
 	if bitsPerKey <= 0 {
 		bitsPerKey = DefaultBitsPerKey
 	}
@@ -50,27 +71,31 @@ func Append(dst []byte, keys [][]byte, bitsPerKey int) []byte {
 	if k > 30 {
 		k = 30
 	}
-	bits := len(keys) * bitsPerKey
+	bits := n * bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
 	nBytes := (bits + 7) / 8
-	bits = nBytes * 8
 	start := len(dst)
 	dst = slices.Grow(dst, nBytes+1)[:start+nBytes+1]
-	filter := dst[start:]
-	clear(filter)
-	filter[nBytes] = byte(k)
-	for _, key := range keys {
-		h := hash64(key)
-		delta := h>>33 | h<<31 // rotate for double hashing
-		for i := 0; i < k; i++ {
-			pos := h % uint64(bits)
-			filter[pos/8] |= 1 << (pos % 8)
-			h += delta
-		}
-	}
+	clear(dst[start:])
+	dst[start+nBytes] = byte(k)
 	return dst
+}
+
+// Add sets key's bits in a filter New or Append sized. Adding more keys than
+// the filter was sized for keeps it correct and raises its false-positive
+// rate.
+func (f Filter) Add(key []byte) {
+	k := int(f[len(f)-1])
+	bits := uint64(len(f)-1) * 8
+	h := hash64(key)
+	delta := h>>33 | h<<31 // rotate for double hashing
+	for i := 0; i < k; i++ {
+		pos := h % bits
+		f[pos/8] |= 1 << (pos % 8)
+		h += delta
+	}
 }
 
 // MayContain reports whether the key is possibly in the set. False means

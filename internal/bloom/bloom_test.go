@@ -119,3 +119,19 @@ func TestAppendEqualsBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAddEqualsBuild: a filter built one key at a time is byte for byte
+// the one Build gives the whole list.
+func TestNewAddEqualsBuild(t *testing.T) {
+	for _, n := range []int{0, 1, 10, 5000} {
+		for _, bits := range []int{0, DefaultBitsPerKey, 16} {
+			f := New(n, bits)
+			for _, k := range keys(n) {
+				f.Add(k)
+			}
+			if want := Build(keys(n), bits); string(f) != string(want) {
+				t.Fatalf("n=%d bits=%d: New+Add differs from Build", n, bits)
+			}
+		}
+	}
+}

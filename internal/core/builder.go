@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"elsm/internal/bloom"
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
 	"elsm/internal/merkle"
@@ -424,8 +425,26 @@ func (h *compactionHasher) finish(rest ...*compactionHasher) *outputTree {
 	o.nodes = o.tree.Build(o.nodes)
 	o.digest = runDigest{Root: o.tree.Root(), NumLeaves: o.tree.NumLeaves()}
 	o.groupBits = groupBits(o.digest.NumLeaves, o.recordBytes, o.blockSize)
+	o.filter = o.keyFilter()
 	wg.Wait()
 	return o
+}
+
+// keyFilter builds the enclave's Bloom filter over the output run's keys —
+// the leaves the hasher folded, read from the key books, a key whose newest
+// version is a tombstone included — at bloom.DefaultBitsPerKey. An empty run
+// gets none.
+func (o *outputTree) keyFilter() bloom.Filter {
+	if o.digest.NumLeaves == 0 {
+		return nil
+	}
+	f := bloom.New(o.digest.NumLeaves, bloom.DefaultBitsPerKey)
+	for _, b := range o.books {
+		for leaf := range b.leaves() {
+			f.Add(b.key(leaf))
+		}
+	}
+	return f
 }
 
 // outputTree is a finished output tree able to serve the embedded proofs of
@@ -442,6 +461,10 @@ type outputTree struct {
 	groupBits   int
 	blockSize   int
 	recordBytes int
+	// filter is the Bloom filter over the run's keys (keyFilter), built at
+	// finish in memory of its own: the run's trusted view keeps it after the
+	// hasher goes back to its pool.
+	filter bloom.Filter
 
 	nodes []hashutil.Hash // the leaves, then every level above them: tree's array
 	book  keyBook         // the keys this hasher folded

@@ -523,17 +523,14 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 			closeEng()
 			return fmt.Errorf("%w: run %d not in attested frontier", ErrCheckpointCorrupt, ref.ID)
 		}
-		h := newCompactionHasher([]uint64{ref.ID}, 0)
+		var h *compactionHasher
 		var verr error
-		enclave.ECall(func() {
-			verr = snap.RunRecords(i, func(rec record.Record) error { return h.add(ref.ID, rec, true) })
-		})
+		enclave.ECall(func() { h, verr = replayRun(snap, i, ref.ID, 0, nil, nil) })
 		if verr != nil {
 			snap.Release()
 			closeEng()
 			return fmt.Errorf("%w: run %d stream: %v", ErrCheckpointCorrupt, ref.ID, verr)
 		}
-		h.finish()
 		got := h.inputs[0].digest()
 		h.release()
 		if got != want {

@@ -133,20 +133,29 @@ func TestPutGetVerified(t *testing.T) {
 	}
 }
 
-// TestGetEarlyStopCounts is the paper's first difference from Speicher
-// (§7, Lemma 5.4) as counts on one fixed tree of three runs: a GET stops at
-// the first verified hit, so a key whose newest version is in the newest run
-// probes that run alone and reads exactly that record's proof, while a key
-// only in the deepest run, or in none, probes every run.
-func TestGetEarlyStopCounts(t *testing.T) {
-	cfg := smallCfg(nil)
-	cfg.MemtableSize = 1 << 20 // only the explicit flushes below make runs
+// earlyStopCfg is the configuration of TestGetEarlyStopCounts' tree: only
+// explicit flushes make runs, nothing compacts them, and no block cache
+// stands between a Get and the table files.
+func earlyStopCfg(fs vfs.FS) Config {
+	cfg := smallCfg(fs)
+	cfg.MemtableSize = 1 << 20
 	cfg.DisableCompaction = true
-	s := mustOpenP2(t, cfg)
-	defer s.Close()
-	for _, keys := range [][]string{{"deep", "shared"}, {"mid"}, {"new", "shared"}} { // oldest run first
+	return cfg
+}
+
+// earlyStopTree writes TestGetEarlyStopCounts' tree of three runs, oldest
+// first: {deep, gone, shared}, {mid}, then {new, shared} and a tombstone
+// for gone.
+func earlyStopTree(t *testing.T, s *Store) []lsm.RunRef {
+	t.Helper()
+	for _, keys := range [][]string{{"deep", "gone", "shared"}, {"mid"}, {"new", "shared"}} { // oldest run first
 		for _, k := range keys {
 			if _, err := Put(s, []byte(k), []byte("v-"+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if keys[0] == "new" {
+			if _, err := Delete(s, []byte("gone")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -158,19 +167,33 @@ func TestGetEarlyStopCounts(t *testing.T) {
 	if len(runs) != 3 {
 		t.Fatalf("%d runs, want 3", len(runs))
 	}
+	return runs
+}
+
+// TestGetEarlyStopCounts is the paper's first difference from Speicher
+// (§7, Lemma 5.4) as counts on one fixed tree of three runs: a GET stops at
+// the first verified hit, so a key whose newest version is in the newest run
+// proves that run alone and reads exactly that record's proof. Every run it
+// does not prove is one whose key filter rules the key out: a key only in
+// the deepest run proves that run alone and filters the two above it, and a
+// key in none proves nothing.
+func TestGetEarlyStopCounts(t *testing.T) {
+	s := mustOpenP2(t, earlyStopCfg(nil))
+	defer s.Close()
+	runs := earlyStopTree(t, s)
 	newest, err := lookupRun(s, runs[0].ID, []byte("shared"), record.MaxTs)
 	if err != nil || !newest.Found {
 		t.Fatalf("newest run lookup of shared: found=%v err=%v", newest.Found, err)
 	}
 	for _, tc := range []struct {
-		key        string
-		found      bool
-		runs       uint64
-		proofBytes uint64 // 0: not checked
+		key              string
+		found            bool
+		probed, filtered uint64
+		proofBytes       uint64 // 0: not checked
 	}{
-		{"shared", true, 1, uint64(len(newest.Rec.Proof))},
-		{"deep", true, 3, 0},
-		{"absent", false, 3, 0},
+		{"shared", true, 1, 0, uint64(len(newest.Rec.Proof))},
+		{"deep", true, 1, 2, 0},
+		{"absent", false, 0, 3, 0},
 	} {
 		before := s.VerifyStatsSnapshot()
 		res, err := Get(s, []byte(tc.key))
@@ -178,8 +201,11 @@ func TestGetEarlyStopCounts(t *testing.T) {
 			t.Fatalf("get %q: found=%v err=%v, want found=%v", tc.key, res.Found, err, tc.found)
 		}
 		after := s.VerifyStatsSnapshot()
-		if got := after.RunsProbed - before.RunsProbed; got != tc.runs {
-			t.Errorf("get %q probed %d runs, want %d", tc.key, got, tc.runs)
+		if got := after.RunsProbed - before.RunsProbed; got != tc.probed {
+			t.Errorf("get %q proved %d runs, want %d", tc.key, got, tc.probed)
+		}
+		if got := after.RunsFiltered - before.RunsFiltered; got != tc.filtered {
+			t.Errorf("get %q filtered %d runs, want %d", tc.key, got, tc.filtered)
 		}
 		if got := after.ProofBytes - before.ProofBytes; tc.proofBytes != 0 && got != tc.proofBytes {
 			t.Errorf("get %q read %d proof bytes, want %d", tc.key, got, tc.proofBytes)

@@ -13,13 +13,16 @@ import (
 
 // BenchmarkVerifiedGet times the verified point read (§5.3) on a two-run
 // store — odd keys in the upper run, even keys in the lower, so half the
-// present keys cost a non-membership proof before their membership proof —
-// and reports the interior Merkle hashes a Get computes beside its time and
+// present keys pass the upper run, filtered out by its key filter or, for a
+// false positive, with a non-membership proof — and reports the runs a Get
+// proves and the interior Merkle hashes it computes beside its time and
 // allocations:
 //
 //   - cold: every Get starts from an empty verified-node cache;
 //   - warm-zipf, warm-uniform: present keys after a warm-up pass;
-//   - absent-key: uniform keys that no run holds (four witnesses per Get).
+//   - absent-key: uniform keys that no run holds, ruled out by both runs'
+//     key filters but for about one run in a hundred, which then proves
+//     the key's absence with two witnesses.
 func BenchmarkVerifiedGet(b *testing.B) {
 	const n = 25000 // per run
 	s := twoRunStore(b, n)
@@ -72,6 +75,7 @@ func BenchmarkVerifiedGet(b *testing.B) {
 				}
 			}
 			after := s.VerifyStatsSnapshot()
+			b.ReportMetric(float64(after.RunsProbed-before.RunsProbed)/float64(b.N), "runs-proved/op")
 			b.ReportMetric(float64(after.VerifyNodeHashes-before.VerifyNodeHashes)/float64(b.N), "hashes/op")
 		})
 	}

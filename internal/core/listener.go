@@ -218,10 +218,10 @@ func (j *compactionJob) Verify() error {
 	return nil
 }
 
-// Installed commits the staged digests: input runs are forgotten, the
-// output run's digest takes effect, and a flush's WAL-chain rebase (the
-// engine has just deleted the frozen logs) is applied in the SAME c.mu
-// critical section — one copy-on-write snapshot swap, fast enough to run
+// Installed commits the staged digests: input runs are forgotten and their
+// key filters freed, the output run's digest and key filter take effect, and
+// a flush's WAL-chain rebase (the engine has just deleted the frozen logs) is
+// applied in the SAME c.mu critical section — one copy-on-write snapshot swap, fast enough to run
 // under the engine lock so readers never observe a version whose digest is
 // missing, and atomic so a concurrent commit leader's periodic seal always
 // fingerprints a coherent (forest, WAL chain) pair, never the new chain
@@ -239,7 +239,11 @@ func (j *compactionJob) Installed() {
 	// and what the transition seal promised is exactly what takes effect.
 	// The install is durable, so the staging is no longer needed — Committed
 	// reseals with the new state as Current.
-	c.snap.Store(&trustedView{digests: c.pendingSeal.Digests})
+	tv := c.snap.Load()
+	c.snap.Store(&trustedView{
+		digests: c.pendingSeal.Digests,
+		filters: c.withFilters(tv, j.info.InputRuns, j.info.OutputRun, j.parts[0].out.filter),
+	})
 	c.pendingSeal = nil
 	c.sealStagedBy = nil
 	c.mu.Unlock()

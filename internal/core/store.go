@@ -80,6 +80,15 @@ type Config struct {
 	lsm.Geometry
 	KeepVersions      int
 	DisableCompaction bool
+
+	// holdRebuild and rebuildTamper are test-only stand-ins for a slow or
+	// malicious host during the filter rebuild Open starts
+	// (startFilterRebuild): holdRebuild is called before each run's pass,
+	// and may block it; rebuildTamper is called with every record a run's
+	// stream hands over, before the enclave copies it (copied false) and
+	// after (copied true).
+	holdRebuild   func(runID uint64)
+	rebuildTamper func(view record.Record, copied bool)
 }
 
 // engineOptions is the Config → lsm.Options pass-through the three Opens
@@ -254,9 +263,10 @@ type Store struct {
 	// sealed state (the rollback-window records of §5.6.1).
 	unverifiedReplay int
 
-	statGets       atomic.Uint64
-	statProofBytes atomic.Uint64
-	statRunsProbed atomic.Uint64
+	statGets         atomic.Uint64
+	statProofBytes   atomic.Uint64
+	statRunsProbed   atomic.Uint64
+	statRunsFiltered atomic.Uint64
 	// verify checks every proof the read paths are handed.
 	verify verifier
 
@@ -267,17 +277,28 @@ type Store struct {
 	// the scratch of Gets and streams (see scanScratch, readScratch).
 	scanPool chan *scanScratch
 	readPool chan *readScratch
+
+	// The filter rebuild Open starts (startFilterRebuild): Close sets
+	// rebuildStop and waits for rebuildDone. The hooks are Config's.
+	rebuildStop   atomic.Bool
+	rebuildDone   sync.WaitGroup
+	holdRebuild   func(runID uint64)
+	rebuildTamper func(view record.Record, copied bool)
 }
 
 // VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
 // only levels L1..Li; prior work pays for every level on every GET).
-// VerifiedGets and RunsProbed count point reads; ProofBytes counts the
-// embedded-proof bytes copied into the enclave by point reads and scans
-// alike (a scan copies at most four proofs per run per chunk).
+// VerifiedGets, RunsProbed and RunsFiltered count point reads; ProofBytes
+// counts the embedded-proof bytes copied into the enclave by point reads and
+// scans alike (a scan copies at most four proofs per run per chunk).
 type VerifyStats struct {
 	VerifiedGets uint64
 	ProofBytes   uint64
+	// RunsProbed counts the runs answered with witnesses; RunsFiltered the
+	// runs a Get skipped, with no witness, because the enclave's key filter
+	// of the run ruled its key out.
 	RunsProbed   uint64
+	RunsFiltered uint64
 	// The verified-node cache at work: Merkle walks — a point read's
 	// witnesses, a scan chunk's per-run range walk and its boundary
 	// witnesses — that stopped at an already-verified cached node, walks
@@ -295,6 +316,7 @@ func (c *Store) VerifyStatsSnapshot() VerifyStats {
 		VerifiedGets: c.statGets.Load(),
 		ProofBytes:   c.statProofBytes.Load(),
 		RunsProbed:   c.statRunsProbed.Load(),
+		RunsFiltered: c.statRunsFiltered.Load(),
 
 		VerifyNodeCacheHits:   c.verify.nodeHits.Load(),
 		VerifyNodeCacheMisses: c.verify.nodeMisses.Load(),
@@ -348,6 +370,8 @@ func Open(cfg Config) (*Store, error) {
 		counterInterval: interval,
 		iterChunkKeys:   cfg.chunkKeys(),
 		measurement:     sgx.Measure([]byte("elsm-p2")),
+		holdRebuild:     cfg.holdRebuild,
+		rebuildTamper:   cfg.rebuildTamper,
 	}
 	c.snap.Store(&trustedView{digests: make(map[uint64]runDigest)})
 	c.sealKey = platform.SealingKey(c.measurement)
@@ -390,14 +414,19 @@ func Open(cfg Config) (*Store, error) {
 		// window where a crash after the first commit is unrecoverable.
 		c.SealState()
 	}
+	c.startFilterRebuild()
 	return c, nil
 }
 
-// trustedView is an immutable snapshot of the digest forest. The map must
-// never be mutated after the view is published via snap; writers
-// (compactionJob.Installed, recovery) publish a fresh copy under c.mu.
+// trustedView is an immutable snapshot of the trusted per-run state: the
+// digest forest, and the enclave's key filter of each run that has one. The
+// maps must never be mutated after the view is published via snap; writers
+// (compactionJob.Installed, recovery, the filter rebuild) publish fresh
+// copies under c.mu. Filters are derived state: they are never sealed, and a
+// run without one is read through its proofs alone.
 type trustedView struct {
 	digests map[uint64]runDigest
+	filters map[uint64]runFilter
 }
 
 // snapshotDigests returns the current immutable digest view — a single
@@ -778,7 +807,14 @@ func (c *Store) RunDigests() map[uint64]DigestInfo {
 // pipeline is drained first so the seal covers every accepted commit —
 // after a clean Close, recovery finds zero unverified WAL records.
 func (c *Store) Close() error {
+	c.stopFilterRebuild()
 	_ = c.engine.Sync(nil) // best effort: already-closed/failed pipelines still seal the durable frontier
 	c.commitState()
-	return c.engine.Close()
+	err := c.engine.Close()
+	c.mu.Lock()
+	for _, f := range c.snap.Load().filters {
+		f.mem.Free()
+	}
+	c.mu.Unlock()
+	return err
 }

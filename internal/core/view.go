@@ -18,7 +18,8 @@ import (
 
 // readView is the unit of consistent verified reading in eLSM-P2: an engine
 // snapshot (pinned runs + captured memtables + applied-timestamp frontier)
-// paired with the trusted digest forest covering those runs. Every verified
+// paired with the trusted digest forest covering those runs and the
+// enclave's key filters of the runs that have one. Every verified
 // read path — GetAt, the streaming iterator, and the public Snapshot — runs
 // against a readView, so they share one protocol implementation and one
 // consistency argument:
@@ -39,10 +40,11 @@ import (
 // a Snapshot holds another, so closing the snapshot mid-iteration cannot
 // unpin the runs under the stream.
 type readView struct {
-	c     *Store
-	esnap *lsm.Snapshot
-	digs  map[uint64]runDigest
-	refs  atomic.Int32
+	c       *Store
+	esnap   *lsm.Snapshot
+	digs    map[uint64]runDigest
+	filters map[uint64]runFilter
+	refs    atomic.Int32
 }
 
 // acquireView captures a coherent (runs, digests) pair as a read session
@@ -63,7 +65,7 @@ func (c *Store) acquireView() (*readView, error) {
 }
 
 // pinView (re)acquires v's engine snapshot, reusing its memory, and the
-// digest forest to go with it.
+// digest forest and key filters to go with it.
 func (c *Store) pinView(v *readView, session bool) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		c.engine.AcquireSnapshotInto(v.esnap, session)
@@ -71,16 +73,16 @@ func (c *Store) pinView(v *readView, session bool) error {
 			v.esnap.Release()
 			return err
 		}
-		digs := c.snapshotDigests()
+		tv := c.snap.Load()
 		ok := true
 		for _, ref := range v.esnap.Runs() {
-			if _, have := digs[ref.ID]; !have {
+			if _, have := tv.digests[ref.ID]; !have {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			v.digs = digs
+			v.digs, v.filters = tv.digests, tv.filters
 			v.refs.Store(1)
 			return nil
 		}
@@ -106,10 +108,15 @@ func (v *readView) ts() uint64 { return v.esnap.Ts() }
 // memtables (trusted, in-enclave) first, then each pinned run in
 // newest-first order with per-run verification, stopping at the first
 // verified hit (the early-stop optimization — levels below the hit need no
-// proof by Lemma 5.4). Per run the host hands over views of its blocks,
-// pinned in the block cache; the enclave copies the witnesses out of them
-// once, into g (readScratch.take), verifies the copies, and lets go of the
-// blocks when the Get ends. Caller is inside an ECall.
+// proof by Lemma 5.4). A run whose key filter rules the key out is skipped
+// with no lookup and no proof: the enclave built the filter over the very
+// keys it hashed into the run's tree, so its "no" is trusted, as the digest
+// is. A run with no filter, or whose filter says "maybe", is proved as
+// before; a false positive costs only that proof. Per probed run the host
+// hands over views of its blocks, pinned in the block cache; the enclave
+// copies the witnesses out of them once, into g (readScratch.take), verifies
+// the copies, and lets go of the blocks when the Get ends. Caller is inside
+// an ECall.
 func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error) {
 	c := v.c
 	c.statGets.Add(1)
@@ -132,6 +139,10 @@ func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error)
 	for i, run := range v.esnap.Runs() {
 		d := v.digs[run.ID]
 		if d.NumLeaves == 0 {
+			continue
+		}
+		if v.filters[run.ID].excludes(key) {
+			c.statRunsFiltered.Add(1)
 			continue
 		}
 		c.statRunsProbed.Add(1)
@@ -272,7 +283,8 @@ func (c *Store) getReadScratch() *readScratch {
 }
 
 func (c *Store) putReadScratch(g *readScratch) {
-	g.views, g.pred, g.succ, g.view.digs, g.stream = lsm.RunViews{}, record.Record{}, record.Record{}, nil, nil
+	g.views, g.pred, g.succ, g.stream = lsm.RunViews{}, record.Record{}, record.Record{}, nil
+	g.view.digs, g.view.filters = nil, nil
 	if cap(g.buf) > readScratchBytes {
 		return // one outsized witness or range must not pin its scratch forever
 	}

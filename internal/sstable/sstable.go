@@ -39,9 +39,12 @@
 // filters (u32 length ‖ filter). A table built without a ProofAppender
 // carries one filter per data block (§2: "a Bloom filter is built for each
 // data block"), and its raw Get skips a block whose filter rules the key
-// out. A P2 table's filter block is a bare count of 0: a P2 read proves a
-// key absent with the two records around it (§5.5.1), so it reads the block
-// whatever a filter says, and the enclave would only pay to hold one.
+// out. A P2 table's filter block is a bare count of 0: a filter read from an
+// untrusted file could not stand in for the proof of a key's absence, the two
+// records around it (§5.5.1). A P2 Get asks instead the filter the enclave
+// built over the run's keys as it hashed them and keeps beside the run's
+// digest (package core); it reads the block only when that filter passes the
+// key, and then proves what it finds.
 package sstable
 
 import (

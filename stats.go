@@ -26,8 +26,9 @@ import (
 //   - sgx.EnclaveStats, the simulated enclave (zero for ModeUnsecured):
 //     ECalls, OCalls, CopiedBytes and EnclaveBytes.
 //   - core.VerifyStats, verification (zero for ModeUnsecured): VerifiedGets,
-//     ProofBytes, RunsProbed and the Merkle node cache's hits, misses and
-//     hashes.
+//     ProofBytes, RunsProbed (runs answered with witnesses), RunsFiltered
+//     (runs the enclave's key filter skipped) and the Merkle node cache's
+//     hits, misses and hashes.
 //
 // Stats adds the shard count and the replication gauges. The counters are
 // promoted fields, so a Stats composite literal cannot name them; read them
@@ -121,6 +122,7 @@ var statCounters = []statCounter{
 	{"verified_gets", foldSum, false, func(s *Stats) *uint64 { return &s.VerifiedGets }},
 	{"proof_bytes", foldSum, false, func(s *Stats) *uint64 { return &s.ProofBytes }},
 	{"runs_probed", foldSum, false, func(s *Stats) *uint64 { return &s.RunsProbed }},
+	{"runs_filtered", foldSum, false, func(s *Stats) *uint64 { return &s.RunsFiltered }},
 	{"verify_node_cache_hits", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeCacheHits }},
 	{"verify_node_cache_misses", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeCacheMisses }},
 	{"verify_node_hashes", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeHashes }},
