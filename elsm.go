@@ -231,9 +231,9 @@ type Options struct {
 	// part of the on-disk layout: reopen with the value the store was
 	// created with.
 	Shards int
-	// ReplRingBytes bounds how many recently committed group bytes each
-	// shard's replication hub retains for tail streams (0 = the built-in
-	// default, currently 8 MB). A follower whose cursor falls out of the
+	// ReplRingBytes bounds how many recently committed group bytes — groups
+	// encoded as the WAL holds them — each shard's replication hub retains
+	// for tail streams (0 = the built-in default, currently 8 MB). A follower whose cursor falls out of the
 	// ring gets repl.ErrBehind and must re-bootstrap from a checkpoint, so
 	// smaller rings trade memory for re-bootstrap frequency under follower
 	// downtime. Leaders only.

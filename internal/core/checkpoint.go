@@ -86,33 +86,25 @@ type checkpointHeader struct {
 // this store's enclave measurement — the stand-in for local attestation of
 // replication messages (checkpoint headers, shipped group frames).
 func (c *Store) AttestPayload(payload []byte) sgx.Report {
-	var data [64]byte
-	sum := sha256.Sum256(payload)
-	copy(data[:32], sum[:])
-	return c.platform.CreateReport(c.measurement, data)
+	return c.platform.CreateReport(c.measurement, payloadData(payload))
 }
 
 // VerifyPeerPayload checks a report minted by a peer enclave on a platform
-// sharing this store's root of trust: MAC, measurement equality (same
-// enclave code) and payload binding.
+// sharing this store's root of trust.
 func (c *Store) VerifyPeerPayload(rep sgx.Report, payload []byte) error {
-	if err := c.platform.VerifyReport(rep); err != nil {
-		return fmt.Errorf("%w: %v", ErrAuthFailed, err)
-	}
-	if rep.Measurement != c.measurement {
-		return fmt.Errorf("%w: peer measurement mismatch", ErrAuthFailed)
-	}
-	var data [64]byte
-	sum := sha256.Sum256(payload)
-	copy(data[:32], sum[:])
-	if rep.Data != data {
-		return fmt.Errorf("%w: report payload mismatch", ErrAuthFailed)
-	}
-	return nil
+	return verifyPeerPayload(c.platform, c.measurement, rep, payload)
 }
 
-// verifyPeerPayload is the package-level form used before a Store exists
-// (checkpoint import).
+// payloadData is the report data that binds a payload: its SHA-256, zero
+// padded.
+func payloadData(payload []byte) (data [64]byte) {
+	sum := sha256.Sum256(payload)
+	copy(data[:], sum[:])
+	return data
+}
+
+// verifyPeerPayload checks MAC, measurement equality (same enclave code)
+// and payload binding; checkpoint import calls it before a Store exists.
 func verifyPeerPayload(platform *sgx.Platform, m sgx.Measurement, rep sgx.Report, payload []byte) error {
 	if err := platform.VerifyReport(rep); err != nil {
 		return fmt.Errorf("%w: %v", ErrAuthFailed, err)
@@ -120,10 +112,7 @@ func verifyPeerPayload(platform *sgx.Platform, m sgx.Measurement, rep sgx.Report
 	if rep.Measurement != m {
 		return fmt.Errorf("%w: peer measurement mismatch", ErrAuthFailed)
 	}
-	var data [64]byte
-	sum := sha256.Sum256(payload)
-	copy(data[:32], sum[:])
-	if rep.Data != data {
+	if rep.Data != payloadData(payload) {
 		return fmt.Errorf("%w: report payload mismatch", ErrAuthFailed)
 	}
 	return nil
@@ -261,7 +250,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 	if _, err := w.Write(hdrBytes); err != nil {
 		return err
 	}
-	if err := writeReport(w, rep); err != nil {
+	if err := sgx.WriteReport(w, rep); err != nil {
 		return err
 	}
 	for _, tbl := range hdr.Tables {
@@ -283,29 +272,6 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		}
 	}
 	return nil
-}
-
-// writeReport serializes a report as fixed 128 bytes.
-func writeReport(w io.Writer, rep sgx.Report) error {
-	var buf [128]byte
-	copy(buf[:32], rep.Measurement[:])
-	copy(buf[32:96], rep.Data[:])
-	copy(buf[96:], rep.MAC[:])
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// readReport reads the fixed 128-byte report form.
-func readReport(r io.Reader) (sgx.Report, error) {
-	var buf [128]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return sgx.Report{}, err
-	}
-	var rep sgx.Report
-	copy(rep.Measurement[:], buf[:32])
-	copy(rep.Data[:], buf[32:96])
-	copy(rep.MAC[:], buf[96:])
-	return rep, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +371,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	if _, err := io.ReadFull(r, hdrBytes); err != nil {
 		return fmt.Errorf("%w: short header: %v", ErrCheckpointCorrupt, err)
 	}
-	rep, err := readReport(r)
+	rep, err := sgx.ReadReport(r)
 	if err != nil {
 		return fmt.Errorf("%w: short report: %v", ErrCheckpointCorrupt, err)
 	}

@@ -86,9 +86,10 @@ func BenchmarkVerifiedGet(b *testing.B) {
 // Result keeps: one allocation for a hit's key and value, none for an absent
 // key. The upper run of a twoRunStore also gets a newer version of one even
 // key, so the four shapes are: a hit in the upper run; a hit in the lower
-// run after the upper run's non-membership proof; an absent key, refuted in
-// both; and a historical GetAt, refuted in the upper run by the newer version
-// itself. A change that brings back a cloned witness, a per-Get snapshot or a
+// run, which the upper run's enclave filter skips (or, on a false positive
+// about one time in a hundred, its non-membership proof refutes); an absent
+// key, ruled out in both runs the same way; and a historical GetAt, refuted
+// in the upper run by the newer version itself. A change that brings back a cloned witness, a per-Get snapshot or a
 // second copy of the result trips it.
 func TestVerifiedGetAllocationGuard(t *testing.T) {
 	s := twoRunStoreOn(t, Config{FS: vfs.NewMem(), CacheSize: 8 << 20}, 2000, func(int) []byte { return make([]byte, 100) })

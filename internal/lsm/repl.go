@@ -20,12 +20,12 @@ var ErrReplicationGap = errors.New("lsm: replicated group does not extend the ap
 // the timestamp interval (PrevTs, LastTs] they cover. Recs views the
 // committing callers' buffers, and the slice itself is the commit worker's,
 // reused for the next group: it is valid for the duration of the sink call
-// only — copy to retain.
+// only — a sink that retains the group encodes it (the leader hub keeps it
+// as wal.AppendGroup writes it, the bytes the log holds).
 type ReplicatedGroup struct {
 	Recs   []record.Record
 	PrevTs uint64 // applied frontier before the group
 	LastTs uint64 // applied frontier after the group
-	Bytes  int64  // payload size (sum of record sizes)
 }
 
 // GroupSink receives every durably committed group, in commit order, after
@@ -52,15 +52,10 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 	if p == nil || len(recs) == 0 {
 		return
 	}
-	var bytes int64
-	for i := range recs {
-		bytes += int64(recs[i].Size())
-	}
 	(*p)(ReplicatedGroup{
 		Recs:   recs,
 		PrevTs: lastTs - uint64(len(recs)),
 		LastTs: lastTs,
-		Bytes:  bytes,
 	})
 }
 
@@ -68,11 +63,14 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 // restored checkpoint's WAL tail — through the commit pipeline every local
 // write takes: WAL group append with COMMIT marker, the listener's chain
 // extension, fsync, the listener's durable frontier, memtable apply, sink
-// republish (a follower can lead a downstream replica). The follower's WAL chain, sealed
-// frontier and on-disk state are therefore bit-compatible with a store that
-// executed the writes locally. The caller has already authenticated the
-// group (frame report + digest chain); the commit worker enforces that it
-// extends the applied frontier contiguously.
+// republish (a follower can lead a downstream replica). The follower's WAL
+// chain, sealed frontier and on-disk state are therefore bit-compatible with
+// a store that executed the writes locally: a shipped group arrives as the
+// bytes the leader's log holds, wal.Replay decodes it, and the append here
+// writes those bytes again. recs may view the caller's buffer, which must
+// stay unchanged until the call returns. The caller has already
+// authenticated the group (frame report + digest chain); the commit worker
+// enforces that it extends the applied frontier contiguously.
 func (s *Store) ApplyReplicated(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil

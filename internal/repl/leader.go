@@ -10,11 +10,12 @@ import (
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
+	"elsm/internal/wal"
 )
 
 // DefaultRingBytes is the default per-shard retention of the leader's
-// in-memory group ring. A follower further behind than this must
-// re-bootstrap from a checkpoint.
+// in-memory group ring, in encoded group bytes. A follower further behind
+// than this must re-bootstrap from a checkpoint.
 const DefaultRingBytes = 8 << 20
 
 // HeartbeatInterval paces attested heartbeat frames on tail streams idling
@@ -23,13 +24,16 @@ const DefaultRingBytes = 8 << 20
 // tighten it; production followers size their idle timeouts as a multiple.
 var HeartbeatInterval = 1 * time.Second
 
-// hubGroup is one retained committed group.
+// hubGroup is one retained committed group, held as wal.AppendGroup
+// encodes it: the engine's records view the committing callers' key and
+// value slices, which the callers may reuse once their commit returns, and
+// the ring outlives the commit — a tail stream chains and attests a group
+// when it serves it. Those bytes are what the ring counts.
 type hubGroup struct {
-	recs   []record.Record
+	group  []byte
 	prevTs uint64
 	lastTs uint64
 	seq    uint64
-	bytes  int64
 	cum    int64 // cumulative hub bytes through this group
 }
 
@@ -47,21 +51,22 @@ type Leader struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	groups []hubGroup
-	ring   int64  // bytes currently retained
+	ring   int64  // encoded group bytes currently retained
 	baseTs uint64 // prevTs of groups[0] (== headTs when empty)
 	headTs uint64 // lastTs of the newest group
 	seq    uint64 // seq of the newest group
-	cum    int64  // cumulative bytes published
+	cum    int64  // cumulative encoded group bytes published
 	closed bool
 
 	followers atomic.Int64
 }
 
 // NewLeader attaches a replication hub to an open store. maxRingBytes
-// bounds retained group payload (0 = DefaultRingBytes). shard and shards
-// name the partition this hub serves within the leader's topology; they
-// are bound — attested — into every checkpoint header and group frame so a
-// follower can reject a stream spliced from the wrong shard.
+// bounds the retained groups' encoded bytes (0 = DefaultRingBytes). shard
+// and shards name the partition this hub serves within the leader's
+// topology; they are bound — attested — into every checkpoint header and
+// group frame so a follower can reject a stream spliced from the wrong
+// shard.
 func NewLeader(st *core.Store, maxRingBytes int64, shard, shards int) *Leader {
 	if maxRingBytes <= 0 {
 		maxRingBytes = DefaultRingBytes
@@ -84,36 +89,16 @@ func NewLeader(st *core.Store, maxRingBytes int64, shard, shards int) *Leader {
 	return l
 }
 
-// ownRecords copies a group's records into one arena. The engine's records
-// view the committing callers' key and value slices, which the callers may
-// reuse once their commit returns — and the ring outlives the commit: a tail
-// stream chains and attests a group's bytes when it serves them.
-func ownRecords(recs []record.Record) []record.Record {
-	n := 0
-	for i := range recs {
-		n += len(recs[i].Key) + len(recs[i].Value)
-	}
-	arena := make([]byte, 0, n)
-	out := make([]record.Record, len(recs))
-	for i, r := range recs {
-		k := len(arena)
-		arena = append(arena, r.Key...)
-		v := len(arena)
-		arena = append(arena, r.Value...)
-		out[i] = record.Record{Key: arena[k:v:v], Ts: r.Ts, Kind: r.Kind, Value: arena[v:len(arena):len(arena)]}
-	}
-	return out
-}
-
 // onGroup ingests one committed group from the engine's commit worker
-// (single-threaded, commit order), copying what it retains.
+// (single-threaded, commit order), encoding what it retains.
 func (l *Leader) onGroup(g lsm.ReplicatedGroup) {
+	group := wal.AppendGroup(make([]byte, 0, wal.GroupSize(g.Recs)), g.Recs)
+	size := int64(len(group))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
-	recs := ownRecords(g.Recs)
 	if len(l.groups) == 0 {
 		// (Re-)anchor the empty ring at the group's base.
 		l.baseTs = g.PrevTs
@@ -129,20 +114,19 @@ func (l *Leader) onGroup(g lsm.ReplicatedGroup) {
 		l.headTs = g.PrevTs
 	}
 	l.seq++
-	l.cum += g.Bytes
+	l.cum += size
 	l.groups = append(l.groups, hubGroup{
-		recs:   recs,
+		group:  group,
 		prevTs: g.PrevTs,
 		lastTs: g.LastTs,
 		seq:    l.seq,
-		bytes:  g.Bytes,
 		cum:    l.cum,
 	})
-	l.ring += g.Bytes
+	l.ring += size
 	l.headTs = g.LastTs
 	evict := 0
 	for l.ring > l.maxBytes && evict < len(l.groups)-1 {
-		l.ring -= l.groups[evict].bytes
+		l.ring -= int64(len(l.groups[evict].group))
 		evict++
 	}
 	if evict > 0 {
@@ -251,16 +235,19 @@ func (l *Leader) ServeTail(fromTs uint64, w io.Writer, stop <-chan struct{}) err
 			frame.PrevTs = g.prevTs
 			frame.LastTs = g.lastTs
 			frame.Seq = g.seq
-			frame.Bytes = g.bytes
 			frame.CumBytes = g.cum
-			frame.Recs = g.recs
+			frame.Group = g.group
 		} else {
 			frame.Heartbeat = true
 			frame.CumBytes = l.cum
 		}
 		l.mu.Unlock()
 
-		frame.Chain = core.LinkWAL(hashutil.Zero, frame.Recs)
+		// The ring's bytes are one group wal.AppendGroup wrote: they replay.
+		wal.Replay(frame.Group, func(recs []record.Record) error {
+			frame.Chain = core.LinkWAL(hashutil.Zero, recs)
+			return nil
+		})
 		body := encodeFrame(&frame)
 		rep := l.st.AttestPayload(body)
 		if err := writeFrame(w, body, rep); err != nil {

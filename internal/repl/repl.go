@@ -15,6 +15,13 @@
 // partition of one topology (a transport cannot swap whole shard streams).
 // On any verification failure the follower fails stop — it never serves a
 // read past unverified state.
+//
+// A group frame is a fixed header (type, shard identity, epoch, the group's
+// position and the leader's head, the chain) followed by the group exactly
+// as the leader's WAL holds it: wal.AppendGroup writes those bytes and
+// wal.Replay reads them, so this package has no record codec of its own.
+// The leader's ring keeps each group in that form, and its byte bound and
+// the lag gauges count those encoded bytes.
 package repl
 
 import (

@@ -99,7 +99,7 @@ func (t *Tailer) Err() error {
 }
 
 // Lag reports the replication lag observed at the last applied frame:
-// groups behind the leader's head and payload bytes behind. Heartbeats
+// groups behind the leader's head and encoded group bytes behind. Heartbeats
 // from a leader idling at the head reset both to zero.
 func (t *Tailer) Lag() (groups, bytes uint64) {
 	return t.lagGroups.Load(), t.lagBytes.Load()
@@ -256,10 +256,10 @@ func (t *Tailer) consume(r io.Reader) (int, error) {
 			if t.stopping() || err == io.EOF {
 				return frames, nil
 			}
-			// A malformed length is indistinguishable from a cut stream
-			// mid-frame; both reconnect (the next frames re-ship from the
-			// durable frontier and re-verify). A timed-out read lands here
-			// too: the leader missed enough heartbeats to presume it hung.
+			// A stream cut mid-frame reconnects (the next frames re-ship
+			// from the durable frontier and re-verify). A timed-out read
+			// lands here too: the leader missed enough heartbeats to
+			// presume it hung.
 			return frames, nil
 		}
 		// 1. The frame must be attested by the shared enclave identity.

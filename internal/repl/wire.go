@@ -1,25 +1,26 @@
 package repl
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
+	"elsm/internal/wal"
 )
-
-// maxFrameBody bounds what a follower will buffer for one frame.
-const maxFrameBody = 64 << 20
 
 // Frame types. Group frames carry one committed commit group; heartbeat
 // frames carry only the leader's identity and frontier, proving liveness
-// (and refreshing lag gauges) while the stream idles at the head.
+// (and refreshing lag gauges) while the stream idles at the head. Types 1
+// and 2 named an earlier layout, which carried its own record codec in
+// place of the WAL's group bytes: a build of either layout refuses the
+// other's frames instead of misreading them.
 const (
-	frameGroup     = 1
-	frameHeartbeat = 2
+	frameGroup     = 3
+	frameHeartbeat = 4
 )
 
 // groupFrame is one committed commit group on the wire, plus the leader's
@@ -32,7 +33,7 @@ const (
 // (ErrFenced), one from a newer epoch means this follower missed a
 // promotion and must re-bootstrap.
 type groupFrame struct {
-	Heartbeat bool // frameHeartbeat: no records, frontier info only
+	Heartbeat bool // frameHeartbeat: no group, frontier info only
 
 	Shard  uint32 // partition this group belongs to
 	Shards uint32 // leader's total partition count
@@ -41,37 +42,31 @@ type groupFrame struct {
 	PrevTs uint64 // applied frontier before the group
 	LastTs uint64 // applied frontier after the group
 	Seq    uint64 // hub sequence number of this group
-	Bytes  int64  // payload bytes of this group
 
 	FrontierSeq   uint64 // newest hub sequence at send time
 	FrontierTs    uint64 // leader applied frontier at send time
-	FrontierBytes int64  // cumulative hub bytes at send time
-	CumBytes      int64  // cumulative hub bytes through this group
+	FrontierBytes int64  // cumulative hub group bytes at send time
+	CumBytes      int64  // cumulative hub group bytes through this group
 
-	Recs []record.Record
-	// Chain is the WAL hash chain from zero over Recs — the same
-	// per-record links the records add to both stores' WAL digests.
+	// Chain is the WAL hash chain from zero over the group's records — the
+	// same per-record links the records add to both stores' WAL digests.
 	Chain hashutil.Hash
+	// Group is the commit group exactly as wal.AppendGroup encodes it (and
+	// the leader's log holds it); empty in a heartbeat.
+	Group []byte
+	// Recs are Group's records as decodeFrame parsed them, views of Group.
+	// encodeFrame ignores them.
+	Recs []record.Record
 }
 
-// frameFixedLen is the size of a frame body with zero records: type byte,
-// shard pair, epoch, eight u64 position fields, record count, chain.
-const frameFixedLen = 1 + 2*4 + 8 + 8*8 + 4 + 32
+// frameHeaderLen is the size of a frame body before its group bytes: type
+// byte, shard pair, epoch, seven position fields, chain.
+const frameHeaderLen = 1 + 2*4 + 8*8 + 32
 
-// minRecordLen is an encoded record with an empty key and value: kind byte,
-// key length, timestamp, value length.
-const minRecordLen = 1 + 4 + 8 + 4
-
-// encodeFrame serializes the frame body and returns (body, report
-// payload): the report over the body is appended separately by the caller.
-// Heartbeat and group frames share one layout; heartbeats carry no records
-// and a zero chain.
+// encodeFrame serializes the frame body: the fixed header, then Group. The
+// report over the body is appended separately by writeFrame.
 func encodeFrame(f *groupFrame) []byte {
-	size := frameFixedLen
-	for i := range f.Recs {
-		size += 1 + 4 + len(f.Recs[i].Key) + 8 + 4 + len(f.Recs[i].Value)
-	}
-	body := make([]byte, 0, size)
+	body := make([]byte, 0, frameHeaderLen+len(f.Group))
 	if f.Heartbeat {
 		body = append(body, frameHeartbeat)
 	} else {
@@ -79,49 +74,29 @@ func encodeFrame(f *groupFrame) []byte {
 	}
 	body = binary.BigEndian.AppendUint32(body, f.Shard)
 	body = binary.BigEndian.AppendUint32(body, f.Shards)
-	body = binary.BigEndian.AppendUint64(body, f.Epoch)
-	body = binary.BigEndian.AppendUint64(body, f.PrevTs)
-	body = binary.BigEndian.AppendUint64(body, f.LastTs)
-	body = binary.BigEndian.AppendUint64(body, f.Seq)
-	body = binary.BigEndian.AppendUint64(body, uint64(f.Bytes))
-	body = binary.BigEndian.AppendUint64(body, f.FrontierSeq)
-	body = binary.BigEndian.AppendUint64(body, f.FrontierTs)
-	body = binary.BigEndian.AppendUint64(body, uint64(f.FrontierBytes))
-	body = binary.BigEndian.AppendUint64(body, uint64(f.CumBytes))
-	body = binary.BigEndian.AppendUint32(body, uint32(len(f.Recs)))
-	for i := range f.Recs {
-		r := &f.Recs[i]
-		body = append(body, byte(r.Kind))
-		body = binary.BigEndian.AppendUint32(body, uint32(len(r.Key)))
-		body = append(body, r.Key...)
-		body = binary.BigEndian.AppendUint64(body, r.Ts)
-		body = binary.BigEndian.AppendUint32(body, uint32(len(r.Value)))
-		body = append(body, r.Value...)
+	for _, v := range [...]uint64{f.Epoch, f.PrevTs, f.LastTs, f.Seq,
+		f.FrontierSeq, f.FrontierTs, uint64(f.FrontierBytes), uint64(f.CumBytes)} {
+		body = binary.BigEndian.AppendUint64(body, v)
 	}
 	body = append(body, f.Chain[:]...)
-	return body
+	return append(body, f.Group...)
 }
 
-// writeFrame frames body+report onto w: [u32 len(body)][body][128B report].
+// writeFrame frames body+report onto w: [u32 len(body)][body][report].
 func writeFrame(w io.Writer, body []byte, rep sgx.Report) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body)))); err != nil {
 		return err
 	}
 	if _, err := w.Write(body); err != nil {
 		return err
 	}
-	var rb [128]byte
-	copy(rb[:32], rep.Measurement[:])
-	copy(rb[32:96], rep.Data[:])
-	copy(rb[96:], rep.MAC[:])
-	_, err := w.Write(rb[:])
-	return err
+	return sgx.WriteReport(w, rep)
 }
 
 // readFrame reads one framed body and its report. io.EOF at a frame
-// boundary is returned as-is (clean stream end).
+// boundary is returned as-is (clean stream end). Any length the leader can
+// write is accepted: a commit group has no size cap, so neither has its
+// frame.
 func readFrame(r io.Reader) (body []byte, rep sgx.Report, err error) {
 	var lenBuf [4]byte
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
@@ -130,105 +105,72 @@ func readFrame(r io.Reader) (body []byte, rep sgx.Report, err error) {
 		}
 		return nil, rep, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrameBody {
-		return nil, rep, fmt.Errorf("repl: implausible frame length %d", n)
-	}
-	// Reserve for an ordinary frame and grow as the bytes arrive beyond
-	// that: a four-byte header cannot cost maxFrameBody.
-	buf := bytes.NewBuffer(make([]byte, 0, min(n, 32<<10)))
-	if _, err = io.CopyN(buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // mid-frame: not a clean stream end
+	n := int(binary.BigEndian.Uint32(lenBuf[:]))
+	// Reserve for an ordinary frame and grow only as the bytes arrive: a
+	// four-byte header cannot cost what it declares.
+	body = make([]byte, 0, min(n, 32<<10))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(len(body), n-len(body)))
 		}
-		return nil, rep, err
+		m, err := io.ReadFull(r, body[len(body):min(cap(body), n)])
+		body = body[:len(body)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // mid-frame: not a clean stream end
+			}
+			return nil, rep, err
+		}
 	}
-	body = buf.Bytes()
-	var rb [128]byte
-	if _, err = io.ReadFull(r, rb[:]); err != nil {
-		return nil, rep, err
-	}
-	copy(rep.Measurement[:], rb[:32])
-	copy(rep.Data[:], rb[32:96])
-	copy(rep.MAC[:], rb[96:])
-	return body, rep, nil
+	rep, err = sgx.ReadReport(r)
+	return body, rep, err
 }
 
-// decodeFrame parses a frame body back into a groupFrame.
+// decodeFrame parses a frame body back into a groupFrame. A group frame's
+// bytes after the header must be exactly one whole commit group of at
+// least one record, as wal.AppendGroup writes it: wal.Replay parses them,
+// and the frame is refused unless they end at the group's COMMIT marker
+// and are exactly that group's size — which no second group, no
+// marker-only group and no torn or trailing frame can be.
 func decodeFrame(body []byte) (*groupFrame, error) {
 	bad := func(what string) (*groupFrame, error) {
 		return nil, fmt.Errorf("repl: malformed frame: %s", what)
 	}
-	if len(body) < frameFixedLen {
+	if len(body) < frameHeaderLen {
 		return bad("short body")
 	}
 	if body[0] != frameGroup && body[0] != frameHeartbeat {
 		return bad("unknown frame type")
 	}
 	f := &groupFrame{Heartbeat: body[0] == frameHeartbeat}
-	p := 1
-	u32 := func() uint32 {
-		v := binary.BigEndian.Uint32(body[p : p+4])
-		p += 4
-		return v
+	f.Shard = binary.BigEndian.Uint32(body[1:])
+	f.Shards = binary.BigEndian.Uint32(body[5:])
+	var u [8]uint64
+	for i := range u {
+		u[i] = binary.BigEndian.Uint64(body[9+8*i:])
 	}
-	u64 := func() uint64 {
-		v := binary.BigEndian.Uint64(body[p : p+8])
-		p += 8
-		return v
-	}
-	f.Shard = u32()
-	f.Shards = u32()
-	f.Epoch = u64()
-	f.PrevTs = u64()
-	f.LastTs = u64()
-	f.Seq = u64()
-	f.Bytes = int64(u64())
-	f.FrontierSeq = u64()
-	f.FrontierTs = u64()
-	f.FrontierBytes = int64(u64())
-	f.CumBytes = int64(u64())
-	nrecs := int(binary.BigEndian.Uint32(body[p : p+4]))
-	p += 4
-	// A record is at least minRecordLen bytes, so the body bounds the count
-	// — and with it what the reservation below may allocate.
-	if nrecs < 0 || nrecs > (len(body)-frameFixedLen)/minRecordLen {
-		return bad("implausible record count")
-	}
-	if f.Heartbeat && nrecs != 0 {
-		return bad("heartbeat with records")
-	}
-	f.Recs = make([]record.Record, 0, nrecs)
-	for i := 0; i < nrecs; i++ {
-		if p+1+4 > len(body) {
-			return bad("truncated record header")
+	f.Epoch, f.PrevTs, f.LastTs, f.Seq, f.FrontierSeq, f.FrontierTs = u[0], u[1], u[2], u[3], u[4], u[5]
+	f.FrontierBytes, f.CumBytes = int64(u[6]), int64(u[7])
+	copy(f.Chain[:], body[frameHeaderLen-32:])
+	group := body[frameHeaderLen:]
+	if f.Heartbeat {
+		if len(group) != 0 {
+			return bad("heartbeat with a group")
 		}
-		var rec record.Record
-		rec.Kind = record.Kind(body[p])
-		p++
-		klen := int(binary.BigEndian.Uint32(body[p : p+4]))
-		p += 4
-		if klen < 0 || p+klen+8+4 > len(body) {
-			return bad("truncated key")
-		}
-		rec.Key = append([]byte(nil), body[p:p+klen]...)
-		p += klen
-		rec.Ts = binary.BigEndian.Uint64(body[p : p+8])
-		p += 8
-		vlen := int(binary.BigEndian.Uint32(body[p : p+4]))
-		p += 4
-		if vlen < 0 || p+vlen+32 > len(body) {
-			return bad("truncated value")
-		}
-		if vlen > 0 {
-			rec.Value = append([]byte(nil), body[p:p+vlen]...)
-		}
-		p += vlen
-		f.Recs = append(f.Recs, rec)
+		return f, nil
 	}
-	if p+32 != len(body) {
-		return bad("trailing bytes")
+	groups := 0
+	info, err := wal.Replay(group, func(recs []record.Record) error {
+		groups++
+		f.Recs = recs
+		return nil
+	})
+	if err != nil {
+		return bad(err.Error())
 	}
-	copy(f.Chain[:], body[p:])
+	if groups != 1 || info.CommittedSize != int64(len(group)) || wal.GroupSize(f.Recs) != len(group) {
+		return bad("not exactly one commit group")
+	}
+	f.Group = group
 	return f, nil
 }

@@ -1,0 +1,129 @@
+package repl
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"testing"
+
+	"elsm/internal/core"
+	"elsm/internal/hashutil"
+	"elsm/internal/race"
+	"elsm/internal/record"
+	"elsm/internal/sgx"
+	"elsm/internal/wal"
+)
+
+// frameCase is one frame body and whether decodeFrame must accept it.
+type frameCase struct {
+	name string
+	body []byte
+	ok   bool
+}
+
+// frameCases are the bodies the decoder is held to, accepted and refused:
+// a group frame carries exactly one whole commit group of at least one
+// record, as wal.AppendGroup writes it, and nothing after it.
+func frameCases() []frameCase {
+	recs := []record.Record{
+		{Key: []byte("a"), Ts: 8, Kind: record.KindSet, Value: []byte("one")},
+		{Key: []byte("b"), Ts: 9, Kind: record.KindDelete},
+	}
+	hdr := groupFrame{
+		Shard: 1, Shards: 4, Epoch: 2, PrevTs: 7, LastTs: 9, Seq: 3,
+		FrontierSeq: 5, FrontierTs: 12, FrontierBytes: 90, CumBytes: 60,
+		Chain: core.LinkWAL(hashutil.Zero, recs),
+	}
+	frame := func(parts ...[]byte) []byte {
+		f := hdr
+		f.Group = bytes.Join(parts, nil)
+		return encodeFrame(&f)
+	}
+	group := wal.AppendGroup(nil, recs)
+	unmarked := group[:len(group)-wal.GroupSize(nil)] // the record frames alone
+	beat := encodeFrame(&groupFrame{Heartbeat: true, Shards: 1, FrontierTs: 9, CumBytes: 60})
+	return []frameCase{
+		{"one group", frame(group), true},
+		{"heartbeat", beat, true},
+		{"torn mid-record", frame(group[:20]), false},
+		{"torn before the marker", frame(unmarked), false},
+		{"two groups", frame(group, group), false},
+		{"marker-only group", frame(wal.AppendGroup(nil, nil)), false},
+		{"marker-only group before the group", frame(wal.AppendGroup(nil, nil), group), false},
+		{"byte after the marker", frame(group, []byte{0}), false},
+		{"records after the marker", frame(group, unmarked), false},
+		{"heartbeat followed by bytes", append(beat, 0), false},
+		{"short header", frame(group)[:frameHeaderLen-1], false},
+		{"parent layout", parentLayoutFrame(recs, hdr.Chain), false},
+	}
+}
+
+// parentLayoutFrame is a group frame as the earlier layout wrote it: type
+// byte 1, the position fields with a byte count among them, a record
+// count, the records in that layout's own codec, then the chain.
+func parentLayoutFrame(recs []record.Record, chain hashutil.Hash) []byte {
+	b := binary.BigEndian.AppendUint64([]byte{1}, 1<<32|4) // shard 1 of 4
+	for i := 0; i < 9; i++ {
+		b = binary.BigEndian.AppendUint64(b, uint64(i))
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(recs)))
+	for _, r := range recs {
+		b = append(b, byte(r.Kind))
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(r.Key))), r.Key...)
+		b = binary.BigEndian.AppendUint64(b, r.Ts)
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(r.Value))), r.Value...)
+	}
+	return append(b, chain[:]...)
+}
+
+// TestDecodeFrameCases: decodeFrame accepts a frame only if its group bytes
+// are exactly one whole commit group, and what it accepts re-encodes to the
+// same bytes.
+func TestDecodeFrameCases(t *testing.T) {
+	for _, c := range frameCases() {
+		f, err := decodeFrame(c.body)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: decodeFrame error %v, want accepted=%v", c.name, err, c.ok)
+			continue
+		}
+		if err == nil && !bytes.Equal(reencode(f), c.body) {
+			t.Errorf("%s: accepted body does not re-encode to itself", c.name)
+		}
+	}
+}
+
+// reencode encodes an accepted frame from its parsed records, not from the
+// group bytes it carried.
+func reencode(f *groupFrame) []byte {
+	if !f.Heartbeat {
+		f.Group = wal.AppendGroup(nil, f.Recs)
+	}
+	return encodeFrame(f)
+}
+
+// TestGroupFrameOver64MiB: group commit puts no cap on a group, so a
+// follower must read any frame the leader can write. A follower that
+// refused bodies over 64 MiB as implausible treated such a frame as a cut
+// stream and re-dialed for the same group for ever.
+func TestGroupFrameOver64MiB(t *testing.T) {
+	if race.Enabled {
+		t.Skip("about 200 MB of frame buffers is too much beside the race detector")
+	}
+	recs := []record.Record{{Key: []byte("big"), Ts: 1, Kind: record.KindSet, Value: make([]byte, 64<<20)}}
+	// encodeFrame's layout, built in place: the header, then the group.
+	hdr := encodeFrame(&groupFrame{Shards: 1, LastTs: 1, Chain: core.LinkWAL(hashutil.Zero, recs)})
+	body := wal.AppendGroup(append(make([]byte, 0, len(hdr)+wal.GroupSize(recs)), hdr...), recs)
+	pr, pw := io.Pipe()
+	go func() { pw.CloseWithError(writeFrame(pw, body, sgx.Report{})) }()
+	got, _, err := readFrame(pr)
+	if err != nil {
+		t.Fatalf("reading a %d-byte frame: %v", len(body), err)
+	}
+	f, err := decodeFrame(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Recs) != 1 || len(f.Recs[0].Value) != 64<<20 || f.Chain != core.LinkWAL(hashutil.Zero, f.Recs) {
+		t.Fatal("the group read back is not the one written")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Measurement identifies the code loaded into an enclave (MRENCLAVE). In the
@@ -25,6 +26,31 @@ type Report struct {
 	Measurement Measurement
 	Data        [64]byte
 	MAC         [32]byte
+}
+
+// reportSize is the length of a Report's wire form: measurement, data, MAC.
+const reportSize = 32 + 64 + 32
+
+// WriteReport writes r in its 128-byte wire form, the one form both
+// a checkpoint header and a replication frame carry.
+func WriteReport(w io.Writer, r Report) error {
+	buf := make([]byte, 0, reportSize)
+	buf = append(append(append(buf, r.Measurement[:]...), r.Data[:]...), r.MAC[:]...)
+	_, err := w.Write(buf)
+	return err
+}
+
+// ReadReport reads the form WriteReport writes.
+func ReadReport(rd io.Reader) (Report, error) {
+	var buf [reportSize]byte
+	var r Report
+	if _, err := io.ReadFull(rd, buf[:]); err != nil {
+		return r, err
+	}
+	copy(r.Measurement[:], buf[:32])
+	copy(r.Data[:], buf[32:96])
+	copy(r.MAC[:], buf[96:])
+	return r, nil
 }
 
 // Platform models the per-machine root of trust (the CPU's fused keys).

@@ -1,6 +1,7 @@
 package sgx
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -196,6 +197,13 @@ func TestAttestationReport(t *testing.T) {
 	rep := p.CreateReport(m, data)
 	if err := p.VerifyReport(rep); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
+	}
+	var wire bytes.Buffer
+	if err := WriteReport(&wire, rep); err != nil || wire.Len() != 128 {
+		t.Fatalf("WriteReport wrote %d bytes, %v", wire.Len(), err)
+	}
+	if back, err := ReadReport(&wire); err != nil || back != rep {
+		t.Fatalf("ReadReport = %+v, %v; want the report written", back, err)
 	}
 	rep.Data[0] ^= 1
 	if err := p.VerifyReport(rep); !errors.Is(err, ErrReportInvalid) {

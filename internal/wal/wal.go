@@ -93,6 +93,25 @@ func encodeMarker(dst []byte, n int) []byte {
 	return endFrame(dst, start)
 }
 
+// AppendGroup appends recs to dst as one commit group — each record framed,
+// then the COMMIT marker — exactly as AppendBatch writes it to the log.
+// Replication ships a group in these bytes, and Replay reads them back.
+func AppendGroup(dst []byte, recs []record.Record) []byte {
+	for i := range recs {
+		dst = encode(dst, recs[i])
+	}
+	return encodeMarker(dst, len(recs))
+}
+
+// GroupSize is len(AppendGroup(nil, recs)).
+func GroupSize(recs []record.Record) int {
+	n := frameHeader + 1 + 4 // the marker
+	for i := range recs {
+		n += frameHeader + 1 + 4 + len(recs[i].Key) + 8 + 4 + len(recs[i].Value)
+	}
+	return n
+}
+
 // Append writes one record as a single-record commit group.
 func (w *Writer) Append(rec record.Record) error {
 	return w.AppendBatch([]record.Record{rec})
@@ -107,11 +126,7 @@ func (w *Writer) AppendBatch(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	w.buf = w.buf[:0]
-	for i := range recs {
-		w.buf = encode(w.buf, recs[i])
-	}
-	w.buf = encodeMarker(w.buf, len(recs))
+	w.buf = AppendGroup(w.buf[:0], recs)
 	if _, err := w.f.Append(w.buf); err != nil {
 		return fmt.Errorf("wal: append batch: %w", err)
 	}

@@ -210,6 +210,17 @@ func TestGroupAppendReplaysAsOneGroup(t *testing.T) {
 	if _, dig := replayChain(t, fs); dig != chain(recs) {
 		t.Fatal("grouped replay chain != chain over the records")
 	}
+	// The exported group encoder writes the log's bytes: what replication
+	// ships is what the log holds, and GroupSize predicts its length.
+	group := AppendGroup(AppendGroup(nil, recs[:4]), recs[4:])
+	if string(group) != string(data) {
+		t.Fatal("AppendGroup bytes differ from the log AppendBatch wrote")
+	}
+	for _, g := range [][]record.Record{nil, recs[:1], recs} {
+		if n, want := GroupSize(g), len(AppendGroup(nil, g)); n != want {
+			t.Fatalf("GroupSize = %d for a group of %d bytes", n, want)
+		}
+	}
 }
 
 // TestTornTailDroppedAtGroupBoundary is the crash contract: a tail cut

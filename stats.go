@@ -53,7 +53,8 @@ type Stats struct {
 
 	// Replication gauges (replica.go). On a follower, ReplLagGroups /
 	// ReplLagBytes report how far the tail is behind the leader's head at
-	// the last applied frame (summed across shards in the aggregate). On a
+	// the last applied frame, in groups and in encoded group bytes (summed
+	// across shards in the aggregate). On a
 	// leader, FollowersConnected counts live tail streams across shards.
 	ReplLagGroups      uint64
 	ReplLagBytes       uint64
