@@ -6,18 +6,21 @@
 // Each connection is served by a small pipeline instead of a
 // request-reply loop:
 //
-//   - a reader goroutine decodes frames and admits writes directly into
-//     the shared group-commit pipeline via CommitAsync (which returns as
-//     soon as the commit is queued), so writes from independent
-//     connections coalesce into shared WAL fsync groups; reads go to a
-//     bounded request queue (the per-connection pipeline depth — when
-//     either queue fills, the reader stops reading and TCP backpressure
-//     reaches the client);
-//   - worker goroutines execute the read-side requests against the store;
+//   - a reader goroutine decodes frames and serves every request that
+//     neither streams nor may block: it admits writes directly into the
+//     shared group-commit pipeline via CommitAsync (which returns as soon
+//     as the commit is queued), so writes from independent connections
+//     coalesce into shared WAL fsync groups, and it answers point reads
+//     (GET, PING) in place, so a Get crosses one goroutine boundary, to
+//     the writer. The rest go to a bounded request queue (the
+//     per-connection pipeline depth — when a queue fills, the reader
+//     stops reading and TCP backpressure reaches the client);
+//   - worker goroutines execute the queued requests (SCAN, SYNC, STATS,
+//     PROMOTE and the replication streams) against the store;
 //   - a single writer goroutine awaits each admitted write's durability
-//     and streams responses out in completion order, keyed by request
-//     id — responses are out-of-order by design, and verified SCAN
-//     results stream as multi-frame chunk sequences.
+//     and streams responses out in queue order, keyed by request id —
+//     the client matches responses by id, and verified SCAN results
+//     stream as multi-frame chunk sequences interleaved with the rest.
 //
 // Admission control sheds load instead of queueing it: a connection cap
 // (excess connections are refused with a BUSY frame), a global in-flight
@@ -35,10 +38,10 @@
 // one scratch buffer and appends whole frames into its socket buffer.
 //
 // Replication rides the same pipeline: a follower's checkpoint and tail
-// requests (one connection each, see repl.NetSource) are read-side requests
-// whose answer is a stream of opaque chunk frames. A tail occupies its
-// worker, its pipeline slot and one in-flight token until either side goes
-// away, so MaxInflight must exceed followers × shards.
+// requests (one connection each, see repl.NetSource) are queued for a
+// worker, and their answer is a stream of opaque chunk frames. A tail
+// occupies its worker, its pipeline slot and one in-flight token until
+// either side goes away, so MaxInflight must exceed followers × shards.
 package netsrv
 
 import (
@@ -69,12 +72,14 @@ const (
 	DefaultAdmissionWait  = 50 * time.Millisecond
 )
 
-// connWorkers bounds how many READ-SIDE requests (get/scan/sync/stats) one
-// connection executes concurrently (the rest of the pipeline queues).
-// Writes never occupy a worker: the reader admits them into the async
-// commit pipeline and the writer awaits durability. Small: cross-connection
-// parallelism comes from connection count, and per-connection concurrency
-// only needs to keep a pipelining client's window moving.
+// connWorkers bounds how many of the requests that stream or may block
+// (scan/sync/stats/promote/checkpoint/tail) one connection executes
+// concurrently (the rest of the pipeline queues). Writes and point reads
+// never occupy a worker: the reader admits a write into the async commit
+// pipeline, and the writer awaits durability; it answers a GET or PING
+// itself. Small: cross-connection parallelism comes from connection count,
+// and per-connection concurrency only needs to keep a pipelining client's
+// window moving.
 const connWorkers = 4
 
 // Config tunes the front end. The zero value is production-ready; fields
@@ -170,9 +175,15 @@ type Stats struct {
 	// BytesIn / BytesOut count socket traffic.
 	BytesIn  uint64
 	BytesOut uint64
+	// SocketReads / SocketWrites count the socket calls that carried it:
+	// divided by the requests answered, the syscalls each one costs.
+	SocketReads  uint64
+	SocketWrites uint64
 	// PipelineDepthHWM is the highest per-connection pipeline depth any
-	// connection reached (decoded-but-unanswered requests): how much
-	// pipelining clients actually use.
+	// connection reached (decoded-but-unanswered requests, whether queued
+	// for a worker or awaiting the writer): how much pipelining clients
+	// actually use. A point read is answered on the reader and never
+	// queues for a worker.
 	PipelineDepthHWM uint64
 }
 
@@ -188,12 +199,14 @@ type Server struct {
 	connSem     chan struct{}
 	inflightSem chan struct{}
 
-	conns       atomic.Int64
-	inflight    atomic.Int64
-	busyRejects atomic.Uint64
-	bytesIn     atomic.Uint64
-	bytesOut    atomic.Uint64
-	depthHWM    atomic.Int64
+	conns        atomic.Int64
+	inflight     atomic.Int64
+	busyRejects  atomic.Uint64
+	bytesIn      atomic.Uint64
+	bytesOut     atomic.Uint64
+	socketReads  atomic.Uint64
+	socketWrites atomic.Uint64
+	depthHWM     atomic.Int64
 
 	mu     sync.Mutex
 	lns    map[net.Listener]struct{}
@@ -228,6 +241,8 @@ func (s *Server) Stats() Stats {
 		BusyRejects:      s.busyRejects.Load(),
 		BytesIn:          s.bytesIn.Load(),
 		BytesOut:         s.bytesOut.Load(),
+		SocketReads:      s.socketReads.Load(),
+		SocketWrites:     s.socketWrites.Load(),
 		PipelineDepthHWM: uint64(max64(s.depthHWM.Load(), 0)),
 	}
 }
@@ -312,7 +327,8 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// countingConn counts socket traffic into the server's gauges.
+// countingConn counts socket traffic and socket calls into the server's
+// gauges.
 type countingConn struct {
 	net.Conn
 	srv *Server
@@ -320,12 +336,14 @@ type countingConn struct {
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
+	c.srv.socketReads.Add(1)
 	c.srv.bytesIn.Add(uint64(n))
 	return n, err
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
+	c.srv.socketWrites.Add(1)
 	c.srv.bytesOut.Add(uint64(n))
 	return n, err
 }
@@ -511,13 +529,19 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 	// appends whole frames into one socket buffer and writes it out when
 	// the queue is momentarily empty (or the buffer fills), every socket
 	// write under a fresh deadline; on failure the whole connection is
-	// cancelled but the writer keeps draining respCh so workers never
-	// block on a dead connection. Frames carrying a commit future are
-	// resolved here: the writer awaits durability and encodes the outcome,
-	// as it encodes a Get's value, into a scratch buffer reused across
-	// frames. Awaiting in queue order is safe — group commit completes
-	// futures in admission order, so the head of the queue is never behind
-	// a later future.
+	// cancelled but the writer keeps draining respCh so neither the reader
+	// nor a worker blocks on a dead connection. Frames carrying a commit
+	// future are resolved here: the writer awaits durability and encodes
+	// the outcome, as it encodes a Get's value, into a scratch buffer
+	// reused across frames. Futures are awaited in queue order, though they need not
+	// resolve in it: on a sharded store a Put to one shard can be durable
+	// before an earlier Put to another. The order is still correct — every
+	// frame carries its request id, and a frame waits at most until the
+	// write queued ahead of it is durable. It is also what batches
+	// responses: the frames that pile up behind a pending write leave in
+	// one socket write. Releasing them ahead of unresolved futures was
+	// measured on the wire-mixed benchmark (2 cores) and cost more CPU per
+	// op and 35 % more socket writes.
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
@@ -574,9 +598,7 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 				}
 			}
 			if f.release {
-				c.depth.Add(-1)
-				s.inflight.Add(-1)
-				<-s.inflightSem
+				s.release(c)
 			}
 		}
 		flush()
@@ -587,9 +609,10 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 	stopGuard := context.AfterFunc(ctx, func() { nc.Close() })
 	defer stopGuard()
 
-	// Workers: execute decoded read-side requests (writes bypass this
-	// stage — see admitWrite); completions release the global in-flight
-	// budget and the connection's pipeline slot.
+	// Workers: execute the queued requests, those that stream or may block
+	// (writes and point reads bypass this stage — see the reader's switch);
+	// completions release the global in-flight budget and the connection's
+	// pipeline slot.
 	var workerWG sync.WaitGroup
 	for i := 0; i < connWorkers; i++ {
 		workerWG.Add(1)
@@ -598,15 +621,13 @@ func (s *Server) serve(br *bufio.Reader, nc net.Conn) {
 			for box := range reqCh {
 				s.execute(c, &box.req)
 				putBox(box)
-				c.depth.Add(-1)
-				s.inflight.Add(-1)
-				<-s.inflightSem
+				s.release(c)
 			}
 		}()
 	}
 
-	// Reader: decode frames into the bounded queue; shed past the global
-	// budget; survive recoverable framing faults.
+	// Reader: admit writes, answer point reads, queue the rest; shed past
+	// the global budget; survive recoverable framing faults.
 read:
 	for {
 		box := boxPool.Get().(*reqBox)
@@ -665,14 +686,18 @@ read:
 			// the writer awaits durability — no worker handoff.
 			s.admitWrite(c, req)
 			putBox(box)
+		case netproto.OpGet, netproto.OpPing:
+			// Point-read fast path: executed here, its response queued
+			// straight to the writer — one handoff, as for a write.
+			s.execute(c, req)
+			putBox(box)
+			s.release(c)
 		default:
 			select {
 			case reqCh <- box:
 			case <-ctx.Done():
 				putBox(box)
-				c.depth.Add(-1)
-				s.inflight.Add(-1)
-				<-s.inflightSem
+				s.release(c)
 			}
 		}
 		if ctx.Err() != nil {
@@ -788,10 +813,15 @@ func (s *Server) admitWrite(c *conn, req *netproto.Request) {
 	if !c.respond(f) {
 		// Connection going down: the frame never reached the writer, so
 		// return the slot here.
-		c.depth.Add(-1)
-		s.inflight.Add(-1)
-		<-s.inflightSem
+		s.release(c)
 	}
+}
+
+// release returns one request's pipeline slot and global in-flight token.
+func (s *Server) release(c *conn) {
+	c.depth.Add(-1)
+	s.inflight.Add(-1)
+	<-s.inflightSem
 }
 
 // Scan chunking: a CodeRows frame closes when it reaches either bound, so
@@ -925,6 +955,8 @@ func (ns Stats) counters(fn func(name string, v uint64)) {
 	fn("net_busy_rejects", ns.BusyRejects)
 	fn("net_bytes_in", ns.BytesIn)
 	fn("net_bytes_out", ns.BytesOut)
+	fn("net_socket_reads", ns.SocketReads)
+	fn("net_socket_writes", ns.SocketWrites)
 	fn("net_pipeline_depth_hwm", ns.PipelineDepthHWM)
 }
 

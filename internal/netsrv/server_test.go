@@ -151,6 +151,16 @@ func TestStatsGaugesMove(t *testing.T) {
 		}
 		futs = append(futs, fut)
 	}
+	// Then a pipelined burst of Gets, answered on the reader.
+	const gets = 64
+	futs = futs[:0]
+	for i := 0; i < gets; i++ {
+		fut, err := c.GetAsync(fmt.Appendf(nil, "k%03d", i%32))
+		if err != nil {
+			t.Fatalf("getasync: %v", err)
+		}
+		futs = append(futs, fut)
+	}
 	for _, fut := range futs {
 		if _, err := fut.Wait(); err != nil {
 			t.Fatalf("wait: %v", err)
@@ -160,18 +170,21 @@ func TestStatsGaugesMove(t *testing.T) {
 	// The server counts bytes when its socket write returns, which can be
 	// after the client has read them: ask again until the count has landed.
 	var m map[string]uint64
+	var statsCalls int
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		var err error
 		if m, err = c.Stats(); err != nil {
 			t.Fatalf("stats: %v", err)
 		}
+		statsCalls++
 		if m["net_bytes_out"] != 0 || time.Now().After(deadline) {
 			break
 		}
 	}
 	for _, name := range []string{
 		"net_connections", "net_inflight_requests", "net_busy_rejects",
-		"net_bytes_in", "net_bytes_out", "net_pipeline_depth_hwm",
+		"net_bytes_in", "net_bytes_out", "net_socket_reads", "net_socket_writes",
+		"net_pipeline_depth_hwm",
 	} {
 		if _, ok := m[name]; !ok {
 			t.Fatalf("STATS missing gauge %q", name)
@@ -183,6 +196,16 @@ func TestStatsGaugesMove(t *testing.T) {
 	if m["net_bytes_in"] == 0 || m["net_bytes_out"] == 0 {
 		t.Fatalf("byte gauges did not move: in %d out %d", m["net_bytes_in"], m["net_bytes_out"])
 	}
+	if m["net_socket_reads"] == 0 || m["net_socket_writes"] == 0 {
+		t.Fatalf("socket call gauges did not move: reads %d writes %d", m["net_socket_reads"], m["net_socket_writes"])
+	}
+	// Every socket write carries at least one whole response frame (these
+	// are far smaller than the writer's buffer), and the snapshot is taken
+	// before its own STATS response is written: the writes counted cannot
+	// outnumber the responses sent before it.
+	if sent := uint64(32 + gets + statsCalls - 1); m["net_socket_writes"] > sent {
+		t.Fatalf("net_socket_writes = %d for %d response frames", m["net_socket_writes"], sent)
+	}
 	if m["net_pipeline_depth_hwm"] == 0 {
 		t.Fatalf("pipeline depth HWM stayed 0 under a 32-deep burst")
 	}
@@ -193,6 +216,43 @@ func TestStatsGaugesMove(t *testing.T) {
 	// The in-process snapshot agrees.
 	if s := srv.Stats(); s.Connections != 1 || s.BytesIn == 0 {
 		t.Fatalf("Server.Stats() = %+v, want live connection and traffic", s)
+	}
+}
+
+// TestPointReadsNeverWaitForAWorker: a Get and a Ping are answered on the
+// connection's reader, so they are served while every worker of the
+// connection is held — here by tail streams idling at the leader's head.
+func TestPointReadsNeverWaitForAWorker(t *testing.T) {
+	_, addr := startServer(t, elsm.Options{}, Config{})
+	c := dial(t, addr)
+	key := []byte("key")
+	ts, err := c.Put(key, []byte("value"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < connWorkers; i++ {
+		if _, err := c.Tail(0, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		res, err := c.Get(key)
+		if err == nil && (!res.Found || string(res.Value) != "value") {
+			err = fmt.Errorf("get = %+v", res)
+		}
+		if err == nil {
+			err = c.Ping()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatalf("a Get and a Ping did not answer within 3 s beside %d idle tails", connWorkers)
 	}
 }
 
