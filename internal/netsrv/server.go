@@ -77,9 +77,12 @@ const (
 // concurrently (the rest of the pipeline queues). Writes and point reads
 // never occupy a worker: the reader admits a write into the async commit
 // pipeline, and the writer awaits durability; it answers a GET or PING
-// itself. Small: cross-connection parallelism comes from connection count,
-// and per-connection concurrency only needs to keep a pipelining client's
-// window moving.
+// itself. The trade: one connection's GETs run one at a time, in order,
+// and a slow GET (a block-cache miss, or the enclave mutex held by a
+// compaction) holds up every later frame on that connection, writes
+// included, until it returns. Cross-connection parallelism comes from
+// connection count; the workers only keep the streaming and blocking
+// requests from stalling the reader.
 const connWorkers = 4
 
 // Config tunes the front end. The zero value is production-ready; fields

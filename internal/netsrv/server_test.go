@@ -153,7 +153,6 @@ func TestStatsGaugesMove(t *testing.T) {
 	}
 	// Then a pipelined burst of Gets, answered on the reader.
 	const gets = 64
-	futs = futs[:0]
 	for i := 0; i < gets; i++ {
 		fut, err := c.GetAsync(fmt.Appendf(nil, "k%03d", i%32))
 		if err != nil {
