@@ -176,7 +176,8 @@ func earlyStopTree(t *testing.T, s *Store) []lsm.RunRef {
 // proves that run alone and reads exactly that record's proof. Every run it
 // does not prove is one whose key filter rules the key out: a key only in
 // the deepest run proves that run alone and filters the two above it, and a
-// key in none proves nothing.
+// key in none proves nothing. A second Get of a key proves nothing either:
+// the run that answered it answers again from the verified-record cache.
 func TestGetEarlyStopCounts(t *testing.T) {
 	s := mustOpenP2(t, earlyStopCfg(nil))
 	defer s.Close()
@@ -186,14 +187,15 @@ func TestGetEarlyStopCounts(t *testing.T) {
 		t.Fatalf("newest run lookup of shared: found=%v err=%v", newest.Found, err)
 	}
 	for _, tc := range []struct {
-		key              string
-		found            bool
-		probed, filtered uint64
-		proofBytes       uint64 // 0: not checked
+		key                      string
+		found                    bool
+		probed, filtered, cached uint64
+		proofBytes               uint64 // 0: not checked unless nothing is proved
 	}{
-		{"shared", true, 1, 0, uint64(len(newest.Rec.Proof))},
-		{"deep", true, 1, 2, 0},
-		{"absent", false, 0, 3, 0},
+		{"shared", true, 1, 0, 0, uint64(len(newest.Rec.Proof))},
+		{"deep", true, 1, 2, 0, 0},
+		{"absent", false, 0, 3, 0, 0},
+		{"shared", true, 0, 0, 1, 0},
 	} {
 		before := s.VerifyStatsSnapshot()
 		res, err := Get(s, []byte(tc.key))
@@ -207,7 +209,10 @@ func TestGetEarlyStopCounts(t *testing.T) {
 		if got := after.RunsFiltered - before.RunsFiltered; got != tc.filtered {
 			t.Errorf("get %q filtered %d runs, want %d", tc.key, got, tc.filtered)
 		}
-		if got := after.ProofBytes - before.ProofBytes; tc.proofBytes != 0 && got != tc.proofBytes {
+		if got := after.RunsCached - before.RunsCached; got != tc.cached {
+			t.Errorf("get %q answered %d runs from the cache, want %d", tc.key, got, tc.cached)
+		}
+		if got := after.ProofBytes - before.ProofBytes; (tc.proofBytes != 0 || tc.probed == 0) && got != tc.proofBytes {
 			t.Errorf("get %q read %d proof bytes, want %d", tc.key, got, tc.proofBytes)
 		}
 	}

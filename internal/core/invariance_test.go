@@ -114,6 +114,7 @@ func TestVerifyWorkInvariance(t *testing.T) {
 		var w work
 		before := s.VerifyStatsSnapshot()
 		for _, k := range probes {
+			s.emptyRecordCache() // every Get proves: the node cache alone is warm
 			v0 := s.VerifyStatsSnapshot().ProofBytes
 			if _, err := Get(s, []byte(k)); err != nil {
 				t.Fatalf("get %q: %v", k, err)
@@ -121,6 +122,7 @@ func TestVerifyWorkInvariance(t *testing.T) {
 			w.proofBytes = append(w.proofBytes, s.VerifyStatsSnapshot().ProofBytes-v0)
 		}
 		for _, tsq := range multi {
+			s.emptyRecordCache()
 			v0 := s.VerifyStatsSnapshot().ProofBytes
 			if res, err := s.GetAt(nil, []byte("multi"), tsq); err != nil || !res.Found || res.Ts != tsq {
 				t.Fatalf("get multi@%d: %+v, %v", tsq, res, err)

@@ -217,12 +217,12 @@ func cycledStore(t *testing.T, cfg Config) *Store {
 }
 
 // checkEnclaveBytes holds a quiet store's enclave to its accounts: the fixed
-// budgets of the node cache and the read scratch, the live tables' metadata
+// budgets of the verified caches and the read scratch, the live tables' metadata
 // regions and the live runs' key filters, each of which has one. An active
 // memtable that holds nothing holds no bytes.
 func checkEnclaveBytes(t *testing.T, s *Store, fs *vfs.MemFS) {
 	t.Helper()
-	fixed := merkle.NodeCacheBytes + scanScratchSlots*scanScratchBytes + readScratchSlots*readScratchBytes
+	fixed := merkle.NodeCacheBytes + recordCacheBytes + scanScratchSlots*scanScratchBytes + readScratchSlots*readScratchBytes
 	meta := 0
 	for _, img := range tableFiles(t, fs) {
 		meta += openImage(t, img, &countingSource{}).MetadataBytes()

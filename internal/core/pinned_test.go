@@ -228,6 +228,7 @@ func TestGetHoldsTheBlocksItViews(t *testing.T) {
 	m, _ := randomStore(t, s, rand.New(rand.NewSource(4)), 4)
 	check := func(k string) {
 		t.Helper()
+		s.emptyRecordCache() // every Get proves, and so views its blocks
 		res, err := Get(s, []byte(k))
 		want := m.scan(k, k, record.MaxTs)
 		if err != nil || res.Found != (len(want) == 1) || (res.Found && !bytes.Equal(res.Value, want[0].Value)) {

@@ -14,7 +14,6 @@ import (
 	"elsm/internal/blockcache"
 	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
-	"elsm/internal/merkle"
 	"elsm/internal/obs"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
@@ -71,10 +70,9 @@ type Config struct {
 	// Obs is this shard's observability recorder, threaded through to the
 	// engine and the verified read paths. Nil disables instrumentation.
 	Obs *obs.Recorder
-	// NodeCache shares one verified-node cache (NewNodeCache) among the
-	// stores of one Enclave — all shards of a process; nil gives this store
-	// its own.
-	NodeCache *merkle.NodeCache
+	// Caches shares one enclave's verified caches (NewVerifiedCaches) among
+	// its stores — all shards of a process; nil gives this store its own.
+	Caches *VerifiedCaches
 	// Geometry, KeepVersions and DisableCompaction pass through to the
 	// engine (zero = engine default).
 	lsm.Geometry
@@ -267,6 +265,7 @@ type Store struct {
 	statProofBytes   atomic.Uint64
 	statRunsProbed   atomic.Uint64
 	statRunsFiltered atomic.Uint64
+	statRunsCached   atomic.Uint64
 	// verify checks every proof the read paths are handed.
 	verify verifier
 
@@ -288,17 +287,20 @@ type Store struct {
 
 // VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
 // only levels L1..Li; prior work pays for every level on every GET).
-// VerifiedGets, RunsProbed and RunsFiltered count point reads; ProofBytes
-// counts the embedded-proof bytes copied into the enclave by point reads and
-// scans alike (a scan copies at most four proofs per run per chunk).
+// VerifiedGets, RunsProbed, RunsFiltered and RunsCached count point reads;
+// ProofBytes counts the embedded-proof bytes copied into the enclave by point
+// reads and scans alike (a scan copies at most four proofs per run per
+// chunk).
 type VerifyStats struct {
 	VerifiedGets uint64
 	ProofBytes   uint64
 	// RunsProbed counts the runs answered with witnesses; RunsFiltered the
 	// runs a Get skipped, with no witness, because the enclave's key filter
-	// of the run ruled its key out.
+	// of the run ruled its key out; RunsCached the runs a Get answered from
+	// the enclave's verified-record cache, with no witness.
 	RunsProbed   uint64
 	RunsFiltered uint64
+	RunsCached   uint64
 	// The verified-node cache at work: Merkle walks — a point read's
 	// witnesses, a scan chunk's per-run range walk and its boundary
 	// witnesses — that stopped at an already-verified cached node, walks
@@ -317,6 +319,7 @@ func (c *Store) VerifyStatsSnapshot() VerifyStats {
 		ProofBytes:   c.statProofBytes.Load(),
 		RunsProbed:   c.statRunsProbed.Load(),
 		RunsFiltered: c.statRunsFiltered.Load(),
+		RunsCached:   c.statRunsCached.Load(),
 
 		VerifyNodeCacheHits:   c.verify.nodeHits.Load(),
 		VerifyNodeCacheMisses: c.verify.nodeMisses.Load(),
@@ -325,16 +328,6 @@ func (c *Store) VerifyStatsSnapshot() VerifyStats {
 }
 
 var _ KV = (*Store)(nil)
-
-// NewNodeCache allocates the verified-node cache of one enclave (see
-// merkle.NodeCache) and charges its fixed byte budget to the enclave's
-// protected memory, once, the way the engine charges table metadata. The
-// charge lasts as long as the enclave, as the cache does. It is trusted
-// state and must never be placed in the (untrusted) block cache.
-func NewNodeCache(e *sgx.Enclave) *merkle.NodeCache {
-	e.Alloc(merkle.NodeCacheBytes)
-	return merkle.NewNodeCache()
-}
 
 // Open creates or recovers an eLSM-P2 store.
 func Open(cfg Config) (*Store, error) {
@@ -376,11 +369,12 @@ func Open(cfg Config) (*Store, error) {
 	c.snap.Store(&trustedView{digests: make(map[uint64]runDigest)})
 	c.sealKey = platform.SealingKey(c.measurement)
 	c.rec = cfg.Obs
-	c.verify.nodes = cfg.NodeCache
-	if c.verify.nodes == nil {
-		c.verify.nodes = NewNodeCache(enclave)
+	caches := cfg.Caches
+	if caches == nil {
+		caches = NewVerifiedCaches(enclave)
 	}
-	// Like the node cache, the scan and Get scratch are a fixed budget of
+	c.verify.nodes, c.verify.records = caches.nodes, caches.records
+	// Like the verified caches, the scan and Get scratch are a fixed budget of
 	// protected memory charged once, for as long as the enclave lasts.
 	c.scanPool = make(chan *scanScratch, scanScratchSlots)
 	c.readPool = make(chan *readScratch, readScratchSlots)

@@ -36,15 +36,17 @@ var (
 	ErrStateMissing = fmt.Errorf("%w: sealed trusted state missing", ErrAuthFailed)
 )
 
-// verifier is one store's trusted-side proof checker: the enclave's cache
-// of already-verified Merkle nodes and the counters of the work done. The
-// zero verifier has no cache and walks every path to the root.
+// verifier is one store's trusted-side proof checker: the enclave's caches
+// of already-verified Merkle nodes and records (VerifiedCaches) and the
+// counters of the work done. The zero verifier has no caches and walks every
+// path to the root.
 //
 // Everything it compares — keys, timestamps, leaf indexes, hashes — it reads
 // from the records it is handed, which callers have already copied out of
 // untrusted memory; it never looks at an SSTable block.
 type verifier struct {
-	nodes *merkle.NodeCache
+	nodes   *merkle.NodeCache
+	records *recordCache
 
 	nodeHits   atomic.Uint64 // witnesses and scan spans whose walk ended at a cached node
 	nodeMisses atomic.Uint64 // those walked to the trusted root
@@ -82,7 +84,9 @@ func (v *verifier) countWalk(walk merkle.PathWalk, err error) {
 // verifyMembership is the per-run membership half of VRFY (§5.3): the
 // record must verify against the run root, and it must be the newest
 // version with Ts ≤ tsq — any newer version is visible in the proof's
-// chain headers, so staleness is detectable (Theorem 5.3, Case 1).
+// chain headers, so staleness is detectable (Theorem 5.3, Case 1). A record
+// the verified chain shows to be its key's newest version in the run goes
+// into the record cache, whatever tsq was.
 func (v *verifier) verifyMembership(key []byte, tsq uint64, rec record.Record, d runDigest) error {
 	if !bytes.Equal(rec.Key, key) {
 		return fmt.Errorf("%w: result key %q does not match query %q", ErrForged, rec.Key, key)
@@ -97,10 +101,14 @@ func (v *verifier) verifyMembership(key []byte, tsq uint64, rec record.Record, d
 	// Freshness: every newer version in this run must postdate tsq.
 	// Newer is ascending, so checking the first entry suffices — but the
 	// chain itself was hash-verified, so all entries are authentic.
-	for i, n := 0, p.numNewer(); i < n; i++ {
+	n := p.numNewer()
+	for i := 0; i < n; i++ {
 		if ts := p.newerEntry(i).Ts; ts <= tsq {
 			return fmt.Errorf("%w: version %d supersedes result %d (≤ tsq %d)", ErrStale, ts, rec.Ts, tsq)
 		}
+	}
+	if n == 0 {
+		v.records.put(&d.Root, &rec)
 	}
 	return nil
 }

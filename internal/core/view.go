@@ -111,7 +111,10 @@ func (v *readView) ts() uint64 { return v.esnap.Ts() }
 // proof by Lemma 5.4). A run whose key filter rules the key out is skipped
 // with no lookup and no proof: the enclave built the filter over the very
 // keys it hashed into the run's tree, so its "no" is trusted, as the digest
-// is. A run with no filter, or whose filter says "maybe", is proved as
+// is. A run whose filter says "maybe" (or that has none) is next asked of
+// the enclave's verified-record cache: an entry for the key under the run's
+// root, visible at tsq, is the run's verified answer, and ends the walk with
+// no block read, no witness and no hash. Otherwise the run is proved as
 // before; a false positive costs only that proof. Per probed run the host
 // hands over views of its blocks, pinned in the block cache; the enclave
 // copies the witnesses out of them once, into g (readScratch.take), verifies
@@ -124,16 +127,20 @@ func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error)
 		return resultFrom(rec), nil
 	}
 	defer g.pins.Release()
-	// Memtable miss: the run walk below pays verification. With
+	// Memtable miss: the run walk below may pay verification. With
 	// instrumentation on, accumulate the verify time and proof bytes this
-	// GET spends and observe them once on the way out (error exits
-	// included — a failed verification is still verification work).
+	// GET spends and, if it proved any run, observe them once on the way out
+	// (error exits included — a failed verification is still verification
+	// work).
 	instr := c.rec != nil
 	var verifyNanos, proofBytes uint64
+	proved := false
 	if instr {
 		defer func() {
-			c.rec.Verify.Observe(verifyNanos)
-			c.rec.ProofBytes.Observe(proofBytes)
+			if proved {
+				c.rec.Verify.Observe(verifyNanos)
+				c.rec.ProofBytes.Observe(proofBytes)
+			}
 		}()
 	}
 	for i, run := range v.esnap.Runs() {
@@ -145,7 +152,12 @@ func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error)
 			c.statRunsFiltered.Add(1)
 			continue
 		}
+		if res, ok := c.verify.records.get(&d.Root, key, tsq); ok {
+			c.statRunsCached.Add(1)
+			return res, nil
+		}
 		c.statRunsProbed.Add(1)
+		proved = true
 		var lerr error
 		if g.views, lerr = v.esnap.LookupRunViews(i, key, tsq, &g.pins); lerr != nil {
 			return Result{}, lerr

@@ -5,7 +5,6 @@ import (
 
 	"elsm/internal/core"
 	"elsm/internal/lsm"
-	"elsm/internal/merkle"
 	"elsm/internal/obs"
 	"elsm/internal/sgx"
 	"elsm/internal/shard"
@@ -59,12 +58,12 @@ func (o Options) shardEnv(i int) (fs vfs.FS, ctr *sgx.MonotonicCounter, err erro
 // hub the per-shard recorders report to (nil: uninstrumented).
 func openShards(o Options, hub *obs.Observer) (*engineSet, error) {
 	set := &engineSet{}
-	// One verified-node cache per enclave, not per shard: its entries are
-	// keyed by trusted root, so shards cannot disturb each other's.
-	var nodes *merkle.NodeCache
+	// One set of verified caches per enclave, not per shard: their entries
+	// are keyed by trusted root, so shards cannot disturb each other's.
+	var caches *core.VerifiedCaches
 	if o.Mode == ModeP2 {
 		set.enclave = sgx.New(sgx.Params{})
-		nodes = core.NewNodeCache(set.enclave)
+		caches = core.NewVerifiedCaches(set.enclave)
 	}
 	// One maintenance worker pool serves every shard: the machine has one
 	// set of cores, so N shards sharing max(2, GOMAXPROCS/2) workers lets
@@ -91,7 +90,7 @@ func openShards(o Options, hub *obs.Observer) (*engineSet, error) {
 		cfg := o.coreConfig(fs)
 		cfg.Counter = ctr
 		cfg.Enclave = set.enclave
-		cfg.NodeCache = nodes
+		cfg.Caches = caches
 		cfg.Workers = pool
 		if hub != nil {
 			cfg.Obs = obs.NewRecorder(i, hub)

@@ -27,7 +27,8 @@ import (
 //     ECalls, OCalls, CopiedBytes and EnclaveBytes.
 //   - core.VerifyStats, verification (zero for ModeUnsecured): VerifiedGets,
 //     ProofBytes, RunsProbed (runs answered with witnesses), RunsFiltered
-//     (runs the enclave's key filter skipped) and the Merkle node cache's
+//     (runs the enclave's key filter skipped), RunsCached (runs answered
+//     from the enclave's verified-record cache) and the Merkle node cache's
 //     hits, misses and hashes.
 //
 // Stats adds the shard count and the replication gauges. The counters are
@@ -124,6 +125,7 @@ var statCounters = []statCounter{
 	{"proof_bytes", foldSum, false, func(s *Stats) *uint64 { return &s.ProofBytes }},
 	{"runs_probed", foldSum, false, func(s *Stats) *uint64 { return &s.RunsProbed }},
 	{"runs_filtered", foldSum, false, func(s *Stats) *uint64 { return &s.RunsFiltered }},
+	{"runs_cached", foldSum, false, func(s *Stats) *uint64 { return &s.RunsCached }},
 	{"verify_node_cache_hits", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeCacheHits }},
 	{"verify_node_cache_misses", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeCacheMisses }},
 	{"verify_node_hashes", foldSum, false, func(s *Stats) *uint64 { return &s.VerifyNodeHashes }},

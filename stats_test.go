@@ -101,7 +101,7 @@ var statsFoldRules = map[string]string{
 	"CompactionDebtBytes": "sum", "ParallelCompactions": "sum",
 	"SnapshotsOpen": "sum", "AsyncCommitsInFlight": "sum",
 	"BlockCacheHits": "sum", "BlockCacheMisses": "sum", "BlockCacheFramesRecycled": "sum",
-	"VerifiedGets": "sum", "ProofBytes": "sum", "RunsProbed": "sum", "RunsFiltered": "sum",
+	"VerifiedGets": "sum", "ProofBytes": "sum", "RunsProbed": "sum", "RunsFiltered": "sum", "RunsCached": "sum",
 	"VerifyNodeCacheHits": "sum", "VerifyNodeCacheMisses": "sum", "VerifyNodeHashes": "sum",
 	"ReplLagGroups": "sum", "ReplLagBytes": "sum",
 	"FollowersConnected": "sum", "ReplReconnects": "sum",
