@@ -5,6 +5,16 @@
 // Every hash is domain-separated with a one-byte tag so that, e.g., a Merkle
 // leaf can never be confused with an interior node or a WAL link — a standard
 // hardening against cross-context collision attacks on Merkle constructions.
+//
+// Every construction has a fixed layout, so it writes its whole preimage into
+// one stack buffer and hands it to sum, the package's one SHA-256 front end.
+// On amd64 CPUs with the SHA extensions, sum pads the buffer in place and
+// compresses all of its blocks in one call of blockSHANI (Go's own SHA-NI
+// routine, carried here in sha256_amd64.s); that skips the streaming frame
+// of crypto/sha256 (Write, the digest copy in Sum, the FIPS bookkeeping),
+// which costs more than the compression of a one- or two-block preimage.
+// Everywhere else sum calls sha256.Sum256. Only preimages longer than
+// stackPreimage (large values, many level roots) stream through sha256.New.
 package hashutil
 
 import (
@@ -40,12 +50,38 @@ const (
 	tagState
 )
 
-// stackPreimage bounds the preimages assembled on the stack and hashed with
-// one sha256.Sum256 call. Going through hash.Hash instead costs a heap
-// digest per call, a copy of every partial block into its internal buffer
-// and a copy of the whole state in Sum; the fixed-layout constructions below
-// (and records of ordinary size) are far smaller than this.
+// stackPreimage bounds the preimages assembled on the stack and hashed by
+// one call of sum. Going through hash.Hash instead costs a heap digest per
+// call, a copy of every partial block into its internal buffer and a copy of
+// the whole state in Sum; the fixed-layout constructions below (and records
+// of ordinary size) are far smaller than this.
 const stackPreimage = 256
+
+// stackPadded holds a preimage of stackPreimage bytes after padding.
+const stackPadded = (stackPreimage + 9 + 63) &^ 63
+
+// paddedLen is the length of an n-byte preimage after SHA-256 padding: the
+// 0x80 byte and the 64-bit bit length, rounded up to whole 64-byte blocks.
+func paddedLen(n int) int { return (n + 9 + 63) &^ 63 }
+
+// sum hashes buf[:n]. The rest of buf, at least up to paddedLen(n), must be
+// zero: with SHA-NI, sum writes the padding there and compresses every block
+// in one blockSHANI call.
+func sum(buf []byte, n int) Hash {
+	if !useSHANI {
+		return sha256.Sum256(buf[:n])
+	}
+	p := buf[:paddedLen(n)]
+	p[n] = 0x80
+	binary.BigEndian.PutUint64(p[len(p)-8:], uint64(n)<<3)
+	dig := [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+	blockSHANI(&dig, p)
+	var out Hash
+	for i, w := range dig {
+		binary.BigEndian.PutUint32(out[4*i:], w)
+	}
+	return out
+}
 
 // RecordDigest hashes one key-value record:
 // H(tag ‖ len(k) ‖ k ‖ ts ‖ kind ‖ v). The explicit length prefix prevents
@@ -67,12 +103,13 @@ func RecordDigest(kind byte, key []byte, ts uint64, value []byte) Hash {
 // to reveal the headers (ts, digest) of every newer version — which is how
 // the enclave detects freshness violations (§5.3.1 Case 1).
 func ChainLink(ts uint64, recDigest Hash, inner Hash) Hash {
-	var buf [9 + 2*Size]byte
+	const n = 9 + 2*Size
+	var buf [128]byte
 	buf[0] = tagChain
 	binary.BigEndian.PutUint64(buf[1:9], ts)
 	copy(buf[9:], recDigest[:])
 	copy(buf[9+Size:], inner[:])
-	return sha256.Sum256(buf[:])
+	return sum(buf[:], n)
 }
 
 // LeafHash wraps a completed version chain (or single-record digest) as a
@@ -87,11 +124,12 @@ func LeafHash(key []byte, chainHead Hash) Hash {
 
 // NodeHash combines two Merkle children: H(tag ‖ left ‖ right).
 func NodeHash(left, right Hash) Hash {
-	var buf [1 + 2*Size]byte
+	const n = 1 + 2*Size
+	var buf [128]byte
 	buf[0] = tagNode
 	copy(buf[1:], left[:])
 	copy(buf[1+Size:], right[:])
-	return sha256.Sum256(buf[:])
+	return sum(buf[:], n)
 }
 
 // WALLink extends the write-ahead-log digest chain:
@@ -106,17 +144,24 @@ func WALLink(dig Hash, kind byte, key []byte, ts uint64, value []byte) Hash {
 	return sum4(hdr[:], key, tsb[:], value)
 }
 
-// sum4 hashes a ‖ b ‖ c ‖ d: assembled on the stack when it fits, streamed
-// through a hash.Hash otherwise (large values).
+// sum4 hashes a ‖ b ‖ c ‖ d: assembled in a stack buffer of as many blocks
+// as the padded preimage needs when it fits (so a one-block leaf zeroes 64
+// bytes, not stackPadded), streamed through a hash.Hash otherwise (large
+// values).
 func sum4(a, b, c, d []byte) Hash {
-	n := len(a) + len(b) + len(c) + len(d)
-	if n <= stackPreimage {
-		var buf [stackPreimage]byte
-		p := copy(buf[:], a)
-		p += copy(buf[p:], b)
-		p += copy(buf[p:], c)
-		copy(buf[p:], d)
-		return sha256.Sum256(buf[:n])
+	switch n := len(a) + len(b) + len(c) + len(d); {
+	case n <= 64-9:
+		var buf [64]byte
+		return sum(buf[:], fill4(buf[:], a, b, c, d))
+	case n <= 128-9:
+		var buf [128]byte
+		return sum(buf[:], fill4(buf[:], a, b, c, d))
+	case n <= 192-9:
+		var buf [192]byte
+		return sum(buf[:], fill4(buf[:], a, b, c, d))
+	case n <= stackPreimage:
+		var buf [stackPadded]byte
+		return sum(buf[:], fill4(buf[:], a, b, c, d))
 	}
 	h := sha256.New()
 	h.Write(a)
@@ -128,15 +173,32 @@ func sum4(a, b, c, d []byte) Hash {
 	return out
 }
 
+// fill4 copies a ‖ b ‖ c ‖ d to the front of buf and returns its length.
+func fill4(buf, a, b, c, d []byte) int {
+	p := copy(buf, a)
+	p += copy(buf[p:], b)
+	p += copy(buf[p:], c)
+	return p + copy(buf[p:], d)
+}
+
 // StateDigest binds an ordered list of level roots plus the WAL digest into
 // one dataset-wide hash, which the rollback defence (§5.6.1) pins to the
-// trusted monotonic counter.
+// trusted monotonic counter: H(tag ‖ len(roots) ‖ roots… ‖ walDigest).
 func StateDigest(roots []Hash, walDigest Hash) Hash {
+	var hdr [5]byte
+	hdr[0] = tagState
+	binary.BigEndian.PutUint32(hdr[1:], uint32(len(roots)))
+	if n := len(hdr) + (len(roots)+1)*Size; n <= stackPreimage {
+		var buf [stackPadded]byte
+		p := copy(buf[:], hdr[:])
+		for _, r := range roots {
+			p += copy(buf[p:], r[:])
+		}
+		copy(buf[p:], walDigest[:])
+		return sum(buf[:], n)
+	}
 	h := sha256.New()
-	h.Write([]byte{tagState})
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(len(roots)))
-	h.Write(buf[:])
+	h.Write(hdr[:])
 	for _, r := range roots {
 		h.Write(r[:])
 	}
@@ -148,4 +210,4 @@ func StateDigest(roots []Hash, walDigest Hash) Hash {
 
 // Of hashes arbitrary bytes with no tag. Prefer the tagged helpers; this is
 // for non-protocol uses (test fixtures, content addressing).
-func Of(data []byte) Hash { return sha256.Sum256(data) }
+func Of(data []byte) Hash { return sum4(data, nil, nil, nil) }

@@ -149,6 +149,96 @@ func TestPreimagesUnchanged(t *testing.T) {
 	}
 }
 
+// checkAgainstStreamed compares every construction, built from these inputs,
+// with its documented preimage streamed through crypto/sha256.
+func checkAgainstStreamed(t *testing.T, key, val []byte, ts uint64, kind byte, a, b Hash, roots []Hash) {
+	t.Helper()
+	klen := be32(uint32(len(key)))
+	if got, want := RecordDigest(kind, key, ts, val), streamed([]byte{tagRecord}, klen, key, be64(ts), []byte{kind}, val); got != want {
+		t.Fatalf("RecordDigest(k=%d, v=%d) = %v, want %v", len(key), len(val), got, want)
+	}
+	if got, want := WALLink(a, kind, key, ts, val), streamed([]byte{tagWAL, kind}, a[:], klen, key, be64(ts), val); got != want {
+		t.Fatalf("WALLink(k=%d, v=%d) = %v, want %v", len(key), len(val), got, want)
+	}
+	if got, want := LeafHash(key, a), streamed([]byte{tagLeaf}, klen, key, a[:]); got != want {
+		t.Fatalf("LeafHash(k=%d) = %v, want %v", len(key), got, want)
+	}
+	if got, want := ChainLink(ts, a, b), streamed([]byte{tagChain}, be64(ts), a[:], b[:]); got != want {
+		t.Fatalf("ChainLink = %v, want %v", got, want)
+	}
+	if got, want := NodeHash(a, b), streamed([]byte{tagNode}, a[:], b[:]); got != want {
+		t.Fatalf("NodeHash = %v, want %v", got, want)
+	}
+	if got, want := Of(val), streamed(val); got != want {
+		t.Fatalf("Of(%d bytes) = %v, want %v", len(val), got, want)
+	}
+	parts := [][]byte{{tagState}, be32(uint32(len(roots)))}
+	for i := range roots {
+		parts = append(parts, roots[i][:])
+	}
+	if got, want := StateDigest(roots, b), streamed(append(parts, b[:])...); got != want {
+		t.Fatalf("StateDigest(%d roots) = %v, want %v", len(roots), got, want)
+	}
+}
+
+// TestEveryPaddedLength drives each variable-length construction through
+// every total preimage length from 0 to stackPreimage+1, so each padding
+// boundary (55/56 and 119/120 bytes, …) and the switch to streaming are
+// crossed, and checks it against the streamed reference.
+func TestEveryPaddedLength(t *testing.T) {
+	t.Logf("SHA-NI: %v", useSHANI)
+	rnd := rand.New(rand.NewSource(2))
+	fill := func(n int) []byte {
+		b := make([]byte, n)
+		rnd.Read(b)
+		return b
+	}
+	var a, b Hash
+	copy(a[:], fill(Size))
+	copy(b[:], fill(Size))
+	ts := rnd.Uint64()
+	for n := 0; n <= stackPreimage+1; n++ {
+		data := fill(n)
+		if got, want := Of(data), streamed(data); got != want {
+			t.Fatalf("Of(%d bytes) = %v, want %v", n, got, want)
+		}
+		// Split what the fixed fields leave between key and value.
+		for _, fixed := range []int{5 + 8 + 1, 2 + Size + 4 + 8, 5 + Size} {
+			if rest := n - fixed; rest >= 0 {
+				key := data[:rest/3]
+				checkAgainstStreamed(t, key, data[len(key):rest], ts, 1, a, b, nil)
+			}
+		}
+		if rest := n - 5 - Size; rest >= 0 && rest%Size == 0 {
+			roots := make([]Hash, rest/Size)
+			for i := range roots {
+				copy(roots[i][:], fill(Size))
+			}
+			checkAgainstStreamed(t, nil, nil, ts, 2, a, b, roots)
+		}
+	}
+}
+
+// FuzzHashPrimitives checks every construction against the streamed
+// reference on fuzz-chosen inputs; nroots%9 level roots derived from a cover
+// StateDigest on both sides of stackPreimage.
+func FuzzHashPrimitives(f *testing.F) {
+	f.Add([]byte("k"), []byte("v"), uint64(1), byte(1), []byte("a"), []byte("b"), byte(2))
+	f.Add(make([]byte, 90), make([]byte, 300), uint64(1)<<63, byte(2), make([]byte, Size), []byte{}, byte(8))
+	f.Add([]byte{}, make([]byte, stackPreimage-14), ^uint64(0), byte(0), []byte{0xff}, make([]byte, 40), byte(6))
+	f.Fuzz(func(t *testing.T, key, val []byte, ts uint64, kind byte, ab, bb []byte, nroots byte) {
+		var a, b Hash
+		copy(a[:], ab)
+		copy(b[:], bb)
+		roots := make([]Hash, nroots%9)
+		for i := range roots {
+			roots[i] = a
+			roots[i][0] ^= byte(i)
+		}
+		checkAgainstStreamed(t, key, val, ts, kind, a, b, roots)
+	})
+}
+
 var sinkHash Hash
 
 func BenchmarkNodeHash(b *testing.B) {
@@ -158,6 +248,7 @@ func BenchmarkNodeHash(b *testing.B) {
 		l = NodeHash(l, r)
 	}
 	sinkHash = l
+	reportPerBlock(b, 1+2*Size)
 }
 
 func BenchmarkRecordDigest(b *testing.B) {
@@ -166,4 +257,43 @@ func BenchmarkRecordDigest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkHash = RecordDigest(1, key, uint64(i), val)
 	}
+	reportPerBlock(b, 5+16+9+100)
+}
+
+func BenchmarkLeafHash(b *testing.B) {
+	key := make([]byte, 16)
+	h := Of([]byte("head"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h = LeafHash(key, h)
+	}
+	sinkHash = h
+	reportPerBlock(b, 5+16+Size)
+}
+
+func BenchmarkChainLink(b *testing.B) {
+	d, h := Of([]byte("rec")), Zero
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h = ChainLink(uint64(i), d, h)
+	}
+	sinkHash = h
+	reportPerBlock(b, 9+2*Size)
+}
+
+func BenchmarkWALLink(b *testing.B) {
+	key, val := make([]byte, 16), make([]byte, 100)
+	dig := Zero
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dig = WALLink(dig, 1, key, uint64(i), val)
+	}
+	sinkHash = dig
+	reportPerBlock(b, 2+Size+4+16+8+100)
+}
+
+// reportPerBlock reports the time per compressed 64-byte block, for an
+// n-byte preimage per op.
+func reportPerBlock(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*paddedLen(n)/64), "ns/block")
 }

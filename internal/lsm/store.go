@@ -96,7 +96,7 @@ type openFile struct {
 	file       vfs.File
 	view       []byte      // mmap read path view (MmapReads)
 	pinned     []byte      // compaction-time bulk-loaded view (§5.3 step m1)
-	metaRegion *sgx.Region // in-enclave index/filter footprint
+	metaRegion *sgx.Region // enclave charge for the table's index (MetadataBytes)
 }
 
 // RunRef identifies one run in read order (newest data first).
@@ -728,7 +728,9 @@ func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Index + filters live inside the enclave: account their footprint.
+	// Charge the table's index to the enclave. A P2 table carries no filters,
+	// and its index is read only by the untrusted seek (lookupRun), so for
+	// P2 this charge overstates what the enclave holds.
 	of.metaRegion = s.enclave.Alloc(t.MetadataBytes())
 	return &tableHandle{meta: sstable.Meta{FileNum: fileNum}, table: t, name: name}, nil
 }
