@@ -13,8 +13,9 @@
 // routine, carried here in sha256_amd64.s); that skips the streaming frame
 // of crypto/sha256 (Write, the digest copy in Sum, the FIPS bookkeeping),
 // which costs more than the compression of a one- or two-block preimage.
-// Everywhere else sum calls sha256.Sum256. Only preimages longer than
-// stackPreimage (large values, many level roots) stream through sha256.New.
+// Everywhere else sum calls sha256.Sum256. Preimages longer than
+// stackPreimage (large values) stream through sha256.New. StateDigest and
+// Of, which no hot path calls, hash through crypto/sha256 directly.
 package hashutil
 
 import (
@@ -145,9 +146,10 @@ func WALLink(dig Hash, kind byte, key []byte, ts uint64, value []byte) Hash {
 }
 
 // sum4 hashes a ‖ b ‖ c ‖ d: assembled in a stack buffer of as many blocks
-// as the padded preimage needs when it fits (so a one-block leaf zeroes 64
-// bytes, not stackPadded), streamed through a hash.Hash otherwise (large
-// values).
+// as the padded preimage needs when it fits, streamed through a hash.Hash
+// otherwise (large values). The size classes keep a one-block leaf from
+// zeroing stackPadded bytes: with one stackPadded buffer for every length,
+// LeafHash measured about 5 % slower (130 against 124 ns).
 func sum4(a, b, c, d []byte) Hash {
 	switch n := len(a) + len(b) + len(c) + len(d); {
 	case n <= 64-9:
@@ -183,22 +185,13 @@ func fill4(buf, a, b, c, d []byte) int {
 
 // StateDigest binds an ordered list of level roots plus the WAL digest into
 // one dataset-wide hash, which the rollback defence (§5.6.1) pins to the
-// trusted monotonic counter: H(tag ‖ len(roots) ‖ roots… ‖ walDigest).
+// trusted monotonic counter.
 func StateDigest(roots []Hash, walDigest Hash) Hash {
-	var hdr [5]byte
-	hdr[0] = tagState
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(roots)))
-	if n := len(hdr) + (len(roots)+1)*Size; n <= stackPreimage {
-		var buf [stackPadded]byte
-		p := copy(buf[:], hdr[:])
-		for _, r := range roots {
-			p += copy(buf[p:], r[:])
-		}
-		copy(buf[p:], walDigest[:])
-		return sum(buf[:], n)
-	}
 	h := sha256.New()
-	h.Write(hdr[:])
+	h.Write([]byte{tagState})
+	var buf [4]byte
+	binary.BigEndian.PutUint32(buf[:], uint32(len(roots)))
+	h.Write(buf[:])
 	for _, r := range roots {
 		h.Write(r[:])
 	}
@@ -210,4 +203,4 @@ func StateDigest(roots []Hash, walDigest Hash) Hash {
 
 // Of hashes arbitrary bytes with no tag. Prefer the tagged helpers; this is
 // for non-protocol uses (test fixtures, content addressing).
-func Of(data []byte) Hash { return sum4(data, nil, nil, nil) }
+func Of(data []byte) Hash { return sha256.Sum256(data) }

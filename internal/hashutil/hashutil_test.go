@@ -151,7 +151,7 @@ func TestPreimagesUnchanged(t *testing.T) {
 
 // checkAgainstStreamed compares every construction, built from these inputs,
 // with its documented preimage streamed through crypto/sha256.
-func checkAgainstStreamed(t *testing.T, key, val []byte, ts uint64, kind byte, a, b Hash, roots []Hash) {
+func checkAgainstStreamed(t *testing.T, key, val []byte, ts uint64, kind byte, a, b Hash) {
 	t.Helper()
 	klen := be32(uint32(len(key)))
 	if got, want := RecordDigest(kind, key, ts, val), streamed([]byte{tagRecord}, klen, key, be64(ts), []byte{kind}, val); got != want {
@@ -169,22 +169,13 @@ func checkAgainstStreamed(t *testing.T, key, val []byte, ts uint64, kind byte, a
 	if got, want := NodeHash(a, b), streamed([]byte{tagNode}, a[:], b[:]); got != want {
 		t.Fatalf("NodeHash = %v, want %v", got, want)
 	}
-	if got, want := Of(val), streamed(val); got != want {
-		t.Fatalf("Of(%d bytes) = %v, want %v", len(val), got, want)
-	}
-	parts := [][]byte{{tagState}, be32(uint32(len(roots)))}
-	for i := range roots {
-		parts = append(parts, roots[i][:])
-	}
-	if got, want := StateDigest(roots, b), streamed(append(parts, b[:])...); got != want {
-		t.Fatalf("StateDigest(%d roots) = %v, want %v", len(roots), got, want)
-	}
 }
 
-// TestEveryPaddedLength drives each variable-length construction through
-// every total preimage length from 0 to stackPreimage+1, so each padding
-// boundary (55/56 and 119/120 bytes, …) and the switch to streaming are
-// crossed, and checks it against the streamed reference.
+// TestEveryPaddedLength drives the front end, sum4, through every total
+// preimage length from 0 to stackPreimage+1, so each padding boundary
+// (55/56 and 119/120 bytes, …) and the switch to streaming are crossed, and
+// checks it and each variable-length construction the length admits against
+// the streamed reference.
 func TestEveryPaddedLength(t *testing.T) {
 	t.Logf("SHA-NI: %v", useSHANI)
 	rnd := rand.New(rand.NewSource(2))
@@ -199,43 +190,31 @@ func TestEveryPaddedLength(t *testing.T) {
 	ts := rnd.Uint64()
 	for n := 0; n <= stackPreimage+1; n++ {
 		data := fill(n)
-		if got, want := Of(data), streamed(data); got != want {
-			t.Fatalf("Of(%d bytes) = %v, want %v", n, got, want)
+		i, j, k := n/4, n/2, 3*n/4
+		if got, want := sum4(data[:i], data[i:j], data[j:k], data[k:]), streamed(data); got != want {
+			t.Fatalf("sum4(%d bytes) = %v, want %v", n, got, want)
 		}
 		// Split what the fixed fields leave between key and value.
 		for _, fixed := range []int{5 + 8 + 1, 2 + Size + 4 + 8, 5 + Size} {
 			if rest := n - fixed; rest >= 0 {
 				key := data[:rest/3]
-				checkAgainstStreamed(t, key, data[len(key):rest], ts, 1, a, b, nil)
+				checkAgainstStreamed(t, key, data[len(key):rest], ts, 1, a, b)
 			}
-		}
-		if rest := n - 5 - Size; rest >= 0 && rest%Size == 0 {
-			roots := make([]Hash, rest/Size)
-			for i := range roots {
-				copy(roots[i][:], fill(Size))
-			}
-			checkAgainstStreamed(t, nil, nil, ts, 2, a, b, roots)
 		}
 	}
 }
 
 // FuzzHashPrimitives checks every construction against the streamed
-// reference on fuzz-chosen inputs; nroots%9 level roots derived from a cover
-// StateDigest on both sides of stackPreimage.
+// reference on fuzz-chosen inputs.
 func FuzzHashPrimitives(f *testing.F) {
-	f.Add([]byte("k"), []byte("v"), uint64(1), byte(1), []byte("a"), []byte("b"), byte(2))
-	f.Add(make([]byte, 90), make([]byte, 300), uint64(1)<<63, byte(2), make([]byte, Size), []byte{}, byte(8))
-	f.Add([]byte{}, make([]byte, stackPreimage-14), ^uint64(0), byte(0), []byte{0xff}, make([]byte, 40), byte(6))
-	f.Fuzz(func(t *testing.T, key, val []byte, ts uint64, kind byte, ab, bb []byte, nroots byte) {
+	f.Add([]byte("k"), []byte("v"), uint64(1), byte(1), []byte("a"), []byte("b"))
+	f.Add(make([]byte, 90), make([]byte, 300), uint64(1)<<63, byte(2), make([]byte, Size), []byte{})
+	f.Add([]byte{}, make([]byte, stackPreimage-14), ^uint64(0), byte(0), []byte{0xff}, make([]byte, 40))
+	f.Fuzz(func(t *testing.T, key, val []byte, ts uint64, kind byte, ab, bb []byte) {
 		var a, b Hash
 		copy(a[:], ab)
 		copy(b[:], bb)
-		roots := make([]Hash, nroots%9)
-		for i := range roots {
-			roots[i] = a
-			roots[i][0] ^= byte(i)
-		}
-		checkAgainstStreamed(t, key, val, ts, kind, a, b, roots)
+		checkAgainstStreamed(t, key, val, ts, kind, a, b)
 	})
 }
 

@@ -2,9 +2,13 @@
 
 package hashutil
 
-// useSHANI is true where Go's own crypto/sha256 would pick its SHA-NI
-// routine: the CPU has SHA, SSSE3, SSE4.1 and AVX, and the OS saves the XMM
-// and YMM registers (XCR0 bits 1 and 2).
+// useSHANI is true where the CPU has SHA, SSSE3, SSE4.1 and AVX and the OS
+// saves the XMM and YMM registers (XCR0 bits 1 and 2): the features Go's own
+// crypto/sha256 asks for before it picks its SHA-NI routine. The check reads
+// the hardware directly, through CPUID and XGETBV, so it does not follow the
+// GODEBUG cpu.* settings (cpu.sha=off, cpu.avx=off, …) that crypto/sha256
+// honours: with one of them set the standard library stops using SHA-NI and
+// this package still uses it.
 var useSHANI = hasSHANI()
 
 func hasSHANI() bool {
