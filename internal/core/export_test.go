@@ -9,11 +9,11 @@ func ChunkLen(it Iterator) int { return len(it.(*chunkIter).buf) }
 // proves its way through the runs again.
 func (c *Store) emptyRecordCache() {
 	rc := c.verify.records
-	for i := range rc.locks {
-		rc.locks[i].Lock()
-	}
-	clear(rc.slots)
-	for i := range rc.locks {
-		rc.locks[i].Unlock()
+	for i := range rc.sets {
+		s := &rc.sets[i]
+		s.mu.Lock()
+		s.n, s.lookups, s.used, s.clock = 0, 0, 0, 0
+		clear(s.sketch[:])
+		s.mu.Unlock()
 	}
 }

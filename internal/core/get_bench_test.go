@@ -20,8 +20,9 @@ import (
 //
 //   - cold: every Get starts from empty verified caches, nodes and records;
 //   - warm-zipf, warm-uniform: present keys after a warm-up pass (16 384
-//     draws: the hot keys of the zipf mix stay in the 4 096-slot record
-//     cache, the uniform mix's mostly evict each other);
+//     draws: the hot keys of the zipf mix stay in the record cache, about
+//     5 500 records of this size in 464 sets, while the uniform mix's
+//     50 000 keys mostly fail its admission or evict each other);
 //   - absent-key: uniform keys that no run holds, ruled out by both runs'
 //     key filters but for about one run in a hundred, which then proves
 //     the key's absence with two witnesses.

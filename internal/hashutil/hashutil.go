@@ -14,8 +14,8 @@
 // of crypto/sha256 (Write, the digest copy in Sum, the FIPS bookkeeping),
 // which costs more than the compression of a one- or two-block preimage.
 // Everywhere else sum calls sha256.Sum256. Preimages longer than
-// stackPreimage (large values) stream through sha256.New. StateDigest and
-// Of, which no hot path calls, hash through crypto/sha256 directly.
+// stackPreimage (large values) stream through sha256.New. Of, which no hot
+// path calls, hashes through crypto/sha256 directly.
 package hashutil
 
 import (
@@ -48,7 +48,6 @@ const (
 	tagLeaf
 	tagNode
 	tagWAL
-	tagState
 )
 
 // stackPreimage bounds the preimages assembled on the stack and hashed by
@@ -181,24 +180,6 @@ func fill4(buf, a, b, c, d []byte) int {
 	p += copy(buf[p:], b)
 	p += copy(buf[p:], c)
 	return p + copy(buf[p:], d)
-}
-
-// StateDigest binds an ordered list of level roots plus the WAL digest into
-// one dataset-wide hash, which the rollback defence (§5.6.1) pins to the
-// trusted monotonic counter.
-func StateDigest(roots []Hash, walDigest Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagState})
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(len(roots)))
-	h.Write(buf[:])
-	for _, r := range roots {
-		h.Write(r[:])
-	}
-	h.Write(walDigest[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
 }
 
 // Of hashes arbitrary bytes with no tag. Prefer the tagged helpers; this is

@@ -46,14 +46,6 @@ func TestRecordDigestTsSensitivity(t *testing.T) {
 	}
 }
 
-func TestStateDigestOrderSensitive(t *testing.T) {
-	r1 := Of([]byte("a"))
-	r2 := Of([]byte("b"))
-	if StateDigest([]Hash{r1, r2}, Zero) == StateDigest([]Hash{r2, r1}, Zero) {
-		t.Fatal("state digest ignores root order")
-	}
-}
-
 func TestQuickRecordDigestInjective(t *testing.T) {
 	f := func(k1, v1, k2, v2 []byte, ts1, ts2 uint64) bool {
 		if bytes.Equal(k1, k2) && ts1 == ts2 && bytes.Equal(v1, v2) {
