@@ -240,31 +240,6 @@ func TestBatchFullReplayAppliesWholeBatch(t *testing.T) {
 	}
 }
 
-func TestBatchPartialReplayIsRecoveryError(t *testing.T) {
-	// The host truncates the WAL inside the batch's commit group
-	// (frame-aligned, so the log still parses). The torn group is dropped
-	// whole, and clean recovery must refuse: a log that ends inside a
-	// group is not a clean shutdown, whatever caused it.
-	dir, platform, counter := crashedBatchStore(t)
-	wal := filepath.Join(dir, "wal.log")
-	offs := walFrames(t, wal)
-	// Frames: base record, its COMMIT marker, 10 batch records, marker.
-	if len(offs) != 14 {
-		t.Fatalf("expected 13 WAL frames, got %d", len(offs)-1)
-	}
-	// Keep the base group and the first 6 batch records — no marker.
-	if err := os.Truncate(wal, offs[8]); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(Options{Dir: dir, Platform: platform, ShardCounters: []*sgx.MonotonicCounter{counter}, RequireCleanRecovery: true})
-	if err == nil {
-		t.Fatal("partially-replayed batch passed clean recovery")
-	}
-	if !IsAuthFailure(err) {
-		t.Fatalf("partial batch error = %v, want auth failure", err)
-	}
-}
-
 func TestBatchTornWALRecoversGroupPrefix(t *testing.T) {
 	// A torn write (truncation mid-frame, as a crash during the group
 	// append leaves it) rolls the whole group back: recovery succeeds and

@@ -195,8 +195,6 @@ type Options struct {
 	KeepVersions int
 	// Encryption enables the confidentiality layer (§5.6.2).
 	Encryption *EncryptionOptions
-	// RequireCleanRecovery refuses recovery with unverified WAL suffixes.
-	RequireCleanRecovery bool
 	// Platform persists the sealing root across restarts (required to
 	// unseal the trusted state after reopen); see ShardCounters for the
 	// other half of the root of trust.
@@ -403,7 +401,6 @@ func (o Options) coreConfig(fs vfs.FS) core.Config {
 		Platform:              o.Platform,
 		CacheSize:             o.CacheSize,
 		KeepVersions:          o.KeepVersions,
-		RequireCleanRecovery:  o.RequireCleanRecovery,
 		IterChunkKeys:         o.IterChunkKeys,
 		MaxAsyncCommitBacklog: o.MaxAsyncCommitBacklog,
 		Geometry:              o.geometry,

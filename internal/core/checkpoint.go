@@ -131,7 +131,7 @@ func (c *Store) ApplyReplicated(recs []record.Record) error {
 // SealState forces a commitState seal — the follower's durability hook
 // after applying shipped groups, bounding what a restart must re-ship.
 func (c *Store) SealState() {
-	c.enclave.ECall(c.commitState)
+	c.enclave.ECall(func() { _ = c.commitState() })
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 	var tail uint64
 	wantTs := uint64(0) // first record fixes the base
 	for i := range src.WALData {
-		info, rerr := wal.Replay(src.WALData[i], func(group []record.Record) error {
+		info, rerr := wal.Replay(src.WALData[i], func(group []record.Record, _ *wal.Tag) error {
 			for _, rec := range group {
 				if wantTs != 0 && rec.Ts != wantTs {
 					return fmt.Errorf("%w: wal tail not contiguous at ts %d", ErrCheckpointCorrupt, rec.Ts)
@@ -336,7 +336,9 @@ func WipeFS(fs vfs.FS) error {
 //  3. the shipped WAL tail's hash chain is recomputed from zero and
 //     compared against the attested durable digest, then the records are
 //     re-applied through the follower's own pipeline (its own WAL, its own
-//     chain — byte-compatible by construction);
+//     chain — byte-compatible by construction; the groups carry zero tags,
+//     and lie before the follower's first seal, where no recovery checks a
+//     tag);
 //  4. only then is the trusted state sealed under the follower's platform,
 //     bound to ITS monotonic counter, and written. TRUSTED.bin is written
 //     last: a crash anywhere before leaves a directory that
@@ -429,7 +431,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 		if err := checkSectionSHA(wf.Name, data, wf.SHA256); err != nil {
 			return err
 		}
-		info, rerr := wal.Replay(data, func(group []record.Record) error {
+		info, rerr := wal.Replay(data, func(group []record.Record, _ *wal.Tag) error {
 			for _, rec := range group {
 				if rec.Ts != wantTs {
 					return fmt.Errorf("%w: wal tail not contiguous at ts %d (want %d)",

@@ -663,8 +663,8 @@ func TestCleanRecoveryVerifies(t *testing.T) {
 	cfg.Counter = s.counter
 	s2 := mustOpenP2(t, cfg)
 	defer s2.Close()
-	if n := s2.UnverifiedReplay(); n != 0 {
-		t.Fatalf("clean close left %d unverified records", n)
+	if n := s2.ReplayedPastSeal(); n != 0 {
+		t.Fatalf("clean close left %d records past the seal", n)
 	}
 	for key, val := range want {
 		res, err := Get(s2, []byte(key))
@@ -682,7 +682,7 @@ func TestCleanRecoveryVerifies(t *testing.T) {
 	}
 }
 
-func TestUncleanRecoveryCountsUnverifiedSuffix(t *testing.T) {
+func TestUncleanRecoveryCountsSuffixPastSeal(t *testing.T) {
 	fs := vfs.NewMem()
 	cfg := smallCfg(fs)
 	cfg.CounterInterval = 10
@@ -698,22 +698,8 @@ func TestUncleanRecoveryCountsUnverifiedSuffix(t *testing.T) {
 	cfg2.Counter = s.counter
 	s2 := mustOpenP2(t, cfg2)
 	defer s2.Close()
-	if n := s2.UnverifiedReplay(); n != 5 {
-		t.Fatalf("unverified suffix = %d, want 5", n)
-	}
-
-	// Strict mode refuses the same recovery.
-	s2.Close()
-	cfg3 := smallCfg(fs)
-	cfg3.Platform = s.platform
-	cfg3.Counter = s.counter
-	cfg3.RequireCleanRecovery = true
-	// After s2's Close the state is sealed again, so re-crash first.
-	s3 := mustOpenP2(t, cfg3)
-	Put(s3, []byte("zz"), []byte("dangling"))
-	s3.Engine().Close() // crash without seal
-	if _, err := Open(cfg3); err == nil {
-		t.Fatal("strict recovery accepted unverified suffix")
+	if n := s2.ReplayedPastSeal(); n != 5 {
+		t.Fatalf("suffix past the seal = %d, want 5", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
+	"elsm/internal/wal"
 )
 
 // authListener implements the engine's EventListener callbacks. The commit
@@ -50,19 +51,25 @@ var (
 	_ lsm.Job           = (*compactionJob)(nil)
 )
 
-// OnGroupAppended extends the enclave's WAL digest chain over one appended
-// group (§5.3 step w1) and holds the group's chain value until its fsync
-// reports. Until then the chain tip runs AHEAD of stable storage, and only
-// the durable frontier is ever sealed — a counter bump binding records an
-// fsync has not confirmed would, after a crash, demand a WAL prefix that no
-// longer exists and brick the store as a false rollback. At recovery the
-// engine calls it for every replayed group, which is how the sealed
-// digests are found on the chain without a second read of the log.
-func (l *authListener) OnGroupAppended(recs []record.Record) {
+// OnGroupAppended extends the enclave's WAL digest chain over one group
+// about to be appended (§5.3 step w1), tags it, and holds the group's chain
+// value until its fsync reports. Until then the chain tip runs AHEAD of
+// stable storage, and only the durable frontier is ever sealed — a counter
+// bump binding records an fsync has not confirmed would, after a crash,
+// demand a WAL prefix that no longer exists and brick the store as a false
+// rollback. At recovery the engine calls it for every replayed group, which
+// is how the sealed digests are found on the chain without a second read of
+// the log, and how every group past them is held to its tag.
+func (l *authListener) OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool) error {
 	c := l.c
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if replayed {
+		return c.chain.replayed(recs, tag)
+	}
 	c.chain.appended(recs)
-	c.mu.Unlock()
+	*tag = c.chain.tag(c.chain.appends)
+	return nil
 }
 
 // OnGroupSynced settles the group's chain value — the durable frontier on
@@ -77,14 +84,14 @@ func (l *authListener) OnGroupSynced(durable bool) {
 	bump := durable && c.chain.bumpDue(c.counterInterval)
 	c.mu.Unlock()
 	if bump {
-		c.commitState()
+		_ = c.commitState()
 	}
 }
 
 // OnMemtableFrozen marks a flush generation boundary: the active WAL was
-// rotated to a frozen log, so the chain over the active log alone restarts
-// from zero. The full chain keeps spanning frozen + active logs until the
-// flush installs.
+// rotated to a frozen log (or, at recovery, the replay moved on to the next
+// log), so the chain over the active log alone restarts from zero. The full
+// chain keeps spanning frozen + active logs until the flush installs.
 func (l *authListener) OnMemtableFrozen() {
 	c := l.c
 	c.mu.Lock()
@@ -214,7 +221,7 @@ func (j *compactionJob) Verify() error {
 	}
 	c.sealStagedBy = j
 	c.mu.Unlock()
-	c.commitState()
+	_ = c.commitState()
 	return nil
 }
 
@@ -253,7 +260,7 @@ func (j *compactionJob) Installed() {
 // (§5.6.1) — the slow, durable half of the install, run by the engine
 // WITHOUT its lock so readers and writers are not stalled by the seal write.
 func (j *compactionJob) Committed() {
-	j.c.commitState()
+	_ = j.c.commitState()
 	j.release()
 }
 

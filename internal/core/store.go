@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -52,10 +53,6 @@ type Config struct {
 	// CounterInterval overrides DefaultCounterInterval; negative disables
 	// periodic bumps (bumps still occur at every compaction).
 	CounterInterval int
-	// RequireCleanRecovery rejects recovery when the WAL holds records
-	// appended after the last sealed state (closing the §5.6.1 window at
-	// the cost of refusing unclean restarts).
-	RequireCleanRecovery bool
 	// IterChunkKeys bounds how many distinct keys a streaming iterator
 	// chunk covers per run (0 = DefaultIterChunkKeys).
 	IterChunkKeys int
@@ -205,6 +202,9 @@ type Store struct {
 	measurement sgx.Measurement
 	sealKey     [32]byte
 	counter     *sgx.MonotonicCounter
+	// walSeed derives, with sealKey, the key that tags this incarnation's
+	// WAL groups (walKey); every seal carries it. Guarded by mu.
+	walSeed []byte
 
 	// epoch is the replication epoch: it increments exactly once per
 	// follower→leader promotion and is attested into every checkpoint
@@ -257,9 +257,10 @@ type Store struct {
 	scanTamper func(*runSpan)
 	getTamper  func(views *lsm.RunViews, copied bool)
 
-	// UnverifiedReplay counts WAL records recovered beyond the last
-	// sealed state (the rollback-window records of §5.6.1).
-	unverifiedReplay int
+	// replayedPastSeal counts the WAL records recovery replayed past the
+	// last sealed state, each group held to its tag (the rollback-window
+	// records of §5.6.1).
+	replayedPastSeal int
 
 	statGets         atomic.Uint64
 	statProofBytes   atomic.Uint64
@@ -397,16 +398,18 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	c.engine = engine
-	if err := c.recoverTrustedState(st, cfg.RequireCleanRecovery); err != nil {
+	if err := c.recoverTrustedState(st); err != nil {
 		engine.Close()
 		return nil, err
 	}
-	if st == nil {
-		// A fresh store seals its empty state before accepting writes:
-		// recovery refuses data files without sealed state, so deferring
-		// the first seal to the interval/flush/close path would leave a
-		// window where a crash after the first commit is unrecoverable.
-		c.SealState()
+	// Every Open seals before it accepts a write, under a fresh WAL key.
+	// A fresh store must: recovery refuses data files without sealed state.
+	// A recovered one seals the log it replayed, so no group of an earlier
+	// incarnation lies past the seal — not even a torn, never-synced one
+	// the host kept a copy of to put back in place of a later group.
+	if err := c.rekey(); err != nil {
+		engine.Close()
+		return nil, err
 	}
 	c.startFilterRebuild()
 	return c, nil
@@ -465,6 +468,8 @@ type trustedState struct {
 	LastTs     uint64               `json:"lastTs"`
 	Counter    uint64               `json:"counter"`
 	Epoch      uint64               `json:"epoch,omitempty"`
+	// WALSeed derives the key that tags the WAL groups past this seal.
+	WALSeed []byte `json:"walSeed,omitempty"`
 	// Pending, when set, describes the post-install state of a version
 	// install (flush/compaction) that was staged but not yet confirmed
 	// durable when this blob was sealed. A crash inside the install window
@@ -492,8 +497,10 @@ type pendingState struct {
 // monotonic counter (§5.6.1; see writeTrustedState for the crash order).
 // sealMu covers the whole write+bump: a concurrent seal (commit worker vs
 // maintenance worker) must not let an older blob land after a newer
-// counter value.
-func (c *Store) commitState() {
+// counter value. Only Open must see the error (rekey): a failed seal
+// leaves the previous blob and counter value, which recovery still
+// accepts, and the next seal tries again.
+func (c *Store) commitState() error {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 	c.mu.Lock()
@@ -507,10 +514,29 @@ func (c *Store) commitState() {
 		WALAppends: c.chain.durable.appends,
 		LastTs:     c.engine.AppliedTs(),
 		Epoch:      c.epoch.Load(),
+		WALSeed:    c.walSeed,
 		Pending:    c.pendingSeal, // staged install (if any) rides in every seal
 	}
 	c.mu.Unlock()
-	_ = writeTrustedState(c.fs, c.enclave, c.sealKey, c.counter, st)
+	return writeTrustedState(c.fs, c.enclave, c.sealKey, c.counter, st)
+}
+
+// rekey starts a new incarnation: a fresh random seed keys the WAL tags of
+// every group from now on, and the seal that carries it is written before
+// any such group. A failed seal write fails it: groups tagged under a seed
+// no seal names would fail their tags at the next recovery.
+func (c *Store) rekey() error {
+	seed := make([]byte, 32)
+	if _, err := rand.Read(seed); err != nil {
+		return fmt.Errorf("core: wal key seed: %w", err)
+	}
+	c.mu.Lock()
+	c.walSeed = seed
+	c.chain.keyed(walKey(c.sealKey, seed))
+	c.mu.Unlock()
+	var err error
+	c.enclave.ECall(func() { err = c.commitState() })
+	return err
 }
 
 // writeTrustedState is the one way the trusted state is sealed to a file:
@@ -547,10 +573,11 @@ func writeTrustedState(fs vfs.FS, e *sgx.Enclave, key [32]byte, ctr *sgx.Monoton
 // and checks it against the monotonic counter — the sealed counter value
 // must not lag the trusted hardware counter, and the bound fingerprint must
 // match — before the engine opens. A blob that does not unseal or decode is
-// ErrAuthFailed: the host altered it. It then arms the chain to look, during
-// the engine's replay, for the sealed WAL digests: the Current one and, if a
-// version install was staged when the seal was written, the Pending one.
-// Nil means a store that was never sealed.
+// ErrAuthFailed: the host altered it. It then keys the chain with the sealed
+// seed and arms it to look, during the engine's replay, for the sealed WAL
+// digests: the Current one and, if a version install was staged when the
+// seal was written, the Pending one. Nil means a store that was never
+// sealed.
 func (c *Store) loadTrustedState() (*trustedState, error) {
 	if !c.fs.Exists(trustedStateName) {
 		return nil, nil
@@ -571,10 +598,13 @@ func (c *Store) loadTrustedState() (*trustedState, error) {
 		return nil, fmt.Errorf("%w: %v", ErrRollback, err)
 	}
 	c.mu.Lock()
+	c.walSeed = st.WALSeed
+	c.chain.keyed(walKey(c.sealKey, st.WALSeed))
+	current := chainSeek{want: st.WALDigest, appends: st.WALAppends}
 	if st.Pending != nil {
-		c.chain.seekSealed(st.WALDigest, st.Pending.WALDigest)
+		c.chain.seekSealed(current, chainSeek{want: st.Pending.WALDigest, appends: st.Pending.WALAppends})
 	} else {
-		c.chain.seekSealed(st.WALDigest)
+		c.chain.seekSealed(current)
 	}
 	c.mu.Unlock()
 	return &st, nil
@@ -588,9 +618,10 @@ func (c *Store) readFile(name string) (data []byte, err error) {
 
 // recoverTrustedState validates the recovered engine against the sealed
 // state st (nil: none), detecting tampering and rollback: the engine's
-// runs must match a sealed digest set, and the matching sealed WAL digest
-// must be a prefix of the chain the engine's replay fed the listener.
-func (c *Store) recoverTrustedState(st *trustedState, requireClean bool) error {
+// runs must match a sealed digest set, the matching sealed WAL digest
+// must be a prefix of the chain the engine's replay fed the listener, and
+// every group the replay found past it must have carried its tag.
+func (c *Store) recoverTrustedState(st *trustedState) error {
 	engineRuns := c.engine.Runs() // the engine's lock comes before c.mu
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -620,6 +651,9 @@ func (c *Store) recoverTrustedState(st *trustedState, requireClean bool) error {
 		if !seek.found {
 			return 0, fmt.Errorf("%w: trusted WAL digest not found on the replayed chain (log tampered)", ErrRollback)
 		}
+		if seek.forged {
+			return 0, fmt.Errorf("%w: a WAL group past the seal fails its tag", ErrForged)
+		}
 		return replayed - seek.at, nil
 	}
 	extra, err := try(st.Digests, c.chain.seek[0])
@@ -637,21 +671,12 @@ func (c *Store) recoverTrustedState(st *trustedState, requireClean bool) error {
 	if err != nil {
 		return err
 	}
-	if requireClean {
-		if extra > 0 {
-			return fmt.Errorf("%w: %d unverified WAL records after sealed state", ErrRollback, extra)
-		}
-		if torn := c.engine.WALTornRecords(); torn > 0 {
-			return fmt.Errorf("%w: %d WAL records dropped from an uncommitted group", ErrRollback, torn)
-		}
-	}
 	c.snap.Store(&trustedView{digests: st.Digests})
 	// Everything replayed is on disk: the durable frontier starts at the
-	// recovered tip (no groups are in flight). All live logs (any recovered
-	// frozen ones included) feed the next freeze together, so the fresh
-	// chain starts as the full replayed chain.
+	// recovered tip (no groups are in flight), and the fresh chain over the
+	// last replayed log is what the next group's tag extends.
 	c.chain.recovered(st.WALAppends + extra)
-	c.unverifiedReplay = int(extra)
+	c.replayedPastSeal = int(extra)
 	c.epoch.Store(st.Epoch)
 	c.engine.EnsureTs(st.LastTs)
 	return nil
@@ -678,12 +703,13 @@ func (c *Store) Promote() (uint64, error) {
 	return e, nil
 }
 
-// UnverifiedReplay reports how many WAL records were recovered beyond the
-// last sealed state (the §5.6.1 rollback window).
-func (c *Store) UnverifiedReplay() int {
+// ReplayedPastSeal reports how many WAL records recovery replayed past the
+// last sealed state (the §5.6.1 rollback window), every group of them
+// carrying a tag this store wrote.
+func (c *Store) ReplayedPastSeal() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.unverifiedReplay
+	return c.replayedPastSeal
 }
 
 // ---------------------------------------------------------------------------
@@ -799,11 +825,11 @@ func (c *Store) RunDigests() map[uint64]DigestInfo {
 
 // Close seals the final state and shuts the store down. The commit
 // pipeline is drained first so the seal covers every accepted commit —
-// after a clean Close, recovery finds zero unverified WAL records.
+// after a clean Close, recovery replays no WAL record past the seal.
 func (c *Store) Close() error {
 	c.stopFilterRebuild()
 	_ = c.engine.Sync(nil) // best effort: already-closed/failed pipelines still seal the durable frontier
-	c.commitState()
+	_ = c.commitState()
 	err := c.engine.Close()
 	c.mu.Lock()
 	for _, f := range c.snap.Load().filters {

@@ -1,15 +1,28 @@
 package core
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+
 	"elsm/internal/hashutil"
 	"elsm/internal/record"
+	"elsm/internal/wal"
 )
 
 // walChain is the enclave's digest chain over the live write-ahead logs
-// (§5.3 step w1: dig' = H(dig ‖ record)). The commit hooks and recovery's
-// single replay extend it, and LinkWAL — which the checkpoint checks and
-// replication frames use too — is the only product code that hashes a WAL
-// record. Guarded by Store.mu.
+// (§5.3 step w1: dig' = H(dig ‖ record)) and the key that tags each group
+// the engine appends. The commit hooks and recovery's single replay extend
+// it, and LinkWAL — which the checkpoint checks use too — is the only
+// product code that hashes a WAL record. Guarded by Store.mu.
+//
+// A group's tag is HMAC-SHA256(key, appends ‖ fresh) over the lifetime
+// append count after the group and the chain over the group's own log up to
+// and including it. The key is the store's (walKey): bound to the sealing
+// key and to a random seed sealed with the trusted state, so another store,
+// another incarnation of this one, or the host cannot tag a group.
 type walChain struct {
 	// tip chains every record of the live logs: the frozen logs awaiting a
 	// flush install, then the active log. fresh chains the active log alone,
@@ -31,6 +44,11 @@ type walChain struct {
 	// seek holds, during recovery only, the sealed digests the replayed
 	// chain must meet at a group boundary.
 	seek []chainSeek
+	// mac is keyed with the store's WAL key; in and sum are its scratch, so
+	// a tag allocates nothing.
+	mac hash.Hash
+	in  [8 + hashutil.Size]byte
+	sum [sha256.Size]byte
 }
 
 // walMark is the chain at one group boundary, in both bases: digest spans
@@ -41,12 +59,39 @@ type walMark struct {
 	appends uint64
 }
 
-// chainSeek is one sealed digest recovery looks for on the replayed chain:
-// found once the chain met it, at appends records into the replay.
+// chainSeek is one sealed digest recovery looks for on the replayed chain,
+// with the lifetime append count sealed beside it: found once the chain met
+// it, at records into the replay. forged marks a group past it whose tag
+// does not verify.
 type chainSeek struct {
-	want  hashutil.Hash
-	found bool
-	at    uint64
+	want    hashutil.Hash
+	appends uint64
+	found   bool
+	at      uint64
+	forged  bool
+}
+
+// walKey derives a store's WAL key from its sealing key and the seed sealed
+// in its trusted state.
+func walKey(sealKey [32]byte, seed []byte) []byte {
+	mac := hmac.New(sha256.New, sealKey[:])
+	mac.Write([]byte("elsm wal key"))
+	mac.Write(seed)
+	return mac.Sum(nil)
+}
+
+// keyed makes key the chain's WAL key.
+func (ch *walChain) keyed(key []byte) { ch.mac = hmac.New(sha256.New, key) }
+
+// tag is the tag of a group after which the lifetime append count is
+// appends and the chain over its log is ch.fresh.
+func (ch *walChain) tag(appends uint64) (t wal.Tag) {
+	binary.BigEndian.PutUint64(ch.in[:8], appends)
+	copy(ch.in[8:], ch.fresh[:])
+	ch.mac.Reset()
+	ch.mac.Write(ch.in[:])
+	copy(t[:], ch.mac.Sum(ch.sum[:0]))
+	return t
 }
 
 // LinkWAL returns the WAL digest chain d extended over recs, one link per
@@ -59,8 +104,8 @@ func LinkWAL(d hashutil.Hash, recs []record.Record) hashutil.Hash {
 	return d
 }
 
-// appended extends the chain over one group the engine appended, or
-// replayed at recovery, and holds its mark until synced reports on it.
+// appended extends the chain over one group the engine is about to append,
+// or replayed at recovery, and holds its mark until synced reports on it.
 func (ch *walChain) appended(recs []record.Record) {
 	if ch.tip == ch.fresh {
 		ch.tip = LinkWAL(ch.tip, recs)
@@ -121,23 +166,48 @@ func (ch *walChain) rebase() {
 	}
 }
 
-// seekSealed arms recovery's search for the sealed digests before the
-// engine replays the log. The zero digest is the empty prefix, met before
-// the first record.
-func (ch *walChain) seekSealed(digests ...hashutil.Hash) {
+// replayed extends the chain over one group recovery read from the log and
+// checks its tag against every sealed digest the chain already met: past a
+// seal, a group must carry the tag this store wrote, at the lifetime count
+// the seal maps the replay onto. Which seal recovery adopts is settled
+// later, so a failed tag only marks the seals it is past; the replay fails
+// once every seal is marked, when no sealed state can take the log.
+func (ch *walChain) replayed(recs []record.Record, tag *wal.Tag) error {
+	ch.appended(recs)
+	alive := false
+	for i := range ch.seek {
+		s := &ch.seek[i]
+		if s.found && s.at < ch.appends && !s.forged {
+			want := ch.tag(s.appends + ch.appends - s.at)
+			s.forged = !hmac.Equal(want[:], tag[:])
+		}
+		alive = alive || !s.forged
+	}
+	if len(ch.seek) > 0 && !alive {
+		return fmt.Errorf("%w: WAL group ending at replayed record %d fails its tag", ErrForged, ch.appends)
+	}
+	return nil
+}
+
+// seekSealed arms recovery's search for the sealed digests, each with the
+// lifetime append count sealed beside it, before the engine replays the
+// log. The zero digest is the empty prefix, met before the first record.
+func (ch *walChain) seekSealed(seeks ...chainSeek) {
 	ch.seek = ch.seek[:0]
-	for _, d := range digests {
-		ch.seek = append(ch.seek, chainSeek{want: d, found: d.IsZero()})
+	for _, s := range seeks {
+		s.found = s.want.IsZero()
+		ch.seek = append(ch.seek, s)
 	}
 }
 
 // recovered ends recovery: everything replayed is on disk, so the last
 // replayed group is the durable frontier, and the append count restarts
 // from appends — the sealed count plus the records replayed past the seal.
+// fresh chains the last replayed log alone, the one appends resume on.
 func (ch *walChain) recovered(appends uint64) {
-	ch.synced(true)
 	ch.appends = appends
-	ch.durable.appends = appends
+	ch.durable = walMark{digest: ch.tip, fresh: ch.fresh, appends: appends}
+	ch.inFlight = false
 	ch.atBump = appends
 	ch.seek = nil
 }

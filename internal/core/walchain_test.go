@@ -60,7 +60,7 @@ func TestWALChainBasesAndFrontier(t *testing.T) {
 
 // TestRecoveryFindsSealedDigestInOneReplay: the sealed WAL digest is found
 // on the chain the engine's one replay feeds the listener — the records
-// after it are counted as unverified, the log is opened once to replay and
+// after it are counted past the seal, the log is opened once to replay and
 // once to append, and a log whose chain never meets the seal is refused.
 func TestRecoveryFindsSealedDigestInOneReplay(t *testing.T) {
 	fs := vfs.NewFault(vfs.NewMem())
@@ -84,8 +84,8 @@ func TestRecoveryFindsSealedDigestInOneReplay(t *testing.T) {
 	if n := fs.MatchingOps(); n != 2 {
 		t.Fatalf("recovery opened the log %d times, want 2 (replay, then append)", n)
 	}
-	if n := s2.UnverifiedReplay(); n != 2 {
-		t.Fatalf("unverified suffix = %d, want 2", n)
+	if n := s2.ReplayedPastSeal(); n != 2 {
+		t.Fatalf("suffix past the seal = %d, want 2", n)
 	}
 	for _, k := range []string{"a", "b", "c"} {
 		if res, err := Get(s2, []byte(k)); err != nil || !res.Found {
@@ -131,7 +131,7 @@ func TestRecoveryAcrossFlushGenerations(t *testing.T) {
 	cfg.Platform, cfg.Counter = s.platform, s.counter
 	s2 := mustOpenP2(t, cfg)
 	defer s2.Close()
-	if n := s2.UnverifiedReplay(); n >= 7 {
+	if n := s2.ReplayedPastSeal(); n >= 7 {
 		t.Fatalf("%d records past the last seal with a bump every 7", n)
 	}
 	for k, v := range want {

@@ -9,6 +9,7 @@ import (
 
 	"elsm/internal/obs"
 	"elsm/internal/record"
+	"elsm/internal/wal"
 )
 
 // This file implements the cross-client group-commit pipeline. Concurrent
@@ -19,10 +20,11 @@ import (
 //
 //   - appends it: a short engine-lock critical section checks the store is
 //     writable and reserves the group's contiguous timestamp range; then,
-//     under commitMu alone, the worker appends the whole group (plus its
-//     COMMIT marker) to the untrusted log, hands it to the listener's
-//     OnGroupAppended (the enclave's WAL digest chain), and acknowledges async
-//     futures (the timestamp is known);
+//     under commitMu alone, the worker hands the group to the listener's
+//     OnGroupAppended (the enclave's WAL digest chain, which returns the
+//     group's tag), appends the whole group (plus its tagged COMMIT marker)
+//     to the untrusted log, and acknowledges async futures (the timestamp is
+//     known);
 //   - fsyncs the log once for the group, reports the outcome to the
 //     listener's OnGroupSynced (the durable chain frontier and the periodic
 //     counter bump), applies it to the
@@ -287,8 +289,10 @@ type committer struct {
 	pending  []*commitReq
 	closed   bool
 	workerWG sync.WaitGroup
-	// recs is the worker's group buffer, reused from group to group.
+	// recs is the worker's group buffer, reused from group to group, and
+	// tag the tag of the group in it.
 	recs []record.Record
+	tag  wal.Tag
 }
 
 // startCommitter launches the commit worker.
@@ -605,8 +609,9 @@ func (s *Store) processGroup(batch []*commitReq) {
 }
 
 // appendGroup is the append step (caller holds commitMu): unless the store
-// has failed or closed, it stamps the group's timestamps, appends the group
-// to the WAL and hands it to the listener, which extends its digest chain.
+// has failed or closed, it stamps the group's timestamps, hands the group to
+// the listener, which extends its digest chain and tags the group, and
+// appends the group with its tag to the WAL.
 // It returns the requests still in the group — a shipped group that does not
 // extend the frontier fails alone, and the rest (barriers, on a follower)
 // go on without it — and the records appended, none for a barrier-only
@@ -615,7 +620,7 @@ func (s *Store) processGroup(batch []*commitReq) {
 // appliedTs are invisible, so the append OCall and the hashing run without
 // it. A failed append is sticky like a failed fsync: it may have left a torn
 // frame in the log, which only recovery's truncation can remove, so no later
-// group may follow it.
+// group may follow it; the listener hears of it as of a failed fsync.
 func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, error) {
 	batch, total, ts, err := s.reserveGroup(batch)
 	if err != nil || total == 0 {
@@ -637,13 +642,16 @@ func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, 
 		ts += uint64(len(req.recs))
 	}
 	s.gc.recs = recs
-	var werr error
-	s.ocall(func() { werr = s.walW.AppendBatch(recs) })
+	tag := &s.gc.tag
+	werr := s.listener.OnGroupAppended(recs, tag, false)
+	if werr == nil {
+		s.ocall(func() { werr = s.walW.AppendTagged(recs, tag) })
+	}
 	if werr != nil {
 		s.setWALErr(werr)
+		s.listener.OnGroupSynced(false)
 		return batch, recs, werr
 	}
-	s.listener.OnGroupAppended(recs)
 	return batch, recs, nil
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"elsm/internal/record"
 	"elsm/internal/vfs"
+	"elsm/internal/wal"
 )
 
 // hookLog records the commit hooks in the order they fire.
@@ -18,12 +19,13 @@ type hookLog struct {
 	events []string
 }
 
-func (h *hookLog) OnGroupAppended(recs []record.Record) {
+func (h *hookLog) OnGroupAppended(recs []record.Record, _ *wal.Tag, _ bool) error {
 	keys := make([]string, len(recs))
 	for i := range recs {
 		keys[i] = string(recs[i].Key)
 	}
 	h.add("appended " + strings.Join(keys, ","))
+	return nil
 }
 
 func (h *hookLog) OnGroupSynced(durable bool) { h.add(fmt.Sprintf("synced %v", durable)) }
@@ -43,8 +45,8 @@ func (h *hookLog) take() string {
 	return out
 }
 
-// TestCommitHooksContract pins the two commit hooks: every appended group
-// fires OnGroupAppended with its records and then exactly one
+// TestCommitHooksContract pins the two commit hooks: every group fires
+// OnGroupAppended with its records before its append and then exactly one
 // OnGroupSynced with the fsync's outcome, and recovery's one replay fires
 // OnGroupAppended per complete group and never OnGroupSynced.
 func TestCommitHooksContract(t *testing.T) {
@@ -87,8 +89,9 @@ func TestCommitHooksContract(t *testing.T) {
 }
 
 // TestFailedAppendIsSticky: an append that fails may leave a torn frame in
-// the log, so it fires no hook and fails every later commit until reopen,
-// whose replay truncates the torn tail and keeps what came before.
+// the log, so its group is reported as not durable, and it fails every later
+// commit until reopen, whose replay truncates the torn tail and keeps what
+// came before.
 func TestFailedAppendIsSticky(t *testing.T) {
 	fs := vfs.NewFault(vfs.NewMem())
 	log := &hookLog{}
@@ -107,8 +110,8 @@ func TestFailedAppendIsSticky(t *testing.T) {
 	}
 	fs.Disarm()
 	fs.SetTornWrites(false)
-	if got := log.take(); got != "" {
-		t.Fatalf("a failed append fired %q", got)
+	if got, want := log.take(), "appended torn; synced false"; got != want {
+		t.Fatalf("a failed append fired %q, want %q", got, want)
 	}
 	if _, err := putKV(s, []byte("after"), []byte("v")); !errors.Is(err, ErrWALSyncFailed) {
 		t.Fatalf("commit after a failed append: %v, want the sticky ErrWALSyncFailed", err)

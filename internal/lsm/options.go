@@ -24,6 +24,7 @@ import (
 	"elsm/internal/sgx"
 	"elsm/internal/sstable"
 	"elsm/internal/vfs"
+	"elsm/internal/wal"
 )
 
 // Geometry is the engine's five sizes: when a memtable is full, how large a
@@ -215,9 +216,10 @@ type CompactionInfo struct {
 
 // EventListener is the callback surface through which the eLSM
 // authentication layer attaches to the engine, mirroring RocksDB's
-// EventListener + CompactionFilter APIs (§5.5.3). The WAL's digest chain is
-// the listener's alone: the engine hands it every group it appends, and the
-// groups recovery replays, and never hashes a record itself. The commit hooks
+// EventListener + CompactionFilter APIs (§5.5.3). The WAL's digest chain and
+// its group tags are the listener's alone: the engine hands it every group
+// it appends, and the groups recovery replays, and never hashes a record or
+// checks a tag itself. The commit hooks
 // fire on the commit worker under commitMu (recovery's OnGroupAppended calls
 // come from Open, before the store is shared): OnGroupAppended and
 // OnGroupSynced without the engine lock, OnMemtableFrozen with it. BeginJob
@@ -227,18 +229,24 @@ type CompactionInfo struct {
 // between the commit path and the jobs (e.g. a WAL digest chain) must be
 // internally thread-safe. Implementations must not call back into the Store.
 type EventListener interface {
-	// OnGroupAppended fires once per commit group, after the group's
-	// records (and its COMMIT marker) reached the untrusted log and before
-	// its fsync: the listener extends its WAL digest chain over recs (§5.3
-	// step w1) and holds the group's chain value until OnGroupSynced says
-	// whether the group is durable. recs and their bytes are valid for the
-	// call only. A group whose append fails fires nothing.
+	// OnGroupAppended fires once per commit group, before the group's
+	// records reach the untrusted log: the listener extends its WAL digest
+	// chain over recs (§5.3 step w1), writes the group's tag into tag —
+	// the engine writes it in the group's COMMIT marker — and holds the
+	// group's chain value until OnGroupSynced says whether the group is
+	// durable. recs and their bytes are valid for the call only. An error
+	// fails the group, and a group whose append fails is reported to
+	// OnGroupSynced as not durable.
 	//
-	// Open fires it too, once per complete group it replays from the live
-	// logs (frozen logs in order, then the active log), and never fires
-	// OnGroupSynced for those: everything replayed is on disk, so the
-	// listener treats its last replayed group as durable once Open returns.
-	OnGroupAppended(recs []record.Record)
+	// Open fires it too, with replayed set, once per complete group it
+	// replays from the live logs (frozen logs in order, then the active
+	// log), and never fires OnGroupSynced for those: everything replayed is
+	// on disk, so the listener treats its last replayed group as durable
+	// once Open returns. tag is then the one the group's marker carries,
+	// for the listener to check; an error fails Open. Before each log after
+	// the first, Open fires OnMemtableFrozen: each log was an active log
+	// rotated by a freeze.
+	OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool) error
 	// OnGroupSynced fires once per appended group, in append order, after
 	// the group's fsync: durable reports whether it succeeded. A durable
 	// group's chain value becomes the frontier the listener may seal (and
@@ -325,8 +333,9 @@ type NopListener struct{}
 
 var _ EventListener = NopListener{}
 
-// OnGroupAppended implements EventListener.
-func (NopListener) OnGroupAppended([]record.Record) {}
+// OnGroupAppended implements EventListener: it leaves every tag zero and
+// checks none.
+func (NopListener) OnGroupAppended([]record.Record, *wal.Tag, bool) error { return nil }
 
 // OnGroupSynced implements EventListener.
 func (NopListener) OnGroupSynced(bool) {}

@@ -479,11 +479,12 @@ func (s *Store) recover() error {
 	}
 
 	// Replay every live log in order into the memtable, handing each group
-	// to the listener, whose digest chain spans the files: this one pass is
-	// all the reading of the log recovery does. Only complete commit groups
-	// are replayed; a torn tail is legal only on the final (active) log — the
-	// crash signature — and is truncated away so appends resume cleanly. A
-	// tear anywhere else is tampering.
+	// and its tag to the listener, whose digest chain spans the files, before
+	// the group is applied: this one pass is all the reading of the log
+	// recovery does. Only complete commit groups are replayed; a torn tail
+	// is legal only on the final (active) log — the crash signature — and is
+	// truncated away so appends resume cleanly. A tear anywhere else is
+	// tampering.
 	files := s.liveWALFiles()
 	for i, name := range files {
 		var data []byte
@@ -492,14 +493,19 @@ func (s *Store) recover() error {
 		if rerr != nil {
 			return fmt.Errorf("lsm: wal read %s: %w", name, rerr)
 		}
-		info, err := wal.Replay(data, func(group []record.Record) error {
+		if i > 0 {
+			s.listener.OnMemtableFrozen()
+		}
+		info, err := wal.Replay(data, func(group []record.Record, tag *wal.Tag) error {
+			if err := s.listener.OnGroupAppended(group, tag, true); err != nil {
+				return err
+			}
 			for j := range group {
 				s.mem.Put(group[j])
 			}
 			if ts := group[len(group)-1].Ts; ts > s.lastTs.Load() {
 				s.lastTs.Store(ts)
 			}
-			s.listener.OnGroupAppended(group)
 			return nil
 		})
 		if err != nil {
@@ -671,15 +677,6 @@ func (s *Store) walErrLocked() error {
 		return nil
 	}
 	return fmt.Errorf("%w (reopen to recover): %w", ErrWALSyncFailed, s.walErr)
-}
-
-// WALTornRecords reports how many records recovery dropped because their
-// commit group never completed (a crash — or a truncating host — cut the
-// log inside the group). The records were never acknowledged durable as a
-// group, so dropping them is the correct crash semantics; a caller that
-// demands clean recovery treats any torn tail as suspect.
-func (s *Store) WALTornRecords() int {
-	return s.walTornRecords
 }
 
 // EnsureTs raises the timestamp counter to at least minTs (recovery: the

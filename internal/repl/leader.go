@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"elsm/internal/core"
-	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
-	"elsm/internal/record"
 	"elsm/internal/wal"
 )
 
@@ -27,8 +25,8 @@ var HeartbeatInterval = 1 * time.Second
 // hubGroup is one retained committed group, held as wal.AppendGroup
 // encodes it: the engine's records view the committing callers' key and
 // value slices, which the callers may reuse once their commit returns, and
-// the ring outlives the commit — a tail stream chains and attests a group
-// when it serves it. Those bytes are what the ring counts.
+// the ring outlives the commit — a tail stream attests a group when it
+// serves it. Those bytes are what the ring counts.
 type hubGroup struct {
 	group  []byte
 	prevTs uint64
@@ -92,7 +90,7 @@ func NewLeader(st *core.Store, maxRingBytes int64, shard, shards int) *Leader {
 // onGroup ingests one committed group from the engine's commit worker
 // (single-threaded, commit order), encoding what it retains.
 func (l *Leader) onGroup(g lsm.ReplicatedGroup) {
-	group := wal.AppendGroup(make([]byte, 0, wal.GroupSize(g.Recs)), g.Recs)
+	group := wal.AppendGroup(make([]byte, 0, wal.GroupSize(g.Recs)), g.Recs, g.Tag)
 	size := int64(len(group))
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -243,11 +241,6 @@ func (l *Leader) ServeTail(fromTs uint64, w io.Writer, stop <-chan struct{}) err
 		}
 		l.mu.Unlock()
 
-		// The ring's bytes are one group wal.AppendGroup wrote: they replay.
-		wal.Replay(frame.Group, func(recs []record.Record) error {
-			frame.Chain = core.LinkWAL(hashutil.Zero, recs)
-			return nil
-		})
 		body := encodeFrame(&frame)
 		rep := l.st.AttestPayload(body)
 		if err := writeFrame(w, body, rep); err != nil {

@@ -4,22 +4,24 @@
 //
 // The trust model adds nothing to §5.6: every message a follower acts on —
 // the checkpoint header and every shipped commit group — carries an
-// enclave attestation report (the simulator's stand-in for SGX local
-// attestation over a channel established by remote attestation), plus the
-// WAL hash chain the records must reproduce. The untrusted pieces (the
-// transport, both hosts' file systems, this package's own buffering) can
-// drop, reorder, replay or rewrite bytes, and the follower detects it:
-// reports bind content, the chain binds order, timestamp contiguity with
-// the follower's own applied frontier binds position, and the attested
+// enclave attestation report over the SHA-256 of its whole body (the
+// simulator's stand-in for SGX local attestation over a channel established
+// by remote attestation). The untrusted pieces (the transport, both hosts'
+// file systems, this package's own buffering) can drop, reorder, replay or
+// rewrite bytes, and the follower detects it: reports bind content, the
+// group's records and their order included, timestamp contiguity with the
+// follower's own applied frontier binds position, and the attested
 // (shard, shards) pair in every header and frame binds the stream to one
 // partition of one topology (a transport cannot swap whole shard streams).
 // On any verification failure the follower fails stop — it never serves a
 // read past unverified state.
 //
 // A group frame is a fixed header (type, shard identity, epoch, the group's
-// position and the leader's head, the chain) followed by the group exactly
-// as the leader's WAL holds it: wal.AppendGroup writes those bytes and
-// wal.Replay reads them, so this package has no record codec of its own.
+// position and the leader's head) followed by the group exactly as the
+// leader's WAL holds it, the leader's tag included: wal.AppendGroup writes
+// those bytes and wal.Replay reads them, so this package has no record codec
+// of its own. The follower cannot check the leader's tag and needs not: it
+// re-tags the records under its own WAL key as it applies them.
 // The leader's ring keeps each group in that form, and its byte bound and
 // the lag gauges count those encoded bytes.
 package repl

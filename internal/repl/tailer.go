@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"elsm/internal/core"
-	"elsm/internal/hashutil"
 	"elsm/internal/obs"
 )
 
@@ -25,7 +24,7 @@ var (
 
 // Tailer drives one shard's follower side: it tails the source from the
 // store's applied frontier, verifies every frame (attestation report,
-// shard identity, replication epoch, WAL hash chain, timestamp contiguity)
+// shard identity, replication epoch, timestamp contiguity)
 // and applies it through the store's replication pipeline. Transport
 // failures reconnect with jittered exponential backoff and resume from the
 // durable frontier; the leader hub closing ends the tail cleanly;
@@ -300,11 +299,7 @@ func (t *Tailer) consume(r io.Reader) (int, error) {
 			t.lagBytes.Store(0)
 			continue
 		}
-		// 4. The records must reproduce the declared hash chain.
-		if core.LinkWAL(hashutil.Zero, frame.Recs) != frame.Chain {
-			return frames, fmt.Errorf("repl: shipped group rejected: %w", core.ErrForged)
-		}
-		// 5. The group must extend the applied frontier exactly.
+		// 4. The group must extend the applied frontier exactly.
 		applied := t.st.Engine().AppliedTs()
 		if frame.PrevTs != applied || frame.LastTs != applied+uint64(len(frame.Recs)) {
 			return frames, fmt.Errorf("%w: frame covers (%d,%d], frontier %d",

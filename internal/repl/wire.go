@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
 	"elsm/internal/wal"
@@ -15,12 +14,13 @@ import (
 // Frame types. Group frames carry one committed commit group; heartbeat
 // frames carry only the leader's identity and frontier, proving liveness
 // (and refreshing lag gauges) while the stream idles at the head. Types 1
-// and 2 named an earlier layout, which carried its own record codec in
-// place of the WAL's group bytes: a build of either layout refuses the
-// other's frames instead of misreading them.
+// to 4 named earlier layouts: 1 and 2 carried their own record codec in
+// place of the WAL's group bytes, 3 and 4 a 32-byte chain over the group's
+// records in the header. A build of any layout refuses the others' frames
+// instead of misreading them.
 const (
-	frameGroup     = 3
-	frameHeartbeat = 4
+	frameGroup     = 5
+	frameHeartbeat = 6
 )
 
 // groupFrame is one committed commit group on the wire, plus the leader's
@@ -48,9 +48,6 @@ type groupFrame struct {
 	FrontierBytes int64  // cumulative hub group bytes at send time
 	CumBytes      int64  // cumulative hub group bytes through this group
 
-	// Chain is the WAL hash chain from zero over the group's records — the
-	// same per-record links the records add to both stores' WAL digests.
-	Chain hashutil.Hash
 	// Group is the commit group exactly as wal.AppendGroup encodes it (and
 	// the leader's log holds it); empty in a heartbeat.
 	Group []byte
@@ -60,8 +57,8 @@ type groupFrame struct {
 }
 
 // frameHeaderLen is the size of a frame body before its group bytes: type
-// byte, shard pair, epoch, seven position fields, chain.
-const frameHeaderLen = 1 + 2*4 + 8*8 + 32
+// byte, shard pair, epoch, seven position fields.
+const frameHeaderLen = 1 + 2*4 + 8*8
 
 // encodeFrame serializes the frame body: the fixed header, then Group. The
 // report over the body is appended separately by writeFrame.
@@ -78,7 +75,6 @@ func encodeFrame(f *groupFrame) []byte {
 		f.FrontierSeq, f.FrontierTs, uint64(f.FrontierBytes), uint64(f.CumBytes)} {
 		body = binary.BigEndian.AppendUint64(body, v)
 	}
-	body = append(body, f.Chain[:]...)
 	return append(body, f.Group...)
 }
 
@@ -151,7 +147,6 @@ func decodeFrame(body []byte) (*groupFrame, error) {
 	}
 	f.Epoch, f.PrevTs, f.LastTs, f.Seq, f.FrontierSeq, f.FrontierTs = u[0], u[1], u[2], u[3], u[4], u[5]
 	f.FrontierBytes, f.CumBytes = int64(u[6]), int64(u[7])
-	copy(f.Chain[:], body[frameHeaderLen-32:])
 	group := body[frameHeaderLen:]
 	if f.Heartbeat {
 		if len(group) != 0 {
@@ -160,7 +155,7 @@ func decodeFrame(body []byte) (*groupFrame, error) {
 		return f, nil
 	}
 	groups := 0
-	info, err := wal.Replay(group, func(recs []record.Record) error {
+	info, err := wal.Replay(group, func(recs []record.Record, _ *wal.Tag) error {
 		groups++
 		f.Recs = recs
 		return nil

@@ -6,8 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"elsm/internal/core"
-	"elsm/internal/hashutil"
 	"elsm/internal/race"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
@@ -32,14 +30,14 @@ func frameCases() []frameCase {
 	hdr := groupFrame{
 		Shard: 1, Shards: 4, Epoch: 2, PrevTs: 7, LastTs: 9, Seq: 3,
 		FrontierSeq: 5, FrontierTs: 12, FrontierBytes: 90, CumBytes: 60,
-		Chain: core.LinkWAL(hashutil.Zero, recs),
 	}
 	frame := func(parts ...[]byte) []byte {
 		f := hdr
 		f.Group = bytes.Join(parts, nil)
 		return encodeFrame(&f)
 	}
-	group := wal.AppendGroup(nil, recs)
+	tag := &wal.Tag{0: 0xA5, wal.TagSize - 1: 0x5A} // the leader's, which the follower does not check
+	group := wal.AppendGroup(nil, recs, tag)
 	unmarked := group[:len(group)-wal.GroupSize(nil)] // the record frames alone
 	beat := encodeFrame(&groupFrame{Heartbeat: true, Shards: 1, FrontierTs: 9, CumBytes: 60})
 	return []frameCase{
@@ -48,20 +46,33 @@ func frameCases() []frameCase {
 		{"torn mid-record", frame(group[:20]), false},
 		{"torn before the marker", frame(unmarked), false},
 		{"two groups", frame(group, group), false},
-		{"marker-only group", frame(wal.AppendGroup(nil, nil)), false},
-		{"marker-only group before the group", frame(wal.AppendGroup(nil, nil), group), false},
+		{"marker-only group", frame(wal.AppendGroup(nil, nil, tag)), false},
+		{"marker-only group before the group", frame(wal.AppendGroup(nil, nil, tag), group), false},
 		{"byte after the marker", frame(group, []byte{0}), false},
 		{"records after the marker", frame(group, unmarked), false},
 		{"heartbeat followed by bytes", append(beat, 0), false},
 		{"short header", frame(group)[:frameHeaderLen-1], false},
-		{"parent layout", parentLayoutFrame(recs, hdr.Chain), false},
+		{"chain layout", chainLayoutFrame(group), false},
+		{"codec layout", codecLayoutFrame(recs), false},
 	}
 }
 
-// parentLayoutFrame is a group frame as the earlier layout wrote it: type
+// chainLayoutFrame is a group frame as the layout before this one wrote it:
+// type byte 3, the shard pair and the eight position fields, a 32-byte
+// chain over the group's records, then the group.
+func chainLayoutFrame(group []byte) []byte {
+	b := binary.BigEndian.AppendUint64([]byte{3}, 1<<32|4) // shard 1 of 4
+	for i := 0; i < 8; i++ {
+		b = binary.BigEndian.AppendUint64(b, uint64(i))
+	}
+	b = append(b, make([]byte, 32)...)
+	return append(b, group...)
+}
+
+// codecLayoutFrame is a group frame as an earlier layout wrote it: type
 // byte 1, the position fields with a byte count among them, a record
 // count, the records in that layout's own codec, then the chain.
-func parentLayoutFrame(recs []record.Record, chain hashutil.Hash) []byte {
+func codecLayoutFrame(recs []record.Record) []byte {
 	b := binary.BigEndian.AppendUint64([]byte{1}, 1<<32|4) // shard 1 of 4
 	for i := 0; i < 9; i++ {
 		b = binary.BigEndian.AppendUint64(b, uint64(i))
@@ -73,7 +84,7 @@ func parentLayoutFrame(recs []record.Record, chain hashutil.Hash) []byte {
 		b = binary.BigEndian.AppendUint64(b, r.Ts)
 		b = append(binary.BigEndian.AppendUint32(b, uint32(len(r.Value))), r.Value...)
 	}
-	return append(b, chain[:]...)
+	return append(b, make([]byte, 32)...)
 }
 
 // TestDecodeFrameCases: decodeFrame accepts a frame only if its group bytes
@@ -92,11 +103,12 @@ func TestDecodeFrameCases(t *testing.T) {
 	}
 }
 
-// reencode encodes an accepted frame from its parsed records, not from the
-// group bytes it carried.
+// reencode encodes an accepted frame from its parsed records and the tag
+// that ends its group, not from the group bytes it carried.
 func reencode(f *groupFrame) []byte {
 	if !f.Heartbeat {
-		f.Group = wal.AppendGroup(nil, f.Recs)
+		tag := wal.Tag(f.Group[len(f.Group)-wal.TagSize:])
+		f.Group = wal.AppendGroup(nil, f.Recs, &tag)
 	}
 	return encodeFrame(f)
 }
@@ -111,8 +123,8 @@ func TestGroupFrameOver64MiB(t *testing.T) {
 	}
 	recs := []record.Record{{Key: []byte("big"), Ts: 1, Kind: record.KindSet, Value: make([]byte, 64<<20)}}
 	// encodeFrame's layout, built in place: the header, then the group.
-	hdr := encodeFrame(&groupFrame{Shards: 1, LastTs: 1, Chain: core.LinkWAL(hashutil.Zero, recs)})
-	body := wal.AppendGroup(append(make([]byte, 0, len(hdr)+wal.GroupSize(recs)), hdr...), recs)
+	hdr := encodeFrame(&groupFrame{Shards: 1, LastTs: 1})
+	body := wal.AppendGroup(append(make([]byte, 0, len(hdr)+wal.GroupSize(recs)), hdr...), recs, &wal.Tag{})
 	pr, pw := io.Pipe()
 	go func() { pw.CloseWithError(writeFrame(pw, body, sgx.Report{})) }()
 	got, _, err := readFrame(pr)
@@ -123,7 +135,7 @@ func TestGroupFrameOver64MiB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Recs) != 1 || len(f.Recs[0].Value) != 64<<20 || f.Chain != core.LinkWAL(hashutil.Zero, f.Recs) {
+	if len(f.Recs) != 1 || len(f.Recs[0].Value) != 64<<20 || string(f.Recs[0].Key) != "big" {
 		t.Fatal("the group read back is not the one written")
 	}
 }

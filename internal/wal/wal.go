@@ -1,28 +1,29 @@
 // Package wal implements the write-ahead log of the LSM store. The log file
 // itself lives in the untrusted world (outside the enclave, §5.3 step w3).
-// The package keeps no digest, neither when writing nor when replaying: the
-// enclave's chain over appended records (step w1: dig' = H(dig ‖ record)) has
-// one owner, the authentication layer, which extends it over every group the
-// engine appends and, at recovery, over every group Replay hands back. So
-// recovery can be verified up to the sealed frontier — a host that drops,
-// reorders, or alters WAL entries the last sealed state covers produces a
-// digest mismatch. Past that frontier the chain proves nothing: it is
-// unkeyed SHA-256, and recovery only requires the sealed digest to be a
-// prefix of the replayed chain, so a group the host appends with valid CRCs
-// replays as trusted (ROADMAP.md, "The WAL past the last seal is
-// forgeable"), and dropping acknowledged groups back to the seal is the
-// §5.6.1 rollback window.
+// The package keeps no digest and holds no key, neither when writing nor
+// when replaying: the enclave's chain over appended records (step w1:
+// dig' = H(dig ‖ record)) and the key that tags each group have one owner,
+// the authentication layer. It computes a group's tag before the engine
+// appends the group, and at recovery it checks the tag of every group past
+// its last seal that Replay hands back, so a host can neither alter nor add
+// a group the enclave did not write; it can only drop groups back to the
+// seal (the §5.6.1 rollback window).
 //
 // Record framing: [crc32 u32][len u32][kind u8][keyLen u32][key][ts u64][valLen u32][val]
 //
-// Group commit: every append — single-record Append or grouped AppendBatch —
-// is terminated by a COMMIT marker frame ([crc32 u32][len u32][0xF0][count
-// u32]) carrying the group's record count. Replay delivers only records of
-// complete (marker-terminated) groups: a crash that tears the tail of the
-// log loses at most the uncommitted final group, never a suffix of a group,
-// so recovery always observes a prefix of whole commits. Markers are
-// framing-only — they do not enter the digest chain, which remains a
-// per-record hash chain over the committed records.
+// Group commit: every append is terminated by a COMMIT marker frame
+// ([crc32 u32][len u32][0xF1][count u32][tag 32]) carrying the group's
+// record count and its authentication tag. Replay delivers only records of
+// complete (marker-terminated) groups, each with its tag: a crash that
+// tears the tail of the log loses at most the uncommitted final group, never
+// a suffix of a group, so recovery always observes a prefix of whole commits.
+// Markers do not enter the digest chain, which remains a per-record hash
+// chain over the committed records. A writer that authenticates nothing
+// writes a zero tag.
+//
+// The marker's kind byte is the format version. Format 1 wrote 5-byte
+// markers ([0xF0][count u32]) with no tag; Replay refuses a log holding one
+// (ErrOldFormat) instead of trusting groups no enclave tagged.
 package wal
 
 import (
@@ -38,10 +39,27 @@ import (
 // ErrCorrupt reports a record whose framing or checksum does not parse.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// commitMarker is the frame-kind byte of a group COMMIT marker. It is
-// disjoint from every record.Kind, so record frames and marker frames are
-// unambiguous.
-const commitMarker = 0xF0
+// ErrOldFormat reports a log written in format 1, whose COMMIT markers carry
+// no tag.
+var ErrOldFormat = errors.New("wal: format 1 log (untagged COMMIT markers)")
+
+// The frame-kind bytes of a COMMIT marker: format 2's, and format 1's, which
+// Replay refuses. Both are disjoint from every record.Kind, so record frames
+// and marker frames are unambiguous.
+const (
+	commitMarker   = 0xF1
+	commitMarkerV1 = 0xF0
+)
+
+// TagSize is the length of a group's authentication tag.
+const TagSize = 32
+
+// Tag is a commit group's authentication tag, as its COMMIT marker carries
+// it. The package neither computes nor checks one.
+type Tag [TagSize]byte
+
+// markerBody is the length of a COMMIT marker's body: kind, count, tag.
+const markerBody = 1 + 4 + TagSize
 
 // Writer appends records to a WAL file, framing each group in place in one
 // reused buffer. Not safe for concurrent use (the LSM store serializes
@@ -85,52 +103,57 @@ func encode(dst []byte, rec record.Record) []byte {
 	return endFrame(dst, start)
 }
 
-// encodeMarker appends a COMMIT marker frame declaring an n-record group.
-func encodeMarker(dst []byte, n int) []byte {
+// encodeMarker appends a COMMIT marker frame declaring an n-record group
+// and carrying its tag.
+func encodeMarker(dst []byte, n int, tag *Tag) []byte {
 	dst, start := beginFrame(dst)
 	dst = append(dst, commitMarker)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = append(dst, tag[:]...)
 	return endFrame(dst, start)
 }
 
 // AppendGroup appends recs to dst as one commit group — each record framed,
-// then the COMMIT marker — exactly as AppendBatch writes it to the log.
-// Replication ships a group in these bytes, and Replay reads them back.
-func AppendGroup(dst []byte, recs []record.Record) []byte {
+// then the COMMIT marker carrying tag — exactly as AppendTagged writes it to
+// the log. Replication ships a group in these bytes, and Replay reads them
+// back.
+func AppendGroup(dst []byte, recs []record.Record, tag *Tag) []byte {
 	for i := range recs {
 		dst = encode(dst, recs[i])
 	}
-	return encodeMarker(dst, len(recs))
+	return encodeMarker(dst, len(recs), tag)
 }
 
-// GroupSize is len(AppendGroup(nil, recs)).
+// GroupSize is len(AppendGroup(nil, recs, tag)).
 func GroupSize(recs []record.Record) int {
-	n := frameHeader + 1 + 4 // the marker
+	n := frameHeader + markerBody
 	for i := range recs {
 		n += frameHeader + 1 + 4 + len(recs[i].Key) + 8 + 4 + len(recs[i].Value)
 	}
 	return n
 }
 
-// Append writes one record as a single-record commit group.
-func (w *Writer) Append(rec record.Record) error {
-	return w.AppendBatch([]record.Record{rec})
-}
-
-// AppendBatch writes a group of records plus its COMMIT marker as one
-// contiguous file append. The whole group reaches the untrusted file in a
-// single write and replay only accepts marker-terminated groups, so a crash
-// (or a truncating host) can only remove whole groups from the tail — and
-// the enclave's digest chain exposes anything subtler as tampering.
-func (w *Writer) AppendBatch(recs []record.Record) error {
+// AppendTagged writes a group of records plus its COMMIT marker, which
+// carries tag, as one contiguous file append. The whole group reaches the
+// untrusted file in a single write and replay only accepts
+// marker-terminated groups, so a crash (or a truncating host) can only
+// remove whole groups from the tail — and the enclave's digest chain and
+// tags expose anything subtler as tampering.
+func (w *Writer) AppendTagged(recs []record.Record, tag *Tag) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	w.buf = AppendGroup(w.buf[:0], recs)
+	w.buf = AppendGroup(w.buf[:0], recs, tag)
 	if _, err := w.f.Append(w.buf); err != nil {
 		return fmt.Errorf("wal: append batch: %w", err)
 	}
 	return nil
+}
+
+// AppendBatch is AppendTagged with a zero tag: the log of a store that
+// authenticates nothing.
+func (w *Writer) AppendBatch(recs []record.Record) error {
+	return w.AppendTagged(recs, &Tag{})
 }
 
 // Sync flushes the log to stable storage.
@@ -153,15 +176,16 @@ type ReplayInfo struct {
 
 // Replay walks data — a whole log, read with vfs.ReadFile, or shipped WAL
 // bytes — and calls fn once per complete (marker-terminated) commit group, in
-// log order. The records view data; the group slice is reused once fn
-// returns. An incomplete tail — a torn frame at EOF, or trailing record
+// log order, with the tag its marker carries. The records and the tag view
+// data; the group slice is reused once fn returns. An incomplete tail — a torn frame at EOF, or trailing record
 // frames with no COMMIT marker — is NOT an error: it is the signature of a
 // crash mid-append, and is reported via TornRecords/CommittedSize so the
 // caller can truncate it away. Structural damage before the tail (a CRC
 // mismatch, a marker whose count disagrees with its group) still fails with
-// ErrCorrupt: that is tampering, not a crash artifact. Replay keeps no
-// digest: the caller chains what it is handed.
-func Replay(data []byte, fn func(group []record.Record) error) (ReplayInfo, error) {
+// ErrCorrupt: that is tampering, not a crash artifact; a format 1 marker
+// fails with ErrOldFormat. Replay keeps no digest and checks no tag: the
+// caller chains and authenticates what it is handed.
+func Replay(data []byte, fn func(group []record.Record, tag *Tag) error) (ReplayInfo, error) {
 	var info ReplayInfo
 	var pending []record.Record
 	off := 0
@@ -179,14 +203,17 @@ func Replay(data []byte, fn func(group []record.Record) error) (ReplayInfo, erro
 			return info, fmt.Errorf("%w: crc mismatch at %d", ErrCorrupt, off)
 		}
 		off += 8 + n
-		if len(body) == 5 && body[0] == commitMarker {
+		if len(body) == 5 && body[0] == commitMarkerV1 {
+			return info, fmt.Errorf("%w: marker at %d", ErrOldFormat, off-8-n)
+		}
+		if len(body) == markerBody && body[0] == commitMarker {
 			count := int(binary.BigEndian.Uint32(body[1:5]))
 			if count != len(pending) {
 				return info, fmt.Errorf("%w: commit marker declares %d records, group has %d",
 					ErrCorrupt, count, len(pending))
 			}
 			if len(pending) > 0 {
-				if err := fn(pending); err != nil {
+				if err := fn(pending, (*Tag)(body[5:])); err != nil {
 					return info, err
 				}
 			}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -44,7 +45,7 @@ func replayLog(fs vfs.FS, fn func(record.Record) error) (ReplayInfo, error) {
 	if err != nil {
 		return ReplayInfo{}, err
 	}
-	return Replay(data, func(group []record.Record) error {
+	return Replay(data, func(group []record.Record, _ *Tag) error {
 		for _, rec := range group {
 			if err := fn(rec); err != nil {
 				return err
@@ -75,7 +76,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	w := NewWriter(f)
 	recs := testRecords(100)
 	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
+		if err := w.AppendBatch([]record.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +130,7 @@ func TestCorruptionDetected(t *testing.T) {
 	f, _ := fs.Create("wal")
 	w := NewWriter(f)
 	for _, rec := range testRecords(10) {
-		w.Append(rec)
+		w.AppendBatch([]record.Record{rec})
 	}
 	// Flip a byte in the middle of the log body.
 	if err := fs.Corrupt("wal", f.Size()/2); err != nil {
@@ -149,7 +150,7 @@ func TestTamperedValueChangesDigest(t *testing.T) {
 	write := func(val string) hashutil.Hash {
 		f, _ := fs.Create("wal")
 		w := NewWriter(f)
-		w.Append(record.Record{Key: []byte("k"), Ts: 1, Kind: record.KindSet, Value: []byte(val)})
+		w.AppendBatch([]record.Record{{Key: []byte("k"), Ts: 1, Kind: record.KindSet, Value: []byte(val)}})
 		_, dig := replayChain(t, fs)
 		return dig
 	}
@@ -164,7 +165,7 @@ func TestResumeWriterContinuesChain(t *testing.T) {
 	w := NewWriter(f)
 	recs := testRecords(20)
 	for _, rec := range recs[:10] {
-		w.Append(rec)
+		w.AppendBatch([]record.Record{rec})
 	}
 
 	// Simulate restart: replay, then a new writer appends to the same log.
@@ -173,7 +174,7 @@ func TestResumeWriterContinuesChain(t *testing.T) {
 	}
 	w2 := NewWriter(f)
 	for _, rec := range recs[10:] {
-		w2.Append(rec)
+		w2.AppendBatch([]record.Record{rec})
 	}
 	final, dig := replayChain(t, fs)
 	if dig != chain(recs) || final.Records != len(recs) {
@@ -186,10 +187,11 @@ func TestGroupAppendReplaysAsOneGroup(t *testing.T) {
 	f, _ := fs.Create("wal")
 	w := NewWriter(f)
 	recs := testRecords(9)
-	if err := w.AppendBatch(recs[:4]); err != nil {
+	tags := []Tag{{0: 1, TagSize - 1: 4}, {0: 2, TagSize - 1: 5}}
+	if err := w.AppendTagged(recs[:4], &tags[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch(recs[4:]); err != nil {
+	if err := w.AppendTagged(recs[4:], &tags[1]); err != nil {
 		t.Fatal(err)
 	}
 	data, err := vfs.ReadFile(fs, "wal")
@@ -197,8 +199,10 @@ func TestGroupAppendReplaysAsOneGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sizes []int
-	info, err := Replay(data, func(group []record.Record) error {
+	var got []Tag
+	info, err := Replay(data, func(group []record.Record, tag *Tag) error {
 		sizes = append(sizes, len(group))
+		got = append(got, *tag)
 		return nil
 	})
 	if err != nil {
@@ -207,17 +211,20 @@ func TestGroupAppendReplaysAsOneGroup(t *testing.T) {
 	if info.Records != 9 || info.TornRecords != 0 || fmt.Sprint(sizes) != "[4 5]" {
 		t.Fatalf("replay = %+v in groups %v, want 9 committed records in groups [4 5]", info, sizes)
 	}
+	if fmt.Sprint(got) != fmt.Sprint(tags) {
+		t.Fatalf("replayed tags %v, want each group's own %v", got, tags)
+	}
 	if _, dig := replayChain(t, fs); dig != chain(recs) {
 		t.Fatal("grouped replay chain != chain over the records")
 	}
 	// The exported group encoder writes the log's bytes: what replication
 	// ships is what the log holds, and GroupSize predicts its length.
-	group := AppendGroup(AppendGroup(nil, recs[:4]), recs[4:])
+	group := AppendGroup(AppendGroup(nil, recs[:4], &tags[0]), recs[4:], &tags[1])
 	if string(group) != string(data) {
 		t.Fatal("AppendGroup bytes differ from the log AppendBatch wrote")
 	}
 	for _, g := range [][]record.Record{nil, recs[:1], recs} {
-		if n, want := GroupSize(g), len(AppendGroup(nil, g)); n != want {
+		if n, want := GroupSize(g), len(AppendGroup(nil, g, &Tag{})); n != want {
 			t.Fatalf("GroupSize = %d for a group of %d bytes", n, want)
 		}
 	}
@@ -278,7 +285,7 @@ func TestMarkerCountMismatchIsCorruption(t *testing.T) {
 	for _, rec := range recs {
 		buf = encode(buf, rec)
 	}
-	buf = encodeMarker(buf, 3)
+	buf = encodeMarker(buf, 3, &Tag{})
 	if _, err := f.Append(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +301,47 @@ func TestReplayCallbackError(t *testing.T) {
 	f, _ := fs.Create("wal")
 	w := NewWriter(f)
 	for _, rec := range testRecords(5) {
-		w.Append(rec)
+		w.AppendBatch([]record.Record{rec})
 	}
 	sentinel := errors.New("stop")
 	_, err := replayLog(fs, func(record.Record) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
+	}
+}
+
+// format1Group is a group as format 1 wrote it: the records, then a 5-byte
+// marker with no tag.
+func format1Group(recs []record.Record) []byte {
+	var buf []byte
+	for _, rec := range recs {
+		buf = encode(buf, rec)
+	}
+	buf, start := beginFrame(buf)
+	buf = append(buf, commitMarkerV1)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
+	return endFrame(buf, start)
+}
+
+// TestFormat1LogIsRefused: a log whose groups end in untagged format 1
+// markers is refused whole — the first group included — and so is a format 2
+// log with a format 1 group after its tagged ones.
+func TestFormat1LogIsRefused(t *testing.T) {
+	recs := testRecords(4)
+	for name, data := range map[string][]byte{
+		"format 1 log":                format1Group(recs),
+		"format 1 group after tagged": append(AppendGroup(nil, recs[:2], &Tag{}), format1Group(recs[2:])...),
+	} {
+		delivered := 0
+		_, err := Replay(data, func(group []record.Record, _ *Tag) error {
+			delivered += len(group)
+			return nil
+		})
+		if !errors.Is(err, ErrOldFormat) {
+			t.Errorf("%s: %v, want ErrOldFormat", name, err)
+		}
+		if name == "format 1 log" && delivered != 0 {
+			t.Errorf("%s: delivered %d records", name, delivered)
+		}
 	}
 }
