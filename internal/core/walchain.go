@@ -18,9 +18,9 @@ import (
 // it, and LinkWAL — which the checkpoint checks use too — is the only
 // product code that hashes a WAL record. Guarded by Store.mu.
 //
-// A group's tag is HMAC-SHA256(key, appends ‖ fresh) over the lifetime
-// append count after the group and the chain over the group's own log up to
-// and including it. The key is the store's (walKey): bound to the sealing
+// A group's tag is HMAC-SHA256(key, appends ‖ fresh), truncated to
+// wal.TagSize bytes, over the lifetime append count after the group and the
+// chain over the group's own log up to and including it. The key is the store's (walKey): bound to the sealing
 // key and to a random seed sealed with the trusted state, so another store,
 // another incarnation of this one, or the host cannot tag a group.
 type walChain struct {

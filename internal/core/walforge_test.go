@@ -120,7 +120,7 @@ func TestAttackFlippedTagPastSeal(t *testing.T) {
 		body := log[off+8 : off+8+n]
 		frame := off
 		off += 8 + n
-		if n != 1+4+wal.TagSize {
+		if n != 1+4+wal.TagSize || body[0] < 0xF0 {
 			continue // a record frame
 		}
 		markers++

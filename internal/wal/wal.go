@@ -12,7 +12,7 @@
 // Record framing: [crc32 u32][len u32][kind u8][keyLen u32][key][ts u64][valLen u32][val]
 //
 // Group commit: every append is terminated by a COMMIT marker frame
-// ([crc32 u32][len u32][0xF1][count u32][tag 32]) carrying the group's
+// ([crc32 u32][len u32][0xF1][count u32][tag 16]) carrying the group's
 // record count and its authentication tag. Replay delivers only records of
 // complete (marker-terminated) groups, each with its tag: a crash that
 // tears the tail of the log loses at most the uncommitted final group, never
@@ -51,8 +51,10 @@ const (
 	commitMarkerV1 = 0xF0
 )
 
-// TagSize is the length of a group's authentication tag.
-const TagSize = 32
+// TagSize is the length of a group's authentication tag: 128 bits, as much
+// as a forger must guess and no more, since every marker byte is paid once
+// per commit group.
+const TagSize = 16
 
 // Tag is a commit group's authentication tag, as its COMMIT marker carries
 // it. The package neither computes nor checks one.
