@@ -60,16 +60,16 @@ var (
 // rollback. At recovery the engine calls it for every replayed group, which
 // is how the sealed digests are found on the chain without a second read of
 // the log, and how every group past them is held to its tag.
-func (l *authListener) OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool) error {
+func (l *authListener) OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool) {
 	c := l.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if replayed {
-		return c.chain.replayed(recs, tag)
+		c.chain.replayed(recs, tag)
+		return
 	}
 	c.chain.appended(recs)
 	*tag = c.chain.tag(c.chain.appends)
-	return nil
 }
 
 // OnGroupSynced settles the group's chain value — the durable frontier on
@@ -90,7 +90,8 @@ func (l *authListener) OnGroupSynced(durable bool) {
 
 // OnMemtableFrozen marks a flush generation boundary: the active WAL was
 // rotated to a frozen log (or, at recovery, the replay moved on to the next
-// log), so the chain over the active log alone restarts from zero. The full
+// log, or ended on a frozen log), so the chain over the active log alone
+// restarts from zero. The full
 // chain keeps spanning frozen + active logs until the flush installs.
 func (l *authListener) OnMemtableFrozen() {
 	c := l.c

@@ -674,7 +674,7 @@ func (c *Store) recoverTrustedState(st *trustedState) error {
 	c.snap.Store(&trustedView{digests: st.Digests})
 	// Everything replayed is on disk: the durable frontier starts at the
 	// recovered tip (no groups are in flight), and the fresh chain over the
-	// last replayed log is what the next group's tag extends.
+	// active log is what the next group's tag extends.
 	c.chain.recovered(st.WALAppends + extra)
 	c.replayedPastSeal = int(extra)
 	c.epoch.Store(st.Epoch)

@@ -4,7 +4,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"hash"
 
 	"elsm/internal/hashutil"
@@ -170,23 +169,17 @@ func (ch *walChain) rebase() {
 // checks its tag against every sealed digest the chain already met: past a
 // seal, a group must carry the tag this store wrote, at the lifetime count
 // the seal maps the replay onto. Which seal recovery adopts is settled
-// later, so a failed tag only marks the seals it is past; the replay fails
-// once every seal is marked, when no sealed state can take the log.
-func (ch *walChain) replayed(recs []record.Record, tag *wal.Tag) error {
+// later, so a failed tag only marks the seals it is past, and recovery
+// refuses the seal it adopts if it is marked.
+func (ch *walChain) replayed(recs []record.Record, tag *wal.Tag) {
 	ch.appended(recs)
-	alive := false
 	for i := range ch.seek {
 		s := &ch.seek[i]
 		if s.found && s.at < ch.appends && !s.forged {
 			want := ch.tag(s.appends + ch.appends - s.at)
 			s.forged = !hmac.Equal(want[:], tag[:])
 		}
-		alive = alive || !s.forged
 	}
-	if len(ch.seek) > 0 && !alive {
-		return fmt.Errorf("%w: WAL group ending at replayed record %d fails its tag", ErrForged, ch.appends)
-	}
-	return nil
 }
 
 // seekSealed arms recovery's search for the sealed digests, each with the
@@ -203,7 +196,8 @@ func (ch *walChain) seekSealed(seeks ...chainSeek) {
 // recovered ends recovery: everything replayed is on disk, so the last
 // replayed group is the durable frontier, and the append count restarts
 // from appends — the sealed count plus the records replayed past the seal.
-// fresh chains the last replayed log alone, the one appends resume on.
+// fresh chains the active log appends resume on: the last replayed log, or
+// none if the replay ended on a frozen log.
 func (ch *walChain) recovered(appends uint64) {
 	ch.appends = appends
 	ch.durable = walMark{digest: ch.tip, fresh: ch.fresh, appends: appends}

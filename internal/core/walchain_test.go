@@ -140,3 +140,52 @@ func TestRecoveryAcrossFlushGenerations(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryAfterFreezeLostItsActiveLog: a freeze renames the active log
+// and then creates the next one; a crash or a failed create between the two
+// leaves only frozen logs. The log appends resume on after that recovery is
+// a new active log, and the next recovery replays it as one: the groups on
+// it still pass their tags after a second crash.
+func TestRecoveryAfterFreezeLostItsActiveLog(t *testing.T) {
+	for _, cause := range []string{"crash after the rename", "failed create"} {
+		t.Run(cause, func(t *testing.T) {
+			fs := vfs.NewFault(vfs.NewMem())
+			s := mustOpenP2(t, forgeCfg(fs))
+			putAll(t, s, "a", "b")
+			if cause == "failed create" {
+				fs.ArmFilter(vfs.OpCreate, "wal.log")
+				fs.Arm(0)
+				if err := s.Flush(); !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("Flush with the new active log's create failing: %v", err)
+				}
+			} else if err := fs.Rename("wal.log", "wal-frozen-00000000.log"); err != nil {
+				t.Fatal(err)
+			}
+			s.Engine().Close() // crash
+			fs.Disarm()
+			if fs.Exists("wal.log") {
+				t.Fatal("the active log survived the freeze")
+			}
+
+			s2, err := reopen(s, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putAll(t, s2, "c", "d")
+			s2.Engine().Close() // crash: two groups past the seal Open wrote
+			s3, err := reopen(s, fs)
+			if err != nil {
+				t.Fatalf("second recovery: %v", err)
+			}
+			defer s3.Close()
+			if n := s3.ReplayedPastSeal(); n != 2 {
+				t.Fatalf("replayed %d records past the seal, want 2", n)
+			}
+			for _, k := range []string{"a", "b", "c", "d"} {
+				if res, err := Get(s3, []byte(k)); err != nil || string(res.Value) != "v"+k {
+					t.Fatalf("after recovery %q: %+v %v", k, res, err)
+				}
+			}
+		})
+	}
+}

@@ -643,10 +643,9 @@ func (s *Store) appendGroup(batch []*commitReq) ([]*commitReq, []record.Record, 
 	}
 	s.gc.recs = recs
 	tag := &s.gc.tag
-	werr := s.listener.OnGroupAppended(recs, tag, false)
-	if werr == nil {
-		s.ocall(func() { werr = s.walW.AppendTagged(recs, tag) })
-	}
+	s.listener.OnGroupAppended(recs, tag, false)
+	var werr error
+	s.ocall(func() { werr = s.walW.AppendTagged(recs, tag) })
 	if werr != nil {
 		s.setWALErr(werr)
 		s.listener.OnGroupSynced(false)

@@ -19,13 +19,12 @@ type hookLog struct {
 	events []string
 }
 
-func (h *hookLog) OnGroupAppended(recs []record.Record, _ *wal.Tag, _ bool) error {
+func (h *hookLog) OnGroupAppended(recs []record.Record, _ *wal.Tag, _ bool) {
 	keys := make([]string, len(recs))
 	for i := range recs {
 		keys[i] = string(recs[i].Key)
 	}
 	h.add("appended " + strings.Join(keys, ","))
-	return nil
 }
 
 func (h *hookLog) OnGroupSynced(durable bool) { h.add(fmt.Sprintf("synced %v", durable)) }

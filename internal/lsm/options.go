@@ -234,19 +234,19 @@ type EventListener interface {
 	// chain over recs (§5.3 step w1), writes the group's tag into tag —
 	// the engine writes it in the group's COMMIT marker — and holds the
 	// group's chain value until OnGroupSynced says whether the group is
-	// durable. recs and their bytes are valid for the call only. An error
-	// fails the group, and a group whose append fails is reported to
-	// OnGroupSynced as not durable.
+	// durable. recs and their bytes are valid for the call only. A group
+	// whose append fails is reported to OnGroupSynced as not durable.
 	//
 	// Open fires it too, with replayed set, once per complete group it
 	// replays from the live logs (frozen logs in order, then the active
 	// log), and never fires OnGroupSynced for those: everything replayed is
 	// on disk, so the listener treats its last replayed group as durable
 	// once Open returns. tag is then the one the group's marker carries,
-	// for the listener to check; an error fails Open. Before each log after
-	// the first, Open fires OnMemtableFrozen: each log was an active log
-	// rotated by a freeze.
-	OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool) error
+	// for the listener to check once Open returns. Open fires
+	// OnMemtableFrozen before each log after the first, each an active log
+	// rotated by a freeze, and after the last if that is a frozen log: the
+	// active log appends resume on is then a new one.
+	OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool)
 	// OnGroupSynced fires once per appended group, in append order, after
 	// the group's fsync: durable reports whether it succeeded. A durable
 	// group's chain value becomes the frontier the listener may seal (and
@@ -335,7 +335,7 @@ var _ EventListener = NopListener{}
 
 // OnGroupAppended implements EventListener: it leaves every tag zero and
 // checks none.
-func (NopListener) OnGroupAppended([]record.Record, *wal.Tag, bool) error { return nil }
+func (NopListener) OnGroupAppended([]record.Record, *wal.Tag, bool) {}
 
 // OnGroupSynced implements EventListener.
 func (NopListener) OnGroupSynced(bool) {}

@@ -7,7 +7,6 @@ import (
 
 	"elsm/internal/record"
 	"elsm/internal/vfs"
-	"elsm/internal/wal"
 )
 
 // ErrReplicationGap reports a shipped group whose timestamps do not extend
@@ -17,16 +16,14 @@ import (
 var ErrReplicationGap = errors.New("lsm: replicated group does not extend the applied frontier")
 
 // ReplicatedGroup is one durably committed commit group as observed by a
-// replication sink: the group's records in append (= timestamp) order, the
-// tag its COMMIT marker carries, and the timestamp interval (PrevTs, LastTs]
-// they cover. Recs views the committing callers' buffers, and the slice and
-// the tag are the commit worker's, reused for the next group: they are valid
-// for the duration of the sink call only — a sink that retains the group
-// encodes it (the leader hub keeps it as wal.AppendGroup writes it, the
-// bytes the log holds).
+// replication sink: the group's records in append (= timestamp) order plus
+// the timestamp interval (PrevTs, LastTs] they cover. Recs views the
+// committing callers' buffers, and the slice itself is the commit worker's,
+// reused for the next group: it is valid for the duration of the sink call
+// only — a sink that retains the group encodes it (the leader hub keeps it
+// as wal.AppendGroup writes it).
 type ReplicatedGroup struct {
 	Recs   []record.Record
-	Tag    *wal.Tag
 	PrevTs uint64 // applied frontier before the group
 	LastTs uint64 // applied frontier after the group
 }
@@ -57,7 +54,6 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 	}
 	(*p)(ReplicatedGroup{
 		Recs:   recs,
-		Tag:    &s.gc.tag,
 		PrevTs: lastTs - uint64(len(recs)),
 		LastTs: lastTs,
 	})
@@ -69,9 +65,9 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 // with COMMIT marker, fsync, the listener's durable frontier, memtable
 // apply, sink republish (a follower can lead a downstream replica). The
 // follower's WAL chain and sealed frontier are therefore those of a store
-// that executed the writes locally: a shipped group arrives as the bytes
-// the leader's log holds, wal.Replay decodes it, and the append here writes
-// those records again under the follower's own tag. recs may view
+// that executed the writes locally: a shipped group arrives as
+// wal.AppendGroup encodes it, wal.Replay decodes it, and the append here
+// writes those records again under the follower's own tag. recs may view
 // the caller's buffer, which must stay unchanged until the call returns.
 // The caller has already authenticated the group (the frame's report); the
 // commit worker enforces that it extends the applied frontier contiguously.

@@ -497,9 +497,7 @@ func (s *Store) recover() error {
 			s.listener.OnMemtableFrozen()
 		}
 		info, err := wal.Replay(data, func(group []record.Record, tag *wal.Tag) error {
-			if err := s.listener.OnGroupAppended(group, tag, true); err != nil {
-				return err
-			}
+			s.listener.OnGroupAppended(group, tag, true)
 			for j := range group {
 				s.mem.Put(group[j])
 			}
@@ -520,6 +518,13 @@ func (s *Store) recover() error {
 				return fmt.Errorf("lsm: wal tail truncate: %w", err)
 			}
 		}
+	}
+	if len(files) > 0 && files[len(files)-1] != walName {
+		// A freeze renamed the active log but never created its successor
+		// (a crash or a failed create between the two): the active log
+		// openWAL creates is a new one, and the next replay will tell the
+		// listener so before it, as it does here.
+		s.listener.OnMemtableFrozen()
 	}
 	return nil
 }

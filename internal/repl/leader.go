@@ -88,9 +88,10 @@ func NewLeader(st *core.Store, maxRingBytes int64, shard, shards int) *Leader {
 }
 
 // onGroup ingests one committed group from the engine's commit worker
-// (single-threaded, commit order), encoding what it retains.
+// (single-threaded, commit order), encoding what it retains. The group goes
+// out with a zero tag: a follower re-tags it under its own key.
 func (l *Leader) onGroup(g lsm.ReplicatedGroup) {
-	group := wal.AppendGroup(make([]byte, 0, wal.GroupSize(g.Recs)), g.Recs, g.Tag)
+	group := wal.AppendGroup(make([]byte, 0, wal.GroupSize(g.Recs)), g.Recs, &wal.Tag{})
 	size := int64(len(group))
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -17,11 +17,11 @@
 // read past unverified state.
 //
 // A group frame is a fixed header (type, shard identity, epoch, the group's
-// position and the leader's head) followed by the group exactly as the
-// leader's WAL holds it, the leader's tag included: wal.AppendGroup writes
-// those bytes and wal.Replay reads them, so this package has no record codec
-// of its own. The follower cannot check the leader's tag and needs not: it
-// re-tags the records under its own WAL key as it applies them.
+// position and the leader's head) followed by the group as the leader's WAL
+// holds it, but with a zero tag: wal.AppendGroup writes those bytes and
+// wal.Replay reads them, so this package has no record codec of its own.
+// The leader's tag would be of no use to a follower, which re-tags the
+// records under its own WAL key as it applies them.
 // The leader's ring keeps each group in that form, and its byte bound and
 // the lag gauges count those encoded bytes.
 package repl

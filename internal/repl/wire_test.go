@@ -36,7 +36,7 @@ func frameCases() []frameCase {
 		f.Group = bytes.Join(parts, nil)
 		return encodeFrame(&f)
 	}
-	tag := &wal.Tag{0: 0xA5, wal.TagSize - 1: 0x5A} // the leader's, which the follower does not check
+	tag := &wal.Tag{0: 0xA5, wal.TagSize - 1: 0x5A} // any tag: a follower re-tags the group and checks none
 	group := wal.AppendGroup(nil, recs, tag)
 	unmarked := group[:len(group)-wal.GroupSize(nil)] // the record frames alone
 	beat := encodeFrame(&groupFrame{Heartbeat: true, Shards: 1, FrontierTs: 9, CumBytes: 60})
