@@ -8,7 +8,13 @@
 // from a key list; New and Add make the same bytes one key at a time.
 //
 // The implementation follows LevelDB's: k probes derived from one 64-bit
-// hash via double hashing, with k chosen from the bits-per-key budget.
+// hash via double hashing, with k chosen from the bits-per-key budget. Add
+// and MayContain hash the key with Hash, an unseeded FNV-1a, so the filter
+// bytes a table stores do not depend on the process that wrote them.
+// AddHash and MayContainHash take the 64-bit hash instead and run the same
+// probes over it: a caller that tests one key against many filters — the
+// enclave's verified Get walking its runs — hashes the key once, as long as
+// it builds and probes each filter with the same hash.
 package bloom
 
 import (
@@ -23,8 +29,8 @@ type Filter []byte
 // DefaultBitsPerKey matches LevelDB's default of 10 (≈1% false-positive rate).
 const DefaultBitsPerKey = 10
 
-// hash64 is a 64-bit FNV-1a variant over the key.
-func hash64(key []byte) uint64 {
+// Hash is the 64-bit hash Add and MayContain take of a key: FNV-1a.
+func Hash(key []byte) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -86,35 +92,39 @@ func grow(dst []byte, n, bitsPerKey int) []byte {
 // Add sets key's bits in a filter New or Append sized. Adding more keys than
 // the filter was sized for keeps it correct and raises its false-positive
 // rate.
-func (f Filter) Add(key []byte) {
-	k := int(f[len(f)-1])
-	bits := uint64(len(f)-1) * 8
-	h := hash64(key)
-	delta := h>>33 | h<<31 // rotate for double hashing
-	for i := 0; i < k; i++ {
-		pos := h % bits
-		f[pos/8] |= 1 << (pos % 8)
-		h += delta
-	}
-}
+func (f Filter) Add(key []byte) { f.AddHash(Hash(key)) }
 
 // MayContain reports whether the key is possibly in the set. False means
 // definitely absent (Bloom filters never yield false negatives).
-func (f Filter) MayContain(key []byte) bool {
+func (f Filter) MayContain(key []byte) bool { return f.MayContainHash(Hash(key)) }
+
+// AddHash is Add for a key whose 64-bit hash is h.
+func (f Filter) AddHash(h uint64) { f.probe(h, true) }
+
+// MayContainHash is MayContain for a key whose 64-bit hash is h: it answers
+// for the keys added with AddHash under the same hash.
+func (f Filter) MayContainHash(h uint64) bool {
 	if len(f) < 2 {
 		return false
 	}
-	k := int(f[len(f)-1])
-	if k < 1 || k > 30 {
+	if k := f[len(f)-1]; k < 1 || k > 30 {
 		// Treat unknown encodings as "maybe" so lookups stay correct.
 		return true
 	}
-	bits := (len(f) - 1) * 8
-	h := hash64(key)
-	delta := h>>33 | h<<31
+	return f.probe(h, false)
+}
+
+// probe visits the k bits of the key with hash h, setting them if set is
+// true, and reports whether every one of them was set before.
+func (f Filter) probe(h uint64, set bool) bool {
+	k := int(f[len(f)-1])
+	bits := uint64(len(f)-1) * 8
+	delta := h>>33 | h<<31 // rotate for double hashing
 	for i := 0; i < k; i++ {
-		pos := h % uint64(bits)
-		if f[pos/8]&(1<<(pos%8)) == 0 {
+		pos := h % bits
+		if set {
+			f[pos/8] |= 1 << (pos % 8)
+		} else if f[pos/8]&(1<<(pos%8)) == 0 {
 			return false
 		}
 		h += delta

@@ -432,8 +432,9 @@ func (h *compactionHasher) finish(rest ...*compactionHasher) *outputTree {
 
 // keyFilter builds the enclave's Bloom filter over the output run's keys —
 // the leaves the hasher folded, read from the key books, a key whose newest
-// version is a tombstone included — at bloom.DefaultBitsPerKey. An empty run
-// gets none.
+// version is a tombstone included — at bloom.DefaultBitsPerKey, each key
+// added by its keyHash, the hash a Get probes it with. An empty run gets
+// none.
 func (o *outputTree) keyFilter() bloom.Filter {
 	if o.digest.NumLeaves == 0 {
 		return nil
@@ -441,7 +442,7 @@ func (o *outputTree) keyFilter() bloom.Filter {
 	f := bloom.New(o.digest.NumLeaves, bloom.DefaultBitsPerKey)
 	for _, b := range o.books {
 		for leaf := range b.leaves() {
-			f.Add(b.key(leaf))
+			f.AddHash(keyHash(b.key(leaf)))
 		}
 	}
 	return f

@@ -1,5 +1,25 @@
 package core
 
+import (
+	"elsm/internal/hashutil"
+	"elsm/internal/record"
+)
+
+// get is lookup for a key the caller has not hashed.
+func (rc *recordCache) get(root *hashutil.Hash, key []byte, tsq uint64) (Result, bool) {
+	return rc.lookup(root, key, keyHash(key), tsq)
+}
+
+// verifyMembership is verifyHit for a key the caller has not hashed.
+func (v *verifier) verifyMembership(key []byte, tsq uint64, rec record.Record, d runDigest) error {
+	return v.verifyHit(key, keyHash(key), tsq, rec, d)
+}
+
+// put is insert for a record whose key the caller has not hashed.
+func (rc *recordCache) put(root *hashutil.Hash, rec *record.Record) {
+	rc.insert(root, rec, keyHash(rec.Key))
+}
+
 // ChunkLen reports how many results the chunk a chunked iterator is serving
 // from carries.
 func ChunkLen(it Iterator) int { return len(it.(*chunkIter).buf) }

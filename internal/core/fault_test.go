@@ -47,6 +47,36 @@ func TestIOFaultDuringWritesSurfacesCleanly(t *testing.T) {
 	}
 }
 
+// TestCloseReportsAFailedSeal: when the final seal's rename of TRUSTED.bin
+// fails, Close still shuts the store down but returns the error, and the
+// reopened store replays the write the failed seal would have covered.
+func TestCloseReportsAFailedSeal(t *testing.T) {
+	mem := vfs.NewMem()
+	ffs := vfs.NewFault(mem)
+	s := mustOpenP2(t, smallCfg(ffs))
+	if _, err := Put(s, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.ArmFilter(vfs.OpRename, trustedStateName+"*")
+	ffs.Arm(0)
+	if err := s.Close(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Close with a failed final seal = %v, want the injected error", err)
+	}
+	if !ffs.Tripped() {
+		t.Fatal("the seal's rename was never attempted")
+	}
+	cfg := smallCfg(mem)
+	cfg.Platform, cfg.Counter = s.platform, s.counter
+	s2 := mustOpenP2(t, cfg)
+	defer s2.Close()
+	if got := s2.ReplayedPastSeal(); got != 1 {
+		t.Fatalf("reopen replayed %d records past the seal, want the 1 the failed seal left", got)
+	}
+	if res, err := Get(s2, []byte("k")); err != nil || string(res.Value) != "v" {
+		t.Fatalf("Get(k) after reopen = %+v, %v", res, err)
+	}
+}
+
 // TestRecoveryAfterMidFlushCrash kills the disk mid-flush, then restarts
 // against the surviving bytes: the store must either recover to a
 // verified prefix of the history or refuse with a clear error — never

@@ -19,10 +19,11 @@ type runFilter struct {
 	mem  *sgx.Region
 }
 
-// excludes reports whether the filter rules key out of the run. The zero
-// runFilter — a run with no filter — rules nothing out.
-func (f runFilter) excludes(key []byte) bool {
-	return f.keys != nil && !f.keys.MayContain(key)
+// excludes reports whether the filter rules out of the run the key whose
+// keyHash is kh. The zero runFilter — a run with no filter — rules nothing
+// out.
+func (f runFilter) excludes(kh uint64) bool {
+	return f.keys != nil && !f.keys.MayContainHash(kh)
 }
 
 // withFilters returns a copy of the view's filters without those of the
@@ -106,7 +107,7 @@ func (c *Store) rebuildFilter(id uint64) {
 	if tv.digests[id] != want {
 		return // compacted away while the pass ran
 	}
-	c.snap.Store(&trustedView{digests: tv.digests, filters: c.withFilters(tv, nil, id, h.out.filter)})
+	c.snap.Store(&trustedView{digests: tv.digests, filters: c.withFilters(tv, nil, id, h.out.filter), prev: tv.prev})
 }
 
 var errReplayStopped = errors.New("core: run replay stopped")

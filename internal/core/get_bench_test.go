@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"elsm/internal/lsm"
@@ -25,7 +26,11 @@ import (
 //     50 000 keys mostly fail its admission or evict each other);
 //   - absent-key: uniform keys that no run holds, ruled out by both runs'
 //     key filters but for about one run in a hundred, which then proves
-//     the key's absence with two witnesses.
+//     the key's absence with two witnesses;
+//   - parallel-zipf: the warm-zipf keys with one in ten replaced by an
+//     absent key, read by GOMAXPROCS goroutines at once (b.RunParallel), so
+//     at -cpu 2 and up it times what Gets on different cores cost each
+//     other: the cache lines they both write.
 func BenchmarkVerifiedGet(b *testing.B) {
 	const n = 25000 // per run
 	s := twoRunStore(b, n)
@@ -37,16 +42,25 @@ func BenchmarkVerifiedGet(b *testing.B) {
 	uniform := func() int { return rng.Intn(2 * n) }
 	skewed := func() int { return int(zipf.Uint64()) * 7919 % (2 * n) } // hot keys spread over the leaves
 
+	mixed := func(i int) []byte {
+		if rng.Intn(10) == 0 {
+			return absent(i)
+		}
+		return present(i)
+	}
+
 	cases := []struct {
-		name string
-		cold bool
-		key  func(int) []byte
-		next func() int
+		name     string
+		cold     bool
+		parallel bool
+		key      func(int) []byte
+		next     func() int
 	}{
-		{"cold", true, present, uniform},
-		{"warm-zipf", false, present, skewed},
-		{"warm-uniform", false, present, uniform},
-		{"absent-key", false, absent, uniform},
+		{"cold", true, false, present, uniform},
+		{"warm-zipf", false, false, present, skewed},
+		{"warm-uniform", false, false, present, uniform},
+		{"absent-key", false, false, absent, uniform},
+		{"parallel-zipf", false, true, mixed, skewed},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -68,7 +82,19 @@ func BenchmarkVerifiedGet(b *testing.B) {
 			before := s.VerifyStatsSnapshot()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			if tc.parallel {
+				var next atomic.Int64
+				b.RunParallel(func(pb *testing.PB) {
+					i := int(next.Add(1)) * 7919 // each goroutine walks the keys from its own place
+					for ; pb.Next(); i++ {
+						if _, err := Get(s, keys[i%len(keys)]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+			}
+			for i := 0; i < b.N && !tc.parallel; i++ {
 				if tc.cold {
 					b.StopTimer()
 					s.verify.nodes = merkle.NewNodeCache()

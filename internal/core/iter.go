@@ -281,7 +281,7 @@ func (c *Store) IterAt(ctx context.Context, start, end []byte, tsq uint64) Itera
 // stream keeps what it needs between chunks in a pooled readScratch — that
 // view (or v), and copies of start and end — which Close hands back.
 func (c *Store) stream(ctx context.Context, v *readView, start, end []byte, tsq uint64) Iterator {
-	g := c.getReadScratch()
+	g := c.getReadScratch(keyHash(start))
 	if v == nil {
 		if err := c.pinView(&g.view, true); err != nil {
 			c.putReadScratch(g)

@@ -229,11 +229,12 @@ func (j *compactionJob) Verify() error {
 // Installed commits the staged digests: input runs are forgotten and their
 // key filters freed, the output run's digest and key filter take effect, and
 // a flush's WAL-chain rebase (the engine has just deleted the frozen logs) is
-// applied in the SAME c.mu critical section — one copy-on-write snapshot swap, fast enough to run
-// under the engine lock so readers never observe a version whose digest is
-// missing, and atomic so a concurrent commit leader's periodic seal always
+// applied in the SAME c.mu critical section — one copy-on-write snapshot
+// swap, atomic so a concurrent commit leader's periodic seal always
 // fingerprints a coherent (forest, WAL chain) pair, never the new chain
-// beside the old forest.
+// beside the old forest. The engine publishes the matching read version
+// right after, under the same engine lock; until it does, readers pin the
+// version before it, whose forest the new view keeps as prev.
 func (j *compactionJob) Installed() {
 	c := j.c
 	c.mu.Lock()
@@ -251,6 +252,7 @@ func (j *compactionJob) Installed() {
 	c.snap.Store(&trustedView{
 		digests: c.pendingSeal.Digests,
 		filters: c.withFilters(tv, j.info.InputRuns, j.info.OutputRun, j.parts[0].out.filter),
+		prev:    tv.digests,
 	})
 	c.pendingSeal = nil
 	c.sealStagedBy = nil

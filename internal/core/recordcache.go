@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/maphash"
 	"math"
 	"math/bits"
 	"sync"
@@ -36,7 +35,7 @@ func NewVerifiedCaches(e *sgx.Enclave) *VerifiedCaches {
 
 // recordCache remembers the answers verified Gets have proved, so a repeat
 // Get of a hot key is answered inside the enclave with no block read, no
-// witness copy and no hash. It is trusted state, and only verifyMembership
+// witness copy and no hash. It is trusted state, and only verifyHit
 // writes it, after the record's witness verified against the run's trusted
 // root and its verified chain showed no newer version in the run.
 //
@@ -61,7 +60,6 @@ func NewVerifiedCaches(e *sgx.Enclave) *VerifiedCaches {
 // whose entry does not fit a set is never cached. Every step runs under the
 // set's own lock. Safe for concurrent use; a nil cache holds nothing.
 type recordCache struct {
-	seed maphash.Seed
 	sets []recordSet
 }
 
@@ -107,13 +105,24 @@ const (
 )
 
 func newRecordCache() *recordCache {
-	return &recordCache{seed: maphash.MakeSeed(), sets: make([]recordSet, recordCacheSets)}
+	return &recordCache{sets: make([]recordSet, recordCacheSets)}
 }
 
 // cacheable reports whether a record with a key of k bytes and a value of v
 // bytes fits one entry: a key of at most 255 bytes, and the header, key and
 // value within a set's data.
 func cacheable(k, v int) bool { return k <= recordMaxKey && k+v <= recordMaxKV }
+
+// spread mixes a key's keyHash into the hash the cache reads its set, tag
+// and sketch bits from (murmur3's finalizer): FNV-1a's high bits barely move
+// with a key's last bytes, and the set index is read from the high bits.
+func spread(kh uint64) uint64 {
+	kh ^= kh >> 33
+	kh *= 0xff51afd7ed558ccd
+	kh ^= kh >> 33
+	kh *= 0xc4ceb9fe1a85ec53
+	return kh ^ kh>>33
+}
 
 // locate returns the set that holds key's entries, from the key's hash kh
 // alone (its high bits, by a multiply onto the table), and the tag of its
@@ -124,17 +133,17 @@ func (rc *recordCache) locate(root *hashutil.Hash, kh uint64) (*recordSet, uint1
 	return &rc.sets[i], uint16(kh ^ binary.LittleEndian.Uint64(root[8:16]))
 }
 
-// get returns the run's verified answer for key at tsq if the cache holds
-// the key's newest version in the run with root and that version is visible
-// at tsq: a hit's key and value, copied under the set's lock into one
-// allocation of their own, or, for a tombstone, a Result that is not found.
-// A version newer than tsq is a miss: the run may hold an older one. Every
-// lookup counts the key in the set's sketch, hit or miss.
-func (rc *recordCache) get(root *hashutil.Hash, key []byte, tsq uint64) (res Result, ok bool) {
+// lookup returns the run's verified answer for key, whose keyHash is kh, at
+// tsq if the cache holds the key's newest version in the run with root and
+// that version is visible at tsq: a hit's key and value, copied under the
+// set's lock into one allocation of their own, or, for a tombstone, a Result
+// that is not found. A version newer than tsq is a miss: the run may hold an
+// older one. Every lookup counts the key in the set's sketch, hit or miss.
+func (rc *recordCache) lookup(root *hashutil.Hash, key []byte, kh, tsq uint64) (res Result, ok bool) {
 	if rc == nil || !cacheable(len(key), 0) {
 		return res, false
 	}
-	kh := maphash.Bytes(rc.seed, key)
+	kh = spread(kh)
 	s, tag := rc.locate(root, kh)
 	s.mu.Lock()
 	s.count(kh)
@@ -155,21 +164,21 @@ func (rc *recordCache) get(root *hashutil.Hash, key []byte, tsq uint64) (res Res
 	return res, ok
 }
 
-// put records rec as the newest version of its key in the run with root,
-// if the set admits it. Only verifyMembership calls it, once the record has
-// verified.
-func (rc *recordCache) put(root *hashutil.Hash, rec *record.Record) {
+// insert records rec, whose key's keyHash is kh, as the newest version of
+// its key in the run with root, if the set admits it. Only verifyHit calls
+// it, once the record has verified.
+func (rc *recordCache) insert(root *hashutil.Hash, rec *record.Record, kh uint64) {
 	k, v := len(rec.Key), len(rec.Value)
 	if rc == nil || !cacheable(k, v) {
 		return
 	}
-	kh := maphash.Bytes(rc.seed, rec.Key)
+	kh = spread(kh)
 	s, tag := rc.locate(root, kh)
 	size := recordEntryHead + k + v
 	s.mu.Lock()
 	if i := s.find(tag, root, rec.Key); i >= 0 {
 		s.touch(i) // another Get proved the same fact first
-	} else if victims, ok := s.victims(rc.seed, kh, rec.Key, size); ok {
+	} else if victims, ok := s.victims(kh, rec.Key, size); ok {
 		for victims != 0 {
 			i := bits.Len16(victims) - 1 // highest first: remove moves only the last way
 			s.remove(i)
@@ -227,7 +236,7 @@ func (s *recordSet) touch(i int) {
 // its key more often than each victim's. A victim holding the same key, for
 // another run, yields regardless: the key's Gets now reach the newcomer's
 // run. An entry that fits without evicting is always admitted.
-func (s *recordSet) victims(seed maphash.Seed, kh uint64, key []byte, size int) (ways uint16, ok bool) {
+func (s *recordSet) victims(kh uint64, key []byte, size int) (ways uint16, ok bool) {
 	free, n := recordSetData-int(s.used), int(s.n)
 	est := s.estimate(kh)
 	for free < size || n == recordSetWays {
@@ -238,7 +247,7 @@ func (s *recordSet) victims(seed maphash.Seed, kh uint64, key []byte, size int) 
 			}
 		}
 		e := s.entry(lru)
-		if vk := entryKey(e); !bytes.Equal(vk, key) && s.estimate(maphash.Bytes(seed, vk)) >= est {
+		if vk := entryKey(e); !bytes.Equal(vk, key) && s.estimate(spread(keyHash(vk))) >= est {
 			return 0, false
 		}
 		ways |= 1 << lru

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math/rand"
 	"strings"
 	"testing"
@@ -246,7 +245,7 @@ func TestOversizedRecordIsNotCached(t *testing.T) {
 
 // locateKey returns key's set in rc and the tag of its entry for root.
 func locateKey(rc *recordCache, root *hashutil.Hash, key []byte) (*recordSet, uint16) {
-	return rc.locate(root, maphash.Bytes(rc.seed, key))
+	return rc.locate(root, spread(keyHash(key)))
 }
 
 // TestRecordCacheKeysByWholeRoot: the set index reads only the key and the

@@ -567,22 +567,17 @@ func TestScratchFreeListsStayBounded(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	drain := func() {
-		for len(s.scanPool) > 0 {
-			<-s.scanPool
-		}
-	}
-	drain()
+	drainSlots(s.scanPool)
 	if out, err := Scan(s, twoRunKey(0), twoRunKey(rows-1)); err != nil || len(out) != rows {
 		t.Fatalf("Scan = %d rows, %v", len(out), err)
 	}
-	if got := len(s.scanPool); got != 0 {
+	if got := len(drainSlots(s.scanPool)); got != 0 {
 		t.Fatalf("a %d-row chunk of 1 KiB values left %d scan scratch pooled, want it dropped", rows, got)
 	}
 	if _, err := Scan(s, twoRunKey(0), twoRunKey(9)); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.scanPool); got != 1 {
+	if got := len(drainSlots(s.scanPool)); got != 1 {
 		t.Fatalf("a 10-row chunk left %d scan scratch pooled, want 1", got)
 	}
 
@@ -602,17 +597,27 @@ func TestScratchFreeListsStayBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(s.readPool); got > readScratchSlots {
+	reads := drainSlots(s.readPool)
+	if got := len(reads); got > readScratchSlots {
 		t.Fatalf("%d read scratches pooled, more than the %d slots", got, readScratchSlots)
 	}
-	for len(s.readPool) > 0 {
-		if g := <-s.readPool; cap(g.buf) > readScratchBytes {
+	for _, g := range reads {
+		if cap(g.buf) > readScratchBytes {
 			t.Fatalf("a pooled read scratch holds %d bytes, more than %d", cap(g.buf), readScratchBytes)
 		}
 	}
-	for len(s.scanPool) > 0 {
-		if n := (<-s.scanPool).release(); n > scanScratchBytes {
+	for _, sc := range drainSlots(s.scanPool) {
+		if n := sc.release(); n > scanScratchBytes {
 			t.Fatalf("a pooled scan scratch holds %d bytes, more than %d", n, scanScratchBytes)
 		}
 	}
+}
+
+// drainSlots takes every scratch the slots hold.
+func drainSlots[T any](slots scratchSlots[T]) []*T {
+	var out []*T
+	for x := slots.get(0); x != nil; x = slots.get(0) {
+		out = append(out, x)
+	}
+	return out
 }

@@ -50,11 +50,7 @@ func (s *p2Snapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result,
 	}
 	var res Result
 	var err error
-	s.c.enclave.ECall(func() {
-		g := s.c.getReadScratch()
-		defer s.c.putReadScratch(g)
-		res, err = s.view.getAt(key, tsq, g)
-	})
+	s.c.enclave.ECall(func() { res, err = s.view.getAt(key, keyHash(key), tsq) })
 	return res, err
 }
 

@@ -262,11 +262,9 @@ type Store struct {
 	// records of §5.6.1).
 	replayedPastSeal int
 
-	statGets         atomic.Uint64
-	statProofBytes   atomic.Uint64
-	statRunsProbed   atomic.Uint64
-	statRunsFiltered atomic.Uint64
-	statRunsCached   atomic.Uint64
+	// getStats are the per-Get counters of VerifyStats, in getStatStripes
+	// stripes a line apart (stats).
+	getStats []getStats
 	// verify checks every proof the read paths are handed.
 	verify verifier
 
@@ -275,8 +273,8 @@ type Store struct {
 
 	// scanPool and readPool are the free lists of scan-chunk scratch and of
 	// the scratch of Gets and streams (see scanScratch, readScratch).
-	scanPool chan *scanScratch
-	readPool chan *readScratch
+	scanPool scratchSlots[scanScratch]
+	readPool scratchSlots[readScratch]
 
 	// The filter rebuild Open starts (startFilterRebuild): Close sets
 	// rebuildStop and waits for rebuildDone. The hooks are Config's.
@@ -315,17 +313,20 @@ type VerifyStats struct {
 
 // VerifyStatsSnapshot returns the accumulated counters.
 func (c *Store) VerifyStatsSnapshot() VerifyStats {
-	return VerifyStats{
-		VerifiedGets: c.statGets.Load(),
-		ProofBytes:   c.statProofBytes.Load(),
-		RunsProbed:   c.statRunsProbed.Load(),
-		RunsFiltered: c.statRunsFiltered.Load(),
-		RunsCached:   c.statRunsCached.Load(),
-
+	st := VerifyStats{
 		VerifyNodeCacheHits:   c.verify.nodeHits.Load(),
 		VerifyNodeCacheMisses: c.verify.nodeMisses.Load(),
 		VerifyNodeHashes:      c.verify.nodeHashes.Load(),
 	}
+	for i := range c.getStats {
+		g := &c.getStats[i]
+		st.VerifiedGets += g.gets.Load()
+		st.ProofBytes += g.proofBytes.Load()
+		st.RunsProbed += g.runsProbed.Load()
+		st.RunsFiltered += g.runsFiltered.Load()
+		st.RunsCached += g.runsCached.Load()
+	}
+	return st
 }
 
 var _ KV = (*Store)(nil)
@@ -377,8 +378,9 @@ func Open(cfg Config) (*Store, error) {
 	c.verify.nodes, c.verify.records = caches.nodes, caches.records
 	// Like the verified caches, the scan and Get scratch are a fixed budget of
 	// protected memory charged once, for as long as the enclave lasts.
-	c.scanPool = make(chan *scanScratch, scanScratchSlots)
-	c.readPool = make(chan *readScratch, readScratchSlots)
+	c.scanPool = make(scratchSlots[scanScratch], scanScratchSlots)
+	c.readPool = make(scratchSlots[readScratch], readScratchSlots)
+	c.getStats = make([]getStats, getStatStripes)
 	enclave.Alloc(scanScratchSlots*scanScratchBytes + readScratchSlots*readScratchBytes)
 	opts.Enclave = enclave
 	opts.Listener = &authListener{c: c}
@@ -424,6 +426,10 @@ func Open(cfg Config) (*Store, error) {
 type trustedView struct {
 	digests map[uint64]runDigest
 	filters map[uint64]runFilter
+	// prev is the forest this view's install replaced. The engine publishes
+	// the install's read version only after the swap, so a reader may pin the
+	// version before it and load this view: prev covers that version's runs.
+	prev map[uint64]runDigest
 }
 
 // snapshotDigests returns the current immutable digest view — a single
@@ -497,8 +503,8 @@ type pendingState struct {
 // monotonic counter (§5.6.1; see writeTrustedState for the crash order).
 // sealMu covers the whole write+bump: a concurrent seal (commit worker vs
 // maintenance worker) must not let an older blob land after a newer
-// counter value. Only Open must see the error (rekey): a failed seal
-// leaves the previous blob and counter value, which recovery still
+// counter value. Only Open (rekey) and Close must see the error: a failed
+// seal leaves the previous blob and counter value, which recovery still
 // accepts, and the next seal tries again.
 func (c *Store) commitState() error {
 	c.sealMu.Lock()
@@ -728,9 +734,10 @@ func (c *Store) Sync(ctx context.Context) error {
 // GetAt returns the newest verified value with Ts ≤ tsq (the paper's
 // GET(k, tsq)); ctx is checked before the enclave call — a point lookup is a
 // single short ECall. It acquires an ephemeral read view — the same pinned
-// (runs, digests) unit that backs Snapshot, in pooled memory (readScratch) —
-// runs the verified GET protocol against it, and releases it: point reads,
-// iterators and snapshots share one implementation.
+// (runs, digests) unit that backs Snapshot, on the stack — runs the verified
+// GET protocol against it, and releases it: point reads, iterators and
+// snapshots share one implementation. The key is hashed once, here
+// (keyHash), for everything the Get looks up by it.
 func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
 	if err := lsm.CtxErr(ctx); err != nil {
 		return Result{}, err
@@ -742,13 +749,12 @@ func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, erro
 	var res Result
 	var err error
 	c.enclave.ECall(func() {
-		g := c.getReadScratch()
-		defer c.putReadScratch(g)
-		if err = c.pinView(&g.view, false); err != nil {
+		view := readView{c: c}
+		if err = c.pinView(&view, false); err != nil {
 			return
 		}
-		defer g.view.release()
-		res, err = g.view.getAt(key, tsq, g)
+		defer view.release()
+		res, err = view.getAt(key, keyHash(key), tsq)
 	})
 	if c.rec != nil && err == nil {
 		c.rec.GetE2E.ObserveSince(start)
@@ -825,12 +831,17 @@ func (c *Store) RunDigests() map[uint64]DigestInfo {
 
 // Close seals the final state and shuts the store down. The commit
 // pipeline is drained first so the seal covers every accepted commit —
-// after a clean Close, recovery replays no WAL record past the seal.
+// after a clean Close, recovery replays no WAL record past the seal. If the
+// final seal fails, the store still shuts down and Close returns the seal's
+// error: recovery will replay the records past the previous seal.
 func (c *Store) Close() error {
 	c.stopFilterRebuild()
 	_ = c.engine.Sync(nil) // best effort: already-closed/failed pipelines still seal the durable frontier
-	_ = c.commitState()
+	serr := c.commitState()
 	err := c.engine.Close()
+	if serr != nil {
+		err = fmt.Errorf("core: final seal: %w", serr)
+	}
 	c.mu.Lock()
 	for _, f := range c.snap.Load().filters {
 		f.mem.Free()

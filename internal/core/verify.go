@@ -81,13 +81,13 @@ func (v *verifier) countWalk(walk merkle.PathWalk, err error) {
 	}
 }
 
-// verifyMembership is the per-run membership half of VRFY (§5.3): the
-// record must verify against the run root, and it must be the newest
-// version with Ts ≤ tsq — any newer version is visible in the proof's
-// chain headers, so staleness is detectable (Theorem 5.3, Case 1). A record
-// the verified chain shows to be its key's newest version in the run goes
-// into the record cache, whatever tsq was.
-func (v *verifier) verifyMembership(key []byte, tsq uint64, rec record.Record, d runDigest) error {
+// verifyHit is the per-run membership half of VRFY (§5.3) for key, whose
+// keyHash is kh: the record must verify against the run root, and it must
+// be the newest version with Ts ≤ tsq — any newer version is visible in the
+// proof's chain headers, so staleness is detectable (Theorem 5.3, Case 1). A
+// record the verified chain shows to be its key's newest version in the run
+// goes into the record cache, whatever tsq was.
+func (v *verifier) verifyHit(key []byte, kh uint64, tsq uint64, rec record.Record, d runDigest) error {
 	if !bytes.Equal(rec.Key, key) {
 		return fmt.Errorf("%w: result key %q does not match query %q", ErrForged, rec.Key, key)
 	}
@@ -108,7 +108,7 @@ func (v *verifier) verifyMembership(key []byte, tsq uint64, rec record.Record, d
 		}
 	}
 	if n == 0 {
-		v.records.put(&d.Root, &rec)
+		v.records.insert(&d.Root, &rec, kh)
 	}
 	return nil
 }

@@ -41,23 +41,24 @@ import (
 // unpin the runs under the stream.
 type readView struct {
 	c       *Store
-	esnap   *lsm.Snapshot
+	esnap   lsm.Snapshot
 	digs    map[uint64]runDigest
 	filters map[uint64]runFilter
 	refs    atomic.Int32
 }
 
 // acquireView captures a coherent (runs, digests) pair as a read session
-// (counted in SnapshotsOpen); a one-shot point read pins its pooled view
-// instead (readScratch). The digest forest is loaded AFTER the engine
-// snapshot: installs swap levels and digests in one engine-lock critical
-// section, so the loaded view can only be same-age or newer than the run
-// set — and a newer view is coherent as long as it still carries a digest
-// for every pinned run (digests are per-run immutable). A missing digest
-// means an install replaced pinned runs in the acquisition window;
-// re-acquire against the new version.
+// (counted in SnapshotsOpen); a one-shot point read pins a view on its
+// stack instead (GetAt). The digest forest is loaded AFTER the engine
+// snapshot: an install swaps the digests before the engine publishes its
+// read version, so the loaded view can only be same-age or newer than the
+// run set — and a newer view is coherent as long as it carries a digest for
+// every pinned run (digests are per-run immutable), or its prev forest does:
+// the pinned version is then the one the install is about to replace. A
+// digest missing from both means installs replaced pinned runs in the
+// acquisition window; re-acquire against the new version.
 func (c *Store) acquireView() (*readView, error) {
-	v := &readView{c: c, esnap: new(lsm.Snapshot)}
+	v := &readView{c: c}
 	if err := c.pinView(v, true); err != nil {
 		return nil, err
 	}
@@ -68,27 +69,35 @@ func (c *Store) acquireView() (*readView, error) {
 // digest forest and key filters to go with it.
 func (c *Store) pinView(v *readView, session bool) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		c.engine.AcquireSnapshotInto(v.esnap, session)
+		c.engine.AcquireSnapshotInto(&v.esnap, session)
 		if err := v.esnap.Err(); err != nil {
 			v.esnap.Release()
 			return err
 		}
 		tv := c.snap.Load()
-		ok := true
-		for _, ref := range v.esnap.Runs() {
-			if _, have := tv.digests[ref.ID]; !have {
-				ok = false
-				break
-			}
+		runs := v.esnap.Runs()
+		digs := tv.digests
+		if !covers(digs, runs) {
+			digs = tv.prev
 		}
-		if ok {
-			v.digs, v.filters = tv.digests, tv.filters
+		if covers(digs, runs) {
+			v.digs, v.filters = digs, tv.filters // a filter is its run's for good
 			v.refs.Store(1)
 			return nil
 		}
 		v.esnap.Release()
 	}
 	return fmt.Errorf("core: view acquisition retries exhausted under concurrent compaction")
+}
+
+// covers reports whether digs has a digest for every run of runs.
+func covers(digs map[uint64]runDigest, runs []lsm.RunRef) bool {
+	for _, ref := range runs {
+		if _, have := digs[ref.ID]; !have {
+			return false
+		}
+	}
+	return true
 }
 
 // retain adds a reference (an iterator opened from a Snapshot).
@@ -117,16 +126,26 @@ func (v *readView) ts() uint64 { return v.esnap.Ts() }
 // no block read, no witness and no hash. Otherwise the run is proved as
 // before; a false positive costs only that proof. Per probed run the host
 // hands over views of its blocks, pinned in the block cache; the enclave
-// copies the witnesses out of them once, into g (readScratch.take), verifies
-// the copies, and lets go of the blocks when the Get ends. Caller is inside
-// an ECall.
-func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error) {
+// copies the witnesses out of them once, into a read scratch
+// (readScratch.take) the Get takes at its first probed run, verifies the
+// copies, and lets go of the blocks and the scratch when the Get ends. The
+// filters, the record cache and the scratch slot all take kh, the key's
+// keyHash, and the Get counts into the counter stripe kh picks. Caller is
+// inside an ECall.
+func (v *readView) getAt(key []byte, kh, tsq uint64) (Result, error) {
 	c := v.c
-	c.statGets.Add(1)
+	st := c.stats(kh)
+	st.gets.Add(1)
 	if rec, ok := v.esnap.MemGet(key, tsq); ok {
 		return resultFrom(rec), nil
 	}
-	defer g.pins.Release()
+	var g *readScratch
+	defer func() {
+		if g != nil {
+			g.pins.Release()
+			c.putReadScratch(g)
+		}
+	}()
 	// Memtable miss: the run walk below may pay verification. With
 	// instrumentation on, accumulate the verify time and proof bytes this
 	// GET spends and, if it proved any run, observe them once on the way out
@@ -148,16 +167,19 @@ func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error)
 		if d.NumLeaves == 0 {
 			continue
 		}
-		if v.filters[run.ID].excludes(key) {
-			c.statRunsFiltered.Add(1)
+		if v.filters[run.ID].excludes(kh) {
+			st.runsFiltered.Add(1)
 			continue
 		}
-		if res, ok := c.verify.records.get(&d.Root, key, tsq); ok {
-			c.statRunsCached.Add(1)
+		if res, ok := c.verify.records.lookup(&d.Root, key, kh, tsq); ok {
+			st.runsCached.Add(1)
 			return res, nil
 		}
-		c.statRunsProbed.Add(1)
+		st.runsProbed.Add(1)
 		proved = true
+		if g == nil {
+			g = c.getReadScratch(kh)
+		}
 		var lerr error
 		if g.views, lerr = v.esnap.LookupRunViews(i, key, tsq, &g.pins); lerr != nil {
 			return Result{}, lerr
@@ -174,7 +196,7 @@ func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error)
 			vstart = time.Now()
 		}
 		if lk.Found {
-			verr := c.verify.verifyMembership(key, tsq, lk.Rec, d)
+			verr := c.verify.verifyHit(key, kh, tsq, lk.Rec, d)
 			if instr {
 				verifyNanos += uint64(time.Since(vstart))
 				proofBytes += uint64(len(lk.Rec.Proof))
@@ -182,7 +204,7 @@ func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error)
 			if verr != nil {
 				return Result{}, verr
 			}
-			c.statProofBytes.Add(uint64(len(lk.Rec.Proof)))
+			st.proofBytes.Add(uint64(len(lk.Rec.Proof)))
 			if lk.Rec.Kind != record.KindSet {
 				return Result{}, nil // a tombstone
 			}
@@ -203,33 +225,34 @@ func (v *readView) getAt(key []byte, tsq uint64, g *readScratch) (Result, error)
 			return Result{}, verr
 		}
 		if lk.Pred != nil {
-			c.statProofBytes.Add(uint64(len(lk.Pred.Proof)))
+			st.proofBytes.Add(uint64(len(lk.Pred.Proof)))
 		}
 		if lk.Succ != nil {
-			c.statProofBytes.Add(uint64(len(lk.Succ.Proof)))
+			st.proofBytes.Add(uint64(len(lk.Succ.Proof)))
 		}
 	}
 	return Result{}, nil
 }
 
-// readScratch is the memory one verified Get works in: the views a run's
-// lookup hands over (aliasing untrusted blocks), the witnesses the enclave
-// copies out of them (buf, and the records the verifier reads that alias
-// it), the pins holding the viewed blocks in place until then, and, for a
-// one-shot Get, its read view and the engine snapshot behind it. A verified
-// stream owns one for its lifetime (Store.stream): the view it reads, and
-// its start and end bytes in buf. Both hand it on through the store's
-// bounded free list, as scans do their scanScratch, so a store keeps at most
-// readScratchSlots of them, none above readScratchBytes: that product is
-// what Open charges to the enclave.
+// readScratch is the memory one verified Get works in once it proves a run:
+// the views a run's lookup hands over (aliasing untrusted blocks), the
+// witnesses the enclave copies out of them (buf, and the records the
+// verifier reads that alias it) and the pins holding the viewed blocks in
+// place until then. (A one-shot Get's read view and engine snapshot live on
+// its stack, so a Get a filter or the record cache answers takes no
+// scratch.) A verified stream owns one for its lifetime (Store.stream): the
+// view it reads, and its start and end bytes in buf. Both hand it on
+// through the store's bounded free list (scratchSlots), as scans do their
+// scanScratch, so a store keeps at most readScratchSlots of them, none above
+// readScratchBytes: that product is what Open charges to the enclave.
 type readScratch struct {
-	view       readView
-	snap       lsm.Snapshot
 	views      lsm.RunViews
 	pins       blockcache.Pins
 	buf        []byte
 	pred, succ record.Record
+	view       readView  // a stream's own, pinned by IterAt
 	stream     *readView // a stream's: view, or a Snapshot's
+	hint       uint64    // the key hash it was taken with, to go back by
 }
 
 const (
@@ -283,15 +306,16 @@ func (g *readScratch) copy(v sstable.View, hit bool) record.Record {
 	return rec
 }
 
-func (c *Store) getReadScratch() *readScratch {
-	select {
-	case g := <-c.readPool:
-		return g
-	default:
-		g := new(readScratch)
-		g.view.c, g.view.esnap = c, &g.snap
-		return g
+// getReadScratch takes a read scratch from the slot hint, a key hash,
+// picks, or the first full one after it, or makes one.
+func (c *Store) getReadScratch(hint uint64) *readScratch {
+	g := c.readPool.get(hint)
+	if g == nil {
+		g = new(readScratch)
+		g.view.c = c
 	}
+	g.hint = hint
+	return g
 }
 
 func (c *Store) putReadScratch(g *readScratch) {
@@ -300,10 +324,7 @@ func (c *Store) putReadScratch(g *readScratch) {
 	if cap(g.buf) > readScratchBytes {
 		return // one outsized witness or range must not pin its scratch forever
 	}
-	select {
-	case c.readPool <- g:
-	default:
-	}
+	c.readPool.put(g.hint, g)
 }
 
 // fetchChunk implements chunkSource: a stream's chunk is fetched and
@@ -351,8 +372,9 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 		defer func(t time.Time) { c.rec.ScanChunk.ObserveSince(t) }(time.Now())
 	}
 	tsq = min(tsq, v.ts()) // later commits share the captured memtables
-	sc := c.getScanScratch()
-	defer c.putScanScratch(sc)
+	hint := keyHash(start)
+	sc := c.getScanScratch(hint)
+	defer c.putScanScratch(hint, sc)
 	defer sc.pins.Release() // the blocks the cursors viewed, once verified
 
 	active, frozen := v.esnap.MemTables()
@@ -484,7 +506,7 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 			break
 		}
 	}
-	c.statProofBytes.Add(proofBytes)
+	c.stats(hint).proofBytes.Add(proofBytes)
 	if instr {
 		c.rec.Verify.ObserveSince(verifyStart)
 		c.rec.ProofBytes.Observe(proofBytes)
@@ -679,21 +701,18 @@ func (sc *scanScratch) release() (bytes int) {
 		cap(sc.span.leaves)*hashutil.Size + cap(sc.span.chain)*int(unsafe.Sizeof(chainLink{})) + cap(sc.bounds) + cap(sc.arena)
 }
 
-func (c *Store) getScanScratch() *scanScratch {
-	select {
-	case sc := <-c.scanPool:
+// getScanScratch takes a scan scratch from the slot hint, the chunk's start
+// key hash, picks, or the first full one after it, or makes one.
+func (c *Store) getScanScratch(hint uint64) *scanScratch {
+	if sc := c.scanPool.get(hint); sc != nil {
 		return sc
-	default:
-		return new(scanScratch)
 	}
+	return new(scanScratch)
 }
 
-func (c *Store) putScanScratch(sc *scanScratch) {
+func (c *Store) putScanScratch(hint uint64, sc *scanScratch) {
 	if sc.release() > scanScratchBytes {
 		return // one oversized chunk must not pin its scratch forever
 	}
-	select {
-	case c.scanPool <- sc:
-	default:
-	}
+	c.scanPool.put(hint, sc)
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
-	"hash"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/record"
@@ -43,11 +41,9 @@ type walChain struct {
 	// seek holds, during recovery only, the sealed digests the replayed
 	// chain must meet at a group boundary.
 	seek []chainSeek
-	// mac is keyed with the store's WAL key; in and sum are its scratch, so
-	// a tag allocates nothing.
-	mac hash.Hash
-	in  [8 + hashutil.Size]byte
-	sum [sha256.Size]byte
+	// key is the store's WAL key, its pads compressed once: a tag is two
+	// compressions on the stack.
+	key *hashutil.MACKey
 }
 
 // walMark is the chain at one group boundary, in both bases: digest spans
@@ -73,23 +69,21 @@ type chainSeek struct {
 // walKey derives a store's WAL key from its sealing key and the seed sealed
 // in its trusted state.
 func walKey(sealKey [32]byte, seed []byte) []byte {
-	mac := hmac.New(sha256.New, sealKey[:])
-	mac.Write([]byte("elsm wal key"))
-	mac.Write(seed)
-	return mac.Sum(nil)
+	k := hashutil.NewMACKey(sealKey[:]).Sum(append([]byte("elsm wal key"), seed...))
+	return k[:]
 }
 
 // keyed makes key the chain's WAL key.
-func (ch *walChain) keyed(key []byte) { ch.mac = hmac.New(sha256.New, key) }
+func (ch *walChain) keyed(key []byte) { ch.key = hashutil.NewMACKey(key) }
 
 // tag is the tag of a group after which the lifetime append count is
 // appends and the chain over its log is ch.fresh.
 func (ch *walChain) tag(appends uint64) (t wal.Tag) {
-	binary.BigEndian.PutUint64(ch.in[:8], appends)
-	copy(ch.in[8:], ch.fresh[:])
-	ch.mac.Reset()
-	ch.mac.Write(ch.in[:])
-	copy(t[:], ch.mac.Sum(ch.sum[:0]))
+	var in [8 + hashutil.Size]byte
+	binary.BigEndian.PutUint64(in[:8], appends)
+	copy(in[8:], ch.fresh[:])
+	mac := ch.key.Sum(in[:])
+	copy(t[:], mac[:])
 	return t
 }
 
@@ -177,7 +171,7 @@ func (ch *walChain) replayed(recs []record.Record, tag *wal.Tag) {
 		s := &ch.seek[i]
 		if s.found && s.at < ch.appends && !s.forged {
 			want := ch.tag(s.appends + ch.appends - s.at)
-			s.forged = !hmac.Equal(want[:], tag[:])
+			s.forged = subtle.ConstantTimeCompare(want[:], tag[:]) != 1
 		}
 	}
 }

@@ -16,6 +16,9 @@
 // Everywhere else sum calls sha256.Sum256. Preimages longer than
 // stackPreimage (large values) stream through sha256.New. Of, which no hot
 // path calls, hashes through crypto/sha256 directly.
+//
+// MACKey is HMAC-SHA256 on the same footing (the WAL group tags): its pad
+// blocks are compressed once per key, and a tag is the two blocks left.
 package hashutil
 
 import (
@@ -64,6 +67,9 @@ const stackPadded = (stackPreimage + 9 + 63) &^ 63
 // 0x80 byte and the 64-bit bit length, rounded up to whole 64-byte blocks.
 func paddedLen(n int) int { return (n + 9 + 63) &^ 63 }
 
+// initialState is SHA-256's initial hash value.
+var initialState = [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+
 // sum hashes buf[:n]. The rest of buf, at least up to paddedLen(n), must be
 // zero: with SHA-NI, sum writes the padding there and compresses every block
 // in one blockSHANI call.
@@ -71,16 +77,81 @@ func sum(buf []byte, n int) Hash {
 	if !useSHANI {
 		return sha256.Sum256(buf[:n])
 	}
+	return finish(initialState, buf, n, 0)
+}
+
+// finish pads buf[:n], the last n bytes of a preimage whose first done bytes
+// (whole blocks) are compressed into dig, and compresses it with SHA-NI. The
+// rest of buf, at least up to paddedLen(n), must be zero.
+func finish(dig [8]uint32, buf []byte, n, done int) Hash {
 	p := buf[:paddedLen(n)]
 	p[n] = 0x80
-	binary.BigEndian.PutUint64(p[len(p)-8:], uint64(n)<<3)
-	dig := [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+	binary.BigEndian.PutUint64(p[len(p)-8:], uint64(done+n)<<3)
 	blockSHANI(&dig, p)
 	var out Hash
 	for i, w := range dig {
 		binary.BigEndian.PutUint32(out[4*i:], w)
 	}
 	return out
+}
+
+// MACKey is a key of HMAC-SHA256 (RFC 2104) for messages of at most
+// MACMaxMessage bytes. It holds the key's inner and outer pad blocks and,
+// with SHA-NI, their compressed states, so a tag costs two compressions: the
+// inner hash's last block and the outer hash's. Everywhere else Sum hands
+// each hash's whole preimage, pad block first, to sha256.Sum256. Either way
+// a tag is made on the stack, with no allocation. Make one with NewMACKey.
+type MACKey struct {
+	pad [2][64]byte  // key ⊕ ipad, key ⊕ opad
+	mid [2][8]uint32 // pad compressed (useSHANI only)
+}
+
+// MACMaxMessage bounds the messages a MACKey tags: what fits the stack block
+// after the inner pad.
+const MACMaxMessage = 128 - 9
+
+// NewMACKey returns the MACKey of key. A key longer than a block is hashed
+// first, as RFC 2104 says.
+func NewMACKey(key []byte) *MACKey {
+	if len(key) > 64 {
+		h := sha256.Sum256(key)
+		key = h[:]
+	}
+	k := new(MACKey)
+	for i, b := range [2]byte{0x36, 0x5c} {
+		copy(k.pad[i][:], key)
+		for j := range k.pad[i] {
+			k.pad[i][j] ^= b
+		}
+		if useSHANI {
+			k.mid[i] = initialState
+			blockSHANI(&k.mid[i], k.pad[i][:])
+		}
+	}
+	return k
+}
+
+// Sum returns HMAC-SHA256(key, msg). It panics if msg is longer than
+// MACMaxMessage.
+func (k *MACKey) Sum(msg []byte) Hash {
+	if len(msg) > MACMaxMessage {
+		panic("hashutil: MAC message too long")
+	}
+	var in [128]byte
+	inner := k.half(0, in[:], copy(in[:], msg))
+	var out [64]byte
+	return k.half(1, out[:], copy(out[:], inner[:]))
+}
+
+// half hashes pad i followed by buf[:n]; buf past n is zero.
+func (k *MACKey) half(i int, buf []byte, n int) Hash {
+	if useSHANI {
+		return finish(k.mid[i], buf, n, 64)
+	}
+	var pre [64 + 128]byte
+	copy(pre[:], k.pad[i][:])
+	copy(pre[64:], buf[:n])
+	return sha256.Sum256(pre[:64+n])
 }
 
 // RecordDigest hashes one key-value record:

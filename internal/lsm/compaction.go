@@ -63,17 +63,26 @@ type jobPlan struct {
 }
 
 // planLocked starts a plan over inputs: it allocates the output run's ID
-// and pins the inputs against deletion. The caller holds s.mu, releases it,
-// and hands the completed plan to runPlan.
+// and pins the inputs against deletion (the current version holds them, so
+// none is at zero). The caller holds s.mu, releases it, and hands the
+// completed plan to runPlan, which drops the pins (releaseInputs).
 func (s *Store) planLocked(info CompactionInfo, inputs []*run) *jobPlan {
 	info.OutputRun = s.nextRunID
 	info.BlockSize = s.opts.BlockSize
 	s.nextRunID++
 	for _, r := range inputs {
 		info.InputRuns = append(info.InputRuns, r.id)
-		s.retainRunLocked(r)
+		r.refs.Add(1)
 	}
+	s.jobPins.Add(int64(len(inputs)))
 	return &jobPlan{info: info, inputs: inputs}
+}
+
+// releaseInputs drops the job's pins on its input runs. Must be called
+// without s.mu.
+func (s *Store) releaseInputs(p *jobPlan) {
+	s.jobPins.Add(-int64(len(p.inputs)))
+	s.releaseRunRefs(p.inputs)
 }
 
 // timed closes phase 1's timing and makes the driver time the other two
@@ -93,7 +102,7 @@ func (s *Store) runPlan(p *jobPlan) error {
 	newRun, err := s.runCompaction(job, p)
 	if err != nil {
 		job.Abort()
-		s.releaseRunRefs(p.inputs, 1) // job pins only: the version still owns them
+		s.releaseInputs(p)
 		return err
 	}
 	if p.rec != nil {
@@ -102,7 +111,13 @@ func (s *Store) runPlan(p *jobPlan) error {
 	}
 
 	// Phase 3: verify and install the new version. installMu serializes the
-	// Verify→install→Committed window across concurrent jobs.
+	// Verify→install→Committed window across concurrent jobs. The version
+	// readers pin changes only once the manifest is durable and the listener
+	// has installed: a failed install's undo restores the levels the
+	// published version still lists. Either way the job then drops its
+	// reference on the run it built, which deletes the run's files unless a
+	// version lists it.
+	defer s.releaseRun(newRun)
 	s.installMu.Lock()
 	if err = job.Verify(); err != nil {
 		err = fmt.Errorf("%w: %w", ErrAborted, err)
@@ -117,14 +132,13 @@ func (s *Store) runPlan(p *jobPlan) error {
 	if err != nil {
 		job.Abort()
 		s.installMu.Unlock()
-		s.releaseRunRefs(p.inputs, 1) // job pins only: the version still owns them
-		s.removeFiles(newRun.fileNums())
+		s.releaseInputs(p)
 		return err
 	}
-	s.retireRunsLocked(p.inputs)
 	p.installed(newRun)
 	s.refreshLevelBytesLocked()
 	job.Installed()
+	old := s.publishLocked()
 	s.mu.Unlock()
 
 	job.Committed()
@@ -132,7 +146,8 @@ func (s *Store) runPlan(p *jobPlan) error {
 	if p.rec != nil {
 		p.rec.CompactInstall.ObserveSince(p.phaseStart)
 	}
-	s.releaseRunRefs(p.inputs, 2) // retired version reference + job pin
+	old.unpin() // the inputs' files go with the last version listing them
+	s.releaseInputs(p)
 	return nil
 }
 
@@ -676,7 +691,7 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 		}
 	}
 	newRun := &run{id: p.info.OutputRun, tables: make([]*tableHandle, 0, len(files))}
-	newRun.refs.Store(1) // the version reference, effective at install
+	newRun.refs.Store(1) // the building job's, dropped when its install ends
 	for _, f := range files {
 		newRun.tables = append(newRun.tables, f.th)
 		newRun.bytes += f.th.meta.Size

@@ -196,8 +196,8 @@ func bulkRun(t *testing.T, fs vfs.FS, n int) (*Store, *Snapshot, []record.Record
 		t.Fatal(err)
 	}
 	snap := s.AcquireSnapshot()
-	if len(snap.runs) != 1 || len(snap.runs[0].tables) < 3 {
-		t.Fatalf("set-up: %d runs, want 1 of several tables", len(snap.runs))
+	if len(snap.v.runs) != 1 || len(snap.v.runs[0].tables) < 3 {
+		t.Fatalf("set-up: %d runs, want 1 of several tables", len(snap.v.runs))
 	}
 	return s, snap, recs
 }
@@ -219,13 +219,13 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 		return n
 	}
 	reads()
-	tables := snap.runs[0].tables
+	tables := snap.v.runs[0].tables
 	blocks := 0
 	for _, th := range tables {
 		blocks += th.meta.NumBlocks
 	}
 
-	it := newRunIter(snap.runs[0])
+	it := newRunIter(snap.v.runs[0])
 	if n := reads(); n != 0 {
 		t.Fatalf("creating the iterator read %d blocks", n)
 	}
@@ -286,8 +286,8 @@ func TestRunIterReadErrorIsSticky(t *testing.T) {
 	defer s.Close()
 	defer snap.Release()
 	ffs.ArmFilter(vfs.OpReadAt, "*.sst")
-	ffs.Arm(snap.runs[0].tables[0].meta.NumBlocks - 1) // the first table's last block fails
-	m := newMergeIter([]mergeSource{{runID: snap.runs[0].id, iter: newRunIter(snap.runs[0])}})
+	ffs.Arm(snap.v.runs[0].tables[0].meta.NumBlocks - 1) // the first table's last block fails
+	m := newMergeIter([]mergeSource{{runID: snap.v.runs[0].id, iter: newRunIter(snap.v.runs[0])}})
 	n := 0
 	for ; m.Valid(); m.Next() {
 		n++
@@ -315,7 +315,7 @@ func TestTruncatedViewIsAnErrorNotAPanic(t *testing.T) {
 	s, snap, recs := bulkRun(t, vfs.NewMem(), 600)
 	defer s.Close()
 	defer snap.Release()
-	th := snap.runs[0].tables[0]
+	th := snap.v.runs[0].tables[0]
 	last := th.meta.Largest
 	for _, path := range []string{"pinned", "mmap"} {
 		s.fileMu.Lock()
@@ -331,7 +331,7 @@ func TestTruncatedViewIsAnErrorNotAPanic(t *testing.T) {
 		if _, _, err := s.Get(last, record.MaxTs); !errors.Is(err, sstable.ErrBadTable) {
 			t.Errorf("%s view: Get of a key past the view = %v, want ErrBadTable", path, err)
 		}
-		it := newRunIter(snap.runs[0])
+		it := newRunIter(snap.v.runs[0])
 		n := 0
 		for ; it.Valid(); it.Next() {
 			n++

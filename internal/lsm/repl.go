@@ -134,19 +134,11 @@ func (s *Store) CaptureCheckpoint(capture func() error) (*CheckpointSource, erro
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("lsm: background maintenance failed: %w", err)
 	}
-	// Inline snapshot acquisition: acquireSnapshot takes mu.RLock itself
-	// and read locks are not re-entrant under writer pressure.
-	snap := &Snapshot{s: s}
-	snap.ts = s.appliedTs.Load()
-	snap.mem = s.mem
-	snap.frozen = s.frozen
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for idx, r := range s.levels[lvl] {
-			snap.refs = append(snap.refs, RunRef{ID: r.id, Level: lvl, Index: idx})
-			s.retainRunLocked(r)
-			snap.runs = append(snap.runs, r)
-		}
-	}
+	// commitMu is held, so the applied timestamp is every assigned one, and
+	// the read lock keeps the version current: the pin is the one every
+	// snapshot takes, and no lock is re-entered.
+	snap := new(Snapshot)
+	s.AcquireSnapshotInto(snap, false)
 	src := &CheckpointSource{Snap: snap}
 	names := s.liveWALFiles()
 	var rerr error
@@ -199,9 +191,9 @@ type CheckpointRun struct {
 // CheckpointRuns lists the snapshot's runs in read order with the file
 // inventory an importer needs to reconstruct the version.
 func (sn *Snapshot) CheckpointRuns() []CheckpointRun {
-	out := make([]CheckpointRun, 0, len(sn.runs))
-	for i, r := range sn.runs {
-		cr := CheckpointRun{ID: r.id, Level: sn.refs[i].Level, Bytes: r.bytes, Entries: r.entries}
+	out := make([]CheckpointRun, 0, len(sn.v.runs))
+	for i, r := range sn.v.runs {
+		cr := CheckpointRun{ID: r.id, Level: sn.v.refs[i].Level, Bytes: r.bytes, Entries: r.entries}
 		for _, th := range r.tables {
 			cr.Tables = append(cr.Tables, CheckpointTable{
 				FileNum: th.meta.FileNum,
@@ -225,10 +217,10 @@ func (sn *Snapshot) EncodeManifest(lastTs uint64) ([]byte, error) {
 		NextFileNum: 1,
 		NextRunID:   1,
 		LastTs:      lastTs,
-		Levels:      make([][]manifestRun, len(sn.s.levels)),
+		Levels:      make([][]manifestRun, len(sn.v.s.levels)),
 	}
-	for i, r := range sn.runs {
-		lvl := sn.refs[i].Level
+	for i, r := range sn.v.runs {
+		lvl := sn.v.refs[i].Level
 		mr := manifestRun{ID: r.id, Nbytes: r.bytes}
 		if r.id >= root.NextRunID {
 			root.NextRunID = r.id + 1
@@ -260,10 +252,10 @@ func (sn *Snapshot) EncodeManifest(lastTs uint64) ([]byte, error) {
 // to fn is a view of the iterator's current block, valid only until fn
 // returns: an fn that keeps it clones it.
 func (sn *Snapshot) RunRecords(i int, fn func(record.Record) error) error {
-	if i < 0 || i >= len(sn.runs) {
+	if i < 0 || i >= len(sn.v.runs) {
 		return ErrUnknownRun
 	}
-	it := newRunIter(sn.runs[i])
+	it := newRunIter(sn.v.runs[i])
 	defer it.Close()
 	for ; it.Valid(); it.Next() {
 		if err := fn(it.Record()); err != nil {

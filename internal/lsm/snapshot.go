@@ -10,35 +10,28 @@ import (
 )
 
 // Snapshot is a pinned, immutable view of the store at one applied
-// timestamp: the run set of the version current at acquisition (each run
-// reference-counted so a concurrent compaction cannot delete its files),
-// plus the memtable pair (active and frozen) live at that moment. Reads
-// through the snapshot are clamped to its timestamp, so records committed
-// later — which can only carry higher timestamps — never surface, records
-// flushed later remain readable from the captured memtables, and the view
-// is repeatable bit for bit no matter how much flushing, compaction or WAL
-// rotation happens underneath.
+// timestamp: one pin on the version current at acquisition — its run set,
+// whose files cannot be deleted while the pin is held, and the memtable pair
+// (active and frozen) live at that moment. Reads through the snapshot are
+// clamped to its timestamp, so records committed later — which can only
+// carry higher timestamps — never surface, records flushed later remain
+// readable from the captured memtables, and the view is repeatable bit for
+// bit no matter how much flushing, compaction or WAL rotation happens
+// underneath.
 //
 // A Snapshot pins disk space (replaced runs survive until release) and must
 // be Released exactly once; Release is idempotent. Runs are addressed by
 // INDEX into Runs() — the snapshot's read order — not by run ID, keeping
 // the hot acquisition path (one per verified point read) map-free.
 type Snapshot struct {
-	s        *Store
+	v        *version // its slices are shared and immutable: never cleared
 	ts       uint64
-	mem      *memtable.Table
-	frozen   *memtable.Table // nil if no flush was in flight at acquisition
-	refs     []RunRef
-	runs     []*run // aligned with refs
-	gauged   bool   // counted in Stats.SnapshotsOpen (sessions, not point reads)
-	closed   bool   // the store was already closed at acquisition
+	gauged   bool // counted in Stats.SnapshotsOpen (sessions, not point reads)
 	released atomic.Bool
 }
 
 // AcquireSnapshot pins the current applied state as a read SESSION,
-// counted in Stats.SnapshotsOpen. One engine-lock acquisition captures the
-// timestamp frontier, the memtable pointers and the run set with their
-// pins, so the snapshot can never straddle a version install.
+// counted in Stats.SnapshotsOpen.
 func (s *Store) AcquireSnapshot() *Snapshot {
 	sn := new(Snapshot)
 	s.AcquireSnapshotInto(sn, true)
@@ -55,22 +48,26 @@ func (s *Store) AcquireEphemeralSnapshot() *Snapshot {
 }
 
 // AcquireSnapshotInto is AcquireSnapshot (session) or
-// AcquireEphemeralSnapshot into sn, a zero or released Snapshot whose run
-// lists it reuses: a reader that keeps one Snapshot from read to read
-// acquires without allocating.
+// AcquireEphemeralSnapshot into sn, a zero or released Snapshot: a reader
+// that keeps one Snapshot from read to read acquires without allocating.
+// It takes no lock and no per-run reference: it loads the applied
+// timestamp, then pins the current version.
+//
+// Why that order gives a snapshot holding every record at or below its
+// timestamp: a record at or below the loaded timestamp t was applied to the
+// memtable then active before t was stored. Every change of memtables or
+// levels publishes a whole new version, and the version pinned was current
+// after t was loaded, so it lists that memtable, or the frozen table it
+// became, or the run it was flushed into. The version's own ts bounds its
+// runs from above (a run is flushed only from records already applied), and
+// every record at or below it is in the version too; the snapshot's
+// timestamp is the larger of the two, so compaction's version GC can never
+// have dropped, from a run the snapshot reads, a version the snapshot should
+// see. What lies above the timestamp in the shared memtables is clamped away.
 func (s *Store) AcquireSnapshotInto(sn *Snapshot, session bool) {
-	refs, runs := sn.refs[:0], sn.runs[:0]
-	s.mu.RLock()
-	*sn = Snapshot{s: s, ts: s.appliedTs.Load(), mem: s.mem, frozen: s.frozen, gauged: session, closed: s.closed}
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for idx, r := range s.levels[lvl] {
-			refs = append(refs, RunRef{ID: r.id, Level: lvl, Index: idx})
-			s.retainRunLocked(r)
-			runs = append(runs, r)
-		}
-	}
-	s.mu.RUnlock()
-	sn.refs, sn.runs = refs, runs
+	t := s.appliedTs.Load()
+	v := s.pin()
+	*sn = Snapshot{v: v, ts: max(t, v.ts), gauged: session}
 	if session {
 		s.snapshotsOpen.Add(1)
 	}
@@ -79,7 +76,7 @@ func (s *Store) AcquireSnapshotInto(sn *Snapshot, session bool) {
 // Err reports ErrClosed for a snapshot acquired from a closed store: its
 // table files are closed, so it must not be read (only released).
 func (sn *Snapshot) Err() error {
-	if sn.closed {
+	if sn.v.closed {
 		return ErrClosed
 	}
 	return nil
@@ -89,23 +86,20 @@ func (sn *Snapshot) Err() error {
 func (sn *Snapshot) Ts() uint64 { return sn.ts }
 
 // Runs lists the snapshot's pinned runs in read order (newest data first).
-func (sn *Snapshot) Runs() []RunRef { return sn.refs }
+// The slice is shared with every snapshot of the same version: read only.
+func (sn *Snapshot) Runs() []RunRef { return sn.v.refs }
 
-// Release drops the snapshot's run pins, allowing files of runs replaced
-// since acquisition to be deleted, and its references to them and to the
-// memtables: a released Snapshot must not be read. Idempotent.
+// Release drops the snapshot's version pin, allowing files of runs replaced
+// since acquisition to be deleted: a released Snapshot must not be read.
+// Idempotent.
 func (sn *Snapshot) Release() {
 	if !sn.released.CompareAndSwap(false, true) {
 		return
 	}
-	for _, r := range sn.runs {
-		sn.s.releaseRun(r)
-	}
 	if sn.gauged {
-		sn.s.snapshotsOpen.Add(-1)
+		sn.v.s.snapshotsOpen.Add(-1)
 	}
-	clear(sn.runs)
-	sn.mem, sn.frozen = nil, nil
+	sn.v.unpin()
 }
 
 // clamp bounds a query timestamp to the snapshot's frontier.
@@ -122,11 +116,11 @@ func (sn *Snapshot) clamp(tsq uint64) uint64 {
 // clamp, so they never match.
 func (sn *Snapshot) MemGet(key []byte, tsq uint64) (record.Record, bool) {
 	tsq = sn.clamp(tsq)
-	if rec, ok := sn.mem.Get(key, tsq); ok {
+	if rec, ok := sn.v.mem.Get(key, tsq); ok {
 		return rec, true
 	}
-	if sn.frozen != nil {
-		return sn.frozen.Get(key, tsq)
+	if sn.v.frozen != nil {
+		return sn.v.frozen.Get(key, tsq)
 	}
 	return record.Record{}, false
 }
@@ -137,7 +131,7 @@ func (sn *Snapshot) MemGet(key []byte, tsq uint64) (record.Record, bool) {
 // them are not clamped: records committed after acquisition live in the same
 // skiplist with timestamps beyond Ts(), and the caller skips them.
 func (sn *Snapshot) MemTables() (active, frozen *memtable.Table) {
-	return sn.mem, sn.frozen
+	return sn.v.mem, sn.v.frozen
 }
 
 // LookupRunViews performs the untrusted side of a one-level GET against the
@@ -145,10 +139,10 @@ func (sn *Snapshot) MemTables() (active, frozen *memtable.Table) {
 // read, pinned into pins. No engine lock is needed: the run is immutable and
 // its files outlive the snapshot.
 func (sn *Snapshot) LookupRunViews(i int, key []byte, tsq uint64, pins *blockcache.Pins) (RunViews, error) {
-	if i < 0 || i >= len(sn.runs) {
+	if i < 0 || i >= len(sn.v.runs) {
 		return RunViews{}, ErrUnknownRun
 	}
-	return lookupRun(sn.runs[i], key, sn.clamp(tsq), pins)
+	return lookupRun(sn.v.runs[i], key, sn.clamp(tsq), pins)
 }
 
 // LookupRun is LookupRunViews with the views copied out.
@@ -166,10 +160,10 @@ func (sn *Snapshot) LookupRun(i int, key []byte, tsq uint64) (RunLookup, error) 
 // hands out are views of untrusted blocks, pinned into pins if it is
 // non-nil; a block-read error surfaces from its Close.
 func (sn *Snapshot) SeekRun(i int, it *RunIter, start []byte, pins *blockcache.Pins) error {
-	if i < 0 || i >= len(sn.runs) {
+	if i < 0 || i >= len(sn.v.runs) {
 		return ErrUnknownRun
 	}
-	*it = RunIter{tables: sn.runs[i].tables, pins: pins}
+	*it = RunIter{tables: sn.v.runs[i].tables, pins: pins}
 	it.SeekGE(start, record.MaxTs)
 	return nil
 }
@@ -179,10 +173,10 @@ func (sn *Snapshot) SeekRun(i int, it *RunIter, start []byte, pins *blockcache.P
 // with the two records bracketing them, all copied out with their proofs.
 // Version chains are never split: the limit applies at key boundaries.
 func (sn *Snapshot) ScanRunChunk(i int, start, end []byte, maxKeys int) (RunScan, error) {
-	if i < 0 || i >= len(sn.runs) {
+	if i < 0 || i >= len(sn.v.runs) {
 		return RunScan{}, ErrUnknownRun
 	}
-	return scanRunChunk(sn.runs[i], start, end, maxKeys)
+	return scanRunChunk(sn.v.runs[i], start, end, maxKeys)
 }
 
 // Get returns the newest record of key with Ts ≤ tsq in the snapshot — the
@@ -193,7 +187,7 @@ func (sn *Snapshot) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	if rec, ok := sn.MemGet(key, tsq); ok {
 		return rec, true, nil
 	}
-	for _, r := range sn.runs {
+	for _, r := range sn.v.runs {
 		rec, ok, err := runGet(r, key, tsq)
 		if err != nil {
 			return record.Record{}, false, err
@@ -214,11 +208,11 @@ func (sn *Snapshot) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 // so a chunk may be smaller than maxKeys — or empty — without being the last.
 func (sn *Snapshot) ScanChunk(start, end []byte, tsq uint64, maxKeys int) (out []record.Record, next []byte, done bool, err error) {
 	tsq = sn.clamp(tsq)
-	sources := []mergeSource{{runID: MemtableRunID, iter: sn.mem.Iter()}}
-	if sn.frozen != nil {
-		sources = append(sources, mergeSource{runID: MemtableRunID, iter: sn.frozen.Iter()})
+	sources := []mergeSource{{runID: MemtableRunID, iter: sn.v.mem.Iter()}}
+	if sn.v.frozen != nil {
+		sources = append(sources, mergeSource{runID: MemtableRunID, iter: sn.v.frozen.Iter()})
 	}
-	for _, r := range sn.runs {
+	for _, r := range sn.v.runs {
 		if len(r.tables) > 0 {
 			sources = append(sources, mergeSource{runID: r.id, iter: newRunIter(r)})
 		}

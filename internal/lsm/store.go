@@ -69,11 +69,13 @@ type tableHandle struct {
 }
 
 // run is one immutable sorted run of tables (non-overlapping, key-ordered).
-// refs counts reasons the run's files must stay on disk: membership in the
-// current version holds one reference, and every pin (a compaction reading
-// it as input, a verified iterator scanning it) holds another. Files are
-// deleted only when the count reaches zero, so an in-flight read never races
-// a compaction deleting its inputs.
+// refs counts reasons the run's files must stay on disk: every live version
+// listing it holds one reference (readers pin versions, not runs), a job
+// merging it as input holds one, and the job that built it holds one until
+// its install ends. Files are deleted only when the count reaches zero, so
+// an in-flight read never races a compaction deleting its inputs. A run at
+// zero is never referenced again: every new reference is taken while a live
+// version or the job still holds one.
 type run struct {
 	id      uint64
 	tables  []*tableHandle
@@ -176,12 +178,12 @@ type Stats struct {
 // wait on a multi-megabyte merge unless flushes fall behind the write rate
 // (Stats.FlushStallNanos counts exactly that).
 //
-// Lock order: commitMu > installMu > mu > gc.mu / maint.mu > the listener's
-// own locks. commitMu serializes WAL epochs — a commit group from append
-// through fsync and apply, a freeze's WAL rotation, close — so holding it
-// means no group is in flight. It spans the fsync, which is safe because
-// readers (mu.RLock only) and maintenance jobs never take it and so never
-// wait on storage. The commit worker holds mu only to check the store is
+// Lock order: commitMu > installMu > mu > gc.mu / maint.mu / versionMu >
+// the listener's own locks. commitMu serializes WAL epochs — a commit group
+// from append through fsync and apply, a freeze's WAL rotation, close — so
+// holding it means no group is in flight. It spans the fsync, which is safe
+// because readers (who pin the published version, no lock) and maintenance
+// jobs never take it and so never wait on storage. The commit worker holds mu only to check the store is
 // writable and reserve a group's timestamps; it hashes, appends and applies
 // under commitMu alone (see appendGroup). installMu serializes the install
 // phase (manifest write + digest swap + post-install seal) across
@@ -204,7 +206,7 @@ type Store struct {
 	// install. Acquired BEFORE s.mu.
 	installMu sync.Mutex
 
-	mu     sync.RWMutex    // guards mem (swapped under commitMu as well), frozen, levels, bgErr
+	mu     sync.RWMutex    // guards mem (swapped under commitMu as well), frozen, levels, closed, bgErr
 	mem    *memtable.Table // active write buffer; the commit worker is its one writer
 	frozen *memtable.Table // immutable predecessor being flushed (nil: none)
 	walW   *wal.Writer
@@ -252,6 +254,14 @@ type Store struct {
 	asyncSlots    chan struct{}
 	asyncInFlight atomic.Int64
 
+	// current is the published read version (version.go), replaced under mu
+	// whenever levels, memtables or closed change; readers pin it without
+	// taking mu. versions lists the live ones, current included, for the
+	// PinnedRuns gauge.
+	current   atomic.Pointer[version]
+	versionMu sync.Mutex
+	versions  []*version
+
 	// snapshotsOpen gauges AcquireSnapshot handles not yet released.
 	snapshotsOpen atomic.Int64
 
@@ -292,7 +302,8 @@ type Store struct {
 	flushStallNanos       atomic.Int64
 	compactionStallNanos  atomic.Int64
 	backgroundCompactions atomic.Uint64
-	pinnedRuns            atomic.Int64
+	// jobPins counts the input-run references of the jobs in flight.
+	jobPins atomic.Int64
 }
 
 // Open creates or recovers a store.
@@ -329,6 +340,9 @@ func Open(opts Options) (*Store, error) {
 	// Everything recovered is visible: the applied frontier starts at the
 	// recovered timestamp high-water mark.
 	s.appliedTs.Store(s.lastTs.Load())
+	s.mu.Lock()
+	s.publishLocked()
+	s.mu.Unlock()
 	s.startMaintenance()
 	s.startCommitter()
 	return s, nil
@@ -567,8 +581,7 @@ func (s *Store) recoverManifest() error {
 	}
 	for lvl, runs := range root.Levels {
 		for _, mr := range runs {
-			r := &run{id: mr.ID}
-			r.refs.Store(1) // the version reference
+			r := &run{id: mr.ID} // Open's first version takes the reference
 			for _, mt := range mr.Files {
 				th, err := s.openTable(mt.FileNum)
 				if err != nil {
@@ -649,6 +662,9 @@ func (s *Store) freezeLocked() error {
 	s.frozen = s.mem
 	s.frozen.Freeze()
 	s.mem = memtable.New(s.enclave)
+	// The new version lists every run the old one does, so dropping the old
+	// one's store pin here, under mu, can delete no file.
+	s.publishLocked().unpin()
 	s.listener.OnMemtableFrozen()
 	s.maint.note(func() { s.maint.frozen++ })
 	return nil
@@ -740,51 +756,19 @@ func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 // ---------------------------------------------------------------------------
 // Run reference counting
 
-// retainRunLocked takes an extra reference on r (caller holds s.mu, read or
-// write: the run is reachable, so its version reference keeps refs ≥ 1 and
-// the increment cannot resurrect a dying run).
-func (s *Store) retainRunLocked(r *run) {
-	r.refs.Add(1)
-	s.pinnedRuns.Add(1)
+// releaseRunRefs drops one reference from each run, deleting the files of
+// those it leaves at zero. Must be called without s.mu.
+func (s *Store) releaseRunRefs(runs []*run) {
+	for _, r := range runs {
+		s.releaseRun(r)
+	}
 }
 
-// releaseRun drops one reference; at zero the run's files are deleted. The
-// zero re-check under the write lock orders the deletion after every pin
-// taken under mu.RLock while the run was still reachable: such a reader
-// either incremented before the check (which then sees refs > 0 and leaves
-// the run alone) or can no longer find the run at all.
+// releaseRun drops one reference from r, deleting its files at zero. Must
+// be called without s.mu.
 func (s *Store) releaseRun(r *run) {
-	s.pinnedRuns.Add(-1)
-	if r.refs.Add(-1) > 0 {
-		return
-	}
-	s.mu.Lock()
-	alive := r.refs.Load() > 0
-	s.mu.Unlock()
-	if !alive {
+	if r.refs.Add(-1) == 0 {
 		s.removeFiles(r.fileNums())
-	}
-}
-
-// retireRunsLocked accounts for runs the install just removed from the
-// version: from here until it is dropped, their version reference counts
-// in pinnedRuns, keeping the gauge's invariant (refs beyond live version
-// membership) intact. Readers that pinned the runs keep them, and their
-// files, through their own references. Caller holds s.mu and must drop the
-// version reference — releaseRunRefs — after releasing it.
-func (s *Store) retireRunsLocked(runs []*run) {
-	s.pinnedRuns.Add(int64(len(runs)))
-}
-
-// releaseRunRefs drops n references from each run (deleting files at
-// zero). A successful install drops TWO per input run — the retired
-// version reference plus the job's merge pin — in one explicit call;
-// abort paths drop only the job pin. Must be called without s.mu.
-func (s *Store) releaseRunRefs(runs []*run, n int) {
-	for i := 0; i < n; i++ {
-		for _, r := range runs {
-			s.releaseRun(r)
-		}
 	}
 }
 
@@ -891,10 +875,6 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	torn := s.walTornRecords
 	s.mu.RUnlock()
-	pinned := s.pinnedRuns.Load()
-	if pinned < 0 {
-		pinned = 0
-	}
 	snaps := s.snapshotsOpen.Load()
 	if snaps < 0 {
 		snaps = 0
@@ -936,7 +916,7 @@ func (s *Store) Stats() Stats {
 		CompactionDebtByLevel: debtByLevel,
 		ParallelCompactions:   uint64(running),
 		CompactionWorkersBusy: uint64(s.workers.Busy()),
-		PinnedRuns:            uint64(pinned),
+		PinnedRuns:            s.pinnedRunsGauge(),
 		SnapshotsOpen:         uint64(snaps),
 		AsyncCommitsInFlight:  uint64(async),
 
@@ -987,6 +967,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	// The closed version lists the same runs: no file goes with the old one.
+	s.publishLocked().unpin()
 	if s.walW != nil {
 		s.walW.Close()
 	}

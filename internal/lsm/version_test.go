@@ -1,0 +1,123 @@
+package lsm
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"elsm/internal/record"
+	"elsm/internal/vfs"
+)
+
+// TestVersionPinsUnderInstalls runs readers that acquire and release
+// snapshots — one-shot ones, and sessions held across several reads —
+// beside a writer whose commits keep flushes and compactions installing. A
+// pinned run's table files must exist and answer reads for as long as the
+// pin is held; once every reader has let go, the files on disk must be
+// exactly those of the current version's runs, no version but the current
+// one may be live, and the gauges must read zero.
+func TestVersionPinsUnderInstalls(t *testing.T) {
+	mem := vfs.NewMem()
+	s := mustOpen(t, smallOpts(mem))
+	defer s.Close()
+
+	const keys = 300
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%05d", i%keys)) }
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	check := func(sn *Snapshot, probe int) error {
+		for i, r := range sn.v.runs {
+			for _, th := range r.tables {
+				if !mem.Exists(th.name) {
+					return fmt.Errorf("run %d's file %s is gone while pinned", r.id, th.name)
+				}
+			}
+			if _, err := sn.LookupRun(i, key(probe), record.MaxTs); err != nil {
+				return fmt.Errorf("lookup in pinned run %d: %w", r.id, err)
+			}
+		}
+		return nil
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var held []*Snapshot
+			defer func() {
+				for _, sn := range held {
+					sn.Release()
+				}
+			}()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var sn Snapshot
+				s.AcquireSnapshotInto(&sn, false)
+				err := check(&sn, i)
+				sn.Release()
+				if err == nil && i%16 == g {
+					held = append(held, s.AcquireSnapshot())
+				}
+				for j := 0; err == nil && j < len(held); j++ {
+					err = check(held[j], i)
+				}
+				if len(held) > 3 {
+					held[0].Release()
+					held = held[1:]
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	value := make([]byte, 64)
+	for i := 0; i < 1500; i++ {
+		if _, err := putKV(s, key(i), value); err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 499 {
+			if err := s.Compact(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := s.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Compactions == 0 || st.Flushes == 0 {
+		t.Fatalf("the writer installed %d flushes and %d compactions, want some of each", st.Flushes, st.Compactions)
+	}
+	if st.PinnedRuns != 0 || st.SnapshotsOpen != 0 {
+		t.Fatalf("after every release: PinnedRuns=%d SnapshotsOpen=%d, want 0/0", st.PinnedRuns, st.SnapshotsOpen)
+	}
+	s.versionMu.Lock()
+	live := len(s.versions)
+	s.versionMu.Unlock()
+	if live != 1 {
+		t.Fatalf("%d versions live after every release, want the current one", live)
+	}
+	var want []string
+	for _, r := range s.current.Load().runs {
+		for _, th := range r.tables {
+			want = append(want, th.name)
+		}
+	}
+	slices.Sort(want)
+	if got := tableFiles(t, mem); !slices.Equal(got, want) {
+		t.Fatalf("table files on disk %v, the current version's %v: released versions leaked files", got, want)
+	}
+}

@@ -9,8 +9,9 @@
 //
 //   - Histogram is the hot-path primitive: a fixed array of atomic
 //     buckets on a log scale (8 sub-buckets per octave, ~12% relative
-//     error). Observe is two atomic adds and one atomic increment, no
-//     allocation, no lock; nil receivers are no-ops so an uninstrumented
+//     error). Observe is one atomic add and one atomic increment, no
+//     allocation, no lock (the count is the buckets' sum, taken when a
+//     snapshot is); nil receivers are no-ops so an uninstrumented
 //     store pays only a pointer test.
 //   - Recorder bundles one shard's named histograms; Observer holds the
 //     cross-shard state (trace ring, slow-op ring, event ring, the
@@ -80,7 +81,6 @@ func bucketMid(i int) uint64 {
 // zero value is ready to use; a nil *Histogram ignores observations.
 // All methods are safe for concurrent use.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [NumBuckets]atomic.Uint64
 }
@@ -90,7 +90,6 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketOf(v)].Add(1)
 }
@@ -118,16 +117,17 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // Snapshot copies the histogram's current state. The copy is not an
 // atomic cut across buckets — concurrent observers may land between
 // loads — but every read is atomic, so the snapshot is race-free and
-// each bucket's value was current at some instant.
+// each bucket's value was current at some instant. Count is the sum of the
+// buckets copied, so it always agrees with them.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

@@ -123,3 +123,42 @@ func TestZeroDurationObserve(t *testing.T) {
 		t.Fatalf("count=%d bucket0=%d, want 2/2", s.Count, s.Buckets[0])
 	}
 }
+
+// TestCountIsTheBucketSum: a snapshot's Count is the sum of its buckets,
+// also while observers run beside it, and it counts every observation once
+// they are done.
+func TestCountIsTheBucketSum(t *testing.T) {
+	var h Histogram
+	const writers, each = 4, 20000
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < each; i++ {
+				h.Observe(uint64(w*each + i))
+			}
+		}(w)
+	}
+	check := func() HistSnapshot {
+		s := h.Snapshot()
+		var sum uint64
+		for _, b := range s.Buckets {
+			sum += b
+		}
+		if s.Count != sum {
+			t.Fatalf("Count = %d, buckets sum to %d", s.Count, sum)
+		}
+		return s
+	}
+	for running := writers; running > 0; {
+		select {
+		case <-done:
+			running--
+		default:
+			check()
+		}
+	}
+	if s := check(); s.Count != writers*each {
+		t.Fatalf("Count = %d after %d observations", s.Count, writers*each)
+	}
+}
