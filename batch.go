@@ -16,8 +16,8 @@ type CommitFuture = core.CommitFuture
 
 // Batch is an atomic multi-op write. Operations are buffered locally and
 // applied by Commit in ONE enclave round trip: the engine takes its write
-// lock once, every record extends the WAL digest chain individually, but
-// the group shares a single WAL append+fsync and at most one monotonic
+// lock once, every record is hashed into the group's WAL tag, but the
+// group shares a single WAL append+fsync and at most one monotonic
 // counter bump — amortizing the per-operation enclave-boundary costs that
 // make one-at-a-time Put expensive (§5.6.1's write buffer, applied to the
 // client API).

@@ -17,8 +17,8 @@ func NewResolvedFuture(ts uint64, err error) *CommitFuture {
 }
 
 // Commit applies a group of writes in ONE enclave round trip, riding the
-// engine's cross-client group commit: the batch extends the WAL
-// digest chain per record but shares a single marker-terminated group
+// engine's cross-client group commit: every record of the batch is hashed
+// into its group's WAL tag, but it shares a single marker-terminated group
 // append+fsync — and at most one monotonic-counter bump, paid in
 // OnGroupSynced after the group is durable — with every concurrent commit
 // that joined the same group. It returns the batch's commit timestamp —

@@ -24,9 +24,8 @@ func batchOf(base, n int) []BatchOp {
 
 func TestBatchEquivalentToSingles(t *testing.T) {
 	// The same operations applied as one batch and as singles must yield
-	// identical verified reads AND identical WAL digest chains (the
-	// per-record chain extension is preserved; only the boundary costs are
-	// amortized).
+	// identical verified reads AND log identical records (only the
+	// per-group costs are amortized).
 	single := mustOpenP2(t, smallCfg(nil))
 	defer single.Close()
 	batched := mustOpenP2(t, smallCfg(nil))
@@ -53,8 +52,8 @@ func TestBatchEquivalentToSingles(t *testing.T) {
 	if want := single.Engine().LastTs(); ts != want {
 		t.Fatalf("batch commit ts = %d, want %d", ts, want)
 	}
-	if single.chain.tip != batched.chain.tip {
-		t.Fatal("batched WAL digest chain diverges from the single-put chain")
+	if logLink(t, single.fs) != logLink(t, batched.fs) {
+		t.Fatal("the batch logged other records than the single puts")
 	}
 	sr, err := Scan(single, []byte("key"), []byte("kez"))
 	if err != nil {

@@ -15,6 +15,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -73,7 +74,8 @@ type checkpointHeader struct {
 	LastTs      uint64 `json:"lastTs"`
 	RunFrontier uint64 `json:"runFrontier"`
 	// WALAppends counts the tail records; WALDigest is their hash chain
-	// from zero — the durable WAL digest the leader's counter is bound to.
+	// from zero (LinkWAL), which the importer recomputes from the shipped
+	// bytes: their tags are under the leader's key, which it does not hold.
 	WALAppends uint64               `json:"walAppends"`
 	WALDigest  hashutil.Hash        `json:"walDigest"`
 	Digests    map[uint64]runDigest `json:"digests"`
@@ -119,7 +121,7 @@ func verifyPeerPayload(platform *sgx.Platform, m sgx.Measurement, rep sgx.Report
 }
 
 // ApplyReplicated applies one authenticated shipped commit group through
-// the full local pipeline (digest chain, WAL append, fsync, seal cadence).
+// the full local pipeline (WAL tag, append, fsync, seal cadence).
 // The transport layer has already verified the group's frame; the engine
 // still enforces timestamp contiguity with the applied frontier.
 func (c *Store) ApplyReplicated(recs []record.Record) error {
@@ -148,13 +150,13 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		shards = 1
 	}
 	var digs map[uint64]runDigest
-	var walDigest hashutil.Hash
+	var ch walChain
 	var epoch uint64
 	src, err := c.engine.CaptureCheckpoint(func() error {
 		c.mu.Lock()
 		// The pipeline is drained: the durable frontier IS the tip.
 		digs = c.snap.Load().digests
-		walDigest = c.chain.durable.digest
+		ch = walChain{key: c.chain.key, seek: []walSeek{{base: c.chain.base, frontier: c.chain.durable}}}
 		epoch = c.epoch.Load()
 		c.mu.Unlock()
 		return nil
@@ -164,22 +166,24 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 	}
 	defer src.Release()
 
-	// Re-derive the tail extent from the captured bytes: replaying the
-	// copied WAL files must reproduce the trusted chain (anything else
-	// means the untrusted log was tampered with under us — fail stop, do
-	// not ship), and the record count fixes the run frontier F.
+	// Re-derive the tail extent from the captured bytes: every copied group
+	// must carry its tag, at the position it is counted at, up to the
+	// durable frontier (anything else means the untrusted log was tampered
+	// with under us — fail stop, do not ship), and the record count fixes
+	// the run frontier F. The header attests the tail's chain from zero.
 	lastTs := src.Snap.Ts()
 	chain := hashutil.Zero
 	var tail uint64
 	wantTs := uint64(0) // first record fixes the base
 	for i := range src.WALData {
-		info, rerr := wal.Replay(src.WALData[i], func(group []record.Record, _ *wal.Tag) error {
+		info, rerr := wal.Replay(src.WALData[i], func(group []record.Record, tag *wal.Tag) error {
 			for _, rec := range group {
 				if wantTs != 0 && rec.Ts != wantTs {
 					return fmt.Errorf("%w: wal tail not contiguous at ts %d", ErrCheckpointCorrupt, rec.Ts)
 				}
 				wantTs = rec.Ts + 1
 			}
+			ch.replayed(group, tag)
 			chain = LinkWAL(chain, group)
 			return nil
 		})
@@ -191,8 +195,8 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		}
 		tail += uint64(info.Records)
 	}
-	if chain != walDigest {
-		return fmt.Errorf("%w: wal chain does not match trusted digest", ErrCheckpointCorrupt)
+	if _, err := ch.verdict(ch.seek[0]); err != nil {
+		return fmt.Errorf("%w: wal tail: %w", ErrCheckpointCorrupt, err)
 	}
 	if tail > 0 && wantTs-1 != lastTs {
 		return fmt.Errorf("%w: wal tail ends at ts %d, applied frontier is %d",
@@ -211,7 +215,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		LastTs:      lastTs,
 		RunFrontier: frontier,
 		WALAppends:  tail,
-		WALDigest:   walDigest,
+		WALDigest:   chain,
 		Digests:     digs,
 		Manifest:    manifest,
 	}
@@ -334,11 +338,10 @@ func WipeFS(fs vfs.FS) error {
 //     digest is REBUILT from the installed bytes and compared against the
 //     attested frontier — a tampered or truncated run fails the import;
 //  3. the shipped WAL tail's hash chain is recomputed from zero and
-//     compared against the attested durable digest, then the records are
-//     re-applied through the follower's own pipeline (its own WAL, its own
-//     chain — byte-compatible by construction; the groups carry zero tags,
-//     and lie before the follower's first seal, where no recovery checks a
-//     tag);
+//     compared against the attested one, then the records are re-applied
+//     through the follower's own pipeline, into its own WAL, each group
+//     tagged from position zero under the key of a seed the follower
+//     draws and seals in step 4 (tailTagger);
 //  4. only then is the trusted state sealed under the follower's platform,
 //     bound to ITS monotonic counter, and written. TRUSTED.bin is written
 //     last: a crash anywhere before leaves a directory that
@@ -458,71 +461,47 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 			ErrCheckpointCorrupt, len(tailRecs), hdr.WALAppends)
 	}
 
-	// Open the installed version raw (no auth layer: digests are checked
-	// here, against the attested header, not against engine callbacks) and
-	// rebuild every run's Merkle digest from the shipped bytes. The
-	// oversized memtable and disabled compaction keep the engine from
-	// reshaping the version underneath the verification pass.
+	// Open the installed version raw (no authenticated compaction: digests
+	// are checked here, against the attested header; the engine's one
+	// listener tags the tail) and rebuild every run's Merkle digest from the
+	// shipped bytes. The oversized memtable and disabled compaction keep the
+	// engine from reshaping the version underneath the verification pass.
 	memCap := 1 << 20
 	for _, wf := range hdr.WALFiles {
 		memCap += int(wf.Size) * 2
 	}
+	sealKey := cfg.Platform.SealingKey(measurement)
+	seed := make([]byte, 32)
+	if _, err := rand.Read(seed); err != nil {
+		return fmt.Errorf("core: wal key seed: %w", err)
+	}
+	tagger := &tailTagger{}
+	tagger.chain.keyed(sealKey, seed)
 	eng, err := lsm.Open(lsm.Options{
 		FS:                cfg.FS,
 		Enclave:           enclave,
+		Listener:          tagger,
 		Geometry:          lsm.Geometry{MemtableSize: memCap},
 		DisableCompaction: true,
 	})
 	if err != nil {
 		return fmt.Errorf("%w: restored manifest rejected: %v", ErrCheckpointCorrupt, err)
 	}
-	closeEng := eng.Close
 	snap := eng.AcquireSnapshot()
-	refs := snap.Runs()
-	if len(refs) != len(hdr.Digests) {
-		snap.Release()
-		closeEng()
-		return fmt.Errorf("%w: %d runs installed, %d attested", ErrCheckpointCorrupt, len(refs), len(hdr.Digests))
-	}
-	for i, ref := range refs {
-		want, ok := hdr.Digests[ref.ID]
-		if !ok {
-			snap.Release()
-			closeEng()
-			return fmt.Errorf("%w: run %d not in attested frontier", ErrCheckpointCorrupt, ref.ID)
-		}
-		var h *compactionHasher
-		var verr error
-		enclave.ECall(func() { h, verr = replayRun(snap, i, ref.ID, 0, nil, nil) })
-		if verr != nil {
-			snap.Release()
-			closeEng()
-			return fmt.Errorf("%w: run %d stream: %v", ErrCheckpointCorrupt, ref.ID, verr)
-		}
-		got := h.inputs[0].digest()
-		h.release()
-		if got != want {
-			snap.Release()
-			closeEng()
-			return fmt.Errorf("%w: run %d digest mismatch (shipped bytes tampered)", ErrCheckpointCorrupt, ref.ID)
-		}
-	}
+	err = verifyRestoredRuns(enclave, snap, hdr.Digests)
 	snap.Release()
-
-	// Re-apply the verified tail through the follower's own pipeline so
-	// its WAL chain reproduces the attested digest record for record.
-	for off := 0; off < len(tailRecs); off += restoreApplyChunk {
-		end := off + restoreApplyChunk
-		if end > len(tailRecs) {
-			end = len(tailRecs)
-		}
-		if err := eng.ApplyReplicated(tailRecs[off:end]); err != nil {
-			closeEng()
-			return fmt.Errorf("checkpoint import: apply tail: %w", err)
+	// Re-apply the verified tail through the follower's own pipeline, each
+	// group tagged under the follower's new key.
+	for off := 0; err == nil && off < len(tailRecs); off += restoreApplyChunk {
+		if err = eng.ApplyReplicated(tailRecs[off:min(off+restoreApplyChunk, len(tailRecs))]); err != nil {
+			err = fmt.Errorf("checkpoint import: apply tail: %w", err)
 		}
 	}
-	if err := closeEng(); err != nil {
-		return fmt.Errorf("checkpoint import: close: %w", err)
+	if cerr := eng.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("checkpoint import: close: %w", cerr)
+	}
+	if err != nil {
+		return err
 	}
 
 	// Seal the imported frontier as the follower's own trusted state,
@@ -531,15 +510,55 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	// every subsequently tailed frame must match.
 	st := trustedState{
 		Digests:    hdr.Digests,
-		WALDigest:  hdr.WALDigest,
 		WALAppends: hdr.WALAppends,
 		LastTs:     hdr.LastTs,
 		Epoch:      hdr.Epoch,
+		WALSeed:    seed,
 	}
-	if err := writeTrustedState(cfg.FS, enclave, cfg.Platform.SealingKey(measurement), cfg.Counter, st); err != nil {
+	if err := writeTrustedState(cfg.FS, enclave, sealKey, cfg.Counter, st); err != nil {
 		return fmt.Errorf("checkpoint import: %w", err)
 	}
 	return nil
+}
+
+// verifyRestoredRuns rebuilds the digest of every run of snap from its
+// bytes and holds the forest to the attested one.
+func verifyRestoredRuns(enclave *sgx.Enclave, snap *lsm.Snapshot, digests map[uint64]runDigest) error {
+	refs := snap.Runs()
+	if len(refs) != len(digests) {
+		return fmt.Errorf("%w: %d runs installed, %d attested", ErrCheckpointCorrupt, len(refs), len(digests))
+	}
+	for i, ref := range refs {
+		want, ok := digests[ref.ID]
+		if !ok {
+			return fmt.Errorf("%w: run %d not in attested frontier", ErrCheckpointCorrupt, ref.ID)
+		}
+		var h *compactionHasher
+		var err error
+		enclave.ECall(func() { h, err = replayRun(snap, i, ref.ID, 0, nil, nil) })
+		if err != nil {
+			return fmt.Errorf("%w: run %d stream: %v", ErrCheckpointCorrupt, ref.ID, err)
+		}
+		got := h.inputs[0].digest()
+		h.release()
+		if got != want {
+			return fmt.Errorf("%w: run %d digest mismatch (shipped bytes tampered)", ErrCheckpointCorrupt, ref.ID)
+		}
+	}
+	return nil
+}
+
+// tailTagger is the listener of the engine a checkpoint restore re-applies
+// the shipped tail through: it tags each group, from position zero, under
+// the key of the seed the restore seals.
+type tailTagger struct {
+	lsm.NopListener
+	chain walChain
+}
+
+// OnGroupAppended implements lsm.EventListener.
+func (t *tailTagger) OnGroupAppended(recs []record.Record, tag *wal.Tag, _ bool) {
+	*tag = t.chain.appended(recs)
 }
 
 // safeCheckpointName admits only flat table-file names: no path

@@ -217,16 +217,12 @@ func cycledStore(t *testing.T, cfg Config) *Store {
 }
 
 // checkEnclaveBytes holds a quiet store's enclave to its accounts: the fixed
-// budgets of the verified caches and the read scratch, the live tables' metadata
-// regions and the live runs' key filters, each of which has one. An active
-// memtable that holds nothing holds no bytes.
-func checkEnclaveBytes(t *testing.T, s *Store, fs *vfs.MemFS) {
+// budgets of the verified caches and the read scratch, and the live runs' key
+// filters, each of which has one. A P2 table's index is the host's, so it is
+// not charged; an active memtable that holds nothing holds no bytes.
+func checkEnclaveBytes(t *testing.T, s *Store) {
 	t.Helper()
 	fixed := merkle.NodeCacheBytes + recordCacheBytes + scanScratchSlots*scanScratchBytes + readScratchSlots*readScratchBytes
-	meta := 0
-	for _, img := range tableFiles(t, fs) {
-		meta += openImage(t, img, &countingSource{}).MetadataBytes()
-	}
 	tv := s.snap.Load()
 	filters := 0
 	for id, f := range tv.filters {
@@ -240,19 +236,19 @@ func checkEnclaveBytes(t *testing.T, s *Store, fs *vfs.MemFS) {
 			t.Errorf("live run %d has no filter", r.ID)
 		}
 	}
-	if got, want := s.Enclave().Stats().EnclaveBytes, uint64(fixed+meta+filters); got != want {
-		t.Errorf("EnclaveBytes %d, want %d: %d fixed + %d table metadata + %d filters", got, want, fixed, meta, filters)
+	if got, want := s.Enclave().Stats().EnclaveBytes, uint64(fixed+filters); got != want {
+		t.Errorf("EnclaveBytes %d, want %d: %d fixed + %d filters", got, want, fixed, filters)
 	}
 }
 
 // TestFilterBytesAreAccounted: after 100 flush and compaction cycles the
-// enclave holds exactly its fixed budgets, the live tables' metadata and the
+// enclave holds exactly its fixed budgets and the
 // live runs' filters — every filter of a run compacted away was freed.
 func TestFilterBytesAreAccounted(t *testing.T) {
 	fs := vfs.NewMem()
 	s := cycledStore(t, smallCfg(fs))
 	defer s.Close()
-	checkEnclaveBytes(t, s, fs)
+	checkEnclaveBytes(t, s)
 }
 
 // TestReopenRebuildsFilters: filters are never sealed, and the rebuild a
@@ -278,7 +274,7 @@ func TestReopenRebuildsFilters(t *testing.T) {
 			t.Errorf("run %d: rebuilt filter of %d bytes differs from the %d bytes built at install", r.ID, len(got), len(want[r.ID]))
 		}
 	}
-	checkEnclaveBytes(t, s, fs)
+	checkEnclaveBytes(t, s)
 	if res, probed, filtered, _, err := getCounts(t, s, "key00100~"); err != nil || res.Found || probed != 0 || filtered != uint64(len(runs)) {
 		t.Fatalf("Get(key00100~) = %+v, %v, proving %d runs and filtering %d of %d", res, err, probed, filtered, len(runs))
 	}
@@ -430,7 +426,7 @@ func TestCloseDuringRebuild(t *testing.T) {
 	s = mustOpenP2(t, cfg)
 	defer s.Close()
 	s.rebuildDone.Wait()
-	checkEnclaveBytes(t, s, fs)
+	checkEnclaveBytes(t, s)
 	if res, err := Get(s, []byte(strings.Repeat("z", 8))); err != nil || res.Found {
 		t.Fatalf("Get after reopen = %+v, %v", res, err)
 	}

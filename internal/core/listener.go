@@ -10,10 +10,9 @@ import (
 )
 
 // authListener implements the engine's EventListener callbacks. The commit
-// path's hooks maintain the WAL digest chain (walChain); BeginJob hands the
-// engine a compactionJob per flush, compaction or bulk load. State shared
-// between the two (the chain, the staged transition seal) lives in the
-// Store under c.mu.
+// path's hooks tag the WAL's groups (walChain); BeginJob hands the engine a
+// compactionJob per flush, compaction or bulk load. State shared between the
+// two (the chain, the staged transition seal) lives in the Store under c.mu.
 type authListener struct {
 	c *Store
 }
@@ -51,15 +50,13 @@ var (
 	_ lsm.Job           = (*compactionJob)(nil)
 )
 
-// OnGroupAppended extends the enclave's WAL digest chain over one group
-// about to be appended (§5.3 step w1), tags it, and holds the group's chain
-// value until its fsync reports. Until then the chain tip runs AHEAD of
-// stable storage, and only the durable frontier is ever sealed — a counter
-// bump binding records an fsync has not confirmed would, after a crash,
-// demand a WAL prefix that no longer exists and brick the store as a false
-// rollback. At recovery the engine calls it for every replayed group, which
-// is how the sealed digests are found on the chain without a second read of
-// the log, and how every group past them is held to its tag.
+// OnGroupAppended tags one group about to be appended (§5.3 step w1) and
+// holds its position until its fsync reports. Until then the append count
+// runs AHEAD of stable storage, and only the durable frontier is ever sealed
+// — a counter bump binding records an fsync has not confirmed would, after a
+// crash, demand a log prefix that no longer exists and brick the store as a
+// false rollback. At recovery the engine calls it for every replayed group, whose
+// tag is checked at the position the replay counts it at.
 func (l *authListener) OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool) {
 	c := l.c
 	c.mu.Lock()
@@ -68,11 +65,10 @@ func (l *authListener) OnGroupAppended(recs []record.Record, tag *wal.Tag, repla
 		c.chain.replayed(recs, tag)
 		return
 	}
-	c.chain.appended(recs)
-	*tag = c.chain.tag(c.chain.appends)
+	*tag = c.chain.appended(recs)
 }
 
-// OnGroupSynced settles the group's chain value — the durable frontier on
+// OnGroupSynced settles the group's position — the durable frontier on
 // success, dropped on a failed fsync — and then pins the dataset state to
 // the monotonic counter (§5.6.1) once the configured interval of appends
 // has durably committed: at most one bump per group, paid after the group
@@ -86,18 +82,6 @@ func (l *authListener) OnGroupSynced(durable bool) {
 	if bump {
 		_ = c.commitState()
 	}
-}
-
-// OnMemtableFrozen marks a flush generation boundary: the active WAL was
-// rotated to a frozen log (or, at recovery, the replay moved on to the next
-// log, or ended on a frozen log), so the chain over the active log alone
-// restarts from zero. The full
-// chain keeps spanning frozen + active logs until the flush installs.
-func (l *authListener) OnMemtableFrozen() {
-	c := l.c
-	c.mu.Lock()
-	c.chain.frozen()
-	c.mu.Unlock()
 }
 
 // BeginJob prepares the job's staging context: hashers from the pool, one
@@ -206,18 +190,17 @@ func (j *compactionJob) Verify() error {
 	}
 	next[info.OutputRun] = out.digest
 	c.mu.Lock()
-	durable := c.chain.durable
-	wd := durable.digest
+	base := c.chain.base
 	if info.MemtableInput {
-		// A flush install deletes the frozen logs and rebases the chain
-		// onto the active log alone: the post-install basis is the fresh
-		// chain's durable frontier.
-		wd = durable.fresh
+		// A flush install deletes the frozen logs, which hold the flushed
+		// memtable's records (and at most a failed group after them, which
+		// no group follows until Open): the live log then starts past them.
+		base += uint64(info.TrustedRecords)
 	}
 	c.pendingSeal = &pendingState{
 		Digests:    next,
-		WALDigest:  wd,
-		WALAppends: durable.appends,
+		WALBase:    base,
+		WALAppends: c.chain.durable,
 		LastTs:     c.engine.AppliedTs(),
 	}
 	c.sealStagedBy = j
@@ -227,22 +210,17 @@ func (j *compactionJob) Verify() error {
 }
 
 // Installed commits the staged digests: input runs are forgotten and their
-// key filters freed, the output run's digest and key filter take effect, and
-// a flush's WAL-chain rebase (the engine has just deleted the frozen logs) is
-// applied in the SAME c.mu critical section — one copy-on-write snapshot
-// swap, atomic so a concurrent commit leader's periodic seal always
-// fingerprints a coherent (forest, WAL chain) pair, never the new chain
-// beside the old forest. The engine publishes the matching read version
+// key filters freed, the output run's digest and key filter take effect,
+// and the base of the live logs moves past a flush's deleted frozen logs in
+// the SAME c.mu critical section — one copy-on-write snapshot swap, atomic
+// so a concurrent commit leader's periodic seal always pairs the forest with
+// the logs it leaves live. The engine publishes the matching read version
 // right after, under the same engine lock; until it does, readers pin the
 // version before it, whose forest the new view keeps as prev.
 func (j *compactionJob) Installed() {
 	c := j.c
 	c.mu.Lock()
-	if j.info.MemtableInput {
-		// The frozen logs are gone: the trusted chain rebases onto the
-		// active log's chain.
-		c.chain.rebase()
-	}
+	c.chain.base = c.pendingSeal.WALBase
 	// The forest Verify staged IS the post-install forest: installs are
 	// serialized from Verify on, so nothing changed the digests in between,
 	// and what the transition seal promised is exactly what takes effect.

@@ -136,3 +136,147 @@ search:
 		}
 	}
 }
+
+// fileIndexEntry is one entry of a table's index block as the file holds it.
+type fileIndexEntry struct {
+	key               []byte
+	ts, off, blockLen uint64
+}
+
+// tableIndex parses the index block of a table image.
+func tableIndex(t *testing.T, img []byte) []fileIndexEntry {
+	t.Helper()
+	ft := img[len(img)-48:]
+	off, n := binary.BigEndian.Uint64(ft[16:24]), binary.BigEndian.Uint64(ft[24:32])
+	ib := img[off : off+n]
+	out := make([]fileIndexEntry, binary.BigEndian.Uint32(ib))
+	p := 4
+	for i := range out {
+		klen, w := binary.Uvarint(ib[p:])
+		p += w
+		e := &out[i]
+		e.key = ib[p : p+int(klen)]
+		p += int(klen)
+		e.ts = binary.BigEndian.Uint64(ib[p:])
+		e.off = binary.BigEndian.Uint64(ib[p+8:])
+		e.blockLen = binary.BigEndian.Uint64(ib[p+16:])
+		p += 24
+	}
+	return out
+}
+
+// withIndex returns the table image with its index block replaced by
+// entries and the footer's index length fixed up, as a host can write it.
+func withIndex(img []byte, entries []fileIndexEntry) []byte {
+	ft := img[len(img)-48:]
+	off := binary.BigEndian.Uint64(ft[16:24])
+	out := append([]byte(nil), img[:off]...)
+	ib := binary.BigEndian.AppendUint32(nil, uint32(len(entries)))
+	for _, e := range entries {
+		ib = binary.AppendUvarint(ib, uint64(len(e.key)))
+		ib = append(ib, e.key...)
+		for _, v := range []uint64{e.ts, e.off, e.blockLen} {
+			ib = binary.BigEndian.AppendUint64(ib, v)
+		}
+	}
+	out = append(out, ib...)
+	footer := append([]byte(nil), ft...)
+	binary.BigEndian.PutUint64(footer[24:32], uint64(len(ib)))
+	return append(out, footer...)
+}
+
+// TestAttackIndexLies: a P2 table's index is the host's — only the
+// untrusted seek reads it — so the host may lie in it. It points a block's
+// keys at the next block (the block's index key moved down to its
+// predecessor's), or drops a block from the index. Every verified Get and
+// Scan then returns the oracle's answer or fails with an ErrAuthFailed
+// subclass, and the dropped block's keys do fail.
+func TestAttackIndexLies(t *testing.T) {
+	mem := vfs.NewMem()
+	cfg := smallCfg(mem)
+	cfg.MemtableSize, cfg.TableFileSize = 1<<20, 1<<20
+	cfg.DisableCompaction = true
+	s := mustOpenP2(t, cfg)
+	const n = 300
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%05d", i)) }
+	oracle := map[string]string{}
+	for i := 0; i < n; i++ {
+		v := fmt.Sprintf("value-%05d", i)
+		if _, err := Put(s, key(i), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		oracle[string(key(i))] = v
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Platform, cfg.Counter = s.platform, s.counter
+	tables := tableFiles(t, mem)
+	if len(tables) != 1 {
+		t.Fatalf("%d tables, want 1", len(tables))
+	}
+	var name string
+	var img []byte
+	for name, img = range tables {
+	}
+	index := tableIndex(t, img)
+	if len(index) < 4 {
+		t.Fatalf("%d blocks, want several", len(index))
+	}
+	const lied = 2
+
+	for _, lie := range []string{"wrong block", "dropped block"} {
+		t.Run(lie, func(t *testing.T) {
+			entries := append([]fileIndexEntry(nil), index...)
+			if lie == "wrong block" {
+				entries[lied].key, entries[lied].ts = entries[lied-1].key, 0
+			} else {
+				entries = append(entries[:lied], entries[lied+1:]...)
+			}
+			if err := vfs.WriteFile(mem, name, withIndex(img, entries)); err != nil {
+				t.Fatal(err)
+			}
+			s := mustOpenP2(t, cfg)
+			defer s.Close()
+			refused := 0
+			check := func(what string, ok bool, err error) {
+				t.Helper()
+				switch {
+				case err != nil && !errors.Is(err, ErrAuthFailed):
+					t.Fatalf("%s: %v, want the oracle's answer or ErrAuthFailed", what, err)
+				case err != nil:
+					refused++
+				case !ok:
+					t.Fatalf("%s: a wrong answer passed verification", what)
+				}
+			}
+			lost := map[string]bool{}
+			for i := 0; i < n; i++ {
+				k := key(i)
+				res, err := Get(s, k)
+				check(fmt.Sprintf("Get(%s)", k), res.Found && string(res.Value) == oracle[string(k)], err)
+				if err != nil {
+					lost[string(k)] = true
+				}
+				absent := append(k, 'x')
+				res, err = Get(s, absent)
+				check(fmt.Sprintf("Get(%s)", absent), !res.Found, err)
+			}
+			for _, r := range [][2]int{{0, n - 1}, {n / 4, n / 2}, {n / 2, 3 * n / 4}} {
+				rows, err := Scan(s, key(r[0]), key(r[1]))
+				ok := len(rows) == r[1]-r[0]+1
+				for j := 0; ok && j < len(rows); j++ {
+					ok = string(rows[j].Key) == string(key(r[0]+j)) && string(rows[j].Value) == oracle[string(rows[j].Key)]
+				}
+				check(fmt.Sprintf("Scan[%d, %d]", r[0], r[1]), ok, err)
+			}
+			if lie == "dropped block" && (len(lost) == 0 || refused == 0) {
+				t.Fatalf("the dropped block's keys were all answered")
+			}
+			t.Logf("%d reads refused, %d keys lost to Gets", refused, len(lost))
+		})
+	}
+}

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,7 +222,7 @@ type Store struct {
 	// contend with the committer, whose chain work holds mu.
 	snap atomic.Pointer[trustedView]
 
-	// mu guards the write-side trusted state (the WAL digest chain and its
+	// mu guards the write-side trusted state (the WAL authenticator and its
 	// bump bookkeeping) and serializes snapshot swaps. Readers never take
 	// it.
 	mu    sync.Mutex
@@ -261,6 +258,10 @@ type Store struct {
 	// last sealed state, each group held to its tag (the rollback-window
 	// records of §5.6.1).
 	replayedPastSeal int
+	// sealedAppends and sealedAt are the WALAppends and the time (unix
+	// nanoseconds) of the last seal that succeeded (SealWindow).
+	sealedAppends atomic.Uint64
+	sealedAt      atomic.Int64
 
 	// getStats are the per-Get counters of VerifyStats, in getStatStripes
 	// stripes a line apart (stats).
@@ -400,16 +401,23 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	c.engine = engine
-	if err := c.recoverTrustedState(st); err != nil {
-		engine.Close()
-		return nil, err
+	replayed, err := c.recoverTrustedState(st)
+	// Every Open seals before it accepts a write, under a fresh WAL key
+	// (rekey). A fresh store must: recovery refuses data files without
+	// sealed state. A recovered one must too: a group it lost in the crash
+	// — torn, never synced, but kept by the host — carries a valid tag for
+	// the position the next group takes, and only a new key tells the two
+	// apart. Before the rekey it flushes every group it replayed, and waits
+	// for that flush's install: the install deletes the logs that hold them,
+	// so every live group always carries the sealed seed's key, and recovery
+	// can check the tag of every group, those before the seal included.
+	if err == nil && replayed {
+		err = engine.FlushMemtable()
 	}
-	// Every Open seals before it accepts a write, under a fresh WAL key.
-	// A fresh store must: recovery refuses data files without sealed state.
-	// A recovered one seals the log it replayed, so no group of an earlier
-	// incarnation lies past the seal — not even a torn, never-synced one
-	// the host kept a copy of to put back in place of a later group.
-	if err := c.rekey(); err != nil {
+	if err == nil {
+		err = c.rekey()
+	}
+	if err != nil {
 		engine.Close()
 		return nil, err
 	}
@@ -438,63 +446,50 @@ func (c *Store) snapshotDigests() map[uint64]runDigest {
 	return c.snap.Load().digests
 }
 
-// stateFingerprint deterministically digests the trusted state for counter
-// binding: sorted (runID, root, leaves) triples, the WAL digest and the
-// replication epoch. Binding the epoch means a rollback of the sealed blob
-// to a pre-promotion value trips the counter check exactly like a rolled
-// back digest frontier would.
-func stateFingerprint(digests map[uint64]runDigest, walDigest hashutil.Hash, epoch uint64) [32]byte {
-	ids := make([]uint64, 0, len(digests))
-	for id := range digests {
-		ids = append(ids, id)
+// stateFingerprint is the fingerprint of a sealed trusted state the
+// monotonic counter binds (hashutil.StateFingerprint): the digest forest,
+// the WAL's base and durable frontier, and the replication epoch. Binding
+// the epoch means a rollback of the sealed blob to a pre-promotion value
+// trips the counter check exactly like a rolled back frontier would.
+func stateFingerprint(st *trustedState) [32]byte {
+	runs := make([]hashutil.RunRoot, 0, len(st.Digests))
+	for id, d := range st.Digests {
+		runs = append(runs, hashutil.RunRoot{ID: id, Leaves: d.NumLeaves, Root: d.Root})
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	h := sha256.New()
-	var buf [12]byte
-	for _, id := range ids {
-		d := digests[id]
-		binary.BigEndian.PutUint64(buf[:8], id)
-		binary.BigEndian.PutUint32(buf[8:12], uint32(d.NumLeaves))
-		h.Write(buf[:])
-		h.Write(d.Root[:])
-	}
-	h.Write(walDigest[:])
-	binary.BigEndian.PutUint64(buf[:8], epoch)
-	h.Write(buf[:8])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return hashutil.StateFingerprint(runs, st.WALBase, st.WALAppends, st.Epoch)
 }
 
 // trustedState is the sealed enclave state persisted to the untrusted FS.
+// WALBase is the lifetime append count where the oldest live log starts and
+// WALAppends the durable frontier: recovery checks every group of the live
+// logs at the position it counts from WALBase, and finds the frontier met.
 type trustedState struct {
 	Digests    map[uint64]runDigest `json:"digests"`
-	WALDigest  hashutil.Hash        `json:"walDigest"`
+	WALBase    uint64               `json:"walBase"`
 	WALAppends uint64               `json:"walAppends"`
 	LastTs     uint64               `json:"lastTs"`
 	Counter    uint64               `json:"counter"`
 	Epoch      uint64               `json:"epoch,omitempty"`
-	// WALSeed derives the key that tags the WAL groups past this seal.
+	// WALSeed derives the key that tags every live WAL group.
 	WALSeed []byte `json:"walSeed,omitempty"`
 	// Pending, when set, describes the post-install state of a version
 	// install (flush/compaction) that was staged but not yet confirmed
 	// durable when this blob was sealed. A crash inside the install window
 	// — after the manifest rename made the new version durable, before the
 	// post-install seal — recovers to a directory matching Pending rather
-	// than the current triple; recovery accepts either. Without it that
+	// than the current state; recovery accepts either. Without it that
 	// window is unrecoverable: the engine's run set no longer matches the
 	// sealed forest and a real crash would read as rollback.
 	Pending *pendingState `json:"pending,omitempty"`
 }
 
 // pendingState is the forward half of a transition seal: the digest forest
-// and WAL chain frontier the store will hold once the staged version
-// install lands. WALDigest is in the post-install chain basis (a flush
-// install deletes the frozen logs and rebases the chain onto the active
-// log alone).
+// and WAL extent the store will hold once the staged version install lands
+// (a flush install deletes the frozen logs, so its WALBase is where the
+// active log starts).
 type pendingState struct {
 	Digests    map[uint64]runDigest `json:"digests"`
-	WALDigest  hashutil.Hash        `json:"walDigest"`
+	WALBase    uint64               `json:"walBase"`
 	WALAppends uint64               `json:"walAppends"`
 	LastTs     uint64               `json:"lastTs"`
 }
@@ -515,22 +510,39 @@ func (c *Store) commitState() error {
 	// counter bound to them would refuse recovery from a crash that
 	// (legitimately) tore them away.
 	st := trustedState{
-		Digests:    c.snap.Load().digests, // consistent with the chain: swaps hold mu
-		WALDigest:  c.chain.durable.digest,
-		WALAppends: c.chain.durable.appends,
+		Digests:    c.snap.Load().digests, // consistent with the base: swaps hold mu
+		WALBase:    c.chain.base,
+		WALAppends: c.chain.durable,
 		LastTs:     c.engine.AppliedTs(),
 		Epoch:      c.epoch.Load(),
 		WALSeed:    c.walSeed,
 		Pending:    c.pendingSeal, // staged install (if any) rides in every seal
 	}
 	c.mu.Unlock()
-	return writeTrustedState(c.fs, c.enclave, c.sealKey, c.counter, st)
+	if err := writeTrustedState(c.fs, c.enclave, c.sealKey, c.counter, st); err != nil {
+		return err
+	}
+	c.sealedAppends.Store(st.WALAppends)
+	c.sealedAt.Store(time.Now().UnixNano())
+	return nil
+}
+
+// SealWindow reports what a host could still drop back to the last seal
+// that succeeded (§5.6.1's rollback window): the records appended since it,
+// and its age.
+func (c *Store) SealWindow() (unsealedAppends uint64, age time.Duration) {
+	c.mu.Lock()
+	appends := c.chain.appends
+	c.mu.Unlock()
+	return appends - c.sealedAppends.Load(), time.Since(time.Unix(0, c.sealedAt.Load()))
 }
 
 // rekey starts a new incarnation: a fresh random seed keys the WAL tags of
 // every group from now on, and the seal that carries it is written before
-// any such group. A failed seal write fails it: groups tagged under a seed
-// no seal names would fail their tags at the next recovery.
+// any such group. Open calls it only when no live log holds a group, since
+// recovery checks every live group under the sealed seed's key. A failed
+// seal write fails it: groups tagged under a seed no seal names would fail
+// their tags at the next recovery.
 func (c *Store) rekey() error {
 	seed := make([]byte, 32)
 	if _, err := rand.Read(seed); err != nil {
@@ -538,7 +550,7 @@ func (c *Store) rekey() error {
 	}
 	c.mu.Lock()
 	c.walSeed = seed
-	c.chain.keyed(walKey(c.sealKey, seed))
+	c.chain.keyed(c.sealKey, seed)
 	c.mu.Unlock()
 	var err error
 	c.enclave.ECall(func() { err = c.commitState() })
@@ -571,7 +583,7 @@ func writeTrustedState(fs vfs.FS, e *sgx.Enclave, key [32]byte, ctr *sgx.Monoton
 	if err != nil {
 		return fmt.Errorf("core: trusted state write: %w", err)
 	}
-	ctr.Increment(stateFingerprint(st.Digests, st.WALDigest, st.Epoch))
+	ctr.Increment(stateFingerprint(&st))
 	return nil
 }
 
@@ -580,10 +592,10 @@ func writeTrustedState(fs vfs.FS, e *sgx.Enclave, key [32]byte, ctr *sgx.Monoton
 // must not lag the trusted hardware counter, and the bound fingerprint must
 // match — before the engine opens. A blob that does not unseal or decode is
 // ErrAuthFailed: the host altered it. It then keys the chain with the sealed
-// seed and arms it to look, during the engine's replay, for the sealed WAL
-// digests: the Current one and, if a version install was staged when the
-// seal was written, the Pending one. Nil means a store that was never
-// sealed.
+// seed and arms it to check, during the engine's replay, every group's tag
+// from the base of each sealed state recovery may adopt: the Current one
+// and, if a version install was staged when the seal was written, the
+// Pending one. Nil means a store that was never sealed.
 func (c *Store) loadTrustedState() (*trustedState, error) {
 	if !c.fs.Exists(trustedStateName) {
 		return nil, nil
@@ -600,17 +612,15 @@ func (c *Store) loadTrustedState() (*trustedState, error) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return nil, fmt.Errorf("%w: trusted state decode: %v", ErrAuthFailed, err)
 	}
-	if err := c.counter.Verify(st.Counter, stateFingerprint(st.Digests, st.WALDigest, st.Epoch)); err != nil {
+	if err := c.counter.Verify(st.Counter, stateFingerprint(&st)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRollback, err)
 	}
 	c.mu.Lock()
 	c.walSeed = st.WALSeed
-	c.chain.keyed(walKey(c.sealKey, st.WALSeed))
-	current := chainSeek{want: st.WALDigest, appends: st.WALAppends}
-	if st.Pending != nil {
-		c.chain.seekSealed(current, chainSeek{want: st.Pending.WALDigest, appends: st.Pending.WALAppends})
-	} else {
-		c.chain.seekSealed(current)
+	c.chain.keyed(c.sealKey, st.WALSeed)
+	c.chain.seek = []walSeek{{base: st.WALBase, frontier: st.WALAppends}}
+	if p := st.Pending; p != nil {
+		c.chain.seek = append(c.chain.seek, walSeek{base: p.WALBase, frontier: p.WALAppends})
 	}
 	c.mu.Unlock()
 	return &st, nil
@@ -623,29 +633,29 @@ func (c *Store) readFile(name string) (data []byte, err error) {
 }
 
 // recoverTrustedState validates the recovered engine against the sealed
-// state st (nil: none), detecting tampering and rollback: the engine's
-// runs must match a sealed digest set, the matching sealed WAL digest
-// must be a prefix of the chain the engine's replay fed the listener, and
-// every group the replay found past it must have carried its tag.
-func (c *Store) recoverTrustedState(st *trustedState) error {
+// state st (nil: none), detecting tampering and rollback: the engine's runs
+// must match a sealed digest set, and the replay of the live logs must pass
+// the matching state's verdict (walChain.verdict). It reports whether the
+// replay found any group.
+func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 	engineRuns := c.engine.Runs() // the engine's lock comes before c.mu
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	replayed := c.chain.appends
 	if st == nil {
 		if len(engineRuns) > 0 || replayed > 0 {
-			return fmt.Errorf("%w: data files exist without sealed state", ErrStateMissing)
+			return false, fmt.Errorf("%w: data files exist without sealed state", ErrStateMissing)
 		}
-		c.chain.recovered(0)
-		return nil // fresh store
+		c.chain.recovered(0, 0)
+		return false, nil // fresh store
 	}
-	// The seal carries up to two acceptable states: the Current triple,
-	// and — if a version install was staged when the seal was written —
-	// the Pending post-install state. A crash inside the install window
+	// The seal carries up to two acceptable states: the Current one, and —
+	// if a version install was staged when the seal was written — the
+	// Pending post-install state. A crash inside the install window
 	// (manifest renamed, post-install seal not yet durable) recovers to a
 	// directory matching Pending; anything matching neither is rollback or
 	// tampering.
-	try := func(digests map[uint64]runDigest, seek chainSeek) (uint64, error) {
+	try := func(digests map[uint64]runDigest, seek walSeek) (uint64, error) {
 		if len(engineRuns) != len(digests) {
 			return 0, fmt.Errorf("%w: %d runs recovered, %d digested", ErrRollback, len(engineRuns), len(digests))
 		}
@@ -654,20 +664,14 @@ func (c *Store) recoverTrustedState(st *trustedState) error {
 				return 0, fmt.Errorf("%w: run %d not in sealed state", ErrRollback, r.ID)
 			}
 		}
-		if !seek.found {
-			return 0, fmt.Errorf("%w: trusted WAL digest not found on the replayed chain (log tampered)", ErrRollback)
-		}
-		if seek.forged {
-			return 0, fmt.Errorf("%w: a WAL group past the seal fails its tag", ErrForged)
-		}
-		return replayed - seek.at, nil
+		return c.chain.verdict(seek)
 	}
 	extra, err := try(st.Digests, c.chain.seek[0])
 	if err != nil && st.Pending != nil {
 		if pExtra, pErr := try(st.Pending.Digests, c.chain.seek[1]); pErr == nil {
 			// The staged install landed before the crash: adopt it.
 			st.Digests = st.Pending.Digests
-			st.WALAppends = st.Pending.WALAppends
+			st.WALBase = st.Pending.WALBase
 			if st.Pending.LastTs > st.LastTs {
 				st.LastTs = st.Pending.LastTs
 			}
@@ -675,17 +679,16 @@ func (c *Store) recoverTrustedState(st *trustedState) error {
 		}
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
 	c.snap.Store(&trustedView{digests: st.Digests})
-	// Everything replayed is on disk: the durable frontier starts at the
-	// recovered tip (no groups are in flight), and the fresh chain over the
-	// active log is what the next group's tag extends.
-	c.chain.recovered(st.WALAppends + extra)
+	// Everything replayed is on disk: the durable frontier starts after the
+	// last replayed group (no groups are in flight).
+	c.chain.recovered(st.WALBase, st.WALBase+replayed)
 	c.replayedPastSeal = int(extra)
 	c.epoch.Store(st.Epoch)
 	c.engine.EnsureTs(st.LastTs)
-	return nil
+	return replayed > 0, nil
 }
 
 // ReplEpoch returns the store's sealed replication epoch — the fencing

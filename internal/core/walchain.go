@@ -3,85 +3,74 @@ package core
 import (
 	"crypto/subtle"
 	"encoding/binary"
+	"fmt"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/record"
 	"elsm/internal/wal"
 )
 
-// walChain is the enclave's digest chain over the live write-ahead logs
-// (§5.3 step w1: dig' = H(dig ‖ record)) and the key that tags each group
-// the engine appends. The commit hooks and recovery's single replay extend
-// it, and LinkWAL — which the checkpoint checks use too — is the only
-// product code that hashes a WAL record. Guarded by Store.mu.
+// walChain is the enclave's one authenticator of the write-ahead log: the
+// key that tags every commit group and the lifetime count of appended
+// records that places each group in the log's history. A group's tag is
+// HMAC-SHA256(key, appends ‖ LinkWAL(0, group)), truncated to wal.TagSize
+// bytes, where appends is the lifetime count just after the group: its
+// records are hashed once (§5.3 step w1's link, started from zero at every
+// group), and the tag binds them to their position. Guarded by Store.mu.
 //
-// A group's tag is HMAC-SHA256(key, appends ‖ fresh), truncated to
-// wal.TagSize bytes, over the lifetime append count after the group and the
-// chain over the group's own log up to and including it. The key is the store's (walKey): bound to the sealing
-// key and to a random seed sealed with the trusted state, so another store,
-// another incarnation of this one, or the host cannot tag a group.
+// The tags are not chained, and need not be: under one key a position never
+// repeats. A failed append or fsync stops every write until the next Open,
+// which draws a new key (Store.rekey) after flushing whatever it replayed,
+// so no live group ever carries another key and no two groups ever share
+// one position under a key. A dropped, reordered, moved or foreign group
+// therefore fails its tag at the position recovery counts it at, and which
+// log a group sits in does not matter: the enclave keeps only where the
+// oldest live log starts (base), and a flush install moves it.
 type walChain struct {
-	// tip chains every record of the live logs: the frozen logs awaiting a
-	// flush install, then the active log. fresh chains the active log alone,
-	// the basis tip rebases onto when a flush install deletes the frozen
-	// logs. Outside the freeze→install window the two are equal, and a group
-	// is hashed once for both.
-	tip, fresh hashutil.Hash
-	appends    uint64
-	// pending is the mark of the group between its append and its fsync
-	// (inFlight is set while there is one). OnGroupSynced promotes it into
-	// durable, the frontier fsyncs confirmed and the ONLY state a seal may
-	// bind: a counter bound to unsynced records would turn a crash into a
-	// false rollback.
-	pending  walMark
+	// appends is the lifetime count of records appended, up to the newest
+	// group (or, during recovery, of records replayed).
+	appends uint64
+	// base is the lifetime count at which the oldest live log starts: a
+	// replay of the live logs counts its positions up from it.
+	base uint64
+	// pending is the count after the group between its append and its
+	// fsync (inFlight is set while there is one). OnGroupSynced promotes it
+	// into durable, the frontier fsyncs confirmed and the ONLY count a seal
+	// may bind: a counter bound to unsynced records would turn a crash into
+	// a false rollback.
+	pending  uint64
 	inFlight bool
-	durable  walMark
-	// atBump is durable.appends at the last periodic counter bump.
+	durable  uint64
+	// atBump is durable at the last periodic counter bump.
 	atBump uint64
-	// seek holds, during recovery only, the sealed digests the replayed
-	// chain must meet at a group boundary.
-	seek []chainSeek
+	// seek holds, during recovery only, the sealed states the replay is
+	// checked against.
+	seek []walSeek
 	// key is the store's WAL key, its pads compressed once: a tag is two
 	// compressions on the stack.
 	key *hashutil.MACKey
 }
 
-// walMark is the chain at one group boundary, in both bases: digest spans
-// the live logs (frozen + active), fresh the active log alone.
-type walMark struct {
-	digest  hashutil.Hash
-	fresh   hashutil.Hash
-	appends uint64
+// walSeek is one sealed state recovery checks the replay against: where its
+// oldest live log starts and its durable frontier. bad is the position
+// after the first replayed group whose tag fails from that base, 0 if none.
+type walSeek struct {
+	base, frontier, bad uint64
 }
 
-// chainSeek is one sealed digest recovery looks for on the replayed chain,
-// with the lifetime append count sealed beside it: found once the chain met
-// it, at records into the replay. forged marks a group past it whose tag
-// does not verify.
-type chainSeek struct {
-	want    hashutil.Hash
-	appends uint64
-	found   bool
-	at      uint64
-	forged  bool
-}
-
-// walKey derives a store's WAL key from its sealing key and the seed sealed
-// in its trusted state.
-func walKey(sealKey [32]byte, seed []byte) []byte {
+// keyed makes the chain's WAL key the one a store derives from its sealing
+// key and the seed sealed in its trusted state.
+func (ch *walChain) keyed(sealKey [32]byte, seed []byte) {
 	k := hashutil.NewMACKey(sealKey[:]).Sum(append([]byte("elsm wal key"), seed...))
-	return k[:]
+	ch.key = hashutil.NewMACKey(k[:])
 }
 
-// keyed makes key the chain's WAL key.
-func (ch *walChain) keyed(key []byte) { ch.key = hashutil.NewMACKey(key) }
-
-// tag is the tag of a group after which the lifetime append count is
-// appends and the chain over its log is ch.fresh.
-func (ch *walChain) tag(appends uint64) (t wal.Tag) {
+// tag is the tag of the group whose records link to link and after which
+// the lifetime append count is appends.
+func (ch *walChain) tag(appends uint64, link hashutil.Hash) (t wal.Tag) {
 	var in [8 + hashutil.Size]byte
 	binary.BigEndian.PutUint64(in[:8], appends)
-	copy(in[8:], ch.fresh[:])
+	copy(in[8:], link[:])
 	mac := ch.key.Sum(in[:])
 	copy(t[:], mac[:])
 	return t
@@ -97,28 +86,16 @@ func LinkWAL(d hashutil.Hash, recs []record.Record) hashutil.Hash {
 	return d
 }
 
-// appended extends the chain over one group the engine is about to append,
-// or replayed at recovery, and holds its mark until synced reports on it.
-func (ch *walChain) appended(recs []record.Record) {
-	if ch.tip == ch.fresh {
-		ch.tip = LinkWAL(ch.tip, recs)
-		ch.fresh = ch.tip
-	} else {
-		ch.tip = LinkWAL(ch.tip, recs)
-		ch.fresh = LinkWAL(ch.fresh, recs)
-	}
+// appended counts one group the engine is about to append, holds its
+// position until synced reports on it, and returns its tag.
+func (ch *walChain) appended(recs []record.Record) wal.Tag {
 	ch.appends += uint64(len(recs))
-	ch.pending = walMark{digest: ch.tip, fresh: ch.fresh, appends: ch.appends}
-	ch.inFlight = true
-	for i := range ch.seek {
-		if s := &ch.seek[i]; !s.found && s.want == ch.tip {
-			s.found, s.at = true, ch.appends
-		}
-	}
+	ch.pending, ch.inFlight = ch.appends, true
+	return ch.tag(ch.appends, LinkWAL(hashutil.Zero, recs))
 }
 
 // synced settles the group in flight: a durable one becomes the frontier; a
-// failed fsync leaves the previous frontier, which stays valid — a chain
+// failed fsync leaves the previous frontier, which stays valid — a log
 // prefix once durable stays durable.
 func (ch *walChain) synced(durable bool) {
 	if durable && ch.inFlight {
@@ -131,71 +108,57 @@ func (ch *walChain) synced(durable bool) {
 // last periodic counter bump, and if so starts the next interval (interval
 // 0: never).
 func (ch *walChain) bumpDue(interval int) bool {
-	if interval <= 0 || ch.durable.appends-ch.atBump < uint64(interval) {
+	if interval <= 0 || ch.durable-ch.atBump < uint64(interval) {
 		return false
 	}
-	ch.atBump = ch.durable.appends
+	ch.atBump = ch.durable
 	return true
 }
 
-// frozen restarts the fresh chain: the active log was rotated to a frozen
-// log, and records from now on land in a new active log. The engine freezes
-// only between groups, so no group is in flight and the durable fresh
-// frontier restarts at zero with the chain itself.
-func (ch *walChain) frozen() {
-	ch.fresh = hashutil.Zero
-	ch.durable.fresh = hashutil.Zero
-}
-
-// rebase drops the frozen logs from the chain once a flush install deleted
-// them: the tip, the durable frontier and the mark of a group still awaiting
-// its fsync (appended to the active log after the freeze) all switch to
-// their fresh-basis values.
-func (ch *walChain) rebase() {
-	ch.tip = ch.fresh
-	ch.durable.digest = ch.durable.fresh
-	if ch.inFlight {
-		ch.pending.digest = ch.pending.fresh
-	}
-}
-
-// replayed extends the chain over one group recovery read from the log and
-// checks its tag against every sealed digest the chain already met: past a
-// seal, a group must carry the tag this store wrote, at the lifetime count
-// the seal maps the replay onto. Which seal recovery adopts is settled
-// later, so a failed tag only marks the seals it is past, and recovery
-// refuses the seal it adopts if it is marked.
+// replayed counts one group recovery read from the live logs, and checks
+// its tag from the base of every sealed state recovery may adopt: which one
+// it adopts is settled once the engine's run set is known, so a failed tag
+// only marks the states it fails under.
 func (ch *walChain) replayed(recs []record.Record, tag *wal.Tag) {
-	ch.appended(recs)
+	ch.appends += uint64(len(recs))
+	if len(ch.seek) == 0 {
+		return
+	}
+	link := LinkWAL(hashutil.Zero, recs)
 	for i := range ch.seek {
 		s := &ch.seek[i]
-		if s.found && s.at < ch.appends && !s.forged {
-			want := ch.tag(s.appends + ch.appends - s.at)
-			s.forged = subtle.ConstantTimeCompare(want[:], tag[:]) != 1
+		if s.bad != 0 {
+			continue
+		}
+		if want := ch.tag(s.base+ch.appends, link); subtle.ConstantTimeCompare(want[:], tag[:]) != 1 {
+			s.bad = s.base + ch.appends
 		}
 	}
 }
 
-// seekSealed arms recovery's search for the sealed digests, each with the
-// lifetime append count sealed beside it, before the engine replays the
-// log. The zero digest is the empty prefix, met before the first record.
-func (ch *walChain) seekSealed(seeks ...chainSeek) {
-	ch.seek = ch.seek[:0]
-	for _, s := range seeks {
-		s.found = s.want.IsZero()
-		ch.seek = append(ch.seek, s)
+// verdict judges the replay against seek s and returns how many records it
+// found past the sealed frontier. A group at or before the frontier that
+// fails its tag, or live logs that end short of it, lost or altered a
+// sealed group: ErrRollback. A failed tag past it is a group the enclave
+// never wrote there: ErrForged.
+func (ch *walChain) verdict(s walSeek) (uint64, error) {
+	end := s.base + ch.appends
+	switch {
+	case s.bad != 0 && s.bad <= s.frontier:
+		return 0, fmt.Errorf("%w: the WAL group ending at append %d, before the seal, fails its tag", ErrRollback, s.bad)
+	case end < s.frontier:
+		return 0, fmt.Errorf("%w: the live WAL ends at append %d, the seal at %d", ErrRollback, end, s.frontier)
+	case s.bad != 0:
+		return 0, fmt.Errorf("%w: the WAL group ending at append %d, past the seal, fails its tag", ErrForged, s.bad)
 	}
+	return end - s.frontier, nil
 }
 
-// recovered ends recovery: everything replayed is on disk, so the last
-// replayed group is the durable frontier, and the append count restarts
-// from appends — the sealed count plus the records replayed past the seal.
-// fresh chains the active log appends resume on: the last replayed log, or
-// none if the replay ended on a frozen log.
-func (ch *walChain) recovered(appends uint64) {
-	ch.appends = appends
-	ch.durable = walMark{digest: ch.tip, fresh: ch.fresh, appends: appends}
+// recovered ends recovery: the live logs start at base, and everything
+// replayed is on disk, so the last replayed group is the durable frontier
+// and appends resume after it.
+func (ch *walChain) recovered(base, appends uint64) {
+	ch.base, ch.appends, ch.durable, ch.atBump = base, appends, appends, appends
 	ch.inFlight = false
-	ch.atBump = appends
 	ch.seek = nil
 }

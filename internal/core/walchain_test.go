@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
+	"time"
 
 	"elsm/internal/hashutil"
 	"elsm/internal/record"
@@ -19,51 +22,97 @@ func chainGroup(first int, keys ...string) []record.Record {
 	return recs
 }
 
-// TestWALChainBasesAndFrontier walks the chain through one flush
-// generation: both bases while a frozen log is live, a failed fsync that
-// keeps the old frontier, and a flush install that rebases the tip, the
-// frontier and an in-flight group's mark onto the active log.
-func TestWALChainBasesAndFrontier(t *testing.T) {
+// liveGroup is one group of a live log as the host holds it.
+type liveGroup struct {
+	recs []record.Record
+	tag  wal.Tag
+}
+
+// liveGroups reads the live logs the way recovery does — the frozen logs in
+// sequence order, then the active log — and returns their groups.
+func liveGroups(t *testing.T, fs vfs.FS) []liveGroup {
+	t.Helper()
+	names, err := fs.List("wal-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.Exists("wal.log") {
+		names = append(names, "wal.log")
+	}
+	var out []liveGroup
+	for _, name := range names {
+		data, err := vfs.ReadFile(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wal.Replay(data, func(group []record.Record, tag *wal.Tag) error {
+			g := liveGroup{tag: *tag}
+			for _, r := range group {
+				g.recs = append(g.recs, r.Clone())
+			}
+			out = append(out, g)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestWALTagsArePositional walks the chain through one flush generation: a
+// group's tag is the MAC of its position and its records' link from zero,
+// whatever log it lands in; a failed fsync keeps the old frontier; and a
+// flush install that lands while a group awaits its fsync moves the base of
+// the live logs without touching that group's position.
+func TestWALTagsArePositional(t *testing.T) {
 	g1, g2, g3 := chainGroup(1, "a", "b"), chainGroup(3, "c"), chainGroup(4, "d", "e")
 	var ch walChain
-	ch.appended(g1)
+	ch.keyed([32]byte{1}, []byte("seed"))
+	if tag := ch.appended(g1); tag != ch.tag(2, LinkWAL(hashutil.Zero, g1)) {
+		t.Fatal("a group's tag is not MAC(appends ‖ LinkWAL(0, group))")
+	}
 	ch.synced(true)
-	d1 := LinkWAL(hashutil.Zero, g1)
-	if ch.durable != (walMark{digest: d1, fresh: d1, appends: 2}) || ch.tip != d1 || ch.fresh != d1 {
+	if ch.durable != 2 || ch.inFlight {
 		t.Fatalf("after one durable group: %+v", ch)
 	}
 
-	ch.frozen()
-	ch.appended(g2)
-	if ch.tip != LinkWAL(d1, g2) || ch.fresh != LinkWAL(hashutil.Zero, g2) {
-		t.Fatal("a group after a freeze must extend both bases")
-	}
+	tag2 := ch.appended(g2)
 	ch.synced(false)
-	if ch.durable != (walMark{digest: d1, appends: 2}) {
-		t.Fatalf("a failed fsync moved the frontier: %+v", ch.durable)
+	if ch.durable != 2 {
+		t.Fatalf("a failed fsync moved the frontier to %d", ch.durable)
+	}
+	if tag2 == ch.tag(3, LinkWAL(LinkWAL(hashutil.Zero, g1), g2)) {
+		t.Fatal("a group's tag chains the groups before it")
 	}
 
-	ch.appended(g3)
-	ch.rebase() // the flush installs while g3 awaits its fsync
-	fresh := LinkWAL(LinkWAL(hashutil.Zero, g2), g3)
-	if ch.tip != fresh || ch.durable.digest != hashutil.Zero {
-		t.Fatalf("rebase: tip %s, durable %s", ch.tip, ch.durable.digest)
-	}
+	tag3 := ch.appended(g3)
+	ch.base = 3 // the flush install lands while g3 awaits its fsync
 	ch.synced(true)
-	if ch.durable != (walMark{digest: fresh, fresh: fresh, appends: 5}) {
-		t.Fatalf("the in-flight group's mark was not rebased: %+v", ch.durable)
+	if ch.durable != 5 || tag3 != ch.tag(5, LinkWAL(hashutil.Zero, g3)) {
+		t.Fatalf("the in-flight group lost its position: durable %d", ch.durable)
 	}
 	if !ch.bumpDue(5) || ch.bumpDue(5) || ch.bumpDue(0) {
 		t.Fatal("bumpDue must fire once per interval of durable appends, never at interval 0")
 	}
+
+	// A log that starts after g1 replays g2 and g3 from base 2; from any
+	// other base they fail.
+	for _, base := range []uint64{2, 3} {
+		rec := walChain{key: ch.key, seek: []walSeek{{base: base, frontier: 5}}}
+		rec.replayed(g2, &tag2)
+		rec.replayed(g3, &tag3)
+		if bad := rec.seek[0].bad; (bad == 0) != (base == 2) {
+			t.Fatalf("replay from base %d: first bad group ends at %d", base, bad)
+		}
+	}
 }
 
-// TestRecoveryFindsSealedDigestInOneReplay: the sealed WAL digest is found
-// on the chain the engine's one replay feeds the listener — the records
-// after it are counted past the seal, the log is opened once to replay and
-// once to append, and a log whose chain never meets the seal is refused.
-func TestRecoveryFindsSealedDigestInOneReplay(t *testing.T) {
-	fs := vfs.NewFault(vfs.NewMem())
+// TestRecoveryChecksEveryTagInOneReplay: recovery reads the log once, counts
+// the records past the seal and reads back every group — and refuses as
+// rollback a group before the seal whose tag does not verify.
+func TestRecoveryChecksEveryTagInOneReplay(t *testing.T) {
+	mem := vfs.NewMem()
+	fs := vfs.NewFault(mem)
 	cfg := smallCfg(fs)
 	cfg.CounterInterval = -1
 	s := mustOpenP2(t, cfg)
@@ -78,7 +127,22 @@ func TestRecoveryFindsSealedDigestInOneReplay(t *testing.T) {
 	}
 	s.Engine().Close() // crash: the seal covers "a" only
 	cfg.Platform, cfg.Counter = s.platform, s.counter
+	crashed := mem.Clone()
 
+	// The sealed group's tag flipped and its marker's CRC recomputed, as a
+	// host can.
+	log := readLog(t, fs)
+	n := int(binary.BigEndian.Uint32(log[4:]))
+	marker := 8 + n // the first group is one record, then its marker
+	body := log[marker+8 : marker+8+1+4+wal.TagSize]
+	body[1+4] ^= 1
+	binary.BigEndian.PutUint32(log[marker:], crc32.ChecksumIEEE(body))
+	writeLog(t, fs, log)
+	if _, err := Open(cfg); !errors.Is(err, ErrRollback) {
+		t.Fatalf("a flipped tag before the seal: %v, want ErrRollback", err)
+	}
+
+	mem.Restore(crashed)
 	fs.ArmFilter(vfs.OpOpen, "wal*")
 	s2 := mustOpenP2(t, cfg)
 	if n := fs.MatchingOps(); n != 2 {
@@ -95,18 +159,102 @@ func TestRecoveryFindsSealedDigestInOneReplay(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// A CRC-valid log with other values: its chain never meets the seal.
-	f, err := fs.Create("wal.log")
+// TestAttackDroppedFrozenLog: a freeze rotated the active log to a frozen
+// log whose flush never installed, and a seal covers its groups. A host that
+// deletes it leaves live logs that end short of the sealed frontier.
+func TestAttackDroppedFrozenLog(t *testing.T) {
+	mem := vfs.NewMem()
+	fs := vfs.NewFault(mem)
+	s := mustOpenP2(t, forgeCfg(fs))
+	putAll(t, s, "a", "b")
+	fs.ArmFilter(vfs.OpCreate, "*.sst")
+	fs.Arm(0)
+	if err := s.Flush(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Flush with the table create failing: %v", err)
+	}
+	fs.Disarm()
+	s.SealState()
+	s.Engine().Close() // crash
+	frozen, err := fs.List("wal-")
+	if err != nil || len(frozen) != 1 {
+		t.Fatalf("frozen logs %v, %v: want the one the failed flush left", frozen, err)
+	}
+	honest := mem.Clone()
+	if err := fs.Remove(frozen[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reopen(s, fs); !errors.Is(err, ErrRollback) {
+		t.Fatalf("a dropped frozen log: %v, want ErrRollback", err)
+	}
+
+	mem.Restore(honest)
+	s2, err := reopen(s, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := chainGroup(1, "a", "b", "c")
-	if err := wal.NewWriter(f).AppendBatch(forged); err != nil {
+	defer s2.Close()
+	for _, k := range []string{"a", "b"} {
+		if res, err := Get(s2, []byte(k)); err != nil || string(res.Value) != "v"+k {
+			t.Fatalf("after recovery %q: %+v %v", k, res, err)
+		}
+	}
+}
+
+// TestOpenLeavesNoGroupOfAnEarlierSeed: an Open that replayed groups flushes
+// them before it draws a new WAL key, so it leaves no group in any live log,
+// and every group written after it verifies under the new key — at the
+// position counted from the sealed base — and under no earlier one.
+func TestOpenLeavesNoGroupOfAnEarlierSeed(t *testing.T) {
+	fs := vfs.NewMem()
+	s := mustOpenP2(t, forgeCfg(fs))
+	putAll(t, s, "a", "b")
+	s.Engine().Close() // crash: two groups past the seal
+	oldSeed := s.walSeed
+
+	s2, err := reopen(s, fs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(cfg); !errors.Is(err, ErrRollback) {
-		t.Fatalf("a log whose chain misses the seal: %v, want ErrRollback", err)
+	if g := liveGroups(t, fs); len(g) != 0 {
+		t.Fatalf("Open left %d replayed groups in the live logs", len(g))
+	}
+	putAll(t, s2, "c", "d")
+	groups := liveGroups(t, fs)
+	if len(groups) != 2 {
+		t.Fatalf("%d live groups, want 2", len(groups))
+	}
+	for i, seed := range [][]byte{s2.walSeed, oldSeed} {
+		ch := walChain{seek: []walSeek{{base: s2.chain.base, frontier: s2.chain.durable}}}
+		ch.keyed(s2.sealKey, seed)
+		for _, g := range groups {
+			ch.replayed(g.recs, &g.tag)
+		}
+		if bad := ch.seek[0].bad; (bad == 0) != (i == 0) {
+			t.Fatalf("seed %x: first bad group ends at %d", seed[:4], bad)
+		}
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentFormatLogIsRefused: a log whose COMMIT markers carry format 2's
+// kind byte — tags over a digest chained across groups — is refused with a
+// format error, not read as a log of forged groups.
+func TestParentFormatLogIsRefused(t *testing.T) {
+	fs := vfs.NewMem()
+	s := mustOpenP2(t, forgeCfg(fs))
+	putAll(t, s, "a")
+	s.Engine().Close() // crash: the group stays in the log
+	log := readLog(t, fs)
+	marker := len(log) - (8 + 1 + 4 + wal.TagSize)
+	log[marker+8] = 0xF1
+	binary.BigEndian.PutUint32(log[marker:], crc32.ChecksumIEEE(log[marker+8:]))
+	writeLog(t, fs, log)
+	if _, err := reopen(s, fs); !errors.Is(err, wal.ErrOldFormat) {
+		t.Fatalf("a format 2 log: %v, want wal.ErrOldFormat", err)
 	}
 }
 
@@ -187,5 +335,32 @@ func TestRecoveryAfterFreezeLostItsActiveLog(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// logLink chains the records of every group in the live logs from zero.
+func logLink(t *testing.T, fs vfs.FS) hashutil.Hash {
+	t.Helper()
+	link := hashutil.Zero
+	for _, g := range liveGroups(t, fs) {
+		link = LinkWAL(link, g.recs)
+	}
+	return link
+}
+
+// TestSealWindow: the records appended since the last seal that succeeded
+// and its age, which a seal resets.
+func TestSealWindow(t *testing.T) {
+	s := mustOpenP2(t, forgeCfg(vfs.NewMem()))
+	defer s.Close()
+	putAll(t, s, "a", "b", "c")
+	if n, age := s.SealWindow(); n != 3 || age < 0 {
+		t.Fatalf("after three puts: %d unsealed appends, age %v", n, age)
+	}
+	time.Sleep(2 * time.Millisecond)
+	_, before := s.SealWindow()
+	s.SealState()
+	if n, age := s.SealWindow(); n != 0 || age >= before {
+		t.Fatalf("after a seal: %d unsealed appends, age %v (was %v)", n, age, before)
 	}
 }

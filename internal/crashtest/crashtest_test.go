@@ -13,6 +13,7 @@ import (
 	"elsm/internal/core"
 	"elsm/internal/lsm"
 	"elsm/internal/sgx"
+	"elsm/internal/vfs"
 )
 
 // storeOpts are the elsm options every scenario opens the store under:
@@ -278,6 +279,66 @@ func TestCrashMatrixParallelMaintenance(t *testing.T) {
 		},
 		Verify: func(t *testing.T, env *Env) {
 			verifyRecovered(t, env, parallelOpts(env))
+		},
+	})
+}
+
+// killDisk crashes st: the disk dies under it, so its Close can write
+// nothing — no final seal — and the disk keeps what the crash left.
+func killDisk(env *Env, st *elsm.Store) {
+	env.Fault.ArmFilter(vfs.OpAll, "")
+	env.Fault.Arm(0)
+	st.Close()
+	env.Fault.Disarm()
+}
+
+// putGroups commits groups of three keys under prefix and records them.
+func putGroups(env *Env, st *elsm.Store, prefix string, groups int) {
+	for g := 0; g < groups; g++ {
+		keys, vals := make([]string, 3), make([]string, 3)
+		b := st.NewBatch()
+		for i := range keys {
+			keys[i], vals[i] = fmt.Sprintf("%s%02d-k%d", prefix, g, i), fmt.Sprintf("v%02d-%d", g, i)
+			b.Put([]byte(keys[i]), []byte(vals[i]))
+		}
+		_, err := b.Commit()
+		env.AckGroup(keys, vals, err == nil)
+		if err != nil {
+			return
+		}
+	}
+}
+
+// TestCrashMatrixRecoveryFlush enumerates crashes — torn writes included —
+// at every file-system operation of a recovery: the flush Open runs over
+// the groups it replayed, its install and seals, and the rekey seal. After
+// each, the store recovers, takes more writes, crashes again and recovers
+// again: no honest store may be refused on either recovery, and every
+// acked write survives both.
+func TestCrashMatrixRecoveryFlush(t *testing.T) {
+	Enumerate(t, Scenario{
+		Name:    "recovery-flush",
+		Torn:    true,
+		SelfArm: true,
+		Run: func(env *Env) {
+			st, err := elsm.Open(storeOpts(env))
+			if err != nil {
+				return
+			}
+			putGroups(env, st, "a", 6)
+			killDisk(env, st) // the groups stay in the log, past the seal
+			env.ArmCrash()    // the crash window: the recovery
+			if st, err = elsm.Open(storeOpts(env)); err == nil {
+				st.Close()
+			}
+		},
+		Verify: func(t *testing.T, env *Env) {
+			tamperProbe(t, env, storeOpts(env))
+			st := recoverStore(t, env, storeOpts(env))
+			checkDurability(t, env, st)
+			putGroups(env, st, "b", 4)
+			killDisk(env, st)
+			verifyRecovered(t, env, storeOpts(env))
 		},
 	})
 }

@@ -1,6 +1,6 @@
 // Package hashutil provides the domain-separated SHA-256 hashing primitives
 // shared by the eLSM digest structures (record hashes, version hash chains,
-// Merkle interior nodes, WAL digest chains).
+// Merkle interior nodes, WAL record links, the sealed state's fingerprint).
 //
 // Every hash is domain-separated with a one-byte tag so that, e.g., a Merkle
 // leaf can never be confused with an interior node or a WAL link — a standard
@@ -14,17 +14,20 @@
 // of crypto/sha256 (Write, the digest copy in Sum, the FIPS bookkeeping),
 // which costs more than the compression of a one- or two-block preimage.
 // Everywhere else sum calls sha256.Sum256. Preimages longer than
-// stackPreimage (large values) stream through sha256.New. Of, which no hot
-// path calls, hashes through crypto/sha256 directly.
+// stackPreimage (large values) stream through sha256.New. Of and
+// StateFingerprint, which no hot path calls (the latter runs once per seal),
+// hash through crypto/sha256 directly.
 //
 // MACKey is HMAC-SHA256 on the same footing (the WAL group tags): its pad
 // blocks are compressed once per key, and a tag is the two blocks left.
 package hashutil
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 )
 
 // Size is the digest size in bytes.
@@ -51,6 +54,7 @@ const (
 	tagLeaf
 	tagNode
 	tagWAL
+	tagState
 )
 
 // stackPreimage bounds the preimages assembled on the stack and hashed by
@@ -251,6 +255,30 @@ func fill4(buf, a, b, c, d []byte) int {
 	p += copy(buf[p:], b)
 	p += copy(buf[p:], c)
 	return p + copy(buf[p:], d)
+}
+
+// RunRoot is one run of a digest forest as StateFingerprint hashes it.
+type RunRoot struct {
+	ID     uint64
+	Leaves int
+	Root   Hash
+}
+
+// StateFingerprint hashes a sealed trusted state for the monotonic counter
+// to bind: H(tag ‖ (id ‖ leaves u32 ‖ root)… ‖ walBase ‖ walAppends ‖
+// epoch), the runs in ascending ID order (it sorts runs in place). Every
+// field has a fixed size, so the preimage has one parse.
+func StateFingerprint(runs []RunRoot, walBase, walAppends, epoch uint64) Hash {
+	slices.SortFunc(runs, func(a, b RunRoot) int { return cmp.Compare(a.ID, b.ID) })
+	buf := append(make([]byte, 0, 1+len(runs)*(12+Size)+24), tagState)
+	for _, r := range runs {
+		buf = binary.BigEndian.AppendUint64(buf, r.ID)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Leaves))
+		buf = append(buf, r.Root[:]...)
+	}
+	buf = binary.BigEndian.AppendUint64(buf, walBase)
+	buf = binary.BigEndian.AppendUint64(buf, walAppends)
+	return sha256.Sum256(binary.BigEndian.AppendUint64(buf, epoch))
 }
 
 // Of hashes arbitrary bytes with no tag. Prefer the tagged helpers; this is

@@ -142,6 +142,26 @@ func TestPreimagesUnchanged(t *testing.T) {
 	}
 }
 
+// TestStateFingerprintPreimage pins the sealed state's fingerprint to its
+// documented preimage — H(tag ‖ (id ‖ leaves u32 ‖ root)… ‖ walBase ‖
+// walAppends ‖ epoch), the runs in ascending ID order whatever order they
+// are given in — so a counter value bound by an older build still verifies.
+func TestStateFingerprintPreimage(t *testing.T) {
+	var a, b Hash
+	copy(a[:], bytes.Repeat([]byte{0xA5}, Size))
+	copy(b[:], bytes.Repeat([]byte{0x5A}, Size))
+	runs := []RunRoot{{ID: 9, Leaves: 300, Root: b}, {ID: 2, Leaves: 7, Root: a}}
+	want := streamed([]byte{tagState},
+		be64(2), be32(7), a[:], be64(9), be32(300), b[:],
+		be64(40), be64(52), be64(3))
+	if got := StateFingerprint(runs, 40, 52, 3); got != want {
+		t.Fatalf("StateFingerprint = %v, want %v", got, want)
+	}
+	if got, want := StateFingerprint(nil, 0, 0, 0), streamed([]byte{tagState}, be64(0), be64(0), be64(0)); got != want {
+		t.Fatalf("empty forest: %v, want %v", got, want)
+	}
+}
+
 // checkAgainstStreamed compares every construction, built from these inputs,
 // with its documented preimage streamed through crypto/sha256.
 func checkAgainstStreamed(t *testing.T, key, val []byte, ts uint64, kind byte, a, b Hash) {

@@ -21,12 +21,12 @@ import (
 //   - appends it: a short engine-lock critical section checks the store is
 //     writable and reserves the group's contiguous timestamp range; then,
 //     under commitMu alone, the worker hands the group to the listener's
-//     OnGroupAppended (the enclave's WAL digest chain, which returns the
+//     OnGroupAppended (the enclave's WAL authenticator, which returns the
 //     group's tag), appends the whole group (plus its tagged COMMIT marker)
 //     to the untrusted log, and acknowledges async futures (the timestamp is
 //     known);
 //   - fsyncs the log once for the group, reports the outcome to the
-//     listener's OnGroupSynced (the durable chain frontier and the periodic
+//     listener's OnGroupSynced (the durable WAL frontier and the periodic
 //     counter bump), applies it to the
 //     memtable (the single writer of its lock-free skiplist) and only then
 //     publishes appliedTs, and wakes its waiters / resolves its futures;
@@ -610,8 +610,7 @@ func (s *Store) processGroup(batch []*commitReq) {
 
 // appendGroup is the append step (caller holds commitMu): unless the store
 // has failed or closed, it stamps the group's timestamps, hands the group to
-// the listener, which extends its digest chain and tags the group, and
-// appends the group with its tag to the WAL.
+// the listener, which tags it, and appends the group with its tag to the WAL.
 // It returns the requests still in the group — a shipped group that does not
 // extend the frontier fails alone, and the rest (barriers, on a follower)
 // go on without it — and the records appended, none for a barrier-only

@@ -838,7 +838,9 @@ func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, pr
 	if err != nil {
 		return nil, err
 	}
-	of.metaRegion = s.enclave.Alloc(t.MetadataBytes())
+	if s.opts.Transform != nil {
+		of.metaRegion = s.enclave.Alloc(t.MetadataBytes()) // see metaRegion
+	}
 	return &tableHandle{meta: meta, table: t, name: name}, nil
 }
 

@@ -199,7 +199,9 @@ type CompactionInfo struct {
 	// BlockSize is the block payload target the output tables are built to.
 	BlockSize int
 	// TrustedRecords counts the records the job streams from its trusted
-	// input — the frozen memtable, a bulk load — beside the input runs'.
+	// input — the frozen memtable, a bulk load — beside the input runs'. A
+	// flush's is also how many records the frozen logs its install deletes
+	// hold: every memtable record came through the log once.
 	TrustedRecords int
 	// Bounds splits the job's key space into len(Bounds)+1 parts that are
 	// merged at once, one goroutine each: part p holds the keys in
@@ -216,50 +218,41 @@ type CompactionInfo struct {
 
 // EventListener is the callback surface through which the eLSM
 // authentication layer attaches to the engine, mirroring RocksDB's
-// EventListener + CompactionFilter APIs (§5.5.3). The WAL's digest chain and
-// its group tags are the listener's alone: the engine hands it every group
-// it appends, and the groups recovery replays, and never hashes a record or
-// checks a tag itself. The commit hooks
-// fire on the commit worker under commitMu (recovery's OnGroupAppended calls
-// come from Open, before the store is shared): OnGroupAppended and
-// OnGroupSynced without the engine lock, OnMemtableFrozen with it. BeginJob
-// fires on a maintenance-job goroutine, of which SEVERAL may run
-// concurrently (Options.Workers); everything else a flush, compaction or bulk
-// load tells the listener goes through the Job it returns. State shared
-// between the commit path and the jobs (e.g. a WAL digest chain) must be
-// internally thread-safe. Implementations must not call back into the Store.
+// EventListener + CompactionFilter APIs (§5.5.3). The WAL's group tags are
+// the listener's alone: the engine hands it every group it appends, and the
+// groups recovery replays, and never hashes a record or checks a tag
+// itself. The commit hooks fire on the commit worker under commitMu, without
+// the engine lock (recovery's OnGroupAppended calls come from Open, before
+// the store is shared). BeginJob fires on a maintenance-job goroutine, of
+// which SEVERAL may run concurrently (Options.Workers); everything else a
+// flush, compaction or bulk load tells the listener goes through the Job it
+// returns — where a flush's frozen logs end is CompactionInfo.TrustedRecords.
+// State shared between the commit path and the jobs (e.g. the WAL's append
+// count) must be internally thread-safe. Implementations must not call back
+// into the Store.
 type EventListener interface {
 	// OnGroupAppended fires once per commit group, before the group's
-	// records reach the untrusted log: the listener extends its WAL digest
-	// chain over recs (§5.3 step w1), writes the group's tag into tag —
-	// the engine writes it in the group's COMMIT marker — and holds the
-	// group's chain value until OnGroupSynced says whether the group is
-	// durable. recs and their bytes are valid for the call only. A group
+	// records reach the untrusted log: the listener writes the group's tag
+	// into tag — the engine writes it in the group's COMMIT marker — and
+	// holds the group's position until OnGroupSynced says whether the group
+	// is durable. recs and their bytes are valid for the call only. A group
 	// whose append fails is reported to OnGroupSynced as not durable.
 	//
 	// Open fires it too, with replayed set, once per complete group it
 	// replays from the live logs (frozen logs in order, then the active
 	// log), and never fires OnGroupSynced for those: everything replayed is
 	// on disk, so the listener treats its last replayed group as durable
-	// once Open returns. tag is then the one the group's marker carries,
-	// for the listener to check once Open returns. Open fires
-	// OnMemtableFrozen before each log after the first, each an active log
-	// rotated by a freeze, and after the last if that is a frozen log: the
-	// active log appends resume on is then a new one.
+	// once Open returns. tag is then the one the group's marker carries, for
+	// the listener to check.
 	OnGroupAppended(recs []record.Record, tag *wal.Tag, replayed bool)
 	// OnGroupSynced fires once per appended group, in append order, after
 	// the group's fsync: durable reports whether it succeeded. A durable
-	// group's chain value becomes the frontier the listener may seal (and
+	// group's position becomes the frontier the listener may seal (and
 	// pays its periodic monotonic-counter bump here, so a group pays at most
 	// one and it always pins a durable, group-aligned WAL state). A failed
 	// fsync leaves the group's durability unknown: the listener drops its
-	// value and keeps the previous frontier, which stays valid.
+	// position and keeps the previous frontier, which stays valid.
 	OnGroupSynced(durable bool)
-	// OnMemtableFrozen fires when the active memtable (and with it the
-	// active WAL) is frozen for a background flush: records appended from
-	// now on belong to the NEXT flush generation, so the authentication
-	// layer starts a fresh digest chain for them alongside the full one.
-	OnMemtableFrozen()
 	// BeginJob fires before a maintenance job's merge starts and returns
 	// the handle the engine drives the job through. It must not disturb
 	// another job's install: a concurrent job may be inside its window.
@@ -313,8 +306,8 @@ type Job interface {
 	// manifest naming the new version is durable and, for a flush
 	// (MemtableInput), the frozen logs that carried the flushed records are
 	// deleted — the live WAL is now the active log alone. The listener swaps
-	// in its staged digests (and rebases its WAL chain) here: fast and
-	// in-memory, readers resume as soon as the lock drops.
+	// in its staged digests (and moves where its live logs start) here: fast
+	// and in-memory, readers resume as soon as the lock drops.
 	Installed()
 	// Committed is called after Installed WITHOUT the engine lock, still
 	// under the install lock: the listener's slow durability work (counter
@@ -339,9 +332,6 @@ func (NopListener) OnGroupAppended([]record.Record, *wal.Tag, bool) {}
 
 // OnGroupSynced implements EventListener.
 func (NopListener) OnGroupSynced(bool) {}
-
-// OnMemtableFrozen implements EventListener.
-func (NopListener) OnMemtableFrozen() {}
 
 // BeginJob implements EventListener.
 func (NopListener) BeginJob(CompactionInfo) Job { return NopJob{} }

@@ -61,10 +61,10 @@ func (s *Store) notifyGroupSink(recs []record.Record, lastTs uint64) {
 
 // ApplyReplicated applies one shipped commit group on a follower — and a
 // restored checkpoint's WAL tail — through the commit pipeline every local
-// write takes: the listener's chain extension and tag, WAL group append
-// with COMMIT marker, fsync, the listener's durable frontier, memtable
-// apply, sink republish (a follower can lead a downstream replica). The
-// follower's WAL chain and sealed frontier are therefore those of a store
+// write takes: the listener's tag, WAL group append with COMMIT marker,
+// fsync, the listener's durable frontier, memtable apply, sink republish (a
+// follower can lead a downstream replica). The follower's WAL tags and
+// sealed frontier are therefore those of a store
 // that executed the writes locally: a shipped group arrives as
 // wal.AppendGroup encodes it, wal.Replay decodes it, and the append here
 // writes those records again under the follower's own tag. recs may view
@@ -103,8 +103,8 @@ func checkShipped(recs []record.Record, last uint64) error {
 // (frozen logs in sequence order, then the active log) taken while the
 // commit pipeline was quiescent. The WAL bytes are exactly the records in
 // (runFrontier, Snap.Ts()] — the tail a follower must replay on top of the
-// snapshot's runs — and their digest chain from zero equals the trusted
-// durable WAL digest captured in the same window.
+// snapshot's runs — and every group carries the tag the listener wrote at
+// its position, up to the durable frontier captured in the same window.
 type CheckpointSource struct {
 	Snap     *Snapshot
 	WALNames []string

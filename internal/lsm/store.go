@@ -23,7 +23,7 @@ import (
 // walName; when the memtable freezes, the active log is renamed to a
 // frozenWALPrefix-numbered file that lives until the frozen table's flush
 // durably installs (recovery replays frozen logs in sequence order, then the
-// active log — the digest chain spans the concatenation).
+// active log — the listener counts positions across the concatenation).
 const (
 	walName         = "wal.log"
 	frozenWALPrefix = "wal-frozen-"
@@ -95,10 +95,14 @@ func (r *run) fileNums() []uint64 {
 
 // openFile tracks an open untrusted file and its optional mmap views.
 type openFile struct {
-	file       vfs.File
-	view       []byte      // mmap read path view (MmapReads)
-	pinned     []byte      // compaction-time bulk-loaded view (§5.3 step m1)
-	metaRegion *sgx.Region // enclave charge for the table's index (MetadataBytes)
+	file   vfs.File
+	view   []byte // mmap read path view (MmapReads)
+	pinned []byte // compaction-time bulk-loaded view (§5.3 step m1)
+	// metaRegion charges the table's index and filters to the enclave where
+	// the enclave holds them: only when it opens the table's blocks itself
+	// (Transform, eLSM-P1). Elsewhere the index is the host's, read by the
+	// untrusted seek (lookupRun), and a lying one is caught by the proofs.
+	metaRegion *sgx.Region
 }
 
 // RunRef identifies one run in read order (newest data first).
@@ -493,9 +497,9 @@ func (s *Store) recover() error {
 	}
 
 	// Replay every live log in order into the memtable, handing each group
-	// and its tag to the listener, whose digest chain spans the files, before
-	// the group is applied: this one pass is all the reading of the log
-	// recovery does. Only complete commit groups are replayed; a torn tail
+	// and its tag to the listener, which counts positions across the files,
+	// before the group is applied: this one pass is all the reading of the
+	// log recovery does. Only complete commit groups are replayed; a torn tail
 	// is legal only on the final (active) log — the crash signature — and is
 	// truncated away so appends resume cleanly. A tear anywhere else is
 	// tampering.
@@ -506,9 +510,6 @@ func (s *Store) recover() error {
 		s.ocall(func() { data, rerr = vfs.ReadFile(s.fs, name) })
 		if rerr != nil {
 			return fmt.Errorf("lsm: wal read %s: %w", name, rerr)
-		}
-		if i > 0 {
-			s.listener.OnMemtableFrozen()
 		}
 		info, err := wal.Replay(data, func(group []record.Record, tag *wal.Tag) error {
 			s.listener.OnGroupAppended(group, tag, true)
@@ -532,13 +533,6 @@ func (s *Store) recover() error {
 				return fmt.Errorf("lsm: wal tail truncate: %w", err)
 			}
 		}
-	}
-	if len(files) > 0 && files[len(files)-1] != walName {
-		// A freeze renamed the active log but never created its successor
-		// (a crash or a failed create between the two): the active log
-		// openWAL creates is a new one, and the next replay will tell the
-		// listener so before it, as it does here.
-		s.listener.OnMemtableFrozen()
 	}
 	return nil
 }
@@ -665,7 +659,6 @@ func (s *Store) freezeLocked() error {
 	// The new version lists every run the old one does, so dropping the old
 	// one's store pin here, under mu, can delete no file.
 	s.publishLocked().unpin()
-	s.listener.OnMemtableFrozen()
 	s.maint.note(func() { s.maint.frozen++ })
 	return nil
 }
@@ -746,10 +739,9 @@ func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Charge the table's index to the enclave. A P2 table carries no filters,
-	// and its index is read only by the untrusted seek (lookupRun), so for
-	// P2 this charge overstates what the enclave holds.
-	of.metaRegion = s.enclave.Alloc(t.MetadataBytes())
+	if s.opts.Transform != nil {
+		of.metaRegion = s.enclave.Alloc(t.MetadataBytes()) // see metaRegion
+	}
 	return &tableHandle{meta: sstable.Meta{FileNum: fileNum}, table: t, name: name}, nil
 }
 
@@ -778,6 +770,18 @@ func (s *Store) releaseRun(r *run) {
 // no level is over its size target. The flush and the compactions are the
 // scheduler's; a failure of either is the sticky background error.
 func (s *Store) Flush() error { return s.freezeAndSettle(true) }
+
+// FlushMemtable freezes the active memtable and returns once its flush has
+// installed, without waiting for the compactions that leaves due.
+func (s *Store) FlushMemtable() error {
+	s.commitMu.Lock()
+	err := s.ensureMemtableRoom(true)
+	s.commitMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.awaitFlushed(false)
+}
 
 // ---------------------------------------------------------------------------
 // Reads (raw, unverified — the unsecured baseline path; the eLSM layer

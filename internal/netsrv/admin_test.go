@@ -143,9 +143,10 @@ func TestAdminEndpoint(t *testing.T) {
 
 // TestStatsAggregateIsTheSumOfItsShardLines: a STATS response and a /metrics
 // page each collect the shards once, so beside concurrent writers every
-// counter reported shard by shard (all of them fold by sum) still equals the
-// sum of its own shardN_ lines — two collections would let the aggregate run
-// ahead of the breakdown printed under it.
+// counter reported shard by shard still equals the fold of its own shardN_
+// lines — their sum, or for seal_age_ms (the oldest shard's seal) their
+// maximum — two collections would let the aggregate run ahead of the
+// breakdown printed under it.
 func TestStatsAggregateIsTheSumOfItsShardLines(t *testing.T) {
 	srv, addr := startServer(t, elsm.Options{Shards: 4}, Config{})
 	stop := make(chan struct{})
@@ -170,6 +171,7 @@ func TestStatsAggregateIsTheSumOfItsShardLines(t *testing.T) {
 	}
 	// check compares every shard-labeled name that also has an unlabeled
 	// line (the latency summaries have a shard="all" series instead).
+	maxFolded := map[string]bool{"seal_age_ms": true, "elsm_seal_age_ms": true}
 	check := func(surface string, total, shardSum map[string]uint64) {
 		t.Helper()
 		compared := 0
@@ -190,7 +192,7 @@ func TestStatsAggregateIsTheSumOfItsShardLines(t *testing.T) {
 		total, shardSum := map[string]uint64{}, map[string]uint64{}
 		for _, st := range srv.statsPairs() {
 			if m := shardStat.FindStringSubmatch(st.Name); m != nil {
-				shardSum[m[2]] += st.Value
+				shardSum[m[2]] = fold(maxFolded[m[2]], shardSum[m[2]], st.Value)
 			} else {
 				total[st.Name] = st.Value
 			}
@@ -209,7 +211,7 @@ func TestStatsAggregateIsTheSumOfItsShardLines(t *testing.T) {
 				continue // a summary's float
 			}
 			if name, _, perShard := strings.Cut(series, `{shard="`); perShard {
-				shardSum[name] += v
+				shardSum[name] = fold(maxFolded[name], shardSum[name], v)
 			} else {
 				total[series] = v
 			}
@@ -221,4 +223,12 @@ func TestStatsAggregateIsTheSumOfItsShardLines(t *testing.T) {
 	if !moved {
 		t.Fatal("the writers never committed: the check raced nothing")
 	}
+}
+
+// fold adds v to acc, or keeps the larger of the two if byMax.
+func fold(byMax bool, acc, v uint64) uint64 {
+	if !byMax {
+		return acc + v
+	}
+	return max(acc, v)
 }

@@ -16,7 +16,7 @@
 // per-shard complete ranges merge into one complete range.
 //
 // Trust is per shard: each instance maintains its own Merkle forest, WAL
-// digest chain and monotonic counter, so one shard's seal never binds
+// key and monotonic counter, so one shard's seal never binds
 // another's state and recovery validates each partition independently. The
 // router adds no trusted state of its own beyond the (recomputable)
 // key-to-shard hash.

@@ -1,29 +1,29 @@
 // Package wal implements the write-ahead log of the LSM store. The log file
 // itself lives in the untrusted world (outside the enclave, §5.3 step w3).
 // The package keeps no digest and holds no key, neither when writing nor
-// when replaying: the enclave's chain over appended records (step w1:
-// dig' = H(dig ‖ record)) and the key that tags each group have one owner,
-// the authentication layer. It computes a group's tag before the engine
-// appends the group, and at recovery it checks the tag of every group past
-// its last seal that Replay hands back, so a host can neither alter nor add
-// a group the enclave did not write; it can only drop groups back to the
-// seal (the §5.6.1 rollback window).
+// when replaying: the key that tags each group, over the group's records
+// (step w1's link, dig' = H(dig ‖ record), from zero) and its position in
+// the log's history, has one owner, the authentication layer. It computes a
+// group's tag before the engine appends the group, and at recovery it checks
+// the tag of every group Replay hands back, so a host can neither alter,
+// move nor add a group the enclave did not write; it can only drop groups
+// back to the seal (the §5.6.1 rollback window).
 //
 // Record framing: [crc32 u32][len u32][kind u8][keyLen u32][key][ts u64][valLen u32][val]
 //
 // Group commit: every append is terminated by a COMMIT marker frame
-// ([crc32 u32][len u32][0xF1][count u32][tag 16]) carrying the group's
+// ([crc32 u32][len u32][0xF2][count u32][tag 16]) carrying the group's
 // record count and its authentication tag. Replay delivers only records of
 // complete (marker-terminated) groups, each with its tag: a crash that
 // tears the tail of the log loses at most the uncommitted final group, never
 // a suffix of a group, so recovery always observes a prefix of whole commits.
-// Markers do not enter the digest chain, which remains a per-record hash
-// chain over the committed records. A writer that authenticates nothing
-// writes a zero tag.
+// A writer that authenticates nothing writes a zero tag.
 //
-// The marker's kind byte is the format version. Format 1 wrote 5-byte
-// markers ([0xF0][count u32]) with no tag; Replay refuses a log holding one
-// (ErrOldFormat) instead of trusting groups no enclave tagged.
+// The marker's kind byte is the format version, and Replay refuses a log of
+// an earlier one (ErrOldFormat). Format 1 wrote 5-byte markers
+// ([0xF0][count u32]) with no tag. Format 2's markers (0xF1) are laid out
+// as format 3's, but their tags are over a digest chained across groups,
+// which the authentication layer does not compute.
 package wal
 
 import (
@@ -39,16 +39,17 @@ import (
 // ErrCorrupt reports a record whose framing or checksum does not parse.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// ErrOldFormat reports a log written in format 1, whose COMMIT markers carry
-// no tag.
-var ErrOldFormat = errors.New("wal: format 1 log (untagged COMMIT markers)")
+// ErrOldFormat reports a log written in an earlier format, whose COMMIT
+// markers this package does not read.
+var ErrOldFormat = errors.New("wal: log of an earlier format")
 
-// The frame-kind bytes of a COMMIT marker: format 2's, and format 1's, which
-// Replay refuses. Both are disjoint from every record.Kind, so record frames
-// and marker frames are unambiguous.
+// The frame-kind bytes of a COMMIT marker: format 3's, and those of formats
+// 1 and 2, which Replay refuses. All are disjoint from every record.Kind, so
+// record frames and marker frames are unambiguous.
 const (
-	commitMarker   = 0xF1
+	commitMarker   = 0xF2
 	commitMarkerV1 = 0xF0
+	commitMarkerV2 = 0xF1
 )
 
 // TagSize is the length of a group's authentication tag: 128 bits, as much
@@ -139,8 +140,8 @@ func GroupSize(recs []record.Record) int {
 // carries tag, as one contiguous file append. The whole group reaches the
 // untrusted file in a single write and replay only accepts
 // marker-terminated groups, so a crash (or a truncating host) can only
-// remove whole groups from the tail — and the enclave's digest chain and
-// tags expose anything subtler as tampering.
+// remove whole groups from the tail — and the enclave's tags expose
+// anything subtler as tampering.
 func (w *Writer) AppendTagged(recs []record.Record, tag *Tag) error {
 	if len(recs) == 0 {
 		return nil
@@ -184,9 +185,9 @@ type ReplayInfo struct {
 // crash mid-append, and is reported via TornRecords/CommittedSize so the
 // caller can truncate it away. Structural damage before the tail (a CRC
 // mismatch, a marker whose count disagrees with its group) still fails with
-// ErrCorrupt: that is tampering, not a crash artifact; a format 1 marker
-// fails with ErrOldFormat. Replay keeps no digest and checks no tag: the
-// caller chains and authenticates what it is handed.
+// ErrCorrupt: that is tampering, not a crash artifact; a marker of an
+// earlier format fails with ErrOldFormat. Replay keeps no digest and checks
+// no tag: the caller authenticates what it is handed.
 func Replay(data []byte, fn func(group []record.Record, tag *Tag) error) (ReplayInfo, error) {
 	var info ReplayInfo
 	var pending []record.Record
@@ -205,7 +206,7 @@ func Replay(data []byte, fn func(group []record.Record, tag *Tag) error) (Replay
 			return info, fmt.Errorf("%w: crc mismatch at %d", ErrCorrupt, off)
 		}
 		off += 8 + n
-		if len(body) == 5 && body[0] == commitMarkerV1 {
+		if len(body) > 0 && (body[0] == commitMarkerV1 || body[0] == commitMarkerV2) {
 			return info, fmt.Errorf("%w: marker at %d", ErrOldFormat, off-8-n)
 		}
 		if len(body) == markerBody && body[0] == commitMarker {

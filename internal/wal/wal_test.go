@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"elsm/internal/hashutil"
@@ -343,5 +344,25 @@ func TestFormat1LogIsRefused(t *testing.T) {
 		if name == "format 1 log" && delivered != 0 {
 			t.Errorf("%s: delivered %d records", name, delivered)
 		}
+	}
+}
+
+// TestFormat2LogIsRefused: a log whose COMMIT markers carry format 2's kind
+// byte — tags over a digest chained across groups, laid out as format 3's —
+// is refused as a log of an earlier format, not handed on as groups whose
+// tags would then fail.
+func TestFormat2LogIsRefused(t *testing.T) {
+	recs := testRecords(3)
+	data := AppendGroup(nil, recs, &Tag{})
+	marker := len(data) - frameHeader - markerBody
+	data[marker+frameHeader] = commitMarkerV2
+	binary.BigEndian.PutUint32(data[marker:], crc32.ChecksumIEEE(data[marker+frameHeader:]))
+	delivered := 0
+	_, err := Replay(data, func(group []record.Record, _ *Tag) error {
+		delivered += len(group)
+		return nil
+	})
+	if !errors.Is(err, ErrOldFormat) || delivered != 0 {
+		t.Fatalf("format 2 log: %v after %d records, want ErrOldFormat before any", err, delivered)
 	}
 }

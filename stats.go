@@ -11,8 +11,8 @@ import (
 // Stats is a point-in-time snapshot of the store's engine and simulated-
 // enclave activity, for observability and the benchmark harness.
 // Store.ShardStats reports one per shard and Store.Stats their fold (counters
-// sum; the busy gauge of the worker pool every shard shares reports the
-// maximum).
+// sum; the busy gauge of the worker pool every shard shares, and the age of
+// the last seal, report the maximum).
 //
 // Each counter is declared, with its doc, once, in the layer that counts it.
 // The three layers are internal packages, so their field docs are read in
@@ -70,6 +70,13 @@ type Stats struct {
 	ReplReconnects   uint64
 	ReplRebootstraps uint64
 	ReplEpoch        uint64
+
+	// What a host could still drop back to the last seal that succeeded
+	// (§5.6.1's rollback window; zero for ModeUnsecured): UnsealedAppends
+	// counts the WAL records appended since it (summed across shards), and
+	// SealAgeMs is its age in milliseconds (the oldest shard's).
+	UnsealedAppends uint64
+	SealAgeMs       uint64
 }
 
 // foldRule says how a counter aggregates across shards.
@@ -77,7 +84,7 @@ type foldRule uint8
 
 const (
 	foldSum  foldRule = iota // counters and current-level gauges add up
-	foldMax                  // the worker pool all shards share
+	foldMax                  // the worker pool all shards share, the oldest seal
 	foldOnce                 // a value every shard repeats (shared enclave, whole-store events): shard 0's
 )
 
@@ -135,6 +142,8 @@ var statCounters = []statCounter{
 	{"repl_reconnects", foldSum, false, func(s *Stats) *uint64 { return &s.ReplReconnects }},
 	{"repl_rebootstraps", foldOnce, false, func(s *Stats) *uint64 { return &s.ReplRebootstraps }},
 	{"repl_epoch", foldOnce, false, func(s *Stats) *uint64 { return &s.ReplEpoch }},
+	{"unsealed_appends", foldSum, true, func(s *Stats) *uint64 { return &s.UnsealedAppends }},
+	{"seal_age_ms", foldMax, true, func(s *Stats) *uint64 { return &s.SealAgeMs }},
 }
 
 // FoldStats aggregates per-shard entries by each counter's fold rule;
@@ -188,6 +197,8 @@ func (set *engineSet) statsOf(i int) Stats {
 	if cs := set.p2(i); cs != nil {
 		out.VerifyStats = cs.VerifyStatsSnapshot()
 		out.ReplEpoch = cs.ReplEpoch()
+		unsealed, age := cs.SealWindow()
+		out.UnsealedAppends, out.SealAgeMs = unsealed, uint64(age.Milliseconds())
 	}
 	return out
 }
