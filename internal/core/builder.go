@@ -17,11 +17,15 @@ import (
 )
 
 // runDigest is the trusted per-run state kept inside the enclave: the
-// Merkle root over the run's distinct keys and the leaf count (needed to
-// validate path shapes and adjacency claims).
+// Merkle root over the run's distinct keys, the leaf count (needed to
+// validate path shapes and adjacency claims) and the level the run was
+// installed at. A run never changes level, and within a level a newer run
+// has a larger ID, so the level and the IDs fix the order a read visits the
+// runs in — the order that decides which version of a key is newest.
 type runDigest struct {
 	Root      hashutil.Hash `json:"root"`
 	NumLeaves int           `json:"leaves"`
+	Level     int           `json:"level"`
 }
 
 // compactionHasher digests one job's merge stream, once, into every eLSM
@@ -83,9 +87,17 @@ type inputRun struct {
 	inner   hashutil.Hash
 }
 
-// digest is the reconstructed digest; final once the hasher has finished.
+// digest is the reconstructed digest, at no level; final once the hasher
+// has finished.
 func (r *inputRun) digest() runDigest {
 	return runDigest{Root: r.tree.Root(), NumLeaves: r.tree.NumLeaves()}
+}
+
+// matches reports whether the reconstructed tree is d's: its root and leaf
+// count. The level is the forest's, not the tree's.
+func (r *inputRun) matches(d runDigest) bool {
+	d.Level = 0
+	return r.digest() == d
 }
 
 // versionEntry is one version's chain header and the chain value below it.

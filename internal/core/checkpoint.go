@@ -387,6 +387,9 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return fmt.Errorf("%w: header decode: %v", ErrCheckpointCorrupt, err)
 	}
+	if err := checkDigestFormat(hdr.Digests); err != nil {
+		return err
+	}
 	wantShards := cfg.Shards
 	if wantShards <= 0 {
 		wantShards = 1
@@ -521,27 +524,28 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	return nil
 }
 
-// verifyRestoredRuns rebuilds the digest of every run of snap from its
-// bytes and holds the forest to the attested one.
+// verifyRestoredRuns holds the runs of snap, and the order a read visits
+// them in, to the attested forest (checkRunOrder), and rebuilds the digest
+// of every run from its bytes.
 func verifyRestoredRuns(enclave *sgx.Enclave, snap *lsm.Snapshot, digests map[uint64]runDigest) error {
 	refs := snap.Runs()
 	if len(refs) != len(digests) {
 		return fmt.Errorf("%w: %d runs installed, %d attested", ErrCheckpointCorrupt, len(refs), len(digests))
 	}
+	if err := checkRunOrder(refs, digests); err != nil {
+		return fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
+	}
 	for i, ref := range refs {
-		want, ok := digests[ref.ID]
-		if !ok {
-			return fmt.Errorf("%w: run %d not in attested frontier", ErrCheckpointCorrupt, ref.ID)
-		}
+		want := digests[ref.ID]
 		var h *compactionHasher
 		var err error
 		enclave.ECall(func() { h, err = replayRun(snap, i, ref.ID, 0, nil, nil) })
 		if err != nil {
 			return fmt.Errorf("%w: run %d stream: %v", ErrCheckpointCorrupt, ref.ID, err)
 		}
-		got := h.inputs[0].digest()
+		ok := h.inputs[0].matches(want)
 		h.release()
-		if got != want {
+		if !ok {
 			return fmt.Errorf("%w: run %d digest mismatch (shipped bytes tampered)", ErrCheckpointCorrupt, ref.ID)
 		}
 	}

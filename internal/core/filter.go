@@ -98,7 +98,7 @@ func (c *Store) rebuildFilter(id uint64) {
 		return
 	}
 	defer h.release()
-	if h.inputs[0].digest() != want {
+	if !h.inputs[0].matches(want) {
 		return
 	}
 	c.mu.Lock()

@@ -137,6 +137,15 @@ func TestVerifiedGetAllocationGuard(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// The flush left the newer version in a run of its own above the odd
+	// keys' run. Move the even keys' run down a level, so that L1's two runs
+	// then merge into one above it: two runs again, the upper one holding
+	// the newer version.
+	for _, lvl := range []int{2, 1} {
+		if err := s.Compact(lvl); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		name  string
 		key   []byte

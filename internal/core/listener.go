@@ -153,8 +153,10 @@ func (j *compactionJob) NewProofAppender() (sstable.ProofAppender, error) {
 // (Figure 4 lines 31-33): every input run's reconstructed root must equal
 // the trusted root stored in the enclave, otherwise the compaction aborts
 // and the engine discards its output. The engine calls it under its
-// install lock, so exactly one job stages a transition seal at a time.
-func (j *compactionJob) Verify() error {
+// install lock, so exactly one job stages a transition seal at a time. The
+// staged digest of the output run carries level, where the engine installs
+// it.
+func (j *compactionJob) Verify(level int) error {
 	if err := j.streamErr(); err != nil {
 		return err
 	}
@@ -168,9 +170,9 @@ func (j *compactionJob) Verify() error {
 		if !ok {
 			return fmt.Errorf("core: no trusted digest for input run %d", id)
 		}
-		if got := j.parts[0].inputs[i].digest(); got != trusted {
+		if got := &j.parts[0].inputs[i]; !got.matches(trusted) {
 			return fmt.Errorf("%w: input run %d root mismatch (got %s want %s)",
-				ErrCompactionInput, id, got.Root, trusted.Root)
+				ErrCompactionInput, id, got.digest().Root, trusted.Root)
 		}
 	}
 	// Stage the post-install state and write a TRANSITION seal before the
@@ -188,7 +190,12 @@ func (j *compactionJob) Verify() error {
 	for _, id := range info.InputRuns {
 		delete(next, id)
 	}
-	next[info.OutputRun] = out.digest
+	if err := checkOutputRun(digs, next, info.OutputRun, level); err != nil {
+		return err
+	}
+	d := out.digest
+	d.Level = level
+	next[info.OutputRun] = d
 	c.mu.Lock()
 	base := c.chain.base
 	if info.MemtableInput {
@@ -206,6 +213,24 @@ func (j *compactionJob) Verify() error {
 	c.sealStagedBy = j
 	c.mu.Unlock()
 	_ = c.commitState()
+	return nil
+}
+
+// checkOutputRun holds a job's output run ID to what checkRunOrder assumes
+// of the sealed forest: the ID is new (in no run of digs, the forest before
+// the job), and it is larger than every ID left at level, where the run goes
+// in front. Run IDs come from the untrusted MANIFEST, so without this a host
+// that lowered the next ID could seal a newer run behind an older one's ID,
+// then list the level in the order that serves the older value.
+func checkOutputRun(digs, next map[uint64]runDigest, id uint64, level int) error {
+	if _, ok := digs[id]; ok {
+		return fmt.Errorf("%w: output run %d reuses a live run's ID", ErrAuthFailed, id)
+	}
+	for other, d := range next {
+		if d.Level == level && other > id {
+			return fmt.Errorf("%w: output run %d goes in front of run %d at level %d", ErrAuthFailed, id, other, level)
+		}
+	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -448,13 +449,14 @@ func (c *Store) snapshotDigests() map[uint64]runDigest {
 
 // stateFingerprint is the fingerprint of a sealed trusted state the
 // monotonic counter binds (hashutil.StateFingerprint): the digest forest,
-// the WAL's base and durable frontier, and the replication epoch. Binding
-// the epoch means a rollback of the sealed blob to a pre-promotion value
-// trips the counter check exactly like a rolled back frontier would.
+// each run's level with it, the WAL's base and durable frontier, and the
+// replication epoch. Binding the epoch means a rollback of the sealed blob
+// to a pre-promotion value trips the counter check exactly like a rolled
+// back frontier would.
 func stateFingerprint(st *trustedState) [32]byte {
 	runs := make([]hashutil.RunRoot, 0, len(st.Digests))
 	for id, d := range st.Digests {
-		runs = append(runs, hashutil.RunRoot{ID: id, Leaves: d.NumLeaves, Root: d.Root})
+		runs = append(runs, hashutil.RunRoot{ID: id, Level: d.Level, Leaves: d.NumLeaves, Root: d.Root})
 	}
 	return hashutil.StateFingerprint(runs, st.WALBase, st.WALAppends, st.Epoch)
 }
@@ -612,6 +614,14 @@ func (c *Store) loadTrustedState() (*trustedState, error) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return nil, fmt.Errorf("%w: trusted state decode: %v", ErrAuthFailed, err)
 	}
+	if err := checkDigestFormat(st.Digests); err != nil {
+		return nil, err
+	}
+	if p := st.Pending; p != nil {
+		if err := checkDigestFormat(p.Digests); err != nil {
+			return nil, err
+		}
+	}
 	if err := c.counter.Verify(st.Counter, stateFingerprint(&st)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRollback, err)
 	}
@@ -659,10 +669,8 @@ func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 		if len(engineRuns) != len(digests) {
 			return 0, fmt.Errorf("%w: %d runs recovered, %d digested", ErrRollback, len(engineRuns), len(digests))
 		}
-		for _, r := range engineRuns {
-			if _, ok := digests[r.ID]; !ok {
-				return 0, fmt.Errorf("%w: run %d not in sealed state", ErrRollback, r.ID)
-			}
+		if err := checkRunOrder(engineRuns, digests); err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrRollback, err)
 		}
 		return c.chain.verdict(seek)
 	}
@@ -689,6 +697,46 @@ func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 	c.epoch.Store(st.Epoch)
 	c.engine.EnsureTs(st.LastTs)
 	return replayed > 0, nil
+}
+
+// ErrOldStateFormat reports a sealed state or a checkpoint written before
+// each run's digest carried its level. Such a forest cannot be held to the
+// order a read visits the runs in, and its fingerprint hashes no levels, so
+// the store refuses it as a format it does not read, not as an attack.
+var ErrOldStateFormat = errors.New("core: sealed state of an earlier format")
+
+// checkDigestFormat refuses a forest in which a run has no level: no run is
+// ever installed at level 0, so only the earlier format leaves one there.
+// The forest comes from a sealed blob or an attested checkpoint header, which
+// the host cannot forge.
+func checkDigestFormat(digests map[uint64]runDigest) error {
+	for id, d := range digests {
+		if d.Level == 0 {
+			return fmt.Errorf("%w: run %d has no level", ErrOldStateFormat, id)
+		}
+	}
+	return nil
+}
+
+// checkRunOrder holds the runs an engine opened with — its levels from the
+// untrusted manifest, newest first within each — to a sealed forest: every
+// run is in the forest at its sealed level, and within a level the IDs
+// strictly decrease. A read takes the first version of a key it finds in
+// that order, so a host that swapped two levels or reordered a level's runs
+// would otherwise serve an overwritten value as the newest.
+func checkRunOrder(runs []lsm.RunRef, digests map[uint64]runDigest) error {
+	for i, r := range runs {
+		d, ok := digests[r.ID]
+		switch {
+		case !ok:
+			return fmt.Errorf("run %d not in sealed state", r.ID)
+		case d.Level != r.Level:
+			return fmt.Errorf("run %d at level %d, sealed at level %d", r.ID, r.Level, d.Level)
+		case i > 0 && runs[i-1].Level == r.Level && runs[i-1].ID <= r.ID:
+			return fmt.Errorf("level %d lists run %d before run %d", r.Level, runs[i-1].ID, r.ID)
+		}
+	}
+	return nil
 }
 
 // ReplEpoch returns the store's sealed replication epoch — the fencing

@@ -240,6 +240,77 @@ func TestOpenLeavesNoGroupOfAnEarlierSeed(t *testing.T) {
 	}
 }
 
+// TestRecoveryFlushWritesOneRun is the counted cost of the flush Open runs
+// over what it replayed: one new run at the front of L1, holding the
+// replayed records alone — every run the store had keeps its place and no
+// byte is compacted, however much L1 held.
+func TestRecoveryFlushWritesOneRun(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := forgeCfg(fs)
+	cfg.LevelBase = 1 << 30 // no level is over its target: Open's flush is the only job
+	s := mustOpenP2(t, cfg)
+	put := func(from, to int, value string) {
+		for i := from; i < to; i++ {
+			if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(value)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 2000, "lower")
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(1); err != nil { // L2: every key
+		t.Fatal(err)
+	}
+	put(0, 1000, "upper")
+	if err := s.Flush(); err != nil { // L1: half of them
+		t.Fatal(err)
+	}
+	const replayed = 1000
+	put(500, 500+replayed, "replayed")
+	before, beforeBytes := s.Engine().Runs(), s.Engine().DiskBytes()
+	s.Engine().Close() // crash: the replayed records are in the log alone
+
+	cfg.Platform, cfg.Counter = s.platform, s.counter
+	s2 := mustOpenP2(t, cfg)
+	defer s2.Close()
+	if err := s2.Engine().WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	after := s2.Engine().Runs()
+	if len(after) != len(before)+1 || after[0].Level != 1 || after[0].Index != 0 {
+		t.Fatalf("runs %v after the reopen, want one new run at the front of L1 above %v", after, before)
+	}
+	for i, want := range before {
+		if want.Level == 1 {
+			want.Index++
+		}
+		if after[i+1] != want {
+			t.Fatalf("run %v after the reopen, want %v", after[i+1], want)
+		}
+	}
+	st := s2.Engine().Stats()
+	if st.Flushes != 1 || st.Compactions != 0 || st.BytesCompacted != 0 {
+		t.Fatalf("the reopen ran %d flushes and %d compactions of %d bytes, want 1, 0 and 0", st.Flushes, st.Compactions, st.BytesCompacted)
+	}
+	if grown := s2.Engine().DiskBytes() - beforeBytes; st.BytesFlushed != uint64(grown) {
+		t.Fatalf("the reopen flushed %d bytes, and the tree grew by %d", st.BytesFlushed, grown)
+	}
+	for _, i := range []int{0, 499, 500, 1499, 1999} {
+		want := "lower"
+		if i < 1000 {
+			want = "upper"
+		}
+		if i >= 500 && i < 500+replayed {
+			want = "replayed"
+		}
+		if res, err := Get(s2, []byte(fmt.Sprintf("key%05d", i))); err != nil || string(res.Value) != want {
+			t.Fatalf("Get(key%05d) = %q, %v; want %q", i, res.Value, err, want)
+		}
+	}
+}
+
 // TestParentFormatLogIsRefused: a log whose COMMIT markers carry format 2's
 // kind byte — tags over a digest chained across groups — is refused with a
 // format error, not read as a log of forged groups.

@@ -222,7 +222,9 @@ func TestCrashMatrixFlushInstall(t *testing.T) {
 			}
 			defer st.Close()
 			val := bytes.Repeat([]byte("x"), 256)
-			for i := 0; i < 40; i++ {
+			// 41 writes: 145 file-system operations, as many as 40 took
+			// when a flush rewrote L1 (a flush now writes its own run only).
+			for i := 0; i < 41; i++ {
 				key := fmt.Sprintf("flush-%03d", i)
 				if _, err := st.Put([]byte(key), val); err != nil {
 					return
@@ -265,10 +267,11 @@ func TestCrashMatrixParallelMaintenance(t *testing.T) {
 			}
 			defer st.Close()
 			val := bytes.Repeat([]byte("y"), 256)
-			// 110 writes: enough flushes and merges to keep both workers
+			// 121 writes: enough flushes and merges to keep both workers
 			// busy (≈ 500 file-system operations) in tables that store one
-			// group section per block rather than a root path per record.
-			for i := 0; i < 110; i++ {
+			// group section per block rather than a root path per record,
+			// and flushes that write their own run only.
+			for i := 0; i < 121; i++ {
 				key := fmt.Sprintf("par-%03d", i)
 				if _, err := st.Put([]byte(key), val); err != nil {
 					return

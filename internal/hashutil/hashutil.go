@@ -260,19 +260,21 @@ func fill4(buf, a, b, c, d []byte) int {
 // RunRoot is one run of a digest forest as StateFingerprint hashes it.
 type RunRoot struct {
 	ID     uint64
+	Level  int
 	Leaves int
 	Root   Hash
 }
 
 // StateFingerprint hashes a sealed trusted state for the monotonic counter
-// to bind: H(tag ‖ (id ‖ leaves u32 ‖ root)… ‖ walBase ‖ walAppends ‖
-// epoch), the runs in ascending ID order (it sorts runs in place). Every
-// field has a fixed size, so the preimage has one parse.
+// to bind: H(tag ‖ (id ‖ level u32 ‖ leaves u32 ‖ root)… ‖ walBase ‖
+// walAppends ‖ epoch), the runs in ascending ID order (it sorts runs in
+// place). Every field has a fixed size, so the preimage has one parse.
 func StateFingerprint(runs []RunRoot, walBase, walAppends, epoch uint64) Hash {
 	slices.SortFunc(runs, func(a, b RunRoot) int { return cmp.Compare(a.ID, b.ID) })
-	buf := append(make([]byte, 0, 1+len(runs)*(12+Size)+24), tagState)
+	buf := append(make([]byte, 0, 1+len(runs)*(16+Size)+24), tagState)
 	for _, r := range runs {
 		buf = binary.BigEndian.AppendUint64(buf, r.ID)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Level))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Leaves))
 		buf = append(buf, r.Root[:]...)
 	}

@@ -143,16 +143,17 @@ func TestPreimagesUnchanged(t *testing.T) {
 }
 
 // TestStateFingerprintPreimage pins the sealed state's fingerprint to its
-// documented preimage — H(tag ‖ (id ‖ leaves u32 ‖ root)… ‖ walBase ‖
-// walAppends ‖ epoch), the runs in ascending ID order whatever order they
-// are given in — so a counter value bound by an older build still verifies.
+// documented preimage — H(tag ‖ (id ‖ level u32 ‖ leaves u32 ‖ root)… ‖
+// walBase ‖ walAppends ‖ epoch), the runs in ascending ID order whatever
+// order they are given in — so a counter value bound by an older build
+// still verifies unless the preimage was changed on purpose.
 func TestStateFingerprintPreimage(t *testing.T) {
 	var a, b Hash
 	copy(a[:], bytes.Repeat([]byte{0xA5}, Size))
 	copy(b[:], bytes.Repeat([]byte{0x5A}, Size))
-	runs := []RunRoot{{ID: 9, Leaves: 300, Root: b}, {ID: 2, Leaves: 7, Root: a}}
+	runs := []RunRoot{{ID: 9, Level: 3, Leaves: 300, Root: b}, {ID: 2, Level: 1, Leaves: 7, Root: a}}
 	want := streamed([]byte{tagState},
-		be64(2), be32(7), a[:], be64(9), be32(300), b[:],
+		be64(2), be32(1), be32(7), a[:], be64(9), be32(3), be32(300), b[:],
 		be64(40), be64(52), be64(3))
 	if got := StateFingerprint(runs, 40, 52, 3); got != want {
 		t.Fatalf("StateFingerprint = %v, want %v", got, want)

@@ -85,6 +85,11 @@ func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// Each flush left a run in L1: gather them into one, so the run pinned
+	// below holds every key.
+	if err := s.Compact(1); err != nil {
+		t.Fatal(err)
+	}
 	snap := s.AcquireSnapshot()
 	if len(snap.Runs()) == 0 {
 		t.Fatal("no runs to pin")
@@ -392,7 +397,7 @@ func (j *lifecycleJob) count(n *int) {
 	j.l.mu.Unlock()
 }
 
-func (j *lifecycleJob) Verify() error {
+func (j *lifecycleJob) Verify(int) error {
 	j.l.mu.Lock()
 	defer j.l.mu.Unlock()
 	return j.l.reject

@@ -23,7 +23,7 @@ import (
 //  1. plan — a brief s.mu critical section collects the immutable inputs:
 //     the frozen memtable and the input runs, pinned by reference count so
 //     no concurrent deletion can touch their files;
-//  2. merge/build/hash — the entire level rewrite (merge iteration,
+//  2. merge/build/hash — the entire rewrite (merge iteration,
 //     retention filtering, SSTable builds, the listener's Merkle
 //     reconstruction and output-tree hashing) runs WITHOUT the engine
 //     lock: readers, the commit pipeline, and OTHER maintenance jobs on
@@ -52,6 +52,9 @@ type jobPlan struct {
 	bulk   []record.Record
 	// inputs are the runs the job merges and retires, each pinned once.
 	inputs []*run
+	// place, when set (a bulk load), chooses info.OutputLevel once newRun is
+	// built, before Verify stages it.
+	place func(newRun *run)
 	// swap puts newRun into the level vector and returns what takes it out
 	// again should the manifest write fail.
 	swap func(newRun *run) (undo func())
@@ -118,8 +121,11 @@ func (s *Store) runPlan(p *jobPlan) error {
 	// reference on the run it built, which deletes the run's files unless a
 	// version lists it.
 	defer s.releaseRun(newRun)
+	if p.place != nil {
+		p.place(newRun)
+	}
 	s.installMu.Lock()
-	if err = job.Verify(); err != nil {
+	if err = job.Verify(p.info.OutputLevel); err != nil {
 		err = fmt.Errorf("%w: %w", ErrAborted, err)
 	} else {
 		s.mu.Lock()
@@ -151,9 +157,9 @@ func (s *Store) runPlan(p *jobPlan) error {
 	return nil
 }
 
-// flushFrozen persists the frozen memtable (§5.3 step w2). In normal
-// (leveled) mode it is merged with level 1's runs; with compaction disabled
-// each flush prepends a fresh immutable run to level 1 instead.
+// flushFrozen persists the frozen memtable (§5.3 step w2) as a new run at
+// the front of level 1, alone: a flush reads no run, and level 1 gathers
+// flushed runs until its byte target sends them down (compactLevel).
 func (s *Store) flushFrozen() error {
 	phaseStart := time.Now()
 	s.mu.Lock()
@@ -170,27 +176,21 @@ func (s *Store) flushFrozen() error {
 		s.mu.Unlock()
 		return nil
 	}
-	info := CompactionInfo{MemtableInput: true, OutputLevel: 1, TrustedRecords: frozen.Count()}
-	var inputs []*run
-	if s.opts.DisableCompaction {
-		info.BottomMost = s.deepestDataLevelLocked() == 0
-	} else {
-		info.BottomMost = s.deepestDataLevelLocked() <= 1
-		inputs = append([]*run(nil), s.levels[1]...)
+	info := CompactionInfo{
+		MemtableInput:  true,
+		OutputLevel:    1,
+		BottomMost:     s.deepestDataLevelLocked() == 0,
+		TrustedRecords: frozen.Count(),
 	}
 	frozenWALs := append([]string(nil), s.frozenWALs...)
-	p := s.planLocked(info, inputs)
+	p := s.planLocked(info, nil)
 	s.mu.Unlock()
 	p.timed(s.opts.Obs, phaseStart)
 
 	p.frozen = frozen
 	p.swap = func(newRun *run) func() {
 		oldL1 := s.levels[1]
-		if s.opts.DisableCompaction {
-			s.levels[1] = append([]*run{newRun}, oldL1...)
-		} else {
-			s.levels[1] = []*run{newRun}
-		}
+		s.levels[1] = append([]*run{newRun}, oldL1...)
 		// The manifest being installed accounts for every record in the
 		// frozen logs about to be deleted: advance the WAL watermark in the
 		// SAME manifest write, so a crash before the deletions finish cannot
@@ -236,10 +236,10 @@ func (s *Store) deepestDataLevelLocked() int {
 }
 
 // Compact merges level lvl into level lvl+1 (the paper's
-// COMPACTION(Li, Li+1), §5.3), synchronously: it returns once the rewrite
-// has installed (a request to the maintenance scheduler, so it serializes
-// with the jobs the scheduler discovers), whether or not lvl is over its
-// target.
+// COMPACTION(Li, Li+1), §5.3, under compactLevel's policy), synchronously:
+// it returns once the rewrite has installed (a request to the maintenance
+// scheduler, so it serializes with the jobs the scheduler discovers),
+// whether or not lvl is over its target.
 func (s *Store) Compact(lvl int) error {
 	if lvl < 1 || lvl >= s.opts.MaxLevels {
 		return fmt.Errorf("lsm: compact: level %d out of range [1,%d)", lvl, s.opts.MaxLevels)
@@ -247,8 +247,25 @@ func (s *Store) Compact(lvl int) error {
 	return s.runSync(&maintJob{kind: jobCompact, level: lvl})
 }
 
-// compactLevel merges all runs of lvl and lvl+1 into a single new run at
-// lvl+1. Runs on a maintenance worker that owns both levels.
+// tieredRuns is about how many runs a level above the deepest holds: the
+// run at its front takes each move from the level above until it is a
+// tieredRuns-th of the level's target. Each extra run costs every Scan chunk
+// a span proof and every Get a filter probe, so the runs a level gathers are
+// bounded well below levelMultiplier. The price is on writes: a byte is
+// rewritten at such a level about levelMultiplier/(2·tieredRuns) times
+// before the level moves down whole, against about levelMultiplier/2 under
+// full-level merges and once with no bound.
+const tieredRuns = 3
+
+// compactLevel moves level lvl down, lazy leveling's way (Dostoevsky, Dayan
+// and Idreos, SIGMOD '18), with a bound on the runs a level gathers. Above
+// the deepest data level, lvl's runs merge into one new run at the front of
+// lvl+1 — together with lvl+1's front run while that one is under a
+// tieredRuns-th of lvl+1's target — and lvl+1's other runs stay as they
+// are, so every level but the deepest holds about tieredRuns runs, newest
+// first. Into the deepest, lvl's runs and lvl+1's merge into lvl+1's one
+// run, dropping what BottomMost lets go. Runs on a maintenance worker that
+// owns both levels.
 func (s *Store) compactLevel(lvl int) error {
 	phaseStart := time.Now()
 	s.mu.Lock()
@@ -260,19 +277,28 @@ func (s *Store) compactLevel(lvl int) error {
 		s.mu.Unlock()
 		return err
 	}
-	inputs := append(append([]*run(nil), s.levels[lvl]...), s.levels[lvl+1]...)
+	bottom := s.deepestDataLevelLocked() <= lvl+1
+	inputs := slices.Clone(s.levels[lvl])
+	lower, merged := s.levels[lvl+1], 0 // merged: lower's runs among the inputs
+	switch {
+	case bottom:
+		merged = len(lower)
+	case len(inputs) > 0 && len(lower) > 0 && lower[0].bytes < s.opts.levelTarget(lvl+1)/tieredRuns:
+		merged = 1
+	}
+	inputs = append(inputs, lower[:merged]...)
 	if len(inputs) == 0 {
 		s.mu.Unlock()
 		return nil
 	}
-	info := CompactionInfo{OutputLevel: lvl + 1, BottomMost: s.deepestDataLevelLocked() <= lvl+1}
-	p := s.planLocked(info, inputs)
+	p := s.planLocked(CompactionInfo{OutputLevel: lvl + 1, BottomMost: bottom}, inputs)
 	s.mu.Unlock()
 	p.timed(s.opts.Obs, phaseStart)
 
 	p.swap = func(newRun *run) func() {
 		oldUpper, oldLower := s.levels[lvl], s.levels[lvl+1]
-		s.levels[lvl], s.levels[lvl+1] = nil, []*run{newRun}
+		s.levels[lvl] = nil
+		s.levels[lvl+1] = append([]*run{newRun}, oldLower[merged:]...)
 		return func() { s.levels[lvl], s.levels[lvl+1] = oldUpper, oldLower }
 	}
 	p.installed = func(newRun *run) {
@@ -924,14 +950,16 @@ func (s *Store) bulkLoadJob(recs []record.Record, total int64, maxTs uint64) err
 	s.mu.Unlock()
 
 	p.bulk = recs
-	p.swap = func(newRun *run) func() {
+	p.place = func(newRun *run) {
 		// Place the run by its ACTUAL size: the listener may have inflated
 		// records (embedded proofs are several times the record size), and a
-		// run installed over its level target would trigger a pathological
-		// full-run merge on the very next flush.
+		// run installed over its level target would be sent down at once.
 		for lvl < s.opts.MaxLevels && s.opts.levelTarget(lvl) < newRun.bytes {
 			lvl++
 		}
+		p.info.OutputLevel = lvl
+	}
+	p.swap = func(newRun *run) func() {
 		s.levels[lvl] = []*run{newRun}
 		return func() { s.levels[lvl] = nil }
 	}

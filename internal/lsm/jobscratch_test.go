@@ -98,7 +98,7 @@ func (j *digestJob) streamDigest(list func(p *digestPart) [][sha256.Size]byte) [
 	return [sha256.Size]byte(h.Sum(nil))
 }
 
-func (j *digestJob) Verify() error {
+func (j *digestJob) Verify(int) error {
 	j.l.mu.Lock()
 	defer j.l.mu.Unlock()
 	for _, id := range j.info.InputRuns {

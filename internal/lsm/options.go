@@ -1,10 +1,11 @@
-// Package lsm implements a leveled log-structured merge-tree key-value
-// store in the style of Google LevelDB / Facebook RocksDB (§2 of the
-// paper): an in-enclave memtable (L0) backed by an untrusted write-ahead
-// log, immutable sorted runs at levels L1..Lq stored as SSTable files in
-// the untrusted world, full-run leveled compaction, and a read path that
-// goes through either a block cache ("read buffer") or mmap-style direct
-// views of untrusted file memory.
+// Package lsm implements a log-structured merge-tree key-value store in the
+// style of Google LevelDB / Facebook RocksDB (§2 of the paper): an
+// in-enclave memtable (L0) backed by an untrusted write-ahead log,
+// immutable sorted runs at levels L1..Lq stored as SSTable files in the
+// untrusted world, lazy-leveled compaction (a flush adds a run to L1, each
+// level above the deepest gathers about three runs, and only the deepest is
+// merged in place), and a read path that goes through either a block cache
+// ("read buffer") or mmap-style direct views of untrusted file memory.
 //
 // The engine knows nothing about Merkle trees. The eLSM authentication
 // layer (internal/core) attaches purely through the EventListener callback
@@ -112,8 +113,9 @@ type Options struct {
 	// 0 keeps every version (full history, the paper's chain semantics),
 	// 1 keeps only the newest (vanilla LevelDB), k keeps the newest k.
 	KeepVersions int
-	// DisableCompaction stops merging entirely: each flush appends a new
-	// immutable run to level 1 (Figure 7b's "wo. compaction" mode).
+	// DisableCompaction turns off the compaction debt: no level is ever
+	// merged down unless Compact asks, so level 1 gathers every flushed run
+	// (Figure 7b's "wo. compaction" mode).
 	DisableCompaction bool
 	// Workers is the worker-token pool bounding how many maintenance jobs
 	// (flushes and compactions of disjoint level pairs) may execute
@@ -182,14 +184,17 @@ const MemtableRunID uint64 = 0
 // CompactionInfo describes one compaction (or flush, or bulk load) to the
 // listener.
 type CompactionInfo struct {
-	// InputRuns lists consumed run IDs, newest first. Empty for bulk loads.
+	// InputRuns lists consumed run IDs, newest first. Empty for flushes
+	// and bulk loads.
 	InputRuns []uint64
 	// MemtableInput reports whether the memtable is one of the inputs
 	// (flush path).
 	MemtableInput bool
 	// OutputRun is the ID of the run being produced.
 	OutputRun uint64
-	// OutputLevel is the 1-based level the output run lands in.
+	// OutputLevel is the 1-based level the output run lands in, at the
+	// front. A bulk load's is where its planned size fits; Verify gets the
+	// level its built size fits, which is final.
 	OutputLevel int
 	// BottomMost reports whether no deeper level holds data, enabling
 	// tombstone elimination (§5.4 "Handling Deletes").
@@ -300,8 +305,9 @@ type Job interface {
 	// across the whole store is in flight ("one version install in
 	// flight"). An error aborts the job and the engine discards its output.
 	// The listener may stage a transition seal here — it is written before
-	// the manifest makes the install durable.
-	Verify() error
+	// the manifest makes the install durable. level is the level the output
+	// run lands in, final now (CompactionInfo.OutputLevel).
+	Verify(level int) error
 	// Installed is called UNDER THE ENGINE LOCK, immediately after the
 	// manifest naming the new version is durable and, for a flush
 	// (MemtableInput), the frozen logs that carried the flushed records are
@@ -348,7 +354,7 @@ func (NopJob) Filter(int, uint64, record.Record, bool) {}
 func (NopJob) NewProofAppender() (sstable.ProofAppender, error) { return nil, nil }
 
 // Verify implements Job.
-func (NopJob) Verify() error { return nil }
+func (NopJob) Verify(int) error { return nil }
 
 // Installed implements Job.
 func (NopJob) Installed() {}

@@ -70,7 +70,7 @@ func (l *trackListener) BeginJob(info CompactionInfo) Job {
 	return j
 }
 
-func (j *trackJob) Verify() error {
+func (j *trackJob) Verify(int) error {
 	l := j.l
 	l.mu.Lock()
 	defer l.mu.Unlock()

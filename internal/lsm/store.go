@@ -593,6 +593,9 @@ func (s *Store) recoverManifest() error {
 				r.entries += mt.NumEntries
 			}
 			s.levels[lvl] = append(s.levels[lvl], r)
+			// The next ID is the manifest's, which the seal does not cover:
+			// never hand out one that is not above every live run's.
+			s.nextRunID = max(s.nextRunID, r.id+1)
 		}
 	}
 	return nil
