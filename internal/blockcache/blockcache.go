@@ -18,9 +18,11 @@
 // of the tables that replace it instead of going to the garbage collector:
 // the heap does not fill with frames freed after other blocks took new
 // ones, half-empty spans whose count would vary with the timing of reads
-// and compactions. A cache that has not missed for readIdle when compaction
-// drops a file has no reader left to take them, and goes back to
-// freeFrames.
+// and compactions. A cache that has not missed since compaction last dropped
+// files has no reader left to take them — a reader of the tables that
+// replaced those files would have missed on their blocks — and goes back to
+// freeFrames. The rule counts misses between drops, not time, so what a
+// cache keeps does not depend on how fast compaction runs.
 //
 // Pins. A reader that copies what it needs out of a block and then lets go of
 // it (a verified Get, a verified scan chunk) reads with Acquire and a Pins:
@@ -45,7 +47,6 @@ package blockcache
 import (
 	"slices"
 	"sync"
-	"time"
 
 	"elsm/internal/sgx"
 )
@@ -57,9 +58,6 @@ const (
 	frameAlign = 128
 	// freeFrames is the free list any cache may keep, however full or idle.
 	freeFrames = 32
-	// readIdle is how long a cache may go without a miss, while compaction
-	// drops its files, before it stops keeping their frames.
-	readIdle = time.Second
 )
 
 // Key identifies a cached block.
@@ -82,11 +80,8 @@ type Cache struct {
 	nextOff int
 
 	hits, misses, recycled uint64
-	// missesSeen is misses as DropFile last found it changed, at
-	// missSeenAt.
-	missesSeen uint64
-	missSeenAt time.Time
-	pinned     int // frames with a pin
+	missesSeen             uint64 // misses at the last DropFiles
+	pinned                 int    // frames with a pin
 }
 
 // frame is one block's memory and its place in the cache.
@@ -227,24 +222,22 @@ func (c *Cache) Put(k Key, data []byte) {
 	}
 }
 
-// DropFile evicts all blocks of the given file (called when compaction
-// deletes the file). Their frames are recycled as evicted ones are, unless
-// the cache has not missed for readIdle: then the free list goes back to
-// freeFrames.
-func (c *Cache) DropFile(fileNum uint64) {
+// DropFiles evicts every block of the given files, which compaction deleted
+// together. Their frames are recycled as evicted ones are, unless the cache
+// has not missed since the previous DropFiles: then the free list goes back
+// to freeFrames.
+func (c *Cache) DropFiles(fileNums ...uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, f := range c.entries {
-		if k.FileNum == fileNum {
+		if slices.Contains(fileNums, k.FileNum) {
 			c.remove(f)
 		}
 	}
-	now := time.Now()
-	if c.misses != c.missesSeen {
-		c.missesSeen, c.missSeenAt = c.misses, now
-	} else if now.Sub(c.missSeenAt) >= readIdle {
+	if c.misses == c.missesSeen {
 		c.trimFree(0)
 	}
+	c.missesSeen = c.misses
 }
 
 // Release releases every frame pinned into p, under one lock: a frame whose

@@ -50,7 +50,7 @@ func TestDropFile(t *testing.T) {
 	c.Put(Key{1, 0}, []byte("a"))
 	c.Put(Key{1, 1}, []byte("b"))
 	c.Put(Key{2, 0}, []byte("c"))
-	c.DropFile(1)
+	c.DropFiles(1)
 	if _, ok := c.Get(Key{1, 0}); ok {
 		t.Fatal("dropped file's block still cached")
 	}
@@ -162,20 +162,20 @@ func fillAll(t *testing.T, c *Cache, fn uint64, n, length int) {
 // TestDroppedFileFramesRecycled: the frames of a file compaction dropped
 // hold the blocks of the file that replaces it, with no new frame; past
 // freeFrames, the free list keeps only what fits beside the cached blocks,
-// and nothing once the cache has not missed for readIdle.
+// and nothing once the cache has not missed since the previous drop.
 func TestDroppedFileFramesRecycled(t *testing.T) {
 	const blocks, length = 2 * freeFrames, 1024 // a whole frame: no rounding
 	c := New(3*blocks*length, nil)
 	fillAll(t, c, 1, blocks, length)
 	fillAll(t, c, 2, blocks, length)
-	c.DropFile(1)
+	c.DropFiles(1)
 	fillAll(t, c, 3, blocks, length)
 	if st := c.Stats(); st.Recycled != blocks || len(c.free) != 0 {
 		t.Fatalf("after replacing a dropped file: %+v, %d free frames; want all %d frames recycled", st, len(c.free), blocks)
 	}
 
 	// Full: blocks put in leave room for freeFrames free frames.
-	c.DropFile(2)
+	c.DropFiles(2)
 	for i := 0; i < 2*blocks; i++ {
 		c.Put(Key{4, i}, make([]byte, length))
 	}
@@ -183,16 +183,15 @@ func TestDroppedFileFramesRecycled(t *testing.T) {
 		t.Fatalf("full cache: %+v, %d free frames; want %d", st, len(c.free), freeFrames)
 	}
 
-	// Idle: no miss since the last drop, readIdle ago.
+	// Idle: no miss since the last drop, however soon after it.
 	c = New(2*blocks*length, nil)
 	fillAll(t, c, 1, blocks, length)
 	fillAll(t, c, 2, blocks, length)
-	c.DropFile(1)
+	c.DropFiles(1)
 	if len(c.free) != blocks {
-		t.Fatalf("cache read a moment ago: %d free frames; want %d", len(c.free), blocks)
+		t.Fatalf("cache that missed since the last drop: %d free frames; want %d", len(c.free), blocks)
 	}
-	c.missSeenAt = c.missSeenAt.Add(-readIdle)
-	c.DropFile(2)
+	c.DropFiles(2)
 	if len(c.free) != freeFrames {
 		t.Fatalf("idle cache: %d free frames; want %d", len(c.free), freeFrames)
 	}

@@ -26,7 +26,7 @@ type held struct {
 
 // TestCacheModel drives random sequences of Acquire (with a Fill on a miss),
 // Release, Get, Put, Fill over a cached block (the reader who lost a fill
-// race) and DropFile against the cache, from four readers that each keep a
+// race) and DropFiles against the cache, from four readers that each keep a
 // Pins. After every step: a pinned or sticky frame is never on the free
 // list, nor a cached one, nor one twice; the free list is within its bound
 // and the spare gauge matches it; the pinned-frame gauge matches the pins
@@ -105,7 +105,7 @@ func runCacheModel(t *testing.T, seed int64) (recycled uint64) {
 			pinned[r] = append(pinned[r], held{k, data}, held{k, again})
 		default:
 			op = "drop file"
-			c.DropFile(uint64(1 + rng.Intn(3)))
+			c.DropFiles(uint64(1 + rng.Intn(3)))
 		}
 		if len(unpinned) > 64 {
 			unpinned = unpinned[1:]

@@ -337,7 +337,7 @@ func (h *compactionHasher) foldKey() {
 		if r.n == 0 {
 			continue
 		}
-		leaf := hashutil.LeafHash(h.curKey, r.inner)
+		leaf := r.inner // a key's leaf is its chain head
 		if h.part == 0 {
 			r.tree.Add(leaf)
 		} else {
@@ -361,7 +361,7 @@ func (h *compactionHasher) foldKey() {
 					inner = hashutil.ChainLink(p[i].ts, p[i].dig, inner)
 				}
 			}
-			outLeaf = hashutil.LeafHash(h.curKey, inner)
+			outLeaf = inner
 		}
 		b := &h.out.book
 		if len(b.keys) == 0 {

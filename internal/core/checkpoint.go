@@ -64,6 +64,9 @@ type checkpointHeader struct {
 	// a follower bootstrapping shard 1.
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"`
+	// Format is stateFormat, of the attested run roots; a checkpoint of an
+	// earlier build carries none.
+	Format int `json:"format"`
 	// Epoch is the leader's replication epoch at capture time. The
 	// follower adopts it as its own sealed epoch, so frames shipped by a
 	// leader demoted before this checkpoint was taken (an older epoch) are
@@ -211,6 +214,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 	hdr := checkpointHeader{
 		Shard:       shard,
 		Shards:      shards,
+		Format:      stateFormat,
 		Epoch:       epoch,
 		LastTs:      lastTs,
 		RunFrontier: frontier,
@@ -387,7 +391,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return fmt.Errorf("%w: header decode: %v", ErrCheckpointCorrupt, err)
 	}
-	if err := checkDigestFormat(hdr.Digests); err != nil {
+	if err := checkDigestFormat(hdr.Format, hdr.Digests); err != nil {
 		return err
 	}
 	wantShards := cfg.Shards
@@ -512,6 +516,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	// leader's attested epoch is adopted verbatim: it is the fencing token
 	// every subsequently tailed frame must match.
 	st := trustedState{
+		Format:     stateFormat,
 		Digests:    hdr.Digests,
 		WALAppends: hdr.WALAppends,
 		LastTs:     hdr.LastTs,

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"elsm/internal/hashutil"
 	"elsm/internal/lsm"
 	"elsm/internal/vfs"
 )
@@ -30,6 +32,39 @@ const (
 
 func ledgerKey(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
 
+// jobCompressions splits the SHA-256 compressions of maintenance between
+// flushes and compactions. One worker runs the jobs one at a time, so what is
+// hashed from one job's start to the next's, or to the settle, is the first
+// job's; what a Flush hashes before its job starts (the freeze) is the
+// flush's.
+type jobCompressions struct {
+	mu                   sync.Mutex
+	mark                 uint64 // the count where the running job began
+	flush                bool   // the running job is a flush
+	flushes, compactions uint64
+}
+
+// next charges what was hashed since mark to the running job and starts
+// the next one.
+func (j *jobCompressions) next(flush bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	now := hashutil.Compressions()
+	if j.flush {
+		j.flushes += now - j.mark
+	} else {
+		j.compactions += now - j.mark
+	}
+	j.mark, j.flush = now, flush
+}
+
+// start opens a window at a Flush: nothing hashed before it is charged.
+func (j *jobCompressions) start() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.mark, j.flush = hashutil.Compressions(), true
+}
+
 // TestCostLedger counts what the write path and the read path cost on a
 // seeded paced load — default geometry, one maintenance worker, an explicit
 // Flush and WaitMaintenance every 512 records, then an overwrite pass paced
@@ -37,13 +72,20 @@ func ledgerKey(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
 // (go test -run TestCostLedger -update ./internal/core rewrites it). Every
 // row is a count or a ratio of counts, so the file is the same on any
 // machine and in any run: a change to the merge policy, the proof layout or
-// the read path shows up as a diff of this file.
+// the read path shows up as a diff of this file. The rows that end in
+// compressions count the SHA-256 blocks hashutil compresses: per proved Get,
+// per run an absent key is proved absent from, per 50-row Scan chunk, and
+// per user byte flushed or compacted.
 func TestCostLedger(t *testing.T) {
+	hashutil.CountCompressions(true)
+	defer hashutil.CountCompressions(false)
+	var jobs jobCompressions
 	s := mustOpenP2(t, Config{
 		FS:           vfs.NewMem(),
 		CacheSize:    8 << 20,
 		KeepVersions: 1,
 		Workers:      lsm.NewWorkerPool(1),
+		beginJob:     func(info lsm.CompactionInfo) { jobs.next(info.MemtableInput) },
 	})
 	defer s.Close()
 	rng := rand.New(rand.NewSource(1))
@@ -62,12 +104,14 @@ func TestCostLedger(t *testing.T) {
 				ops = ops[:0]
 			}
 			if (n+1)%ledgerStep == 0 || n+1 == len(order) {
+				jobs.start()
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Engine().WaitMaintenance(); err != nil {
 					t.Fatal(err)
 				}
+				jobs.next(false)
 			}
 		}
 	}
@@ -84,6 +128,8 @@ func TestCostLedger(t *testing.T) {
 	row("compactions", "%d", st.Compactions)
 	row("bytes_flushed_per_user_byte", "%.4f", float64(st.BytesFlushed)/float64(user))
 	row("bytes_compacted_per_user_byte", "%.4f", float64(st.BytesCompacted)/float64(user))
+	row("flush_compressions_per_user_byte", "%.4f", float64(jobs.flushes)/float64(user))
+	row("compact_compressions_per_user_byte", "%.4f", float64(jobs.compactions)/float64(user))
 	row("disk_bytes_per_user_byte", "%.4f", float64(st.DiskBytes)/float64(user))
 	perLevel := map[int]int{}
 	deepest := 0
@@ -95,15 +141,29 @@ func TestCostLedger(t *testing.T) {
 		row(fmt.Sprintf("runs_at_L%d", lvl), "%d", perLevel[lvl])
 	}
 
-	// Gets over a fixed key list: nine in ten present, one in ten absent.
+	// Gets over a fixed key list: nine in ten present, one in ten absent. A
+	// present key's Get is proved if it proves a run, and every run an
+	// absent key's Get proves is an absence proof.
 	before := s.VerifyStatsSnapshot()
+	var proved, provedCost, absentProofs, absentCost uint64
 	for g := 0; g < ledgerGets; g++ {
 		key := ledgerKey(rng.Intn(ledgerKeys))
-		if g%10 == 9 {
+		absent := g%10 == 9
+		if absent {
 			key = append(key, '~')
 		}
+		probed, hashed := s.VerifyStatsSnapshot().RunsProbed, hashutil.Compressions()
 		if _, err := Get(s, key); err != nil {
 			t.Fatal(err)
+		}
+		probed, hashed = s.VerifyStatsSnapshot().RunsProbed-probed, hashutil.Compressions()-hashed
+		switch {
+		case absent:
+			absentProofs += probed
+			absentCost += hashed
+		case probed > 0:
+			proved++
+			provedCost += hashed
 		}
 	}
 	after := s.VerifyStatsSnapshot()
@@ -112,9 +172,12 @@ func TestCostLedger(t *testing.T) {
 	row("get_runs_filtered", "%.4f", perGet(after.RunsFiltered-before.RunsFiltered))
 	row("get_runs_cached", "%.4f", perGet(after.RunsCached-before.RunsCached))
 	row("get_proof_bytes", "%.1f", perGet(after.ProofBytes-before.ProofBytes))
+	row("get_compressions_per_proved_get", "%.2f", float64(provedCost)/float64(proved))
+	row("absent_key_compressions_per_proof", "%.2f", float64(absentCost)/float64(absentProofs))
 
 	// 50-row Scans at seeded starts: one chunk each.
 	before = s.VerifyStatsSnapshot()
+	hashed := hashutil.Compressions()
 	for n := 0; n < ledgerScans; n++ {
 		lo := rng.Intn(ledgerKeys - ledgerScanRows)
 		rows, err := Scan(s, ledgerKey(lo), ledgerKey(lo+ledgerScanRows-1))
@@ -124,6 +187,7 @@ func TestCostLedger(t *testing.T) {
 	}
 	after = s.VerifyStatsSnapshot()
 	row("scan_chunk_proof_bytes", "%.1f", float64(after.ProofBytes-before.ProofBytes)/ledgerScans)
+	row("scan_chunk_compressions", "%.1f", float64(hashutil.Compressions()-hashed)/ledgerScans)
 
 	golden := filepath.Join("testdata", "cost_ledger.golden")
 	if *update {

@@ -90,6 +90,9 @@ func (l *authListener) OnGroupSynced(durable bool) {
 // NOT touch any staged transition seal — a concurrent job may be mid-install
 // with a live one; abandoned stagings are retracted by Abort instead.
 func (l *authListener) BeginJob(info lsm.CompactionInfo) lsm.Job {
+	if l.c.beginJob != nil {
+		l.c.beginJob(info)
+	}
 	// The inputs' trusted leaf counts and the trusted records streamed
 	// beside them bound the output's.
 	expect := info.TrustedRecords

@@ -47,7 +47,9 @@ type EmbeddedProof struct {
 	// newest version.
 	Newer []ChainEntry
 	// Inner is the hash-chain value over the same-key versions older than
-	// this record; zero when this record is the oldest version.
+	// this record; zero when this record is the oldest version. The chain
+	// value of the oldest version alone is its record digest, so a
+	// second-oldest record's Inner is the oldest one's digest.
 	Inner hashutil.Hash
 	// Path is the Merkle authentication path from the leaf to the run
 	// root.
@@ -147,14 +149,16 @@ func (v proofView) innerIsZero() bool { return hashutil.Hash(v.inner) == hashuti
 
 // reconstructLeaf recomputes the Merkle leaf hash that rec must hash to
 // under this proof: the record digest is chained with the older-version
-// inner hash, then with every newer-version header, then bound to the key.
+// inner hash, then with every newer-version header; the head is the leaf.
+// The newest version's digest binds the key. A record with a zero inner and
+// no newer headers is its own leaf: one record hash.
 func (v proofView) reconstructLeaf(rec record.Record) hashutil.Hash {
 	h := hashutil.ChainLink(rec.Ts, rec.Digest(), hashutil.Hash(v.inner))
 	for i, n := 0, v.numNewer(); i < n; i++ {
 		e := v.newerEntry(i)
 		h = hashutil.ChainLink(e.Ts, e.RecDigest, h)
 	}
-	return hashutil.LeafHash(rec.Key, h)
+	return h
 }
 
 // DecodeProof materializes a serialized proof. Verified reads do not call it
@@ -188,7 +192,7 @@ func (p *EmbeddedProof) ReconstructLeaf(rec record.Record) hashutil.Hash {
 	for _, e := range p.Newer {
 		h = hashutil.ChainLink(e.Ts, e.RecDigest, h)
 	}
-	return hashutil.LeafHash(rec.Key, h)
+	return h
 }
 
 // LeftSiblings extracts the left-side hashes of the path in bottom-up

@@ -68,7 +68,7 @@ func (b *refTreeBuilder) finishLeaf() {
 		b.pending[i].inner = inner
 		inner = hashutil.ChainLink(b.pending[i].ts, b.pending[i].dig, inner)
 	}
-	b.leaves = append(b.leaves, hashutil.LeafHash(b.curKey, inner))
+	b.leaves = append(b.leaves, inner) // the chain head is the leaf
 	if b.trackVer {
 		b.perLeaf = append(b.perLeaf, refLeaf{
 			key:      append([]byte(nil), b.curKey...),

@@ -82,6 +82,9 @@ type Config struct {
 	// after (copied true).
 	holdRebuild   func(runID uint64)
 	rebuildTamper func(view record.Record, copied bool)
+	// beginJob is a test-only observer of every maintenance job, called as
+	// the job begins: the cost ledger tells flushes from compactions by it.
+	beginJob func(lsm.CompactionInfo)
 }
 
 // engineOptions is the Config → lsm.Options pass-through the three Opens
@@ -284,6 +287,7 @@ type Store struct {
 	rebuildDone   sync.WaitGroup
 	holdRebuild   func(runID uint64)
 	rebuildTamper func(view record.Record, copied bool)
+	beginJob      func(lsm.CompactionInfo) // Config's
 }
 
 // VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
@@ -369,6 +373,7 @@ func Open(cfg Config) (*Store, error) {
 		measurement:     sgx.Measure([]byte("elsm-p2")),
 		holdRebuild:     cfg.holdRebuild,
 		rebuildTamper:   cfg.rebuildTamper,
+		beginJob:        cfg.beginJob,
 	}
 	c.snap.Store(&trustedView{digests: make(map[uint64]runDigest)})
 	c.sealKey = platform.SealingKey(c.measurement)
@@ -466,6 +471,8 @@ func stateFingerprint(st *trustedState) [32]byte {
 // WALAppends the durable frontier: recovery checks every group of the live
 // logs at the position it counts from WALBase, and finds the frontier met.
 type trustedState struct {
+	// Format is stateFormat; a blob of an earlier build carries none.
+	Format     int                  `json:"format"`
 	Digests    map[uint64]runDigest `json:"digests"`
 	WALBase    uint64               `json:"walBase"`
 	WALAppends uint64               `json:"walAppends"`
@@ -512,6 +519,7 @@ func (c *Store) commitState() error {
 	// counter bound to them would refuse recovery from a crash that
 	// (legitimately) tore them away.
 	st := trustedState{
+		Format:     stateFormat,
 		Digests:    c.snap.Load().digests, // consistent with the base: swaps hold mu
 		WALBase:    c.chain.base,
 		WALAppends: c.chain.durable,
@@ -614,11 +622,11 @@ func (c *Store) loadTrustedState() (*trustedState, error) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return nil, fmt.Errorf("%w: trusted state decode: %v", ErrAuthFailed, err)
 	}
-	if err := checkDigestFormat(st.Digests); err != nil {
+	if err := checkDigestFormat(st.Format, st.Digests); err != nil {
 		return nil, err
 	}
 	if p := st.Pending; p != nil {
-		if err := checkDigestFormat(p.Digests); err != nil {
+		if err := checkDigestFormat(st.Format, p.Digests); err != nil {
 			return nil, err
 		}
 	}
@@ -699,17 +707,27 @@ func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 	return replayed > 0, nil
 }
 
-// ErrOldStateFormat reports a sealed state or a checkpoint written before
-// each run's digest carried its level. Such a forest cannot be held to the
-// order a read visits the runs in, and its fingerprint hashes no levels, so
-// the store refuses it as a format it does not read, not as an attack.
+// ErrOldStateFormat reports a sealed state or a checkpoint of another
+// format: one whose run roots hash each leaf as a wrapper around its chain
+// head, or whose run digests carry no level. Such a forest cannot be held to
+// the runs on disk or to the order a read visits them in, so the store
+// refuses it as a format it does not read, not as an attack.
 var ErrOldStateFormat = errors.New("core: sealed state of an earlier format")
 
-// checkDigestFormat refuses a forest in which a run has no level: no run is
-// ever installed at level 0, so only the earlier format leaves one there.
-// The forest comes from a sealed blob or an attested checkpoint header, which
-// the host cannot forge.
-func checkDigestFormat(digests map[uint64]runDigest) error {
+// stateFormat is the format of the sealed state and the checkpoint header,
+// and so of the run roots they hold: a key's Merkle leaf is its version-chain
+// head (hashutil.LeafHash). Builds before it wrote no format, and their roots
+// hash every leaf under a key-binding wrapper.
+const stateFormat = 1
+
+// checkDigestFormat refuses a forest of another format, or one in which a
+// run has no level: no run is ever installed at level 0, so only a format
+// before levels leaves one there. The forest comes from a sealed blob or an
+// attested checkpoint header, which the host cannot forge.
+func checkDigestFormat(format int, digests map[uint64]runDigest) error {
+	if format != stateFormat {
+		return fmt.Errorf("%w: format %d, this build reads %d", ErrOldStateFormat, format, stateFormat)
+	}
 	for id, d := range digests {
 		if d.Level == 0 {
 			return fmt.Errorf("%w: run %d has no level", ErrOldStateFormat, id)

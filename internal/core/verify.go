@@ -211,13 +211,14 @@ type spanScratch struct {
 	chain  []chainLink
 }
 
-// foldChain hashes a key's version chain, links newest first, into its leaf.
-func foldChain(key []byte, chain []chainLink) hashutil.Hash {
+// foldChain hashes a key's version chain, links newest first, into its leaf:
+// the chain's head. A key of one version is its record digest.
+func foldChain(chain []chainLink) hashutil.Hash {
 	inner := hashutil.Zero
 	for i := len(chain) - 1; i >= 0; i-- {
 		inner = hashutil.ChainLink(chain[i].ts, chain[i].digest, inner)
 	}
-	return hashutil.LeafHash(key, inner)
+	return inner
 }
 
 // verifyRunScan checks a per-run range result for integrity and
@@ -254,7 +255,7 @@ func (v *verifier) verifyRunScan(start, end []byte, sp *runSpan, d runDigest, sc
 		}
 		if i > 0 {
 			if prev := &sp.rows[i-1]; !bytes.Equal(prev.Key, rec.Key) {
-				leaves = append(leaves, foldChain(prev.Key, chain))
+				leaves = append(leaves, foldChain(chain))
 				chain = chain[:0]
 			} else if prev.Ts <= rec.Ts {
 				return fmt.Errorf("%w: version order violated for %q", ErrForged, rec.Key)
@@ -262,7 +263,7 @@ func (v *verifier) verifyRunScan(start, end []byte, sp *runSpan, d runDigest, sc
 		}
 		chain = append(chain, chainLink{ts: rec.Ts, digest: rec.Digest()})
 	}
-	leaves = append(leaves, foldChain(sp.rows[len(sp.rows)-1].Key, chain))
+	leaves = append(leaves, foldChain(chain))
 	sc.leaves, sc.chain = leaves, chain // keep what they grew to
 
 	// The range proof is the embedded proofs of the first and last keys

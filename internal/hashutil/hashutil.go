@@ -5,6 +5,9 @@
 // Every hash is domain-separated with a one-byte tag so that, e.g., a Merkle
 // leaf can never be confused with an interior node or a WAL link — a standard
 // hardening against cross-context collision attacks on Merkle constructions.
+// A leaf is a key's version-chain head, and a chain's oldest link is the
+// oldest record's digest, so a leaf is either a record digest (tagRecord) or
+// a chain link (tagChain), and either is apart from a node (tagNode).
 //
 // Every construction has a fixed layout, so it writes its whole preimage into
 // one stack buffer and hands it to sum, the package's one SHA-256 front end.
@@ -20,6 +23,11 @@
 //
 // MACKey is HMAC-SHA256 on the same footing (the WAL group tags): its pad
 // blocks are compressed once per key, and a tag is the two blocks left.
+//
+// While a test turns it on (CountCompressions), the package counts the
+// 64-byte blocks it compresses. It counts each preimage's padded blocks as
+// the SHA-NI path compresses them (a MAC's pads once per key), on every
+// path, so a count is the same on any machine and under purego.
 package hashutil
 
 import (
@@ -28,6 +36,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
+	"sync/atomic"
 )
 
 // Size is the digest size in bytes.
@@ -51,7 +60,7 @@ func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 const (
 	tagRecord byte = iota + 1
 	tagChain
-	tagLeaf
+	tagLeaf // reserved: the leaf wrapper of earlier formats (see LeafHash)
 	tagNode
 	tagWAL
 	tagState
@@ -74,10 +83,36 @@ func paddedLen(n int) int { return (n + 9 + 63) &^ 63 }
 // initialState is SHA-256's initial hash value.
 var initialState = [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
 
+// counting turns the compression counter on; compressions is the counter.
+// Off, a hash pays one load and one untaken branch and writes nothing
+// shared: an atomic.Bool's Load is a plain load on amd64 and arm64, and
+// being atomic it lets a test flip it beside running stores.
+var (
+	counting     atomic.Bool
+	compressions atomic.Uint64
+)
+
+// CountCompressions turns the compression counter on or off. Tests use it:
+// the cost ledger counts what an operation hashes between two reads of
+// Compressions.
+func CountCompressions(on bool) { counting.Store(on) }
+
+// Compressions returns the number of 64-byte blocks compressed while
+// counting was on.
+func Compressions() uint64 { return compressions.Load() }
+
+// count adds the blocks of an n-byte preimage to the counter, if it is on.
+func count(n int) {
+	if counting.Load() {
+		compressions.Add(uint64(paddedLen(n) / 64))
+	}
+}
+
 // sum hashes buf[:n]. The rest of buf, at least up to paddedLen(n), must be
 // zero: with SHA-NI, sum writes the padding there and compresses every block
 // in one blockSHANI call.
 func sum(buf []byte, n int) Hash {
+	count(n)
 	if !useSHANI {
 		return sha256.Sum256(buf[:n])
 	}
@@ -122,6 +157,9 @@ func NewMACKey(key []byte) *MACKey {
 		key = h[:]
 	}
 	k := new(MACKey)
+	if counting.Load() {
+		compressions.Add(2) // the pad blocks
+	}
 	for i, b := range [2]byte{0x36, 0x5c} {
 		copy(k.pad[i][:], key)
 		for j := range k.pad[i] {
@@ -149,6 +187,7 @@ func (k *MACKey) Sum(msg []byte) Hash {
 
 // half hashes pad i followed by buf[:n]; buf past n is zero.
 func (k *MACKey) half(i int, buf []byte, n int) Hash {
+	count(n)
 	if useSHANI {
 		return finish(k.mid[i], buf, n, 64)
 	}
@@ -177,7 +216,17 @@ func RecordDigest(kind byte, key []byte, ts uint64, value []byte) Hash {
 // oldest record innermost, so presenting any stale version forces the prover
 // to reveal the headers (ts, digest) of every newer version — which is how
 // the enclave detects freshness violations (§5.3.1 Case 1).
+//
+// The oldest link is the oldest record's digest itself: ChainLink(ts, d,
+// Zero) = d, no hash. The digest already binds the record's key, ts, kind and
+// value, and its tag keeps it apart from every link over a non-zero inner, so
+// a chain of one version costs its record hash alone. A claim that a record
+// is the oldest (a zero inner) thus yields its bare digest, which is not the
+// head of any longer chain.
 func ChainLink(ts uint64, recDigest Hash, inner Hash) Hash {
+	if inner == Zero {
+		return recDigest
+	}
 	const n = 9 + 2*Size
 	var buf [128]byte
 	buf[0] = tagChain
@@ -187,15 +236,13 @@ func ChainLink(ts uint64, recDigest Hash, inner Hash) Hash {
 	return sum(buf[:], n)
 }
 
-// LeafHash wraps a completed version chain (or single-record digest) as a
-// Merkle leaf, binding the user key so non-membership proofs can compare
-// keys: H(tag ‖ len(k) ‖ k ‖ chainHead).
-func LeafHash(key []byte, chainHead Hash) Hash {
-	var hdr [5]byte
-	hdr[0] = tagLeaf
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(key)))
-	return sum4(hdr[:], key, chainHead[:], nil)
-}
+// LeafHash is a key's Merkle leaf: its version chain's head, unchanged. The
+// head binds the key through the newest version's record digest, and the
+// record and chain tags keep every leaf apart from an interior node, so no
+// wrapper hash is needed; the function stays as the name of the leaf
+// construction for callers that spell it out (the benchmark's replays).
+// tagLeaf, the wrapper's tag in earlier formats, stays reserved.
+func LeafHash(key []byte, chainHead Hash) Hash { return chainHead }
 
 // NodeHash combines two Merkle children: H(tag ‖ left ‖ right).
 func NodeHash(left, right Hash) Hash {
@@ -239,6 +286,7 @@ func sum4(a, b, c, d []byte) Hash {
 		var buf [stackPadded]byte
 		return sum(buf[:], fill4(buf[:], a, b, c, d))
 	}
+	count(len(a) + len(b) + len(c) + len(d))
 	h := sha256.New()
 	h.Write(a)
 	h.Write(b)
@@ -280,9 +328,14 @@ func StateFingerprint(runs []RunRoot, walBase, walAppends, epoch uint64) Hash {
 	}
 	buf = binary.BigEndian.AppendUint64(buf, walBase)
 	buf = binary.BigEndian.AppendUint64(buf, walAppends)
-	return sha256.Sum256(binary.BigEndian.AppendUint64(buf, epoch))
+	buf = binary.BigEndian.AppendUint64(buf, epoch)
+	count(len(buf))
+	return sha256.Sum256(buf)
 }
 
 // Of hashes arbitrary bytes with no tag. Prefer the tagged helpers; this is
 // for non-protocol uses (test fixtures, content addressing).
-func Of(data []byte) Hash { return sha256.Sum256(data) }
+func Of(data []byte) Hash {
+	count(len(data))
+	return sha256.Sum256(data)
+}

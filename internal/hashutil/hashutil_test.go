@@ -10,16 +10,22 @@ import (
 	"testing/quick"
 )
 
+// TestDomainSeparation: the same raw bytes under different constructions
+// never collide — a record digest, a chain link over a non-zero inner, a
+// Merkle node and a WAL link. A leaf is a chain head and the oldest link is
+// its record digest, so these four are every hash a run's tree or a log
+// holds.
 func TestDomainSeparation(t *testing.T) {
-	// The same raw bytes under different constructions must never collide.
 	key := []byte("k")
 	var h Hash
 	rec := RecordDigest(1, key, 1, []byte("v"))
-	leaf := LeafHash(key, rec)
-	chain := ChainLink(1, rec, Zero)
+	if ChainLink(1, rec, Zero) != rec || LeafHash(key, rec) != rec {
+		t.Fatal("the oldest link and the leaf must be the record digest")
+	}
+	chain := ChainLink(2, rec, rec)
 	node := NodeHash(rec, rec)
 	walLink := WALLink(Zero, 1, key, 1, []byte("v"))
-	all := []Hash{rec, leaf, chain, node, walLink}
+	all := []Hash{rec, chain, node, walLink}
 	for i := range all {
 		if all[i] == h {
 			t.Fatalf("hash %d is zero", i)
@@ -129,13 +135,15 @@ func TestPreimagesUnchanged(t *testing.T) {
 				t.Fatalf("WALLink(k=%d, v=%d) changed", klen, vlen)
 			}
 		}
-		key := fill(klen)
-		if got, want := LeafHash(key, a), streamed([]byte{tagLeaf}, be32(uint32(klen)), key, a[:]); got != want {
-			t.Fatalf("LeafHash(k=%d) changed", klen)
+		if got := LeafHash(fill(klen), a); got != a {
+			t.Fatalf("LeafHash(k=%d) is not its chain head", klen)
 		}
 	}
 	if got, want := ChainLink(7, a, b), streamed([]byte{tagChain}, be64(7), a[:], b[:]); got != want {
 		t.Fatal("ChainLink changed")
+	}
+	if got := ChainLink(7, a, Zero); got != a {
+		t.Fatal("the oldest link is not its record digest")
 	}
 	if got, want := NodeHash(a, b), streamed([]byte{tagNode}, a[:], b[:]); got != want {
 		t.Fatal("NodeHash changed")
@@ -174,10 +182,14 @@ func checkAgainstStreamed(t *testing.T, key, val []byte, ts uint64, kind byte, a
 	if got, want := WALLink(a, kind, key, ts, val), streamed([]byte{tagWAL, kind}, a[:], klen, key, be64(ts), val); got != want {
 		t.Fatalf("WALLink(k=%d, v=%d) = %v, want %v", len(key), len(val), got, want)
 	}
-	if got, want := LeafHash(key, a), streamed([]byte{tagLeaf}, klen, key, a[:]); got != want {
-		t.Fatalf("LeafHash(k=%d) = %v, want %v", len(key), got, want)
+	if got := LeafHash(key, a); got != a {
+		t.Fatalf("LeafHash(k=%d) = %v, want its chain head %v", len(key), got, a)
 	}
-	if got, want := ChainLink(ts, a, b), streamed([]byte{tagChain}, be64(ts), a[:], b[:]); got != want {
+	want := a // the oldest link: the record digest
+	if b != Zero {
+		want = streamed([]byte{tagChain}, be64(ts), a[:], b[:])
+	}
+	if got := ChainLink(ts, a, b); got != want {
 		t.Fatalf("ChainLink = %v, want %v", got, want)
 	}
 	if got, want := NodeHash(a, b), streamed([]byte{tagNode}, a[:], b[:]); got != want {
@@ -224,12 +236,48 @@ func FuzzHashPrimitives(f *testing.F) {
 	f.Add([]byte("k"), []byte("v"), uint64(1), byte(1), []byte("a"), []byte("b"))
 	f.Add(make([]byte, 90), make([]byte, 300), uint64(1)<<63, byte(2), make([]byte, Size), []byte{})
 	f.Add([]byte{}, make([]byte, stackPreimage-14), ^uint64(0), byte(0), []byte{0xff}, make([]byte, 40))
+	f.Add([]byte("k"), []byte("v"), uint64(9), byte(1), []byte("a"), []byte("b")[:0])
 	f.Fuzz(func(t *testing.T, key, val []byte, ts uint64, kind byte, ab, bb []byte) {
 		var a, b Hash
 		copy(a[:], ab)
 		copy(b[:], bb)
 		checkAgainstStreamed(t, key, val, ts, kind, a, b)
 	})
+}
+
+// TestCompressionCount pins what each construction costs in compressed
+// blocks, and that nothing is counted while counting is off.
+func TestCompressionCount(t *testing.T) {
+	d := RecordDigest(1, []byte("k"), 1, make([]byte, 100)) // 5+1+9+100 bytes
+	k := NewMACKey([]byte("key"))
+	cases := []struct {
+		name string
+		hash func()
+		want uint64
+	}{
+		{"record of 115 bytes", func() { RecordDigest(1, []byte("k"), 1, make([]byte, 100)) }, 2},
+		{"record of 1 015 bytes", func() { RecordDigest(1, []byte("k"), 1, make([]byte, 1000)) }, 16},
+		{"oldest chain link", func() { ChainLink(1, d, Zero) }, 0},
+		{"chain link", func() { ChainLink(1, d, d) }, 2},
+		{"leaf", func() { LeafHash([]byte("k"), d) }, 0},
+		{"node", func() { NodeHash(d, d) }, 2},
+		{"MAC key", func() { NewMACKey([]byte("key")) }, 2},
+		{"MAC tag", func() { k.Sum(make([]byte, 40)) }, 2},
+		{"fingerprint of one run", func() { StateFingerprint([]RunRoot{{ID: 1, Root: d}}, 0, 0, 0) }, 2},
+	}
+	for _, c := range cases {
+		before := Compressions()
+		c.hash()
+		if got := Compressions() - before; got != 0 {
+			t.Fatalf("%s: %d blocks counted while counting is off", c.name, got)
+		}
+		CountCompressions(true)
+		c.hash()
+		CountCompressions(false)
+		if got := Compressions() - before; got != c.want {
+			t.Errorf("%s: %d blocks, want %d", c.name, got, c.want)
+		}
+	}
 }
 
 var sinkHash Hash

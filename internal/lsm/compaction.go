@@ -120,7 +120,7 @@ func (s *Store) runPlan(p *jobPlan) error {
 	// published version still lists. Either way the job then drops its
 	// reference on the run it built, which deletes the run's files unless a
 	// version lists it.
-	defer s.releaseRun(newRun)
+	defer s.releaseRunRefs([]*run{newRun})
 	if p.place != nil {
 		p.place(newRun)
 	}
@@ -872,8 +872,11 @@ func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, pr
 
 // removeFiles closes and deletes table files (guarded by fileMu, not s.mu:
 // by the time a run's files are removed, no version and no pin references
-// it).
+// it), and drops their blocks from the cache in one call.
 func (s *Store) removeFiles(fileNums []uint64) {
+	if s.opts.Cache != nil {
+		s.opts.Cache.DropFiles(fileNums...)
+	}
 	for _, fn := range fileNums {
 		s.fileMu.Lock()
 		of, ok := s.files[fn]
@@ -881,9 +884,6 @@ func (s *Store) removeFiles(fileNums []uint64) {
 		s.fileMu.Unlock()
 		if !ok {
 			continue
-		}
-		if s.opts.Cache != nil {
-			s.opts.Cache.DropFile(fn)
 		}
 		if of.metaRegion != nil {
 			of.metaRegion.Free()

@@ -84,9 +84,8 @@ type run struct {
 	refs    atomic.Int32
 }
 
-// fileNums lists the run's table file numbers.
-func (r *run) fileNums() []uint64 {
-	nums := make([]uint64, 0, len(r.tables))
+// appendFileNums appends the run's table file numbers to nums.
+func (r *run) appendFileNums(nums []uint64) []uint64 {
 	for _, th := range r.tables {
 		nums = append(nums, th.meta.FileNum)
 	}
@@ -752,18 +751,16 @@ func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 // Run reference counting
 
 // releaseRunRefs drops one reference from each run, deleting the files of
-// those it leaves at zero. Must be called without s.mu.
+// those it leaves at zero in one removal. Must be called without s.mu.
 func (s *Store) releaseRunRefs(runs []*run) {
+	var dead []uint64
 	for _, r := range runs {
-		s.releaseRun(r)
+		if r.refs.Add(-1) == 0 {
+			dead = r.appendFileNums(dead)
+		}
 	}
-}
-
-// releaseRun drops one reference from r, deleting its files at zero. Must
-// be called without s.mu.
-func (s *Store) releaseRun(r *run) {
-	if r.refs.Add(-1) == 0 {
-		s.removeFiles(r.fileNums())
+	if len(dead) > 0 {
+		s.removeFiles(dead)
 	}
 }
 

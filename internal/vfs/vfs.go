@@ -167,10 +167,72 @@ func NewMem() *MemFS {
 	return &MemFS{files: make(map[string]*memFile)}
 }
 
+// memChunk is the size of the chunks a MemFS file grows by once its first
+// write has landed.
+const memChunk = 64 << 10
+
+// memFile is a MemFS file's bytes, held in chunks so that a growing file (a
+// log) fills fixed chunks and never copies what it holds. The first chunk is
+// the first write, of its length (for a clone or a flattened file, the whole
+// file), so a file written by one Append (an SSTable, a sealed blob) is one
+// slice; every later chunk holds memChunk bytes. Every chunk but the last is full (len == cap), so an
+// offset names its chunk by arithmetic (locate).
 type memFile struct {
-	mu   sync.RWMutex
-	name string
-	data []byte
+	mu     sync.RWMutex
+	name   string
+	chunks [][]byte
+	size   int64
+}
+
+// locate returns the chunk holding byte off and off's place in it. The file
+// must hold a chunk.
+func (f *memFile) locate(off int64) (int, int) {
+	first := int64(cap(f.chunks[0]))
+	if off < first {
+		return 0, int(off)
+	}
+	off -= first
+	return 1 + int(off/memChunk), int(off % memChunk)
+}
+
+// extend adds n bytes at the end of the file: p's, or zeros if p is nil.
+func (f *memFile) extend(p []byte, n int) {
+	if n == 0 {
+		return
+	}
+	if len(f.chunks) == 0 {
+		c := make([]byte, n)
+		copy(c, p)
+		f.chunks, f.size = [][]byte{c}, int64(n)
+		return
+	}
+	for n > 0 {
+		last := len(f.chunks) - 1
+		c := f.chunks[last]
+		if len(c) == cap(c) {
+			f.chunks = append(f.chunks, make([]byte, 0, memChunk))
+			continue
+		}
+		k := min(n, cap(c)-len(c))
+		tail := c[len(c) : len(c)+k]
+		if p != nil {
+			p = p[copy(tail, p):]
+		} else {
+			clear(tail) // a truncated tail may still hold old bytes
+		}
+		f.chunks[last] = c[:len(c)+k]
+		f.size += int64(k)
+		n -= k
+	}
+}
+
+// flatten copies the file's bytes into one new slice.
+func (f *memFile) flatten() []byte {
+	out := make([]byte, 0, f.size)
+	for _, c := range f.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 type memHandle struct {
@@ -253,7 +315,7 @@ func (fs *MemFS) TotalBytes() int64 {
 	var total int64
 	for _, f := range fs.files {
 		f.mu.RLock()
-		total += int64(len(f.data))
+		total += f.size
 		f.mu.RUnlock()
 	}
 	return total
@@ -270,25 +332,29 @@ func (fs *MemFS) Corrupt(name string, off int64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < 0 || off >= int64(len(f.data)) {
-		return fmt.Errorf("vfs: corrupt offset %d out of range [0,%d)", off, len(f.data))
+	if off < 0 || off >= f.size {
+		return fmt.Errorf("vfs: corrupt offset %d out of range [0,%d)", off, f.size)
 	}
-	f.data[off] ^= 0xFF
+	i, at := f.locate(off)
+	f.chunks[i][at] ^= 0xFF
 	return nil
 }
 
 // Clone returns a deep copy of the file system — the primitive a rollback
-// attacker uses to snapshot an old (but authenticated) state.
+// attacker uses to snapshot an old (but authenticated) state. Each copied
+// file is one slice.
 func (fs *MemFS) Clone() *MemFS {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	out := NewMem()
 	for n, f := range fs.files {
+		cp := &memFile{name: n}
 		f.mu.RLock()
-		cp := make([]byte, len(f.data))
-		copy(cp, f.data)
+		if f.size > 0 {
+			cp.chunks, cp.size = [][]byte{f.flatten()}, f.size
+		}
 		f.mu.RUnlock()
-		out.files[n] = &memFile{name: n, data: cp}
+		out.files[n] = cp
 	}
 	return out
 }
@@ -303,25 +369,39 @@ func (fs *MemFS) Restore(snapshot *MemFS) {
 }
 
 func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	end := off + int64(len(p))
-	if int64(len(h.f.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, h.f.data)
-		h.f.data = grown
+	if off < 0 {
+		return 0, fmt.Errorf("vfs: write at negative offset %d", off)
 	}
-	copy(h.f.data[off:end], p)
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if end := off + int64(len(p)); end > f.size {
+		f.extend(nil, int(end-f.size))
+	}
+	i, at := f.locate(off)
+	for n := 0; n < len(p); i, at = i+1, 0 {
+		n += copy(f.chunks[i][at:], p[n:])
+	}
 	return len(p), nil
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
-	h.f.mu.RLock()
-	defer h.f.mu.RUnlock()
-	if off >= int64(len(h.f.data)) {
+	if off < 0 {
+		return 0, fmt.Errorf("vfs: read at negative offset %d", off)
+	}
+	f := h.f
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if off >= f.size {
 		return 0, io.EOF
 	}
-	n := copy(p, h.f.data[off:])
+	n := 0
+	for i, at := f.locate(off); n < len(p) && i < len(f.chunks); i, at = i+1, 0 {
+		n += copy(p[n:], f.chunks[i][at:])
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -331,37 +411,55 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 func (h *memHandle) Append(p []byte) (int, error) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	h.f.data = append(h.f.data, p...)
+	h.f.extend(p, len(p))
 	return len(p), nil
 }
 
 func (h *memHandle) Size() int64 {
 	h.f.mu.RLock()
 	defer h.f.mu.RUnlock()
-	return int64(len(h.f.data))
+	return h.f.size
 }
 
 // Bytes returns the live backing slice: the mmap view. Callers must treat it
-// as read-only, like a real shared mapping.
+// as read-only, like a real shared mapping. A file written by one Append is
+// one chunk and its view costs nothing; a file that grew by several (a log)
+// is first copied into one chunk, which later views share.
 func (h *memHandle) Bytes() []byte {
-	h.f.mu.RLock()
-	defer h.f.mu.RUnlock()
-	return h.f.data
+	f := h.f
+	f.mu.RLock()
+	if len(f.chunks) <= 1 {
+		defer f.mu.RUnlock()
+		if len(f.chunks) == 0 {
+			return nil
+		}
+		return f.chunks[0]
+	}
+	f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.chunks) > 1 {
+		f.chunks = [][]byte{f.flatten()}
+	}
+	return f.chunks[0]
 }
 
 func (h *memHandle) Truncate(size int64) error {
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	if size < 0 {
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case size < 0:
 		return fmt.Errorf("vfs: truncate to negative size %d", size)
+	case size >= f.size:
+		f.extend(nil, int(size-f.size))
+	default:
+		i, at := f.locate(size)
+		clear(f.chunks[i+1:])
+		f.chunks = f.chunks[:i+1]
+		f.chunks[i] = f.chunks[i][:at]
+		f.size = size
 	}
-	if size <= int64(len(h.f.data)) {
-		h.f.data = h.f.data[:size]
-		return nil
-	}
-	grown := make([]byte, size)
-	copy(grown, h.f.data)
-	h.f.data = grown
 	return nil
 }
 

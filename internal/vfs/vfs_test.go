@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -319,5 +320,134 @@ func TestWriteFileCrashLeavesOldOrNew(t *testing.T) {
 			}
 			return
 		}
+	}
+}
+
+// TestMemChunkEdges holds a MemFS file, which grows in memChunk chunks after
+// its first write, to a plain byte slice under appends, positional writes,
+// truncations, corruptions and clones that start, end or straddle a chunk
+// edge, and reads every edge back.
+func TestMemChunkEdges(t *testing.T) {
+	fs := NewMem()
+	f, err := fs.Create("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model []byte
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	const first = 100 // the first chunk: the first write's length
+	edge := func(i int) int64 { return int64(first + i*memChunk) }
+	check := func(step string) {
+		t.Helper()
+		if f.Size() != int64(len(model)) {
+			t.Fatalf("%s: size %d, want %d", step, f.Size(), len(model))
+		}
+		for i := -1; i <= len(model)/memChunk+1; i++ {
+			for _, off := range []int64{edge(i) - 3, edge(i) - 1, edge(i), edge(i) + 1} {
+				if off < 0 || off > int64(len(model)) {
+					continue
+				}
+				got := make([]byte, 7)
+				n, err := f.ReadAt(got, off)
+				want := model[off:min(off+7, int64(len(model)))]
+				if n != len(want) || !bytes.Equal(got[:n], want) || (n < 7) != (err == io.EOF) {
+					t.Fatalf("%s: ReadAt(%d) = %d %q, %v; want %q", step, off, n, got[:n], err, want)
+				}
+			}
+		}
+		cp := fs.Clone()
+		g, err := cp.Open("log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), model) {
+			t.Fatalf("%s: the clone differs", step)
+		}
+	}
+	f.Append(fill(first, 'a'))
+	model = append(model, fill(first, 'a')...)
+	check("first write")
+	for i, n := range []int{memChunk - 1, 1, 1, memChunk, 2*memChunk + 5} {
+		f.Append(fill(n, byte('b'+i)))
+		model = append(model, fill(n, byte('b'+i))...)
+		check(fmt.Sprintf("append %d", n))
+	}
+	for _, w := range []struct{ off, n int64 }{
+		{edge(0) - 2, 4}, {edge(1) - 1, memChunk + 2}, {edge(0), 1}, {int64(len(model)) - 1, 3}, {int64(len(model)) + 10, 5},
+	} {
+		p := fill(int(w.n), 'W')
+		if end := w.off + w.n; end > int64(len(model)) {
+			model = append(model, make([]byte, end-int64(len(model)))...)
+		}
+		copy(model[w.off:], p)
+		if _, err := f.WriteAt(p, w.off); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("WriteAt(%d, %d bytes)", w.off, w.n))
+	}
+	for _, off := range []int64{edge(0) - 1, edge(0), edge(2)} {
+		if err := fs.Corrupt("log", off); err != nil {
+			t.Fatal(err)
+		}
+		model[off] ^= 0xFF
+		check(fmt.Sprintf("Corrupt(%d)", off))
+	}
+	// Shrink onto an edge and into a chunk; grow again: the bytes past a
+	// shrink read back as zeros, not as what they held.
+	for _, size := range []int64{edge(2), edge(1) + 7, edge(1) + 7 + memChunk/2, edge(0) - 1, 0, 3 * memChunk} {
+		if err := f.Truncate(size); err != nil {
+			t.Fatal(err)
+		}
+		if size <= int64(len(model)) {
+			model = model[:size:size]
+		} else {
+			model = append(model, make([]byte, size-int64(len(model)))...)
+		}
+		check(fmt.Sprintf("Truncate(%d)", size))
+	}
+	f.Append(fill(memChunk, 'z'))
+	model = append(model, fill(memChunk, 'z')...)
+	check("append after the truncations")
+	if !bytes.Equal(f.Bytes(), model) {
+		t.Fatal("Bytes differs from the file")
+	}
+}
+
+// TestMemOneAppendIsOneSlice: a file written by one Append — an SSTable, a
+// sealed blob — is one slice however long, so its view costs no copy and no
+// allocation; a file grown by many appends costs one copy at its first view
+// and none after.
+func TestMemOneAppendIsOneSlice(t *testing.T) {
+	fs := NewMem()
+	for _, n := range []int{1, memChunk, 5*memChunk + 3} {
+		f, err := fs.Create("table")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte{7}, n)
+		f.Append(data)
+		view := f.Bytes()
+		if allocs := testing.AllocsPerRun(10, func() { view = f.Bytes() }); allocs != 0 {
+			t.Fatalf("%d bytes in one Append: a view allocates %.0f times", n, allocs)
+		}
+		if !bytes.Equal(view, data) || &view[0] != &f.Bytes()[0] {
+			t.Fatalf("%d bytes in one Append: the view is not the file's one slice", n)
+		}
+	}
+	f, err := fs.Create("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := 0; i < 3*memChunk/1000; i++ {
+		rec := bytes.Repeat([]byte{byte(i)}, 1000)
+		f.Append(rec)
+		want = append(want, rec...)
+	}
+	if view := f.Bytes(); !bytes.Equal(view, want) || &view[0] != &f.Bytes()[0] {
+		t.Fatal("a grown file's view is not kept as its one slice")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { f.Bytes() }); allocs != 0 {
+		t.Fatalf("a grown file's second view allocates %.0f times", allocs)
 	}
 }
