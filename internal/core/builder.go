@@ -475,7 +475,7 @@ type outputTree struct {
 	blockSize   int
 	recordBytes int
 	// filter is the Bloom filter over the run's keys (keyFilter), built at
-	// finish in memory of its own: the run's trusted view keeps it after the
+	// finish in memory of its own: the run's trustedRun keeps it after the
 	// hasher goes back to its pool.
 	filter bloom.Filter
 

@@ -158,7 +158,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 	src, err := c.engine.CaptureCheckpoint(func() error {
 		c.mu.Lock()
 		// The pipeline is drained: the durable frontier IS the tip.
-		digs = c.snap.Load().digests
+		digs = c.digests
 		ch = walChain{key: c.chain.key, seek: []walSeek{{base: c.chain.base, frontier: c.chain.durable}}}
 		epoch = c.epoch.Load()
 		c.mu.Unlock()

@@ -11,39 +11,48 @@ import (
 	"elsm/internal/sgx"
 )
 
+// trustedRun is what the enclave trusts about one run, and it travels with
+// the run: Installed returns it for the run it installs, recovery attaches it
+// to each run it opened (lsm.SetRunTrust), and every version listing the run
+// carries it (lsm.RunRef.Trust), so a reader gets the runs it pinned and
+// their trusted state in one load. The digest never changes. The key filter
+// is published into the struct in place, once — by Installed, or by the
+// rebuild for a recovered run — and is derived state: never sealed, and a
+// run without one is read through its proofs alone.
+type trustedRun struct {
+	digest runDigest
+	filter atomic.Pointer[runFilter]
+}
+
 // runFilter is the Bloom filter the enclave built over one run's keys, as it
 // hashed them into the run's Merkle tree (outputTree.keyFilter), and the
-// enclave region its bytes are charged to while the run is in the view.
+// enclave region its bytes are charged to while the run is live.
 type runFilter struct {
 	keys bloom.Filter
 	mem  *sgx.Region
 }
 
 // excludes reports whether the filter rules out of the run the key whose
-// keyHash is kh. The zero runFilter — a run with no filter — rules nothing
-// out.
-func (f runFilter) excludes(kh uint64) bool {
-	return f.keys != nil && !f.keys.MayContainHash(kh)
+// keyHash is kh. A nil runFilter — a run with no filter — rules nothing out.
+func (f *runFilter) excludes(kh uint64) bool {
+	return f != nil && !f.keys.MayContainHash(kh)
 }
 
-// withFilters returns a copy of the view's filters without those of the
-// runs in drop, whose regions it frees, and with f for run id, charged to
-// the enclave, unless f is nil. Caller holds c.mu and publishes the result.
-func (c *Store) withFilters(tv *trustedView, drop []uint64, id uint64, f bloom.Filter) map[uint64]runFilter {
-	out := make(map[uint64]runFilter, len(tv.filters)+1)
-	for rid, rf := range tv.filters {
-		out[rid] = rf
-	}
-	for _, rid := range drop {
-		if rf, ok := out[rid]; ok {
-			rf.mem.Free()
-			delete(out, rid)
-		}
-	}
+// setFilter publishes f, unless it is nil, as the run's key filter, charged
+// to the enclave. Caller holds c.mu, and the run is in c.trusted or is being
+// installed: retire frees the charge once the run leaves it.
+func (tr *trustedRun) setFilter(e *sgx.Enclave, f bloom.Filter) {
 	if f != nil {
-		out[id] = runFilter{keys: f, mem: c.enclave.Alloc(len(f))}
+		tr.filter.Store(&runFilter{keys: f, mem: e.Alloc(len(f))})
 	}
-	return out
+}
+
+// retire frees the charge of the run's filter, as the run leaves c.trusted.
+// Readers of the versions that still list the run keep using its bytes.
+func (tr *trustedRun) retire() {
+	if f := tr.filter.Load(); f != nil {
+		f.mem.Free()
+	}
 }
 
 // startFilterRebuild starts, off the request path, one verified pass per run
@@ -82,10 +91,6 @@ func (c *Store) stopFilterRebuild() {
 // and the run is still live. Otherwise — the host changed the run's bytes,
 // a compaction replaced it, the store is closing — it publishes nothing.
 func (c *Store) rebuildFilter(id uint64) {
-	want, ok := c.snapshotDigests()[id]
-	if !ok || want.NumLeaves == 0 {
-		return
-	}
 	var snap lsm.Snapshot
 	c.engine.AcquireSnapshotInto(&snap, false)
 	defer snap.Release()
@@ -93,21 +98,23 @@ func (c *Store) rebuildFilter(id uint64) {
 	if snap.Err() != nil || i < 0 {
 		return
 	}
-	h, err := replayRun(&snap, i, id, want.NumLeaves, &c.rebuildStop, c.rebuildTamper)
+	tr, _ := snap.Runs()[i].Trust.(*trustedRun)
+	if tr == nil || tr.digest.NumLeaves == 0 {
+		return
+	}
+	h, err := replayRun(&snap, i, id, tr.digest.NumLeaves, &c.rebuildStop, c.rebuildTamper)
 	if err != nil {
 		return
 	}
 	defer h.release()
-	if !h.inputs[0].matches(want) {
+	if !h.inputs[0].matches(tr.digest) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	tv := c.snap.Load()
-	if tv.digests[id] != want {
-		return // compacted away while the pass ran
+	if c.trusted[id] == tr { // not compacted away while the pass ran
+		tr.setFilter(c.enclave, h.out.filter)
 	}
-	c.snap.Store(&trustedView{digests: tv.digests, filters: c.withFilters(tv, nil, id, h.out.filter), prev: tv.prev})
 }
 
 var errReplayStopped = errors.New("core: run replay stopped")

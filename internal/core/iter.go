@@ -20,8 +20,8 @@ const DefaultIterChunkKeys = 512
 //
 // Every chunk observes the same pinned view: an iterator (and a Scan
 // rebased on it) IS a point-in-time observation — the stream pins the
-// store's run set, memtable view and (on eLSM-P2) digest forest for its
-// lifetime, so writes committed mid-iteration never appear in later chunks
+// store's run set (on eLSM-P2, with the runs' trusted digests) and memtable
+// view for its lifetime, so writes committed mid-iteration never appear in later chunks
 // and background prefetch cannot tear the stream across a version install.
 // Iterators must be Closed to release those pins.
 //

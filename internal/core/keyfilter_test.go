@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +19,23 @@ import (
 	"elsm/internal/vfs"
 )
 
-// runFilterOf returns the key filter the store's trusted view holds for run
+// runFilterOf returns the key filter the store's trusted state holds for run
 // id, nil if it holds none.
-func runFilterOf(s *Store, id uint64) bloom.Filter { return s.snap.Load().filters[id].keys }
+func runFilterOf(s *Store, id uint64) bloom.Filter { return liveFilters(s)[id] }
+
+// liveFilters returns the key filter of every run in the store's trusted
+// state that has one, by run ID.
+func liveFilters(s *Store) map[uint64]bloom.Filter {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[uint64]bloom.Filter)
+	for id, tr := range s.trusted {
+		if f := tr.filter.Load(); f != nil {
+			out[id] = f.keys
+		}
+	}
+	return out
+}
 
 // reopenWith closes s and opens its files again with the same root of trust
 // under cfg, which names the files s was opened on.
@@ -223,16 +238,16 @@ func cycledStore(t *testing.T, cfg Config) *Store {
 func checkEnclaveBytes(t *testing.T, s *Store) {
 	t.Helper()
 	fixed := merkle.NodeCacheBytes + recordCacheBytes + scanScratchSlots*scanScratchBytes + readScratchSlots*readScratchBytes
-	tv := s.snap.Load()
+	live := liveFilters(s)
 	filters := 0
-	for id, f := range tv.filters {
-		if _, live := tv.digests[id]; !live {
-			t.Errorf("run %d has a filter but no digest", id)
+	for id, f := range live {
+		if !slices.ContainsFunc(s.Engine().Runs(), func(r lsm.RunRef) bool { return r.ID == id }) {
+			t.Errorf("run %d has a filter but is not live", id)
 		}
-		filters += len(f.keys)
+		filters += len(f)
 	}
 	for _, r := range s.Engine().Runs() {
-		if len(tv.filters[r.ID].keys) == 0 {
+		if len(live[r.ID]) == 0 {
 			t.Errorf("live run %d has no filter", r.ID)
 		}
 	}
@@ -259,8 +274,8 @@ func TestReopenRebuildsFilters(t *testing.T) {
 	cfg := smallCfg(fs)
 	s := cycledStore(t, cfg)
 	want := map[uint64]string{}
-	for id, f := range s.snap.Load().filters {
-		want[id] = string(f.keys)
+	for id, f := range liveFilters(s) {
+		want[id] = string(f)
 	}
 	s = reopenWith(t, s, cfg)
 	defer s.Close()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"elsm/internal/lsm"
 	"elsm/internal/record"
@@ -186,10 +187,7 @@ func (j *compactionJob) Verify(level int) error {
 	// Current, after it the directory matches Pending. Without this the
 	// window between the manifest rename and the post-install seal bricks
 	// the store as a false rollback.
-	next := make(map[uint64]runDigest, len(digs)+1)
-	for id, d := range digs {
-		next[id] = d
-	}
+	next := maps.Clone(digs)
 	for _, id := range info.InputRuns {
 		delete(next, id)
 	}
@@ -237,32 +235,33 @@ func checkOutputRun(digs, next map[uint64]runDigest, id uint64, level int) error
 	return nil
 }
 
-// Installed commits the staged digests: input runs are forgotten and their
+// Installed commits the staged state: input runs are forgotten and their
 // key filters freed, the output run's digest and key filter take effect,
 // and the base of the live logs moves past a flush's deleted frozen logs in
-// the SAME c.mu critical section — one copy-on-write snapshot swap, atomic
-// so a concurrent commit leader's periodic seal always pairs the forest with
-// the logs it leaves live. The engine publishes the matching read version
-// right after, under the same engine lock; until it does, readers pin the
-// version before it, whose forest the new view keeps as prev.
-func (j *compactionJob) Installed() {
+// the SAME c.mu critical section, so a concurrent commit leader's periodic
+// seal always pairs the forest with the logs it leaves live. It returns the
+// output run's trustedRun, which the version the engine publishes right
+// after carries: readers see the new run and its trusted state together.
+func (j *compactionJob) Installed() any {
 	c := j.c
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.chain.base = c.pendingSeal.WALBase
 	// The forest Verify staged IS the post-install forest: installs are
 	// serialized from Verify on, so nothing changed the digests in between,
 	// and what the transition seal promised is exactly what takes effect.
 	// The install is durable, so the staging is no longer needed — Committed
 	// reseals with the new state as Current.
-	tv := c.snap.Load()
-	c.snap.Store(&trustedView{
-		digests: c.pendingSeal.Digests,
-		filters: c.withFilters(tv, j.info.InputRuns, j.info.OutputRun, j.parts[0].out.filter),
-		prev:    tv.digests,
-	})
-	c.pendingSeal = nil
-	c.sealStagedBy = nil
-	c.mu.Unlock()
+	for _, id := range j.info.InputRuns {
+		c.trusted[id].retire()
+		delete(c.trusted, id)
+	}
+	c.digests = c.pendingSeal.Digests
+	tr := &trustedRun{digest: c.digests[j.info.OutputRun]}
+	tr.setFilter(c.enclave, j.parts[0].out.filter)
+	c.trusted[j.info.OutputRun] = tr
+	c.pendingSeal, c.sealStagedBy = nil, nil
+	return tr
 }
 
 // Committed pins the new dataset state to the monotonic counter and seals it

@@ -13,9 +13,9 @@ import (
 // Both capture the same engine-level unit — lsm.Snapshot: the applied
 // timestamp frontier, the memtable pair, and the reference-counted run set
 // of the current version — so a snapshot's reads are repeatable bit for bit
-// across concurrent flushes, compactions and WAL rotations; eLSM-P2
-// additionally pairs it with the trusted digest forest (readView) so every
-// snapshot read is verified exactly like the live paths.
+// across concurrent flushes, compactions and WAL rotations; on eLSM-P2 each
+// pinned run carries its trusted digest (readView), so every snapshot read
+// is verified exactly like the live paths.
 
 // p2Snapshot is the verified snapshot of the eLSM-P2 store.
 type p2Snapshot struct {
@@ -24,9 +24,9 @@ type p2Snapshot struct {
 	once sync.Once
 }
 
-// Snapshot implements KV for eLSM-P2: it pins the current trusted digest
-// snapshot together with its runs and memtables as one consistent verified
-// read session.
+// Snapshot implements KV for eLSM-P2: it pins the current version — its
+// runs with their trusted digests, and its memtables — as one consistent
+// verified read session.
 func (c *Store) Snapshot() (Snapshot, error) {
 	var (
 		v   *readView

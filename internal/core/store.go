@@ -165,10 +165,10 @@ type KV interface {
 	Sync(ctx context.Context) error
 
 	// Snapshot captures a consistent, repeatable read session: the current
-	// digest snapshot with its runs and memtables pinned. Reads through it
-	// return identical (verified, on authenticated stores) results no
-	// matter what flushes, compactions or WAL rotations happen underneath,
-	// until Close releases the pins.
+	// version's runs (with their trusted digests) and memtables pinned.
+	// Reads through it return identical (verified, on authenticated stores)
+	// results no matter what flushes, compactions or WAL rotations happen
+	// underneath, until Close releases the pins.
 	Snapshot() (Snapshot, error)
 
 	Close() error
@@ -179,7 +179,7 @@ type CommitFuture = lsm.CommitFuture
 
 // Snapshot is a pinned point-in-time read session over a KV store. On
 // authenticated stores every read through it is verified exactly like the
-// live paths, against the digest forest captured at creation. GetAt and
+// live paths, against the digests of the runs pinned at creation. GetAt and
 // IterAt clamp tsq to Ts.
 type Snapshot interface {
 	Reader
@@ -219,18 +219,19 @@ type Store struct {
 	counterInterval int
 	iterChunkKeys   int
 
-	// snap is the lock-free read snapshot of the trusted digest forest:
-	// an immutable map swapped atomically by copy-on-write whenever a
-	// flush/compaction installs a new version (the ONLY digest mutations).
-	// Get/Iter load it without taking any lock, so verified reads never
-	// contend with the committer, whose chain work holds mu.
-	snap atomic.Pointer[trustedView]
-
-	// mu guards the write-side trusted state (the WAL authenticator and its
-	// bump bookkeeping) and serializes snapshot swaps. Readers never take
-	// it.
+	// mu guards the write-side trusted state: the WAL authenticator and its
+	// bump bookkeeping, digests and trusted. Readers never take it.
 	mu    sync.Mutex
 	chain walChain
+	// digests is the trusted digest forest, which the seal, the jobs' input
+	// checks, the checkpoint export and RunDigests read. Recovery sets it and
+	// Installed replaces it, copy-on-write, so a seal marshals a map no one
+	// changes. trusted holds the trustedRun of each run in it: Installed
+	// retires the input runs' (freeing their filters), and the filter rebuild
+	// publishes only into a run still there. A reader looks at neither: each
+	// run it pins carries its own trustedRun.
+	digests map[uint64]runDigest
+	trusted map[uint64]*trustedRun
 
 	// sealMu serializes commitState end to end (fingerprint, counter bump,
 	// seal write): the maintenance worker and a commit leader may both
@@ -374,8 +375,9 @@ func Open(cfg Config) (*Store, error) {
 		holdRebuild:     cfg.holdRebuild,
 		rebuildTamper:   cfg.rebuildTamper,
 		beginJob:        cfg.beginJob,
+		digests:         make(map[uint64]runDigest),
+		trusted:         make(map[uint64]*trustedRun),
 	}
-	c.snap.Store(&trustedView{digests: make(map[uint64]runDigest)})
 	c.sealKey = platform.SealingKey(c.measurement)
 	c.rec = cfg.Obs
 	caches := cfg.Caches
@@ -408,6 +410,11 @@ func Open(cfg Config) (*Store, error) {
 	}
 	c.engine = engine
 	replayed, err := c.recoverTrustedState(st)
+	if err == nil {
+		// Every run recovery opened carries its trusted state from here on;
+		// no job has run yet, so trusted is recovery's.
+		engine.SetRunTrust(func(id uint64) any { return c.trusted[id] })
+	}
 	// Every Open seals before it accepts a write, under a fresh WAL key
 	// (rekey). A fresh store must: recovery refuses data files without
 	// sealed state. A recovered one must too: a group it lost in the crash
@@ -431,25 +438,12 @@ func Open(cfg Config) (*Store, error) {
 	return c, nil
 }
 
-// trustedView is an immutable snapshot of the trusted per-run state: the
-// digest forest, and the enclave's key filter of each run that has one. The
-// maps must never be mutated after the view is published via snap; writers
-// (compactionJob.Installed, recovery, the filter rebuild) publish fresh
-// copies under c.mu. Filters are derived state: they are never sealed, and a
-// run without one is read through its proofs alone.
-type trustedView struct {
-	digests map[uint64]runDigest
-	filters map[uint64]runFilter
-	// prev is the forest this view's install replaced. The engine publishes
-	// the install's read version only after the swap, so a reader may pin the
-	// version before it and load this view: prev covers that version's runs.
-	prev map[uint64]runDigest
-}
-
-// snapshotDigests returns the current immutable digest view — a single
-// atomic load, no lock, no copy. Callers must treat the map as read-only.
+// snapshotDigests returns the current trusted digest forest. Callers must
+// treat the map as read-only.
 func (c *Store) snapshotDigests() map[uint64]runDigest {
-	return c.snap.Load().digests
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.digests
 }
 
 // stateFingerprint is the fingerprint of a sealed trusted state the
@@ -520,7 +514,7 @@ func (c *Store) commitState() error {
 	// (legitimately) tore them away.
 	st := trustedState{
 		Format:     stateFormat,
-		Digests:    c.snap.Load().digests, // consistent with the base: swaps hold mu
+		Digests:    c.digests, // consistent with the base: Installed holds mu
 		WALBase:    c.chain.base,
 		WALAppends: c.chain.durable,
 		LastTs:     c.engine.AppliedTs(),
@@ -697,7 +691,10 @@ func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	c.snap.Store(&trustedView{digests: st.Digests})
+	c.digests = st.Digests
+	for id, d := range st.Digests {
+		c.trusted[id] = &trustedRun{digest: d}
+	}
 	// Everything replayed is on disk: the durable frontier starts after the
 	// last replayed group (no groups are in flight).
 	c.chain.recovered(st.WALBase, st.WALBase+replayed)
@@ -803,10 +800,10 @@ func (c *Store) Sync(ctx context.Context) error {
 // GetAt returns the newest verified value with Ts ≤ tsq (the paper's
 // GET(k, tsq)); ctx is checked before the enclave call — a point lookup is a
 // single short ECall. It acquires an ephemeral read view — the same pinned
-// (runs, digests) unit that backs Snapshot, on the stack — runs the verified
-// GET protocol against it, and releases it: point reads, iterators and
-// snapshots share one implementation. The key is hashed once, here
-// (keyHash), for everything the Get looks up by it.
+// runs, each carrying its trusted state, that back Snapshot, on the stack —
+// runs the verified GET protocol against it, and releases it: point reads,
+// iterators and snapshots share one implementation. The key is hashed once,
+// here (keyHash), for everything the Get looks up by it.
 func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
 	if err := lsm.CtxErr(ctx); err != nil {
 		return Result{}, err
@@ -830,10 +827,6 @@ func (c *Store) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, erro
 	}
 	return res, err
 }
-
-// maxRetries bounds view-acquisition retries when a concurrent compaction
-// installs between the run snapshot and the digest load.
-const maxRetries = 4
 
 // resultFrom copies a verified record into a Result, key and value in one
 // allocation (tombstones become not-found).
@@ -912,8 +905,8 @@ func (c *Store) Close() error {
 		err = fmt.Errorf("core: final seal: %w", serr)
 	}
 	c.mu.Lock()
-	for _, f := range c.snap.Load().filters {
-		f.mem.Free()
+	for _, tr := range c.trusted {
+		tr.retire()
 	}
 	c.mu.Unlock()
 	return err

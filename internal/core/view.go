@@ -18,19 +18,20 @@ import (
 
 // readView is the unit of consistent verified reading in eLSM-P2: an engine
 // snapshot (pinned runs + captured memtables + applied-timestamp frontier)
-// paired with the trusted digest forest covering those runs and the
-// enclave's key filters of the runs that have one. Every verified
+// whose every run carries its trusted state — its digest and the enclave's
+// key filter once it has one (trustedRun, lsm.RunRef.Trust). Every verified
 // read path — GetAt, the streaming iterator, and the public Snapshot — runs
 // against a readView, so they share one protocol implementation and one
 // consistency argument:
 //
 //   - the pinned runs are immutable and their files cannot be deleted while
-//     the pin is held, so per-run lookups never race a compaction install
-//     (the missing-run and epoch retries of the pre-snapshot code are gone
-//     by construction);
-//   - a run's digest never changes once installed, so the captured forest
-//     stays valid for the pinned runs no matter how many versions install
-//     afterwards;
+//     the pin is held, so per-run lookups never race a compaction install;
+//   - the runs and their digests come from one pin of one version: the engine
+//     publishes a version only once the listener has returned the new run's
+//     trusted state, and a run's digest never changes, so there is nothing to
+//     reconcile and nothing to retry, however many versions install
+//     afterwards. A pinned run with no trusted state fails the read
+//     (ErrUntrustedRun); it is never skipped;
 //   - records committed after capture carry timestamps beyond the view's
 //     frontier and are clamped away, while records flushed after capture
 //     remain readable from the captured memtables — the view is repeatable.
@@ -40,23 +41,19 @@ import (
 // a Snapshot holds another, so closing the snapshot mid-iteration cannot
 // unpin the runs under the stream.
 type readView struct {
-	c       *Store
-	esnap   lsm.Snapshot
-	digs    map[uint64]runDigest
-	filters map[uint64]runFilter
-	refs    atomic.Int32
+	c     *Store
+	esnap lsm.Snapshot
+	refs  atomic.Int32
 }
 
-// acquireView captures a coherent (runs, digests) pair as a read session
-// (counted in SnapshotsOpen); a one-shot point read pins a view on its
-// stack instead (GetAt). The digest forest is loaded AFTER the engine
-// snapshot: an install swaps the digests before the engine publishes its
-// read version, so the loaded view can only be same-age or newer than the
-// run set — and a newer view is coherent as long as it carries a digest for
-// every pinned run (digests are per-run immutable), or its prev forest does:
-// the pinned version is then the one the install is about to replace. A
-// digest missing from both means installs replaced pinned runs in the
-// acquisition window; re-acquire against the new version.
+// ErrUntrustedRun reports a pinned run that carries no trusted state: the
+// read cannot hold the run's answer to a digest, so it fails rather than
+// skip a run that may hold the newest version of the key.
+var ErrUntrustedRun = fmt.Errorf("%w: run without trusted state", ErrAuthFailed)
+
+// acquireView pins the current version, its runs with their trusted state,
+// as a read session (counted in SnapshotsOpen); a one-shot point read pins a
+// view on its stack instead (GetAt).
 func (c *Store) acquireView() (*readView, error) {
 	v := &readView{c: c}
 	if err := c.pinView(v, true); err != nil {
@@ -65,39 +62,15 @@ func (c *Store) acquireView() (*readView, error) {
 	return v, nil
 }
 
-// pinView (re)acquires v's engine snapshot, reusing its memory, and the
-// digest forest and key filters to go with it.
+// pinView pins the current version into v, reusing its memory.
 func (c *Store) pinView(v *readView, session bool) error {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		c.engine.AcquireSnapshotInto(&v.esnap, session)
-		if err := v.esnap.Err(); err != nil {
-			v.esnap.Release()
-			return err
-		}
-		tv := c.snap.Load()
-		runs := v.esnap.Runs()
-		digs := tv.digests
-		if !covers(digs, runs) {
-			digs = tv.prev
-		}
-		if covers(digs, runs) {
-			v.digs, v.filters = digs, tv.filters // a filter is its run's for good
-			v.refs.Store(1)
-			return nil
-		}
+	c.engine.AcquireSnapshotInto(&v.esnap, session)
+	if err := v.esnap.Err(); err != nil {
 		v.esnap.Release()
+		return err
 	}
-	return fmt.Errorf("core: view acquisition retries exhausted under concurrent compaction")
-}
-
-// covers reports whether digs has a digest for every run of runs.
-func covers(digs map[uint64]runDigest, runs []lsm.RunRef) bool {
-	for _, ref := range runs {
-		if _, have := digs[ref.ID]; !have {
-			return false
-		}
-	}
-	return true
+	v.refs.Store(1)
+	return nil
 }
 
 // retain adds a reference (an iterator opened from a Snapshot).
@@ -163,11 +136,15 @@ func (v *readView) getAt(key []byte, kh, tsq uint64) (Result, error) {
 		}()
 	}
 	for i, run := range v.esnap.Runs() {
-		d := v.digs[run.ID]
+		tr, _ := run.Trust.(*trustedRun)
+		if tr == nil {
+			return Result{}, fmt.Errorf("%w: run %d", ErrUntrustedRun, run.ID)
+		}
+		d := tr.digest
 		if d.NumLeaves == 0 {
 			continue
 		}
-		if v.filters[run.ID].excludes(kh) {
+		if tr.filter.Load().excludes(kh) {
 			st.runsFiltered.Add(1)
 			continue
 		}
@@ -320,7 +297,6 @@ func (c *Store) getReadScratch(hint uint64) *readScratch {
 
 func (c *Store) putReadScratch(g *readScratch) {
 	g.views, g.pred, g.succ, g.stream = lsm.RunViews{}, record.Record{}, record.Record{}, nil
-	g.view.digs, g.view.filters = nil, nil
 	if cap(g.buf) > readScratchBytes {
 		return // one outsized witness or range must not pin its scratch forever
 	}
@@ -388,11 +364,14 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 		mems[m].SeekGE(start, record.MaxTs)
 	}
 	for i, run := range v.esnap.Runs() {
-		d := v.digs[run.ID]
-		if d.NumLeaves == 0 {
+		tr, _ := run.Trust.(*trustedRun)
+		if tr == nil {
+			return nil, nil, false, fmt.Errorf("%w: run %d", ErrUntrustedRun, run.ID)
+		}
+		if tr.digest.NumLeaves == 0 {
 			continue
 		}
-		src := sc.addRun(run.ID, d)
+		src := sc.addRun(run.ID, tr.digest)
 		if err := v.esnap.SeekRun(i, &src.it, start, &sc.pins); err != nil {
 			return nil, nil, false, err
 		}

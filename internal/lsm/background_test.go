@@ -402,7 +402,10 @@ func (j *lifecycleJob) Verify(int) error {
 	defer j.l.mu.Unlock()
 	return j.l.reject
 }
-func (j *lifecycleJob) Installed() { j.count(&j.installed) }
+func (j *lifecycleJob) Installed() any {
+	j.count(&j.installed)
+	return nil
+}
 func (j *lifecycleJob) Committed() { j.count(&j.committed) }
 func (j *lifecycleJob) Abort() {
 	j.count(&j.aborted)

@@ -143,7 +143,7 @@ func (s *Store) runPlan(p *jobPlan) error {
 	}
 	p.installed(newRun)
 	s.refreshLevelBytesLocked()
-	job.Installed()
+	newRun.trust = job.Installed()
 	old := s.publishLocked()
 	s.mu.Unlock()
 

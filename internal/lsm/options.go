@@ -269,12 +269,12 @@ type EventListener interface {
 // It is Figure 4 of the paper as an object: Filter is "Filter()",
 // NewProofAppender does the work of "OnTableFileCreated()", Verify is the
 // input-root check before install (§5.5.2), and Installed/Committed are the
-// digest swap and the counter-bound seal around the version install that
-// §5.6.1's rollback defence stands on. Every method runs on the job's own
-// goroutine, in the order listed, except Filter, whose calls come from one
-// goroutine per key-range part; only the appenders NewProofAppender returns
-// are used elsewhere. Exactly one of Committed (success) or Abort (failure at
-// any point after BeginJob) ends a job.
+// trusted-state install and the counter-bound seal around the version
+// install that §5.6.1's rollback defence stands on. Every method runs on the
+// job's own goroutine, in the order listed, except Filter, whose calls come
+// from one goroutine per key-range part; only the appenders NewProofAppender
+// returns are used elsewhere. Exactly one of Committed (success) or Abort
+// (failure at any point after BeginJob) ends a job.
 type Job interface {
 	// Filter is called for every input record, tagged with the key-range
 	// part it belongs to (an index into CompactionInfo.Bounds' parts), its
@@ -311,10 +311,12 @@ type Job interface {
 	// Installed is called UNDER THE ENGINE LOCK, immediately after the
 	// manifest naming the new version is durable and, for a flush
 	// (MemtableInput), the frozen logs that carried the flushed records are
-	// deleted — the live WAL is now the active log alone. The listener swaps
-	// in its staged digests (and moves where its live logs start) here: fast
-	// and in-memory, readers resume as soon as the lock drops.
-	Installed()
+	// deleted — the live WAL is now the active log alone. The listener takes
+	// its staged state into effect (and moves where its live logs start)
+	// here: fast and in-memory, readers resume as soon as the lock drops. What
+	// it returns is the output run's value (RunRef.Trust): the version the
+	// engine publishes next, and every later one listing the run, carry it.
+	Installed() any
 	// Committed is called after Installed WITHOUT the engine lock, still
 	// under the install lock: the listener's slow durability work (counter
 	// bump, state seal and write) happens here, off the read/write paths.
@@ -356,8 +358,8 @@ func (NopJob) NewProofAppender() (sstable.ProofAppender, error) { return nil, ni
 // Verify implements Job.
 func (NopJob) Verify(int) error { return nil }
 
-// Installed implements Job.
-func (NopJob) Installed() {}
+// Installed implements Job: the output run carries no value.
+func (NopJob) Installed() any { return nil }
 
 // Committed implements Job.
 func (NopJob) Committed() {}

@@ -401,7 +401,9 @@ func (s *Store) runJob(j *maintJob) {
 }
 
 // awaitFlushed blocks while a frozen memtable is outstanding — the
-// full-memtable stall. With charge set the wait goes to FlushStallNanos,
+// full-memtable stall — and, without charge (an explicit flush, not a
+// writer's stall), while a flush job has not ended, Job.Committed included.
+// With charge set the wait goes to FlushStallNanos,
 // and also to CompactionStallNanos when no flush is running and this store's
 // compactions keep one from starting — one owns L1, or they hold every
 // worker token: compaction debt, not flush progress, is then what the writer
@@ -412,7 +414,7 @@ func (s *Store) awaitFlushed(charge bool) error {
 	m := &s.maint
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.flushed < m.frozen && m.err == nil && !m.closing {
+	for (m.flushed < m.frozen || !charge && m.flushing > 0) && m.err == nil && !m.closing {
 		blockedByCompaction := m.flushing == 0 && (m.claimed[1] || m.compacting >= s.workers.size())
 		start := time.Now()
 		m.cond.Wait()

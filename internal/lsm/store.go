@@ -75,13 +75,15 @@ type tableHandle struct {
 // its install ends. Files are deleted only when the count reaches zero, so
 // an in-flight read never races a compaction deleting its inputs. A run at
 // zero is never referenced again: every new reference is taken while a live
-// version or the job still holds one.
+// version or the job still holds one. trust is the listener's value for the
+// run (RunRef.Trust); the engine never reads it.
 type run struct {
 	id      uint64
 	tables  []*tableHandle
 	bytes   int64
 	entries int
 	refs    atomic.Int32
+	trust   any
 }
 
 // appendFileNums appends the run's table file numbers to nums.
@@ -109,6 +111,12 @@ type RunRef struct {
 	ID    uint64
 	Level int
 	Index int // position within the level (0 = newest)
+	// Trust is the listener's value for the run, opaque to the engine: what
+	// the Job.Installed that installed it returned, or what SetRunTrust
+	// attached to a run recovery opened; nil until one of them sets it. A
+	// version carries it for every run it lists, so a snapshot's Runs give
+	// the runs and their values in one pin.
+	Trust any
 }
 
 // Stats counts engine-level events.
@@ -189,7 +197,7 @@ type Stats struct {
 // jobs never take it and so never wait on storage. The commit worker holds mu only to check the store is
 // writable and reserve a group's timestamps; it hashes, appends and applies
 // under commitMu alone (see appendGroup). installMu serializes the install
-// phase (manifest write + digest swap + post-install seal) across
+// phase (manifest write + Job.Installed + post-install seal) across
 // concurrent maintenance jobs. Maintenance jobs take mu only for the
 // snapshot and install phases of a rewrite, never commitMu.
 type Store struct {
@@ -771,8 +779,9 @@ func (s *Store) releaseRunRefs(runs []*run) {
 // scheduler's; a failure of either is the sticky background error.
 func (s *Store) Flush() error { return s.freezeAndSettle(true) }
 
-// FlushMemtable freezes the active memtable and returns once its flush has
-// installed, without waiting for the compactions that leaves due.
+// FlushMemtable freezes the active memtable and returns once its flush job
+// has ended — installed and committed, Job.Committed included — without
+// waiting for the compactions that leaves due.
 func (s *Store) FlushMemtable() error {
 	s.commitMu.Lock()
 	err := s.ensureMemtableRoom(true)
@@ -781,6 +790,20 @@ func (s *Store) FlushMemtable() error {
 		return err
 	}
 	return s.awaitFlushed(false)
+}
+
+// SetRunTrust sets the listener's value of every run the store lists to what
+// trust returns for the run's ID, and publishes a version that carries them:
+// the values of the runs recovery opened, which no Job.Installed returned.
+func (s *Store) SetRunTrust(trust func(id uint64) any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, runs := range s.levels {
+		for _, r := range runs {
+			r.trust = trust(r.id)
+		}
+	}
+	s.publishLocked().unpin() // it lists the runs the new one does: no file goes
 }
 
 // ---------------------------------------------------------------------------
@@ -851,7 +874,9 @@ func seekTable(tables []*tableHandle, key []byte, ts uint64) int {
 // Introspection
 
 // Runs returns references to all on-disk runs in read order (newest data
-// first): level 1 runs newest-first, then level 2, and so on.
+// first): level 1 runs newest-first, then level 2, and so on. It is
+// introspection, so it leaves Trust nil: a reader takes the runs and their
+// values from a snapshot.
 func (s *Store) Runs() []RunRef {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

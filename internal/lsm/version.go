@@ -46,9 +46,9 @@ const inlineRuns = 8
 // last pin on it may delete run files). Caller holds s.mu for writing.
 //
 // Only state that is final is published: an install publishes once its
-// manifest is durable and the authentication layer has swapped its digests,
-// and the undo of a failed install restores levels the published version
-// never stopped listing.
+// manifest is durable and the listener's Job.Installed has returned the new
+// run's value, and the undo of a failed install restores levels the
+// published version never stopped listing.
 func (s *Store) publishLocked() *version {
 	v := &version{s: s, ts: s.appliedTs.Load(), mem: s.mem, frozen: s.frozen, closed: s.closed}
 	n := 0
@@ -63,7 +63,7 @@ func (s *Store) publishLocked() *version {
 	for lvl := 1; lvl < len(s.levels); lvl++ {
 		for idx, r := range s.levels[lvl] {
 			r.refs.Add(1)
-			v.refs = append(v.refs, RunRef{ID: r.id, Level: lvl, Index: idx})
+			v.refs = append(v.refs, RunRef{ID: r.id, Level: lvl, Index: idx, Trust: r.trust})
 			v.runs = append(v.runs, r)
 		}
 	}

@@ -121,3 +121,103 @@ func TestVersionPinsUnderInstalls(t *testing.T) {
 		t.Fatalf("table files on disk %v, the current version's %v: released versions leaked files", got, want)
 	}
 }
+
+// trustListener's jobs return their output run's ID, as a trustID, from
+// Installed.
+type trustListener struct{ NopListener }
+
+type trustID uint64
+
+type trustJob struct {
+	NopJob
+	out uint64
+}
+
+func (trustListener) BeginJob(info CompactionInfo) Job { return trustJob{out: info.OutputRun} }
+
+func (j trustJob) Installed() any { return trustID(j.out) }
+
+// TestRunTrustTravelsWithTheRun: the value a job's Installed returns is on
+// its run in every version published after the install, through later
+// flushes and compactions, until the run retires — a snapshot pinned before
+// then keeps it. After a reopen no job installed the runs: they carry
+// nothing until SetRunTrust, whose version carries its value on every
+// recovered run, and the versions after it keep them beside the values of
+// runs installed since.
+func TestRunTrustTravelsWithTheRun(t *testing.T) {
+	opts := smallOpts(vfs.NewMem())
+	opts.Listener = trustListener{}
+	s := mustOpen(t, opts)
+	check := func(sn *Snapshot, want func(id uint64) any) {
+		t.Helper()
+		for _, r := range sn.Runs() {
+			if r.Trust != want(r.ID) {
+				t.Fatalf("run %d carries %v, want %v", r.ID, r.Trust, want(r.ID))
+			}
+		}
+	}
+	installed := func(id uint64) any { return trustID(id) }
+	write := func(n int) {
+		t.Helper()
+		var held []*Snapshot
+		value := make([]byte, 64)
+		for i := 0; i < n; i++ {
+			if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i%500)), value); err != nil {
+				t.Fatal(err)
+			}
+			if i%100 == 99 {
+				sn := s.AcquireSnapshot()
+				check(sn, installed)
+				held = append(held, sn)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, sn := range held {
+			check(sn, installed)
+			sn.Release()
+		}
+	}
+	write(3000)
+	if st := s.Stats(); st.Flushes == 0 || st.Compactions == 0 {
+		t.Fatalf("%d flushes and %d compactions: no run was installed and retired", st.Flushes, st.Compactions)
+	}
+	sn := s.AcquireSnapshot()
+	check(sn, installed)
+	sn.Release()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = mustOpen(t, opts)
+	defer s.Close()
+	sn = s.AcquireSnapshot()
+	check(sn, func(uint64) any { return nil })
+	sn.Release()
+	recovered := map[uint64]bool{}
+	for _, r := range s.Runs() {
+		recovered[r.ID] = true
+	}
+	if len(recovered) == 0 {
+		t.Fatal("no run was recovered")
+	}
+	attached := func(id uint64) any { return fmt.Sprint("recovered ", id) }
+	s.SetRunTrust(attached)
+	sn = s.AcquireSnapshot()
+	if len(sn.Runs()) != len(recovered) {
+		t.Fatalf("%d runs after SetRunTrust, %d recovered", len(sn.Runs()), len(recovered))
+	}
+	check(sn, attached)
+	sn.Release()
+	installed = func(id uint64) any {
+		if recovered[id] {
+			return attached(id)
+		}
+		return trustID(id)
+	}
+	write(300)
+	if s.Stats().Flushes == 0 {
+		t.Fatal("no flush after the reopen")
+	}
+}
