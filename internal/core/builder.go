@@ -18,14 +18,18 @@ import (
 
 // runDigest is the trusted per-run state kept inside the enclave: the
 // Merkle root over the run's distinct keys, the leaf count (needed to
-// validate path shapes and adjacency claims) and the level the run was
-// installed at. A run never changes level, and within a level a newer run
-// has a larger ID, so the level and the IDs fix the order a read visits the
-// runs in — the order that decides which version of a key is newest.
+// validate path shapes and adjacency claims), the level the run was
+// installed at, and the hash of the run's key filter (hashutil.FilterHash;
+// zero for a run with none, or sealed by a build that stored none). A run
+// never changes level, and within a level a newer run has a larger ID, so
+// the level and the IDs fix the order a read visits the runs in — the order
+// that decides which version of a key is newest. The filter is a function
+// of the keys the root binds, so the state fingerprint leaves its hash out.
 type runDigest struct {
 	Root      hashutil.Hash `json:"root"`
 	NumLeaves int           `json:"leaves"`
 	Level     int           `json:"level"`
+	Filter    hashutil.Hash `json:"filter"`
 }
 
 // compactionHasher digests one job's merge stream, once, into every eLSM
@@ -94,9 +98,10 @@ func (r *inputRun) digest() runDigest {
 }
 
 // matches reports whether the reconstructed tree is d's: its root and leaf
-// count. The level is the forest's, not the tree's.
+// count. The level is the forest's, not the tree's, and the filter hash the
+// output's.
 func (r *inputRun) matches(d runDigest) bool {
-	d.Level = 0
+	d.Level, d.Filter = 0, hashutil.Zero
 	return r.digest() == d
 }
 
@@ -437,7 +442,9 @@ func (h *compactionHasher) finish(rest ...*compactionHasher) *outputTree {
 	o.nodes = o.tree.Build(o.nodes)
 	o.digest = runDigest{Root: o.tree.Root(), NumLeaves: o.tree.NumLeaves()}
 	o.groupBits = groupBits(o.digest.NumLeaves, o.recordBytes, o.blockSize)
-	o.filter = o.keyFilter()
+	if o.filter = o.keyFilter(); o.filter != nil {
+		o.digest.Filter = hashutil.FilterHash(o.filter)
+	}
 	wg.Wait()
 	return o
 }
@@ -476,7 +483,7 @@ type outputTree struct {
 	recordBytes int
 	// filter is the Bloom filter over the run's keys (keyFilter), built at
 	// finish in memory of its own: the run's trustedRun keeps it after the
-	// hasher goes back to its pool.
+	// hasher goes back to its pool, and the run's first table stores it.
 	filter bloom.Filter
 
 	nodes []hashutil.Hash // the leaves, then every level above them: tree's array

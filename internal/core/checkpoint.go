@@ -544,7 +544,7 @@ func verifyRestoredRuns(enclave *sgx.Enclave, snap *lsm.Snapshot, digests map[ui
 		want := digests[ref.ID]
 		var h *compactionHasher
 		var err error
-		enclave.ECall(func() { h, err = replayRun(snap, i, ref.ID, 0, nil, nil) })
+		enclave.ECall(func() { h, err = replayRun(snap, i, ref.ID) })
 		if err != nil {
 			return fmt.Errorf("%w: run %d stream: %v", ErrCheckpointCorrupt, ref.ID, err)
 		}

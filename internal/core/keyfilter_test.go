@@ -2,14 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"elsm/internal/bloom"
 	"elsm/internal/lsm"
@@ -30,7 +31,7 @@ func liveFilters(s *Store) map[uint64]bloom.Filter {
 	defer s.mu.Unlock()
 	out := make(map[uint64]bloom.Filter)
 	for id, tr := range s.trusted {
-		if f := tr.filter.Load(); f != nil {
+		if f := tr.filter; f != nil {
 			out[id] = f.keys
 		}
 	}
@@ -154,52 +155,6 @@ func TestFilterFalsePositiveIsProved(t *testing.T) {
 	}
 }
 
-// TestUnfilteredRunIsProved holds back the filter rebuild of a reopened
-// store: its runs have no filter, so an absent key is proved absent in every
-// run, as it was before filters, and a forged pair in any of them is caught.
-// Once the rebuild is let go every run has its filter back and the same Get
-// proves nothing.
-func TestUnfilteredRunIsProved(t *testing.T) {
-	cfg := earlyStopCfg(vfs.NewMem())
-	s := mustOpenP2(t, cfg)
-	runs := earlyStopTree(t, s)
-	held, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	cfg.holdRebuild = func(uint64) {
-		once.Do(func() { close(held) })
-		<-release
-	}
-	s = reopenWith(t, s, cfg)
-	defer s.Close()
-	let := sync.OnceFunc(func() { close(release) })
-	defer let()
-	select {
-	case <-held:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the reopened store started no filter rebuild")
-	}
-	for _, r := range runs {
-		if runFilterOf(s, r.ID) != nil {
-			t.Fatalf("run %d has a filter before its rebuild", r.ID)
-		}
-	}
-	if res, probed, filtered, _, err := getCounts(t, s, "absent"); err != nil || res.Found || probed != 3 || filtered != 0 {
-		t.Fatalf("Get(absent) = %+v, %v, proving %d runs and filtering %d; want 3 proved", res, err, probed, filtered)
-	}
-	for _, r := range runs {
-		s.getTamper = swapWitnesses(r.ID)
-		if _, err := Get(s, []byte("absent")); !errors.Is(err, ErrAuthFailed) {
-			t.Fatalf("forged pair in unfiltered run %d: %v, want ErrAuthFailed", r.ID, err)
-		}
-	}
-	s.getTamper = nil
-	let()
-	s.rebuildDone.Wait()
-	if res, probed, filtered, _, err := getCounts(t, s, "absent"); err != nil || res.Found || probed != 0 || filtered != 3 {
-		t.Fatalf("after the rebuild Get(absent) = %+v, %v, proving %d runs and filtering %d; want 3 filtered", res, err, probed, filtered)
-	}
-}
-
 // cycledStore makes the store of the lifecycle tests: 100 paced cycles of
 // writes over 2 000 keys, each ended by a flush and the compactions it
 // leaves due.
@@ -266,10 +221,11 @@ func TestFilterBytesAreAccounted(t *testing.T) {
 	checkEnclaveBytes(t, s)
 }
 
-// TestReopenRebuildsFilters: filters are never sealed, and the rebuild a
-// reopened store runs gives every live run its filter back byte for byte;
-// then an absent key is proved in no run.
-func TestReopenRebuildsFilters(t *testing.T) {
+// TestReopenLoadsFilters: every run's first table stores the key filter the
+// enclave built at install, and a reopened store loads it as it opens, with
+// no pass over the run's records: right after Open every live run has its
+// filter back byte for byte, and an absent key is proved in no run.
+func TestReopenLoadsFilters(t *testing.T) {
 	fs := vfs.NewMem()
 	cfg := smallCfg(fs)
 	s := cycledStore(t, cfg)
@@ -279,14 +235,13 @@ func TestReopenRebuildsFilters(t *testing.T) {
 	}
 	s = reopenWith(t, s, cfg)
 	defer s.Close()
-	s.rebuildDone.Wait()
 	runs := s.Engine().Runs()
 	if len(runs) != len(want) {
 		t.Fatalf("%d runs reopened, %d had filters", len(runs), len(want))
 	}
 	for _, r := range runs {
 		if got := runFilterOf(s, r.ID); string(got) != want[r.ID] {
-			t.Errorf("run %d: rebuilt filter of %d bytes differs from the %d bytes built at install", r.ID, len(got), len(want[r.ID]))
+			t.Errorf("run %d: loaded filter of %d bytes differs from the %d bytes built at install", r.ID, len(got), len(want[r.ID]))
 		}
 	}
 	checkEnclaveBytes(t, s)
@@ -295,10 +250,11 @@ func TestReopenRebuildsFilters(t *testing.T) {
 	}
 }
 
-// TestTamperedRunGetsNoFilter: a run whose bytes the host changed at rest
-// does not reproduce its sealed digest in the rebuild, so it gets no filter;
-// a Get that reaches it is proved and fails, while the other runs get their
-// filters and a Get the newest run answers succeeds.
+// TestTamperedRunGetsNoFilter: a run whose records the host changed at rest
+// keeps its key filter — the stored filter is held to the hash sealed in the
+// run's digest, not to the records — and that is safe: a Get that reaches
+// the tampered record is proved and fails, while a Get the newest run
+// answers succeeds.
 func TestTamperedRunGetsNoFilter(t *testing.T) {
 	fs := vfs.NewMem()
 	cfg := earlyStopCfg(fs)
@@ -328,10 +284,9 @@ func TestTamperedRunGetsNoFilter(t *testing.T) {
 	}
 	s = reopenWith(t, s, cfg)
 	defer s.Close()
-	s.rebuildDone.Wait()
 	for i, r := range runs {
-		if has := runFilterOf(s, r.ID) != nil; has != (i != 1) {
-			t.Errorf("run %d (the tampered one: %v) has a filter: %v", r.ID, i == 1, has)
+		if runFilterOf(s, r.ID) == nil {
+			t.Errorf("run %d (the tampered one: %v) has no filter", r.ID, i == 1)
 		}
 	}
 	if _, err := Get(s, []byte("mid")); !errors.Is(err, ErrAuthFailed) {
@@ -342,113 +297,175 @@ func TestTamperedRunGetsNoFilter(t *testing.T) {
 	}
 }
 
-// TestRebuildCopiesBeforeItHashes plays the host that rewrites a key in the
-// block the rebuild is streaming, at the k-th record of every run, before
-// the enclave copies the record or after. A rewrite before the copy makes
-// the run miss its sealed digest, and the run gets no filter; one after it
-// changes nothing the enclave reads. Either way, no published filter lacks a
-// key of its run.
-func TestRebuildCopiesBeforeItHashes(t *testing.T) {
+// TestFilterLoadCopiesBeforeItHashes plays the host that rewrites a run's
+// stored filter bytes once Open has checked them, clearing every bit — a
+// filter that ruled out every key. The enclave hashed, and keeps, its own
+// copy: every loaded filter is still the one built at install, and every
+// Get answers as before.
+func TestFilterLoadCopiesBeforeItHashes(t *testing.T) {
 	cfg := earlyStopCfg(vfs.NewMem())
 	s := mustOpenP2(t, cfg)
 	runs := earlyStopTree(t, s)
-	keys := map[uint64][]string{runs[0].ID: {"gone", "new", "shared"}, runs[1].ID: {"mid"}, runs[2].ID: {"deep", "gone", "shared"}}
-	for _, copied := range []bool{false, true} {
-		for k := 0; k < 3; k++ {
-			var n int
-			var touched []uint64
-			var cur uint64
-			cfg.holdRebuild = func(id uint64) { cur, n = id, 0 }
-			cfg.rebuildTamper = func(view record.Record, after bool) {
-				if !after {
-					n++
-				}
-				if after == copied && n == k+1 {
-					view.Key[0] ^= 0x20
-					touched = append(touched, cur)
-				}
-			}
-			s = reopenWith(t, s, cfg)
-			s.rebuildDone.Wait()
-			for _, r := range runs {
-				f := runFilterOf(s, r.ID)
-				wasTouched := false
-				for _, id := range touched {
-					wasTouched = wasTouched || id == r.ID
-				}
-				if want := copied || !wasTouched; (f != nil) != want {
-					t.Errorf("copied=%v k=%d: run %d (rewritten: %v) has a filter: %v, want %v", copied, k, r.ID, wasTouched, f != nil, want)
-				}
-				for _, key := range keys[r.ID] {
-					if f != nil && !f.MayContain([]byte(key)) {
-						t.Errorf("copied=%v k=%d: run %d's filter lacks %q", copied, k, r.ID, key)
-					}
-				}
-			}
+	want := map[uint64]string{}
+	for id, f := range liveFilters(s) {
+		want[id] = string(f)
+	}
+	keys := []string{"deep", "gone", "mid", "new", "shared", "absent"}
+	answers := answersOf(t, s, keys)
+	s = reopenWith(t, s, cfg)
+	defer s.Close()
+	s.mu.Lock()
+	trusted := maps.Clone(s.trusted)
+	s.mu.Unlock()
+	var stored [][]byte
+	s.Engine().SetRunTrust(func(id uint64, runFilter []byte) any {
+		stored = append(stored, runFilter)
+		return trusted[id]
+	})
+	if len(stored) != len(runs) {
+		t.Fatalf("%d stored filters for %d runs", len(stored), len(runs))
+	}
+	for _, b := range stored {
+		clear(b[:len(b)-1]) // the last byte is the probe count
+	}
+	for _, r := range runs {
+		if got := runFilterOf(s, r.ID); string(got) != want[r.ID] {
+			t.Errorf("run %d: filter %x after the host cleared its bytes, built %x", r.ID, got, want[r.ID])
 		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	s.emptyRecordCache()
+	if got := answersOf(t, s, keys); got != answers {
+		t.Errorf("Gets after the host cleared the stored filters:\n%s\nwant\n%s", got, answers)
 	}
 }
 
-// TestCloseDuringRebuild closes a reopened store while its rebuild streams a
-// run: Close stops the pass and returns, the run it stopped in gets no
-// filter, and the store reopens with every filter rebuilt.
-func TestCloseDuringRebuild(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	s := cycledStore(t, cfg)
-	inPass, proceed := make(chan uint64), make(chan struct{})
-	var cur uint64
-	var once sync.Once
-	cfg.holdRebuild = func(id uint64) { cur = id }
-	cfg.rebuildTamper = func(record.Record, bool) {
-		once.Do(func() {
-			inPass <- cur
-			<-proceed
+// answersOf is what the store answers a Get of each key and a GetAt of each at
+// every timestamp it has applied, one line a read.
+func answersOf(t *testing.T, s *Store, keys []string) string {
+	t.Helper()
+	var out strings.Builder
+	for _, k := range keys {
+		res, err := Get(s, []byte(k))
+		fmt.Fprintf(&out, "Get(%s) = %q@%d %v %v\n", k, res.Value, res.Ts, res.Found, err)
+		for ts := uint64(1); ts <= s.Engine().AppliedTs(); ts++ {
+			res, err := s.GetAt(context.Background(), []byte(k), ts)
+			fmt.Fprintf(&out, "GetAt(%s, %d) = %q@%d %v %v\n", k, ts, res.Value, res.Ts, res.Found, err)
+		}
+	}
+	return out.String()
+}
+
+// firstTables names the first table of each run of s, by run ID: the one
+// that stores the run's key filter.
+func firstTables(s *Store) map[uint64]string {
+	snap := s.Engine().AcquireSnapshot()
+	defer snap.Release()
+	out := map[uint64]string{}
+	for _, r := range snap.CheckpointRuns() {
+		out[r.ID] = r.Tables[0].Name
+	}
+	return out
+}
+
+// storedFilter returns the run filter a table image stores after its filter
+// block's count of 0, and the image with forge's bytes stored instead: the
+// index and footer move to follow them, as a host rewriting the file would
+// lay it out.
+func storedFilter(img []byte, forge func([]byte) []byte) (stored, forged []byte) {
+	ft := img[len(img)-48:]
+	filterOff := binary.BigEndian.Uint64(ft[0:8]) + 4
+	filterEnd := binary.BigEndian.Uint64(ft[0:8]) + binary.BigEndian.Uint64(ft[8:16])
+	indexOff, indexLen := binary.BigEndian.Uint64(ft[16:24]), binary.BigEndian.Uint64(ft[24:32])
+	stored = img[filterOff:filterEnd]
+	if forge == nil {
+		return stored, nil
+	}
+	payload := forge(bytes.Clone(stored))
+	forged = append(slices.Clone(img[:filterOff]), payload...)
+	at := len(forged)
+	forged = append(forged, img[indexOff:indexOff+indexLen]...)
+	forged = append(forged, ft...)
+	footer := forged[len(forged)-48:]
+	binary.BigEndian.PutUint64(footer[8:16], uint64(4+len(payload)))
+	binary.BigEndian.PutUint64(footer[16:24], uint64(at))
+	return stored, forged
+}
+
+// TestAttackForgedFilter plays the host that rewrites the key filter stored
+// in a run's first table: every bit clear (it would rule out every key),
+// every bit set, another run's filter, cut short, or with a probe count no
+// filter has. None hashes to the filter sealed in the run's digest, so the
+// reopened store gives that run no filter, and every other run its own. The
+// unfiltered run is read through its proofs: every Get, absent-key Get and
+// GetAt answers as before the rewrite, an absent key is proved absent in
+// that run alone, and a forged witness pair there fails.
+func TestAttackForgedFilter(t *testing.T) {
+	forgeries := []struct {
+		name  string
+		forge func(own, other []byte) []byte
+	}{
+		{"all clear", func(own, _ []byte) []byte {
+			clear(own[:len(own)-1])
+			return own
+		}},
+		{"all set", func(own, _ []byte) []byte {
+			for i := range own[:len(own)-1] {
+				own[i] = 0xff
+			}
+			return own
+		}},
+		{"another run", func(_, other []byte) []byte { return other }},
+		{"truncated", func(own, _ []byte) []byte { return own[:len(own)-1] }},
+		{"bad probe count", func(own, _ []byte) []byte {
+			own[len(own)-1] = 31
+			return own
+		}},
+	}
+	keys := []string{"deep", "gone", "mid", "new", "shared", "absent", "p0000000"}
+	for _, fg := range forgeries {
+		t.Run(fg.name, func(t *testing.T) {
+			fs := vfs.NewMem()
+			cfg := earlyStopCfg(fs)
+			s := mustOpenP2(t, cfg)
+			runs := earlyStopTree(t, s)
+			answers := answersOf(t, s, keys)
+			first := firstTables(s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			images := tableFiles(t, fs)
+			forgedRun := runs[1].ID // {mid}: the key is in no other run
+			other, _ := storedFilter(images[first[runs[0].ID]], nil)
+			own, forged := storedFilter(images[first[forgedRun]], func(own []byte) []byte { return fg.forge(own, bytes.Clone(other)) })
+			if len(own) == 0 || bytes.Equal(own, other) {
+				t.Fatalf("run %d stores a filter of %d bytes, equal to run %d's: %v", forgedRun, len(own), runs[0].ID, bytes.Equal(own, other))
+			}
+			if err := vfs.WriteFile(fs, first[forgedRun], forged); err != nil {
+				t.Fatal(err)
+			}
+			s = reopenWith(t, s, cfg)
+			defer s.Close()
+			for _, r := range runs {
+				if has := runFilterOf(s, r.ID) != nil; has != (r.ID != forgedRun) {
+					t.Errorf("run %d (forged: %v) has a filter: %v", r.ID, r.ID == forgedRun, has)
+				}
+			}
+			if got := answersOf(t, s, keys); got != answers {
+				t.Errorf("reads over the forged filter:\n%s\nwant\n%s", got, answers)
+			}
+			if res, probed, filtered, _, err := getCounts(t, s, "absent"); err != nil || res.Found || probed != 1 || filtered != 2 {
+				t.Errorf("Get(absent) = %+v, %v, proving %d runs and filtering %d; want the forged run proved alone", res, err, probed, filtered)
+			}
+			s.getTamper = swapWitnesses(forgedRun)
+			if _, err := Get(s, []byte("absent")); !errors.Is(err, ErrAuthFailed) {
+				t.Errorf("forged pair in the unfiltered run %d: %v, want ErrAuthFailed", forgedRun, err)
+			}
 		})
-	}
-	s = reopenWith(t, s, cfg)
-	var stopped uint64
-	select {
-	case stopped = <-inPass:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the reopened store started no filter rebuild")
-	}
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	for deadline := time.Now().Add(30 * time.Second); !s.rebuildStop.Load(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			close(proceed)
-			t.Fatal("Close did not stop the filter rebuild")
-		}
-	}
-	close(proceed)
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Close did not return during the filter rebuild")
-	}
-	if runFilterOf(s, stopped) != nil {
-		t.Errorf("run %d got a filter from a stopped pass", stopped)
-	}
-	cfg.holdRebuild, cfg.rebuildTamper = nil, nil
-	cfg.Platform, cfg.Counter = s.platform, s.counter
-	s = mustOpenP2(t, cfg)
-	defer s.Close()
-	s.rebuildDone.Wait()
-	checkEnclaveBytes(t, s)
-	if res, err := Get(s, []byte(strings.Repeat("z", 8))); err != nil || res.Found {
-		t.Fatalf("Get after reopen = %+v, %v", res, err)
 	}
 }
 
 // TestRestoredRunsGetFilters: a follower bootstrapped from a checkpoint
-// rebuilds, when it opens, the key filter of every run it restored, byte for
+// loads, when it opens, the key filter of every run it restored, byte for
 // byte the one the leader built when it installed the run.
 func TestRestoredRunsGetFilters(t *testing.T) {
 	s := mustOpenP2(t, earlyStopCfg(vfs.NewMem()))
@@ -462,7 +479,6 @@ func TestRestoredRunsGetFilters(t *testing.T) {
 	cfg.Platform, cfg.Counter = s.platform, ctr
 	f := mustOpenP2(t, cfg)
 	defer f.Close()
-	f.rebuildDone.Wait()
 	for _, r := range runs {
 		if got, want := runFilterOf(f, r.ID), runFilterOf(s, r.ID); got == nil || !bytes.Equal(got, want) {
 			t.Errorf("restored run %d: filter of %d bytes, the leader's is %d", r.ID, len(got), len(want))

@@ -75,19 +75,22 @@ func (j *jobCompressions) start() {
 // the read path shows up as a diff of this file. The rows that end in
 // compressions count the SHA-256 blocks hashutil compresses: per proved Get,
 // per run an absent key is proved absent from, per 50-row Scan chunk, and
-// per user byte flushed or compacted.
+// per user byte flushed or compacted. The last rows reopen the store and
+// count what an absent-key Get proves and filters right after Open.
 func TestCostLedger(t *testing.T) {
 	hashutil.CountCompressions(true)
 	defer hashutil.CountCompressions(false)
 	var jobs jobCompressions
-	s := mustOpenP2(t, Config{
-		FS:           vfs.NewMem(),
+	fs := vfs.NewMem()
+	cfg := Config{
+		FS:           fs,
 		CacheSize:    8 << 20,
 		KeepVersions: 1,
 		Workers:      lsm.NewWorkerPool(1),
 		beginJob:     func(info lsm.CompactionInfo) { jobs.next(info.MemtableInput) },
-	})
-	defer s.Close()
+	}
+	s := mustOpenP2(t, cfg)
+	defer func() { s.Close() }()
 	rng := rand.New(rand.NewSource(1))
 	var user uint64
 	value := make([]byte, ledgerValue)
@@ -131,6 +134,12 @@ func TestCostLedger(t *testing.T) {
 	row("flush_compressions_per_user_byte", "%.4f", float64(jobs.flushes)/float64(user))
 	row("compact_compressions_per_user_byte", "%.4f", float64(jobs.compactions)/float64(user))
 	row("disk_bytes_per_user_byte", "%.4f", float64(st.DiskBytes)/float64(user))
+	filterBytes := 0
+	for _, img := range tableFiles(t, fs) {
+		stored, _ := storedFilter(img, nil)
+		filterBytes += len(stored)
+	}
+	row("filter_disk_bytes_per_user_byte", "%.4f", float64(filterBytes)/float64(user))
 	perLevel := map[int]int{}
 	deepest := 0
 	for _, r := range s.Engine().Runs() {
@@ -188,6 +197,21 @@ func TestCostLedger(t *testing.T) {
 	after = s.VerifyStatsSnapshot()
 	row("scan_chunk_proof_bytes", "%.1f", float64(after.ProofBytes-before.ProofBytes)/ledgerScans)
 	row("scan_chunk_compressions", "%.1f", float64(hashutil.Compressions()-hashed)/ledgerScans)
+
+	// Absent-key Gets the moment a reopened store is back: every run's key
+	// filter is loaded as Open returns, so none of them proves a run more
+	// than it would have before the reopen.
+	s = reopenWith(t, s, cfg)
+	before = s.VerifyStatsSnapshot()
+	for g := 0; g < ledgerGets/10; g++ {
+		if _, err := Get(s, append(ledgerKey(rng.Intn(ledgerKeys)), '~')); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after = s.VerifyStatsSnapshot()
+	perAbsent := func(n uint64) float64 { return float64(n) / (ledgerGets / 10) }
+	row("reopen_absent_get_runs_probed", "%.4f", perAbsent(after.RunsProbed-before.RunsProbed))
+	row("reopen_absent_get_runs_filtered", "%.4f", perAbsent(after.RunsFiltered-before.RunsFiltered))
 
 	golden := filepath.Join("testdata", "cost_ledger.golden")
 	if *update {

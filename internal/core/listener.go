@@ -153,6 +153,11 @@ func (j *compactionJob) NewProofAppender() (sstable.ProofAppender, error) {
 	return j.finish().newAppender(), nil
 }
 
+// RunFilter hands the engine the output run's key filter to store in the
+// run's first table, for a later Open to load (loadRunFilter). The output
+// tree is finished: NewProofAppender came first.
+func (j *compactionJob) RunFilter() []byte { return j.parts[0].out.filter }
+
 // Verify performs the authenticated-compaction input check
 // (Figure 4 lines 31-33): every input run's reconstructed root must equal
 // the trusted root stored in the enclave, otherwise the compaction aborts
@@ -257,8 +262,7 @@ func (j *compactionJob) Installed() any {
 		delete(c.trusted, id)
 	}
 	c.digests = c.pendingSeal.Digests
-	tr := &trustedRun{digest: c.digests[j.info.OutputRun]}
-	tr.setFilter(c.enclave, j.parts[0].out.filter)
+	tr := &trustedRun{digest: c.digests[j.info.OutputRun], filter: newRunFilter(c.enclave, j.parts[0].out.filter)}
 	c.trusted[j.info.OutputRun] = tr
 	c.pendingSeal, c.sealStagedBy = nil, nil
 	return tr

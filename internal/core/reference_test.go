@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"elsm/internal/bloom"
 	"elsm/internal/hashutil"
 	"elsm/internal/merkle"
 	"elsm/internal/record"
@@ -19,6 +20,7 @@ import (
 
 type refTreeBuilder struct {
 	leaves []hashutil.Hash
+	keys   [][]byte // one a leaf, for the run's key filter
 
 	curKey   []byte
 	pending  []refChainEntry // newest first
@@ -69,6 +71,7 @@ func (b *refTreeBuilder) finishLeaf() {
 		inner = hashutil.ChainLink(b.pending[i].ts, b.pending[i].dig, inner)
 	}
 	b.leaves = append(b.leaves, inner) // the chain head is the leaf
+	b.keys = append(b.keys, bytes.Clone(b.curKey))
 	if b.trackVer {
 		b.perLeaf = append(b.perLeaf, refLeaf{
 			key:      append([]byte(nil), b.curKey...),
@@ -81,7 +84,11 @@ func (b *refTreeBuilder) finishLeaf() {
 func (b *refTreeBuilder) Finish() (*merkle.Tree, runDigest) {
 	b.finishLeaf()
 	t := merkle.New(b.leaves)
-	return t, runDigest{Root: t.Root(), NumLeaves: t.NumLeaves()}
+	d := runDigest{Root: t.Root(), NumLeaves: t.NumLeaves()}
+	if len(b.keys) > 0 {
+		d.Filter = hashutil.FilterHash(bloom.Build(b.keys, bloom.DefaultBitsPerKey))
+	}
+	return t, d
 }
 
 type refOutputTree struct {

@@ -74,14 +74,6 @@ type Config struct {
 	KeepVersions      int
 	DisableCompaction bool
 
-	// holdRebuild and rebuildTamper are test-only stand-ins for a slow or
-	// malicious host during the filter rebuild Open starts
-	// (startFilterRebuild): holdRebuild is called before each run's pass,
-	// and may block it; rebuildTamper is called with every record a run's
-	// stream hands over, before the enclave copies it (copied false) and
-	// after (copied true).
-	holdRebuild   func(runID uint64)
-	rebuildTamper func(view record.Record, copied bool)
 	// beginJob is a test-only observer of every maintenance job, called as
 	// the job begins: the cost ledger tells flushes from compactions by it.
 	beginJob func(lsm.CompactionInfo)
@@ -227,9 +219,9 @@ type Store struct {
 	// checks, the checkpoint export and RunDigests read. Recovery sets it and
 	// Installed replaces it, copy-on-write, so a seal marshals a map no one
 	// changes. trusted holds the trustedRun of each run in it: Installed
-	// retires the input runs' (freeing their filters), and the filter rebuild
-	// publishes only into a run still there. A reader looks at neither: each
-	// run it pins carries its own trustedRun.
+	// retires the input runs' (freeing their filters), and Close all of
+	// them. A reader looks at neither: each run it pins carries its own
+	// trustedRun.
 	digests map[uint64]runDigest
 	trusted map[uint64]*trustedRun
 
@@ -282,13 +274,7 @@ type Store struct {
 	scanPool scratchSlots[scanScratch]
 	readPool scratchSlots[readScratch]
 
-	// The filter rebuild Open starts (startFilterRebuild): Close sets
-	// rebuildStop and waits for rebuildDone. The hooks are Config's.
-	rebuildStop   atomic.Bool
-	rebuildDone   sync.WaitGroup
-	holdRebuild   func(runID uint64)
-	rebuildTamper func(view record.Record, copied bool)
-	beginJob      func(lsm.CompactionInfo) // Config's
+	beginJob func(lsm.CompactionInfo) // Config's
 }
 
 // VerifyStats aggregates proof-verification work (§7: eLSM's proofs cover
@@ -372,8 +358,6 @@ func Open(cfg Config) (*Store, error) {
 		counterInterval: interval,
 		iterChunkKeys:   cfg.chunkKeys(),
 		measurement:     sgx.Measure([]byte("elsm-p2")),
-		holdRebuild:     cfg.holdRebuild,
-		rebuildTamper:   cfg.rebuildTamper,
 		beginJob:        cfg.beginJob,
 		digests:         make(map[uint64]runDigest),
 		trusted:         make(map[uint64]*trustedRun),
@@ -411,9 +395,14 @@ func Open(cfg Config) (*Store, error) {
 	c.engine = engine
 	replayed, err := c.recoverTrustedState(st)
 	if err == nil {
-		// Every run recovery opened carries its trusted state from here on;
-		// no job has run yet, so trusted is recovery's.
-		engine.SetRunTrust(func(id uint64) any { return c.trusted[id] })
+		// Every run recovery opened carries its trusted state from here on,
+		// its key filter loaded from its first table; no job has run yet,
+		// so trusted is recovery's.
+		engine.SetRunTrust(func(id uint64, stored []byte) any {
+			tr := c.trusted[id]
+			tr.filter = loadRunFilter(enclave, tr.digest, stored)
+			return tr
+		})
 	}
 	// Every Open seals before it accepts a write, under a fresh WAL key
 	// (rekey). A fresh store must: recovery refuses data files without
@@ -432,9 +421,9 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if err != nil {
 		engine.Close()
+		c.retireRuns()
 		return nil, err
 	}
-	c.startFilterRebuild()
 	return c, nil
 }
 
@@ -897,17 +886,22 @@ func (c *Store) RunDigests() map[uint64]DigestInfo {
 // final seal fails, the store still shuts down and Close returns the seal's
 // error: recovery will replay the records past the previous seal.
 func (c *Store) Close() error {
-	c.stopFilterRebuild()
 	_ = c.engine.Sync(nil) // best effort: already-closed/failed pipelines still seal the durable frontier
 	serr := c.commitState()
 	err := c.engine.Close()
 	if serr != nil {
 		err = fmt.Errorf("core: final seal: %w", serr)
 	}
+	c.retireRuns()
+	return err
+}
+
+// retireRuns frees the filters of every run in c.trusted, as the store
+// shuts down.
+func (c *Store) retireRuns() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, tr := range c.trusted {
 		tr.retire()
 	}
-	c.mu.Unlock()
-	return err
 }

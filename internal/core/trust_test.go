@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"maps"
-	"sync"
 	"testing"
-	"time"
 
-	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
 
@@ -26,7 +23,7 @@ func TestRunWithoutTrustFailsReads(t *testing.T) {
 	s.mu.Unlock()
 	bare := runs[1].ID // {mid}: the key is in no other run
 	setTrust := func(strip bool) {
-		s.Engine().SetRunTrust(func(id uint64) any {
+		s.Engine().SetRunTrust(func(id uint64, _ []byte) any {
 			if strip && id == bare {
 				return nil
 			}
@@ -58,60 +55,5 @@ func TestRunWithoutTrustFailsReads(t *testing.T) {
 		if res, err := r.read(); err != nil || !res[0].Found {
 			t.Errorf("%s once the run carries its state again = %+v, %v", r.name, res, err)
 		}
-	}
-}
-
-// TestCompactedRunGetsNoRebuiltFilter: a compaction retires a run while the
-// filter rebuild Open started is held on it — before the run's pass, or in
-// the middle of it, with the pass's snapshot pinning the run. The pass then
-// publishes nothing, so no filter is charged for the run: the enclave holds
-// its fixed budgets and the live runs' filters alone.
-func TestCompactedRunGetsNoRebuiltFilter(t *testing.T) {
-	for _, inPass := range []bool{false, true} {
-		name := map[bool]string{false: "before the pass", true: "in the pass"}[inPass]
-		t.Run(name, func(t *testing.T) {
-			cfg := earlyStopCfg(vfs.NewMem())
-			s := mustOpenP2(t, cfg)
-			first := earlyStopTree(t, s)[0].ID // the rebuild's first run
-			held, release := make(chan struct{}), make(chan struct{})
-			var once sync.Once
-			hold := func() {
-				once.Do(func() {
-					close(held)
-					<-release
-				})
-			}
-			if inPass {
-				cfg.rebuildTamper = func(record.Record, bool) { hold() }
-			} else {
-				cfg.holdRebuild = func(id uint64) {
-					if id == first {
-						hold()
-					}
-				}
-			}
-			s = reopenWith(t, s, cfg)
-			defer s.Close()
-			select {
-			case <-held:
-			case <-time.After(30 * time.Second):
-				t.Fatal("the reopened store started no filter rebuild")
-			}
-			err := s.Compact(1)
-			close(release)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.rebuildDone.Wait()
-			for _, r := range s.Engine().Runs() {
-				if r.ID == first {
-					t.Fatalf("run %d survived the compaction", first)
-				}
-			}
-			if runFilterOf(s, first) != nil {
-				t.Errorf("the retired run %d has a filter", first)
-			}
-			checkEnclaveBytes(t, s)
-		})
 	}
 }

@@ -144,7 +144,7 @@ func (v *readView) getAt(key []byte, kh, tsq uint64) (Result, error) {
 		if d.NumLeaves == 0 {
 			continue
 		}
-		if tr.filter.Load().excludes(kh) {
+		if tr.filter.excludes(kh) {
 			st.runsFiltered.Add(1)
 			continue
 		}

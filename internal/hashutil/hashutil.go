@@ -1,6 +1,7 @@
 // Package hashutil provides the domain-separated SHA-256 hashing primitives
 // shared by the eLSM digest structures (record hashes, version hash chains,
-// Merkle interior nodes, WAL record links, the sealed state's fingerprint).
+// Merkle interior nodes, WAL record links, the sealed state's fingerprint,
+// a run's key filter).
 //
 // Every hash is domain-separated with a one-byte tag so that, e.g., a Merkle
 // leaf can never be confused with an interior node or a WAL link — a standard
@@ -17,9 +18,9 @@
 // of crypto/sha256 (Write, the digest copy in Sum, the FIPS bookkeeping),
 // which costs more than the compression of a one- or two-block preimage.
 // Everywhere else sum calls sha256.Sum256. Preimages longer than
-// stackPreimage (large values) stream through sha256.New. Of and
-// StateFingerprint, which no hot path calls (the latter runs once per seal),
-// hash through crypto/sha256 directly.
+// stackPreimage (large values) stream through sha256.New. Of,
+// StateFingerprint and FilterHash, which no hot path calls (they run once per
+// seal or per run), hash through crypto/sha256 directly.
 //
 // MACKey is HMAC-SHA256 on the same footing (the WAL group tags): its pad
 // blocks are compressed once per key, and a tag is the two blocks left.
@@ -64,6 +65,7 @@ const (
 	tagNode
 	tagWAL
 	tagState
+	tagFilter
 )
 
 // stackPreimage bounds the preimages assembled on the stack and hashed by
@@ -331,6 +333,19 @@ func StateFingerprint(runs []RunRoot, walBase, walAppends, epoch uint64) Hash {
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
 	count(len(buf))
 	return sha256.Sum256(buf)
+}
+
+// FilterHash hashes a run's serialized key filter: H(tag ‖ filter). A run's
+// digest carries it, so filter bytes read back from the host are held to the
+// ones the enclave built.
+func FilterHash(filter []byte) Hash {
+	h := sha256.New()
+	h.Write([]byte{tagFilter})
+	h.Write(filter)
+	count(1 + len(filter))
+	var out Hash
+	h.Sum(out[:0])
+	return out
 }
 
 // Of hashes arbitrary bytes with no tag. Prefer the tagged helpers; this is

@@ -148,6 +148,12 @@ func TestPreimagesUnchanged(t *testing.T) {
 	if got, want := NodeHash(a, b), streamed([]byte{tagNode}, a[:], b[:]); got != want {
 		t.Fatal("NodeHash changed")
 	}
+	for _, n := range []int{0, 1, 200, 4096} {
+		f := fill(n)
+		if got, want := FilterHash(f), streamed([]byte{tagFilter}, f); got != want {
+			t.Fatalf("FilterHash(%d bytes) changed", n)
+		}
+	}
 }
 
 // TestStateFingerprintPreimage pins the sealed state's fingerprint to its

@@ -674,6 +674,7 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 			return nil, err
 		}
 	}
+	runFilter := job.RunFilter() // stored in the run's first table
 	// No flusher takes a file before every flusher holds a builder, so a
 	// job takes as many builders as it has flushers however the scheduler
 	// runs them. Each takes its own, from its own P's share of the pool.
@@ -687,8 +688,11 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 		ready.Done()
 		ready.Wait()
 		for fi := int(next.Add(1) - 1); fi < len(files); fi = int(next.Add(1) - 1) {
-			f := &files[fi]
-			f.th, f.err = s.writeRunFile(tb, f.num, f.recs, f.proofs)
+			f, rf := &files[fi], runFilter
+			if fi > 0 {
+				rf = nil
+			}
+			f.th, f.err = s.writeRunFile(tb, f.num, f.recs, f.proofs, rf)
 		}
 	}
 	flushers := min(s.workers.size(), len(files))
@@ -810,16 +814,18 @@ func (tb *tableBuild) release() {
 // file bytes. Safe to call concurrently for distinct files of the same job,
 // each with its own tb (fileNum is pre-assigned by the caller so output
 // order is deterministic).
-func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, proofs sstable.ProofAppender) (*tableHandle, error) {
+func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, proofs sstable.ProofAppender, runFilter []byte) (*tableHandle, error) {
 	buf, b := &tb.buf, &tb.b
 	// A file is cut once its records reach TableFileSize; the index, filter
-	// and footer add a little. One allocation covers a new buffer.
-	buf.data = slices.Grow(buf.data[:0], s.opts.TableFileSize+s.opts.TableFileSize/8)
+	// and footer add a little, and a run's first table its run filter. One
+	// allocation covers a new buffer.
+	buf.data = slices.Grow(buf.data[:0], s.opts.TableFileSize+s.opts.TableFileSize/8+len(runFilter))
 	b.Reset(buf, sstable.BuilderOptions{
 		BlockSize: s.opts.BlockSize,
 		Transform: s.opts.Transform,
 		FileNum:   fileNum,
 		Proofs:    proofs,
+		RunFilter: runFilter,
 	})
 	for _, part := range recs {
 		for _, rec := range part {

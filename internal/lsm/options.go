@@ -300,6 +300,12 @@ type Job interface {
 	// Verify or Abort; whatever the appenders of one job share must be
 	// read-only by then. Nil means the records carry no proofs.
 	NewProofAppender() (sstable.ProofAppender, error)
+	// RunFilter is called after the first NewProofAppender: the bytes it
+	// returns are stored in the output run's first table (Table.RunFilter),
+	// opaque to the engine, and handed back for the run by SetRunTrust when
+	// a later Open recovers it. They live and die with the run's files. Nil
+	// stores none.
+	RunFilter() []byte
 	// Verify is called after all output files are written, under the
 	// engine's install lock: from here to Committed/Abort at most one job
 	// across the whole store is in flight ("one version install in
@@ -354,6 +360,9 @@ func (NopJob) Filter(int, uint64, record.Record, bool) {}
 
 // NewProofAppender implements Job.
 func (NopJob) NewProofAppender() (sstable.ProofAppender, error) { return nil, nil }
+
+// RunFilter implements Job: no run filter is stored.
+func (NopJob) RunFilter() []byte { return nil }
 
 // Verify implements Job.
 func (NopJob) Verify(int) error { return nil }

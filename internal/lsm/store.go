@@ -793,14 +793,20 @@ func (s *Store) FlushMemtable() error {
 }
 
 // SetRunTrust sets the listener's value of every run the store lists to what
-// trust returns for the run's ID, and publishes a version that carries them:
-// the values of the runs recovery opened, which no Job.Installed returned.
-func (s *Store) SetRunTrust(trust func(id uint64) any) {
+// trust returns for the run's ID and the bytes its first table stores as the
+// Job.RunFilter (nil if none; the host's bytes, which trust must check before
+// it relies on them), and publishes a version that carries the values: those
+// of the runs recovery opened, which no Job.Installed returned.
+func (s *Store) SetRunTrust(trust func(id uint64, runFilter []byte) any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, runs := range s.levels {
 		for _, r := range runs {
-			r.trust = trust(r.id)
+			var rf []byte
+			if len(r.tables) > 0 {
+				rf = r.tables[0].table.RunFilter()
+			}
+			r.trust = trust(r.id, rf)
 		}
 	}
 	s.publishLocked().unpin() // it lists the runs the new one does: no file goes

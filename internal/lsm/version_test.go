@@ -203,7 +203,12 @@ func TestRunTrustTravelsWithTheRun(t *testing.T) {
 		t.Fatal("no run was recovered")
 	}
 	attached := func(id uint64) any { return fmt.Sprint("recovered ", id) }
-	s.SetRunTrust(attached)
+	s.SetRunTrust(func(id uint64, runFilter []byte) any {
+		if runFilter != nil {
+			t.Errorf("run %d, written without proofs, stores a run filter of %d bytes", id, len(runFilter))
+		}
+		return attached(id)
+	})
 	sn = s.AcquireSnapshot()
 	if len(sn.Runs()) != len(recovered) {
 		t.Fatalf("%d runs after SetRunTrust, %d recovered", len(sn.Runs()), len(recovered))

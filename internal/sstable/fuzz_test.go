@@ -101,9 +101,18 @@ func FuzzOpenTable(f *testing.F) {
 		// The same table without its filters: its Get reads every block.
 		f.Add(withFilterCount(tf.Bytes(), 0))
 	}
-	// A P2 table carries no filters: the first of the section seeds.
+	// A P2 table carries no block filters: the first of the section seeds.
 	for _, seed := range sectionSeeds(f) {
 		f.Add(seed)
+	}
+	// A run's first P2 table stores the run filter after the count of 0; the
+	// footer may cut it short, or cut the count itself.
+	withRunFilter := runFilterTable(f, bytes.Repeat([]byte{0x5a}, 40))
+	f.Add(withRunFilter)
+	for _, filterLen := range []uint64{4 + 20, 2} {
+		img := bytes.Clone(withRunFilter)
+		binary.BigEndian.PutUint64(img[len(img)-40:], filterLen)
+		f.Add(img)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file := memFile(t, data)

@@ -39,12 +39,15 @@
 // filters (u32 length ‖ filter). A table built without a ProofAppender
 // carries one filter per data block (§2: "a Bloom filter is built for each
 // data block"), and its raw Get skips a block whose filter rules the key
-// out. A P2 table's filter block is a bare count of 0: a filter read from an
-// untrusted file could not stand in for the proof of a key's absence, the two
-// records around it (§5.5.1). A P2 Get asks instead the filter the enclave
-// built over the run's keys as it hashed them and keeps beside the run's
-// digest (package core); it reads the block only when that filter passes the
-// key, and then proves what it finds.
+// out. A P2 table's filter block is a count of 0, and in a run's first table
+// the run's key filter follows it (BuilderOptions.RunFilter): the filter the
+// enclave built over the run's keys as it hashed them, stored so a reopened
+// store need not rebuild it. This package never probes it. A filter read from
+// an untrusted file cannot stand in for the proof of a key's absence, the two
+// records around it (§5.5.1), so the enclave counts a stored filter only once
+// its hash equals the one sealed in the run's digest (package core); a P2 Get
+// then reads a block only when that filter passes the key, and proves what it
+// finds.
 package sstable
 
 import (
@@ -120,10 +123,13 @@ type BuilderOptions struct {
 	FileNum uint64
 	// Proofs, when non-nil, supplies every record's embedded proof at build
 	// time, as a chain part per record and a group section per block;
-	// Record.Proof is then ignored, and the table carries no filters. Nil
-	// writes each record's own Proof bytes, no sections, and a Bloom filter
-	// of bloom.DefaultBitsPerKey per block.
+	// Record.Proof is then ignored, and the table carries no block filters.
+	// Nil writes each record's own Proof bytes, no sections, and a Bloom
+	// filter of bloom.DefaultBitsPerKey per block.
 	Proofs ProofAppender
+	// RunFilter, with Proofs, is stored after the filter block's count of 0
+	// as the bytes Table.RunFilter returns; the table never reads them.
+	RunFilter []byte
 }
 
 // ProofAppender produces the embedded proofs of the records added to one
@@ -334,16 +340,23 @@ func (b *Builder) Finish() (Meta, error) {
 	if b.numEntries == 0 {
 		return Meta{}, fmt.Errorf("%w: empty table", ErrBadTable)
 	}
-	// Filter block: a bare count of 0 with Proofs.
-	fb := b.filterBlock
+	// Filter block: a count of 0 and the run filter, if any, with Proofs.
+	fb, rf := b.filterBlock, b.opts.RunFilter
 	if b.opts.Proofs == nil {
 		binary.BigEndian.PutUint32(fb, uint32(len(b.index)))
+		rf = nil
 	}
 	filterOff := b.off
 	if _, err := b.f.Append(fb); err != nil {
 		return Meta{}, fmt.Errorf("sstable: write filters: %w", err)
 	}
-	b.off += int64(len(fb))
+	if len(rf) > 0 {
+		if _, err := b.f.Append(rf); err != nil {
+			return Meta{}, fmt.Errorf("sstable: write run filter: %w", err)
+		}
+	}
+	filterLen := len(fb) + len(rf)
+	b.off += int64(filterLen)
 
 	// Index block.
 	ib := binary.BigEndian.AppendUint32(b.scratch[:0], uint32(len(b.index)))
@@ -365,7 +378,7 @@ func (b *Builder) Finish() (Meta, error) {
 
 	// Footer: filterOff, filterLen, indexOff, indexLen, numEntries, magic.
 	ft := binary.BigEndian.AppendUint64(b.scratch[:0], uint64(filterOff))
-	ft = binary.BigEndian.AppendUint64(ft, uint64(len(fb)))
+	ft = binary.BigEndian.AppendUint64(ft, uint64(filterLen))
 	ft = binary.BigEndian.AppendUint64(ft, uint64(indexOff))
 	ft = binary.BigEndian.AppendUint64(ft, uint64(len(ib)))
 	ft = binary.BigEndian.AppendUint64(ft, uint64(b.numEntries))
@@ -396,6 +409,7 @@ type Table struct {
 	fileNum    uint64
 	index      []indexEntry
 	filters    []bloom.Filter // one per block, or none
+	runFilter  []byte         // what follows a count of 0, or nothing
 	numEntries int
 	source     BlockSource
 }
@@ -516,8 +530,16 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		t.filters = append(t.filters, bloom.Filter(fb[p:p+flen]))
 		p += flen
 	}
+	if fn == 0 && len(fb) > 4 {
+		t.runFilter = fb[4:]
+	}
 	return t, nil
 }
+
+// RunFilter returns the bytes stored after a filter block's count of 0 (see
+// BuilderOptions.RunFilter), nil if there are none. They are the host's: the
+// caller must not trust them unchecked.
+func (t *Table) RunFilter() []byte { return t.runFilter }
 
 // NumEntries returns the number of records in the table.
 func (t *Table) NumEntries() int { return t.numEntries }

@@ -259,6 +259,72 @@ func withFilterCount(img []byte, n uint32) []byte {
 	return img
 }
 
+// runFilterTable builds a P2 table — records with proofs — that stores
+// runFilter after its filter block's count of 0, and returns its image.
+func runFilterTable(t testing.TB, runFilter []byte) []byte {
+	t.Helper()
+	recs := seqRecords(12, 2)
+	f, err := vfs.NewMem().Create("t.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(f, BuilderOptions{BlockSize: 256, FileNum: 3, Proofs: newTreeProofs(recs, 2), RunFilter: runFilter})
+	for _, rec := range recs {
+		if err := b.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(f.Bytes())
+}
+
+// TestRunFilterIsStored: a P2 table stores the run filter it is given after
+// its filter block's count of 0 and hands the bytes back as they were, with
+// no block filter and no metadata charged for them; a table built without
+// one, or without proofs, stores none.
+func TestRunFilterIsStored(t *testing.T) {
+	runFilter := []byte("any bytes: the table never reads them")
+	for _, c := range []struct {
+		name string
+		img  []byte
+		want []byte
+	}{
+		{"with a run filter", runFilterTable(t, runFilter), runFilter},
+		{"without", runFilterTable(t, nil), nil},
+	} {
+		mf := memFile(t, c.img)
+		tbl, err := Open(mf, 3, &FileSource{F: mf})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := tbl.RunFilter(); !bytes.Equal(got, c.want) {
+			t.Errorf("%s: RunFilter = %q, want %q", c.name, got, c.want)
+		}
+		if len(tbl.filters) != 0 {
+			t.Errorf("%s: %d block filters", c.name, len(tbl.filters))
+		}
+	}
+	f, err := vfs.NewMem().Create("t.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(f, BuilderOptions{RunFilter: runFilter})
+	for _, rec := range seqRecords(12, 1) {
+		if err := b.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Open(f, 1, &FileSource{F: f})
+	if err != nil || tbl.RunFilter() != nil || len(tbl.filters) != tbl.NumBlocks() {
+		t.Fatalf("a table without proofs: Open = %v, run filter %q, %d block filters for %d blocks", err, tbl.RunFilter(), len(tbl.filters), tbl.NumBlocks())
+	}
+}
+
 // TestOpenFilterCount: a table carries no filters (a P2 table) or one per
 // block, and Open refuses any other count. A table without filters may hold
 // any key: its Get reads the block.
