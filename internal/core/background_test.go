@@ -131,137 +131,6 @@ func TestConcurrentWritesDuringCompaction(t *testing.T) {
 	}
 }
 
-// runIDSet extracts the set of run IDs currently in the version.
-func runIDSet(s *Store) map[uint64]bool {
-	out := map[uint64]bool{}
-	for _, r := range s.Engine().Runs() {
-		out[r.ID] = true
-	}
-	return out
-}
-
-// subsetOf reports whether every element of got is in want.
-func subsetOf(got, want map[uint64]bool) bool {
-	for id := range got {
-		if !want[id] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCrashMidBackgroundCompaction kills the disk (vfs fault injection) at
-// varying points inside a compaction — during output table writes, during
-// the manifest swap — then "crashes" (abandons the store) and recovers on
-// the surviving bytes. Recovery must observe either the old input runs or
-// the new output run, never a mixture; every committed record must read
-// back verified; and tamper detection must still fire on whichever run set
-// survived.
-func TestCrashMidBackgroundCompaction(t *testing.T) {
-	for _, budget := range []int{1, 2, 4, 8, 16, 32, 1 << 30} {
-		budget := budget
-		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
-			mem := vfs.NewMem()
-			ffs := vfs.NewFault(mem)
-			cfg := smallCfg(ffs)
-			cfg.CounterInterval = 8
-			cfg.KeepVersions = 1
-			s := mustOpenP2(t, cfg)
-
-			// Build a store with runs on two levels, settled.
-			written := map[string]string{}
-			for i := 0; i < 150; i++ {
-				key := fmt.Sprintf("key%04d", i)
-				val := fmt.Sprintf("val%04d", i)
-				if _, err := Put(s, []byte(key), []byte(val)); err != nil {
-					t.Fatal(err)
-				}
-				written[key] = val
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			oldRuns := runIDSet(s)
-			if len(oldRuns) == 0 {
-				t.Fatal("setup produced no runs")
-			}
-
-			// Die somewhere inside the compaction.
-			ffs.Arm(budget)
-			compactErr := s.Compact(1)
-			ffs.Disarm()
-			newRuns := runIDSet(s)
-
-			// "Crash": abandon without Close, reopen the raw bytes.
-			cfg2 := smallCfg(mem)
-			cfg2.CounterInterval = 8
-			cfg2.KeepVersions = 1
-			cfg2.Platform = s.platform
-			cfg2.Counter = s.counter
-			s2, err := Open(cfg2)
-			if err != nil {
-				// Refusing recovery outright is acceptable (fail closed) —
-				// but only when the compaction actually failed mid-way.
-				if compactErr == nil {
-					t.Fatalf("clean compaction but recovery refused: %v", err)
-				}
-				t.Logf("recovery refused (fail-closed) after %v", err)
-				return
-			}
-			defer s2.Close()
-
-			// Old runs or new run — never both.
-			recovered := runIDSet(s2)
-			if !subsetOf(recovered, oldRuns) && !subsetOf(recovered, newRuns) {
-				t.Fatalf("recovered a mixed version: %v (old %v, new %v)",
-					recovered, oldRuns, newRuns)
-			}
-
-			// Every committed record must verify on the surviving set.
-			for key, val := range written {
-				res, err := Get(s2, []byte(key))
-				if err != nil {
-					t.Fatalf("verified read after crash: %v", err)
-				}
-				if !res.Found || string(res.Value) != val {
-					t.Fatalf("key %s: found=%v val=%q want %q", key, res.Found, res.Value, val)
-				}
-			}
-
-			// Tamper detection must still fire on the surviving tables,
-			// when the reads prove them again.
-			s2.emptyRecordCache()
-			names, _ := mem.List("0")
-			if len(names) == 0 {
-				t.Fatal("no surviving tables to tamper with")
-			}
-			for _, name := range names {
-				f, err := mem.Open(name)
-				if err != nil {
-					continue
-				}
-				for off := int64(0); off < f.Size(); off += 64 {
-					mem.Corrupt(name, off)
-				}
-			}
-			detected := false
-			for key := range written {
-				res, err := Get(s2, []byte(key))
-				if err != nil {
-					detected = true
-					break
-				}
-				if res.Found && res.Value != nil && written[key] != string(res.Value) {
-					t.Fatalf("tampered value served without error for %s", key)
-				}
-			}
-			if !detected {
-				t.Fatal("no read error after corrupting every surviving table")
-			}
-		})
-	}
-}
-
 // manifestLastTs matches the timestamp floor in the engine's JSON manifest.
 var manifestLastTs = regexp.MustCompile(`"lastTs":\d+`)
 

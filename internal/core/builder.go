@@ -191,7 +191,7 @@ func newCompactionHasher(inputRuns []uint64, expectLeaves int) *compactionHasher
 func newPartedHashers(dst []*compactionHasher, inputRuns []uint64, bounds [][]byte, expectLeaves int) ([]*compactionHasher, error) {
 	for i := 1; i < len(bounds); i++ {
 		if bytes.Compare(bounds[i-1], bounds[i]) >= 0 {
-			return dst, fmt.Errorf("core: compaction part bounds do not ascend: %q then %q", bounds[i-1], bounds[i])
+			return dst, fmt.Errorf("%w: part bounds do not ascend: %q then %q", ErrCompactionInput, bounds[i-1], bounds[i])
 		}
 	}
 	share := expectLeaves / (len(bounds) + 1)
@@ -282,14 +282,14 @@ func (h *compactionHasher) add(srcRun uint64, rec record.Record, dropped bool) e
 	if h.haveKey {
 		switch c := bytes.Compare(rec.Key, h.curKey); {
 		case c < 0:
-			return fmt.Errorf("core: compaction stream out of order: %q after %q", rec.Key, h.curKey)
+			return fmt.Errorf("%w: stream out of order: %q after %q", ErrCompactionInput, rec.Key, h.curKey)
 		case c > 0:
 			h.foldKey()
 		}
 	}
 	if !h.haveKey {
 		if h.lo != nil && bytes.Compare(rec.Key, h.lo) < 0 || h.hi != nil && bytes.Compare(rec.Key, h.hi) >= 0 {
-			return fmt.Errorf("core: key %q streamed in compaction part %d, which holds [%q, %q)", rec.Key, h.part, h.lo, h.hi)
+			return fmt.Errorf("%w: key %q streamed in part %d, which holds [%q, %q)", ErrCompactionInput, rec.Key, h.part, h.lo, h.hi)
 		}
 		h.curKey = append(h.curKey[:0], rec.Key...)
 		h.haveKey = true
@@ -298,14 +298,14 @@ func (h *compactionHasher) add(srcRun uint64, rec record.Record, dropped bool) e
 	if src >= 0 {
 		r := &h.inputs[src]
 		if r.n > 0 && rec.Ts >= r.lastTs {
-			return fmt.Errorf("core: version order violation for key %q", rec.Key)
+			return fmt.Errorf("%w: version order violation for key %q", ErrCompactionInput, rec.Key)
 		}
 		r.n++
 		r.lastTs = rec.Ts
 	}
 	if !dropped {
 		if h.kept > 0 && rec.Ts >= h.keptTs {
-			return fmt.Errorf("core: version order violation for key %q", rec.Key)
+			return fmt.Errorf("%w: version order violation for key %q", ErrCompactionInput, rec.Key)
 		}
 		h.kept++
 		h.keptTs = rec.Ts

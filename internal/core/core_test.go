@@ -92,47 +92,6 @@ func scanVerdict(t *testing.T, warm *verifier, start, end []byte, rs lsm.RunScan
 	return cold
 }
 
-func TestPutGetVerified(t *testing.T) {
-	s := mustOpenP2(t, smallCfg(nil))
-	defer s.Close()
-	want := map[string]string{}
-	for i := 0; i < 3000; i++ {
-		key := fmt.Sprintf("key%05d", i%700)
-		val := fmt.Sprintf("val%d", i)
-		if _, err := Put(s, []byte(key), []byte(val)); err != nil {
-			t.Fatal(err)
-		}
-		want[key] = val
-	}
-	// Settle the background maintenance first: under -race the writes can
-	// outrun the first compaction, which the level debt makes certain.
-	if err := s.Engine().WaitMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Engine().Stats().Compactions == 0 {
-		t.Fatal("test did not exercise compaction")
-	}
-	for key, val := range want {
-		res, err := Get(s, []byte(key))
-		if err != nil {
-			t.Fatalf("get %q: %v", key, err)
-		}
-		if !res.Found || string(res.Value) != val {
-			t.Fatalf("get %q = %q found=%v, want %q", key, res.Value, res.Found, val)
-		}
-	}
-	// Verified non-membership for absent keys (early-stop across levels).
-	for _, k := range []string{"aaa", "key99999", "zzz", "key00000a"} {
-		res, err := Get(s, []byte(k))
-		if err != nil {
-			t.Fatalf("absent get %q: %v", k, err)
-		}
-		if res.Found {
-			t.Fatalf("found absent key %q", k)
-		}
-	}
-}
-
 // earlyStopCfg is the configuration of TestGetEarlyStopCounts' tree: only
 // explicit flushes make runs, nothing compacts them, and no block cache
 // stands between a Get and the table files.
@@ -218,106 +177,6 @@ func TestGetEarlyStopCounts(t *testing.T) {
 	}
 }
 
-func TestHistoricalGetVerified(t *testing.T) {
-	s := mustOpenP2(t, smallCfg(nil))
-	defer s.Close()
-	var tss []uint64
-	for i := 0; i < 10; i++ {
-		ts, err := Put(s, []byte("k"), []byte(fmt.Sprintf("v%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tss = append(tss, ts)
-		// Interleave other keys to force flushes.
-		for j := 0; j < 200; j++ {
-			Put(s, []byte(fmt.Sprintf("fill%d-%d", i, j)), bytes.Repeat([]byte("x"), 64))
-		}
-	}
-	for i, ts := range tss {
-		res, err := s.GetAt(nil, []byte("k"), ts)
-		if err != nil {
-			t.Fatalf("historical get @%d: %v", ts, err)
-		}
-		if !res.Found || string(res.Value) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("@%d = %q found=%v", ts, res.Value, res.Found)
-		}
-	}
-	// Before the first version: verified absence.
-	res, err := s.GetAt(nil, []byte("k"), tss[0]-1)
-	if err != nil {
-		t.Fatalf("pre-history get: %v", err)
-	}
-	if res.Found {
-		t.Fatal("found record before its first version")
-	}
-}
-
-func TestDeleteVerified(t *testing.T) {
-	s := mustOpenP2(t, smallCfg(nil))
-	defer s.Close()
-	Put(s, []byte("k"), []byte("v"))
-	delTs, err := Delete(s, []byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Get(s, []byte("k"))
-	if err != nil {
-		t.Fatalf("get after delete: %v", err)
-	}
-	if res.Found {
-		t.Fatal("deleted key still found")
-	}
-	// Historical read before the delete still verifies.
-	res, err = s.GetAt(nil, []byte("k"), delTs-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res // may or may not be found depending on tombstone GC policy at bottom level
-}
-
-func TestScanVerified(t *testing.T) {
-	s := mustOpenP2(t, smallCfg(nil))
-	defer s.Close()
-	for i := 0; i < 1000; i++ {
-		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	// Overwrite some keys so scans cross version chains.
-	for i := 0; i < 100; i++ {
-		Put(s, []byte(fmt.Sprintf("key%04d", i*10)), []byte(fmt.Sprintf("new%d", i)))
-	}
-	out, err := Scan(s, []byte("key0100"), []byte("key0149"))
-	if err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	if len(out) != 50 {
-		t.Fatalf("scan returned %d results", len(out))
-	}
-	for i, r := range out {
-		wantKey := fmt.Sprintf("key%04d", 100+i)
-		if string(r.Key) != wantKey {
-			t.Fatalf("result %d key = %q want %q", i, r.Key, wantKey)
-		}
-		wantVal := fmt.Sprintf("v%d", 100+i)
-		if (100+i)%10 == 0 {
-			wantVal = fmt.Sprintf("new%d", (100+i)/10)
-		}
-		if string(r.Value) != wantVal {
-			t.Fatalf("result %q = %q want %q", r.Key, r.Value, wantVal)
-		}
-	}
-	// Empty range scans verify too.
-	out, err = Scan(s, []byte("zzz0"), []byte("zzz9"))
-	if err != nil {
-		t.Fatalf("empty scan: %v", err)
-	}
-	if len(out) != 0 {
-		t.Fatalf("empty scan returned %d", len(out))
-	}
-}
-
 func TestBulkLoadVerified(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()
@@ -347,57 +206,6 @@ func TestBulkLoadVerified(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Attack scenarios: the malicious host tampers with out-of-enclave state.
-
-func TestAttackCorruptSSTableDetected(t *testing.T) {
-	fs := vfs.NewMem()
-	s := mustOpenP2(t, smallCfg(fs))
-	defer s.Close()
-	for i := 0; i < 2000; i++ {
-		Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i)))
-	}
-	// Let background flushes and compactions finish first: one still running
-	// would read the files while they are being corrupted, or replace the
-	// corrupted files with clean rewrites before anything reads them.
-	if err := s.Engine().WaitMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	names, _ := fs.List("0")
-	if len(names) == 0 {
-		t.Fatal("no sstables on disk")
-	}
-	// Flip a byte in every 97 of every data file, so that every record is
-	// hit where it matters (key, timestamp, value, framing) and not only in
-	// the sibling hashes of its proof — most of a table's bytes — which a
-	// walk that stops at an already-verified node never reads: a flip
-	// there is harmless, not undetected.
-	for _, name := range names {
-		f, _ := fs.Open(name)
-		for off := f.Size() / 3 % 97; off < f.Size(); off += 97 {
-			fs.Corrupt(name, off)
-		}
-	}
-	// Every key must now either verify (if its record was untouched) or
-	// fail with an authentication error — never return wrong data.
-	authFailures := 0
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("key%05d", i)
-		res, err := Get(s, []byte(key))
-		switch {
-		case err != nil:
-			authFailures++
-		case res.Found && string(res.Value) != fmt.Sprintf("val%d", i):
-			t.Fatalf("silent corruption: %q = %q", key, res.Value)
-		case !res.Found:
-			// A verified non-membership for a present key would be a
-			// completeness violation; but corrupt blocks fail before
-			// that. Treat as failure for accounting.
-			authFailures++
-		}
-	}
-	if authFailures == 0 {
-		t.Fatal("no corruption detected across 2000 reads")
-	}
-}
 
 func TestAttackStaleResultDetected(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
@@ -546,162 +354,8 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	}
 }
 
-func TestAttackRollbackDetected(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	s := mustOpenP2(t, cfg)
-	for i := 0; i < 500; i++ {
-		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v1"))
-	}
-	s.Flush()
-	snapshot := fs.Clone() // the attacker snapshots an old authenticated state
-	for i := 0; i < 500; i++ {
-		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v2"))
-	}
-	s.Flush()
-	s.Close()
-
-	// Rollback attack: restore the old files and reopen with the same
-	// (persistent) platform and counter.
-	fs.Restore(snapshot)
-	cfg.Platform = s.platform
-	cfg.Counter = s.counter
-	if _, err := Open(cfg); !errors.Is(err, ErrAuthFailed) {
-		t.Fatalf("rollback not detected: %v", err)
-	}
-}
-
-func TestAttackCompactionInputTamperDetected(t *testing.T) {
-	fs := vfs.NewMem()
-	s := mustOpenP2(t, smallCfg(fs))
-	defer s.Close()
-	for i := 0; i < 1000; i++ {
-		Put(s, []byte(fmt.Sprintf("key%05d", i)), bytes.Repeat([]byte("v"), 32))
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Tamper with the on-disk tables — every one, so whichever files the
-	// compaction reads are among them — then force a compaction over them.
-	// Corrupt densely: part of each file is embedded proofs, which compaction
-	// legitimately ignores (it rebuilds them), so a single flipped byte may
-	// not touch authenticated record content.
-	names, _ := fs.List("0")
-	if len(names) == 0 {
-		t.Fatal("no tables")
-	}
-	for _, name := range names {
-		f, _ := fs.Open(name)
-		for off := int64(0); off < f.Size()/2; off += 37 {
-			fs.Corrupt(name, off)
-		}
-	}
-	err := s.Compact(s.Engine().Runs()[0].Level)
-	if err == nil {
-		t.Fatal("compaction over tampered input succeeded")
-	}
-}
-
-func TestAttackTrustedStateDeletionDetected(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	s := mustOpenP2(t, cfg)
-	for i := 0; i < 500; i++ {
-		Put(s, []byte(fmt.Sprintf("key%04d", i)), []byte("v"))
-	}
-	s.Flush()
-	s.Close()
-	fs.Remove(trustedStateName)
-	cfg.Platform = s.platform
-	cfg.Counter = s.counter
-	if _, err := Open(cfg); !errors.Is(err, ErrStateMissing) {
-		t.Fatalf("missing trusted state not detected: %v", err)
-	}
-}
-
-func TestAttackWALTamperDetected(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	s := mustOpenP2(t, cfg)
-	Put(s, []byte("a"), []byte("1"))
-	Put(s, []byte("b"), []byte("2"))
-	s.Close() // seals state including WAL digest
-
-	// Tamper with the WAL body: rewrite a whole valid record so the CRC
-	// passes but the digest chain diverges.
-	f, err := fs.Open("wal.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte in the value region of the first record (CRC will catch
-	// it; either CRC or digest failure is acceptable detection).
-	fs.Corrupt("wal.log", f.Size()-1)
-	cfg.Platform = s.platform
-	cfg.Counter = s.counter
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("tampered WAL accepted on recovery")
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Recovery
-
-func TestCleanRecoveryVerifies(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	s := mustOpenP2(t, cfg)
-	want := map[string]string{}
-	for i := 0; i < 1500; i++ {
-		key := fmt.Sprintf("key%04d", i%400)
-		val := fmt.Sprintf("v%d", i)
-		Put(s, []byte(key), []byte(val))
-		want[key] = val
-	}
-	s.Close()
-
-	cfg.Platform = s.platform
-	cfg.Counter = s.counter
-	s2 := mustOpenP2(t, cfg)
-	defer s2.Close()
-	if n := s2.ReplayedPastSeal(); n != 0 {
-		t.Fatalf("clean close left %d records past the seal", n)
-	}
-	for key, val := range want {
-		res, err := Get(s2, []byte(key))
-		if err != nil || !res.Found || string(res.Value) != val {
-			t.Fatalf("after recovery %q: %+v err=%v", key, res, err)
-		}
-	}
-	// Writes continue and verify.
-	if _, err := Put(s2, []byte("post"), []byte("recovery")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Get(s2, []byte("post"))
-	if err != nil || !res.Found {
-		t.Fatalf("post-recovery put/get: %+v err=%v", res, err)
-	}
-}
-
-func TestUncleanRecoveryCountsSuffixPastSeal(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	cfg.CounterInterval = 10
-	s := mustOpenP2(t, cfg)
-	for i := 0; i < 25; i++ { // interval 10: seals at 10 and 20; 5 dangling
-		Put(s, []byte(fmt.Sprintf("key%02d", i)), []byte("v"))
-	}
-	// Simulate crash: do NOT Close (no final seal).
-	s.Engine().Close()
-
-	cfg2 := smallCfg(fs)
-	cfg2.Platform = s.platform
-	cfg2.Counter = s.counter
-	s2 := mustOpenP2(t, cfg2)
-	defer s2.Close()
-	if n := s2.ReplayedPastSeal(); n != 5 {
-		t.Fatalf("suffix past the seal = %d, want 5", n)
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Cross-implementation equivalence

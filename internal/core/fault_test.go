@@ -8,123 +8,7 @@ import (
 	"elsm/internal/lsm"
 	"elsm/internal/merkle"
 	"elsm/internal/record"
-	"elsm/internal/vfs"
 )
-
-// TestIOFaultDuringWritesSurfacesCleanly arms the fault injector at
-// decreasing budgets so the failure lands in different phases (WAL append,
-// flush, compaction, manifest write) and checks that the store returns an
-// error instead of silently losing or corrupting data.
-func TestIOFaultDuringWritesSurfacesCleanly(t *testing.T) {
-	for _, budget := range []int{3, 10, 40, 120, 400} {
-		budget := budget
-		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
-			mem := vfs.NewMem()
-			ffs := vfs.NewFault(mem)
-			cfg := smallCfg(ffs)
-			s, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			ffs.Arm(budget)
-			var failed bool
-			for i := 0; i < 2000 && !failed; i++ {
-				if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte("v")); err != nil {
-					if !errors.Is(err, vfs.ErrInjected) {
-						t.Fatalf("op %d: unexpected error class: %v", i, err)
-					}
-					failed = true
-				}
-			}
-			if !failed {
-				t.Fatalf("fault never fired (budget %d)", budget)
-			}
-			if !ffs.Tripped() {
-				t.Fatal("injector claims untripped")
-			}
-		})
-	}
-}
-
-// TestCloseReportsAFailedSeal: when the final seal's rename of TRUSTED.bin
-// fails, Close still shuts the store down but returns the error, and the
-// reopened store replays the write the failed seal would have covered.
-func TestCloseReportsAFailedSeal(t *testing.T) {
-	mem := vfs.NewMem()
-	ffs := vfs.NewFault(mem)
-	s := mustOpenP2(t, smallCfg(ffs))
-	if _, err := Put(s, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	ffs.ArmFilter(vfs.OpRename, trustedStateName+"*")
-	ffs.Arm(0)
-	if err := s.Close(); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("Close with a failed final seal = %v, want the injected error", err)
-	}
-	if !ffs.Tripped() {
-		t.Fatal("the seal's rename was never attempted")
-	}
-	cfg := smallCfg(mem)
-	cfg.Platform, cfg.Counter = s.platform, s.counter
-	s2 := mustOpenP2(t, cfg)
-	defer s2.Close()
-	if got := s2.ReplayedPastSeal(); got != 1 {
-		t.Fatalf("reopen replayed %d records past the seal, want the 1 the failed seal left", got)
-	}
-	if res, err := Get(s2, []byte("k")); err != nil || string(res.Value) != "v" {
-		t.Fatalf("Get(k) after reopen = %+v, %v", res, err)
-	}
-}
-
-// TestRecoveryAfterMidFlushCrash kills the disk mid-flush, then restarts
-// against the surviving bytes: the store must either recover to a
-// verified prefix of the history or refuse with a clear error — never
-// serve unverified data.
-func TestRecoveryAfterMidFlushCrash(t *testing.T) {
-	mem := vfs.NewMem()
-	ffs := vfs.NewFault(mem)
-	cfg := smallCfg(ffs)
-	cfg.CounterInterval = 8
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	written := map[string]bool{}
-	for i := 0; i < 60; i++ {
-		key := fmt.Sprintf("key%03d", i)
-		if _, err := Put(s, []byte(key), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		written[key] = true
-	}
-	// Kill the disk, then drive writes until the flush path trips.
-	ffs.Arm(25)
-	for i := 60; i < 3000 && !ffs.Tripped(); i++ {
-		Put(s, []byte(fmt.Sprintf("key%03d", i%200)), []byte("v2"))
-	}
-	if !ffs.Tripped() {
-		t.Fatal("flush fault never fired")
-	}
-	// "Crash": abandon the store without Close, heal the disk, reopen.
-	ffs.Disarm()
-	cfg2 := smallCfg(mem) // reopen on the raw surviving bytes
-	cfg2.Platform = s.platform
-	cfg2.Counter = s.counter
-	s2, err := Open(cfg2)
-	if err != nil {
-		// Refusing recovery outright is acceptable (fail closed).
-		t.Logf("recovery refused (fail-closed): %v", err)
-		return
-	}
-	defer s2.Close()
-	// Whatever recovered must verify.
-	for key := range written {
-		if _, err := Get(s2, []byte(key)); err != nil {
-			t.Fatalf("verified read after crash recovery failed: %v", err)
-		}
-	}
-}
 
 // TestAttackScanChainVersionOmission targets the version hash chain: with
 // full history retained, a range result that silently drops ONE version of

@@ -192,88 +192,6 @@ func TestGroupCommitCoalescesSyncsAndBumps(t *testing.T) {
 	t.Logf("%d commits: %d fsyncs, %d bumps", perOp, syncs, bumps)
 }
 
-// TestGroupCommitCrashRecoveryMidGroup cuts the WAL inside a commit group
-// and checks that recovery yields a prefix of WHOLE groups: every batch is
-// either fully present or fully absent, never partially applied.
-func TestGroupCommitCrashRecoveryMidGroup(t *testing.T) {
-	fs := vfs.NewMem()
-	platform, err := sgx.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := sgx.NewMonotonicCounter()
-	base := func() Config {
-		cfg := smallCfg(fs)
-		cfg.MemtableSize = 1 << 20 // no flushes: all groups live in the WAL
-		cfg.Platform = platform
-		cfg.Counter = counter
-		return cfg
-	}
-
-	s1 := mustOpenP2(t, base())
-	if _, err := Put(s1, []byte("sealed"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Close(); err != nil { // seals trusted state over "sealed"
-		t.Fatal(err)
-	}
-
-	// Reopen and commit 6 batches of 5 records each; crash (no Close).
-	s2 := mustOpenP2(t, base())
-	const batches, perBatch = 6, 5
-	for b := 0; b < batches; b++ {
-		ops := make([]BatchOp, perBatch)
-		for j := range ops {
-			ops[j] = BatchOp{
-				Key:   []byte(fmt.Sprintf("g%02d-r%d", b, j)),
-				Value: []byte(fmt.Sprintf("v%d-%d", b, j)),
-			}
-		}
-		if _, err := s2.Commit(nil, ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The host (or a torn write) cuts the log 7 bytes before its end —
-	// inside the last group.
-	f, err := fs.Open("wal.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(f.Size() - 7); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s3 := mustOpenP2(t, base())
-	defer s3.Close()
-	if res, err := Get(s3, []byte("sealed")); err != nil || !res.Found {
-		t.Fatalf("sealed record lost: %v found=%v", err, res.Found)
-	}
-	for b := 0; b < batches; b++ {
-		present := 0
-		for j := 0; j < perBatch; j++ {
-			res, err := Get(s3, []byte(fmt.Sprintf("g%02d-r%d", b, j)))
-			if err != nil {
-				t.Fatalf("get batch %d record %d: %v", b, j, err)
-			}
-			if res.Found {
-				present++
-			}
-		}
-		if present != 0 && present != perBatch {
-			t.Fatalf("batch %d recovered %d of %d records — group atomicity broken", b, present, perBatch)
-		}
-		wantPresent := b < batches-1 // only the cut (last) group may vanish
-		if wantPresent && present == 0 {
-			t.Fatalf("committed batch %d lost (cut was inside batch %d only)", b, batches-1)
-		}
-		if !wantPresent && present != 0 {
-			t.Fatalf("torn batch %d partially survived", b)
-		}
-	}
-}
-
 // TestFsyncFailureKeepsSealableState injects a single WAL fsync failure
 // mid-stream and checks the failure is fail-stop AND recoverable: the
 // store refuses every further commit with the sticky typed

@@ -391,79 +391,6 @@ func storedFilter(img []byte, forge func([]byte) []byte) (stored, forged []byte)
 	return stored, forged
 }
 
-// TestAttackForgedFilter plays the host that rewrites the key filter stored
-// in a run's first table: every bit clear (it would rule out every key),
-// every bit set, another run's filter, cut short, or with a probe count no
-// filter has. None hashes to the filter sealed in the run's digest, so the
-// reopened store gives that run no filter, and every other run its own. The
-// unfiltered run is read through its proofs: every Get, absent-key Get and
-// GetAt answers as before the rewrite, an absent key is proved absent in
-// that run alone, and a forged witness pair there fails.
-func TestAttackForgedFilter(t *testing.T) {
-	forgeries := []struct {
-		name  string
-		forge func(own, other []byte) []byte
-	}{
-		{"all clear", func(own, _ []byte) []byte {
-			clear(own[:len(own)-1])
-			return own
-		}},
-		{"all set", func(own, _ []byte) []byte {
-			for i := range own[:len(own)-1] {
-				own[i] = 0xff
-			}
-			return own
-		}},
-		{"another run", func(_, other []byte) []byte { return other }},
-		{"truncated", func(own, _ []byte) []byte { return own[:len(own)-1] }},
-		{"bad probe count", func(own, _ []byte) []byte {
-			own[len(own)-1] = 31
-			return own
-		}},
-	}
-	keys := []string{"deep", "gone", "mid", "new", "shared", "absent", "p0000000"}
-	for _, fg := range forgeries {
-		t.Run(fg.name, func(t *testing.T) {
-			fs := vfs.NewMem()
-			cfg := earlyStopCfg(fs)
-			s := mustOpenP2(t, cfg)
-			runs := earlyStopTree(t, s)
-			answers := answersOf(t, s, keys)
-			first := firstTables(s)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			images := tableFiles(t, fs)
-			forgedRun := runs[1].ID // {mid}: the key is in no other run
-			other, _ := storedFilter(images[first[runs[0].ID]], nil)
-			own, forged := storedFilter(images[first[forgedRun]], func(own []byte) []byte { return fg.forge(own, bytes.Clone(other)) })
-			if len(own) == 0 || bytes.Equal(own, other) {
-				t.Fatalf("run %d stores a filter of %d bytes, equal to run %d's: %v", forgedRun, len(own), runs[0].ID, bytes.Equal(own, other))
-			}
-			if err := vfs.WriteFile(fs, first[forgedRun], forged); err != nil {
-				t.Fatal(err)
-			}
-			s = reopenWith(t, s, cfg)
-			defer s.Close()
-			for _, r := range runs {
-				if has := runFilterOf(s, r.ID) != nil; has != (r.ID != forgedRun) {
-					t.Errorf("run %d (forged: %v) has a filter: %v", r.ID, r.ID == forgedRun, has)
-				}
-			}
-			if got := answersOf(t, s, keys); got != answers {
-				t.Errorf("reads over the forged filter:\n%s\nwant\n%s", got, answers)
-			}
-			if res, probed, filtered, _, err := getCounts(t, s, "absent"); err != nil || res.Found || probed != 1 || filtered != 2 {
-				t.Errorf("Get(absent) = %+v, %v, proving %d runs and filtering %d; want the forged run proved alone", res, err, probed, filtered)
-			}
-			s.getTamper = swapWitnesses(forgedRun)
-			if _, err := Get(s, []byte("absent")); !errors.Is(err, ErrAuthFailed) {
-				t.Errorf("forged pair in the unfiltered run %d: %v, want ErrAuthFailed", forgedRun, err)
-			}
-		})
-	}
-}
-
 // TestRestoredRunsGetFilters: a follower bootstrapped from a checkpoint
 // loads, when it opens, the key filter of every run it restored, byte for
 // byte the one the leader built when it installed the run.

@@ -169,51 +169,6 @@ func TestAttackScanDropsAVersion(t *testing.T) {
 	}
 }
 
-// TestAttackTamperedOnlyVersionInCompaction: one byte of a single-version
-// record's value flipped in a compaction's input run. The record's digest is
-// its key's leaf, so the rebuilt root misses the trusted one and Verify
-// aborts the job with ErrCompactionInput.
-func TestAttackTamperedOnlyVersionInCompaction(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	cfg.MemtableSize = 1 << 20
-	cfg.DisableCompaction = true
-	s := mustOpenP2(t, cfg)
-	defer s.Close()
-	for i := 0; i < 200; i++ {
-		if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("value-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := fs.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := []byte("value-00123")
-	tampered := false
-	for _, name := range names {
-		f, err := fs.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at := bytes.Index(f.Bytes(), target); at >= 0 && bytes.HasSuffix([]byte(name), []byte(".sst")) {
-			if err := fs.Corrupt(name, int64(at+len(target)-1)); err != nil {
-				t.Fatal(err)
-			}
-			tampered = true
-		}
-	}
-	if !tampered {
-		t.Fatal("no table holds the target value")
-	}
-	if err := s.Compact(s.Engine().Runs()[0].Level); !errors.Is(err, ErrCompactionInput) {
-		t.Fatalf("compaction over a tampered single-version record: %v, want ErrCompactionInput", err)
-	}
-}
-
 // TestParentFormatStateIsRefused: a sealed state and a checkpoint header
 // written before leaves were chain heads carry no format. Their roots hash
 // every leaf under a wrapper, so no run of theirs verifies here: the store

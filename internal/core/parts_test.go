@@ -3,11 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -183,100 +181,4 @@ func keySpansTables(t *testing.T, fs vfs.FS) bool {
 		}
 	}
 	return false
-}
-
-// TestAttackPartBoundsMetadata: a job's parts are cut at a table's first
-// key, and a part past the first seeks each input by its tables' largest
-// keys — metadata the host keeps in the manifest. A host that understates
-// the largest key of the table a part starts in makes that part's seek skip
-// the table, so its records land in no part: the input check must abort the
-// job with ErrCompactionInput and leave the version as it was. A record
-// cannot land in two parts through the metadata — both parts cut at the same
-// key, whatever it is, and each hasher refuses a key outside its part
-// (TestHasherRejectsDisorder) — so a host that moves the first key only
-// moves the cut: the job installs, and every key reads back verified.
-func TestAttackPartBoundsMetadata(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		edit  func(prev, split map[string]any)
-		abort bool
-	}{
-		{"largest key understated: the table's records land in no part", func(prev, split map[string]any) {
-			split["largest"], split["largestTs"] = prev["largest"], prev["largestTs"]
-		}, true},
-		{"first key moved into the table before: the cut moves", func(prev, split map[string]any) {
-			split["smallest"], split["smallestTs"] = prev["smallest"], prev["smallestTs"]
-		}, false},
-		{"first key moved past the table's own: the cut moves", func(prev, split map[string]any) {
-			split["smallest"], split["smallestTs"] = split["largest"], split["largestTs"]
-		}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := vfs.NewMem()
-			cfg := smallCfg(fs)
-			cfg.MemtableSize, cfg.LevelBase = 1<<20, 1<<30
-			cfg.Workers = lsm.NewWorkerPool(2)
-			s := mustOpenP2(t, cfg)
-			want := map[string]string{}
-			load := func(from, step int) {
-				for i := from; i < 1200; i += step {
-					k, v := fmt.Sprintf("key%05d", i), fmt.Sprintf("value-%05d", i)
-					if _, err := Put(s, []byte(k), []byte(v)); err != nil {
-						t.Fatal(err)
-					}
-					want[k] = v
-				}
-				if err := s.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			load(0, 2)
-			if err := s.Compact(1); err != nil { // evens: level 2, the input with the most tables
-				t.Fatal(err)
-			}
-			load(1, 8)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			root, levels := manifestRuns(t, fs)
-			l1, l2 := levels[1][0], levels[2][0]
-			if len(l2) < 4 || len(l2) <= len(l1) {
-				t.Fatalf("set-up: level 2 has %d tables, level 1 %d; want level 2 the larger, of several", len(l2), len(l1))
-			}
-			split := len(l2) / 2 // where a two-part job over it is cut
-			tc.edit(l2[split-1], l2[split])
-			data, err := json.Marshal(root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := vfs.WriteFile(fs, "MANIFEST", data); err != nil {
-				t.Fatal(err)
-			}
-
-			cfg.Platform, cfg.Counter = s.platform, s.counter
-			s2 := mustOpenP2(t, cfg)
-			defer s2.Close()
-			before := s2.Engine().Runs()
-			err = s2.Compact(1)
-			if tc.abort {
-				if !errors.Is(err, ErrCompactionInput) {
-					t.Fatalf("compaction over the edited manifest = %v, want ErrCompactionInput", err)
-				}
-				if after := s2.Engine().Runs(); !slices.Equal(after, before) {
-					t.Fatalf("aborted compaction changed the version: %v → %v", before, after)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("compaction with a moved cut: %v", err)
-			}
-			for k, v := range want {
-				res, err := Get(s2, []byte(k))
-				if err != nil || !res.Found || string(res.Value) != v {
-					t.Fatalf("%s after the compaction: %q found=%v err=%v, want %q", k, res.Value, res.Found, err, v)
-				}
-			}
-		})
-	}
 }

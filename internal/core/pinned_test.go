@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"elsm/internal/kvtest/model"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
 )
@@ -31,40 +32,24 @@ func TestPinnedFramesUnderChurn(t *testing.T) {
 
 	var (
 		mu     sync.Mutex
-		m      = model{}
+		m      model.Model
 		lastTs atomic.Uint64
 		done   atomic.Bool
 	)
 	key := func(i int) string { return fmt.Sprintf("key%03d", i) }
-	// value returns the model's value of k at tsq and whether there is one.
-	value := func(k string, tsq uint64) ([]byte, uint64, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		vs := m[k]
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].ts <= tsq {
-				return vs[i].value, vs[i].ts, vs[i].value != nil
-			}
-		}
-		return nil, 0, false
-	}
 	write := func(rng *rand.Rand, n int) {
-		k := key(rng.Intn(200))
-		var val []byte
-		var ts uint64
-		var err error
-		if rng.Intn(6) == 0 {
-			ts, err = Delete(s, []byte(k))
-		} else {
-			val = []byte(fmt.Sprintf("v%d-%s", n, k))
-			ts, err = Put(s, []byte(k), val)
+		rec := record.Record{Key: []byte(key(rng.Intn(200))), Kind: record.KindDelete}
+		if rng.Intn(6) != 0 {
+			rec.Kind, rec.Value = record.KindSet, []byte(fmt.Sprintf("v%d-%s", n, rec.Key))
 		}
+		ts, err := s.Commit(nil, []BatchOp{{Key: rec.Key, Value: rec.Value, Delete: rec.Kind == record.KindDelete}})
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		rec.Ts = ts
 		mu.Lock()
-		m[k] = append(m[k], version{ts: ts, value: val})
+		m.Put(rec)
 		mu.Unlock()
 		lastTs.Store(ts)
 	}
@@ -107,7 +92,7 @@ func TestPinnedFramesUnderChurn(t *testing.T) {
 						return
 					}
 					mu.Lock()
-					want := m.scan(string(start), string(end), tsq)
+					want := modelScan(&m, string(start), string(end), tsq)
 					mu.Unlock()
 					if err := sameResults(got, want); err != nil {
 						t.Errorf("reader %d: Scan(%q, %q) at %d: %v", r, start, end, tsq, err)
@@ -121,10 +106,13 @@ func TestPinnedFramesUnderChurn(t *testing.T) {
 					t.Errorf("reader %d: Get(%s) at %d: %v", r, k, tsq, err)
 					return
 				}
-				val, ts, found := value(k, tsq)
-				if res.Found != found || (found && (!bytes.Equal(res.Value, val) || res.Ts != ts)) {
+				mu.Lock()
+				want, found := m.Get([]byte(k), tsq)
+				mu.Unlock()
+				found = found && want.Kind == record.KindSet
+				if res.Found != found || (found && (!bytes.Equal(res.Value, want.Value) || res.Ts != want.Ts)) {
 					t.Errorf("reader %d: Get(%s) at %d = %q@%d (found %v), want %q@%d (found %v)",
-						r, k, tsq, res.Value, res.Ts, res.Found, val, ts, found)
+						r, k, tsq, res.Value, res.Ts, res.Found, want.Value, want.Ts, found)
 					return
 				}
 			}
@@ -189,7 +177,7 @@ func TestGetCopiesBeforeItVerifies(t *testing.T) {
 				}
 				tampered := len(restore) > 0
 				restore = restore[:0]
-				want := m.scan(k, k, record.MaxTs)
+				want := modelScan(m, k, k, record.MaxTs)
 				switch {
 				case err != nil && (copied || !errors.Is(err, ErrForged) || !tampered):
 					t.Fatalf("Get(%s): %v", k, err)
@@ -230,7 +218,7 @@ func TestGetHoldsTheBlocksItViews(t *testing.T) {
 		t.Helper()
 		s.emptyRecordCache() // every Get proves, and so views its blocks
 		res, err := Get(s, []byte(k))
-		want := m.scan(k, k, record.MaxTs)
+		want := modelScan(m, k, k, record.MaxTs)
 		if err != nil || res.Found != (len(want) == 1) || (res.Found && !bytes.Equal(res.Value, want[0].Value)) {
 			t.Fatalf("Get(%s) = %q (found %v), %v; want %v", k, res.Value, res.Found, err, want)
 		}

@@ -6,136 +6,36 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"elsm/internal/record"
 )
-
-// refModel is the trusted reference: a versioned map.
-type refModel struct {
-	versions map[string][]refVersion
-}
-
-type refVersion struct {
-	ts  uint64
-	val []byte
-	del bool
-}
-
-func newRefModel() *refModel { return &refModel{versions: map[string][]refVersion{}} }
-
-func (m *refModel) put(key string, ts uint64, val []byte) {
-	m.versions[key] = append(m.versions[key], refVersion{ts: ts, val: val})
-}
-
-func (m *refModel) del(key string, ts uint64) {
-	m.versions[key] = append(m.versions[key], refVersion{ts: ts, del: true})
-}
-
-// getAt returns the newest version ≤ tsq.
-func (m *refModel) getAt(key string, tsq uint64) ([]byte, bool) {
-	vs := m.versions[key]
-	var best *refVersion
-	for i := range vs {
-		if vs[i].ts <= tsq && (best == nil || vs[i].ts > best.ts) {
-			best = &vs[i]
-		}
-	}
-	if best == nil || best.del {
-		return nil, false
-	}
-	return best.val, true
-}
 
 // TestPropertyRandomOpsMatchModel drives a long random operation sequence
 // (puts, deletes, point reads at random historical timestamps, range
-// scans, explicit flush/compact) against the verified store and a
-// reference model, checking exact agreement everywhere. KeepVersions=0 so
-// full history (and hence the hash-chain machinery) is exercised.
+// scans, explicit flush/compact) against the verified store and the model,
+// through the hostile-host runner with no lie told, checking exact agreement
+// everywhere. KeepVersions=0 so full history (and hence the hash-chain
+// machinery) is exercised.
 func TestPropertyRandomOpsMatchModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			s := mustOpenP2(t, smallCfg(nil))
-			defer s.Close()
-			model := newRefModel()
 			rnd := rand.New(rand.NewSource(seed))
-			var allTs []uint64
-			keyOf := func() string { return fmt.Sprintf("key%03d", rnd.Intn(120)) }
-
+			var script []step
 			for i := 0; i < 2500; i++ {
 				switch op := rnd.Intn(100); {
-				case op < 45: // put
-					key := keyOf()
-					val := []byte(fmt.Sprintf("v%d", i))
-					ts, err := Put(s, []byte(key), val)
-					if err != nil {
-						t.Fatal(err)
-					}
-					model.put(key, ts, val)
-					allTs = append(allTs, ts)
-				case op < 52: // delete
-					key := keyOf()
-					ts, err := Delete(s, []byte(key))
-					if err != nil {
-						t.Fatal(err)
-					}
-					model.del(key, ts)
-					allTs = append(allTs, ts)
-				case op < 75: // latest get
-					key := keyOf()
-					res, err := Get(s, []byte(key))
-					if err != nil {
-						t.Fatalf("op %d get: %v", i, err)
-					}
-					want, ok := model.getAt(key, record.MaxTs)
-					if res.Found != ok || (ok && !bytes.Equal(res.Value, want)) {
-						t.Fatalf("op %d: get %q = (%q,%v), want (%q,%v)", i, key, res.Value, res.Found, want, ok)
-					}
-				case op < 88 && len(allTs) > 0: // historical get
-					key := keyOf()
-					tsq := allTs[rnd.Intn(len(allTs))]
-					res, err := s.GetAt(nil, []byte(key), tsq)
-					if err != nil {
-						t.Fatalf("op %d historical get: %v", i, err)
-					}
-					want, ok := model.getAt(key, tsq)
-					if res.Found != ok || (ok && !bytes.Equal(res.Value, want)) {
-						t.Fatalf("op %d: getAt(%q,%d) = (%q,%v), want (%q,%v)", i, key, tsq, res.Value, res.Found, want, ok)
-					}
-				case op < 94: // verified scan
-					lo := rnd.Intn(110)
-					hi := lo + rnd.Intn(15)
-					start := fmt.Sprintf("key%03d", lo)
-					end := fmt.Sprintf("key%03d", hi)
-					out, err := Scan(s, []byte(start), []byte(end))
-					if err != nil {
-						t.Fatalf("op %d scan: %v", i, err)
-					}
-					got := map[string]string{}
-					for _, r := range out {
-						got[string(r.Key)] = string(r.Value)
-					}
-					for k := lo; k <= hi; k++ {
-						key := fmt.Sprintf("key%03d", k)
-						want, ok := model.getAt(key, record.MaxTs)
-						gv, gok := got[key]
-						if ok != gok || (ok && gv != string(want)) {
-							t.Fatalf("op %d: scan key %q = (%q,%v), want (%q,%v)", i, key, gv, gok, want, ok)
-						}
-					}
-					if len(got) > hi-lo+1 {
-						t.Fatalf("op %d: scan returned extraneous keys", i)
-					}
+				case op < 52: // a put, or a delete
+					script = append(script, batch(rnd.Intn(120), 1, 1, rnd.Intn(7)/6))
+				case op < 75:
+					script = append(script, reads(rnd.Intn(120), 1))
+				case op < 88:
+					script = append(script, get(rnd.Intn(120), 1, 1+rnd.Intn(1000), false))
+				case op < 94:
+					script = append(script, scan(rnd.Intn(110), rnd.Intn(15), 0))
 				case op < 97:
-					if err := s.Flush(); err != nil {
-						t.Fatal(err)
-					}
+					script = append(script, flush)
 				default:
-					if err := s.Compact(1 + rnd.Intn(3)); err != nil {
-						t.Fatal(err)
-					}
+					script = append(script, compact(1+rnd.Intn(3)))
 				}
 			}
+			newHostRun(t, false, nil).run(script)
 		})
 	}
 }

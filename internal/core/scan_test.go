@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"elsm/internal/kvtest/model"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -23,37 +23,12 @@ func scanCfg(fs vfs.FS) Config {
 	return cfg
 }
 
-// version is one write of the sequential model.
-type version struct {
-	ts    uint64
-	value []byte // nil for a delete
-}
-
-// model is the sequential specification of SCAN: per key, every version in
-// commit order.
-type model map[string][]version
-
-// scan returns what ScanAt(start, end, tsq) must: per key in order, the
-// newest version ≤ tsq, if it is not a delete.
-func (m model) scan(start, end string, tsq uint64) []Result {
-	var keys []string
-	for k := range m {
-		if k >= start && k <= end {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+// modelScan is what ScanAt(start, end, tsq) must return: the model's rows
+// as results.
+func modelScan(m *model.Model, start, end string, tsq uint64) []Result {
 	var out []Result
-	for _, k := range keys {
-		vs := m[k]
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].ts <= tsq {
-				if vs[i].value != nil {
-					out = append(out, Result{Key: []byte(k), Value: vs[i].value, Ts: vs[i].ts, Found: true})
-				}
-				break
-			}
-		}
+	for _, rec := range m.Scan([]byte(start), []byte(end), tsq) {
+		out = append(out, Result{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Found: true})
 	}
 	return out
 }
@@ -74,25 +49,22 @@ func sameResults(got, want []Result) error {
 // key space — every round flushed into a run of its own but the last, which
 // stays in the memtable together with keys no run has ever seen — and returns
 // the model and every commit timestamp.
-func randomStore(t *testing.T, s *Store, rng *rand.Rand, runs int) (model, []uint64) {
+func randomStore(t *testing.T, s *Store, rng *rand.Rand, runs int) (*model.Model, []uint64) {
 	t.Helper()
-	m := model{}
+	m := &model.Model{}
 	var stamps []uint64
 	key := func(i int) string { return fmt.Sprintf("key%03d", i) }
 	write := func(k string) {
-		var ts uint64
-		var err error
-		var val []byte
-		if rng.Intn(5) == 0 {
-			ts, err = Delete(s, []byte(k))
-		} else {
-			val = []byte(fmt.Sprintf("v%d-%s", len(stamps), k))
-			ts, err = Put(s, []byte(k), val)
+		rec := record.Record{Key: []byte(k), Kind: record.KindDelete}
+		if rng.Intn(5) != 0 {
+			rec.Kind, rec.Value = record.KindSet, []byte(fmt.Sprintf("v%d-%s", len(stamps), k))
 		}
+		ts, err := s.Commit(nil, []BatchOp{{Key: rec.Key, Value: rec.Value, Delete: rec.Kind == record.KindDelete}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m[k] = append(m[k], version{ts: ts, value: val})
+		rec.Ts = ts
+		m.Put(rec)
 		stamps = append(stamps, ts)
 	}
 	for r := 0; r <= runs; r++ {
@@ -144,7 +116,7 @@ func TestScanMatchesSequentialModel(t *testing.T) {
 					case 1:
 						tsq = stamps[rng.Intn(len(stamps))] - 1
 					}
-					want := m.scan(start, end, tsq)
+					want := modelScan(m, start, end, tsq)
 					for _, temp := range []string{"cold", "warm"} {
 						got, err := ScanAll(s.IterAt(nil, []byte(start), []byte(end), tsq))
 						if err == nil {
@@ -242,7 +214,7 @@ func TestScanCopiesBeforeItVerifies(t *testing.T) {
 			s := mustOpenP2(t, cfg)
 			defer s.Close()
 			m, _ := randomStore(t, s, rand.New(rand.NewSource(5)), 4)
-			want := m.scan("key", "kez", record.MaxTs)
+			want := modelScan(m, "key", "kez", record.MaxTs)
 
 			v, err := s.acquireView()
 			if err != nil {

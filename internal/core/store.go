@@ -588,9 +588,14 @@ func writeTrustedState(fs vfs.FS, e *sgx.Enclave, key [32]byte, ctr *sgx.Monoton
 // seed and arms it to check, during the engine's replay, every group's tag
 // from the base of each sealed state recovery may adopt: the Current one
 // and, if a version install was staged when the seal was written, the
-// Pending one. Nil means a store that was never sealed.
+// Pending one. Nil means a store that was never sealed; a missing blob
+// under a counter that has counted a seal is ErrStateMissing, whatever
+// files are left beside it.
 func (c *Store) loadTrustedState() (*trustedState, error) {
 	if !c.fs.Exists(trustedStateName) {
+		if n, _ := c.counter.Read(); n > 0 {
+			return nil, fmt.Errorf("%w: the counter has counted %d seals", ErrStateMissing, n)
+		}
 		return nil, nil
 	}
 	sealed, err := c.readFile(trustedStateName)

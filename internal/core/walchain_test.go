@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"testing"
 	"time"
@@ -161,47 +160,6 @@ func TestRecoveryChecksEveryTagInOneReplay(t *testing.T) {
 	}
 }
 
-// TestAttackDroppedFrozenLog: a freeze rotated the active log to a frozen
-// log whose flush never installed, and a seal covers its groups. A host that
-// deletes it leaves live logs that end short of the sealed frontier.
-func TestAttackDroppedFrozenLog(t *testing.T) {
-	mem := vfs.NewMem()
-	fs := vfs.NewFault(mem)
-	s := mustOpenP2(t, forgeCfg(fs))
-	putAll(t, s, "a", "b")
-	fs.ArmFilter(vfs.OpCreate, "*.sst")
-	fs.Arm(0)
-	if err := s.Flush(); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("Flush with the table create failing: %v", err)
-	}
-	fs.Disarm()
-	s.SealState()
-	s.Engine().Close() // crash
-	frozen, err := fs.List("wal-")
-	if err != nil || len(frozen) != 1 {
-		t.Fatalf("frozen logs %v, %v: want the one the failed flush left", frozen, err)
-	}
-	honest := mem.Clone()
-	if err := fs.Remove(frozen[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reopen(s, fs); !errors.Is(err, ErrRollback) {
-		t.Fatalf("a dropped frozen log: %v, want ErrRollback", err)
-	}
-
-	mem.Restore(honest)
-	s2, err := reopen(s, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for _, k := range []string{"a", "b"} {
-		if res, err := Get(s2, []byte(k)); err != nil || string(res.Value) != "v"+k {
-			t.Fatalf("after recovery %q: %+v %v", k, res, err)
-		}
-	}
-}
-
 // TestOpenLeavesNoGroupOfAnEarlierSeed: an Open that replayed groups flushes
 // them before it draws a new WAL key, so it leaves no group in any live log,
 // and every group written after it verifies under the new key — at the
@@ -240,175 +198,6 @@ func TestOpenLeavesNoGroupOfAnEarlierSeed(t *testing.T) {
 	}
 }
 
-// TestRecoveryFlushWritesOneRun is the counted cost of the flush Open runs
-// over what it replayed: one new run at the front of L1, holding the
-// replayed records alone — every run the store had keeps its place and no
-// byte is compacted, however much L1 held.
-func TestRecoveryFlushWritesOneRun(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := forgeCfg(fs)
-	cfg.LevelBase = 1 << 30 // no level is over its target: Open's flush is the only job
-	s := mustOpenP2(t, cfg)
-	put := func(from, to int, value string) {
-		for i := from; i < to; i++ {
-			if _, err := Put(s, []byte(fmt.Sprintf("key%05d", i)), []byte(value)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	put(0, 2000, "lower")
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(1); err != nil { // L2: every key
-		t.Fatal(err)
-	}
-	put(0, 1000, "upper")
-	if err := s.Flush(); err != nil { // L1: half of them
-		t.Fatal(err)
-	}
-	const replayed = 1000
-	put(500, 500+replayed, "replayed")
-	before, beforeBytes := s.Engine().Runs(), s.Engine().DiskBytes()
-	s.Engine().Close() // crash: the replayed records are in the log alone
-
-	cfg.Platform, cfg.Counter = s.platform, s.counter
-	s2 := mustOpenP2(t, cfg)
-	defer s2.Close()
-	if err := s2.Engine().WaitMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	after := s2.Engine().Runs()
-	if len(after) != len(before)+1 || after[0].Level != 1 || after[0].Index != 0 {
-		t.Fatalf("runs %v after the reopen, want one new run at the front of L1 above %v", after, before)
-	}
-	for i, want := range before {
-		if want.Level == 1 {
-			want.Index++
-		}
-		if after[i+1] != want {
-			t.Fatalf("run %v after the reopen, want %v", after[i+1], want)
-		}
-	}
-	st := s2.Engine().Stats()
-	if st.Flushes != 1 || st.Compactions != 0 || st.BytesCompacted != 0 {
-		t.Fatalf("the reopen ran %d flushes and %d compactions of %d bytes, want 1, 0 and 0", st.Flushes, st.Compactions, st.BytesCompacted)
-	}
-	if grown := s2.Engine().DiskBytes() - beforeBytes; st.BytesFlushed != uint64(grown) {
-		t.Fatalf("the reopen flushed %d bytes, and the tree grew by %d", st.BytesFlushed, grown)
-	}
-	for _, i := range []int{0, 499, 500, 1499, 1999} {
-		want := "lower"
-		if i < 1000 {
-			want = "upper"
-		}
-		if i >= 500 && i < 500+replayed {
-			want = "replayed"
-		}
-		if res, err := Get(s2, []byte(fmt.Sprintf("key%05d", i))); err != nil || string(res.Value) != want {
-			t.Fatalf("Get(key%05d) = %q, %v; want %q", i, res.Value, err, want)
-		}
-	}
-}
-
-// TestParentFormatLogIsRefused: a log whose COMMIT markers carry format 2's
-// kind byte — tags over a digest chained across groups — is refused with a
-// format error, not read as a log of forged groups.
-func TestParentFormatLogIsRefused(t *testing.T) {
-	fs := vfs.NewMem()
-	s := mustOpenP2(t, forgeCfg(fs))
-	putAll(t, s, "a")
-	s.Engine().Close() // crash: the group stays in the log
-	log := readLog(t, fs)
-	marker := len(log) - (8 + 1 + 4 + wal.TagSize)
-	log[marker+8] = 0xF1
-	binary.BigEndian.PutUint32(log[marker:], crc32.ChecksumIEEE(log[marker+8:]))
-	writeLog(t, fs, log)
-	if _, err := reopen(s, fs); !errors.Is(err, wal.ErrOldFormat) {
-		t.Fatalf("a format 2 log: %v, want wal.ErrOldFormat", err)
-	}
-}
-
-// TestRecoveryAcrossFlushGenerations seals every seven records across
-// several freezes and flush installs, each of which rebases the chain onto
-// the active log, then crashes: recovery finds the last seal on the chain
-// of the live log, with fewer than one interval of records past it.
-func TestRecoveryAcrossFlushGenerations(t *testing.T) {
-	fs := vfs.NewMem()
-	cfg := smallCfg(fs)
-	cfg.CounterInterval = 7
-	s := mustOpenP2(t, cfg)
-	want := map[string]string{}
-	for i := 0; i < 200; i++ {
-		k, v := fmt.Sprintf("key%03d", i%60), fmt.Sprintf("v%d", i)
-		if _, err := Put(s, []byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = v
-	}
-	s.Engine().Close()
-	cfg.Platform, cfg.Counter = s.platform, s.counter
-	s2 := mustOpenP2(t, cfg)
-	defer s2.Close()
-	if n := s2.ReplayedPastSeal(); n >= 7 {
-		t.Fatalf("%d records past the last seal with a bump every 7", n)
-	}
-	for k, v := range want {
-		if res, err := Get(s2, []byte(k)); err != nil || string(res.Value) != v {
-			t.Fatalf("after recovery %q: %+v %v", k, res, err)
-		}
-	}
-}
-
-// TestRecoveryAfterFreezeLostItsActiveLog: a freeze renames the active log
-// and then creates the next one; a crash or a failed create between the two
-// leaves only frozen logs. The log appends resume on after that recovery is
-// a new active log, and the next recovery replays it as one: the groups on
-// it still pass their tags after a second crash.
-func TestRecoveryAfterFreezeLostItsActiveLog(t *testing.T) {
-	for _, cause := range []string{"crash after the rename", "failed create"} {
-		t.Run(cause, func(t *testing.T) {
-			fs := vfs.NewFault(vfs.NewMem())
-			s := mustOpenP2(t, forgeCfg(fs))
-			putAll(t, s, "a", "b")
-			if cause == "failed create" {
-				fs.ArmFilter(vfs.OpCreate, "wal.log")
-				fs.Arm(0)
-				if err := s.Flush(); !errors.Is(err, vfs.ErrInjected) {
-					t.Fatalf("Flush with the new active log's create failing: %v", err)
-				}
-			} else if err := fs.Rename("wal.log", "wal-frozen-00000000.log"); err != nil {
-				t.Fatal(err)
-			}
-			s.Engine().Close() // crash
-			fs.Disarm()
-			if fs.Exists("wal.log") {
-				t.Fatal("the active log survived the freeze")
-			}
-
-			s2, err := reopen(s, fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			putAll(t, s2, "c", "d")
-			s2.Engine().Close() // crash: two groups past the seal Open wrote
-			s3, err := reopen(s, fs)
-			if err != nil {
-				t.Fatalf("second recovery: %v", err)
-			}
-			defer s3.Close()
-			if n := s3.ReplayedPastSeal(); n != 2 {
-				t.Fatalf("replayed %d records past the seal, want 2", n)
-			}
-			for _, k := range []string{"a", "b", "c", "d"} {
-				if res, err := Get(s3, []byte(k)); err != nil || string(res.Value) != "v"+k {
-					t.Fatalf("after recovery %q: %+v %v", k, res, err)
-				}
-			}
-		})
-	}
-}
-
 // logLink chains the records of every group in the live logs from zero.
 func logLink(t *testing.T, fs vfs.FS) hashutil.Hash {
 	t.Helper()
@@ -433,5 +222,49 @@ func TestSealWindow(t *testing.T) {
 	s.SealState()
 	if n, age := s.SealWindow(); n != 0 || age >= before {
 		t.Fatalf("after a seal: %d unsealed appends, age %v (was %v)", n, age, before)
+	}
+}
+
+// forgeCfg is smallCfg with a memtable no test here fills: every group stays
+// in the active log unless a test flushes it.
+func forgeCfg(fs vfs.FS) Config {
+	cfg := smallCfg(fs)
+	cfg.MemtableSize = 1 << 20
+	cfg.CounterInterval = -1
+	return cfg
+}
+
+// reopen opens the store's directory again, as a restart on the same
+// platform and counter would.
+func reopen(s *Store, fs vfs.FS) (*Store, error) {
+	cfg := forgeCfg(fs)
+	cfg.Platform, cfg.Counter = s.platform, s.counter
+	return Open(cfg)
+}
+
+// putAll commits one single-record group per key.
+func putAll(t *testing.T, s *Store, keys ...string) {
+	t.Helper()
+	for _, k := range keys {
+		if _, err := Put(s, []byte(k), []byte("v"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readLog and writeLog are the host's hands on the active log.
+func readLog(t *testing.T, fs vfs.FS) []byte {
+	t.Helper()
+	data, err := vfs.ReadFile(fs, "wal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func writeLog(t *testing.T, fs vfs.FS, data []byte) {
+	t.Helper()
+	if err := vfs.WriteFile(fs, "wal.log", data); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
 	"elsm/internal/core"
+	"elsm/internal/kvtest/model"
 	"elsm/internal/lsm"
 	"elsm/internal/record"
 )
@@ -279,26 +279,23 @@ func iterAt(t *testing.T, o Opener) {
 	kv := o.Open(t)
 	defer kv.Close()
 	const n = 300
-	model := map[string]string{}
+	var m model.Model
+	write := func(k, v []byte) uint64 {
+		ts, err := kv.Commit(nil, []core.BatchOp{{Key: k, Value: v, Delete: v == nil}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Put(record.Record{Key: k, Ts: ts, Kind: map[bool]record.Kind{true: record.KindDelete, false: record.KindSet}[v == nil], Value: v})
+		return ts
+	}
 	var mid uint64
-	atMid := map[string]string{}
 	for i := 0; i < n; i++ {
-		k := key((i * 7) % n) // not in key order
-		v := val(0, i)
-		ts := put(t, kv, k, v)
-		model[string(k)] = string(v)
-		if i == n/2 {
+		if ts := write(key((i*7)%n), val(0, i)); i == n/2 { // not in key order
 			mid = ts
-			for mk, mv := range model {
-				atMid[mk] = mv
-			}
 		}
 	}
 	for i := 0; i < n; i += 9 { // tombstones must not surface
-		if _, err := core.Delete(kv, key(i)); err != nil {
-			t.Fatal(err)
-		}
-		delete(model, string(key(i)))
+		write(key(i), nil)
 	}
 	if f, ok := kv.(interface{ Flush() error }); ok {
 		if err := f.Flush(); err != nil {
@@ -306,24 +303,15 @@ func iterAt(t *testing.T, o Opener) {
 		}
 	}
 	for i := 0; i < n; i += 5 { // and the memtable shadows the runs
-		k, v := key(i), val(1, i)
-		put(t, kv, k, v)
-		model[string(k)] = string(v)
+		write(key(i), val(1, i))
 	}
-	check := func(it core.Iterator, want map[string]string) {
+	check := func(it core.Iterator, want []record.Record) {
 		t.Helper()
-		var prev []byte
 		seen := 0
-		for it.Next() {
-			r := it.Result()
-			if prev != nil && bytes.Compare(prev, r.Key) >= 0 {
-				t.Fatalf("stream out of order: %q then %q", prev, r.Key)
+		for ; it.Next(); seen++ {
+			if r := it.Result(); seen >= len(want) || !bytes.Equal(r.Key, want[seen].Key) || !bytes.Equal(r.Value, want[seen].Value) {
+				t.Fatalf("stream row %d is %q = %q; the model has %d rows", seen, r.Key, r.Value, len(want))
 			}
-			prev = append(prev[:0], r.Key...)
-			if w, ok := want[string(r.Key)]; !ok || w != string(r.Value) {
-				t.Fatalf("stream row %q = %q, model has %q (present %v)", r.Key, r.Value, w, ok)
-			}
-			seen++
 		}
 		if err := it.Close(); err != nil {
 			t.Fatalf("stream: %v", err)
@@ -336,25 +324,15 @@ func iterAt(t *testing.T, o Opener) {
 		}
 	}
 	start, end := all()
-	check(kv.IterAt(context.Background(), start, end, record.MaxTs), model)
-	check(kv.IterAt(nil, start, end, record.MaxTs), model)
+	rows := m.Scan(start, end, record.MaxTs)
+	check(kv.IterAt(context.Background(), start, end, record.MaxTs), rows)
+	check(kv.IterAt(nil, start, end, record.MaxTs), rows)
 	if !o.UpdateInPlace && !o.PerShardTs {
-		check(kv.IterAt(nil, start, end, mid), atMid)
+		check(kv.IterAt(nil, start, end, mid), m.Scan(start, end, mid))
 	}
 	// A sub-range is inclusive at both ends.
-	keys := make([]string, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	lo, hi := keys[len(keys)/4], keys[3*len(keys)/4]
-	sub := map[string]string{}
-	for _, k := range keys {
-		if k >= lo && k <= hi {
-			sub[k] = model[k]
-		}
-	}
-	check(kv.IterAt(nil, []byte(lo), []byte(hi), record.MaxTs), sub)
+	lo, hi := rows[len(rows)/4].Key, rows[3*len(rows)/4].Key
+	check(kv.IterAt(nil, lo, hi, record.MaxTs), m.Scan(lo, hi, record.MaxTs))
 
 	// Cancelled mid-stream: what was fetched may still arrive (per shard:
 	// the chunk in hand and the one prefetched beside it, from each of two

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"elsm/internal/kvtest/model"
 	"elsm/internal/merkle"
 	"elsm/internal/record"
 	"elsm/internal/sstable"
@@ -167,7 +167,7 @@ func TestPooledJobScratchIsInvisible(t *testing.T) {
 	}()
 
 	rnd := rand.New(rand.NewSource(38))
-	oracle := map[string]string{}
+	var m model.Model
 	var compacting sync.WaitGroup
 	for round := 0; round < 16; round++ {
 		n := 700
@@ -180,10 +180,11 @@ func TestPooledJobScratchIsInvisible(t *testing.T) {
 			if round == 5 && i == 3 {
 				value = string(bytes.Repeat([]byte{'L'}, arenaSlabSize+1))
 			}
-			if _, err := putKV(s, []byte(key), []byte(value)); err != nil {
+			ts, err := putKV(s, []byte(key), []byte(value))
+			if err != nil {
 				t.Fatal(err)
 			}
-			oracle[key] = value
+			m.Put(record.Record{Key: []byte(key), Ts: ts, Kind: record.KindSet, Value: []byte(value)})
 		}
 		if round%4 == 3 {
 			compacting.Add(1)
@@ -203,27 +204,23 @@ func TestPooledJobScratchIsInvisible(t *testing.T) {
 		t.Fatalf("%d flushes and %d compactions, %d of the jobs in parts; the test wants many of each", st.Flushes, st.Compactions, l.parted.Load())
 	}
 
-	keys := make([]string, 0, len(oracle))
-	for k := range oracle {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rec, ok, err := s.Get([]byte(k), record.MaxTs)
-		if err != nil || !ok || string(rec.Value) != oracle[k] {
-			t.Fatalf("Get %s: ok=%v err=%v, value differs from the oracle's: %v", k, ok, err, string(rec.Value) != oracle[k])
+	want := m.Scan([]byte("key"), []byte("kez"), record.MaxTs)
+	for _, w := range want {
+		rec, ok, err := s.Get(w.Key, record.MaxTs)
+		if err != nil || !ok || !bytes.Equal(rec.Value, w.Value) {
+			t.Fatalf("Get %s: ok=%v err=%v, value differs from the model's: %v", w.Key, ok, err, !bytes.Equal(rec.Value, w.Value))
 		}
 	}
 	recs, err := scanAll(s, []byte("key"), []byte("kez"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(keys) {
-		t.Fatalf("scan returned %d records, the oracle holds %d", len(recs), len(keys))
+	if len(recs) != len(want) {
+		t.Fatalf("scan returned %d records, the model holds %d", len(recs), len(want))
 	}
 	for i, rec := range recs {
-		if string(rec.Key) != keys[i] || string(rec.Value) != oracle[keys[i]] {
-			t.Fatalf("scan record %d (%s) differs from the oracle", i, rec.Key)
+		if !bytes.Equal(rec.Key, want[i].Key) || !bytes.Equal(rec.Value, want[i].Value) {
+			t.Fatalf("scan record %d (%s) differs from the model", i, rec.Key)
 		}
 	}
 }

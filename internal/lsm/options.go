@@ -301,7 +301,7 @@ type Job interface {
 	// read-only by then. Nil means the records carry no proofs.
 	NewProofAppender() (sstable.ProofAppender, error)
 	// RunFilter is called after the first NewProofAppender: the bytes it
-	// returns are stored in the output run's first table (Table.RunFilter),
+	// returns are stored in the output run's first table (Table.RunFilterSpan),
 	// opaque to the engine, and handed back for the run by SetRunTrust when
 	// a later Open recovers it. They live and die with the run's files. Nil
 	// stores none.

@@ -187,8 +187,12 @@ func (sn *Snapshot) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	if rec, ok := sn.MemGet(key, tsq); ok {
 		return rec, true, nil
 	}
-	for _, r := range sn.v.runs {
-		rec, ok, err := runGet(r, key, tsq)
+	for _, r := range sn.v.runs { // lock-free: the pinned runs are immutable
+		ti := seekTable(r.tables, key, tsq)
+		if ti >= len(r.tables) {
+			continue
+		}
+		rec, ok, err := r.tables[ti].table.Get(key, tsq)
 		if err != nil {
 			return record.Record{}, false, err
 		}

@@ -533,7 +533,7 @@ func (s *Store) recover() error {
 		}
 		if info.CommittedSize < int64(len(data)) {
 			if i != len(files)-1 || name != walName {
-				return fmt.Errorf("lsm: frozen wal %s torn (%d records) — not a crash artifact", name, info.TornRecords)
+				return fmt.Errorf("lsm: frozen wal %s torn (%d records) — not a crash artifact: %w", name, info.TornRecords, wal.ErrCorrupt)
 			}
 			s.walTornRecords = info.TornRecords
 			if err := s.truncateWAL(info.CommittedSize); err != nil {
@@ -576,6 +576,10 @@ func (s *Store) recoverManifest() error {
 	s.nextRunID = root.NextRunID
 	s.lastTs.Store(root.LastTs)
 	s.flushedWALSeq = root.FlushedWALSeq
+	// A log frozen from here on must sort above the watermark, or a crash
+	// before its flush installs would leave it to the next recovery to
+	// delete as flushed.
+	s.nextWALSeq = max(s.nextWALSeq, root.FlushedWALSeq)
 	if len(root.Levels) > len(s.levels) {
 		s.levels = make([][]*run, len(root.Levels))
 		s.levelBytesGauge = make([]atomic.Int64, len(root.Levels))
@@ -588,6 +592,9 @@ func (s *Store) recoverManifest() error {
 				if err != nil {
 					return err
 				}
+				// Like the next run ID, the next file number is the
+				// manifest's: never hand out a live table's.
+				s.nextFileNum.Store(max(s.nextFileNum.Load(), mt.FileNum+1))
 				th.meta.Smallest = mt.Smallest
 				th.meta.SmallestTs = mt.SmallestTs
 				th.meta.Largest = mt.Largest
@@ -804,7 +811,7 @@ func (s *Store) SetRunTrust(trust func(id uint64, runFilter []byte) any) {
 		for _, r := range runs {
 			var rf []byte
 			if len(r.tables) > 0 {
-				rf = r.tables[0].table.RunFilter()
+				rf = s.readRunFilter(r.tables[0])
 			}
 			r.trust = trust(r.id, rf)
 		}
@@ -812,52 +819,39 @@ func (s *Store) SetRunTrust(trust func(id uint64, runFilter []byte) any) {
 	s.publishLocked().unpin() // it lists the runs the new one does: no file goes
 }
 
+// readRunFilter reads, in one OCall, the run filter th stores; nil if it
+// stores none or the host fails the read.
+func (s *Store) readRunFilter(th *tableHandle) []byte {
+	off, n := th.table.RunFilterSpan()
+	if n == 0 {
+		return nil
+	}
+	s.fileMu.RLock()
+	of := s.files[th.meta.FileNum]
+	s.fileMu.RUnlock()
+	rf := make([]byte, n)
+	var err error
+	s.ocall(func() { _, err = of.file.ReadAt(rf, off) })
+	if err != nil {
+		return nil
+	}
+	return rf
+}
+
 // ---------------------------------------------------------------------------
 // Reads (raw, unverified — the unsecured baseline path; the eLSM layer
 // drives the per-run lookup API of Snapshot instead)
 
-// Get returns the newest record of key with Ts ≤ tsq. Tombstones are
-// returned as-is (callers interpret Kind). The boolean reports whether any
-// version was found.
+// Get returns the newest record of key with Ts ≤ tsq, read through an
+// ephemeral snapshot (Snapshot.Get). Tombstones are returned as-is (callers
+// interpret Kind). The boolean reports whether any version was found.
 func (s *Store) Get(key []byte, tsq uint64) (record.Record, bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return record.Record{}, false, ErrClosed
+	sn := s.AcquireEphemeralSnapshot()
+	defer sn.Release()
+	if err := sn.Err(); err != nil {
+		return record.Record{}, false, err
 	}
-	// A group being applied is not visible until appliedTs covers it whole.
-	if applied := s.appliedTs.Load(); tsq > applied {
-		tsq = applied
-	}
-	if rec, ok := s.mem.Get(key, tsq); ok {
-		return rec, true, nil
-	}
-	if s.frozen != nil {
-		if rec, ok := s.frozen.Get(key, tsq); ok {
-			return rec, true, nil
-		}
-	}
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for _, r := range s.levels[lvl] {
-			rec, ok, err := runGet(r, key, tsq)
-			if err != nil {
-				return record.Record{}, false, err
-			}
-			if ok {
-				return rec, true, nil
-			}
-		}
-	}
-	return record.Record{}, false, nil
-}
-
-// runGet searches one immutable run (lock-free for reachable runs).
-func runGet(r *run, key []byte, tsq uint64) (record.Record, bool, error) {
-	ti := seekTable(r.tables, key, tsq)
-	if ti >= len(r.tables) {
-		return record.Record{}, false, nil
-	}
-	return r.tables[ti].table.Get(key, tsq)
+	return sn.Get(key, tsq)
 }
 
 // seekTable returns the index of the first table whose largest entry is

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"elsm/internal/kvtest/model"
 	"elsm/internal/record"
 )
 
@@ -181,46 +181,19 @@ func TestClonedRecordsIndependent(t *testing.T) {
 	}
 }
 
-// oracle is the model the memtable is held to: every record, sorted by
-// (key asc, ts desc), a duplicate (key, ts) replacing its predecessor.
-type oracle []record.Record
-
-func (o oracle) search(key []byte, ts uint64) int {
-	return sort.Search(len(o), func(i int) bool { return record.Compare(o[i].Key, o[i].Ts, key, ts) >= 0 })
-}
-
-func (o *oracle) put(rec record.Record) {
-	i := o.search(rec.Key, rec.Ts)
-	if i < len(*o) && record.Compare((*o)[i].Key, (*o)[i].Ts, rec.Key, rec.Ts) == 0 {
-		(*o)[i] = rec
-		return
-	}
-	*o = append(*o, record.Record{})
-	copy((*o)[i+1:], (*o)[i:])
-	(*o)[i] = rec
-}
-
-func (o oracle) get(key []byte, tsq uint64) (record.Record, bool) {
-	i := o.search(key, tsq)
-	if i == len(o) || !bytes.Equal(o[i].Key, key) {
-		return record.Record{}, false
-	}
-	return o[i], true
-}
-
 func sameRecord(a, b record.Record) bool {
 	return bytes.Equal(a.Key, b.Key) && a.Ts == b.Ts && a.Kind == b.Kind && bytes.Equal(a.Value, b.Value)
 }
 
 // TestModel drives random Put / Get / Iter / SeekGE sequences against the
-// sorted-slice oracle: few short keys (the empty key among them) with many
+// model: few short keys (the empty key among them) with many
 // versions each, empty and slab-sized values, tombstones, and duplicate
 // (key, ts) pairs that replace a node.
 func TestModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		mt := New(nil)
-		var want oracle
+		var want model.Model
 		randKey := func() []byte {
 			k := make([]byte, rnd.Intn(3))
 			for i := range k {
@@ -247,11 +220,11 @@ func TestModel(t *testing.T) {
 					rec.Kind, rec.Value = record.KindDelete, nil
 				}
 				mt.Put(rec)
-				want.put(rec.Clone())
+				want.Put(rec)
 			case op < 8:
 				key, tsq := randKey(), uint64(rnd.Intn(320))
 				got, ok := mt.Get(key, tsq)
-				exp, expOK := want.get(key, tsq)
+				exp, expOK := want.Get(key, tsq)
 				if ok != expOK || (ok && !sameRecord(got, exp)) {
 					t.Fatalf("seed %d step %d: Get(%q, %d) = %v %+v, want %v %+v", seed, step, key, tsq, ok, got, expOK, exp)
 				}
@@ -259,29 +232,29 @@ func TestModel(t *testing.T) {
 				key, ts := randKey(), uint64(rnd.Intn(320))
 				it := mt.Iter()
 				it.SeekGE(key, ts)
-				for i := want.search(key, ts); i < len(want); i++ {
-					if !it.Valid() || !sameRecord(it.Record(), want[i]) {
-						t.Fatalf("seed %d step %d: SeekGE(%q, %d) diverges from the oracle at %d", seed, step, key, ts, i)
+				for i, rec := range want.SeekGE(key, ts) {
+					if !it.Valid() || !sameRecord(it.Record(), rec) {
+						t.Fatalf("seed %d step %d: SeekGE(%q, %d) diverges from the model at %d", seed, step, key, ts, i)
 					}
 					it.Next()
 				}
 				if it.Valid() {
-					t.Fatalf("seed %d step %d: SeekGE(%q, %d) runs past the oracle", seed, step, key, ts)
+					t.Fatalf("seed %d step %d: SeekGE(%q, %d) runs past the model", seed, step, key, ts)
 				}
 			default:
 				it := mt.Iter()
-				for i := range want {
-					if !it.Valid() || !sameRecord(it.Record(), want[i]) {
-						t.Fatalf("seed %d step %d: Iter diverges from the oracle at %d", seed, step, i)
+				for i, rec := range want.SeekGE(nil, record.MaxTs) {
+					if !it.Valid() || !sameRecord(it.Record(), rec) {
+						t.Fatalf("seed %d step %d: Iter diverges from the model at %d", seed, step, i)
 					}
 					it.Next()
 				}
 				if it.Valid() {
-					t.Fatalf("seed %d step %d: Iter runs past the oracle", seed, step)
+					t.Fatalf("seed %d step %d: Iter runs past the model", seed, step)
 				}
 			}
-			if mt.Count() != len(want) {
-				t.Fatalf("seed %d step %d: Count %d, oracle holds %d", seed, step, mt.Count(), len(want))
+			if mt.Count() != want.Len() {
+				t.Fatalf("seed %d step %d: Count %d, the model holds %d", seed, step, mt.Count(), want.Len())
 			}
 		}
 	}
@@ -291,18 +264,18 @@ func TestModel(t *testing.T) {
 // timestamp order, publishing each like the engine's appliedTs, and four
 // readers that keep fixing a snapshot timestamp and reading at it without a
 // lock until the writer is done: every Get, and every Iter filtered to the
-// snapshot, must equal the oracle at that timestamp, however far the writer
+// snapshot, must equal the model at that timestamp, however far the writer
 // has moved on. Each new version sorts just before its key's older ones, so
 // a lookup that re-read a link after comparing it would return a version
 // newer than its snapshot.
 func TestReadersBesideTheWriter(t *testing.T) {
 	const n, keys = 12000, 40
 	recs := make([]record.Record, n)
-	var all oracle
+	var all model.Model
 	for i := range recs {
 		key := []byte(fmt.Sprintf("k%02d", (i*7)%keys))
 		recs[i] = record.Record{Key: key, Ts: uint64(i + 1), Kind: record.KindSet, Value: []byte(fmt.Sprintf("v%d", i))}
-		all.put(recs[i])
+		all.Put(recs[i])
 	}
 	mt := New(nil)
 	var applied atomic.Uint64
@@ -325,12 +298,12 @@ func TestReadersBesideTheWriter(t *testing.T) {
 			rnd := rand.New(rand.NewSource(int64(r)))
 			for round := 0; writing.Load() || round < 2; round++ {
 				// Every version at or below ts is in the table, so the
-				// full oracle answers a Get at ts.
+				// full model answers a Get at ts.
 				ts := applied.Load()
 				for i := 0; i < 50; i++ {
 					key := []byte(fmt.Sprintf("k%02d", rnd.Intn(keys+2)))
 					got, ok := mt.Get(key, ts)
-					exp, expOK := all.get(key, ts)
+					exp, expOK := all.Get(key, ts)
 					if ok != expOK || (ok && !sameRecord(got, exp)) {
 						t.Errorf("reader %d at ts %d: Get(%s) = %v %+v, want %v %+v", r, ts, key, ok, got, expOK, exp)
 						return
@@ -339,8 +312,8 @@ func TestReadersBesideTheWriter(t *testing.T) {
 				if round%64 != 0 {
 					continue
 				}
-				var want oracle
-				for _, rec := range all {
+				var want []record.Record
+				for _, rec := range all.SeekGE(nil, record.MaxTs) {
 					if rec.Ts <= ts {
 						want = append(want, rec)
 					}
@@ -352,7 +325,7 @@ func TestReadersBesideTheWriter(t *testing.T) {
 						continue // committed after the snapshot
 					}
 					if i >= len(want) || !sameRecord(rec, want[i]) {
-						t.Errorf("reader %d at ts %d: Iter diverges from the oracle at %d", r, ts, i)
+						t.Errorf("reader %d at ts %d: Iter diverges from the model at %d", r, ts, i)
 						return
 					}
 					i++

@@ -127,8 +127,8 @@ type BuilderOptions struct {
 	// Nil writes each record's own Proof bytes, no sections, and a Bloom
 	// filter of bloom.DefaultBitsPerKey per block.
 	Proofs ProofAppender
-	// RunFilter, with Proofs, is stored after the filter block's count of 0
-	// as the bytes Table.RunFilter returns; the table never reads them.
+	// RunFilter, with Proofs, is stored after the filter block's count of 0,
+	// where Table.RunFilterSpan places it; the table never reads it.
 	RunFilter []byte
 }
 
@@ -406,12 +406,14 @@ func (b *Builder) Finish() (Meta, error) {
 // reads (Seek, Get, LastView) and Iter step through a block record by record
 // and hand out views of it.
 type Table struct {
-	fileNum    uint64
-	index      []indexEntry
-	filters    []bloom.Filter // one per block, or none
-	runFilter  []byte         // what follows a count of 0, or nothing
-	numEntries int
-	source     BlockSource
+	fileNum uint64
+	index   []indexEntry
+	filters []bloom.Filter // one per block, or none
+	// runFilterOff and runFilterLen place what follows a filter block's
+	// count of 0 in the file; the table keeps no copy of it.
+	runFilterOff, runFilterLen int64
+	numEntries                 int
+	source                     BlockSource
 }
 
 // FileSource reads blocks straight from a file handle, applying an optional
@@ -463,8 +465,8 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 	// anything is allocated for it (they are int64s read from uint64s, so
 	// "negative" is a length above 1<<63).
 	inFile := func(off, n int64) bool { return off >= 0 && n >= 0 && n <= size && off <= size-n }
-	if !inFile(filterOff, filterLen) || !inFile(indexOff, indexLen) {
-		return nil, fmt.Errorf("%w: footer spans lie outside the %d-byte file", ErrBadTable, size)
+	if !inFile(filterOff, filterLen) || !inFile(indexOff, indexLen) || filterLen < 4 {
+		return nil, fmt.Errorf("%w: footer spans lie outside the %d-byte file, or leave no filter count", ErrBadTable, size)
 	}
 
 	ib := make([]byte, indexLen)
@@ -505,16 +507,23 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		t.index = append(t.index, e)
 	}
 
-	fb := make([]byte, filterLen)
+	fb := make([]byte, 4)
 	if _, err := f.ReadAt(fb, filterOff); err != nil {
 		return nil, fmt.Errorf("sstable: read filters: %w", err)
 	}
-	if len(fb) < 4 {
-		return nil, fmt.Errorf("%w: short filter block", ErrBadTable)
+	fn := int(binary.BigEndian.Uint32(fb))
+	if fn == 0 {
+		// A P2 table: what follows the count is the run's filter, which
+		// only recovery reads (RunFilterSpan).
+		t.runFilterOff, t.runFilterLen = filterOff+4, filterLen-4
+		return t, nil
 	}
-	fn := int(binary.BigEndian.Uint32(fb[:4]))
-	if fn != 0 && fn != n {
+	if fn != n {
 		return nil, fmt.Errorf("%w: %d filters for %d blocks", ErrBadTable, fn, n)
+	}
+	fb = make([]byte, filterLen)
+	if _, err := f.ReadAt(fb, filterOff); err != nil {
+		return nil, fmt.Errorf("sstable: read filters: %w", err)
 	}
 	t.filters = make([]bloom.Filter, 0, fn)
 	p = 4
@@ -530,16 +539,13 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		t.filters = append(t.filters, bloom.Filter(fb[p:p+flen]))
 		p += flen
 	}
-	if fn == 0 && len(fb) > 4 {
-		t.runFilter = fb[4:]
-	}
 	return t, nil
 }
 
-// RunFilter returns the bytes stored after a filter block's count of 0 (see
-// BuilderOptions.RunFilter), nil if there are none. They are the host's: the
-// caller must not trust them unchecked.
-func (t *Table) RunFilter() []byte { return t.runFilter }
+// RunFilterSpan places in the file the bytes stored after a filter block's
+// count of 0 (see BuilderOptions.RunFilter): n is 0 if there are none. They
+// are the host's: the caller reads them and must not trust them unchecked.
+func (t *Table) RunFilterSpan() (off, n int64) { return t.runFilterOff, t.runFilterLen }
 
 // NumEntries returns the number of records in the table.
 func (t *Table) NumEntries() int { return t.numEntries }

@@ -299,8 +299,8 @@ func TestRunFilterIsStored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := tbl.RunFilter(); !bytes.Equal(got, c.want) {
-			t.Errorf("%s: RunFilter = %q, want %q", c.name, got, c.want)
+		if got := storedRunFilter(t, tbl, mf); !bytes.Equal(got, c.want) {
+			t.Errorf("%s: run filter %q, want %q", c.name, got, c.want)
 		}
 		if len(tbl.filters) != 0 {
 			t.Errorf("%s: %d block filters", c.name, len(tbl.filters))
@@ -320,8 +320,56 @@ func TestRunFilterIsStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, err := Open(f, 1, &FileSource{F: f})
-	if err != nil || tbl.RunFilter() != nil || len(tbl.filters) != tbl.NumBlocks() {
-		t.Fatalf("a table without proofs: Open = %v, run filter %q, %d block filters for %d blocks", err, tbl.RunFilter(), len(tbl.filters), tbl.NumBlocks())
+	if _, n := tbl.RunFilterSpan(); err != nil || n != 0 || len(tbl.filters) != tbl.NumBlocks() {
+		t.Fatalf("a table without proofs: Open = %v, run filter of %d bytes, %d block filters for %d blocks", err, n, len(tbl.filters), tbl.NumBlocks())
+	}
+}
+
+// storedRunFilter reads the run filter tbl's file f stores.
+func storedRunFilter(t *testing.T, tbl *Table, f vfs.File) []byte {
+	t.Helper()
+	off, n := tbl.RunFilterSpan()
+	if n == 0 {
+		return nil
+	}
+	b := make([]byte, n)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// countingFile counts the bytes read through it.
+type countingFile struct {
+	vfs.File
+	read int
+}
+
+func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	f.read += len(p)
+	return f.File.ReadAt(p, off)
+}
+
+// TestOpenKeepsNoRunFilter: Open reads the footer, the index and the filter
+// block's count, and none of the run filter after it, so an open table holds
+// no filter bytes however large the filter is; they are read where
+// RunFilterSpan places them, as they are in the file then.
+func TestOpenKeepsNoRunFilter(t *testing.T) {
+	runFilter := bytes.Repeat([]byte{0xA5}, 64<<10)
+	f := &countingFile{File: memFile(t, runFilterTable(t, runFilter))}
+	tbl, err := Open(f, 3, &FileSource{F: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.read >= len(runFilter) {
+		t.Fatalf("Open read %d bytes of a table whose run filter is %d", f.read, len(runFilter))
+	}
+	off, _ := tbl.RunFilterSpan()
+	if _, err := f.WriteAt([]byte{0x5A}, off); err != nil {
+		t.Fatal(err)
+	}
+	if got := storedRunFilter(t, tbl, f); got[0] != 0x5A || !bytes.Equal(got[1:], runFilter[1:]) {
+		t.Fatalf("the run filter read after Open is not the file's")
 	}
 }
 
