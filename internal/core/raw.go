@@ -118,8 +118,8 @@ func (s *RawStore) Sync(ctx context.Context) error {
 	return err
 }
 
-// GetAt implements KV: a live point read goes straight to the engine (no
-// snapshot is pinned for it).
+// GetAt implements KV: a live point read goes straight to the engine, whose
+// Get pins the current version for the one lookup.
 func (s *RawStore) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
 	return s.getAt(ctx, s.engine, key, tsq)
 }

@@ -1,8 +1,8 @@
 // Package hostfs is the untrusted host as a test adversary: a vfs.FS over a
-// vfs.MemFS that keeps every version the store wrote of every file and, as a
-// byte stream chooses, tells one lie per Open, ReadAt or List. A lie told at
-// Open changes the file at rest; one told at ReadAt or List changes only what
-// that call returns.
+// vfs.MemFS that keeps the versions the store wrote of each file (the last
+// 16, and every file's at each Mark) and, as a byte stream chooses, tells
+// one lie per Open, ReadAt or List. A lie told at Open changes the file at
+// rest; one told at ReadAt or List changes only what that call returns.
 package hostfs
 
 import (
@@ -47,7 +47,9 @@ const (
 	// understates a table's largest key, 4 moves its first key back to its
 	// predecessor's, 5 forward to its own last.
 	Edit
-	// Hide says the file is not there (List leaves it out).
+	// Hide says the file is not there (List leaves it out). Told at rest,
+	// the file stays as it is under the handles open on it, as a host's
+	// open file stays; a Heal shows it again.
 	Hide
 	// Reread flips a bit of a read of a range read before.
 	Reread
@@ -74,15 +76,20 @@ type FS struct {
 	mu     sync.Mutex
 	stream []byte
 	seq    int
-	hist   map[string][]version // the last 16 a name
-	read   map[string]bool      // "name@off+len" of every ReadAt answered
+	hist   map[string][]version      // the last 16 a name
+	marks  map[int]map[string][]byte // every name's bytes at each Mark
+	read   map[string]bool           // "name@off+len" of every ReadAt answered
 	told   []string
+	hidden map[string]bool // names hidden at rest
+	lying  bool            // a lie told at rest is in effect
 }
 
 var _ vfs.FS = (*FS)(nil)
 
 // New returns an honest host over an empty MemFS.
-func New() *FS { return &FS{mem: vfs.NewMem(), hist: map[string][]version{}, read: map[string]bool{}} }
+func New() *FS {
+	return &FS{mem: vfs.NewMem(), hist: map[string][]version{}, marks: map[int]map[string][]byte{}, read: map[string]bool{}, hidden: map[string]bool{}}
+}
 
 // Arm makes every later Open, ReadAt and List draw a lie from stream until
 // it runs out: a byte picks the kind (7 of 16 pick none), and a lie takes
@@ -109,10 +116,23 @@ func (h *FS) Told() []string {
 	return slices.Clone(h.told)
 }
 
+// Lying reports whether a lie told at rest is in effect: told since the
+// last Heal, or a Rollback to an older state.
+func (h *FS) Lying() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.lying
+}
+
 // Mark names the files' state now, for Rollback.
 func (h *FS) Mark() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	files := make(map[string][]byte, len(h.hist))
+	for name, vs := range h.hist {
+		files[name] = vs[len(vs)-1].data // nil: removed
+	}
+	h.marks[h.seq] = files
 	return h.seq
 }
 
@@ -140,6 +160,14 @@ func (h *FS) note(format string, args ...any) {
 	h.mu.Unlock()
 }
 
+// noteAtRest notes a lie told at rest, in effect until a Heal.
+func (h *FS) noteAtRest(format string, args ...any) {
+	h.note(format, args...)
+	h.mu.Lock()
+	h.lying = true
+	h.mu.Unlock()
+}
+
 // keep records data as a version of name the store wrote.
 func (h *FS) keep(name string, data []byte) {
 	h.mu.Lock()
@@ -149,23 +177,43 @@ func (h *FS) keep(name string, data []byte) {
 	h.hist[name] = vs[max(0, len(vs)-16):]
 }
 
+// shown stops hiding name: the store wrote it anew.
+func (h *FS) shown(name string) {
+	h.mu.Lock()
+	delete(h.hidden, name)
+	h.mu.Unlock()
+}
+
+// isHidden reports whether name is hidden at rest.
+func (h *FS) isHidden(name string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.hidden[name]
+}
+
+func notFound(name string) error { return fmt.Errorf("%w: %s", vfs.ErrNotFound, name) }
+
 // Create implements vfs.FS.
 func (h *FS) Create(name string) (vfs.File, error) {
 	f, err := h.mem.Create(name)
 	if err != nil {
 		return nil, err
 	}
+	h.shown(name)
 	h.keep(name, []byte{})
 	return &file{File: f, h: h, name: name}, nil
 }
 
 // Open implements vfs.FS: the lie drawn is told at rest first.
 func (h *FS) Open(name string) (vfs.File, error) {
+	if h.isHidden(name) {
+		return nil, notFound(name)
+	}
 	switch lie := h.draw(); lie.Kind {
 	case Honest:
 	case Hide:
 		h.note("open %s: hide", name)
-		return nil, fmt.Errorf("%w: %s", vfs.ErrNotFound, name)
+		return nil, notFound(name)
 	default:
 		if err := h.Tell(name, lie); err != nil {
 			return nil, err
@@ -183,15 +231,20 @@ func (h *FS) Remove(name string) error {
 	if err := h.mem.Remove(name); err != nil {
 		return err
 	}
+	h.shown(name)
 	h.keep(name, nil)
 	return nil
 }
 
 // Rename implements vfs.FS.
 func (h *FS) Rename(oldName, newName string) error {
+	if h.isHidden(oldName) {
+		return notFound(oldName)
+	}
 	if err := h.mem.Rename(oldName, newName); err != nil {
 		return err
 	}
+	h.shown(newName)
 	data, err := vfs.ReadFile(h.mem, newName)
 	if err != nil {
 		return err
@@ -204,6 +257,7 @@ func (h *FS) Rename(oldName, newName string) error {
 // List implements vfs.FS: a Hide lie leaves one name out.
 func (h *FS) List(prefix string) ([]string, error) {
 	names, err := h.mem.List(prefix)
+	names = slices.DeleteFunc(names, h.isHidden)
 	if lie := h.draw(); err == nil && lie.Kind == Hide && len(names) > 0 {
 		i := int(lie.Arg % int64(len(names)))
 		h.note("list %q: hide %s", prefix, names[i])
@@ -213,15 +267,21 @@ func (h *FS) List(prefix string) ([]string, error) {
 }
 
 // Exists implements vfs.FS.
-func (h *FS) Exists(name string) bool { return h.mem.Exists(name) }
+func (h *FS) Exists(name string) bool { return h.mem.Exists(name) && !h.isHidden(name) }
 
 // Tell tells lie about name at rest, now. A lie that does not apply to the
 // file (a Replay into a table, an Older with no older version) changes
 // nothing.
 func (h *FS) Tell(name string, lie Lie) error {
 	if lie.Kind == Hide {
-		h.note("%s: hide", name)
-		return h.mem.Remove(name)
+		if !h.Exists(name) {
+			return notFound(name)
+		}
+		h.noteAtRest("%s: hide", name)
+		h.mu.Lock()
+		h.hidden[name] = true
+		h.mu.Unlock()
+		return nil
 	}
 	cur, err := vfs.ReadFile(h.mem, name)
 	if err != nil {
@@ -247,7 +307,7 @@ func (h *FS) Tell(name string, lie Lie) error {
 	if out == nil {
 		return nil
 	}
-	h.note("%s: %v", name, lie)
+	h.noteAtRest("%s: %v", name, lie)
 	return h.put(name, out)
 }
 
@@ -259,7 +319,7 @@ func (h *FS) Rewrite(name string, edit func([]byte) []byte) error {
 	if err != nil {
 		return err
 	}
-	h.note("%s: rewrite", name)
+	h.noteAtRest("%s: rewrite", name)
 	return h.put(name, edit(cur))
 }
 
@@ -280,27 +340,29 @@ func (h *FS) put(name string, data []byte) error {
 	return err
 }
 
-// Rollback puts every file back as the store had written it at mark: a file
-// written since takes its version then, one created since goes, and lies
-// told at rest since are undone.
+// Rollback puts every file back as the store had written it at mark, a
+// value Mark returned: a file written since takes its bytes then, one
+// created since goes, and lies told at rest are undone. Unless the store
+// wrote nothing since, the rollback is itself a lie told at rest.
 func (h *FS) Rollback(mark int) error {
 	h.mu.Lock()
-	if mark < h.seq {
+	want, ok := h.marks[mark]
+	if !ok {
+		h.mu.Unlock()
+		return fmt.Errorf("hostfs: no mark %d", mark)
+	}
+	var names []string
+	for name := range h.hist {
+		names = append(names, name)
+	}
+	h.lying, h.hidden = mark < h.seq, map[string]bool{}
+	if h.lying {
 		h.told = append(h.told, fmt.Sprintf("rollback to %d", mark))
 	}
-	want := map[string][]byte{}
-	for name, vs := range h.hist {
-		want[name] = nil
-		for _, v := range vs {
-			if v.seq <= mark {
-				want[name] = v.data
-			}
-		}
-	}
 	h.mu.Unlock()
-	for name, data := range want {
+	for _, name := range names {
 		var err error
-		switch {
+		switch data := want[name]; {
 		case data != nil:
 			err = h.put(name, data)
 		case h.mem.Exists(name):

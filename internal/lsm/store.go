@@ -843,10 +843,12 @@ func (s *Store) readRunFilter(th *tableHandle) []byte {
 // drives the per-run lookup API of Snapshot instead)
 
 // Get returns the newest record of key with Ts ≤ tsq, read through an
-// ephemeral snapshot (Snapshot.Get). Tombstones are returned as-is (callers
-// interpret Kind). The boolean reports whether any version was found.
+// ephemeral snapshot (Snapshot.Get) on the stack. Tombstones are returned
+// as-is (callers interpret Kind). The boolean reports whether any version
+// was found.
 func (s *Store) Get(key []byte, tsq uint64) (record.Record, bool, error) {
-	sn := s.AcquireEphemeralSnapshot()
+	var sn Snapshot
+	s.AcquireSnapshotInto(&sn, false)
 	defer sn.Release()
 	if err := sn.Err(); err != nil {
 		return record.Record{}, false, err
