@@ -18,13 +18,14 @@ import (
 
 // runDigest is the trusted per-run state kept inside the enclave: the
 // Merkle root over the run's distinct keys, the leaf count (needed to
-// validate path shapes and adjacency claims), the level the run was
-// installed at, and the hash of the run's key filter (hashutil.FilterHash;
-// zero for a run with none, or sealed by a build that stored none). A run
-// never changes level, and within a level a newer run has a larger ID, so
-// the level and the IDs fix the order a read visits the runs in — the order
-// that decides which version of a key is newest. The filter is a function
-// of the keys the root binds, so the state fingerprint leaves its hash out.
+// validate path shapes and adjacency claims), the level the run is at, and
+// the hash of the run's key filter (hashutil.FilterHash; zero for a run with
+// none, or sealed by a build that stored none). A run changes level only by
+// a relabel, which moves it one level down and seals nothing else new
+// (relabeled); within a level a newer run has a larger ID, so the level and
+// the IDs fix the order a read visits the runs in — the order that decides
+// which version of a key is newest. The filter is a function of the keys the
+// root binds, so the state fingerprint leaves its hash out.
 type runDigest struct {
 	Root      hashutil.Hash `json:"root"`
 	NumLeaves int           `json:"leaves"`

@@ -580,14 +580,19 @@ func (r *hostRun) run(script []step) {
 }
 
 // FuzzHostileHost runs fuzz-chosen scripts; the first byte picks the seal
-// interval and KeepVersions. Its seeds write two runs of overlapping keys and then tell, at rest, one lie of each kind before a
-// reopen and reads of every key; or crash twice in a row; or arm a stream.
+// interval, KeepVersions and whether level 1's target is 1 KiB, so that a
+// flush's run is moved down by relabel. Its seeds write two runs of
+// overlapping keys and then tell, at rest, one lie of each kind before a
+// reopen and reads of every key; or crash twice in a row; or arm a stream;
+// or flush a run that is moved down by relabel, then list it back at level
+// 1.
 func FuzzHostileHost(f *testing.F) {
 	for kind, file := range []byte{0, 1, 2, 0, 4, 2, 3} { // the file by index in name order: tables, MANIFEST, TRUSTED.bin, wal.log
 		f.Add([]byte{0, 0, 0, 8, 0, 5, 0, 4, 8, 0, 5, 9, 14, file, byte(kind), 0, 1, 10, 1, 0, 0, 7, 0, 1, 8, 0, 7, 0, 2, 0, 15, 0})
 	}
 	f.Add([]byte{0, 0, 0, 8, 0, 5, 11, 2, 16, 12, 3, 10, 1, 0, 0, 7, 0})
 	f.Add([]byte{6, 0, 0, 8, 0, 13, 6, 1, 0, 1, 3, 0, 2, 5, 6, 0, 1, 0, 0, 7, 0, 9, 10})
+	f.Add([]byte{8, 0, 0, 15, 0, 5, 9, 14, 1, 5, 0, 18, 10, 1, 0, 0, 7, 0, 15, 10, 1, 0, 0, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A script that hangs is a finding too: the fuzzer keeps the input of
 		// a worker that dies.
@@ -600,7 +605,12 @@ func FuzzHostileHost(f *testing.F) {
 			return
 		}
 		c, script := int(data[0]), decodeScript(data[1:])
-		tune := func(cfg *Config) { cfg.CounterInterval, cfg.KeepVersions = []int{0, 1, 8, -1}[c%4], c/4%2 }
+		tune := func(cfg *Config) {
+			cfg.CounterInterval, cfg.KeepVersions = []int{0, 1, 8, -1}[c%4], c/4%2
+			if c/8%2 == 1 {
+				cfg.LevelBase = 1 << 10
+			}
+		}
 		for _, warm := range []bool{false, true} {
 			newHostRun(t, warm, tune).run(script)
 		}
@@ -620,6 +630,21 @@ func forgeTune(cfg *Config) { cfg.MemtableSize, cfg.CounterInterval = 1<<20, -1 
 
 // oneRunTune makes every flush one run of its own that nothing compacts.
 func oneRunTune(cfg *Config) { cfg.MemtableSize, cfg.DisableCompaction = 1<<20, true }
+
+// relabelTune is forgeTune under a 1 KiB level-1 target: a flushed run of a
+// few dozen keys is over it, and the scheduler moves it down by relabel.
+func relabelTune(cfg *Config) { forgeTune(cfg); cfg.LevelBase = 1 << 10 }
+
+// movedTo checks that the store holds one run, moved to lvl by relabel.
+func movedTo(lvl int) step {
+	return on(fmt.Sprintf("movedTo(%d)", lvl), func(_ *hostRun, s *Store) error {
+		runs, st := s.Engine().Runs(), s.Engine().Stats()
+		if len(runs) != 1 || runs[0].Level != lvl || st.Moves == 0 || st.Compactions != 0 {
+			return fmt.Errorf("runs %v after %d moves and %d compactions, want one run moved to level %d", runs, st.Moves, st.Compactions, lvl)
+		}
+		return nil
+	}).ok()
+}
 
 // flipEvery flips every stride-th byte of the first 1/part of a file.
 func flipEvery(stride, part int) func([]byte) []byte {
@@ -700,6 +725,13 @@ var hostileCorpus = []corpusScript{
 	{"TestAttackManifestReordersRuns/lowered-next-run", forgeTune, []step{puts(1, 1), flush, compact(1), puts(0, 1), flush, closeS,
 		tell("MANIFEST", hostfs.Edit, 1*6+2), open.ok(), puts(0, 1), flush, closeS,
 		tell("MANIFEST", hostfs.Edit, 1), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 2).ok()}},
+	// A lone run moves down a level by relabel, which only the seal
+	// records: the MANIFEST lists a level-1 run at level 2 with no relabel
+	// sealed, or lists a relabeled run back at level 1.
+	{"TestAttackManifestReordersRuns/unsealed-relabel", forgeTune, []step{puts(0, 1), flush, closeS,
+		tell("MANIFEST", hostfs.Edit, 0), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 1).ok()}},
+	{"TestAttackManifestReordersRuns/relabel-undone", relabelTune, []step{puts(0, 40), flush, movedTo(2), closeS,
+		tell("MANIFEST", hostfs.Edit, 3*6), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 40).ok()}},
 	forgedFilter("all clear", func(own, _ []byte) []byte { clear(own[:len(own)-1]); return own }),
 	forgedFilter("all set", func(own, _ []byte) []byte { return append(bytes.Repeat([]byte{0xff}, len(own)-1), own[len(own)-1]) }),
 	forgedFilter("another run", func(_, other []byte) []byte { return other }),

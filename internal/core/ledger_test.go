@@ -129,8 +129,10 @@ func TestCostLedger(t *testing.T) {
 	row("user_bytes", "%d", user)
 	row("flushes", "%d", st.Flushes)
 	row("compactions", "%d", st.Compactions)
+	row("moves", "%d", st.Moves)
 	row("bytes_flushed_per_user_byte", "%.4f", float64(st.BytesFlushed)/float64(user))
 	row("bytes_compacted_per_user_byte", "%.4f", float64(st.BytesCompacted)/float64(user))
+	row("bytes_moved_per_user_byte", "%.4f", float64(st.BytesMoved)/float64(user))
 	row("flush_compressions_per_user_byte", "%.4f", float64(jobs.flushes)/float64(user))
 	row("compact_compressions_per_user_byte", "%.4f", float64(jobs.compactions)/float64(user))
 	row("disk_bytes_per_user_byte", "%.4f", float64(st.DiskBytes)/float64(user))

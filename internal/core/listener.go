@@ -87,12 +87,16 @@ func (l *authListener) OnGroupSynced(durable bool) {
 
 // BeginJob prepares the job's staging context: hashers from the pool, one
 // per key-range part, that between them reconstruct every input run's tree
-// and build the output tree (the job's end returns them). It must
-// NOT touch any staged transition seal — a concurrent job may be mid-install
-// with a live one; abandoned stagings are retracted by Abort instead.
+// and build the output tree (the job's end returns them); a relabel, which
+// streams nothing, gets none. It must NOT touch any staged transition seal
+// — a concurrent job may be mid-install with a live one; abandoned stagings
+// are retracted by Abort instead.
 func (l *authListener) BeginJob(info lsm.CompactionInfo) lsm.Job {
 	if l.c.beginJob != nil {
 		l.c.beginJob(info)
+	}
+	if info.Relabel {
+		return &compactionJob{c: l.c, info: info}
 	}
 	// The inputs' trusted leaf counts and the trusted records streamed
 	// beside them bound the output's.
@@ -161,28 +165,22 @@ func (j *compactionJob) RunFilter() []byte { return j.parts[0].out.filter }
 // Verify performs the authenticated-compaction input check
 // (Figure 4 lines 31-33): every input run's reconstructed root must equal
 // the trusted root stored in the enclave, otherwise the compaction aborts
-// and the engine discards its output. The engine calls it under its
-// install lock, so exactly one job stages a transition seal at a time. The
-// staged digest of the output run carries level, where the engine installs
-// it.
+// and the engine discards its output. A relabel is checked by relabeled
+// instead. The engine calls it under its install lock, so exactly one job
+// stages a transition seal at a time. The staged digest of the output run
+// carries level, where the engine installs it.
 func (j *compactionJob) Verify(level int) error {
-	if err := j.streamErr(); err != nil {
-		return err
-	}
-	// A no-op if the engine already asked for proof appenders; a compaction
-	// that produced no output (everything dropped) finishes its trees here.
-	out := j.finish()
 	c, info := j.c, j.info
 	digs := c.snapshotDigests()
-	for i, id := range info.InputRuns {
-		trusted, ok := digs[id]
-		if !ok {
-			return fmt.Errorf("core: no trusted digest for input run %d", id)
-		}
-		if got := &j.parts[0].inputs[i]; !got.matches(trusted) {
-			return fmt.Errorf("%w: input run %d root mismatch (got %s want %s)",
-				ErrCompactionInput, id, got.digest().Root, trusted.Root)
-		}
+	var next map[uint64]runDigest
+	var err error
+	if info.Relabel {
+		next, err = relabeled(digs, info.OutputRun, level)
+	} else {
+		next, err = j.merged(digs, level)
+	}
+	if err != nil {
+		return err
 	}
 	// Stage the post-install state and write a TRANSITION seal before the
 	// engine makes the install durable (manifest rename). From here until
@@ -192,16 +190,6 @@ func (j *compactionJob) Verify(level int) error {
 	// Current, after it the directory matches Pending. Without this the
 	// window between the manifest rename and the post-install seal bricks
 	// the store as a false rollback.
-	next := maps.Clone(digs)
-	for _, id := range info.InputRuns {
-		delete(next, id)
-	}
-	if err := checkOutputRun(digs, next, info.OutputRun, level); err != nil {
-		return err
-	}
-	d := out.digest
-	d.Level = level
-	next[info.OutputRun] = d
 	c.mu.Lock()
 	base := c.chain.base
 	if info.MemtableInput {
@@ -220,6 +208,63 @@ func (j *compactionJob) Verify(level int) error {
 	c.mu.Unlock()
 	_ = c.commitState()
 	return nil
+}
+
+// merged checks a merge's stream against the trusted forest digs and
+// returns the forest after its install: the inputs gone, the output run at
+// level.
+func (j *compactionJob) merged(digs map[uint64]runDigest, level int) (map[uint64]runDigest, error) {
+	if err := j.streamErr(); err != nil {
+		return nil, err
+	}
+	// A no-op if the engine already asked for proof appenders; a compaction
+	// that produced no output (everything dropped) finishes its trees here.
+	out := j.finish()
+	info := j.info
+	for i, id := range info.InputRuns {
+		trusted, ok := digs[id]
+		if !ok {
+			return nil, fmt.Errorf("core: no trusted digest for input run %d", id)
+		}
+		if got := &j.parts[0].inputs[i]; !got.matches(trusted) {
+			return nil, fmt.Errorf("%w: input run %d root mismatch (got %s want %s)",
+				ErrCompactionInput, id, got.digest().Root, trusted.Root)
+		}
+	}
+	next := maps.Clone(digs)
+	for _, id := range info.InputRuns {
+		delete(next, id)
+	}
+	if err := checkOutputRun(digs, next, info.OutputRun, level); err != nil {
+		return nil, err
+	}
+	d := out.digest
+	d.Level = level
+	next[info.OutputRun] = d
+	return next, nil
+}
+
+// relabeled checks the move of run id to level, the level below its own,
+// against the trusted forest digs alone — nothing of the run is read — and
+// returns the forest after it, which differs only in the run's level. The
+// run must be sealed one level up; a host that lists it elsewhere is lying.
+// Its ID must be above every run at level, which checkRunOrder holds a
+// level's order to: if it is not, the relabel is refused with
+// lsm.ErrRelabelRefused, and the engine merges the run under a new ID.
+func relabeled(digs map[uint64]runDigest, id uint64, level int) (map[uint64]runDigest, error) {
+	d, ok := digs[id]
+	if !ok || d.Level != level-1 {
+		return nil, fmt.Errorf("%w: relabel of run %d to level %d, sealed at level %d", ErrAuthFailed, id, level, d.Level)
+	}
+	for other, od := range digs {
+		if od.Level == level && other > id {
+			return nil, fmt.Errorf("%w: run %d would go in front of run %d at level %d", lsm.ErrRelabelRefused, id, other, level)
+		}
+	}
+	next := maps.Clone(digs)
+	d.Level = level
+	next[id] = d
+	return next, nil
 }
 
 // checkOutputRun holds a job's output run ID to what checkRunOrder assumes
@@ -241,10 +286,11 @@ func checkOutputRun(digs, next map[uint64]runDigest, id uint64, level int) error
 }
 
 // Installed commits the staged state: input runs are forgotten and their
-// key filters freed, the output run's digest and key filter take effect,
-// and the base of the live logs moves past a flush's deleted frozen logs in
-// the SAME c.mu critical section, so a concurrent commit leader's periodic
-// seal always pairs the forest with the logs it leaves live. It returns the
+// key filters freed, the output run's digest and key filter take effect (a
+// relabeled run keeps its filter), and the base of the live logs moves past
+// a flush's deleted frozen logs in the SAME c.mu critical section, so a
+// concurrent commit leader's periodic seal always pairs the forest with the
+// logs it leaves live. It returns the
 // output run's trustedRun, which the version the engine publishes right
 // after carries: readers see the new run and its trusted state together.
 func (j *compactionJob) Installed() any {
@@ -257,12 +303,19 @@ func (j *compactionJob) Installed() any {
 	// and what the transition seal promised is exactly what takes effect.
 	// The install is durable, so the staging is no longer needed — Committed
 	// reseals with the new state as Current.
-	for _, id := range j.info.InputRuns {
-		c.trusted[id].retire()
-		delete(c.trusted, id)
-	}
 	c.digests = c.pendingSeal.Digests
-	tr := &trustedRun{digest: c.digests[j.info.OutputRun], filter: newRunFilter(c.enclave, j.parts[0].out.filter)}
+	var tr *trustedRun
+	if id := j.info.OutputRun; j.info.Relabel {
+		// A new trustedRun for the moved run, sharing the old one's filter:
+		// the versions before the move keep the old one, unchanged.
+		tr = &trustedRun{digest: c.digests[id], filter: c.trusted[id].filter}
+	} else {
+		for _, in := range j.info.InputRuns {
+			c.trusted[in].retire()
+			delete(c.trusted, in)
+		}
+		tr = &trustedRun{digest: c.digests[id], filter: newRunFilter(c.enclave, j.parts[0].out.filter)}
+	}
 	c.trusted[j.info.OutputRun] = tr
 	c.pendingSeal, c.sealStagedBy = nil, nil
 	return tr

@@ -2,10 +2,12 @@ package crashtest
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path"
 	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -284,6 +286,119 @@ func TestCrashMatrixParallelMaintenance(t *testing.T) {
 			verifyRecovered(t, env, parallelOpts(env))
 		},
 	})
+}
+
+// relabelOpts is storeOpts with 4 KiB tables and a level-1 target of
+// levelBase (0: the default).
+func relabelOpts(env *Env, levelBase int64) elsm.Options {
+	return storeOpts(env).WithGeometry(lsm.Geometry{TableFileSize: 4 << 10, LevelBase: levelBase})
+}
+
+// manifestRuns reads the crash image's MANIFEST: the IDs of the runs it
+// lists by level, and the table files of each run.
+func manifestRuns(t *testing.T, env *Env) (levels map[uint64]int, files map[uint64][]string) {
+	t.Helper()
+	data, err := vfs.ReadFile(env.Mem, "MANIFEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root struct {
+		Levels [][]struct {
+			ID    uint64 `json:"id"`
+			Files []struct {
+				FileNum uint64 `json:"file"`
+			} `json:"files"`
+		} `json:"levels"`
+	}
+	if err := json.Unmarshal(data, &root); err != nil {
+		t.Fatal(err)
+	}
+	levels, files = map[uint64]int{}, map[uint64][]string{}
+	for lvl, runs := range root.Levels {
+		for _, r := range runs {
+			levels[r.ID] = lvl
+			for _, f := range r.Files {
+				files[r.ID] = append(files[r.ID], fmt.Sprintf("%06d.sst", f.FileNum))
+			}
+		}
+	}
+	return levels, files
+}
+
+// TestCrashMatrixRelabel enumerates crashes at every file-system operation
+// of a relabel install — the transition seal, the MANIFEST's write and
+// rename, the post-install seal — and of the Close after it, once failing
+// cleanly and once tearing the write (power loss). A run is written under
+// the default level targets and the store closed; reopened under a level-1
+// target the run is over, the first maintenance event moves it to level 2 by
+// relabel. Every recovery must find the forest from before the move or from
+// after it — the one run, at level 1 or 2, with every one of its table files
+// on disk — and read every acknowledged write.
+func TestCrashMatrixRelabel(t *testing.T) {
+	const levelBase = 4 << 10
+	val := bytes.Repeat([]byte("r"), 256)
+	var runID uint64
+	var runFiles []string // the run's tables, as its flush wrote them
+	for _, torn := range []bool{false, true} {
+		name := "relabel"
+		if torn {
+			name = "relabel-power-loss"
+		}
+		Enumerate(t, Scenario{
+			Name:    name,
+			Torn:    torn,
+			SelfArm: true,
+			Run: func(env *Env) {
+				st, err := elsm.Open(relabelOpts(env, 0))
+				if err != nil {
+					return
+				}
+				for i := 0; i < 40; i++ {
+					key := fmt.Sprintf("relabel-%03d", i)
+					if _, err := st.Put([]byte(key), val); err != nil {
+						st.Close()
+						return
+					}
+					env.Ack(key, string(val))
+				}
+				err = st.Flush()
+				if cerr := st.Close(); err != nil || cerr != nil {
+					return
+				}
+				levels, files := manifestRuns(t, env)
+				runID, runFiles = 0, nil
+				for id, lvl := range levels {
+					if lvl == 1 {
+						runID, runFiles = id, files[id]
+					}
+				}
+				if st, err = elsm.Open(relabelOpts(env, levelBase)); err != nil {
+					return
+				}
+				env.ArmCrash() // the crash window: the relabel and the Close
+				_ = st.WaitMaintenance()
+				st.Close()
+			},
+			Verify: func(t *testing.T, env *Env) {
+				levels, files := manifestRuns(t, env)
+				switch lvl := levels[runID]; {
+				case len(levels) != 1 || lvl != 1 && lvl != 2:
+					t.Fatalf("the MANIFEST lists runs at levels %v, want run %d alone at level 1 or 2", levels, runID)
+				case env.k < 0 && lvl != 2:
+					t.Fatalf("with no crash run %d stayed at level %d: nothing was relabeled", runID, lvl)
+				}
+				if !slices.Equal(files[runID], runFiles) {
+					t.Fatalf("run %d lists tables %v, its flush wrote %v", runID, files[runID], runFiles)
+				}
+				for _, name := range runFiles {
+					if !env.Mem.Exists(name) {
+						t.Fatalf("table %s of run %d is gone", name, runID)
+					}
+				}
+				verifyRecovered(t, env, relabelOpts(env, levelBase))
+			},
+		})
+	}
 }
 
 // killDisk crashes st: the disk dies under it, so its Close can write

@@ -433,16 +433,11 @@ func tableFiles(t *testing.T, fs vfs.FS) []string {
 // table files and the run pins are what they were, the job saw exactly one
 // Abort and neither Installed nor Committed, a failed flush fail-stops the
 // store while a failed explicit Compact/BulkLoad only returns its error, and
-// a later job of the same kind still installs.
+// a later job of the same kind still installs. A relabel writes no table:
+// its failed Verify or manifest write leaves the run readable at its old
+// level, with no file deleted.
 func TestJobAbortMatrix(t *testing.T) {
-	put := func(t *testing.T, s *Store, lo, hi int) {
-		t.Helper()
-		for i := lo; i < hi; i++ {
-			if _, err := putKV(s, []byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%05d", i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	put := func(t *testing.T, s *Store, lo, hi int) { putRange(t, s, lo, hi, "val") }
 	var loadRecs []record.Record
 	for i := 0; i < 300; i++ {
 		loadRecs = append(loadRecs, record.Record{
@@ -469,6 +464,14 @@ func TestJobAbortMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, func(s *Store) error { return s.Compact(1) }, false},
+		// The scheduler's move of the lone level-1 run: a relabel, which
+		// writes no table, so only its Verify and MANIFEST write can fail.
+		{"relabel", func(t *testing.T, s *Store) {
+			put(t, s, 0, 300)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}, func(s *Store) error { return moveDown(s, 1) }, false},
 		{"bulkload", func(*testing.T, *Store) {},
 			func(s *Store) error { return s.BulkLoad(loadRecs) }, false},
 	}
@@ -494,6 +497,9 @@ func TestJobAbortMatrix(t *testing.T) {
 	for _, kind := range kinds {
 		for _, fault := range faults {
 			kind, fault := kind, fault
+			if kind.name == "relabel" && fault.name == "table-write" {
+				continue
+			}
 			t.Run(kind.name+"/"+fault.name, func(t *testing.T) {
 				mem := vfs.NewMem()
 				ffs := vfs.NewFault(mem)
@@ -534,6 +540,9 @@ func TestJobAbortMatrix(t *testing.T) {
 				if got := s.Stats().PinnedRuns; got != pinned {
 					t.Fatalf("PinnedRuns %d after the abort, %d before: the job leaked a pin", got, pinned)
 				}
+				if kind.name == "relabel" {
+					checkRange(t, s, 0, 300, "val") // at its old level
+				}
 
 				// A failed flush fail-stops the store (a reopen replays the
 				// stranded logs); a failed explicit job only returned its error.
@@ -549,6 +558,9 @@ func TestJobAbortMatrix(t *testing.T) {
 				}
 				if installed, committed, aborted := l.last(); installed != 1 || committed != 1 || aborted != 0 {
 					t.Fatalf("later job saw Installed×%d Committed×%d Abort×%d, want one install", installed, committed, aborted)
+				}
+				if st := s.Stats(); kind.name == "relabel" && (st.Moves != 1 || st.Compactions != 0) {
+					t.Fatalf("the later relabel counted %d moves and %d compactions, want one move", st.Moves, st.Compactions)
 				}
 				if _, err := putKV(s, []byte("after"), []byte("abort")); err != nil {
 					t.Fatalf("put after the later job: %v", err)

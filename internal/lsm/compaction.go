@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -31,7 +32,8 @@ import (
 //     merge runs as key-range parts, one goroutine each (RocksDB's
 //     subcompactions), and the output files are built by a bounded
 //     flusher pool (bubt-style), overlapping enclave hashing with file
-//     writes; both are bounded by the worker pool's size;
+//     writes; both are bounded by the worker pool's size. A relabel
+//     (CompactionInfo.Relabel) has no phase 2: its output run is its input;
 //  3. install — installMu serializes the authenticated verify (Job.Verify)
 //     → level-vector swap → manifest persist → Job.Installed →
 //     Job.Committed window across concurrent jobs, so exactly one version
@@ -65,14 +67,19 @@ type jobPlan struct {
 	phaseStart time.Time
 }
 
-// planLocked starts a plan over inputs: it allocates the output run's ID
-// and pins the inputs against deletion (the current version holds them, so
-// none is at zero). The caller holds s.mu, releases it, and hands the
-// completed plan to runPlan, which drops the pins (releaseInputs).
+// planLocked starts a plan over inputs: it allocates the output run's ID —
+// a relabel's is its input's — and pins the inputs against deletion (the
+// current version holds them, so none is at zero). The caller holds s.mu,
+// releases it, and hands the completed plan to runPlan, which drops the pins
+// (releaseInputs).
 func (s *Store) planLocked(info CompactionInfo, inputs []*run) *jobPlan {
-	info.OutputRun = s.nextRunID
+	if info.Relabel {
+		info.OutputRun = inputs[0].id
+	} else {
+		info.OutputRun = s.nextRunID
+		s.nextRunID++
+	}
 	info.BlockSize = s.opts.BlockSize
-	s.nextRunID++
 	for _, r := range inputs {
 		info.InputRuns = append(info.InputRuns, r.id)
 		r.refs.Add(1)
@@ -100,9 +107,11 @@ func (p *jobPlan) timed(rec *obs.Recorder, phase1 time.Time) {
 // runPlan is the driver: phases 2 and 3 of every maintenance job.
 func (s *Store) runPlan(p *jobPlan) error {
 	// Phase 2: merge, build and hash — lock-free.
-	p.info.Bounds = p.split(s.workers.size())
+	if !p.info.Relabel {
+		p.info.Bounds = p.split(s.workers.size())
+	}
 	job := s.listener.BeginJob(p.info)
-	newRun, err := s.runCompaction(job, p)
+	newRun, err := s.buildRun(job, p)
 	if err != nil {
 		job.Abort()
 		s.releaseInputs(p)
@@ -155,6 +164,19 @@ func (s *Store) runPlan(p *jobPlan) error {
 	old.unpin() // the inputs' files go with the last version listing them
 	s.releaseInputs(p)
 	return nil
+}
+
+// buildRun returns the job's output run, holding the reference its install
+// drops. A relabel's is its input run as it is: the same *run, so the
+// versions before and after the move share it, and its files go only with
+// the last of them.
+func (s *Store) buildRun(job Job, p *jobPlan) (*run, error) {
+	if p.info.Relabel {
+		r := p.inputs[0]
+		r.refs.Add(1)
+		return r, nil
+	}
+	return s.runCompaction(job, p)
 }
 
 // flushFrozen persists the frozen memtable (§5.3 step w2) as a new run at
@@ -239,7 +261,9 @@ func (s *Store) deepestDataLevelLocked() int {
 // COMPACTION(Li, Li+1), §5.3, under compactLevel's policy), synchronously:
 // it returns once the rewrite has installed (a request to the maintenance
 // scheduler, so it serializes with the jobs the scheduler discovers),
-// whether or not lvl is over its target.
+// whether or not lvl is over its target. It always rewrites: a lone run is
+// read back, checked by the listener and written anew, where the
+// scheduler's own job would move it by relabel.
 func (s *Store) Compact(lvl int) error {
 	if lvl < 1 || lvl >= s.opts.MaxLevels {
 		return fmt.Errorf("lsm: compact: level %d out of range [1,%d)", lvl, s.opts.MaxLevels)
@@ -266,7 +290,15 @@ const tieredRuns = 3
 // first. Into the deepest, lvl's runs and lvl+1's merge into lvl+1's one
 // run, dropping what BottomMost lets go. Runs on a maintenance worker that
 // owns both levels.
-func (s *Store) compactLevel(lvl int) error {
+//
+// A job of the scheduler's own (background) whose one input is lvl's lone
+// run, with nothing of lvl+1 merged in and nothing to drop, moves that run
+// to the front of lvl+1 by relabel (LevelDB's trivial move): the same run,
+// its files, root and filter, with no merge, hash or write; the listener
+// seals only its new level. A relabel the listener refuses
+// (ErrRelabelRefused) is merged instead. Only rewrites count as
+// compactions; a relabel counts as a move.
+func (s *Store) compactLevel(lvl int, background bool) error {
 	phaseStart := time.Now()
 	s.mu.Lock()
 	if s.closed {
@@ -291,9 +323,14 @@ func (s *Store) compactLevel(lvl int) error {
 		s.mu.Unlock()
 		return nil
 	}
-	p := s.planLocked(CompactionInfo{OutputLevel: lvl + 1, BottomMost: bottom}, inputs)
+	info := CompactionInfo{OutputLevel: lvl + 1, BottomMost: bottom}
+	info.Relabel = background && len(inputs) == 1 && merged == 0 &&
+		(!bottom || s.opts.KeepVersions == 0 || inputs[0].bottomMost)
+	p := s.planLocked(info, inputs)
 	s.mu.Unlock()
-	p.timed(s.opts.Obs, phaseStart)
+	if !info.Relabel {
+		p.timed(s.opts.Obs, phaseStart)
+	}
 
 	p.swap = func(newRun *run) func() {
 		oldUpper, oldLower := s.levels[lvl], s.levels[lvl+1]
@@ -302,10 +339,25 @@ func (s *Store) compactLevel(lvl int) error {
 		return func() { s.levels[lvl], s.levels[lvl+1] = oldUpper, oldLower }
 	}
 	p.installed = func(newRun *run) {
+		switch {
+		case info.Relabel:
+			s.moves.Add(1)
+			s.bytesMoved.Add(uint64(newRun.bytes))
+			return
+		case background:
+			s.backgroundCompactions.Add(1)
+		}
 		s.compactions.Add(1)
 		s.bytesCompacted.Add(uint64(newRun.bytes))
 	}
-	return s.runPlan(p)
+	err := s.runPlan(p)
+	if info.Relabel && errors.Is(err, ErrRelabelRefused) {
+		// Merged as a request is, and still the scheduler's job.
+		if err = s.compactLevel(lvl, false); err == nil {
+			s.backgroundCompactions.Add(1)
+		}
+	}
+	return err
 }
 
 // minPartRecords is the fewest trusted records (a frozen memtable's, a bulk
@@ -720,7 +772,7 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 			return nil, err
 		}
 	}
-	newRun := &run{id: p.info.OutputRun, tables: make([]*tableHandle, 0, len(files))}
+	newRun := &run{id: p.info.OutputRun, tables: make([]*tableHandle, 0, len(files)), bottomMost: p.info.BottomMost}
 	newRun.refs.Store(1) // the building job's, dropped when its install ends
 	for _, f := range files {
 		newRun.tables = append(newRun.tables, f.th)

@@ -201,6 +201,16 @@ type CompactionInfo struct {
 	BottomMost bool
 	// BulkLoad marks direct dataset loads (no verified inputs).
 	BulkLoad bool
+	// Relabel marks a job that moves its one input run to the front of
+	// OutputLevel, the level below the run's, as it is: same ID (OutputRun
+	// is the input's), tables, records and run filter. Nothing is merged or
+	// written, so Filter, NewProofAppender and RunFilter are never called;
+	// the job goes from BeginJob to Verify. The engine asks for one only
+	// when the merge would drop nothing: OutputLevel is not bottom-most, or
+	// KeepVersions keeps every version, or the run was built bottom-most by
+	// this store. A Verify that refuses it with ErrRelabelRefused makes the
+	// engine merge the run instead, as a new job.
+	Relabel bool
 	// BlockSize is the block payload target the output tables are built to.
 	BlockSize int
 	// TrustedRecords counts the records the job streams from its trusted
@@ -312,7 +322,9 @@ type Job interface {
 	// flight"). An error aborts the job and the engine discards its output.
 	// The listener may stage a transition seal here — it is written before
 	// the manifest makes the install durable. level is the level the output
-	// run lands in, final now (CompactionInfo.OutputLevel).
+	// run lands in, final now (CompactionInfo.OutputLevel). A relabel's
+	// Verify has no stream to check: it holds the move to the trusted state
+	// of the run it moves.
 	Verify(level int) error
 	// Installed is called UNDER THE ENGINE LOCK, immediately after the
 	// manifest naming the new version is durable and, for a flush

@@ -381,9 +381,7 @@ func (s *Store) runJob(j *maintJob) {
 	case jobFlush:
 		err = s.flushFrozen()
 	case jobCompact:
-		if err = s.compactLevel(j.level); err == nil && j.done == nil {
-			s.backgroundCompactions.Add(1)
-		}
+		err = s.compactLevel(j.level, j.done == nil)
 	case jobExclusive:
 		err = j.fn()
 	}

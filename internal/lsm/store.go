@@ -52,6 +52,10 @@ var (
 	ErrBadBulkLoad   = errors.New("lsm: bulk load records not sorted")
 	ErrUnknownRun    = errors.New("lsm: unknown run")
 	ErrManifestParse = errors.New("lsm: manifest parse failure")
+	// ErrRelabelRefused is what a listener's Verify wraps to refuse a
+	// relabel (CompactionInfo.Relabel) it cannot seal: the engine then merges
+	// the run instead, under a new ID.
+	ErrRelabelRefused = errors.New("lsm: relabel refused")
 	// ErrWALSyncFailed is the sticky fail-stop after a WAL fsync (or
 	// append) error: the group whose fsync failed AND every commit attempted
 	// afterwards fail with it, because the kernel may have dropped any dirty
@@ -76,14 +80,22 @@ type tableHandle struct {
 // an in-flight read never races a compaction deleting its inputs. A run at
 // zero is never referenced again: every new reference is taken while a live
 // version or the job still holds one. trust is the listener's value for the
-// run (RunRef.Trust); the engine never reads it.
+// run (RunRef.Trust); the engine never reads it. A relabel moves the run to
+// the next level as it is, so the versions before and after it list the same
+// run, each with its own RunRef.Trust.
+//
+// bottomMost records that the job that built the run was bottom-most
+// (CompactionInfo.BottomMost): under this store's KeepVersions, a bottom-most
+// merge of the run alone drops nothing. Only the building job sets it; a run
+// recovery opens from the MANIFEST never has it.
 type run struct {
-	id      uint64
-	tables  []*tableHandle
-	bytes   int64
-	entries int
-	refs    atomic.Int32
-	trust   any
+	id         uint64
+	tables     []*tableHandle
+	bytes      int64
+	entries    int
+	refs       atomic.Int32
+	trust      any
+	bottomMost bool
 }
 
 // appendFileNums appends the run's table file numbers to nums.
@@ -121,10 +133,17 @@ type RunRef struct {
 
 // Stats counts engine-level events.
 type Stats struct {
-	Flushes         uint64
-	Compactions     uint64
-	BytesFlushed    uint64
-	BytesCompacted  uint64
+	Flushes uint64
+	// Compactions and BytesCompacted count the level compactions that
+	// rewrote their inputs, and the bytes they wrote.
+	Compactions    uint64
+	BytesFlushed   uint64
+	BytesCompacted uint64
+	// Moves and BytesMoved count the level compactions that moved one run
+	// down a level by relabel (CompactionInfo.Relabel), writing no table, and
+	// the bytes of the runs they moved.
+	Moves           uint64
+	BytesMoved      uint64
 	RecordsDropped  uint64
 	ManifestUpdates uint64
 	// DiskBytes is the total size of the on-disk runs (Store.DiskBytes).
@@ -308,6 +327,8 @@ type Store struct {
 	compactions           atomic.Uint64
 	bytesFlushed          atomic.Uint64
 	bytesCompacted        atomic.Uint64
+	moves                 atomic.Uint64
+	bytesMoved            atomic.Uint64
 	recordsDropped        atomic.Uint64
 	manifestUpdates       atomic.Uint64
 	flushStallNanos       atomic.Int64
@@ -933,6 +954,8 @@ func (s *Store) Stats() Stats {
 		Compactions:           s.compactions.Load(),
 		BytesFlushed:          s.bytesFlushed.Load(),
 		BytesCompacted:        s.bytesCompacted.Load(),
+		Moves:                 s.moves.Load(),
+		BytesMoved:            s.bytesMoved.Load(),
 		RecordsDropped:        s.recordsDropped.Load(),
 		ManifestUpdates:       s.manifestUpdates.Load(),
 		DiskBytes:             uint64(s.DiskBytes()),

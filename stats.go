@@ -18,11 +18,11 @@ import (
 // The three layers are internal packages, so their field docs are read in
 // their source; in brief:
 //
-//   - lsm.Stats, the engine: flushes and compactions and their bytes, disk
-//     bytes, WAL syncs, group commits and torn records, write stalls,
-//     compaction debt, background and parallel compaction, pinned runs,
-//     open snapshots, asynchronous commits in flight, and the untrusted
-//     block cache.
+//   - lsm.Stats, the engine: flushes, compactions and moves and their
+//     bytes, disk bytes, WAL syncs, group commits and torn records, write
+//     stalls, compaction debt, background and parallel compaction, pinned
+//     runs, open snapshots, asynchronous commits in flight, and the
+//     untrusted block cache.
 //   - sgx.EnclaveStats, the simulated enclave (zero for ModeUnsecured):
 //     ECalls, OCalls, CopiedBytes and EnclaveBytes.
 //   - core.VerifyStats, verification (zero for ModeUnsecured): VerifiedGets,
@@ -106,6 +106,8 @@ var statCounters = []statCounter{
 	{"background_compactions", foldSum, false, func(s *Stats) *uint64 { return &s.BackgroundCompactions }},
 	{"bytes_flushed", foldSum, false, func(s *Stats) *uint64 { return &s.BytesFlushed }},
 	{"bytes_compacted", foldSum, false, func(s *Stats) *uint64 { return &s.BytesCompacted }},
+	{"moves", foldSum, true, func(s *Stats) *uint64 { return &s.Moves }},
+	{"bytes_moved", foldSum, true, func(s *Stats) *uint64 { return &s.BytesMoved }},
 	{"records_dropped", foldSum, false, func(s *Stats) *uint64 { return &s.RecordsDropped }},
 	{"manifest_updates", foldSum, false, func(s *Stats) *uint64 { return &s.ManifestUpdates }},
 	{"disk_bytes", foldSum, true, func(s *Stats) *uint64 { return &s.DiskBytes }},

@@ -94,7 +94,7 @@ func TestStatsCountScans(t *testing.T) {
 var statsFoldRules = map[string]string{
 	// Counters and current-level gauges: sum across shards.
 	"Shards": "sum", "Flushes": "sum", "Compactions": "sum",
-	"BytesFlushed": "sum", "BytesCompacted": "sum", "RecordsDropped": "sum",
+	"BytesFlushed": "sum", "BytesCompacted": "sum", "Moves": "sum", "BytesMoved": "sum", "RecordsDropped": "sum",
 	"ManifestUpdates": "sum", "DiskBytes": "sum", "WALSyncs": "sum",
 	"GroupCommits": "sum", "GroupedRecords": "sum", "WALTornRecords": "sum",
 	"FlushStallNanos": "sum", "CompactionStallNanos": "sum",
