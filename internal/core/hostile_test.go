@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"path"
-	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -732,6 +731,10 @@ var hostileCorpus = []corpusScript{
 		tell("MANIFEST", hostfs.Edit, 0), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 1).ok()}},
 	{"TestAttackManifestReordersRuns/relabel-undone", relabelTune, []step{puts(0, 40), flush, movedTo(2), closeS,
 		tell("MANIFEST", hostfs.Edit, 3*6), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 40).ok()}},
+	manifestEdit("a table dropped from its run", 2, open.ok(), reads(0, 300).ok(), scan(0, 299, 0).fails(ErrAuthFailed)),
+	manifestEdit("a table listed twice", 3, open.fails(lsm.ErrManifestParse)),
+	manifestEdit("a table moved to the next run", 4, open.ok(), reads(0, 300).ok(), scan(0, 299, 0).fails(ErrAuthFailed)),
+	manifestEdit("two runs' file lists swapped", 5, open.ok(), reads(0, 300).fails(ErrAuthFailed)),
 	forgedFilter("all clear", func(own, _ []byte) []byte { clear(own[:len(own)-1]); return own }),
 	forgedFilter("all set", func(own, _ []byte) []byte { return append(bytes.Repeat([]byte{0xff}, len(own)-1), own[len(own)-1]) }),
 	forgedFilter("another run", func(_, other []byte) []byte { return other }),
@@ -740,9 +743,15 @@ var hostileCorpus = []corpusScript{
 	groupSectionTamper(),
 	indexLies("wrong block", func(e []fileIndexEntry) []fileIndexEntry { e[2].key, e[2].ts = e[1].key, 0; return e }),
 	indexLies("dropped block", func(e []fileIndexEntry) []fileIndexEntry { return append(e[:2], e[3:]...) }, ErrAuthFailed),
-	partBounds("largest key understated: the table's records land in no part", 3, ErrCompactionInput),
-	partBounds("first key moved into the table before: the cut moves", 4),
-	partBounds("first key moved past the table's own: the cut moves", 5),
+	partBounds("cut table's last key lowered: last block overruns", 0, lastKey(func(e []fileIndexEntry) ([]byte, uint64) {
+		return e[len(e)-2].key, 0
+	}), sstable.ErrBadTable),
+	partBounds("cut table's last key raised: the cut moves", 0, lastKey(func(e []fileIndexEntry) ([]byte, uint64) {
+		return append(bytes.Clone(e[len(e)-1].key), 0xff), 1
+	})),
+	partBounds("table before the cut claims a key past it: refused", -1, lastKey(func([]fileIndexEntry) ([]byte, uint64) {
+		return key(1199), 1
+	}), ErrCompactionInput),
 	// One byte of a single-version record's value flipped in a compaction's
 	// input: the record's digest is its leaf.
 	{"TestAttackTamperedOnlyVersionInCompaction", oneRunTune, []step{puts(0, 200), flush, do(func(r *hostRun) error {
@@ -839,11 +848,10 @@ var hostileCorpus = []corpusScript{
 	// Found by the fuzzer: a MANIFEST whose next file number the host
 	// lowered made a compaction write its output under a live input's
 	// number, and the install's deletion of its inputs took the output with
-	// it. The next file number now starts above every live table's.
+	// it. The next file number now starts above every live table's, and a
+	// MANIFEST that states one (as an earlier format did) is not read.
 	{"LoweredNextFile", nil, []step{puts(48, 1), flush, puts(48, 1), closeS, do(func(r *hostRun) error {
-		return r.edit("MANIFEST", func(b []byte) []byte {
-			return regexp.MustCompile(`"nextFile":\d+`).ReplaceAll(b, []byte(`"nextFile":1`))
-		})
+		return r.edit("MANIFEST", func(b []byte) []byte { return bytes.Replace(b, []byte(`{`), []byte(`{"nextFile":1,`), 1) })
 	}).ok(), open.ok(), compact(1).ok(), reads(48, 1).ok(), scan(48, 0, 0).ok()}},
 	// Found by the fuzzer: garbled framing is refused as it is decoded, with
 	// the decoder's error (see allowed).
@@ -1125,12 +1133,15 @@ func indexLies(name string, lie func([]fileIndexEntry) []fileIndexEntry, want ..
 		}).ok(), open.ok(), all, get(0, 300, 0, true), scan(0, 299, 0), scan(75, 75, 0), scan(150, 75, 0)}}
 }
 
-// partBounds edits, in the MANIFEST of a store whose next job runs in two
-// parts, the bounds of the table the second part starts in (hostfs's Edit
-// kinds 3 to 5). An understated largest key drops the table from its part:
-// the job aborts and the version stays. A moved first key only moves the
-// cut.
-func partBounds(name string, edit int64, want ...error) corpusScript {
+// partBounds rewrites, in a store whose next job runs in two parts, the
+// index of level 2's table whose last key is the cut (cut 0) or of the table
+// before it (cut -1). Raising the cut table's last key only moves the cut;
+// lowering it leaves the table's last block running past its index entry,
+// which the job's read refuses. A table before the cut that claims a key past
+// it misleads the second part's seek into it, and on into the cut table from
+// its start: the part streams records below its bound. A refused job leaves
+// the version as it was.
+func partBounds(name string, cut int, lie func([]fileIndexEntry) []fileIndexEntry, want ...error) corpusScript {
 	compaction := do(func(r *hostRun) error {
 		before := r.s.Engine().Runs()
 		err := r.s.Compact(1)
@@ -1141,7 +1152,7 @@ func partBounds(name string, edit int64, want ...error) corpusScript {
 	}).ok()
 	all := reads(0, 1200).ok()
 	if want != nil {
-		// The lie stays: a Get may seek past the table as the job did.
+		// The lie stays: a Get may seek into the wrong table as the job did.
 		compaction, all = compaction.fails(want...), reads(0, 1200)
 	}
 	return corpusScript{"TestAttackPartBoundsMetadata/" + name, func(cfg *Config) {
@@ -1153,9 +1164,30 @@ func partBounds(name string, edit int64, want ...error) corpusScript {
 			if len(l2) < 4 || len(l2) <= len(l1) {
 				return fmt.Errorf("set-up: level 2 has %d tables, level 1 %d; want level 2 the larger, of several", len(l2), len(l1))
 			}
-			pair := len(l1) - 1 + len(l2)/2 - 1 // (split-1, split) of L2, after L1's pairs
-			return r.h.Tell("MANIFEST", hostfs.Lie{Kind: hostfs.Edit, Arg: int64(pair)*6 + edit})
+			file := l2[len(l2)/2-1+cut]["file"].(float64)
+			return r.h.Rewrite(fmt.Sprintf("%06d.sst", int(file)), func(img []byte) []byte { return withIndex(img, lie(tableIndex(img))) })
 		}).ok(), open.ok(), compaction, all}}
+}
+
+// lastKey sets the last index entry's key and timestamp to what to returns
+// for the entries.
+func lastKey(to func(e []fileIndexEntry) ([]byte, uint64)) func([]fileIndexEntry) []fileIndexEntry {
+	return func(e []fileIndexEntry) []fileIndexEntry {
+		e[len(e)-1].key, e[len(e)-1].ts = to(e)
+		return e
+	}
+}
+
+// manifestEdit tells the MANIFEST of a store of two level-1 runs, each of
+// several tables over the same keys, one lie about what it lists (hostfs's
+// Edit kinds 2 to 5, aimed at the older run), runs checks, and heals it. A
+// Get the newer run answers whole reads nothing of the older one; a Scan
+// proves every run.
+func manifestEdit(name string, kind int64, checks ...step) corpusScript {
+	script := append([]step{puts(0, 300), flush, puts(0, 300), flush, closeS, tell("MANIFEST", hostfs.Edit, 6+kind)}, checks...)
+	return corpusScript{"TestAttackManifestLists/" + name, func(cfg *Config) {
+		cfg.MemtableSize, cfg.TableFileSize, cfg.DisableCompaction = 1<<20, 2<<10, true
+	}, append(script, closeS, heal, open.ok(), reads(0, 300).ok(), scan(0, 299, 0).ok())}
 }
 
 // runCorpus runs, with caches cold and warm, the corpus scripts t owns: a
@@ -1198,6 +1230,7 @@ func TestAttackRollbackDetected(t *testing.T)                { runCorpus(t) }
 func TestAttackCompactionInputTamperDetected(t *testing.T)   { runCorpus(t) }
 func TestAttackTrustedStateDeletionDetected(t *testing.T)    { runCorpus(t) }
 func TestAttackWALTamperDetected(t *testing.T)               { runCorpus(t) }
+func TestAttackManifestLists(t *testing.T)                   { runCorpus(t) }
 func TestAttackForgedWALSuffix(t *testing.T)                 { runCorpus(t) }
 func TestAttackFlippedTagPastSeal(t *testing.T)              { runCorpus(t) }
 func TestAttackOlderGenerationLog(t *testing.T)              { runCorpus(t) }

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"elsm/internal/lsm"
+	"elsm/internal/record"
+	"elsm/internal/sstable"
 	"elsm/internal/vfs"
 )
 
@@ -168,17 +170,41 @@ func asSlice(v any) []any {
 }
 
 // keySpansTables reports whether some run of fs has a table whose first key
-// is the table before's last.
+// is the table before's last, both read from the tables.
 func keySpansTables(t *testing.T, fs vfs.FS) bool {
 	_, levels := manifestRuns(t, fs)
 	for _, runs := range levels {
 		for _, files := range runs {
-			for i := 1; i < len(files); i++ {
-				if files[i]["smallest"] == files[i-1]["largest"] {
+			var last []byte
+			for i, file := range files {
+				first, largest := tableEnds(t, fs, uint64(file["file"].(float64)))
+				if i > 0 && bytes.Equal(first, last) {
 					return true
 				}
+				last = largest
 			}
 		}
 	}
 	return false
+}
+
+// tableEnds opens table fileNum of fs and returns its first and last keys.
+func tableEnds(t *testing.T, fs vfs.FS, fileNum uint64) (first, last []byte) {
+	t.Helper()
+	f, err := fs.Open(fmt.Sprintf("%06d.sst", fileNum))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tbl, err := sstable.Open(f, fileNum, &sstable.FileSource{F: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := tbl.Iter()
+	defer it.Close()
+	if it.SeekGE(nil, record.MaxTs); !it.Valid() {
+		t.Fatalf("table %d: %v", fileNum, it.Close())
+	}
+	last, _ = tbl.Largest()
+	return bytes.Clone(it.Record().Key), last
 }

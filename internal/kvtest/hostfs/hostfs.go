@@ -42,10 +42,10 @@ const (
 	// Replay appends to a log the Arg-th of the groups of every log version
 	// kept.
 	Replay
-	// Edit rewrites a MANIFEST field: Arg%6 picks the edit, Arg/6 its target.
-	// 0 swaps two levels, 1 two runs of a level, 2 sets the next run ID, 3
-	// understates a table's largest key, 4 moves its first key back to its
-	// predecessor's, 5 forward to its own last.
+	// Edit rewrites what a MANIFEST lists: Arg%6 picks the edit, Arg/6 its
+	// target. 0 swaps two levels, 1 two runs of a level, 2 drops a table
+	// from a run of two or more, 3 lists a table twice in its run, 4 moves a
+	// table to the end of the next run, 5 swaps two runs' file lists.
 	Edit
 	// Hide says the file is not there (List leaves it out). Told at rest,
 	// the file stays as it is under the handles open on it, as a host's
@@ -468,21 +468,30 @@ func edit(name string, data []byte, arg int64) []byte {
 		return nil
 	}
 	levels, _ := root["levels"].([]any)
-	var full, multi []int          // levels holding a run, and two
-	var tables [][2]map[string]any // a table and the one before it in its run
+	files := func(r map[string]any) []any { f, _ := r["files"].([]any); return f }
+	var full, multi []int     // levels holding a run, and two
+	var runs []map[string]any // every run, in the order listed
+	var tabled, long []int    // the runs holding a table, and two
 	for i, lv := range levels {
-		runs, _ := lv.([]any)
-		if len(runs) > 0 {
+		rs, _ := lv.([]any)
+		if len(rs) > 0 {
 			full = append(full, i)
 		}
-		if len(runs) > 1 {
+		if len(rs) > 1 {
 			multi = append(multi, i)
 		}
-		for _, r := range runs {
-			files, _ := r.(map[string]any)["files"].([]any)
-			for j := 1; j < len(files); j++ {
-				tables = append(tables, [2]map[string]any{files[j-1].(map[string]any), files[j].(map[string]any)})
+		for _, r := range rs {
+			r, ok := r.(map[string]any)
+			if !ok {
+				continue
 			}
+			if len(files(r)) > 0 {
+				tabled = append(tabled, len(runs))
+			}
+			if len(files(r)) > 1 {
+				long = append(long, len(runs))
+			}
+			runs = append(runs, r)
 		}
 	}
 	pick := int(arg / 6)
@@ -501,22 +510,66 @@ func edit(name string, data []byte, arg int64) []byte {
 		if len(multi) == 0 {
 			return nil
 		}
-		runs := levels[multi[pick%len(multi)]].([]any)
-		runs[0], runs[1] = runs[1], runs[0]
+		rs := levels[multi[pick%len(multi)]].([]any)
+		rs[0], rs[1] = rs[1], rs[0]
 	case 2:
-		root["nextRun"] = pick % 4
-	default:
-		if len(tables) == 0 {
+		if len(long) == 0 {
 			return nil
 		}
-		prev, t := tables[pick%len(tables)][0], tables[pick%len(tables)][1]
-		switch arg % 6 {
-		case 3:
-			t["largest"], t["largestTs"] = prev["largest"], prev["largestTs"]
-		case 4:
-			t["smallest"], t["smallestTs"] = prev["smallest"], prev["smallestTs"]
-		case 5:
-			t["smallest"], t["smallestTs"] = t["largest"], t["largestTs"]
+		r := runs[long[pick%len(long)]]
+		i := pick % len(files(r))
+		r["files"] = slices.Delete(files(r), i, i+1)
+	case 3:
+		if len(tabled) == 0 {
+			return nil
+		}
+		r := runs[tabled[pick%len(tabled)]]
+		r["files"] = append(files(r), files(r)[pick%len(files(r))])
+	case 4, 5:
+		if len(tabled) == 0 || len(runs) < 2 {
+			return nil
+		}
+		at := tabled[pick%len(tabled)]
+		from, to := runs[at], runs[(at+1)%len(runs)]
+		if arg%6 == 5 {
+			from["files"], to["files"] = to["files"], from["files"]
+			break
+		}
+		i := pick % len(files(from))
+		to["files"] = append(files(to), files(from)[i])
+		from["files"] = slices.Delete(files(from), i, i+1)
+	}
+	out, _ := json.Marshal(root)
+	return out
+}
+
+// ParentManifest rewrites a MANIFEST in the shape of the format before the
+// one that lists only runs and their files: it adds the next file number and
+// run ID, each run's bytes, and each table's bounds, counts and size, every
+// one of them a lie. A store must open on it as on m. It returns nil if m is
+// not a MANIFEST.
+func ParentManifest(m []byte) []byte {
+	var root map[string]any
+	if json.Unmarshal(m, &root) != nil {
+		return nil
+	}
+	root["nextFile"], root["nextRun"] = 1, 1
+	levels, _ := root["levels"].([]any)
+	for _, lv := range levels {
+		runs, _ := lv.([]any)
+		for _, r := range runs {
+			r, _ := r.(map[string]any)
+			if r == nil {
+				continue
+			}
+			r["bytes"] = 1
+			files, _ := r["files"].([]any)
+			for _, f := range files {
+				if f, ok := f.(map[string]any); ok {
+					f["smallest"], f["smallestTs"], f["largest"], f["largestTs"] = []byte("zzz"), 0, []byte("a"), 0
+					f["entries"], f["blocks"], f["size"] = 1, 1, 1
+				}
+			}
 		}
 	}
 	out, _ := json.Marshal(root)

@@ -366,11 +366,12 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 const minPartRecords = 256
 
 // split chooses the job's key-range parts (CompactionInfo.Bounds), at most
-// maxParts of them: at the first keys of the tables of the input run with
-// the most tables, a table or more a part; without two such tables, at
-// quantiles of the trusted records, minPartRecords or more a part. The table
-// keys come from the host, but they only balance the parts: the listener
-// checks every record against its part's bounds.
+// maxParts of them: at the last keys of the tables of the input run with the
+// most tables, a table or more a part; without two such tables, at
+// quantiles of the trusted records, minPartRecords or more a part. A table's
+// last key is its index's, which the host can rewrite, but the bounds only
+// balance the parts: the listener checks every record against its part's
+// bounds.
 func (p *jobPlan) split(maxParts int) [][]byte {
 	var most []*tableHandle
 	for _, r := range p.inputs {
@@ -388,7 +389,7 @@ func (p *jobPlan) split(maxParts int) [][]byte {
 	case len(most) >= 2:
 		parts := min(maxParts, len(most))
 		for i := 1; i < parts; i++ {
-			add(most[i*len(most)/parts].meta.Smallest)
+			add(most[i*len(most)/parts-1].largest)
 		}
 	case p.frozen != nil:
 		n := p.frozen.Count()
@@ -620,7 +621,7 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 	// Step m1: bulk-load input files into untrusted memory for streaming.
 	for _, r := range p.inputs {
 		for _, th := range r.tables {
-			js.pinned = append(js.pinned, th.meta.FileNum)
+			js.pinned = append(js.pinned, th.fileNum)
 		}
 	}
 	s.pinViews(js.pinned)
@@ -765,7 +766,7 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 			var written []uint64
 			for _, f := range files {
 				if f.th != nil {
-					written = append(written, f.th.meta.FileNum)
+					written = append(written, f.th.fileNum)
 				}
 			}
 			s.removeFiles(written)
@@ -775,9 +776,7 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 	newRun := &run{id: p.info.OutputRun, tables: make([]*tableHandle, 0, len(files)), bottomMost: p.info.BottomMost}
 	newRun.refs.Store(1) // the building job's, dropped when its install ends
 	for _, f := range files {
-		newRun.tables = append(newRun.tables, f.th)
-		newRun.bytes += f.th.meta.Size
-		newRun.entries += f.th.meta.NumEntries
+		newRun.add(f.th)
 	}
 	return newRun, nil
 }
@@ -886,8 +885,7 @@ func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, pr
 			}
 		}
 	}
-	meta, err := b.Finish()
-	if err != nil {
+	if _, err := b.Finish(); err != nil {
 		return nil, err
 	}
 
@@ -910,22 +908,7 @@ func (s *Store) writeRunFile(tb *tableBuild, fileNum uint64, recs recordList, pr
 		return nil, fmt.Errorf("lsm: write table %s: %w", name, werr)
 	}
 
-	of := &openFile{file: f}
-	if s.opts.MmapReads {
-		s.ocall(func() { of.view = f.Bytes() })
-	}
-	s.fileMu.Lock()
-	s.files[fileNum] = of
-	s.fileMu.Unlock()
-
-	t, err := sstable.Open(f, fileNum, &storeSource{s: s})
-	if err != nil {
-		return nil, err
-	}
-	if s.opts.Transform != nil {
-		of.metaRegion = s.enclave.Alloc(t.MetadataBytes()) // see metaRegion
-	}
-	return &tableHandle{meta: meta, table: t, name: name}, nil
+	return s.adoptTable(fileNum, f)
 }
 
 // removeFiles closes and deletes table files (guarded by fileMu, not s.mu:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -222,7 +223,7 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 	tables := snap.v.runs[0].tables
 	blocks := 0
 	for _, th := range tables {
-		blocks += th.meta.NumBlocks
+		blocks += th.table.NumBlocks()
 	}
 
 	it := newRunIter(snap.v.runs[0])
@@ -253,14 +254,17 @@ func TestRunIterIsLazyAndReadsBlocksOnce(t *testing.T) {
 			t.Fatalf("SeekPrev at record %d = %q, %v, %v (%d block reads)", i, prev.Key, ok, err, n)
 		}
 	}
-	// The record that opens each table has its predecessor in the table before.
+	// The record that opens each table, the one after the table before's
+	// last, has its predecessor in the table before.
 	edges := 0
 	for ti := 1; ti < len(tables); ti++ {
-		if err := snap.SeekRun(0, &cur, tables[ti].meta.Smallest, nil); err != nil {
+		last := tables[ti-1].largest
+		first := 1 + slices.IndexFunc(recs, func(r record.Record) bool { return bytes.Equal(r.Key, last) })
+		if err := snap.SeekRun(0, &cur, recs[first].Key, nil); err != nil {
 			t.Fatal(err)
 		}
 		prev, _, ok, err := cur.SeekPrev()
-		if err != nil || !ok || !bytes.Equal(prev.Key, tables[ti-1].meta.Largest) {
+		if err != nil || !ok || !bytes.Equal(prev.Key, last) {
 			t.Fatalf("SeekPrev at the head of table %d = %q, %v, %v", ti, prev.Key, ok, err)
 		}
 		edges++
@@ -286,7 +290,7 @@ func TestRunIterReadErrorIsSticky(t *testing.T) {
 	defer s.Close()
 	defer snap.Release()
 	ffs.ArmFilter(vfs.OpReadAt, "*.sst")
-	ffs.Arm(snap.v.runs[0].tables[0].meta.NumBlocks - 1) // the first table's last block fails
+	ffs.Arm(snap.v.runs[0].tables[0].table.NumBlocks() - 1) // the first table's last block fails
 	m := newMergeIter([]mergeSource{{runID: snap.v.runs[0].id, iter: newRunIter(snap.v.runs[0])}})
 	n := 0
 	for ; m.Valid(); m.Next() {
@@ -316,10 +320,10 @@ func TestTruncatedViewIsAnErrorNotAPanic(t *testing.T) {
 	defer s.Close()
 	defer snap.Release()
 	th := snap.v.runs[0].tables[0]
-	last := th.meta.Largest
+	last := th.largest
 	for _, path := range []string{"pinned", "mmap"} {
 		s.fileMu.Lock()
-		of := s.files[th.meta.FileNum]
+		of := s.files[th.fileNum]
 		of.pinned, of.view = nil, nil
 		if short := make([]byte, 100); path == "pinned" {
 			of.pinned = short
@@ -341,6 +345,6 @@ func TestTruncatedViewIsAnErrorNotAPanic(t *testing.T) {
 		}
 	}
 	s.fileMu.Lock()
-	s.files[th.meta.FileNum].pinned, s.files[th.meta.FileNum].view = nil, nil
+	s.files[th.fileNum].pinned, s.files[th.fileNum].view = nil, nil
 	s.fileMu.Unlock()
 }

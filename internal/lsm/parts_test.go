@@ -8,20 +8,19 @@ import (
 	"elsm/internal/memtable"
 	"elsm/internal/record"
 	"elsm/internal/sgx"
-	"elsm/internal/sstable"
 )
 
-// TestSplitBounds pins how a job's key-range parts are chosen: at the first
+// TestSplitBounds pins how a job's key-range parts are chosen: at the last
 // keys of the tables of the input with the most tables, no more parts than
 // worker tokens or tables; else at quantiles of the frozen memtable or the
 // bulk load, minPartRecords or more a part; bounds strictly ascending, and a
 // small job one part.
 func TestSplitBounds(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
-	runOf := func(firstKeys ...int) *run {
+	runOf := func(lastKeys ...int) *run {
 		r := &run{}
-		for _, k := range firstKeys {
-			r.tables = append(r.tables, &tableHandle{meta: sstable.Meta{Smallest: key(k)}})
+		for _, k := range lastKeys {
+			r.tables = append(r.tables, &tableHandle{largest: key(k)})
 		}
 		return r
 	}
@@ -46,15 +45,15 @@ func TestSplitBounds(t *testing.T) {
 		maxParts int
 		want     []int // the bounds' key indices
 	}{
-		{"one token is one part", jobPlan{inputs: []*run{runOf(0, 10, 20, 30)}}, 1, nil},
-		{"the input with the most tables", jobPlan{inputs: []*run{runOf(0, 5), runOf(0, 10, 20, 30)}}, 2, []int{20}},
-		{"four parts of eight tables", jobPlan{inputs: []*run{runOf(0, 1, 2, 3, 4, 5, 6, 7)}}, 4, []int{2, 4, 6}},
-		{"no more parts than tables", jobPlan{inputs: []*run{runOf(0, 10, 20)}}, 8, []int{10, 20}},
-		{"a key over two tables splits once", jobPlan{inputs: []*run{runOf(0, 10, 10, 30)}}, 4, []int{10, 30}},
-		{"one table and no trusted records", jobPlan{inputs: []*run{runOf(0)}}, 4, nil},
-		{"memtable quantiles under a one-table run", jobPlan{inputs: []*run{runOf(0)}, frozen: frozenOf(4 * minPartRecords)}, 4, []int{minPartRecords, 2 * minPartRecords, 3 * minPartRecords}},
+		{"one token is one part", jobPlan{inputs: []*run{runOf(9, 19, 29, 39)}}, 1, nil},
+		{"the input with the most tables", jobPlan{inputs: []*run{runOf(4, 9), runOf(9, 19, 29, 39)}}, 2, []int{19}},
+		{"four parts of eight tables", jobPlan{inputs: []*run{runOf(0, 1, 2, 3, 4, 5, 6, 7)}}, 4, []int{1, 3, 5}},
+		{"no more parts than tables", jobPlan{inputs: []*run{runOf(9, 19, 29)}}, 8, []int{9, 19}},
+		{"a key over two tables splits once", jobPlan{inputs: []*run{runOf(9, 10, 10, 39)}}, 4, []int{9, 10}},
+		{"one table and no trusted records", jobPlan{inputs: []*run{runOf(9)}}, 4, nil},
+		{"memtable quantiles under a one-table run", jobPlan{inputs: []*run{runOf(9)}, frozen: frozenOf(4 * minPartRecords)}, 4, []int{minPartRecords, 2 * minPartRecords, 3 * minPartRecords}},
 		{"a small memtable is one part", jobPlan{frozen: frozenOf(2*minPartRecords - 1)}, 4, nil},
-		{"tables over the memtable", jobPlan{inputs: []*run{runOf(0, 10)}, frozen: frozenOf(4 * minPartRecords)}, 4, []int{10}},
+		{"tables over the memtable", jobPlan{inputs: []*run{runOf(9, 19)}, frozen: frozenOf(4 * minPartRecords)}, 4, []int{9}},
 		{"bulk load at record indices", jobPlan{bulk: bulkOf(2 * minPartRecords)}, 2, []int{minPartRecords / 2}},
 		{"a small bulk load is one part", jobPlan{bulk: bulkOf(minPartRecords)}, 4, nil},
 	}

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -173,19 +172,16 @@ func (s *Store) CaptureCheckpoint(capture func() error) (*CheckpointSource, erro
 
 // CheckpointTable identifies one SSTable file of a checkpointed run.
 type CheckpointTable struct {
-	FileNum uint64
-	Name    string
-	Size    int64
+	Name string
+	Size int64
 }
 
 // CheckpointRun describes one pinned run for export: identity, placement
 // and the files carrying it.
 type CheckpointRun struct {
-	ID      uint64
-	Level   int
-	Tables  []CheckpointTable
-	Bytes   int64
-	Entries int
+	ID     uint64
+	Level  int
+	Tables []CheckpointTable
 }
 
 // CheckpointRuns lists the snapshot's runs in read order with the file
@@ -193,13 +189,9 @@ type CheckpointRun struct {
 func (sn *Snapshot) CheckpointRuns() []CheckpointRun {
 	out := make([]CheckpointRun, 0, len(sn.v.runs))
 	for i, r := range sn.v.runs {
-		cr := CheckpointRun{ID: r.id, Level: sn.v.refs[i].Level, Bytes: r.bytes, Entries: r.entries}
+		cr := CheckpointRun{ID: r.id, Level: sn.v.refs[i].Level}
 		for _, th := range r.tables {
-			cr.Tables = append(cr.Tables, CheckpointTable{
-				FileNum: th.meta.FileNum,
-				Name:    th.name,
-				Size:    th.meta.Size,
-			})
+			cr.Tables = append(cr.Tables, CheckpointTable{Name: tableName(th.fileNum), Size: th.table.Size()})
 		}
 		out = append(out, cr)
 	}
@@ -209,40 +201,16 @@ func (sn *Snapshot) CheckpointRuns() []CheckpointRun {
 // EncodeManifest serializes the snapshot's version as a MANIFEST the
 // importer installs verbatim, with lastTs — the run frontier, i.e. the
 // highest timestamp covered by the runs rather than the WAL tail — as the
-// recovered timestamp base. NextFileNum/NextRunID are derived from the
-// pinned version so follower-local flushes allocate past the imported
-// names.
+// recovered timestamp base. The importer's recovery derives the next file
+// number and run ID from the runs, so follower-local flushes allocate past
+// the imported names.
 func (sn *Snapshot) EncodeManifest(lastTs uint64) ([]byte, error) {
-	root := manifestRoot{
-		NextFileNum: 1,
-		NextRunID:   1,
-		LastTs:      lastTs,
-		Levels:      make([][]manifestRun, len(sn.v.s.levels)),
-	}
+	levels := make([][]*run, len(sn.v.s.levels))
 	for i, r := range sn.v.runs {
 		lvl := sn.v.refs[i].Level
-		mr := manifestRun{ID: r.id, Nbytes: r.bytes}
-		if r.id >= root.NextRunID {
-			root.NextRunID = r.id + 1
-		}
-		for _, th := range r.tables {
-			if th.meta.FileNum >= root.NextFileNum {
-				root.NextFileNum = th.meta.FileNum + 1
-			}
-			mr.Files = append(mr.Files, manifestTable{
-				FileNum:    th.meta.FileNum,
-				Smallest:   th.meta.Smallest,
-				SmallestTs: th.meta.SmallestTs,
-				Largest:    th.meta.Largest,
-				LargestTs:  th.meta.LargestTs,
-				NumEntries: th.meta.NumEntries,
-				NumBlocks:  th.meta.NumBlocks,
-				Size:       th.meta.Size,
-			})
-		}
-		root.Levels[lvl] = append(root.Levels[lvl], mr)
+		levels[lvl] = append(levels[lvl], r)
 	}
-	return json.Marshal(root)
+	return encodeManifest(levels, lastTs, 0)
 }
 
 // RunRecords streams every record (all versions, tombstones included) of

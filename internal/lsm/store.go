@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -65,11 +66,15 @@ var (
 	ErrWALSyncFailed = errors.New("lsm: wal sync failed")
 )
 
-// tableHandle pairs an open SSTable with its file.
+// tableHandle pairs an open SSTable with its file. Everything the engine
+// knows of a table it reads from the table: largest and largestTs are its
+// index's last entry (sstable.Table.Largest), aliased here so that
+// seekTable, on every Get, reads them with no pointer chase.
 type tableHandle struct {
-	meta  sstable.Meta
-	table *sstable.Table
-	name  string
+	largest   []byte
+	largestTs uint64
+	fileNum   uint64
+	table     *sstable.Table
 }
 
 // run is one immutable sorted run of tables (non-overlapping, key-ordered).
@@ -92,16 +97,21 @@ type run struct {
 	id         uint64
 	tables     []*tableHandle
 	bytes      int64
-	entries    int
 	refs       atomic.Int32
 	trust      any
 	bottomMost bool
 }
 
+// add appends th to the run, and its size to the run's.
+func (r *run) add(th *tableHandle) {
+	r.tables = append(r.tables, th)
+	r.bytes += th.table.Size()
+}
+
 // appendFileNums appends the run's table file numbers to nums.
 func (r *run) appendFileNums(nums []uint64) []uint64 {
 	for _, th := range r.tables {
-		nums = append(nums, th.meta.FileNum)
+		nums = append(nums, th.fileNum)
 	}
 	return nums
 }
@@ -389,32 +399,44 @@ func tableName(fileNum uint64) string { return fmt.Sprintf("%06d.sst", fileNum) 
 // ---------------------------------------------------------------------------
 // Manifest
 
+// The MANIFEST holds only what nothing else does: each level's runs in
+// order, each run's ID and its tables' file numbers, the timestamp floor and
+// the WAL watermark. A table's last key and size are read from the table
+// (adoptTable), and the next file number and run ID are derived from the
+// live runs at recovery, so a host cannot lie about them here. Fields a
+// MANIFEST of an earlier format carries besides these are ignored.
 type manifestTable struct {
-	FileNum    uint64 `json:"file"`
-	Smallest   []byte `json:"smallest"`
-	SmallestTs uint64 `json:"smallestTs"`
-	Largest    []byte `json:"largest"`
-	LargestTs  uint64 `json:"largestTs"`
-	NumEntries int    `json:"entries"`
-	NumBlocks  int    `json:"blocks"`
-	Size       int64  `json:"size"`
+	FileNum uint64 `json:"file"`
 }
 
 type manifestRun struct {
-	ID     uint64          `json:"id"`
-	Files  []manifestTable `json:"files"`
-	Nbytes int64           `json:"bytes"`
+	ID    uint64          `json:"id"`
+	Files []manifestTable `json:"files"`
 }
 
 type manifestRoot struct {
-	NextFileNum uint64          `json:"nextFile"`
-	NextRunID   uint64          `json:"nextRun"`
-	LastTs      uint64          `json:"lastTs"`
-	Levels      [][]manifestRun `json:"levels"`
+	LastTs uint64          `json:"lastTs"`
+	Levels [][]manifestRun `json:"levels"`
 	// FlushedWALSeq marks frozen logs below this sequence as flushed into
 	// the runs this manifest lists; recovery discards them instead of
 	// replaying (crash window between manifest install and log deletion).
 	FlushedWALSeq uint64 `json:"flushedWALSeq,omitempty"`
+}
+
+// encodeManifest serializes levels, each a level's runs in order, as a
+// MANIFEST.
+func encodeManifest(levels [][]*run, lastTs, flushedWALSeq uint64) ([]byte, error) {
+	root := manifestRoot{LastTs: lastTs, Levels: make([][]manifestRun, len(levels)), FlushedWALSeq: flushedWALSeq}
+	for i, runs := range levels {
+		for _, r := range runs {
+			mr := manifestRun{ID: r.id, Files: make([]manifestTable, len(r.tables))}
+			for j, th := range r.tables {
+				mr.Files[j].FileNum = th.fileNum
+			}
+			root.Levels[i] = append(root.Levels[i], mr)
+		}
+	}
+	return json.Marshal(root)
 }
 
 // refreshLevelBytesLocked recomputes the lock-free per-level byte gauges
@@ -435,32 +457,7 @@ func (s *Store) refreshLevelBytesLocked() {
 // Caller holds s.mu; install phases are serialized on installMu, so
 // manifest writes never reorder.
 func (s *Store) persistManifestLocked() error {
-	root := manifestRoot{
-		NextFileNum:   s.nextFileNum.Load(),
-		NextRunID:     s.nextRunID,
-		LastTs:        s.lastTs.Load(),
-		Levels:        make([][]manifestRun, len(s.levels)),
-		FlushedWALSeq: s.flushedWALSeq,
-	}
-	for i, runs := range s.levels {
-		for _, r := range runs {
-			mr := manifestRun{ID: r.id, Nbytes: r.bytes}
-			for _, th := range r.tables {
-				mr.Files = append(mr.Files, manifestTable{
-					FileNum:    th.meta.FileNum,
-					Smallest:   th.meta.Smallest,
-					SmallestTs: th.meta.SmallestTs,
-					Largest:    th.meta.Largest,
-					LargestTs:  th.meta.LargestTs,
-					NumEntries: th.meta.NumEntries,
-					NumBlocks:  th.meta.NumBlocks,
-					Size:       th.meta.Size,
-				})
-			}
-			root.Levels[i] = append(root.Levels[i], mr)
-		}
-	}
-	data, err := json.Marshal(root)
+	data, err := encodeManifest(s.levels, s.lastTs.Load(), s.flushedWALSeq)
 	if err != nil {
 		return fmt.Errorf("lsm: manifest marshal: %w", err)
 	}
@@ -593,8 +590,6 @@ func (s *Store) recoverManifest() error {
 	if err := json.Unmarshal(data, &root); err != nil {
 		return fmt.Errorf("%w: %v", ErrManifestParse, err)
 	}
-	s.nextFileNum.Store(root.NextFileNum)
-	s.nextRunID = root.NextRunID
 	s.lastTs.Store(root.LastTs)
 	s.flushedWALSeq = root.FlushedWALSeq
 	// A log frozen from here on must sort above the watermark, or a crash
@@ -605,31 +600,36 @@ func (s *Store) recoverManifest() error {
 		s.levels = make([][]*run, len(root.Levels))
 		s.levelBytesGauge = make([]atomic.Int64, len(root.Levels))
 	}
+	// A run or table listed twice would be two runs under one ID, or a file
+	// deleted twice; the next run ID and file number are one above every
+	// listed one, so the largest would wrap them to 0.
+	runIDs, fileNums := map[uint64]bool{}, map[uint64]bool{}
+	listedOnce := func(seen map[uint64]bool, n uint64) bool {
+		once := !seen[n] && n < math.MaxUint64
+		seen[n] = true
+		return once
+	}
 	for lvl, runs := range root.Levels {
+		if lvl == 0 && len(runs) > 0 {
+			return fmt.Errorf("%w: runs at level 0", ErrManifestParse)
+		}
 		for _, mr := range runs {
+			if !listedOnce(runIDs, mr.ID) {
+				return fmt.Errorf("%w: run %d listed twice or out of range", ErrManifestParse, mr.ID)
+			}
 			r := &run{id: mr.ID} // Open's first version takes the reference
 			for _, mt := range mr.Files {
+				if !listedOnce(fileNums, mt.FileNum) {
+					return fmt.Errorf("%w: table %d listed twice or out of range", ErrManifestParse, mt.FileNum)
+				}
 				th, err := s.openTable(mt.FileNum)
 				if err != nil {
 					return err
 				}
-				// Like the next run ID, the next file number is the
-				// manifest's: never hand out a live table's.
 				s.nextFileNum.Store(max(s.nextFileNum.Load(), mt.FileNum+1))
-				th.meta.Smallest = mt.Smallest
-				th.meta.SmallestTs = mt.SmallestTs
-				th.meta.Largest = mt.Largest
-				th.meta.LargestTs = mt.LargestTs
-				th.meta.NumEntries = mt.NumEntries
-				th.meta.NumBlocks = mt.NumBlocks
-				th.meta.Size = mt.Size
-				r.tables = append(r.tables, th)
-				r.bytes += mt.Size
-				r.entries += mt.NumEntries
+				r.add(th)
 			}
 			s.levels[lvl] = append(s.levels[lvl], r)
-			// The next ID is the manifest's, which the seal does not cover:
-			// never hand out one that is not above every live run's.
 			s.nextRunID = max(s.nextRunID, r.id+1)
 		}
 	}
@@ -755,7 +755,7 @@ func (s *Store) EnsureTs(minTs uint64) {
 	}
 }
 
-// openTable opens a table file and parses its metadata.
+// openTable opens a table file the MANIFEST lists.
 func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 	name := tableName(fileNum)
 	var f vfs.File
@@ -764,6 +764,12 @@ func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open table %s: %w", name, err)
 	}
+	return s.adoptTable(fileNum, f)
+}
+
+// adoptTable registers f as table fileNum and parses its footer and index,
+// which give the handle everything the engine knows of the table.
+func (s *Store) adoptTable(fileNum uint64, f vfs.File) (*tableHandle, error) {
 	of := &openFile{file: f}
 	if s.opts.MmapReads {
 		// One OCall to establish the mapping; reads are then direct.
@@ -780,7 +786,9 @@ func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 	if s.opts.Transform != nil {
 		of.metaRegion = s.enclave.Alloc(t.MetadataBytes()) // see metaRegion
 	}
-	return &tableHandle{meta: sstable.Meta{FileNum: fileNum}, table: t, name: name}, nil
+	th := &tableHandle{fileNum: fileNum, table: t}
+	th.largest, th.largestTs = t.Largest()
+	return th, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -848,7 +856,7 @@ func (s *Store) readRunFilter(th *tableHandle) []byte {
 		return nil
 	}
 	s.fileMu.RLock()
-	of := s.files[th.meta.FileNum]
+	of := s.files[th.fileNum]
 	s.fileMu.RUnlock()
 	rf := make([]byte, n)
 	var err error
@@ -883,8 +891,8 @@ func seekTable(tables []*tableHandle, key []byte, ts uint64) int {
 	lo, hi := 0, len(tables)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		m := tables[mid].meta
-		if record.Compare(m.Largest, m.LargestTs, key, ts) < 0 {
+		th := tables[mid]
+		if record.Compare(th.largest, th.largestTs, key, ts) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

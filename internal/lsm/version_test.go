@@ -30,8 +30,8 @@ func TestVersionPinsUnderInstalls(t *testing.T) {
 	check := func(sn *Snapshot, probe int) error {
 		for i, r := range sn.v.runs {
 			for _, th := range r.tables {
-				if !mem.Exists(th.name) {
-					return fmt.Errorf("run %d's file %s is gone while pinned", r.id, th.name)
+				if name := tableName(th.fileNum); !mem.Exists(name) {
+					return fmt.Errorf("run %d's file %s is gone while pinned", r.id, name)
 				}
 			}
 			if _, err := sn.LookupRun(i, key(probe), record.MaxTs); err != nil {
@@ -113,7 +113,7 @@ func TestVersionPinsUnderInstalls(t *testing.T) {
 	var want []string
 	for _, r := range s.current.Load().runs {
 		for _, th := range r.tables {
-			want = append(want, th.name)
+			want = append(want, tableName(th.fileNum))
 		}
 	}
 	slices.Sort(want)

@@ -150,13 +150,9 @@ type ProofAppender interface {
 	AppendChain(dst []byte) []byte
 }
 
-// Meta describes a finished table.
+// Meta describes a finished table. A reader learns the same of it, and its
+// last key, from the opened Table.
 type Meta struct {
-	FileNum    uint64
-	Smallest   []byte // smallest user key
-	SmallestTs uint64
-	Largest    []byte // largest user key
-	LargestTs  uint64
 	NumEntries int
 	NumBlocks  int
 	Size       int64
@@ -187,7 +183,6 @@ type Builder struct {
 	haveLast    bool
 	lastKey     []byte
 	lastTs      uint64
-	meta        Meta
 	// group is the proof group of the records in blockBuf; scratch holds a
 	// section or chain part until its length is framed, and the index block
 	// and the footer at Finish.
@@ -229,7 +224,6 @@ func (b *Builder) Reset(f vfs.File, opts BuilderOptions) {
 	*b = Builder{
 		f:           f,
 		opts:        opts,
-		meta:        Meta{FileNum: opts.FileNum},
 		blockBuf:    b.blockBuf[:0],
 		keyOffs:     b.keyOffs[:0],
 		blockKeys:   b.blockKeys[:0],
@@ -259,10 +253,6 @@ func (b *Builder) Add(rec record.Record) error {
 			}
 		}
 		b.group = g
-	}
-	if !b.haveLast {
-		b.meta.Smallest = append([]byte(nil), rec.Key...)
-		b.meta.SmallestTs = rec.Ts
 	}
 	b.haveLast = true
 	b.lastKey = append(b.lastKey[:0], rec.Key...)
@@ -388,12 +378,7 @@ func (b *Builder) Finish() (Meta, error) {
 	}
 	b.off += int64(len(ft))
 
-	b.meta.Largest = append([]byte(nil), b.lastKey...)
-	b.meta.LargestTs = b.lastTs
-	b.meta.NumEntries = b.numEntries
-	b.meta.NumBlocks = len(b.index)
-	b.meta.Size = b.off
-	return b.meta, nil
+	return Meta{NumEntries: b.numEntries, NumBlocks: len(b.index), Size: b.off}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -413,6 +398,7 @@ type Table struct {
 	// count of 0 in the file; the table keeps no copy of it.
 	runFilterOff, runFilterLen int64
 	numEntries                 int
+	size                       int64
 	source                     BlockSource
 }
 
@@ -473,7 +459,7 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 	if _, err := f.ReadAt(ib, indexOff); err != nil {
 		return nil, fmt.Errorf("sstable: read index: %w", err)
 	}
-	t := &Table{fileNum: fileNum, numEntries: numEntries, source: source}
+	t := &Table{fileNum: fileNum, numEntries: numEntries, size: size, source: source}
 	if len(ib) < 4 {
 		return nil, fmt.Errorf("%w: short index", ErrBadTable)
 	}
@@ -549,6 +535,17 @@ func (t *Table) RunFilterSpan() (off, n int64) { return t.runFilterOff, t.runFil
 
 // NumEntries returns the number of records in the table.
 func (t *Table) NumEntries() int { return t.numEntries }
+
+// Size returns the file's size at Open.
+func (t *Table) Size() int64 { return t.size }
+
+// Largest returns the key and timestamp of the index's last entry: the
+// table's last record, if the index tells the truth. The key aliases the
+// index; the caller must not modify it.
+func (t *Table) Largest() ([]byte, uint64) {
+	e := &t.index[len(t.index)-1]
+	return e.lastKey, e.lastTs
+}
 
 // NumBlocks returns the number of data blocks.
 func (t *Table) NumBlocks() int { return len(t.index) }

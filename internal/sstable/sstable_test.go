@@ -63,8 +63,8 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 	if tbl.NumEntries() != 500 {
 		t.Fatalf("entries = %d", tbl.NumEntries())
 	}
-	if meta.NumEntries != 500 || string(meta.Smallest) != "key00000" || string(meta.Largest) != "key00499" {
-		t.Fatalf("meta = %+v", meta)
+	if last, _ := tbl.Largest(); meta.NumEntries != 500 || meta.NumBlocks != tbl.NumBlocks() || string(last) != "key00499" {
+		t.Fatalf("meta = %+v, last key %q", meta, last)
 	}
 	if tbl.NumBlocks() < 2 {
 		t.Fatalf("expected multiple blocks, got %d", tbl.NumBlocks())
