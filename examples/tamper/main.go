@@ -98,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Each phase ends in authenticated SSTables and a manifest, so the
+	// Each phase ends in authenticated SSTables and a sealed version, so the
 	// snapshot is a complete old state, not just a write-ahead log.
 	writeAll(store2, "v1")
 	settle(store2)

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"regexp"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"elsm/internal/record"
@@ -131,33 +133,11 @@ func TestConcurrentWritesDuringCompaction(t *testing.T) {
 	}
 }
 
-// manifestLastTs matches the timestamp floor in the engine's JSON manifest.
-var manifestLastTs = regexp.MustCompile(`"lastTs":\d+`)
-
-// zeroManifestTs rewrites the manifest's timestamp floor to zero, the way a
-// hostile host could: MANIFEST is plain untrusted JSON, so a recovered
-// store's timestamp counter must not depend on it.
-func zeroManifestTs(t *testing.T, mem *vfs.MemFS) {
-	t.Helper()
-	f, err := mem.Open("MANIFEST")
-	if err != nil {
-		return // crashed before the first manifest
-	}
-	data := manifestLastTs.ReplaceAll(f.Bytes(), []byte(`"lastTs":0`))
-	if f, err = mem.Create("MANIFEST"); err == nil {
-		_, err = f.Append(data)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCrashInsideBulkLoadKeepsTimestampFloor kills the disk at every
-// operation of a bulk load, zeroes the manifest's timestamp floor, and
-// recovers. Whenever recovery succeeds with the loaded run present — in
-// particular through the transition seal, when only the post-install seal
-// write was lost — the trusted state alone must put the timestamp counter
-// above every loaded record: a fresh Put may never reuse a loaded timestamp.
+// operation of a bulk load and recovers. Whenever recovery succeeds with the
+// loaded run present, the sealed state — which carries the version and its
+// timestamp floor — must put the timestamp counter above every loaded
+// record: a fresh Put may never reuse a loaded timestamp.
 func TestCrashInsideBulkLoadKeepsTimestampFloor(t *testing.T) {
 	const n = 200
 	recs := make([]record.Record, n)
@@ -191,7 +171,6 @@ func TestCrashInsideBulkLoadKeepsTimestampFloor(t *testing.T) {
 	for budget := 0; budget <= total; budget++ {
 		mem, s, loadErr := load(budget)
 		crash := mem.Clone() // "crash": the bytes as the dead disk left them
-		zeroManifestTs(t, crash)
 		cfg := smallCfg(crash)
 		cfg.Platform, cfg.Counter = s.platform, s.counter
 		s2, err := Open(cfg)
@@ -227,15 +206,17 @@ func TestCrashInsideBulkLoadKeepsTimestampFloor(t *testing.T) {
 // sealedState unseals the trusted-state blob s last wrote to disk.
 func sealedState(t *testing.T, s *Store, disk vfs.FS) trustedState {
 	t.Helper()
-	f, err := disk.Open(trustedStateName)
+	return unsealState(t, s.sealKey, disk)
+}
+
+// unsealState unseals the trusted-state blob on disk under key.
+func unsealState(t *testing.T, key [32]byte, disk vfs.FS) trustedState {
+	t.Helper()
+	sealed, err := vfs.ReadFile(disk, trustedStateName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := make([]byte, f.Size())
-	if _, err := f.ReadAt(sealed, 0); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sgx.Unseal(s.sealKey, sealed)
+	blob, err := sgx.Unseal(key, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +227,34 @@ func sealedState(t *testing.T, s *Store, disk vfs.FS) trustedState {
 	return st
 }
 
-// TestAbortedJobRetractsItsTransitionSeal is the authentication layer's side
-// of the engine's abort matrix: a flush and a compaction each fail at an
-// output table's write, at Verify (a tampered input run) and at the manifest
-// write — the one point at which a transition seal is already staged and on
-// disk. Whatever the point, the next sealed blob carries no pending state,
-// and every read still verifies.
-func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
+// sealedRuns returns the IDs of the runs the version sealed on disk lists,
+// in read order.
+func sealedRuns(t *testing.T, st trustedState) []uint64 {
+	t.Helper()
+	var v struct {
+		Levels [][]struct {
+			ID uint64 `json:"id"`
+		} `json:"levels"`
+	}
+	if err := json.Unmarshal(st.Version, &v); err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for _, runs := range v.Levels {
+		for _, r := range runs {
+			ids = append(ids, r.ID)
+		}
+	}
+	return ids
+}
+
+// TestAbortedJobLeavesTheSeal is the authentication layer's side of the
+// engine's abort matrix: a flush and a compaction each fail at an output
+// table's write, at Verify (a tampered input run) and at the seal of the
+// version that lists the output — the install's one commit point. Whatever
+// the point, the sealed state is the store's own, the forest and the runs
+// from before the job, and every read still verifies.
+func TestAbortedJobLeavesTheSeal(t *testing.T) {
 	kinds := []struct {
 		name string
 		mem  int // keys left in the memtable by the setup
@@ -263,15 +265,14 @@ func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
 	}
 	faults := []struct {
 		name   string
-		staged bool // the job fails with its transition seal written
 		inject func(t *testing.T, mem *vfs.MemFS, ffs *vfs.FaultFS) (heal func())
 	}{
-		{"table-write", false, func(_ *testing.T, _ *vfs.MemFS, ffs *vfs.FaultFS) func() {
+		{"table-write", func(_ *testing.T, _ *vfs.MemFS, ffs *vfs.FaultFS) func() {
 			ffs.ArmFilter(vfs.OpCreate, "*.sst")
 			ffs.Arm(0)
 			return ffs.Disarm
 		}},
-		{"verify", false, func(t *testing.T, mem *vfs.MemFS, _ *vfs.FaultFS) func() {
+		{"verify", func(t *testing.T, mem *vfs.MemFS, _ *vfs.FaultFS) func() {
 			names, _ := mem.List("")
 			for _, name := range names {
 				f, err := mem.Open(name)
@@ -291,15 +292,14 @@ func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
 			t.Fatal("value to tamper with not found in any table")
 			return nil
 		}},
-		{"manifest-write", true, func(_ *testing.T, _ *vfs.MemFS, ffs *vfs.FaultFS) func() {
-			ffs.ArmFilter(vfs.OpAll, "MANIFEST*")
+		{"seal-write", func(_ *testing.T, _ *vfs.MemFS, ffs *vfs.FaultFS) func() {
+			ffs.ArmFilter(vfs.OpAll, trustedStateName+"*")
 			ffs.Arm(0)
 			return ffs.Disarm
 		}},
 	}
 	for _, kind := range kinds {
 		for _, fault := range faults {
-			kind, fault := kind, fault
 			t.Run(kind.name+"/"+fault.name, func(t *testing.T) {
 				mem := vfs.NewMem()
 				ffs := vfs.NewFault(mem)
@@ -337,6 +337,7 @@ func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
 						return s.Compact(1)
 					}
 				}
+				runs := s.Engine().Runs()
 				err := run(s)
 				if err == nil {
 					t.Fatal("the job succeeded through its injected fault")
@@ -344,14 +345,21 @@ func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
 				if fault.name == "verify" && !errors.Is(err, ErrCompactionInput) {
 					t.Fatalf("job over a tampered run = %v, want ErrCompactionInput", err)
 				}
-				if got := sealedState(t, s, mem).Pending != nil; got != fault.staged {
-					t.Fatalf("transition seal on disk at the failure: %v, want %v", got, fault.staged)
-				}
 				heal()
 
-				s.SealState()
-				if st := sealedState(t, s, mem); st.Pending != nil {
-					t.Fatalf("the seal after an aborted job still carries its pending state: %+v", st.Pending)
+				st := sealedState(t, s, mem)
+				if !maps.Equal(st.Digests, s.snapshotDigests()) {
+					t.Fatalf("the seal after the aborted job holds the forest %v, the store %v", st.Digests, s.snapshotDigests())
+				}
+				var ids []uint64
+				for _, r := range s.Engine().Runs() {
+					ids = append(ids, r.ID)
+				}
+				if got := sealedRuns(t, st); !slices.Equal(got, ids) {
+					t.Fatalf("the sealed version lists runs %v, the engine %v", got, ids)
+				}
+				if fault.name != "verify" && !slices.Equal(s.Engine().Runs(), runs) {
+					t.Fatalf("the aborted job changed the runs: %v → %v", runs, s.Engine().Runs())
 				}
 				for i := 0; i < n; i++ {
 					key, val := fmt.Sprintf("key%05d", i), fmt.Sprintf("val%05d", i)
@@ -360,6 +368,59 @@ func TestAbortedJobRetractsItsTransitionSeal(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// sealRefuser refuses to create the seal's temporary file while refuse is
+// set, and does every other operation.
+type sealRefuser struct {
+	vfs.FS
+	refuse atomic.Bool
+}
+
+var errSealRefused = errors.New("seal refused")
+
+func (f *sealRefuser) Create(name string) (vfs.File, error) {
+	if f.refuse.Load() && name == trustedStateName+".tmp" {
+		return nil, errSealRefused
+	}
+	return f.FS.Create(name)
+}
+
+// TestFailedSealFailsItsInstall: a flush whose seal cannot be written
+// reports the failure, and the store it leaves, reopened as after a crash,
+// reads every acknowledged write. The seal is the install's one commit
+// point: a failed one leaves the state from before the flush, whose logs
+// are still there.
+func TestFailedSealFailsItsInstall(t *testing.T) {
+	mem := vfs.NewMem()
+	fs := &sealRefuser{FS: mem}
+	cfg := smallCfg(fs)
+	cfg.MemtableSize, cfg.CounterInterval = 1<<20, -1 // only installs seal
+	s := mustOpenP2(t, cfg)
+	const n = 100
+	for i := 0; i < n; i++ {
+		if _, err := Put(s, key(i), []byte(fmt.Sprintf("val%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.refuse.Store(true)
+	err := s.Flush()
+	fs.refuse.Store(false)
+	if !errors.Is(err, errSealRefused) {
+		t.Fatalf("Flush with its seal refused = %v, want the seal's error", err)
+	}
+	s.Engine().Close() // a crash: no final seal
+	s.retireRuns()
+
+	cfg.FS, cfg.Platform, cfg.Counter = mem, s.platform, s.counter
+	s = mustOpenP2(t, cfg)
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		want := fmt.Sprintf("val%05d", i)
+		if res, err := Get(s, key(i)); err != nil || !res.Found || string(res.Value) != want {
+			t.Fatalf("Get(%s) after the reopen = %q found=%v err=%v", key(i), res.Value, res.Found, err)
 		}
 	}
 }

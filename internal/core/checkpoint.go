@@ -2,7 +2,7 @@
 // half of the replication subsystem (internal/repl carries the transport).
 //
 // A checkpoint is a portable, attested serialization of one consistent cut
-// of a leader: the pinned version's SSTable files and manifest, the digest
+// of a leader: the pinned version and its SSTable files, the digest
 // frontier covering them, and the live WAL tail (the records between the
 // run frontier and the applied frontier) together with its chain digest.
 // Nothing in the stream is trusted as carried: the header travels under an
@@ -82,9 +82,11 @@ type checkpointHeader struct {
 	WALAppends uint64               `json:"walAppends"`
 	WALDigest  hashutil.Hash        `json:"walDigest"`
 	Digests    map[uint64]runDigest `json:"digests"`
-	Manifest   []byte               `json:"manifest"`
-	Tables     []checkpointFile     `json:"tables"`
-	WALFiles   []checkpointFile     `json:"walFiles"`
+	// Version is the engine's version of the cut (lsm.VersionStore), which
+	// the importer opens and seals.
+	Version  json.RawMessage  `json:"version"`
+	Tables   []checkpointFile `json:"tables"`
+	WALFiles []checkpointFile `json:"walFiles"`
 }
 
 // AttestPayload mints an attestation report binding SHA-256(payload) to
@@ -159,7 +161,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		c.mu.Lock()
 		// The pipeline is drained: the durable frontier IS the tip.
 		digs = c.digests
-		ch = walChain{key: c.chain.key, seek: []walSeek{{base: c.chain.base, frontier: c.chain.durable}}}
+		ch = walChain{key: c.chain.key, seek: walSeek{base: c.chain.base, frontier: c.chain.durable}}
 		epoch = c.epoch.Load()
 		c.mu.Unlock()
 		return nil
@@ -198,7 +200,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		}
 		tail += uint64(info.Records)
 	}
-	if _, err := ch.verdict(ch.seek[0]); err != nil {
+	if _, err := ch.verdict(); err != nil {
 		return fmt.Errorf("%w: wal tail: %w", ErrCheckpointCorrupt, err)
 	}
 	if tail > 0 && wantTs-1 != lastTs {
@@ -207,7 +209,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 	}
 	frontier := lastTs - tail
 
-	manifest, err := src.Snap.EncodeManifest(frontier)
+	version, err := src.Snap.EncodeVersion(frontier)
 	if err != nil {
 		return fmt.Errorf("checkpoint export: %w", err)
 	}
@@ -221,7 +223,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 		WALAppends:  tail,
 		WALDigest:   chain,
 		Digests:     digs,
-		Manifest:    manifest,
+		Version:     version,
 	}
 	for _, run := range src.Snap.CheckpointRuns() {
 		for _, tbl := range run.Tables {
@@ -267,7 +269,7 @@ func (c *Store) ExportCheckpoint(w io.Writer, shard, shards int) error {
 			return fmt.Errorf("checkpoint export: table %s: %w", tbl.Name, rerr)
 		}
 		if int64(len(data)) != tbl.Size {
-			return fmt.Errorf("%w: table %s is %d bytes, manifest says %d",
+			return fmt.Errorf("%w: table %s is %d bytes, the header says %d",
 				ErrCheckpointCorrupt, tbl.Name, len(data), tbl.Size)
 		}
 		if _, err := w.Write(data); err != nil {
@@ -338,19 +340,20 @@ func WipeFS(fs vfs.FS) error {
 //
 //  1. the header's attestation report is checked (shared platform, same
 //     enclave measurement);
-//  2. SSTable files and the manifest are installed and every run's Merkle
-//     digest is REBUILT from the installed bytes and compared against the
-//     attested frontier — a tampered or truncated run fails the import;
+//  2. SSTable files are installed, the engine opens the attested version
+//     over them, and every run's Merkle digest is REBUILT from the
+//     installed bytes and compared against the attested frontier — a
+//     tampered or truncated run fails the import;
 //  3. the shipped WAL tail's hash chain is recomputed from zero and
 //     compared against the attested one, then the records are re-applied
 //     through the follower's own pipeline, into its own WAL, each group
 //     tagged from position zero under the key of a seed the follower
 //     draws and seals in step 4 (tailTagger);
-//  4. only then is the trusted state sealed under the follower's platform,
-//     bound to ITS monotonic counter, and written. TRUSTED.bin is written
-//     last: a crash anywhere before leaves a directory that
-//     NeedsBootstrap reports as unseeded, so restart re-restores from
-//     scratch instead of trusting a torn import.
+//  4. only then is the trusted state, the version with it, sealed under
+//     the follower's platform, bound to ITS monotonic counter, and written.
+//     TRUSTED.bin is written last: a crash anywhere before leaves a
+//     directory that NeedsBootstrap reports as unseeded, so restart
+//     re-restores from scratch instead of trusting a torn import.
 func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	if cfg.FS == nil || cfg.Platform == nil || cfg.Counter == nil {
 		return errors.New("core: restore requires FS, Platform and Counter")
@@ -420,9 +423,6 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 			return err
 		}
 	}
-	if err := writeFile(cfg.FS, "MANIFEST", hdr.Manifest); err != nil {
-		return err
-	}
 
 	// Buffer and pre-verify the WAL tail before touching the engine: the
 	// chain from zero must reproduce the attested durable digest exactly,
@@ -468,11 +468,12 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 			ErrCheckpointCorrupt, len(tailRecs), hdr.WALAppends)
 	}
 
-	// Open the installed version raw (no authenticated compaction: digests
+	// Open the attested version raw (no authenticated compaction: digests
 	// are checked here, against the attested header; the engine's one
-	// listener tags the tail) and rebuild every run's Merkle digest from the
-	// shipped bytes. The oversized memtable and disabled compaction keep the
-	// engine from reshaping the version underneath the verification pass.
+	// listener hands it the version and tags the tail) and rebuild every
+	// run's Merkle digest from the shipped bytes. The oversized memtable and
+	// disabled compaction keep the engine from reshaping the version
+	// underneath the verification pass.
 	memCap := 1 << 20
 	for _, wf := range hdr.WALFiles {
 		memCap += int(wf.Size) * 2
@@ -482,7 +483,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	if _, err := rand.Read(seed); err != nil {
 		return fmt.Errorf("core: wal key seed: %w", err)
 	}
-	tagger := &tailTagger{}
+	tagger := &tailTagger{version: hdr.Version}
 	tagger.chain.keyed(sealKey, seed)
 	eng, err := lsm.Open(lsm.Options{
 		FS:                cfg.FS,
@@ -492,7 +493,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 		DisableCompaction: true,
 	})
 	if err != nil {
-		return fmt.Errorf("%w: restored manifest rejected: %v", ErrCheckpointCorrupt, err)
+		return fmt.Errorf("%w: restored version rejected: %v", ErrCheckpointCorrupt, err)
 	}
 	snap := eng.AcquireSnapshot()
 	err = verifyRestoredRuns(enclave, snap, hdr.Digests)
@@ -522,6 +523,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 		LastTs:     hdr.LastTs,
 		Epoch:      hdr.Epoch,
 		WALSeed:    seed,
+		Version:    tagger.version,
 	}
 	if err := writeTrustedState(cfg.FS, enclave, sealKey, cfg.Counter, st); err != nil {
 		return fmt.Errorf("checkpoint import: %w", err)
@@ -559,15 +561,28 @@ func verifyRestoredRuns(enclave *sgx.Enclave, snap *lsm.Snapshot, digests map[ui
 
 // tailTagger is the listener of the engine a checkpoint restore re-applies
 // the shipped tail through: it tags each group, from position zero, under
-// the key of the seed the restore seals.
+// the key of the seed the restore seals, and keeps the engine's version for
+// the seal, where it starts as the attested one.
 type tailTagger struct {
 	lsm.NopListener
-	chain walChain
+	chain   walChain
+	version json.RawMessage
 }
+
+var _ lsm.VersionStore = (*tailTagger)(nil)
 
 // OnGroupAppended implements lsm.EventListener.
 func (t *tailTagger) OnGroupAppended(recs []record.Record, tag *wal.Tag, _ bool) {
 	*tag = t.chain.appended(recs)
+}
+
+// LoadVersion implements lsm.VersionStore.
+func (t *tailTagger) LoadVersion() ([]byte, error) { return t.version, nil }
+
+// SaveVersion implements lsm.VersionStore.
+func (t *tailTagger) SaveVersion(_ lsm.Job, version []byte) error {
+	t.version = version
+	return nil
 }
 
 // safeCheckpointName admits only flat table-file names: no path
@@ -576,13 +591,7 @@ func safeCheckpointName(name string) bool {
 	if name == "" || strings.ContainsAny(name, "/\\") {
 		return false
 	}
-	switch {
-	case name == "MANIFEST", name == "MANIFEST.tmp", name == trustedStateName:
-		return false
-	case strings.HasPrefix(name, "wal"):
-		return false
-	}
-	return strings.HasSuffix(name, ".sst")
+	return !strings.HasPrefix(name, "wal") && strings.HasSuffix(name, ".sst")
 }
 
 // copySection streams size bytes from r into a new file, rejecting any

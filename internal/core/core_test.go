@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"elsm/internal/lsm"
@@ -34,7 +35,21 @@ func mustOpenP2(t *testing.T, cfg Config) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cfg.FS != nil {
+		keepSealKey(t, cfg.FS, s.sealKey)
+	}
 	return s
+}
+
+// sealKeys maps the file system of each store a test opened to the store's
+// sealing key, for the helpers that read the state sealed on it
+// (manifestRuns).
+var sealKeys sync.Map
+
+// keepSealKey records key as the sealing key of fs until t ends.
+func keepSealKey(t testing.TB, fs vfs.FS, key [32]byte) {
+	sealKeys.Store(fs, key)
+	t.Cleanup(func() { sealKeys.Delete(fs) })
 }
 
 // lookupRun and scanRun are the untrusted side of a one-run GET / SCAN for

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -50,13 +51,12 @@ import (
 //   - io.EOF, io.ErrUnexpectedEOF: a read the host cut short;
 //   - ErrOldStateFormat: the format check of a sealed blob, which the host
 //     cannot forge but can swap for another;
-//   - sstable.ErrBadTable, lsm.ErrManifestParse, wal.ErrCorrupt,
-//     wal.ErrOldFormat: a table, MANIFEST or log whose framing the host
-//     garbled, refused as it is decoded, before any of its bytes reach the
-//     enclave's checks.
+//   - sstable.ErrBadTable, wal.ErrCorrupt, wal.ErrOldFormat: a table or log
+//     whose framing the host garbled, refused as it is decoded, before any
+//     of its bytes reach the enclave's checks.
 func allowed(err error) bool {
 	return err == nil || slices.ContainsFunc([]error{ErrAuthFailed, vfs.ErrInjected, vfs.ErrNotFound, io.EOF, io.ErrUnexpectedEOF,
-		ErrOldStateFormat, sstable.ErrBadTable, lsm.ErrManifestParse, wal.ErrCorrupt, wal.ErrOldFormat}, func(e error) bool { return errors.Is(err, e) })
+		ErrOldStateFormat, sstable.ErrBadTable, wal.ErrCorrupt, wal.ErrOldFormat}, func(e error) bool { return errors.Is(err, e) })
 }
 
 // step is one step of a script.
@@ -295,7 +295,7 @@ func decodeScript(data []byte) []step {
 			data = data[n:]
 			st = step{name: "arm", host: true, fn: func(r *hostRun) error { r.h.Arm(stream); return nil }}
 		case op == 14:
-			i, lie := next(256), hostfs.Lie{Kind: hostfs.Kind(1 + next(8)), Arg: int64(next(256)<<8 | next(256))}
+			i, lie := next(256), hostfs.Lie{Kind: hostfs.Kind(1 + next(7)), Arg: int64(next(256)<<8 | next(256))}
 			st = step{name: fmt.Sprintf("tell(%d,%v)", i, lie), host: true, fn: func(r *hostRun) error {
 				if r.s != nil {
 					r.check("WaitMaintenance", r.s.Engine().WaitMaintenance()) // no job reads a file as it changes
@@ -466,6 +466,7 @@ func (r *hostRun) open() error {
 		return err
 	}
 	r.s = s
+	keepSealKey(r.t, r.h, s.sealKey)
 	n := r.recovered(strict)
 	switch {
 	case strict && n < len(r.acked):
@@ -583,10 +584,9 @@ func (r *hostRun) run(script []step) {
 // flush's run is moved down by relabel. Its seeds write two runs of
 // overlapping keys and then tell, at rest, one lie of each kind before a
 // reopen and reads of every key; or crash twice in a row; or arm a stream;
-// or flush a run that is moved down by relabel, then list it back at level
-// 1.
+// or flush a run that is moved down by relabel, then hide a file.
 func FuzzHostileHost(f *testing.F) {
-	for kind, file := range []byte{0, 1, 2, 0, 4, 2, 3} { // the file by index in name order: tables, MANIFEST, TRUSTED.bin, wal.log
+	for kind, file := range []byte{0, 1, 2, 0, 4, 2, 3} { // the file by index in name order: tables, TRUSTED.bin, wal.log
 		f.Add([]byte{0, 0, 0, 8, 0, 5, 0, 4, 8, 0, 5, 9, 14, file, byte(kind), 0, 1, 10, 1, 0, 0, 7, 0, 1, 8, 0, 7, 0, 2, 0, 15, 0})
 	}
 	f.Add([]byte{0, 0, 0, 8, 0, 5, 11, 2, 16, 12, 3, 10, 1, 0, 0, 7, 0})
@@ -629,21 +629,6 @@ func forgeTune(cfg *Config) { cfg.MemtableSize, cfg.CounterInterval = 1<<20, -1 
 
 // oneRunTune makes every flush one run of its own that nothing compacts.
 func oneRunTune(cfg *Config) { cfg.MemtableSize, cfg.DisableCompaction = 1<<20, true }
-
-// relabelTune is forgeTune under a 1 KiB level-1 target: a flushed run of a
-// few dozen keys is over it, and the scheduler moves it down by relabel.
-func relabelTune(cfg *Config) { forgeTune(cfg); cfg.LevelBase = 1 << 10 }
-
-// movedTo checks that the store holds one run, moved to lvl by relabel.
-func movedTo(lvl int) step {
-	return on(fmt.Sprintf("movedTo(%d)", lvl), func(_ *hostRun, s *Store) error {
-		runs, st := s.Engine().Runs(), s.Engine().Stats()
-		if len(runs) != 1 || runs[0].Level != lvl || st.Moves == 0 || st.Compactions != 0 {
-			return fmt.Errorf("runs %v after %d moves and %d compactions, want one run moved to level %d", runs, st.Moves, st.Compactions, lvl)
-		}
-		return nil
-	}).ok()
-}
 
 // flipEvery flips every stride-th byte of the first 1/part of a file.
 func flipEvery(stride, part int) func([]byte) []byte {
@@ -715,26 +700,17 @@ var hostileCorpus = []corpusScript{
 	// covered it.
 	{"TestAttackDroppedFrozenLog", forgeTune, []step{puts(0, 2), failedFlush, seal, crashed,
 		tell("wal-*.log", hostfs.Hide, 0), open.fails(ErrRollback), heal, open.ok(), reads(0, 2).ok()}},
-	// The MANIFEST reorders runs: two levels, two runs of L1, and L1's runs
-	// after a lowered next run ID let a newer run take a lower ID.
-	{"TestAttackManifestReordersRuns/swap-levels", forgeTune, []step{puts(0, 1), flush, compact(1), puts(0, 1), flush, closeS,
-		tell("MANIFEST", hostfs.Edit, 0), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 1).ok()}},
-	{"TestAttackManifestReordersRuns/swap-L1-runs", forgeTune, []step{puts(0, 1), flush, puts(0, 1), flush, closeS,
-		tell("MANIFEST", hostfs.Edit, 1), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 1).ok()}},
-	{"TestAttackManifestReordersRuns/lowered-next-run", forgeTune, []step{puts(1, 1), flush, compact(1), puts(0, 1), flush, closeS,
-		tell("MANIFEST", hostfs.Edit, 1*6+2), open.ok(), puts(0, 1), flush, closeS,
-		tell("MANIFEST", hostfs.Edit, 1), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 2).ok()}},
-	// A lone run moves down a level by relabel, which only the seal
-	// records: the MANIFEST lists a level-1 run at level 2 with no relabel
-	// sealed, or lists a relabeled run back at level 1.
-	{"TestAttackManifestReordersRuns/unsealed-relabel", forgeTune, []step{puts(0, 1), flush, closeS,
-		tell("MANIFEST", hostfs.Edit, 0), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 1).ok()}},
-	{"TestAttackManifestReordersRuns/relabel-undone", relabelTune, []step{puts(0, 40), flush, movedTo(2), closeS,
-		tell("MANIFEST", hostfs.Edit, 3*6), open.fails(ErrAuthFailed), heal, open.ok(), reads(0, 40).ok()}},
-	manifestEdit("a table dropped from its run", 2, open.ok(), reads(0, 300).ok(), scan(0, 299, 0).fails(ErrAuthFailed)),
-	manifestEdit("a table listed twice", 3, open.fails(lsm.ErrManifestParse)),
-	manifestEdit("a table moved to the next run", 4, open.ok(), reads(0, 300).ok(), scan(0, 299, 0).fails(ErrAuthFailed)),
-	manifestEdit("two runs' file lists swapped", 5, open.ok(), reads(0, 300).fails(ErrAuthFailed)),
+	// A MANIFEST planted in a directory that holds none: the version before
+	// the last flushes in the parent's shape, with a lowered next file
+	// number as an earlier format stated one, with two levels or level 1's
+	// two runs swapped, and garbage.
+	plantedManifest("TestParentManifestIsIgnored", func(older, _ []byte) ([]byte, error) { return older, nil }),
+	plantedManifest("LoweredNextFile", func(older, _ []byte) ([]byte, error) {
+		return bytes.Replace(older, []byte(`{`), []byte(`{"nextFile":1,`), 1), nil
+	}),
+	plantedManifest("TestAttackManifestReordersRuns/swap-levels", reordered(func(l [][]json.RawMessage) { l[1], l[2] = l[2], l[1] })),
+	plantedManifest("TestAttackManifestReordersRuns/swap-L1-runs", reordered(func(l [][]json.RawMessage) { l[1][0], l[1][1] = l[1][1], l[1][0] })),
+	plantedManifest("GarbledManifest", func(_, _ []byte) ([]byte, error) { return []byte("\x00{not a version"), nil }),
 	forgedFilter("all clear", func(own, _ []byte) []byte { clear(own[:len(own)-1]); return own }),
 	forgedFilter("all set", func(own, _ []byte) []byte { return append(bytes.Repeat([]byte{0xff}, len(own)-1), own[len(own)-1]) }),
 	forgedFilter("another run", func(_, other []byte) []byte { return other }),
@@ -828,14 +804,14 @@ var hostileCorpus = []corpusScript{
 	{"TestParentFormatLogIsRefused", forgeTune, []step{puts(0, 1), crashed, tell("wal.log", hostfs.Flip, -167), tell("wal.log", hostfs.Flip, -168),
 		open.fails(wal.ErrOldFormat)}},
 	recoveryFlushWritesOneRun(),
-	// Found by the fuzzer: with the seal, the MANIFEST and the log hidden,
-	// the tables left looked like no store's, and Open started an empty one,
-	// a rollback to nothing. A missing seal under a counter that has counted
-	// one is refused.
-	{"SealManifestAndLogHidden", nil, []step{puts(0, 10), flush, closeS,
-		tell(trustedStateName, hostfs.Hide, 0), tell("MANIFEST", hostfs.Hide, 0), tell("wal.log", hostfs.Hide, 0), open.fails(ErrStateMissing)}},
+	// Found by the fuzzer: with the seal and the log hidden, the tables left
+	// looked like no store's, and Open started an empty one, a rollback to
+	// nothing. A missing seal under a counter that has counted one is
+	// refused.
+	{"SealAndLogHidden", nil, []step{puts(0, 10), flush, closeS,
+		tell(trustedStateName, hostfs.Hide, 0), tell("wal.log", hostfs.Hide, 0), open.fails(ErrStateMissing)}},
 	// Found by the fuzzer, with two crashes in a row: a restart numbered its
-	// frozen logs from 1 again, below the MANIFEST's watermark of flushed
+	// frozen logs from 1 again, below the version's watermark of flushed
 	// logs, so when the recovery flush crashed after freezing the log, the
 	// next recovery deleted that log as flushed, and an acknowledged write
 	// with it.
@@ -845,17 +821,8 @@ var hostileCorpus = []corpusScript{
 	// unclassified error, and is ErrCompactionInput.
 	{"SwappedTableInCompaction", oneRunTune, []step{puts(48, 1), flush, puts(48, 1), flush, closeS,
 		tell("000002.sst", hostfs.Swap, 0), open, compact(1).fails(ErrCompactionInput)}},
-	// Found by the fuzzer: a MANIFEST whose next file number the host
-	// lowered made a compaction write its output under a live input's
-	// number, and the install's deletion of its inputs took the output with
-	// it. The next file number now starts above every live table's, and a
-	// MANIFEST that states one (as an earlier format did) is not read.
-	{"LoweredNextFile", nil, []step{puts(48, 1), flush, puts(48, 1), closeS, do(func(r *hostRun) error {
-		return r.edit("MANIFEST", func(b []byte) []byte { return bytes.Replace(b, []byte(`{`), []byte(`{"nextFile":1,`), 1) })
-	}).ok(), open.ok(), compact(1).ok(), reads(48, 1).ok(), scan(48, 0, 0).ok()}},
 	// Found by the fuzzer: garbled framing is refused as it is decoded, with
 	// the decoder's error (see allowed).
-	{"GarbledManifest", nil, []step{puts(0, 10), flush, closeS, tell("MANIFEST", hostfs.Flip, 0), open.fails(lsm.ErrManifestParse)}},
 	{"GarbledLogFrame", forgeTune, []step{puts(0, 3), crashed, tell("wal.log", hostfs.Flip, 0), open.fails(wal.ErrCorrupt)}},
 	{"TruncatedTable", oneRunTune, []step{puts(0, 300), flush, tell("*.sst", hostfs.Truncate, 2000),
 		reads(0, 300).fails(io.EOF, io.ErrUnexpectedEOF, sstable.ErrBadTable)}},
@@ -1178,16 +1145,50 @@ func lastKey(to func(e []fileIndexEntry) ([]byte, uint64)) func([]fileIndexEntry
 	}
 }
 
-// manifestEdit tells the MANIFEST of a store of two level-1 runs, each of
-// several tables over the same keys, one lie about what it lists (hostfs's
-// Edit kinds 2 to 5, aimed at the older run), runs checks, and heals it. A
-// Get the newer run answers whole reads nothing of the older one; a Scan
-// proves every run.
-func manifestEdit(name string, kind int64, checks ...step) corpusScript {
-	script := append([]step{puts(0, 300), flush, puts(0, 300), flush, closeS, tell("MANIFEST", hostfs.Edit, 6+kind)}, checks...)
-	return corpusScript{"TestAttackManifestLists/" + name, func(cfg *Config) {
-		cfg.MemtableSize, cfg.TableFileSize, cfg.DisableCompaction = 1<<20, 2<<10, true
-	}, append(script, closeS, heal, open.ok(), reads(0, 300).ok(), scan(0, 299, 0).ok())}
+// plantedManifest plants a MANIFEST in the store's directory, which holds
+// none: the store's version is sealed with its trusted state, and Open reads
+// no host file for it. form makes the MANIFEST from the versions sealed
+// before (older) and after (newer) the script's last two flushes, which
+// leave two runs at level 1 over one at level 2. Open must ignore the file
+// and read every write back, and a compaction after it writes its output
+// past every live table, whatever the planted file says.
+func plantedManifest(name string, form func(older, newer []byte) ([]byte, error)) corpusScript {
+	var older, newer []byte
+	sealedVersion := func(v *[]byte) step {
+		return do(func(r *hostRun) error { *v = sealedState(r.t.(*testing.T), r.s, r.h).Version; return nil }).ok()
+	}
+	plant := do(func(r *hostRun) error {
+		m, err := form(older, newer)
+		if err != nil {
+			return err
+		}
+		return r.h.Rewrite("MANIFEST", func([]byte) []byte { return m })
+	}).ok()
+	plant.host = true
+	return corpusScript{name, func(cfg *Config) { cfg.MemtableSize, cfg.LevelBase = 1<<20, 1<<30 },
+		[]step{puts(0, 300), flush, compact(1), sealedVersion(&older), puts(0, 300), flush, puts(150, 300), flush,
+			sealedVersion(&newer), closeS, plant, open.ok(), reads(0, 450).ok(), scan(0, 449, 0).ok(),
+			compact(1).ok(), reads(0, 450).ok(), scan(0, 449, 0).ok()}}
+}
+
+// reordered plants the newer version with its runs reordered by swap.
+func reordered(swap func(levels [][]json.RawMessage)) func(older, newer []byte) ([]byte, error) {
+	return func(_, newer []byte) ([]byte, error) {
+		var v map[string]json.RawMessage
+		var levels [][]json.RawMessage
+		if err := json.Unmarshal(newer, &v); err != nil {
+			return nil, err
+		}
+		if err := json.Unmarshal(v["levels"], &levels); err != nil {
+			return nil, err
+		}
+		if len(levels) < 3 || len(levels[1]) != 2 || len(levels[2]) != 1 {
+			return nil, fmt.Errorf("set-up: levels %s, want two runs at level 1 over one at level 2", v["levels"])
+		}
+		swap(levels)
+		v["levels"], _ = json.Marshal(levels)
+		return json.Marshal(v)
+	}
 }
 
 // runCorpus runs, with caches cold and warm, the corpus scripts t owns: a
@@ -1230,14 +1231,12 @@ func TestAttackRollbackDetected(t *testing.T)                { runCorpus(t) }
 func TestAttackCompactionInputTamperDetected(t *testing.T)   { runCorpus(t) }
 func TestAttackTrustedStateDeletionDetected(t *testing.T)    { runCorpus(t) }
 func TestAttackWALTamperDetected(t *testing.T)               { runCorpus(t) }
-func TestAttackManifestLists(t *testing.T)                   { runCorpus(t) }
 func TestAttackForgedWALSuffix(t *testing.T)                 { runCorpus(t) }
 func TestAttackFlippedTagPastSeal(t *testing.T)              { runCorpus(t) }
 func TestAttackOlderGenerationLog(t *testing.T)              { runCorpus(t) }
 func TestAttackOtherShardsLog(t *testing.T)                  { runCorpus(t) }
 func TestAttackTornGroupOfEarlierIncarnation(t *testing.T)   { runCorpus(t) }
 func TestAttackDroppedFrozenLog(t *testing.T)                { runCorpus(t) }
-func TestAttackManifestReordersRuns(t *testing.T)            { runCorpus(t) }
 func TestAttackForgedFilter(t *testing.T)                    { runCorpus(t) }
 func TestAttackGroupSectionTamper(t *testing.T)              { runCorpus(t) }
 func TestAttackIndexLies(t *testing.T)                       { runCorpus(t) }
@@ -1258,3 +1257,5 @@ func TestParentFormatLogIsRefused(t *testing.T)              { runCorpus(t) }
 func TestRecoveryFlushWritesOneRun(t *testing.T)             { runCorpus(t) }
 func TestCleanRecoveryVerifies(t *testing.T)                 { runCorpus(t) }
 func TestUncleanRecoveryCountsSuffixPastSeal(t *testing.T)   { runCorpus(t) }
+func TestParentManifestIsIgnored(t *testing.T)               { runCorpus(t) }
+func TestAttackManifestReordersRuns(t *testing.T)            { runCorpus(t) }

@@ -170,23 +170,28 @@ func TestAttackScanDropsAVersion(t *testing.T) {
 }
 
 // TestParentFormatStateIsRefused: a sealed state and a checkpoint header
-// written before leaves were chain heads carry no format. Their roots hash
-// every leaf under a wrapper, so no run of theirs verifies here: the store
-// refuses them at Open and at restore as a format it does not read, not as
-// an attack.
+// written before leaves were chain heads carry no format, and those of format
+// 1 carry no version. The roots of the first hash every leaf under a
+// wrapper, so no run of theirs verifies here, and the second list their runs
+// in a MANIFEST this build does not read: the store refuses both at Open and
+// at restore as a format it does not read, not as an attack.
 func TestParentFormatStateIsRefused(t *testing.T) {
-	// dropFormat removes the format field from a JSON object, as the
-	// earlier build wrote it.
-	dropFormat := func(blob []byte) []byte {
+	// asFormat rewrites a JSON object as a build of format wrote it: with no
+	// version, and with that format, or none for 0.
+	asFormat := func(blob []byte, format int) []byte {
 		t.Helper()
 		var m map[string]json.RawMessage
 		if err := json.Unmarshal(blob, &m); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := m["format"]; !ok {
-			t.Fatal("no format field to drop")
+			t.Fatal("no format field to rewrite")
 		}
 		delete(m, "format")
+		delete(m, "version")
+		if format != 0 {
+			m["format"] = json.RawMessage(fmt.Sprint(format))
+		}
 		out, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
@@ -194,56 +199,59 @@ func TestParentFormatStateIsRefused(t *testing.T) {
 		return out
 	}
 
-	t.Run("seal", func(t *testing.T) {
-		fs := vfs.NewMem()
-		s := mustOpenP2(t, forgeCfg(fs))
-		putFlush(t, s, "v")
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		sealed, err := vfs.ReadFile(fs, trustedStateName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := sgx.Unseal(s.sealKey, sealed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sealed, err = sgx.Seal(s.sealKey, dropFormat(blob)); err != nil {
-			t.Fatal(err)
-		}
-		if err := vfs.WriteFile(fs, trustedStateName, sealed); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reopen(s, fs); !errors.Is(err, ErrOldStateFormat) || errors.Is(err, ErrAuthFailed) {
-			t.Fatalf("a seal without a format: %v, want ErrOldStateFormat alone", err)
-		}
-	})
-
-	t.Run("checkpoint", func(t *testing.T) {
-		s := mustOpenP2(t, smallCfg(vfs.NewMem()))
-		defer s.Close()
-		for i := 0; i < 100; i++ {
-			if _, err := Put(s, []byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+	for _, format := range []int{0, 1} {
+		prefix := map[int]string{0: "", 1: "format-1-"}[format]
+		t.Run(prefix+"seal", func(t *testing.T) {
+			fs := vfs.NewMem()
+			s := mustOpenP2(t, forgeCfg(fs))
+			putFlush(t, s, "v")
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		ckpt := exportBuf(t, s)
-		// magic ‖ header length ‖ header ‖ report ‖ files: re-attest the
-		// header without its format, as the earlier build's leader did.
-		hdrEnd := len(checkpointMagic) + 4 + int(binary.BigEndian.Uint32(ckpt[len(checkpointMagic):]))
-		hdr := dropFormat(ckpt[len(checkpointMagic)+4 : hdrEnd])
-		var old bytes.Buffer
-		old.WriteString(checkpointMagic)
-		old.Write(binary.BigEndian.AppendUint32(nil, uint32(len(hdr))))
-		old.Write(hdr)
-		if err := sgx.WriteReport(&old, s.AttestPayload(hdr)); err != nil {
-			t.Fatal(err)
-		}
-		old.Write(ckpt[hdrEnd+128:]) // past the report's 128-byte wire form
-		err := RestoreCheckpoint(&old, RestoreConfig{FS: vfs.NewMem(), Platform: s.platform, Counter: sgx.NewMonotonicCounter()})
-		if !errors.Is(err, ErrOldStateFormat) || errors.Is(err, ErrAuthFailed) {
-			t.Fatalf("a checkpoint without a format: %v, want ErrOldStateFormat alone", err)
-		}
-	})
+			sealed, err := vfs.ReadFile(fs, trustedStateName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := sgx.Unseal(s.sealKey, sealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sealed, err = sgx.Seal(s.sealKey, asFormat(blob, format)); err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFile(fs, trustedStateName, sealed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reopen(s, fs); !errors.Is(err, ErrOldStateFormat) || errors.Is(err, ErrAuthFailed) {
+				t.Fatalf("a seal of format %d: %v, want ErrOldStateFormat alone", format, err)
+			}
+		})
+
+		t.Run(prefix+"checkpoint", func(t *testing.T) {
+			s := mustOpenP2(t, smallCfg(vfs.NewMem()))
+			defer s.Close()
+			for i := 0; i < 100; i++ {
+				if _, err := Put(s, []byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ckpt := exportBuf(t, s)
+			// magic ‖ header length ‖ header ‖ report ‖ files: re-attest the
+			// header in the earlier format, as the earlier build's leader did.
+			hdrEnd := len(checkpointMagic) + 4 + int(binary.BigEndian.Uint32(ckpt[len(checkpointMagic):]))
+			hdr := asFormat(ckpt[len(checkpointMagic)+4:hdrEnd], format)
+			var old bytes.Buffer
+			old.WriteString(checkpointMagic)
+			old.Write(binary.BigEndian.AppendUint32(nil, uint32(len(hdr))))
+			old.Write(hdr)
+			if err := sgx.WriteReport(&old, s.AttestPayload(hdr)); err != nil {
+				t.Fatal(err)
+			}
+			old.Write(ckpt[hdrEnd+128:]) // past the report's 128-byte wire form
+			err := RestoreCheckpoint(&old, RestoreConfig{FS: vfs.NewMem(), Platform: s.platform, Counter: sgx.NewMonotonicCounter()})
+			if !errors.Is(err, ErrOldStateFormat) || errors.Is(err, ErrAuthFailed) {
+				t.Fatalf("a checkpoint of format %d: %v, want ErrOldStateFormat alone", format, err)
+			}
+		})
+	}
 }

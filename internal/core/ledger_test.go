@@ -75,8 +75,10 @@ func (j *jobCompressions) start() {
 // the read path shows up as a diff of this file. The rows that end in
 // compressions count the SHA-256 blocks hashutil compresses: per proved Get,
 // per run an absent key is proved absent from, per 50-row Scan chunk, and
-// per user byte flushed or compacted. manifest_bytes is the MANIFEST the load
-// leaves, rewritten whole at every install. The last rows reopen the store and
+// per user byte flushed or compacted. seals counts the monotonic counter's
+// bumps over the load, each a seal of the trusted state: the one at Open, one
+// per install and the periodic ones; seal_bytes is the sealed state the load
+// leaves, rewritten whole at every seal. The last rows reopen the store and
 // count what an absent-key Get proves and filters right after Open.
 func TestCostLedger(t *testing.T) {
 	hashutil.CountCompressions(true)
@@ -143,11 +145,13 @@ func TestCostLedger(t *testing.T) {
 		filterBytes += len(stored)
 	}
 	row("filter_disk_bytes_per_user_byte", "%.4f", float64(filterBytes)/float64(user))
-	manifest, err := vfs.ReadFile(fs, "MANIFEST")
+	seals, _ := s.counter.Read()
+	row("seals", "%d", seals)
+	sealed, err := vfs.ReadFile(fs, trustedStateName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row("manifest_bytes", "%d", len(manifest))
+	row("seal_bytes", "%d", len(sealed))
 	perLevel := map[int]int{}
 	deepest := 0
 	for _, r := range s.Engine().Runs() {

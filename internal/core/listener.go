@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
 
@@ -13,7 +14,9 @@ import (
 // authListener implements the engine's EventListener callbacks. The commit
 // path's hooks tag the WAL's groups (walChain); BeginJob hands the engine a
 // compactionJob per flush, compaction or bulk load. State shared between the
-// two (the chain, the staged transition seal) lives in the Store under c.mu.
+// two (the chain, the digest forest) lives in the Store under c.mu. It is
+// also the engine's VersionStore: the version is sealed with the trusted
+// state, so an install is durable in one write.
 type authListener struct {
 	c *Store
 }
@@ -29,13 +32,12 @@ type authListener struct {
 // never interleave their trees. Within a job, Filter runs on one goroutine
 // per key-range part and feeds that part's hasher only; every other method
 // runs on the job's own goroutine, in order: NewProofAppender once every
-// part's stream has ended, Verify, then Installed and Committed, or Abort.
-// Only the proof appenders are used elsewhere — each by one of the engine's
-// file builders — and they only read the finished output tree. The engine
-// serializes the Verify→Installed→Committed window (or Verify→Abort) on its
-// install lock, so at most one staged transition seal exists at a time;
-// Store.sealStagedBy records which job staged it so only that job's Abort
-// can retract it.
+// part's stream has ended, Verify, the seal of the version (SaveVersion),
+// then Installed and Committed, or Abort. Only the proof appenders are used
+// elsewhere — each by one of the engine's file builders — and they only read
+// the finished output tree. The engine serializes the Verify→Committed
+// window (or Verify→Abort) on its install lock, so the forest a Verify
+// checks against is the forest its seal replaces.
 type compactionJob struct {
 	c    *Store
 	info lsm.CompactionInfo
@@ -44,12 +46,31 @@ type compactionJob struct {
 	// bounds were refused (err).
 	parts []*compactionHasher
 	err   error
+	// next is the forest after the install, once Verify has passed.
+	next map[uint64]runDigest
 }
 
 var (
 	_ lsm.EventListener = (*authListener)(nil)
+	_ lsm.VersionStore  = (*authListener)(nil)
 	_ lsm.Job           = (*compactionJob)(nil)
 )
+
+// LoadVersion implements lsm.VersionStore: the version the seal Open read
+// carries, nil for a store never sealed.
+func (l *authListener) LoadVersion() ([]byte, error) {
+	l.c.mu.Lock()
+	defer l.c.mu.Unlock()
+	return l.c.version, nil
+}
+
+// SaveVersion implements lsm.VersionStore: it seals job's verified forest
+// with version, the engine's version after the install, in one write — the
+// install's commit point. If the seal fails, the engine undoes the install
+// and the sealed state stays the one before it.
+func (l *authListener) SaveVersion(job lsm.Job, version []byte) error {
+	return l.c.seal(job.(*compactionJob), json.RawMessage(version))
+}
 
 // OnGroupAppended tags one group about to be appended (§5.3 step w1) and
 // holds its position until its fsync reports. Until then the append count
@@ -88,9 +109,8 @@ func (l *authListener) OnGroupSynced(durable bool) {
 // BeginJob prepares the job's staging context: hashers from the pool, one
 // per key-range part, that between them reconstruct every input run's tree
 // and build the output tree (the job's end returns them); a relabel, which
-// streams nothing, gets none. It must NOT touch any staged transition seal
-// — a concurrent job may be mid-install with a live one; abandoned stagings
-// are retracted by Abort instead.
+// streams nothing, gets none. It changes no shared state: a concurrent job
+// may be mid-install.
 func (l *authListener) BeginJob(info lsm.CompactionInfo) lsm.Job {
 	if l.c.beginJob != nil {
 		l.c.beginJob(info)
@@ -166,48 +186,17 @@ func (j *compactionJob) RunFilter() []byte { return j.parts[0].out.filter }
 // (Figure 4 lines 31-33): every input run's reconstructed root must equal
 // the trusted root stored in the enclave, otherwise the compaction aborts
 // and the engine discards its output. A relabel is checked by relabeled
-// instead. The engine calls it under its install lock, so exactly one job
-// stages a transition seal at a time. The staged digest of the output run
-// carries level, where the engine installs it.
-func (j *compactionJob) Verify(level int) error {
-	c, info := j.c, j.info
-	digs := c.snapshotDigests()
-	var next map[uint64]runDigest
-	var err error
-	if info.Relabel {
-		next, err = relabeled(digs, info.OutputRun, level)
+// instead. On success the job holds the forest after its install, the
+// output run's digest carrying level, where the engine installs it; the
+// engine's SaveVersion seals it.
+func (j *compactionJob) Verify(level int) (err error) {
+	digs := j.c.snapshotDigests()
+	if j.info.Relabel {
+		j.next, err = relabeled(digs, j.info.OutputRun, level)
 	} else {
-		next, err = j.merged(digs, level)
+		j.next, err = j.merged(digs, level)
 	}
-	if err != nil {
-		return err
-	}
-	// Stage the post-install state and write a TRANSITION seal before the
-	// engine makes the install durable (manifest rename). From here until
-	// Installed clears the staging, every sealed blob names both
-	// the current state and this pending one, so a crash on either side of
-	// the rename recovers cleanly: before it the directory matches
-	// Current, after it the directory matches Pending. Without this the
-	// window between the manifest rename and the post-install seal bricks
-	// the store as a false rollback.
-	c.mu.Lock()
-	base := c.chain.base
-	if info.MemtableInput {
-		// A flush install deletes the frozen logs, which hold the flushed
-		// memtable's records (and at most a failed group after them, which
-		// no group follows until Open): the live log then starts past them.
-		base += uint64(info.TrustedRecords)
-	}
-	c.pendingSeal = &pendingState{
-		Digests:    next,
-		WALBase:    base,
-		WALAppends: c.chain.durable,
-		LastTs:     c.engine.AppliedTs(),
-	}
-	c.sealStagedBy = j
-	c.mu.Unlock()
-	_ = c.commitState()
-	return nil
+	return err
 }
 
 // merged checks a merge's stream against the trusted forest digs and
@@ -270,9 +259,9 @@ func relabeled(digs map[uint64]runDigest, id uint64, level int) (map[uint64]runD
 // checkOutputRun holds a job's output run ID to what checkRunOrder assumes
 // of the sealed forest: the ID is new (in no run of digs, the forest before
 // the job), and it is larger than every ID left at level, where the run goes
-// in front. Run IDs come from the untrusted MANIFEST, so without this a host
-// that lowered the next ID could seal a newer run behind an older one's ID,
-// then list the level in the order that serves the older value.
+// in front. The engine chooses run IDs, so without this an engine that
+// lowered the next ID would seal a newer run behind an older one's ID, in
+// the order that serves the older value.
 func checkOutputRun(digs, next map[uint64]runDigest, id uint64, level int) error {
 	if _, ok := digs[id]; ok {
 		return fmt.Errorf("%w: output run %d reuses a live run's ID", ErrAuthFailed, id)
@@ -285,25 +274,17 @@ func checkOutputRun(digs, next map[uint64]runDigest, id uint64, level int) error
 	return nil
 }
 
-// Installed commits the staged state: input runs are forgotten and their
-// key filters freed, the output run's digest and key filter take effect (a
-// relabeled run keeps its filter), and the base of the live logs moves past
-// a flush's deleted frozen logs in the SAME c.mu critical section, so a
-// concurrent commit leader's periodic seal always pairs the forest with the
-// logs it leaves live. It returns the
-// output run's trustedRun, which the version the engine publishes right
-// after carries: readers see the new run and its trusted state together.
+// Installed takes the installed runs' trusted state into effect — the seal
+// already made the forest, the log base and the version the store's: input
+// runs are forgotten and their key filters freed, and the output run's
+// digest and key filter take effect (a relabeled run keeps its filter). It
+// returns the output run's trustedRun, which the version the engine
+// publishes right after carries: readers see the new run and its trusted
+// state together.
 func (j *compactionJob) Installed() any {
 	c := j.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.chain.base = c.pendingSeal.WALBase
-	// The forest Verify staged IS the post-install forest: installs are
-	// serialized from Verify on, so nothing changed the digests in between,
-	// and what the transition seal promised is exactly what takes effect.
-	// The install is durable, so the staging is no longer needed — Committed
-	// reseals with the new state as Current.
-	c.digests = c.pendingSeal.Digests
 	var tr *trustedRun
 	if id := j.info.OutputRun; j.info.Relabel {
 		// A new trustedRun for the moved run, sharing the old one's filter:
@@ -317,17 +298,11 @@ func (j *compactionJob) Installed() any {
 		tr = &trustedRun{digest: c.digests[id], filter: newRunFilter(c.enclave, j.parts[0].out.filter)}
 	}
 	c.trusted[j.info.OutputRun] = tr
-	c.pendingSeal, c.sealStagedBy = nil, nil
 	return tr
 }
 
-// Committed pins the new dataset state to the monotonic counter and seals it
-// (§5.6.1) — the slow, durable half of the install, run by the engine
-// WITHOUT its lock so readers and writers are not stalled by the seal write.
-func (j *compactionJob) Committed() {
-	_ = j.c.commitState()
-	j.release()
-}
+// Committed ends a job that installed.
+func (j *compactionJob) Committed() { j.release() }
 
 // release hands the job's hashers back for the next job. Exactly one of
 // Committed and Abort ends a job, and only after the engine's last proof
@@ -340,19 +315,5 @@ func (j *compactionJob) release() {
 	j.parts = nil
 }
 
-// Abort discards a failed job. If THIS job had already staged a transition
-// seal (Verify succeeded but the install failed), the staged state can never
-// match a recovered directory — the job's output files were removed — so
-// retract it; a transition staged by a different, concurrently-installing
-// job is left untouched (sealStagedBy keys the staging to its owner). The
-// next seal write drops the retracted pending state from the sealed blob.
-func (j *compactionJob) Abort() {
-	c := j.c
-	c.mu.Lock()
-	if c.sealStagedBy == j {
-		c.pendingSeal = nil
-		c.sealStagedBy = nil
-	}
-	c.mu.Unlock()
-	j.release()
-}
+// Abort discards a failed job: nothing of it was sealed.
+func (j *compactionJob) Abort() { j.release() }

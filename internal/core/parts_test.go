@@ -140,14 +140,15 @@ func tableFiles(t *testing.T, fs *vfs.MemFS) map[string][]byte {
 	return out
 }
 
-// manifestRuns parses fs's MANIFEST: per level, per run, its tables' entries.
+// manifestRuns parses the version sealed on fs by a store a test opened on
+// it: per level, per run, its tables' entries.
 func manifestRuns(t *testing.T, fs vfs.FS) (root map[string]any, levels [][][]map[string]any) {
 	t.Helper()
-	data, err := vfs.ReadFile(fs, "MANIFEST")
-	if err != nil {
-		t.Fatal(err)
+	key, ok := sealKeys.Load(fs)
+	if !ok {
+		t.Fatal("no store was opened on the file system")
 	}
-	if err := json.Unmarshal(data, &root); err != nil {
+	if err := json.Unmarshal(unsealState(t, key.([32]byte), fs).Version, &root); err != nil {
 		t.Fatal(err)
 	}
 	for _, lv := range root["levels"].([]any) {

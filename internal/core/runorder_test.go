@@ -23,7 +23,7 @@ func putFlush(t *testing.T, s *Store, value string) {
 }
 
 // TestOutputRunIDIsChecked: the enclave takes a job's output run ID from the
-// engine, whose next ID comes from the untrusted MANIFEST. Verify refuses an
+// engine, which derives the next ID from the version. Verify refuses an
 // ID a live run holds and an ID below a run already at the output level,
 // either of which would let the sealed forest's ID order disagree with the
 // order the runs were written in, and accepts an ID above them.

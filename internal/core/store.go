@@ -212,7 +212,7 @@ type Store struct {
 	iterChunkKeys   int
 
 	// mu guards the write-side trusted state: the WAL authenticator and its
-	// bump bookkeeping, digests and trusted. Readers never take it.
+	// bump bookkeeping, digests, version and trusted. Readers never take it.
 	mu    sync.Mutex
 	chain walChain
 	// digests is the trusted digest forest, which the seal, the jobs' input
@@ -224,24 +224,16 @@ type Store struct {
 	// trustedRun.
 	digests map[uint64]runDigest
 	trusted map[uint64]*trustedRun
+	// version is the engine's version (lsm.VersionStore) the last seal
+	// carries: every seal carries it, and only an install's seal changes it.
+	version json.RawMessage
 
-	// sealMu serializes commitState end to end (fingerprint, counter bump,
-	// seal write): the maintenance worker and a commit leader may both
-	// reach it concurrently, and an older sealed blob must never overwrite
-	// a newer one after the counter moved on.
+	// sealMu serializes seals end to end (fingerprint, seal write, counter
+	// bump): a maintenance job's install and a commit leader may both seal
+	// concurrently, and an older sealed blob must never overwrite a newer
+	// one after the counter moved on. Lock order: the engine's lock, then
+	// sealMu, then mu.
 	sealMu sync.Mutex
-
-	// pendingSeal, when non-nil, is a staged version install awaiting its
-	// manifest rename: every seal written while it is set carries it as
-	// trustedState.Pending, so recovery from a crash inside the install
-	// window can adopt the post-install state. Staged by the installing
-	// maintenance job (compactionJob.Verify, inside the engine's serialized
-	// install window), cleared by its Installed or retracted by its Abort if
-	// the install was abandoned. sealStagedBy is the job that staged it, so
-	// only the owning job's abort retracts it (a concurrent failed job must
-	// not). Guarded by mu.
-	pendingSeal  *pendingState
-	sealStagedBy *compactionJob
 
 	// scanTamper, when non-nil, mutates what each run's cursor handed a scan
 	// chunk before it is verified — a test-only stand-in for a malicious
@@ -381,9 +373,10 @@ func Open(cfg Config) (*Store, error) {
 		// P2 places the read buffer OUTSIDE the enclave (§4.2).
 		opts.Cache = blockcache.New(cfg.CacheSize, nil)
 	}
-	// The sealed state is read before the engine opens: the engine's one
-	// replay of the log hands every group to the listener, and the chain
-	// must know which sealed digests to look for as it goes.
+	// The sealed state is read before the engine opens: the engine opens
+	// the version it carries (authListener.LoadVersion), and its one replay
+	// of the log hands every group to the listener, whose chain checks each
+	// tag from the sealed base as it goes.
 	st, err := c.loadTrustedState()
 	if err != nil {
 		return nil, err
@@ -464,36 +457,28 @@ type trustedState struct {
 	Epoch      uint64               `json:"epoch,omitempty"`
 	// WALSeed derives the key that tags every live WAL group.
 	WALSeed []byte `json:"walSeed,omitempty"`
-	// Pending, when set, describes the post-install state of a version
-	// install (flush/compaction) that was staged but not yet confirmed
-	// durable when this blob was sealed. A crash inside the install window
-	// — after the manifest rename made the new version durable, before the
-	// post-install seal — recovers to a directory matching Pending rather
-	// than the current state; recovery accepts either. Without it that
-	// window is unrecoverable: the engine's run set no longer matches the
-	// sealed forest and a real crash would read as rollback.
-	Pending *pendingState `json:"pending,omitempty"`
-}
-
-// pendingState is the forward half of a transition seal: the digest forest
-// and WAL extent the store will hold once the staged version install lands
-// (a flush install deletes the frozen logs, so its WALBase is where the
-// active log starts).
-type pendingState struct {
-	Digests    map[uint64]runDigest `json:"digests"`
-	WALBase    uint64               `json:"walBase"`
-	WALAppends uint64               `json:"walAppends"`
-	LastTs     uint64               `json:"lastTs"`
+	// Version is the engine's version (lsm.VersionStore): each level's runs
+	// in order, their tables, the timestamp floor and the flushed-log
+	// watermark. Open hands it to the engine, so the runs it opens are the
+	// runs Digests holds, and no host file lists them.
+	Version json.RawMessage `json:"version,omitempty"`
 }
 
 // commitState seals the current trusted state and binds it to the
-// monotonic counter (§5.6.1; see writeTrustedState for the crash order).
-// sealMu covers the whole write+bump: a concurrent seal (commit worker vs
-// maintenance worker) must not let an older blob land after a newer
-// counter value. Only Open (rekey) and Close must see the error: a failed
-// seal leaves the previous blob and counter value, which recovery still
-// accepts, and the next seal tries again.
-func (c *Store) commitState() error {
+// monotonic counter (§5.6.1). Only Open (rekey) and Close must see the
+// error: a failed seal leaves the previous blob and counter value, which
+// recovery still accepts, and the next seal tries again.
+func (c *Store) commitState() error { return c.seal(nil, nil) }
+
+// seal seals the trusted state — with the install of j and version, the
+// engine's version after it, if j is not nil — and binds it to the
+// monotonic counter (see writeTrustedState for the crash order). sealMu
+// covers the whole write+bump: a concurrent seal (commit worker vs
+// maintenance worker) must not let an older blob land after a newer counter
+// value. An install's seal is its one commit point: once it is written, the
+// installed forest, log base and version are the store's, taken into effect
+// under the same sealMu, so no later seal carries the state before it.
+func (c *Store) seal(j *compactionJob, version json.RawMessage) error {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 	c.mu.Lock()
@@ -503,17 +488,32 @@ func (c *Store) commitState() error {
 	// (legitimately) tore them away.
 	st := trustedState{
 		Format:     stateFormat,
-		Digests:    c.digests, // consistent with the base: Installed holds mu
+		Digests:    c.digests,
 		WALBase:    c.chain.base,
 		WALAppends: c.chain.durable,
 		LastTs:     c.engine.AppliedTs(),
 		Epoch:      c.epoch.Load(),
 		WALSeed:    c.walSeed,
-		Pending:    c.pendingSeal, // staged install (if any) rides in every seal
+		Version:    c.version,
+	}
+	if j != nil {
+		st.Digests, st.Version = j.next, version
+		if j.info.MemtableInput {
+			// A flush install deletes the frozen logs, which hold the flushed
+			// memtable's records (and at most a failed group after them,
+			// which no group follows until Open): the live log then starts
+			// past them.
+			st.WALBase += uint64(j.info.TrustedRecords)
+		}
 	}
 	c.mu.Unlock()
 	if err := writeTrustedState(c.fs, c.enclave, c.sealKey, c.counter, st); err != nil {
 		return err
+	}
+	if j != nil {
+		c.mu.Lock()
+		c.digests, c.chain.base, c.version = st.Digests, st.WALBase, st.Version
+		c.mu.Unlock()
 	}
 	c.sealedAppends.Store(st.WALAppends)
 	c.sealedAt.Store(time.Now().UnixNano())
@@ -586,11 +586,10 @@ func writeTrustedState(fs vfs.FS, e *sgx.Enclave, key [32]byte, ctr *sgx.Monoton
 // match — before the engine opens. A blob that does not unseal or decode is
 // ErrAuthFailed: the host altered it. It then keys the chain with the sealed
 // seed and arms it to check, during the engine's replay, every group's tag
-// from the base of each sealed state recovery may adopt: the Current one
-// and, if a version install was staged when the seal was written, the
-// Pending one. Nil means a store that was never sealed; a missing blob
-// under a counter that has counted a seal is ErrStateMissing, whatever
-// files are left beside it.
+// from the sealed base, and keeps the sealed version for the engine to open.
+// Nil means a store that was never sealed; a missing blob under a counter
+// that has counted a seal is ErrStateMissing, whatever files are left
+// beside it.
 func (c *Store) loadTrustedState() (*trustedState, error) {
 	if !c.fs.Exists(trustedStateName) {
 		if n, _ := c.counter.Read(); n > 0 {
@@ -613,21 +612,13 @@ func (c *Store) loadTrustedState() (*trustedState, error) {
 	if err := checkDigestFormat(st.Format, st.Digests); err != nil {
 		return nil, err
 	}
-	if p := st.Pending; p != nil {
-		if err := checkDigestFormat(st.Format, p.Digests); err != nil {
-			return nil, err
-		}
-	}
 	if err := c.counter.Verify(st.Counter, stateFingerprint(&st)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRollback, err)
 	}
 	c.mu.Lock()
-	c.walSeed = st.WALSeed
+	c.walSeed, c.version = st.WALSeed, st.Version
 	c.chain.keyed(c.sealKey, st.WALSeed)
-	c.chain.seek = []walSeek{{base: st.WALBase, frontier: st.WALAppends}}
-	if p := st.Pending; p != nil {
-		c.chain.seek = append(c.chain.seek, walSeek{base: p.WALBase, frontier: p.WALAppends})
-	}
+	c.chain.seek = walSeek{base: st.WALBase, frontier: st.WALAppends}
 	c.mu.Unlock()
 	return &st, nil
 }
@@ -639,10 +630,11 @@ func (c *Store) readFile(name string) (data []byte, err error) {
 }
 
 // recoverTrustedState validates the recovered engine against the sealed
-// state st (nil: none), detecting tampering and rollback: the engine's runs
-// must match a sealed digest set, and the replay of the live logs must pass
-// the matching state's verdict (walChain.verdict). It reports whether the
-// replay found any group.
+// state st (nil: none), detecting tampering and rollback: the engine opened
+// the sealed version, so its runs must be the sealed forest's, in the order
+// a read visits them (checkRunOrder), and the replay of the live logs must
+// pass the seal's verdict (walChain.verdict). It reports whether the replay
+// found any group.
 func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 	engineRuns := c.engine.Runs() // the engine's lock comes before c.mu
 	c.mu.Lock()
@@ -655,33 +647,13 @@ func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 		c.chain.recovered(0, 0)
 		return false, nil // fresh store
 	}
-	// The seal carries up to two acceptable states: the Current one, and —
-	// if a version install was staged when the seal was written — the
-	// Pending post-install state. A crash inside the install window
-	// (manifest renamed, post-install seal not yet durable) recovers to a
-	// directory matching Pending; anything matching neither is rollback or
-	// tampering.
-	try := func(digests map[uint64]runDigest, seek walSeek) (uint64, error) {
-		if len(engineRuns) != len(digests) {
-			return 0, fmt.Errorf("%w: %d runs recovered, %d digested", ErrRollback, len(engineRuns), len(digests))
-		}
-		if err := checkRunOrder(engineRuns, digests); err != nil {
-			return 0, fmt.Errorf("%w: %w", ErrRollback, err)
-		}
-		return c.chain.verdict(seek)
+	if len(engineRuns) != len(st.Digests) {
+		return false, fmt.Errorf("%w: %d runs recovered, %d digested", ErrRollback, len(engineRuns), len(st.Digests))
 	}
-	extra, err := try(st.Digests, c.chain.seek[0])
-	if err != nil && st.Pending != nil {
-		if pExtra, pErr := try(st.Pending.Digests, c.chain.seek[1]); pErr == nil {
-			// The staged install landed before the crash: adopt it.
-			st.Digests = st.Pending.Digests
-			st.WALBase = st.Pending.WALBase
-			if st.Pending.LastTs > st.LastTs {
-				st.LastTs = st.Pending.LastTs
-			}
-			extra, err = pExtra, nil
-		}
+	if err := checkRunOrder(engineRuns, st.Digests); err != nil {
+		return false, fmt.Errorf("%w: %w", ErrRollback, err)
 	}
+	extra, err := c.chain.verdict()
 	if err != nil {
 		return false, err
 	}
@@ -699,17 +671,19 @@ func (c *Store) recoverTrustedState(st *trustedState) (bool, error) {
 }
 
 // ErrOldStateFormat reports a sealed state or a checkpoint of another
-// format: one whose run roots hash each leaf as a wrapper around its chain
-// head, or whose run digests carry no level. Such a forest cannot be held to
-// the runs on disk or to the order a read visits them in, so the store
-// refuses it as a format it does not read, not as an attack.
+// format: one that carries no version, whose run roots hash each leaf as a
+// wrapper around its chain head, or whose run digests carry no level. Such a
+// state cannot be held to the runs on disk or to the order a read visits
+// them in, so the store refuses it as a format it does not read, not as an
+// attack.
 var ErrOldStateFormat = errors.New("core: sealed state of an earlier format")
 
-// stateFormat is the format of the sealed state and the checkpoint header,
-// and so of the run roots they hold: a key's Merkle leaf is its version-chain
-// head (hashutil.LeafHash). Builds before it wrote no format, and their roots
-// hash every leaf under a key-binding wrapper.
-const stateFormat = 1
+// stateFormat is the format of the sealed state and the checkpoint header:
+// the seal carries the engine's version, which no MANIFEST file holds, and a
+// key's Merkle leaf is its version-chain head (hashutil.LeafHash). Format 1
+// sealed no version; builds before it wrote no format, and their roots hash
+// every leaf under a key-binding wrapper.
+const stateFormat = 2
 
 // checkDigestFormat refuses a forest of another format, or one in which a
 // run has no level: no run is ever installed at level 0, so only a format
@@ -727,12 +701,13 @@ func checkDigestFormat(format int, digests map[uint64]runDigest) error {
 	return nil
 }
 
-// checkRunOrder holds the runs an engine opened with — its levels from the
-// untrusted manifest, newest first within each — to a sealed forest: every
-// run is in the forest at its sealed level, and within a level the IDs
-// strictly decrease. A read takes the first version of a key it finds in
-// that order, so a host that swapped two levels or reordered a level's runs
-// would otherwise serve an overwritten value as the newest.
+// checkRunOrder holds the runs an engine opened with — its levels, newest
+// first within each — to a sealed forest: every run is in the forest at its
+// sealed level, and within a level the IDs strictly decrease. A read takes
+// the first version of a key it finds in that order, so a version that
+// swapped two levels or reordered a level's runs would serve an overwritten
+// value as the newest. The version is sealed with the forest, so this checks
+// the enclave's own writes: it is cheap, and kept as a safety net.
 func checkRunOrder(runs []lsm.RunRef, digests map[uint64]runDigest) error {
 	for i, r := range runs {
 		d, ok := digests[r.ID]

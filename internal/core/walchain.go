@@ -43,15 +43,15 @@ type walChain struct {
 	durable  uint64
 	// atBump is durable at the last periodic counter bump.
 	atBump uint64
-	// seek holds, during recovery only, the sealed states the replay is
-	// checked against.
-	seek []walSeek
+	// seek is, during recovery only, the sealed state the replay is checked
+	// against.
+	seek walSeek
 	// key is the store's WAL key, its pads compressed once: a tag is two
 	// compressions on the stack.
 	key *hashutil.MACKey
 }
 
-// walSeek is one sealed state recovery checks the replay against: where its
+// walSeek is the sealed state recovery checks the replay against: where its
 // oldest live log starts and its durable frontier. bad is the position
 // after the first replayed group whose tag fails from that base, 0 if none.
 type walSeek struct {
@@ -116,32 +116,26 @@ func (ch *walChain) bumpDue(interval int) bool {
 }
 
 // replayed counts one group recovery read from the live logs, and checks
-// its tag from the base of every sealed state recovery may adopt: which one
-// it adopts is settled once the engine's run set is known, so a failed tag
-// only marks the states it fails under.
+// its tag from the sealed base; the verdict is settled once the replay
+// ends. An unkeyed chain, of a store never sealed, checks nothing.
 func (ch *walChain) replayed(recs []record.Record, tag *wal.Tag) {
 	ch.appends += uint64(len(recs))
-	if len(ch.seek) == 0 {
+	s := &ch.seek
+	if ch.key == nil || s.bad != 0 {
 		return
 	}
-	link := LinkWAL(hashutil.Zero, recs)
-	for i := range ch.seek {
-		s := &ch.seek[i]
-		if s.bad != 0 {
-			continue
-		}
-		if want := ch.tag(s.base+ch.appends, link); subtle.ConstantTimeCompare(want[:], tag[:]) != 1 {
-			s.bad = s.base + ch.appends
-		}
+	if want := ch.tag(s.base+ch.appends, LinkWAL(hashutil.Zero, recs)); subtle.ConstantTimeCompare(want[:], tag[:]) != 1 {
+		s.bad = s.base + ch.appends
 	}
 }
 
-// verdict judges the replay against seek s and returns how many records it
-// found past the sealed frontier. A group at or before the frontier that
-// fails its tag, or live logs that end short of it, lost or altered a
-// sealed group: ErrRollback. A failed tag past it is a group the enclave
-// never wrote there: ErrForged.
-func (ch *walChain) verdict(s walSeek) (uint64, error) {
+// verdict judges the replay against the sealed state and returns how many
+// records it found past the sealed frontier. A group at or before the
+// frontier that fails its tag, or live logs that end short of it, lost or
+// altered a sealed group: ErrRollback. A failed tag past it is a group the
+// enclave never wrote there: ErrForged.
+func (ch *walChain) verdict() (uint64, error) {
+	s := ch.seek
 	end := s.base + ch.appends
 	switch {
 	case s.bad != 0 && s.bad <= s.frontier:
@@ -160,5 +154,5 @@ func (ch *walChain) verdict(s walSeek) (uint64, error) {
 func (ch *walChain) recovered(base, appends uint64) {
 	ch.base, ch.appends, ch.durable, ch.atBump = base, appends, appends, appends
 	ch.inFlight = false
-	ch.seek = nil
+	ch.seek = walSeek{}
 }

@@ -97,10 +97,10 @@ func TestWALTagsArePositional(t *testing.T) {
 	// A log that starts after g1 replays g2 and g3 from base 2; from any
 	// other base they fail.
 	for _, base := range []uint64{2, 3} {
-		rec := walChain{key: ch.key, seek: []walSeek{{base: base, frontier: 5}}}
+		rec := walChain{key: ch.key, seek: walSeek{base: base, frontier: 5}}
 		rec.replayed(g2, &tag2)
 		rec.replayed(g3, &tag3)
-		if bad := rec.seek[0].bad; (bad == 0) != (base == 2) {
+		if bad := rec.seek.bad; (bad == 0) != (base == 2) {
 			t.Fatalf("replay from base %d: first bad group ends at %d", base, bad)
 		}
 	}
@@ -184,12 +184,12 @@ func TestOpenLeavesNoGroupOfAnEarlierSeed(t *testing.T) {
 		t.Fatalf("%d live groups, want 2", len(groups))
 	}
 	for i, seed := range [][]byte{s2.walSeed, oldSeed} {
-		ch := walChain{seek: []walSeek{{base: s2.chain.base, frontier: s2.chain.durable}}}
+		ch := walChain{seek: walSeek{base: s2.chain.base, frontier: s2.chain.durable}}
 		ch.keyed(s2.sealKey, seed)
 		for _, g := range groups {
 			ch.replayed(g.recs, &g.tag)
 		}
-		if bad := ch.seek[0].bad; (bad == 0) != (i == 0) {
+		if bad := ch.seek.bad; (bad == 0) != (i == 0) {
 			t.Fatalf("seed %x: first bad group ends at %d", seed[:4], bad)
 		}
 	}

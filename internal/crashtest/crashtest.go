@@ -15,7 +15,7 @@
 //     arbitrary damage).
 //
 // Scenarios enumerate the crash surface of one subsystem each: WAL
-// appends, flush/manifest installs, checkpoint restore, promotion. The
+// appends, flush installs and their seals, checkpoint restore, promotion. The
 // enumeration is exhaustive in normal mode and deterministically sampled
 // in -short mode.
 package crashtest

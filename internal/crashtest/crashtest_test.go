@@ -112,7 +112,10 @@ var manifestLastTs = regexp.MustCompile(`"lastTs":\d+`)
 // zeroManifestTs zeroes the timestamp floor in every MANIFEST of the crash
 // image (shard subdirectories included), as a hostile host could: the
 // manifest is plain untrusted JSON, so nothing recovery hands out may rest
-// on it. Call it after the tamper probe and before recovery.
+// on it. A P2 image holds none — the version and its floor are sealed with
+// the trusted state — so here it finds nothing to zero; checkTsFloor still
+// holds the floor to every acked write. Call it after the tamper probe and
+// before recovery.
 func zeroManifestTs(t *testing.T, env *Env) {
 	t.Helper()
 	names, err := env.Mem.List("")
@@ -211,9 +214,8 @@ func flushOpts(env *Env) elsm.Options {
 }
 
 // TestCrashMatrixFlushInstall enumerates crashes over EVERY file while a
-// tiny memtable forces flushes — covering the SSTable writes, the
-// manifest tmp+rename install, the frozen-WAL deletions and the
-// transition/post-install seals.
+// tiny memtable forces flushes — covering the SSTable writes, the install's
+// one seal (tmp+rename), the frozen-WAL deletions and the periodic seals.
 func TestCrashMatrixFlushInstall(t *testing.T) {
 	Enumerate(t, Scenario{
 		Name: "flush-install",
@@ -294,25 +296,35 @@ func relabelOpts(env *Env, levelBase int64) elsm.Options {
 	return storeOpts(env).WithGeometry(lsm.Geometry{TableFileSize: 4 << 10, LevelBase: levelBase})
 }
 
-// manifestRuns reads the crash image's MANIFEST: the IDs of the runs it
-// lists by level, and the table files of each run.
+// manifestRuns reads the version sealed in the crash image — unsealed with
+// the env's platform, as the store's enclave would, under the on-disk
+// contract recovery reads: TRUSTED.bin, sealed for the elsm-p2 measurement
+// — and returns the IDs of the runs it lists by level, and the table files
+// of each run.
 func manifestRuns(t *testing.T, env *Env) (levels map[uint64]int, files map[uint64][]string) {
 	t.Helper()
-	data, err := vfs.ReadFile(env.Mem, "MANIFEST")
+	sealed, err := vfs.ReadFile(env.Mem, "TRUSTED.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var root struct {
-		Levels [][]struct {
-			ID    uint64 `json:"id"`
-			Files []struct {
-				FileNum uint64 `json:"file"`
-			} `json:"files"`
-		} `json:"levels"`
-	}
-	if err := json.Unmarshal(data, &root); err != nil {
+	blob, err := sgx.Unseal(env.Platform.SealingKey(sgx.Measure([]byte("elsm-p2"))), sealed)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var state struct {
+		Version struct {
+			Levels [][]struct {
+				ID    uint64 `json:"id"`
+				Files []struct {
+					FileNum uint64 `json:"file"`
+				} `json:"files"`
+			} `json:"levels"`
+		} `json:"version"`
+	}
+	if err := json.Unmarshal(blob, &state); err != nil {
+		t.Fatal(err)
+	}
+	root := state.Version
 	levels, files = map[uint64]int{}, map[uint64][]string{}
 	for lvl, runs := range root.Levels {
 		for _, r := range runs {
@@ -326,8 +338,8 @@ func manifestRuns(t *testing.T, env *Env) (levels map[uint64]int, files map[uint
 }
 
 // TestCrashMatrixRelabel enumerates crashes at every file-system operation
-// of a relabel install — the transition seal, the MANIFEST's write and
-// rename, the post-install seal — and of the Close after it, once failing
+// of a relabel install — its one seal, which carries the version that lists
+// the run at its new level — and of the Close after it, once failing
 // cleanly and once tearing the write (power loss). A run is written under
 // the default level targets and the store closed; reopened under a level-1
 // target the run is over, the first maintenance event moves it to level 2 by

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -42,11 +43,6 @@ const (
 	// Replay appends to a log the Arg-th of the groups of every log version
 	// kept.
 	Replay
-	// Edit rewrites what a MANIFEST lists: Arg%6 picks the edit, Arg/6 its
-	// target. 0 swaps two levels, 1 two runs of a level, 2 drops a table
-	// from a run of two or more, 3 lists a table twice in its run, 4 moves a
-	// table to the end of the next run, 5 swaps two runs' file lists.
-	Edit
 	// Hide says the file is not there (List leaves it out). Told at rest,
 	// the file stays as it is under the handles open on it, as a host's
 	// open file stays; a Heal shows it again.
@@ -92,7 +88,7 @@ func New() *FS {
 }
 
 // Arm makes every later Open, ReadAt and List draw a lie from stream until
-// it runs out: a byte picks the kind (7 of 16 pick none), and a lie takes
+// it runs out: a byte picks the kind (8 of 16 pick none), and a lie takes
 // the next two bytes as its argument.
 func (h *FS) Arm(stream []byte) {
 	h.mu.Lock()
@@ -301,8 +297,6 @@ func (h *FS) Tell(name string, lie Lie) error {
 		out = h.swap(name, lie.Arg)
 	case Replay:
 		out = h.replay(name, cur, lie.Arg)
-	case Edit:
-		out = edit(name, cur, lie.Arg)
 	}
 	if out == nil {
 		return nil
@@ -313,10 +307,10 @@ func (h *FS) Tell(name string, lie Lie) error {
 
 // Rewrite replaces name's bytes at rest with what edit returns: a lie aimed
 // at a structure the other lies do not know (a table's index, the filter it
-// stores).
+// stores). A file that is not there is planted, edit given no bytes.
 func (h *FS) Rewrite(name string, edit func([]byte) []byte) error {
 	cur, err := vfs.ReadFile(h.mem, name)
-	if err != nil {
+	if err != nil && !errors.Is(err, vfs.ErrNotFound) {
 		return err
 	}
 	h.noteAtRest("%s: rewrite", name)
@@ -459,87 +453,6 @@ func flip(name string, data []byte, bit int64) []byte {
 		}
 		at = end
 	}
-	return out
-}
-
-func edit(name string, data []byte, arg int64) []byte {
-	var root map[string]any
-	if path.Base(name) != "MANIFEST" || json.Unmarshal(data, &root) != nil {
-		return nil
-	}
-	levels, _ := root["levels"].([]any)
-	files := func(r map[string]any) []any { f, _ := r["files"].([]any); return f }
-	var full, multi []int     // levels holding a run, and two
-	var runs []map[string]any // every run, in the order listed
-	var tabled, long []int    // the runs holding a table, and two
-	for i, lv := range levels {
-		rs, _ := lv.([]any)
-		if len(rs) > 0 {
-			full = append(full, i)
-		}
-		if len(rs) > 1 {
-			multi = append(multi, i)
-		}
-		for _, r := range rs {
-			r, ok := r.(map[string]any)
-			if !ok {
-				continue
-			}
-			if len(files(r)) > 0 {
-				tabled = append(tabled, len(runs))
-			}
-			if len(files(r)) > 1 {
-				long = append(long, len(runs))
-			}
-			runs = append(runs, r)
-		}
-	}
-	pick := int(arg / 6)
-	switch arg % 6 {
-	case 0:
-		if len(full) == 0 || len(levels) < 3 {
-			return nil
-		}
-		a := full[pick%len(full)]
-		b := 1 + (a+pick)%(len(levels)-1)
-		if a == b {
-			b = 1 + a%(len(levels)-1)
-		}
-		levels[a], levels[b] = levels[b], levels[a]
-	case 1:
-		if len(multi) == 0 {
-			return nil
-		}
-		rs := levels[multi[pick%len(multi)]].([]any)
-		rs[0], rs[1] = rs[1], rs[0]
-	case 2:
-		if len(long) == 0 {
-			return nil
-		}
-		r := runs[long[pick%len(long)]]
-		i := pick % len(files(r))
-		r["files"] = slices.Delete(files(r), i, i+1)
-	case 3:
-		if len(tabled) == 0 {
-			return nil
-		}
-		r := runs[tabled[pick%len(tabled)]]
-		r["files"] = append(files(r), files(r)[pick%len(files(r))])
-	case 4, 5:
-		if len(tabled) == 0 || len(runs) < 2 {
-			return nil
-		}
-		at := tabled[pick%len(tabled)]
-		from, to := runs[at], runs[(at+1)%len(runs)]
-		if arg%6 == 5 {
-			from["files"], to["files"] = to["files"], from["files"]
-			break
-		}
-		i := pick % len(files(from))
-		to["files"] = append(files(to), files(from)[i])
-		from["files"] = slices.Delete(files(from), i, i+1)
-	}
-	out, _ := json.Marshal(root)
 	return out
 }
 

@@ -35,10 +35,10 @@ import (
 //     writes; both are bounded by the worker pool's size. A relabel
 //     (CompactionInfo.Relabel) has no phase 2: its output run is its input;
 //  3. install — installMu serializes the authenticated verify (Job.Verify)
-//     → level-vector swap → manifest persist → Job.Installed →
-//     Job.Committed window across concurrent jobs, so exactly one version
-//     transition (and one staged transition seal) is in flight at a time;
-//     s.mu is re-taken only for the swap itself.
+//     → level-vector swap → version save (the install's commit point) →
+//     Job.Installed → Job.Committed window across concurrent jobs, so
+//     exactly one version transition is in flight at a time; s.mu is
+//     re-taken for the swap and the save.
 //
 // Every job ends in exactly one of Job.Committed (success) or Job.Abort (any
 // failure after BeginJob), so the listener's per-job rebuild context is
@@ -58,9 +58,9 @@ type jobPlan struct {
 	// built, before Verify stages it.
 	place func(newRun *run)
 	// swap puts newRun into the level vector and returns what takes it out
-	// again should the manifest write fail.
+	// again should the version's save fail.
 	swap func(newRun *run) (undo func())
-	// installed is the kind's bookkeeping once the manifest is durable.
+	// installed is the kind's bookkeeping once the version is saved.
 	installed func(newRun *run)
 	// rec, when set (timed), receives the duration of each phase.
 	rec        *obs.Recorder
@@ -124,9 +124,9 @@ func (s *Store) runPlan(p *jobPlan) error {
 
 	// Phase 3: verify and install the new version. installMu serializes the
 	// Verify→install→Committed window across concurrent jobs. The version
-	// readers pin changes only once the manifest is durable and the listener
-	// has installed: a failed install's undo restores the levels the
-	// published version still lists. Either way the job then drops its
+	// readers pin changes only once it is saved and the listener has
+	// installed: a failed save's undo restores the levels the published
+	// version still lists. Either way the job then drops its
 	// reference on the run it built, which deletes the run's files unless a
 	// version lists it.
 	defer s.releaseRunRefs([]*run{newRun})
@@ -139,7 +139,7 @@ func (s *Store) runPlan(p *jobPlan) error {
 	} else {
 		s.mu.Lock()
 		undo := p.swap(newRun)
-		if err = s.persistManifestLocked(); err != nil {
+		if err = s.saveVersionLocked(job); err != nil {
 			undo()
 			s.mu.Unlock()
 		}
@@ -213,11 +213,10 @@ func (s *Store) flushFrozen() error {
 	p.swap = func(newRun *run) func() {
 		oldL1 := s.levels[1]
 		s.levels[1] = append([]*run{newRun}, oldL1...)
-		// The manifest being installed accounts for every record in the
-		// frozen logs about to be deleted: advance the WAL watermark in the
-		// SAME manifest write, so a crash before the deletions finish cannot
-		// make recovery replay (double-apply) records the new run already
-		// holds.
+		// The version being saved accounts for every record in the frozen
+		// logs about to be deleted: advance the WAL watermark in the SAME
+		// save, so a crash before the deletions finish cannot make recovery
+		// replay (double-apply) records the new run already holds.
 		oldFlushedSeq := s.flushedWALSeq
 		for _, name := range frozenWALs {
 			if seq, ok := frozenWALSeq(name); ok && seq >= s.flushedWALSeq {
@@ -325,7 +324,7 @@ func (s *Store) compactLevel(lvl int, background bool) error {
 	}
 	info := CompactionInfo{OutputLevel: lvl + 1, BottomMost: bottom}
 	info.Relabel = background && len(inputs) == 1 && merged == 0 &&
-		(!bottom || s.opts.KeepVersions == 0 || inputs[0].bottomMost)
+		(!bottom || s.opts.KeepVersions == 0 || inputs[0].keep == s.opts.KeepVersions)
 	p := s.planLocked(info, inputs)
 	s.mu.Unlock()
 	if !info.Relabel {
@@ -773,7 +772,10 @@ func (s *Store) runCompaction(job Job, p *jobPlan) (*run, error) {
 			return nil, err
 		}
 	}
-	newRun := &run{id: p.info.OutputRun, tables: make([]*tableHandle, 0, len(files)), bottomMost: p.info.BottomMost}
+	newRun := &run{id: p.info.OutputRun, tables: make([]*tableHandle, 0, len(files))}
+	if p.info.BottomMost {
+		newRun.keep = s.opts.KeepVersions
+	}
 	newRun.refs.Store(1) // the building job's, dropped when its install ends
 	for _, f := range files {
 		newRun.add(f.th)
@@ -980,13 +982,10 @@ func (s *Store) bulkLoadJob(recs []record.Record, total int64, maxTs uint64) err
 		lvl++
 	}
 	p := s.planLocked(CompactionInfo{OutputLevel: lvl, BottomMost: true, BulkLoad: true, TrustedRecords: len(recs)}, nil)
-	// The loaded timestamps are spent from here on, BEFORE Job.Verify stages
-	// the transition seal: that seal's timestamp floor is what recovery
-	// adopts if a crash lands between the manifest rename and the next seal,
-	// and the only other floor is the manifest's, which is plain untrusted
-	// JSON. Nothing can observe the early raise (the job is exclusive, the
-	// store is empty and commitMu is held); a failed install leaves only a
-	// harmless gap.
+	// The loaded timestamps are spent from here on, BEFORE the version that
+	// lists the loaded run is saved with its timestamp floor. Nothing can
+	// observe the early raise (the job is exclusive, the store is empty and
+	// commitMu is held); a failed install leaves only a harmless gap.
 	s.EnsureTs(maxTs)
 	s.mu.Unlock()
 

@@ -89,8 +89,9 @@ func (g Geometry) levelTarget(i int) int64 {
 // options: queue → WAL append → fsync → memtable apply → freeze →
 // background flush/compaction on the worker pool.
 type Options struct {
-	// FS is the untrusted file system holding WAL, SSTables and MANIFEST.
-	// Nil means a fresh in-memory FS.
+	// FS is the untrusted file system holding WAL, SSTables and, unless the
+	// listener keeps the version (VersionStore), MANIFEST. Nil means a fresh
+	// in-memory FS.
 	FS vfs.FS
 	// Enclave meters the boundary of the enclave hosting the store's code
 	// and trusted data structures. Nil means a private one nobody reads
@@ -207,9 +208,10 @@ type CompactionInfo struct {
 	// written, so Filter, NewProofAppender and RunFilter are never called;
 	// the job goes from BeginJob to Verify. The engine asks for one only
 	// when the merge would drop nothing: OutputLevel is not bottom-most, or
-	// KeepVersions keeps every version, or the run was built bottom-most by
-	// this store. A Verify that refuses it with ErrRelabelRefused makes the
-	// engine merge the run instead, as a new job.
+	// KeepVersions keeps every version, or the run was built bottom-most
+	// under the same KeepVersions. A Verify that refuses it with
+	// ErrRelabelRefused makes the engine merge the run instead, as a new
+	// job.
 	Relabel bool
 	// BlockSize is the block payload target the output tables are built to.
 	BlockSize int
@@ -244,7 +246,8 @@ type CompactionInfo struct {
 // returns — where a flush's frozen logs end is CompactionInfo.TrustedRecords.
 // State shared between the commit path and the jobs (e.g. the WAL's append
 // count) must be internally thread-safe. Implementations must not call back
-// into the Store.
+// into the Store. A listener that is also a VersionStore keeps the engine's
+// version, and the store writes no MANIFEST.
 type EventListener interface {
 	// OnGroupAppended fires once per commit group, before the group's
 	// records reach the untrusted log: the listener writes the group's tag
@@ -278,9 +281,8 @@ type EventListener interface {
 // compaction or a bulk load, described by the CompactionInfo BeginJob got.
 // It is Figure 4 of the paper as an object: Filter is "Filter()",
 // NewProofAppender does the work of "OnTableFileCreated()", Verify is the
-// input-root check before install (§5.5.2), and Installed/Committed are the
-// trusted-state install and the counter-bound seal around the version
-// install that §5.6.1's rollback defence stands on. Every method runs on the
+// input-root check before install (§5.5.2), and Installed takes the
+// trusted state of the installed version into effect. Every method runs on the
 // job's own goroutine, in the order listed, except Filter, whose calls come
 // from one goroutine per key-range part; only the appenders NewProofAppender
 // returns are used elsewhere. Exactly one of Committed (success) or Abort
@@ -320,30 +322,26 @@ type Job interface {
 	// engine's install lock: from here to Committed/Abort at most one job
 	// across the whole store is in flight ("one version install in
 	// flight"). An error aborts the job and the engine discards its output.
-	// The listener may stage a transition seal here — it is written before
-	// the manifest makes the install durable. level is the level the output
-	// run lands in, final now (CompactionInfo.OutputLevel). A relabel's
-	// Verify has no stream to check: it holds the move to the trusted state
-	// of the run it moves.
+	// level is the level the output run lands in, final now
+	// (CompactionInfo.OutputLevel). A relabel's Verify has no stream to
+	// check: it holds the move to the trusted state of the run it moves.
+	// The version listing the output is saved next (VersionStore).
 	Verify(level int) error
 	// Installed is called UNDER THE ENGINE LOCK, immediately after the
-	// manifest naming the new version is durable and, for a flush
-	// (MemtableInput), the frozen logs that carried the flushed records are
-	// deleted — the live WAL is now the active log alone. The listener takes
-	// its staged state into effect (and moves where its live logs start)
-	// here: fast and in-memory, readers resume as soon as the lock drops. What
-	// it returns is the output run's value (RunRef.Trust): the version the
-	// engine publishes next, and every later one listing the run, carry it.
+	// version listing the output is saved and, for a flush (MemtableInput),
+	// the frozen logs that carried the flushed records are deleted — the
+	// live WAL is now the active log alone. Fast and in-memory: readers
+	// resume as soon as the lock drops. What it returns is the output run's
+	// value (RunRef.Trust): the version the engine publishes next, and every
+	// later one listing the run, carry it.
 	Installed() any
-	// Committed is called after Installed WITHOUT the engine lock, still
-	// under the install lock: the listener's slow durability work (counter
-	// bump, state seal and write) happens here, off the read/write paths.
+	// Committed ends a job that installed: it is called after Installed
+	// WITHOUT the engine lock, still under the install lock.
 	Committed()
 	// Abort is called when the job fails before Installed (merge error,
-	// Verify rejection, manifest write failure): the listener discards the
-	// job's staging state, including any transition seal it staged — the
-	// output files are being removed, so a recovered directory can never
-	// match the staged state.
+	// Verify rejection, a failed save of the version): the listener
+	// discards the job's staging state — the output files are being
+	// removed.
 	Abort()
 }
 

@@ -48,15 +48,17 @@ func checkRange(t *testing.T, s *Store, lo, hi int, tag string) {
 // TestRelabelOnlyWhenNothingDrops: a lone run moves down a level by
 // relabel — same ID, same files, no table written — when the move would
 // drop nothing: the level below is not the bottom, the store keeps every
-// version, or the run was built bottom-most by this store. A run recovery
-// opened was built by no job of this store, so at the bottom under a
-// version bound it is merged. An explicit Compact always merges. Only
+// version, or the run was built bottom-most under the same KeepVersions.
+// The version records that, so a run recovery opened moves as it would have
+// before the reopen, unless the store reopened under another KeepVersions:
+// then at the bottom it is merged. An explicit Compact always merges. Only
 // merges count as compactions.
 func TestRelabelOnlyWhenNothingDrops(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		keep    int
 		reopen  bool // the run is one recovery opened
+		rekeep  int  // KeepVersions after the reopen, if not keep
 		request bool // Compact, not the scheduler's job
 		deeper  bool // a run two levels down: the move is not bottom-most
 		move    bool
@@ -64,7 +66,8 @@ func TestRelabelOnlyWhenNothingDrops(t *testing.T) {
 		{name: "built bottom-most", keep: 1, move: true},
 		{name: "every version kept", keep: 0, move: true},
 		{name: "recovered, every version kept", keep: 0, reopen: true, move: true},
-		{name: "recovered, at the bottom", keep: 1, reopen: true, move: false},
+		{name: "recovered, at the bottom", keep: 1, reopen: true, move: true},
+		{name: "recovered under another KeepVersions", keep: 1, reopen: true, rekeep: 2, move: false},
 		{name: "recovered, above the bottom", keep: 1, reopen: true, deeper: true, move: true},
 		{name: "explicit Compact", keep: 0, request: true, move: false},
 	} {
@@ -91,6 +94,9 @@ func TestRelabelOnlyWhenNothingDrops(t *testing.T) {
 			if tc.reopen {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
+				}
+				if tc.rekeep != 0 {
+					opts.KeepVersions = tc.rekeep
 				}
 				s = mustOpen(t, opts)
 			}

@@ -198,13 +198,13 @@ func (sn *Snapshot) CheckpointRuns() []CheckpointRun {
 	return out
 }
 
-// EncodeManifest serializes the snapshot's version as a MANIFEST the
-// importer installs verbatim, with lastTs — the run frontier, i.e. the
-// highest timestamp covered by the runs rather than the WAL tail — as the
-// recovered timestamp base. The importer's recovery derives the next file
-// number and run ID from the runs, so follower-local flushes allocate past
-// the imported names.
-func (sn *Snapshot) EncodeManifest(lastTs uint64) ([]byte, error) {
+// EncodeVersion serializes the snapshot's version as the importer's
+// engine loads it (VersionStore.LoadVersion), with lastTs — the run
+// frontier, i.e. the highest timestamp covered by the runs rather than the
+// WAL tail — as the recovered timestamp base. The importer's recovery
+// derives the next file number and run ID from the runs, so follower-local
+// flushes allocate past the imported names.
+func (sn *Snapshot) EncodeVersion(lastTs uint64) ([]byte, error) {
 	levels := make([][]*run, len(sn.v.s.levels))
 	for i, r := range sn.v.runs {
 		lvl := sn.v.refs[i].Level

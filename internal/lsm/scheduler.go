@@ -52,7 +52,7 @@ import (
 // Close. stopMaintenance marks the scheduler closing and waits for the
 // dispatcher to drain: jobs in flight, the pending flush and the requests
 // already queued run to completion, so a half-built version is never
-// abandoned between its manifest write and its digest install. Overflowing
+// abandoned between its version's save and its digest install. Overflowing
 // levels are left for the next open; new requests fail with ErrClosed.
 
 // Job kinds.

@@ -89,17 +89,17 @@ type tableHandle struct {
 // the next level as it is, so the versions before and after it list the same
 // run, each with its own RunRef.Trust.
 //
-// bottomMost records that the job that built the run was bottom-most
-// (CompactionInfo.BottomMost): under this store's KeepVersions, a bottom-most
-// merge of the run alone drops nothing. Only the building job sets it; a run
-// recovery opens from the MANIFEST never has it.
+// keep is the KeepVersions a bottom-most job (CompactionInfo.BottomMost)
+// built the run under, 0 if none built it bottom-most under a bound: under
+// the same KeepVersions, a bottom-most merge of the run alone drops nothing.
+// The version carries it, so a run recovery opens has it too.
 type run struct {
-	id         uint64
-	tables     []*tableHandle
-	bytes      int64
-	refs       atomic.Int32
-	trust      any
-	bottomMost bool
+	id     uint64
+	tables []*tableHandle
+	bytes  int64
+	refs   atomic.Int32
+	trust  any
+	keep   int
 }
 
 // add appends th to the run, and its size to the run's.
@@ -226,8 +226,8 @@ type Stats struct {
 // jobs never take it and so never wait on storage. The commit worker holds mu only to check the store is
 // writable and reserve a group's timestamps; it hashes, appends and applies
 // under commitMu alone (see appendGroup). installMu serializes the install
-// phase (manifest write + Job.Installed + post-install seal) across
-// concurrent maintenance jobs. Maintenance jobs take mu only for the
+// phase (Job.Verify, the version's save, Job.Installed) across concurrent
+// maintenance jobs. Maintenance jobs take mu only for the
 // snapshot and install phases of a rewrite, never commitMu.
 type Store struct {
 	opts     Options
@@ -238,12 +238,11 @@ type Store struct {
 	commitMu sync.Mutex // guards walW append/sync/rotate epochs
 
 	// installMu serializes phase 3 of maintenance jobs end to end — from
-	// the listener's Job.Verify (which stages the transition seal) through
-	// the manifest write, Job.Installed and Job.Committed (or Job.Abort).
-	// With parallel phase-2 workers this is what keeps "one version install
-	// in flight": manifest writes never reorder, and the listener's
-	// single-slot staged seal is never clobbered by a concurrent job's
-	// install. Acquired BEFORE s.mu.
+	// the listener's Job.Verify through the version's save, Job.Installed
+	// and Job.Committed (or Job.Abort). With parallel phase-2 workers this
+	// is what keeps "one version install in flight": saved versions never
+	// reorder, and each is saved right after its own job's Verify.
+	// Acquired BEFORE s.mu.
 	installMu sync.Mutex
 
 	mu     sync.RWMutex    // guards mem (swapped under commitMu as well), frozen, levels, closed, bgErr
@@ -257,13 +256,16 @@ type Store struct {
 	frozenWALs []string
 	nextWALSeq uint64
 
-	// flushedWALSeq is the manifest's WAL watermark: every frozen log with
+	// flushedWALSeq is the version's WAL watermark: every frozen log with
 	// a sequence below it has been flushed into an installed run. Recovery
-	// must IGNORE (and delete) such logs — a crash between the manifest
-	// install and the frozen-log deletion leaves them on disk, and
-	// replaying them would double-apply records the manifest already
-	// accounts for.
+	// must IGNORE (and delete) such logs — a crash between the version's
+	// save and the frozen-log deletion leaves them on disk, and replaying
+	// them would double-apply records the version already accounts for.
 	flushedWALSeq uint64
+
+	// versionStore is where the version is loaded from and saved to: the
+	// listener, if it is a VersionStore, the MANIFEST file otherwise.
+	versionStore VersionStore
 
 	// bgErr is the first background maintenance failure; the store fails
 	// stop — subsequent commits and maintenance return it.
@@ -367,6 +369,10 @@ func Open(opts Options) (*Store, error) {
 	s.nextFileNum.Store(1)
 	s.nextWALSeq = 1
 	s.workers = opts.Workers
+	s.versionStore = manifestFile{s}
+	if vs, ok := opts.Listener.(VersionStore); ok {
+		s.versionStore = vs
+	}
 	s.levelBytesGauge = make([]atomic.Int64, len(s.levels))
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -397,14 +403,15 @@ func (s *Store) ocall(fn func()) { s.enclave.OCall(fn) }
 func tableName(fileNum uint64) string { return fmt.Sprintf("%06d.sst", fileNum) }
 
 // ---------------------------------------------------------------------------
-// Manifest
+// Version
 
-// The MANIFEST holds only what nothing else does: each level's runs in
-// order, each run's ID and its tables' file numbers, the timestamp floor and
-// the WAL watermark. A table's last key and size are read from the table
+// The version holds only what nothing else does: each level's runs in
+// order, each run's ID, its tables' file numbers and the KeepVersions it was
+// built bottom-most under (run.keep), the timestamp floor and the WAL
+// watermark. A table's last key and size are read from the table
 // (adoptTable), and the next file number and run ID are derived from the
-// live runs at recovery, so a host cannot lie about them here. Fields a
-// MANIFEST of an earlier format carries besides these are ignored.
+// live runs at recovery, so no saved version states them. Fields a version
+// of an earlier format carries besides these are ignored.
 type manifestTable struct {
 	FileNum uint64 `json:"file"`
 }
@@ -412,24 +419,25 @@ type manifestTable struct {
 type manifestRun struct {
 	ID    uint64          `json:"id"`
 	Files []manifestTable `json:"files"`
+	Keep  int             `json:"keep,omitempty"`
 }
 
 type manifestRoot struct {
 	LastTs uint64          `json:"lastTs"`
 	Levels [][]manifestRun `json:"levels"`
 	// FlushedWALSeq marks frozen logs below this sequence as flushed into
-	// the runs this manifest lists; recovery discards them instead of
-	// replaying (crash window between manifest install and log deletion).
+	// the runs this version lists; recovery discards them instead of
+	// replaying (crash window between the version's save and log deletion).
 	FlushedWALSeq uint64 `json:"flushedWALSeq,omitempty"`
 }
 
 // encodeManifest serializes levels, each a level's runs in order, as a
-// MANIFEST.
+// version.
 func encodeManifest(levels [][]*run, lastTs, flushedWALSeq uint64) ([]byte, error) {
 	root := manifestRoot{LastTs: lastTs, Levels: make([][]manifestRun, len(levels)), FlushedWALSeq: flushedWALSeq}
 	for i, runs := range levels {
 		for _, r := range runs {
-			mr := manifestRun{ID: r.id, Files: make([]manifestTable, len(r.tables))}
+			mr := manifestRun{ID: r.id, Files: make([]manifestTable, len(r.tables)), Keep: r.keep}
 			for j, th := range r.tables {
 				mr.Files[j].FileNum = th.fileNum
 			}
@@ -437,6 +445,48 @@ func encodeManifest(levels [][]*run, lastTs, flushedWALSeq uint64) ([]byte, erro
 		}
 	}
 	return json.Marshal(root)
+}
+
+// VersionStore keeps the engine's version: what Open recovers to, and what
+// every install makes durable. A listener that is one keeps the version
+// itself (the authentication layer seals it with the trusted state); a
+// store whose listener is not keeps it in a MANIFEST file, rewritten whole
+// at every install (manifestFile).
+type VersionStore interface {
+	// LoadVersion returns the version Open recovers to, nil for a store
+	// that never saved one. It is called once, before Open replays the log.
+	LoadVersion() ([]byte, error)
+	// SaveVersion makes version durable as the install of job, whose
+	// Verify has passed; it is the install's one commit point. It is called
+	// under the engine lock and the install lock, so versions are saved one
+	// at a time and in order. An error fails the job and undoes the
+	// install; a crash recovers the version saved last.
+	SaveVersion(job Job, version []byte) error
+}
+
+// manifestFile is the VersionStore of a store whose listener keeps no
+// version: the version is the MANIFEST file.
+type manifestFile struct{ s *Store }
+
+// LoadVersion implements VersionStore.
+func (m manifestFile) LoadVersion() (data []byte, err error) {
+	if !m.s.fs.Exists(manifestName) {
+		return nil, nil
+	}
+	m.s.ocall(func() { data, err = vfs.ReadFile(m.s.fs, manifestName) })
+	if err != nil {
+		return nil, fmt.Errorf("lsm: manifest read: %w", err)
+	}
+	return data, nil
+}
+
+// SaveVersion implements VersionStore.
+func (m manifestFile) SaveVersion(_ Job, version []byte) (err error) {
+	m.s.ocall(func() { err = vfs.WriteFile(m.s.fs, manifestName, version) })
+	if err != nil {
+		return fmt.Errorf("lsm: manifest write: %w", err)
+	}
+	return nil
 }
 
 // refreshLevelBytesLocked recomputes the lock-free per-level byte gauges
@@ -453,18 +503,16 @@ func (s *Store) refreshLevelBytesLocked() {
 	}
 }
 
-// persistManifestLocked writes the current version to MANIFEST atomically.
-// Caller holds s.mu; install phases are serialized on installMu, so
-// manifest writes never reorder.
-func (s *Store) persistManifestLocked() error {
+// saveVersionLocked saves the current version as job's install. Caller
+// holds s.mu; install phases are serialized on installMu, so saved versions
+// never reorder.
+func (s *Store) saveVersionLocked(job Job) error {
 	data, err := encodeManifest(s.levels, s.lastTs.Load(), s.flushedWALSeq)
 	if err != nil {
-		return fmt.Errorf("lsm: manifest marshal: %w", err)
+		return fmt.Errorf("lsm: version marshal: %w", err)
 	}
-	var werr error
-	s.ocall(func() { werr = vfs.WriteFile(s.fs, manifestName, data) })
-	if werr != nil {
-		return fmt.Errorf("lsm: manifest write: %w", werr)
+	if err := s.versionStore.SaveVersion(job, data); err != nil {
+		return err
 	}
 	s.manifestUpdates.Add(1)
 	return nil
@@ -480,10 +528,14 @@ func (s *Store) liveWALFiles() []string {
 	return names
 }
 
-// recover loads the manifest (if any) and replays the WAL files (if any).
+// recover loads the version (if any) and replays the WAL files (if any).
 func (s *Store) recover() error {
-	if s.fs.Exists(manifestName) {
-		if err := s.recoverManifest(); err != nil {
+	data, err := s.versionStore.LoadVersion()
+	if err != nil {
+		return err
+	}
+	if data != nil {
+		if err := s.loadVersion(data); err != nil {
 			return err
 		}
 	}
@@ -506,8 +558,8 @@ func (s *Store) recover() error {
 				s.nextWALSeq = seq + 1
 			}
 			if seq < s.flushedWALSeq {
-				// Flushed into a run the manifest already lists: a crash
-				// hit between the manifest install and this log's
+				// Flushed into a run the version already lists: a crash
+				// hit between the version's save and this log's
 				// deletion. Replaying it would double-apply its records;
 				// finish the interrupted deletion instead.
 				s.ocall(func() { _ = s.fs.Remove(name) })
@@ -578,14 +630,8 @@ func (s *Store) truncateWAL(size int64) error {
 	return err
 }
 
-// recoverManifest rebuilds the level structure from the MANIFEST file.
-func (s *Store) recoverManifest() error {
-	var data []byte
-	var rerr error
-	s.ocall(func() { data, rerr = vfs.ReadFile(s.fs, manifestName) })
-	if rerr != nil {
-		return fmt.Errorf("lsm: manifest read: %w", rerr)
-	}
+// loadVersion rebuilds the level structure from a saved version.
+func (s *Store) loadVersion(data []byte) error {
 	var root manifestRoot
 	if err := json.Unmarshal(data, &root); err != nil {
 		return fmt.Errorf("%w: %v", ErrManifestParse, err)
@@ -617,7 +663,7 @@ func (s *Store) recoverManifest() error {
 			if !listedOnce(runIDs, mr.ID) {
 				return fmt.Errorf("%w: run %d listed twice or out of range", ErrManifestParse, mr.ID)
 			}
-			r := &run{id: mr.ID} // Open's first version takes the reference
+			r := &run{id: mr.ID, keep: mr.Keep} // Open's first version takes the reference
 			for _, mt := range mr.Files {
 				if !listedOnce(fileNums, mt.FileNum) {
 					return fmt.Errorf("%w: table %d listed twice or out of range", ErrManifestParse, mt.FileNum)
@@ -732,8 +778,8 @@ func (s *Store) walErrLocked() error {
 }
 
 // EnsureTs raises the timestamp counter to at least minTs (recovery: the
-// sealed trusted state may record a later timestamp than the untrusted
-// manifest; bulk load: the loaded records' timestamps are spent).
+// sealed trusted state may record a later timestamp than the version;
+// bulk load: the loaded records' timestamps are spent).
 func (s *Store) EnsureTs(minTs uint64) {
 	for {
 		cur := s.lastTs.Load()
@@ -755,7 +801,7 @@ func (s *Store) EnsureTs(minTs uint64) {
 	}
 }
 
-// openTable opens a table file the MANIFEST lists.
+// openTable opens a table file the version lists.
 func (s *Store) openTable(fileNum uint64) (*tableHandle, error) {
 	name := tableName(fileNum)
 	var f vfs.File
@@ -816,8 +862,8 @@ func (s *Store) releaseRunRefs(runs []*run) {
 func (s *Store) Flush() error { return s.freezeAndSettle(true) }
 
 // FlushMemtable freezes the active memtable and returns once its flush job
-// has ended — installed and committed, Job.Committed included — without
-// waiting for the compactions that leaves due.
+// has ended — its version saved and installed, Job.Committed included —
+// without waiting for the compactions that leaves due.
 func (s *Store) FlushMemtable() error {
 	s.commitMu.Lock()
 	err := s.ensureMemtableRoom(true)
@@ -1013,7 +1059,7 @@ func (s *Store) DiskBytes() int64 {
 func (s *Store) WaitMaintenance() error { return s.freezeAndSettle(false) }
 
 // Close drains in-flight maintenance (a background flush or compaction
-// runs to completion so the manifest, run files and trusted digests stay
+// runs to completion so the version, run files and trusted digests stay
 // consistent) and the commit worker (the group it is on is fsynced, applied
 // and acknowledged; commits still queued fail with ErrClosed), then
 // releases resources. Buffered writes are NOT flushed — callers flush

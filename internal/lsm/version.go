@@ -46,7 +46,7 @@ const inlineRuns = 8
 // last pin on it may delete run files). Caller holds s.mu for writing.
 //
 // Only state that is final is published: an install publishes once its
-// manifest is durable and the listener's Job.Installed has returned the new
+// version is saved and the listener's Job.Installed has returned the new
 // run's value, and the undo of a failed install restores levels the
 // published version never stopped listing.
 func (s *Store) publishLocked() *version {

@@ -30,7 +30,7 @@ type FS interface {
 	Open(name string) (File, error)
 	// Remove deletes a file.
 	Remove(name string) error
-	// Rename atomically renames a file (used for manifest swaps).
+	// Rename atomically renames a file (used for whole-file swaps).
 	Rename(oldName, newName string) error
 	// List returns the sorted names of files with the given prefix.
 	List(prefix string) ([]string, error)
@@ -60,8 +60,9 @@ type File interface {
 }
 
 // ReadFile returns a private copy of the whole named file. It is the one way
-// a file is read at once — a manifest, a log, a sealed blob, a table being
-// exported — and the copy stays valid whatever the file takes later.
+// a file is read at once — a log, a sealed blob, a table being exported, an
+// unsecured store's manifest — and the copy stays valid whatever the file
+// takes later.
 func ReadFile(fs FS, name string) ([]byte, error) {
 	f, err := fs.Open(name)
 	if err != nil {
@@ -110,7 +111,7 @@ type subber interface {
 
 // Sub returns a view of fs rooted at the named subdirectory — the unit the
 // shard router uses to give each shard an isolated per-shard directory
-// (its own WAL, SSTables, manifest and sealed state) inside one parent
+// (its own WAL, SSTables and sealed state) inside one parent
 // store location. OSFS creates a real directory; other implementations get
 // a name-prefix view, which composes with the fault/latency-injecting
 // wrappers used in tests.
